@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-decomp bench-solve bench-json bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test bench bench-decomp bench-solve bench-json bench-e2e bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
 all: build test
 
@@ -74,25 +74,33 @@ server-chaos:
 # fuzz: short fuzzing passes over the graph input parsers with a
 # write/reparse round-trip oracle, over the stub-aware exact conductance
 # certifier with the brute-force cut enumeration as a differential oracle,
-# and over the binary snapshot decoders with a decode/re-encode round-trip
-# oracle (go fuzzing runs one target at a time).
+# over the CSR→CSR contraction kernel with the sort-and-merge contraction as
+# a differential oracle, and over the binary snapshot decoders with a
+# decode/re-encode round-trip oracle (go fuzzing runs one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzExactConductance -fuzztime=10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzContract -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=10s ./internal/gio
 
 # bench-json: run the committed benchmark set and write the machine-readable
 # records (ns/op, B/op, allocs/op, host core count) behind BENCH.md:
-# the parallel Evaluate, the DecomposeCtx pipeline builds, and the warm
-# zero-alloc Engine solves.
+# the parallel Evaluate, the DecomposeCtx pipeline builds with the hierarchy
+# build and its contraction kernel, and the warm zero-alloc Engine solves.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate$$' -benchmem . \
 		| $(GO) run ./cmd/hcd-benchjson -tags evaluate -out BENCH_evaluate.json
-	$(GO) test -run '^$$' -bench 'BenchmarkDecomposePipeline' -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkDecomposePipeline|BenchmarkHierarchyBuild$$|BenchmarkContract$$' -benchmem . \
 		| $(GO) run ./cmd/hcd-benchjson -tags decompose -out BENCH_decompose.json
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmSolves|BenchmarkBlockSolve' -benchmem . \
 		| $(GO) run ./cmd/hcd-benchjson -tags solve -out BENCH_solve.json
+
+# bench-e2e: the repository's benchmark as BENCHMARK.json declares it — its
+# own unit tests, then the four workloads end to end (bench/README.md).
+bench-e2e:
+	$(GO) test ./bench
+	$(GO) run ./bench
 
 # bench-replay: replay the committed `steady` scenario through the serving
 # stack in-process and write BENCH_replay.json — a benchfmt record whose

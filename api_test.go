@@ -2,6 +2,7 @@ package hcd_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,6 +163,44 @@ func TestMatchedReductionSubgraph(t *testing.T) {
 	}
 	if _, err := hcd.NewSubgraphPreconditionerMatched(g, 1, 1); err == nil {
 		t.Error("target reduction 1 accepted")
+	}
+}
+
+// TestMatchedSubgraphDeterministic builds Figure 6's baseline — the subgraph
+// preconditioner at the Steiner side's reduction factor — five times in one
+// process: every build must apply to the same bits and give PCG the same
+// iteration count. The partial Cholesky elimination walks Go maps, and map
+// order once chose its pairs and its summation order.
+func TestMatchedSubgraphDeterministic(t *testing.T) {
+	g := hcd.OCT3D(12, 12, 12, hcd.DefaultOCTOptions())
+	b := meanFree(rand.New(rand.NewSource(8)), g.N())
+	opt := hcd.DefaultSolveOptions()
+	opt.Tol = 1e-6
+	var wantX []float64
+	var wantIters int
+	for round := 0; round < 5; round++ {
+		sub, err := hcd.NewSubgraphPreconditionerMatched(g, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, g.N())
+		sub.P.Apply(x, b)
+		res, err := hcd.SolvePCGCtx(context.Background(), g, b, sub.P, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			wantX, wantIters = x, res.Iterations
+			continue
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(wantX[i]) {
+				t.Fatalf("build %d: Apply output differs at %d: %v vs %v", round, i, x[i], wantX[i])
+			}
+		}
+		if res.Iterations != wantIters {
+			t.Fatalf("build %d: %d iterations, first build took %d", round, res.Iterations, wantIters)
+		}
 	}
 }
 

@@ -186,6 +186,25 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkContract times the quotient construction Q = RᵀAR alone: the
+// level-0 contraction of a hierarchy build on build-grid3d's graph (64³
+// lognormal grid, the §3.1 clustering at the default size cap and seed).
+func BenchmarkContract(b *testing.B) {
+	g := hcd.Grid3D(64, 64, 64, hcd.LognormalWeights(1), 1)
+	opt := hcd.DefaultHierarchyOptions()
+	d, err := hcd.DecomposeFixedDegree(g, opt.SizeCap, opt.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if q := g.Contract(d.Assign, d.Count); q.N() != d.Count {
+			b.Fatalf("quotient has %d vertices, want %d", q.N(), d.Count)
+		}
+	}
+}
+
 func BenchmarkHierarchySolveOCT(b *testing.B) {
 	g := hcd.OCT3D(20, 20, 20, hcd.DefaultOCTOptions())
 	h, err := hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions())

@@ -95,13 +95,11 @@ func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64
 	if err != nil {
 		return nil, err
 	}
-	if !forest.IsForest() {
-		return nil, fmt.Errorf("decomp: heaviest-edge graph contains a cycle (tie-breaking failure)")
-	}
-	// [3] Split each tree into clusters of about sizeCap vertices.
+	// [3] Split each tree into clusters of about sizeCap vertices. Rooting
+	// fails on a cycle, which only a tie-breaking failure in [2] can leave.
 	rooted, err := treealg.RootForest(forest)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("decomp: heaviest-edge graph: %w", err)
 	}
 	d.Count, err = splitForest(ctx, forest, rooted, sizeCap, d.Assign)
 	if err != nil {
@@ -122,17 +120,18 @@ func splitForest(ctx context.Context, forest *graph.Graph, rooted *treealg.Roote
 		assign[i] = -1
 	}
 	count := 0
-	children := rooted.Children()
+	childOff, childList := rooted.ChildLists()
 	pend := make([]int, n)
+	var stack []int
 	emit := func(v int) {
 		id := count
 		count++
-		stack := []int{v}
+		stack = append(stack[:0], v)
 		for len(stack) > 0 {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			assign[x] = id
-			for _, c := range children[x] {
+			for _, c := range childList[childOff[x]:childOff[x+1]] {
 				if assign[c] < 0 {
 					stack = append(stack, c)
 				}
@@ -145,7 +144,7 @@ func splitForest(ctx context.Context, forest *graph.Graph, rooted *treealg.Roote
 		}
 		v := rooted.Order[i]
 		pend[v] = 1
-		for _, c := range children[v] {
+		for _, c := range childList[childOff[v]:childOff[v+1]] {
 			if assign[c] < 0 {
 				pend[v] += pend[c]
 			}

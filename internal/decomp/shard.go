@@ -184,12 +184,9 @@ func clusterShard(ctx context.Context, s graph.Shard, sizeCap int, seed int64, h
 	if err != nil {
 		return 0, err
 	}
-	if !forest.IsForest() {
-		return 0, fmt.Errorf("decomp: shard [%d,%d) heaviest-edge graph contains a cycle (tie-breaking failure)", s.Lo(), s.Hi())
-	}
 	rooted, err := treealg.RootForest(forest)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("decomp: shard [%d,%d) heaviest-edge graph: %w", s.Lo(), s.Hi(), err)
 	}
 	return splitForest(ctx, forest, rooted, sizeCap, assign)
 }

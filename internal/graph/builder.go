@@ -3,12 +3,12 @@ package graph
 // Builder assembles a CSR graph from a stream of edges without ever holding
 // one flat []Edge: edges land in fixed-size chunks, per-vertex degrees are
 // counted as they arrive, and Finish fills the CSR arrays directly from the
-// chunks and merges parallel edges per vertex. Compared to collecting a full
-// edge list and calling NewFromEdges, this avoids both the append-growth
-// overshoot (up to 2× the final size) and the global O(m log m) sort — the
-// merge is a per-vertex stable sort over each adjacency run instead. The
-// streaming readers in internal/gio feed this builder chunk by chunk so peak
-// memory tracks the graph, not the input file.
+// chunks and merges parallel edges per vertex with the per-row stable sort
+// NewFromEdges also uses. Compared to collecting a full edge list and calling
+// NewFromEdges, this avoids the append-growth overshoot (up to 2× the final
+// size) and holding the list beside the arrays. The streaming readers in
+// internal/gio feed this builder chunk by chunk so peak memory tracks the
+// graph, not the input file.
 
 import (
 	"fmt"
@@ -140,19 +140,26 @@ func (b *Builder) Finish() (*Graph, error) {
 		}
 	}
 	b.chunks = nil
-	// Sort each adjacency run by neighbor id (stable, so parallel edges stay
-	// in insertion order) and merge duplicates in place.
+	g.sortMergeRows(b.policy)
+	return g, nil
+}
+
+// sortMergeRows finishes a CSR graph whose rows were filled in arrival
+// order: each row is sorted by neighbor id (stably, so parallel edges stay in
+// arrival order and both endpoints of a duplicated edge see the identical
+// merged weight), duplicates are merged under policy, the arrays are
+// compacted in place and vol is set to each row's sum in row order. Shared by
+// Builder.Finish and NewFromEdges.
+func (g *Graph) sortMergeRows(policy MergePolicy) {
+	n := g.N()
 	out := 0
 	for v := 0; v < n; v++ {
 		lo, hi := g.off[v], g.off[v+1]
-		run := adjRun{adj: g.adj[lo:hi], w: g.w[lo:hi]}
-		if !sort.IsSorted(run) {
-			sort.Stable(run)
-		}
+		sortRun(g.adj[lo:hi], g.w[lo:hi])
 		g.off[v] = out
 		for i := lo; i < hi; i++ {
 			if out > g.off[v] && g.adj[out-1] == g.adj[i] {
-				switch b.policy {
+				switch policy {
 				case MergeSum:
 					g.w[out-1] += g.w[i]
 				case MergeMax:
@@ -165,20 +172,39 @@ func (b *Builder) Finish() (*Graph, error) {
 			g.adj[out], g.w[out] = g.adj[i], g.w[i]
 			out++
 		}
-		for i := g.off[v]; i < out; i++ {
-			g.vol[v] += g.w[i]
-		}
+		g.vol[v] = sum(g.w[g.off[v]:out])
 	}
 	g.off[n] = out
 	if out < len(g.adj) {
 		g.adj = g.adj[:out:out]
 		g.w = g.w[:out:out]
 	}
-	return g, nil
 }
 
-// adjRun sorts one vertex's adjacency slice by neighbor id, keeping weights
-// parallel.
+// sortRunInsertionMax is the longest run sortRun orders by straight
+// insertion; quotient and mesh rows are almost always shorter.
+const sortRunInsertionMax = 24
+
+// sortRun stably orders one adjacency run by neighbor id, keeping weights
+// parallel. Short or already sorted runs cost one linear scan.
+func sortRun(adj []int, w []float64) {
+	if len(adj) > sortRunInsertionMax {
+		if r := (adjRun{adj: adj, w: w}); !sort.IsSorted(r) {
+			sort.Stable(r)
+		}
+		return
+	}
+	for i := 1; i < len(adj); i++ {
+		a, x := adj[i], w[i]
+		j := i
+		for ; j > 0 && adj[j-1] > a; j-- {
+			adj[j], w[j] = adj[j-1], w[j-1]
+		}
+		adj[j], w[j] = a, x
+	}
+}
+
+// adjRun is sortRun's sort.Interface over one long run.
 type adjRun struct {
 	adj []int
 	w   []float64

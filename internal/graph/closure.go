@@ -73,21 +73,3 @@ func (g *Graph) Closure(s []int) (*Graph, []int, error) {
 	}
 	return MustFromEdges(next, es), back, nil
 }
-
-// Contract returns the quotient graph of g under the cluster assignment:
-// assign[v] ∈ [0, m) names v's cluster, and the quotient has one vertex per
-// cluster with w(ri, rj) = cap(Vi, Vj). Intra-cluster edges vanish. This is
-// the graph Q of Definition 3.1 and algebraically equals RᵀAR off-diagonal.
-func (g *Graph) Contract(assign []int, m int) *Graph {
-	var es []Edge
-	for u := 0; u < g.N(); u++ {
-		nbr, w := g.Neighbors(u)
-		cu := assign[u]
-		for k, v := range nbr {
-			if u < v && assign[v] != cu {
-				es = append(es, Edge{U: cu, V: assign[v], W: w[k]})
-			}
-		}
-	}
-	return MustFromEdges(m, es)
-}

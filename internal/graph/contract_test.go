@@ -1,0 +1,272 @@
+package graph
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// referenceFromEdges is the edge-list constructor this package shipped before
+// the bucket-by-vertex fill, kept as an oracle: orient every edge low to
+// high, sort the whole list by endpoint pair, sum the duplicates in sorted
+// order and fill the CSR arrays from the merged list.
+func referenceFromEdges(n int, edges []Edge) *Graph {
+	es := make([]Edge, len(edges))
+	for i, e := range edges {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		es[i] = e
+	}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].U != es[j].U {
+			return es[i].U < es[j].U
+		}
+		return es[i].V < es[j].V
+	})
+	merged := es[:0]
+	for _, e := range es {
+		if k := len(merged) - 1; k >= 0 && merged[k].U == e.U && merged[k].V == e.V {
+			merged[k].W += e.W
+		} else {
+			merged = append(merged, e)
+		}
+	}
+	// Sorted by (U, V) with U < V, the list fills every row in ascending
+	// neighbor order: the smaller neighbors of x arrive as (U, x) in U order,
+	// then the larger ones as (x, V).
+	g, err := NewFromUniqueEdges(n, merged)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// contractReference is the contraction this package shipped before the
+// CSR→CSR kernel, kept as the oracle the kernel is tested against: collect
+// every cross-cluster edge and build the quotient from that edge list.
+func contractReference(g *Graph, assign []int, m int) *Graph {
+	var es []Edge
+	for u := 0; u < g.N(); u++ {
+		nbr, w := g.Neighbors(u)
+		cu := assign[u]
+		for k, v := range nbr {
+			if u < v && assign[v] != cu {
+				es = append(es, Edge{U: cu, V: assign[v], W: w[k]})
+			}
+		}
+	}
+	return referenceFromEdges(m, es)
+}
+
+// ulpsApart is the number of representable float64 values between two
+// positive weights.
+func ulpsApart(a, b float64) uint64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	if x < y {
+		x, y = y, x
+	}
+	return x - y
+}
+
+// checkContract holds one contraction against the oracle and against the
+// structural contract of a quotient: identical pattern, weights within
+// maxUlps of the oracle's, bitwise symmetry, strictly increasing rows and
+// volumes equal to the row sums in row order.
+func checkContract(t testing.TB, g *Graph, assign []int, m int, maxUlps uint64) {
+	t.Helper()
+	got := g.Contract(assign, m)
+	want := contractReference(g, assign, m)
+	goff, gadj, gw := got.CSR()
+	woff, wadj, ww := want.CSR()
+	if len(goff) != len(woff) || len(gadj) != len(wadj) {
+		t.Fatalf("quotient shape: got n=%d entries=%d, oracle n=%d entries=%d", len(goff)-1, len(gadj), len(woff)-1, len(wadj))
+	}
+	for i := range goff {
+		if goff[i] != woff[i] {
+			t.Fatalf("off[%d] = %d, oracle %d", i, goff[i], woff[i])
+		}
+	}
+	for i := range gadj {
+		if gadj[i] != wadj[i] {
+			t.Fatalf("adj[%d] = %d, oracle %d", i, gadj[i], wadj[i])
+		}
+		if d := ulpsApart(gw[i], ww[i]); d > maxUlps {
+			t.Fatalf("w[%d] = %v, oracle %v: %d ulps apart, limit %d", i, gw[i], ww[i], d, maxUlps)
+		}
+	}
+	for a := 0; a < got.N(); a++ {
+		nbr, w := got.Neighbors(a)
+		vol := 0.0
+		for i, b := range nbr {
+			if i > 0 && nbr[i-1] >= b {
+				t.Fatalf("row %d not strictly increasing: %v", a, nbr)
+			}
+			if b == a {
+				t.Fatalf("row %d holds a self-loop", a)
+			}
+			back, ok := got.Weight(b, a)
+			if !ok || math.Float64bits(back) != math.Float64bits(w[i]) {
+				t.Fatalf("w(%d,%d) = %v but w(%d,%d) = %v (present: %v)", a, b, w[i], b, a, back, ok)
+			}
+			vol += w[i]
+		}
+		if math.Float64bits(vol) != math.Float64bits(got.Vol(a)) {
+			t.Fatalf("Vol(%d) = %v, row sum %v", a, got.Vol(a), vol)
+		}
+	}
+}
+
+func TestContractMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for it := 0; it < 200; it++ {
+		n := 2 + rng.Intn(40)
+		g := randomConnected(rng, n, rng.Intn(3*n))
+		m := 1 + rng.Intn(n)
+		assign := make([]int, n)
+		for v := range assign {
+			assign[v] = rng.Intn(m)
+		}
+		checkContract(t, g, assign, m, 4)
+	}
+}
+
+// TestNewFromEdgesMatchesSortMerge holds the bucket-fill constructor against
+// the sort-and-merge one it replaced. A pair listed at most twice sums to
+// the same bits in any order; longer runs of duplicates may differ in the
+// last places because the old global sort was not stable.
+func TestNewFromEdgesMatchesSortMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for it := 0; it < 200; it++ {
+		n := 2 + rng.Intn(30)
+		count := map[[2]int]int{}
+		var es []Edge
+		for k := rng.Intn(6 * n); k > 0; k-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			es = append(es, Edge{U: u, V: v, W: math.Exp(rng.NormFloat64())})
+			count[[2]int{min(u, v), max(u, v)}]++
+		}
+		got := MustFromEdges(n, es)
+		want := referenceFromEdges(n, es)
+		goff, gadj, gw := got.CSR()
+		woff, wadj, ww := want.CSR()
+		if len(gadj) != len(wadj) {
+			t.Fatalf("entries: got %d, oracle %d", len(gadj), len(wadj))
+		}
+		for v := 0; v <= n; v++ {
+			if goff[v] != woff[v] {
+				t.Fatalf("off[%d] = %d, oracle %d", v, goff[v], woff[v])
+			}
+		}
+		for v := 0; v < n; v++ {
+			for i := goff[v]; i < goff[v+1]; i++ {
+				if gadj[i] != wadj[i] {
+					t.Fatalf("adj[%d] = %d, oracle %d", i, gadj[i], wadj[i])
+				}
+				u := gadj[i]
+				limit := uint64(0)
+				if k := count[[2]int{min(u, v), max(u, v)}]; k > 2 {
+					limit = uint64(k)
+				}
+				if d := ulpsApart(gw[i], ww[i]); d > limit {
+					t.Fatalf("w(%d,%d) = %v, oracle %v: %d ulps apart, limit %d", v, u, gw[i], ww[i], d, limit)
+				}
+				if back, _ := got.Weight(u, v); math.Float64bits(back) != math.Float64bits(gw[i]) {
+					t.Fatalf("w(%d,%d) = %v but w(%d,%d) = %v", v, u, gw[i], u, v, back)
+				}
+			}
+		}
+	}
+}
+
+func TestContractEmptyAndEdgeless(t *testing.T) {
+	empty := MustFromEdges(0, nil)
+	if q := empty.Contract(nil, 0); q.N() != 0 || q.M() != 0 {
+		t.Errorf("empty graph contracts to N=%d M=%d", q.N(), q.M())
+	}
+	// Clusters nothing is assigned to become isolated quotient vertices.
+	g := pathGraph(4)
+	q := g.Contract([]int{0, 0, 3, 3}, 5)
+	if q.N() != 5 || q.M() != 1 || q.Degree(1) != 0 || q.Degree(2) != 0 || q.Degree(4) != 0 {
+		t.Errorf("quotient with empty clusters: N=%d M=%d edges=%v", q.N(), q.M(), q.Edges())
+	}
+}
+
+func TestContractPanicsOnBadAssignment(t *testing.T) {
+	g := cycleGraph(6)
+	for name, tc := range map[string]struct {
+		assign []int
+		m      int
+	}{
+		"short":          {[]int{0, 0, 1, 1, 2}, 3},
+		"long":           {[]int{0, 0, 1, 1, 2, 2, 0}, 3},
+		"id too large":   {[]int{0, 0, 1, 1, 2, 3}, 3},
+		"negative id":    {[]int{0, 0, -1, 1, 2, 2}, 3},
+		"negative count": {[]int{0, 0, 0, 0, 0, 0}, -1},
+		// The bad id sits on an intra-cluster-looking edge: the check is on
+		// the assignment, not on the edges that happen to cross.
+		"isolated bad id": {[]int{7, 7, 7, 7, 7, 7}, 3},
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !errors.Is(err, ErrInvalidInput) {
+					t.Errorf("%s: recovered %v, want an error wrapping ErrInvalidInput", name, err)
+				}
+			}()
+			g.Contract(tc.assign, tc.m)
+		}()
+	}
+}
+
+// FuzzContract differentially fuzzes the contraction kernel against the
+// sort-and-merge oracle. The input bytes decode into a small graph with
+// small-integer weights and an assignment over up to n clusters, so every
+// quotient weight is an exactly representable sum and any summation order
+// gives the same bits: the oracle comparison is exact, not within a
+// tolerance.
+func FuzzContract(f *testing.F) {
+	f.Add([]byte{6, 3, 0, 0, 1, 1, 2, 2, 0, 1, 3, 1, 2, 5, 2, 3, 1, 3, 4, 2, 4, 5, 9, 5, 0, 4})
+	f.Add([]byte{2, 1, 0, 0, 0, 1, 7})
+	f.Add([]byte{4, 4, 0, 1, 2, 3, 0, 1, 1, 1, 2, 1, 2, 3, 1, 0, 2, 8, 0, 2, 8})
+	f.Add([]byte{9, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 15, 0, 2, 15, 0, 3, 1, 3, 4, 1, 4, 5, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		// Byte 0: vertex count in [1, 24]; byte 1: cluster count in [1, n];
+		// n assignment bytes; then triples (u, v, w).
+		n := 1 + int(data[0])%24
+		m := 1 + int(data[1])%n
+		data = data[2:]
+		assign := make([]int, n)
+		for v := range assign {
+			if v < len(data) {
+				assign[v] = int(data[v]) % m
+			}
+		}
+		if len(data) > n {
+			data = data[n:]
+		} else {
+			data = nil
+		}
+		var es []Edge
+		for i := 0; i+2 < len(data); i += 3 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if u == v {
+				continue
+			}
+			es = append(es, Edge{U: u, V: v, W: float64(1 + int(data[i+2])%16)})
+		}
+		g, err := NewFromEdges(n, es)
+		if err != nil {
+			t.Fatalf("construction from valid edges failed: %v", err)
+		}
+		checkContract(t, g, assign, m, 0)
+	})
+}

@@ -3,7 +3,7 @@ package graph
 // Raw CSR access for the snapshot codec (internal/gio). A Graph is immutable
 // and its CSR arrays fully determine it, so persistence serializes the arrays
 // verbatim and reconstruction adopts them after validation — no edge-list
-// round trip, no O(m log m) merge pass.
+// round trip, no per-row sort and merge.
 
 import (
 	"fmt"

@@ -17,7 +17,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Edge is an undirected weighted edge. The orientation of (U, V) carries no
@@ -38,47 +37,18 @@ type Graph struct {
 }
 
 // NewFromEdges builds a graph on n vertices from an edge list. Parallel edges
-// are merged by summing their weights. It returns an error for out-of-range
-// endpoints, self-loops, and non-positive or non-finite weights.
+// are merged by summing their weights in list order. It returns an error for
+// out-of-range endpoints, self-loops, and non-positive or non-finite weights.
+//
+// Construction is a bucket-by-vertex fill followed by the per-row sort and
+// merge Builder.Finish uses — no global sort — so adjacency comes out
+// neighbor-sorted and the cost is O(n + m) when rows are short.
 func NewFromEdges(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d: %w", n, ErrBadDimension)
+	g, err := fillFromEdges(n, edges)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d): %w", e.U, e.V, n, ErrBadDimension)
-		}
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: self-loop at vertex %d", e.U)
-		}
-		if !(e.W > 0) || math.IsInf(e.W, 0) {
-			return nil, fmt.Errorf("graph: edge (%d,%d) has invalid weight %v", e.U, e.V, e.W)
-		}
-	}
-	merged := mergeParallel(edges)
-	g := &Graph{
-		off: make([]int, n+1),
-		adj: make([]int, 2*len(merged)),
-		w:   make([]float64, 2*len(merged)),
-		vol: make([]float64, n),
-	}
-	for _, e := range merged {
-		g.off[e.U+1]++
-		g.off[e.V+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.off[i+1] += g.off[i]
-	}
-	fill := make([]int, n)
-	copy(fill, g.off[:n])
-	for _, e := range merged {
-		g.adj[fill[e.U]], g.w[fill[e.U]] = e.V, e.W
-		fill[e.U]++
-		g.adj[fill[e.V]], g.w[fill[e.V]] = e.U, e.W
-		fill[e.V]++
-		g.vol[e.U] += e.W
-		g.vol[e.V] += e.W
-	}
+	g.sortMergeRows(MergeSum)
 	return g, nil
 }
 
@@ -93,13 +63,36 @@ func MustFromEdges(n int, edges []Edge) *Graph {
 }
 
 // NewFromUniqueEdges builds a graph from an edge list the caller guarantees
-// to be free of duplicates (parallel edges). It skips the sort-and-merge
-// pass of NewFromEdges — O(n+m) instead of O(m log m) — which matters on
-// the hot construction paths of the Section 3.1 clustering. Validation of
+// to be free of duplicates (parallel edges). It skips the per-row
+// sort-and-merge pass of NewFromEdges, so adjacency keeps edge-list order;
+// the Section 3.1 clustering builds its forests this way. Validation of
 // ranges, self-loops and weights still applies; duplicate pairs silently
 // produce a multigraph, so only use this when uniqueness holds by
 // construction.
 func NewFromUniqueEdges(n int, edges []Edge) (*Graph, error) {
+	g, err := fillFromEdges(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	for v := range g.vol {
+		g.vol[v] = sum(g.w[g.off[v]:g.off[v+1]])
+	}
+	return g, nil
+}
+
+// sum adds xs left to right; a vertex's volume is this sum over its row.
+func sum(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+// fillFromEdges validates an edge list and buckets it by endpoint into fresh
+// CSR arrays: every edge lands in the next free slot of both its rows, in
+// list order. Rows are neither sorted nor merged and vol is left zero.
+func fillFromEdges(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d: %w", n, ErrBadDimension)
 	}
@@ -134,39 +127,8 @@ func NewFromUniqueEdges(n int, edges []Edge) (*Graph, error) {
 		fill[e.U]++
 		g.adj[fill[e.V]], g.w[fill[e.V]] = e.U, e.W
 		fill[e.V]++
-		g.vol[e.U] += e.W
-		g.vol[e.V] += e.W
 	}
 	return g, nil
-}
-
-func mergeParallel(edges []Edge) []Edge {
-	if len(edges) == 0 {
-		return nil
-	}
-	es := make([]Edge, len(edges))
-	for i, e := range edges {
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		es[i] = e
-	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	out := es[:1]
-	for _, e := range es[1:] {
-		last := &out[len(out)-1]
-		if e.U == last.U && e.V == last.V {
-			last.W += e.W
-		} else {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // N returns the number of vertices.

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,6 +200,24 @@ func TestHierarchyOptionsValidation(t *testing.T) {
 	opt.SizeCap = 1
 	if _, err := New(g, opt); err == nil {
 		t.Error("SizeCap 1 accepted")
+	}
+}
+
+// TestBuildAllocationBudget pins the allocation count of a whole build. The
+// clustering and the contraction work in flat arrays sized once per level,
+// so the count follows the depth of the hierarchy, not the size of the graph
+// (an edge-list contraction and per-vertex child slices made it ~50 000 here).
+func TestBuildAllocationBudget(t *testing.T) {
+	g := workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewCtx(ctx, g, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per build", allocs)
+	if allocs > 2000 {
+		t.Errorf("a 32³ build made %.0f allocations, budget 2000", allocs)
 	}
 }
 

@@ -91,14 +91,19 @@ func TestRestoreWithoutRebuild(t *testing.T) {
 	if code, _, _ = cB.do("DELETE", "/v1/graphs/"+id, "", nil); code != http.StatusNoContent {
 		t.Fatalf("delete: code %d", code)
 	}
+	// Removal runs on its own goroutine: snapshot file first, manifest
+	// rewrite last. Waiting for the manifest to drop the handle is waiting
+	// for that goroutine, so nothing writes into dir once the test returns.
 	snap := filepath.Join(dir, id+".snap")
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(snap); os.IsNotExist(err) {
+		_, serr := os.Stat(snap)
+		man, merr := os.ReadFile(filepath.Join(dir, manifestName))
+		if os.IsNotExist(serr) && merr == nil && !strings.Contains(string(man), id+".snap") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("snapshot %s still on disk after delete", snap)
+			t.Fatalf("durable state of %s still on disk after delete (snapshot: %v, manifest: %s)", id, serr, man)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -196,6 +201,12 @@ func TestCrashMidBuildLeavesConsistentState(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("submit: code %d body %v", code, body)
 	}
+	hA, release, err := srvA.store.Get(body["id"].(string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildA := hA.ready // closed when A's build goroutine is done
+	release()
 	srvA.Close() // cancel any in-flight build, abandon the process
 
 	srvB, cB := newTestServer(t, Config{StateDir: dir})
@@ -209,6 +220,11 @@ func TestCrashMidBuildLeavesConsistentState(t *testing.T) {
 			t.Fatalf("restored handle %s does not solve: code %d body %v", info.ID, code, body)
 		}
 	}
+	// An in-process crash cannot stop server A's build goroutine, and a build
+	// that outran the cancel goes on to write its snapshot. It ran beside B's
+	// restore, as a dying process would; wait it out before judging the
+	// directory, and so that nothing writes there once the test returns.
+	<-buildA
 	// The dir holds no stray temp files.
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -9,6 +9,7 @@ package subgraph
 
 import (
 	"fmt"
+	"sort"
 
 	"hcd/internal/dense"
 	"hcd/internal/graph"
@@ -100,6 +101,13 @@ func New(b *graph.Graph, coreLimit int) (*Preconditioner, Stats, error) {
 				us = append(us, uu)
 				ws = append(ws, ww)
 			}
+			// Map order must not pick which neighbor is u1: the pair decides
+			// the order the neighbors are queued in, hence the elimination
+			// order and the rounding of everything after it.
+			if us[0] > us[1] {
+				us[0], us[1] = us[1], us[0]
+				ws[0], ws[1] = ws[1], ws[0]
+			}
 			u1, u2 := us[0], us[1]
 			w1, w2 := ws[0], ws[1]
 			delete(adj[u1], v)
@@ -129,10 +137,17 @@ func New(b *graph.Graph, coreLimit int) (*Preconditioner, Stats, error) {
 	if len(p.core) > 0 {
 		m := len(p.core)
 		lap := dense.NewMatrix(m, m)
+		var nbr []int
 		for i, v := range p.core {
-			for u, w := range adj[v] {
-				j := p.coreIdx[u]
-				lap.Add(i, j, -w)
+			// Sorted neighbor order fixes the summation order of the diagonal.
+			nbr = nbr[:0]
+			for u := range adj[v] {
+				nbr = append(nbr, u)
+			}
+			sort.Ints(nbr)
+			for _, u := range nbr {
+				w := adj[v][u]
+				lap.Add(i, p.coreIdx[u], -w)
 				lap.Add(i, i, w)
 			}
 		}
@@ -228,6 +243,9 @@ func ProbeCoreSize(b *graph.Graph) int {
 			delete(adj[u], v)
 		}
 		if len(us) == 2 {
+			if us[0] > us[1] { // same pair order as New, so both eliminate alike
+				us[0], us[1] = us[1], us[0]
+			}
 			adj[us[0]][us[1]] = true
 			adj[us[1]][us[0]] = true
 		}

@@ -42,34 +42,24 @@ func ContractTree(g *graph.Graph, root int) (*Contraction, error) {
 	// compress through it. This lets Acc account exact original totals even
 	// though compressed edges carry series weights.
 	origWeight := append([]float64(nil), r.PWeight...)
-	children := r.Children()
+	// Child lists are kept exact as vertices leave: v's alive children are
+	// list[off[v]:off[v]+childCount[v]] and slot[u] is u's index in its
+	// parent's list, so a rake is a swap-remove and a compress hands the
+	// compressed vertex's slot to its child.
+	off, list := r.ChildLists()
 	childCount := make([]int, n)
+	slot := make([]int, n)
 	for v := 0; v < n; v++ {
-		childCount[v] = len(children[v])
+		childCount[v] = off[v+1] - off[v]
+		for i := off[v]; i < off[v+1]; i++ {
+			slot[list[i]] = i
+		}
 	}
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
 	aliveCount := n
-	// uniqueAliveChild scans v's (lazily maintained) child list.
-	uniqueAliveChild := func(v int) int {
-		lst := children[v]
-		for i := 0; i < len(lst); {
-			u := lst[i]
-			if !alive[u] || parent[u] != v {
-				lst[i] = lst[len(lst)-1]
-				lst = lst[:len(lst)-1]
-				continue
-			}
-			i++
-		}
-		children[v] = lst
-		if len(lst) == 1 {
-			return lst[0]
-		}
-		return -1
-	}
 	for round := 1; aliveCount > 1; round++ {
 		c.Rounds = round
 		if round > 8*bitLen(n)+32 {
@@ -87,6 +77,8 @@ func ContractTree(g *graph.Graph, root int) (*Contraction, error) {
 			c.Acc[p] += c.Acc[v] + origWeight[v]
 			alive[v] = false
 			childCount[p]--
+			last := list[off[p]+childCount[p]]
+			list[slot[v]], slot[last] = last, slot[v]
 			aliveCount--
 		}
 		if aliveCount <= 1 {
@@ -111,16 +103,13 @@ func ContractTree(g *graph.Graph, root int) (*Contraction, error) {
 			if isChain[p] && coin(p, round) {
 				continue
 			}
-			u := uniqueAliveChild(v)
-			if u < 0 {
-				continue
-			}
+			u := list[off[v]]
 			w1, w2 := pweight[v], pweight[u]
 			parent[u] = p
 			pweight[u] = w1 * w2 / (w1 + w2)
 			origWeight[u] += origWeight[v]
 			c.Acc[p] += c.Acc[v]
-			children[p] = append(children[p], u)
+			list[slot[v]], slot[u] = u, slot[v]
 			alive[v] = false
 			aliveCount--
 			// p's child count is unchanged: v left, u arrived.

@@ -32,8 +32,8 @@ func RootAt(g *graph.Graph, root int) (*Rooted, error) {
 	if root < 0 || root >= g.N() {
 		return nil, fmt.Errorf("treealg: root %d out of range", root)
 	}
-	r := newRooted(g)
-	r.rootComponent(root)
+	r := newRooted(g, 1)
+	r.rootComponent(root, nil)
 	r.computeDesc()
 	return r, nil
 }
@@ -41,63 +41,61 @@ func RootAt(g *graph.Graph, root int) (*Rooted, error) {
 // RootForest roots every component of the acyclic graph g at its
 // lowest-numbered vertex. It returns an error if g has a cycle.
 func RootForest(g *graph.Graph) (*Rooted, error) {
-	if !g.IsForest() {
-		return nil, fmt.Errorf("treealg: graph has a cycle")
-	}
-	r := newRooted(g)
-	seen := make([]bool, g.N())
-	for v := range seen {
-		// rootComponent marks everything it reaches via Parent ≥ −1 state;
-		// track via Order membership instead.
-		_ = v
-	}
-	visited := make([]bool, g.N())
+	// A forest has exactly n − m components; the traversal below spans any
+	// graph, so a different root count is the cycle check.
+	r := newRooted(g, max(g.N()-g.M(), 0))
+	var stack []int
 	for v := 0; v < g.N(); v++ {
-		if !visited[v] {
-			start := len(r.Order)
-			r.rootComponent(v)
-			for _, u := range r.Order[start:] {
-				visited[u] = true
-			}
+		if r.Parent[v] == unvisited {
+			stack = r.rootComponent(v, stack)
 		}
+	}
+	if len(r.Roots) != g.N()-g.M() {
+		return nil, fmt.Errorf("treealg: graph has a cycle")
 	}
 	r.computeDesc()
 	return r, nil
 }
 
-func newRooted(g *graph.Graph) *Rooted {
+// unvisited is the Parent value of a vertex no traversal has reached yet.
+const unvisited = -2
+
+func newRooted(g *graph.Graph, roots int) *Rooted {
 	n := g.N()
 	r := &Rooted{
 		G:       g,
+		Roots:   make([]int, 0, roots),
 		Parent:  make([]int, n),
 		PWeight: make([]float64, n),
 		Order:   make([]int, 0, n),
 		Desc:    make([]int, n),
 	}
 	for i := range r.Parent {
-		r.Parent[i] = -2 // unvisited
+		r.Parent[i] = unvisited
 	}
 	return r
 }
 
-// rootComponent runs an iterative DFS preorder from root.
-func (r *Rooted) rootComponent(root int) {
+// rootComponent runs an iterative DFS preorder from root. It works in the
+// caller's stack buffer and returns it for the next component.
+func (r *Rooted) rootComponent(root int, stack []int) []int {
 	r.Roots = append(r.Roots, root)
 	r.Parent[root] = -1
-	stack := []int{root}
+	stack = append(stack[:0], root)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		r.Order = append(r.Order, v)
 		nbr, w := r.G.Neighbors(v)
 		for i, u := range nbr {
-			if r.Parent[u] == -2 {
+			if r.Parent[u] == unvisited {
 				r.Parent[u] = v
 				r.PWeight[u] = w[i]
 				stack = append(stack, u)
 			}
 		}
 	}
+	return stack
 }
 
 // computeDesc fills Desc with subtree sizes by a reverse pass over Order.
@@ -113,15 +111,31 @@ func (r *Rooted) computeDesc() {
 	}
 }
 
-// Children returns the children lists of all vertices.
-func (r *Rooted) Children() [][]int {
-	ch := make([][]int, r.G.N())
-	for _, v := range r.Order {
-		if p := r.Parent[v]; p >= 0 {
-			ch[p] = append(ch[p], v)
+// ChildLists returns every vertex's children as two flat arrays: the
+// children of v are list[off[v]:off[v+1]], in preorder.
+func (r *Rooted) ChildLists() (off, list []int) {
+	n := r.G.N()
+	off = make([]int, n+1)
+	for _, p := range r.Parent {
+		if p >= 0 {
+			off[p+1]++
 		}
 	}
-	return ch
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	// The fill advances off[p] to the end of p's children; Order visits a
+	// parent's children in preorder, which is the order the lists keep.
+	list = make([]int, off[n])
+	for _, v := range r.Order {
+		if p := r.Parent[v]; p >= 0 {
+			list[off[p]] = v
+			off[p]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, list
 }
 
 // IsLeaf reports whether v has no children (degree-1 non-root, or an

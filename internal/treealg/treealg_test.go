@@ -3,6 +3,7 @@ package treealg
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -78,9 +79,12 @@ func TestRootForest(t *testing.T) {
 func TestChildrenAndLeaves(t *testing.T) {
 	g := starTree(4)
 	r, _ := RootAt(g, 0)
-	ch := r.Children()
-	if len(ch[0]) != 3 {
-		t.Errorf("children of root = %v", ch[0])
+	off, list := r.ChildLists()
+	if got := list[off[0]:off[1]]; !reflect.DeepEqual(got, []int{3, 2, 1}) { // preorder: the DFS pops its last push first
+		t.Errorf("children of root = %v", got)
+	}
+	if off[4] != 3 {
+		t.Errorf("leaves have children: off = %v", off)
 	}
 	if r.IsLeaf(0) || !r.IsLeaf(1) {
 		t.Error("leaf classification wrong")
@@ -90,8 +94,12 @@ func TestChildrenAndLeaves(t *testing.T) {
 	if r2.IsLeaf(1) {
 		t.Error("root with a child misclassified as leaf")
 	}
-	if len(r2.Children()[0]) != 2 {
-		t.Errorf("center children after re-rooting = %v", r2.Children()[0])
+	off, list = r2.ChildLists()
+	if got := list[off[0]:off[1]]; len(got) != 2 {
+		t.Errorf("center children after re-rooting = %v", got)
+	}
+	if got := list[off[1]:off[2]]; !reflect.DeepEqual(got, []int{0}) {
+		t.Errorf("children of the new root = %v", got)
 	}
 }
 
