@@ -5,7 +5,10 @@
 // symmetric tridiagonal matrices (used by the Lanczos code).
 //
 // Matrices are dense, row-major, and small by design: they appear only as
-// coarsest-level systems, Schur-complement cores, and test oracles.
+// the subgraph preconditioner's core, Schur-complement and spectral
+// verifications, and test oracles — the hierarchy's and the Steiner
+// preconditioner's direct Laplacian solves are sparse
+// (internal/sparse.LapFactor).
 package dense
 
 import (
@@ -149,116 +152,6 @@ func (c *Cholesky) Solve(dst, b []float64) {
 			sum -= c.l[k*n+i] * dst[k]
 		}
 		dst[i] = sum / c.l[i*n+i]
-	}
-}
-
-// SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
-// (i, j) at b[i*k+j], the block solver's layout), streaming each factor row
-// once for all k columns instead of once per column. dst and b may alias.
-// Per column the operation order matches Solve exactly, so the results are
-// bit-identical to k scalar solves. Columns run in 8-wide register tiles —
-// the running sums stay in locals instead of round-tripping through dst per
-// factor entry — with a per-element tail for k mod 8.
-func (c *Cholesky) SolveBlock(dst, b []float64, k int) {
-	n := c.n
-	if k == 1 {
-		c.Solve(dst[:n], b[:n])
-		return
-	}
-	if len(dst) != n*k || len(b) != n*k {
-		panic("dense: Cholesky.SolveBlock shape mismatch")
-	}
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		c.solveBlockTile8(dst, b, k, j)
-	}
-	if j < k {
-		c.solveBlockTail(dst, b, k, j)
-	}
-}
-
-func (c *Cholesky) solveBlockTile8(dst, b []float64, k, j0 int) {
-	n := c.n
-	// Forward: L·Y = B.
-	for i := 0; i < n; i++ {
-		base := i*k + j0
-		bi := b[base : base+8 : base+8]
-		d0, d1, d2, d3, d4, d5, d6, d7 := bi[0], bi[1], bi[2], bi[3], bi[4], bi[5], bi[6], bi[7]
-		row := c.l[i*n : i*n+i]
-		for p, l := range row {
-			pb := p*k + j0
-			dp := dst[pb : pb+8 : pb+8]
-			d0 -= l * dp[0]
-			d1 -= l * dp[1]
-			d2 -= l * dp[2]
-			d3 -= l * dp[3]
-			d4 -= l * dp[4]
-			d5 -= l * dp[5]
-			d6 -= l * dp[6]
-			d7 -= l * dp[7]
-		}
-		inv := c.l[i*n+i]
-		di := dst[base : base+8 : base+8]
-		di[0], di[1], di[2], di[3] = d0/inv, d1/inv, d2/inv, d3/inv
-		di[4], di[5], di[6], di[7] = d4/inv, d5/inv, d6/inv, d7/inv
-	}
-	// Backward: Lᵀ·X = Y.
-	for i := n - 1; i >= 0; i-- {
-		base := i*k + j0
-		di := dst[base : base+8 : base+8]
-		d0, d1, d2, d3, d4, d5, d6, d7 := di[0], di[1], di[2], di[3], di[4], di[5], di[6], di[7]
-		for p := i + 1; p < n; p++ {
-			l := c.l[p*n+i]
-			pb := p*k + j0
-			dp := dst[pb : pb+8 : pb+8]
-			d0 -= l * dp[0]
-			d1 -= l * dp[1]
-			d2 -= l * dp[2]
-			d3 -= l * dp[3]
-			d4 -= l * dp[4]
-			d5 -= l * dp[5]
-			d6 -= l * dp[6]
-			d7 -= l * dp[7]
-		}
-		inv := c.l[i*n+i]
-		di[0], di[1], di[2], di[3] = d0/inv, d1/inv, d2/inv, d3/inv
-		di[4], di[5], di[6], di[7] = d4/inv, d5/inv, d6/inv, d7/inv
-	}
-}
-
-// solveBlockTail handles the final k−j0 (< 8) columns per element.
-func (c *Cholesky) solveBlockTail(dst, b []float64, k, j0 int) {
-	n := c.n
-	// Forward: L·Y = B.
-	for i := 0; i < n; i++ {
-		di := dst[i*k+j0 : i*k+k : i*k+k]
-		copy(di, b[i*k+j0:i*k+k])
-		row := c.l[i*n : i*n+i]
-		for p, l := range row {
-			dp := dst[p*k+j0 : p*k+k : p*k+k]
-			for j := range di {
-				di[j] -= l * dp[j]
-			}
-		}
-		inv := c.l[i*n+i]
-		for j := range di {
-			di[j] /= inv
-		}
-	}
-	// Backward: Lᵀ·X = Y.
-	for i := n - 1; i >= 0; i-- {
-		di := dst[i*k+j0 : i*k+k : i*k+k]
-		for p := i + 1; p < n; p++ {
-			l := c.l[p*n+i]
-			dp := dst[p*k+j0 : p*k+k : p*k+k]
-			for j := range di {
-				di[j] -= l * dp[j]
-			}
-		}
-		inv := c.l[i*n+i]
-		for j := range di {
-			di[j] /= inv
-		}
 	}
 }
 

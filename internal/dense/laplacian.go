@@ -17,8 +17,6 @@ type PinnedLaplacian struct {
 	buf   []float64
 	csize []int // component sizes, for de-meaning
 	csum  []float64
-	bufB  []float64 // block-solve staging, grown on demand
-	csumB []float64
 }
 
 // NewPinnedLaplacian factors the dense Laplacian a whose connectivity is
@@ -75,7 +73,8 @@ func NewPinnedLaplacian(a *Matrix, comp []int, ncomp int) (*PinnedLaplacian, err
 
 // Solve writes into dst a solution of A·x = b with zero mean on every
 // component. b must be orthogonal to the constant vector on each component
-// (up to roundoff); this is not checked.
+// (up to roundoff); this is not checked. Not safe for concurrent use
+// (internal scratch).
 func (p *PinnedLaplacian) Solve(dst, b []float64) {
 	if len(dst) != p.n || len(b) != p.n {
 		panic("dense: PinnedLaplacian.Solve shape mismatch")
@@ -102,67 +101,6 @@ func (p *PinnedLaplacian) Solve(dst, b []float64) {
 	}
 	for v := 0; v < p.n; v++ {
 		dst[v] -= p.csum[p.comp[v]] / float64(p.csize[p.comp[v]])
-	}
-}
-
-// SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
-// (v, j) at b[v*k+j]) with zero mean per component on every column. The
-// Cholesky factor is streamed once for all k columns; per column the
-// operation order matches Solve exactly, so the results are bit-identical to
-// k scalar solves. Like Solve, not safe for concurrent use (internal
-// scratch).
-func (p *PinnedLaplacian) SolveBlock(dst, b []float64, k int) {
-	if k == 1 {
-		p.Solve(dst[:p.n], b[:p.n])
-		return
-	}
-	if len(dst) != p.n*k || len(b) != p.n*k {
-		panic("dense: PinnedLaplacian.SolveBlock shape mismatch")
-	}
-	nf := len(p.free)
-	if cap(p.bufB) < nf*k {
-		p.bufB = make([]float64, nf*k)
-	}
-	buf := p.bufB[:nf*k]
-	for i, v := range p.free {
-		copy(buf[i*k:i*k+k], b[v*k:v*k+k])
-	}
-	if p.chol != nil {
-		p.chol.SolveBlock(buf, buf, k)
-	}
-	for v := 0; v < p.n; v++ {
-		dv := dst[v*k : v*k+k : v*k+k]
-		if w := p.where[v]; w >= 0 {
-			copy(dv, buf[w*k:w*k+k])
-		} else {
-			for j := range dv {
-				dv[j] = 0
-			}
-		}
-	}
-	// De-mean per component so the answer matches the pseudo-inverse.
-	if cap(p.csumB) < p.ncomp*k {
-		p.csumB = make([]float64, p.ncomp*k)
-	}
-	cs := p.csumB[:p.ncomp*k]
-	for i := range cs {
-		cs[i] = 0
-	}
-	for v := 0; v < p.n; v++ {
-		cv := cs[p.comp[v]*k : p.comp[v]*k+k : p.comp[v]*k+k]
-		dv := dst[v*k : v*k+k : v*k+k]
-		for j := range cv {
-			cv[j] += dv[j]
-		}
-	}
-	for v := 0; v < p.n; v++ {
-		c := p.comp[v]
-		cv := cs[c*k : c*k+k : c*k+k]
-		dv := dst[v*k : v*k+k : v*k+k]
-		sz := float64(p.csize[c])
-		for j := range dv {
-			dv[j] -= cv[j] / sz
-		}
 	}
 }
 

@@ -10,7 +10,7 @@ import "hcd/internal/par"
 // from the CSR.
 //
 // Like the scalar Apply, the block apply draws its work buffers from the
-// hierarchy's sync.Pool and serializes the coarse direct solve: concurrent
+// hierarchy's sync.Pool and shares nothing else that is written: concurrent
 // ApplyBlock calls on one Hierarchy — the server's batched solves land here
 // through pooled engines — are safe.
 //
@@ -66,12 +66,9 @@ func (h *Hierarchy) ApplyBlock(dst, r []float64, k int) {
 
 func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *blockWork) {
 	if level == len(h.levels) {
-		// Coarse direct solve, all k columns through one pass over the
-		// Cholesky factor. The dense solver owns internal scratch, so it
-		// runs under the hierarchy's coarse lock.
-		h.coarseMu.Lock()
+		// Coarse direct solve, the sparse factor streamed once per column
+		// tile.
 		h.coarse.SolveBlock(dst, r, k)
-		h.coarseMu.Unlock()
 		return
 	}
 	l := h.levels[level]

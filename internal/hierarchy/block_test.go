@@ -108,7 +108,7 @@ func TestApplyBlockGOMAXPROCSInvariant(t *testing.T) {
 }
 
 // TestApplyBlockConcurrent: concurrent block applies on one hierarchy share
-// the pool and the coarse lock without cross-talk (run under -race in CI).
+// the pool and the coarse factor without cross-talk (run under -race in CI).
 func TestApplyBlockConcurrent(t *testing.T) {
 	h, n := blockApplyFixture(t, 1)
 	rng := rand.New(rand.NewSource(22))

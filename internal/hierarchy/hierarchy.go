@@ -16,17 +16,17 @@ import (
 	"sync"
 
 	"hcd/internal/decomp"
-	"hcd/internal/dense"
 	"hcd/internal/graph"
 	"hcd/internal/obs"
 	"hcd/internal/par"
+	"hcd/internal/sparse"
 )
 
 // Options configures the hierarchy.
 type Options struct {
 	SizeCap     int   // cluster size cap per level (≥ 2)
 	Seed        int64 // perturbation seed for the clusterings
-	DirectLimit int   // coarsest-level size solved densely
+	DirectLimit int   // largest graph handed to the direct solver
 	MaxLevels   int   // hard cap on depth
 	Smooth      int   // damped-Jacobi pre/post smoothing sweeps per level
 	// Shards splits each level's clustering into that many concurrently
@@ -62,15 +62,13 @@ type Level struct {
 type Hierarchy struct {
 	levels  []*Level
 	coarseG *graph.Graph
-	coarse  *dense.PinnedLaplacian
-	cbuf    []float64
-	// Apply state: pooled per-apply work buffers shared by the scalar and
-	// block cycles, and a lock serializing the coarse factorization's
-	// internal scratch. Both make concurrent Apply/ApplyBlock calls on one
-	// Hierarchy safe — the server's pooled engines solve through a shared
-	// Hierarchy from several goroutines at once.
-	bwPool   sync.Pool
-	coarseMu sync.Mutex
+	coarse  *sparse.LapFactor
+	// Pooled per-apply work buffers shared by the scalar and block cycles.
+	// They are the only mutable apply state — levels and the coarse factor
+	// are read-only — so concurrent Apply/ApplyBlock calls on one Hierarchy
+	// are safe and never wait on each other: the server's pooled engines
+	// solve through a shared Hierarchy from several goroutines at once.
+	bwPool sync.Pool
 }
 
 // New builds the hierarchy for g.
@@ -80,15 +78,15 @@ func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
 
 // NewCtx is New under a context: the per-level clustering polls cancellation
 // and the level loop checks once per level, so a cancelled setup returns an
-// error wrapping decomp.ErrBuildCancelled promptly (the final dense coarse
+// error wrapping decomp.ErrBuildCancelled promptly (the final coarse
 // factorization runs to completion once reached).
 //
 // A panic during setup — including worker panics surfaced by internal/par —
 // is recovered and returned as an error. A clustering that produces no
 // vertex reduction on a still-large graph (a degenerate or corrupted build)
-// is rejected with an error rather than handed to the dense coarse
-// factorization, whose O(n³) cost on an unreduced graph would be a far worse
-// failure than an explicit one.
+// is rejected with an error rather than handed to the coarse factorization,
+// whose fill on an unreduced graph would be a far worse failure than an
+// explicit one.
 func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -129,8 +127,8 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 		if d.Count >= cur.N() {
 			// No reduction possible (e.g. all isolated vertices). Tolerable
 			// only if the graph is already near the direct-solve size;
-			// otherwise the "coarse" solve would densely factorize an
-			// essentially unreduced graph.
+			// otherwise the "coarse" solve would factorize an essentially
+			// unreduced graph.
 			if cur.N() > 4*opt.DirectLimit {
 				return nil, fmt.Errorf("hierarchy: level %d clustering produced no reduction (%d clusters on %d vertices, direct limit %d)",
 					level, d.Count, cur.N(), opt.DirectLimit)
@@ -140,12 +138,14 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 		h.levels = append(h.levels, newLevel(cur, d, opt.Smooth))
 		cur = cur.Contract(d.Assign, d.Count)
 	}
-	if err := h.finish(cur); err != nil {
+	if err := h.finish(ctx, cur); err != nil {
 		return nil, err
 	}
 	if hsp != nil {
 		hsp.Arg("levels", len(h.levels))
 		hsp.Arg("coarse_size", cur.N())
+		hsp.Arg("coarse_nnz", h.coarse.NNZ())
+		hsp.Arg("coarse_fill", h.coarse.Fill())
 	}
 	return h, nil
 }
@@ -180,17 +180,16 @@ func newLevel(cur *graph.Graph, d *decomp.Decomposition, smooth int) *Level {
 	return l
 }
 
-// finish installs the coarsest graph and its dense pinned factorization.
-func (h *Hierarchy) finish(cur *graph.Graph) error {
-	h.coarseG = cur
-	comp, ncomp := cur.Components()
-	lap := dense.FromRowMajor(cur.N(), cur.N(), cur.LapDense())
-	pin, err := dense.NewPinnedLaplacian(lap, comp, ncomp)
+// finish installs the coarsest graph and its sparse pinned factorization
+// (ordering, structure and numeric phase under one span).
+func (h *Hierarchy) finish(ctx context.Context, cur *graph.Graph) error {
+	_, sp := obs.StartSpan(ctx, "hierarchy/coarse-factor")
+	defer sp.End()
+	fac, err := sparse.NewLapFactor(cur)
 	if err != nil {
 		return fmt.Errorf("hierarchy: coarse factorization failed: %w", err)
 	}
-	h.coarse = pin
-	h.cbuf = make([]float64, cur.N())
+	h.coarseG, h.coarse = cur, fac
 	return nil
 }
 
@@ -211,7 +210,7 @@ func (h *Hierarchy) LevelSizes() []int {
 }
 
 // MemoryBytes estimates the resident size of the hierarchy: every level's
-// graph, clustering and work buffers, plus the dense coarse factorization.
+// graph, clustering and work buffers, plus the coarse graph and its factor.
 // It is the accounting figure behind the serving layer's byte-budgeted
 // handle cache, not an exact heap measurement.
 func (h *Hierarchy) MemoryBytes() int64 {
@@ -224,10 +223,8 @@ func (h *Hierarchy) MemoryBytes() int64 {
 		b += 8 * int64(3*l.G.N()+2*l.D.Count)
 	}
 	if h.coarseG != nil {
-		cn := int64(h.coarseG.N())
-		b += h.coarseG.Bytes() + 8*cn*cn
+		b += h.coarseG.Bytes() + h.coarse.Bytes()
 	}
-	b += 8 * int64(len(h.cbuf))
 	return b
 }
 
@@ -242,8 +239,8 @@ func (h *Hierarchy) Dim() int {
 // Apply computes dst ≈ B⁺·r multilevel-recursively. It is a fixed symmetric
 // positive semidefinite linear operator, hence a valid stationary PCG
 // preconditioner. Work buffers come from the hierarchy's apply pool and the
-// coarse direct solve is serialized, so Apply is safe for concurrent use —
-// and, because every sweep is elementwise or a fixed-order segmented sum,
+// coarse factor is read-only, so Apply is safe for concurrent use — and,
+// because every sweep is elementwise or a fixed-order segmented sum,
 // bit-identical at any worker count.
 func (h *Hierarchy) Apply(dst, r []float64) {
 	w, _ := h.bwPool.Get().(*blockWork)
@@ -262,11 +259,7 @@ func (h *Hierarchy) Apply(dst, r []float64) {
 
 func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
 	if level == len(h.levels) {
-		// The dense solver owns internal scratch; the lock keeps concurrent
-		// applies out of it.
-		h.coarseMu.Lock()
 		h.coarse.Solve(dst, r)
-		h.coarseMu.Unlock()
 		return
 	}
 	l := h.levels[level]

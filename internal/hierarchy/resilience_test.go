@@ -19,7 +19,7 @@ func TestNewCtxRejectsNoReductionBuild(t *testing.T) {
 	opt.DirectLimit = 8 // 1600 vertices >> 4·8, so the guard must fire
 	_, err := NewCtx(context.Background(), g, opt)
 	if err == nil {
-		t.Fatal("degenerate clustering must fail the build, not reach the dense coarse solve")
+		t.Fatal("degenerate clustering must fail the build, not reach the coarse factorization")
 	}
 	if !strings.Contains(err.Error(), "no reduction") {
 		t.Errorf("error %q does not explain the degenerate build", err)

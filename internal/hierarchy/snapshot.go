@@ -2,8 +2,8 @@ package hierarchy
 
 // Structural persistence. A built hierarchy is fully determined by the fine
 // graph plus each level's cluster assignment: the quotient graphs, diagonal
-// inverses, restriction orders, scratch buffers and the dense coarse
-// factorization are all cheap, deterministic functions of those. DumpLevels
+// inverses, restriction orders and the sparse coarse factorization are all
+// cheap, deterministic functions of those. DumpLevels
 // exports the minimal structure for the snapshot codec (internal/gio);
 // Rebuild reconstructs a hierarchy from it without re-running any clustering
 // — the expensive Section 3.1 work the snapshot exists to preserve.
@@ -39,7 +39,7 @@ func (h *Hierarchy) DumpLevels() (levels []LevelAssign, smooth int) {
 
 // Rebuild reconstructs a hierarchy from a fine graph and dumped level
 // assignments: each level's quotient is recomputed by contraction and the
-// coarse factorization is redone — O(m) per level plus one small dense
+// coarse factorization is redone — O(m) per level plus one small sparse
 // factorization, no clustering. Assignments are validated against the level
 // graphs they apply to; a mismatch (truncated or corrupted dump) returns an
 // error wrapping graph.ErrInvalidInput. The context is only polled between
@@ -77,7 +77,7 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 		h.levels = append(h.levels, newLevel(cur, d, smooth))
 		cur = cur.Contract(la.Assign, la.Count)
 	}
-	if err := h.finish(cur); err != nil {
+	if err := h.finish(ctx, cur); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -1,0 +1,544 @@
+package sparse
+
+import (
+	"fmt"
+	"math"
+
+	"hcd/internal/graph"
+)
+
+// LapFactor is a sparse direct solver for a (singular) graph Laplacian, sized
+// for the coarsest graph of a hierarchy and for Steiner quotients: a few
+// hundred to a few thousand vertices of a contracted mesh, whose small
+// separators keep the Cholesky factor sparse.
+//
+// The first (lowest-id) vertex of every connected component is pinned to
+// zero; the remaining principal submatrix is SPD and factored as L·Lᵀ after
+// a minimum-degree ordering. For right-hand sides orthogonal to the all-ones
+// vector on every component, Solve returns exactly the pseudo-inverse
+// solution A⁺b: the pinned solve followed by per-component de-meaning.
+//
+// L is stored column-compressed with its row indices in *original* vertex
+// numbering, so the triangular solves run in place in the caller's vector —
+// forward as a column scatter, backward as a column gather — and the pinned
+// rows, which no column of L references, serve as the per-component
+// accumulators of the de-meaning. A LapFactor is immutable after
+// construction: Solve and SolveBlock keep no state and are safe for
+// concurrent use.
+type LapFactor struct {
+	n      int
+	order  []int32   // free vertices in elimination order; column j of L belongs to order[j]
+	colPtr []int32   // column j occupies rowIdx/val[colPtr[j]:colPtr[j+1]]
+	rowIdx []int32   // below-diagonal rows of each column, as original vertex ids
+	val    []float64 // parallel to rowIdx
+	diag   []float64 // L[j][j]
+	pin    []int32   // per vertex: the pinned vertex of its component (itself when pinned)
+	pins   []int32   // the pinned vertices, ascending: one per component
+	csize  []float64 // component sizes, parallel to pins
+	nnzA   int       // stored lower-triangle entries of the matrix that was factored
+}
+
+// NewLapFactor orders and factors the Laplacian of g. It returns an error if
+// a pivot is not strictly positive (weights so spread that the pinned
+// Laplacian is not numerically SPD, or non-finite sums).
+func NewLapFactor(g *graph.Graph) (*LapFactor, error) {
+	n := g.N()
+	// Components labels components in order of their lowest vertex, so the
+	// c-th pinned vertex is the first one carrying label c.
+	comp, ncomp := g.Components()
+	f := &LapFactor{
+		n:     n,
+		pin:   make([]int32, n),
+		pins:  make([]int32, 0, ncomp),
+		csize: make([]float64, ncomp),
+	}
+	for v, c := range comp {
+		if c == len(f.pins) {
+			f.pins = append(f.pins, int32(v))
+		}
+		f.pin[v] = f.pins[c]
+		f.csize[c]++
+	}
+	pos := f.eliminate(g)
+	if err := f.factorize(g, pos); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// eliminate chooses the elimination order and records the structure of L in
+// one pass: minimum degree on the elimination graph, ties to the smallest
+// vertex id. It fills order, colPtr, rowIdx (each column in discovery order)
+// and nnzA, and returns each vertex's elimination position (−1 if pinned).
+//
+// The elimination graph is kept as a quotient graph: a vertex's list holds
+// its uneliminated neighbours (u ≥ 0) and the eliminated pivots it is
+// adjacent to (^e < 0), each standing for the clique on that pivot's column
+// structure. Eliminating v absorbs every pivot in v's list into v, so a
+// rewritten list never outgrows the slot it started in and the whole
+// ordering runs in the O(m) arrays allocated up front plus the recorded
+// structure. Degrees are exact, which makes the order a function of the
+// graph alone — the determinism contract (bit-identical rebuilds, snapshot
+// round trips) rests on that, and is why ties break by id rather than by
+// whatever a bucket structure would pop first.
+func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
+	n := f.n
+	nf := n - len(f.pins)
+	lptr := make([]int32, n)
+	llen := make([]int32, n)
+	deg := make([]int32, n) // current elimination-graph degree; −1 once pinned or eliminated
+	pos = make([]int32, n)
+	total := 0
+	for v := 0; v < n; v++ {
+		lptr[v] = int32(total)
+		total += g.Degree(v)
+	}
+	list := make([]int32, total)
+	f.nnzA = nf
+	for v := 0; v < n; v++ {
+		pos[v], deg[v] = -1, -1
+		if f.pin[v] == int32(v) {
+			continue
+		}
+		nbr, _ := g.Neighbors(v)
+		k := lptr[v]
+		for _, u := range nbr {
+			if f.pin[u] != int32(u) {
+				list[k] = int32(u)
+				k++
+				if u > v {
+					f.nnzA++
+				}
+			}
+		}
+		llen[v] = k - lptr[v]
+		deg[v] = llen[v]
+	}
+
+	f.order = make([]int32, 0, nf)
+	f.colPtr = make([]int32, 1, nf+1)
+	f.rowIdx = make([]int32, 0, total)
+	// tag stamps vertices: during pivot j's step, tag == stamp marks the
+	// pivot, its column structure and the pivots it absorbs; the stamps above
+	// it mark what has been counted into one neighbour's degree.
+	tag := make([]int32, n)
+	var stamp int32
+	column := func(e int32) []int32 { return f.rowIdx[f.colPtr[pos[e]]:f.colPtr[pos[e]+1]] }
+	for j := 0; j < nf; j++ {
+		// Smallest degree, first such vertex; as uint32 the −1 of a pinned
+		// or eliminated vertex never compares below a live degree.
+		v, best := -1, uint32(math.MaxUint32)
+		for u, d := range deg {
+			if uint32(d) < best {
+				v, best = u, uint32(d)
+			}
+		}
+		// Column structure of v: its neighbours, directly or through a pivot.
+		stamp++
+		tag[v] = stamp
+		start := len(f.rowIdx)
+		for _, x := range list[lptr[v] : lptr[v]+llen[v]] {
+			if x >= 0 {
+				if tag[x] != stamp {
+					tag[x] = stamp
+					f.rowIdx = append(f.rowIdx, x)
+				}
+				continue
+			}
+			tag[^x] = stamp
+			for _, w := range column(^x) {
+				if tag[w] != stamp {
+					tag[w] = stamp
+					f.rowIdx = append(f.rowIdx, w)
+				}
+			}
+		}
+		pos[v], deg[v] = int32(j), -1
+		f.order = append(f.order, int32(v))
+		f.colPtr = append(f.colPtr, int32(len(f.rowIdx)))
+		s := f.rowIdx[start:]
+		counted := stamp
+		for _, u := range s {
+			// u now reaches v, the rest of s and every absorbed pivot through
+			// the new pivot v: drop those entries (at least one goes, which
+			// makes room) and append ^v.
+			base := lptr[u]
+			k := base
+			for _, x := range list[base : base+llen[u]] {
+				y := x
+				if y < 0 {
+					y = ^y
+				}
+				if tag[y] != stamp {
+					list[k] = x
+					k++
+				}
+			}
+			rest := list[base:k]
+			list[k] = ^int32(v)
+			llen[u] = k + 1 - base
+			// Degree: s without u, plus whatever else the kept entries reach.
+			// Nothing in s is ever re-tagged, so one array answers both "in
+			// s" and "already counted for u".
+			counted++
+			d := int32(len(s) - 1)
+			for _, x := range rest {
+				if x >= 0 {
+					if tag[x] != counted {
+						tag[x] = counted
+						d++
+					}
+					continue
+				}
+				for _, w := range column(^x) {
+					if t := tag[w]; t != stamp && t != counted {
+						tag[w] = counted
+						d++
+					}
+				}
+			}
+			deg[u] = d
+		}
+		stamp = counted
+	}
+	return pos
+}
+
+// factorize sorts every column of the recorded structure by elimination
+// position and runs the numeric phase: a left-looking column Cholesky that,
+// for column j, applies the columns k < j with L[j][k] ≠ 0 in ascending k —
+// the summation order of the dense row-by-row factorization.
+func (f *LapFactor) factorize(g *graph.Graph, pos []int32) error {
+	nf, nnz := len(f.order), len(f.rowIdx)
+	// Row structure of L (for each j the columns k with L[j][k] ≠ 0,
+	// ascending), read off the columns; writing the columns back from it in
+	// ascending row position sorts them.
+	rptr := make([]int32, nf+1)
+	for _, r := range f.rowIdx {
+		rptr[pos[r]+1]++
+	}
+	for i := 0; i < nf; i++ {
+		rptr[i+1] += rptr[i]
+	}
+	rcol := make([]int32, nnz)
+	next := make([]int32, nf)
+	copy(next, rptr)
+	for k := 0; k < nf; k++ {
+		for _, r := range f.rowIdx[f.colPtr[k]:f.colPtr[k+1]] {
+			i := pos[r]
+			rcol[next[i]] = int32(k)
+			next[i]++
+		}
+	}
+	sorted := make([]int32, nnz) // exact size: the recorded slice carries append's spare capacity
+	copy(next, f.colPtr)
+	for i, v := range f.order {
+		for _, k := range rcol[rptr[i]:rptr[i+1]] {
+			sorted[next[k]] = v
+			next[k]++
+		}
+	}
+	f.rowIdx = sorted
+
+	f.val = make([]float64, nnz)
+	f.diag = make([]float64, nf)
+	x := make([]float64, f.n) // column accumulator by vertex id, zero between columns
+	copy(next, f.colPtr)      // next[k]: column k's entry for the row being factored
+	for j, v := range f.order {
+		nbr, w := g.Neighbors(int(v))
+		x[v] = g.Vol(int(v))
+		for i, u := range nbr {
+			if pos[u] > int32(j) {
+				x[u] -= w[i]
+			}
+		}
+		for _, k := range rcol[rptr[j]:rptr[j+1]] {
+			p := next[k]
+			next[k] = p + 1
+			ljk := f.val[p]
+			rows := f.rowIdx[p:f.colPtr[k+1]]
+			vals := f.val[p:f.colPtr[k+1]]
+			for q, r := range rows {
+				x[r] -= vals[q] * ljk
+			}
+		}
+		d := x[v]
+		x[v] = 0
+		if !(d > 0) {
+			return fmt.Errorf("sparse: Laplacian pivot %d (vertex %d) is %v (not SPD on the free vertices)", j, v, d)
+		}
+		l := math.Sqrt(d)
+		f.diag[j] = l
+		for q := f.colPtr[j]; q < f.colPtr[j+1]; q++ {
+			r := f.rowIdx[q]
+			f.val[q] = x[r] / l
+			x[r] = 0
+		}
+	}
+	return nil
+}
+
+// NNZ returns the number of stored entries of L, diagonal included.
+func (f *LapFactor) NNZ() int { return len(f.val) + len(f.diag) }
+
+// Fill returns nnz(L) ÷ nnz(lower triangle of the pinned Laplacian): 1 means
+// the factor is as sparse as the matrix.
+func (f *LapFactor) Fill() float64 {
+	if f.nnzA == 0 {
+		return 1
+	}
+	return float64(f.NNZ()) / float64(f.nnzA)
+}
+
+// Bytes returns the resident size of the factor: values, int32 row indices,
+// column pointers, order and the pinning tables.
+func (f *LapFactor) Bytes() int64 {
+	return 8*int64(len(f.val)+len(f.diag)+len(f.csize)) +
+		4*int64(len(f.rowIdx)+len(f.colPtr)+len(f.order)+len(f.pin)+len(f.pins))
+}
+
+// Solve writes into dst a solution of A·x = b with zero mean on every
+// component. b must be orthogonal to the constant vector on each component
+// (up to roundoff); this is not checked. dst and b may alias.
+func (f *LapFactor) Solve(dst, b []float64) {
+	if len(dst) != f.n || len(b) != f.n {
+		panic("sparse: LapFactor.Solve shape mismatch")
+	}
+	copy(dst, b)
+	for _, p := range f.pins {
+		dst[p] = 0
+	}
+	// Forward: L·y = b, scattering each finished y down its column.
+	for j, v := range f.order {
+		y := dst[v] / f.diag[j]
+		dst[v] = y
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			dst[r] -= vals[q] * y
+		}
+	}
+	// Backward: Lᵀ·x = y, gathering each column against the finished x.
+	for j := len(f.order) - 1; j >= 0; j-- {
+		v := f.order[j]
+		s := dst[v]
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			s -= vals[q] * dst[r]
+		}
+		dst[v] = s / f.diag[j]
+	}
+	// De-mean per component so the answer matches the pseudo-inverse; the
+	// pinned entries (zero so far) accumulate their component's sum.
+	for v, p := range f.pin {
+		if int(p) != v {
+			dst[p] += dst[v]
+		}
+	}
+	for c, p := range f.pins {
+		dst[p] /= f.csize[c]
+	}
+	for v, p := range f.pin {
+		if int(p) != v {
+			dst[v] -= dst[p]
+		}
+	}
+	for _, p := range f.pins {
+		dst[p] = 0 - dst[p]
+	}
+}
+
+// SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
+// (v, j) at b[v*k+j]) with zero mean per component on every column. The
+// factor is streamed once per column tile — 8 wide, then 4, then a 1–3
+// column tail, each keeping its running values in locals — and per column
+// the operation order matches Solve exactly, so the results are
+// bit-identical to k scalar solves. dst and b may alias.
+func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
+	if k == 1 {
+		f.Solve(dst[:f.n], b[:f.n])
+		return
+	}
+	if len(dst) != f.n*k || len(b) != f.n*k {
+		panic("sparse: LapFactor.SolveBlock shape mismatch")
+	}
+	copy(dst, b)
+	for _, p := range f.pins {
+		row := dst[int(p)*k : int(p)*k+k]
+		for j := range row {
+			row[j] = 0
+		}
+	}
+	j := 0
+	for ; j+8 <= k; j += 8 {
+		f.solveTile8(dst, k, j)
+	}
+	if j+4 <= k {
+		f.solveTile4(dst, k, j)
+		j += 4
+	}
+	if j < k {
+		f.solveTail(dst, k, j)
+	}
+	for v, p := range f.pin {
+		if int(p) != v {
+			dp, dv := dst[int(p)*k:int(p)*k+k], dst[v*k:v*k+k]
+			for j := range dp {
+				dp[j] += dv[j]
+			}
+		}
+	}
+	for c, p := range f.pins {
+		dp := dst[int(p)*k : int(p)*k+k]
+		for j := range dp {
+			dp[j] /= f.csize[c]
+		}
+	}
+	for v, p := range f.pin {
+		if int(p) != v {
+			dp, dv := dst[int(p)*k:int(p)*k+k], dst[v*k:v*k+k]
+			for j := range dv {
+				dv[j] -= dp[j]
+			}
+		}
+	}
+	for _, p := range f.pins {
+		dp := dst[int(p)*k : int(p)*k+k]
+		for j := range dp {
+			dp[j] = 0 - dp[j]
+		}
+	}
+}
+
+func (f *LapFactor) solveTile8(dst []float64, k, j0 int) {
+	for j, v := range f.order {
+		b := int(v)*k + j0
+		dv := dst[b : b+8 : b+8]
+		l := f.diag[j]
+		y0, y1, y2, y3 := dv[0]/l, dv[1]/l, dv[2]/l, dv[3]/l
+		y4, y5, y6, y7 := dv[4]/l, dv[5]/l, dv[6]/l, dv[7]/l
+		dv[0], dv[1], dv[2], dv[3] = y0, y1, y2, y3
+		dv[4], dv[5], dv[6], dv[7] = y4, y5, y6, y7
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			lq := vals[q]
+			rb := int(r)*k + j0
+			dr := dst[rb : rb+8 : rb+8]
+			dr[0] -= lq * y0
+			dr[1] -= lq * y1
+			dr[2] -= lq * y2
+			dr[3] -= lq * y3
+			dr[4] -= lq * y4
+			dr[5] -= lq * y5
+			dr[6] -= lq * y6
+			dr[7] -= lq * y7
+		}
+	}
+	for j := len(f.order) - 1; j >= 0; j-- {
+		b := int(f.order[j])*k + j0
+		dv := dst[b : b+8 : b+8]
+		s0, s1, s2, s3, s4, s5, s6, s7 := dv[0], dv[1], dv[2], dv[3], dv[4], dv[5], dv[6], dv[7]
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			lq := vals[q]
+			rb := int(r)*k + j0
+			dr := dst[rb : rb+8 : rb+8]
+			s0 -= lq * dr[0]
+			s1 -= lq * dr[1]
+			s2 -= lq * dr[2]
+			s3 -= lq * dr[3]
+			s4 -= lq * dr[4]
+			s5 -= lq * dr[5]
+			s6 -= lq * dr[6]
+			s7 -= lq * dr[7]
+		}
+		l := f.diag[j]
+		dv[0], dv[1], dv[2], dv[3] = s0/l, s1/l, s2/l, s3/l
+		dv[4], dv[5], dv[6], dv[7] = s4/l, s5/l, s6/l, s7/l
+	}
+}
+
+func (f *LapFactor) solveTile4(dst []float64, k, j0 int) {
+	for j, v := range f.order {
+		b := int(v)*k + j0
+		dv := dst[b : b+4 : b+4]
+		l := f.diag[j]
+		y0, y1, y2, y3 := dv[0]/l, dv[1]/l, dv[2]/l, dv[3]/l
+		dv[0], dv[1], dv[2], dv[3] = y0, y1, y2, y3
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			lq := vals[q]
+			rb := int(r)*k + j0
+			dr := dst[rb : rb+4 : rb+4]
+			dr[0] -= lq * y0
+			dr[1] -= lq * y1
+			dr[2] -= lq * y2
+			dr[3] -= lq * y3
+		}
+	}
+	for j := len(f.order) - 1; j >= 0; j-- {
+		b := int(f.order[j])*k + j0
+		dv := dst[b : b+4 : b+4]
+		s0, s1, s2, s3 := dv[0], dv[1], dv[2], dv[3]
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			lq := vals[q]
+			rb := int(r)*k + j0
+			dr := dst[rb : rb+4 : rb+4]
+			s0 -= lq * dr[0]
+			s1 -= lq * dr[1]
+			s2 -= lq * dr[2]
+			s3 -= lq * dr[3]
+		}
+		l := f.diag[j]
+		dv[0], dv[1], dv[2], dv[3] = s0/l, s1/l, s2/l, s3/l
+	}
+}
+
+// solveTail handles the final k−j0 ∈ {1, 2, 3} columns.
+func (f *LapFactor) solveTail(dst []float64, k, j0 int) {
+	kk := k - j0
+	for j, v := range f.order {
+		b := int(v)*k + j0
+		l := f.diag[j]
+		var y [3]float64
+		for t := 0; t < kk; t++ {
+			y[t] = dst[b+t] / l
+			dst[b+t] = y[t]
+		}
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			lq := vals[q]
+			rb := int(r)*k + j0
+			for t := 0; t < kk; t++ {
+				dst[rb+t] -= lq * y[t]
+			}
+		}
+	}
+	for j := len(f.order) - 1; j >= 0; j-- {
+		b := int(f.order[j])*k + j0
+		var s [3]float64
+		for t := 0; t < kk; t++ {
+			s[t] = dst[b+t]
+		}
+		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
+		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+		for q, r := range rows {
+			lq := vals[q]
+			rb := int(r)*k + j0
+			for t := 0; t < kk; t++ {
+				s[t] -= lq * dst[rb+t]
+			}
+		}
+		l := f.diag[j]
+		for t := 0; t < kk; t++ {
+			dst[b+t] = s[t] / l
+		}
+	}
+}

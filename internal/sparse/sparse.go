@@ -1,8 +1,10 @@
 // Package sparse provides compressed sparse row (CSR) matrices and the
 // kernels the Steiner-preconditioner pipeline needs: parallel SpMV,
 // transpose, CSR×CSR products, the RᵀAR triple product that assembles
-// quotient Laplacians algebraically (paper Remark 1), and Jacobi /
-// Gauss–Seidel smoothing sweeps.
+// quotient Laplacians algebraically (paper Remark 1), Jacobi /
+// Gauss–Seidel smoothing sweeps, and the sparse pinned Cholesky (LapFactor)
+// behind the direct solves of the hierarchy's coarsest level and the Steiner
+// quotient.
 package sparse
 
 import (

@@ -23,19 +23,20 @@ import (
 	"hcd/internal/graph"
 	"hcd/internal/par"
 	"hcd/internal/solver"
+	"hcd/internal/sparse"
 )
 
 // Options configures the quotient solve inside the preconditioner.
 type Options struct {
-	// DirectLimit is the largest quotient size solved by dense Cholesky;
-	// larger quotients fall back to an inner Jacobi-PCG solve.
+	// DirectLimit is the largest quotient size solved directly (sparse
+	// Cholesky); larger quotients fall back to an inner Jacobi-PCG solve.
 	DirectLimit int
 	// InnerTol and InnerMaxIter bound the fallback inner solve.
 	InnerTol     float64
 	InnerMaxIter int
 }
 
-// DefaultOptions uses a 2500-vertex dense direct limit.
+// DefaultOptions uses a 2500-vertex direct limit.
 func DefaultOptions() Options {
 	return Options{DirectLimit: 2500, InnerTol: 1e-10, InnerMaxIter: 2000}
 }
@@ -91,13 +92,11 @@ func New(d *decomp.Decomposition, opt Options) (*Preconditioner, error) {
 		fill[c]++
 	}
 	if q.N() <= opt.DirectLimit {
-		comp, ncomp := q.Components()
-		lap := dense.FromRowMajor(q.N(), q.N(), q.LapDense())
-		pin, err := dense.NewPinnedLaplacian(lap, comp, ncomp)
+		fac, err := sparse.NewLapFactor(q)
 		if err != nil {
 			return nil, fmt.Errorf("steiner: quotient factorization failed: %w", err)
 		}
-		p.qSolve = pin.Solve
+		p.qSolve = fac.Solve
 	} else {
 		op := solver.LapOperator(q)
 		jac := solver.Jacobi(q)
