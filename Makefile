@@ -75,7 +75,8 @@ server-chaos:
 # write/reparse round-trip oracle, over the stub-aware exact conductance
 # certifier with the brute-force cut enumeration as a differential oracle,
 # over the CSR→CSR contraction kernel with the sort-and-merge contraction as
-# a differential oracle, over the binary snapshot decoders with a
+# a differential oracle, over vertex renumbering (Permuted) with the permuted
+# original as a bitwise oracle, over the binary snapshot decoders with a
 # decode/re-encode round-trip oracle, and over the sparse Laplacian factor
 # with the dense pinned Cholesky as a differential oracle (go fuzzing runs
 # one target at a time).
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzExactConductance -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzContract -fuzztime=10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzPermuted -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzLapFactor -fuzztime=10s ./internal/sparse
 
@@ -91,13 +93,14 @@ fuzz:
 # records (ns/op, B/op, allocs/op, host core count) behind BENCH.md:
 # the parallel Evaluate, the DecomposeCtx pipeline builds with the hierarchy
 # build, its contraction kernel and its coarse factorization, and the warm
-# zero-alloc Engine solves with the coarse direct solve under them.
+# zero-alloc Engine solves with the V-cycle, its per-level matvec (ns/entry)
+# and the coarse direct solve under them.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate$$' -benchmem . \
 		| $(GO) run ./cmd/hcd-benchjson -tags evaluate -out BENCH_evaluate.json
 	$(GO) test -run '^$$' -bench 'BenchmarkDecomposePipeline|BenchmarkHierarchyBuild$$|BenchmarkContract$$|BenchmarkCoarseFactor$$' -benchmem . ./internal/hierarchy \
 		| $(GO) run ./cmd/hcd-benchjson -tags decompose -out BENCH_decompose.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmSolves|BenchmarkBlockSolve|BenchmarkCoarseSolve$$' -benchmem . ./internal/hierarchy \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmSolves|BenchmarkBlockSolve|BenchmarkCoarseSolve$$|BenchmarkLapMulByLevel$$|BenchmarkHierarchyApply$$' -benchmem . ./internal/hierarchy \
 		| $(GO) run ./cmd/hcd-benchjson -tags solve -out BENCH_solve.json
 
 # bench-e2e: the repository's benchmark as BENCHMARK.json declares it — its

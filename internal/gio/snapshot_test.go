@@ -92,20 +92,23 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 	if h2.Depth() != h.Depth() || h2.CoarseSize() != h.CoarseSize() {
 		t.Fatalf("shape changed: depth %d→%d, coarse %d→%d", h.Depth(), h2.Depth(), h.CoarseSize(), h2.CoarseSize())
 	}
-	// The rebuilt hierarchy must be the same linear operator bit-for-bit:
-	// assignments are persisted and everything else is deterministic.
-	r := make([]float64, g.N())
+	// The rebuilt hierarchy must be the same linear operator bit-for-bit,
+	// scalar and block: assignments are persisted in natural numbering and
+	// everything else — quotients, apply layouts, factor — is deterministic.
 	rng := rand.New(rand.NewSource(7))
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-	want := make([]float64, g.N())
-	got := make([]float64, g.N())
-	h.Apply(want, r)
-	h2.Apply(got, r)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("Apply diverges at %d: %v vs %v", i, want[i], got[i])
+	for _, k := range []int{1, 3} {
+		r := make([]float64, g.N()*k)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		want := make([]float64, len(r))
+		got := make([]float64, len(r))
+		h.ApplyBlock(want, r, k)
+		h2.ApplyBlock(got, r, k)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("k=%d: apply diverges at %d: %v vs %v", k, i, want[i], got[i])
+			}
 		}
 	}
 }

@@ -11,14 +11,17 @@ func (g *Graph) LapMul(dst, x []float64) {
 	// Serial short-circuit below the grain (and on one worker): the closure
 	// below escapes to worker goroutines and would heap-allocate per call,
 	// which matters for the solver engine's zero-allocation small solves.
-	if n <= 8192 || par.Workers() == 1 {
+	if n <= rowGrain || par.Workers() == 1 {
 		g.lapMulRange(dst, x, 0, n)
 		return
 	}
-	par.For(n, 8192, func(lo, hi int) {
+	par.For(n, rowGrain, func(lo, hi int) {
 		g.lapMulRange(dst, x, lo, hi)
 	})
 }
+
+// rowGrain is the per-chunk row count of the scalar row kernels.
+const rowGrain = 8192
 
 // LapMulSerial is the single-goroutine matvec, bit-identical to LapMul. It
 // exists as the reference implementation for equality tests and for
@@ -27,15 +30,80 @@ func (g *Graph) LapMulSerial(dst, x []float64) {
 	g.lapMulRange(dst, x, 0, g.N())
 }
 
+// LapMulResidual computes dst = r − A·x in one CSR traversal: each row's
+// matvec value is completed first and then subtracted from r[v], so the
+// result is bit-identical to LapMul followed by an elementwise subtraction.
+// dst may alias r but not x.
+func (g *Graph) LapMulResidual(dst, r, x []float64) {
+	n := g.N()
+	if n <= rowGrain || par.Workers() == 1 {
+		g.lapResidualRange(dst, r, x, 0, n)
+		return
+	}
+	par.For(n, rowGrain, func(lo, hi int) {
+		g.lapResidualRange(dst, r, x, lo, hi)
+	})
+}
+
+// LapJacobiStep computes one damped-Jacobi sweep for A·x = r out of place:
+// dst = x + ω·D⁻¹(r − A·x), with dInv the caller's inverse diagonal. Per row
+// it is bit-identical to LapMul into a temporary followed by
+// x[v] += ω·(r[v] − tmp[v])·dInv[v]. dst must not alias x.
+func (g *Graph) LapJacobiStep(dst, r, x, dInv []float64, omega float64) {
+	n := g.N()
+	if n <= rowGrain || par.Workers() == 1 {
+		g.lapJacobiRange(dst, r, x, dInv, omega, 0, n)
+		return
+	}
+	par.For(n, rowGrain, func(lo, hi int) {
+		g.lapJacobiRange(dst, r, x, dInv, omega, lo, hi)
+	})
+}
+
+// lapRow returns one row of A·x — Σ w[i]·(xv − x[adj[i]]) over the row's
+// entries [i, end) in entry order. It is the one row loop under every scalar
+// kernel: it indexes the full-length CSR arrays (no per-row sub-slices, which
+// cost two slice headers per row) and is small enough to inline, so each
+// range kernel below compiles to a single loop nest that carries the entry
+// cursor from row to row.
+func lapRow(adj []int, w, x []float64, xv float64, i, end int) float64 {
+	acc := 0.0
+	for ; i < end; i++ {
+		acc += w[i] * (xv - x[adj[i]])
+	}
+	return acc
+}
+
 func (g *Graph) lapMulRange(dst, x []float64, lo, hi int) {
+	off, adj := g.off, g.adj
+	w := g.w[:len(adj)]
+	i := off[lo]
 	for v := lo; v < hi; v++ {
-		nbr, w := g.Neighbors(v)
-		acc := 0.0
-		xv := x[v]
-		for i, u := range nbr {
-			acc += w[i] * (xv - x[u])
-		}
-		dst[v] = acc
+		end := off[v+1]
+		dst[v] = lapRow(adj, w, x, x[v], i, end)
+		i = end
+	}
+}
+
+func (g *Graph) lapResidualRange(dst, r, x []float64, lo, hi int) {
+	off, adj := g.off, g.adj
+	w := g.w[:len(adj)]
+	i := off[lo]
+	for v := lo; v < hi; v++ {
+		end := off[v+1]
+		dst[v] = r[v] - lapRow(adj, w, x, x[v], i, end)
+		i = end
+	}
+}
+
+func (g *Graph) lapJacobiRange(dst, r, x, dInv []float64, omega float64, lo, hi int) {
+	off, adj := g.off, g.adj
+	w := g.w[:len(adj)]
+	i := off[lo]
+	for v := lo; v < hi; v++ {
+		end := off[v+1]
+		dst[v] = x[v] + omega*(r[v]-lapRow(adj, w, x, x[v], i, end))*dInv[v]
+		i = end
 	}
 }
 

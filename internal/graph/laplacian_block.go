@@ -38,23 +38,21 @@ func (g *Graph) LapMulBlock(dst, x []float64, k int) {
 // fused form of LapMulBlock followed by an elementwise subtraction, saving a
 // full read+write pass over the block. Per column the matvec value is
 // completed first and then subtracted from r, exactly the two-step operation
-// order, so the result is bit-identical to the unfused sequence.
+// order, so the result is bit-identical to the unfused sequence. For k = 1
+// it is the scalar LapMulResidual.
 func (g *Graph) LapMulBlockResidual(dst, r, x []float64, k int) {
-	if k == 1 {
-		g.LapMul(dst, x)
-		for v := range dst {
-			dst[v] = r[v] - dst[v]
-		}
-		return
-	}
 	g.lapMulBlockDispatch(dst, r, x, k)
 }
 
 // lapMulBlockDispatch runs the (possibly fused-residual: r non-nil) block
 // matvec with the shared serial short-circuit and row-chunked parallel path.
 func (g *Graph) lapMulBlockDispatch(dst, r, x []float64, k int) {
-	if k == 1 && r == nil {
-		g.LapMul(dst, x)
+	if k == 1 {
+		if r == nil {
+			g.LapMul(dst, x)
+		} else {
+			g.LapMulResidual(dst, r, x)
+		}
 		return
 	}
 	n := g.N()

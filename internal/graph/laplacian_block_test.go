@@ -59,15 +59,16 @@ func TestLapMulBlockMatchesColumns(t *testing.T) {
 	}
 }
 
-// TestLapMulBlockK1BitIdentical: width-1 blocks take the scalar LapMul path
-// exactly.
+// TestLapMulBlockK1BitIdentical: width-1 blocks take the scalar path exactly
+// — LapMulBlock is LapMul, and LapMulBlockResidual is r minus it in one
+// traversal.
 func TestLapMulBlockK1BitIdentical(t *testing.T) {
 	g := blockTestGraph(t, 500, 3)
 	n := g.N()
 	rng := rand.New(rand.NewSource(4))
-	x := make([]float64, n)
+	x, r := make([]float64, n), make([]float64, n)
 	for i := range x {
-		x[i] = rng.NormFloat64()
+		x[i], r[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
 	got := make([]float64, n)
 	want := make([]float64, n)
@@ -76,6 +77,45 @@ func TestLapMulBlockK1BitIdentical(t *testing.T) {
 	for v := range got {
 		if got[v] != want[v] {
 			t.Fatalf("row %d: %v != %v", v, got[v], want[v])
+		}
+	}
+	g.LapMulBlockResidual(got, r, x, 1)
+	for v := range got {
+		if got[v] != r[v]-want[v] {
+			t.Fatalf("residual row %d: %v != %v", v, got[v], r[v]-want[v])
+		}
+	}
+}
+
+// TestFusedRowKernelsMatchUnfused: LapMulResidual and LapJacobiStep equal
+// the matvec-then-sweep sequences they fuse, bit for bit, at any worker
+// count — on a graph large enough to cross the row grain.
+func TestFusedRowKernelsMatchUnfused(t *testing.T) {
+	g := blockTestGraph(t, 3*rowGrain, 7)
+	n := g.N()
+	rng := rand.New(rand.NewSource(8))
+	x, r, dInv := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i], r[i], dInv[i] = rng.NormFloat64(), rng.NormFloat64(), 1/g.Vol(i)
+	}
+	const omega = 0.5
+	ax := make([]float64, n)
+	g.LapMulSerial(ax, x)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		res, jac := make([]float64, n), make([]float64, n)
+		g.LapMulResidual(res, r, x)
+		g.LapJacobiStep(jac, r, x, dInv, omega)
+		for v := 0; v < n; v++ {
+			if want := r[v] - ax[v]; res[v] != want {
+				t.Fatalf("procs=%d LapMulResidual row %d: %v != %v", procs, v, res[v], want)
+			}
+			want := x[v]
+			want += omega * (r[v] - ax[v]) * dInv[v]
+			if jac[v] != want {
+				t.Fatalf("procs=%d LapJacobiStep row %d: %v != %v", procs, v, jac[v], want)
+			}
 		}
 	}
 }

@@ -24,6 +24,22 @@ type blockWork struct {
 	rq, xq, tmp, tmp2 [][]float64 // per level, [Count·k] / [n·k]
 }
 
+// getWork takes a workspace from the apply pool, sized to the hierarchy's
+// depth; the caller puts it back.
+func (h *Hierarchy) getWork() *blockWork {
+	w, _ := h.bwPool.Get().(*blockWork)
+	if w == nil {
+		w = &blockWork{}
+	}
+	for len(w.rq) < len(h.levels) {
+		w.rq = append(w.rq, nil)
+		w.xq = append(w.xq, nil)
+		w.tmp = append(w.tmp, nil)
+		w.tmp2 = append(w.tmp2, nil)
+	}
+	return w
+}
+
 func growBuf(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)
@@ -50,16 +66,7 @@ func (h *Hierarchy) ApplyBlock(dst, r []float64, k int) {
 		h.Apply(dst, r)
 		return
 	}
-	w, _ := h.bwPool.Get().(*blockWork)
-	if w == nil {
-		w = &blockWork{}
-	}
-	for len(w.rq) < len(h.levels) {
-		w.rq = append(w.rq, nil)
-		w.xq = append(w.xq, nil)
-		w.tmp = append(w.tmp, nil)
-		w.tmp2 = append(w.tmp2, nil)
-	}
+	w := h.getWork()
 	h.applyLevelBlock(0, dst, r, k, w)
 	h.bwPool.Put(w)
 }
@@ -72,10 +79,10 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 		return
 	}
 	l := h.levels[level]
-	n := l.G.N()
+	n := l.g.N()
 	grain := blockElemGrain(k)
-	rq := growBuf(&w.rq[level], l.D.Count*k)
-	xq := growBuf(&w.xq[level], l.D.Count*k)
+	rq := growBuf(&w.rq[level], l.count*k)
+	xq := growBuf(&w.xq[level], l.count*k)
 	if l.smooth == 0 {
 		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr).
 		restrictBlock(l, r, k, rq)
@@ -83,7 +90,7 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 		par.For(n, grain, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				dv := l.dInv[v]
-				q := xq[l.D.Assign[v]*k:]
+				q := xq[int(l.assign[v])*k:]
 				rv := r[v*k : v*k+k : v*k+k]
 				dstv := dst[v*k : v*k+k : v*k+k]
 				for j := range dstv {
@@ -109,7 +116,7 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 		}
 	})
 	for s := 1; s < l.smooth; s++ {
-		l.G.LapMulBlock(tmp, x, k)
+		l.g.LapMulBlock(tmp, x, k)
 		par.For(n, grain, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				od := omega * l.dInv[v]
@@ -122,12 +129,12 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 			}
 		})
 	}
-	l.G.LapMulBlockResidual(tmp, r, x, k)
+	l.g.LapMulBlockResidual(tmp, r, x, k)
 	restrictBlock(l, tmp, k, rq)
 	h.applyLevelBlock(level+1, xq, rq, k, w)
 	par.For(n, grain, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			q := xq[l.D.Assign[v]*k:]
+			q := xq[int(l.assign[v])*k:]
 			xv := x[v*k : v*k+k : v*k+k]
 			for j := range xv {
 				xv[j] += q[j]
@@ -135,7 +142,7 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 		}
 	})
 	for s := 0; s < l.smooth; s++ {
-		l.G.LapMulBlock(tmp2, x, k)
+		l.g.LapMulBlock(tmp2, x, k)
 		par.For(n, grain, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				od := omega * l.dInv[v]
@@ -158,14 +165,14 @@ func restrictBlock(l *Level, r []float64, k int, rq []float64) {
 	if grain < 8 {
 		grain = 8
 	}
-	par.For(l.D.Count, grain, func(lo, hi int) {
+	par.For(l.count, grain, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			acc := rq[c*k : c*k+k : c*k+k]
 			for j := range acc {
 				acc[j] = 0
 			}
 			for i := l.start[c]; i < l.start[c+1]; i++ {
-				rv := r[l.order[i]*k:]
+				rv := r[int(l.order[i])*k:]
 				for j := range acc {
 					acc[j] += rv[j]
 				}

@@ -126,12 +126,10 @@ func TestBuildSpanExplainsCoarseFactor(t *testing.T) {
 func BenchmarkCoarseFactor(b *testing.B) {
 	for _, tc := range coarseBenchGraphs(b) {
 		b.Run(tc.name, func(b *testing.B) {
-			h := &Hierarchy{}
+			var h *Hierarchy
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := h.finish(context.Background(), tc.g); err != nil {
-					b.Fatal(err)
-				}
+				h = factorOnly(b, tc.g)
 			}
 			b.ReportMetric(float64(h.coarse.NNZ()), "nnz")
 		})
@@ -142,10 +140,7 @@ func BenchmarkCoarseFactor(b *testing.B) {
 // V-cycle calls it with.
 func BenchmarkCoarseSolve(b *testing.B) {
 	for _, tc := range coarseBenchGraphs(b) {
-		h := &Hierarchy{}
-		if err := h.finish(context.Background(), tc.g); err != nil {
-			b.Fatal(err)
-		}
+		h := factorOnly(b, tc.g)
 		n := tc.g.N()
 		for _, k := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
@@ -161,6 +156,20 @@ func BenchmarkCoarseSolve(b *testing.B) {
 			})
 		}
 	}
+}
+
+// factorOnly returns the depth-0 hierarchy of g: its coarse factor and
+// nothing else.
+func factorOnly(b *testing.B, g *graph.Graph) *Hierarchy {
+	a, err := newAssembler(context.Background(), g, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := a.finish(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h
 }
 
 // coarseBenchGraphs returns the coarsest graphs of block-femesh2d's and

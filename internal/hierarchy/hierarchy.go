@@ -3,11 +3,16 @@
 // clustering recursively yields a laminar decomposition and a hierarchy of
 // Steiner preconditioners — the precursor of combinatorial multigrid (CMG).
 //
-// Each level stores its graph, a [φ, 2] clustering of it, and the quotient.
-// The apply uses the exact two-level identity B⁺r = D⁻¹r + R·Q⁺(Rᵀr) with
-// the quotient solve replaced by the next level's apply; the coarsest level
-// is solved directly. An optional damped-Jacobi pre/post smoothing pair
+// Each level stores its graph and the restriction onto the next, coarser
+// one. The apply uses the exact two-level identity B⁺r = D⁻¹r + R·Q⁺(Rᵀr)
+// with the quotient solve replaced by the next level's apply; the coarsest
+// level is solved directly. An optional damped-Jacobi pre/post smoothing pair
 // turns the pure recursion into a symmetric V-cycle.
+//
+// Levels below the finest are stored in an apply layout (layout.go): once a
+// quotient has been contracted and clustered in its natural numbering, its
+// vertices are renumbered so rows of equal length sit together, and only the
+// renumbered graph is kept.
 package hierarchy
 
 import (
@@ -47,15 +52,22 @@ func DefaultOptions() Options {
 	return Options{SizeCap: 4, Seed: 1, DirectLimit: 600, MaxLevels: 40, Smooth: 1}
 }
 
-// Level is one layer of the laminar decomposition.
+// Level is one layer of the laminar decomposition, stored for the apply.
 type Level struct {
-	G      *graph.Graph
-	D      *decomp.Decomposition
+	// g is the level's graph: the caller's graph in the caller's numbering
+	// at level 0, the quotient in its apply layout below.
+	g      *graph.Graph
 	dInv   []float64
 	smooth int
-	// order/start: vertices sorted by cluster, for the conflict-free
-	// parallel restriction (segmented sums).
-	order, start []int
+	// The restriction onto the next level, both ends in layout numbering:
+	// assign maps a vertex to its cluster, and order[start[c]:start[c+1]]
+	// lists cluster c's members by ascending natural id — the fixed
+	// summation order of the conflict-free parallel restriction.
+	assign, order, start []int32
+	// natAssign and count are the clustering as it was computed, in natural
+	// numbering on both ends: what DumpLevels exports and Rebuild replays.
+	natAssign []int
+	count     int
 }
 
 // Hierarchy is a multilevel Steiner preconditioner.
@@ -101,7 +113,10 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 	}
 	ctx, hsp := obs.StartSpan(ctx, "hierarchy/build")
 	defer hsp.End()
-	h = &Hierarchy{}
+	a, err := newAssembler(ctx, g, opt.Smooth)
+	if err != nil {
+		return nil, err
+	}
 	cur := g
 	for level := 0; cur.N() > opt.DirectLimit && level < opt.MaxLevels; level++ {
 		if ctx.Err() != nil {
@@ -135,10 +150,11 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 			}
 			break
 		}
-		h.levels = append(h.levels, newLevel(cur, d, opt.Smooth))
+		a.push(cur, d.Assign, d.Count)
 		cur = cur.Contract(d.Assign, d.Count)
 	}
-	if err := h.finish(ctx, cur); err != nil {
+	h, err = a.finish(cur)
+	if err != nil {
 		return nil, err
 	}
 	if hsp != nil {
@@ -148,49 +164,6 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 		hsp.Arg("coarse_fill", h.coarse.Fill())
 	}
 	return h, nil
-}
-
-// newLevel materializes one layer: the diagonal inverse and the
-// cluster-sorted vertex order for the conflict-free parallel restriction.
-// Apply scratch is not stored here — it lives in pooled per-apply
-// workspaces so concurrent applies never share buffers.
-func newLevel(cur *graph.Graph, d *decomp.Decomposition, smooth int) *Level {
-	l := &Level{
-		G: cur, D: d, smooth: smooth,
-		dInv: make([]float64, cur.N()),
-	}
-	for v := 0; v < cur.N(); v++ {
-		if vol := cur.Vol(v); vol > 0 {
-			l.dInv[v] = 1 / vol
-		}
-	}
-	l.start = make([]int, d.Count+1)
-	for _, c := range d.Assign {
-		l.start[c+1]++
-	}
-	for c := 0; c < d.Count; c++ {
-		l.start[c+1] += l.start[c]
-	}
-	l.order = make([]int, cur.N())
-	fill := append([]int(nil), l.start[:d.Count]...)
-	for v, c := range d.Assign {
-		l.order[fill[c]] = v
-		fill[c]++
-	}
-	return l
-}
-
-// finish installs the coarsest graph and its sparse pinned factorization
-// (ordering, structure and numeric phase under one span).
-func (h *Hierarchy) finish(ctx context.Context, cur *graph.Graph) error {
-	_, sp := obs.StartSpan(ctx, "hierarchy/coarse-factor")
-	defer sp.End()
-	fac, err := sparse.NewLapFactor(cur)
-	if err != nil {
-		return fmt.Errorf("hierarchy: coarse factorization failed: %w", err)
-	}
-	h.coarseG, h.coarse = cur, fac
-	return nil
 }
 
 // Depth returns the number of clustering levels (excluding the direct
@@ -204,23 +177,22 @@ func (h *Hierarchy) CoarseSize() int { return h.coarseG.N() }
 func (h *Hierarchy) LevelSizes() []int {
 	sizes := make([]int, 0, len(h.levels)+1)
 	for _, l := range h.levels {
-		sizes = append(sizes, l.G.N())
+		sizes = append(sizes, l.g.N())
 	}
 	return append(sizes, h.coarseG.N())
 }
 
-// MemoryBytes estimates the resident size of the hierarchy: every level's
-// graph, clustering and work buffers, plus the coarse graph and its factor.
-// It is the accounting figure behind the serving layer's byte-budgeted
-// handle cache, not an exact heap measurement.
+// MemoryBytes is the resident size of the hierarchy: every level's graph,
+// inverse diagonal, int32 restriction arrays and kept natural assignment,
+// plus the coarse graph and its factor. Pooled apply workspaces are not
+// counted; they belong to whichever solves are in flight. It is the
+// accounting figure behind the serving layer's byte-budgeted handle cache.
 func (h *Hierarchy) MemoryBytes() int64 {
 	var b int64
 	for _, l := range h.levels {
-		b += l.G.Bytes()
-		b += 8 * int64(len(l.dInv)+len(l.order)+len(l.start))
-		// The clustering's assignment vector, plus one pooled apply
-		// workspace's per-level share (two n-vectors, two quotient vectors).
-		b += 8 * int64(3*l.G.N()+2*l.D.Count)
+		b += l.g.Bytes()
+		b += 8 * int64(len(l.dInv)+len(l.natAssign))
+		b += 4 * int64(len(l.assign)+len(l.order)+len(l.start))
 	}
 	if h.coarseG != nil {
 		b += h.coarseG.Bytes() + h.coarse.Bytes()
@@ -233,26 +205,17 @@ func (h *Hierarchy) Dim() int {
 	if len(h.levels) == 0 {
 		return h.coarseG.N()
 	}
-	return h.levels[0].G.N()
+	return h.levels[0].g.N()
 }
 
 // Apply computes dst ≈ B⁺·r multilevel-recursively. It is a fixed symmetric
 // positive semidefinite linear operator, hence a valid stationary PCG
 // preconditioner. Work buffers come from the hierarchy's apply pool and the
 // coarse factor is read-only, so Apply is safe for concurrent use — and,
-// because every sweep is elementwise or a fixed-order segmented sum,
-// bit-identical at any worker count.
+// because every sweep is row-independent, elementwise or a fixed-order
+// segmented sum, bit-identical at any worker count.
 func (h *Hierarchy) Apply(dst, r []float64) {
-	w, _ := h.bwPool.Get().(*blockWork)
-	if w == nil {
-		w = &blockWork{}
-	}
-	for len(w.rq) < len(h.levels) {
-		w.rq = append(w.rq, nil)
-		w.xq = append(w.xq, nil)
-		w.tmp = append(w.tmp, nil)
-		w.tmp2 = append(w.tmp2, nil)
-	}
+	w := h.getWork()
 	h.applyLevel(0, dst, r, w)
 	h.bwPool.Put(w)
 }
@@ -263,63 +226,51 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
 		return
 	}
 	l := h.levels[level]
-	n := l.G.N()
-	rq := growBuf(&w.rq[level], l.D.Count)
-	xq := growBuf(&w.xq[level], l.D.Count)
+	n := l.g.N()
+	rq := growBuf(&w.rq[level], l.count)
+	xq := growBuf(&w.xq[level], l.count)
 	if l.smooth == 0 {
 		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr).
 		restrict(l, r, rq)
 		h.applyLevel(level+1, xq, rq, w)
 		par.For(n, elemGrain, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
-				dst[v] = r[v]*l.dInv[v] + xq[l.D.Assign[v]]
+				dst[v] = r[v]*l.dInv[v] + xq[l.assign[v]]
 			}
 		})
 		return
 	}
 	// Symmetric V-cycle: damped-Jacobi pre-smooth (from zero), coarse
 	// correction, damped-Jacobi post-smooth. ω = 1/2 keeps I − ωD⁻¹A PSD
-	// since λmax(D⁻¹A) ≤ 2, so the cycle is SPD. The elementwise sweeps are
-	// row-independent and fan out across cores alongside the parallel
-	// LapMul matvec.
+	// since λmax(D⁻¹A) ≤ 2, so the cycle is SPD. Each smoothing step and the
+	// residual are one fused pass over the level's rows; the iterate
+	// ping-pongs between two work vectors and the last post-smoothing step
+	// writes dst, which until then holds the residual.
 	const omega = 0.5
-	x := dst
-	tmp := growBuf(&w.tmp[level], n)
-	tmp2 := growBuf(&w.tmp2[level], n)
+	x := growBuf(&w.tmp[level], n)
+	y := growBuf(&w.tmp2[level], n)
 	par.For(n, elemGrain, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			x[v] = omega * r[v] * l.dInv[v]
 		}
 	})
 	for s := 1; s < l.smooth; s++ {
-		l.G.LapMul(tmp, x)
-		par.For(n, elemGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				x[v] += omega * (r[v] - tmp[v]) * l.dInv[v]
-			}
-		})
+		l.g.LapJacobiStep(y, r, x, l.dInv, omega)
+		x, y = y, x
 	}
-	l.G.LapMul(tmp, x)
-	par.For(n, elemGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			tmp[v] = r[v] - tmp[v]
-		}
-	})
-	restrict(l, tmp, rq)
+	l.g.LapMulResidual(dst, r, x)
+	restrict(l, dst, rq)
 	h.applyLevel(level+1, xq, rq, w)
 	par.For(n, elemGrain, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			x[v] += xq[l.D.Assign[v]]
+			x[v] += xq[l.assign[v]]
 		}
 	})
-	for s := 0; s < l.smooth; s++ {
-		l.G.LapMul(tmp2, x)
-		par.For(n, elemGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				x[v] += omega * (r[v] - tmp2[v]) * l.dInv[v]
-			}
-		})
+	for s := 1; s < l.smooth; s++ {
+		l.g.LapJacobiStep(y, r, x, l.dInv, omega)
+		x, y = y, x
 	}
+	l.g.LapJacobiStep(dst, r, x, l.dInv, omega)
 }
 
 // elemGrain is the minimum per-chunk size for the elementwise sweeps above;
@@ -329,11 +280,14 @@ const elemGrain = 8192
 // restrict computes rq = Rᵀr: each cluster sums its members in the fixed
 // cluster-sorted order, so the result does not depend on worker chunking.
 func restrict(l *Level, r, rq []float64) {
-	par.For(l.D.Count, 512, func(lo, hi int) {
+	par.For(l.count, 512, func(lo, hi int) {
+		order := l.order
+		i := l.start[lo]
 		for c := lo; c < hi; c++ {
+			end := l.start[c+1]
 			acc := 0.0
-			for i := l.start[c]; i < l.start[c+1]; i++ {
-				acc += r[l.order[i]]
+			for ; i < end; i++ {
+				acc += r[order[i]]
 			}
 			rq[c] = acc
 		}

@@ -229,21 +229,6 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-func BenchmarkHierarchyApply(b *testing.B) {
-	g := workload.Grid3D(20, 20, 20, workload.Lognormal(1), 1)
-	h, err := New(g, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	r := meanFree(rng, g.N())
-	x := make([]float64, g.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Apply(x, r)
-	}
-}
-
 func BenchmarkHierarchyPCGSolve(b *testing.B) {
 	g := workload.OCT3D(16, 16, 16, workload.DefaultOCTOptions())
 	h, err := New(g, DefaultOptions())

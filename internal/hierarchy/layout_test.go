@@ -1,0 +1,253 @@
+package hierarchy
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"hcd/internal/graph"
+	"hcd/internal/obs"
+	"hcd/internal/workload"
+)
+
+// graphCapBytes is the heap a graph's arrays actually hold.
+func graphCapBytes(g *graph.Graph) int64 {
+	off, adj, w := g.CSR()
+	return 8 * int64(cap(off)+cap(adj)+cap(w)+g.N())
+}
+
+// TestMemoryBytesMatchesArrays: MemoryBytes — the figure the serving layer's
+// LRU budget evicts on — is the capacity of the arrays the hierarchy keeps,
+// to within 1 %.
+func TestMemoryBytesMatchesArrays(t *testing.T) {
+	for _, tc := range coarseCorpus(t, false) {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := graphCapBytes(h.coarseG) + h.coarse.Bytes()
+		for _, l := range h.levels {
+			held += graphCapBytes(l.g)
+			held += 8 * int64(cap(l.dInv)+cap(l.natAssign))
+			held += 4 * int64(cap(l.assign)+cap(l.order)+cap(l.start))
+		}
+		got := h.MemoryBytes()
+		if d := math.Abs(float64(got - held)); d > 0.01*float64(held) {
+			t.Errorf("%s: MemoryBytes %d, arrays hold %d", tc.name, got, held)
+		}
+	}
+}
+
+// naturalLevels recontracts a hierarchy's level graphs in natural numbering
+// from its dumped assignments, finest first.
+func naturalLevels(g *graph.Graph, h *Hierarchy) []*graph.Graph {
+	dumped, _ := h.DumpLevels()
+	out := make([]*graph.Graph, 0, len(dumped))
+	for _, la := range dumped {
+		out = append(out, g)
+		g = g.Contract(la.Assign, la.Count)
+	}
+	return out
+}
+
+func distinctDegrees(g *graph.Graph) int {
+	seen := map[int]bool{}
+	for v := 0; v < g.N(); v++ {
+		seen[g.Degree(v)] = true
+	}
+	return len(seen)
+}
+
+// TestBuildSpanExplainsLayout: a traced build and a traced Rebuild each emit
+// one hierarchy/layout span per level below the finest — parented by the
+// build span, or by whatever span the rebuild runs under — whose args say how large the level is and how many
+// runs of equal row length its stored order has — at most one per degree per
+// window, far fewer than the natural numbering's.
+func TestBuildSpanExplainsLayout(t *testing.T) {
+	g := workload.OCT3D(32, 32, 32, workload.DefaultOCTOptions())
+	tr := obs.NewTracer()
+	ctx := obs.WithTracer(context.Background(), tr)
+	h, err := NewCtx(ctx, g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels, smooth := h.DumpLevels()
+	rctx, rsp := obs.StartSpan(ctx, "restore")
+	if _, err := Rebuild(rctx, g, levels, smooth); err != nil {
+		t.Fatal(err)
+	}
+	rsp.End()
+	if err := tr.Check(); err != nil {
+		t.Fatal(err)
+	}
+	natural := naturalLevels(g, h)
+	parents := map[string]uint64{}
+	seen := map[string]int{}
+	for _, s := range tr.Spans() {
+		switch s.Name {
+		case "hierarchy/build", "restore":
+			parents[s.Name] = s.ID
+		case "hierarchy/layout":
+			args := map[string]any{}
+			for _, a := range s.Args {
+				args[a.Key] = a.Value
+			}
+			level, _ := args["level"].(int)
+			if level < 1 || level >= h.Depth() {
+				t.Fatalf("layout span for level %v of a depth-%d hierarchy", args["level"], h.Depth())
+			}
+			var under string
+			for name, id := range parents {
+				if id == s.Parent {
+					under = name
+				}
+			}
+			if under == "" {
+				t.Errorf("layout span of level %d parented by %d, want the build span or the rebuild's caller", level, s.Parent)
+			}
+			seen[under]++
+			lg := h.levels[level].g
+			if args["vertices"] != lg.N() || args["max_degree"] != lg.MaxDegree() || args["degree_runs"] != degreeRuns(lg) {
+				t.Errorf("level %d span args %v, want vertices %d, max_degree %d, degree_runs %d",
+					level, args, lg.N(), lg.MaxDegree(), degreeRuns(lg))
+			}
+			windows := (lg.N() + layoutWindow - 1) / layoutWindow
+			runs, nat := degreeRuns(lg), degreeRuns(natural[level])
+			if runs > windows*distinctDegrees(lg) {
+				t.Errorf("level %d: %d degree runs in %d windows of %d degrees", level, runs, windows, distinctDegrees(lg))
+			}
+			if lg.N() > 1000 && 4*runs > nat {
+				t.Errorf("level %d: layout leaves %d degree runs, natural numbering has %d", level, runs, nat)
+			}
+		}
+	}
+	if want := h.Depth() - 1; seen["hierarchy/build"] != want || seen["restore"] != want {
+		t.Errorf("layout spans per parent %v, want %d under each of build and rebuild", seen, want)
+	}
+}
+
+// ramp is a deterministic, non-constant test vector.
+func ramp(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i%97) * 0.01
+	}
+	return x
+}
+
+// timeLapMul returns the best-of-reps time of one LapMulSerial on g.
+func timeLapMul(g *graph.Graph, reps int) time.Duration {
+	x, dst := ramp(g.N()), make([]float64, g.N())
+	best := time.Duration(math.MaxInt64)
+	for r := 0; r < reps; r++ {
+		t0 := time.Now()
+		g.LapMulSerial(dst, x)
+		if d := time.Since(t0); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestLayoutTable regenerates DESIGN.md §12's "Apply layout" table (run with
+// -v): per level of each benchmark graph, the runs of equal row length and
+// the matvec cost per stored entry in natural numbering and in the apply
+// layout. The times are printed, not asserted; what is held is the layout's
+// structure — every level below the finest has no more degree runs than
+// (windows × distinct degrees), and the same degree multiset and volume as
+// its natural twin.
+func TestLayoutTable(t *testing.T) {
+	road, err := workload.RoadNetwork(48, 48, 12, workload.Lognormal(0.5), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := []namedGraph{{"femesh:64", femesh64(t)}, {"road:48", road}}
+	if !testing.Short() {
+		corpus = append(corpus,
+			namedGraph{"oct:64", workload.OCT3D(64, 64, 64, workload.DefaultOCTOptions())},
+			namedGraph{"grid3d:64", grid3d64()})
+	}
+	t.Logf("%-10s %3s %8s %9s %4s %9s %9s %9s %9s", "graph", "lvl", "vertices", "entries", "maxd", "runs nat", "runs lay", "ns/e nat", "ns/e lay")
+	for _, tc := range corpus {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for level, nat := range naturalLevels(tc.g, h) {
+			lay := h.levels[level].g
+			entries := 2 * lay.M()
+			perEntry := func(g *graph.Graph) float64 {
+				return float64(timeLapMul(g, 15).Nanoseconds()) / float64(entries)
+			}
+			t.Logf("%-10s %3d %8d %9d %4d %9d %9d %9.2f %9.2f", tc.name, level, lay.N(), entries, lay.MaxDegree(),
+				degreeRuns(nat), degreeRuns(lay), perEntry(nat), perEntry(lay))
+			if level == 0 {
+				if lay != tc.g {
+					t.Errorf("%s: level 0 is not the caller's graph", tc.name)
+				}
+				continue
+			}
+			windows := (lay.N() + layoutWindow - 1) / layoutWindow
+			if runs := degreeRuns(lay); runs > windows*distinctDegrees(lay) {
+				t.Errorf("%s level %d: %d degree runs in %d windows of %d degrees", tc.name, level, runs, windows, distinctDegrees(lay))
+			}
+			if lay.M() != nat.M() || math.Abs(lay.TotalVol()-nat.TotalVol()) > 1e-9*nat.TotalVol() {
+				t.Errorf("%s level %d: layout holds %d edges, volume %v; natural %d, %v", tc.name, level, lay.M(), lay.TotalVol(), nat.M(), nat.TotalVol())
+			}
+		}
+	}
+}
+
+// layoutBenchGraphs are solve-oct3d's and block-femesh2d's graphs.
+func layoutBenchGraphs(b *testing.B) []namedGraph {
+	return []namedGraph{
+		{"oct:64", workload.OCT3D(64, 64, 64, workload.DefaultOCTOptions())},
+		{"femesh:64", femesh64(b)},
+	}
+}
+
+// BenchmarkLapMulByLevel times the scalar matvec on every stored level of a
+// built hierarchy and reports its cost per stored entry: level 0 in the
+// caller's numbering, the quotients in their apply layout.
+func BenchmarkLapMulByLevel(b *testing.B) {
+	for _, tc := range layoutBenchGraphs(b) {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for level, l := range h.levels {
+			g := l.g
+			b.Run(fmt.Sprintf("%s/level=%d", tc.name, level), func(b *testing.B) {
+				x, dst := ramp(g.N()), make([]float64, g.N())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.LapMul(dst, x)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*g.M()), "ns/entry")
+			})
+		}
+	}
+}
+
+// BenchmarkHierarchyApply times one V-cycle at the scalar width and at the
+// block width block-femesh2d solves with.
+func BenchmarkHierarchyApply(b *testing.B) {
+	for _, tc := range layoutBenchGraphs(b) {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := tc.g.N()
+		for _, k := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
+				r, dst := ramp(n*k), make([]float64, n*k)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					h.ApplyBlock(dst, r, k)
+				}
+			})
+		}
+	}
+}

@@ -1,9 +1,10 @@
 package hierarchy
 
 // Structural persistence. A built hierarchy is fully determined by the fine
-// graph plus each level's cluster assignment: the quotient graphs, diagonal
-// inverses, restriction orders and the sparse coarse factorization are all
-// cheap, deterministic functions of those. DumpLevels
+// graph plus each level's cluster assignment in natural numbering: the
+// quotient graphs, their apply layouts, diagonal inverses, restriction arrays
+// and the sparse coarse factorization are all cheap, deterministic functions
+// of those. DumpLevels
 // exports the minimal structure for the snapshot codec (internal/gio);
 // Rebuild reconstructs a hierarchy from it without re-running any clustering
 // — the expensive Section 3.1 work the snapshot exists to preserve.
@@ -31,19 +32,20 @@ type LevelAssign struct {
 func (h *Hierarchy) DumpLevels() (levels []LevelAssign, smooth int) {
 	levels = make([]LevelAssign, 0, len(h.levels))
 	for _, l := range h.levels {
-		levels = append(levels, LevelAssign{Assign: l.D.Assign, Count: l.D.Count})
+		levels = append(levels, LevelAssign{Assign: l.natAssign, Count: l.count})
 		smooth = l.smooth
 	}
 	return levels, smooth
 }
 
 // Rebuild reconstructs a hierarchy from a fine graph and dumped level
-// assignments: each level's quotient is recomputed by contraction and the
-// coarse factorization is redone — O(m) per level plus one small sparse
-// factorization, no clustering. Assignments are validated against the level
-// graphs they apply to; a mismatch (truncated or corrupted dump) returns an
-// error wrapping graph.ErrInvalidInput. The context is only polled between
-// levels; rebuilds are fast enough that finer cancellation buys nothing.
+// assignments: each level's quotient is recomputed by contraction, laid out
+// for the apply, and the coarse factorization is redone — O(m) per level plus
+// one small sparse factorization, no clustering. Assignments are validated
+// against the level graphs they apply to; a mismatch (truncated or corrupted
+// dump) returns an error wrapping graph.ErrInvalidInput. The context is only
+// polled between levels; rebuilds are fast enough that finer cancellation
+// buys nothing.
 func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth int) (h *Hierarchy, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -53,7 +55,10 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	h = &Hierarchy{}
+	a, err := newAssembler(ctx, g, smooth)
+	if err != nil {
+		return nil, err
+	}
 	cur := g
 	for i, la := range levels {
 		if cerr := ctx.Err(); cerr != nil {
@@ -73,12 +78,8 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 					i, v, c, la.Count, graph.ErrInvalidInput)
 			}
 		}
-		d := &decomp.Decomposition{G: cur, Assign: la.Assign, Count: la.Count}
-		h.levels = append(h.levels, newLevel(cur, d, smooth))
+		a.push(cur, la.Assign, la.Count)
 		cur = cur.Contract(la.Assign, la.Count)
 	}
-	if err := h.finish(ctx, cur); err != nil {
-		return nil, err
-	}
-	return h, nil
+	return a.finish(cur)
 }

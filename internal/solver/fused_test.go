@@ -1,0 +1,109 @@
+package solver
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"hcd/internal/graph"
+	"hcd/internal/workload"
+)
+
+// pcgUnfused is the PCG iteration as it ran before its sweeps were fused:
+// one kernel per vector operation — two axpys, a projection, a norm, a
+// projection, a dot — in that order. The oracle for pcgIter's fused sweeps.
+func pcgUnfused(a Operator, m Preconditioner, b []float64, opt Options) (x, resid, alphas, betas []float64) {
+	n := a.Dim()
+	x = make([]float64, n)
+	r := append([]float64(nil), b...)
+	z, p, ap := make([]float64, n), make([]float64, n), make([]float64, n)
+	if opt.ProjectMean {
+		projectMean(r)
+	}
+	normB := norm2(r)
+	resid = append(resid, normB)
+	m.Apply(z, r)
+	if opt.ProjectMean {
+		projectMean(z)
+	}
+	copy(p, z)
+	rz := dot(r, z)
+	for iter := 0; iter < opt.MaxIter; iter++ {
+		a.Apply(ap, p)
+		alpha := rz / dot(p, ap)
+		alphas = append(alphas, alpha)
+		axpy(x, alpha, p)
+		axpy(r, -alpha, ap)
+		if opt.ProjectMean {
+			projectMean(r)
+		}
+		rn := norm2(r)
+		resid = append(resid, rn)
+		if rn <= opt.Tol*normB {
+			break
+		}
+		m.Apply(z, r)
+		if opt.ProjectMean {
+			projectMean(z)
+		}
+		rzNew := dot(r, z)
+		beta := rzNew / rz
+		betas = append(betas, beta)
+		xpby(p, z, beta)
+		rz = rzNew
+	}
+	return x, resid, alphas, betas
+}
+
+// TestPCGFusedMatchesUnfused: on three graph families, with and without the
+// mean projection, the fused iteration reproduces the unfused one bit for
+// bit — residual history, α and β tables and the solution — at one worker
+// and, because the fused sweeps keep the unfused chunking, at four.
+func TestPCGFusedMatchesUnfused(t *testing.T) {
+	fe, err := workload.FEMesh(150, 150, -1, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid3d", workload.Grid3D(28, 28, 28, workload.Lognormal(1), 1)},
+		{"oct3d", workload.OCT3D(26, 26, 26, workload.DefaultOCTOptions())},
+		{"femesh", fe},
+	}
+	same := func(t *testing.T, what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, unfused %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s[%d] = %v, unfused %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, tc := range cases {
+		if tc.g.N() <= kernelGrain {
+			t.Fatalf("%s: %d vertices do not cross the parallel kernel grain", tc.name, tc.g.N())
+		}
+		b := meanFreeRHS(rand.New(rand.NewSource(9)), tc.g.N())
+		for _, project := range []bool{true, false} {
+			for _, procs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/project=%v/procs=%d", tc.name, project, procs), func(t *testing.T) {
+					defer forceParallel(procs)()
+					opt := DefaultOptions()
+					opt.ProjectMean = project
+					opt.MaxIter = 60
+					a, m := LapOperator(tc.g), Jacobi(tc.g)
+					res := PCG(a, m, b, opt)
+					x, resid, alphas, betas := pcgUnfused(a, m, b, opt)
+					same(t, "residuals", res.Residuals, resid)
+					same(t, "alphas", res.Alphas, alphas)
+					same(t, "betas", res.Betas, betas)
+					same(t, "x", res.X, x)
+				})
+			}
+		}
+	}
+}

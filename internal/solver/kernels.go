@@ -104,28 +104,77 @@ func projectMean(x []float64) {
 	if n == 0 {
 		return
 	}
+	mean := sum(x) / float64(n)
 	if n <= kernelGrain || par.Workers() == 1 {
-		s := 0.0
-		for _, v := range x {
-			s += v
-		}
-		mean := s / float64(n)
 		for i := range x {
 			x[i] -= mean
 		}
 		return
 	}
-	s := par.ReduceSum(n, kernelGrain, func(lo, hi int) float64 {
-		acc := 0.0
-		for i := lo; i < hi; i++ {
-			acc += x[i]
-		}
-		return acc
-	})
-	mean := s / float64(n)
 	par.For(n, kernelGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x[i] -= mean
 		}
 	})
+}
+
+// Fused PCG sweeps. One iteration used to read its vectors ten times (dot,
+// two axpys, a sum and a shift for each mean projection, a norm, a dot, the
+// direction update); the kernels below carry each reduction on the back
+// of the sweep that produces its operand, which leaves six. Every
+// accumulation runs in the order of the kernel sequence it replaces — serial
+// left to right, chunked by kernelGrain otherwise — so the results are
+// bit-identical to that sequence at any worker count.
+
+// updateXR computes x += a·p and r −= a·ap in one sweep and returns Σr of
+// the updated residual.
+func updateXR(x, r []float64, a float64, p, ap []float64) float64 {
+	if len(x) <= kernelGrain || par.Workers() == 1 {
+		return updateXRRange(x, r, a, p, ap, 0, len(x))
+	}
+	return par.ReduceSum(len(x), kernelGrain, func(lo, hi int) float64 { return updateXRRange(x, r, a, p, ap, lo, hi) })
+}
+
+func updateXRRange(x, r []float64, a float64, p, ap []float64, lo, hi int) float64 {
+	s, na := 0.0, -a
+	for i := lo; i < hi; i++ {
+		x[i] += a * p[i]
+		r[i] += na * ap[i]
+		s += r[i]
+	}
+	return s
+}
+
+// sum returns Σx.
+func sum(x []float64) float64 {
+	if len(x) <= kernelGrain || par.Workers() == 1 {
+		return sumRange(x, 0, len(x))
+	}
+	return par.ReduceSum(len(x), kernelGrain, func(lo, hi int) float64 { return sumRange(x, lo, hi) })
+}
+
+func sumRange(x []float64, lo, hi int) float64 {
+	s := 0.0
+	for i := lo; i < hi; i++ {
+		s += x[i]
+	}
+	return s
+}
+
+// shiftDot computes x −= mean in place and returns x·y of the shifted x; with
+// y = x it is the shifted vector's squared norm.
+func shiftDot(x []float64, mean float64, y []float64) float64 {
+	if len(x) <= kernelGrain || par.Workers() == 1 {
+		return shiftDotRange(x, mean, y, 0, len(x))
+	}
+	return par.ReduceSum(len(x), kernelGrain, func(lo, hi int) float64 { return shiftDotRange(x, mean, y, lo, hi) })
+}
+
+func shiftDotRange(x []float64, mean float64, y []float64, lo, hi int) float64 {
+	s := 0.0
+	for i := lo; i < hi; i++ {
+		x[i] -= mean
+		s += y[i] * x[i]
+	}
+	return s
 }

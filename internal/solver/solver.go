@@ -533,12 +533,12 @@ func pcgIter(ctx context.Context, a Operator, m Preconditioner, b []float64, opt
 		}
 		alpha := rz / pap
 		res.Alphas = append(res.Alphas, alpha)
-		axpy(x, alpha, p)
-		axpy(r, -alpha, ap)
-		if opt.ProjectMean {
-			projectMean(r)
+		var rn float64
+		if rsum := updateXR(x, r, alpha, p, ap); opt.ProjectMean {
+			rn = math.Sqrt(shiftDot(r, rsum/float64(n), r))
+		} else {
+			rn = norm2(r)
 		}
-		rn := norm2(r)
 		res.Residuals = append(res.Residuals, rn)
 		res.Iterations = iter + 1
 		if opt.Progress != nil {
@@ -576,10 +576,12 @@ func pcgIter(ctx context.Context, a Operator, m Preconditioner, b []float64, opt
 		}
 		m.Apply(z, r)
 		res.Metrics.PrecondApplies++
+		var rzNew float64
 		if opt.ProjectMean {
-			projectMean(z)
+			rzNew = shiftDot(z, sum(z)/float64(n), r)
+		} else {
+			rzNew = dot(r, z)
 		}
-		rzNew := dot(r, z)
 		if rzNew <= 0 || math.IsNaN(rzNew) {
 			res.Outcome = OutcomeBreakdown
 			res.Reason = fmt.Sprintf("non-positive rᵀz = %g at iteration %d", rzNew, res.Iterations)
