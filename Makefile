@@ -16,12 +16,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# check is the pre-merge gate: vet, the full suite under the race detector
-# (the parallel solver kernels run with GOMAXPROCS > 1 in tests), a short
+# check is the pre-merge gate: gofmt, vet, the full suite under the race
+# detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), a short
 # fuzz pass over the input parsers, the fault-recovery chaos battery, the
 # serving-stack smoke battery, the serving crash/recovery battery, the
 # scenario-replay smoke, and the replay-score regression gate.
-check: vet race fuzz chaos server-smoke server-chaos replay-smoke bench-gate
+check: fmt vet race fuzz chaos server-smoke server-chaos replay-smoke bench-gate
 
 race:
 	$(GO) test -race ./...
@@ -30,8 +30,9 @@ race:
 race-solver:
 	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/...
 
+# fmt fails when any file is not gofmt-clean, naming the files.
 fmt:
-	gofmt -l .
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

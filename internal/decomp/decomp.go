@@ -207,7 +207,7 @@ func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bo
 	for u := 0; u < d.G.N(); u++ {
 		nbr, w := d.G.Neighbors(u)
 		for i, v := range nbr {
-			if u < v {
+			if u < int(v) {
 				total += w[i]
 				if d.Assign[u] != d.Assign[v] {
 					cut += w[i]

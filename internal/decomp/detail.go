@@ -56,7 +56,7 @@ func Details(d *Decomposition, exactLimit int) []ClusterStats {
 				nbr, w := d.G.Neighbors(v)
 				inside := 0.0
 				for i, u := range nbr {
-					if in[u] {
+					if in[int(u)] {
 						inside += w[i]
 					}
 				}

@@ -54,6 +54,7 @@ func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64
 			nbr, w := g.Neighbors(v)
 			bestW := 0.0
 			for i, u := range nbr {
+				u := int(u)
 				pw := w[i] * perturbFactor(v, u, n, seed)
 				// Deterministic tie-break on the neighbor id keeps the
 				// perturbed order total even under float ties.

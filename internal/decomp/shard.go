@@ -157,6 +157,7 @@ func clusterShard(ctx context.Context, s graph.Shard, sizeCap int, seed int64, h
 		nbr, w := s.Neighbors(v)
 		bestW := 0.0
 		for i, u := range nbr {
+			u := int(u)
 			if !s.Contains(u) {
 				continue
 			}
@@ -232,6 +233,7 @@ func StitchShards(ctx context.Context, d *Decomposition, shards []graph.Shard, s
 			boundary := false
 			best, bestW := -1, 0.0
 			for i, u := range nbr {
+				u := int(u)
 				if s.Contains(u) {
 					continue
 				}

@@ -89,7 +89,7 @@ func CoreCutCtx(ctx context.Context, b *graph.Graph) (*graph.Graph, SparseStats,
 			if alive[u] {
 				deg[u]--
 				if deg[u] == 1 {
-					queue = append(queue, u)
+					queue = append(queue, int(u))
 				}
 			}
 		}
@@ -121,6 +121,7 @@ func CoreCutCtx(ctx context.Context, b *graph.Graph) (*graph.Graph, SparseStats,
 		}
 		nbr, wts := b.Neighbors(w)
 		for i, x := range nbr {
+			x := int(x)
 			if !alive[x] || visited[[2]int{w, x}] {
 				continue
 			}
@@ -162,7 +163,7 @@ func CoreCutCtx(ctx context.Context, b *graph.Graph) (*graph.Graph, SparseStats,
 func otherAliveNeighbor(b *graph.Graph, alive []bool, cur, prev int) (int, float64) {
 	nbr, w := b.Neighbors(cur)
 	for i, u := range nbr {
-		if u != prev && alive[u] {
+		if u := int(u); u != prev && alive[u] {
 			return u, w[i]
 		}
 	}
@@ -196,7 +197,7 @@ func markCycleRepresentatives(b *graph.Graph, alive []bool, isW []bool) int {
 			for _, u := range nbr {
 				if alive[u] && !seen[u] {
 					seen[u] = true
-					comp = append(comp, u)
+					comp = append(comp, int(u))
 				}
 			}
 		}

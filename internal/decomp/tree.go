@@ -161,7 +161,7 @@ func collectGroup(g *graph.Graph, crit []bool, seen []bool, v int) []int {
 		for _, u := range nbr {
 			if !crit[u] && !seen[u] {
 				seen[u] = true
-				stack = append(stack, u)
+				stack = append(stack, int(u))
 			}
 		}
 	}
@@ -244,7 +244,7 @@ func (b *treeBuilder) pathShape(group []int) (mid int, ends [2]int) {
 		nbr, _ := b.g.Neighbors(v)
 		internal := 0
 		for _, u := range nbr {
-			if in[u] {
+			if in[int(u)] {
 				internal++
 			}
 		}
@@ -323,7 +323,7 @@ func (b *treeBuilder) bestCritical(v int) (int, float64, bool) {
 		s := b.g.Vol(v) - a
 		score := a / (a + 2*s)
 		if score > bestScore {
-			best, bestScore = u, score
+			best, bestScore = int(u), score
 		}
 	}
 	if best < 0 {

@@ -230,7 +230,7 @@ func (sw *snapWriter) section(tag uint32, payload []byte) {
 // encodeGraph lays out: n u64, half u64 (=len(adj)), off (n+1)×u64,
 // adj half×u32, w half×f64.
 func encodeGraph(g *graph.Graph) []byte {
-	off, adj, w := g.CSR()
+	off, adj, w := g.CompactCSR()
 	n, half := len(off)-1, len(adj)
 	buf := make([]byte, 16+8*(n+1)+4*half+8*half)
 	binary.LittleEndian.PutUint64(buf[0:], uint64(n))
@@ -275,9 +275,15 @@ func decodeGraph(payload []byte) (*graph.Graph, error) {
 		off[i] = int(v)
 		p += 8
 	}
-	adj := make([]int, half)
+	// Compared as unsigned, before narrowing: an id at or above 2³¹ must not
+	// reach the int32 adjacency as a negative number.
+	adj := make([]int32, half)
 	for i := range adj {
-		adj[i] = int(binary.LittleEndian.Uint32(payload[p:]))
+		u := binary.LittleEndian.Uint32(payload[p:])
+		if uint64(u) >= n {
+			return nil, fmt.Errorf("%w: graph neighbor id %d out of range [0,%d)", ErrCorruptSnapshot, u, n)
+		}
+		adj[i] = int32(u)
 		p += 4
 	}
 	w := make([]float64, half)

@@ -3,7 +3,9 @@ package gio
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,8 +37,8 @@ func testGraph(t testing.TB, n int, seed int64) *graph.Graph {
 }
 
 func sameCSR(a, b *graph.Graph) bool {
-	ao, aa, aw := a.CSR()
-	bo, ba, bw := b.CSR()
+	ao, aa, aw := a.CompactCSR()
+	bo, ba, bw := b.CompactCSR()
 	if len(ao) != len(bo) || len(aa) != len(ba) {
 		return false
 	}
@@ -260,6 +262,51 @@ func TestSnapshotFaultInjection(t *testing.T) {
 	})
 }
 
+// graphSnapshotWithID is a well-formed, correctly checksummed graph snapshot
+// of g whose first adjacency entry has been overwritten with id.
+func graphSnapshotWithID(t testing.TB, g *graph.Graph, id uint32) []byte {
+	t.Helper()
+	payload := encodeGraph(g)
+	binary.LittleEndian.PutUint32(payload[16+8*(g.N()+1):], id)
+	var buf bytes.Buffer
+	sw := &snapWriter{w: &buf}
+	sw.header(snapKindGraph)
+	sw.section(tagGraph, payload)
+	if sw.err != nil {
+		t.Fatal(sw.err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotNeighborIDOutOfRange: a stored u32 neighbor id is held against
+// the vertex count as the unsigned number it is, by the decoder itself — an
+// id at or above 2³¹ is refused there, not because it happens to turn
+// negative once narrowed.
+func TestSnapshotNeighborIDOutOfRange(t *testing.T) {
+	g := testGraph(t, 9, 9)
+	for _, tc := range []struct {
+		name string
+		id   uint32
+	}{
+		{"first id past the range", uint32(g.N())},
+		{"2^31", 1 << 31},
+		{"2^31 + a valid id", 1<<31 + 3},
+		{"all ones", math.MaxUint32},
+	} {
+		_, err := ReadGraphSnapshot(bytes.NewReader(graphSnapshotWithID(t, g, tc.id)))
+		if !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", tc.name, err)
+		}
+		if errors.Is(err, graph.ErrInvalidInput) {
+			t.Errorf("%s: id %d reached graph.NewFromCSR: %v", tc.name, tc.id, err)
+		}
+	}
+	// The same splice with an in-range id decodes (symmetry is not checked).
+	if _, err := ReadGraphSnapshot(bytes.NewReader(graphSnapshotWithID(t, g, 5))); err != nil {
+		t.Errorf("in-range id: %v", err)
+	}
+}
+
 // FuzzSnapshotRoundTrip feeds arbitrary bytes to both snapshot readers: they
 // must never panic and never over-allocate, and anything that decodes as a
 // graph must re-encode and re-decode to the identical graph.
@@ -284,6 +331,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	f.Add(graphSnapshotWithID(f, testGraph(f, 9, 9), 1<<31+3))
 	f.Add([]byte("HCDSNAP1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -52,8 +52,8 @@ type Builder struct {
 
 // NewBuilder returns a Builder for a graph on n vertices.
 func NewBuilder(n int, policy MergePolicy) (*Builder, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d: %w", n, ErrBadDimension)
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
 	}
 	return &Builder{n: n, policy: policy}, nil
 }
@@ -118,7 +118,7 @@ func (b *Builder) Finish() (*Graph, error) {
 	n := b.n
 	g := &Graph{
 		off: make([]int, n+1),
-		adj: make([]int, 2*b.count),
+		adj: make([]int32, 2*b.count),
 		w:   make([]float64, 2*b.count),
 		vol: make([]float64, n),
 	}
@@ -133,9 +133,9 @@ func (b *Builder) Finish() (*Graph, error) {
 	copy(fill, g.off[:n])
 	for _, c := range b.chunks {
 		for _, e := range c {
-			g.adj[fill[e.U]], g.w[fill[e.U]] = e.V, e.W
+			g.adj[fill[e.U]], g.w[fill[e.U]] = int32(e.V), e.W
 			fill[e.U]++
-			g.adj[fill[e.V]], g.w[fill[e.V]] = e.U, e.W
+			g.adj[fill[e.V]], g.w[fill[e.V]] = int32(e.U), e.W
 			fill[e.V]++
 		}
 	}
@@ -187,7 +187,7 @@ const sortRunInsertionMax = 24
 
 // sortRun stably orders one adjacency run by neighbor id, keeping weights
 // parallel. Short or already sorted runs cost one linear scan.
-func sortRun(adj []int, w []float64) {
+func sortRun(adj []int32, w []float64) {
 	if len(adj) > sortRunInsertionMax {
 		if r := (adjRun{adj: adj, w: w}); !sort.IsSorted(r) {
 			sort.Stable(r)
@@ -206,7 +206,7 @@ func sortRun(adj []int, w []float64) {
 
 // adjRun is sortRun's sort.Interface over one long run.
 type adjRun struct {
-	adj []int
+	adj []int32
 	w   []float64
 }
 

@@ -70,7 +70,7 @@ const maxChunkBits = 8
 // volumes eff(i) = vol°(core i) + total anchored stub weight.
 type coreCSR struct {
 	off []int
-	nbr []int
+	nbr []int32
 	w   []float64
 	eff []float64
 	in  []bool // serial-walk scratch, reused across certifications
@@ -92,7 +92,7 @@ func enumerateCoreCuts(c *coreCSR, total float64, hasStub bool) float64 {
 	}
 	nbits := k - 1
 	if nbits <= serialEnumBits {
-		c.in = growBools(c.in, k)
+		c.in = grow(c.in, k)
 		if v := enumCoreRange(c, total, c.in, 0, uint64(1)<<uint(nbits)); v < best {
 			best = v
 		}
@@ -201,7 +201,7 @@ func enumCoreRange(c *coreCSR, total float64, in []bool, start, end uint64) floa
 type Certifier struct {
 	g     *Graph
 	stamp []uint64 // per host vertex: epoch when last made a member
-	pos   []int    // host vertex -> core-local index, valid when stamp matches
+	pos   []int32  // host vertex -> core-local index, valid when stamp matches
 	epoch uint64
 	core  coreCSR
 
@@ -214,7 +214,7 @@ func NewCertifier(g *Graph) *Certifier {
 	return &Certifier{
 		g:     g,
 		stamp: make([]uint64, g.N()),
-		pos:   make([]int, g.N()),
+		pos:   make([]int32, g.N()),
 	}
 }
 
@@ -243,10 +243,10 @@ func (c *Certifier) ClusterPhi(s []int) (float64, error) {
 			return 0, fmt.Errorf("graph: duplicate vertex %d in ClusterPhi: %w", v, ErrInvalidInput)
 		}
 		c.stamp[v] = c.epoch
-		c.pos[v] = i
+		c.pos[v] = int32(i)
 	}
-	c.core.off = growInts(c.core.off, k+1)
-	c.core.eff = growFloats(c.core.eff, k)
+	c.core.off = grow(c.core.off, k+1)
+	c.core.eff = grow(c.core.eff, k)
 	off, eff := c.core.off, c.core.eff
 	// Pass 1: core degrees and effective volumes. eff(i) = vol°(v) +
 	// anchored stub weight = vol_G(v) + boundary(v), since the closure keeps
@@ -275,8 +275,8 @@ func (c *Certifier) ClusterPhi(s []int) (float64, error) {
 		off[i+1] += off[i]
 	}
 	entries := off[k]
-	c.core.nbr = growInts(c.core.nbr, entries)
-	c.core.w = growFloats(c.core.w, entries)
+	c.core.nbr = grow(c.core.nbr, entries)
+	c.core.w = grow(c.core.w, entries)
 	// Pass 2: fill the core-local CSR in host adjacency order.
 	fill := 0
 	for _, v := range s {
@@ -299,26 +299,10 @@ func (c *Certifier) ClusterPhi(s []int) (float64, error) {
 	return enumerateCoreCuts(&c.core, total, stubs > 0), nil
 }
 
-// growInts returns s resized to n, reusing capacity.
-func growInts(s []int, n int) []int {
+// grow returns s resized to n, reusing capacity.
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int, n)
-}
-
-// growFloats returns s resized to n, reusing capacity.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
-}
-
-// growBools returns s resized to n, reusing capacity.
-func growBools(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
+	return make([]T, n)
 }

@@ -23,7 +23,7 @@ func (g *Graph) InducedSubgraph(s []int) (*Graph, []int, error) {
 	for i, v := range s {
 		nbr, w := g.Neighbors(v)
 		for k, u := range nbr {
-			if j, ok := idx[u]; ok && i < j {
+			if j, ok := idx[int(u)]; ok && i < j {
 				es = append(es, Edge{U: i, V: j, W: w[k]})
 			}
 		}
@@ -61,7 +61,7 @@ func (g *Graph) Closure(s []int) (*Graph, []int, error) {
 	for i, v := range s {
 		nbr, w := g.Neighbors(v)
 		for k, u := range nbr {
-			if j, ok := idx[u]; ok {
+			if j, ok := idx[int(u)]; ok {
 				if i < j {
 					es = append(es, Edge{U: i, V: j, W: w[k]})
 				}

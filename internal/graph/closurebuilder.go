@@ -16,7 +16,7 @@ import "fmt"
 type ClosureBuilder struct {
 	g     *Graph
 	stamp []uint64 // per host vertex: epoch when last made a member
-	pos   []int    // host vertex -> local index, valid when stamp matches
+	pos   []int32  // host vertex -> local index, valid when stamp matches
 	epoch uint64
 
 	out  Graph // reused output graph; slice headers re-point into the scratch below
@@ -28,7 +28,7 @@ func NewClosureBuilder(g *Graph) *ClosureBuilder {
 	return &ClosureBuilder{
 		g:     g,
 		stamp: make([]uint64, g.N()),
-		pos:   make([]int, g.N()),
+		pos:   make([]int32, g.N()),
 	}
 }
 
@@ -45,7 +45,7 @@ func (b *ClosureBuilder) mark(s []int, op string) error {
 			return fmt.Errorf("graph: duplicate vertex %d in %s: %w", v, op, ErrInvalidInput)
 		}
 		b.stamp[v] = b.epoch
-		b.pos[v] = i
+		b.pos[v] = int32(i)
 	}
 	return nil
 }
@@ -76,11 +76,11 @@ func (b *ClosureBuilder) Closure(s []int) (*Graph, []int, error) {
 		}
 	}
 	n := k + stubs
-	b.out.off = growInts(b.out.off, n+1)
-	b.out.adj = growInts(b.out.adj, entries+stubs)
-	b.out.w = growFloats(b.out.w, entries+stubs)
-	b.out.vol = growFloats(b.out.vol, n)
-	b.back = growInts(b.back, k)
+	b.out.off = grow(b.out.off, n+1)
+	b.out.adj = grow(b.out.adj, entries+stubs)
+	b.out.w = grow(b.out.w, entries+stubs)
+	b.out.vol = grow(b.out.vol, n)
+	b.back = grow(b.back, k)
 	off := b.out.off
 	off[0] = 0
 	for i, v := range s {
@@ -100,8 +100,8 @@ func (b *ClosureBuilder) Closure(s []int) (*Graph, []int, error) {
 			if b.stamp[u] == b.epoch {
 				b.out.adj[fill] = b.pos[u]
 			} else {
-				b.out.adj[fill] = next
-				b.out.adj[off[next]] = i
+				b.out.adj[fill] = int32(next)
+				b.out.adj[off[next]] = int32(i)
 				b.out.w[off[next]] = w[e]
 				b.out.vol[next] = w[e]
 				next++
@@ -124,8 +124,8 @@ func (b *ClosureBuilder) InducedSubgraph(s []int) (*Graph, []int, error) {
 	}
 	g := b.g
 	k := len(s)
-	b.out.off = growInts(b.out.off, k+1)
-	b.back = growInts(b.back, k)
+	b.out.off = grow(b.out.off, k+1)
+	b.back = grow(b.back, k)
 	off := b.out.off
 	off[0] = 0
 	for i, v := range s {
@@ -140,9 +140,9 @@ func (b *ClosureBuilder) InducedSubgraph(s []int) (*Graph, []int, error) {
 		b.back[i] = v
 	}
 	entries := off[k]
-	b.out.adj = growInts(b.out.adj, entries)
-	b.out.w = growFloats(b.out.w, entries)
-	b.out.vol = growFloats(b.out.vol, k)
+	b.out.adj = grow(b.out.adj, entries)
+	b.out.w = grow(b.out.w, entries)
+	b.out.vol = grow(b.out.vol, k)
 	fill := 0
 	for i, v := range s {
 		nbr, w := g.Neighbors(v)

@@ -45,14 +45,14 @@ func (g *Graph) ExactConductance() (float64, error) {
 	// Build the core-local CSR and effective volumes eff(i) = vol(v) + total
 	// weight of v's pendant stubs (the stub vertex's own volume joins its
 	// anchor's side).
-	pos := make([]int, n)
+	pos := make([]int32, n)
 	core := coreCSR{off: make([]int, k+1), eff: make([]float64, k)}
 	i := 0
 	for v := 0; v < n; v++ {
 		if stub[v] {
 			continue
 		}
-		pos[v] = i
+		pos[v] = int32(i)
 		i++
 	}
 	entries := 0
@@ -79,7 +79,7 @@ func (g *Graph) ExactConductance() (float64, error) {
 	for i := 0; i < k; i++ {
 		core.off[i+1] += core.off[i]
 	}
-	core.nbr = make([]int, entries)
+	core.nbr = make([]int32, entries)
 	core.w = make([]float64, entries)
 	fill := 0
 	for v := 0; v < n; v++ {
@@ -113,7 +113,7 @@ func (g *Graph) markStubs(stub []bool) []bool {
 			stub[v] = false
 			continue
 		}
-		u := g.adj[g.off[v]]
+		u := int(g.adj[g.off[v]])
 		stub[v] = g.Degree(u) > 1 || u < v
 	}
 	return stub

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Contract returns the quotient graph of g under the cluster assignment:
 // assign[v] ∈ [0, m) names v's cluster, and the quotient has one vertex per
@@ -17,8 +20,9 @@ import "fmt"
 // so the quotient is bitwise symmetric whatever the rounding. Rows come out
 // sorted by neighbour id.
 //
-// An assignment that does not cover g or names a cluster outside [0, m)
-// panics with an error wrapping ErrInvalidInput.
+// An assignment that does not cover g or names a cluster outside [0, m), or
+// an m above math.MaxInt32 (the quotient's ids are 32-bit), panics with an
+// error wrapping ErrInvalidInput.
 func (g *Graph) Contract(assign []int, m int) *Graph {
 	n := g.N()
 	if len(assign) != n {
@@ -26,6 +30,9 @@ func (g *Graph) Contract(assign []int, m int) *Graph {
 	}
 	if m < 0 {
 		panic(fmt.Errorf("graph: Contract cluster count %d is negative: %w", m, ErrInvalidInput))
+	}
+	if m > math.MaxInt32 {
+		panic(fmt.Errorf("graph: Contract cluster count %d exceeds the 32-bit adjacency ids: %w", m, ErrInvalidInput))
 	}
 	// Counting sort by cluster. The fill advances end[c] from the start of
 	// cluster c to its end, so afterwards cluster c's members are
@@ -58,7 +65,7 @@ func (g *Graph) Contract(assign []int, m int) *Graph {
 	if m <= 1<<15 && m*(m-1)/2 < bound {
 		bound = m * (m - 1) / 2
 	}
-	uadj := make([]int, 0, bound)
+	uadj := make([]int32, 0, bound)
 	uw := make([]float64, 0, bound)
 	off := make([]int, m+1)
 	mark := make([]int, m)
@@ -78,7 +85,7 @@ func (g *Graph) Contract(assign []int, m int) *Graph {
 					uw[p] += g.w[i]
 				} else {
 					mark[b] = len(uadj)
-					uadj = append(uadj, b)
+					uadj = append(uadj, int32(b))
 					uw = append(uw, g.w[i])
 					off[b+1]++
 				}
@@ -96,7 +103,7 @@ func (g *Graph) Contract(assign []int, m int) *Graph {
 	// Rows are visited in ascending a, so when row a is reached its lower part
 	// (mirrors of rows < a, hence already in ascending order) is complete:
 	// its upper run goes at cur[a] and fills the rest of the row.
-	adj := make([]int, off[m])
+	adj := make([]int32, off[m])
 	w := make([]float64, off[m])
 	cur := mark
 	copy(cur, off[:m])
@@ -107,7 +114,7 @@ func (g *Graph) Contract(assign []int, m int) *Graph {
 		copy(w[cur[a]:], uw[lo:hi])
 		for p := lo; p < hi; p++ {
 			b := uadj[p]
-			adj[cur[b]], w[cur[b]] = a, uw[p]
+			adj[cur[b]], w[cur[b]] = int32(a), uw[p]
 			cur[b]++
 		}
 		lo = hi

@@ -53,7 +53,7 @@ func contractReference(g *Graph, assign []int, m int) *Graph {
 		nbr, w := g.Neighbors(u)
 		cu := assign[u]
 		for k, v := range nbr {
-			if u < v && assign[v] != cu {
+			if u < int(v) && assign[v] != cu {
 				es = append(es, Edge{U: cu, V: assign[v], W: w[k]})
 			}
 		}
@@ -104,6 +104,7 @@ func checkContract(t testing.TB, g *Graph, assign []int, m int, maxUlps uint64) 
 			if i > 0 && nbr[i-1] >= b {
 				t.Fatalf("row %d not strictly increasing: %v", a, nbr)
 			}
+			b := int(b)
 			if b == a {
 				t.Fatalf("row %d holds a self-loop", a)
 			}

@@ -30,8 +30,8 @@ type Edge struct {
 // edge appears twice in the adjacency arrays, once per endpoint. Weights are
 // strictly positive and self-loops are not representable.
 type Graph struct {
-	off []int     // len n+1; adjacency offsets
-	adj []int     // len 2m; neighbor ids
+	off []int     // len n+1; adjacency offsets (64-bit: see DESIGN §12)
+	adj []int32   // len 2m; neighbor ids
 	w   []float64 // len 2m; edge weights, parallel to adj
 	vol []float64 // len n; total incident weight per vertex
 }
@@ -93,8 +93,8 @@ func sum(xs []float64) float64 {
 // CSR arrays: every edge lands in the next free slot of both its rows, in
 // list order. Rows are neither sorted nor merged and vol is left zero.
 func fillFromEdges(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d: %w", n, ErrBadDimension)
+	if err := checkVertexCount(n); err != nil {
+		return nil, err
 	}
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
@@ -109,7 +109,7 @@ func fillFromEdges(n int, edges []Edge) (*Graph, error) {
 	}
 	g := &Graph{
 		off: make([]int, n+1),
-		adj: make([]int, 2*len(edges)),
+		adj: make([]int32, 2*len(edges)),
 		w:   make([]float64, 2*len(edges)),
 		vol: make([]float64, n),
 	}
@@ -123,12 +123,25 @@ func fillFromEdges(n int, edges []Edge) (*Graph, error) {
 	fill := make([]int, n)
 	copy(fill, g.off[:n])
 	for _, e := range edges {
-		g.adj[fill[e.U]], g.w[fill[e.U]] = e.V, e.W
+		g.adj[fill[e.U]], g.w[fill[e.U]] = int32(e.V), e.W
 		fill[e.U]++
-		g.adj[fill[e.V]], g.w[fill[e.V]] = e.U, e.W
+		g.adj[fill[e.V]], g.w[fill[e.V]] = int32(e.U), e.W
 		fill[e.V]++
 	}
 	return g, nil
+}
+
+// checkVertexCount rejects a vertex count no graph can hold: negative, or
+// above math.MaxInt32, the largest the 32-bit adjacency ids can name. Every
+// constructor calls it before it narrows an id.
+func checkVertexCount(n int) error {
+	if n < 0 {
+		return fmt.Errorf("graph: negative vertex count %d: %w", n, ErrBadDimension)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("graph: vertex count %d exceeds the 32-bit adjacency ids: %w", n, ErrBadDimension)
+	}
+	return nil
 }
 
 // N returns the number of vertices.
@@ -153,7 +166,7 @@ func (g *Graph) MaxDegree() int {
 
 // Neighbors returns the neighbor ids and edge weights of v as slices backed
 // by the graph's storage; callers must not modify them.
-func (g *Graph) Neighbors(v int) ([]int, []float64) {
+func (g *Graph) Neighbors(v int) ([]int32, []float64) {
 	return g.adj[g.off[v]:g.off[v+1]], g.w[g.off[v]:g.off[v+1]]
 }
 
@@ -174,7 +187,7 @@ func (g *Graph) TotalVol() float64 {
 func (g *Graph) Weight(u, v int) (float64, bool) {
 	nbr, w := g.Neighbors(u)
 	for i, x := range nbr {
-		if x == v {
+		if int(x) == v {
 			return w[i], true
 		}
 	}
@@ -186,8 +199,8 @@ func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.M())
 	for u := 0; u < g.N(); u++ {
 		nbr, w := g.Neighbors(u)
-		for i, v := range nbr {
-			if u < v {
+		for i, x := range nbr {
+			if v := int(x); u < v {
 				es = append(es, Edge{U: u, V: v, W: w[i]})
 			}
 		}
@@ -200,14 +213,14 @@ func (g *Graph) Edges() []Edge {
 // the serving layer's byte-budgeted handle cache), not an exact heap
 // measurement.
 func (g *Graph) Bytes() int64 {
-	return int64(8 * (len(g.off) + len(g.adj) + len(g.w) + len(g.vol)))
+	return int64(8*(len(g.off)+len(g.w)+len(g.vol)) + 4*len(g.adj))
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		off: append([]int(nil), g.off...),
-		adj: append([]int(nil), g.adj...),
+		adj: append([]int32(nil), g.adj...),
 		w:   append([]float64(nil), g.w...),
 		vol: append([]float64(nil), g.vol...),
 	}

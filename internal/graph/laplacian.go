@@ -65,44 +65,62 @@ func (g *Graph) LapJacobiStep(dst, r, x, dInv []float64, omega float64) {
 // kernel: it indexes the full-length CSR arrays (no per-row sub-slices, which
 // cost two slice headers per row) and is small enough to inline, so each
 // range kernel below compiles to a single loop nest that carries the entry
-// cursor from row to row.
-func lapRow(adj []int, w, x []float64, xv float64, i, end int) float64 {
+// cursor from row to row. The cursor is unsigned and the caller has held end
+// against len(adj) (rowEnd), so the only bounds check left per entry is the
+// gather from x; ids are non-negative by construction, and reading one as
+// uint32 lets the 4-byte load zero-extend into the index in one instruction.
+func lapRow(adj []int32, w, x []float64, xv float64, i, end uint) float64 {
 	acc := 0.0
 	for ; i < end; i++ {
-		acc += w[i] * (xv - x[adj[i]])
+		acc += w[i] * (xv - x[uint32(adj[i])])
 	}
 	return acc
 }
 
+// rowSpan returns what a range kernel over rows [lo, hi) walks: the entry
+// arrays at one common length, the rows' end offsets and the first row's
+// start. The kernels range over ends and re-slice their per-row vectors to
+// len(ends), which is what lets the compiler drop the per-row bounds checks.
+func (g *Graph) rowSpan(lo, hi int) (adj []int32, w []float64, ends []int, start uint) {
+	return g.adj, g.w[:len(g.adj)], g.off[lo+1 : hi+1], uint(g.off[lo])
+}
+
+// rowEnd is a row's end offset as lapRow's loop bound, checked once per row
+// so the loop needs no check per entry. Offsets are validated at
+// construction; a failure here is a corrupted Graph.
+func rowEnd(end int, adj []int32) uint {
+	if uint(end) > uint(len(adj)) {
+		panic("graph: CSR offset beyond the adjacency array")
+	}
+	return uint(end)
+}
+
 func (g *Graph) lapMulRange(dst, x []float64, lo, hi int) {
-	off, adj := g.off, g.adj
-	w := g.w[:len(adj)]
-	i := off[lo]
-	for v := lo; v < hi; v++ {
-		end := off[v+1]
-		dst[v] = lapRow(adj, w, x, x[v], i, end)
+	adj, w, ends, i := g.rowSpan(lo, hi)
+	dst, xs := dst[lo:hi][:len(ends)], x[lo:hi][:len(ends)]
+	for v, e := range ends {
+		end := rowEnd(e, adj)
+		dst[v] = lapRow(adj, w, x, xs[v], i, end)
 		i = end
 	}
 }
 
 func (g *Graph) lapResidualRange(dst, r, x []float64, lo, hi int) {
-	off, adj := g.off, g.adj
-	w := g.w[:len(adj)]
-	i := off[lo]
-	for v := lo; v < hi; v++ {
-		end := off[v+1]
-		dst[v] = r[v] - lapRow(adj, w, x, x[v], i, end)
+	adj, w, ends, i := g.rowSpan(lo, hi)
+	dst, r, xs := dst[lo:hi][:len(ends)], r[lo:hi][:len(ends)], x[lo:hi][:len(ends)]
+	for v, e := range ends {
+		end := rowEnd(e, adj)
+		dst[v] = r[v] - lapRow(adj, w, x, xs[v], i, end)
 		i = end
 	}
 }
 
 func (g *Graph) lapJacobiRange(dst, r, x, dInv []float64, omega float64, lo, hi int) {
-	off, adj := g.off, g.adj
-	w := g.w[:len(adj)]
-	i := off[lo]
-	for v := lo; v < hi; v++ {
-		end := off[v+1]
-		dst[v] = x[v] + omega*(r[v]-lapRow(adj, w, x, x[v], i, end))*dInv[v]
+	adj, w, ends, i := g.rowSpan(lo, hi)
+	dst, r, xs, dInv := dst[lo:hi][:len(ends)], r[lo:hi][:len(ends)], x[lo:hi][:len(ends)], dInv[lo:hi][:len(ends)]
+	for v, e := range ends {
+		end := rowEnd(e, adj)
+		dst[v] = xs[v] + omega*(r[v]-lapRow(adj, w, x, xs[v], i, end))*dInv[v]
 		i = end
 	}
 }
@@ -114,7 +132,7 @@ func (g *Graph) LapQuad(x []float64) float64 {
 		nbr, w := g.Neighbors(u)
 		xu := x[u]
 		for i, v := range nbr {
-			if u < v {
+			if u < int(v) {
 				d := xu - x[v]
 				q += w[i] * d * d
 			}
@@ -131,7 +149,7 @@ func (g *Graph) LapDense() []float64 {
 	for v := 0; v < n; v++ {
 		nbr, w := g.Neighbors(v)
 		for i, u := range nbr {
-			a[v*n+u] -= w[i]
+			a[v*n+int(u)] -= w[i]
 			a[v*n+v] += w[i]
 		}
 	}

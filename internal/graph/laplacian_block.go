@@ -91,13 +91,14 @@ func (g *Graph) lapMulBlockRange(dst, r, x []float64, k, lo, hi int) {
 }
 
 func (g *Graph) lapMulBlockTile8(dst, r, x []float64, k, j0, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		nbr, w := g.Neighbors(v)
+	adj, w, ends, i := g.rowSpan(lo, hi)
+	for row, e := range ends {
+		v := lo + row
 		var a0, a1, a2, a3, a4, a5, a6, a7, wsum float64
-		for i, u := range nbr {
+		for end := rowEnd(e, adj); i < end; i++ {
 			wi := w[i]
 			wsum += wi
-			b := u*k + j0
+			b := int(uint32(adj[i]))*k + j0
 			xu := x[b : b+8 : b+8]
 			a0 += wi * xu[0]
 			a1 += wi * xu[1]
@@ -136,13 +137,14 @@ func (g *Graph) lapMulBlockTile8(dst, r, x []float64, k, j0, lo, hi int) {
 }
 
 func (g *Graph) lapMulBlockTile4(dst, r, x []float64, k, j0, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		nbr, w := g.Neighbors(v)
+	adj, w, ends, i := g.rowSpan(lo, hi)
+	for row, e := range ends {
+		v := lo + row
 		var a0, a1, a2, a3, wsum float64
-		for i, u := range nbr {
+		for end := rowEnd(e, adj); i < end; i++ {
 			wi := w[i]
 			wsum += wi
-			b := u*k + j0
+			b := int(uint32(adj[i]))*k + j0
 			xu := x[b : b+4 : b+4]
 			a0 += wi * xu[0]
 			a1 += wi * xu[1]
@@ -170,14 +172,15 @@ func (g *Graph) lapMulBlockTile4(dst, r, x []float64, k, j0, lo, hi int) {
 // lapMulBlockTail handles the final k−j0 ∈ {1, 2, 3} columns.
 func (g *Graph) lapMulBlockTail(dst, r, x []float64, k, j0, lo, hi int) {
 	kk := k - j0
-	for v := lo; v < hi; v++ {
-		nbr, w := g.Neighbors(v)
+	adj, w, ends, i := g.rowSpan(lo, hi)
+	for row, e := range ends {
+		v := lo + row
 		var acc [3]float64
 		wsum := 0.0
-		for i, u := range nbr {
+		for end := rowEnd(e, adj); i < end; i++ {
 			wi := w[i]
 			wsum += wi
-			b := u * k
+			b := int(uint32(adj[i])) * k
 			for j := 0; j < kk; j++ {
 				acc[j] += wi * x[b+j0+j]
 			}

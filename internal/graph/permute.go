@@ -15,7 +15,7 @@ func (g *Graph) Permuted(order []int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: permutation has %d entries, graph has %d vertices: %w", len(order), n, ErrInvalidInput)
 	}
 	// inv[old] = new + 1 while validating, so the zero value marks "unseen".
-	inv := make([]int, n)
+	inv := make([]int32, n)
 	for i, v := range order {
 		if v < 0 || v >= n {
 			return nil, fmt.Errorf("graph: permutation entry %d = %d out of range [0,%d): %w", i, v, n, ErrInvalidInput)
@@ -23,11 +23,11 @@ func (g *Graph) Permuted(order []int) (*Graph, error) {
 		if inv[v] != 0 {
 			return nil, fmt.Errorf("graph: permutation lists vertex %d twice: %w", v, ErrInvalidInput)
 		}
-		inv[v] = i + 1
+		inv[v] = int32(i) + 1
 	}
 	p := &Graph{
 		off: make([]int, n+1),
-		adj: make([]int, len(g.adj)),
+		adj: make([]int32, len(g.adj)),
 		w:   make([]float64, len(g.w)),
 		vol: make([]float64, n),
 	}

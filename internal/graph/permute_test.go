@@ -32,10 +32,10 @@ func checkPermuted(t *testing.T, g *Graph, order []int, x []float64) {
 			t.Fatalf("row %d (was %d): %d entries, had %d", i, v, len(pnbr), len(nbr))
 		}
 		for j := range nbr {
-			if pnbr[j] != inv[nbr[j]] || pw[j] != w[j] {
+			if int(pnbr[j]) != inv[nbr[j]] || pw[j] != w[j] {
 				t.Fatalf("row %d (was %d) entry %d: (%d, %v), want (%d, %v)", i, v, j, pnbr[j], pw[j], inv[nbr[j]], w[j])
 			}
-			if back, ok := p.Weight(pnbr[j], i); !ok || back != pw[j] {
+			if back, ok := p.Weight(int(pnbr[j]), i); !ok || back != pw[j] {
 				t.Fatalf("edge (%d,%d) weight %v has mirror %v (present %v)", i, pnbr[j], pw[j], back, ok)
 			}
 		}

@@ -53,7 +53,7 @@ func (s Shard) Global(local int) int { return s.lo + local }
 // Neighbors returns host vertex v's neighbor ids and weights straight from
 // the host CSR (callers must not modify them). Neighbor ids are host ids;
 // use Contains to classify each as internal or boundary.
-func (s Shard) Neighbors(v int) ([]int, []float64) { return s.g.Neighbors(v) }
+func (s Shard) Neighbors(v int) ([]int32, []float64) { return s.g.Neighbors(v) }
 
 // BoundaryDegree returns the number of edges of host vertex v that leave
 // the shard.
@@ -61,7 +61,7 @@ func (s Shard) BoundaryDegree(v int) int {
 	nbr, _ := s.g.Neighbors(v)
 	b := 0
 	for _, u := range nbr {
-		if !s.Contains(u) {
+		if !s.Contains(int(u)) {
 			b++
 		}
 	}
@@ -74,7 +74,7 @@ func (s Shard) InternalEdges() (internal, boundary int) {
 	for v := s.lo; v < s.hi; v++ {
 		nbr, _ := s.g.Neighbors(v)
 		for _, u := range nbr {
-			switch {
+			switch u := int(u); {
 			case !s.Contains(u):
 				boundary++
 			case u > v:

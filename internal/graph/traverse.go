@@ -22,7 +22,7 @@ func (g *Graph) BFS(root int) (order []int, parent []int) {
 			if !seen[u] {
 				seen[u] = true
 				parent[u] = v
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
@@ -51,7 +51,7 @@ func (g *Graph) Components() (label []int, k int) {
 			for _, u := range nbr {
 				if label[u] < 0 {
 					label[u] = k
-					stack = append(stack, u)
+					stack = append(stack, int(u))
 				}
 			}
 		}

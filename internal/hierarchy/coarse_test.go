@@ -161,11 +161,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 // factorOnly returns the depth-0 hierarchy of g: its coarse factor and
 // nothing else.
 func factorOnly(b *testing.B, g *graph.Graph) *Hierarchy {
-	a, err := newAssembler(context.Background(), g, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := a.finish(g)
+	h, err := newAssembler(context.Background(), 0).finish(g)
 	if err != nil {
 		b.Fatal(err)
 	}

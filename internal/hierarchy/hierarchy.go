@@ -113,10 +113,7 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 	}
 	ctx, hsp := obs.StartSpan(ctx, "hierarchy/build")
 	defer hsp.End()
-	a, err := newAssembler(ctx, g, opt.Smooth)
-	if err != nil {
-		return nil, err
-	}
+	a := newAssembler(ctx, opt.Smooth)
 	cur := g
 	for level := 0; cur.N() > opt.DirectLimit && level < opt.MaxLevels; level++ {
 		if ctx.Err() != nil {

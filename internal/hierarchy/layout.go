@@ -18,7 +18,6 @@ package hierarchy
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"hcd/internal/graph"
 	"hcd/internal/obs"
@@ -44,11 +43,10 @@ type assembler struct {
 	members []int32
 }
 
-func newAssembler(ctx context.Context, g *graph.Graph, smooth int) (*assembler, error) {
-	if g.N() > math.MaxInt32 {
-		return nil, fmt.Errorf("hierarchy: %d vertices exceed the int32 restriction arrays: %w", g.N(), graph.ErrInvalidInput)
-	}
-	return &assembler{ctx: ctx, h: &Hierarchy{}, smooth: smooth}, nil
+// newAssembler needs no size check of its own: a graph.Graph cannot hold more
+// than math.MaxInt32 vertices, which is what the int32 arrays here can name.
+func newAssembler(ctx context.Context, smooth int) *assembler {
+	return &assembler{ctx: ctx, h: &Hierarchy{}, smooth: smooth}
 }
 
 // push adds cur — natural numbering — with its clustering as the next level

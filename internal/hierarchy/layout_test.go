@@ -12,10 +12,11 @@ import (
 	"hcd/internal/workload"
 )
 
-// graphCapBytes is the heap a graph's arrays actually hold.
+// graphCapBytes is the heap a graph's arrays actually hold: 8-byte offsets,
+// weights and volumes, 4-byte neighbor ids.
 func graphCapBytes(g *graph.Graph) int64 {
-	off, adj, w := g.CSR()
-	return 8 * int64(cap(off)+cap(adj)+cap(w)+g.N())
+	off, adj, w := g.CompactCSR()
+	return 8*int64(cap(off)+cap(w)+g.N()) + 4*int64(cap(adj))
 }
 
 // TestMemoryBytesMatchesArrays: MemoryBytes — the figure the serving layer's
@@ -28,7 +29,13 @@ func TestMemoryBytesMatchesArrays(t *testing.T) {
 			t.Fatal(err)
 		}
 		held := graphCapBytes(h.coarseG) + h.coarse.Bytes()
-		for _, l := range h.levels {
+		for level, l := range h.levels {
+			// Quotients come from Contract and Permuted, which allocate
+			// their arrays at exact length: accounted and held agree to
+			// the byte.
+			if level > 0 && l.g.Bytes() != graphCapBytes(l.g) {
+				t.Errorf("%s level %d: graph accounts %d bytes, holds %d", tc.name, level, l.g.Bytes(), graphCapBytes(l.g))
+			}
 			held += graphCapBytes(l.g)
 			held += 8 * int64(cap(l.dInv)+cap(l.natAssign))
 			held += 4 * int64(cap(l.assign)+cap(l.order)+cap(l.start))

@@ -55,10 +55,7 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	a, err := newAssembler(ctx, g, smooth)
-	if err != nil {
-		return nil, err
-	}
+	a := newAssembler(ctx, smooth)
 	cur := g
 	for i, la := range levels {
 		if cerr := ctx.Err(); cerr != nil {

@@ -73,7 +73,7 @@ func Nibble(g *graph.Graph, seed int, opt Options) (*Result, error) {
 			nbr, w := g.Neighbors(v)
 			vol := g.Vol(v)
 			for i, u := range nbr {
-				next[u] += pv / 2 * w[i] / vol
+				next[int(u)] += pv / 2 * w[i] / vol
 			}
 		}
 		// Prune below ε·vol to keep support local (mass is discarded, as in
@@ -114,7 +114,7 @@ func Nibble(g *graph.Graph, seed int, opt Options) (*Result, error) {
 		v := s.v
 		nbr, w := g.Neighbors(v)
 		for i, u := range nbr {
-			if in[u] {
+			if in[int(u)] {
 				cut -= w[i]
 			} else {
 				cut += w[i]

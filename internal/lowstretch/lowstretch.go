@@ -223,7 +223,7 @@ func NewTreeMetric(n int, treeEdges []graph.Edge) (*TreeMetric, error) {
 					parent[u] = v
 					t.depth[u] = t.depth[v] + 1
 					t.resist[u] = t.resist[v] + 1/w[i]
-					stack = append(stack, u)
+					stack = append(stack, int(u))
 				}
 			}
 		}

@@ -128,7 +128,7 @@ func Prim(g *graph.Graph, obj Objective) []graph.Edge {
 func pushNeighbors(g *graph.Graph, h *edgeHeap, v int) {
 	nbr, w := g.Neighbors(v)
 	for i, u := range nbr {
-		h.push(graph.Edge{U: v, V: u, W: w[i]})
+		h.push(graph.Edge{U: v, V: int(u), W: w[i]})
 	}
 }
 
@@ -248,7 +248,7 @@ func BoruvkaCtx(ctx context.Context, g *graph.Graph, obj Objective, parallel boo
 					if comp[u] == rv {
 						continue
 					}
-					c := cand{w: w[i], u: v, v: u, ok: true}
+					c := cand{w: w[i], u: v, v: int(u), ok: true}
 					if c.u > c.v {
 						c.u, c.v = c.v, c.u
 					}

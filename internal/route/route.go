@@ -88,7 +88,7 @@ func clusterBFSTrees(g *graph.Graph, assign []int, rep []int) ([]int, error) {
 			for _, u := range nbr {
 				if up[u] == -2 && assign[u] == assign[v] {
 					up[u] = v
-					queue = append(queue, u)
+					queue = append(queue, int(u))
 				}
 			}
 		}

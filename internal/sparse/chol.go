@@ -103,10 +103,10 @@ func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
 		nbr, _ := g.Neighbors(v)
 		k := lptr[v]
 		for _, u := range nbr {
-			if f.pin[u] != int32(u) {
-				list[k] = int32(u)
+			if f.pin[u] != u {
+				list[k] = u
 				k++
-				if u > v {
+				if int(u) > v {
 					f.nnzA++
 				}
 			}

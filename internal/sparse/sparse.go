@@ -177,7 +177,7 @@ func Laplacian(g *graph.Graph) *CSR {
 	for v := 0; v < n; v++ {
 		nbr, w := g.Neighbors(v)
 		for i, u := range nbr {
-			ts = append(ts, Triplet{Row: v, Col: u, Val: -w[i]})
+			ts = append(ts, Triplet{Row: v, Col: int(u), Val: -w[i]})
 		}
 		ts = append(ts, Triplet{Row: v, Col: v, Val: g.Vol(v)})
 	}

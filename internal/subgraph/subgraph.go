@@ -60,7 +60,7 @@ func New(b *graph.Graph, coreLimit int) (*Preconditioner, Stats, error) {
 		m := make(map[int]float64)
 		nbr, w := b.Neighbors(v)
 		for i, u := range nbr {
-			m[u] = w[i]
+			m[int(u)] = w[i]
 		}
 		adj[v] = m
 	}
@@ -214,7 +214,7 @@ func ProbeCoreSize(b *graph.Graph) int {
 		m := make(map[int]bool)
 		nbr, _ := b.Neighbors(v)
 		for _, u := range nbr {
-			m[u] = true
+			m[int(u)] = true
 		}
 		adj[v] = m
 	}

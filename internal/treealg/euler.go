@@ -43,8 +43,8 @@ func NewEulerTour(g *graph.Graph, root int) *EulerTour {
 		nbr, _ := g.Neighbors(v)
 		for i, u := range nbr {
 			a := off[v] + i
-			t.Tail[a], t.Head[a] = v, u
-			slotOf[pack(v, u)] = a
+			t.Tail[a], t.Head[a] = v, int(u)
+			slotOf[pack(v, int(u))] = a
 		}
 	}
 	par.For(arcs, 8192, func(lo, hi int) {

@@ -91,7 +91,7 @@ func (r *Rooted) rootComponent(root int, stack []int) []int {
 			if r.Parent[u] == unvisited {
 				r.Parent[u] = v
 				r.PWeight[u] = w[i]
-				stack = append(stack, u)
+				stack = append(stack, int(u))
 			}
 		}
 	}
