@@ -84,6 +84,7 @@ func main() {
 		{"theorem 3.5: σ(S_P, A) ≤ 3(1+2/φ³)", checkTheorem35},
 		{"theorem 4.1: eigenvector alignment bound", checkTheorem41},
 		{"two-level identity: PCG solves verified", checkSolve},
+		{"V-cycle: symmetric, positive on mean-free vectors", checkCycleSPD},
 	}
 	for _, c := range checks {
 		rng := rand.New(rand.NewSource(*seed))
@@ -252,6 +253,57 @@ func checkSolve(rng *rand.Rand) error {
 		if math.Abs(ax[i]-b[i]) > 1e-5 {
 			return fmt.Errorf("residual %v at %d", ax[i]-b[i], i)
 		}
+	}
+	return nil
+}
+
+// checkCycleSPD: the multilevel V-cycle is a fixed symmetric operator,
+// positive on mean-free vectors — what PCG needs of it — on bipartite grids
+// (λmax(D⁻¹A) = 2, the damped smoother's worst case) and on trees with
+// random chords alike, at either smoothing depth.
+func checkCycleSPD(rng *rand.Rand) error {
+	var g *hcd.Graph
+	if rng.Intn(2) == 0 {
+		g = hcd.Grid2D(3+rng.Intn(8), 3+rng.Intn(8), hcd.LognormalWeights(1.5), rng.Int63())
+	} else {
+		n := 12 + rng.Intn(80)
+		edges := hcd.RandomTree(n, hcd.LognormalWeights(1.5), rng.Int63()).Edges()
+		for i := rng.Intn(n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				edges = append(edges, hcd.Edge{U: u, V: v, W: math.Exp(rng.NormFloat64())})
+			}
+		}
+		var err error
+		if g, err = hcd.NewGraph(n, edges); err != nil {
+			return err
+		}
+	}
+	opt := hcd.DefaultHierarchyOptions()
+	opt.DirectLimit = 4
+	opt.Smooth = 1 + rng.Intn(2)
+	opt.Seed = rng.Int63()
+	m, err := hcd.NewHierarchy(g, opt)
+	if err != nil {
+		return err
+	}
+	n := g.N()
+	u, v := cli.MeanFreeRHS(n, rng.Int63()), cli.MeanFreeRHS(n, rng.Int63())
+	mu, mv := make([]float64, n), make([]float64, n)
+	m.Apply(mu, u)
+	m.Apply(mv, v)
+	dot := func(a, b []float64) float64 {
+		s := 0.0
+		for i := range a {
+			s += a[i] * b[i]
+		}
+		return s
+	}
+	muv, umv, muu, mvv := dot(mu, v), dot(u, mv), dot(mu, u), dot(mv, v)
+	if math.Abs(muv-umv) > 1e-10*math.Sqrt(muu*mvv) {
+		return fmt.Errorf("⟨Mu,v⟩ = %v, ⟨u,Mv⟩ = %v (n=%d depth=%d smooth=%d)", muv, umv, n, m.Depth(), opt.Smooth)
+	}
+	if !(muu > 0 && mvv > 0) {
+		return fmt.Errorf("⟨Mu,u⟩ = %v, ⟨Mv,v⟩ = %v, want both positive (n=%d depth=%d smooth=%d)", muu, mvv, n, m.Depth(), opt.Smooth)
 	}
 	return nil
 }

@@ -130,7 +130,8 @@ func run() (err error) {
 		return err
 	}
 	buildTime := time.Since(buildStart)
-	if h, ok := m.(*hcd.Hierarchy); ok {
+	h, _ := m.(*hcd.Hierarchy)
+	if h != nil {
 		fmt.Printf("hierarchy levels: %v\n", h.LevelSizes())
 	}
 
@@ -186,6 +187,9 @@ func run() (err error) {
 		}
 		fmt.Printf("converged: %d/%d  solve: %v  throughput: %.2f rhs/sec\n",
 			converged, nrhs, solveTime, float64(nrhs)/solveTime.Seconds())
+		if *metrics {
+			printLevelScales(h)
+		}
 		printRegistry(o, *metrics)
 		return nil
 	}
@@ -195,6 +199,7 @@ func run() (err error) {
 	}
 	if *metrics {
 		printMetrics(res.Metrics)
+		printLevelScales(h)
 	}
 	if lmin, lmax, eerr := hcd.EstimateSpectrum(res); eerr == nil && lmin > 0 {
 		fmt.Printf("estimated spectrum of M⁻¹A: [%.4g, %.4g], κ ≈ %.4g\n", lmin, lmax, lmax/lmin)
@@ -216,6 +221,20 @@ func printRegistry(o *cli.Obs, metrics bool) {
 	}
 	fmt.Println("registry:")
 	_ = o.Registry.WritePrometheus(os.Stdout)
+}
+
+// printLevelScales prints, per level of a hierarchy preconditioner (nil: any
+// other), what the clustering kept inside clusters (γ) and the
+// coarse-correction scale the cycle drew from it — the quality figures that
+// explain the iteration count printed above them.
+func printLevelScales(h *hcd.Hierarchy) {
+	if h == nil {
+		return
+	}
+	sizes := h.LevelSizes()
+	for level, s := range h.LevelScales() {
+		fmt.Printf("metrics: level %d  vertices=%d  gamma=%.3f  alpha=%.3f\n", level, sizes[level], s.Gamma, s.Alpha)
+	}
 }
 
 func printMetrics(m hcd.SolveMetrics) {

@@ -101,7 +101,8 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 		return
 	}
 	// Symmetric V-cycle, exactly the scalar sweep sequence k columns wide.
-	const omega = 0.5
+	const omega = jacobiOmega
+	alpha := l.alpha
 	x := dst
 	tmp := growBuf(&w.tmp[level], n*k)
 	tmp2 := growBuf(&w.tmp2[level], n*k)
@@ -137,7 +138,7 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 			q := xq[int(l.assign[v])*k:]
 			xv := x[v*k : v*k+k : v*k+k]
 			for j := range xv {
-				xv[j] += q[j]
+				xv[j] += alpha * q[j]
 			}
 		}
 	})

@@ -7,7 +7,9 @@
 // one. The apply uses the exact two-level identity B⁺r = D⁻¹r + R·Q⁺(Rᵀr)
 // with the quotient solve replaced by the next level's apply; the coarsest
 // level is solved directly. An optional damped-Jacobi pre/post smoothing pair
-// turns the pure recursion into a symmetric V-cycle.
+// turns the pure recursion into a symmetric V-cycle whose coarse correction
+// is scaled, level by level, by how much of the level's weight its clustering
+// cut (cycle.go).
 //
 // Levels below the finest are stored in an apply layout (layout.go): once a
 // quotient has been contracted and clustered in its natural numbering, its
@@ -33,7 +35,7 @@ type Options struct {
 	Seed        int64 // perturbation seed for the clusterings
 	DirectLimit int   // largest graph handed to the direct solver
 	MaxLevels   int   // hard cap on depth
-	Smooth      int   // damped-Jacobi pre/post smoothing sweeps per level
+	Smooth      int   // damped-Jacobi pre/post smoothing sweeps per level, 0 … 64
 	// Shards splits each level's clustering into that many concurrently
 	// built vertex-range shards while the level graph is large enough
 	// (≥ shardMinVertices); smaller levels always build single-pass. 0 or 1
@@ -59,6 +61,10 @@ type Level struct {
 	g      *graph.Graph
 	dInv   []float64
 	smooth int
+	// gamma is the fraction of the level's weight its clustering kept inside
+	// clusters, alpha the coarse-correction scale the smoothed cycle derives
+	// from it (cycle.go). Both are functions of g and natAssign alone.
+	gamma, alpha float64
 	// The restriction onto the next level, both ends in layout numbering:
 	// assign maps a vertex to its cluster, and order[start[c]:start[c+1]]
 	// lists cluster c's members by ascending natural id — the fixed
@@ -108,6 +114,9 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 	if opt.SizeCap < 2 {
 		return nil, fmt.Errorf("hierarchy: SizeCap must be ≥ 2")
 	}
+	if err := checkSmooth(opt.Smooth); err != nil {
+		return nil, err
+	}
 	if opt.DirectLimit < 1 {
 		opt.DirectLimit = 1
 	}
@@ -147,8 +156,14 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 			}
 			break
 		}
-		a.push(cur, d.Assign, d.Count)
-		cur = cur.Contract(d.Assign, d.Count)
+		cur = a.push(cur, d.Assign, d.Count)
+		if lsp != nil {
+			// The span timed the clustering; what the clustering cut is known
+			// once the quotient exists.
+			l := a.h.levels[level]
+			lsp.Arg("gamma", l.gamma)
+			lsp.Arg("alpha", l.alpha)
+		}
 	}
 	h, err = a.finish(cur)
 	if err != nil {
@@ -179,16 +194,35 @@ func (h *Hierarchy) LevelSizes() []int {
 	return append(sizes, h.coarseG.N())
 }
 
+// LevelScale is what one level's clustering cut and what the cycle does about
+// it: Gamma is the fraction of the level graph's weight that stayed inside
+// clusters (1 − vol(quotient)/vol(level), the averaged γ of the paper's (φ, γ)
+// decompositions), Alpha the factor the smoothed cycle scales that level's
+// coarse correction by.
+type LevelScale struct {
+	Gamma, Alpha float64
+}
+
+// LevelScales returns each clustering level's LevelScale, finest first: the
+// quality figures to read next to an iteration count.
+func (h *Hierarchy) LevelScales() []LevelScale {
+	scales := make([]LevelScale, len(h.levels))
+	for i, l := range h.levels {
+		scales[i] = LevelScale{Gamma: l.gamma, Alpha: l.alpha}
+	}
+	return scales
+}
+
 // MemoryBytes is the resident size of the hierarchy: every level's graph,
-// inverse diagonal, int32 restriction arrays and kept natural assignment,
-// plus the coarse graph and its factor. Pooled apply workspaces are not
-// counted; they belong to whichever solves are in flight. It is the
+// inverse diagonal, int32 restriction arrays, kept natural assignment and
+// cycle scales, plus the coarse graph and its factor. Pooled apply workspaces
+// are not counted; they belong to whichever solves are in flight. It is the
 // accounting figure behind the serving layer's byte-budgeted handle cache.
 func (h *Hierarchy) MemoryBytes() int64 {
 	var b int64
 	for _, l := range h.levels {
 		b += l.g.Bytes()
-		b += 8 * int64(len(l.dInv)+len(l.natAssign))
+		b += 8 * int64(len(l.dInv)+len(l.natAssign)+2) // +2: gamma, alpha
 		b += 4 * int64(len(l.assign)+len(l.order)+len(l.start))
 	}
 	if h.coarseG != nil {
@@ -206,7 +240,8 @@ func (h *Hierarchy) Dim() int {
 }
 
 // Apply computes dst ≈ B⁺·r multilevel-recursively. It is a fixed symmetric
-// positive semidefinite linear operator, hence a valid stationary PCG
+// linear operator, positive definite on the mean-free subspace of every
+// component (cycle.go has the argument), hence a valid stationary PCG
 // preconditioner. Work buffers come from the hierarchy's apply pool and the
 // coarse factor is read-only, so Apply is safe for concurrent use — and,
 // because every sweep is row-independent, elementwise or a fixed-order
@@ -227,7 +262,8 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
 	rq := growBuf(&w.rq[level], l.count)
 	xq := growBuf(&w.xq[level], l.count)
 	if l.smooth == 0 {
-		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr).
+		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr), the paper's
+		// two-level identity, unscaled.
 		restrict(l, r, rq)
 		h.applyLevel(level+1, xq, rq, w)
 		par.For(n, elemGrain, func(lo, hi int) {
@@ -237,13 +273,14 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
 		})
 		return
 	}
-	// Symmetric V-cycle: damped-Jacobi pre-smooth (from zero), coarse
-	// correction, damped-Jacobi post-smooth. ω = 1/2 keeps I − ωD⁻¹A PSD
-	// since λmax(D⁻¹A) ≤ 2, so the cycle is SPD. Each smoothing step and the
-	// residual are one fused pass over the level's rows; the iterate
-	// ping-pongs between two work vectors and the last post-smoothing step
-	// writes dst, which until then holds the residual.
-	const omega = 0.5
+	// Symmetric V-cycle (cycle.go): damped-Jacobi pre-smooth from zero,
+	// coarse correction scaled by the level's alpha, damped-Jacobi
+	// post-smooth. Each smoothing step and the residual are one fused pass
+	// over the level's rows; the iterate ping-pongs between two work vectors
+	// and the last post-smoothing step writes dst, which until then holds the
+	// residual.
+	const omega = jacobiOmega
+	alpha := l.alpha
 	x := growBuf(&w.tmp[level], n)
 	y := growBuf(&w.tmp2[level], n)
 	par.For(n, elemGrain, func(lo, hi int) {
@@ -260,7 +297,7 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
 	h.applyLevel(level+1, xq, rq, w)
 	par.For(n, elemGrain, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			x[v] += xq[l.assign[v]]
+			x[v] += alpha * xq[l.assign[v]]
 		}
 	})
 	for s := 1; s < l.smooth; s++ {

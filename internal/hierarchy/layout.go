@@ -49,9 +49,13 @@ func newAssembler(ctx context.Context, smooth int) *assembler {
 	return &assembler{ctx: ctx, h: &Hierarchy{}, smooth: smooth}
 }
 
-// push adds cur — natural numbering — with its clustering as the next level
-// and closes the level above it. assign is kept, not copied.
-func (a *assembler) push(cur *graph.Graph, assign []int, count int) {
+// push adds cur — natural numbering — with its clustering as the next level,
+// closes the level above it and returns cur's quotient, natural numbering
+// again. assign is kept, not copied. The level's cycle scale comes from the
+// two natural-numbered graphs, so every way of arriving at the same
+// assignments — single-pass or sharded build, Rebuild, a snapshot restore —
+// sums the same volumes in the same order.
+func (a *assembler) push(cur *graph.Graph, assign []int, count int) *graph.Graph {
 	g := cur
 	var inv []int32
 	if len(a.h.levels) > 0 {
@@ -86,6 +90,9 @@ func (a *assembler) push(cur *graph.Graph, assign []int, count int) {
 	for _, c := range assign {
 		a.members[c]++
 	}
+	quotient := cur.Contract(assign, count)
+	l.gamma, l.alpha = cycleScale(coarseBeta, cur.TotalVol(), quotient.TotalVol())
+	return quotient
 }
 
 // close builds the open level's restriction arrays against the layout of

@@ -17,7 +17,8 @@ import (
 // arrays, the scalar cycle an unfused matvec + sweep sequence. It is rebuilt
 // from a hierarchy's dumped assignments and shares only the coarse factor
 // with it, and it is the oracle the layout and the fused kernels are held to
-// bit for bit.
+// bit for bit. The cycle's parameters are arguments: (jacobiOmega, coarseBeta)
+// is the production cycle, (½, 0) the unscaled ω = ½ cycle it replaced.
 
 type refLevel struct {
 	g            *graph.Graph
@@ -25,17 +26,19 @@ type refLevel struct {
 	count        int
 	dInv         []float64
 	smooth       int
+	alpha        float64
 	order, start []int
 }
 
 type refCycle struct {
 	levels []*refLevel
 	coarse *sparse.LapFactor
+	omega  float64
 }
 
-func newRefCycle(g *graph.Graph, h *Hierarchy) *refCycle {
+func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta float64) *refCycle {
 	dumped, smooth := h.DumpLevels()
-	rc := &refCycle{coarse: h.coarse}
+	rc := &refCycle{coarse: h.coarse, omega: omega}
 	cur := g
 	for _, la := range dumped {
 		l := &refLevel{g: cur, assign: la.Assign, count: la.Count, smooth: smooth, dInv: make([]float64, cur.N())}
@@ -58,10 +61,16 @@ func newRefCycle(g *graph.Graph, h *Hierarchy) *refCycle {
 			fill[c]++
 		}
 		rc.levels = append(rc.levels, l)
-		cur = cur.Contract(la.Assign, la.Count)
+		q := cur.Contract(la.Assign, la.Count)
+		_, l.alpha = cycleScale(beta, cur.TotalVol(), q.TotalVol())
+		cur = q
 	}
 	return rc
 }
+
+// Apply makes the oracle a solver.Preconditioner, so PCG can run under either
+// parameter pair.
+func (rc *refCycle) Apply(dst, r []float64) { rc.apply(0, dst, r) }
 
 // refLapMul is the textbook row loop, written out so the oracle does not
 // lean on the kernels under test.
@@ -101,7 +110,7 @@ func (rc *refCycle) apply(level int, dst, r []float64) {
 		}
 		return
 	}
-	const omega = 0.5
+	omega := rc.omega
 	x := dst
 	tmp, tmp2 := make([]float64, n), make([]float64, n)
 	for v := 0; v < n; v++ {
@@ -120,7 +129,7 @@ func (rc *refCycle) apply(level int, dst, r []float64) {
 	restrictRef(tmp)
 	rc.apply(level+1, xq, rq)
 	for v := 0; v < n; v++ {
-		x[v] += xq[l.assign[v]]
+		x[v] += l.alpha * xq[l.assign[v]]
 	}
 	for s := 0; s < l.smooth; s++ {
 		refLapMul(l.g, tmp2, x)
@@ -158,7 +167,7 @@ func (rc *refCycle) applyBlock(level int, dst, r []float64, k int) {
 		}
 		return
 	}
-	const omega = 0.5
+	omega := rc.omega
 	x := dst
 	tmp, tmp2 := make([]float64, n*k), make([]float64, n*k)
 	jacobi := func(t []float64) {
@@ -184,7 +193,7 @@ func (rc *refCycle) applyBlock(level int, dst, r []float64, k int) {
 	rc.applyBlock(level+1, xq, rq, k)
 	for v := 0; v < n; v++ {
 		for j := 0; j < k; j++ {
-			x[v*k+j] += xq[l.assign[v]*k+j]
+			x[v*k+j] += l.alpha * xq[l.assign[v]*k+j]
 		}
 	}
 	for s := 0; s < l.smooth; s++ {
@@ -254,7 +263,7 @@ func TestApplyMatchesReferenceCycle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: rebuild: %v", tc.name, err)
 			}
-			rc := newRefCycle(tc.g, h)
+			rc := newRefCycle(tc.g, h, jacobiOmega, coarseBeta)
 			n := tc.g.N()
 			rng := rand.New(rand.NewSource(int64(100 + smooth)))
 			for _, k := range []int{1, 3, 8} {

@@ -55,6 +55,9 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := checkSmooth(smooth); err != nil {
+		return nil, err
+	}
 	a := newAssembler(ctx, smooth)
 	cur := g
 	for i, la := range levels {
@@ -75,8 +78,7 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 					i, v, c, la.Count, graph.ErrInvalidInput)
 			}
 		}
-		a.push(cur, la.Assign, la.Count)
-		cur = cur.Contract(la.Assign, la.Count)
+		cur = a.push(cur, la.Assign, la.Count)
 	}
 	return a.finish(cur)
 }
