@@ -262,6 +262,20 @@ func TestPreconditionerLadder(t *testing.T) {
 	}
 }
 
+// TestHierarchyOptionsLiteral: a HierarchyOptions literal that leaves
+// MaxLevels unset recurses to DirectLimit like the defaults; it used to hand
+// the whole graph to the coarse factorization.
+func TestHierarchyOptionsLiteral(t *testing.T) {
+	g := hcd.Grid3D(24, 24, 24, hcd.LognormalWeights(1), 1)
+	h, err := hcd.NewHierarchy(g, hcd.HierarchyOptions{SizeCap: 4, DirectLimit: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Depth() != 3 || h.CoarseSize() > 600 {
+		t.Errorf("depth %d, coarse size %d; want 3 levels down to at most 600 vertices", h.Depth(), h.CoarseSize())
+	}
+}
+
 func TestGridSubgraphPreconditioner(t *testing.T) {
 	side := 9
 	g := hcd.Grid3D(side, side, side, hcd.LognormalWeights(1), 2)

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -296,18 +297,24 @@ func e7() {
 	fmt.Println("paper claim: [Ω(1/(d²k)), 2] decomposition, constant condition number.")
 }
 
-// e8 shows multilevel iteration counts staying nearly flat in n.
+// e8 shows multilevel iteration counts staying nearly flat in n, up to the
+// 64³ volume of the paper's Figure 6: the visits column is how often each
+// level's cycle applies the level below, 2 on the cheap coarse tail.
 func e8() {
-	t := cli.NewTable("side", "n", "levels", "iterations", "converged")
-	sides := []int{10, 14, 18, 22}
+	t := cli.NewTable("side", "n", "levels", "visits", "iterations", "converged")
+	sides := []int{10, 14, 18, 22, 32, 48, 64}
 	if *full {
-		sides = append(sides, 30, 40)
+		sides = append(sides, 80)
 	}
 	for _, side := range sides {
 		g := hcd.OCT3D(side, side, side, hcd.DefaultOCTOptions())
 		h := must(hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions()))
 		res := must(solvePCG(g, cli.MeanFreeRHS(g.N(), 9), h, hcd.DefaultSolveOptions()))
-		t.Row(side, g.N(), h.Depth(), res.Iterations, res.Converged)
+		var visits []string
+		for _, s := range h.LevelScales() {
+			visits = append(visits, strconv.Itoa(s.Visits))
+		}
+		t.Row(side, g.N(), h.Depth(), strings.Join(visits, " "), res.Iterations, res.Converged)
 		report(fmt.Sprintf("hierarchy %d³", side), res.Metrics)
 	}
 	fmt.Print(t)

@@ -85,6 +85,7 @@ func main() {
 		{"theorem 4.1: eigenvector alignment bound", checkTheorem41},
 		{"two-level identity: PCG solves verified", checkSolve},
 		{"V-cycle: symmetric, positive on mean-free vectors", checkCycleSPD},
+		{"doubled tail: second coarse visits keep the cycle SPD", checkCycleTailSPD},
 	}
 	for _, c := range checks {
 		rng := rand.New(rand.NewSource(*seed))
@@ -278,13 +279,43 @@ func checkCycleSPD(rng *rand.Rand) error {
 			return err
 		}
 	}
+	_, err := probeCycleSPD(rng, g, 4)
+	return err
+}
+
+// checkCycleTailSPD is checkCycleSPD where the cycle takes second coarse
+// visits: grids of 400–1600 vertices recursed down to a handful, deep enough
+// in every round — asserted, not left to the draw — that the visit rule
+// doubles a tail of levels.
+func checkCycleTailSPD(rng *rand.Rand) error {
+	g := hcd.Grid2D(20+rng.Intn(21), 20+rng.Intn(21), hcd.LognormalWeights(1.5), rng.Int63())
+	m, err := probeCycleSPD(rng, g, 8)
+	if err != nil {
+		return err
+	}
+	doubled := 0
+	for _, s := range m.LevelScales() {
+		if s.Visits == 2 {
+			doubled++
+		}
+	}
+	if doubled < 2 {
+		return fmt.Errorf("%d doubled levels in %+v, want a tail of at least two (n=%d)", doubled, m.LevelScales(), g.N())
+	}
+	return nil
+}
+
+// probeCycleSPD builds g's hierarchy down to directLimit vertices at a random
+// smoothing depth and seed and probes the cycle M with two mean-free vectors:
+// ⟨Mu,v⟩ = ⟨u,Mv⟩ and ⟨Mu,u⟩, ⟨Mv,v⟩ > 0.
+func probeCycleSPD(rng *rand.Rand, g *hcd.Graph, directLimit int) (*hcd.Hierarchy, error) {
 	opt := hcd.DefaultHierarchyOptions()
-	opt.DirectLimit = 4
+	opt.DirectLimit = directLimit
 	opt.Smooth = 1 + rng.Intn(2)
 	opt.Seed = rng.Int63()
 	m, err := hcd.NewHierarchy(g, opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n := g.N()
 	u, v := cli.MeanFreeRHS(n, rng.Int63()), cli.MeanFreeRHS(n, rng.Int63())
@@ -300,12 +331,12 @@ func checkCycleSPD(rng *rand.Rand) error {
 	}
 	muv, umv, muu, mvv := dot(mu, v), dot(u, mv), dot(mu, u), dot(mv, v)
 	if math.Abs(muv-umv) > 1e-10*math.Sqrt(muu*mvv) {
-		return fmt.Errorf("⟨Mu,v⟩ = %v, ⟨u,Mv⟩ = %v (n=%d depth=%d smooth=%d)", muv, umv, n, m.Depth(), opt.Smooth)
+		return nil, fmt.Errorf("⟨Mu,v⟩ = %v, ⟨u,Mv⟩ = %v (n=%d depth=%d smooth=%d)", muv, umv, n, m.Depth(), opt.Smooth)
 	}
 	if !(muu > 0 && mvv > 0) {
-		return fmt.Errorf("⟨Mu,u⟩ = %v, ⟨Mv,v⟩ = %v, want both positive (n=%d depth=%d smooth=%d)", muu, mvv, n, m.Depth(), opt.Smooth)
+		return nil, fmt.Errorf("⟨Mu,u⟩ = %v, ⟨Mv,v⟩ = %v, want both positive (n=%d depth=%d smooth=%d)", muu, mvv, n, m.Depth(), opt.Smooth)
 	}
-	return nil
+	return m, nil
 }
 
 func init() {

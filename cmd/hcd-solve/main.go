@@ -224,16 +224,17 @@ func printRegistry(o *cli.Obs, metrics bool) {
 }
 
 // printLevelScales prints, per level of a hierarchy preconditioner (nil: any
-// other), what the clustering kept inside clusters (γ) and the
-// coarse-correction scale the cycle drew from it — the quality figures that
-// explain the iteration count printed above them.
+// other), what the clustering kept inside clusters (γ), the coarse-correction
+// scale the cycle drew from it and how often each visit of the level applies
+// the one below — the quality figures that explain the iteration count printed
+// above them.
 func printLevelScales(h *hcd.Hierarchy) {
 	if h == nil {
 		return
 	}
 	sizes := h.LevelSizes()
 	for level, s := range h.LevelScales() {
-		fmt.Printf("metrics: level %d  vertices=%d  gamma=%.3f  alpha=%.3f\n", level, sizes[level], s.Gamma, s.Alpha)
+		fmt.Printf("metrics: level %d  vertices=%d  gamma=%.3f  alpha=%.3f  visits=%d\n", level, sizes[level], s.Gamma, s.Alpha, s.Visits)
 	}
 }
 

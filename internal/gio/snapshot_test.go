@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hcd/internal/faultinject"
@@ -75,7 +76,7 @@ func TestGraphSnapshotRoundTrip(t *testing.T) {
 func TestHierarchySnapshotRoundTrip(t *testing.T) {
 	g := testGraph(t, 800, 42)
 	opt := hierarchy.DefaultOptions()
-	opt.DirectLimit = 50
+	opt.DirectLimit = 12 // deep enough that the visit rule doubles a level
 	h, err := hierarchy.New(g, opt)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -93,6 +94,16 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 	}
 	if h2.Depth() != h.Depth() || h2.CoarseSize() != h.CoarseSize() {
 		t.Fatalf("shape changed: depth %d→%d, coarse %d→%d", h.Depth(), h2.Depth(), h.CoarseSize(), h2.CoarseSize())
+	}
+	// The cycle's per-level scales and visit counts are not stored: the
+	// restore derives them from what is, and must arrive at the same ones —
+	// on a hierarchy deep enough that one level is visited twice.
+	scales := h.LevelScales()
+	if !slices.Equal(h2.LevelScales(), scales) || h2.CycleEntries() != h.CycleEntries() {
+		t.Fatalf("cycle changed: scales %v→%v, entries %d→%d", scales, h2.LevelScales(), h.CycleEntries(), h2.CycleEntries())
+	}
+	if !slices.ContainsFunc(scales, func(s hierarchy.LevelScale) bool { return s.Visits == 2 }) {
+		t.Fatalf("no doubled level in %v: the round trip would not cover the visit rule", scales)
 	}
 	// The rebuilt hierarchy must be the same linear operator bit-for-bit,
 	// scalar and block: assignments are persisted in natural numbering and

@@ -19,9 +19,11 @@ import "hcd/internal/par"
 // worker count.
 
 // blockWork holds one in-flight block apply's buffers: per-level packed
-// quotient and smoothing vectors.
+// quotient and smoothing vectors, and on doubled levels the second coarse
+// step's residual and correction.
 type blockWork struct {
 	rq, xq, tmp, tmp2 [][]float64 // per level, [Count·k] / [n·k]
+	rq2, xq2          [][]float64 // per level, [Count·k], visits = 2 only
 }
 
 // getWork takes a workspace from the apply pool, sized to the hierarchy's
@@ -36,6 +38,8 @@ func (h *Hierarchy) getWork() *blockWork {
 		w.xq = append(w.xq, nil)
 		w.tmp = append(w.tmp, nil)
 		w.tmp2 = append(w.tmp2, nil)
+		w.rq2 = append(w.rq2, nil)
+		w.xq2 = append(w.xq2, nil)
 	}
 	return w
 }
@@ -133,6 +137,17 @@ func (h *Hierarchy) applyLevelBlock(level int, dst, r []float64, k int, w *block
 	l.g.LapMulBlockResidual(tmp, r, x, k)
 	restrictBlock(l, tmp, k, rq)
 	h.applyLevelBlock(level+1, xq, rq, k, w)
+	if l.visits == 2 {
+		rq2 := growBuf(&w.rq2[level], l.count*k)
+		xq2 := growBuf(&w.xq2[level], l.count*k)
+		h.levels[level+1].g.LapMulBlockResidual(rq2, rq, xq, k)
+		h.applyLevelBlock(level+1, xq2, rq2, k, w)
+		par.For(l.count*k, elemGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				xq[i] += xq2[i]
+			}
+		})
+	}
 	par.For(n, grain, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			q := xq[int(l.assign[v])*k:]

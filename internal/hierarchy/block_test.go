@@ -10,11 +10,28 @@ import (
 	"hcd/internal/workload"
 )
 
+// blockApplyFixture is a two-level hierarchy on a small OCT volume;
+// deepBlockApplyFixture recurses on the same volume until the smoothed cycle
+// doubles a tail of levels.
 func blockApplyFixture(t *testing.T, smooth int) (*Hierarchy, int) {
+	t.Helper()
+	return blockApplyFixtureAt(t, smooth, 60)
+}
+
+func deepBlockApplyFixture(t *testing.T, smooth int) (*Hierarchy, int) {
+	t.Helper()
+	h, n := blockApplyFixtureAt(t, smooth, 6)
+	if doubled := doubledLevels(h); (doubled == 0) != (smooth == 0) {
+		t.Fatalf("deep fixture, smooth=%d: %d doubled levels in %v", smooth, doubled, h.LevelScales())
+	}
+	return h, n
+}
+
+func blockApplyFixtureAt(t *testing.T, smooth, directLimit int) (*Hierarchy, int) {
 	t.Helper()
 	g := workload.OCT3D(8, 8, 8, workload.OCTOptions{Layers: 4, Contrast: 100, NoiseSigma: 1, Seed: 7})
 	opt := DefaultOptions()
-	opt.DirectLimit = 60
+	opt.DirectLimit = directLimit
 	opt.Smooth = smooth
 	h, err := New(g, opt)
 	if err != nil {
@@ -26,38 +43,41 @@ func blockApplyFixture(t *testing.T, smooth int) (*Hierarchy, int) {
 	return h, g.N()
 }
 
-// TestApplyBlockMatchesColumns: the block V-cycle agrees with k scalar
-// applies column by column, for both the pure recursion and the smoothed
-// cycle. (To rounding: the block matvec accumulates the diagonal and
-// neighbor terms separately.)
+// TestApplyBlockMatchesColumns: the block cycle agrees with k scalar applies
+// column by column, for both the pure recursion and the smoothed cycle, with
+// and without a doubled tail. (To rounding: the block matvec accumulates the
+// diagonal and neighbor terms separately.)
 func TestApplyBlockMatchesColumns(t *testing.T) {
-	for _, smooth := range []int{0, 1, 2} {
-		h, n := blockApplyFixture(t, smooth)
-		rng := rand.New(rand.NewSource(int64(10 + smooth)))
-		const k = 3
-		r := make([]float64, n*k)
-		cols := make([][]float64, k)
-		for j := range cols {
-			cols[j] = meanFree(rng, n)
-			for v := 0; v < n; v++ {
-				r[v*k+j] = cols[j][v]
-			}
-		}
-		dst := make([]float64, n*k)
-		h.ApplyBlock(dst, r, k)
-		ref := make([]float64, n)
-		for j := 0; j < k; j++ {
-			h.Apply(ref, cols[j])
-			scale := 0.0
-			for v := 0; v < n; v++ {
-				if a := math.Abs(ref[v]); a > scale {
-					scale = a
+	for _, fixture := range []func(*testing.T, int) (*Hierarchy, int){blockApplyFixture, deepBlockApplyFixture} {
+		for _, smooth := range []int{0, 1, 2} {
+			h, n := fixture(t, smooth)
+			rng := rand.New(rand.NewSource(int64(10 + smooth)))
+			for _, k := range []int{1, 3, 8} {
+				r := make([]float64, n*k)
+				cols := make([][]float64, k)
+				for j := range cols {
+					cols[j] = meanFree(rng, n)
+					for v := 0; v < n; v++ {
+						r[v*k+j] = cols[j][v]
+					}
 				}
-			}
-			for v := 0; v < n; v++ {
-				if d := math.Abs(dst[v*k+j] - ref[v]); d > 1e-10*(1+scale) {
-					t.Fatalf("smooth=%d col %d vertex %d: block %v vs scalar %v",
-						smooth, j, v, dst[v*k+j], ref[v])
+				dst := make([]float64, n*k)
+				h.ApplyBlock(dst, r, k)
+				ref := make([]float64, n)
+				for j := 0; j < k; j++ {
+					h.Apply(ref, cols[j])
+					scale := 0.0
+					for v := 0; v < n; v++ {
+						if a := math.Abs(ref[v]); a > scale {
+							scale = a
+						}
+					}
+					for v := 0; v < n; v++ {
+						if d := math.Abs(dst[v*k+j] - ref[v]); d > 1e-10*(1+scale) {
+							t.Fatalf("depth=%d smooth=%d k=%d col %d vertex %d: block %v vs scalar %v",
+								h.Depth(), smooth, k, j, v, dst[v*k+j], ref[v])
+						}
+					}
 				}
 			}
 		}

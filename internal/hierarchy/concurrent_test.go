@@ -14,17 +14,20 @@ import (
 // 1, 4 and 8 — every coarse-solve tile — and each result must be
 // bit-identical to its serial twin. The graph must be large enough to build
 // a level (N > DirectLimit): a depth-0 hierarchy only exercises the coarse
-// solve and would pass even with shared per-level scratch. Run under -race
+// solve and would pass even with shared per-level scratch — and deep enough
+// that one level takes the second coarse visit. Run under -race
 // this caught the original bug where apply scratch lived on the Level
 // structs; nothing in the apply path takes a lock.
 func TestConcurrentApplyRace(t *testing.T) {
 	g := workload.Grid3D(10, 10, 10, workload.Lognormal(1), 1)
-	h, err := New(g, DefaultOptions())
+	opt := DefaultOptions()
+	opt.DirectLimit = 30 // deep enough for a doubled level and its two extra pooled vectors
+	h, err := New(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Depth() == 0 {
-		t.Fatal("test graph built a depth-0 hierarchy; concurrency coverage needs levels")
+	if h.Depth() == 0 || doubledLevels(h) == 0 {
+		t.Fatalf("test graph built depth %d with scales %v; concurrency coverage needs levels, one of them doubled", h.Depth(), h.LevelScales())
 	}
 	n := g.N()
 

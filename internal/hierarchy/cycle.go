@@ -22,8 +22,30 @@ package hierarchy
 // bipartite graphs), so those of S lie in [1 − 2ω, 1) ⊂ (−1, 1) and S is a
 // strict A-contraction. M = (I − E)A⁺ is therefore positive definite. S need
 // not be positive semidefinite — ω ≤ ½ is sufficient, not necessary — and α
-// changes the quality of M, never its definiteness. TestApplyIsSPD pins this
-// on bipartite and non-bipartite graphs.
+// changes the quality of M, never its definiteness.
+//
+// Visits. One cycle per level under-solves Q, and the loss compounds with
+// depth; the deep levels are also nearly free. So where everything below a
+// level costs at most 1/cycleShare of what the finest level's own passes cost,
+// the level visits it twice (cycleVisits): the coarse apply becomes two steps
+// of the stationary iteration the next level's cycle M′ preconditions,
+//
+//	x_c ← M′r_c;  x_c ← x_c + M′(r_c − Q·x_c),        C = M′(2I − QM′).
+//
+// C is symmetric because M′ is, and its eigenvalues on Q's range are t(2 − t)
+// for the eigenvalues t of M′Q, positive exactly when λmax(M′Q) < 2. That holds
+// along the whole doubled tail by induction from the bottom. If a level's
+// coarse operator has λmax(CQ) ≤ c₀, then — Π = RQ⁺RᵀA being the A-orthogonal
+// projection onto range(R) —
+//
+//	α⟨C·RᵀAf, RᵀAf⟩ ≤ α·c₀·‖Πf‖²_A ≤ α·c₀·‖f‖²_A,   f = Sᵛe,
+//
+// so λmin(E) ≥ min(0, 1 − α·c₀) and λmax(MA) ≤ max(1, α·c₀). The exact solve
+// has c₀ = 1, so the last level has λmax(MA) ≤ α ≤ 1 + coarseBeta = 1.5 < 2;
+// t ↦ t(2 − t) maps (0, 2) into (0, 1], so a doubled level sees c₀ ≤ 1 again
+// and hands λmax ≤ 1.5 up in turn. Above the tail a level takes any positive
+// definite C, as before. TestApplyIsSPD pins all of this on bipartite and
+// non-bipartite graphs, with and without a doubled tail.
 
 import (
 	"fmt"
@@ -44,6 +66,11 @@ const (
 	coarseBeta = 0.5
 	// maxSmooth bounds Options.Smooth; it is the snapshot codec's bound too.
 	maxSmooth = 64
+	// cycleShare is c in the visit rule: a level is visited twice when that
+	// costs at most entries(0)/c, so the doubled tail adds at most 2/c to the
+	// work of one V-cycle (DESIGN §12 "Cycle shape" has the table c was picked
+	// from).
+	cycleShare = 4
 )
 
 // cycleScale returns a level's gamma — the fraction of its weight kept inside
@@ -57,6 +84,54 @@ func cycleScale(beta, volG, volQ float64) (gamma, alpha float64) {
 	}
 	cut := volQ / volG
 	return 1 - cut, 1 + beta*cut
+}
+
+// cycleVisits returns how often one visit of each smoothed level applies the
+// level below it — 1, or 2 for the two-step coarse iteration — and the number
+// of stored matrix entries one whole apply streams. nnz[ℓ] is the stored
+// entry count of level ℓ's graph and factorNNZ that of the coarse factor. A
+// visit of level ℓ passes over its rows 2·smooth times (smooth − 1 Jacobi
+// steps after the diagonal-only first, the residual, smooth post-steps), a
+// coarse solve over the factor twice, and the residual between two visits
+// over the next level's rows once; bottom-up,
+//
+//	work(ℓ) = 2·smooth·nnz[ℓ] + visits[ℓ]·work(ℓ+1) + (visits[ℓ] − 1)·nnz[ℓ+1]
+//	visits[ℓ] = 2  ⇔  work(ℓ+1) ≤ 2·smooth·nnz[0] / share.
+//
+// work decreases with depth, so the doubled levels are a tail: everything from
+// the first doubled level down to the last but one. The last level never
+// doubles — its coarse operator is the exact solve, and a second step of an
+// exact solve corrects nothing — and neither does the pure recursion
+// (smooth = 0), which has no residual to iterate on. share = +Inf is the plain
+// V-cycle, share = 0 the W-cycle from the finest level.
+func cycleVisits(share float64, smooth int, nnz []int, factorNNZ int) (visits []int, touched int) {
+	visits = make([]int, len(nnz))
+	work := 2 * factorNNZ
+	for level := len(nnz) - 1; level >= 0; level-- {
+		visits[level] = 1
+		if level+1 < len(nnz) && smooth > 0 && float64(work) <= float64(2*smooth*nnz[0])/share {
+			visits[level] = 2
+			work = 2*work + nnz[level+1]
+		}
+		work += 2 * smooth * nnz[level]
+	}
+	return visits, work
+}
+
+// planCycle sets every level's visit count by cycleVisits and records what one
+// apply then touches. Only stored state goes in, so a single-pass build, a
+// sharded one, Rebuild and a snapshot restore of the same levels agree.
+func (h *Hierarchy) planCycle(share float64) {
+	nnz := make([]int, len(h.levels))
+	smooth := 0
+	for i, l := range h.levels {
+		nnz[i], smooth = 2*l.g.M(), l.smooth
+	}
+	visits, touched := cycleVisits(share, smooth, nnz, h.coarse.NNZ())
+	for i, l := range h.levels {
+		l.visits = visits[i]
+	}
+	h.cycleEntries = touched
 }
 
 // checkSmooth rejects sweep counts the two cycles would not run alike (a

@@ -3,11 +3,14 @@ package hierarchy
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"hcd/internal/dense"
 	"hcd/internal/graph"
@@ -60,20 +63,21 @@ func graphOrFatal(t *testing.T) func(*graph.Graph, error) *graph.Graph {
 
 // spdCorpus: small connected graphs, bipartite ones first — there
 // λmax(D⁻¹A) = 2, the case a damping weight above ½ has to survive. All but
-// the star (one cluster) and the clique give several levels at DirectLimit 3.
+// the star (one cluster) and the clique are deep enough at DirectLimit 3 that
+// the visit rule doubles a level, the two -deep ones two levels in a row.
 func spdCorpus(t *testing.T) []namedGraph {
 	t.Helper()
 	must := graphOrFatal(t)
 	rng := rand.New(rand.NewSource(7))
 	w := func() float64 { return 0.2 + 3*rng.Float64() }
 	var cycle, star, path, clique []graph.Edge
-	for i := 0; i < 24; i++ {
-		cycle = append(cycle, hcdEdge(i, (i+1)%24, w()))
+	for i := 0; i < 60; i++ {
+		cycle = append(cycle, hcdEdge(i, (i+1)%60, w()))
 	}
 	for i := 1; i < 20; i++ {
 		star = append(star, hcdEdge(0, i, w()))
 	}
-	for i := 0; i+1 < 30; i++ {
+	for i := 0; i+1 < 60; i++ {
 		path = append(path, hcdEdge(i, i+1, w()))
 	}
 	for i := 0; i < 9; i++ {
@@ -83,12 +87,14 @@ func spdCorpus(t *testing.T) []namedGraph {
 	}
 	return []namedGraph{
 		{"grid", workload.Grid2D(7, 6, workload.Lognormal(1), 1)},
-		{"even-cycle", mustGraph(24, cycle)},
+		{"grid-deep", workload.Grid2D(12, 12, workload.Lognormal(1), 1)},
+		{"even-cycle", mustGraph(60, cycle)},
 		{"star", mustGraph(20, star)},
-		{"path", mustGraph(30, path)},
+		{"path", mustGraph(60, path)},
 		{"femesh", must(workload.FEMesh(6, 6, -1, nil, 2))},
 		{"clique", mustGraph(9, clique)},
-		{"powerlaw", must(workload.PowerLaw(60, 2, workload.UniformWeight(0.5, 2), 3))},
+		{"femesh-deep", must(workload.FEMesh(11, 11, -1, nil, 2))},
+		{"powerlaw", must(workload.PowerLaw(100, 2, workload.UniformWeight(0.5, 2), 3))},
 	}
 }
 
@@ -118,8 +124,14 @@ func meanFreeGram(n, k int, apply func(dst, r []float64)) *dense.Matrix {
 			for v := range col {
 				col[v] = out[v*k+c]
 			}
+			// ⟨e_i − 1/n, col⟩ = col[i] − mean(col).
+			mean := 0.0
+			for _, x := range col {
+				mean += x
+			}
+			mean /= float64(n)
 			for i := 0; i < n; i++ {
-				gram.Set(i, j0+c, dot(basis(i), col))
+				gram.Set(i, j0+c, col[i]-mean)
 			}
 		}
 	}
@@ -127,9 +139,9 @@ func meanFreeGram(n, k int, apply func(dst, r []float64)) *dense.Matrix {
 }
 
 // TestApplyIsSPD pins cycle.go's argument with dense algebra: on multi-level
-// hierarchies over bipartite and non-bipartite graphs, the scalar and the
-// block cycle are symmetric to 1e-12 and positive definite on the mean-free
-// subspace.
+// hierarchies over bipartite and non-bipartite graphs, every family with a
+// doubled tail, the scalar and the block cycle are symmetric to 1e-12 and
+// positive definite on the mean-free subspace.
 func TestApplyIsSPD(t *testing.T) {
 	for _, tc := range spdCorpus(t) {
 		for _, smooth := range []int{1, 2} {
@@ -140,8 +152,15 @@ func TestApplyIsSPD(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if h.Depth() < 2 && tc.name != "star" && tc.name != "clique" {
-				t.Fatalf("%s: depth %d, want a multi-level hierarchy", tc.name, h.Depth())
+			doubled, want := doubledLevels(h), 1
+			switch {
+			case tc.name == "star" || tc.name == "clique":
+				want = 0
+			case strings.HasSuffix(tc.name, "-deep"):
+				want = 2
+			}
+			if doubled < want {
+				t.Fatalf("%s: %d doubled levels in %+v, want at least %d", tc.name, doubled, h.LevelScales(), want)
 			}
 			n := tc.g.N()
 			for _, k := range []int{1, 3} {
@@ -223,46 +242,242 @@ func cycleTableCorpus(t *testing.T) []namedGraph {
 	return corpus
 }
 
-// TestCycleTable regenerates DESIGN §12's "Cycle parameters" table (run with
-// -v): PCG iterations to 1e-8, three right-hand sides summed, under the
-// ω = ½, α = 1 cycle this one replaced — the oracle replays it on the same
-// hierarchy — and under the production cycle. No family may need more
-// iterations than it did.
-func TestCycleTable(t *testing.T) {
-	t.Logf("%-16s %8s %6s  %5s → %-5s  %s", "graph", "n", "depth", "½,1", "now", "γ per level")
-	for _, tc := range cycleTableCorpus(t) {
-		h, err := New(tc.g, DefaultOptions())
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+// paperScale adds the 32k–262k-vertex families, EXPERIMENTS E8's rows, the
+// rejected alternatives and the share sweep to the cycle tables (minutes):
+// go test -v -run 'TestCycle(Table|ShareSweep)' ./internal/hierarchy -paperscale
+var paperScale = flag.Bool("paperscale", false, "cycle tables: add the deep and paper-scale families, E8's rows, the rejected alternatives and the share sweep")
+
+// deepCycleCorpus is the families of cycleTableCorpus at sizes whose default
+// hierarchy is deep enough for the visit rule to double a tail of two or three
+// levels, up to the 160k–262k vertices the paper talks about (-paperscale).
+func deepCycleCorpus(t *testing.T) []namedGraph {
+	t.Helper()
+	must := graphOrFatal(t)
+	return []namedGraph{
+		{"grid2d:256", workload.Grid2D(256, 256, workload.Lognormal(1), 1)},
+		{"femesh:200", must(workload.FEMesh(200, 200, -1, nil, 1))},
+		{"oct:32", workload.OCT3D(32, 32, 32, workload.DefaultOCTOptions())},
+		{"oct:48", workload.OCT3D(48, 48, 48, workload.DefaultOCTOptions())},
+		{"oct:64", workload.OCT3D(64, 64, 64, workload.DefaultOCTOptions())},
+		{"grid3d:64", workload.Grid3D(64, 64, 64, workload.Lognormal(1), 1)},
+		{"grid2d:512", workload.Grid2D(512, 512, workload.Lognormal(1), 1)},
+		{"femesh:400", must(workload.FEMesh(400, 400, -1, nil, 1))},
+		{"road:400", must(workload.RoadNetwork(400, 400, 16, workload.Lognormal(0.5), 1))},
+		{"aniso:64 (z)", workload.Grid3DAnisotropic(64, 64, 64, 1, 1, 1000)},
+		{"plaw:200000,3", must(workload.PowerLaw(200000, 3, workload.UniformWeight(0.5, 5), 1))},
+	}
+}
+
+// cycleRun is what one cycle shape costs on one hierarchy: the visit counts,
+// PCG iterations to 1e-8 summed over the right-hand sides, the matrix entries
+// one apply streams and the median wall time of a solve — host-dependent,
+// printed and never asserted.
+type cycleRun struct {
+	visits  string
+	iters   int
+	entries int
+	ms      float64
+}
+
+// cycleBench is one graph's default hierarchy, a solve engine over it and the
+// right-hand sides the cycle shapes are compared on.
+type cycleBench struct {
+	h       *Hierarchy
+	buildMS float64 // wall time of the hierarchy build alone
+	eng     *solver.Engine
+	bs      [][]float64
+}
+
+func newCycleBench(t *testing.T, name string, g *graph.Graph, opt Options, rhsSeed int64, rhsCount int) *cycleBench {
+	t.Helper()
+	start := time.Now()
+	h, err := New(g, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	buildMS := float64(time.Since(start).Microseconds()) / 1e3
+	eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	rng := rand.New(rand.NewSource(rhsSeed))
+	bs := make([][]float64, rhsCount)
+	for i := range bs {
+		bs[i] = meanFree(rng, g.N())
+	}
+	return &cycleBench{h: h, buildMS: buildMS, eng: eng, bs: bs}
+}
+
+// run replans the hierarchy at the given share (cycleVisits: +Inf the V-cycle,
+// 0 the W-cycle from level 0) and solves every right-hand side.
+func (cb *cycleBench) run(t *testing.T, share float64) cycleRun {
+	t.Helper()
+	h, eng, bs := cb.h, cb.eng, cb.bs
+	h.planCycle(share)
+	run := cycleRun{entries: h.CycleEntries()}
+	for _, l := range h.levels {
+		run.visits += fmt.Sprint(l.visits)
+	}
+	times := make([]float64, len(bs))
+	for i, b := range bs {
+		start := time.Now()
+		res, err := eng.Solve(context.Background(), b)
+		if err != nil || !res.Converged {
+			t.Fatalf("share %v: solve %d: %v, converged %v", share, i, err, res.Converged)
 		}
-		before := newRefCycle(tc.g, h, 0.5, 0)
-		op := solver.LapOperator(tc.g)
-		rng := rand.New(rand.NewSource(100))
-		was, now := 0, 0
-		for i := 0; i < 3; i++ {
-			b := meanFree(rng, tc.g.N())
-			rb := solver.PCG(op, solver.OpFunc{N: tc.g.N(), F: before.Apply}, b, solver.DefaultOptions())
-			rn := solver.PCG(op, h, b, solver.DefaultOptions())
-			if !rb.Converged || !rn.Converged {
-				t.Fatalf("%s: converged before=%v now=%v", tc.name, rb.Converged, rn.Converged)
+		times[i] = float64(time.Since(start).Microseconds()) / 1e3
+		run.iters += res.Iterations
+	}
+	slices.Sort(times)
+	run.ms = times[len(times)/2]
+	return run
+}
+
+// checkRuleAgainstVCycle holds the visit rule to its two promises: never more
+// iterations than the V-cycle, never more than (1 + 2/c)× its entries.
+func checkRuleAgainstVCycle(t *testing.T, name string, vcycle, rule cycleRun) {
+	t.Helper()
+	if rule.iters > vcycle.iters {
+		t.Errorf("%s: %d iterations with visits %s, the V-cycle needed %d", name, rule.iters, rule.visits, vcycle.iters)
+	}
+	if bound := (1 + 2.0/cycleShare) * float64(vcycle.entries); float64(rule.entries) > bound {
+		t.Errorf("%s: visits %s touch %d entries per apply, above (1 + 2/%d)× the V-cycle's %d", name, rule.visits, rule.entries, cycleShare, vcycle.entries)
+	}
+}
+
+// TestCycleTable regenerates the tables of DESIGN §12 "Cycle parameters" and
+// "Cycle shape" and the V-cycle column of EXPERIMENTS E8 (run with -v, and
+// -paperscale for all but the first). PCG iterations to 1e-8, three right-hand
+// sides summed, on one default hierarchy per graph: under the ω = ½, α = 1
+// V-cycle (the oracle replays it), under the production parameters visiting
+// every level once, and under the visit rule. No family may need more
+// iterations than either predecessor, nor touch more than (1 + 2/c)× the
+// V-cycle's entries per apply.
+func TestCycleTable(t *testing.T) {
+	const header = "%-16s %8s %6s  %5s  %5s → %-5s  %-7s  %9s → %-9s %6s  %s"
+	const row = "%-16s %8d %6d  %5s  %5d → %-5d  %-7s  %9d → %-9d %5.3f× %s"
+	t.Logf(header, "graph", "n", "depth", "½,1", "V", "rule", "visits", "entries V", "rule", "", "γ per level")
+	families := cycleTableCorpus(t)
+	replayed := len(families) // the ω = ½ oracle is a textbook loop: not on the deep corpus
+	var deep []namedGraph
+	if *paperScale {
+		deep = deepCycleCorpus(t)
+		families = append(families, deep...)
+	}
+	for i, tc := range families {
+		cb := newCycleBench(t, tc.name, tc.g, DefaultOptions(), 100, 3)
+		vcycle, rule := cb.run(t, math.Inf(1)), cb.run(t, cycleShare)
+		was := "-"
+		if i < replayed {
+			before := newRefCycle(tc.g, cb.h, 0.5, 0, math.Inf(1))
+			old := 0
+			for _, b := range cb.bs {
+				res := solver.PCG(solver.LapOperator(tc.g), solver.OpFunc{N: tc.g.N(), F: before.Apply}, b, solver.DefaultOptions())
+				if !res.Converged {
+					t.Fatalf("%s: the ω=½ α=1 cycle did not converge", tc.name)
+				}
+				old += res.Iterations
 			}
-			was += rb.Iterations
-			now += rn.Iterations
+			was = fmt.Sprint(old)
+			if rule.iters > old {
+				t.Errorf("%s: %d iterations, the ω=½ α=1 cycle needed %d", tc.name, rule.iters, old)
+			}
 		}
 		gammas := ""
-		for _, s := range h.LevelScales() {
+		for _, s := range cb.h.LevelScales() {
 			gammas += fmt.Sprintf(" %.2f", s.Gamma)
 		}
-		t.Logf("%-16s %8d %6d  %5d → %-5d %s", tc.name, tc.g.N(), h.Depth(), was, now, gammas)
-		if now > was {
-			t.Errorf("%s: %d iterations, the ω=½ α=1 cycle needed %d", tc.name, now, was)
+		t.Logf(row, tc.name, tc.g.N(), cb.h.Depth(), was, vcycle.iters, rule.iters, rule.visits,
+			vcycle.entries, rule.entries, float64(rule.entries)/float64(vcycle.entries), gammas)
+		checkRuleAgainstVCycle(t, tc.name, vcycle, rule)
+	}
+	if !*paperScale {
+		return
+	}
+
+	// EXPERIMENTS E8's rows — same volumes, same right-hand side — with the
+	// column the experiment cannot produce: there is no switch that turns the
+	// rule off outside this package.
+	t.Logf("E8: %4s %8s %6s  %3s → %-4s  %s", "side", "n", "depth", "V", "rule", "visits")
+	for _, side := range []int{10, 14, 18, 22, 32, 48, 64} {
+		name := fmt.Sprintf("oct:%d", side)
+		g := workload.OCT3D(side, side, side, workload.DefaultOCTOptions())
+		cb := newCycleBench(t, name, g, DefaultOptions(), 9, 1)
+		vcycle, rule := cb.run(t, math.Inf(1)), cb.run(t, cycleShare)
+		t.Logf("E8: %4d %8d %6d  %3d → %-4d  %s", side, g.N(), cb.h.Depth(), vcycle.iters, rule.iters, rule.visits)
+		checkRuleAgainstVCycle(t, name, vcycle, rule)
+	}
+
+	// What else could buy iterations, measured once so the defaults Smooth = 1,
+	// SizeCap = 4 and a tail that starts where it is cheap are on record: work
+	// is iterations × (entries per apply + the PCG matvec's pass over level 0),
+	// the deterministic cost of a solve.
+	t.Logf("%-12s %-12s %-7s %5s %10s %10s %9s %8s %8s", "graph", "alternative", "visits", "iters", "entries", "work", "build ms", "mem MB", "ms")
+	for _, tc := range deep {
+		if tc.name != "oct:64" && tc.name != "grid2d:512" && tc.name != "femesh:400" {
+			continue
+		}
+		var base float64
+		for _, alt := range []struct {
+			name  string
+			share float64
+			tweak func(*Options)
+		}{
+			{"V-cycle", math.Inf(1), func(*Options) {}},
+			{"rule", cycleShare, func(*Options) {}},
+			{"W from 0", 0, func(*Options) {}},
+			{"Smooth 2", cycleShare, func(o *Options) { o.Smooth = 2 }},
+			{"SizeCap 2", cycleShare, func(o *Options) { o.SizeCap = 2 }},
+			{"SizeCap 3", cycleShare, func(o *Options) { o.SizeCap = 3 }},
+		} {
+			opt := DefaultOptions()
+			alt.tweak(&opt)
+			cb := newCycleBench(t, tc.name, tc.g, opt, 100, 3)
+			run := cb.run(t, alt.share)
+			work := float64(run.iters) * float64(run.entries+2*tc.g.M())
+			if base == 0 {
+				base = work
+			}
+			t.Logf("%-12s %-12s %-7s %5d %10d %9.2f× %9.0f %8.1f %8.2f", tc.name, alt.name, run.visits, run.iters, run.entries,
+				work/base, cb.buildMS, float64(cb.h.MemoryBytes())/(1<<20), run.ms)
+		}
+	}
+}
+
+// TestCycleShareSweep prints the table cycleShare was picked from (DESIGN §12
+// "Cycle shape"; -paperscale only, minutes): per family and share c, the plan,
+// iterations over three right-hand sides, entries per apply and the median
+// time of a solve over five alternating rounds, against the V-cycle's.
+func TestCycleShareSweep(t *testing.T) {
+	if !*paperScale {
+		t.Skip("run with -paperscale")
+	}
+	shares := []float64{math.Inf(1), 16, 8, 6, 4, 3, 2, 0}
+	for _, tc := range deepCycleCorpus(t) {
+		cb := newCycleBench(t, tc.name, tc.g, DefaultOptions(), 100, 3)
+		runs := make([]cycleRun, len(shares))
+		times := make([][]float64, len(shares))
+		for round := 0; round < 5; round++ {
+			for i, share := range shares {
+				runs[i] = cb.run(t, share)
+				times[i] = append(times[i], runs[i].ms)
+			}
+		}
+		t.Logf("%s  n=%d  levels %v", tc.name, tc.g.N(), cb.h.LevelSizes())
+		for i, share := range shares {
+			slices.Sort(times[i])
+			ms, base := times[i][len(times[i])/2], times[0][len(times[0])/2]
+			t.Logf("  c=%-4v visits %-7s iterations %3d  entries %9d (%.3f×)  ms/solve %7.2f (%+5.1f%%)", share, runs[i].visits,
+				runs[i].iters, runs[i].entries, float64(runs[i].entries)/float64(runs[0].entries), ms, 100*(ms/base-1))
 		}
 	}
 }
 
 // TestCycleScales: a level's scale is the rule applied to the two volumes, a
 // level without weight gets α = 1, and a sharded build, a Rebuild from dumped
-// levels and the single-pass build agree on every scale exactly.
+// levels and the single-pass build agree exactly on every scale and visit
+// count, on what one apply touches and on the iterate — on a hierarchy with a
+// doubled level.
 func TestCycleScales(t *testing.T) {
 	if g, a := cycleScale(coarseBeta, 0, 0); g != 1 || a != 1 {
 		t.Errorf("zero-volume level: gamma %v alpha %v, want 1 1", g, a)
@@ -276,8 +491,8 @@ func TestCycleScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := h.LevelScales(); len(s) != 1 || s[0] != (LevelScale{Gamma: 1, Alpha: 1}) {
-		t.Errorf("edgeless level scales %v, want [{1 1}]", s)
+	if s := h.LevelScales(); len(s) != 1 || s[0] != (LevelScale{Gamma: 1, Alpha: 1, Visits: 1}) {
+		t.Errorf("edgeless level scales %v, want [{1 1 1}]", s)
 	}
 	out := make([]float64, 6)
 	h.Apply(out, []float64{1, -1, 2, -2, 3, -3})
@@ -309,13 +524,27 @@ func TestCycleScales(t *testing.T) {
 			t.Errorf("level %d: gamma %v outside (0,1)", i, s.Gamma)
 		}
 	}
+	if doubledLevels(single) == 0 {
+		t.Fatalf("no doubled level in %+v", single.LevelScales())
+	}
+	r := meanFree(rand.New(rand.NewSource(9)), g.N())
+	sameCycle := func(name string, got, want *Hierarchy) {
+		t.Helper()
+		if !slices.Equal(got.LevelScales(), want.LevelScales()) || got.CycleEntries() != want.CycleEntries() {
+			t.Errorf("%s: scales %+v entries %d, want %+v entries %d", name, got.LevelScales(), got.CycleEntries(), want.LevelScales(), want.CycleEntries())
+		}
+		x, y := make([]float64, g.N()), make([]float64, g.N())
+		got.Apply(x, r)
+		want.Apply(y, r)
+		if i := firstDiff(x, y); i >= 0 {
+			t.Errorf("%s: Apply[%d] = %v, want %v", name, i, x[i], y[i])
+		}
+	}
 	rebuilt, err := Rebuild(context.Background(), g, levels, smooth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := rebuilt.LevelScales(), single.LevelScales(); !slices.Equal(got, want) {
-		t.Errorf("Rebuild scales %v, built %v", got, want)
-	}
+	sameCycle("Rebuild", rebuilt, single)
 	for _, shards := range []int{1, 4} {
 		opt := DefaultOptions()
 		opt.Shards = shards
@@ -328,48 +557,236 @@ func TestCycleScales(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := again.LevelScales(), sh.LevelScales(); !slices.Equal(got, want) {
-			t.Errorf("shards=%d: rebuilt scales %v, built %v", shards, got, want)
-		}
-		if shards == 1 && !slices.Equal(sh.LevelScales(), single.LevelScales()) {
-			t.Errorf("Shards=1 scales %v, single-pass %v", sh.LevelScales(), single.LevelScales())
+		sameCycle(fmt.Sprintf("shards=%d rebuilt", shards), again, sh)
+		if shards == 1 {
+			sameCycle("Shards=1", sh, single)
 		}
 	}
 }
 
 // TestBuildSpanExplainsCycleScale: each hierarchy/level-N span of a traced
-// build carries the gamma its clustering achieved and the alpha the cycle
-// derived from it — the numbers LevelScales reports.
+// build carries the gamma its clustering achieved, the alpha the cycle derived
+// from it and the level's visit count — the numbers LevelScales reports — and
+// hierarchy/build carries what one apply of the finished cycle touches.
 func TestBuildSpanExplainsCycleScale(t *testing.T) {
 	g := workload.OCT3D(20, 20, 20, workload.DefaultOCTOptions())
+	opt := DefaultOptions()
+	opt.DirectLimit = 100 // a third level, so that one is doubled
 	tr := obs.NewTracer()
-	h, err := NewCtx(obs.WithTracer(context.Background(), tr), g, DefaultOptions())
+	h, err := NewCtx(obs.WithTracer(context.Background(), tr), g, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if doubledLevels(h) == 0 {
+		t.Fatalf("no doubled level in %+v", h.LevelScales())
 	}
 	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
 	scales := h.LevelScales()
-	seen := 0
+	seen, sawBuild := 0, false
 	for _, s := range tr.Spans() {
-		var level int
-		if _, err := fmt.Sscanf(s.Name, "hierarchy/level-%d", &level); err != nil {
-			continue
-		}
 		args := map[string]any{}
 		for _, a := range s.Args {
 			args[a.Key] = a.Value
 		}
+		if s.Name == "hierarchy/build" {
+			sawBuild = true
+			if args["cycle_entries"] != h.CycleEntries() {
+				t.Errorf("%s args %v, want cycle_entries %d", s.Name, args, h.CycleEntries())
+			}
+		}
+		var level int
+		if _, err := fmt.Sscanf(s.Name, "hierarchy/level-%d", &level); err != nil {
+			continue
+		}
 		if level >= len(scales) {
 			t.Fatalf("span %s of a depth-%d hierarchy", s.Name, len(scales))
 		}
-		if args["gamma"] != scales[level].Gamma || args["alpha"] != scales[level].Alpha {
-			t.Errorf("%s args %v, want gamma %v alpha %v", s.Name, args, scales[level].Gamma, scales[level].Alpha)
+		if args["gamma"] != scales[level].Gamma || args["alpha"] != scales[level].Alpha || args["visits"] != scales[level].Visits {
+			t.Errorf("%s args %v, want %+v", s.Name, args, scales[level])
 		}
 		seen++
 	}
-	if seen != h.Depth() {
-		t.Errorf("%d level spans with scales, depth %d", seen, h.Depth())
+	if seen != h.Depth() || !sawBuild {
+		t.Errorf("%d level spans with scales, depth %d; build span seen: %v", seen, h.Depth(), sawBuild)
+	}
+}
+
+// TestCycleVisits pins the visit rule: a hand-computed plan, and on random
+// level sizes the properties the cycle leans on — the doubled levels are a
+// tail that stops one short of the last level, the limits of share are the
+// V- and the W-cycle, the pure recursion never doubles, the entry count is
+// what a walk over the plan counts, and the tail adds at most 2/share of a
+// pass pair over the finest level to the V-cycle's work.
+func TestCycleVisits(t *testing.T) {
+	// threshold 2·1000/4 = 500. Bottom-up: coarse 2·20 = 40; level 3 is last:
+	// 40 + 120 = 160; level 2 doubles (160 ≤ 500): 2·160 + 60 + 300 = 680;
+	// level 1 does not (680 > 500): 680 + 800 = 1480; level 0: 1480 + 2000.
+	visits, touched := cycleVisits(4, 1, []int{1000, 400, 150, 60}, 20)
+	if !slices.Equal(visits, []int{1, 1, 2, 1}) || touched != 3480 {
+		t.Errorf("plan %v touching %d, want [1 1 2 1] touching 3480", visits, touched)
+	}
+	if visits, touched := cycleVisits(4, 1, nil, 20); len(visits) != 0 || touched != 40 {
+		t.Errorf("depth 0: plan %v touching %d, want none touching 40", visits, touched)
+	}
+
+	// walk counts entries the way the cycle recurses.
+	var walk func(visits, nnz []int, factorNNZ, smooth, level int) int
+	walk = func(visits, nnz []int, factorNNZ, smooth, level int) int {
+		if level == len(nnz) {
+			return 2 * factorNNZ
+		}
+		n := 2*smooth*nnz[level] + walk(visits, nnz, factorNNZ, smooth, level+1)
+		if visits[level] == 2 {
+			n += nnz[level+1] + walk(visits, nnz, factorNNZ, smooth, level+1)
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		depth := 1 + rng.Intn(8)
+		nnz := make([]int, depth)
+		nnz[0] = 1000 + rng.Intn(100000)
+		for i := 1; i < depth; i++ {
+			nnz[i] = 1 + int(float64(nnz[i-1])*(0.1+0.8*rng.Float64()))
+		}
+		factorNNZ, smooth := 1+rng.Intn(2000), 1+rng.Intn(3)
+		share := []float64{2, 3, 4, 8, 16}[rng.Intn(5)]
+		name := fmt.Sprintf("nnz %v factor %d smooth %d share %v", nnz, factorNNZ, smooth, share)
+
+		vcycle, vwork := cycleVisits(math.Inf(1), smooth, nnz, factorNNZ)
+		wcycle, _ := cycleVisits(0, smooth, nnz, factorNNZ)
+		pure, pwork := cycleVisits(share, 0, nnz, factorNNZ)
+		for level := range nnz {
+			w := 2
+			if level == depth-1 {
+				w = 1
+			}
+			if vcycle[level] != 1 || pure[level] != 1 || wcycle[level] != w {
+				t.Fatalf("%s: V %v, smooth 0 %v, W %v", name, vcycle, pure, wcycle)
+			}
+		}
+		if pwork != 2*factorNNZ {
+			t.Errorf("%s: the pure recursion touches %d entries, want the factor's %d", name, pwork, 2*factorNNZ)
+		}
+
+		visits, touched := cycleVisits(share, smooth, nnz, factorNNZ)
+		for level := range visits {
+			if v := visits[level]; v < 1 || v > 2 || (level > 0 && level < depth-1 && v < visits[level-1]) {
+				t.Fatalf("%s: plan %v is not a tail", name, visits)
+			}
+		}
+		if visits[depth-1] != 1 {
+			t.Errorf("%s: plan %v doubles the exact solve", name, visits)
+		}
+		if got := walk(visits, nnz, factorNNZ, smooth, 0); got != touched {
+			t.Errorf("%s: plan %v reports %d entries, a walk counts %d", name, visits, touched, got)
+		}
+		if bound := float64(vwork) + 2*float64(2*smooth*nnz[0])/share; float64(touched) > bound {
+			t.Errorf("%s: plan %v touches %d entries, above the V-cycle's %d + 2·entries(0)/c = %.0f", name, visits, touched, vwork, bound)
+		}
+	}
+}
+
+// TestShallowHierarchiesKeepTheVCycle: the two-level hierarchies of the
+// benchmark's block-femesh2d and serve-mixed graphs are too shallow for the
+// visit rule — their level 1 costs more than a quarter of level 0 — so every
+// visit count is 1 and the cycle is, bit for bit, the plain V-cycle.
+func TestShallowHierarchiesKeepTheVCycle(t *testing.T) {
+	must := graphOrFatal(t)
+	for _, tc := range []namedGraph{
+		{"femesh:64", must(workload.FEMesh(64, 64, -1, nil, 1))},
+		{"grid2d:64", workload.Grid2D(64, 64, workload.Lognormal(1), 1)},
+		{"road:48", must(workload.RoadNetwork(48, 48, 12, workload.Lognormal(0.5), 1))},
+		{"femesh:48", must(workload.FEMesh(48, 48, -1, nil, 1))},
+		{"grid3d:16", workload.Grid3D(16, 16, 16, workload.Lognormal(1), 1)},
+	} {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if h.Depth() != 2 || doubledLevels(h) != 0 {
+			t.Fatalf("%s: depth %d, scales %+v; want two levels visited once", tc.name, h.Depth(), h.LevelScales())
+		}
+		vcycle := newRefCycle(tc.g, h, jacobiOmega, coarseBeta, math.Inf(1))
+		n := tc.g.N()
+		rng := rand.New(rand.NewSource(11))
+		for _, k := range []int{1, 4, 8} {
+			r := randomBlock(rng, n, k)
+			got, want := make([]float64, n*k), make([]float64, n*k)
+			h.ApplyBlock(got, r, k)
+			if k == 1 {
+				vcycle.apply(0, want, r)
+			} else {
+				vcycle.applyBlock(0, want, r, k)
+			}
+			if i := firstDiff(got, want); i >= 0 {
+				t.Errorf("%s k=%d: ApplyBlock[%d] = %v, V-cycle %v", tc.name, k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDoubledTailWorkVectorsArePooled: the second coarse visit costs two more
+// work vectors per doubled level and nothing per apply — they live in the
+// pooled workspace, sized on first use and reused after — so a warm engine
+// still reports no scratch allocation on a hierarchy with a doubled tail.
+func TestDoubledTailWorkVectorsArePooled(t *testing.T) {
+	g := workload.Grid2D(40, 40, workload.Lognormal(1), 5)
+	opt := DefaultOptions()
+	opt.DirectLimit = 16
+	h, err := New(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doubledLevels(h) < 2 {
+		t.Fatalf("scales %+v, want a doubled tail", h.LevelScales())
+	}
+	b := meanFree(rand.New(rand.NewSource(20)), g.N())
+	for _, k := range []int{1, 3} {
+		r, dst := make([]float64, g.N()*k), make([]float64, g.N()*k)
+		for v, x := range b {
+			r[v*k] = x
+		}
+		w := h.getWork()
+		apply := func() {
+			if k == 1 {
+				h.applyLevel(0, dst, r, w)
+			} else {
+				h.applyLevelBlock(0, dst, r, k, w)
+			}
+		}
+		apply()
+		first := map[int][2]*float64{}
+		for level, l := range h.levels {
+			if want := (l.visits - 1) * l.count * k; len(w.rq2[level]) != want || len(w.xq2[level]) != want {
+				t.Fatalf("k=%d level %d (visits %d, %d clusters): second-visit vectors of %d and %d entries, want %d",
+					k, level, l.visits, l.count, len(w.rq2[level]), len(w.xq2[level]), want)
+			}
+			if l.visits == 2 {
+				first[level] = [2]*float64{&w.rq2[level][0], &w.xq2[level][0]}
+			}
+		}
+		apply()
+		for level, p := range first {
+			if &w.rq2[level][0] != p[0] || &w.xq2[level][0] != p[1] {
+				t.Errorf("k=%d level %d: second-visit vectors were reallocated by a warm apply", k, level)
+			}
+		}
+	}
+
+	eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := eng.Solve(context.Background(), b)
+		if err != nil || !res.Converged {
+			t.Fatalf("solve %d: %v, converged %v", i, err, res.Converged)
+		}
+		if i > 0 && res.Metrics.ScratchAllocs != 0 {
+			t.Errorf("warm solve allocated %d scratch buffers", res.Metrics.ScratchAllocs)
+		}
 	}
 }

@@ -7,9 +7,10 @@
 // one. The apply uses the exact two-level identity B⁺r = D⁻¹r + R·Q⁺(Rᵀr)
 // with the quotient solve replaced by the next level's apply; the coarsest
 // level is solved directly. An optional damped-Jacobi pre/post smoothing pair
-// turns the pure recursion into a symmetric V-cycle whose coarse correction
-// is scaled, level by level, by how much of the level's weight its clustering
-// cut (cycle.go).
+// turns the pure recursion into a symmetric cycle whose coarse correction is
+// scaled, level by level, by how much of the level's weight its clustering
+// cut, and which visits the cheap coarse tail of the hierarchy twice per
+// cycle (cycle.go).
 //
 // Levels below the finest are stored in an apply layout (layout.go): once a
 // quotient has been contracted and clustered in its natural numbering, its
@@ -34,7 +35,7 @@ type Options struct {
 	SizeCap     int   // cluster size cap per level (≥ 2)
 	Seed        int64 // perturbation seed for the clusterings
 	DirectLimit int   // largest graph handed to the direct solver
-	MaxLevels   int   // hard cap on depth
+	MaxLevels   int   // hard cap on depth; ≤ 0 means the default, 40
 	Smooth      int   // damped-Jacobi pre/post smoothing sweeps per level, 0 … 64
 	// Shards splits each level's clustering into that many concurrently
 	// built vertex-range shards while the level graph is large enough
@@ -48,10 +49,14 @@ type Options struct {
 // costs more than the fan-out saves.
 const shardMinVertices = 1 << 15
 
+// defaultMaxLevels is the depth cap of DefaultOptions and of Options that leave
+// MaxLevels unset: far above the ~log₃ n levels a real hierarchy has.
+const defaultMaxLevels = 40
+
 // DefaultOptions: clusters of ~4, 600-vertex coarse solves, one smoothing
 // sweep.
 func DefaultOptions() Options {
-	return Options{SizeCap: 4, Seed: 1, DirectLimit: 600, MaxLevels: 40, Smooth: 1}
+	return Options{SizeCap: 4, Seed: 1, DirectLimit: 600, MaxLevels: defaultMaxLevels, Smooth: 1}
 }
 
 // Level is one layer of the laminar decomposition, stored for the apply.
@@ -65,6 +70,10 @@ type Level struct {
 	// clusters, alpha the coarse-correction scale the smoothed cycle derives
 	// from it (cycle.go). Both are functions of g and natAssign alone.
 	gamma, alpha float64
+	// visits is how often one visit of this level applies the level below: 1,
+	// or 2 on the doubled tail (cycleVisits). A function of the stored levels
+	// and the coarse factor, set once the hierarchy is complete.
+	visits int
 	// The restriction onto the next level, both ends in layout numbering:
 	// assign maps a vertex to its cluster, and order[start[c]:start[c+1]]
 	// lists cluster c's members by ascending natural id — the fixed
@@ -81,6 +90,9 @@ type Hierarchy struct {
 	levels  []*Level
 	coarseG *graph.Graph
 	coarse  *sparse.LapFactor
+	// cycleEntries is the number of stored matrix entries one Apply streams:
+	// level passes, second visits and the coarse factor (cycleVisits).
+	cycleEntries int
 	// Pooled per-apply work buffers shared by the scalar and block cycles.
 	// They are the only mutable apply state — levels and the coarse factor
 	// are read-only — so concurrent Apply/ApplyBlock calls on one Hierarchy
@@ -104,7 +116,8 @@ func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
 // vertex reduction on a still-large graph (a degenerate or corrupted build)
 // is rejected with an error rather than handed to the coarse factorization,
 // whose fill on an unreduced graph would be a far worse failure than an
-// explicit one.
+// explicit one; so is a MaxLevels that stops the recursion while the graph is
+// still more than four times DirectLimit.
 func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -120,11 +133,22 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 	if opt.DirectLimit < 1 {
 		opt.DirectLimit = 1
 	}
+	if opt.MaxLevels <= 0 {
+		opt.MaxLevels = defaultMaxLevels
+	}
 	ctx, hsp := obs.StartSpan(ctx, "hierarchy/build")
 	defer hsp.End()
 	a := newAssembler(ctx, opt.Smooth)
 	cur := g
-	for level := 0; cur.N() > opt.DirectLimit && level < opt.MaxLevels; level++ {
+	var levelSpans []*obs.Span // traced builds only: visits are known last
+	for level := 0; cur.N() > opt.DirectLimit; level++ {
+		if level == opt.MaxLevels {
+			if cur.N() > 4*opt.DirectLimit {
+				return nil, fmt.Errorf("hierarchy: MaxLevels %d reached at level %d with %d vertices left (direct limit %d): %w",
+					opt.MaxLevels, level, cur.N(), opt.DirectLimit, graph.ErrInvalidInput)
+			}
+			break
+		}
 		if ctx.Err() != nil {
 			return nil, decomp.Cancelled(ctx)
 		}
@@ -163,6 +187,7 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 			l := a.h.levels[level]
 			lsp.Arg("gamma", l.gamma)
 			lsp.Arg("alpha", l.alpha)
+			levelSpans = append(levelSpans, lsp)
 		}
 	}
 	h, err = a.finish(cur)
@@ -170,10 +195,14 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 		return nil, err
 	}
 	if hsp != nil {
+		for level, lsp := range levelSpans {
+			lsp.Arg("visits", h.levels[level].visits)
+		}
 		hsp.Arg("levels", len(h.levels))
 		hsp.Arg("coarse_size", cur.N())
 		hsp.Arg("coarse_nnz", h.coarse.NNZ())
 		hsp.Arg("coarse_fill", h.coarse.Fill())
+		hsp.Arg("cycle_entries", h.cycleEntries)
 	}
 	return h, nil
 }
@@ -194,13 +223,20 @@ func (h *Hierarchy) LevelSizes() []int {
 	return append(sizes, h.coarseG.N())
 }
 
+// CycleEntries returns the number of stored matrix entries — level rows and
+// coarse factor — one Apply streams: the deterministic cost of a cycle, to read
+// next to an iteration count.
+func (h *Hierarchy) CycleEntries() int { return h.cycleEntries }
+
 // LevelScale is what one level's clustering cut and what the cycle does about
 // it: Gamma is the fraction of the level graph's weight that stayed inside
 // clusters (1 − vol(quotient)/vol(level), the averaged γ of the paper's (φ, γ)
 // decompositions), Alpha the factor the smoothed cycle scales that level's
-// coarse correction by.
+// coarse correction by, Visits how many times each visit of the level applies
+// the level below it (2 on the cheap coarse tail, cycle.go).
 type LevelScale struct {
 	Gamma, Alpha float64
+	Visits       int
 }
 
 // LevelScales returns each clustering level's LevelScale, finest first: the
@@ -208,7 +244,7 @@ type LevelScale struct {
 func (h *Hierarchy) LevelScales() []LevelScale {
 	scales := make([]LevelScale, len(h.levels))
 	for i, l := range h.levels {
-		scales[i] = LevelScale{Gamma: l.gamma, Alpha: l.alpha}
+		scales[i] = LevelScale{Gamma: l.gamma, Alpha: l.alpha, Visits: l.visits}
 	}
 	return scales
 }
@@ -222,7 +258,7 @@ func (h *Hierarchy) MemoryBytes() int64 {
 	var b int64
 	for _, l := range h.levels {
 		b += l.g.Bytes()
-		b += 8 * int64(len(l.dInv)+len(l.natAssign)+2) // +2: gamma, alpha
+		b += 8 * int64(len(l.dInv)+len(l.natAssign)+3) // +3: gamma, alpha, visits
 		b += 4 * int64(len(l.assign)+len(l.order)+len(l.start))
 	}
 	if h.coarseG != nil {
@@ -273,8 +309,9 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
 		})
 		return
 	}
-	// Symmetric V-cycle (cycle.go): damped-Jacobi pre-smooth from zero,
-	// coarse correction scaled by the level's alpha, damped-Jacobi
+	// Symmetric cycle (cycle.go): damped-Jacobi pre-smooth from zero, coarse
+	// correction — one apply of the level below, or two steps of the iteration
+	// it preconditions — scaled by the level's alpha, damped-Jacobi
 	// post-smooth. Each smoothing step and the residual are one fused pass
 	// over the level's rows; the iterate ping-pongs between two work vectors
 	// and the last post-smoothing step writes dst, which until then holds the
@@ -295,6 +332,17 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
 	l.g.LapMulResidual(dst, r, x)
 	restrict(l, dst, rq)
 	h.applyLevel(level+1, xq, rq, w)
+	if l.visits == 2 {
+		rq2 := growBuf(&w.rq2[level], l.count)
+		xq2 := growBuf(&w.xq2[level], l.count)
+		h.levels[level+1].g.LapMulResidual(rq2, rq, xq)
+		h.applyLevel(level+1, xq2, rq2, w)
+		par.For(l.count, elemGrain, func(lo, hi int) {
+			for c := lo; c < hi; c++ {
+				xq[c] += xq2[c]
+			}
+		})
+	}
 	par.For(n, elemGrain, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			x[v] += alpha * xq[l.assign[v]]

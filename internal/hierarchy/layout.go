@@ -125,8 +125,9 @@ func (a *assembler) close(next []int32) {
 }
 
 // finish closes the last level against cur, the coarsest graph in natural
-// numbering, and installs cur's sparse pinned factorization (ordering,
-// structure and numeric phase under one span).
+// numbering, installs cur's sparse pinned factorization (ordering, structure
+// and numeric phase under one span) and, every cost now known, fixes the
+// cycle's visit counts.
 func (a *assembler) finish(cur *graph.Graph) (*Hierarchy, error) {
 	if len(a.h.levels) > 0 {
 		a.close(nil)
@@ -138,6 +139,7 @@ func (a *assembler) finish(cur *graph.Graph) (*Hierarchy, error) {
 		return nil, fmt.Errorf("hierarchy: coarse factorization failed: %w", err)
 	}
 	a.h.coarseG, a.h.coarse = cur, fac
+	a.h.planCycle(cycleShare)
 	return a.h, nil
 }
 

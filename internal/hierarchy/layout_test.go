@@ -37,7 +37,7 @@ func TestMemoryBytesMatchesArrays(t *testing.T) {
 				t.Errorf("%s level %d: graph accounts %d bytes, holds %d", tc.name, level, l.g.Bytes(), graphCapBytes(l.g))
 			}
 			held += graphCapBytes(l.g)
-			held += 8 * int64(cap(l.dInv)+cap(l.natAssign)+2) // +2: the level's gamma and alpha
+			held += 8 * int64(cap(l.dInv)+cap(l.natAssign)+3) // +3: the level's gamma, alpha and visits
 			held += 4 * int64(cap(l.assign)+cap(l.order)+cap(l.start))
 		}
 		got := h.MemoryBytes()

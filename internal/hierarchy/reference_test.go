@@ -17,8 +17,9 @@ import (
 // arrays, the scalar cycle an unfused matvec + sweep sequence. It is rebuilt
 // from a hierarchy's dumped assignments and shares only the coarse factor
 // with it, and it is the oracle the layout and the fused kernels are held to
-// bit for bit. The cycle's parameters are arguments: (jacobiOmega, coarseBeta)
-// is the production cycle, (½, 0) the unscaled ω = ½ cycle it replaced.
+// bit for bit. The cycle's parameters are arguments: (jacobiOmega, coarseBeta,
+// cycleShare) is the production cycle, share = +Inf the same cycle visiting
+// every level once, (½, 0, +Inf) the unscaled ω = ½ V-cycle before that.
 
 type refLevel struct {
 	g            *graph.Graph
@@ -27,6 +28,7 @@ type refLevel struct {
 	dInv         []float64
 	smooth       int
 	alpha        float64
+	visits       int
 	order, start []int
 }
 
@@ -36,10 +38,11 @@ type refCycle struct {
 	omega  float64
 }
 
-func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta float64) *refCycle {
+func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta, share float64) *refCycle {
 	dumped, smooth := h.DumpLevels()
 	rc := &refCycle{coarse: h.coarse, omega: omega}
 	cur := g
+	var nnz []int
 	for _, la := range dumped {
 		l := &refLevel{g: cur, assign: la.Assign, count: la.Count, smooth: smooth, dInv: make([]float64, cur.N())}
 		for v := 0; v < cur.N(); v++ {
@@ -61,11 +64,32 @@ func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta float64) *refCycle {
 			fill[c]++
 		}
 		rc.levels = append(rc.levels, l)
+		nnz = append(nnz, 2*cur.M())
 		q := cur.Contract(la.Assign, la.Count)
 		_, l.alpha = cycleScale(beta, cur.TotalVol(), q.TotalVol())
 		cur = q
 	}
+	visits, _ := cycleVisits(share, smooth, nnz, h.coarse.NNZ())
+	for i, l := range rc.levels {
+		l.visits = visits[i]
+	}
 	return rc
+}
+
+// coarseStep applies the level below once, or — on a doubled level — runs the
+// two-step iteration on it: xq ← M′rq, then xq ← xq + M′(rq − Q·xq). apply is
+// the scalar or the block recursion on level+1, residual its res ← rq − Q·xq.
+func (rc *refCycle) coarseStep(level int, xq, rq []float64, apply func(dst, r []float64), residual func(res, rq, xq []float64)) {
+	apply(xq, rq)
+	if rc.levels[level].visits != 2 {
+		return
+	}
+	res, corr := make([]float64, len(rq)), make([]float64, len(rq))
+	residual(res, rq, xq)
+	apply(corr, res)
+	for i := range xq {
+		xq[i] += corr[i]
+	}
 }
 
 // Apply makes the oracle a solver.Preconditioner, so PCG can run under either
@@ -127,7 +151,14 @@ func (rc *refCycle) apply(level int, dst, r []float64) {
 		tmp[v] = r[v] - tmp[v]
 	}
 	restrictRef(tmp)
-	rc.apply(level+1, xq, rq)
+	rc.coarseStep(level, xq, rq,
+		func(dst, r []float64) { rc.apply(level+1, dst, r) },
+		func(res, rq, xq []float64) {
+			refLapMul(rc.levels[level+1].g, res, xq)
+			for c := range res {
+				res[c] = rq[c] - res[c]
+			}
+		})
 	for v := 0; v < n; v++ {
 		x[v] += l.alpha * xq[l.assign[v]]
 	}
@@ -190,7 +221,9 @@ func (rc *refCycle) applyBlock(level int, dst, r []float64, k int) {
 	}
 	l.g.LapMulBlockResidual(tmp, r, x, k)
 	restrictRef(tmp)
-	rc.applyBlock(level+1, xq, rq, k)
+	rc.coarseStep(level, xq, rq,
+		func(dst, r []float64) { rc.applyBlock(level+1, dst, r, k) },
+		func(res, rq, xq []float64) { rc.levels[level+1].g.LapMulBlockResidual(res, rq, xq, k) })
 	for v := 0; v < n; v++ {
 		for j := 0; j < k; j++ {
 			x[v*k+j] += l.alpha * xq[l.assign[v]*k+j]
@@ -244,56 +277,75 @@ func firstDiff(got, want []float64) int {
 // TestApplyMatchesReferenceCycle: on every family, smoothing depth, block
 // width and worker count, Apply/ApplyBlock on the laid-out hierarchy equal
 // the natural-order reference cycle bit for bit, and so does a hierarchy
-// rebuilt from the dumped assignments.
+// rebuilt from the dumped assignments — at the default DirectLimit and at 16,
+// where every family is deep enough that the smoothed cycle doubles a tail of
+// levels and the oracle must take the same second visits.
 func TestApplyMatchesReferenceCycle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range layoutCorpus(t) {
-		for _, smooth := range []int{0, 1, 2} {
-			opt := DefaultOptions()
-			opt.Smooth = smooth
-			h, err := New(tc.g, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if h.Depth() < 2 {
-				t.Fatalf("%s: depth %d, the layout needs a level below the finest", tc.name, h.Depth())
-			}
-			dumped, dsmooth := h.DumpLevels()
-			h2, err := Rebuild(context.Background(), tc.g, dumped, dsmooth)
-			if err != nil {
-				t.Fatalf("%s: rebuild: %v", tc.name, err)
-			}
-			rc := newRefCycle(tc.g, h, jacobiOmega, coarseBeta)
-			n := tc.g.N()
-			rng := rand.New(rand.NewSource(int64(100 + smooth)))
-			for _, k := range []int{1, 3, 8} {
-				r := randomBlock(rng, n, k)
-				want := make([]float64, n*k)
-				if k == 1 {
-					rc.apply(0, want, r)
-				} else {
-					rc.applyBlock(0, want, r, k)
+		for _, limit := range []int{DefaultOptions().DirectLimit, 16} {
+			for _, smooth := range []int{0, 1, 2} {
+				opt := DefaultOptions()
+				opt.Smooth = smooth
+				opt.DirectLimit = limit
+				h, err := New(tc.g, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
 				}
-				for _, procs := range []int{1, 4} {
-					runtime.GOMAXPROCS(procs)
-					name := fmt.Sprintf("%s smooth=%d k=%d procs=%d", tc.name, smooth, k, procs)
-					got := make([]float64, n*k)
+				if h.Depth() < 2 {
+					t.Fatalf("%s: depth %d, the layout needs a level below the finest", tc.name, h.Depth())
+				}
+				if doubled := doubledLevels(h); limit == 16 && (doubled == 0) != (smooth == 0) {
+					t.Fatalf("%s limit=16 smooth=%d: %d doubled levels in %v", tc.name, smooth, doubled, h.LevelScales())
+				}
+				dumped, dsmooth := h.DumpLevels()
+				h2, err := Rebuild(context.Background(), tc.g, dumped, dsmooth)
+				if err != nil {
+					t.Fatalf("%s: rebuild: %v", tc.name, err)
+				}
+				rc := newRefCycle(tc.g, h, jacobiOmega, coarseBeta, cycleShare)
+				n := tc.g.N()
+				rng := rand.New(rand.NewSource(int64(100 + smooth)))
+				for _, k := range []int{1, 3, 8} {
+					r := randomBlock(rng, n, k)
+					want := make([]float64, n*k)
 					if k == 1 {
-						h.Apply(got, r)
-						if i := firstDiff(got, want); i >= 0 {
-							t.Fatalf("%s: Apply[%d] = %v, reference %v", name, i, got[i], want[i])
+						rc.apply(0, want, r)
+					} else {
+						rc.applyBlock(0, want, r, k)
+					}
+					for _, procs := range []int{1, 4} {
+						runtime.GOMAXPROCS(procs)
+						name := fmt.Sprintf("%s limit=%d smooth=%d k=%d procs=%d", tc.name, limit, smooth, k, procs)
+						got := make([]float64, n*k)
+						if k == 1 {
+							h.Apply(got, r)
+							if i := firstDiff(got, want); i >= 0 {
+								t.Fatalf("%s: Apply[%d] = %v, reference %v", name, i, got[i], want[i])
+							}
 						}
-					}
-					h.ApplyBlock(got, r, k)
-					if i := firstDiff(got, want); i >= 0 {
-						t.Fatalf("%s: ApplyBlock[%d] = %v, reference %v", name, i, got[i], want[i])
-					}
-					h2.ApplyBlock(got, r, k)
-					if i := firstDiff(got, want); i >= 0 {
-						t.Fatalf("%s: rebuilt ApplyBlock[%d] = %v, reference %v", name, i, got[i], want[i])
+						h.ApplyBlock(got, r, k)
+						if i := firstDiff(got, want); i >= 0 {
+							t.Fatalf("%s: ApplyBlock[%d] = %v, reference %v", name, i, got[i], want[i])
+						}
+						h2.ApplyBlock(got, r, k)
+						if i := firstDiff(got, want); i >= 0 {
+							t.Fatalf("%s: rebuilt ApplyBlock[%d] = %v, reference %v", name, i, got[i], want[i])
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// doubledLevels counts the levels the visit rule doubled.
+func doubledLevels(h *Hierarchy) int {
+	doubled := 0
+	for _, l := range h.levels {
+		if l.visits == 2 {
+			doubled++
+		}
+	}
+	return doubled
 }
