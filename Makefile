@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-decomp bench-solve bench-json bench-e2e bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test bench bench-decomp bench-solve bench-json bench-e2e bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
 all: build test
 
@@ -17,11 +17,12 @@ vet:
 	$(GO) vet ./...
 
 # check is the pre-merge gate: gofmt, vet, the full suite under the race
-# detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), a short
-# fuzz pass over the input parsers, the fault-recovery chaos battery, the
+# detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), the
+# determinism tests at one and two workers, a short fuzz pass over the input
+# parsers, the fault-recovery chaos battery, the
 # serving-stack smoke battery, the serving crash/recovery battery, the
 # scenario-replay smoke, and the replay-score regression gate.
-check: fmt vet race fuzz chaos server-smoke server-chaos replay-smoke bench-gate
+check: fmt vet race determinism fuzz chaos server-smoke server-chaos replay-smoke bench-gate
 
 race:
 	$(GO) test -race ./...
@@ -29,6 +30,13 @@ race:
 # race-solver races just the parallel kernels and primitives (fast).
 race-solver:
 	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/...
+
+# determinism runs the bit-identity tests — worker-count invariance of the
+# kernels, the solve and the cycle, and the reference oracles — once with the
+# test process started at one worker and once at two, so a reduction whose
+# rounding depends on the worker count cannot come back unnoticed.
+determinism:
+	$(GO) test -cpu 1,2 -run 'GOMAXPROCS|Invariant|Reference|Determin' ./internal/graph ./internal/solver ./internal/hierarchy ./internal/decomp
 
 # fmt fails when any file is not gofmt-clean, naming the files.
 fmt:

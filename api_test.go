@@ -14,18 +14,16 @@ func TestSolveChebyshev(t *testing.T) {
 	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 1)
 	rng := rand.New(rand.NewSource(1))
 	b := meanFree(rng, g.N())
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 1)
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, hist, err := hcd.SolveChebyshev(g, b, p, 80)
+	res, err := hcd.SolveChebyshevCtx(context.Background(), g, b, p, hcd.DefaultChebyshevOptions(80))
 	if err != nil {
 		t.Fatal(err)
 	}
+	x, hist := res.X, res.Residuals
 	if hist[len(hist)-1] > hist[0]*1e-5 {
 		t.Errorf("Chebyshev residual %v of initial %v", hist[len(hist)-1], hist[0])
 	}
@@ -36,10 +34,7 @@ func TestSolveChebyshev(t *testing.T) {
 
 func TestCutFractionReported(t *testing.T) {
 	g := hcd.Grid2D(10, 10, nil, 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 1)
 	rep := hcd.Evaluate(d)
 	if rep.CutFraction <= 0 || rep.CutFraction >= 1 {
 		t.Errorf("CutFraction = %v", rep.CutFraction)
@@ -53,10 +48,8 @@ func TestCutFractionReported(t *testing.T) {
 
 func TestDecomposeSpectralFacade(t *testing.T) {
 	g := hcd.Grid2D(10, 10, hcd.LognormalWeights(1), 2)
-	d, st, err := hcd.DecomposeSpectral(g, hcd.DefaultSpectralCutOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := decompose(t, g, hcd.DefaultDecomposeOptions(hcd.MethodSpectral))
+	d, st := res.D, res.SpectralStats
 	if err := hcd.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +93,7 @@ func TestRandomWalkFacade(t *testing.T) {
 	}
 	p := w.Dirac(5)
 	w.Evolve(p, 10)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 1)
 	mass := hcd.ClusterMass(d, p)
 	tot := 0.0
 	for _, m := range mass {
@@ -213,7 +203,7 @@ func TestTreePreconditioner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := hcd.SolvePCG(g, b, p, hcd.DefaultSolveOptions())
+		res, err := hcd.SolvePCGCtx(context.Background(), g, b, p, hcd.DefaultSolveOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +239,7 @@ func TestPreconditionerLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	it := func(p hcd.Preconditioner) int {
-		res, err := hcd.SolvePCG(g, b, p, hcd.DefaultSolveOptions())
+		res, err := hcd.SolvePCGCtx(context.Background(), g, b, p, hcd.DefaultSolveOptions())
 		if err != nil || !res.Converged {
 			return 1 << 30
 		}
@@ -289,7 +279,7 @@ func TestGridSubgraphPreconditioner(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolvePCG(g, b, sub.P, hcd.DefaultSolveOptions())
+	res, err := hcd.SolvePCGCtx(context.Background(), g, b, sub.P, hcd.DefaultSolveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +332,7 @@ func TestLoadDecomposeSolvePipeline(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	b := meanFree(rng, g.N())
-	res, err := hcd.Solve(g, b)
+	res, err := hcd.SolveCtx(context.Background(), g, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -530,10 +530,8 @@ func a3() {
 	fmt.Println("shape: bigger k → more reduction but worse conductance/condition number.")
 }
 
-// Context-ful wrappers over the one-shot entry points the experiments used
-// to call (hcd.DecomposeFixedDegree and friends are deprecated): every build
-// and solve routes through obsCtx, so -trace/-listen observe the experiment
-// runs too.
+// One-shot helpers over the context-aware entry points: every build and solve
+// routes through obsCtx, so -trace/-listen observe the experiment runs too.
 func solvePCG(g *hcd.Graph, b []float64, m hcd.Preconditioner, opt hcd.SolveOptions) (hcd.SolveResult, error) {
 	return hcd.SolvePCGCtx(obsCtx, g, b, m, opt)
 }

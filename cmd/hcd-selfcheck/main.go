@@ -343,9 +343,7 @@ func init() {
 	log.SetFlags(0)
 }
 
-// The context-ful decomposition entry points, shared by the checks (the
-// one-shot hcd.DecomposeTree / hcd.DecomposeFixedDegree wrappers are
-// deprecated).
+// One-shot helpers over DecomposeCtx, shared by the checks.
 func decomposeTree(g *hcd.Graph) (*hcd.Decomposition, error) {
 	res, err := hcd.DecomposeCtx(context.Background(), g,
 		hcd.DecomposeOptions{Method: hcd.MethodTree, SkipReport: true})

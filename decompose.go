@@ -5,8 +5,7 @@ package hcd
 // fixed-degree clustering, and the top-down spectral baseline — is reachable
 // through one context-aware entry point, DecomposeCtx, which runs the
 // method's stages under a decomp.Pipeline and reports per-stage build
-// metrics. The per-method facade functions (DecomposeTree, DecomposePlanar,
-// DecomposeFixedDegree, ...) are thin wrappers over this path.
+// metrics.
 
 import (
 	"context"
@@ -109,8 +108,7 @@ type DecomposeOptions struct {
 	Spectral SpectralCutOptions
 
 	// SkipReport omits the final evaluate stage; DecomposeResult.Report
-	// stays zero. The per-method wrapper functions set it to preserve their
-	// historical cost profile.
+	// stays zero.
 	SkipReport bool
 }
 
@@ -185,7 +183,7 @@ func DecomposeCtx(ctx context.Context, g *Graph, opt DecomposeOptions) (*Decompo
 	case MethodSpectral:
 		err = buildSpectralMethod(p, g, opt, res)
 	default:
-		return nil, fmt.Errorf("hcd: unknown decomposition method %d", int(opt.Method))
+		return nil, fmt.Errorf("hcd: unknown decomposition method %d: %w", int(opt.Method), ErrInvalidInput)
 	}
 	if err == nil && !opt.SkipReport {
 		err = p.Run(decomp.StageEvaluate, func(ctx context.Context) (decomp.StageInfo, error) {

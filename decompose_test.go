@@ -7,11 +7,15 @@ import (
 	"time"
 
 	"hcd"
+	"hcd/internal/decomp"
+	"hcd/internal/sparsify"
+	"hcd/internal/spectralcut"
 )
 
-// Every decomposition method must be reachable through DecomposeCtx, and each
-// per-method facade must be a thin wrapper over it: identical assignments and
-// identical method-specific extras.
+// Every decomposition method must be reachable through DecomposeCtx, and the
+// staged pipeline must add nothing to what the method's one-shot internal
+// constructor computes: identical assignments and identical method-specific
+// extras.
 
 func sameAssignment(t *testing.T, label string, want, got *hcd.Decomposition) {
 	t.Helper()
@@ -27,18 +31,13 @@ func sameAssignment(t *testing.T, label string, want, got *hcd.Decomposition) {
 
 func TestDecomposeCtxMatchesTreeWrappers(t *testing.T) {
 	g := hcd.RandomTree(500, hcd.LognormalWeights(1), 3)
+	want, err := decomp.TreeCtx(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, parallel := range []bool{false, true} {
 		res, err := hcd.DecomposeCtx(context.Background(), g,
 			hcd.DecomposeOptions{Method: hcd.MethodTree, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want *hcd.Decomposition
-		if parallel {
-			want, err = hcd.DecomposeTreeParallel(g)
-		} else {
-			want, err = hcd.DecomposeTree(g)
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +55,7 @@ func TestDecomposeCtxMatchesFixedDegreeWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hcd.DecomposeFixedDegree(g, 4, 2)
+	want, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +63,25 @@ func TestDecomposeCtxMatchesFixedDegreeWrapper(t *testing.T) {
 	if res.Report != hcd.Evaluate(res.D) {
 		t.Errorf("pipeline report %+v != Evaluate", res.Report)
 	}
+}
+
+// sparsePipeline is the Theorem 2.2/2.3 construction in one go: sparsify,
+// strip/cut/tree-decompose the subgraph, rebind the clustering to g.
+func sparsePipeline(t *testing.T, g *hcd.Graph, sopt sparsify.Options) (*hcd.Decomposition, *sparsify.Result, decomp.SparseStats) {
+	t.Helper()
+	sres, err := sparsify.SparsifyCtx(context.Background(), g, sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, stats, err := decomp.SparseCoreCtx(context.Background(), sres.B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := decomp.Rebind(db, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, sres, stats
 }
 
 func TestDecomposeCtxMatchesPlanarWrapper(t *testing.T) {
@@ -74,21 +92,16 @@ func TestDecomposeCtxMatchesPlanarWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	popt := hcd.DefaultPlanarOptions()
-	popt.Seed = 4
-	want, err := hcd.DecomposePlanar(g, popt)
-	if err != nil {
-		t.Fatal(err)
+	want, sres, stats := sparsePipeline(t, g, sparsify.Options{Base: sparsify.MaxWeightTree, ExtraFraction: 0.25, Seed: 4})
+	sameAssignment(t, "planar", want, res.D)
+	if res.CoreSize != stats.CoreSize || res.CutEdges != stats.CutEdges {
+		t.Errorf("core/cut (%d, %d) != one-shot (%d, %d)",
+			res.CoreSize, res.CutEdges, stats.CoreSize, stats.CutEdges)
 	}
-	sameAssignment(t, "planar", want.D, res.D)
-	if res.CoreSize != want.CoreSize || res.CutEdges != want.CutEdges {
-		t.Errorf("core/cut (%d, %d) != wrapper (%d, %d)",
-			res.CoreSize, res.CutEdges, want.CoreSize, want.CutEdges)
+	if res.AvgStretch != sres.AvgStretch {
+		t.Errorf("avg stretch %v != %v", res.AvgStretch, sres.AvgStretch)
 	}
-	if res.AvgStretch != want.AvgStretch {
-		t.Errorf("avg stretch %v != %v", res.AvgStretch, want.AvgStretch)
-	}
-	if res.B == nil || res.B.N() != g.N() {
+	if res.B == nil || res.B.N() != g.N() || res.B.M() != sres.B.M() {
 		t.Errorf("missing or mis-sized sparse subgraph B")
 	}
 }
@@ -101,15 +114,12 @@ func TestDecomposeCtxMatchesMinorFreeWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := hcd.DecomposeMinorFree(g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAssignment(t, "minor-free", want.D, res.D)
-	if res.CoreSize != want.CoreSize || res.CutEdges != want.CutEdges || res.AvgStretch != want.AvgStretch {
-		t.Errorf("extras (%d, %d, %v) != wrapper (%d, %d, %v)",
+	want, sres, stats := sparsePipeline(t, g, sparsify.Options{Base: sparsify.LowStretchTree, ExtraFraction: 0.25, Seed: 6})
+	sameAssignment(t, "minor-free", want, res.D)
+	if res.CoreSize != stats.CoreSize || res.CutEdges != stats.CutEdges || res.AvgStretch != sres.AvgStretch {
+		t.Errorf("extras (%d, %d, %v) != one-shot (%d, %d, %v)",
 			res.CoreSize, res.CutEdges, res.AvgStretch,
-			want.CoreSize, want.CutEdges, want.AvgStretch)
+			stats.CoreSize, stats.CutEdges, sres.AvgStretch)
 	}
 }
 
@@ -120,13 +130,13 @@ func TestDecomposeCtxMatchesSpectralWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, stats, err := hcd.DecomposeSpectral(g, hcd.DefaultSpectralCutOptions())
+	want, stats, err := spectralcut.DecomposeCtx(context.Background(), g, hcd.DefaultSpectralCutOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameAssignment(t, "spectral", want, res.D)
 	if res.SpectralStats != stats {
-		t.Errorf("stats %+v != wrapper %+v", res.SpectralStats, stats)
+		t.Errorf("stats %+v != one-shot %+v", res.SpectralStats, stats)
 	}
 }
 

@@ -4,9 +4,10 @@ package hcd
 // many right-hand sides, a named iteration method, a preconditioner given as
 // a spec, a prebuilt value, or a warm Engine session — and returns a
 // SolveResponse with one SolveResult per right-hand side. Every other solve
-// entry point in the package (Solve, SolvePCG, SolvePCGCtx, SolveCtx,
-// SolveChebyshev, SolveChebyshevCtx, SolveResilient) is a thin wrapper over
-// Do, so the CLI tools and the hcd-server handlers share one implementation.
+// entry point in the package (SolvePCGCtx, SolveCtx, SolveChebyshevCtx,
+// SolveResilient) is a thin wrapper over Do, so the CLI tools and the
+// hcd-server handlers share one implementation. A PCG request of any width is
+// one call into the solver's one PCG driver.
 
 import (
 	"context"
@@ -159,14 +160,6 @@ type SolveRequest struct {
 	// is reused. Ignored by SolveMethodResilient, whose ladder builds its
 	// own preconditioners.
 	Engine *Engine
-	// DisableBlock opts a multi-RHS PCG request out of the block solver
-	// and back onto the sequential per-column loop. By default Do runs
-	// k > 1 right-hand sides as one block solve — every matvec and
-	// preconditioner traversal shared across columns, converged columns
-	// deflating out — which is the fast path for batched traffic. Requests
-	// with Options.Recovery enabled always take the sequential loop
-	// (restart schedules are per-column).
-	DisableBlock bool
 	// Options configures the PCG iteration (and the Chebyshev method's
 	// probe inherits its ProjectMean).
 	Options SolveOptions
@@ -260,47 +253,27 @@ func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse)
 			return resp, err
 		}
 	}
-	// Multi-RHS requests run as one block solve unless opted out: every
-	// matvec and preconditioner traversal is shared across the columns and
-	// converged columns deflate out of the active block (see
-	// solver.BlockPCGCtx). Recovery restarts are per-column schedules, so
-	// recovery-enabled requests stay on the sequential loop.
-	if len(req.B) > 1 && !req.DisableBlock && req.Options.Recovery.MaxRestarts == 0 {
-		var results []SolveResult
+	// One driver call for the whole request: every matvec and preconditioner
+	// traversal is shared across the columns, converged columns deflate out of
+	// the active block, and a column of the wrong length fails alone (see
+	// solver.BlockPCGCtx).
+	if req.Engine == nil {
 		var err error
-		if req.Engine != nil {
-			results, err = req.Engine.SolveBlock(ctx, req.B, req.Options)
-			for i := range results {
-				results[i] = detachResult(results[i])
-			}
-		} else {
-			results, err = solver.BlockPCGCtx(ctx, solver.LapOperator(g), m, req.B, req.Options)
-		}
-		resp.Results = append(resp.Results, results...)
+		resp.Results, err = solver.BlockPCGCtx(ctx, solver.LapOperator(g), m, req.B, req.Options)
 		return resp, err
 	}
-	var errs []error
-	for i, b := range req.B {
-		var res SolveResult
-		var err error
-		if req.Engine != nil {
-			res, err = req.Engine.SolveWith(ctx, b, req.Options)
-			res = detachResult(res)
-		} else {
-			res, err = solver.PCGCtx(ctx, solver.LapOperator(g), m, b, req.Options)
-		}
-		resp.Results = append(resp.Results, res)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("rhs %d: %w", i, err))
-		}
+	results, err := req.Engine.SolveBlock(ctx, req.B, req.Options)
+	resp.Results = make([]SolveResult, len(results))
+	for i, res := range results {
+		resp.Results[i] = detachResult(res)
 	}
-	return resp, errors.Join(errs...)
+	return resp, err
 }
 
 func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse) (*SolveResponse, error) {
 	opt := req.Chebyshev
 	if opt.Iters <= 0 {
-		return resp, fmt.Errorf("hcd: ChebyshevOptions.Iters must be positive")
+		return resp, fmt.Errorf("hcd: ChebyshevOptions.Iters must be positive: %w", ErrInvalidInput)
 	}
 	if opt.ProbeIters <= 0 {
 		opt.ProbeIters = 40

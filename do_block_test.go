@@ -10,10 +10,9 @@ import (
 	"hcd"
 )
 
-// TestDoBlockRoutingMatchesSequential: a multi-RHS PCG request takes the
-// block path by default and DisableBlock restores the sequential loop; both
-// converge to the same solutions with per-column iteration counts within
-// ±10% of each other.
+// TestDoBlockRoutingMatchesSequential: a multi-RHS PCG request is one block
+// solve, and every column of it converges to the solution of its own
+// single-RHS SolvePCGCtx with an iteration count within ±10% of that solve's.
 func TestDoBlockRoutingMatchesSequential(t *testing.T) {
 	g := hcd.Grid2D(20, 20, nil, 1)
 	rng := rand.New(rand.NewSource(31))
@@ -21,21 +20,20 @@ func TestDoBlockRoutingMatchesSequential(t *testing.T) {
 	for i := range B {
 		B[i] = meanFree(rng, g.N())
 	}
-	req := hcd.SolveRequest{B: B, Precond: hcd.PrecondSpec{Kind: hcd.PrecondJacobi}}
-	block, err := hcd.Do(context.Background(), g, req)
+	m := hcd.JacobiPreconditioner(g)
+	block, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: B, M: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.DisableBlock = true
-	seq, err := hcd.Do(context.Background(), g, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(block.Results) != len(B) || len(seq.Results) != len(B) {
-		t.Fatalf("result counts: block %d, sequential %d", len(block.Results), len(seq.Results))
+	if len(block.Results) != len(B) {
+		t.Fatalf("%d results for %d right-hand sides", len(block.Results), len(B))
 	}
 	for i := range B {
-		br, sr := block.Results[i], seq.Results[i]
+		br := block.Results[i]
+		sr, err := hcd.SolvePCGCtx(context.Background(), g, B[i], m, hcd.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !br.Converged || !sr.Converged {
 			t.Fatalf("rhs %d: block %s, sequential %s", i, br.Outcome, sr.Outcome)
 		}
@@ -82,9 +80,9 @@ func TestDoBlockEngineDetaches(t *testing.T) {
 	}
 }
 
-// TestDoMultiRHSPartialFailure: a bad column no longer discards its
-// neighbors — every column is attempted, completed columns keep their
-// results, and the joined error still matches the wrapped sentinel.
+// TestDoMultiRHSPartialFailure: a bad column does not discard its neighbors
+// — every column is attempted, completed columns keep their results, and the
+// joined error still matches the wrapped sentinel.
 func TestDoMultiRHSPartialFailure(t *testing.T) {
 	g := hcd.Grid2D(10, 10, nil, 1)
 	rng := rand.New(rand.NewSource(33))
@@ -92,9 +90,8 @@ func TestDoMultiRHSPartialFailure(t *testing.T) {
 	bad := make([]float64, g.N()-1) // wrong length
 	good2 := meanFree(rng, g.N())
 	req := hcd.SolveRequest{
-		B:            [][]float64{good1, bad, good2},
-		Precond:      hcd.PrecondSpec{Kind: hcd.PrecondJacobi},
-		DisableBlock: true, // per-column errors need the sequential loop
+		B:       [][]float64{good1, bad, good2},
+		Precond: hcd.PrecondSpec{Kind: hcd.PrecondJacobi},
 	}
 	resp, err := hcd.Do(context.Background(), g, req)
 	if err == nil {

@@ -111,11 +111,11 @@ func TestDoPrecondSpecs(t *testing.T) {
 	}
 }
 
-// TestSolvePCGDimensionError: the redesigned SolvePCG returns a wrapped
-// ErrBadDimension instead of panicking.
+// TestSolvePCGDimensionError: a right-hand side of the wrong length is a
+// wrapped ErrBadDimension, not a panic.
 func TestSolvePCGDimensionError(t *testing.T) {
 	g := hcd.Grid2D(6, 6, nil, 1)
-	_, err := hcd.SolvePCG(g, make([]float64, g.N()+1), hcd.JacobiPreconditioner(g), hcd.DefaultSolveOptions())
+	_, err := hcd.SolvePCGCtx(context.Background(), g, make([]float64, g.N()+1), hcd.JacobiPreconditioner(g), hcd.DefaultSolveOptions())
 	if !errors.Is(err, hcd.ErrBadDimension) {
 		t.Fatalf("got %v, want ErrBadDimension", err)
 	}

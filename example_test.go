@@ -1,28 +1,29 @@
 package hcd_test
 
 import (
+	"context"
 	"fmt"
 
 	"hcd"
 )
 
-// ExampleDecomposeFixedDegree shows the Section 3.1 clustering on a small
+// ExampleDecomposeCtx_fixedDegree shows the Section 3.1 clustering on a small
 // unit grid: every cluster has at least two vertices, so ρ ≥ 2.
-func ExampleDecomposeFixedDegree() {
+func ExampleDecomposeCtx_fixedDegree() {
 	g := hcd.Grid2D(6, 6, nil, 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
+	res, err := hcd.DecomposeCtx(context.Background(), g, hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree))
 	if err != nil {
 		panic(err)
 	}
-	rep := hcd.Evaluate(d)
+	rep := res.Report
 	fmt.Printf("rho>=2: %v, clusters of size >=2: %v\n",
 		rep.Rho >= 2, rep.Singletons == 0)
 	// Output:
 	// rho>=2: true, clusters of size >=2: true
 }
 
-// ExampleDecomposeTree shows the Theorem 2.1 guarantees on a path.
-func ExampleDecomposeTree() {
+// ExampleDecomposeCtx_tree shows the Theorem 2.1 guarantees on a path.
+func ExampleDecomposeCtx_tree() {
 	// A path of 30 unit-weight vertices.
 	edges := make([]hcd.Edge, 29)
 	for i := range edges {
@@ -32,24 +33,24 @@ func ExampleDecomposeTree() {
 	if err != nil {
 		panic(err)
 	}
-	d, err := hcd.DecomposeTree(g)
+	res, err := hcd.DecomposeCtx(context.Background(), g, hcd.DecomposeOptions{Method: hcd.MethodTree})
 	if err != nil {
 		panic(err)
 	}
-	rep := hcd.Evaluate(d)
+	rep := res.Report
 	fmt.Printf("phi>=1/3: %v, rho>=6/5: %v, exact: %v\n",
 		rep.Phi >= 1.0/3-1e-9, rep.Rho >= 1.2, rep.PhiExact)
 	// Output:
 	// phi>=1/3: true, rho>=6/5: true, exact: true
 }
 
-// ExampleSolve solves a Laplacian system with the multilevel Steiner
+// ExampleSolveCtx solves a Laplacian system with the multilevel Steiner
 // preconditioner in one call.
-func ExampleSolve() {
+func ExampleSolveCtx() {
 	g := hcd.Grid3D(6, 6, 6, hcd.LognormalWeights(1), 1)
 	b := make([]float64, g.N())
 	b[0], b[g.N()-1] = 1, -1 // a unit current from corner to corner
-	res, err := hcd.Solve(g, b)
+	res, err := hcd.SolveCtx(context.Background(), g, b)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package hcd_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,12 +34,26 @@ func residual(g *hcd.Graph, x, b []float64) float64 {
 	return worst
 }
 
+// decompose runs one method of DecomposeCtx without the report stage.
+func decompose(tb testing.TB, g *hcd.Graph, opt hcd.DecomposeOptions) *hcd.DecomposeResult {
+	tb.Helper()
+	opt.SkipReport = true
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// fixedDegree is the Section 3.1 clustering of g.
+func fixedDegree(tb testing.TB, g *hcd.Graph, sizeCap int, seed int64) *hcd.Decomposition {
+	tb.Helper()
+	return decompose(tb, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: sizeCap, Seed: seed}).D
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	g := hcd.Grid3D(8, 8, 8, hcd.LognormalWeights(1), 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 1)
 	if err := hcd.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +67,7 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolvePCG(g, b, p, hcd.DefaultSolveOptions())
+	res, err := hcd.SolvePCGCtx(context.Background(), g, b, p, hcd.DefaultSolveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +83,7 @@ func TestSolveDefaultPath(t *testing.T) {
 	g := hcd.OCT3D(8, 8, 16, hcd.DefaultOCTOptions())
 	rng := rand.New(rand.NewSource(3))
 	b := meanFree(rng, g.N())
-	res, err := hcd.Solve(g, b)
+	res, err := hcd.SolveCtx(context.Background(), g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +97,7 @@ func TestSolveDefaultPath(t *testing.T) {
 
 func TestPlanarPipelineEndToEnd(t *testing.T) {
 	g := hcd.PlanarMesh(16, 16, hcd.LognormalWeights(1), 4)
-	res, err := hcd.DecomposePlanar(g, hcd.DefaultPlanarOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := decompose(t, g, hcd.DefaultDecomposeOptions(hcd.MethodPlanar))
 	if err := hcd.Validate(res.D); err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +117,9 @@ func TestPlanarPipelineEndToEnd(t *testing.T) {
 
 func TestMinorFreePipeline(t *testing.T) {
 	g := hcd.Grid2D(20, 20, hcd.LognormalWeights(1.5), 5)
-	res, err := hcd.DecomposeMinorFree(g, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodMinorFree)
+	opt.Seed = 7
+	res := decompose(t, g, opt)
 	if err := hcd.Validate(res.D); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +130,7 @@ func TestMinorFreePipeline(t *testing.T) {
 
 func TestTreeDecompositionAPI(t *testing.T) {
 	g := hcd.RandomTree(200, hcd.UniformWeights(0.1, 10), 6)
-	d, err := hcd.DecomposeTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodTree}).D
 	rep := hcd.Evaluate(d)
 	if rep.Phi < 1.0/3-1e-9 {
 		t.Errorf("tree φ = %v below certified floor", rep.Phi)
@@ -140,10 +148,7 @@ func TestSteinerVsSubgraphFigure6Shape(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := meanFree(rng, g.N())
 
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 1)
 	steinerP, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +160,8 @@ func TestSteinerVsSubgraphFigure6Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := hcd.DefaultSolveOptions()
-	sres, serr := hcd.SolvePCG(g, b, steinerP, opt)
-	gres, gerr := hcd.SolvePCG(g, b, subRes.P, opt)
+	sres, serr := hcd.SolvePCGCtx(context.Background(), g, b, steinerP, opt)
+	gres, gerr := hcd.SolvePCGCtx(context.Background(), g, b, subRes.P, opt)
 	if serr != nil || gerr != nil {
 		t.Fatalf("solve errors: steiner=%v subgraph=%v", serr, gerr)
 	}
@@ -173,10 +178,7 @@ func TestSteinerVsSubgraphFigure6Shape(t *testing.T) {
 
 func TestMeasureSupportSteiner(t *testing.T) {
 	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 10)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 2)
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +236,7 @@ func TestSpectralAPI(t *testing.T) {
 	if vals[0] <= 0 || vals[0] > vals[1]+1e-12 {
 		t.Errorf("eigenvalues %v", vals)
 	}
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 1)
 	a := hcd.Alignment(d, vecs[0])
 	if a < 0 || a > 1+1e-9 {
 		t.Errorf("alignment %v", a)

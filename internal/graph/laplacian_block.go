@@ -31,7 +31,7 @@ func blockRowGrain(k int) int {
 // dst and x must have length N()·k. For k = 1 it is LapMul with the same
 // serial short-circuit behavior.
 func (g *Graph) LapMulBlock(dst, x []float64, k int) {
-	g.lapMulBlockDispatch(dst, nil, x, k)
+	g.lapMulBlockDispatch(dst, nil, x, nil, 0, k)
 }
 
 // LapMulBlockResidual computes dst = R − A·X in one CSR traversal — the
@@ -41,56 +41,70 @@ func (g *Graph) LapMulBlock(dst, x []float64, k int) {
 // order, so the result is bit-identical to the unfused sequence. For k = 1
 // it is the scalar LapMulResidual.
 func (g *Graph) LapMulBlockResidual(dst, r, x []float64, k int) {
-	g.lapMulBlockDispatch(dst, r, x, k)
+	g.lapMulBlockDispatch(dst, r, x, nil, 0, k)
 }
 
-// lapMulBlockDispatch runs the (possibly fused-residual: r non-nil) block
-// matvec with the shared serial short-circuit and row-chunked parallel path.
-func (g *Graph) lapMulBlockDispatch(dst, r, x []float64, k int) {
+// LapJacobiStepBlock computes one damped-Jacobi sweep for A·X = R out of
+// place, k packed columns at once: dst = X + ω·D⁻¹(R − A·X), with dInv the
+// caller's inverse diagonal. Per column it is bit-identical to LapMulBlock
+// into a temporary followed by x[v] += (ω·dInv[v])·(r[v] − tmp[v]). dst must
+// not alias x. For k = 1 it is the scalar LapJacobiStep.
+func (g *Graph) LapJacobiStepBlock(dst, r, x, dInv []float64, omega float64, k int) {
+	g.lapMulBlockDispatch(dst, r, x, dInv, omega, k)
+}
+
+// lapMulBlockDispatch runs the block matvec — plain (r nil), fused with the
+// residual (r set) or with the Jacobi step on top of it (dInv set too) — with
+// the shared serial short-circuit and row-chunked parallel path.
+func (g *Graph) lapMulBlockDispatch(dst, r, x, dInv []float64, omega float64, k int) {
 	if k == 1 {
-		if r == nil {
+		switch {
+		case r == nil:
 			g.LapMul(dst, x)
-		} else {
+		case dInv == nil:
 			g.LapMulResidual(dst, r, x)
+		default:
+			g.LapJacobiStep(dst, r, x, dInv, omega)
 		}
 		return
 	}
 	n := g.N()
 	grain := blockRowGrain(k)
 	if n <= grain || par.Workers() == 1 {
-		g.lapMulBlockRange(dst, r, x, k, 0, n)
+		g.lapMulBlockRange(dst, r, x, dInv, omega, k, 0, n)
 		return
 	}
 	par.For(n, grain, func(lo, hi int) {
-		g.lapMulBlockRange(dst, r, x, k, lo, hi)
+		g.lapMulBlockRange(dst, r, x, dInv, omega, k, lo, hi)
 	})
 }
 
 // lapMulBlockRange computes rows [lo, hi) of dst = A·X — or dst = R − A·X
-// when r is non-nil — in fixed-width column tiles: 8-wide, then 4-wide, then
-// a 1–3 column tail. Each tile keeps its accumulators in locals, so the
-// neighbor loop runs register-to-register — a slice accumulator into dst
-// would force a store/reload per neighbor because the compiler cannot prove
-// dst and x do not alias. A tile re-reads the row's neighbor indices and
-// weights, but those are L1-resident after the first pass; per column the
-// operation order (ascending neighbors, then wsum·xv − acc, then the
-// optional subtraction from r) is identical across tile widths, so results
-// match the untiled form bit for bit.
-func (g *Graph) lapMulBlockRange(dst, r, x []float64, k, lo, hi int) {
+// when r is non-nil, or dst = X + ω·D⁻¹(R − A·X) when dInv is too — in
+// fixed-width column tiles: 8-wide, then 4-wide, then a 1–3 column tail. Each
+// tile keeps its accumulators in locals, so the neighbor loop runs
+// register-to-register — a slice accumulator into dst would force a
+// store/reload per neighbor because the compiler cannot prove dst and x do
+// not alias. A tile re-reads the row's neighbor indices and weights, but
+// those are L1-resident after the first pass; per column the operation order
+// (ascending neighbors, then wsum·xv − acc, then the optional subtraction
+// from r, then the optional x + (ω·dInv)·residual) is identical across tile
+// widths, so results match the untiled form bit for bit.
+func (g *Graph) lapMulBlockRange(dst, r, x, dInv []float64, omega float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		g.lapMulBlockTile8(dst, r, x, k, j, lo, hi)
+		g.lapMulBlockTile8(dst, r, x, dInv, omega, k, j, lo, hi)
 	}
 	if j+4 <= k {
-		g.lapMulBlockTile4(dst, r, x, k, j, lo, hi)
+		g.lapMulBlockTile4(dst, r, x, dInv, omega, k, j, lo, hi)
 		j += 4
 	}
 	if j < k {
-		g.lapMulBlockTail(dst, r, x, k, j, lo, hi)
+		g.lapMulBlockTail(dst, r, x, dInv, omega, k, j, lo, hi)
 	}
 }
 
-func (g *Graph) lapMulBlockTile8(dst, r, x []float64, k, j0, lo, hi int) {
+func (g *Graph) lapMulBlockTile8(dst, r, x, dInv []float64, omega float64, k, j0, lo, hi int) {
 	adj, w, ends, i := g.rowSpan(lo, hi)
 	for row, e := range ends {
 		v := lo + row
@@ -129,6 +143,17 @@ func (g *Graph) lapMulBlockTile8(dst, r, x []float64, k, j0, lo, hi int) {
 			a5 = rv[5] - a5
 			a6 = rv[6] - a6
 			a7 = rv[7] - a7
+			if dInv != nil {
+				od := omega * dInv[v]
+				a0 = xv[0] + od*a0
+				a1 = xv[1] + od*a1
+				a2 = xv[2] + od*a2
+				a3 = xv[3] + od*a3
+				a4 = xv[4] + od*a4
+				a5 = xv[5] + od*a5
+				a6 = xv[6] + od*a6
+				a7 = xv[7] + od*a7
+			}
 		}
 		row := dst[b : b+8 : b+8]
 		row[0], row[1], row[2], row[3] = a0, a1, a2, a3
@@ -136,7 +161,7 @@ func (g *Graph) lapMulBlockTile8(dst, r, x []float64, k, j0, lo, hi int) {
 	}
 }
 
-func (g *Graph) lapMulBlockTile4(dst, r, x []float64, k, j0, lo, hi int) {
+func (g *Graph) lapMulBlockTile4(dst, r, x, dInv []float64, omega float64, k, j0, lo, hi int) {
 	adj, w, ends, i := g.rowSpan(lo, hi)
 	for row, e := range ends {
 		v := lo + row
@@ -163,6 +188,13 @@ func (g *Graph) lapMulBlockTile4(dst, r, x []float64, k, j0, lo, hi int) {
 			a1 = rv[1] - a1
 			a2 = rv[2] - a2
 			a3 = rv[3] - a3
+			if dInv != nil {
+				od := omega * dInv[v]
+				a0 = xv[0] + od*a0
+				a1 = xv[1] + od*a1
+				a2 = xv[2] + od*a2
+				a3 = xv[3] + od*a3
+			}
 		}
 		row := dst[b : b+4 : b+4]
 		row[0], row[1], row[2], row[3] = a0, a1, a2, a3
@@ -170,7 +202,7 @@ func (g *Graph) lapMulBlockTile4(dst, r, x []float64, k, j0, lo, hi int) {
 }
 
 // lapMulBlockTail handles the final k−j0 ∈ {1, 2, 3} columns.
-func (g *Graph) lapMulBlockTail(dst, r, x []float64, k, j0, lo, hi int) {
+func (g *Graph) lapMulBlockTail(dst, r, x, dInv []float64, omega float64, k, j0, lo, hi int) {
 	kk := k - j0
 	adj, w, ends, i := g.rowSpan(lo, hi)
 	for row, e := range ends {
@@ -190,6 +222,9 @@ func (g *Graph) lapMulBlockTail(dst, r, x []float64, k, j0, lo, hi int) {
 			t := wsum*x[b+j0+j] - acc[j]
 			if r != nil {
 				t = r[b+j0+j] - t
+				if dInv != nil {
+					t = x[b+j0+j] + omega*dInv[v]*t
+				}
 			}
 			dst[b+j0+j] = t
 		}

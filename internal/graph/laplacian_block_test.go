@@ -60,8 +60,8 @@ func TestLapMulBlockMatchesColumns(t *testing.T) {
 }
 
 // TestLapMulBlockK1BitIdentical: width-1 blocks take the scalar path exactly
-// — LapMulBlock is LapMul, and LapMulBlockResidual is r minus it in one
-// traversal.
+// — LapMulBlock is LapMul, LapMulBlockResidual is r minus it in one
+// traversal, and LapJacobiStepBlock is LapJacobiStep.
 func TestLapMulBlockK1BitIdentical(t *testing.T) {
 	g := blockTestGraph(t, 500, 3)
 	n := g.N()
@@ -85,11 +85,23 @@ func TestLapMulBlockK1BitIdentical(t *testing.T) {
 			t.Fatalf("residual row %d: %v != %v", v, got[v], r[v]-want[v])
 		}
 	}
+	dInv := make([]float64, n)
+	for v := range dInv {
+		dInv[v] = 1 / g.Vol(v)
+	}
+	g.LapJacobiStepBlock(got, r, x, dInv, 0.8, 1)
+	g.LapJacobiStep(want, r, x, dInv, 0.8)
+	for v := range got {
+		if got[v] != want[v] {
+			t.Fatalf("jacobi row %d: %v != %v", v, got[v], want[v])
+		}
+	}
 }
 
-// TestFusedRowKernelsMatchUnfused: LapMulResidual and LapJacobiStep equal
-// the matvec-then-sweep sequences they fuse, bit for bit, at any worker
-// count — on a graph large enough to cross the row grain.
+// TestFusedRowKernelsMatchUnfused: LapMulResidual, LapJacobiStep and the
+// block Jacobi step (8-wide tile, 4-wide tile and tail) equal the
+// matvec-then-sweep sequences they fuse, bit for bit, at any worker count —
+// on a graph large enough to cross the row grain.
 func TestFusedRowKernelsMatchUnfused(t *testing.T) {
 	g := blockTestGraph(t, 3*rowGrain, 7)
 	n := g.N()
@@ -115,6 +127,21 @@ func TestFusedRowKernelsMatchUnfused(t *testing.T) {
 			want += omega * (r[v] - ax[v]) * dInv[v]
 			if jac[v] != want {
 				t.Fatalf("procs=%d LapJacobiStep row %d: %v != %v", procs, v, jac[v], want)
+			}
+		}
+		for _, k := range []int{3, 8, 13} {
+			xb, rb := make([]float64, n*k), make([]float64, n*k)
+			for i := range xb {
+				xb[i], rb[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			axb, jacb := make([]float64, n*k), make([]float64, n*k)
+			g.LapMulBlock(axb, xb, k)
+			g.LapJacobiStepBlock(jacb, rb, xb, dInv, omega, k)
+			for i := range jacb {
+				od := omega * dInv[i/k]
+				if want := xb[i] + od*(rb[i]-axb[i]); jacb[i] != want {
+					t.Fatalf("procs=%d k=%d LapJacobiStepBlock entry %d: %v != %v", procs, k, i, jacb[i], want)
+				}
 			}
 		}
 	}

@@ -84,23 +84,6 @@ func TestApplyBlockMatchesColumns(t *testing.T) {
 	}
 }
 
-// TestApplyBlockK1BitIdentical: width-1 blocks fall through to the scalar
-// apply exactly.
-func TestApplyBlockK1BitIdentical(t *testing.T) {
-	h, n := blockApplyFixture(t, 1)
-	rng := rand.New(rand.NewSource(20))
-	r := meanFree(rng, n)
-	got := make([]float64, n)
-	want := make([]float64, n)
-	h.ApplyBlock(got, r, 1)
-	h.Apply(want, r)
-	for v := range got {
-		if got[v] != want[v] {
-			t.Fatalf("vertex %d: %v != %v", v, got[v], want[v])
-		}
-	}
-}
-
 // TestApplyBlockGOMAXPROCSInvariant: every block step is elementwise, a
 // fixed-order segmented sum, or the invariant SpMM, so the whole V-cycle is
 // bit-identical at any worker count.

@@ -716,11 +716,7 @@ func TestShallowHierarchiesKeepTheVCycle(t *testing.T) {
 			r := randomBlock(rng, n, k)
 			got, want := make([]float64, n*k), make([]float64, n*k)
 			h.ApplyBlock(got, r, k)
-			if k == 1 {
-				vcycle.apply(0, want, r)
-			} else {
-				vcycle.applyBlock(0, want, r, k)
-			}
+			vcycle.apply(0, want, r, k)
 			if i := firstDiff(got, want); i >= 0 {
 				t.Errorf("%s k=%d: ApplyBlock[%d] = %v, V-cycle %v", tc.name, k, i, got[i], want[i])
 			}
@@ -750,13 +746,7 @@ func TestDoubledTailWorkVectorsArePooled(t *testing.T) {
 			r[v*k] = x
 		}
 		w := h.getWork()
-		apply := func() {
-			if k == 1 {
-				h.applyLevel(0, dst, r, w)
-			} else {
-				h.applyLevelBlock(0, dst, r, k, w)
-			}
-		}
+		apply := func() { h.applyLevel(0, dst, r, k, w) }
 		apply()
 		first := map[int][2]*float64{}
 		for level, l := range h.levels {

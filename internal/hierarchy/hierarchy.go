@@ -93,12 +93,12 @@ type Hierarchy struct {
 	// cycleEntries is the number of stored matrix entries one Apply streams:
 	// level passes, second visits and the coarse factor (cycleVisits).
 	cycleEntries int
-	// Pooled per-apply work buffers shared by the scalar and block cycles.
-	// They are the only mutable apply state — levels and the coarse factor
-	// are read-only — so concurrent Apply/ApplyBlock calls on one Hierarchy
-	// are safe and never wait on each other: the server's pooled engines
-	// solve through a shared Hierarchy from several goroutines at once.
-	bwPool sync.Pool
+	// Pooled per-apply work buffers (*applyWork). They are the only mutable
+	// apply state — levels and the coarse factor are read-only — so concurrent
+	// Apply/ApplyBlock calls on one Hierarchy are safe and never wait on each
+	// other: the server's pooled engines solve through a shared Hierarchy from
+	// several goroutines at once.
+	workPool sync.Pool
 }
 
 // New builds the hierarchy for g.
@@ -273,105 +273,4 @@ func (h *Hierarchy) Dim() int {
 		return h.coarseG.N()
 	}
 	return h.levels[0].g.N()
-}
-
-// Apply computes dst ≈ B⁺·r multilevel-recursively. It is a fixed symmetric
-// linear operator, positive definite on the mean-free subspace of every
-// component (cycle.go has the argument), hence a valid stationary PCG
-// preconditioner. Work buffers come from the hierarchy's apply pool and the
-// coarse factor is read-only, so Apply is safe for concurrent use — and,
-// because every sweep is row-independent, elementwise or a fixed-order
-// segmented sum, bit-identical at any worker count.
-func (h *Hierarchy) Apply(dst, r []float64) {
-	w := h.getWork()
-	h.applyLevel(0, dst, r, w)
-	h.bwPool.Put(w)
-}
-
-func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
-	if level == len(h.levels) {
-		h.coarse.Solve(dst, r)
-		return
-	}
-	l := h.levels[level]
-	n := l.g.N()
-	rq := growBuf(&w.rq[level], l.count)
-	xq := growBuf(&w.xq[level], l.count)
-	if l.smooth == 0 {
-		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr), the paper's
-		// two-level identity, unscaled.
-		restrict(l, r, rq)
-		h.applyLevel(level+1, xq, rq, w)
-		par.For(n, elemGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				dst[v] = r[v]*l.dInv[v] + xq[l.assign[v]]
-			}
-		})
-		return
-	}
-	// Symmetric cycle (cycle.go): damped-Jacobi pre-smooth from zero, coarse
-	// correction — one apply of the level below, or two steps of the iteration
-	// it preconditions — scaled by the level's alpha, damped-Jacobi
-	// post-smooth. Each smoothing step and the residual are one fused pass
-	// over the level's rows; the iterate ping-pongs between two work vectors
-	// and the last post-smoothing step writes dst, which until then holds the
-	// residual.
-	const omega = jacobiOmega
-	alpha := l.alpha
-	x := growBuf(&w.tmp[level], n)
-	y := growBuf(&w.tmp2[level], n)
-	par.For(n, elemGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			x[v] = omega * r[v] * l.dInv[v]
-		}
-	})
-	for s := 1; s < l.smooth; s++ {
-		l.g.LapJacobiStep(y, r, x, l.dInv, omega)
-		x, y = y, x
-	}
-	l.g.LapMulResidual(dst, r, x)
-	restrict(l, dst, rq)
-	h.applyLevel(level+1, xq, rq, w)
-	if l.visits == 2 {
-		rq2 := growBuf(&w.rq2[level], l.count)
-		xq2 := growBuf(&w.xq2[level], l.count)
-		h.levels[level+1].g.LapMulResidual(rq2, rq, xq)
-		h.applyLevel(level+1, xq2, rq2, w)
-		par.For(l.count, elemGrain, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				xq[c] += xq2[c]
-			}
-		})
-	}
-	par.For(n, elemGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			x[v] += alpha * xq[l.assign[v]]
-		}
-	})
-	for s := 1; s < l.smooth; s++ {
-		l.g.LapJacobiStep(y, r, x, l.dInv, omega)
-		x, y = y, x
-	}
-	l.g.LapJacobiStep(dst, r, x, l.dInv, omega)
-}
-
-// elemGrain is the minimum per-chunk size for the elementwise sweeps above;
-// below it par.For degrades to one sequential call.
-const elemGrain = 8192
-
-// restrict computes rq = Rᵀr: each cluster sums its members in the fixed
-// cluster-sorted order, so the result does not depend on worker chunking.
-func restrict(l *Level, r, rq []float64) {
-	par.For(l.count, 512, func(lo, hi int) {
-		order := l.order
-		i := l.start[lo]
-		for c := lo; c < hi; c++ {
-			end := l.start[c+1]
-			acc := 0.0
-			for ; i < end; i++ {
-				acc += r[order[i]]
-			}
-			rq[c] = acc
-		}
-	})
 }

@@ -14,7 +14,7 @@ import (
 
 // The reference cycle: the V-cycle as it ran before levels had an apply
 // layout — every level a natural-numbered quotient with []int restriction
-// arrays, the scalar cycle an unfused matvec + sweep sequence. It is rebuilt
+// arrays, the cycle an unfused matvec + sweep sequence. It is rebuilt
 // from a hierarchy's dumped assignments and shares only the coarse factor
 // with it, and it is the oracle the layout and the fused kernels are held to
 // bit for bit. The cycle's parameters are arguments: (jacobiOmega, coarseBeta,
@@ -76,29 +76,19 @@ func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta, share float64) *refC
 	return rc
 }
 
-// coarseStep applies the level below once, or — on a doubled level — runs the
-// two-step iteration on it: xq ← M′rq, then xq ← xq + M′(rq − Q·xq). apply is
-// the scalar or the block recursion on level+1, residual its res ← rq − Q·xq.
-func (rc *refCycle) coarseStep(level int, xq, rq []float64, apply func(dst, r []float64), residual func(res, rq, xq []float64)) {
-	apply(xq, rq)
-	if rc.levels[level].visits != 2 {
-		return
-	}
-	res, corr := make([]float64, len(rq)), make([]float64, len(rq))
-	residual(res, rq, xq)
-	apply(corr, res)
-	for i := range xq {
-		xq[i] += corr[i]
-	}
-}
-
 // Apply makes the oracle a solver.Preconditioner, so PCG can run under either
 // parameter pair.
-func (rc *refCycle) Apply(dst, r []float64) { rc.apply(0, dst, r) }
+func (rc *refCycle) Apply(dst, r []float64) { rc.apply(0, dst, r, 1) }
 
-// refLapMul is the textbook row loop, written out so the oracle does not
-// lean on the kernels under test.
-func refLapMul(g *graph.Graph, dst, x []float64) {
+// refLapMul is dst = A·x for k packed columns. One column takes the textbook
+// row loop, written out so the oracle does not lean on the kernels under
+// test; wider blocks take the block matvec, whose rounding (wsum·x_v − Σw·x_u)
+// is the one thing about it the oracle cannot restate.
+func refLapMul(g *graph.Graph, dst, x []float64, k int) {
+	if k > 1 {
+		g.LapMulBlock(dst, x, k)
+		return
+	}
 	for v := 0; v < g.N(); v++ {
 		nbr, w := g.Neighbors(v)
 		acc := 0.0
@@ -109,68 +99,46 @@ func refLapMul(g *graph.Graph, dst, x []float64) {
 	}
 }
 
-func (rc *refCycle) apply(level int, dst, r []float64) {
-	if level == len(rc.levels) {
-		rc.coarse.Solve(dst, r)
-		return
-	}
-	l := rc.levels[level]
-	n := l.g.N()
-	rq, xq := make([]float64, l.count), make([]float64, l.count)
-	restrictRef := func(src []float64) {
-		for c := 0; c < l.count; c++ {
-			acc := 0.0
-			for i := l.start[c]; i < l.start[c+1]; i++ {
-				acc += src[l.order[i]]
+// jacobi is one damped-Jacobi step x += ω·D⁻¹(r − t), t = A·x, in place; from
+// a zero iterate (t nil) it is x = ω·D⁻¹r. Each width keeps the rounding its
+// production sweep has: ω·(r − t)·d⁻¹ for one column, (ω·d⁻¹)·(r − t) packed.
+func (l *refLevel) jacobi(x, r, t []float64, omega float64, k int) {
+	for v := 0; v < l.g.N(); v++ {
+		for j := v * k; j < v*k+k; j++ {
+			res := r[j]
+			if t != nil {
+				res -= t[j]
 			}
-			rq[c] = acc
-		}
-	}
-	if l.smooth == 0 {
-		restrictRef(r)
-		rc.apply(level+1, xq, rq)
-		for v := 0; v < n; v++ {
-			dst[v] = r[v]*l.dInv[v] + xq[l.assign[v]]
-		}
-		return
-	}
-	omega := rc.omega
-	x := dst
-	tmp, tmp2 := make([]float64, n), make([]float64, n)
-	for v := 0; v < n; v++ {
-		x[v] = omega * r[v] * l.dInv[v]
-	}
-	for s := 1; s < l.smooth; s++ {
-		refLapMul(l.g, tmp, x)
-		for v := 0; v < n; v++ {
-			x[v] += omega * (r[v] - tmp[v]) * l.dInv[v]
-		}
-	}
-	refLapMul(l.g, tmp, x)
-	for v := 0; v < n; v++ {
-		tmp[v] = r[v] - tmp[v]
-	}
-	restrictRef(tmp)
-	rc.coarseStep(level, xq, rq,
-		func(dst, r []float64) { rc.apply(level+1, dst, r) },
-		func(res, rq, xq []float64) {
-			refLapMul(rc.levels[level+1].g, res, xq)
-			for c := range res {
-				res[c] = rq[c] - res[c]
+			step := omega * res * l.dInv[v]
+			if k > 1 {
+				step = omega * l.dInv[v] * res
 			}
-		})
-	for v := 0; v < n; v++ {
-		x[v] += l.alpha * xq[l.assign[v]]
-	}
-	for s := 0; s < l.smooth; s++ {
-		refLapMul(l.g, tmp2, x)
-		for v := 0; v < n; v++ {
-			x[v] += omega * (r[v] - tmp2[v]) * l.dInv[v]
+			if t == nil {
+				x[j] = step
+			} else {
+				x[j] += step
+			}
 		}
 	}
 }
 
-func (rc *refCycle) applyBlock(level int, dst, r []float64, k int) {
+// restrict computes rq = Rᵀsrc, each cluster summed in ascending member order.
+func (l *refLevel) restrict(rq, src []float64, k int) {
+	for c := 0; c < l.count; c++ {
+		for j := 0; j < k; j++ {
+			acc := 0.0
+			for i := l.start[c]; i < l.start[c+1]; i++ {
+				acc += src[l.order[i]*k+j]
+			}
+			rq[c*k+j] = acc
+		}
+	}
+}
+
+// apply is the reference traversal, k packed columns wide: the unfused
+// matvec + sweep sequence on natural-numbered levels, the only width-specific
+// code in the leaves above.
+func (rc *refCycle) apply(level int, dst, r []float64, k int) {
 	if level == len(rc.levels) {
 		rc.coarse.SolveBlock(dst, r, k)
 		return
@@ -178,19 +146,9 @@ func (rc *refCycle) applyBlock(level int, dst, r []float64, k int) {
 	l := rc.levels[level]
 	n := l.g.N()
 	rq, xq := make([]float64, l.count*k), make([]float64, l.count*k)
-	restrictRef := func(src []float64) {
-		for c := 0; c < l.count; c++ {
-			acc := rq[c*k : c*k+k]
-			for i := l.start[c]; i < l.start[c+1]; i++ {
-				for j := range acc {
-					acc[j] += src[l.order[i]*k+j]
-				}
-			}
-		}
-	}
 	if l.smooth == 0 {
-		restrictRef(r)
-		rc.applyBlock(level+1, xq, rq, k)
+		l.restrict(rq, r, k)
+		rc.apply(level+1, xq, rq, k)
 		for v := 0; v < n; v++ {
 			for j := 0; j < k; j++ {
 				dst[v*k+j] = r[v*k+j]*l.dInv[v] + xq[l.assign[v]*k+j]
@@ -198,40 +156,38 @@ func (rc *refCycle) applyBlock(level int, dst, r []float64, k int) {
 		}
 		return
 	}
-	omega := rc.omega
-	x := dst
-	tmp, tmp2 := make([]float64, n*k), make([]float64, n*k)
-	jacobi := func(t []float64) {
-		for v := 0; v < n; v++ {
-			od := omega * l.dInv[v]
-			for j := 0; j < k; j++ {
-				x[v*k+j] += od * (r[v*k+j] - t[v*k+j])
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		od := omega * l.dInv[v]
-		for j := 0; j < k; j++ {
-			x[v*k+j] = od * r[v*k+j]
-		}
-	}
+	x, tmp := dst, make([]float64, n*k)
+	l.jacobi(x, r, nil, rc.omega, k)
 	for s := 1; s < l.smooth; s++ {
-		l.g.LapMulBlock(tmp, x, k)
-		jacobi(tmp)
+		refLapMul(l.g, tmp, x, k)
+		l.jacobi(x, r, tmp, rc.omega, k)
 	}
-	l.g.LapMulBlockResidual(tmp, r, x, k)
-	restrictRef(tmp)
-	rc.coarseStep(level, xq, rq,
-		func(dst, r []float64) { rc.applyBlock(level+1, dst, r, k) },
-		func(res, rq, xq []float64) { rc.levels[level+1].g.LapMulBlockResidual(res, rq, xq, k) })
+	refLapMul(l.g, tmp, x, k)
+	for i := range tmp {
+		tmp[i] = r[i] - tmp[i]
+	}
+	l.restrict(rq, tmp, k)
+	rc.apply(level+1, xq, rq, k)
+	if l.visits == 2 {
+		// The two-step iteration on the level below: xq ← xq + M′(rq − Q·xq).
+		res, corr := make([]float64, len(rq)), make([]float64, len(rq))
+		refLapMul(rc.levels[level+1].g, res, xq, k)
+		for i := range res {
+			res[i] = rq[i] - res[i]
+		}
+		rc.apply(level+1, corr, res, k)
+		for i := range xq {
+			xq[i] += corr[i]
+		}
+	}
 	for v := 0; v < n; v++ {
 		for j := 0; j < k; j++ {
 			x[v*k+j] += l.alpha * xq[l.assign[v]*k+j]
 		}
 	}
 	for s := 0; s < l.smooth; s++ {
-		l.g.LapMulBlock(tmp2, x, k)
-		jacobi(tmp2)
+		refLapMul(l.g, tmp, x, k)
+		l.jacobi(x, r, tmp, rc.omega, k)
 	}
 }
 
@@ -309,11 +265,7 @@ func TestApplyMatchesReferenceCycle(t *testing.T) {
 				for _, k := range []int{1, 3, 8} {
 					r := randomBlock(rng, n, k)
 					want := make([]float64, n*k)
-					if k == 1 {
-						rc.apply(0, want, r)
-					} else {
-						rc.applyBlock(0, want, r, k)
-					}
+					rc.apply(0, want, r, k)
 					for _, procs := range []int{1, 4} {
 						runtime.GOMAXPROCS(procs)
 						name := fmt.Sprintf("%s limit=%d smooth=%d k=%d procs=%d", tc.name, limit, smooth, k, procs)

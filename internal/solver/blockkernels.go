@@ -4,19 +4,21 @@ import "hcd/internal/par"
 
 // Block (multi-RHS) level-1 kernels. All of them operate on packed row-major
 // [n][k] blocks — entry (v, j) lives at x[v*k+j] — so one sweep over the
-// block streams each cache line once for all k columns, where the scalar
+// block streams each cache line once for all k columns, where the vector
 // kernels would stream the vectors k separate times. The hot kernels are
 // *fused*: the PCG update x += α∘p, r −= α∘ap runs in the same pass that
 // accumulates the column sums (or squared norms) the next step needs,
 // cutting the per-iteration memory passes roughly in half versus running the
-// scalar kernel sequence per column.
+// unfused kernel sequence per column.
 //
 // Reductions use a fixed chunk partition that depends only on (n, k), never
 // on the worker count: per-chunk partials are written into a scratch table
 // and combined in chunk order, so every reduction — and therefore the whole
-// block solve — is bit-identical at any GOMAXPROCS. (The scalar kernels
-// instead switch between a serial loop and par.ReduceSum, which is why the
-// k=1 path delegates to the scalar core rather than emulating it here.)
+// solve — is bit-identical at any GOMAXPROCS.
+//
+// A width-1 block is a plain vector: each kernel hands it to the vector
+// kernel of kernels.go that does the same arithmetic over the same partition
+// (blockGrain(1) = kernelGrain) without the per-row slicing.
 
 // blockGrain returns the per-chunk row count for width-k block kernels: the
 // scalar kernel grain scaled down by the block width so a chunk touches
@@ -37,7 +39,7 @@ func blockGrain(k int) int {
 // result is bit-identical at any GOMAXPROCS. fn may also mutate the block
 // elementwise (the fused kernels do); chunks cover disjoint row ranges, so
 // such writes never race.
-func (s *blockScratch) reduceRows(n, k int, out []float64, fn func(lo, hi int, acc []float64)) {
+func (s *scratch) reduceRows(n, k int, out []float64, fn func(lo, hi int, acc []float64)) {
 	for j := 0; j < k; j++ {
 		out[j] = 0
 	}
@@ -75,7 +77,11 @@ func (s *blockScratch) reduceRows(n, k int, out []float64, fn func(lo, hi int, a
 }
 
 // blockDots computes out[j] = Σ_v a[v·k+j]·b[v·k+j] for each column j.
-func (s *blockScratch) blockDots(a, b []float64, n, k int, out []float64) {
+func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
+	if k == 1 {
+		out[0] = dot(a[:n], b[:n])
+		return
+	}
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
 		for v := lo; v < hi; v++ {
 			av := a[v*k : v*k+k : v*k+k]
@@ -88,7 +94,11 @@ func (s *blockScratch) blockDots(a, b []float64, n, k int, out []float64) {
 }
 
 // blockNormSq computes out[j] = Σ_v x[v·k+j]² (squared column norms).
-func (s *blockScratch) blockNormSq(x []float64, n, k int, out []float64) {
+func (s *scratch) blockNormSq(x []float64, n, k int, out []float64) {
+	if k == 1 {
+		out[0] = dot(x[:n], x[:n])
+		return
+	}
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
 		for v := lo; v < hi; v++ {
 			xv := x[v*k : v*k+k : v*k+k]
@@ -101,7 +111,11 @@ func (s *blockScratch) blockNormSq(x []float64, n, k int, out []float64) {
 
 // blockColSums computes out[j] = Σ_v x[v·k+j] (pass 1 of the block mean
 // projection).
-func (s *blockScratch) blockColSums(x []float64, n, k int, out []float64) {
+func (s *scratch) blockColSums(x []float64, n, k int, out []float64) {
+	if k == 1 {
+		out[0] = sum(x[:n])
+		return
+	}
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
 		for v := lo; v < hi; v++ {
 			xv := x[v*k : v*k+k : v*k+k]
@@ -114,7 +128,11 @@ func (s *blockScratch) blockColSums(x []float64, n, k int, out []float64) {
 
 // blockSubMeanNormSq subtracts mean[j] from column j and accumulates the new
 // squared column norms in the same sweep (fused pass 2 of the projection).
-func (s *blockScratch) blockSubMeanNormSq(x []float64, n, k int, mean, out []float64) {
+func (s *scratch) blockSubMeanNormSq(x []float64, n, k int, mean, out []float64) {
+	if k == 1 {
+		out[0] = shiftDot(x[:n], mean[0], x[:n])
+		return
+	}
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
 		for v := lo; v < hi; v++ {
 			xv := x[v*k : v*k+k : v*k+k]
@@ -129,7 +147,11 @@ func (s *blockScratch) blockSubMeanNormSq(x []float64, n, k int, mean, out []flo
 // blockSubMeanDot subtracts mean[j] from z's column j and accumulates the
 // preconditioned inner product out[j] = rᵀz in the same sweep (the fused
 // z-projection + rᵀz step).
-func (s *blockScratch) blockSubMeanDot(z, r []float64, n, k int, mean, out []float64) {
+func (s *scratch) blockSubMeanDot(z, r []float64, n, k int, mean, out []float64) {
+	if k == 1 {
+		out[0] = shiftDot(z[:n], mean[0], r[:n])
+		return
+	}
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
 		for v := lo; v < hi; v++ {
 			zv := z[v*k : v*k+k : v*k+k]
@@ -145,7 +167,11 @@ func (s *blockScratch) blockSubMeanDot(z, r []float64, n, k int, mean, out []flo
 // blockUpdateXRSums is the fused PCG update for projected (singular) systems:
 // x += α∘p, r −= α∘ap, with the new residual's column sums — pass 1 of the
 // next mean projection — accumulated in the same sweep.
-func (s *blockScratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int, sums []float64) {
+func (s *scratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int, sums []float64) {
+	if k == 1 {
+		sums[0] = updateXR(x[:n], r[:n], alpha[0], p[:n], ap[:n])
+		return
+	}
 	s.reduceRows(n, k, sums, func(lo, hi int, acc []float64) {
 		for v := lo; v < hi; v++ {
 			xv := x[v*k : v*k+k : v*k+k]
@@ -164,7 +190,12 @@ func (s *blockScratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int,
 
 // blockUpdateXRNormSq is the fused PCG update for non-projected systems:
 // x += α∘p, r −= α∘ap, accumulating the new squared residual norms directly.
-func (s *blockScratch) blockUpdateXRNormSq(x, r, p, ap, alpha []float64, n, k int, out []float64) {
+func (s *scratch) blockUpdateXRNormSq(x, r, p, ap, alpha []float64, n, k int, out []float64) {
+	if k == 1 {
+		updateXR(x[:n], r[:n], alpha[0], p[:n], ap[:n])
+		out[0] = dot(r[:n], r[:n])
+		return
+	}
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
 		for v := lo; v < hi; v++ {
 			xv := x[v*k : v*k+k : v*k+k]
@@ -184,6 +215,10 @@ func (s *blockScratch) blockUpdateXRNormSq(x, r, p, ap, alpha []float64, n, k in
 // blockXPBY computes p = z + β∘p per column (the direction update).
 // Elementwise, so any chunking is bit-identical; uses par.For directly.
 func blockXPBY(p, z, beta []float64, n, k int) {
+	if k == 1 {
+		xpby(p[:n], z[:n], beta[0])
+		return
+	}
 	grain := blockGrain(k)
 	if n <= grain || par.Workers() == 1 {
 		blockXPBYRange(p, z, beta, k, 0, n)
@@ -207,18 +242,19 @@ func blockXPBYRange(p, z, beta []float64, k, lo, hi int) {
 // packColumns interleaves k column vectors into the packed row-major block.
 func packColumns(bs [][]float64, dst []float64, n, k int) {
 	grain := blockGrain(k)
-	fill := func(lo, hi int) {
-		for j, b := range bs {
-			for v := lo; v < hi; v++ {
-				dst[v*k+j] = b[v]
-			}
-		}
-	}
 	if n <= grain || par.Workers() == 1 {
-		fill(0, n)
+		packRange(bs, dst, k, 0, n)
 		return
 	}
-	par.For(n, grain, fill)
+	par.For(n, grain, func(lo, hi int) { packRange(bs, dst, k, lo, hi) })
+}
+
+func packRange(bs [][]float64, dst []float64, k, lo, hi int) {
+	for j, b := range bs {
+		for v := lo; v < hi; v++ {
+			dst[v*k+j] = b[v]
+		}
+	}
 }
 
 // compactPacked left-compacts the packed width-kA block to the kept column

@@ -25,7 +25,6 @@ type Engine struct {
 	opt   Options
 	inUse atomic.Bool
 	s     scratch
-	bs    blockScratch // packed buffers for SolveBlock, grown on first use
 }
 
 // NewEngine builds a solve session. A nil preconditioner means plain CG.
@@ -67,46 +66,37 @@ func (e *Engine) release() { e.inUse.Store(false) }
 
 // Solve runs PCG on b with the engine's default options.
 func (e *Engine) Solve(ctx context.Context, b []float64) (Result, error) {
-	if err := e.acquire(); err != nil {
-		return Result{}, err
-	}
-	defer e.release()
-	return pcgCore(ctx, e.a, e.m, b, e.opt, &e.s)
+	return e.SolveWith(ctx, b, e.opt)
 }
 
 // SolveWith runs PCG on b with per-call options (overriding the engine
-// defaults for this solve only).
+// defaults for this solve only). It is SolveBlock on the one column b, whose
+// column list lives in the engine so that none is built per call.
 func (e *Engine) SolveWith(ctx context.Context, b []float64, opt Options) (Result, error) {
 	if err := e.acquire(); err != nil {
 		return Result{}, err
 	}
 	defer e.release()
-	return pcgCore(ctx, e.a, e.m, b, opt, &e.s)
+	e.s.one[0] = b
+	results, err := e.s.solve(ctx, e.a, e.m, e.s.one[:], opt)
+	e.s.one[0] = nil
+	return single(results, err)
 }
 
-// SolveBlock runs block PCG on the columns of bs with per-call options,
-// returning one Result per column (same order). All columns share every
-// matvec and preconditioner traversal; converged columns deflate out of the
-// active block. A single column delegates to the scalar core and is
-// bit-identical to Solve. Like Solve, the returned slices alias engine
-// buffers — each column's X, Residuals, Alphas and Betas are only valid
+// SolveBlock runs PCG on the columns of bs with per-call options, returning
+// one Result per column (same order). All columns share every matvec and
+// preconditioner traversal; converged columns deflate out of the active
+// block, and under opt.Recovery the columns that break down restart as a
+// narrower block. A column of the wrong length fails alone, as in
+// BlockPCGCtx. Like Solve, what is returned aliases engine buffers — the
+// result list and each column's X, Residuals, Alphas and Betas are only valid
 // until the next call on the same engine.
-//
-// opt.Recovery is ignored on the block path (k > 1); use per-column scalar
-// solves when restart-on-breakdown is required.
 func (e *Engine) SolveBlock(ctx context.Context, bs [][]float64, opt Options) ([]Result, error) {
 	if err := e.acquire(); err != nil {
 		return nil, err
 	}
 	defer e.release()
-	if len(bs) == 1 {
-		res, err := pcgCore(ctx, e.a, e.m, bs[0], opt, &e.s)
-		if err != nil {
-			return nil, err
-		}
-		return []Result{res}, nil
-	}
-	return blockCore(ctx, e.a, e.m, bs, opt, &e.bs)
+	return e.s.solve(ctx, e.a, e.m, bs, opt)
 }
 
 // SolveChebyshev runs Chebyshev iteration on b given spectrum bounds

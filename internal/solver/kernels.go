@@ -6,51 +6,55 @@ import (
 	"hcd/internal/par"
 )
 
-// kernelGrain is the minimum vector length per worker chunk for the level-1
-// kernels below. At or below this threshold the kernels run a plain serial
-// loop — bit-identical to the historical implementations and, crucially,
-// allocation-free: the closures handed to par.For/par.ReduceSum escape to
-// worker goroutines and would heap-allocate on every call, which would break
-// the Engine's zero-allocation guarantee for small solves. Above the
-// threshold, dot products and norms become chunked reductions: associativity
-// of the summation changes, so results agree with the serial path only to
-// rounding.
+// kernelGrain is the chunk length of the width-1 level-1 kernels below. The
+// elementwise ones run one serial loop at or below it, and on one worker.
+// The reductions sum fixed kernelGrain-element chunks — the first kernelGrain
+// elements, then the next, whatever the worker count — and combine the
+// partial sums in chunk order, so a dot product is the same bits at any
+// GOMAXPROCS; it is the partition reduceRows gives a width-1 block. On one
+// worker, and at or below the grain, the chunks are summed on the calling
+// goroutine through a closure that does not escape, so nothing allocates (the
+// closures handed to par.ReduceSum escape to worker goroutines and would, on
+// every call, which would break the Engine's zero-allocation guarantee).
 const kernelGrain = 16384
 
-func dot(a, b []float64) float64 {
-	if len(a) <= kernelGrain || par.Workers() == 1 {
-		s := 0.0
-		for i := range a {
-			s += a[i] * b[i]
-		}
-		return s
+// sumChunks returns Σ fn(lo, hi) over the kernelGrain partition of [0, n), in
+// chunk order, on the calling goroutine.
+func sumChunks(n int, fn func(lo, hi int) float64) float64 {
+	if n <= kernelGrain {
+		return fn(0, n)
 	}
-	return par.ReduceSum(len(a), kernelGrain, func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += a[i] * b[i]
+	total := 0.0
+	for lo := 0; lo < n; lo += kernelGrain {
+		hi := lo + kernelGrain
+		if hi > n {
+			hi = n
 		}
-		return s
-	})
+		total += fn(lo, hi)
+	}
+	return total
 }
 
-func norm2(x []float64) float64 {
-	if len(x) <= kernelGrain || par.Workers() == 1 {
-		s := 0.0
-		for _, v := range x {
-			s += v * v
-		}
-		return math.Sqrt(s)
+// serialChunks reports whether a length-n reduction runs on the calling
+// goroutine.
+func serialChunks(n int) bool { return n <= kernelGrain || par.Workers() == 1 }
+
+func dot(a, b []float64) float64 {
+	if serialChunks(len(a)) {
+		return sumChunks(len(a), func(lo, hi int) float64 { return dotRange(a, b, lo, hi) })
 	}
-	s := par.ReduceSum(len(x), kernelGrain, func(lo, hi int) float64 {
-		acc := 0.0
-		for i := lo; i < hi; i++ {
-			acc += x[i] * x[i]
-		}
-		return acc
-	})
-	return math.Sqrt(s)
+	return par.ReduceSum(len(a), kernelGrain, func(lo, hi int) float64 { return dotRange(a, b, lo, hi) })
 }
+
+func dotRange(a, b []float64, lo, hi int) float64 {
+	s := 0.0
+	for i := lo; i < hi; i++ {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+func norm2(x []float64) float64 { return math.Sqrt(dot(x, x)) }
 
 // axpy computes y += a·x.
 func axpy(y []float64, a float64, x []float64) {
@@ -122,15 +126,14 @@ func projectMean(x []float64) {
 // two axpys, a sum and a shift for each mean projection, a norm, a dot, the
 // direction update); the kernels below carry each reduction on the back
 // of the sweep that produces its operand, which leaves six. Every
-// accumulation runs in the order of the kernel sequence it replaces — serial
-// left to right, chunked by kernelGrain otherwise — so the results are
-// bit-identical to that sequence at any worker count.
+// accumulation runs in the order of the kernel sequence it replaces, chunk by
+// chunk, so the results are bit-identical to that sequence.
 
 // updateXR computes x += a·p and r −= a·ap in one sweep and returns Σr of
 // the updated residual.
 func updateXR(x, r []float64, a float64, p, ap []float64) float64 {
-	if len(x) <= kernelGrain || par.Workers() == 1 {
-		return updateXRRange(x, r, a, p, ap, 0, len(x))
+	if serialChunks(len(x)) {
+		return sumChunks(len(x), func(lo, hi int) float64 { return updateXRRange(x, r, a, p, ap, lo, hi) })
 	}
 	return par.ReduceSum(len(x), kernelGrain, func(lo, hi int) float64 { return updateXRRange(x, r, a, p, ap, lo, hi) })
 }
@@ -147,8 +150,8 @@ func updateXRRange(x, r []float64, a float64, p, ap []float64, lo, hi int) float
 
 // sum returns Σx.
 func sum(x []float64) float64 {
-	if len(x) <= kernelGrain || par.Workers() == 1 {
-		return sumRange(x, 0, len(x))
+	if serialChunks(len(x)) {
+		return sumChunks(len(x), func(lo, hi int) float64 { return sumRange(x, lo, hi) })
 	}
 	return par.ReduceSum(len(x), kernelGrain, func(lo, hi int) float64 { return sumRange(x, lo, hi) })
 }
@@ -164,8 +167,8 @@ func sumRange(x []float64, lo, hi int) float64 {
 // shiftDot computes x −= mean in place and returns x·y of the shifted x; with
 // y = x it is the shifted vector's squared norm.
 func shiftDot(x []float64, mean float64, y []float64) float64 {
-	if len(x) <= kernelGrain || par.Workers() == 1 {
-		return shiftDotRange(x, mean, y, 0, len(x))
+	if serialChunks(len(x)) {
+		return sumChunks(len(x), func(lo, hi int) float64 { return shiftDotRange(x, mean, y, lo, hi) })
 	}
 	return par.ReduceSum(len(x), kernelGrain, func(lo, hi int) float64 { return shiftDotRange(x, mean, y, lo, hi) })
 }

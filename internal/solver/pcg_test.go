@@ -2,49 +2,16 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"hcd/internal/graph"
+	"hcd/internal/hierarchy"
 	"hcd/internal/workload"
 )
-
-// TestBlockPCGK1BitIdentical: a one-column block solve routes through the
-// scalar core and matches PCGCtx bit for bit — X, residual history and
-// coefficients.
-func TestBlockPCGK1BitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := workload.Grid2D(20, 20, workload.UniformWeight(0.5, 2), 1)
-	b := meanFreeRHS(rng, g.N())
-	opt := DefaultOptions()
-
-	want, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := BlockPCGCtx(context.Background(), LapOperator(g), Jacobi(g), [][]float64{b}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("want 1 result, got %d", len(got))
-	}
-	if got[0].Iterations != want.Iterations || got[0].Outcome != want.Outcome {
-		t.Fatalf("k=1 block: %d iters %v vs scalar %d iters %v",
-			got[0].Iterations, got[0].Outcome, want.Iterations, want.Outcome)
-	}
-	for i := range want.X {
-		if got[0].X[i] != want.X[i] {
-			t.Fatalf("X[%d]: block %v != scalar %v", i, got[0].X[i], want.X[i])
-		}
-	}
-	for i := range want.Residuals {
-		if got[0].Residuals[i] != want.Residuals[i] {
-			t.Fatalf("Residuals[%d]: block %v != scalar %v", i, got[0].Residuals[i], want.Residuals[i])
-		}
-	}
-}
 
 // TestBlockPCGMatchesScalarPerColumn: every column of a k=5 block solve
 // converges to the scalar solution, and per-column iteration counts stay
@@ -147,48 +114,58 @@ func TestBlockPCGDeflation(t *testing.T) {
 	}
 }
 
-// TestBlockPCGGOMAXPROCSInvariant: the block path's reductions use a fixed
-// chunk partition, so the whole solve — iterates and histories — is
-// bit-identical at any worker count. The graph is large enough that the
-// kernels and the SpMM actually cross their parallel grains.
+// TestBlockPCGGOMAXPROCSInvariant: every reduction uses a fixed chunk
+// partition, so a whole solve — iterates and histories — is bit-identical at
+// any worker count, one column wide or four. The graph is large enough that
+// the level-1 kernels, the matvec and the hierarchy's sweeps all cross their
+// parallel grains.
 func TestBlockPCGGOMAXPROCSInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	g := workload.Grid2D(80, 80, workload.Lognormal(1), 3)
+	g := workload.Grid3D(40, 40, 40, workload.Lognormal(1), 3)
 	n := g.N()
-	const k = 4
-	bs := make([][]float64, k)
+	if n <= kernelGrain {
+		t.Fatalf("%d vertices do not cross the kernel grain", n)
+	}
+	h, err := hierarchy.New(g, hierarchy.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := make([][]float64, 4)
 	for j := range bs {
 		bs[j] = meanFreeRHS(rng, n)
 	}
 	opt := DefaultOptions()
 	opt.Tol = 1e-10
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ref, err := BlockPCGCtx(context.Background(), LapOperator(g), Jacobi(g), bs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{2, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		got, err := BlockPCGCtx(context.Background(), LapOperator(g), Jacobi(g), bs, opt)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, k := range []int{1, 4} {
+		runtime.GOMAXPROCS(1)
+		ref, err := BlockPCGCtx(context.Background(), LapOperator(g), h, bs[:k], opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range ref {
-			if got[j].Iterations != ref[j].Iterations {
-				t.Fatalf("procs=%d column %d: %d iterations vs %d at procs=1",
-					procs, j, got[j].Iterations, ref[j].Iterations)
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := BlockPCGCtx(context.Background(), LapOperator(g), h, bs[:k], opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range ref[j].X {
-				if got[j].X[i] != ref[j].X[i] {
-					t.Fatalf("procs=%d column %d X[%d]: %v != %v",
-						procs, j, i, got[j].X[i], ref[j].X[i])
+			for j := range ref {
+				if got[j].Iterations != ref[j].Iterations {
+					t.Fatalf("k=%d procs=%d column %d: %d iterations vs %d at procs=1",
+						k, procs, j, got[j].Iterations, ref[j].Iterations)
 				}
-			}
-			for i := range ref[j].Residuals {
-				if got[j].Residuals[i] != ref[j].Residuals[i] {
-					t.Fatalf("procs=%d column %d residual[%d]: %v != %v",
-						procs, j, i, got[j].Residuals[i], ref[j].Residuals[i])
+				for i := range ref[j].X {
+					if got[j].X[i] != ref[j].X[i] {
+						t.Fatalf("k=%d procs=%d column %d X[%d]: %v != %v",
+							k, procs, j, i, got[j].X[i], ref[j].X[i])
+					}
+				}
+				for i := range ref[j].Residuals {
+					if got[j].Residuals[i] != ref[j].Residuals[i] {
+						t.Fatalf("k=%d procs=%d column %d residual[%d]: %v != %v",
+							k, procs, j, i, got[j].Residuals[i], ref[j].Residuals[i])
+					}
 				}
 			}
 		}
@@ -255,12 +232,22 @@ func TestBlockPCGNonBlockPrecondFallback(t *testing.T) {
 	}
 }
 
-// TestBlockPCGDimensionErrors: mismatched columns are rejected up front.
+// TestBlockPCGDimensionErrors: a column of the wrong length fails alone — its
+// Result stays the zero value, its neighbors are solved, and the error wraps
+// ErrBadDimension; an empty block is an error.
 func TestBlockPCGDimensionErrors(t *testing.T) {
 	g := workload.Grid2D(5, 5, nil, 1)
-	bs := [][]float64{make([]float64, g.N()), make([]float64, g.N()-1)}
-	if _, err := BlockPCGCtx(context.Background(), LapOperator(g), nil, bs, DefaultOptions()); err == nil {
-		t.Fatal("want dimension error")
+	rng := rand.New(rand.NewSource(17))
+	bs := [][]float64{meanFreeRHS(rng, g.N()), make([]float64, g.N()-1), meanFreeRHS(rng, g.N())}
+	results, err := BlockPCGCtx(context.Background(), LapOperator(g), nil, bs, DefaultOptions())
+	if !errors.Is(err, graph.ErrBadDimension) {
+		t.Fatalf("err = %v, want ErrBadDimension", err)
+	}
+	if len(results) != 3 || !results[0].Converged || !results[2].Converged {
+		t.Fatalf("good columns lost: %+v", results)
+	}
+	if results[1].Outcome != OutcomeUnknown || results[1].X != nil {
+		t.Errorf("bad column has a result: %+v", results[1])
 	}
 	if _, err := BlockPCGCtx(context.Background(), LapOperator(g), nil, nil, DefaultOptions()); err == nil {
 		t.Fatal("want error for empty block")

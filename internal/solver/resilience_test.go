@@ -252,6 +252,70 @@ func TestWarmRestartKeepsReferenceNorm(t *testing.T) {
 	}
 }
 
+// TestBlockRecoveryRestartsStruckColumn: Options.Recovery is honoured at any
+// width. One column of a 4-RHS engine solve breaks down; it alone restarts —
+// warm, as a one-column block — and converges against the first attempt's
+// ‖r₀‖ with its history stitched across both attempts, while its neighbours
+// run on as if nothing had happened.
+func TestBlockRecoveryRestartsStruckColumn(t *testing.T) {
+	g, _ := testSystem(t, 24)
+	rng := rand.New(rand.NewSource(25))
+	bs := make([][]float64, 4)
+	for j := range bs {
+		bs[j] = meanFreeRHS(rng, g.N())
+	}
+	opt := DefaultOptions()
+	opt.Recovery = RecoveryPolicy{MaxRestarts: 1}
+	eng, err := NewLapEngine(g, Jacobi(g), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := eng.SolveBlock(context.Background(), bs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanIters := make([]int, len(clean))
+	for j, res := range clean {
+		if !res.Converged || res.Metrics.Restarts != 0 {
+			t.Fatalf("clean column %d: %v, %d restarts", j, res.Outcome, res.Metrics.Restarts)
+		}
+		cleanIters[j] = res.Iterations
+	}
+
+	// The sixth curvature check of the solve is forced negative; the fault
+	// strikes the first active column, column 0.
+	restore := faultinject.Activate(map[string]faultinject.Spec{
+		faultinject.ForceBreakdown: {OnHit: 6, Count: 1},
+	})
+	defer restore()
+	results, err := eng.SolveBlock(context.Background(), bs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	struck := results[0]
+	if !struck.Converged || struck.Metrics.Restarts != 1 {
+		t.Fatalf("struck column: outcome %v (%s), %d restarts, want converged after 1",
+			struck.Outcome, struck.Reason, struck.Metrics.Restarts)
+	}
+	// Five iterations before the breakdown plus the restart's, one residual
+	// sample each after ‖r₀‖; one matvec per iteration, one lost to the
+	// breakdown and one spent on the restart's r = b − A·x.
+	if struck.Iterations <= 5 || len(struck.Residuals) != struck.Iterations+1 ||
+		struck.Metrics.Iterations != struck.Iterations || struck.Metrics.MatVecs != struck.Iterations+2 {
+		t.Errorf("struck column stitched wrong: %d iterations, %d residuals, metrics %+v",
+			struck.Iterations, len(struck.Residuals), struck.Metrics)
+	}
+	if rn := residualNorm(g, struck.X, bs[0]); rn > 1e-6*struck.Residuals[0]+1e-9 {
+		t.Errorf("struck column converged against a weakened threshold: ‖r‖ = %v, ‖r₀‖ = %v", rn, struck.Residuals[0])
+	}
+	for j := 1; j < len(results); j++ {
+		if res := results[j]; !res.Converged || res.Metrics.Restarts != 0 || res.Iterations != cleanIters[j] {
+			t.Errorf("column %d: %v, %d restarts, %d iterations; want converged, 0, %d",
+				j, res.Outcome, res.Metrics.Restarts, res.Iterations, cleanIters[j])
+		}
+	}
+}
+
 func TestNoFaultsNoRestarts(t *testing.T) {
 	g, b := testSystem(t, 22)
 	opt := DefaultOptions()

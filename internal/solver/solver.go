@@ -290,31 +290,6 @@ type Result struct {
 	Alphas, Betas []float64
 }
 
-// scratch owns the work buffers of one solve. A fresh scratch per call gives
-// the historical allocate-per-solve behavior; an Engine keeps one scratch
-// alive so repeated solves reuse every buffer.
-type scratch struct {
-	x, r, z, p, ap       []float64
-	resid, alphas, betas []float64
-	allocs               int
-}
-
-// vec returns *buf resized to n, reusing capacity when possible.
-func (s *scratch) vec(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-		s.allocs++
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
 // CG solves A·x = b with plain conjugate gradients.
 func CG(a Operator, b []float64, opt Options) Result {
 	return PCG(a, Identity(a.Dim()), b, opt)
@@ -337,264 +312,10 @@ func PCG(a Operator, m Preconditioner, b []float64, opt Options) Result {
 // PCGCtx is PCG with cancellation: the iteration loop polls ctx every
 // opt.CheckEvery iterations and returns OutcomeCancelled promptly when the
 // context is done. It returns an error (wrapping graph.ErrBadDimension) on
-// size mismatches instead of panicking.
+// size mismatches instead of panicking. It is the one-column case of
+// BlockPCGCtx.
 func PCGCtx(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options) (Result, error) {
-	var s scratch
-	return pcgCore(ctx, a, m, b, opt, &s)
-}
-
-// pcgCore is the single PCG driver behind PCG, PCGCtx, CG and Engine.Solve:
-// one pcgIter attempt plus the Options.Recovery restart loop. Result slices
-// alias the scratch buffers (except the stitched residual history of a
-// restarted solve, which is freshly allocated). A panic during the solve —
-// including worker panics surfaced by internal/par — is returned as an
-// error carrying the panicking goroutine's stack.
-func pcgCore(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options, s *scratch) (res Result, err error) {
-	ctx, sp := obs.StartSpan(ctx, "solve/pcg")
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("solver: panic during solve: %w", par.AsError(v))
-		}
-		annotateSolveSpan(sp, &res)
-		sp.End()
-		if reg := obs.RegistryFrom(ctx); reg != nil {
-			res.Metrics.Publish(reg)
-			publishOutcome(reg, "pcg", res.Outcome)
-		}
-	}()
-	res, err = pcgIter(ctx, a, m, b, opt, s, 0)
-	if err != nil || opt.Recovery.MaxRestarts <= 0 || !recoverable(res.Outcome) {
-		return res, err
-	}
-	// Restart loop: the rare path, so stitching the residual history and
-	// totals may allocate.
-	refNorm := 0.0
-	if len(res.Residuals) > 0 {
-		refNorm = res.Residuals[0]
-	}
-	history := append([]float64(nil), res.Residuals...)
-	total := res.Metrics
-	backoff := opt.Recovery.Backoff
-	for restart := 1; restart <= opt.Recovery.MaxRestarts; restart++ {
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				res.Outcome = OutcomeCancelled
-				res.Converged = false
-				res.Reason = "cancelled during restart backoff after: " + res.Reason
-			case <-t.C:
-			}
-			if res.Outcome == OutcomeCancelled {
-				break
-			}
-			backoff *= 2
-		}
-		attempt, aerr := pcgIter(ctx, a, m, b, opt, s, refNorm)
-		if aerr != nil {
-			return res, aerr
-		}
-		// Drop the restart's ‖r₀‖ sample: it re-measures the same iterate
-		// the previous attempt already recorded.
-		if len(attempt.Residuals) > 1 {
-			history = append(history, attempt.Residuals[1:]...)
-		}
-		total.MatVecs += attempt.Metrics.MatVecs
-		total.PrecondApplies += attempt.Metrics.PrecondApplies
-		total.Iterations += attempt.Metrics.Iterations
-		total.ScratchAllocs += attempt.Metrics.ScratchAllocs
-		total.SetupTime += attempt.Metrics.SetupTime
-		total.IterTime += attempt.Metrics.IterTime
-		total.TotalTime += attempt.Metrics.TotalTime
-		total.Restarts = restart
-		total.FinalResidual = attempt.Metrics.FinalResidual
-		res = attempt
-		res.Metrics = total
-		res.Residuals = history
-		res.Iterations = total.Iterations
-		if !recoverable(res.Outcome) {
-			break
-		}
-	}
-	return res, nil
-}
-
-// pcgIter runs one PCG attempt. refNorm > 0 marks a recovery restart: the
-// iterate in s.x is kept (reset to zero only if non-finite), the residual is
-// recomputed as b − A·x, and convergence/divergence stay relative to
-// refNorm — the first attempt's ‖r₀‖ — so a restart cannot weaken the
-// termination criteria.
-func pcgIter(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options, s *scratch, refNorm float64) (Result, error) {
-	start := time.Now()
-	n := a.Dim()
-	if len(b) != n {
-		return Result{}, fmt.Errorf("solver: rhs length %d vs operator dimension %d: %w", len(b), n, graph.ErrBadDimension)
-	}
-	if m == nil {
-		m = Identity(n)
-	}
-	if m.Dim() != n {
-		return Result{}, fmt.Errorf("solver: preconditioner dimension %d vs operator dimension %d: %w", m.Dim(), n, graph.ErrBadDimension)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-8
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 10*n + 50
-	}
-	if opt.CheckEvery <= 0 {
-		opt.CheckEvery = 8
-	}
-	divTol := opt.DivergenceTol
-	if divTol == 0 {
-		divTol = 1e8
-	}
-	stagEps := opt.StagnationEps
-	if stagEps <= 0 {
-		stagEps = 1e-3
-	}
-	_, sp := obs.StartSpan(ctx, "solve/attempt")
-	defer sp.End()
-	startAllocs := s.allocs
-	x := s.vec(&s.x, n)
-	r := s.vec(&s.r, n)
-	warm := refNorm > 0
-	if warm && !finite(x) {
-		warm = false // a non-finite iterate restarts from scratch
-	}
-	if warm {
-		a.Apply(r, x) // r = b − A·x: resume from the accumulated solution
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-	} else {
-		zero(x)
-		copy(r, b)
-	}
-	rawNorm := norm2(r)
-	if opt.ProjectMean {
-		projectMean(r)
-	}
-	z := s.vec(&s.z, n)
-	p := s.vec(&s.p, n)
-	ap := s.vec(&s.ap, n)
-	res := Result{X: x}
-	if warm {
-		res.Metrics.MatVecs++
-	}
-	res.Residuals = s.resid[:0]
-	res.Alphas = s.alphas[:0]
-	res.Betas = s.betas[:0]
-	normB := norm2(r)
-	res.Residuals = append(res.Residuals, normB)
-	if refNorm <= 0 {
-		refNorm = normB
-	}
-	// A right-hand side that is (numerically) all null-space component has
-	// nothing left to solve after projection.
-	if normB == 0 || normB <= 1e-13*rawNorm || normB <= opt.Tol*refNorm {
-		res.Outcome = OutcomeConverged
-		finishSolve(&res, s, start, time.Time{}, startAllocs)
-		annotateSolveSpan(sp, &res)
-		return res, nil
-	}
-	m.Apply(z, r)
-	res.Metrics.PrecondApplies++
-	if opt.ProjectMean {
-		projectMean(z)
-	}
-	copy(p, z)
-	rz := dot(r, z)
-	res.Outcome = OutcomeMaxIter
-	iterStart := time.Now()
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		if iter%opt.CheckEvery == 0 && ctx.Err() != nil {
-			res.Outcome = OutcomeCancelled
-			break
-		}
-		a.Apply(ap, p)
-		res.Metrics.MatVecs++
-		if faultinject.Enabled() && faultinject.Fire(faultinject.MatvecNaN) {
-			ap[0] = math.NaN()
-		}
-		pap := dot(p, ap)
-		if faultinject.Enabled() && faultinject.Fire(faultinject.ForceBreakdown) {
-			pap = -1
-		}
-		if pap <= 0 || math.IsNaN(pap) {
-			// Numerical breakdown (or exact solution already reached).
-			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-positive curvature pᵀAp = %g at iteration %d", pap, iter+1)
-			break
-		}
-		alpha := rz / pap
-		res.Alphas = append(res.Alphas, alpha)
-		var rn float64
-		if rsum := updateXR(x, r, alpha, p, ap); opt.ProjectMean {
-			rn = math.Sqrt(shiftDot(r, rsum/float64(n), r))
-		} else {
-			rn = norm2(r)
-		}
-		res.Residuals = append(res.Residuals, rn)
-		res.Iterations = iter + 1
-		if opt.Progress != nil {
-			opt.Progress(res.Iterations, rn)
-		}
-		if opt.Observer != nil {
-			opt.Observer.ObserveIteration(res.Iterations, rn)
-		}
-		// Guards, in severity order. The non-finite check comes first: NaN
-		// compares false against every threshold, so the convergence and
-		// divergence tests would both silently pass over it.
-		if math.IsNaN(rn) || math.IsInf(rn, 0) {
-			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", rn, res.Iterations)
-			break
-		}
-		if rn <= opt.Tol*refNorm {
-			res.Outcome = OutcomeConverged
-			break
-		}
-		if divTol > 0 && rn > divTol*refNorm {
-			res.Outcome = OutcomeDiverged
-			res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
-				rn, divTol, divTol*refNorm, res.Iterations)
-			break
-		}
-		if w := opt.StagnationWindow; w > 0 && res.Iterations >= w {
-			ref := res.Residuals[len(res.Residuals)-1-w]
-			if rn >= (1-stagEps)*ref {
-				res.Outcome = OutcomeStagnated
-				res.Reason = fmt.Sprintf("residual improved < %g relative over the last %d iterations (‖r‖ %g → %g)",
-					stagEps, w, ref, rn)
-				break
-			}
-		}
-		m.Apply(z, r)
-		res.Metrics.PrecondApplies++
-		var rzNew float64
-		if opt.ProjectMean {
-			rzNew = shiftDot(z, sum(z)/float64(n), r)
-		} else {
-			rzNew = dot(r, z)
-		}
-		if rzNew <= 0 || math.IsNaN(rzNew) {
-			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-positive rᵀz = %g at iteration %d", rzNew, res.Iterations)
-			break
-		}
-		beta := rzNew / rz
-		res.Betas = append(res.Betas, beta)
-		xpby(p, z, beta)
-		rz = rzNew
-	}
-	finishSolve(&res, s, start, iterStart, startAllocs)
-	annotateSolveSpan(sp, &res)
-	return res, nil
+	return single(BlockPCGCtx(ctx, a, m, [][]float64{b}, opt))
 }
 
 // annotateSolveSpan stamps the termination summary onto a solve span; the
@@ -627,8 +348,8 @@ func finite(x []float64) bool {
 	return true
 }
 
-// finishSolve stamps the metrics common to every exit path and hands the
-// (possibly grown) history buffers back to the scratch for reuse. A plain
+// finishSolve stamps the metrics common to every Chebyshev exit path and hands
+// the (possibly grown) history buffer back to the scratch for reuse. A plain
 // function, not a closure: closures capturing the result would heap-allocate
 // and break the Engine's zero-allocation guarantee.
 func finishSolve(res *Result, s *scratch, start, iterStart time.Time, startAllocs int) {
@@ -644,7 +365,7 @@ func finishSolve(res *Result, s *scratch, start, iterStart time.Time, startAlloc
 	}
 	res.Metrics.ScratchAllocs = s.allocs - startAllocs
 	res.Converged = res.Outcome == OutcomeConverged
-	s.resid, s.alphas, s.betas = res.Residuals, res.Alphas, res.Betas
+	s.resid[0] = res.Residuals
 }
 
 // Chebyshev runs Chebyshev iteration for A·x = b given bounds
@@ -729,8 +450,7 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 	delta := (lmax - lmin) / 2
 	var alpha, beta float64
 	res = Result{X: x}
-	res.Residuals = append(s.resid[:0], norm2(r))
-	res.Alphas, res.Betas = s.alphas[:0], s.betas[:0]
+	res.Residuals = append(s.col(&s.resid, 0, 0), norm2(r))
 	normB := res.Residuals[0]
 	res.Outcome = OutcomeMaxIter
 	iterStart := time.Now()

@@ -87,7 +87,7 @@ func NewTreePreconditioner(g *Graph, base BaseTree, seed int64) (Preconditioner,
 	case LowStretchTree:
 		edges = lowstretch.AKPW(g, seed)
 	default:
-		return nil, fmt.Errorf("hcd: unknown base tree %d", base)
+		return nil, fmt.Errorf("hcd: unknown base tree %d: %w", base, ErrInvalidInput)
 	}
 	forest, err := graph.NewFromUniqueEdges(g.N(), edges)
 	if err != nil {
@@ -124,7 +124,7 @@ func NewGridSubgraphPreconditioner(g *Graph, nx, ny, nz, blockSize int) (*Subgra
 // bisects the off-tree edge budget using a numerics-free elimination probe.
 func NewSubgraphPreconditionerMatched(g *Graph, targetReduction float64, seed int64) (*SubgraphResult, error) {
 	if targetReduction <= 1 {
-		return nil, fmt.Errorf("hcd: target reduction must exceed 1")
+		return nil, fmt.Errorf("hcd: target reduction %g must exceed 1: %w", targetReduction, ErrInvalidInput)
 	}
 	targetCore := int(float64(g.N()) / targetReduction)
 	lo, hi := 0.0, 1.0
@@ -177,29 +177,6 @@ func NewHierarchyCtx(ctx context.Context, g *Graph, opt HierarchyOptions) (*Hier
 	return hierarchy.NewCtx(ctx, g, opt)
 }
 
-// SolvePCG solves the Laplacian system A·x = b with preconditioned
-// conjugate gradients. b should be orthogonal to the constant vector on each
-// component; with opt.ProjectMean (default) it is projected automatically.
-// Dimension mismatches return an error wrapping ErrBadDimension (earlier
-// versions panicked and returned a bare SolveResult).
-//
-// Deprecated: SolvePCG is the context-free legacy form. Use SolvePCGCtx for
-// cancellation and deadlines, Do for multi-RHS requests, or an Engine for
-// repeated solves.
-func SolvePCG(g *Graph, b []float64, m Preconditioner, opt SolveOptions) (SolveResult, error) {
-	return SolvePCGCtx(context.Background(), g, b, m, opt)
-}
-
-// Solve is the batteries-included entry point: it builds a multilevel
-// Steiner preconditioner and runs PCG to the default tolerance.
-//
-// Deprecated: Solve is a thin wrapper over SolveCtx with
-// context.Background(). Use SolveCtx (or Do); for repeated solves on one
-// graph prefer NewHierarchyEngine.
-func Solve(g *Graph, b []float64) (SolveResult, error) {
-	return SolveCtx(context.Background(), g, b)
-}
-
 // SupportNumbers holds measured support values σ(A,B), σ(B,A) and the
 // condition number κ(A,B) of a preconditioned pair.
 type SupportNumbers = support.Numbers
@@ -225,21 +202,4 @@ type ResistanceComputer = resist.Computer
 // NewResistanceComputer prepares resistance queries for a connected graph.
 func NewResistanceComputer(g *Graph) (*ResistanceComputer, error) {
 	return resist.New(g)
-}
-
-// SolveChebyshev solves A·x = b by Chebyshev iteration — the inner-product-
-// free companion of the parallel preconditioners (no reductions across
-// workers per step). It bootstraps eigenvalue bounds for M⁻¹A from a short
-// PCG probe, then iterates. Returns the solution and the residual history.
-//
-// Deprecated: SolveChebyshev is a thin wrapper over SolveChebyshevCtx with
-// context.Background() and DefaultChebyshevOptions. Use the Ctx form (or Do
-// with SolveMethodChebyshev) to configure the probe depth and Ritz-bracket
-// widening, observe the spectrum estimate, or cancel mid-solve.
-func SolveChebyshev(g *Graph, b []float64, m Preconditioner, iters int) ([]float64, []float64, error) {
-	res, err := SolveChebyshevCtx(context.Background(), g, b, m, DefaultChebyshevOptions(iters))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.X, res.Residuals, nil
 }

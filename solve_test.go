@@ -38,6 +38,33 @@ func TestSentinelErrors(t *testing.T) {
 		hcd.DefaultSolveOptions()); !errors.Is(err, hcd.ErrBadDimension) {
 		t.Errorf("mismatched preconditioner: %v, want ErrBadDimension", err)
 	}
+	// Out-of-range option values are ErrInvalidInput wherever they surface.
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"unknown decomposition method", func() error {
+			_, err := hcd.DecomposeCtx(ctx, conn, hcd.DecomposeOptions{Method: hcd.DecomposeMethod(42)})
+			return err
+		}},
+		{"ChebyshevOptions.Iters", func() error {
+			_, err := hcd.SolveChebyshevCtx(ctx, conn, make([]float64, conn.N()), nil, hcd.ChebyshevOptions{})
+			return err
+		}},
+		{"unknown base tree", func() error {
+			_, err := hcd.NewTreePreconditioner(conn, hcd.BaseTree(42), 1)
+			return err
+		}},
+		{"target reduction", func() error {
+			_, err := hcd.NewSubgraphPreconditionerMatched(conn, 1, 1)
+			return err
+		}},
+	} {
+		if err := tc.call(); !errors.Is(err, hcd.ErrInvalidInput) {
+			t.Errorf("%s: %v, want ErrInvalidInput", tc.name, err)
+		}
+	}
 }
 
 func TestSolveCtxMatchesSolve(t *testing.T) {
@@ -53,13 +80,6 @@ func TestSolveCtxMatchesSolve(t *testing.T) {
 	}
 	if res.Metrics.MatVecs == 0 || res.Metrics.PrecondApplies == 0 || res.Metrics.TotalTime <= 0 {
 		t.Errorf("hierarchy-preconditioned solve metrics not populated: %+v", res.Metrics)
-	}
-	legacy, err := hcd.Solve(g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Iterations != res.Iterations {
-		t.Errorf("wrapper iterations %d vs ctx %d", legacy.Iterations, res.Iterations)
 	}
 }
 
@@ -104,10 +124,7 @@ func TestSolveChebyshevCtxReportsSpectrum(t *testing.T) {
 	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 1)
 	rng := rand.New(rand.NewSource(34))
 	b := meanFree(rng, g.N())
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := fixedDegree(t, g, 4, 1)
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
