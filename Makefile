@@ -86,9 +86,10 @@ server-chaos:
 # over the CSR→CSR contraction kernel with the sort-and-merge contraction as
 # a differential oracle, over vertex renumbering (Permuted) with the permuted
 # original as a bitwise oracle, over the binary snapshot decoders with a
-# decode/re-encode round-trip oracle, and over the sparse Laplacian factor
-# with the dense pinned Cholesky as a differential oracle (go fuzzing runs
-# one target at a time).
+# decode/re-encode round-trip oracle, over the sparse Laplacian factor
+# with the dense pinned Cholesky as a differential oracle, and over the §3.1
+# pointer-forest split with the forest-graph chain it replaced as an exact
+# oracle (go fuzzing runs one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPermuted -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzLapFactor -fuzztime=10s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzSplitPointers -fuzztime=10s ./internal/decomp
 
 # bench-json: run the committed benchmark set and write the machine-readable
 # records (ns/op, B/op, allocs/op, host core count) behind BENCH.md:

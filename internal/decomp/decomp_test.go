@@ -28,7 +28,7 @@ func evalExact(t *testing.T, d *Decomposition) Report {
 
 func TestTreeDecompositionTinyTrees(t *testing.T) {
 	for n := 0; n <= 3; n++ {
-		g := workload.Caterpillar(maxOf(n, 1), 0, nil, 1)
+		g := workload.Caterpillar(max(n, 1), 0, nil, 1)
 		if n == 0 {
 			g = graph.MustFromEdges(0, nil)
 		}

@@ -2,12 +2,12 @@ package decomp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"hcd/internal/faultinject"
 	"hcd/internal/graph"
 	"hcd/internal/par"
-	"hcd/internal/treealg"
 )
 
 // FixedDegree implements the Section 3.1 clustering:
@@ -44,28 +44,17 @@ func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64
 	if n == 0 {
 		return d, nil
 	}
-	// Isolated vertices cannot be clustered with anyone; each becomes a
-	// singleton (they contribute no edges, hence no conductance constraint).
-	// [2] Per-vertex heaviest perturbed edge, in parallel.
-	bestTo := make([]int, n)
+	// [2] Per-vertex heaviest perturbed edge, in parallel. A vertex with no
+	// edge keeps −1: it cannot be clustered with anyone and becomes a
+	// singleton (no edges, hence no conductance constraint).
+	bestTo := make([]int32, n)
 	par.For(n, 2048, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			bestTo[v] = -1
-			nbr, w := g.Neighbors(v)
-			bestW := 0.0
-			for i, u := range nbr {
-				u := int(u)
-				pw := w[i] * perturbFactor(v, u, n, seed)
-				// Deterministic tie-break on the neighbor id keeps the
-				// perturbed order total even under float ties.
-				if bestTo[v] < 0 || pw > bestW || (pw == bestW && u < bestTo[v]) {
-					bestTo[v], bestW = u, pw
-				}
-			}
+			bestTo[v] = heaviestEdge(g, v, 0, n, seed)
 		}
 	})
-	if ctx.Err() != nil {
-		return nil, Cancelled(ctx)
+	if err := pollNow(ctx); err != nil {
+		return nil, err
 	}
 	if faultinject.Enabled() && faultinject.Fire(faultinject.PerturbCorrupt) {
 		// Chaos: wipe the heaviest-edge selection, as if the parallel scan
@@ -76,106 +65,160 @@ func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64
 			bestTo[i] = -1
 		}
 	}
-	fEdges := make([]graph.Edge, 0, n)
-	for v := 0; v < n; v++ {
-		if err := poll(ctx, v); err != nil {
-			return nil, err
-		}
-		u := bestTo[v]
-		if u < 0 {
-			continue
-		}
-		// Emit each undirected edge once: the lower endpoint owns it unless
-		// it did not select it, in which case the upper endpoint emits.
-		if v < u || bestTo[u] != v {
-			w, _ := g.Weight(v, u)
-			fEdges = append(fEdges, graph.Edge{U: minOf(v, u), V: maxOf(v, u), W: w})
-		}
-	}
-	forest, err := graph.NewFromUniqueEdges(n, fEdges)
-	if err != nil {
-		return nil, err
-	}
-	// [3] Split each tree into clusters of about sizeCap vertices. Rooting
-	// fails on a cycle, which only a tie-breaking failure in [2] can leave.
-	rooted, err := treealg.RootForest(forest)
-	if err != nil {
-		return nil, fmt.Errorf("decomp: heaviest-edge graph: %w", err)
-	}
-	d.Count, err = splitForest(ctx, forest, rooted, sizeCap, d.Assign)
-	if err != nil {
+	// [3] Split each tree into clusters of about sizeCap vertices.
+	var err error
+	if d.Count, err = splitPointers(ctx, bestTo, sizeCap, d.Assign); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// splitForest performs step [3] of the Section 3.1 clustering: walk the
-// rooted forest bottom-up, emitting a cluster whenever the pending subtree
-// reaches sizeCap vertices, then sweep the roots for leftovers. It writes
-// cluster ids starting at 0 into assign (len = forest vertex count) and
-// returns the number of clusters. Shared by the single-pass build above and
-// the per-shard build in shard.go, which runs it on shard-local forests.
-func splitForest(ctx context.Context, forest *graph.Graph, rooted *treealg.Rooted, sizeCap int, assign []int) (int, error) {
-	n := len(assign)
+// heaviestEdge returns the neighbour of v in [lo, hi) reached by v's heaviest
+// perturbed edge, −1 when v has no neighbour there. The tie-break on the
+// neighbour id keeps the perturbed order total even under float ties.
+func heaviestEdge(g *graph.Graph, v, lo, hi int, seed int64) int32 {
+	nbr, w := g.Neighbors(v)
+	best, bestW := int32(-1), 0.0
+	for i, u := range nbr {
+		if int(u) < lo || int(u) >= hi {
+			continue
+		}
+		pw := w[i] * perturbFactor(v, int(u), g.N(), seed)
+		if best < 0 || pw > bestW || (pw == bestW && u < best) {
+			best, bestW = u, pw
+		}
+	}
+	return best
+}
+
+// errPointerCycle reports heaviest-edge pointers that close a cycle, which
+// only a tie-breaking failure in step [2] can leave.
+var errPointerCycle = errors.New("decomp: heaviest-edge graph: graph has a cycle")
+
+// splitPointers performs step [3] of the Section 3.1 clustering on the
+// heaviest-edge pointers themselves: bestTo[v] is the vertex v keeps its
+// heaviest edge to, −1 for none. Their union, a forest, is held as an
+// unweighted int32 adjacency, rooted, and walked bottom-up, closing a cluster
+// whenever the pending subtree reaches sizeCap vertices. Cluster ids from 0
+// go into assign (same length as bestTo) and their count is returned; on an
+// error no id has been written. Both FixedDegreeCtx and clusterShard (on
+// shard-local pointers) end in it.
+//
+// Cluster ids follow the traversal order, so the adjacency has one fixed
+// order: v emits the edge {v, bestTo[v]} unless the choice is mutual and v
+// is the upper endpoint, and a row lists its edges by ascending emitter.
+func splitPointers(ctx context.Context, bestTo []int32, sizeCap int, assign []int) (int, error) {
+	n := len(bestTo)
 	for i := range assign {
 		assign[i] = -1
 	}
-	count := 0
-	childOff, childList := rooted.ChildLists()
-	pend := make([]int, n)
-	var stack []int
-	emit := func(v int) {
-		id := count
-		count++
-		stack = append(stack[:0], v)
+	emits := func(v int) bool {
+		u := bestTo[v]
+		return u >= 0 && (v < int(u) || int(bestTo[u]) != v)
+	}
+	// Row sizes, then row starts: off[v+1] is where row v begins until the
+	// fill below has advanced it to where row v ends, which is where row v+1
+	// begins — so afterwards row v is adj[off[v]:off[v+1]]. A forest on at
+	// most MaxInt32 vertices has fewer than 2³² row slots, hence uint32.
+	off := make([]uint32, n+2)
+	for v := 0; v < n; v++ {
+		if err := poll(ctx, v); err != nil {
+			return 0, err
+		}
+		if emits(v) {
+			off[v+2]++
+			off[int(bestTo[v])+2]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+2] += off[v+1]
+	}
+	adj := make([]int32, off[n+1]) // two slots per edge
+	for v := 0; v < n; v++ {
+		if err := poll(ctx, v); err != nil {
+			return 0, err
+		}
+		if emits(v) {
+			u := int(bestTo[v])
+			adj[off[v+1]], adj[off[u+1]] = int32(u), int32(v)
+			off[v+1]++
+			off[u+1]++
+		}
+	}
+	// Root every component at its lowest vertex by an explicit-stack
+	// preorder. parent is −1 at a root and unvisited until the traversal
+	// arrives. A forest has exactly n − edges components and the traversal
+	// spans any graph, so any other root count is the cycle check.
+	const unvisited = -2
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = unvisited
+	}
+	order := make([]int32, 0, n)
+	var stack []int32
+	roots := 0
+	for r := 0; r < n; r++ {
+		if err := poll(ctx, r); err != nil {
+			return 0, err
+		}
+		if parent[r] != unvisited {
+			continue
+		}
+		roots++
+		parent[r] = -1
+		stack = append(stack[:0], int32(r))
 		for len(stack) > 0 {
-			x := stack[len(stack)-1]
+			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			assign[x] = id
-			for _, c := range childList[childOff[x]:childOff[x+1]] {
-				if assign[c] < 0 {
-					stack = append(stack, c)
+			order = append(order, v)
+			for _, u := range adj[off[v]:off[v+1]] {
+				if parent[u] == unvisited {
+					parent[u] = v
+					stack = append(stack, u)
 				}
 			}
 		}
 	}
-	for i := len(rooted.Order) - 1; i >= 0; i-- {
+	if roots != n-len(adj)/2 {
+		return 0, errPointerCycle
+	}
+	// Close the clusters bottom-up, numbering them in the order they close.
+	// pend[v] counts the vertices of v's subtree no cluster has closed over
+	// yet: children come before parents in reverse preorder and hand their
+	// count up, and a vertex that collects sizeCap of them heads a cluster.
+	count := 0
+	pend := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
 		if err := poll(ctx, i); err != nil {
 			return 0, err
 		}
-		v := rooted.Order[i]
-		pend[v] = 1
-		for _, c := range childList[childOff[v]:childOff[v+1]] {
-			if assign[c] < 0 {
-				pend[v] += pend[c]
-			}
-		}
-		if pend[v] >= sizeCap {
-			emit(v)
-			pend[v] = 0
+		v := order[i]
+		pend[v]++
+		if int(pend[v]) >= sizeCap {
+			assign[v] = count
+			count++
+		} else if p := parent[v]; p >= 0 {
+			pend[p] += pend[v]
 		}
 	}
-	for _, root := range rooted.Roots {
-		if assign[root] >= 0 {
-			continue
+	// Forward in preorder, parents first, every vertex that heads no cluster
+	// takes the cluster of the nearest head above it. A leftover root has
+	// none: with company, or with no edge at all, it heads a cluster itself;
+	// alone it joins the first vertex of its row (every child of such a root
+	// is a head). Roots come up in ascending order.
+	for i, v := range order {
+		if err := poll(ctx, i); err != nil {
+			return 0, err
 		}
-		if pend[root] >= 2 {
-			emit(root)
-			continue
-		}
-		// A leftover singleton root: merge it into the cluster of an
-		// adjacent forest vertex; isolated vertices become singletons.
-		merged := false
-		nbr, _ := forest.Neighbors(root)
-		for _, u := range nbr {
-			if assign[u] >= 0 {
-				assign[root] = assign[u]
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			emit(root)
+		switch p := parent[v]; {
+		case assign[v] >= 0: // v heads a cluster
+		case p >= 0:
+			assign[v] = assign[p]
+		case pend[v] >= 2 || off[v] == off[v+1]:
+			assign[v] = count
+			count++
+		default:
+			assign[v] = assign[adj[off[v]]]
 		}
 	}
 	return count, nil
@@ -197,18 +240,4 @@ func perturbFactor(u, v, n int, seed int64) float64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	x ^= x >> 31
 	return 1 + float64(x>>11)/float64(1<<53)
-}
-
-func minOf(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

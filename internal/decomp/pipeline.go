@@ -37,9 +37,18 @@ const pollMask = 4095
 
 // poll is the bounded-interval cancellation check for tight loops: it
 // consults ctx.Err() once every pollMask+1 values of i and returns the
-// ErrBuildCancelled-wrapped error when the context is done.
+// ErrBuildCancelled-wrapped error when the context is done. The test on i is
+// all that inlines into the loop; the consultation is a call.
 func poll(ctx context.Context, i int) error {
-	if i&pollMask == 0 && ctx.Err() != nil {
+	if i&pollMask != 0 {
+		return nil
+	}
+	return pollNow(ctx)
+}
+
+// pollNow returns the ErrBuildCancelled-wrapped error of a done context.
+func pollNow(ctx context.Context) error {
+	if ctx.Err() != nil {
 		return Cancelled(ctx)
 	}
 	return nil

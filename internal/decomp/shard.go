@@ -30,7 +30,6 @@ import (
 
 	"hcd/internal/graph"
 	"hcd/internal/par"
-	"hcd/internal/treealg"
 )
 
 // ShardStats summarizes the sharded build: how much boundary the partition
@@ -134,62 +133,24 @@ func ClusterShards(ctx context.Context, g *graph.Graph, shards []graph.Shard, si
 }
 
 // clusterShard is FixedDegreeCtx restricted to one shard: heaviest
-// intra-shard perturbed edge per vertex, shard-local forest, splitForest.
-// Cluster ids are shard-local starting at 0, written into
+// intra-shard perturbed edge per vertex as a shard-local pointer, then the
+// same splitPointers. Cluster ids are shard-local starting at 0, written into
 // hostAssign[s.Lo():s.Hi()].
 func clusterShard(ctx context.Context, s graph.Shard, sizeCap int, seed int64, hostAssign []int) (int, error) {
-	ln := s.Len()
-	if ln == 0 {
-		return 0, nil
-	}
-	hostN := s.Host().N()
-	assign := hostAssign[s.Lo():s.Hi()]
-	// [2] Heaviest perturbed intra-shard edge per vertex. The perturbation
-	// hashes host-global ids, so shard boundaries do not change which of the
-	// surviving edges wins.
-	bestTo := make([]int, ln)
-	for li := 0; li < ln; li++ {
+	// [2] Heaviest perturbed intra-shard edge per vertex, as a shard-local
+	// pointer. The perturbation hashes host-global ids, so shard boundaries
+	// do not change which of the surviving edges wins.
+	bestTo := make([]int32, s.Len())
+	for li := range bestTo {
 		if err := poll(ctx, li); err != nil {
 			return 0, err
 		}
-		v := s.Global(li)
 		bestTo[li] = -1
-		nbr, w := s.Neighbors(v)
-		bestW := 0.0
-		for i, u := range nbr {
-			u := int(u)
-			if !s.Contains(u) {
-				continue
-			}
-			pw := w[i] * perturbFactor(v, u, hostN, seed)
-			if bestTo[li] < 0 || pw > bestW || (pw == bestW && u < s.Global(bestTo[li])) {
-				bestTo[li], bestW = s.Local(u), pw
-			}
+		if u := heaviestEdge(s.Host(), s.Global(li), s.Lo(), s.Hi(), seed); u >= 0 {
+			bestTo[li] = int32(s.Local(int(u)))
 		}
 	}
-	fEdges := make([]graph.Edge, 0, ln)
-	for v := 0; v < ln; v++ {
-		if err := poll(ctx, v); err != nil {
-			return 0, err
-		}
-		u := bestTo[v]
-		if u < 0 {
-			continue
-		}
-		if v < u || bestTo[u] != v {
-			w, _ := s.Host().Weight(s.Global(v), s.Global(u))
-			fEdges = append(fEdges, graph.Edge{U: minOf(v, u), V: maxOf(v, u), W: w})
-		}
-	}
-	forest, err := graph.NewFromUniqueEdges(ln, fEdges)
-	if err != nil {
-		return 0, err
-	}
-	rooted, err := treealg.RootForest(forest)
-	if err != nil {
-		return 0, fmt.Errorf("decomp: shard [%d,%d) heaviest-edge graph: %w", s.Lo(), s.Hi(), err)
-	}
-	return splitForest(ctx, forest, rooted, sizeCap, assign)
+	return splitPointers(ctx, bestTo, sizeCap, hostAssign[s.Lo():s.Hi()])
 }
 
 // StitchShards repairs the boundary damage of a per-shard clustering, in

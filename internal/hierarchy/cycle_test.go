@@ -586,10 +586,7 @@ func TestBuildSpanExplainsCycleScale(t *testing.T) {
 	scales := h.LevelScales()
 	seen, sawBuild := 0, false
 	for _, s := range tr.Spans() {
-		args := map[string]any{}
-		for _, a := range s.Args {
-			args[a.Key] = a.Value
-		}
+		args := spanArgs(s)
 		if s.Name == "hierarchy/build" {
 			sawBuild = true
 			if args["cycle_entries"] != h.CycleEntries() {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"hcd/internal/decomp"
 	"hcd/internal/graph"
 	"hcd/internal/solver"
 	"hcd/internal/workload"
@@ -218,6 +220,47 @@ func TestBuildAllocationBudget(t *testing.T) {
 	t.Logf("%.0f allocations per build", allocs)
 	if allocs > 2000 {
 		t.Errorf("a 32³ build made %.0f allocations, budget 2000", allocs)
+	}
+}
+
+// TestBuildAllocBudget bounds the bytes a build allocates, the deterministic
+// cost beside the build's wall-clock: at one worker a warm NewCtx on the
+// lognormal 32³ grid allocates at most 1.8× the bytes of the hierarchy it
+// returns, and the level-0 clustering alone at most 60 B per vertex — the
+// heaviest-edge pointers, an int32 forest adjacency and the kept assignment,
+// not a weighted forest graph (2.40× and 138 B with one).
+func TestBuildAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1)
+	ctx := context.Background()
+	allocated := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	opt := DefaultOptions()
+	var h *Hierarchy
+	build := func() {
+		var err error
+		if h, err = NewCtx(ctx, g, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warm: pools and lazily initialised runtime state
+	ratio := allocated(build) / float64(h.MemoryBytes())
+	perVertex := allocated(func() {
+		if _, err := decomp.FixedDegreeCtx(ctx, g, opt.SizeCap, opt.Seed); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(g.N())
+	t.Logf("build allocates %.2f× MemoryBytes, level-0 clustering %.1f B/vertex", ratio, perVertex)
+	if ratio > 1.8 {
+		t.Errorf("a 32³ build allocates %.2f× the hierarchy's MemoryBytes, budget 1.8×", ratio)
+	}
+	if perVertex > 60 {
+		t.Errorf("the level-0 clustering allocates %.1f B/vertex, budget 60", perVertex)
 	}
 }
 

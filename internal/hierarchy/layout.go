@@ -90,7 +90,15 @@ func (a *assembler) push(cur *graph.Graph, assign []int, count int) *graph.Graph
 	for _, c := range assign {
 		a.members[c]++
 	}
+	_, sp := obs.StartSpan(a.ctx, "hierarchy/contract")
 	quotient := cur.Contract(assign, count)
+	if sp != nil {
+		sp.Arg("level", len(a.h.levels)-1)
+		sp.Arg("vertices", cur.N())
+		sp.Arg("clusters", count)
+		sp.Arg("quotient_edges", quotient.M())
+	}
+	sp.End()
 	l.gamma, l.alpha = cycleScale(coarseBeta, cur.TotalVol(), quotient.TotalVol())
 	return quotient
 }

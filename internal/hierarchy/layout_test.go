@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,13 +68,11 @@ func distinctDegrees(g *graph.Graph) int {
 	return len(seen)
 }
 
-// TestBuildSpanExplainsLayout: a traced build and a traced Rebuild each emit
-// one hierarchy/layout span per level below the finest — parented by the
-// build span, or by whatever span the rebuild runs under — whose args say how large the level is and how many
-// runs of equal row length its stored order has — at most one per degree per
-// window, far fewer than the natural numbering's.
-func TestBuildSpanExplainsLayout(t *testing.T) {
-	g := workload.OCT3D(32, 32, 32, workload.DefaultOCTOptions())
+// tracedBuildAndRebuild builds g's default hierarchy under a tracer, then
+// rebuilds it from its dumped levels under a span named "restore", and
+// returns the hierarchy with the checked trace.
+func tracedBuildAndRebuild(t *testing.T, g *graph.Graph) (*Hierarchy, *obs.Tracer) {
+	t.Helper()
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
 	h, err := NewCtx(ctx, g, DefaultOptions())
@@ -89,6 +88,25 @@ func TestBuildSpanExplainsLayout(t *testing.T) {
 	if err := tr.Check(); err != nil {
 		t.Fatal(err)
 	}
+	return h, tr
+}
+
+func spanArgs(s obs.SpanInfo) map[string]any {
+	args := map[string]any{}
+	for _, a := range s.Args {
+		args[a.Key] = a.Value
+	}
+	return args
+}
+
+// TestBuildSpanExplainsLayout: a traced build and a traced Rebuild each emit
+// one hierarchy/layout span per level below the finest — parented by the
+// build span, or by whatever span the rebuild runs under — whose args say how large the level is and how many
+// runs of equal row length its stored order has — at most one per degree per
+// window, far fewer than the natural numbering's.
+func TestBuildSpanExplainsLayout(t *testing.T) {
+	g := workload.OCT3D(32, 32, 32, workload.DefaultOCTOptions())
+	h, tr := tracedBuildAndRebuild(t, g)
 	natural := naturalLevels(g, h)
 	parents := map[string]uint64{}
 	seen := map[string]int{}
@@ -97,10 +115,7 @@ func TestBuildSpanExplainsLayout(t *testing.T) {
 		case "hierarchy/build", "restore":
 			parents[s.Name] = s.ID
 		case "hierarchy/layout":
-			args := map[string]any{}
-			for _, a := range s.Args {
-				args[a.Key] = a.Value
-			}
+			args := spanArgs(s)
 			level, _ := args["level"].(int)
 			if level < 1 || level >= h.Depth() {
 				t.Fatalf("layout span for level %v of a depth-%d hierarchy", args["level"], h.Depth())
@@ -132,6 +147,61 @@ func TestBuildSpanExplainsLayout(t *testing.T) {
 	}
 	if want := h.Depth() - 1; seen["hierarchy/build"] != want || seen["restore"] != want {
 		t.Errorf("layout spans per parent %v, want %d under each of build and rebuild", seen, want)
+	}
+}
+
+// TestBuildSpansCoverBuild: a traced build says where its time went. Every
+// level's quotient construction has a hierarchy/contract span — under the
+// build span, and under whatever span a Rebuild runs in — whose args name the
+// level, its size, its clusters and the quotient's edges; and the level,
+// layout, contract and coarse-factor spans together cover at least 80 % of
+// hierarchy/build.
+func TestBuildSpansCoverBuild(t *testing.T) {
+	h, tr := tracedBuildAndRebuild(t, workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1))
+	sizes := h.LevelSizes()
+	quotientEdges := func(level int) int {
+		if level+1 < h.Depth() {
+			return h.levels[level+1].g.M()
+		}
+		return h.coarseG.M()
+	}
+	var build obs.SpanInfo
+	parents := map[uint64]string{}
+	contracts := map[string]int{}
+	var covered time.Duration
+	for _, s := range tr.Spans() {
+		switch {
+		case s.Name == "hierarchy/build":
+			build = s
+			parents[s.ID] = s.Name
+		case s.Name == "restore":
+			parents[s.ID] = s.Name
+		case s.Name == "hierarchy/contract":
+			args := spanArgs(s)
+			level, ok := args["level"].(int)
+			if !ok || level < 0 || level >= h.Depth() {
+				t.Fatalf("contract span for level %v of a depth-%d hierarchy", args["level"], h.Depth())
+			}
+			if args["vertices"] != sizes[level] || args["clusters"] != sizes[level+1] || args["quotient_edges"] != quotientEdges(level) {
+				t.Errorf("level %d contract span args %v, want vertices %d, clusters %d, quotient_edges %d",
+					level, args, sizes[level], sizes[level+1], quotientEdges(level))
+			}
+			contracts[parents[s.Parent]]++
+		}
+		named := s.Name == "hierarchy/layout" || s.Name == "hierarchy/contract" || s.Name == "hierarchy/coarse-factor" ||
+			strings.HasPrefix(s.Name, "hierarchy/level-")
+		if named && s.Parent == build.ID {
+			covered += s.Duration
+		}
+	}
+	if contracts["hierarchy/build"] != h.Depth() || contracts["restore"] != h.Depth() {
+		t.Errorf("contract spans per parent %v, want %d under each of build and rebuild", contracts, h.Depth())
+	}
+	if share := float64(covered) / float64(build.Duration); share < 0.8 {
+		t.Errorf("level, layout, contract and coarse-factor spans cover %.0f %% of hierarchy/build (%v of %v), want ≥ 80 %%",
+			100*share, covered, build.Duration)
+	} else {
+		t.Logf("child spans cover %.0f %% of hierarchy/build", 100*share)
 	}
 }
 
