@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-decomp bench-solve bench-json bench-e2e bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test portable bench bench-decomp bench-solve bench-json bench-e2e bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
 all: build test
 
@@ -16,13 +16,20 @@ test:
 vet:
 	$(GO) vet ./...
 
-# check is the pre-merge gate: gofmt, vet, the full suite under the race
+# check is the pre-merge gate: gofmt, vet, the build without the assembly
+# kernels, the full suite under the race
 # detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), the
 # determinism tests at one and two workers, a short fuzz pass over the input
 # parsers, the fault-recovery chaos battery, the
 # serving-stack smoke battery, the serving crash/recovery battery, the
 # scenario-replay smoke, and the replay-score regression gate.
-check: fmt vet race determinism fuzz chaos server-smoke server-chaos replay-smoke bench-gate
+check: fmt vet portable race determinism fuzz chaos server-smoke server-chaos replay-smoke bench-gate
+
+# portable cross-compiles for an architecture that has none of the assembly
+# kernels (internal/graph/laptile_amd64.s), so the Go-only build cannot rot;
+# cross-compiling needs no network and no C toolchain.
+portable:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/graph
 
 race:
 	$(GO) test -race ./...
@@ -87,9 +94,10 @@ server-chaos:
 # a differential oracle, over vertex renumbering (Permuted) with the permuted
 # original as a bitwise oracle, over the binary snapshot decoders with a
 # decode/re-encode round-trip oracle, over the sparse Laplacian factor
-# with the dense pinned Cholesky as a differential oracle, and over the §3.1
+# with the dense pinned Cholesky as a differential oracle, over the §3.1
 # pointer-forest split with the forest-graph chain it replaced as an exact
-# oracle (go fuzzing runs one target at a time).
+# oracle, and over the AVX2 column tiles of the block row kernels with the Go
+# tiles as a bitwise oracle (go fuzzing runs one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
@@ -99,6 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzLapFactor -fuzztime=10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzSplitPointers -fuzztime=10s ./internal/decomp
+	$(GO) test -run '^$$' -fuzz FuzzLapBlockTile -fuzztime=10s ./internal/graph
 
 # bench-json: run the committed benchmark set and write the machine-readable
 # records (ns/op, B/op, allocs/op, host core count) behind BENCH.md:

@@ -22,6 +22,7 @@ import (
 
 	"hcd"
 	"hcd/internal/cli"
+	"hcd/internal/graph"
 	"hcd/internal/obs"
 )
 
@@ -188,6 +189,7 @@ func run() (err error) {
 		fmt.Printf("converged: %d/%d  solve: %v  throughput: %.2f rhs/sec\n",
 			converged, nrhs, solveTime, float64(nrhs)/solveTime.Seconds())
 		if *metrics {
+			fmt.Printf("metrics: block-kernel=%s\n", graph.BlockKernel())
 			printLevelScales(h)
 		}
 		printRegistry(o, *metrics)

@@ -77,3 +77,78 @@ func FuzzExactConductance(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLapBlockTile differentially fuzzes the AVX2 column tiles against the Go
+// tiles: the input bytes decode into a small graph, a block width, a mode, a
+// row range and the operands, and both bodies must write the same words —
+// the same bits, or NaN on both sides — to every entry of dst, in the range
+// and outside it.
+func FuzzLapBlockTile(f *testing.F) {
+	f.Add([]byte{6, 8, 0, 0, 6, 0, 1, 3, 1, 2, 5, 2, 3, 1, 3, 4, 2, 4, 5, 9})
+	f.Add([]byte{40, 13, 2, 3, 30, 0, 1, 200, 1, 2, 100, 7, 9, 50, 9, 30, 255, 30, 31, 0})
+	f.Add([]byte{2, 4, 1, 0, 2, 0, 1, 7})
+	f.Add([]byte{17, 20, 2, 16, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !blockAVX2 {
+			t.Skip("the AVX2 tiles are not in use in this build on this host")
+		}
+		if len(data) < 5 {
+			return
+		}
+		// Bytes 0–4: vertex count in [1, 64], width in [4, 24], mode, row
+		// range; triples (u, v, w) follow and also seed the operands.
+		n := 1 + int(data[0])%64
+		k := 4 + int(data[1])%21
+		mode := int(data[2]) % 3
+		lo := int(data[3]) % (n + 1)
+		hi := lo + int(data[4])%(n+1-lo)
+		data = data[5:]
+		var es []Edge
+		for i := 0; i+2 < len(data); i += 3 {
+			if u, v := int(data[i])%n, int(data[i+1])%n; u != v {
+				es = append(es, Edge{U: u, V: v, W: math.Ldexp(1+float64(data[i+2]%16), int(data[i+2]>>4)-8)})
+			}
+		}
+		g, err := NewFromEdges(n, es)
+		if err != nil {
+			t.Fatalf("construction from valid edges failed: %v", err)
+		}
+		special := []float64{0, math.Copysign(0, -1), 5e-324, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}
+		value := func(i int) float64 {
+			if len(data) == 0 {
+				return float64(i%7) - 3
+			}
+			b := data[i%len(data)]
+			if b >= 240 {
+				return special[int(b)%len(special)]
+			}
+			return (float64(b) - 120) * float64(1+i%5) / 16
+		}
+		x, r, dInv := make([]float64, n*k), make([]float64, n*k), make([]float64, n)
+		for i := range x {
+			x[i], r[i] = value(i), value(i+n*k)
+		}
+		for v := range dInv {
+			dInv[v] = 1 / g.Vol(v)
+		}
+		if mode < 2 {
+			dInv = nil
+		}
+		if mode < 1 {
+			r = nil
+		}
+		const sentinel = 9.75
+		want, got := make([]float64, n*k), make([]float64, n*k)
+		for i := range want {
+			want[i], got[i] = sentinel, sentinel
+		}
+		g.lapMulBlockRange(false, want, r, x, dInv, 0.5, k, lo, hi)
+		g.lapMulBlockRange(true, got, r, x, dInv, 0.5, k, lo, hi)
+		for i := range want {
+			if !sameWord(got[i], want[i]) {
+				t.Fatalf("n=%d k=%d mode %d rows [%d,%d): row %d column %d: AVX2 tile %v (%#x), Go tile %v (%#x)",
+					n, k, mode, lo, hi, i/k, i%k, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	})
+}

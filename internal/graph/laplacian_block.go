@@ -1,6 +1,10 @@
 package graph
 
-import "hcd/internal/par"
+import (
+	"fmt"
+
+	"hcd/internal/par"
+)
 
 // Block (multi-vector) Laplacian matvec: dst = A·X where X packs k column
 // vectors row-major — X[v*k+j] is column j's entry at vertex v. One CSR
@@ -8,11 +12,28 @@ import "hcd/internal/par"
 // weights are loaded once and reused across the k columns, which is the
 // memory-hierarchy win that makes block-PCG multi-RHS solves faster than k
 // sequential matvecs. The row-major layout keeps the k values of one vertex
-// contiguous, so the inner column loop is a unit-stride sweep the compiler
-// can keep in registers (or vectorize) instead of k strided gathers.
+// contiguous, so a row's columns are one unit-stride load: the Go tiles below
+// keep them in scalar locals (the Go compiler does not vectorize), the
+// assembly tiles of laptile_amd64.s in one or two vector registers.
 //
 // Rows are independent, so the traversal is row-chunked across cores exactly
-// like LapMul, and the result is bit-identical at any GOMAXPROCS.
+// like LapMul, and the result is bit-identical at any GOMAXPROCS — and with
+// either body of the tiles, which perform the same IEEE operations in the
+// same order per column (DESIGN §12 "Column-tile kernels").
+
+// blockAVX2 says whether the 8- and 4-wide tiles run their AVX2 bodies:
+// decided once, at init, from the CPU and the build (never under -race or off
+// amd64). Only tests write it afterwards, to run the Go tiles on an AVX2 host.
+var blockAVX2 = cpuHasAVX2()
+
+// BlockKernel names the body of the block row kernels' column tiles in this
+// process: "avx2" or "go".
+func BlockKernel() string {
+	if blockAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
 
 // blockRowGrain returns the per-chunk row count for width-k block sweeps:
 // the scalar matvec grain scaled down by the block width so one chunk still
@@ -53,10 +74,43 @@ func (g *Graph) LapJacobiStepBlock(dst, r, x, dInv []float64, omega float64, k i
 	g.lapMulBlockDispatch(dst, r, x, dInv, omega, k)
 }
 
+// LapMulBlockGo is LapMulBlock through the Go tiles on one goroutine,
+// whatever BlockKernel reports: the reference for equality tests and the
+// baseline the assembly tiles are benchmarked against, as LapMulSerial is for
+// LapMul.
+func (g *Graph) LapMulBlockGo(dst, x []float64, k int) {
+	g.checkBlockOperands(dst, nil, x, nil, k)
+	g.lapMulBlockRange(false, dst, nil, x, nil, 0, k, 0, g.N())
+}
+
+// checkBlockOperands panics, before anything is written, unless every operand
+// of a width-k block kernel has exactly its length: N()·k for the blocks, N()
+// for the inverse diagonal.
+func (g *Graph) checkBlockOperands(dst, r, x, dInv []float64, k int) {
+	n := g.N()
+	if k < 1 {
+		panic(fmt.Errorf("graph: block kernel: width k = %d: %w", k, ErrInvalidInput))
+	}
+	check := func(name string, have, want int) {
+		if have != want {
+			panic(fmt.Errorf("graph: block kernel: len(%s) = %d, want %d (n = %d, k = %d): %w", name, have, want, n, k, ErrInvalidInput))
+		}
+	}
+	check("dst", len(dst), n*k)
+	check("x", len(x), n*k)
+	if r != nil {
+		check("r", len(r), n*k)
+		if dInv != nil {
+			check("dInv", len(dInv), n)
+		}
+	}
+}
+
 // lapMulBlockDispatch runs the block matvec — plain (r nil), fused with the
 // residual (r set) or with the Jacobi step on top of it (dInv set too) — with
 // the shared serial short-circuit and row-chunked parallel path.
 func (g *Graph) lapMulBlockDispatch(dst, r, x, dInv []float64, omega float64, k int) {
+	g.checkBlockOperands(dst, r, x, dInv, k)
 	if k == 1 {
 		switch {
 		case r == nil:
@@ -70,12 +124,13 @@ func (g *Graph) lapMulBlockDispatch(dst, r, x, dInv []float64, omega float64, k 
 	}
 	n := g.N()
 	grain := blockRowGrain(k)
+	avx2 := blockAVX2
 	if n <= grain || par.Workers() == 1 {
-		g.lapMulBlockRange(dst, r, x, dInv, omega, k, 0, n)
+		g.lapMulBlockRange(avx2, dst, r, x, dInv, omega, k, 0, n)
 		return
 	}
 	par.For(n, grain, func(lo, hi int) {
-		g.lapMulBlockRange(dst, r, x, dInv, omega, k, lo, hi)
+		g.lapMulBlockRange(avx2, dst, r, x, dInv, omega, k, lo, hi)
 	})
 }
 
@@ -90,13 +145,25 @@ func (g *Graph) lapMulBlockDispatch(dst, r, x, dInv []float64, omega float64, k 
 // (ascending neighbors, then wsum·xv − acc, then the optional subtraction
 // from r, then the optional x + (ω·dInv)·residual) is identical across tile
 // widths, so results match the untiled form bit for bit.
-func (g *Graph) lapMulBlockRange(dst, r, x, dInv []float64, omega float64, k, lo, hi int) {
+//
+// This is the one place a tile's body is chosen: with avx2 set the 8- and
+// 4-wide tiles run in assembly (lapMulBlockTileAVX2), otherwise in Go; the
+// tail is Go always.
+func (g *Graph) lapMulBlockRange(avx2 bool, dst, r, x, dInv []float64, omega float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		g.lapMulBlockTile8(dst, r, x, dInv, omega, k, j, lo, hi)
+		if avx2 {
+			g.lapMulBlockTileAVX2(8, dst, r, x, dInv, omega, k, j, lo, hi)
+		} else {
+			g.lapMulBlockTile8(dst, r, x, dInv, omega, k, j, lo, hi)
+		}
 	}
 	if j+4 <= k {
-		g.lapMulBlockTile4(dst, r, x, dInv, omega, k, j, lo, hi)
+		if avx2 {
+			g.lapMulBlockTileAVX2(4, dst, r, x, dInv, omega, k, j, lo, hi)
+		} else {
+			g.lapMulBlockTile4(dst, r, x, dInv, omega, k, j, lo, hi)
+		}
 		j += 4
 	}
 	if j < k {

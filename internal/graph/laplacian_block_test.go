@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -32,7 +35,9 @@ func blockTestGraph(t *testing.T, n int, seed int64) *Graph {
 // TestLapMulBlockMatchesColumns: the blocked matvec agrees with k independent
 // scalar matvecs column by column (to rounding — the block path accumulates
 // the neighbor sum and diagonal term separately).
-func TestLapMulBlockMatchesColumns(t *testing.T) {
+func TestLapMulBlockMatchesColumns(t *testing.T) { checkLapMulBlockMatchesColumns(t) }
+
+func checkLapMulBlockMatchesColumns(t *testing.T) {
 	g := blockTestGraph(t, 300, 1)
 	n := g.N()
 	rng := rand.New(rand.NewSource(2))
@@ -102,7 +107,9 @@ func TestLapMulBlockK1BitIdentical(t *testing.T) {
 // block Jacobi step (8-wide tile, 4-wide tile and tail) equal the
 // matvec-then-sweep sequences they fuse, bit for bit, at any worker count —
 // on a graph large enough to cross the row grain.
-func TestFusedRowKernelsMatchUnfused(t *testing.T) {
+func TestFusedRowKernelsMatchUnfused(t *testing.T) { checkFusedRowKernelsMatchUnfused(t) }
+
+func checkFusedRowKernelsMatchUnfused(t *testing.T) {
 	g := blockTestGraph(t, 3*rowGrain, 7)
 	n := g.N()
 	rng := rand.New(rand.NewSource(8))
@@ -150,7 +157,9 @@ func TestFusedRowKernelsMatchUnfused(t *testing.T) {
 // TestLapMulBlockGOMAXPROCSInvariant: rows are independent, so the block
 // matvec must be bit-identical at any worker count — including on graphs
 // large enough to cross the parallel grain.
-func TestLapMulBlockGOMAXPROCSInvariant(t *testing.T) {
+func TestLapMulBlockGOMAXPROCSInvariant(t *testing.T) { checkLapMulBlockGOMAXPROCSInvariant(t) }
+
+func checkLapMulBlockGOMAXPROCSInvariant(t *testing.T) {
 	const k = 4
 	g := blockTestGraph(t, 4096, 5)
 	n := g.N()
@@ -170,6 +179,137 @@ func TestLapMulBlockGOMAXPROCSInvariant(t *testing.T) {
 			if dst[i] != ref[i] {
 				t.Fatalf("procs=%d entry %d: %v != %v", procs, i, dst[i], ref[i])
 			}
+		}
+	}
+}
+
+// TestBlockKernelsWithoutAVX2 re-runs the block table with the AVX2 tiles
+// switched off, so the Go tiles — the fallback of other architectures and of
+// -race builds, and the oracle of TestBlockTilesMatchGoReference — keep their
+// coverage on hosts where the default run never reaches them.
+func TestBlockKernelsWithoutAVX2(t *testing.T) {
+	useGoBlockTiles(t)
+	if BlockKernel() != "go" {
+		t.Fatalf("BlockKernel() = %q with the AVX2 tiles switched off", BlockKernel())
+	}
+	t.Run("MatchesColumns", checkLapMulBlockMatchesColumns)
+	t.Run("FusedMatchUnfused", checkFusedRowKernelsMatchUnfused)
+	t.Run("GOMAXPROCSInvariant", checkLapMulBlockGOMAXPROCSInvariant)
+}
+
+// mustPanic runs f and returns what it panicked with; f returning is a test
+// failure.
+func mustPanic(t *testing.T, what string, f func()) (v interface{}) {
+	t.Helper()
+	defer func() {
+		if v = recover(); v == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+	}()
+	f()
+	return nil
+}
+
+// TestBlockOperandLengths: an operand of the wrong length — short or long by
+// one — is refused before anything is written, by a panic whose error wraps
+// ErrInvalidInput and names the operand, at every width and with either body
+// of the tiles.
+func TestBlockOperandLengths(t *testing.T) {
+	g := blockTestGraph(t, 200, 9)
+	n := g.N()
+	const sentinel = -7.25
+	for _, goTiles := range []bool{false, true} {
+		if goTiles {
+			useGoBlockTiles(t)
+		}
+		for _, k := range []int{1, 3, 8, 13} {
+			for _, delta := range []int{-1, 1} {
+				for _, operand := range []string{"dst", "x", "r", "dInv"} {
+					size := func(name string, want int) int {
+						if name == operand {
+							return want + delta
+						}
+						return want
+					}
+					dst, x, r, dInv := make([]float64, size("dst", n*k)), make([]float64, size("x", n*k)), make([]float64, size("r", n*k)), make([]float64, size("dInv", n))
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					what := fmt.Sprintf("%s kernel, k=%d, len(%s)%+d", BlockKernel(), k, operand, delta)
+					v := mustPanic(t, what, func() {
+						switch operand {
+						case "dst", "x":
+							g.LapMulBlock(dst, x, k)
+						case "r":
+							g.LapMulBlockResidual(dst, r, x, k)
+						default:
+							g.LapJacobiStepBlock(dst, r, x, dInv, 0.5, k)
+						}
+					})
+					err, ok := v.(error)
+					if !ok || !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "len("+operand+")") {
+						t.Fatalf("%s: panic %v, want an error wrapping ErrInvalidInput that names the operand", what, v)
+					}
+					for i := range dst {
+						if dst[i] != sentinel {
+							t.Fatalf("%s: dst[%d] written before the panic", what, i)
+						}
+					}
+				}
+			}
+		}
+	}
+	if v := mustPanic(t, "k=0", func() { g.LapMulBlock(nil, nil, 0) }); !errors.Is(v.(error), ErrInvalidInput) {
+		t.Fatalf("k=0: panic %v", v)
+	}
+}
+
+// TestBlockTileCorruptAdjacency: a Graph whose adjacency holds the id n — one
+// past the last vertex, which validation at construction rules out — panics
+// in the block kernels as an out-of-range index does, under either body of
+// the tiles; the AVX2 tile's id check names the row, stores nothing at or
+// after it and nothing behind dst.
+func TestBlockTileCorruptAdjacency(t *testing.T) {
+	const k, canary = 12, 424242.5
+	g := blockTestGraph(t, 600, 10)
+	n := g.N()
+	bad := *g
+	bad.adj = append([]int32(nil), g.adj...)
+	const row = 411
+	bad.adj[bad.off[row]+1] = int32(n)
+	x := make([]float64, n*k)
+	for i := range x {
+		x[i] = float64(i%13) - 6
+	}
+	for _, goTiles := range []bool{false, true} {
+		if goTiles {
+			useGoBlockTiles(t)
+		}
+		// dst ends flush against the canary: a store past it shows.
+		backing := make([]float64, n*k+64)
+		for i := range backing {
+			backing[i] = canary
+		}
+		dst := backing[: n*k : n*k]
+		v := mustPanic(t, BlockKernel()+" kernel", func() { bad.LapMulBlock(dst, x, k) })
+		for i, b := range backing[n*k:] {
+			if b != canary {
+				t.Fatalf("%s kernel: %d words behind dst overwritten", BlockKernel(), i+1)
+			}
+		}
+		if !blockAVX2 {
+			continue
+		}
+		if msg, ok := v.(string); !ok || !strings.Contains(msg, fmt.Sprintf("row %d ", row)) {
+			t.Fatalf("avx2 kernel: panic %v, want the id check naming row %d", v, row)
+		}
+		for i := row * k; i < n*k; i++ {
+			if dst[i] != canary {
+				t.Fatalf("avx2 kernel: dst row %d column %d written at or after the corrupt row %d", i/k, i%k, row)
+			}
+		}
+		if dst[(row-1)*k] == canary {
+			t.Fatalf("avx2 kernel: row %d, before the corrupt one, was not computed", row-1)
 		}
 	}
 }

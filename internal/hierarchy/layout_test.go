@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -304,6 +305,53 @@ func BenchmarkLapMulByLevel(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*g.M()), "ns/entry")
 			})
+		}
+	}
+}
+
+// BenchmarkLapMulBlockByLevel is BenchmarkLapMulByLevel for the block matvec
+// at the widths the benchmark's block workloads solve with (4: serve-mixed's
+// rhs4 class, 8: block-femesh2d), through the Go column tiles and through the
+// AVX2 ones, on one worker so that both sides are one goroutine. Besides
+// ns/entry it reports the bandwidth the call's arrays amount to, for setting
+// against mem.triad_gbps (DESIGN §12 "Column-tile kernels"): per call
+//
+//	12 B × 2m   every stored entry's id (4 B) and weight (8 B), read once
+//	 8 B × (n+1)  the row offsets
+//	24 B × n·k  three block vectors: x read, dst write-allocated and written
+//
+// — computed bytes, not measured traffic: the gathers of x re-read rows that
+// the count assumes stay cached.
+func BenchmarkLapMulBlockByLevel(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range layoutBenchGraphs(b) {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for level, l := range h.levels {
+			g := l.g
+			for _, k := range []int{4, 8} {
+				x, dst := ramp(g.N()*k), make([]float64, g.N()*k)
+				bytes := float64(12*2*g.M() + 8*(g.N()+1) + 24*g.N()*k)
+				for _, kernel := range []struct {
+					name string
+					mul  func(dst, x []float64, k int)
+				}{{"go", g.LapMulBlockGo}, {"avx2", g.LapMulBlock}} {
+					b.Run(fmt.Sprintf("%s/level=%d/k=%d/%s", tc.name, level, k, kernel.name), func(b *testing.B) {
+						if kernel.name != "go" && graph.BlockKernel() != kernel.name {
+							b.Skipf("this process runs the %s block kernel", graph.BlockKernel())
+						}
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							kernel.mul(dst, x, k)
+						}
+						ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+						b.ReportMetric(ns/float64(2*g.M()), "ns/entry")
+						b.ReportMetric(bytes/ns, "GB/s")
+					})
+				}
+			}
 		}
 	}
 }

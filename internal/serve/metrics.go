@@ -44,6 +44,9 @@ const (
 	// Solve micro-batching (PR 9).
 	metricBatchedSolves = "serve_batched_solves_total" // requests served via a coalesced batch (width ≥ 2)
 	metricBatchWidth    = "serve_batch_width"          // histogram: requests per executed batch
+
+	// What this process runs (PR 25): constant 1, the facts are the labels.
+	metricBuildInfo = "hcd_build_info" // {goarch,block_kernel}
 )
 
 var durationBuckets = []float64{

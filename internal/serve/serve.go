@@ -9,13 +9,16 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hcd"
+	"hcd/internal/graph"
 	"hcd/internal/obs"
 )
 
@@ -143,6 +146,7 @@ func New(cfg Config) *Server {
 		adm: newAdmission(cfg.Admission),
 		mux: http.NewServeMux(),
 	}
+	gaugeSet(s.reg, fmt.Sprintf("%s{goarch=%q,block_kernel=%q}", metricBuildInfo, runtime.GOARCH, graph.BlockKernel()), 1)
 	s.batch = newBatcher(cfg.BatchWindow, cfg.BatchMaxWidth, cfg.Registry)
 	s.store = newStore(cfg.MaxHandles, cfg.MaxBytes, cfg.PoolSize, cfg.Hierarchy, s.reg, s.tr)
 	s.store.autoShard = cfg.AutoShardVertices

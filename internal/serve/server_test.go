@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"hcd/internal/graph"
 	"hcd/internal/obs"
 )
 
@@ -344,5 +346,26 @@ func TestSubmitBodyFormats(t *testing.T) {
 	x := body["results"].([]any)[0].(map[string]any)["x"].([]any)
 	if len(x) != 4 {
 		t.Fatalf("include_x: len %d, want 4", len(x))
+	}
+}
+
+// TestBuildInfoOnMetrics: /metrics says what this process runs — the
+// architecture and which body of the block row kernels' column tiles — as the
+// labels of a constant-1 gauge, so a latency gap between two hosts is read
+// off their scrapes.
+func TestBuildInfoOnMetrics(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	resp, err := c.hc.Get(c.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("hcd_build_info{goarch=%q,block_kernel=%q} 1\n", runtime.GOARCH, graph.BlockKernel())
+	if !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }

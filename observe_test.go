@@ -16,6 +16,7 @@ import (
 
 	"hcd"
 	"hcd/internal/faultinject"
+	"hcd/internal/graph"
 	"hcd/internal/obs"
 )
 
@@ -266,5 +267,42 @@ func TestChebyshevObserver(t *testing.T) {
 	}
 	if n != res.Iterations {
 		t.Fatalf("observer saw %d iterations, solve ran %d", n, res.Iterations)
+	}
+}
+
+// TestAttemptSpanNamesBlockKernel: the trace of a multi-RHS solve says which
+// body of the block row kernels' column tiles served it — the block_kernel
+// argument of every solve/attempt span at k > 1 — and a single-RHS solve,
+// which runs no tile, says nothing.
+func TestAttemptSpanNamesBlockKernel(t *testing.T) {
+	g := hcd.Grid2D(16, 16, nil, 1)
+	for _, k := range []int{1, 4} {
+		tr := hcd.NewTracer()
+		B := make([][]float64, k)
+		for j := range B {
+			B[j] = meanFreeRHS(g.N())
+		}
+		if _, err := hcd.Do(hcd.WithTracer(context.Background(), tr), g, hcd.SolveRequest{B: B}); err != nil {
+			t.Fatal(err)
+		}
+		attempts := 0
+		for _, s := range tr.Spans() {
+			if s.Name != "solve/attempt" {
+				continue
+			}
+			attempts++
+			var kernel any
+			for _, a := range s.Args {
+				if a.Key == "block_kernel" {
+					kernel = a.Value
+				}
+			}
+			if want := any(graph.BlockKernel()); k > 1 && kernel != want || k == 1 && kernel != nil {
+				t.Errorf("k=%d: solve/attempt block_kernel = %v (this process runs %q)", k, kernel, graph.BlockKernel())
+			}
+		}
+		if attempts == 0 {
+			t.Errorf("k=%d: no solve/attempt span", k)
+		}
 	}
 }
