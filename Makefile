@@ -96,8 +96,10 @@ server-chaos:
 # decode/re-encode round-trip oracle, over the sparse Laplacian factor
 # with the dense pinned Cholesky as a differential oracle, over the §3.1
 # pointer-forest split with the forest-graph chain it replaced as an exact
-# oracle, and over the AVX2 column tiles of the block row kernels with the Go
-# tiles as a bitwise oracle (go fuzzing runs one target at a time).
+# oracle, over the AVX2 column tiles of the block row kernels with the Go
+# tiles as a bitwise oracle, and over the column tiles of the solver's block
+# sweeps with their any-width loops as a bitwise oracle (go fuzzing runs one
+# target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
@@ -108,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLapFactor -fuzztime=10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzSplitPointers -fuzztime=10s ./internal/decomp
 	$(GO) test -run '^$$' -fuzz FuzzLapBlockTile -fuzztime=10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzBlockSweeps -fuzztime=10s ./internal/solver
 
 # bench-json: run the committed benchmark set and write the machine-readable
 # records (ns/op, B/op, allocs/op, host core count) behind BENCH.md:

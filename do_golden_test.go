@@ -1,0 +1,168 @@
+package hcd_test
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"hcd"
+	"hcd/internal/graph"
+)
+
+// staggeredRHS returns k mean-free right-hand sides of decreasing difficulty.
+// Column j is unit white noise plus 4ʲ times the dominant eigenvector of A·M
+// (40 power iterations): PCG removes an extreme eigencomponent in its first
+// steps, after which the noise already sits 4⁻ʲ below the reference norm, so
+// the columns of one block converge one after another and deflation walks the
+// active width down through every tile shape on the way.
+func staggeredRHS(g *hcd.Graph, m hcd.Preconditioner, k int, seed int64) [][]float64 {
+	n := g.N()
+	rng := rand.New(rand.NewSource(seed))
+	unit := func(b []float64) {
+		s, ss := 0.0, 0.0
+		for _, f := range b {
+			s += f
+		}
+		for v := range b {
+			b[v] -= s / float64(n)
+			ss += b[v] * b[v]
+		}
+		for v := range b {
+			b[v] /= math.Sqrt(ss)
+		}
+	}
+	top, t := meanFree(rng, n), make([]float64, n)
+	for it := 0; it < 40; it++ {
+		m.Apply(t, top)
+		g.LapMul(top, t)
+		unit(top)
+	}
+	B := make([][]float64, k)
+	for j := range B {
+		b := meanFree(rng, n)
+		unit(b)
+		for v := range b {
+			b[v] += math.Pow(4, float64(j)) * top[v]
+		}
+		B[j] = b
+	}
+	return B
+}
+
+// hashBlock folds every column's iterate, residual history, α and β — by bit
+// pattern — and its iteration count into one FNV-64a.
+func hashBlock(results []hcd.SolveResult) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for _, res := range results {
+		word(uint64(res.Iterations))
+		for _, vec := range [][]float64{res.X, res.Residuals, res.Alphas, res.Betas} {
+			word(uint64(len(vec)))
+			for _, f := range vec {
+				word(math.Float64bits(f))
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// goldenBlock pins one hcd.Do call: the iteration count of every column and
+// hashBlock of the response.
+type goldenBlock struct {
+	iters []int
+	hash  uint64
+}
+
+// doBlockGolden was generated at the commit before the level-1 block sweeps
+// were column-tiled (PR 26) and has to survive any change that claims to leave
+// the iterates alone. After a change that is meant to move them, copy the new
+// lines from the failure output.
+var doBlockGolden = map[string]goldenBlock{
+	"femesh32/k01/project=true":  {[]int{15}, 0x8ea0ff7735b2f6f5},
+	"femesh32/k01/project=false": {[]int{15}, 0xf6429b752095f4e7},
+	"femesh32/k03/project=true":  {[]int{16, 15, 14}, 0x886c1ef9c156c341},
+	"femesh32/k03/project=false": {[]int{16, 15, 14}, 0x71b3c3f6e50115c1},
+	"femesh32/k04/project=true":  {[]int{15, 15, 14, 13}, 0x95813ab0a92d1518},
+	"femesh32/k04/project=false": {[]int{15, 15, 14, 13}, 0xf2a897e9a8c23b2f},
+	"femesh32/k07/project=true":  {[]int{15, 15, 14, 13, 12, 11, 10}, 0xd02b54436a6b7d1},
+	"femesh32/k07/project=false": {[]int{15, 15, 14, 13, 12, 11, 10}, 0x8f6d8816bafc7d9},
+	"femesh32/k08/project=true":  {[]int{15, 15, 14, 13, 12, 11, 10, 9}, 0x3763496ff65843df},
+	"femesh32/k08/project=false": {[]int{15, 15, 14, 13, 12, 11, 10, 9}, 0x1d570db22357588e},
+	"femesh32/k12/project=true":  {[]int{15, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6}, 0xc4ed731afa48a6b1},
+	"femesh32/k12/project=false": {[]int{15, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6}, 0xa790631e24c9f9e6},
+	"grid3d12/k01/project=true":  {[]int{14}, 0x9fdb00e309947317},
+	"grid3d12/k01/project=false": {[]int{14}, 0x7b78457db4de02cb},
+	"grid3d12/k03/project=true":  {[]int{14, 14, 12}, 0x26d6d5a55a4868c2},
+	"grid3d12/k03/project=false": {[]int{14, 14, 12}, 0x9cfdf390e0ce9cbb},
+	"grid3d12/k04/project=true":  {[]int{14, 13, 13, 12}, 0xe7ab65650a5cb976},
+	"grid3d12/k04/project=false": {[]int{14, 13, 13, 12}, 0x9f8846d8302f337c},
+	"grid3d12/k07/project=true":  {[]int{14, 13, 12, 12, 11, 10, 9}, 0x5659ee757d1dd4f6},
+	"grid3d12/k07/project=false": {[]int{14, 13, 12, 12, 11, 10, 9}, 0x98a4f74b77b0a08d},
+	"grid3d12/k08/project=true":  {[]int{14, 13, 12, 12, 11, 10, 10, 9}, 0xb88caf1560111982},
+	"grid3d12/k08/project=false": {[]int{14, 13, 12, 12, 11, 10, 10, 9}, 0x4b6e1df91ff3942},
+	"grid3d12/k12/project=true":  {[]int{14, 13, 13, 12, 11, 10, 9, 8, 8, 7, 6, 6}, 0x6c3934d75552b562},
+	"grid3d12/k12/project=false": {[]int{14, 13, 13, 12, 11, 10, 9, 8, 8, 7, 6, 6}, 0xeadd8e51701cda60},
+}
+
+// TestDoBlockGolden is the whole-solve bit-identity check: hcd.Do under the
+// default hierarchy at widths that reach every column-tile shape (tail only,
+// 4, 4 + tail, 8, 8 + 4), with and without the mean projection (the two sets
+// of fused PCG sweeps), compared against constants from an earlier commit. It
+// runs with whichever block row kernel the process has — AVX2, or the Go tiles
+// under -race — and both must reproduce the same constants.
+func TestDoBlockGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits are amd64's: other ports may fuse a + b·c")
+	}
+	t.Logf("block kernel: %s", graph.BlockKernel())
+	fem, err := hcd.FEMesh(32, 32, -1, nil, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *hcd.Graph
+	}{
+		{"femesh32", fem},
+		{"grid3d12", hcd.Grid3D(12, 12, 12, hcd.LognormalWeights(1), 7)},
+	}
+	for _, gr := range graphs {
+		m, err := hcd.NewPreconditioner(context.Background(), gr.g, hcd.PrecondSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 3, 4, 7, 8, 12} {
+			B := staggeredRHS(gr.g, m, k, int64(100+k))
+			for _, project := range []bool{true, false} {
+				name := fmt.Sprintf("%s/k%02d/project=%t", gr.name, k, project)
+				opt := hcd.DefaultSolveOptions()
+				opt.ProjectMean = project
+				resp, err := hcd.Do(context.Background(), gr.g, hcd.SolveRequest{B: B, M: m, Options: opt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				iters := make([]int, k)
+				for j, res := range resp.Results {
+					if !res.Converged {
+						t.Errorf("%s column %d: %s", name, j, res.Outcome)
+					}
+					iters[j] = res.Iterations
+				}
+				want := doBlockGolden[name]
+				if got := hashBlock(resp.Results); got != want.hash || !reflect.DeepEqual(iters, want.iters) {
+					t.Errorf("iterates moved; got\n\t%q: {%#v, %#x},", name, iters, got)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,11 @@
 package hierarchy
 
-import "hcd/internal/par"
+import (
+	"fmt"
+
+	"hcd/internal/graph"
+	"hcd/internal/par"
+)
 
 // The apply: one traversal of the hierarchy smooths, restricts and
 // coarse-solves k residuals at once, packed row-major [n][k] like the
@@ -59,8 +64,22 @@ func (h *Hierarchy) Apply(dst, r []float64) { h.ApplyBlock(dst, r, 1) }
 
 // ApplyBlock computes dst ≈ B⁺·r for k packed columns (dst[v*k+j] column j
 // at vertex v). It implements the solver's BlockApplier fast path. Safe for
-// concurrent use, and bit-identical at any worker count.
+// concurrent use, and bit-identical at any worker count. It panics, before
+// anything is written, with an error wrapping graph.ErrInvalidInput unless
+// k ≥ 1 and dst and r each hold exactly Dim()·k entries: an over-long operand
+// is rejected like a short one, at k = 1 (Apply) too.
 func (h *Hierarchy) ApplyBlock(dst, r []float64, k int) {
+	n := h.Dim()
+	if k < 1 {
+		panic(fmt.Errorf("hierarchy: ApplyBlock: width k = %d: %w", k, graph.ErrInvalidInput))
+	}
+	check := func(name string, have int) {
+		if have != n*k {
+			panic(fmt.Errorf("hierarchy: ApplyBlock: len(%s) = %d, want n·k = %d (n = %d, k = %d): %w", name, have, n*k, n, k, graph.ErrInvalidInput))
+		}
+	}
+	check("dst", len(dst))
+	check("r", len(r))
 	w := h.getWork()
 	h.applyLevel(0, dst, r, k, w)
 	h.workPool.Put(w)
@@ -121,9 +140,13 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 }
 
 // The sweeps between the row kernels. A width-1 block is a plain vector and
-// gets the plain loop; wider blocks walk packed rows. The two loops of
-// jacobiFromZero round differently (ω·r·d⁻¹ against (ω·d⁻¹)·r), so each width
-// keeps its own.
+// gets the plain loop; wider blocks walk packed rows in column tiles — 8 wide,
+// then 4, then a 1–3 column tail, like the row kernels of internal/graph —
+// each tile holding a row's (or a cluster's) values and its coefficient in
+// locals and storing them once. Per column every tile does what its tail, the
+// any-width loop over the column window [j0, k), does in the same order, so
+// the width of a tile never shows in a result. The two loops of jacobiFromZero
+// round differently (ω·r·d⁻¹ against (ω·d⁻¹)·r), so each width keeps its own.
 
 // elemGrain is the minimum number of floats per chunk of the elementwise
 // sweeps; below it par.For degrades to one sequential call.
@@ -149,15 +172,64 @@ func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
 			}
 			return
 		}
-		for v := lo; v < hi; v++ {
-			od := omega * l.dInv[v]
-			rv := r[v*k : v*k+k : v*k+k]
-			xv := x[v*k : v*k+k : v*k+k]
-			for j := range xv {
-				xv[j] = od * rv[j]
-			}
-		}
+		l.jacobiFromZeroRange(x, r, omega, k, lo, hi)
 	})
+}
+
+// jacobiFromZeroRange is jacobiFromZero on rows [lo, hi) of a k > 1 block.
+func (l *Level) jacobiFromZeroRange(x, r []float64, omega float64, k, lo, hi int) {
+	j := 0
+	for ; j+8 <= k; j += 8 {
+		l.jacobiFromZeroTile8(x, r, omega, k, j, lo, hi)
+	}
+	if j+4 <= k {
+		l.jacobiFromZeroTile4(x, r, omega, k, j, lo, hi)
+		j += 4
+	}
+	if j < k {
+		l.jacobiFromZeroTail(x, r, omega, k, j, lo, hi)
+	}
+}
+
+func (l *Level) jacobiFromZeroTile8(x, r []float64, omega float64, k, j0, lo, hi int) {
+	for v, d := range l.dInv[lo:hi] {
+		od := omega * d
+		o := (lo+v)*k + j0
+		rv := r[o : o+8 : o+8]
+		xv := x[o : o+8 : o+8]
+		xv[0] = od * rv[0]
+		xv[1] = od * rv[1]
+		xv[2] = od * rv[2]
+		xv[3] = od * rv[3]
+		xv[4] = od * rv[4]
+		xv[5] = od * rv[5]
+		xv[6] = od * rv[6]
+		xv[7] = od * rv[7]
+	}
+}
+
+func (l *Level) jacobiFromZeroTile4(x, r []float64, omega float64, k, j0, lo, hi int) {
+	for v, d := range l.dInv[lo:hi] {
+		od := omega * d
+		o := (lo+v)*k + j0
+		rv := r[o : o+4 : o+4]
+		xv := x[o : o+4 : o+4]
+		xv[0] = od * rv[0]
+		xv[1] = od * rv[1]
+		xv[2] = od * rv[2]
+		xv[3] = od * rv[3]
+	}
+}
+
+func (l *Level) jacobiFromZeroTail(x, r []float64, omega float64, k, j0, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		od := omega * l.dInv[v]
+		rv := r[v*k+j0 : v*k+k : v*k+k]
+		xv := x[v*k+j0 : v*k+k : v*k+k]
+		for j := range xv {
+			xv[j] = od * rv[j]
+		}
+	}
 }
 
 // prolongAdd computes x += α·R·xq: every vertex takes its cluster's
@@ -171,17 +243,67 @@ func (l *Level) prolongAdd(x, xq []float64, k int) {
 			}
 			return
 		}
-		for v := lo; v < hi; v++ {
-			q := xq[int(l.assign[v])*k:]
-			xv := x[v*k : v*k+k : v*k+k]
-			for j := range xv {
-				xv[j] += alpha * q[j]
-			}
-		}
+		l.prolongAddRange(x, xq, alpha, k, lo, hi)
 	})
 }
 
+// prolongAddRange is prolongAdd on rows [lo, hi) of a k > 1 block.
+func (l *Level) prolongAddRange(x, xq []float64, alpha float64, k, lo, hi int) {
+	j := 0
+	for ; j+8 <= k; j += 8 {
+		l.prolongAddTile8(x, xq, alpha, k, j, lo, hi)
+	}
+	if j+4 <= k {
+		l.prolongAddTile4(x, xq, alpha, k, j, lo, hi)
+		j += 4
+	}
+	if j < k {
+		l.prolongAddTail(x, xq, alpha, k, j, lo, hi)
+	}
+}
+
+func (l *Level) prolongAddTile8(x, xq []float64, alpha float64, k, j0, lo, hi int) {
+	for v, c := range l.assign[lo:hi] {
+		o := (lo+v)*k + j0
+		xv := x[o : o+8 : o+8]
+		o = int(c)*k + j0
+		q := xq[o : o+8 : o+8]
+		xv[0] += alpha * q[0]
+		xv[1] += alpha * q[1]
+		xv[2] += alpha * q[2]
+		xv[3] += alpha * q[3]
+		xv[4] += alpha * q[4]
+		xv[5] += alpha * q[5]
+		xv[6] += alpha * q[6]
+		xv[7] += alpha * q[7]
+	}
+}
+
+func (l *Level) prolongAddTile4(x, xq []float64, alpha float64, k, j0, lo, hi int) {
+	for v, c := range l.assign[lo:hi] {
+		o := (lo+v)*k + j0
+		xv := x[o : o+4 : o+4]
+		o = int(c)*k + j0
+		q := xq[o : o+4 : o+4]
+		xv[0] += alpha * q[0]
+		xv[1] += alpha * q[1]
+		xv[2] += alpha * q[2]
+		xv[3] += alpha * q[3]
+	}
+}
+
+func (l *Level) prolongAddTail(x, xq []float64, alpha float64, k, j0, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		q := xq[int(l.assign[v])*k+j0:]
+		xv := x[v*k+j0 : v*k+k : v*k+k]
+		for j := range xv {
+			xv[j] += alpha * q[j]
+		}
+	}
+}
+
 // steinerSum computes dst = D⁻¹r + R·xq, the unsmoothed two-level identity.
+// Only Smooth: 0 hierarchies run it, so it stays on the any-width loop.
 func (l *Level) steinerSum(dst, r, xq []float64, k int) {
 	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -218,17 +340,78 @@ func (l *Level) restrict(r, rq []float64, k int) {
 			}
 			return
 		}
-		for c := lo; c < hi; c++ {
-			acc := rq[c*k : c*k+k : c*k+k]
+		l.restrictRange(r, rq, k, lo, hi)
+	})
+}
+
+// restrictRange is restrict on clusters [lo, hi) of a k > 1 block.
+func (l *Level) restrictRange(r, rq []float64, k, lo, hi int) {
+	j := 0
+	for ; j+8 <= k; j += 8 {
+		l.restrictTile8(r, rq, k, j, lo, hi)
+	}
+	if j+4 <= k {
+		l.restrictTile4(r, rq, k, j, lo, hi)
+		j += 4
+	}
+	if j < k {
+		l.restrictTail(r, rq, k, j, lo, hi)
+	}
+}
+
+func (l *Level) restrictTile8(r, rq []float64, k, j0, lo, hi int) {
+	order := l.order
+	i := l.start[lo]
+	for c, end := range l.start[lo+1 : hi+1] {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for ; i < end; i++ {
+			o := int(order[i])*k + j0
+			rv := r[o : o+8 : o+8]
+			a0 += rv[0]
+			a1 += rv[1]
+			a2 += rv[2]
+			a3 += rv[3]
+			a4 += rv[4]
+			a5 += rv[5]
+			a6 += rv[6]
+			a7 += rv[7]
+		}
+		o := (lo+c)*k + j0
+		acc := rq[o : o+8 : o+8]
+		acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+}
+
+func (l *Level) restrictTile4(r, rq []float64, k, j0, lo, hi int) {
+	order := l.order
+	i := l.start[lo]
+	for c, end := range l.start[lo+1 : hi+1] {
+		var a0, a1, a2, a3 float64
+		for ; i < end; i++ {
+			o := int(order[i])*k + j0
+			rv := r[o : o+4 : o+4]
+			a0 += rv[0]
+			a1 += rv[1]
+			a2 += rv[2]
+			a3 += rv[3]
+		}
+		o := (lo+c)*k + j0
+		acc := rq[o : o+4 : o+4]
+		acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+	}
+}
+
+func (l *Level) restrictTail(r, rq []float64, k, j0, lo, hi int) {
+	for c := lo; c < hi; c++ {
+		acc := rq[c*k+j0 : c*k+k : c*k+k]
+		for j := range acc {
+			acc[j] = 0
+		}
+		for i := l.start[c]; i < l.start[c+1]; i++ {
+			rv := r[int(l.order[i])*k+j0:]
 			for j := range acc {
-				acc[j] = 0
-			}
-			for i := l.start[c]; i < l.start[c+1]; i++ {
-				rv := r[int(l.order[i])*k:]
-				for j := range acc {
-					acc[j] += rv[j]
-				}
+				acc[j] += rv[j]
 			}
 		}
-	})
+	}
 }

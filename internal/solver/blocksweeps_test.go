@@ -1,0 +1,260 @@
+package solver
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sweepArgs are the operands of one level-1 block sweep over rows [lo, hi) of
+// width-k blocks: four packed blocks, the per-column coefficients (α, β or the
+// means) and the reduction's per-column accumulators.
+type sweepArgs struct {
+	x, r, p, ap []float64
+	coef, acc   []float64
+	k, lo, hi   int
+}
+
+func (a *sweepArgs) clone() *sweepArgs {
+	c := *a
+	for _, f := range []*[]float64{&c.x, &c.r, &c.p, &c.ap, &c.coef, &c.acc} {
+		*f = append([]float64(nil), *f...)
+	}
+	return &c
+}
+
+// blockSweeps lists the tiled k > 1 kernels of blockkernels.go (all but
+// blockUpdateXRNormSq, which has only its any-width loop) three ways: tiled is
+// the row-range body the solver runs (8-wide tile, 4-wide tile, tail); loop is
+// the kernel's any-width loop from column 0 — its tail, and the reference the
+// tiles are held to; whole is the kernel's entry point over rows [0, n). bytes
+// is what one element costs in loads and stores.
+var blockSweeps = []struct {
+	name  string
+	bytes float64
+	tiled func(a *sweepArgs)
+	loop  func(a *sweepArgs)
+	whole func(s *scratch, a *sweepArgs, n int)
+}{
+	{"dots", 16,
+		func(a *sweepArgs) { blockDotsRange(a.x, a.r, a.k, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) { blockDotsTail(a.x, a.r, a.k, 0, a.lo, a.hi, a.acc) },
+		func(s *scratch, a *sweepArgs, n int) { s.blockDots(a.x, a.r, n, a.k, a.acc) }},
+	{"normSq", 8,
+		func(a *sweepArgs) { blockDotsRange(a.x, a.x, a.k, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) { blockDotsTail(a.x, a.x, a.k, 0, a.lo, a.hi, a.acc) },
+		func(s *scratch, a *sweepArgs, n int) { s.blockNormSq(a.x, n, a.k, a.acc) }},
+	{"colSums", 8,
+		func(a *sweepArgs) { blockColSumsRange(a.x, a.k, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) { blockColSumsTail(a.x, a.k, 0, a.lo, a.hi, a.acc) },
+		func(s *scratch, a *sweepArgs, n int) { s.blockColSums(a.x, n, a.k, a.acc) }},
+	{"subMeanDot", 24,
+		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.r, a.coef, a.k, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
+		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanDot(a.x, a.r, n, a.k, a.coef, a.acc) }},
+	{"subMeanNormSq", 16,
+		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.x, a.coef, a.k, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.x, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
+		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanNormSq(a.x, n, a.k, a.coef, a.acc) }},
+	{"updateXRSums", 48,
+		func(a *sweepArgs) { blockUpdateXRSumsRange(a.x, a.r, a.p, a.ap, a.coef, a.k, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) { blockUpdateXRSumsTail(a.x, a.r, a.p, a.ap, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
+		func(s *scratch, a *sweepArgs, n int) { s.blockUpdateXRSums(a.x, a.r, a.p, a.ap, a.coef, n, a.k, a.acc) }},
+	{"xpby", 24,
+		func(a *sweepArgs) { blockXPBYRange(a.x, a.r, a.coef, a.k, a.lo, a.hi) },
+		func(a *sweepArgs) { blockXPBYTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi) },
+		func(_ *scratch, a *sweepArgs, n int) { blockXPBY(a.x, a.r, a.coef, n, a.k) }},
+}
+
+// sweepSpecials are the values a kernel that reorders, fuses or flushes
+// anything gets wrong: signed zeros, denormals, the extremes, infinities, NaN.
+var sweepSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, math.SmallestNonzeroFloat64 * (1 << 20),
+	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// newSweepArgs fills operands for n rows of width k over rows [lo, hi) from
+// draw: the four blocks, then the coefficients, then the accumulators — which
+// therefore start non-zero: a body adds to what it finds.
+func newSweepArgs(n, k, lo, hi int, draw func() float64) *sweepArgs {
+	a := &sweepArgs{k: k, lo: lo, hi: hi}
+	for _, f := range []struct {
+		dst *[]float64
+		len int
+	}{{&a.x, n * k}, {&a.r, n * k}, {&a.p, n * k}, {&a.ap, n * k}, {&a.coef, k}, {&a.acc, k}} {
+		*f.dst = make([]float64, f.len)
+		for i := range *f.dst {
+			(*f.dst)[i] = draw()
+		}
+	}
+	return a
+}
+
+// randomSweepArgs draws normal deviates for all n rows; with special set,
+// every fifth value — coefficients and starting accumulators included — comes
+// from sweepSpecials.
+func randomSweepArgs(rng *rand.Rand, n, k int, special bool) *sweepArgs {
+	return newSweepArgs(n, k, 0, n, func() float64 {
+		if special && rng.Intn(5) == 0 {
+			return sweepSpecials[rng.Intn(len(sweepSpecials))]
+		}
+		return rng.NormFloat64()
+	})
+}
+
+// sameWord compares by bit pattern, any NaN matching any NaN: which of two NaN
+// operands a product propagates is the compiler's choice of register.
+func sameWord(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
+// diffSweep returns the first word in which the two operand sets differ.
+func diffSweep(got, want *sweepArgs) string {
+	names := []string{"x", "r", "p", "ap", "coef", "acc"}
+	for f, pair := range [][2][]float64{{got.x, want.x}, {got.r, want.r}, {got.p, want.p}, {got.ap, want.ap}, {got.coef, want.coef}, {got.acc, want.acc}} {
+		for i := range pair[1] {
+			if !sameWord(pair[0][i], pair[1][i]) {
+				return fmt.Sprintf("%s[%d] (row %d, column %d): tiled %v (%#x), any-width loop %v (%#x)", names[f], i, i/want.k, i%want.k,
+					pair[0][i], math.Float64bits(pair[0][i]), pair[1][i], math.Float64bits(pair[1][i]))
+			}
+		}
+	}
+	return ""
+}
+
+var sweepWidths = []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17}
+
+// TestBlockSweepTilesMatchReference: every tiled sweep leaves the words its
+// any-width loop leaves — reductions and the blocks it updates in place — at
+// widths that combine the tiles every way, on row counts below, at and above
+// one reduction chunk, through the kernel's entry point (chunked, combined in
+// chunk order) and on row ranges that start and end mid-block, where every row
+// outside the range keeps its sentinel; ordinary and special values.
+func TestBlockSweepTilesMatchReference(t *testing.T) {
+	const sentinel = 12345.678
+	rng := rand.New(rand.NewSource(26))
+	for _, k := range sweepWidths {
+		for _, special := range []bool{false, true} {
+			// The entry point against the loop under the same chunking.
+			grain := blockGrain(k)
+			for _, n := range []int{1, 37, grain - 1, grain, grain + 1, 2*grain + 37} {
+				base := randomSweepArgs(rng, n, k, special)
+				for _, sw := range blockSweeps {
+					got, want := base.clone(), base.clone()
+					zero(got.acc) // reduceRows zeroes want's; xpby has none to zero
+					var s scratch
+					sw.whole(&s, got, n)
+					s.reduceRows(n, k, want.acc, func(lo, hi int, acc []float64) {
+						chunk := *want
+						chunk.lo, chunk.hi, chunk.acc = lo, hi, acc
+						sw.loop(&chunk)
+					})
+					if d := diffSweep(got, want); d != "" {
+						t.Fatalf("%s k=%d n=%d special=%v: %s", sw.name, k, n, special, d)
+					}
+				}
+			}
+			// The row-range body on top of whatever the accumulators hold.
+			const n = 101
+			for _, rg := range [][2]int{{0, n}, {n / 3, n/3 + 1}, {n / 2, n / 2}, {7, n - 5}} {
+				base := randomSweepArgs(rng, n, k, special)
+				base.lo, base.hi = rg[0], rg[1]
+				outside := func(i int) bool { return i/k < rg[0] || i/k >= rg[1] }
+				for _, f := range [][]float64{base.x, base.r, base.p, base.ap} {
+					for i := range f {
+						if outside(i) {
+							f[i] = sentinel
+						}
+					}
+				}
+				for _, sw := range blockSweeps {
+					got, want := base.clone(), base.clone()
+					sw.tiled(got)
+					sw.loop(want)
+					if d := diffSweep(got, want); d != "" {
+						t.Fatalf("%s k=%d special=%v rows [%d,%d): %s", sw.name, k, special, rg[0], rg[1], d)
+					}
+					for _, f := range [][]float64{got.x, got.r, got.p, got.ap} {
+						for i := range f {
+							if outside(i) && f[i] != sentinel {
+								t.Fatalf("%s k=%d rows [%d,%d): row %d outside the range was written", sw.name, k, rg[0], rg[1], i/k)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzBlockSweeps holds every tiled sweep to its any-width loop on operands,
+// width, row count and row range decoded from the fuzzer's bytes.
+func FuzzBlockSweeps(f *testing.F) {
+	f.Add([]byte{6, 20, 0, 20, 1, 2, 250, 3, 130, 7})
+	f.Add([]byte{11, 63, 5, 40, 255, 0, 241, 100, 9})
+	f.Add([]byte{2, 1, 0, 1})
+	f.Add([]byte{15, 33, 30, 3, 120, 245, 121})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		// Bytes 0–3: width in [2, 24], row count in [1, 96], row range; the
+		// rest seeds the operands.
+		k := 2 + int(data[0])%23
+		n := 1 + int(data[1])%96
+		lo := int(data[2]) % (n + 1)
+		hi := lo + int(data[3])%(n+1-lo)
+		data = data[4:]
+		i := 0
+		base := newSweepArgs(n, k, lo, hi, func() float64 {
+			i++
+			if len(data) == 0 {
+				return float64(i%7) - 3
+			}
+			b := data[i%len(data)]
+			if b >= 240 {
+				return sweepSpecials[int(b)%len(sweepSpecials)]
+			}
+			return (float64(b) - 120) * float64(1+i%5) / 16
+		})
+		for _, sw := range blockSweeps {
+			got, want := base.clone(), base.clone()
+			sw.tiled(got)
+			sw.loop(want)
+			if d := diffSweep(got, want); d != "" {
+				t.Fatalf("%s k=%d n=%d rows [%d,%d): %s", sw.name, k, n, lo, hi, d)
+			}
+		}
+	})
+}
+
+// BenchmarkBlockSweeps times each sweep's tiled body against its any-width
+// loop on one goroutine, at the widths with a full tile and at a block that
+// stays in L2 (4096 rows, the judged size) and one that does not. ns/elem is
+// per block entry; GB/s counts the sweep's loads and stores of block entries.
+func BenchmarkBlockSweeps(b *testing.B) {
+	for _, n := range []int{4096, 262144} {
+		for _, k := range []int{4, 8} {
+			args := randomSweepArgs(rand.New(rand.NewSource(27)), n, k, false)
+			for j := range args.coef {
+				args.coef[j] *= 1e-3 // repeated updates stay finite
+			}
+			for _, sw := range blockSweeps {
+				for _, body := range []struct {
+					name string
+					fn   func(a *sweepArgs)
+				}{{"tiled", sw.tiled}, {"loop", sw.loop}} {
+					b.Run(fmt.Sprintf("%s/n=%d/k=%d/%s", sw.name, n, k, body.name), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							body.fn(args)
+						}
+						perElem := float64(b.Elapsed().Nanoseconds()) / (float64(b.N) * float64(n*k))
+						b.ReportMetric(perElem, "ns/elem")
+						b.ReportMetric(sw.bytes/perElem, "GB/s")
+					})
+				}
+			}
+		}
+	}
+}

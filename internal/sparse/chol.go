@@ -299,11 +299,11 @@ func (f *LapFactor) Bytes() int64 {
 
 // Solve writes into dst a solution of A·x = b with zero mean on every
 // component. b must be orthogonal to the constant vector on each component
-// (up to roundoff); this is not checked. dst and b may alias.
+// (up to roundoff); this is not checked. dst and b may alias. Operands of any
+// other length than the factor's dimension panic, before anything is written,
+// with an error wrapping graph.ErrInvalidInput.
 func (f *LapFactor) Solve(dst, b []float64) {
-	if len(dst) != f.n || len(b) != f.n {
-		panic("sparse: LapFactor.Solve shape mismatch")
-	}
+	f.checkOperands("Solve", dst, b, 1)
 	copy(dst, b)
 	for _, p := range f.pins {
 		dst[p] = 0
@@ -349,19 +349,34 @@ func (f *LapFactor) Solve(dst, b []float64) {
 	}
 }
 
+// checkOperands panics unless k ≥ 1 and dst and b each hold exactly n·k
+// entries.
+func (f *LapFactor) checkOperands(method string, dst, b []float64, k int) {
+	if k < 1 {
+		panic(fmt.Errorf("sparse: LapFactor.%s: width k = %d: %w", method, k, graph.ErrInvalidInput))
+	}
+	check := func(name string, have int) {
+		if have != f.n*k {
+			panic(fmt.Errorf("sparse: LapFactor.%s: len(%s) = %d, want n·k = %d (n = %d, k = %d): %w", method, name, have, f.n*k, f.n, k, graph.ErrInvalidInput))
+		}
+	}
+	check("dst", len(dst))
+	check("b", len(b))
+}
+
 // SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
 // (v, j) at b[v*k+j]) with zero mean per component on every column. The
 // factor is streamed once per column tile — 8 wide, then 4, then a 1–3
 // column tail, each keeping its running values in locals — and per column
 // the operation order matches Solve exactly, so the results are
-// bit-identical to k scalar solves. dst and b may alias.
+// bit-identical to k scalar solves. dst and b may alias; they are checked as
+// Solve's are, against n·k: an over-long operand panics like a short one, at
+// k = 1 too.
 func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
+	f.checkOperands("SolveBlock", dst, b, k)
 	if k == 1 {
-		f.Solve(dst[:f.n], b[:f.n])
+		f.Solve(dst, b)
 		return
-	}
-	if len(dst) != f.n*k || len(b) != f.n*k {
-		panic("sparse: LapFactor.SolveBlock shape mismatch")
 	}
 	copy(dst, b)
 	for _, p := range f.pins {

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hcd/internal/decomp"
@@ -369,6 +371,54 @@ func TestLapFactorRejectsBadPivot(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1e-30}, {U: 1, V: 2, W: 1}})
 	if _, err := NewLapFactor(g); err == nil {
 		t.Error("expected an error for a numerically singular pinned Laplacian")
+	}
+}
+
+// TestLapFactorRejectsBadOperands: Solve and SolveBlock panic with an error
+// wrapping graph.ErrInvalidInput that names the operand — a width below 1, a
+// short or an over-long dst or b, at width 1 too — before anything is written.
+func TestLapFactorRejectsBadOperands(t *testing.T) {
+	g := workload.Grid2D(5, 4, nil, 1)
+	n := g.N()
+	f, err := NewLapFactor(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name            string
+		dstLen, bLen, k int // k = 0 calls Solve
+		names           string
+	}{
+		{"Solve short dst", n - 1, n, 0, "Solve: len(dst)"},
+		{"Solve long b", n, n + 1, 0, "Solve: len(b)"},
+		{"SolveBlock zero width", 0, 0, -1, "SolveBlock: width k = -1"},
+		{"SolveBlock k=1 long dst", n + 1, n, 1, "SolveBlock: len(dst)"},
+		{"SolveBlock short dst", 3*n - 1, 3 * n, 3, "SolveBlock: len(dst)"},
+		{"SolveBlock long dst", 8*n + 8, 8 * n, 8, "SolveBlock: len(dst)"},
+		{"SolveBlock short b", 4 * n, 4*n - 4, 4, "SolveBlock: len(b)"},
+	} {
+		const sentinel = 9.75
+		dst, b := make([]float64, tc.dstLen), make([]float64, tc.bLen)
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			if tc.k == 0 {
+				f.Solve(dst, b)
+			} else {
+				f.SolveBlock(dst, b, tc.k)
+			}
+			return nil
+		}()
+		if !errors.Is(err, graph.ErrInvalidInput) || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s: panic %v, want an error wrapping ErrInvalidInput that names %q", tc.name, err, tc.names)
+		}
+		for i := range dst {
+			if dst[i] != sentinel {
+				t.Fatalf("%s: dst[%d] written before the panic", tc.name, i)
+			}
+		}
 	}
 }
 
