@@ -189,7 +189,7 @@ func run() (err error) {
 		fmt.Printf("converged: %d/%d  solve: %v  throughput: %.2f rhs/sec\n",
 			converged, nrhs, solveTime, float64(nrhs)/solveTime.Seconds())
 		if *metrics {
-			fmt.Printf("metrics: block-kernel=%s\n", graph.BlockKernel())
+			fmt.Printf("metrics: block-kernel=%s row-kernel=%s\n", graph.BlockKernel(), graph.RowKernel())
 			printLevelScales(h)
 		}
 		printRegistry(o, *metrics)
@@ -201,6 +201,7 @@ func run() (err error) {
 	}
 	if *metrics {
 		printMetrics(res.Metrics)
+		fmt.Printf("metrics: row-kernel=%s\n", graph.RowKernel())
 		printLevelScales(h)
 	}
 	if lmin, lmax, eerr := hcd.EstimateSpectrum(res); eerr == nil && lmin > 0 {

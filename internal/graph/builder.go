@@ -148,8 +148,9 @@ func (b *Builder) Finish() (*Graph, error) {
 // order: each row is sorted by neighbor id (stably, so parallel edges stay in
 // arrival order and both endpoints of a duplicated edge see the identical
 // merged weight), duplicates are merged under policy, the arrays are
-// compacted in place and vol is set to each row's sum in row order. Shared by
-// Builder.Finish and NewFromEdges.
+// compacted in place, vol is set to each row's sum in row order and the
+// row-group table is derived from the final offsets. Shared by Builder.Finish
+// and NewFromEdges.
 func (g *Graph) sortMergeRows(policy MergePolicy) {
 	n := g.N()
 	out := 0
@@ -179,6 +180,7 @@ func (g *Graph) sortMergeRows(policy MergePolicy) {
 		g.adj = g.adj[:out:out]
 		g.w = g.w[:out:out]
 	}
+	g.groups = rowGroups(g.off)
 }
 
 // sortRunInsertionMax is the longest run sortRun orders by straight

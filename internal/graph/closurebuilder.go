@@ -11,7 +11,9 @@ import "fmt"
 //
 // The *Graph returned by Closure and InducedSubgraph aliases the builder's
 // buffers and is valid only until the next call on the same builder; callers
-// that need to retain it must Clone it. A ClosureBuilder is not safe for
+// that need to retain it must Clone it. It carries no row-group table — its
+// rows are rewritten on every call — so the k = 1 row kernels serve it through
+// their Go loops; the Clone derives one. A ClosureBuilder is not safe for
 // concurrent use.
 type ClosureBuilder struct {
 	g     *Graph

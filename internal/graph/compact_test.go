@@ -167,7 +167,8 @@ func TestCSRIsWidenedCopy(t *testing.T) {
 }
 
 // TestGraphBytes: Bytes is exactly the four arrays at their element sizes —
-// 8-byte offsets, weights and volumes, 4-byte neighbor ids.
+// 8-byte offsets, weights and volumes, 4-byte neighbor ids — and the row-group
+// table at 12 bytes a segment.
 func TestGraphBytes(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"empty":  graph.MustFromEdges(0, nil),
@@ -176,7 +177,7 @@ func TestGraphBytes(t *testing.T) {
 		"oct3d":  workload.OCT3D(8, 8, 8, workload.DefaultOCTOptions()),
 	} {
 		off, adj, w := g.CompactCSR()
-		want := int64(8*len(off) + 4*len(adj) + 8*len(w) + 8*g.N())
+		want := int64(8*len(off) + 4*len(adj) + 8*len(w) + 8*g.N() + 12*len(g.RowSegs()))
 		if len(adj) != 2*g.M() || len(off) != g.N()+1 {
 			t.Fatalf("%s: %d offsets, %d entries for n=%d, m=%d", name, len(off), len(adj), g.N(), g.M())
 		}

@@ -33,7 +33,8 @@ func (g *Graph) CSR() (off []int, adj []int, w []float64) {
 // NewFromCSR adopts CSR arrays as a graph, taking ownership of the slices.
 // It validates the structural invariants a corrupted or hostile encoding
 // could break — offset monotonicity and bounds, neighbor ranges, self-loops,
-// finite positive weights — and recomputes the volume array. Symmetry (every
+// finite positive weights — and recomputes the volume array and the row-group
+// table. Symmetry (every
 // edge appearing once per endpoint with equal weight) is the caller's
 // contract: the snapshot codec guards it with checksums rather than an
 // O(m·d) verification pass.
@@ -75,5 +76,6 @@ func NewFromCSR(off []int, adj []int32, w []float64) (*Graph, error) {
 			g.vol[v] += w[i]
 		}
 	}
+	g.groups = rowGroups(off)
 	return g, nil
 }

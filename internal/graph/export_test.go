@@ -44,3 +44,37 @@ func BlockAVX2() bool { return blockAVX2 }
 func (g *Graph) BlockRange(avx2 bool, dst, r, x, dInv []float64, omega float64, k, lo, hi int) {
 	g.lapMulBlockRange(avx2, dst, r, x, dInv, omega, k, lo, hi)
 }
+
+// UseGoRowKernel switches the AVX2 row-group kernel off until the test ends,
+// so every k = 1 row kernel below it runs the Go loops.
+func UseGoRowKernel(t testing.TB) {
+	prev := rowAVX2
+	rowAVX2 = false
+	t.Cleanup(func() { rowAVX2 = prev })
+}
+
+// MinGroupRows is the shortest run of equal-degree rows the table groups.
+const MinGroupRows = minGroupRows
+
+// RowAVX2 reports whether the AVX2 row-group kernel is in use.
+func RowAVX2() bool { return rowAVX2 }
+
+// RowRange is lapRange: rows [lo, hi) of a k = 1 row kernel, mode by nil r /
+// nil dInv, grouped rows through the assembly or everything through the Go
+// loops.
+func (g *Graph) RowRange(avx2 bool, dst, r, x, dInv []float64, omega float64, lo, hi int) {
+	g.lapRange(avx2, dst, r, x, dInv, omega, lo, hi)
+}
+
+// RowSeg is one segment of a graph's row-group table: rows [Lo, Hi), of
+// degree Deg each when Deg > 0.
+type RowSeg struct{ Lo, Hi, Deg int }
+
+// RowSegs returns g's row-group table.
+func (g *Graph) RowSegs() []RowSeg {
+	segs := make([]RowSeg, len(g.groups))
+	for i, s := range g.groups {
+		segs[i] = RowSeg{int(s.lo), int(s.hi), int(s.deg)}
+	}
+	return segs
+}

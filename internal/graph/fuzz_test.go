@@ -152,3 +152,75 @@ func FuzzLapBlockTile(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLapRowGroups differentially fuzzes the AVX2 row-group kernel against
+// the Go loops: the input bytes decode into a mode, a row range and runs of
+// rows of one length each, and go on to supply the neighbor ids, the weights
+// and the operands — as raw float64 bits every other word, so every class of
+// value turns up. Both bodies must write the same words — the same bits, or
+// NaN on both sides — to every entry of dst, in the range and outside it.
+func FuzzLapRowGroups(f *testing.F) {
+	f.Add([]byte{0, 0, 255, 20, 3, 4, 2, 17, 1, 1, 0, 33, 5})
+	f.Add([]byte{1, 3, 40, 16, 1, 16, 2, 16, 3, 250, 251, 252, 253, 254, 255, 0, 1})
+	f.Add([]byte{2, 7, 9, 40, 6, 1, 7, 39, 6, 0xf0, 0x7f, 0, 0, 0, 0, 0xf8, 0xff})
+	f.Add([]byte{2, 0, 0, 19, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !rowAVX2 {
+			t.Skip("the AVX2 row-group kernel is not in use in this build on this host")
+		}
+		if len(data) < 5 {
+			return
+		}
+		// Bytes 0–2: mode and row range; pairs (rows in [1, 40], entries per
+		// row in [0, 7]) follow, up to 400 rows.
+		mode := int(data[0]) % 3
+		loByte, hiByte := int(data[1]), int(data[2])
+		data = data[3:]
+		off := []int{0}
+		for i := 0; i+1 < len(data) && len(off) <= 400; i += 2 {
+			for row, d := 0, int(data[i+1])%8; row < 1+int(data[i])%40; row++ {
+				off = append(off, off[len(off)-1]+d)
+			}
+		}
+		n := len(off) - 1
+		lo := loByte % (n + 1)
+		hi := lo + hiByte%(n+1-lo)
+		// word is the i-th value the bytes supply: a small number, or eight
+		// of them as a float64's bits.
+		word := func(i int) float64 {
+			b := func(j int) uint64 { return uint64(data[(3*i+j)%len(data)]) }
+			if i%2 == 0 {
+				return (float64(b(0)) - 120) * float64(1+i%5) / 16
+			}
+			return math.Float64frombits(b(0)<<56 | b(1)<<48 | b(2)<<40 | b(3)<<32 | b(4)<<24 | b(5)<<16 | b(6)<<8 | b(7))
+		}
+		g := &Graph{off: off, adj: make([]int32, off[n]), w: make([]float64, off[n]), vol: make([]float64, n), groups: rowGroups(off)}
+		for i := range g.adj {
+			g.adj[i], g.w[i] = int32((int(data[i%len(data)])+7*i)%n), word(i)
+		}
+		x, r, dInv := make([]float64, n), make([]float64, n), make([]float64, n)
+		for v := range x {
+			x[v], r[v], dInv[v] = word(v+off[n]), word(v+off[n]+n), word(v+off[n]+2*n)
+		}
+		omega := word(off[n] + 3*n + 1)
+		if mode < 2 {
+			dInv = nil
+		}
+		if mode < 1 {
+			r = nil
+		}
+		const sentinel = 9.75
+		want, got := make([]float64, n), make([]float64, n)
+		for v := range want {
+			want[v], got[v] = sentinel, sentinel
+		}
+		g.lapRange(false, want, r, x, dInv, omega, lo, hi)
+		g.lapRange(true, got, r, x, dInv, omega, lo, hi)
+		for v := range want {
+			if !sameWord(got[v], want[v]) {
+				t.Fatalf("mode %d ω=%v rows [%d,%d) of %d: row %d (%d entries): AVX2 kernel %v (%#x), Go loop %v (%#x); table %v",
+					mode, omega, lo, hi, n, v, off[v+1]-off[v], got[v], math.Float64bits(got[v]), want[v], math.Float64bits(want[v]), g.groups)
+			}
+		}
+	})
+}

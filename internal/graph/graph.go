@@ -34,6 +34,11 @@ type Graph struct {
 	adj []int32   // len 2m; neighbor ids
 	w   []float64 // len 2m; edge weights, parallel to adj
 	vol []float64 // len n; total incident weight per vertex
+
+	// groups is the row-group table the k = 1 row kernels walk (rowgroups.go):
+	// derived from off by the constructors, never written afterwards, absent
+	// (nil) on a ClosureBuilder's reused output.
+	groups []rowSeg
 }
 
 // NewFromEdges builds a graph on n vertices from an edge list. Parallel edges
@@ -77,6 +82,7 @@ func NewFromUniqueEdges(n int, edges []Edge) (*Graph, error) {
 	for v := range g.vol {
 		g.vol[v] = sum(g.w[g.off[v]:g.off[v+1]])
 	}
+	g.groups = rowGroups(g.off)
 	return g, nil
 }
 
@@ -209,11 +215,11 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Bytes estimates the resident memory of the graph: the CSR offset,
-// adjacency, weight and volume arrays. It is an accounting figure (used by
-// the serving layer's byte-budgeted handle cache), not an exact heap
-// measurement.
+// adjacency, weight and volume arrays and the row-group table. It is an
+// accounting figure (used by the serving layer's byte-budgeted handle cache),
+// not an exact heap measurement.
 func (g *Graph) Bytes() int64 {
-	return int64(8*(len(g.off)+len(g.w)+len(g.vol)) + 4*len(g.adj))
+	return int64(8*(len(g.off)+len(g.w)+len(g.vol)) + 4*len(g.adj) + rowSegBytes*len(g.groups))
 }
 
 // Clone returns a deep copy of g.
@@ -224,6 +230,7 @@ func (g *Graph) Clone() *Graph {
 		w:   append([]float64(nil), g.w...),
 		vol: append([]float64(nil), g.vol...),
 	}
+	c.groups = rowGroups(c.off)
 	return c
 }
 

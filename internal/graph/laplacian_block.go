@@ -84,16 +84,16 @@ func (g *Graph) LapMulBlockGo(dst, x []float64, k int) {
 }
 
 // checkBlockOperands panics, before anything is written, unless every operand
-// of a width-k block kernel has exactly its length: N()·k for the blocks, N()
-// for the inverse diagonal.
+// of a width-k kernel (k = 1: the row kernels of laplacian.go) has exactly its
+// length: N()·k for the blocks, N() for the inverse diagonal.
 func (g *Graph) checkBlockOperands(dst, r, x, dInv []float64, k int) {
 	n := g.N()
 	if k < 1 {
-		panic(fmt.Errorf("graph: block kernel: width k = %d: %w", k, ErrInvalidInput))
+		panic(fmt.Errorf("graph: Laplacian kernel: width k = %d: %w", k, ErrInvalidInput))
 	}
 	check := func(name string, have, want int) {
 		if have != want {
-			panic(fmt.Errorf("graph: block kernel: len(%s) = %d, want %d (n = %d, k = %d): %w", name, have, want, n, k, ErrInvalidInput))
+			panic(fmt.Errorf("graph: Laplacian kernel: len(%s) = %d, want %d (n = %d, k = %d): %w", name, have, want, n, k, ErrInvalidInput))
 		}
 	}
 	check("dst", len(dst), n*k)
@@ -112,14 +112,7 @@ func (g *Graph) checkBlockOperands(dst, r, x, dInv []float64, k int) {
 func (g *Graph) lapMulBlockDispatch(dst, r, x, dInv []float64, omega float64, k int) {
 	g.checkBlockOperands(dst, r, x, dInv, k)
 	if k == 1 {
-		switch {
-		case r == nil:
-			g.LapMul(dst, x)
-		case dInv == nil:
-			g.LapMulResidual(dst, r, x)
-		default:
-			g.LapJacobiStep(dst, r, x, dInv, omega)
-		}
+		g.lapDispatch(dst, r, x, dInv, omega)
 		return
 	}
 	n := g.N()

@@ -313,3 +313,28 @@ func TestBlockTileCorruptAdjacency(t *testing.T) {
 		}
 	}
 }
+
+// TestRowEndBeyondAdjacency: a Graph whose last row ends beyond the adjacency
+// array — which validation at construction rules out — panics in the Go row
+// loops and the Go tiles with an error wrapping ErrInvalidInput, where a bare
+// string used to be.
+func TestRowEndBeyondAdjacency(t *testing.T) {
+	g := blockTestGraph(t, 50, 26)
+	n := g.N()
+	bad := *g
+	bad.off = append([]int(nil), g.off...)
+	bad.off[n]++
+	for _, k := range []int{1, 3, 8} {
+		x, dst := make([]float64, n*k), make([]float64, n*k)
+		v := mustPanic(t, fmt.Sprintf("k=%d", k), func() {
+			if k == 1 {
+				bad.lapRange(false, dst, nil, x, nil, 0, 0, n)
+			} else {
+				bad.lapMulBlockRange(false, dst, nil, x, nil, 0, k, 0, n)
+			}
+		})
+		if err, ok := v.(error); !ok || !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("k=%d: panic %v, want an error wrapping ErrInvalidInput", k, v)
+		}
+	}
+}

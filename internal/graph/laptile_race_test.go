@@ -12,3 +12,10 @@ func TestRaceBuildRunsGoTiles(t *testing.T) {
 		t.Fatalf("a -race build reports the %s block kernel", BlockKernel())
 	}
 }
+
+// TestRaceBuildRunsGoRows: likewise the k = 1 row kernels run their Go loops.
+func TestRaceBuildRunsGoRows(t *testing.T) {
+	if rowAVX2 || RowKernel() != "go" {
+		t.Fatalf("a -race build reports the %s row kernel", RowKernel())
+	}
+}

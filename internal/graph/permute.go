@@ -40,5 +40,6 @@ func (g *Graph) Permuted(order []int) (*Graph, error) {
 		p.off[i+1] = at
 		p.vol[i] = g.vol[v]
 	}
+	p.groups = rowGroups(p.off)
 	return p, nil
 }

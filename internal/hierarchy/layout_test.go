@@ -8,14 +8,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname, for graphRowAVX2
 
 	"hcd/internal/graph"
 	"hcd/internal/obs"
 	"hcd/internal/workload"
 )
 
-// graphCapBytes is the heap a graph's arrays actually hold: 8-byte offsets,
-// weights and volumes, 4-byte neighbor ids.
+// graphCapBytes is the heap a graph's CSR arrays actually hold: 8-byte
+// offsets, weights and volumes, 4-byte neighbor ids.
 func graphCapBytes(g *graph.Graph) int64 {
 	off, adj, w := g.CompactCSR()
 	return 8*int64(cap(off)+cap(w)+g.N()) + 4*int64(cap(adj))
@@ -34,11 +35,14 @@ func TestMemoryBytesMatchesArrays(t *testing.T) {
 		for level, l := range h.levels {
 			// Quotients come from Contract and Permuted, which allocate
 			// their arrays at exact length: accounted and held agree to
-			// the byte.
-			if level > 0 && l.g.Bytes() != graphCapBytes(l.g) {
-				t.Errorf("%s level %d: graph accounts %d bytes, holds %d", tc.name, level, l.g.Bytes(), graphCapBytes(l.g))
+			// the byte, but for the row-group table the graph also
+			// accounts — 12 bytes a segment, at most two segments per 32
+			// rows and one more.
+			table := l.g.Bytes() - graphCapBytes(l.g)
+			if level > 0 && (table < 0 || table > 12*int64(l.g.N()/16+1)) {
+				t.Errorf("%s level %d: graph accounts %d bytes, its CSR arrays hold %d", tc.name, level, l.g.Bytes(), graphCapBytes(l.g))
 			}
-			held += graphCapBytes(l.g)
+			held += graphCapBytes(l.g) + table
 			held += 8 * int64(cap(l.dInv)+cap(l.natAssign)+3) // +3: the level's gamma, alpha and visits
 			held += 4 * int64(cap(l.assign)+cap(l.order)+cap(l.start))
 		}
@@ -229,10 +233,53 @@ func timeLapMul(g *graph.Graph, reps int) time.Duration {
 	return best
 }
 
+// groupedShare returns the share of g's stored entries that lie in grouped
+// rows of its row-group table, recomputed from the degrees by the table's
+// rule (graph/rowgroups.go): a run of at least 32 rows of one degree ≥ 1 is
+// grouped but for a tail of fewer than four rows. The table itself is not
+// visible from here, but its size is — Bytes counts 12 bytes a segment — so a
+// rule that has moved on from this copy fails the test instead of misreporting.
+func groupedShare(tb testing.TB, g *graph.Graph) float64 {
+	tb.Helper()
+	entries, segments, ungrouped := 0, 0, false
+	for v, n := 0, g.N(); v < n; {
+		end := v + 1
+		for end < n && g.Degree(end) == g.Degree(v) {
+			end++
+		}
+		rows := 0
+		if g.Degree(v) >= 1 && end-v >= 32 {
+			rows = (end - v) &^ 3
+			entries += rows * g.Degree(v)
+			segments++
+			ungrouped = false
+		}
+		if v+rows < end && !ungrouped {
+			segments++
+			ungrouped = true
+		}
+		v = end
+	}
+	if table := g.Bytes() - graphCapBytes(g); table != 12*int64(segments) {
+		tb.Fatalf("the row-group rule copied here gives %d segments, the graph accounts %d bytes of table", segments, table)
+	}
+	return float64(entries) / float64(max(2*g.M(), 1))
+}
+
+// graphRowAVX2 is internal/graph's rowAVX2 — the switch that package's own
+// tests flip to run the Go row loops on an AVX2 host — pulled in by name. The
+// two bodies have to be timed on the same arrays (a fresh copy of OCT 64³'s
+// level 0 runs the same loop a quarter faster than the level itself, on
+// placement alone), and graph exports no switch on purpose.
+//
+//go:linkname graphRowAVX2 hcd/internal/graph.rowAVX2
+var graphRowAVX2 bool
+
 // TestLayoutTable regenerates DESIGN.md §12's "Apply layout" table (run with
 // -v): per level of each benchmark graph, the runs of equal row length and
-// the matvec cost per stored entry in natural numbering and in the apply
-// layout. The times are printed, not asserted; what is held is the layout's
+// the share of the stored entries that the row-group table puts in groups of
+// four rows, and the matvec cost per stored entry in natural numbering and in
+// the apply layout. The times are printed, not asserted; what is held is the layout's
 // structure — every level below the finest has no more degree runs than
 // (windows × distinct degrees), and the same degree multiset and volume as
 // its natural twin.
@@ -247,7 +294,7 @@ func TestLayoutTable(t *testing.T) {
 			namedGraph{"oct:64", workload.OCT3D(64, 64, 64, workload.DefaultOCTOptions())},
 			namedGraph{"grid3d:64", grid3d64()})
 	}
-	t.Logf("%-10s %3s %8s %9s %4s %9s %9s %9s %9s", "graph", "lvl", "vertices", "entries", "maxd", "runs nat", "runs lay", "ns/e nat", "ns/e lay")
+	t.Logf("%-10s %3s %8s %9s %4s %9s %9s %9s %9s %9s", "graph", "lvl", "vertices", "entries", "maxd", "runs nat", "runs lay", "grouped %", "ns/e nat", "ns/e lay")
 	for _, tc := range corpus {
 		h, err := New(tc.g, DefaultOptions())
 		if err != nil {
@@ -259,8 +306,8 @@ func TestLayoutTable(t *testing.T) {
 			perEntry := func(g *graph.Graph) float64 {
 				return float64(timeLapMul(g, 15).Nanoseconds()) / float64(entries)
 			}
-			t.Logf("%-10s %3d %8d %9d %4d %9d %9d %9.2f %9.2f", tc.name, level, lay.N(), entries, lay.MaxDegree(),
-				degreeRuns(nat), degreeRuns(lay), perEntry(nat), perEntry(lay))
+			t.Logf("%-10s %3d %8d %9d %4d %9d %9d %9.0f %9.2f %9.2f", tc.name, level, lay.N(), entries, lay.MaxDegree(),
+				degreeRuns(nat), degreeRuns(lay), 100*groupedShare(t, lay), perEntry(nat), perEntry(lay))
 			if level == 0 {
 				if lay != tc.g {
 					t.Errorf("%s: level 0 is not the caller's graph", tc.name)
@@ -286,10 +333,15 @@ func layoutBenchGraphs(b *testing.B) []namedGraph {
 	}
 }
 
-// BenchmarkLapMulByLevel times the scalar matvec on every stored level of a
-// built hierarchy and reports its cost per stored entry: level 0 in the
-// caller's numbering, the quotients in their apply layout.
+// BenchmarkLapMulByLevel times the three k = 1 row kernels on every stored
+// level of a built hierarchy — level 0 in the caller's numbering, the
+// quotients in their apply layout — through the Go loops alone and with
+// grouped rows going through the AVX2 kernel, on one worker, and reports the
+// cost per stored entry and the share of the entries that lie in grouped rows.
 func BenchmarkLapMulByLevel(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer func(avx2 bool) { graphRowAVX2 = avx2 }(graphRowAVX2)
+	host := graph.RowKernel()
 	for _, tc := range layoutBenchGraphs(b) {
 		h, err := New(tc.g, DefaultOptions())
 		if err != nil {
@@ -297,14 +349,31 @@ func BenchmarkLapMulByLevel(b *testing.B) {
 		}
 		for level, l := range h.levels {
 			g := l.g
-			b.Run(fmt.Sprintf("%s/level=%d", tc.name, level), func(b *testing.B) {
-				x, dst := ramp(g.N()), make([]float64, g.N())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g.LapMul(dst, x)
+			share := 100 * groupedShare(b, g)
+			x, r, dst := ramp(g.N()), ramp(g.N()), make([]float64, g.N())
+			for _, mode := range []struct {
+				name string
+				run  func()
+			}{
+				{"mul", func() { g.LapMul(dst, x) }},
+				{"residual", func() { g.LapMulResidual(dst, r, x) }},
+				{"jacobi", func() { g.LapJacobiStep(dst, r, x, l.dInv, 0.5) }},
+			} {
+				for _, kernel := range []string{"go", "avx2"} {
+					b.Run(fmt.Sprintf("%s/level=%d/%s/%s", tc.name, level, mode.name, kernel), func(b *testing.B) {
+						if kernel != "go" && host != kernel {
+							b.Skipf("this process runs the %s row kernel", host)
+						}
+						graphRowAVX2 = kernel == "avx2"
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							mode.run()
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*g.M()), "ns/entry")
+						b.ReportMetric(share, "grouped-%")
+					})
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*g.M()), "ns/entry")
-			})
+			}
 		}
 	}
 }

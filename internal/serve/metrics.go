@@ -45,8 +45,8 @@ const (
 	metricBatchedSolves = "serve_batched_solves_total" // requests served via a coalesced batch (width ≥ 2)
 	metricBatchWidth    = "serve_batch_width"          // histogram: requests per executed batch
 
-	// What this process runs (PR 25): constant 1, the facts are the labels.
-	metricBuildInfo = "hcd_build_info" // {goarch,block_kernel}
+	// What this process runs (PR 25, 28): constant 1, the facts are the labels.
+	metricBuildInfo = "hcd_build_info" // {goarch,block_kernel,row_kernel}
 )
 
 var durationBuckets = []float64{

@@ -364,7 +364,7 @@ func TestBuildInfoOnMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("hcd_build_info{goarch=%q,block_kernel=%q} 1\n", runtime.GOARCH, graph.BlockKernel())
+	want := fmt.Sprintf("hcd_build_info{goarch=%q,block_kernel=%q,row_kernel=%q} 1\n", runtime.GOARCH, graph.BlockKernel(), graph.RowKernel())
 	if !strings.Contains(string(body), want) {
 		t.Errorf("/metrics lacks %q", want)
 	}

@@ -611,6 +611,7 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	if sp != nil {
 		sp.Arg("k", k)
 		sp.Arg("iterations", iters)
+		sp.Arg("row_kernel", graph.RowKernel())
 		if k > 1 {
 			sp.Arg("block_kernel", graph.BlockKernel())
 		}

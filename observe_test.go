@@ -273,7 +273,9 @@ func TestChebyshevObserver(t *testing.T) {
 // TestAttemptSpanNamesBlockKernel: the trace of a multi-RHS solve says which
 // body of the block row kernels' column tiles served it — the block_kernel
 // argument of every solve/attempt span at k > 1 — and a single-RHS solve,
-// which runs no tile, says nothing.
+// which runs no tile, says nothing; at every width the span's row_kernel
+// names the body of the k = 1 row kernels (the operator at k = 1, the levels
+// a deflated block reaches at width 1).
 func TestAttemptSpanNamesBlockKernel(t *testing.T) {
 	g := hcd.Grid2D(16, 16, nil, 1)
 	for _, k := range []int{1, 4} {
@@ -291,11 +293,17 @@ func TestAttemptSpanNamesBlockKernel(t *testing.T) {
 				continue
 			}
 			attempts++
-			var kernel any
+			var kernel, rowKernel any
 			for _, a := range s.Args {
-				if a.Key == "block_kernel" {
+				switch a.Key {
+				case "block_kernel":
 					kernel = a.Value
+				case "row_kernel":
+					rowKernel = a.Value
 				}
+			}
+			if rowKernel != any(graph.RowKernel()) {
+				t.Errorf("k=%d: solve/attempt row_kernel = %v (this process runs %q)", k, rowKernel, graph.RowKernel())
 			}
 			if want := any(graph.BlockKernel()); k > 1 && kernel != want || k == 1 && kernel != nil {
 				t.Errorf("k=%d: solve/attempt block_kernel = %v (this process runs %q)", k, kernel, graph.BlockKernel())
