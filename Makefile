@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test portable bench bench-decomp bench-solve bench-json bench-e2e bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
 all: build test
 
@@ -51,18 +51,6 @@ fmt:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-decomp: the decomposition-pipeline benchmarks behind BENCH.md (P4) —
-# parallel Evaluate and the unified DecomposeCtx path.
-bench-decomp:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate|BenchmarkDecomposePipeline' -benchmem .
-
-# bench-solve: the multi-RHS block-solve benchmark behind BENCH_solve.json —
-# block-PCG at k ∈ {1, 4, 16} vs 16 sequential warm-engine solves on the same
-# hierarchy, pinned to GOMAXPROCS=1 so the speedup is pure memory-hierarchy
-# amortization, not parallelism.
-bench-solve:
-	$(GO) test -run '^$$' -bench 'BenchmarkBlockSolve' -benchmem .
 
 # server-smoke: the in-process serving battery — submit/build/solve round
 # trip, cache-hit and single-build invariants, LRU eviction, and per-tenant
@@ -114,20 +102,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLapRowGroups -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzBlockSweeps -fuzztime=10s ./internal/solver
 
-# bench-json: run the committed benchmark set and write the machine-readable
-# records (ns/op, B/op, allocs/op, host core count) behind BENCH.md:
-# the parallel Evaluate, the DecomposeCtx pipeline builds with the hierarchy
-# build, its contraction kernel and its coarse factorization, and the warm
-# zero-alloc Engine solves with the V-cycle, its per-level matvec (ns/entry)
-# and the coarse direct solve under them.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate$$' -benchmem . \
-		| $(GO) run ./cmd/hcd-benchjson -tags evaluate -out BENCH_evaluate.json
-	$(GO) test -run '^$$' -bench 'BenchmarkDecomposePipeline|BenchmarkHierarchyBuild$$|BenchmarkContract$$|BenchmarkCoarseFactor$$' -benchmem . ./internal/hierarchy \
-		| $(GO) run ./cmd/hcd-benchjson -tags decompose -out BENCH_decompose.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineWarmSolves|BenchmarkBlockSolve|BenchmarkCoarseSolve$$|BenchmarkLapMulByLevel$$|BenchmarkHierarchyApply$$' -benchmem . ./internal/hierarchy \
-		| $(GO) run ./cmd/hcd-benchjson -tags solve -out BENCH_solve.json
-
 # bench-e2e: the repository's benchmark as BENCHMARK.json declares it — its
 # own unit tests, then the four workloads end to end (bench/README.md).
 bench-e2e:
@@ -135,10 +109,10 @@ bench-e2e:
 	$(GO) run ./bench
 
 # bench-replay: replay the committed `steady` scenario through the serving
-# stack in-process and write BENCH_replay.json — a benchfmt record whose
-# embedded report carries the deterministic fitness score. The score is
+# stack in-process and write BENCH_replay.json — the report, stamped with the
+# git commit and host, carrying the deterministic fitness score. The score is
 # bit-identical across runs and GOMAXPROCS settings (PCG-only mix, exact
-# iteration-count quantiles), so hcd-benchdiff gates it with no noise margin.
+# iteration-count quantiles), so it gates with no noise margin.
 bench-replay:
 	$(GO) run ./cmd/hcd-replay -scenario steady -out BENCH_replay.json -gate
 
@@ -148,24 +122,17 @@ bench-replay:
 replay-smoke:
 	$(GO) run ./cmd/hcd-replay -scenario smoke -gate
 
-# bench-gate: the perf-regression gate — rerun the steady replay to a temp
-# record and diff its deterministic score against the committed
-# BENCH_replay.json (absolute drop threshold; wall-clock metrics never gate).
+# bench-gate: the perf-regression gate — rerun the steady replay and fail
+# when its deterministic score falls below steady's min_score, the committed
+# BENCH_replay.json score less 5 (internal/replay/scenario.go); wall-clock
+# metrics never gate.
 bench-gate:
-	$(GO) run ./cmd/hcd-replay -scenario steady -out /tmp/hcd_replay_new.json
-	$(GO) run ./cmd/hcd-benchdiff -old BENCH_replay.json -new /tmp/hcd_replay_new.json
+	$(GO) run ./cmd/hcd-replay -scenario steady -gate
 
-# bench-scale: the end-to-end scaling benchmark behind BENCH_scale.json —
-# decompose + hierarchy-build + PCG-solve a 10⁶-vertex weighted 3D grid,
-# single-pass vs 8 shards, recording wall times and per-config peak RSS
-# (each configuration runs in its own child process for honest VmHWM).
-bench-scale:
-	$(GO) run ./cmd/hcd-scale -side 100 -shards 1,8 -out BENCH_scale.json
-
-# scale-smoke: the CI-sized scaling gate — a ≈200k-vertex 3D grid built with
-# 4 shards and solved end to end under a hard wall-clock budget.
+# scale-smoke: the CI-sized scaling gate — a ≈200k-vertex lognormal 3D grid
+# (59³) built with 4 shards and solved end to end; fails unless it converges.
 scale-smoke:
-	$(GO) run ./cmd/hcd-scale -side 59 -shards 4 -timeout 10m
+	$(GO) run ./cmd/hcd-solve -graph grid3d:59 -shards 4 | grep -q 'outcome: converged'
 
 experiments:
 	$(GO) run ./cmd/hcd-experiments

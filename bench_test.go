@@ -290,8 +290,8 @@ func BenchmarkEngineWarmSolves(b *testing.B) {
 // P9: multi-RHS throughput of the block PCG path — one SpMM traversal and
 // one block V-cycle serve all k columns per iteration — against k sequential
 // warm-engine solves on the same hierarchy. Pinned to GOMAXPROCS=1 so the
-// measured win is traversal fusion, not parallelism; the rhs/sec metric is
-// what BENCH_solve.json records.
+// measured win is traversal fusion, not parallelism; compare the rhs/sec
+// metric across k.
 func BenchmarkBlockSolve(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := hcd.Grid3D(32, 32, 32, hcd.LognormalWeights(1), 1)

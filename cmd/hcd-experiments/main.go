@@ -60,7 +60,7 @@ func reportBuild(label string, m hcd.BuildMetrics) {
 }
 
 func main() {
-	sel := flag.String("e", "", "comma-separated experiment ids (E1..E9,A1..A3); empty = all")
+	sel := flag.String("e", "", "comma-separated experiment ids (E1..E11,A1..A5); empty = all")
 	o := cli.ObsFlags()
 	flag.Parse()
 	var err error

@@ -5,11 +5,12 @@
 // weighted fitness function.
 //
 // The committed artifact is BENCH_replay.json (`make bench-replay`): a
-// benchfmt record stamped with the git commit, whose embedded report carries
+// replay.Record stamped with the git commit, whose embedded report carries
 // a Deterministic section and fitness score that are bit-identical across
-// runs and GOMAXPROCS settings — hcd-benchdiff gates on the score with no
-// noise margin. Wall-clock latencies and throughput live in the report's
-// Measured section and are informational only.
+// runs and GOMAXPROCS settings — `-gate` holds the score to the scenario's
+// min_score floor with no noise margin (`make bench-gate`). Wall-clock
+// latencies and throughput live in the report's Measured section and are
+// informational only.
 //
 // Usage:
 //
@@ -30,7 +31,6 @@ import (
 	"strings"
 	"syscall"
 
-	"hcd/internal/benchfmt"
 	"hcd/internal/cli"
 	"hcd/internal/replay"
 )
@@ -43,7 +43,7 @@ func run() error {
 	seed := flag.Int64("seed", 0, "override the scenario seed (0 = keep)")
 	requests := flag.Int("requests", 0, "override the scenario request count (0 = keep)")
 	target := flag.String("target", "", "replay against a live server base URL instead of in-process")
-	out := flag.String("out", "", "write the benchfmt record (e.g. BENCH_replay.json)")
+	out := flag.String("out", "", "write the stamped record (e.g. BENCH_replay.json)")
 	emitTrace := flag.String("emit-trace", "", "also write the materialized trace JSON to this file")
 	gate := flag.Bool("gate", false, "exit non-zero when a deterministic SLO fails")
 	jsonOut := flag.Bool("json", false, "print the full report JSON to stdout instead of the summary")
@@ -112,13 +112,7 @@ func run() error {
 	}
 
 	if *out != "" {
-		rec := benchfmt.NewRecord("replay", rep.Scenario)
-		raw, merr := json.Marshal(rep)
-		if merr != nil {
-			return merr
-		}
-		rec.Replay = raw
-		buf, merr := rec.Marshal()
+		buf, merr := replay.NewRecord(rep).Marshal()
 		if merr != nil {
 			return merr
 		}

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"reflect"
 	"runtime"
 	"testing"
@@ -325,6 +328,63 @@ func TestSLOEvaluation(t *testing.T) {
 	rep2.SLO = evalSLO(SLOSpec{MinScore: 60, MaxP99MS: 1}, rep2)
 	if !rep2.SLOPass() {
 		t.Fatal("advisory measured check failed the deterministic gate")
+	}
+}
+
+// TestRecordRoundTripAndStamp: the BENCH_replay.json stamp carries the run
+// environment and survives its file format.
+func TestRecordRoundTripAndStamp(t *testing.T) {
+	rec := NewRecord(&Report{Scenario: "steady", Score: 87.5})
+	if rec.Date == "" || rec.GoVersion == "" || rec.NumCPU <= 0 {
+		t.Fatalf("environment stamp missing: %+v", rec)
+	}
+	// The commit stamp resolves wherever git does: in a checkout, not in a
+	// copy of the tree made without .git.
+	if err := exec.Command("git", "rev-parse", "HEAD").Run(); err == nil && len(rec.Commit) < 7 {
+		t.Errorf("commit stamp %q, want a git hash", rec.Commit)
+	}
+	buf, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(buf, []byte("\n")) {
+		t.Error("marshal without trailing newline")
+	}
+	var back Record
+	if err := json.Unmarshal(buf, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Commit != rec.Commit || !reflect.DeepEqual(back.Tags, []string{"replay", "steady"}) ||
+		back.Replay == nil || back.Replay.Score != 87.5 {
+		t.Errorf("round trip lost fields: %+v", back)
+	}
+}
+
+// TestCommittedRecordClearsFloor: the replay-score gate lets a score drop
+// at most 5 points below the committed one, so steady's min_score must sit
+// between the committed score and 5 below it; regenerating the record
+// without moving the floor (or the reverse) fails here.
+func TestCommittedRecordClearsFloor(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_replay.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Builtin("steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Replay == nil || rec.Replay.Scenario != "steady" {
+		t.Fatalf("BENCH_replay.json holds no steady report: %+v", rec)
+	}
+	// The floor is written to a tenth: 88.4008 − 5 → 83.4.
+	score, floor := rec.Replay.Score, sc.SLO.MinScore
+	if floor > score || floor < math.Floor((score-5)*10)/10 {
+		t.Fatalf("steady's min_score %v, want within 5 points (to a tenth) below the committed score %v",
+			floor, score)
 	}
 }
 

@@ -197,7 +197,12 @@ var builtins = map[string]Scenario{
 			{Graph: 2, Weight: 2, RHS: 2},
 			{Graph: 2, Weight: 1, RHS: 1, Tol: 1e-6},
 		},
-		SLO: SLOSpec{MinScore: 40, MaxErrorRate: 0.01, MaxDegradedRate: 0.01},
+		// MinScore is the committed BENCH_replay.json score (88.4008) less
+		// the 5-point drop the replay-score gate allows, to a tenth, so
+		// `hcd-replay -scenario steady -gate` is the whole gate. Move it
+		// with the record (TestCommittedRecordClearsFloor holds the two
+		// within 5 points).
+		SLO: SLOSpec{MinScore: 83.4, MaxErrorRate: 0.01, MaxDegradedRate: 0.01},
 	},
 	"burst": {
 		Name:     "burst",
