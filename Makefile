@@ -26,10 +26,11 @@ vet:
 check: fmt vet portable race determinism fuzz chaos server-smoke server-chaos replay-smoke bench-gate
 
 # portable cross-compiles for an architecture that has none of the assembly
-# kernels (internal/graph/laptile_amd64.s, laprows_amd64.s), so the Go-only
-# build cannot rot; cross-compiling needs no network and no C toolchain.
+# kernels (internal/graph/laptile_amd64.s, laprows_amd64.s, the sweeps_amd64.s
+# of internal/solver and internal/hierarchy), so the Go-only build cannot rot;
+# cross-compiling needs no network and no C toolchain.
 portable:
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/graph
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/graph ./internal/solver ./internal/hierarchy
 
 race:
 	$(GO) test -race ./...
@@ -86,9 +87,10 @@ server-chaos:
 # pointer-forest split with the forest-graph chain it replaced as an exact
 # oracle, over the AVX2 column tiles of the block row kernels with the Go
 # tiles as a bitwise oracle, over the AVX2 row-group kernel of the k = 1 row
-# kernels with the Go loops as a bitwise oracle, and over the column tiles of
-# the solver's block sweeps with their any-width loops as a bitwise oracle (go
-# fuzzing runs one target at a time).
+# kernels with the Go loops as a bitwise oracle, and over both bodies of the
+# column tiles of the solver's block sweeps and of the cycle's sweeps with
+# their any-width loops as a bitwise oracle (go fuzzing runs one target at a
+# time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
@@ -101,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLapBlockTile -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzLapRowGroups -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzBlockSweeps -fuzztime=10s ./internal/solver
+	$(GO) test -run '^$$' -fuzz FuzzApplySweeps -fuzztime=10s ./internal/hierarchy
 
 # bench-e2e: the repository's benchmark as BENCHMARK.json declares it — its
 # own unit tests, then the four workloads end to end (bench/README.md).

@@ -39,7 +39,7 @@ func run() (err error) {
 	seed := flag.Int64("seed", 1, "random seed")
 	rhs := flag.Int("rhs", 1, "right-hand sides to solve; >1 routes all columns through one block solve")
 	history := flag.Bool("history", false, "print the full residual history")
-	metrics := flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times)")
+	metrics := flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times) and which kernel bodies ran: block-kernel (every k > 1 column tile, block row kernels and level-1 sweeps) and row-kernel")
 	stream := flag.Bool("stream", false, "stream residual norms to stderr as the solve iterates")
 	resilient := flag.Bool("resilient", false, "solve through the resilient fallback ladder (ignores -precond/-method)")
 	timeout := flag.Duration("timeout", 0, "solve deadline (0 = none); an expired deadline cancels the iteration")

@@ -11,7 +11,9 @@ import (
 var CheckContract = checkContract
 
 // useGoBlockTiles switches the AVX2 column tiles off until the test ends, so
-// every block kernel below it runs the Go tiles.
+// every k > 1 packed-row kernel below it — the block row kernels here and the
+// level-1 sweeps of internal/solver and internal/hierarchy, which read
+// BlockAVX2 — runs the Go tiles.
 func useGoBlockTiles(t testing.TB) {
 	prev := blockAVX2
 	blockAVX2 = false
@@ -35,9 +37,6 @@ var (
 	BlockTestGraph  = blockTestGraph
 	SameWord        = sameWord
 )
-
-// BlockAVX2 reports whether the AVX2 column tiles are in use.
-func BlockAVX2() bool { return blockAVX2 }
 
 // BlockRange is lapMulBlockRange: rows [lo, hi) of a block kernel, mode by
 // nil r / nil dInv, through the AVX2 tiles or the Go tiles.

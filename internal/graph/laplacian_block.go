@@ -26,8 +26,16 @@ import (
 // amd64). Only tests write it afterwards, to run the Go tiles on an AVX2 host.
 var blockAVX2 = cpuHasAVX2()
 
-// BlockKernel names the body of the block row kernels' column tiles in this
-// process: "avx2" or "go".
+// BlockAVX2 reports whether the 8- and 4-wide column tiles of every k > 1
+// packed-row kernel run their AVX2 bodies in this process: the block row
+// kernels here, and the level-1 sweeps of internal/solver and
+// internal/hierarchy, which read it at every call so that one probe decides
+// all of them.
+func BlockAVX2() bool { return blockAVX2 }
+
+// BlockKernel names the body of the column tiles of every k > 1 packed-row
+// kernel — the block row kernels and the level-1 sweeps — in this process:
+// "avx2" or "go".
 func BlockKernel() string {
 	if blockAVX2 {
 		return "avx2"

@@ -267,8 +267,9 @@ func TestBlockOperandLengths(t *testing.T) {
 // TestBlockTileCorruptAdjacency: a Graph whose adjacency holds the id n — one
 // past the last vertex, which validation at construction rules out — panics
 // in the block kernels as an out-of-range index does, under either body of
-// the tiles; the AVX2 tile's id check names the row, stores nothing at or
-// after it and nothing behind dst.
+// the tiles; the AVX2 tile's id check panics with an error wrapping
+// ErrInvalidInput that names the row, where a bare string used to be, and
+// stores nothing at or after the row and nothing behind dst.
 func TestBlockTileCorruptAdjacency(t *testing.T) {
 	const k, canary = 12, 424242.5
 	g := blockTestGraph(t, 600, 10)
@@ -300,8 +301,8 @@ func TestBlockTileCorruptAdjacency(t *testing.T) {
 		if !blockAVX2 {
 			continue
 		}
-		if msg, ok := v.(string); !ok || !strings.Contains(msg, fmt.Sprintf("row %d ", row)) {
-			t.Fatalf("avx2 kernel: panic %v, want the id check naming row %d", v, row)
+		if err, ok := v.(error); !ok || !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), fmt.Sprintf("row %d ", row)) {
+			t.Fatalf("avx2 kernel: panic %v, want the id check's error wrapping ErrInvalidInput, naming row %d", v, row)
 		}
 		for i := row * k; i < n*k; i++ {
 			if dst[i] != canary {

@@ -25,8 +25,8 @@ var lapTile8Asm, lapTile4Asm = lapTile8AVX2, lapTile4AVX2
 // (width 4) through the assembly tile. The assembly indexes raw pointers, so
 // what the Go tiles' bounds checks would catch entry by entry is checked here
 // once — operand lengths, the column window, the row range — and in the
-// assembly per row end and per gathered id; a failure panics as the Go tile
-// would have, naming the row. The range is handed over at most
+// assembly per row end and per gathered id; a failure panics with an error
+// wrapping ErrInvalidInput, naming the row. The range is handed over at most
 // blockRowGrain(k) rows at a time: the runtime cannot preempt a goroutine
 // inside assembly, and a chunk keeps that stretch in the tens of microseconds.
 func (g *Graph) lapMulBlockTileAVX2(width int, dst, r, x, dInv []float64, omega float64, k, j0, lo, hi int) {
@@ -34,8 +34,8 @@ func (g *Graph) lapMulBlockTileAVX2(width int, dst, r, x, dInv []float64, omega 
 	adj, w := g.adj, g.w[:len(g.adj)]
 	if lo < 0 || hi > n || len(g.off) <= n || j0 < 0 || j0+width > k ||
 		len(dst) < n*k || len(x) < n*k || (r != nil && len(r) < n*k) || (r != nil && dInv != nil && len(dInv) < n) {
-		panic(fmt.Sprintf("graph: block tile: rows [%d, %d) of %d, columns [%d, %d) of %d, len(dst)=%d len(r)=%d len(x)=%d len(dInv)=%d",
-			lo, hi, n, j0, j0+width, k, len(dst), len(r), len(x), len(dInv)))
+		panic(fmt.Errorf("graph: block tile: rows [%d, %d) of %d, columns [%d, %d) of %d, len(dst)=%d len(r)=%d len(x)=%d len(dInv)=%d: %w",
+			lo, hi, n, j0, j0+width, k, len(dst), len(r), len(x), len(dInv), ErrInvalidInput))
 	}
 	if lo >= hi {
 		return
@@ -56,7 +56,7 @@ func (g *Graph) lapMulBlockTileAVX2(width int, dst, r, x, dInv []float64, omega 
 			lo, min(lo+grain, hi), k, n, len(adj))
 		if bad >= 0 {
 			rowEnd(g.off[bad+1], adj) // panics if it was the row's end offset that failed
-			panic(fmt.Sprintf("graph: row %d holds a neighbor id outside [0, %d)", bad, n))
+			panic(fmt.Errorf("graph: row %d holds a neighbor id outside [0, %d): %w", bad, n, ErrInvalidInput))
 		}
 	}
 }

@@ -3,6 +3,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -65,7 +66,7 @@ func TestBlockTilesStayInsideOperands(t *testing.T) {
 		bad.adj = append([]int32(nil), g.adj...)
 		bad.adj[len(bad.adj)-1] = int32(n)
 		v := mustPanic(t, "corrupt adjacency", func() { bad.lapMulBlockRange(true, dst, nil, x, nil, 0, k, 0, n) })
-		if msg, ok := v.(string); !ok || !strings.Contains(msg, fmt.Sprintf("row %d ", n-1)) {
+		if err, ok := v.(error); !ok || !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), fmt.Sprintf("row %d ", n-1)) {
 			t.Fatalf("k=%d: panic %v, want the id check naming row %d", k, v, n-1)
 		}
 	}

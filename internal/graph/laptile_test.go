@@ -161,7 +161,9 @@ func TestBlockTilesMatchGoReference(t *testing.T) {
 // TestDoBlockIdenticalAcrossKernels: a whole multi-RHS solve — hierarchy
 // cycle, block PCG, the 8-wide tile on one graph and the 4-wide one on the
 // other — produces the same iterates, residual histories, coefficients and
-// iteration counts with the AVX2 tiles and with the Go tiles.
+// iteration counts with the AVX2 tiles and with the Go tiles. The switch is
+// the one the level-1 sweeps of the solver and the cycle read too, so both
+// sides differ in every k > 1 packed-row kernel, row kernels and sweeps alike.
 func TestDoBlockIdenticalAcrossKernels(t *testing.T) {
 	if !graph.BlockAVX2() {
 		t.Skip("the AVX2 tiles are not in use in this build on this host")

@@ -111,7 +111,10 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 	// residual.
 	const omega = jacobiOmega
 	x := growBuf(&w.tmp[level], n*k)
-	y := growBuf(&w.tmp2[level], n*k)
+	var y []float64 // the second iterate, which only a second smoothing step needs
+	if l.smooth >= 2 {
+		y = growBuf(&w.tmp2[level], n*k)
+	}
 	l.jacobiFromZero(x, r, omega, k)
 	for s := 1; s < l.smooth; s++ {
 		l.g.LapJacobiStepBlock(y, r, x, l.dInv, omega, k)
@@ -147,6 +150,12 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 // any-width loop over the column window [j0, k), does in the same order, so
 // the width of a tile never shows in a result. The two loops of jacobiFromZero
 // round differently (ω·r·d⁻¹ against (ω·d⁻¹)·r), so each width keeps its own.
+//
+// The 8- and 4-wide tiles have a second body, in AVX2 assembly
+// (sweeps_amd64.s), that does the same per column with a row's columns in one
+// or two vector registers; each …Range function picks a tile's body by its
+// avx2 argument, and the sweeps pass graph.BlockAVX2(), so they run the
+// assembly exactly when the block row kernels do (DESIGN §12 "Sweep tiles").
 
 // elemGrain is the minimum number of floats per chunk of the elementwise
 // sweeps; below it par.For degrades to one sequential call.
@@ -165,6 +174,7 @@ func rowGrain(k int) int {
 // jacobiFromZero computes x = ω·D⁻¹r: the first damped-Jacobi step, from a
 // zero iterate.
 func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
+	avx2 := graph.BlockAVX2()
 	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
 		if k == 1 {
 			for v := lo; v < hi; v++ {
@@ -172,18 +182,26 @@ func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
 			}
 			return
 		}
-		l.jacobiFromZeroRange(x, r, omega, k, lo, hi)
+		l.jacobiFromZeroRange(avx2, x, r, omega, k, lo, hi)
 	})
 }
 
 // jacobiFromZeroRange is jacobiFromZero on rows [lo, hi) of a k > 1 block.
-func (l *Level) jacobiFromZeroRange(x, r []float64, omega float64, k, lo, hi int) {
+func (l *Level) jacobiFromZeroRange(avx2 bool, x, r []float64, omega float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		l.jacobiFromZeroTile8(x, r, omega, k, j, lo, hi)
+		if avx2 {
+			l.jacobiFromZeroAVX2(8, x, r, omega, k, j, lo, hi)
+		} else {
+			l.jacobiFromZeroTile8(x, r, omega, k, j, lo, hi)
+		}
 	}
 	if j+4 <= k {
-		l.jacobiFromZeroTile4(x, r, omega, k, j, lo, hi)
+		if avx2 {
+			l.jacobiFromZeroAVX2(4, x, r, omega, k, j, lo, hi)
+		} else {
+			l.jacobiFromZeroTile4(x, r, omega, k, j, lo, hi)
+		}
 		j += 4
 	}
 	if j < k {
@@ -235,7 +253,7 @@ func (l *Level) jacobiFromZeroTail(x, r []float64, omega float64, k, j0, lo, hi 
 // prolongAdd computes x += α·R·xq: every vertex takes its cluster's
 // correction, scaled by the level's alpha.
 func (l *Level) prolongAdd(x, xq []float64, k int) {
-	alpha := l.alpha
+	alpha, avx2 := l.alpha, graph.BlockAVX2()
 	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
 		if k == 1 {
 			for v := lo; v < hi; v++ {
@@ -243,18 +261,26 @@ func (l *Level) prolongAdd(x, xq []float64, k int) {
 			}
 			return
 		}
-		l.prolongAddRange(x, xq, alpha, k, lo, hi)
+		l.prolongAddRange(avx2, x, xq, alpha, k, lo, hi)
 	})
 }
 
 // prolongAddRange is prolongAdd on rows [lo, hi) of a k > 1 block.
-func (l *Level) prolongAddRange(x, xq []float64, alpha float64, k, lo, hi int) {
+func (l *Level) prolongAddRange(avx2 bool, x, xq []float64, alpha float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		l.prolongAddTile8(x, xq, alpha, k, j, lo, hi)
+		if avx2 {
+			l.prolongAddAVX2(8, x, xq, alpha, k, j, lo, hi)
+		} else {
+			l.prolongAddTile8(x, xq, alpha, k, j, lo, hi)
+		}
 	}
 	if j+4 <= k {
-		l.prolongAddTile4(x, xq, alpha, k, j, lo, hi)
+		if avx2 {
+			l.prolongAddAVX2(4, x, xq, alpha, k, j, lo, hi)
+		} else {
+			l.prolongAddTile4(x, xq, alpha, k, j, lo, hi)
+		}
 		j += 4
 	}
 	if j < k {
@@ -326,6 +352,7 @@ func (l *Level) restrict(r, rq []float64, k int) {
 	if grain < 8 {
 		grain = 8
 	}
+	avx2 := graph.BlockAVX2()
 	par.For(l.count, grain, func(lo, hi int) {
 		if k == 1 {
 			order := l.order
@@ -340,18 +367,26 @@ func (l *Level) restrict(r, rq []float64, k int) {
 			}
 			return
 		}
-		l.restrictRange(r, rq, k, lo, hi)
+		l.restrictRange(avx2, r, rq, k, lo, hi)
 	})
 }
 
 // restrictRange is restrict on clusters [lo, hi) of a k > 1 block.
-func (l *Level) restrictRange(r, rq []float64, k, lo, hi int) {
+func (l *Level) restrictRange(avx2 bool, r, rq []float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		l.restrictTile8(r, rq, k, j, lo, hi)
+		if avx2 {
+			l.restrictAVX2(8, r, rq, k, j, lo, hi)
+		} else {
+			l.restrictTile8(r, rq, k, j, lo, hi)
+		}
 	}
 	if j+4 <= k {
-		l.restrictTile4(r, rq, k, j, lo, hi)
+		if avx2 {
+			l.restrictAVX2(4, r, rq, k, j, lo, hi)
+		} else {
+			l.restrictTile4(r, rq, k, j, lo, hi)
+		}
 		j += 4
 	}
 	if j < k {

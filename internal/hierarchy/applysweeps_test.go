@@ -58,10 +58,12 @@ type applyArgs struct {
 	k            int
 }
 
+// clone copies the operands into slices whose capacity is their length, so
+// that the Go tiles' full-slice expressions are checked against the length.
 func (a *applyArgs) clone() *applyArgs {
 	c := *a
 	for _, f := range []*[]float64{&c.x, &c.r, &c.xq, &c.rq} {
-		*f = append([]float64(nil), *f...)
+		*f = append(make([]float64, 0, len(*f)), *f...)
 	}
 	return &c
 }
@@ -82,31 +84,62 @@ func randomApplyArgs(l *Level, k int, draw func() float64) *applyArgs {
 
 // applySweeps lists the tiled k > 1 sweeps of apply.go (all but steinerSum,
 // which has only its any-width loop) three ways, like the solver's
-// blockSweeps: tiled is the range body the cycle runs, loop its any-width loop
-// from column 0 (the tail, and the reference), whole the sweep's entry point.
-// restrict ranges over clusters and writes rq; the others range over vertices
-// and write x. bytes is what one block entry costs in loads and stores of
-// block entries (the gathered cluster rows are counted once per vertex).
+// blockSweeps: tiled is the range body the cycle runs, its tiles in assembly
+// or in Go by the avx2 argument; loop its any-width loop from column 0 (the
+// tail, and the reference both bodies are held to); whole the sweep's entry
+// point, which runs the body this process runs. restrict ranges over clusters
+// and writes rq; the others range over vertices and write x. bytes is what one
+// block entry costs in loads and stores of block entries (the gathered cluster
+// rows are counted once per vertex).
 var applySweeps = []struct {
 	name     string
 	bytes    float64
 	clusters bool
-	tiled    func(l *Level, a *applyArgs, lo, hi int)
+	tiled    func(avx2 bool, l *Level, a *applyArgs, lo, hi int)
 	loop     func(l *Level, a *applyArgs, lo, hi int)
 	whole    func(l *Level, a *applyArgs)
 }{
 	{"jacobiFromZero", 16, false,
-		func(l *Level, a *applyArgs, lo, hi int) { l.jacobiFromZeroRange(a.x, a.r, jacobiOmega, a.k, lo, hi) },
+		func(avx2 bool, l *Level, a *applyArgs, lo, hi int) {
+			l.jacobiFromZeroRange(avx2, a.x, a.r, jacobiOmega, a.k, lo, hi)
+		},
 		func(l *Level, a *applyArgs, lo, hi int) { l.jacobiFromZeroTail(a.x, a.r, jacobiOmega, a.k, 0, lo, hi) },
 		func(l *Level, a *applyArgs) { l.jacobiFromZero(a.x, a.r, jacobiOmega, a.k) }},
 	{"prolongAdd", 24, false,
-		func(l *Level, a *applyArgs, lo, hi int) { l.prolongAddRange(a.x, a.xq, l.alpha, a.k, lo, hi) },
+		func(avx2 bool, l *Level, a *applyArgs, lo, hi int) {
+			l.prolongAddRange(avx2, a.x, a.xq, l.alpha, a.k, lo, hi)
+		},
 		func(l *Level, a *applyArgs, lo, hi int) { l.prolongAddTail(a.x, a.xq, l.alpha, a.k, 0, lo, hi) },
 		func(l *Level, a *applyArgs) { l.prolongAdd(a.x, a.xq, a.k) }},
 	{"restrict", 8, true,
-		func(l *Level, a *applyArgs, lo, hi int) { l.restrictRange(a.r, a.rq, a.k, lo, hi) },
+		func(avx2 bool, l *Level, a *applyArgs, lo, hi int) { l.restrictRange(avx2, a.r, a.rq, a.k, lo, hi) },
 		func(l *Level, a *applyArgs, lo, hi int) { l.restrictTail(a.r, a.rq, a.k, 0, lo, hi) },
 		func(l *Level, a *applyArgs) { l.restrict(a.r, a.rq, a.k) }},
+}
+
+// sweepBody is one body of the sweep tiles.
+type sweepBody struct {
+	name string
+	avx2 bool
+}
+
+// sweepBodies are the bodies of the sweep tiles this process can run: the Go
+// tiles always, the assembly where graph.BlockAVX2 says so.
+func sweepBodies() []sweepBody {
+	bodies := []sweepBody{{"go", false}}
+	if graph.BlockAVX2() {
+		bodies = append(bodies, sweepBody{"avx2", true})
+	}
+	return bodies
+}
+
+// sweepRows is the range a sweep runs over: the level's clusters for
+// restrict, its vertices otherwise.
+func sweepRows(l *Level, clusters bool) int {
+	if clusters {
+		return l.count
+	}
+	return l.g.N()
 }
 
 // sameWord compares by bit pattern, any NaN matching any NaN.
@@ -128,18 +161,15 @@ func diffApply(got, want *applyArgs) string {
 }
 
 // TestApplySweepTilesMatchReference: every tiled sweep of the cycle leaves the
-// words its any-width loop leaves, at widths that combine the tiles every way,
-// on levels below, at and above one parallel chunk whose clusters run from
-// single vertices to many times SizeCap, through the sweep's entry point and on
+// words its any-width loop leaves, with either body of its tiles, at widths
+// that combine the tiles every way, on levels below, at and above one parallel
+// chunk whose clusters run from single vertices to many times SizeCap, through
+// the sweep's entry point, through either body over the whole level and on
 // ranges that start and end mid-level, where rows (clusters, for restrict)
 // outside the range keep their sentinel; ordinary and special values, in the
 // inverse diagonal too.
 func TestApplySweepTilesMatchReference(t *testing.T) {
 	const sentinel = 12345.678
-	specials := []float64{
-		0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, math.SmallestNonzeroFloat64 * (1 << 20),
-		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-	}
 	sizes := []int{1, 1, 3, 40, 2, 1, 300, 4}
 	rng := rand.New(rand.NewSource(26))
 	for _, k := range []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17} {
@@ -147,26 +177,30 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 		for _, special := range []bool{false, true} {
 			draw := func() float64 {
 				if special && rng.Intn(5) == 0 {
-					return specials[rng.Intn(len(specials))]
+					return sweepSpecials[rng.Intn(len(sweepSpecials))]
 				}
 				return rng.NormFloat64()
 			}
-			rows := func(l *Level, clusters bool) int {
-				if clusters {
-					return l.count
-				}
-				return l.g.N()
-			}
-			// The entry point against the loop over the whole level.
+			// The entry point and both bodies against the loop over the
+			// whole level.
 			for _, n := range []int{1, 37, grain - 1, grain, grain + 1, 2*grain + 37} {
 				l := sweepLevel(rng, n, sizes, true, draw)
 				base := randomApplyArgs(l, k, draw)
 				for _, sw := range applySweeps {
-					got, want := base.clone(), base.clone()
+					m := sweepRows(l, sw.clusters)
+					want := base.clone()
+					sw.loop(l, want, 0, m)
+					got := base.clone()
 					sw.whole(l, got)
-					sw.loop(l, want, 0, rows(l, sw.clusters))
 					if d := diffApply(got, want); d != "" {
-						t.Fatalf("%s k=%d n=%d special=%v: %s", sw.name, k, n, special, d)
+						t.Fatalf("%s entry point k=%d n=%d special=%v: %s", sw.name, k, n, special, d)
+					}
+					for _, body := range sweepBodies() {
+						got := base.clone()
+						sw.tiled(body.avx2, l, got, 0, m)
+						if d := diffApply(got, want); d != "" {
+							t.Fatalf("%s %s tiles k=%d n=%d special=%v: %s", sw.name, body.name, k, n, special, d)
+						}
 					}
 				}
 			}
@@ -174,12 +208,12 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 			l := sweepLevel(rng, 101, sizes, true, draw)
 			base := randomApplyArgs(l, k, draw)
 			for _, sw := range applySweeps {
-				m := rows(l, sw.clusters)
+				m := sweepRows(l, sw.clusters)
 				for _, rg := range [][2]int{{0, m}, {m / 3, m/3 + 1}, {m / 2, m / 2}, {1, m - 1}} {
-					got := base.clone()
-					out := got.x
+					start := base.clone()
+					out := start.x
 					if sw.clusters {
-						out = got.rq
+						out = start.rq
 					}
 					outside := func(i int) bool { return i/k < rg[0] || i/k >= rg[1] }
 					for i := range out {
@@ -187,17 +221,143 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 							out[i] = sentinel
 						}
 					}
-					want := got.clone()
-					sw.tiled(l, got, rg[0], rg[1])
+					want := start.clone()
 					sw.loop(l, want, rg[0], rg[1])
-					if d := diffApply(got, want); d != "" {
-						t.Fatalf("%s k=%d special=%v range [%d,%d): %s", sw.name, k, special, rg[0], rg[1], d)
-					}
-					for i := range out {
-						if outside(i) && out[i] != sentinel {
-							t.Fatalf("%s k=%d range [%d,%d): row %d outside the range was written", sw.name, k, rg[0], rg[1], i/k)
+					for _, body := range sweepBodies() {
+						got := start.clone()
+						sw.tiled(body.avx2, l, got, rg[0], rg[1])
+						if d := diffApply(got, want); d != "" {
+							t.Fatalf("%s %s tiles k=%d special=%v range [%d,%d): %s", sw.name, body.name, k, special, rg[0], rg[1], d)
+						}
+						out := got.x
+						if sw.clusters {
+							out = got.rq
+						}
+						for i := range out {
+							if outside(i) && out[i] != sentinel {
+								t.Fatalf("%s %s tiles k=%d range [%d,%d): row %d outside the range was written", sw.name, body.name, k, rg[0], rg[1], i/k)
+							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzApplySweeps holds restrict, prolongAdd and jacobiFromZero, with either
+// body of their tiles, to their any-width loops on a level, width, range and
+// operands decoded from the fuzzer's bytes: vertex count, cluster sizes,
+// whether clusters are scattered, and the values of the blocks and of the
+// inverse diagonal, specials included.
+func FuzzApplySweeps(f *testing.F) {
+	f.Add([]byte{6, 20, 0, 3, 1, 2, 250, 3, 130, 7})
+	f.Add([]byte{11, 63, 1, 40, 255, 0, 241, 100, 9, 4})
+	f.Add([]byte{2, 1, 0, 1, 0})
+	f.Add([]byte{15, 33, 1, 30, 3, 120, 245, 121})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		// Bytes 0–4: width in [2, 24], vertex count in [1, 96], scattered
+		// clusters, range start and length (as a share of the range's
+		// rows); the rest sets the cluster sizes and seeds the operands.
+		k := 2 + int(data[0])%23
+		n := 1 + int(data[1])%96
+		shuffle := data[2]&1 == 1
+		from, length := int(data[3]), int(data[4])
+		data = data[5:]
+		sizes := []int{1 + len(data)%5}
+		for _, b := range data[:min(len(data), 6)] {
+			sizes = append(sizes, 1+int(b)%9)
+		}
+		i := 0
+		draw := func() float64 {
+			i++
+			if len(data) == 0 {
+				return float64(i%7) - 3
+			}
+			b := data[i%len(data)]
+			if b >= 240 {
+				return sweepSpecials[int(b)%len(sweepSpecials)]
+			}
+			return (float64(b) - 120) * float64(1+i%5) / 16
+		}
+		l := sweepLevel(rand.New(rand.NewSource(int64(n*31+k))), n, sizes, shuffle, draw)
+		base := randomApplyArgs(l, k, draw)
+		for _, sw := range applySweeps {
+			m := sweepRows(l, sw.clusters)
+			lo := from % (m + 1)
+			hi := lo + length%(m+1-lo)
+			want := base.clone()
+			sw.loop(l, want, lo, hi)
+			for _, body := range sweepBodies() {
+				got := base.clone()
+				sw.tiled(body.avx2, l, got, lo, hi)
+				if d := diffApply(got, want); d != "" {
+					t.Fatalf("%s %s tiles k=%d n=%d range [%d,%d): %s", sw.name, body.name, k, n, lo, hi, d)
+				}
+			}
+		}
+	})
+}
+
+// sweepSpecials are the values a sweep that reorders, fuses or flushes
+// anything gets wrong: signed zeros, denormals, the extremes, infinities, NaN.
+var sweepSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, math.SmallestNonzeroFloat64 * (1 << 20),
+	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// TestApplySweepTilesRejectCorruptIndices: a restriction table that names a
+// member id n, a cluster that ends beyond the restriction order, or a vertex
+// assigned to cluster count — which a built hierarchy never holds — panics
+// under either body of the tiles before the offending cluster or row is
+// stored; the assembly's index checks panic with an error wrapping
+// graph.ErrInvalidInput that names it.
+func TestApplySweepTilesRejectCorruptIndices(t *testing.T) {
+	const n, bad = 200, 23 // the corrupt cluster, or vertex
+	rng := rand.New(rand.NewSource(28))
+	for _, k := range []int{4, 8, 12} {
+		for _, tc := range []struct {
+			name, names string
+			restrict    bool
+			corrupt     func(l *Level)
+		}{
+			{"member id n", fmt.Sprintf("cluster %d ", bad), true, func(l *Level) { l.order[l.start[bad]+1] = n }},
+			{"cluster end beyond the order", fmt.Sprintf("cluster %d ", bad), true, func(l *Level) {
+				l.start[bad+1] = int32(len(l.order) + 1)
+			}},
+			{"cluster id count", fmt.Sprintf("vertex %d ", bad), false, func(l *Level) { l.assign[bad] = int32(l.count) }},
+		} {
+			l := sweepLevel(rng, n, []int{3, 4, 2}, false, func() float64 { return 0.5 })
+			tc.corrupt(l)
+			base := randomApplyArgs(l, k, rng.NormFloat64)
+			for _, body := range sweepBodies() {
+				a := base.clone()
+				sw, out, orig := applySweeps[1], a.x, base.x // prolongAdd
+				if tc.restrict {
+					sw, out, orig = applySweeps[2], a.rq, base.rq
+				}
+				what := fmt.Sprintf("%s k=%d %s tiles, %s", sw.name, k, body.name, tc.name)
+				v := func() (v any) {
+					defer func() { v = recover() }()
+					sw.tiled(body.avx2, l, a, 0, sweepRows(l, tc.restrict))
+					return nil
+				}()
+				if v == nil {
+					t.Fatalf("%s: no panic", what)
+				}
+				if err, ok := v.(error); body.avx2 && (!ok || !errors.Is(err, graph.ErrInvalidInput) || !strings.Contains(err.Error(), tc.names)) {
+					t.Fatalf("%s: panic %v, want an error wrapping ErrInvalidInput that names %q", what, v, tc.names)
+				}
+				for i := bad * k; i < len(out); i++ {
+					if !sameWord(out[i], orig[i]) {
+						t.Fatalf("%s: row %d column %d written at or after the corrupt one", what, i/k, i%k)
+					}
+				}
+				if sameWord(out[(bad-1)*k], orig[(bad-1)*k]) {
+					t.Fatalf("%s: row %d, before the corrupt one, was not written", what, bad-1)
 				}
 			}
 		}
@@ -253,8 +413,9 @@ func TestApplyBlockRejectsBadOperands(t *testing.T) {
 	}
 }
 
-// BenchmarkApplySweeps times each sweep's tiled body against its any-width
-// loop on one goroutine, at the widths with a full tile, on a level that stays
+// BenchmarkApplySweeps times each sweep's any-width loop and its tiled body
+// with the Go tiles and with the AVX2 ones on one goroutine, at the widths with
+// a full tile, on a level that stays
 // in L2 (4096 vertices, the judged size) and one that does not, clusters of up
 // to SizeCap neighbouring vertices as the stored layout has them. ns/elem is
 // per entry of the vertex block; GB/s counts the sweep's loads and stores of
@@ -276,8 +437,15 @@ func BenchmarkApplySweeps(b *testing.B) {
 				for _, body := range []struct {
 					name string
 					fn   func(l *Level, a *applyArgs, lo, hi int)
-				}{{"tiled", sw.tiled}, {"loop", sw.loop}} {
+				}{
+					{"loop", sw.loop},
+					{"go", func(l *Level, a *applyArgs, lo, hi int) { sw.tiled(false, l, a, lo, hi) }},
+					{"avx2", func(l *Level, a *applyArgs, lo, hi int) { sw.tiled(true, l, a, lo, hi) }},
+				} {
 					b.Run(fmt.Sprintf("%s/n=%d/k=%d/%s", sw.name, n, k, body.name), func(b *testing.B) {
+						if body.name == "avx2" && !graph.BlockAVX2() {
+							b.Skipf("this process runs the %s block kernel", graph.BlockKernel())
+						}
 						for i := 0; i < b.N; i++ {
 							body.fn(l, args, 0, rows)
 						}

@@ -721,6 +721,51 @@ func TestShallowHierarchiesKeepTheVCycle(t *testing.T) {
 	}
 }
 
+// TestSecondIterateOnlyWhenSmoothingTwice: the second smoothing iterate of a
+// level exists only for a second smoothing step, so with the default Smooth: 1
+// an apply at any width leaves it unallocated on every level — it used to cost
+// n·k floats per level of every pooled workspace — and with Smooth: 2 it is
+// n·k floats on every level, reused by the next apply.
+func TestSecondIterateOnlyWhenSmoothingTwice(t *testing.T) {
+	g := workload.Grid2D(40, 40, workload.Lognormal(1), 5)
+	b := meanFree(rand.New(rand.NewSource(21)), g.N())
+	for _, smooth := range []int{1, 2} {
+		opt := DefaultOptions()
+		opt.Smooth, opt.DirectLimit = smooth, 16
+		h, err := New(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 8} {
+			r, dst := make([]float64, g.N()*k), make([]float64, g.N()*k)
+			for v, x := range b {
+				r[v*k] = x
+			}
+			w := h.getWork()
+			h.applyLevel(0, dst, r, k, w)
+			first := map[int]*float64{}
+			for level, l := range h.levels {
+				want := 0
+				if smooth >= 2 {
+					want = l.g.N() * k
+				}
+				if got := len(w.tmp2[level]); got != want || (want == 0 && w.tmp2[level] != nil) {
+					t.Fatalf("Smooth: %d k=%d level %d: second iterate of %d entries (nil: %v), want %d", smooth, k, level, got, w.tmp2[level] == nil, want)
+				}
+				if want > 0 {
+					first[level] = &w.tmp2[level][0]
+				}
+			}
+			h.applyLevel(0, dst, r, k, w)
+			for level, p := range first {
+				if &w.tmp2[level][0] != p {
+					t.Errorf("Smooth: %d k=%d level %d: second iterate reallocated by a warm apply", smooth, k, level)
+				}
+			}
+		}
+	}
+}
+
 // TestDoubledTailWorkVectorsArePooled: the second coarse visit costs two more
 // work vectors per doubled level and nothing per apply — they live in the
 // pooled workspace, sized on first use and reused after — so a warm engine

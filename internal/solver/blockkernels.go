@@ -1,6 +1,9 @@
 package solver
 
-import "hcd/internal/par"
+import (
+	"hcd/internal/graph"
+	"hcd/internal/par"
+)
 
 // Block (multi-RHS) level-1 kernels. All of them operate on packed row-major
 // [n][k] blocks — entry (v, j) lives at x[v*k+j] — so one sweep over the
@@ -90,6 +93,14 @@ func (s *scratch) reduceRows(n, k int, out []float64, fn func(lo, hi int, acc []
 // any-width loop over the column window [j0, k) is each kernel's tail; from
 // j0 = 0 it is the whole kernel, which is what the tests compare the tiles to
 // (DESIGN §12 "Column-tile sweeps").
+//
+// The 8- and 4-wide tiles have a second body, in AVX2 assembly
+// (sweeps_amd64.s), which performs the same operations per column with a row's
+// columns in one or two vector registers. Each …Range function is the one
+// place a tile's body is chosen, by its avx2 argument, as in
+// graph.lapMulBlockRange; the entry points pass graph.BlockAVX2(), so the
+// sweeps run the assembly exactly when the block row kernels do (DESIGN §12
+// "Sweep tiles"). The tails are Go always.
 
 // blockDots computes out[j] = Σ_v a[v·k+j]·b[v·k+j] for each column j.
 func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
@@ -97,19 +108,28 @@ func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
 		out[0] = dot(a[:n], b[:n])
 		return
 	}
+	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockDotsRange(a, b, k, lo, hi, acc)
+		blockDotsRange(avx2, a, b, k, lo, hi, acc)
 	})
 }
 
 // blockDotsRange adds rows [lo, hi) of the column dot products to acc.
-func blockDotsRange(a, b []float64, k, lo, hi int, acc []float64) {
+func blockDotsRange(avx2 bool, a, b []float64, k, lo, hi int, acc []float64) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		blockDotsTile8(a, b, k, j, lo, hi, acc)
+		if avx2 {
+			dotsAVX2(8, a, b, k, j, lo, hi, acc)
+		} else {
+			blockDotsTile8(a, b, k, j, lo, hi, acc)
+		}
 	}
 	if j+4 <= k {
-		blockDotsTile4(a, b, k, j, lo, hi, acc)
+		if avx2 {
+			dotsAVX2(4, a, b, k, j, lo, hi, acc)
+		} else {
+			blockDotsTile4(a, b, k, j, lo, hi, acc)
+		}
 		j += 4
 	}
 	if j < k {
@@ -173,19 +193,29 @@ func (s *scratch) blockColSums(x []float64, n, k int, out []float64) {
 		out[0] = sum(x[:n])
 		return
 	}
+	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockColSumsRange(x, k, lo, hi, acc)
+		blockColSumsRange(avx2, x, k, lo, hi, acc)
 	})
 }
 
-// blockColSumsRange adds rows [lo, hi) of the column sums to acc.
-func blockColSumsRange(x []float64, k, lo, hi int, acc []float64) {
+// blockColSumsRange adds rows [lo, hi) of the column sums to acc. The
+// assembly body is the dot products' with no second operand.
+func blockColSumsRange(avx2 bool, x []float64, k, lo, hi int, acc []float64) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		blockColSumsTile8(x, k, j, lo, hi, acc)
+		if avx2 {
+			dotsAVX2(8, x, nil, k, j, lo, hi, acc)
+		} else {
+			blockColSumsTile8(x, k, j, lo, hi, acc)
+		}
 	}
 	if j+4 <= k {
-		blockColSumsTile4(x, k, j, lo, hi, acc)
+		if avx2 {
+			dotsAVX2(4, x, nil, k, j, lo, hi, acc)
+		} else {
+			blockColSumsTile4(x, k, j, lo, hi, acc)
+		}
 		j += 4
 	}
 	if j < k {
@@ -249,20 +279,29 @@ func (s *scratch) blockSubMeanDot(z, r []float64, n, k int, mean, out []float64)
 		out[0] = shiftDot(z[:n], mean[0], r[:n])
 		return
 	}
+	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockSubMeanDotRange(z, r, mean, k, lo, hi, acc)
+		blockSubMeanDotRange(avx2, z, r, mean, k, lo, hi, acc)
 	})
 }
 
 // blockSubMeanDotRange shifts rows [lo, hi) of z and adds their products with
 // r to acc.
-func blockSubMeanDotRange(z, r, mean []float64, k, lo, hi int, acc []float64) {
+func blockSubMeanDotRange(avx2 bool, z, r, mean []float64, k, lo, hi int, acc []float64) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		blockSubMeanDotTile8(z, r, mean, k, j, lo, hi, acc)
+		if avx2 {
+			subMeanDotAVX2(8, z, r, mean, k, j, lo, hi, acc)
+		} else {
+			blockSubMeanDotTile8(z, r, mean, k, j, lo, hi, acc)
+		}
 	}
 	if j+4 <= k {
-		blockSubMeanDotTile4(z, r, mean, k, j, lo, hi, acc)
+		if avx2 {
+			subMeanDotAVX2(4, z, r, mean, k, j, lo, hi, acc)
+		} else {
+			blockSubMeanDotTile4(z, r, mean, k, j, lo, hi, acc)
+		}
 		j += 4
 	}
 	if j < k {
@@ -350,20 +389,29 @@ func (s *scratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int, sums
 		sums[0] = updateXR(x[:n], r[:n], alpha[0], p[:n], ap[:n])
 		return
 	}
+	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, sums, func(lo, hi int, acc []float64) {
-		blockUpdateXRSumsRange(x, r, p, ap, alpha, k, lo, hi, acc)
+		blockUpdateXRSumsRange(avx2, x, r, p, ap, alpha, k, lo, hi, acc)
 	})
 }
 
 // blockUpdateXRSumsRange updates rows [lo, hi) and adds the new residual rows
 // to acc.
-func blockUpdateXRSumsRange(x, r, p, ap, alpha []float64, k, lo, hi int, acc []float64) {
+func blockUpdateXRSumsRange(avx2 bool, x, r, p, ap, alpha []float64, k, lo, hi int, acc []float64) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		blockUpdateXRSumsTile8(x, r, p, ap, alpha, k, j, lo, hi, acc)
+		if avx2 {
+			updateXRSumsAVX2(8, x, r, p, ap, alpha, k, j, lo, hi, acc)
+		} else {
+			blockUpdateXRSumsTile8(x, r, p, ap, alpha, k, j, lo, hi, acc)
+		}
 	}
 	if j+4 <= k {
-		blockUpdateXRSumsTile4(x, r, p, ap, alpha, k, j, lo, hi, acc)
+		if avx2 {
+			updateXRSumsAVX2(4, x, r, p, ap, alpha, k, j, lo, hi, acc)
+		} else {
+			blockUpdateXRSumsTile4(x, r, p, ap, alpha, k, j, lo, hi, acc)
+		}
 		j += 4
 	}
 	if j < k {
@@ -496,24 +544,32 @@ func blockXPBY(p, z, beta []float64, n, k int) {
 		xpby(p[:n], z[:n], beta[0])
 		return
 	}
-	grain := blockGrain(k)
+	grain, avx2 := blockGrain(k), graph.BlockAVX2()
 	if n <= grain || par.Workers() == 1 {
-		blockXPBYRange(p, z, beta, k, 0, n)
+		blockXPBYRange(avx2, p, z, beta, k, 0, n)
 		return
 	}
 	par.For(n, grain, func(lo, hi int) {
-		blockXPBYRange(p, z, beta, k, lo, hi)
+		blockXPBYRange(avx2, p, z, beta, k, lo, hi)
 	})
 }
 
 // blockXPBYRange is blockXPBY on rows [lo, hi) of a k > 1 block.
-func blockXPBYRange(p, z, beta []float64, k, lo, hi int) {
+func blockXPBYRange(avx2 bool, p, z, beta []float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		blockXPBYTile8(p, z, beta, k, j, lo, hi)
+		if avx2 {
+			xpbyAVX2(8, p, z, beta, k, j, lo, hi)
+		} else {
+			blockXPBYTile8(p, z, beta, k, j, lo, hi)
+		}
 	}
 	if j+4 <= k {
-		blockXPBYTile4(p, z, beta, k, j, lo, hi)
+		if avx2 {
+			xpbyAVX2(4, p, z, beta, k, j, lo, hi)
+		} else {
+			blockXPBYTile4(p, z, beta, k, j, lo, hi)
+		}
 		j += 4
 	}
 	if j < k {

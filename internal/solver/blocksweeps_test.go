@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hcd/internal/graph"
 )
 
 // sweepArgs are the operands of one level-1 block sweep over rows [lo, hi) of
@@ -26,45 +28,65 @@ func (a *sweepArgs) clone() *sweepArgs {
 
 // blockSweeps lists the tiled k > 1 kernels of blockkernels.go (all but
 // blockUpdateXRNormSq, which has only its any-width loop) three ways: tiled is
-// the row-range body the solver runs (8-wide tile, 4-wide tile, tail); loop is
-// the kernel's any-width loop from column 0 — its tail, and the reference the
-// tiles are held to; whole is the kernel's entry point over rows [0, n). bytes
-// is what one element costs in loads and stores.
+// the row-range body the solver runs (8-wide tile, 4-wide tile, tail), its
+// tiles in assembly or in Go by the avx2 argument; loop is the kernel's
+// any-width loop from column 0 — its tail, and the reference both bodies of
+// the tiles are held to; whole is the kernel's entry point over rows [0, n),
+// which runs the body this process runs. bytes is what one element costs in
+// loads and stores.
 var blockSweeps = []struct {
 	name  string
 	bytes float64
-	tiled func(a *sweepArgs)
+	tiled func(avx2 bool, a *sweepArgs)
 	loop  func(a *sweepArgs)
 	whole func(s *scratch, a *sweepArgs, n int)
 }{
 	{"dots", 16,
-		func(a *sweepArgs) { blockDotsRange(a.x, a.r, a.k, a.lo, a.hi, a.acc) },
+		func(avx2 bool, a *sweepArgs) { blockDotsRange(avx2, a.x, a.r, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockDotsTail(a.x, a.r, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockDots(a.x, a.r, n, a.k, a.acc) }},
 	{"normSq", 8,
-		func(a *sweepArgs) { blockDotsRange(a.x, a.x, a.k, a.lo, a.hi, a.acc) },
+		func(avx2 bool, a *sweepArgs) { blockDotsRange(avx2, a.x, a.x, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockDotsTail(a.x, a.x, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockNormSq(a.x, n, a.k, a.acc) }},
 	{"colSums", 8,
-		func(a *sweepArgs) { blockColSumsRange(a.x, a.k, a.lo, a.hi, a.acc) },
+		func(avx2 bool, a *sweepArgs) { blockColSumsRange(avx2, a.x, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockColSumsTail(a.x, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockColSums(a.x, n, a.k, a.acc) }},
 	{"subMeanDot", 24,
-		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.r, a.coef, a.k, a.lo, a.hi, a.acc) },
+		func(avx2 bool, a *sweepArgs) { blockSubMeanDotRange(avx2, a.x, a.r, a.coef, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanDot(a.x, a.r, n, a.k, a.coef, a.acc) }},
 	{"subMeanNormSq", 16,
-		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.x, a.coef, a.k, a.lo, a.hi, a.acc) },
+		func(avx2 bool, a *sweepArgs) { blockSubMeanDotRange(avx2, a.x, a.x, a.coef, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.x, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanNormSq(a.x, n, a.k, a.coef, a.acc) }},
 	{"updateXRSums", 48,
-		func(a *sweepArgs) { blockUpdateXRSumsRange(a.x, a.r, a.p, a.ap, a.coef, a.k, a.lo, a.hi, a.acc) },
+		func(avx2 bool, a *sweepArgs) {
+			blockUpdateXRSumsRange(avx2, a.x, a.r, a.p, a.ap, a.coef, a.k, a.lo, a.hi, a.acc)
+		},
 		func(a *sweepArgs) { blockUpdateXRSumsTail(a.x, a.r, a.p, a.ap, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockUpdateXRSums(a.x, a.r, a.p, a.ap, a.coef, n, a.k, a.acc) }},
 	{"xpby", 24,
-		func(a *sweepArgs) { blockXPBYRange(a.x, a.r, a.coef, a.k, a.lo, a.hi) },
+		func(avx2 bool, a *sweepArgs) { blockXPBYRange(avx2, a.x, a.r, a.coef, a.k, a.lo, a.hi) },
 		func(a *sweepArgs) { blockXPBYTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi) },
 		func(_ *scratch, a *sweepArgs, n int) { blockXPBY(a.x, a.r, a.coef, n, a.k) }},
+}
+
+// sweepBody is one body of the sweep tiles.
+type sweepBody struct {
+	name string
+	avx2 bool
+}
+
+// sweepBodies are the bodies of the sweep tiles this process can run: the Go
+// tiles always, the assembly where graph.BlockAVX2 says so.
+func sweepBodies() []sweepBody {
+	bodies := []sweepBody{{"go", false}}
+	if graph.BlockAVX2() {
+		bodies = append(bodies, sweepBody{"avx2", true})
+	}
+	return bodies
 }
 
 // sweepSpecials are the values a kernel that reorders, fuses or flushes
@@ -126,32 +148,46 @@ func diffSweep(got, want *sweepArgs) string {
 var sweepWidths = []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17}
 
 // TestBlockSweepTilesMatchReference: every tiled sweep leaves the words its
-// any-width loop leaves — reductions and the blocks it updates in place — at
-// widths that combine the tiles every way, on row counts below, at and above
-// one reduction chunk, through the kernel's entry point (chunked, combined in
-// chunk order) and on row ranges that start and end mid-block, where every row
-// outside the range keeps its sentinel; ordinary and special values.
+// any-width loop leaves — reductions and the blocks it updates in place —
+// with either body of its tiles, at widths that combine the tiles every way,
+// on row counts below, at and above one reduction chunk, through the kernel's
+// entry point and through either body under the same chunking (combined in
+// chunk order), and on row ranges that start and end mid-block, where every
+// row outside the range keeps its sentinel; ordinary and special values.
 func TestBlockSweepTilesMatchReference(t *testing.T) {
 	const sentinel = 12345.678
 	rng := rand.New(rand.NewSource(26))
+	chunked := func(n int, a *sweepArgs, body func(a *sweepArgs)) {
+		var s scratch
+		s.reduceRows(n, a.k, a.acc, func(lo, hi int, acc []float64) {
+			chunk := *a
+			chunk.lo, chunk.hi, chunk.acc = lo, hi, acc
+			body(&chunk)
+		})
+	}
 	for _, k := range sweepWidths {
 		for _, special := range []bool{false, true} {
-			// The entry point against the loop under the same chunking.
+			// The entry point and both bodies against the loop under the
+			// same chunking.
 			grain := blockGrain(k)
 			for _, n := range []int{1, 37, grain - 1, grain, grain + 1, 2*grain + 37} {
 				base := randomSweepArgs(rng, n, k, special)
 				for _, sw := range blockSweeps {
-					got, want := base.clone(), base.clone()
+					want := base.clone()
+					chunked(n, want, sw.loop)
+					got := base.clone()
 					zero(got.acc) // reduceRows zeroes want's; xpby has none to zero
 					var s scratch
 					sw.whole(&s, got, n)
-					s.reduceRows(n, k, want.acc, func(lo, hi int, acc []float64) {
-						chunk := *want
-						chunk.lo, chunk.hi, chunk.acc = lo, hi, acc
-						sw.loop(&chunk)
-					})
 					if d := diffSweep(got, want); d != "" {
-						t.Fatalf("%s k=%d n=%d special=%v: %s", sw.name, k, n, special, d)
+						t.Fatalf("%s entry point k=%d n=%d special=%v: %s", sw.name, k, n, special, d)
+					}
+					for _, body := range sweepBodies() {
+						got := base.clone()
+						chunked(n, got, func(a *sweepArgs) { sw.tiled(body.avx2, a) })
+						if d := diffSweep(got, want); d != "" {
+							t.Fatalf("%s %s tiles k=%d n=%d special=%v: %s", sw.name, body.name, k, n, special, d)
+						}
 					}
 				}
 			}
@@ -169,16 +205,19 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 					}
 				}
 				for _, sw := range blockSweeps {
-					got, want := base.clone(), base.clone()
-					sw.tiled(got)
+					want := base.clone()
 					sw.loop(want)
-					if d := diffSweep(got, want); d != "" {
-						t.Fatalf("%s k=%d special=%v rows [%d,%d): %s", sw.name, k, special, rg[0], rg[1], d)
-					}
-					for _, f := range [][]float64{got.x, got.r, got.p, got.ap} {
-						for i := range f {
-							if outside(i) && f[i] != sentinel {
-								t.Fatalf("%s k=%d rows [%d,%d): row %d outside the range was written", sw.name, k, rg[0], rg[1], i/k)
+					for _, body := range sweepBodies() {
+						got := base.clone()
+						sw.tiled(body.avx2, got)
+						if d := diffSweep(got, want); d != "" {
+							t.Fatalf("%s %s tiles k=%d special=%v rows [%d,%d): %s", sw.name, body.name, k, special, rg[0], rg[1], d)
+						}
+						for _, f := range [][]float64{got.x, got.r, got.p, got.ap} {
+							for i := range f {
+								if outside(i) && f[i] != sentinel {
+									t.Fatalf("%s %s tiles k=%d rows [%d,%d): row %d outside the range was written", sw.name, body.name, k, rg[0], rg[1], i/k)
+								}
 							}
 						}
 					}
@@ -188,8 +227,9 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 	}
 }
 
-// FuzzBlockSweeps holds every tiled sweep to its any-width loop on operands,
-// width, row count and row range decoded from the fuzzer's bytes.
+// FuzzBlockSweeps holds every tiled sweep, with either body of its tiles, to
+// its any-width loop on operands, width, row count and row range decoded from
+// the fuzzer's bytes.
 func FuzzBlockSweeps(f *testing.F) {
 	f.Add([]byte{6, 20, 0, 20, 1, 2, 250, 3, 130, 7})
 	f.Add([]byte{11, 63, 5, 40, 255, 0, 241, 100, 9})
@@ -219,20 +259,24 @@ func FuzzBlockSweeps(f *testing.F) {
 			return (float64(b) - 120) * float64(1+i%5) / 16
 		})
 		for _, sw := range blockSweeps {
-			got, want := base.clone(), base.clone()
-			sw.tiled(got)
+			want := base.clone()
 			sw.loop(want)
-			if d := diffSweep(got, want); d != "" {
-				t.Fatalf("%s k=%d n=%d rows [%d,%d): %s", sw.name, k, n, lo, hi, d)
+			for _, body := range sweepBodies() {
+				got := base.clone()
+				sw.tiled(body.avx2, got)
+				if d := diffSweep(got, want); d != "" {
+					t.Fatalf("%s %s tiles k=%d n=%d rows [%d,%d): %s", sw.name, body.name, k, n, lo, hi, d)
+				}
 			}
 		}
 	})
 }
 
-// BenchmarkBlockSweeps times each sweep's tiled body against its any-width
-// loop on one goroutine, at the widths with a full tile and at a block that
-// stays in L2 (4096 rows, the judged size) and one that does not. ns/elem is
-// per block entry; GB/s counts the sweep's loads and stores of block entries.
+// BenchmarkBlockSweeps times each sweep's any-width loop and its tiled body
+// with the Go tiles and with the AVX2 ones on one goroutine, at the widths with
+// a full tile and at a block that stays in L2 (4096 rows, the judged size) and
+// one that does not. ns/elem is per block entry; GB/s counts the sweep's loads
+// and stores of block entries.
 func BenchmarkBlockSweeps(b *testing.B) {
 	for _, n := range []int{4096, 262144} {
 		for _, k := range []int{4, 8} {
@@ -244,8 +288,15 @@ func BenchmarkBlockSweeps(b *testing.B) {
 				for _, body := range []struct {
 					name string
 					fn   func(a *sweepArgs)
-				}{{"tiled", sw.tiled}, {"loop", sw.loop}} {
+				}{
+					{"loop", sw.loop},
+					{"go", func(a *sweepArgs) { sw.tiled(false, a) }},
+					{"avx2", func(a *sweepArgs) { sw.tiled(true, a) }},
+				} {
 					b.Run(fmt.Sprintf("%s/n=%d/k=%d/%s", sw.name, n, k, body.name), func(b *testing.B) {
+						if body.name == "avx2" && !graph.BlockAVX2() {
+							b.Skipf("this process runs the %s block kernel", graph.BlockKernel())
+						}
 						for i := 0; i < b.N; i++ {
 							body.fn(args)
 						}
