@@ -26,11 +26,12 @@ vet:
 check: fmt vet portable race determinism fuzz chaos server-smoke server-chaos replay-smoke bench-gate
 
 # portable cross-compiles for an architecture that has none of the assembly
-# kernels (internal/graph/laptile_amd64.s, laprows_amd64.s, the sweeps_amd64.s
-# of internal/solver and internal/hierarchy), so the Go-only build cannot rot;
-# cross-compiling needs no network and no C toolchain.
+# (all of it lives in internal/kernel, *_amd64.s), so the Go-only build cannot
+# rot, and vets the kernel package both ways (asmdecl holds every assembly
+# body to its Go declaration); cross-compiling needs no network and no C
+# toolchain.
 portable:
-	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/graph ./internal/solver ./internal/hierarchy
+	$(GO) vet ./internal/kernel && GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/kernel ./internal/graph ./internal/solver ./internal/hierarchy
 
 race:
 	$(GO) test -race ./...
@@ -85,12 +86,11 @@ server-chaos:
 # decode/re-encode round-trip oracle, over the sparse Laplacian factor
 # with the dense pinned Cholesky as a differential oracle, over the §3.1
 # pointer-forest split with the forest-graph chain it replaced as an exact
-# oracle, over the AVX2 column tiles of the block row kernels with the Go
-# tiles as a bitwise oracle, over the AVX2 row-group kernel of the k = 1 row
-# kernels with the Go loops as a bitwise oracle, and over both bodies of the
-# column tiles of the solver's block sweeps and of the cycle's sweeps with
-# their any-width loops as a bitwise oracle (go fuzzing runs one target at a
-# time).
+# oracle, over the block row kernels and the k = 1 row kernels with their Go
+# form (internal/kernel's bodies, whose assembly all lives there) as a bitwise
+# oracle, and over the column tiles of the solver's block sweeps and of the
+# cycle's sweeps with their any-width loops as a bitwise oracle (go fuzzing
+# runs one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio

@@ -22,7 +22,7 @@ import (
 
 	"hcd"
 	"hcd/internal/cli"
-	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/obs"
 )
 
@@ -39,7 +39,7 @@ func run() (err error) {
 	seed := flag.Int64("seed", 1, "random seed")
 	rhs := flag.Int("rhs", 1, "right-hand sides to solve; >1 routes all columns through one block solve")
 	history := flag.Bool("history", false, "print the full residual history")
-	metrics := flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times) and which kernel bodies ran: block-kernel (every k > 1 column tile, block row kernels and level-1 sweeps) and row-kernel")
+	metrics := flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times) and which form of the leaf kernels ran: kernel=avx2 or go")
 	stream := flag.Bool("stream", false, "stream residual norms to stderr as the solve iterates")
 	resilient := flag.Bool("resilient", false, "solve through the resilient fallback ladder (ignores -precond/-method)")
 	timeout := flag.Duration("timeout", 0, "solve deadline (0 = none); an expired deadline cancels the iteration")
@@ -189,7 +189,7 @@ func run() (err error) {
 		fmt.Printf("converged: %d/%d  solve: %v  throughput: %.2f rhs/sec\n",
 			converged, nrhs, solveTime, float64(nrhs)/solveTime.Seconds())
 		if *metrics {
-			fmt.Printf("metrics: block-kernel=%s row-kernel=%s\n", graph.BlockKernel(), graph.RowKernel())
+			fmt.Printf("metrics: kernel=%s\n", kernel.Name())
 			printLevelScales(h)
 		}
 		printRegistry(o, *metrics)
@@ -201,7 +201,7 @@ func run() (err error) {
 	}
 	if *metrics {
 		printMetrics(res.Metrics)
-		fmt.Printf("metrics: row-kernel=%s\n", graph.RowKernel())
+		fmt.Printf("metrics: kernel=%s\n", kernel.Name())
 		printLevelScales(h)
 	}
 	if lmin, lmax, eerr := hcd.EstimateSpectrum(res); eerr == nil && lmin > 0 {

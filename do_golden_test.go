@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"hcd"
-	"hcd/internal/graph"
+	"hcd/internal/kernel"
 )
 
 // staggeredRHS returns k mean-free right-hand sides of decreasing difficulty.
@@ -118,13 +118,13 @@ var doBlockGolden = map[string]goldenBlock{
 // default hierarchy at widths that reach every column-tile shape (tail only,
 // 4, 4 + tail, 8, 8 + 4), with and without the mean projection (the two sets
 // of fused PCG sweeps), compared against constants from an earlier commit. It
-// runs with whichever block row kernel the process has — AVX2, or the Go tiles
+// runs with whichever form of the leaf kernels the process has — AVX2, or Go
 // under -race — and both must reproduce the same constants.
 func TestDoBlockGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits are amd64's: other ports may fuse a + b·c")
 	}
-	t.Logf("block kernel: %s", graph.BlockKernel())
+	t.Logf("kernel: %s", kernel.Name())
 	fem, err := hcd.FEMesh(32, 32, -1, nil, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package graph
 
-import "errors"
+import (
+	"errors"
+
+	"hcd/internal/kernel"
+)
 
 // Sentinel errors shared across the solver stack. They are re-exported from
 // the root hcd package so callers can errors.Is against one identity instead
@@ -19,6 +23,7 @@ var (
 	// operation's documented preconditions: duplicate or out-of-range
 	// vertices in a cluster handed to Closure, a graph too large for
 	// ExactConductance's cut enumeration. Internal invariant violations
-	// still panic; only caller-reachable misuse returns this sentinel.
-	ErrInvalidInput = errors.New("invalid input")
+	// still panic; only caller-reachable misuse returns this sentinel. It is
+	// kernel.ErrInvalidInput, the value the leaf kernels' checks wrap.
+	ErrInvalidInput = kernel.ErrInvalidInput
 )

@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"testing"
+
+	"hcd/internal/kernel"
 )
 
 // FuzzExactConductance differentially fuzzes the three conductance
@@ -89,7 +91,7 @@ func FuzzLapBlockTile(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 0, 2, 0, 1, 7})
 	f.Add([]byte{17, 20, 2, 16, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !blockAVX2 {
+		if kernel.Name() != "avx2" {
 			t.Skip("the AVX2 tiles are not in use in this build on this host")
 		}
 		if len(data) < 5 {
@@ -142,10 +144,10 @@ func FuzzLapBlockTile(f *testing.F) {
 		for i := range want {
 			want[i], got[i] = sentinel, sentinel
 		}
-		g.lapMulBlockRange(false, want, r, x, dInv, 0.5, k, lo, hi)
-		g.lapMulBlockRange(true, got, r, x, dInv, 0.5, k, lo, hi)
+		kernel.WithGo(func() { g.lapMulBlockRange(want, r, x, dInv, 0.5, k, lo, hi) })
+		g.lapMulBlockRange(got, r, x, dInv, 0.5, k, lo, hi)
 		for i := range want {
-			if !sameWord(got[i], want[i]) {
+			if !kernel.SameWord(got[i], want[i]) {
 				t.Fatalf("n=%d k=%d mode %d rows [%d,%d): row %d column %d: AVX2 tile %v (%#x), Go tile %v (%#x)",
 					n, k, mode, lo, hi, i/k, i%k, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
@@ -165,7 +167,7 @@ func FuzzLapRowGroups(f *testing.F) {
 	f.Add([]byte{2, 7, 9, 40, 6, 1, 7, 39, 6, 0xf0, 0x7f, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add([]byte{2, 0, 0, 19, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !rowAVX2 {
+		if kernel.Name() != "avx2" {
 			t.Skip("the AVX2 row-group kernel is not in use in this build on this host")
 		}
 		if len(data) < 5 {
@@ -214,10 +216,10 @@ func FuzzLapRowGroups(f *testing.F) {
 		for v := range want {
 			want[v], got[v] = sentinel, sentinel
 		}
-		g.lapRange(false, want, r, x, dInv, omega, lo, hi)
-		g.lapRange(true, got, r, x, dInv, omega, lo, hi)
+		kernel.WithGo(func() { g.RowRange(want, r, x, dInv, omega, lo, hi) })
+		g.RowRange(got, r, x, dInv, omega, lo, hi)
 		for v := range want {
-			if !sameWord(got[v], want[v]) {
+			if !kernel.SameWord(got[v], want[v]) {
 				t.Fatalf("mode %d ω=%v rows [%d,%d) of %d: row %d (%d entries): AVX2 kernel %v (%#x), Go loop %v (%#x); table %v",
 					mode, omega, lo, hi, n, v, off[v+1]-off[v], got[v], math.Float64bits(got[v]), want[v], math.Float64bits(want[v]), g.groups)
 			}

@@ -17,6 +17,8 @@ package graph
 import (
 	"fmt"
 	"math"
+
+	"hcd/internal/kernel"
 )
 
 // Edge is an undirected weighted edge. The orientation of (U, V) carries no
@@ -38,7 +40,7 @@ type Graph struct {
 	// groups is the row-group table the k = 1 row kernels walk (rowgroups.go):
 	// derived from off by the constructors, never written afterwards, absent
 	// (nil) on a ClosureBuilder's reused output.
-	groups []rowSeg
+	groups []kernel.Group
 }
 
 // NewFromEdges builds a graph on n vertices from an edge list. Parallel edges
@@ -219,7 +221,7 @@ func (g *Graph) Edges() []Edge {
 // accounting figure (used by the serving layer's byte-budgeted handle cache),
 // not an exact heap measurement.
 func (g *Graph) Bytes() int64 {
-	return int64(8*(len(g.off)+len(g.w)+len(g.vol)) + 4*len(g.adj) + rowSegBytes*len(g.groups))
+	return int64(8*(len(g.off)+len(g.w)+len(g.vol)) + 4*len(g.adj) + 12*len(g.groups))
 }
 
 // Clone returns a deep copy of g.

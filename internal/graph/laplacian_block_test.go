@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"hcd/internal/kernel"
 )
 
 func blockTestGraph(t *testing.T, n int, seed int64) *Graph {
@@ -183,18 +185,23 @@ func checkLapMulBlockGOMAXPROCSInvariant(t *testing.T) {
 	}
 }
 
-// TestBlockKernelsWithoutAVX2 re-runs the block table with the AVX2 tiles
+// TestBlockKernelsWithoutAVX2 re-runs the block table with the AVX2 bodies
 // switched off, so the Go tiles — the fallback of other architectures and of
 // -race builds, and the oracle of TestBlockTilesMatchGoReference — keep their
 // coverage on hosts where the default run never reaches them.
 func TestBlockKernelsWithoutAVX2(t *testing.T) {
-	useGoBlockTiles(t)
-	if BlockKernel() != "go" {
-		t.Fatalf("BlockKernel() = %q with the AVX2 tiles switched off", BlockKernel())
-	}
-	t.Run("MatchesColumns", checkLapMulBlockMatchesColumns)
-	t.Run("FusedMatchUnfused", checkFusedRowKernelsMatchUnfused)
-	t.Run("GOMAXPROCSInvariant", checkLapMulBlockGOMAXPROCSInvariant)
+	kernel.WithGo(func() {
+		t.Run("MatchesColumns", checkLapMulBlockMatchesColumns)
+		t.Run("FusedMatchUnfused", checkFusedRowKernelsMatchUnfused)
+		t.Run("GOMAXPROCSInvariant", checkLapMulBlockGOMAXPROCSInvariant)
+	})
+}
+
+// withBodies runs f once with the bodies this process runs and once with the
+// Go ones.
+func withBodies(f func()) {
+	f()
+	kernel.WithGo(f)
 }
 
 // mustPanic runs f and returns what it panicked with; f returning is a test
@@ -218,10 +225,7 @@ func TestBlockOperandLengths(t *testing.T) {
 	g := blockTestGraph(t, 200, 9)
 	n := g.N()
 	const sentinel = -7.25
-	for _, goTiles := range []bool{false, true} {
-		if goTiles {
-			useGoBlockTiles(t)
-		}
+	withBodies(func() {
 		for _, k := range []int{1, 3, 8, 13} {
 			for _, delta := range []int{-1, 1} {
 				for _, operand := range []string{"dst", "x", "r", "dInv"} {
@@ -235,7 +239,7 @@ func TestBlockOperandLengths(t *testing.T) {
 					for i := range dst {
 						dst[i] = sentinel
 					}
-					what := fmt.Sprintf("%s kernel, k=%d, len(%s)%+d", BlockKernel(), k, operand, delta)
+					what := fmt.Sprintf("%s kernel, k=%d, len(%s)%+d", kernel.Name(), k, operand, delta)
 					v := mustPanic(t, what, func() {
 						switch operand {
 						case "dst", "x":
@@ -258,7 +262,7 @@ func TestBlockOperandLengths(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	if v := mustPanic(t, "k=0", func() { g.LapMulBlock(nil, nil, 0) }); !errors.Is(v.(error), ErrInvalidInput) {
 		t.Fatalf("k=0: panic %v", v)
 	}
@@ -282,24 +286,21 @@ func TestBlockTileCorruptAdjacency(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%13) - 6
 	}
-	for _, goTiles := range []bool{false, true} {
-		if goTiles {
-			useGoBlockTiles(t)
-		}
+	withBodies(func() {
 		// dst ends flush against the canary: a store past it shows.
 		backing := make([]float64, n*k+64)
 		for i := range backing {
 			backing[i] = canary
 		}
 		dst := backing[: n*k : n*k]
-		v := mustPanic(t, BlockKernel()+" kernel", func() { bad.LapMulBlock(dst, x, k) })
+		v := mustPanic(t, kernel.Name()+" kernel", func() { bad.LapMulBlock(dst, x, k) })
 		for i, b := range backing[n*k:] {
 			if b != canary {
-				t.Fatalf("%s kernel: %d words behind dst overwritten", BlockKernel(), i+1)
+				t.Fatalf("%s kernel: %d words behind dst overwritten", kernel.Name(), i+1)
 			}
 		}
-		if !blockAVX2 {
-			continue
+		if kernel.Name() != "avx2" {
+			return
 		}
 		if err, ok := v.(error); !ok || !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), fmt.Sprintf("row %d ", row)) {
 			t.Fatalf("avx2 kernel: panic %v, want the id check's error wrapping ErrInvalidInput, naming row %d", v, row)
@@ -312,7 +313,7 @@ func TestBlockTileCorruptAdjacency(t *testing.T) {
 		if dst[(row-1)*k] == canary {
 			t.Fatalf("avx2 kernel: row %d, before the corrupt one, was not computed", row-1)
 		}
-	}
+	})
 }
 
 // TestRowEndBeyondAdjacency: a Graph whose last row ends beyond the adjacency
@@ -328,11 +329,13 @@ func TestRowEndBeyondAdjacency(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		x, dst := make([]float64, n*k), make([]float64, n*k)
 		v := mustPanic(t, fmt.Sprintf("k=%d", k), func() {
-			if k == 1 {
-				bad.lapRange(false, dst, nil, x, nil, 0, 0, n)
-			} else {
-				bad.lapMulBlockRange(false, dst, nil, x, nil, 0, k, 0, n)
-			}
+			kernel.WithGo(func() {
+				if k == 1 {
+					bad.RowRange(dst, nil, x, nil, 0, 0, n)
+				} else {
+					bad.lapMulBlockRange(dst, nil, x, nil, 0, k, 0, n)
+				}
+			})
 		})
 		if err, ok := v.(error); !ok || !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("k=%d: panic %v, want an error wrapping ErrInvalidInput", k, v)

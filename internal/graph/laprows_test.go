@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/workload"
 )
 
@@ -185,12 +186,12 @@ func rowRanges(rng *rand.Rand, n, count int) [][2]int {
 // r, dInv and ω — and leave every row outside the range alone. The public
 // entry points agree with the same reference at the worker count of the run.
 func TestRowGroupKernelsMatchReference(t *testing.T) {
-	if !graph.RowAVX2() {
+	if kernel.Name() != "avx2" {
 		t.Skip("the AVX2 row-group kernel is not in use in this build on this host")
 	}
 	const sentinel = 12345.678
 	rng := rand.New(rand.NewSource(22))
-	omegas := append([]float64{0.5, 2.0 / 3}, specials...)
+	omegas := append([]float64{0.5, 2.0 / 3}, kernel.Specials...)
 	for name, g := range rowCorpus(t) {
 		n := g.N()
 		share := 0
@@ -223,10 +224,10 @@ func TestRowGroupKernelsMatchReference(t *testing.T) {
 					for i := range want {
 						want[i], got[i] = sentinel, sentinel
 					}
-					g.RowRange(false, want, mr, x, md, omega, rg[0], rg[1])
-					g.RowRange(true, got, mr, x, md, omega, rg[0], rg[1])
+					kernel.WithGo(func() { g.RowRange(want, mr, x, md, omega, rg[0], rg[1]) })
+					g.RowRange(got, mr, x, md, omega, rg[0], rg[1])
 					for v := range want {
-						if !graph.SameWord(got[v], want[v]) {
+						if !kernel.SameWord(got[v], want[v]) {
 							t.Fatalf("%s %s special=%v ω=%v rows [%d,%d): row %d (degree %d): AVX2 kernel %v (%#x), Go loop %v (%#x)",
 								name, mode.name, special, omega, rg[0], rg[1], v, g.Degree(v),
 								got[v], math.Float64bits(got[v]), want[v], math.Float64bits(want[v]))
@@ -234,7 +235,7 @@ func TestRowGroupKernelsMatchReference(t *testing.T) {
 					}
 				}
 				// The entry points, whole graph, at this run's worker count.
-				g.RowRange(false, want, mr, x, md, omega, 0, n)
+				kernel.WithGo(func() { g.RowRange(want, mr, x, md, omega, 0, n) })
 				switch {
 				case mr == nil:
 					g.LapMul(got, x)
@@ -244,7 +245,7 @@ func TestRowGroupKernelsMatchReference(t *testing.T) {
 					g.LapJacobiStep(got, mr, x, md, omega)
 				}
 				for v := range want {
-					if !graph.SameWord(got[v], want[v]) {
+					if !kernel.SameWord(got[v], want[v]) {
 						t.Fatalf("%s %s special=%v: row %d: entry point %v, Go loop %v", name, mode.name, special, v, got[v], want[v])
 					}
 				}
@@ -253,20 +254,18 @@ func TestRowGroupKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestRowKernelsWithoutAVX2: with the row-group kernel switched off the
-// entry points run the Go loops alone — the fallback of other architectures
-// and of -race builds — and say so.
+// TestRowKernelsWithoutAVX2: with the AVX2 bodies switched off the entry
+// points run the Go loops alone — the fallback of other architectures and of
+// -race builds — say so, and agree with the row ranges.
 func TestRowKernelsWithoutAVX2(t *testing.T) {
-	graph.UseGoRowKernel(t)
-	if graph.RowKernel() != "go" {
-		t.Fatalf("RowKernel() = %q with the AVX2 kernel switched off", graph.RowKernel())
-	}
 	g := workload.Grid2D(40, 40, workload.Lognormal(1), 1)
 	n := g.N()
 	x, r, dInv := tileOperands(rand.New(rand.NewSource(23)), g, 1, false)
 	want, got := make([]float64, n), make([]float64, n)
-	g.RowRange(false, want, r, x, dInv, 0.5, 0, n)
-	g.LapJacobiStep(got, r, x, dInv, 0.5)
+	kernel.WithGo(func() {
+		g.RowRange(want, r, x, dInv, 0.5, 0, n)
+		g.LapJacobiStep(got, r, x, dInv, 0.5)
+	})
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("row %d: %v, want %v", v, got[v], want[v])

@@ -10,6 +10,7 @@ import (
 	"hcd"
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
+	"hcd/internal/kernel"
 	"hcd/internal/workload"
 )
 
@@ -68,21 +69,14 @@ func tileCorpus(t *testing.T) map[string]*graph.Graph {
 	return corpus
 }
 
-// specials are the values a kernel that reorders, fuses or flushes anything
-// gets wrong: signed zeros, denormals, the extremes, infinities and NaN.
-var specials = []float64{
-	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, math.SmallestNonzeroFloat64 * (1 << 20),
-	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-}
-
 // tileOperands fills x, r (n·k each) and dInv (n) with normal deviates; with
-// special set, every fifth value comes from specials instead.
+// special set, every fifth value comes from kernel.Specials instead.
 func tileOperands(rng *rand.Rand, g *graph.Graph, k int, special bool) (x, r, dInv []float64) {
 	n := g.N()
 	x, r, dInv = make([]float64, n*k), make([]float64, n*k), make([]float64, n)
 	draw := func() float64 {
 		if special && rng.Intn(5) == 0 {
-			return specials[rng.Intn(len(specials))]
+			return kernel.Specials[rng.Intn(len(kernel.Specials))]
 		}
 		return rng.NormFloat64()
 	}
@@ -105,13 +99,14 @@ var blockModes = []struct {
 	r, dInv bool
 }{{"mul", false, false}, {"residual", true, false}, {"jacobi", true, true}}
 
-// TestBlockTilesMatchGoReference: on the same operands the AVX2 tiles and the
-// Go tiles write the same words — every mode, widths that combine the 8-wide
-// tile at column 0 and 8, the 4-wide tile and the tail, row ranges that start
-// and end mid-graph and are longer than one assembly call's chunk, ordinary
-// and special values — and leave every row outside the range alone.
+// TestBlockTilesMatchGoReference: on the same operands the block kernels write
+// the same words with the AVX2 tiles as with the Go tiles — every mode, widths
+// that combine the 8-wide tile at column 0 and 8, the 4-wide tile and the
+// tail, row ranges that start and end mid-graph and are longer than one
+// parallel chunk, ordinary and special values — and leave every row outside
+// the range alone.
 func TestBlockTilesMatchGoReference(t *testing.T) {
-	if !graph.BlockAVX2() {
+	if kernel.Name() != "avx2" {
 		t.Skip("the AVX2 tiles are not in use in this build on this host")
 	}
 	const sentinel = 12345.678
@@ -142,10 +137,10 @@ func TestBlockTilesMatchGoReference(t *testing.T) {
 						for i := range want {
 							want[i], got[i] = sentinel, sentinel
 						}
-						g.BlockRange(false, want, mr, x, md, 0.5, k, rg[0], rg[1])
-						g.BlockRange(true, got, mr, x, md, 0.5, k, rg[0], rg[1])
+						kernel.WithGo(func() { g.BlockRange(want, mr, x, md, 0.5, k, rg[0], rg[1]) })
+						g.BlockRange(got, mr, x, md, 0.5, k, rg[0], rg[1])
 						for i := range want {
-							if !graph.SameWord(got[i], want[i]) {
+							if !kernel.SameWord(got[i], want[i]) {
 								t.Fatalf("%s k=%d %s special=%v rows [%d,%d): row %d column %d: AVX2 tile %v (%#x), Go tile %v (%#x)",
 									name, k, mode.name, special, rg[0], rg[1], i/k, i%k,
 									got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
@@ -161,12 +156,12 @@ func TestBlockTilesMatchGoReference(t *testing.T) {
 // TestDoBlockIdenticalAcrossKernels: a whole multi-RHS solve — hierarchy
 // cycle, block PCG, the 8-wide tile on one graph and the 4-wide one on the
 // other — produces the same iterates, residual histories, coefficients and
-// iteration counts with the AVX2 tiles and with the Go tiles. The switch is
-// the one the level-1 sweeps of the solver and the cycle read too, so both
-// sides differ in every k > 1 packed-row kernel, row kernels and sweeps alike.
+// iteration counts with the AVX2 bodies and with the Go ones. The switch is
+// the kernel package's one switch, so both sides differ in every body: the
+// row kernels, the column tiles and the sweeps alike.
 func TestDoBlockIdenticalAcrossKernels(t *testing.T) {
-	if !graph.BlockAVX2() {
-		t.Skip("the AVX2 tiles are not in use in this build on this host")
+	if kernel.Name() != "avx2" {
+		t.Skip("the AVX2 bodies are not in use in this build on this host")
 	}
 	fem, err := hcd.FEMesh(64, 64, -1, nil, 1)
 	if err != nil {
@@ -202,9 +197,10 @@ func TestDoBlockIdenticalAcrossKernels(t *testing.T) {
 			return resp
 		}
 		avx2 := solve()
+		var goResults []hcd.SolveResult
+		kernel.WithGo(func() { goResults = solve().Results })
 		t.Run(tc.name, func(t *testing.T) {
-			graph.UseGoBlockTiles(t)
-			for j, want := range solve().Results {
+			for j, want := range goResults {
 				got := avx2.Results[j]
 				if !got.Converged || got.Iterations != want.Iterations {
 					t.Fatalf("column %d: AVX2 tiles %s after %d iterations, Go tiles %s after %d",

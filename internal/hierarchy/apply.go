@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/par"
 )
 
@@ -144,18 +145,14 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 
 // The sweeps between the row kernels. A width-1 block is a plain vector and
 // gets the plain loop; wider blocks walk packed rows in column tiles — 8 wide,
-// then 4, then a 1–3 column tail, like the row kernels of internal/graph —
-// each tile holding a row's (or a cluster's) values and its coefficient in
-// locals and storing them once. Per column every tile does what its tail, the
-// any-width loop over the column window [j0, k), does in the same order, so
-// the width of a tile never shows in a result. The two loops of jacobiFromZero
-// round differently (ω·r·d⁻¹ against (ω·d⁻¹)·r), so each width keeps its own.
-//
-// The 8- and 4-wide tiles have a second body, in AVX2 assembly
-// (sweeps_amd64.s), that does the same per column with a row's columns in one
-// or two vector registers; each …Range function picks a tile's body by its
-// avx2 argument, and the sweeps pass graph.BlockAVX2(), so they run the
-// assembly exactly when the block row kernels do (DESIGN §12 "Sweep tiles").
+// then 4, then a 1–3 column tail, like the row kernels of internal/graph. The
+// 8- and 4-wide tiles are bodies of internal/kernel (Go or AVX2 assembly, as
+// its probe decides), which hold a row's (or a cluster's) values and its
+// coefficient in registers and store them once. Per column every tile does
+// what its tail, the any-width loop over the column window [j0, k), does in
+// the same order, so the width of a tile never shows in a result. The two
+// loops of jacobiFromZero round differently (ω·r·d⁻¹ against (ω·d⁻¹)·r), so
+// each width keeps its own (DESIGN §12 "Kernel layer").
 
 // elemGrain is the minimum number of floats per chunk of the elementwise
 // sweeps; below it par.For degrades to one sequential call.
@@ -174,7 +171,6 @@ func rowGrain(k int) int {
 // jacobiFromZero computes x = ω·D⁻¹r: the first damped-Jacobi step, from a
 // zero iterate.
 func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
-	avx2 := graph.BlockAVX2()
 	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
 		if k == 1 {
 			for v := lo; v < hi; v++ {
@@ -182,60 +178,22 @@ func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
 			}
 			return
 		}
-		l.jacobiFromZeroRange(avx2, x, r, omega, k, lo, hi)
+		l.jacobiFromZeroRange(x, r, omega, k, lo, hi)
 	})
 }
 
 // jacobiFromZeroRange is jacobiFromZero on rows [lo, hi) of a k > 1 block.
-func (l *Level) jacobiFromZeroRange(avx2 bool, x, r []float64, omega float64, k, lo, hi int) {
+func (l *Level) jacobiFromZeroRange(x, r []float64, omega float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			l.jacobiFromZeroAVX2(8, x, r, omega, k, j, lo, hi)
-		} else {
-			l.jacobiFromZeroTile8(x, r, omega, k, j, lo, hi)
-		}
+		kernel.JacobiFromZero(8, x, r, l.dInv, omega, k, j, lo, hi)
 	}
 	if j+4 <= k {
-		if avx2 {
-			l.jacobiFromZeroAVX2(4, x, r, omega, k, j, lo, hi)
-		} else {
-			l.jacobiFromZeroTile4(x, r, omega, k, j, lo, hi)
-		}
+		kernel.JacobiFromZero(4, x, r, l.dInv, omega, k, j, lo, hi)
 		j += 4
 	}
 	if j < k {
 		l.jacobiFromZeroTail(x, r, omega, k, j, lo, hi)
-	}
-}
-
-func (l *Level) jacobiFromZeroTile8(x, r []float64, omega float64, k, j0, lo, hi int) {
-	for v, d := range l.dInv[lo:hi] {
-		od := omega * d
-		o := (lo+v)*k + j0
-		rv := r[o : o+8 : o+8]
-		xv := x[o : o+8 : o+8]
-		xv[0] = od * rv[0]
-		xv[1] = od * rv[1]
-		xv[2] = od * rv[2]
-		xv[3] = od * rv[3]
-		xv[4] = od * rv[4]
-		xv[5] = od * rv[5]
-		xv[6] = od * rv[6]
-		xv[7] = od * rv[7]
-	}
-}
-
-func (l *Level) jacobiFromZeroTile4(x, r []float64, omega float64, k, j0, lo, hi int) {
-	for v, d := range l.dInv[lo:hi] {
-		od := omega * d
-		o := (lo+v)*k + j0
-		rv := r[o : o+4 : o+4]
-		xv := x[o : o+4 : o+4]
-		xv[0] = od * rv[0]
-		xv[1] = od * rv[1]
-		xv[2] = od * rv[2]
-		xv[3] = od * rv[3]
 	}
 }
 
@@ -253,7 +211,7 @@ func (l *Level) jacobiFromZeroTail(x, r []float64, omega float64, k, j0, lo, hi 
 // prolongAdd computes x += α·R·xq: every vertex takes its cluster's
 // correction, scaled by the level's alpha.
 func (l *Level) prolongAdd(x, xq []float64, k int) {
-	alpha, avx2 := l.alpha, graph.BlockAVX2()
+	alpha := l.alpha
 	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
 		if k == 1 {
 			for v := lo; v < hi; v++ {
@@ -261,60 +219,22 @@ func (l *Level) prolongAdd(x, xq []float64, k int) {
 			}
 			return
 		}
-		l.prolongAddRange(avx2, x, xq, alpha, k, lo, hi)
+		l.prolongAddRange(x, xq, alpha, k, lo, hi)
 	})
 }
 
 // prolongAddRange is prolongAdd on rows [lo, hi) of a k > 1 block.
-func (l *Level) prolongAddRange(avx2 bool, x, xq []float64, alpha float64, k, lo, hi int) {
+func (l *Level) prolongAddRange(x, xq []float64, alpha float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			l.prolongAddAVX2(8, x, xq, alpha, k, j, lo, hi)
-		} else {
-			l.prolongAddTile8(x, xq, alpha, k, j, lo, hi)
-		}
+		kernel.ProlongAdd(8, x, xq, alpha, l.assign, k, j, lo, hi)
 	}
 	if j+4 <= k {
-		if avx2 {
-			l.prolongAddAVX2(4, x, xq, alpha, k, j, lo, hi)
-		} else {
-			l.prolongAddTile4(x, xq, alpha, k, j, lo, hi)
-		}
+		kernel.ProlongAdd(4, x, xq, alpha, l.assign, k, j, lo, hi)
 		j += 4
 	}
 	if j < k {
 		l.prolongAddTail(x, xq, alpha, k, j, lo, hi)
-	}
-}
-
-func (l *Level) prolongAddTile8(x, xq []float64, alpha float64, k, j0, lo, hi int) {
-	for v, c := range l.assign[lo:hi] {
-		o := (lo+v)*k + j0
-		xv := x[o : o+8 : o+8]
-		o = int(c)*k + j0
-		q := xq[o : o+8 : o+8]
-		xv[0] += alpha * q[0]
-		xv[1] += alpha * q[1]
-		xv[2] += alpha * q[2]
-		xv[3] += alpha * q[3]
-		xv[4] += alpha * q[4]
-		xv[5] += alpha * q[5]
-		xv[6] += alpha * q[6]
-		xv[7] += alpha * q[7]
-	}
-}
-
-func (l *Level) prolongAddTile4(x, xq []float64, alpha float64, k, j0, lo, hi int) {
-	for v, c := range l.assign[lo:hi] {
-		o := (lo+v)*k + j0
-		xv := x[o : o+4 : o+4]
-		o = int(c)*k + j0
-		q := xq[o : o+4 : o+4]
-		xv[0] += alpha * q[0]
-		xv[1] += alpha * q[1]
-		xv[2] += alpha * q[2]
-		xv[3] += alpha * q[3]
 	}
 }
 
@@ -352,7 +272,6 @@ func (l *Level) restrict(r, rq []float64, k int) {
 	if grain < 8 {
 		grain = 8
 	}
-	avx2 := graph.BlockAVX2()
 	par.For(l.count, grain, func(lo, hi int) {
 		if k == 1 {
 			order := l.order
@@ -367,72 +286,22 @@ func (l *Level) restrict(r, rq []float64, k int) {
 			}
 			return
 		}
-		l.restrictRange(avx2, r, rq, k, lo, hi)
+		l.restrictRange(r, rq, k, lo, hi)
 	})
 }
 
 // restrictRange is restrict on clusters [lo, hi) of a k > 1 block.
-func (l *Level) restrictRange(avx2 bool, r, rq []float64, k, lo, hi int) {
+func (l *Level) restrictRange(r, rq []float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			l.restrictAVX2(8, r, rq, k, j, lo, hi)
-		} else {
-			l.restrictTile8(r, rq, k, j, lo, hi)
-		}
+		kernel.Restrict(8, r, rq, l.order, l.start, k, j, lo, hi)
 	}
 	if j+4 <= k {
-		if avx2 {
-			l.restrictAVX2(4, r, rq, k, j, lo, hi)
-		} else {
-			l.restrictTile4(r, rq, k, j, lo, hi)
-		}
+		kernel.Restrict(4, r, rq, l.order, l.start, k, j, lo, hi)
 		j += 4
 	}
 	if j < k {
 		l.restrictTail(r, rq, k, j, lo, hi)
-	}
-}
-
-func (l *Level) restrictTile8(r, rq []float64, k, j0, lo, hi int) {
-	order := l.order
-	i := l.start[lo]
-	for c, end := range l.start[lo+1 : hi+1] {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		for ; i < end; i++ {
-			o := int(order[i])*k + j0
-			rv := r[o : o+8 : o+8]
-			a0 += rv[0]
-			a1 += rv[1]
-			a2 += rv[2]
-			a3 += rv[3]
-			a4 += rv[4]
-			a5 += rv[5]
-			a6 += rv[6]
-			a7 += rv[7]
-		}
-		o := (lo+c)*k + j0
-		acc := rq[o : o+8 : o+8]
-		acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = a0, a1, a2, a3, a4, a5, a6, a7
-	}
-}
-
-func (l *Level) restrictTile4(r, rq []float64, k, j0, lo, hi int) {
-	order := l.order
-	i := l.start[lo]
-	for c, end := range l.start[lo+1 : hi+1] {
-		var a0, a1, a2, a3 float64
-		for ; i < end; i++ {
-			o := int(order[i])*k + j0
-			rv := r[o : o+4 : o+4]
-			a0 += rv[0]
-			a1 += rv[1]
-			a2 += rv[2]
-			a3 += rv[3]
-		}
-		o := (lo+c)*k + j0
-		acc := rq[o : o+4 : o+4]
-		acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
 	}
 }
 

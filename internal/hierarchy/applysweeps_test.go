@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/workload"
 )
 
@@ -84,54 +85,37 @@ func randomApplyArgs(l *Level, k int, draw func() float64) *applyArgs {
 
 // applySweeps lists the tiled k > 1 sweeps of apply.go (all but steinerSum,
 // which has only its any-width loop) three ways, like the solver's
-// blockSweeps: tiled is the range body the cycle runs, its tiles in assembly
-// or in Go by the avx2 argument; loop its any-width loop from column 0 (the
-// tail, and the reference both bodies are held to); whole the sweep's entry
-// point, which runs the body this process runs. restrict ranges over clusters
-// and writes rq; the others range over vertices and write x. bytes is what one
-// block entry costs in loads and stores of block entries (the gathered cluster
-// rows are counted once per vertex).
+// blockSweeps: tiled is the range body the cycle runs; loop its any-width loop
+// from column 0 (the tail, and the reference both forms of the tiles are held
+// to); whole the sweep's entry point. restrict ranges over clusters and writes
+// rq; the others range over vertices and write x.
 var applySweeps = []struct {
 	name     string
-	bytes    float64
 	clusters bool
-	tiled    func(avx2 bool, l *Level, a *applyArgs, lo, hi int)
+	tiled    func(l *Level, a *applyArgs, lo, hi int)
 	loop     func(l *Level, a *applyArgs, lo, hi int)
 	whole    func(l *Level, a *applyArgs)
 }{
-	{"jacobiFromZero", 16, false,
-		func(avx2 bool, l *Level, a *applyArgs, lo, hi int) {
-			l.jacobiFromZeroRange(avx2, a.x, a.r, jacobiOmega, a.k, lo, hi)
-		},
+	{"jacobiFromZero", false,
+		func(l *Level, a *applyArgs, lo, hi int) { l.jacobiFromZeroRange(a.x, a.r, jacobiOmega, a.k, lo, hi) },
 		func(l *Level, a *applyArgs, lo, hi int) { l.jacobiFromZeroTail(a.x, a.r, jacobiOmega, a.k, 0, lo, hi) },
 		func(l *Level, a *applyArgs) { l.jacobiFromZero(a.x, a.r, jacobiOmega, a.k) }},
-	{"prolongAdd", 24, false,
-		func(avx2 bool, l *Level, a *applyArgs, lo, hi int) {
-			l.prolongAddRange(avx2, a.x, a.xq, l.alpha, a.k, lo, hi)
-		},
+	{"prolongAdd", false,
+		func(l *Level, a *applyArgs, lo, hi int) { l.prolongAddRange(a.x, a.xq, l.alpha, a.k, lo, hi) },
 		func(l *Level, a *applyArgs, lo, hi int) { l.prolongAddTail(a.x, a.xq, l.alpha, a.k, 0, lo, hi) },
 		func(l *Level, a *applyArgs) { l.prolongAdd(a.x, a.xq, a.k) }},
-	{"restrict", 8, true,
-		func(avx2 bool, l *Level, a *applyArgs, lo, hi int) { l.restrictRange(avx2, a.r, a.rq, a.k, lo, hi) },
+	{"restrict", true,
+		func(l *Level, a *applyArgs, lo, hi int) { l.restrictRange(a.r, a.rq, a.k, lo, hi) },
 		func(l *Level, a *applyArgs, lo, hi int) { l.restrictTail(a.r, a.rq, a.k, 0, lo, hi) },
 		func(l *Level, a *applyArgs) { l.restrict(a.r, a.rq, a.k) }},
 }
 
-// sweepBody is one body of the sweep tiles.
-type sweepBody struct {
+// bodies are the two forms of the kernel bodies: Go, and whichever this
+// process runs.
+var bodies = []struct {
 	name string
-	avx2 bool
-}
-
-// sweepBodies are the bodies of the sweep tiles this process can run: the Go
-// tiles always, the assembly where graph.BlockAVX2 says so.
-func sweepBodies() []sweepBody {
-	bodies := []sweepBody{{"go", false}}
-	if graph.BlockAVX2() {
-		bodies = append(bodies, sweepBody{"avx2", true})
-	}
-	return bodies
-}
+	run  func(func())
+}{{"go", kernel.WithGo}, {kernel.Name(), func(f func()) { f() }}}
 
 // sweepRows is the range a sweep runs over: the level's clusters for
 // restrict, its vertices otherwise.
@@ -142,16 +126,11 @@ func sweepRows(l *Level, clusters bool) int {
 	return l.g.N()
 }
 
-// sameWord compares by bit pattern, any NaN matching any NaN.
-func sameWord(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
-}
-
 func diffApply(got, want *applyArgs) string {
 	names := []string{"x", "r", "xq", "rq"}
 	for f, pair := range [][2][]float64{{got.x, want.x}, {got.r, want.r}, {got.xq, want.xq}, {got.rq, want.rq}} {
 		for i := range pair[1] {
-			if !sameWord(pair[0][i], pair[1][i]) {
+			if !kernel.SameWord(pair[0][i], pair[1][i]) {
 				return fmt.Sprintf("%s[%d] (row %d, column %d): tiled %v (%#x), any-width loop %v (%#x)", names[f], i, i/want.k, i%want.k,
 					pair[0][i], math.Float64bits(pair[0][i]), pair[1][i], math.Float64bits(pair[1][i]))
 			}
@@ -161,10 +140,10 @@ func diffApply(got, want *applyArgs) string {
 }
 
 // TestApplySweepTilesMatchReference: every tiled sweep of the cycle leaves the
-// words its any-width loop leaves, with either body of its tiles, at widths
+// words its any-width loop leaves, with either form of its tiles, at widths
 // that combine the tiles every way, on levels below, at and above one parallel
 // chunk whose clusters run from single vertices to many times SizeCap, through
-// the sweep's entry point, through either body over the whole level and on
+// the sweep's entry point, through either form over the whole level and on
 // ranges that start and end mid-level, where rows (clusters, for restrict)
 // outside the range keep their sentinel; ordinary and special values, in the
 // inverse diagonal too.
@@ -177,7 +156,7 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 		for _, special := range []bool{false, true} {
 			draw := func() float64 {
 				if special && rng.Intn(5) == 0 {
-					return sweepSpecials[rng.Intn(len(sweepSpecials))]
+					return kernel.Specials[rng.Intn(len(kernel.Specials))]
 				}
 				return rng.NormFloat64()
 			}
@@ -195,9 +174,9 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 					if d := diffApply(got, want); d != "" {
 						t.Fatalf("%s entry point k=%d n=%d special=%v: %s", sw.name, k, n, special, d)
 					}
-					for _, body := range sweepBodies() {
+					for _, body := range bodies {
 						got := base.clone()
-						sw.tiled(body.avx2, l, got, 0, m)
+						body.run(func() { sw.tiled(l, got, 0, m) })
 						if d := diffApply(got, want); d != "" {
 							t.Fatalf("%s %s tiles k=%d n=%d special=%v: %s", sw.name, body.name, k, n, special, d)
 						}
@@ -223,9 +202,9 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 					}
 					want := start.clone()
 					sw.loop(l, want, rg[0], rg[1])
-					for _, body := range sweepBodies() {
+					for _, body := range bodies {
 						got := start.clone()
-						sw.tiled(body.avx2, l, got, rg[0], rg[1])
+						body.run(func() { sw.tiled(l, got, rg[0], rg[1]) })
 						if d := diffApply(got, want); d != "" {
 							t.Fatalf("%s %s tiles k=%d special=%v range [%d,%d): %s", sw.name, body.name, k, special, rg[0], rg[1], d)
 						}
@@ -246,7 +225,7 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 }
 
 // FuzzApplySweeps holds restrict, prolongAdd and jacobiFromZero, with either
-// body of their tiles, to their any-width loops on a level, width, range and
+// form of their tiles, to their any-width loops on a level, width, range and
 // operands decoded from the fuzzer's bytes: vertex count, cluster sizes,
 // whether clusters are scattered, and the values of the blocks and of the
 // inverse diagonal, specials included.
@@ -279,7 +258,7 @@ func FuzzApplySweeps(f *testing.F) {
 			}
 			b := data[i%len(data)]
 			if b >= 240 {
-				return sweepSpecials[int(b)%len(sweepSpecials)]
+				return kernel.Specials[int(b)%len(kernel.Specials)]
 			}
 			return (float64(b) - 120) * float64(1+i%5) / 16
 		}
@@ -291,9 +270,9 @@ func FuzzApplySweeps(f *testing.F) {
 			hi := lo + length%(m+1-lo)
 			want := base.clone()
 			sw.loop(l, want, lo, hi)
-			for _, body := range sweepBodies() {
+			for _, body := range bodies {
 				got := base.clone()
-				sw.tiled(body.avx2, l, got, lo, hi)
+				body.run(func() { sw.tiled(l, got, lo, hi) })
 				if d := diffApply(got, want); d != "" {
 					t.Fatalf("%s %s tiles k=%d n=%d range [%d,%d): %s", sw.name, body.name, k, n, lo, hi, d)
 				}
@@ -302,17 +281,10 @@ func FuzzApplySweeps(f *testing.F) {
 	})
 }
 
-// sweepSpecials are the values a sweep that reorders, fuses or flushes
-// anything gets wrong: signed zeros, denormals, the extremes, infinities, NaN.
-var sweepSpecials = []float64{
-	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, math.SmallestNonzeroFloat64 * (1 << 20),
-	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-}
-
 // TestApplySweepTilesRejectCorruptIndices: a restriction table that names a
 // member id n, a cluster that ends beyond the restriction order, or a vertex
 // assigned to cluster count — which a built hierarchy never holds — panics
-// under either body of the tiles before the offending cluster or row is
+// under either form of the tiles before the offending cluster or row is
 // stored; the assembly's index checks panic with an error wrapping
 // graph.ErrInvalidInput that names it.
 func TestApplySweepTilesRejectCorruptIndices(t *testing.T) {
@@ -333,7 +305,7 @@ func TestApplySweepTilesRejectCorruptIndices(t *testing.T) {
 			l := sweepLevel(rng, n, []int{3, 4, 2}, false, func() float64 { return 0.5 })
 			tc.corrupt(l)
 			base := randomApplyArgs(l, k, rng.NormFloat64)
-			for _, body := range sweepBodies() {
+			for _, body := range bodies {
 				a := base.clone()
 				sw, out, orig := applySweeps[1], a.x, base.x // prolongAdd
 				if tc.restrict {
@@ -342,21 +314,21 @@ func TestApplySweepTilesRejectCorruptIndices(t *testing.T) {
 				what := fmt.Sprintf("%s k=%d %s tiles, %s", sw.name, k, body.name, tc.name)
 				v := func() (v any) {
 					defer func() { v = recover() }()
-					sw.tiled(body.avx2, l, a, 0, sweepRows(l, tc.restrict))
+					body.run(func() { sw.tiled(l, a, 0, sweepRows(l, tc.restrict)) })
 					return nil
 				}()
 				if v == nil {
 					t.Fatalf("%s: no panic", what)
 				}
-				if err, ok := v.(error); body.avx2 && (!ok || !errors.Is(err, graph.ErrInvalidInput) || !strings.Contains(err.Error(), tc.names)) {
+				if err, ok := v.(error); body.name == "avx2" && (!ok || !errors.Is(err, graph.ErrInvalidInput) || !strings.Contains(err.Error(), tc.names)) {
 					t.Fatalf("%s: panic %v, want an error wrapping ErrInvalidInput that names %q", what, v, tc.names)
 				}
 				for i := bad * k; i < len(out); i++ {
-					if !sameWord(out[i], orig[i]) {
+					if !kernel.SameWord(out[i], orig[i]) {
 						t.Fatalf("%s: row %d column %d written at or after the corrupt one", what, i/k, i%k)
 					}
 				}
-				if sameWord(out[(bad-1)*k], orig[(bad-1)*k]) {
+				if kernel.SameWord(out[(bad-1)*k], orig[(bad-1)*k]) {
 					t.Fatalf("%s: row %d, before the corrupt one, was not written", what, bad-1)
 				}
 			}
@@ -407,52 +379,6 @@ func TestApplyBlockRejectsBadOperands(t *testing.T) {
 			for i := range dst {
 				if dst[i] != sentinel {
 					t.Fatalf("smooth=%d %s: dst[%d] written before the panic", smooth, tc.name, i)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkApplySweeps times each sweep's any-width loop and its tiled body
-// with the Go tiles and with the AVX2 ones on one goroutine, at the widths with
-// a full tile, on a level that stays
-// in L2 (4096 vertices, the judged size) and one that does not, clusters of up
-// to SizeCap neighbouring vertices as the stored layout has them. ns/elem is
-// per entry of the vertex block; GB/s counts the sweep's loads and stores of
-// block entries.
-func BenchmarkApplySweeps(b *testing.B) {
-	rng := rand.New(rand.NewSource(27))
-	for _, n := range []int{4096, 262144} {
-		l := sweepLevel(rng, n, []int{4, 3, 4, 2, 4, 4, 1, 4}, false, func() float64 { return 0.1 + rng.Float64() })
-		for _, k := range []int{4, 8} {
-			args := randomApplyArgs(l, k, rng.NormFloat64)
-			for i := range args.xq {
-				args.xq[i] *= 1e-3 // repeated prolongations stay finite
-			}
-			for _, sw := range applySweeps {
-				rows := n
-				if sw.clusters {
-					rows = l.count
-				}
-				for _, body := range []struct {
-					name string
-					fn   func(l *Level, a *applyArgs, lo, hi int)
-				}{
-					{"loop", sw.loop},
-					{"go", func(l *Level, a *applyArgs, lo, hi int) { sw.tiled(false, l, a, lo, hi) }},
-					{"avx2", func(l *Level, a *applyArgs, lo, hi int) { sw.tiled(true, l, a, lo, hi) }},
-				} {
-					b.Run(fmt.Sprintf("%s/n=%d/k=%d/%s", sw.name, n, k, body.name), func(b *testing.B) {
-						if body.name == "avx2" && !graph.BlockAVX2() {
-							b.Skipf("this process runs the %s block kernel", graph.BlockKernel())
-						}
-						for i := 0; i < b.N; i++ {
-							body.fn(l, args, 0, rows)
-						}
-						perElem := float64(b.Elapsed().Nanoseconds()) / (float64(b.N) * float64(n*k))
-						b.ReportMetric(perElem, "ns/elem")
-						b.ReportMetric(sw.bytes/perElem, "GB/s")
-					})
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	_ "unsafe" // go:linkname, for graphRowAVX2
 
 	"hcd/internal/graph"
 	"hcd/internal/obs"
@@ -266,15 +265,6 @@ func groupedShare(tb testing.TB, g *graph.Graph) float64 {
 	return float64(entries) / float64(max(2*g.M(), 1))
 }
 
-// graphRowAVX2 is internal/graph's rowAVX2 — the switch that package's own
-// tests flip to run the Go row loops on an AVX2 host — pulled in by name. The
-// two bodies have to be timed on the same arrays (a fresh copy of OCT 64³'s
-// level 0 runs the same loop a quarter faster than the level itself, on
-// placement alone), and graph exports no switch on purpose.
-//
-//go:linkname graphRowAVX2 hcd/internal/graph.rowAVX2
-var graphRowAVX2 bool
-
 // TestLayoutTable regenerates DESIGN.md §12's "Apply layout" table (run with
 // -v): per level of each benchmark graph, the runs of equal row length and
 // the share of the stored entries that the row-group table puts in groups of
@@ -338,10 +328,10 @@ func layoutBenchGraphs(b *testing.B) []namedGraph {
 // quotients in their apply layout — through the Go loops alone and with
 // grouped rows going through the AVX2 kernel, on one worker, and reports the
 // cost per stored entry and the share of the entries that lie in grouped rows.
+// Both forms run on the same arrays: a fresh copy of OCT 64³'s level 0 runs
+// the same loop a quarter faster than the level itself, on placement alone.
 func BenchmarkLapMulByLevel(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer func(avx2 bool) { graphRowAVX2 = avx2 }(graphRowAVX2)
-	host := graph.RowKernel()
 	for _, tc := range layoutBenchGraphs(b) {
 		h, err := New(tc.g, DefaultOptions())
 		if err != nil {
@@ -359,16 +349,17 @@ func BenchmarkLapMulByLevel(b *testing.B) {
 				{"residual", func() { g.LapMulResidual(dst, r, x) }},
 				{"jacobi", func() { g.LapJacobiStep(dst, r, x, l.dInv, 0.5) }},
 			} {
-				for _, kernel := range []string{"go", "avx2"} {
-					b.Run(fmt.Sprintf("%s/level=%d/%s/%s", tc.name, level, mode.name, kernel), func(b *testing.B) {
-						if kernel != "go" && host != kernel {
-							b.Skipf("this process runs the %s row kernel", host)
-						}
-						graphRowAVX2 = kernel == "avx2"
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							mode.run()
-						}
+				for i, body := range bodies {
+					if i > 0 && body.name == "go" {
+						continue // a host without AVX2 has one form to time
+					}
+					b.Run(fmt.Sprintf("%s/level=%d/%s/%s", tc.name, level, mode.name, body.name), func(b *testing.B) {
+						body.run(func() {
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								mode.run()
+							}
+						})
 						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*g.M()), "ns/entry")
 						b.ReportMetric(share, "grouped-%")
 					})
@@ -403,18 +394,17 @@ func BenchmarkLapMulBlockByLevel(b *testing.B) {
 			for _, k := range []int{4, 8} {
 				x, dst := ramp(g.N()*k), make([]float64, g.N()*k)
 				bytes := float64(12*2*g.M() + 8*(g.N()+1) + 24*g.N()*k)
-				for _, kernel := range []struct {
-					name string
-					mul  func(dst, x []float64, k int)
-				}{{"go", g.LapMulBlockGo}, {"avx2", g.LapMulBlock}} {
-					b.Run(fmt.Sprintf("%s/level=%d/k=%d/%s", tc.name, level, k, kernel.name), func(b *testing.B) {
-						if kernel.name != "go" && graph.BlockKernel() != kernel.name {
-							b.Skipf("this process runs the %s block kernel", graph.BlockKernel())
-						}
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							kernel.mul(dst, x, k)
-						}
+				for i, body := range bodies {
+					if i > 0 && body.name == "go" {
+						continue
+					}
+					b.Run(fmt.Sprintf("%s/level=%d/k=%d/%s", tc.name, level, k, body.name), func(b *testing.B) {
+						body.run(func() {
+							b.ResetTimer()
+							for i := 0; i < b.N; i++ {
+								g.LapMulBlock(dst, x, k)
+							}
+						})
 						ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 						b.ReportMetric(ns/float64(2*g.M()), "ns/entry")
 						b.ReportMetric(bytes/ns, "GB/s")

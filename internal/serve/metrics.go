@@ -46,7 +46,7 @@ const (
 	metricBatchWidth    = "serve_batch_width"          // histogram: requests per executed batch
 
 	// What this process runs (PR 25, 28): constant 1, the facts are the labels.
-	metricBuildInfo = "hcd_build_info" // {goarch,block_kernel,row_kernel}
+	metricBuildInfo = "hcd_build_info" // {goarch,kernel}
 )
 
 var durationBuckets = []float64{

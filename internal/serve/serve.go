@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"hcd"
-	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/obs"
 )
 
@@ -146,7 +146,7 @@ func New(cfg Config) *Server {
 		adm: newAdmission(cfg.Admission),
 		mux: http.NewServeMux(),
 	}
-	gaugeSet(s.reg, fmt.Sprintf("%s{goarch=%q,block_kernel=%q,row_kernel=%q}", metricBuildInfo, runtime.GOARCH, graph.BlockKernel(), graph.RowKernel()), 1)
+	gaugeSet(s.reg, fmt.Sprintf("%s{goarch=%q,kernel=%q}", metricBuildInfo, runtime.GOARCH, kernel.Name()), 1)
 	s.batch = newBatcher(cfg.BatchWindow, cfg.BatchMaxWidth, cfg.Registry)
 	s.store = newStore(cfg.MaxHandles, cfg.MaxBytes, cfg.PoolSize, cfg.Hierarchy, s.reg, s.tr)
 	s.store.autoShard = cfg.AutoShardVertices

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"testing"
 
-	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/obs"
 )
 
@@ -350,7 +350,7 @@ func TestSubmitBodyFormats(t *testing.T) {
 }
 
 // TestBuildInfoOnMetrics: /metrics says what this process runs — the
-// architecture and which body of the block row kernels' column tiles — as the
+// architecture and which form, AVX2 or Go, the leaf kernels run — as the
 // labels of a constant-1 gauge, so a latency gap between two hosts is read
 // off their scrapes.
 func TestBuildInfoOnMetrics(t *testing.T) {
@@ -364,7 +364,7 @@ func TestBuildInfoOnMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("hcd_build_info{goarch=%q,block_kernel=%q,row_kernel=%q} 1\n", runtime.GOARCH, graph.BlockKernel(), graph.RowKernel())
+	want := fmt.Sprintf("hcd_build_info{goarch=%q,kernel=%q} 1\n", runtime.GOARCH, kernel.Name())
 	if !strings.Contains(string(body), want) {
 		t.Errorf("/metrics lacks %q", want)
 	}

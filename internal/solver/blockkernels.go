@@ -1,7 +1,7 @@
 package solver
 
 import (
-	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/par"
 )
 
@@ -81,26 +81,16 @@ func (s *scratch) reduceRows(n, k int, out []float64, fn func(lo, hi int, acc []
 
 // Column tiles. Every k > 1 sweep below covers its rows in fixed-width column
 // tiles — 8 wide, then 4, then a 1–3 column tail — the shape of
-// graph.lapMulBlockRange and sparse.LapFactor.SolveBlock. A tile holds its
-// per-column accumulators and coefficients (α, β, the means) in locals and
-// reaches a row through a full-slice expression, so its loop runs
-// register-to-register and a chunk's partial is stored once, at the end:
-// accumulating through the acc slice costs a load, a store and a bounds check
-// per element, because the compiler must assume acc aliases the block. Per
+// graph.lapMulBlockRange and sparse.LapFactor.SolveBlock. The 8- and 4-wide
+// tiles are bodies of internal/kernel, which hold a row's columns and the
+// coefficients (α, β, the means) in registers and store a chunk's partial
+// once, and run in Go or AVX2 assembly as that package's probe decides. Per
 // column a tile performs the IEEE operations of the any-width loop in the same
 // order (ascending rows within the chunk, products and sums as written, no
 // fused multiply-add), so the width of a tile never shows in a result. The
-// any-width loop over the column window [j0, k) is each kernel's tail; from
-// j0 = 0 it is the whole kernel, which is what the tests compare the tiles to
-// (DESIGN §12 "Column-tile sweeps").
-//
-// The 8- and 4-wide tiles have a second body, in AVX2 assembly
-// (sweeps_amd64.s), which performs the same operations per column with a row's
-// columns in one or two vector registers. Each …Range function is the one
-// place a tile's body is chosen, by its avx2 argument, as in
-// graph.lapMulBlockRange; the entry points pass graph.BlockAVX2(), so the
-// sweeps run the assembly exactly when the block row kernels do (DESIGN §12
-// "Sweep tiles"). The tails are Go always.
+// any-width loop over the column window [j0, k) is each sweep's tail; from
+// j0 = 0 it is the whole sweep, which is what the tests compare the tiles to
+// (DESIGN §12 "Kernel layer").
 
 // blockDots computes out[j] = Σ_v a[v·k+j]·b[v·k+j] for each column j.
 func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
@@ -108,28 +98,20 @@ func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
 		out[0] = dot(a[:n], b[:n])
 		return
 	}
-	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockDotsRange(avx2, a, b, k, lo, hi, acc)
+		blockDotsRange(a, b, k, lo, hi, acc)
 	})
 }
 
-// blockDotsRange adds rows [lo, hi) of the column dot products to acc.
-func blockDotsRange(avx2 bool, a, b []float64, k, lo, hi int, acc []float64) {
+// blockDotsRange adds rows [lo, hi) of the column dot products to acc — or,
+// with b nil, the column sums.
+func blockDotsRange(a, b []float64, k, lo, hi int, acc []float64) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			dotsAVX2(8, a, b, k, j, lo, hi, acc)
-		} else {
-			blockDotsTile8(a, b, k, j, lo, hi, acc)
-		}
+		kernel.Dots(8, a, b, k, j, lo, hi, acc)
 	}
 	if j+4 <= k {
-		if avx2 {
-			dotsAVX2(4, a, b, k, j, lo, hi, acc)
-		} else {
-			blockDotsTile4(a, b, k, j, lo, hi, acc)
-		}
+		kernel.Dots(4, a, b, k, j, lo, hi, acc)
 		j += 4
 	}
 	if j < k {
@@ -137,42 +119,16 @@ func blockDotsRange(avx2 bool, a, b []float64, k, lo, hi int, acc []float64) {
 	}
 }
 
-func blockDotsTile8(a, b []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+8 : j0+8]
-	s0, s1, s2, s3, s4, s5, s6, s7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
-	for o := lo*k + j0; o < hi*k; o += k {
-		av := a[o : o+8 : o+8]
-		bv := b[o : o+8 : o+8]
-		s0 += av[0] * bv[0]
-		s1 += av[1] * bv[1]
-		s2 += av[2] * bv[2]
-		s3 += av[3] * bv[3]
-		s4 += av[4] * bv[4]
-		s5 += av[5] * bv[5]
-		s6 += av[6] * bv[6]
-		s7 += av[7] * bv[7]
-	}
-	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = s0, s1, s2, s3, s4, s5, s6, s7
-}
-
-func blockDotsTile4(a, b []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+4 : j0+4]
-	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
-	for o := lo*k + j0; o < hi*k; o += k {
-		av := a[o : o+4 : o+4]
-		bv := b[o : o+4 : o+4]
-		s0 += av[0] * bv[0]
-		s1 += av[1] * bv[1]
-		s2 += av[2] * bv[2]
-		s3 += av[3] * bv[3]
-	}
-	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
-}
-
 func blockDotsTail(a, b []float64, k, j0, lo, hi int, acc []float64) {
 	acc = acc[j0:k]
 	for v := lo; v < hi; v++ {
 		av := a[v*k+j0 : v*k+k : v*k+k]
+		if b == nil {
+			for j := range av {
+				acc[j] += av[j]
+			}
+			continue
+		}
 		bv := b[v*k+j0 : v*k+k : v*k+k]
 		for j := range av {
 			acc[j] += av[j] * bv[j]
@@ -187,80 +143,15 @@ func (s *scratch) blockNormSq(x []float64, n, k int, out []float64) {
 }
 
 // blockColSums computes out[j] = Σ_v x[v·k+j] (pass 1 of the block mean
-// projection).
+// projection): the dot products with no second operand.
 func (s *scratch) blockColSums(x []float64, n, k int, out []float64) {
 	if k == 1 {
 		out[0] = sum(x[:n])
 		return
 	}
-	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockColSumsRange(avx2, x, k, lo, hi, acc)
+		blockDotsRange(x, nil, k, lo, hi, acc)
 	})
-}
-
-// blockColSumsRange adds rows [lo, hi) of the column sums to acc. The
-// assembly body is the dot products' with no second operand.
-func blockColSumsRange(avx2 bool, x []float64, k, lo, hi int, acc []float64) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			dotsAVX2(8, x, nil, k, j, lo, hi, acc)
-		} else {
-			blockColSumsTile8(x, k, j, lo, hi, acc)
-		}
-	}
-	if j+4 <= k {
-		if avx2 {
-			dotsAVX2(4, x, nil, k, j, lo, hi, acc)
-		} else {
-			blockColSumsTile4(x, k, j, lo, hi, acc)
-		}
-		j += 4
-	}
-	if j < k {
-		blockColSumsTail(x, k, j, lo, hi, acc)
-	}
-}
-
-func blockColSumsTile8(x []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+8 : j0+8]
-	s0, s1, s2, s3, s4, s5, s6, s7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
-	for o := lo*k + j0; o < hi*k; o += k {
-		xv := x[o : o+8 : o+8]
-		s0 += xv[0]
-		s1 += xv[1]
-		s2 += xv[2]
-		s3 += xv[3]
-		s4 += xv[4]
-		s5 += xv[5]
-		s6 += xv[6]
-		s7 += xv[7]
-	}
-	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = s0, s1, s2, s3, s4, s5, s6, s7
-}
-
-func blockColSumsTile4(x []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+4 : j0+4]
-	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
-	for o := lo*k + j0; o < hi*k; o += k {
-		xv := x[o : o+4 : o+4]
-		s0 += xv[0]
-		s1 += xv[1]
-		s2 += xv[2]
-		s3 += xv[3]
-	}
-	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
-}
-
-func blockColSumsTail(x []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0:k]
-	for v := lo; v < hi; v++ {
-		xv := x[v*k+j0 : v*k+k : v*k+k]
-		for j := range xv {
-			acc[j] += xv[j]
-		}
-	}
 }
 
 // blockSubMeanNormSq subtracts mean[j] from column j and accumulates the new
@@ -279,94 +170,25 @@ func (s *scratch) blockSubMeanDot(z, r []float64, n, k int, mean, out []float64)
 		out[0] = shiftDot(z[:n], mean[0], r[:n])
 		return
 	}
-	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockSubMeanDotRange(avx2, z, r, mean, k, lo, hi, acc)
+		blockSubMeanDotRange(z, r, mean, k, lo, hi, acc)
 	})
 }
 
 // blockSubMeanDotRange shifts rows [lo, hi) of z and adds their products with
 // r to acc.
-func blockSubMeanDotRange(avx2 bool, z, r, mean []float64, k, lo, hi int, acc []float64) {
+func blockSubMeanDotRange(z, r, mean []float64, k, lo, hi int, acc []float64) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			subMeanDotAVX2(8, z, r, mean, k, j, lo, hi, acc)
-		} else {
-			blockSubMeanDotTile8(z, r, mean, k, j, lo, hi, acc)
-		}
+		kernel.SubMeanDot(8, z, r, mean, k, j, lo, hi, acc)
 	}
 	if j+4 <= k {
-		if avx2 {
-			subMeanDotAVX2(4, z, r, mean, k, j, lo, hi, acc)
-		} else {
-			blockSubMeanDotTile4(z, r, mean, k, j, lo, hi, acc)
-		}
+		kernel.SubMeanDot(4, z, r, mean, k, j, lo, hi, acc)
 		j += 4
 	}
 	if j < k {
 		blockSubMeanDotTail(z, r, mean, k, j, lo, hi, acc)
 	}
-}
-
-func blockSubMeanDotTile8(z, r, mean []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+8 : j0+8]
-	mean = mean[j0 : j0+8 : j0+8]
-	s0, s1, s2, s3, s4, s5, s6, s7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
-	m0, m1, m2, m3, m4, m5, m6, m7 := mean[0], mean[1], mean[2], mean[3], mean[4], mean[5], mean[6], mean[7]
-	for o := lo*k + j0; o < hi*k; o += k {
-		zv := z[o : o+8 : o+8]
-		rv := r[o : o+8 : o+8]
-		z0 := zv[0] - m0
-		zv[0] = z0
-		s0 += rv[0] * z0
-		z1 := zv[1] - m1
-		zv[1] = z1
-		s1 += rv[1] * z1
-		z2 := zv[2] - m2
-		zv[2] = z2
-		s2 += rv[2] * z2
-		z3 := zv[3] - m3
-		zv[3] = z3
-		s3 += rv[3] * z3
-		z4 := zv[4] - m4
-		zv[4] = z4
-		s4 += rv[4] * z4
-		z5 := zv[5] - m5
-		zv[5] = z5
-		s5 += rv[5] * z5
-		z6 := zv[6] - m6
-		zv[6] = z6
-		s6 += rv[6] * z6
-		z7 := zv[7] - m7
-		zv[7] = z7
-		s7 += rv[7] * z7
-	}
-	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = s0, s1, s2, s3, s4, s5, s6, s7
-}
-
-func blockSubMeanDotTile4(z, r, mean []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+4 : j0+4]
-	mean = mean[j0 : j0+4 : j0+4]
-	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
-	m0, m1, m2, m3 := mean[0], mean[1], mean[2], mean[3]
-	for o := lo*k + j0; o < hi*k; o += k {
-		zv := z[o : o+4 : o+4]
-		rv := r[o : o+4 : o+4]
-		z0 := zv[0] - m0
-		zv[0] = z0
-		s0 += rv[0] * z0
-		z1 := zv[1] - m1
-		zv[1] = z1
-		s1 += rv[1] * z1
-		z2 := zv[2] - m2
-		zv[2] = z2
-		s2 += rv[2] * z2
-		z3 := zv[3] - m3
-		zv[3] = z3
-		s3 += rv[3] * z3
-	}
-	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
 }
 
 func blockSubMeanDotTail(z, r, mean []float64, k, j0, lo, hi int, acc []float64) {
@@ -389,110 +211,25 @@ func (s *scratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int, sums
 		sums[0] = updateXR(x[:n], r[:n], alpha[0], p[:n], ap[:n])
 		return
 	}
-	avx2 := graph.BlockAVX2()
 	s.reduceRows(n, k, sums, func(lo, hi int, acc []float64) {
-		blockUpdateXRSumsRange(avx2, x, r, p, ap, alpha, k, lo, hi, acc)
+		blockUpdateXRSumsRange(x, r, p, ap, alpha, k, lo, hi, acc)
 	})
 }
 
 // blockUpdateXRSumsRange updates rows [lo, hi) and adds the new residual rows
 // to acc.
-func blockUpdateXRSumsRange(avx2 bool, x, r, p, ap, alpha []float64, k, lo, hi int, acc []float64) {
+func blockUpdateXRSumsRange(x, r, p, ap, alpha []float64, k, lo, hi int, acc []float64) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			updateXRSumsAVX2(8, x, r, p, ap, alpha, k, j, lo, hi, acc)
-		} else {
-			blockUpdateXRSumsTile8(x, r, p, ap, alpha, k, j, lo, hi, acc)
-		}
+		kernel.UpdateXRSums(8, x, r, p, ap, alpha, k, j, lo, hi, acc)
 	}
 	if j+4 <= k {
-		if avx2 {
-			updateXRSumsAVX2(4, x, r, p, ap, alpha, k, j, lo, hi, acc)
-		} else {
-			blockUpdateXRSumsTile4(x, r, p, ap, alpha, k, j, lo, hi, acc)
-		}
+		kernel.UpdateXRSums(4, x, r, p, ap, alpha, k, j, lo, hi, acc)
 		j += 4
 	}
 	if j < k {
 		blockUpdateXRSumsTail(x, r, p, ap, alpha, k, j, lo, hi, acc)
 	}
-}
-
-func blockUpdateXRSumsTile8(x, r, p, ap, alpha []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+8 : j0+8]
-	alpha = alpha[j0 : j0+8 : j0+8]
-	s0, s1, s2, s3, s4, s5, s6, s7 := acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]
-	a0, a1, a2, a3, a4, a5, a6, a7 := alpha[0], alpha[1], alpha[2], alpha[3], alpha[4], alpha[5], alpha[6], alpha[7]
-	for o := lo*k + j0; o < hi*k; o += k {
-		xv := x[o : o+8 : o+8]
-		rv := r[o : o+8 : o+8]
-		pv := p[o : o+8 : o+8]
-		av := ap[o : o+8 : o+8]
-		xv[0] += a0 * pv[0]
-		r0 := rv[0] - a0*av[0]
-		rv[0] = r0
-		s0 += r0
-		xv[1] += a1 * pv[1]
-		r1 := rv[1] - a1*av[1]
-		rv[1] = r1
-		s1 += r1
-		xv[2] += a2 * pv[2]
-		r2 := rv[2] - a2*av[2]
-		rv[2] = r2
-		s2 += r2
-		xv[3] += a3 * pv[3]
-		r3 := rv[3] - a3*av[3]
-		rv[3] = r3
-		s3 += r3
-		xv[4] += a4 * pv[4]
-		r4 := rv[4] - a4*av[4]
-		rv[4] = r4
-		s4 += r4
-		xv[5] += a5 * pv[5]
-		r5 := rv[5] - a5*av[5]
-		rv[5] = r5
-		s5 += r5
-		xv[6] += a6 * pv[6]
-		r6 := rv[6] - a6*av[6]
-		rv[6] = r6
-		s6 += r6
-		xv[7] += a7 * pv[7]
-		r7 := rv[7] - a7*av[7]
-		rv[7] = r7
-		s7 += r7
-	}
-	acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = s0, s1, s2, s3, s4, s5, s6, s7
-}
-
-func blockUpdateXRSumsTile4(x, r, p, ap, alpha []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0 : j0+4 : j0+4]
-	alpha = alpha[j0 : j0+4 : j0+4]
-	s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
-	a0, a1, a2, a3 := alpha[0], alpha[1], alpha[2], alpha[3]
-	for o := lo*k + j0; o < hi*k; o += k {
-		xv := x[o : o+4 : o+4]
-		rv := r[o : o+4 : o+4]
-		pv := p[o : o+4 : o+4]
-		av := ap[o : o+4 : o+4]
-		xv[0] += a0 * pv[0]
-		r0 := rv[0] - a0*av[0]
-		rv[0] = r0
-		s0 += r0
-		xv[1] += a1 * pv[1]
-		r1 := rv[1] - a1*av[1]
-		rv[1] = r1
-		s1 += r1
-		xv[2] += a2 * pv[2]
-		r2 := rv[2] - a2*av[2]
-		rv[2] = r2
-		s2 += r2
-		xv[3] += a3 * pv[3]
-		r3 := rv[3] - a3*av[3]
-		rv[3] = r3
-		s3 += r3
-	}
-	acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
 }
 
 func blockUpdateXRSumsTail(x, r, p, ap, alpha []float64, k, j0, lo, hi int, acc []float64) {
@@ -544,66 +281,28 @@ func blockXPBY(p, z, beta []float64, n, k int) {
 		xpby(p[:n], z[:n], beta[0])
 		return
 	}
-	grain, avx2 := blockGrain(k), graph.BlockAVX2()
+	grain := blockGrain(k)
 	if n <= grain || par.Workers() == 1 {
-		blockXPBYRange(avx2, p, z, beta, k, 0, n)
+		blockXPBYRange(p, z, beta, k, 0, n)
 		return
 	}
 	par.For(n, grain, func(lo, hi int) {
-		blockXPBYRange(avx2, p, z, beta, k, lo, hi)
+		blockXPBYRange(p, z, beta, k, lo, hi)
 	})
 }
 
 // blockXPBYRange is blockXPBY on rows [lo, hi) of a k > 1 block.
-func blockXPBYRange(avx2 bool, p, z, beta []float64, k, lo, hi int) {
+func blockXPBYRange(p, z, beta []float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		if avx2 {
-			xpbyAVX2(8, p, z, beta, k, j, lo, hi)
-		} else {
-			blockXPBYTile8(p, z, beta, k, j, lo, hi)
-		}
+		kernel.XPBY(8, p, z, beta, k, j, lo, hi)
 	}
 	if j+4 <= k {
-		if avx2 {
-			xpbyAVX2(4, p, z, beta, k, j, lo, hi)
-		} else {
-			blockXPBYTile4(p, z, beta, k, j, lo, hi)
-		}
+		kernel.XPBY(4, p, z, beta, k, j, lo, hi)
 		j += 4
 	}
 	if j < k {
 		blockXPBYTail(p, z, beta, k, j, lo, hi)
-	}
-}
-
-func blockXPBYTile8(p, z, beta []float64, k, j0, lo, hi int) {
-	beta = beta[j0 : j0+8 : j0+8]
-	b0, b1, b2, b3, b4, b5, b6, b7 := beta[0], beta[1], beta[2], beta[3], beta[4], beta[5], beta[6], beta[7]
-	for o := lo*k + j0; o < hi*k; o += k {
-		pv := p[o : o+8 : o+8]
-		zv := z[o : o+8 : o+8]
-		pv[0] = zv[0] + b0*pv[0]
-		pv[1] = zv[1] + b1*pv[1]
-		pv[2] = zv[2] + b2*pv[2]
-		pv[3] = zv[3] + b3*pv[3]
-		pv[4] = zv[4] + b4*pv[4]
-		pv[5] = zv[5] + b5*pv[5]
-		pv[6] = zv[6] + b6*pv[6]
-		pv[7] = zv[7] + b7*pv[7]
-	}
-}
-
-func blockXPBYTile4(p, z, beta []float64, k, j0, lo, hi int) {
-	beta = beta[j0 : j0+4 : j0+4]
-	b0, b1, b2, b3 := beta[0], beta[1], beta[2], beta[3]
-	for o := lo*k + j0; o < hi*k; o += k {
-		pv := p[o : o+4 : o+4]
-		zv := z[o : o+4 : o+4]
-		pv[0] = zv[0] + b0*pv[0]
-		pv[1] = zv[1] + b1*pv[1]
-		pv[2] = zv[2] + b2*pv[2]
-		pv[3] = zv[3] + b3*pv[3]
 	}
 }
 

@@ -1,12 +1,14 @@
 package solver
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
-	"hcd/internal/graph"
+	"hcd/internal/kernel"
 )
 
 // sweepArgs are the operands of one level-1 block sweep over rows [lo, hi) of
@@ -28,73 +30,52 @@ func (a *sweepArgs) clone() *sweepArgs {
 
 // blockSweeps lists the tiled k > 1 kernels of blockkernels.go (all but
 // blockUpdateXRNormSq, which has only its any-width loop) three ways: tiled is
-// the row-range body the solver runs (8-wide tile, 4-wide tile, tail), its
-// tiles in assembly or in Go by the avx2 argument; loop is the kernel's
-// any-width loop from column 0 — its tail, and the reference both bodies of
-// the tiles are held to; whole is the kernel's entry point over rows [0, n),
-// which runs the body this process runs. bytes is what one element costs in
-// loads and stores.
+// the row-range body the solver runs (8-wide tile, 4-wide tile, tail); loop is
+// the kernel's any-width loop from column 0 — its tail, and the reference
+// both forms of the tiles are held to; whole is the kernel's entry point over
+// rows [0, n).
 var blockSweeps = []struct {
 	name  string
-	bytes float64
-	tiled func(avx2 bool, a *sweepArgs)
+	tiled func(a *sweepArgs)
 	loop  func(a *sweepArgs)
 	whole func(s *scratch, a *sweepArgs, n int)
 }{
-	{"dots", 16,
-		func(avx2 bool, a *sweepArgs) { blockDotsRange(avx2, a.x, a.r, a.k, a.lo, a.hi, a.acc) },
+	{"dots",
+		func(a *sweepArgs) { blockDotsRange(a.x, a.r, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockDotsTail(a.x, a.r, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockDots(a.x, a.r, n, a.k, a.acc) }},
-	{"normSq", 8,
-		func(avx2 bool, a *sweepArgs) { blockDotsRange(avx2, a.x, a.x, a.k, a.lo, a.hi, a.acc) },
+	{"normSq",
+		func(a *sweepArgs) { blockDotsRange(a.x, a.x, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockDotsTail(a.x, a.x, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockNormSq(a.x, n, a.k, a.acc) }},
-	{"colSums", 8,
-		func(avx2 bool, a *sweepArgs) { blockColSumsRange(avx2, a.x, a.k, a.lo, a.hi, a.acc) },
-		func(a *sweepArgs) { blockColSumsTail(a.x, a.k, 0, a.lo, a.hi, a.acc) },
+	{"colSums",
+		func(a *sweepArgs) { blockDotsRange(a.x, nil, a.k, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) { blockDotsTail(a.x, nil, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockColSums(a.x, n, a.k, a.acc) }},
-	{"subMeanDot", 24,
-		func(avx2 bool, a *sweepArgs) { blockSubMeanDotRange(avx2, a.x, a.r, a.coef, a.k, a.lo, a.hi, a.acc) },
+	{"subMeanDot",
+		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.r, a.coef, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanDot(a.x, a.r, n, a.k, a.coef, a.acc) }},
-	{"subMeanNormSq", 16,
-		func(avx2 bool, a *sweepArgs) { blockSubMeanDotRange(avx2, a.x, a.x, a.coef, a.k, a.lo, a.hi, a.acc) },
+	{"subMeanNormSq",
+		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.x, a.coef, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.x, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanNormSq(a.x, n, a.k, a.coef, a.acc) }},
-	{"updateXRSums", 48,
-		func(avx2 bool, a *sweepArgs) {
-			blockUpdateXRSumsRange(avx2, a.x, a.r, a.p, a.ap, a.coef, a.k, a.lo, a.hi, a.acc)
-		},
+	{"updateXRSums",
+		func(a *sweepArgs) { blockUpdateXRSumsRange(a.x, a.r, a.p, a.ap, a.coef, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockUpdateXRSumsTail(a.x, a.r, a.p, a.ap, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
 		func(s *scratch, a *sweepArgs, n int) { s.blockUpdateXRSums(a.x, a.r, a.p, a.ap, a.coef, n, a.k, a.acc) }},
-	{"xpby", 24,
-		func(avx2 bool, a *sweepArgs) { blockXPBYRange(avx2, a.x, a.r, a.coef, a.k, a.lo, a.hi) },
+	{"xpby",
+		func(a *sweepArgs) { blockXPBYRange(a.x, a.r, a.coef, a.k, a.lo, a.hi) },
 		func(a *sweepArgs) { blockXPBYTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi) },
 		func(_ *scratch, a *sweepArgs, n int) { blockXPBY(a.x, a.r, a.coef, n, a.k) }},
 }
 
-// sweepBody is one body of the sweep tiles.
-type sweepBody struct {
+// bodies are the two forms of the kernel bodies: Go, and whichever this
+// process runs.
+var bodies = []struct {
 	name string
-	avx2 bool
-}
-
-// sweepBodies are the bodies of the sweep tiles this process can run: the Go
-// tiles always, the assembly where graph.BlockAVX2 says so.
-func sweepBodies() []sweepBody {
-	bodies := []sweepBody{{"go", false}}
-	if graph.BlockAVX2() {
-		bodies = append(bodies, sweepBody{"avx2", true})
-	}
-	return bodies
-}
-
-// sweepSpecials are the values a kernel that reorders, fuses or flushes
-// anything gets wrong: signed zeros, denormals, the extremes, infinities, NaN.
-var sweepSpecials = []float64{
-	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, math.SmallestNonzeroFloat64 * (1 << 20),
-	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
-}
+	run  func(func())
+}{{"go", kernel.WithGo}, {kernel.Name(), func(f func()) { f() }}}
 
 // newSweepArgs fills operands for n rows of width k over rows [lo, hi) from
 // draw: the four blocks, then the coefficients, then the accumulators — which
@@ -115,20 +96,14 @@ func newSweepArgs(n, k, lo, hi int, draw func() float64) *sweepArgs {
 
 // randomSweepArgs draws normal deviates for all n rows; with special set,
 // every fifth value — coefficients and starting accumulators included — comes
-// from sweepSpecials.
+// from kernel.Specials.
 func randomSweepArgs(rng *rand.Rand, n, k int, special bool) *sweepArgs {
 	return newSweepArgs(n, k, 0, n, func() float64 {
 		if special && rng.Intn(5) == 0 {
-			return sweepSpecials[rng.Intn(len(sweepSpecials))]
+			return kernel.Specials[rng.Intn(len(kernel.Specials))]
 		}
 		return rng.NormFloat64()
 	})
-}
-
-// sameWord compares by bit pattern, any NaN matching any NaN: which of two NaN
-// operands a product propagates is the compiler's choice of register.
-func sameWord(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
 // diffSweep returns the first word in which the two operand sets differ.
@@ -136,7 +111,7 @@ func diffSweep(got, want *sweepArgs) string {
 	names := []string{"x", "r", "p", "ap", "coef", "acc"}
 	for f, pair := range [][2][]float64{{got.x, want.x}, {got.r, want.r}, {got.p, want.p}, {got.ap, want.ap}, {got.coef, want.coef}, {got.acc, want.acc}} {
 		for i := range pair[1] {
-			if !sameWord(pair[0][i], pair[1][i]) {
+			if !kernel.SameWord(pair[0][i], pair[1][i]) {
 				return fmt.Sprintf("%s[%d] (row %d, column %d): tiled %v (%#x), any-width loop %v (%#x)", names[f], i, i/want.k, i%want.k,
 					pair[0][i], math.Float64bits(pair[0][i]), pair[1][i], math.Float64bits(pair[1][i]))
 			}
@@ -149,7 +124,7 @@ var sweepWidths = []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17}
 
 // TestBlockSweepTilesMatchReference: every tiled sweep leaves the words its
 // any-width loop leaves — reductions and the blocks it updates in place —
-// with either body of its tiles, at widths that combine the tiles every way,
+// with either form of its tiles, at widths that combine the tiles every way,
 // on row counts below, at and above one reduction chunk, through the kernel's
 // entry point and through either body under the same chunking (combined in
 // chunk order), and on row ranges that start and end mid-block, where every
@@ -182,9 +157,9 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 					if d := diffSweep(got, want); d != "" {
 						t.Fatalf("%s entry point k=%d n=%d special=%v: %s", sw.name, k, n, special, d)
 					}
-					for _, body := range sweepBodies() {
+					for _, body := range bodies {
 						got := base.clone()
-						chunked(n, got, func(a *sweepArgs) { sw.tiled(body.avx2, a) })
+						body.run(func() { chunked(n, got, sw.tiled) })
 						if d := diffSweep(got, want); d != "" {
 							t.Fatalf("%s %s tiles k=%d n=%d special=%v: %s", sw.name, body.name, k, n, special, d)
 						}
@@ -207,9 +182,9 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 				for _, sw := range blockSweeps {
 					want := base.clone()
 					sw.loop(want)
-					for _, body := range sweepBodies() {
+					for _, body := range bodies {
 						got := base.clone()
-						sw.tiled(body.avx2, got)
+						body.run(func() { sw.tiled(got) })
 						if d := diffSweep(got, want); d != "" {
 							t.Fatalf("%s %s tiles k=%d special=%v rows [%d,%d): %s", sw.name, body.name, k, special, rg[0], rg[1], d)
 						}
@@ -227,7 +202,7 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 	}
 }
 
-// FuzzBlockSweeps holds every tiled sweep, with either body of its tiles, to
+// FuzzBlockSweeps holds every tiled sweep, with either form of its tiles, to
 // its any-width loop on operands, width, row count and row range decoded from
 // the fuzzer's bytes.
 func FuzzBlockSweeps(f *testing.F) {
@@ -254,16 +229,16 @@ func FuzzBlockSweeps(f *testing.F) {
 			}
 			b := data[i%len(data)]
 			if b >= 240 {
-				return sweepSpecials[int(b)%len(sweepSpecials)]
+				return kernel.Specials[int(b)%len(kernel.Specials)]
 			}
 			return (float64(b) - 120) * float64(1+i%5) / 16
 		})
 		for _, sw := range blockSweeps {
 			want := base.clone()
 			sw.loop(want)
-			for _, body := range sweepBodies() {
+			for _, body := range bodies {
 				got := base.clone()
-				sw.tiled(body.avx2, got)
+				body.run(func() { sw.tiled(got) })
 				if d := diffSweep(got, want); d != "" {
 					t.Fatalf("%s %s tiles k=%d n=%d rows [%d,%d): %s", sw.name, body.name, k, n, lo, hi, d)
 				}
@@ -272,38 +247,41 @@ func FuzzBlockSweeps(f *testing.F) {
 	})
 }
 
-// BenchmarkBlockSweeps times each sweep's any-width loop and its tiled body
-// with the Go tiles and with the AVX2 ones on one goroutine, at the widths with
-// a full tile and at a block that stays in L2 (4096 rows, the judged size) and
-// one that does not. ns/elem is per block entry; GB/s counts the sweep's loads
-// and stores of block entries.
-func BenchmarkBlockSweeps(b *testing.B) {
-	for _, n := range []int{4096, 262144} {
-		for _, k := range []int{4, 8} {
-			args := randomSweepArgs(rand.New(rand.NewSource(27)), n, k, false)
-			for j := range args.coef {
-				args.coef[j] *= 1e-3 // repeated updates stay finite
-			}
-			for _, sw := range blockSweeps {
-				for _, body := range []struct {
-					name string
-					fn   func(a *sweepArgs)
-				}{
-					{"loop", sw.loop},
-					{"go", func(a *sweepArgs) { sw.tiled(false, a) }},
-					{"avx2", func(a *sweepArgs) { sw.tiled(true, a) }},
-				} {
-					b.Run(fmt.Sprintf("%s/n=%d/k=%d/%s", sw.name, n, k, body.name), func(b *testing.B) {
-						if body.name == "avx2" && !graph.BlockAVX2() {
-							b.Skipf("this process runs the %s block kernel", graph.BlockKernel())
-						}
-						for i := 0; i < b.N; i++ {
-							body.fn(args)
-						}
-						perElem := float64(b.Elapsed().Nanoseconds()) / (float64(b.N) * float64(n*k))
-						b.ReportMetric(perElem, "ns/elem")
-						b.ReportMetric(sw.bytes/perElem, "GB/s")
-					})
+// TestSweepTilesRejectBadOperands: handed a block, coefficient vector or
+// accumulator one entry short, a sweep panics with an error wrapping
+// kernel.ErrInvalidInput that names the operand, before it stores anything —
+// under either form of its tiles.
+func TestSweepTilesRejectBadOperands(t *testing.T) {
+	// Which field of sweepArgs each sweep hands over as which operand.
+	operands := map[string][][2]string{
+		"dots":          {{"x", "a"}, {"r", "b"}, {"acc", "acc"}},
+		"normSq":        {{"x", "a"}, {"acc", "acc"}},
+		"colSums":       {{"x", "a"}, {"acc", "acc"}},
+		"subMeanDot":    {{"x", "z"}, {"r", "r"}, {"coef", "mean"}, {"acc", "acc"}},
+		"subMeanNormSq": {{"x", "z"}, {"coef", "mean"}, {"acc", "acc"}},
+		"updateXRSums":  {{"x", "x"}, {"r", "r"}, {"p", "p"}, {"ap", "ap"}, {"coef", "alpha"}, {"acc", "acc"}},
+		"xpby":          {{"x", "p"}, {"r", "z"}, {"coef", "beta"}},
+	}
+	const n, k = 50, 8
+	base := randomSweepArgs(rand.New(rand.NewSource(32)), n, k, false)
+	for _, body := range bodies {
+		for _, sw := range blockSweeps {
+			for _, op := range operands[sw.name] {
+				args := base.clone()
+				field := map[string]*[]float64{"x": &args.x, "r": &args.r, "p": &args.p, "ap": &args.ap, "coef": &args.coef, "acc": &args.acc}[op[0]]
+				*field = (*field)[:len(*field)-1]
+				what := fmt.Sprintf("%s %s with len(%s) one short", body.name, sw.name, op[1])
+				err := func() (err error) {
+					defer func() { err, _ = recover().(error) }()
+					body.run(func() { sw.tiled(args) })
+					return nil
+				}()
+				if !errors.Is(err, kernel.ErrInvalidInput) || !strings.Contains(err.Error(), "len("+op[1]+")") {
+					t.Errorf("%s: panic %v, want an error wrapping ErrInvalidInput that names the operand", what, err)
+				}
+				*field = (*field)[:len(*field)+1]
+				if d := diffSweep(args, base); d != "" {
+					t.Errorf("%s: written before the panic: %s", what, d)
 				}
 			}
 		}

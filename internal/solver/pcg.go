@@ -9,6 +9,7 @@ import (
 
 	"hcd/internal/faultinject"
 	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/obs"
 	"hcd/internal/par"
 )
@@ -611,10 +612,7 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	if sp != nil {
 		sp.Arg("k", k)
 		sp.Arg("iterations", iters)
-		sp.Arg("row_kernel", graph.RowKernel())
-		if k > 1 {
-			sp.Arg("block_kernel", graph.BlockKernel())
-		}
+		sp.Arg("kernel", kernel.Name())
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 	"hcd"
 	"hcd/internal/faultinject"
-	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/obs"
 )
 
@@ -270,12 +270,10 @@ func TestChebyshevObserver(t *testing.T) {
 	}
 }
 
-// TestAttemptSpanNamesBlockKernel: the trace of a multi-RHS solve says which
-// body of the block row kernels' column tiles served it — the block_kernel
-// argument of every solve/attempt span at k > 1 — and a single-RHS solve,
-// which runs no tile, says nothing; at every width the span's row_kernel
-// names the body of the k = 1 row kernels (the operator at k = 1, the levels
-// a deflated block reaches at width 1).
+// TestAttemptSpanNamesBlockKernel: the trace of a solve says which form of
+// the leaf kernels served it — the kernel argument of every solve/attempt
+// span, at a single right-hand side and at four — under the one name the
+// kernel package's probe gives; the per-family names it replaced are gone.
 func TestAttemptSpanNamesBlockKernel(t *testing.T) {
 	g := hcd.Grid2D(16, 16, nil, 1)
 	for _, k := range []int{1, 4} {
@@ -293,20 +291,17 @@ func TestAttemptSpanNamesBlockKernel(t *testing.T) {
 				continue
 			}
 			attempts++
-			var kernel, rowKernel any
+			var name any
 			for _, a := range s.Args {
 				switch a.Key {
-				case "block_kernel":
-					kernel = a.Value
-				case "row_kernel":
-					rowKernel = a.Value
+				case "kernel":
+					name = a.Value
+				case "block_kernel", "row_kernel":
+					t.Errorf("k=%d: solve/attempt carries the retired %s argument", k, a.Key)
 				}
 			}
-			if rowKernel != any(graph.RowKernel()) {
-				t.Errorf("k=%d: solve/attempt row_kernel = %v (this process runs %q)", k, rowKernel, graph.RowKernel())
-			}
-			if want := any(graph.BlockKernel()); k > 1 && kernel != want || k == 1 && kernel != nil {
-				t.Errorf("k=%d: solve/attempt block_kernel = %v (this process runs %q)", k, kernel, graph.BlockKernel())
+			if name != any(kernel.Name()) {
+				t.Errorf("k=%d: solve/attempt kernel = %v (this process runs %q)", k, name, kernel.Name())
 			}
 		}
 		if attempts == 0 {
