@@ -41,11 +41,12 @@ race-solver:
 	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/...
 
 # determinism runs the bit-identity tests — worker-count invariance of the
-# kernels, the solve and the cycle, and the reference oracles — once with the
-# test process started at one worker and once at two, so a reduction whose
-# rounding depends on the worker count cannot come back unnoticed.
+# kernels, the solve and the cycle, the reference oracles, and the golden
+# digests of whole solves and whole builds — once with the test process
+# started at one worker and once at two, so a reduction whose rounding
+# depends on the worker count cannot come back unnoticed.
 determinism:
-	$(GO) test -cpu 1,2 -run 'GOMAXPROCS|Invariant|Reference|Determin' ./internal/graph ./internal/solver ./internal/hierarchy ./internal/decomp
+	$(GO) test -cpu 1,2 -run 'GOMAXPROCS|Invariant|Reference|Determin|Golden' . ./internal/graph ./internal/solver ./internal/hierarchy ./internal/decomp
 
 # fmt fails when any file is not gofmt-clean, naming the files.
 fmt:
@@ -81,7 +82,8 @@ server-chaos:
 # write/reparse round-trip oracle, over the stub-aware exact conductance
 # certifier with the brute-force cut enumeration as a differential oracle,
 # over the CSR→CSR contraction kernel with the sort-and-merge contraction as
-# a differential oracle, over vertex renumbering (Permuted) with the permuted
+# a differential oracle and the marker kernel it replaced as a bitwise one,
+# over vertex renumbering (Permuted) with the permuted
 # original as a bitwise oracle, over the binary snapshot decoders with a
 # decode/re-encode round-trip oracle, over the sparse Laplacian factor
 # with the dense pinned Cholesky as a differential oracle, over the §3.1

@@ -167,19 +167,26 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkContract times the quotient construction Q = RᵀAR alone: the
-// level-0 contraction of a hierarchy build on build-grid3d's graph (64³
-// lognormal grid, the §3.1 clustering at the default size cap and seed).
+// BenchmarkContract times the quotient construction Q = RᵀAR alone, level by
+// level down a hierarchy build on build-grid3d's graph (64³ lognormal grid):
+// each level's graph, in natural numbering, contracted under its own §3.1
+// clustering at the default size cap and seed + level, as the build does.
+// ns/half-edge divides by the level graph's stored entries.
 func BenchmarkContract(b *testing.B) {
-	g := hcd.Grid3D(64, 64, 64, hcd.LognormalWeights(1), 1)
+	cur := hcd.Grid3D(64, 64, 64, hcd.LognormalWeights(1), 1)
 	opt := hcd.DefaultHierarchyOptions()
-	d := fixedDegree(b, g, opt.SizeCap, opt.Seed)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if q := g.Contract(d.Assign, d.Count); q.N() != d.Count {
-			b.Fatalf("quotient has %d vertices, want %d", q.N(), d.Count)
-		}
+	for level := 0; level < 5; level++ {
+		g, d := cur, fixedDegree(b, cur, opt.SizeCap, opt.Seed+int64(level))
+		b.Run(fmt.Sprintf("level=%d", level), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if q := g.Contract(d.Assign, d.Count); q.N() != d.Count {
+					b.Fatalf("quotient has %d vertices, want %d", q.N(), d.Count)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*g.M()), "ns/half-edge")
+		})
+		cur = g.Contract(d.Assign, d.Count)
 	}
 }
 

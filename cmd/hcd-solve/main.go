@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"hcd"
@@ -39,7 +40,7 @@ func run() (err error) {
 	seed := flag.Int64("seed", 1, "random seed")
 	rhs := flag.Int("rhs", 1, "right-hand sides to solve; >1 routes all columns through one block solve")
 	history := flag.Bool("history", false, "print the full residual history")
-	metrics := flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times) and which form of the leaf kernels ran: kernel=avx2 or go")
+	metrics := flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times), a hierarchy build's stage times and which form of the leaf kernels ran: kernel=avx2 or go")
 	stream := flag.Bool("stream", false, "stream residual norms to stderr as the solve iterates")
 	resilient := flag.Bool("resilient", false, "solve through the resilient fallback ladder (ignores -precond/-method)")
 	timeout := flag.Duration("timeout", 0, "solve deadline (0 = none); an expired deadline cancels the iteration")
@@ -123,10 +124,17 @@ func run() (err error) {
 
 	// Build the preconditioner up front (rather than letting Do build it
 	// from the spec) so build and solve wall times report separately and
-	// the hierarchy's level profile can be printed.
+	// the hierarchy's level profile can be printed. Under -metrics the build
+	// is traced — into the -trace tracer if there is one, else into one kept
+	// in memory for the build alone — so its stages can be summed.
 	spec := hcd.PrecondSpec{Kind: hcd.PrecondKind(*precond), SizeCap: *k, Seed: *seed, Shards: *shards}
+	buildCtx, buildTrace := ctx, o.Tracer
+	if *metrics && buildTrace == nil {
+		buildTrace = obs.NewTracer()
+		buildCtx = obs.WithTracer(ctx, buildTrace)
+	}
 	buildStart := time.Now()
-	m, err := hcd.NewPreconditioner(ctx, g, spec)
+	m, err := hcd.NewPreconditioner(buildCtx, g, spec)
 	if err != nil {
 		return err
 	}
@@ -190,6 +198,7 @@ func run() (err error) {
 			converged, nrhs, solveTime, float64(nrhs)/solveTime.Seconds())
 		if *metrics {
 			fmt.Printf("metrics: kernel=%s\n", kernel.Name())
+			printBuildStages(h, buildTrace)
 			printLevelScales(h)
 		}
 		printRegistry(o, *metrics)
@@ -202,6 +211,7 @@ func run() (err error) {
 	if *metrics {
 		printMetrics(res.Metrics)
 		fmt.Printf("metrics: kernel=%s\n", kernel.Name())
+		printBuildStages(h, buildTrace)
 		printLevelScales(h)
 	}
 	if lmin, lmax, eerr := hcd.EstimateSpectrum(res); eerr == nil && lmin > 0 {
@@ -224,6 +234,32 @@ func printRegistry(o *cli.Obs, metrics bool) {
 	}
 	fmt.Println("registry:")
 	_ = o.Registry.WritePrometheus(os.Stdout)
+}
+
+// printBuildStages prints where a hierarchy build's time went, in ms summed
+// over its levels, from the spans the build recorded in t: the clustering
+// (hierarchy/level-<i>), the quotient contraction, the apply layout and the
+// coarse factorization.
+func printBuildStages(h *hcd.Hierarchy, t *obs.Tracer) {
+	if h == nil {
+		return
+	}
+	var cluster, contract, layout, coarse time.Duration
+	for _, s := range t.Spans() {
+		switch {
+		case strings.HasPrefix(s.Name, "hierarchy/level-"):
+			cluster += s.Duration
+		case s.Name == "hierarchy/contract":
+			contract += s.Duration
+		case s.Name == "hierarchy/layout":
+			layout += s.Duration
+		case s.Name == "hierarchy/coarse-factor":
+			coarse += s.Duration
+		}
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	fmt.Printf("metrics: build cluster=%.2fms contract=%.2fms layout=%.2fms coarse-factor=%.2fms\n",
+		ms(cluster), ms(contract), ms(layout), ms(coarse))
 }
 
 // printLevelScales prints, per level of a hierarchy preconditioner (nil: any

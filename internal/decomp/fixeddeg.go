@@ -37,7 +37,7 @@ func FixedDegree(g *graph.Graph, sizeCap int, seed int64) (*Decomposition, error
 // promptly.
 func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64) (*Decomposition, error) {
 	if sizeCap < 2 {
-		return nil, fmt.Errorf("decomp: sizeCap must be ≥ 2, got %d", sizeCap)
+		return nil, fmt.Errorf("decomp: sizeCap must be ≥ 2, got %d: %w", sizeCap, graph.ErrInvalidInput)
 	}
 	n := g.N()
 	d := &Decomposition{G: g, Assign: make([]int, n)}

@@ -85,7 +85,7 @@ func FixedDegreeShardedCtx(ctx context.Context, g *graph.Graph, sizeCap int, see
 // StitchShards. The shards must tile [0, g.N()) — PartitionShards output.
 func ClusterShards(ctx context.Context, g *graph.Graph, shards []graph.Shard, sizeCap int, seed int64) (*Decomposition, ShardStats, error) {
 	if sizeCap < 2 {
-		return nil, ShardStats{}, fmt.Errorf("decomp: sizeCap must be ≥ 2, got %d", sizeCap)
+		return nil, ShardStats{}, fmt.Errorf("decomp: sizeCap must be ≥ 2, got %d: %w", sizeCap, graph.ErrInvalidInput)
 	}
 	stats := ShardStats{Shards: len(shards)}
 	n := g.N()

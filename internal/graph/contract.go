@@ -10,15 +10,16 @@ import (
 // cluster with w(ri, rj) = cap(Vi, Vj). Intra-cluster edges vanish. This is
 // the graph Q of Definition 3.1 and algebraically equals RᵀAR off-diagonal.
 //
-// The kernel goes CSR to CSR in O(n + m) plus a sort of each (short) quotient
-// row: a counting sort groups the vertices by cluster, one walk over each
-// cluster's members accumulates its cross-cluster weight through a marker
-// array, and a pass over the quotient assembles the rows. Only the upper
-// triangle (a < b) is accumulated — members of a in ascending id, their
-// neighbours in row order, which is the summation order that defines a
-// quotient weight — and each finished value is copied onto its mirror (b, a),
-// so the quotient is bitwise symmetric whatever the rounding. Rows come out
-// sorted by neighbour id.
+// The kernel goes CSR to CSR in O(n + m) with no sort: a counting sort
+// groups the vertices by cluster, one branch-free walk over the members
+// compacts the half-edges that point to a higher cluster, a merge of each
+// cluster's run through a marker array accumulates its cross-cluster weight,
+// and two scatters over the quotient assemble the rows in neighbour order.
+// Only the upper triangle (a < b) is accumulated — members of a in ascending
+// id, their neighbours in row order, which is the summation order that
+// defines a quotient weight — and each finished value is copied onto its
+// mirror (b, a), so the quotient is bitwise symmetric whatever the rounding.
+// Rows come out sorted by neighbour id.
 //
 // An assignment that does not cover g or names a cluster outside [0, m), or
 // an m above math.MaxInt32 (the quotient's ids are 32-bit), panics with an
@@ -53,56 +54,78 @@ func (g *Graph) Contract(assign []int, m int) *Graph {
 		end[c]++
 	}
 
-	// Fine pass: the upper part (b > a) of every quotient row, each run
-	// sorted by b, packed back to back into uadj/uw in row order. mark[b] is
-	// the slot of entry (a, b), valid for the current row iff it lies at or
-	// beyond the row's start. Every entry adds one to the length of row a and
-	// one to its mirror's row b; counting the mirror here, not from b's side,
-	// keeps the quotient symmetric on any input.
-	// At most one entry per cross edge, and per pair of clusters when those
-	// are few enough for the product to fit a 32-bit int.
-	bound := g.M()
-	if m <= 1<<15 && m*(m-1)/2 < bound {
-		bound = m * (m - 1) / 2
+	// Fine pass, first stream: the upward half-edges (neighbour in a cluster
+	// b > a), in member order and then row order, compacted into uadj/uw.
+	// Every half-edge is stored at slot k and k advances by the bit b > a, so
+	// which half-edges point up — about a quarter, in no pattern — costs no
+	// branch. end[a+1] becomes the end of cluster a's run; an empty cluster
+	// keeps 0 and takes the previous run's end below. On a symmetric CSR at
+	// most one half-edge per edge points up, and M + Δ leaves room for the
+	// stores of any one row, so the capacity check never fires; only an
+	// asymmetric CSR (NewFromCSR does not check symmetry) grows the buffer.
+	size := g.M() + g.MaxDegree()
+	uadj := make([]int32, size)
+	uw := make([]float64, size)
+	clear(end)
+	k := 0
+	for _, u := range members {
+		a := assign[u]
+		lo, hi := g.off[u], g.off[u+1]
+		if k+hi-lo > len(uadj) {
+			uadj = append(uadj, make([]int32, len(uadj)+hi-lo)...)
+			uw = append(uw, make([]float64, len(uw)+hi-lo)...)
+		}
+		for i := lo; i < hi; i++ {
+			b := assign[g.adj[i]]
+			uadj[k], uw[k] = int32(b), g.w[i]
+			k += int(uint64(a-b) >> 63)
+		}
+		end[a+1] = k
 	}
-	uadj := make([]int32, 0, bound)
-	uw := make([]float64, 0, bound)
+
+	// Fine pass, second stream: merge each cluster's run in place into the
+	// upper part (b > a) of its quotient row, in order of first appearance,
+	// rows packed back to back from the start of uadj/uw. mark[b] is the slot
+	// of entry (a, b), valid for the current row iff it lies at or beyond the
+	// row's start. The write cursor top never passes the read cursor p, so a
+	// merge only overwrites what it has read. Every entry adds one to the
+	// length of row a and one to its mirror's row b; counting the mirror
+	// here, not from b's side, keeps the quotient symmetric on any input.
 	off := make([]int, m+1)
 	mark := make([]int, m)
 	for i := range mark {
 		mark[i] = -1
 	}
-	lo := 0
+	lo, top := 0, 0
 	for a := 0; a < m; a++ {
-		rowLo := len(uadj)
-		for _, u := range members[lo:end[a]] {
-			for i := g.off[u]; i < g.off[u+1]; i++ {
-				b := assign[g.adj[i]]
-				if b <= a {
-					continue
-				}
-				if p := mark[b]; p >= rowLo {
-					uw[p] += g.w[i]
-				} else {
-					mark[b] = len(uadj)
-					uadj = append(uadj, int32(b))
-					uw = append(uw, g.w[i])
-					off[b+1]++
-				}
+		hi := max(end[a+1], lo)
+		rowLo := top
+		for p := lo; p < hi; p++ {
+			b := uadj[p]
+			if s := mark[b]; s >= rowLo {
+				uw[s] += uw[p]
+			} else {
+				mark[b] = top
+				uadj[top], uw[top] = b, uw[p]
+				top++
+				off[b+1]++
 			}
 		}
-		lo = end[a]
-		sortRun(uadj[rowLo:], uw[rowLo:])
-		off[a+1] += len(uadj) - rowLo
+		lo = hi
+		off[a+1] += top - rowLo
 	}
 	for a := 0; a < m; a++ {
 		off[a+1] += off[a]
 	}
 
-	// Coarse pass: assemble the rows. cur[b] is the next free slot of row b.
-	// Rows are visited in ascending a, so when row a is reached its lower part
-	// (mirrors of rows < a, hence already in ascending order) is complete:
-	// its upper run goes at cur[a] and fills the rest of the row.
+	// Coarse pass: two scatters, no sort. The first writes each entry (a, b)
+	// onto its mirror, the next free slot cur[b] of row b. Rows a come in
+	// ascending order, so every row's lower part arrives sorted, and row a's
+	// is complete when a is reached: what is left of the row, from cur[a], is
+	// its upper run's length, and cur[a] ends at the upper part's start. The
+	// second walks the lower parts in ascending b and copies each entry back
+	// onto row a's upper part, which so arrives sorted too. Weights are only
+	// copied, so both halves carry the bits the merge summed.
 	adj := make([]int32, off[m])
 	w := make([]float64, off[m])
 	cur := mark
@@ -110,14 +133,19 @@ func (g *Graph) Contract(assign []int, m int) *Graph {
 	lo = 0
 	for a := 0; a < m; a++ {
 		hi := lo + off[a+1] - cur[a]
-		copy(adj[cur[a]:], uadj[lo:hi])
-		copy(w[cur[a]:], uw[lo:hi])
 		for p := lo; p < hi; p++ {
 			b := uadj[p]
 			adj[cur[b]], w[cur[b]] = int32(a), uw[p]
 			cur[b]++
 		}
 		lo = hi
+	}
+	for b := 0; b < m; b++ {
+		for p, hi := off[b], cur[b]; p < hi; p++ {
+			a := adj[p]
+			adj[cur[a]], w[cur[a]] = int32(b), w[p]
+			cur[a]++
+		}
 	}
 	q, err := NewFromCSR(off, adj, w)
 	if err != nil {

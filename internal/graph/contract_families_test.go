@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -77,5 +78,68 @@ func TestContractAcrossFamilies(t *testing.T) {
 				graph.CheckContract(t, g, assign, m, 4)
 			})
 		}
+	}
+}
+
+// TestContractMatchesMarkedReference holds the two-stream kernel to the
+// marker kernel it replaced, bit for bit, where the summation order shows in
+// the bits: lognormal weights on random multigraphs under random, one-cluster,
+// identity, few-cluster (m(m−1)/2 < M), mostly-empty and build-like
+// assignments, then every level of the lognormal 32³ grid's hierarchy.
+func TestContractMatchesMarkedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for it := 0; it < 2400; it++ {
+		n := 1 + rng.Intn(64)
+		var es []graph.Edge
+		for k := rng.Intn(4 * n); k > 0; k-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				es = append(es, graph.Edge{U: u, V: v, W: math.Exp(rng.NormFloat64())})
+			}
+		}
+		g := graph.MustFromEdges(n, es)
+		var m int
+		assign := make([]int, n)
+		switch it % 6 {
+		case 0: // up to n clusters, some of them empty
+			m = 1 + rng.Intn(n)
+			for v := range assign {
+				assign[v] = rng.Intn(m)
+			}
+		case 1:
+			m = 1
+		case 2:
+			m = n
+			copy(assign, rng.Perm(n))
+		case 3:
+			m = 2 + rng.Intn(3)
+			for v := range assign {
+				assign[v] = rng.Intn(m)
+			}
+		case 4: // at least as many empty clusters as used ones
+			m = 2*n + rng.Intn(n)
+			for v := range assign {
+				assign[v] = rng.Intn(m)
+			}
+		case 5: // runs of up to four consecutive vertices, ids shuffled
+			for v := 0; v < n; m++ {
+				for end := min(n, v+1+rng.Intn(4)); v < end; v++ {
+					assign[v] = m
+				}
+			}
+			relabel := rng.Perm(m)
+			for v, c := range assign {
+				assign[v] = relabel[c]
+			}
+		}
+		graph.CheckContractMarked(t, g, assign, m)
+	}
+	cur := workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1)
+	for level := 0; cur.N() > 600; level++ {
+		d, err := decomp.FixedDegree(cur, 4, int64(1+level))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graph.CheckContractMarked(t, cur, d.Assign, d.Count)
+		cur = cur.Contract(d.Assign, d.Count)
 	}
 }

@@ -61,6 +61,134 @@ func contractReference(g *Graph, assign []int, m int) *Graph {
 	return referenceFromEdges(m, es)
 }
 
+// contractMarked is the contraction kernel this package shipped before the
+// two-stream fine pass, kept as its exact oracle: for each cluster a in turn,
+// walk its members' rows, skip every neighbour in a cluster b ≤ a, sum the
+// rest through a marker array straight into the packed upper runs, sort each
+// run, and assemble the rows in one scatter. It adds the same weights in the
+// same order as Contract, so the two agree bit for bit on any weights.
+func contractMarked(g *Graph, assign []int, m int) *Graph {
+	n := g.N()
+	end := make([]int, m+1)
+	for _, c := range assign {
+		end[c+1]++
+	}
+	for c := 0; c < m; c++ {
+		end[c+1] += end[c]
+	}
+	members := make([]int, n)
+	for v, c := range assign {
+		members[end[c]] = v
+		end[c]++
+	}
+	var uadj []int32
+	var uw []float64
+	off := make([]int, m+1)
+	mark := make([]int, m)
+	for i := range mark {
+		mark[i] = -1
+	}
+	lo := 0
+	for a := 0; a < m; a++ {
+		rowLo := len(uadj)
+		for _, u := range members[lo:end[a]] {
+			for i := g.off[u]; i < g.off[u+1]; i++ {
+				b := assign[g.adj[i]]
+				if b <= a {
+					continue
+				}
+				if p := mark[b]; p >= rowLo {
+					uw[p] += g.w[i]
+				} else {
+					mark[b] = len(uadj)
+					uadj = append(uadj, int32(b))
+					uw = append(uw, g.w[i])
+					off[b+1]++
+				}
+			}
+		}
+		lo = end[a]
+		sortRun(uadj[rowLo:], uw[rowLo:])
+		off[a+1] += len(uadj) - rowLo
+	}
+	for a := 0; a < m; a++ {
+		off[a+1] += off[a]
+	}
+	adj := make([]int32, off[m])
+	w := make([]float64, off[m])
+	cur := mark
+	copy(cur, off[:m])
+	lo = 0
+	for a := 0; a < m; a++ {
+		hi := lo + off[a+1] - cur[a]
+		copy(adj[cur[a]:], uadj[lo:hi])
+		copy(w[cur[a]:], uw[lo:hi])
+		for p := lo; p < hi; p++ {
+			b := uadj[p]
+			adj[cur[b]], w[cur[b]] = int32(a), uw[p]
+			cur[b]++
+		}
+		lo = hi
+	}
+	q, err := NewFromCSR(off, adj, w)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
+// checkContractMarked holds one contraction against contractMarked bit for
+// bit: offsets, neighbour ids, weights and volumes.
+func checkContractMarked(t testing.TB, g *Graph, assign []int, m int) {
+	t.Helper()
+	got, want := g.Contract(assign, m), contractMarked(g, assign, m)
+	if len(got.off) != len(want.off) || len(got.adj) != len(want.adj) {
+		t.Fatalf("quotient shape: got n=%d entries=%d, oracle n=%d entries=%d", got.N(), len(got.adj), want.N(), len(want.adj))
+	}
+	for i := range got.off {
+		if got.off[i] != want.off[i] {
+			t.Fatalf("off[%d] = %d, oracle %d", i, got.off[i], want.off[i])
+		}
+	}
+	for i := range got.adj {
+		if got.adj[i] != want.adj[i] || math.Float64bits(got.w[i]) != math.Float64bits(want.w[i]) {
+			t.Fatalf("entry %d = (%d, %v), oracle (%d, %v)", i, got.adj[i], got.w[i], want.adj[i], want.w[i])
+		}
+	}
+	for v := range got.vol {
+		if math.Float64bits(got.vol[v]) != math.Float64bits(want.vol[v]) {
+			t.Fatalf("vol[%d] = %v, oracle %v", v, got.vol[v], want.vol[v])
+		}
+	}
+}
+
+// TestContractGrowsOnAsymmetricCSR: NewFromCSR does not check symmetry, so a
+// CSR whose every row lists only higher-numbered neighbours has twice as many
+// upward half-edges as M; the staging buffer must grow, not overflow.
+func TestContractGrowsOnAsymmetricCSR(t *testing.T) {
+	const n = 9
+	off := []int{0}
+	var adj []int32
+	var w []float64
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			adj = append(adj, int32(v))
+			w = append(w, math.Exp(float64(u-v)/3))
+		}
+		off = append(off, len(adj))
+	}
+	g, err := NewFromCSR(off, adj, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	identity := make([]int, n)
+	for v := range identity {
+		identity[v] = v
+	}
+	checkContractMarked(t, g, identity, n)
+	checkContractMarked(t, g, []int{0, 1, 0, 2, 1, 3, 3, 2, 4}, 5)
+}
+
 // ulpsApart is the number of representable float64 values between two
 // positive weights.
 func ulpsApart(a, b float64) uint64 {
@@ -226,11 +354,14 @@ func TestContractPanicsOnBadAssignment(t *testing.T) {
 }
 
 // FuzzContract differentially fuzzes the contraction kernel against the
-// sort-and-merge oracle. The input bytes decode into a small graph with
-// small-integer weights and an assignment over up to n clusters, so every
-// quotient weight is an exactly representable sum and any summation order
-// gives the same bits: the oracle comparison is exact, not within a
-// tolerance.
+// sort-and-merge oracle and against contractMarked. The input bytes decode
+// into a small graph with small-integer weights and an assignment over up to
+// n clusters, so every quotient weight is an exactly representable sum and
+// any summation order gives the same bits: the oracle comparison is exact,
+// not within a tolerance. The same edges with the weight byte decoded to
+// e^((w−128)/20) make the summation order show in the bits, and against
+// contractMarked, which sums in Contract's order, that comparison is exact
+// too.
 func FuzzContract(f *testing.F) {
 	f.Add([]byte{6, 3, 0, 0, 1, 1, 2, 2, 0, 1, 3, 1, 2, 5, 2, 3, 1, 3, 4, 2, 4, 5, 9, 5, 0, 4})
 	f.Add([]byte{2, 1, 0, 0, 0, 1, 7})
@@ -256,18 +387,20 @@ func FuzzContract(f *testing.F) {
 		} else {
 			data = nil
 		}
-		var es []Edge
+		var es, wide []Edge
 		for i := 0; i+2 < len(data); i += 3 {
 			u, v := int(data[i])%n, int(data[i+1])%n
 			if u == v {
 				continue
 			}
 			es = append(es, Edge{U: u, V: v, W: float64(1 + int(data[i+2])%16)})
+			wide = append(wide, Edge{U: u, V: v, W: math.Exp(float64(int(data[i+2])-128) / 20)})
 		}
 		g, err := NewFromEdges(n, es)
 		if err != nil {
 			t.Fatalf("construction from valid edges failed: %v", err)
 		}
 		checkContract(t, g, assign, m, 0)
+		checkContractMarked(t, MustFromEdges(n, wide), assign, m)
 	})
 }

@@ -4,8 +4,11 @@ import "hcd/internal/kernel"
 
 // CheckContract lets the external tests in this directory, which can import
 // the workload generators and the §3.1 clustering, hold Contract against the
-// reference oracle.
-var CheckContract = checkContract
+// reference oracle and, bit for bit, against the marker kernel it replaced.
+var (
+	CheckContract       = checkContract
+	CheckContractMarked = checkContractMarked
+)
 
 // The block-tile tests in package graph_test build their graphs from the
 // workload generators and the hierarchy; these are their way in.

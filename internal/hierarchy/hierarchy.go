@@ -125,7 +125,7 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 		}
 	}()
 	if opt.SizeCap < 2 {
-		return nil, fmt.Errorf("hierarchy: SizeCap must be ≥ 2")
+		return nil, fmt.Errorf("hierarchy: SizeCap %d must be ≥ 2: %w", opt.SizeCap, graph.ErrInvalidInput)
 	}
 	if err := checkSmooth(opt.Smooth); err != nil {
 		return nil, err

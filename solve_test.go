@@ -60,6 +60,18 @@ func TestSentinelErrors(t *testing.T) {
 			_, err := hcd.NewSubgraphPreconditionerMatched(conn, 1, 1)
 			return err
 		}},
+		{"hierarchy SizeCap 1", func() error {
+			_, err := hcd.NewHierarchy(conn, hcd.HierarchyOptions{SizeCap: 1})
+			return err
+		}},
+		{"fixed-degree SizeCap 1", func() error {
+			_, err := hcd.DecomposeCtx(ctx, conn, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 1})
+			return err
+		}},
+		{"sharded fixed-degree SizeCap 1", func() error {
+			_, err := hcd.DecomposeCtx(ctx, conn, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 1, Shards: 2})
+			return err
+		}},
 	} {
 		if err := tc.call(); !errors.Is(err, hcd.ErrInvalidInput) {
 			t.Errorf("%s: %v, want ErrInvalidInput", tc.name, err)
