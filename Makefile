@@ -142,8 +142,10 @@ scale-smoke:
 experiments:
 	$(GO) run ./cmd/hcd-experiments
 
+# fig6 regenerates the committed Figure 6 record; CI fails when the file and
+# the program disagree.
 fig6:
-	$(GO) run ./cmd/hcd-fig6
+	$(GO) run ./cmd/hcd-fig6 > fig6_output.txt
 
 coverage:
 	$(GO) test -cover ./...

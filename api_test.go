@@ -159,8 +159,9 @@ func TestMatchedReductionSubgraph(t *testing.T) {
 // TestMatchedSubgraphDeterministic builds Figure 6's baseline — the subgraph
 // preconditioner at the Steiner side's reduction factor — five times in one
 // process: every build must apply to the same bits and give PCG the same
-// iteration count. The partial Cholesky elimination walks Go maps, and map
-// order once chose its pairs and its summation order.
+// iteration count. The degree-1/2 elimination probe that sizes it walks Go
+// maps, and map order once chose an elimination's pairs and its summation
+// order.
 func TestMatchedSubgraphDeterministic(t *testing.T) {
 	g := hcd.OCT3D(12, 12, 12, hcd.DefaultOCTOptions())
 	b := meanFree(rand.New(rand.NewSource(8)), g.N())
@@ -230,7 +231,7 @@ func TestPreconditionerLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := hcd.NewSubgraphPreconditioner(g, hcd.DefaultPlanarOptions(), g.N())
+	sub, err := hcd.NewSubgraphPreconditioner(g, hcd.DefaultPlanarOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

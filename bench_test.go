@@ -57,7 +57,7 @@ func BenchmarkFig6SubgraphPCG(b *testing.B) {
 	g := fig6Graph()
 	opt := hcd.DefaultPlanarOptions()
 	opt.ExtraFraction = 0.12
-	sub, err := hcd.NewSubgraphPreconditioner(g, opt, g.N())
+	sub, err := hcd.NewSubgraphPreconditioner(g, opt)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func e1() {
 	sp := must(hcd.NewSteinerPreconditioner(d))
 	subOpt := hcd.DefaultPlanarOptions()
 	subOpt.ExtraFraction = 0.12
-	sub := must(hcd.NewSubgraphPreconditioner(g, subOpt, g.N()))
+	sub := must(hcd.NewSubgraphPreconditioner(g, subOpt))
 	opt := hcd.DefaultSolveOptions()
 	sres := must(solvePCG(g, b, sp, opt))
 	gres := must(solvePCG(g, b, sub.P, opt))
@@ -440,7 +440,7 @@ func a1() {
 		opt.Base = base.b
 		res := must(decomposePlanar(g, opt))
 		rep := hcd.Evaluate(res.D)
-		sub := must(hcd.NewSubgraphPreconditioner(g, opt, g.N()))
+		sub := must(hcd.NewSubgraphPreconditioner(g, opt))
 		sres := must(solvePCG(g, b, sub.P, hcd.DefaultSolveOptions()))
 		t.Row(base.name, rep.Phi, rep.Rho, res.AvgStretch, sres.Iterations)
 	}

@@ -54,9 +54,9 @@ func main() {
 	}
 	steinerRed := float64(g.N()) / float64(d.Count)
 
-	// Subgraph preconditioner tuned so its partial-Cholesky core matches the
-	// Steiner quotient size (the paper's "roughly the same reduction factor"
-	// protocol), via bisection on the off-tree edge budget.
+	// Subgraph preconditioner tuned so the core its degree-1/2 elimination
+	// leaves matches the Steiner quotient size (the paper's "roughly the same
+	// reduction factor" protocol), via bisection on the off-tree edge budget.
 	sub, err := hcd.NewSubgraphPreconditionerMatched(g, steinerRed, *seed)
 	if err != nil {
 		log.Fatal(err)

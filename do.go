@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hcd/internal/hierarchy"
 	"hcd/internal/obs"
 	"hcd/internal/solver"
 )
@@ -26,8 +27,10 @@ const (
 	// SolveMethodPCG is preconditioned conjugate gradients — the default.
 	SolveMethodPCG SolveMethod = "pcg"
 	// SolveMethodChebyshev bootstraps spectrum bounds from a short PCG
-	// probe on the first right-hand side, then runs inner-product-free
-	// Chebyshev iteration on every right-hand side with the shared bounds.
+	// probe on the first right-hand side outside the Laplacian's null space,
+	// then runs inner-product-free Chebyshev iteration on every right-hand
+	// side with the shared bounds. A zero or constant right-hand side is
+	// converged at x = 0.
 	SolveMethodChebyshev SolveMethod = "chebyshev"
 	// SolveMethodResilient walks the SolveResilient fallback ladder per
 	// right-hand side, recording a ResilienceReport for each.
@@ -92,7 +95,11 @@ func NewPreconditioner(ctx context.Context, g *Graph, spec PrecondSpec) (Precond
 		if err != nil {
 			return nil, err
 		}
-		return NewSteinerPreconditioner(res.D)
+		h, err := hierarchy.NewSteiner(ctx, res.D)
+		if err != nil {
+			return nil, err
+		}
+		return h, nil
 	case PrecondTree:
 		return NewTreePreconditioner(g, spec.Base, specSeed(spec))
 	case PrecondSubgraph:
@@ -100,7 +107,7 @@ func NewPreconditioner(ctx context.Context, g *Graph, spec PrecondSpec) (Precond
 		if popt.ExtraFraction <= 0 {
 			popt.ExtraFraction = DefaultPlanarOptions().ExtraFraction
 		}
-		res, err := NewSubgraphPreconditioner(g, popt, g.N())
+		res, err := NewSubgraphPreconditioner(g, popt)
 		if err != nil {
 			return nil, err
 		}
@@ -294,20 +301,34 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 	}
 	a := solver.LapOperator(g)
 	probeOpt := solver.Options{Tol: 1e-12, MaxIter: opt.ProbeIters, ProjectMean: true}
+	// The bounds come from the first right-hand side whose probe produced PCG
+	// coefficients. A column the probe finds solved before its first step — zero
+	// or constant, the Laplacian's null space — has none: it keeps its probe's
+	// result (converged, x = 0) and the next column is probed.
 	var probe SolveResult
 	var err error
-	if req.Engine != nil {
-		probe, err = req.Engine.SolveWith(ctx, req.B[0], probeOpt)
-	} else {
-		probe, err = solver.PCGCtx(ctx, a, m, req.B[0], probeOpt)
-	}
-	if err != nil {
-		return resp, err
-	}
-	if probe.Outcome == OutcomeCancelled {
+	solved := 0
+	for ; solved < len(req.B); solved++ {
+		if req.Engine != nil {
+			probe, err = req.Engine.SolveWith(ctx, req.B[solved], probeOpt)
+		} else {
+			probe, err = solver.PCGCtx(ctx, a, m, req.B[solved], probeOpt)
+		}
+		if err != nil {
+			return resp, err
+		}
+		if probe.Outcome == OutcomeCancelled {
+			resp.Results = append(resp.Results, detachResult(probe))
+			resp.ProbeMetrics = probe.Metrics
+			return resp, fmt.Errorf("hcd: chebyshev probe cancelled: %w", ctx.Err())
+		}
+		if len(probe.Alphas) > 0 || probe.Outcome != OutcomeConverged {
+			break
+		}
 		resp.Results = append(resp.Results, detachResult(probe))
-		resp.ProbeMetrics = probe.Metrics
-		return resp, fmt.Errorf("hcd: chebyshev probe cancelled: %w", ctx.Err())
+	}
+	if solved == len(req.B) {
+		return resp, nil
 	}
 	lmin, lmax, err := solver.SpectrumEstimate(probe.Alphas, probe.Betas)
 	if err != nil {
@@ -316,7 +337,8 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 	resp.Lmin, resp.Lmax, resp.ProbeMetrics = lmin, lmax, probe.Metrics
 	iterOpt := solver.Options{MaxIter: opt.Iters, ProjectMean: true, Tol: opt.Tol, Observer: opt.Observer}
 	var errs []error
-	for i, b := range req.B {
+	for i := solved; i < len(req.B); i++ {
+		b := req.B[i]
 		var res SolveResult
 		if req.Engine != nil {
 			res, err = req.Engine.SolveChebyshev(ctx, b, lmin*opt.WidenLow, lmax*opt.WidenHigh, iterOpt)

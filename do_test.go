@@ -163,3 +163,59 @@ func TestDoChebyshevMultiRHS(t *testing.T) {
 		}
 	}
 }
+
+// TestDoChebyshevNullSpaceColumns: a zero or constant right-hand side has no
+// PCG coefficients to take bounds from. It is converged at x = 0, as under
+// PCG, and the bounds come from the first column that has some.
+func TestDoChebyshevNullSpaceColumns(t *testing.T) {
+	g := hcd.Grid2D(10, 10, nil, 1)
+	n := g.N()
+	constant := make([]float64, n)
+	for v := range constant {
+		constant[v] = 3
+	}
+	b := meanFree(rand.New(rand.NewSource(9)), n)
+	B := [][]float64{make([]float64, n), b, constant}
+	copt := hcd.DefaultChebyshevOptions(300)
+	copt.Tol = 1e-8
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
+		B: B, Method: hcd.SolveMethodChebyshev, M: hcd.JacobiPreconditioner(g), Chebyshev: copt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != len(B) {
+		t.Fatalf("want %d results, got %d", len(B), len(resp.Results))
+	}
+	if resp.Lmin <= 0 || resp.Lmax <= resp.Lmin {
+		t.Fatalf("bad spectrum estimate [%v, %v]", resp.Lmin, resp.Lmax)
+	}
+	for _, i := range []int{0, 2} {
+		res := resp.Results[i]
+		if !res.Converged || len(res.X) != n {
+			t.Fatalf("null-space rhs %d: converged %v, %d entries", i, res.Converged, len(res.X))
+		}
+		for v, x := range res.X {
+			if x != 0 {
+				t.Fatalf("null-space rhs %d: x[%d] = %v, want 0", i, v, x)
+			}
+		}
+	}
+	if res := resp.Results[1]; !res.Converged || residual(g, res.X, b) > 1e-6 {
+		t.Errorf("rhs 1: converged %v after %d iterations, residual %v", res.Converged, res.Iterations, residual(g, res.X, b))
+	}
+
+	// With nothing but null-space columns there are no bounds to take: every
+	// column is converged at x = 0.
+	resp, err = hcd.Do(context.Background(), g, hcd.SolveRequest{
+		B: [][]float64{make([]float64, n), constant}, Method: hcd.SolveMethodChebyshev, Chebyshev: copt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range resp.Results {
+		if !res.Converged {
+			t.Errorf("null-space rhs %d of 2: outcome %v", i, res.Outcome)
+		}
+	}
+}

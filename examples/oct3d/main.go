@@ -57,7 +57,7 @@ func main() {
 	run("subgraph (baseline)", func() (hcd.Preconditioner, error) {
 		popt := hcd.DefaultPlanarOptions()
 		popt.ExtraFraction = 0.12
-		sub, err := hcd.NewSubgraphPreconditioner(g, popt, g.N())
+		sub, err := hcd.NewSubgraphPreconditioner(g, popt)
 		if err != nil {
 			return nil, err
 		}

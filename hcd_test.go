@@ -155,7 +155,7 @@ func TestSteinerVsSubgraphFigure6Shape(t *testing.T) {
 	}
 	subOpt := hcd.DefaultPlanarOptions()
 	subOpt.ExtraFraction = 0.12
-	subRes, err := hcd.NewSubgraphPreconditioner(g, subOpt, g.N())
+	subRes, err := hcd.NewSubgraphPreconditioner(g, subOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

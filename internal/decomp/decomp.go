@@ -375,16 +375,3 @@ func Rebind(d *Decomposition, a *graph.Graph) (*Decomposition, error) {
 	}
 	return &Decomposition{G: a, Assign: d.Assign, Count: d.Count}, nil
 }
-
-// SingleCluster returns the trivial decomposition putting every vertex of a
-// connected graph into one cluster (used for tiny inputs).
-func SingleCluster(g *graph.Graph) *Decomposition {
-	return &Decomposition{G: g, Assign: make([]int, g.N()), Count: minClusters(g.N())}
-}
-
-func minClusters(n int) int {
-	if n == 0 {
-		return 0
-	}
-	return 1
-}

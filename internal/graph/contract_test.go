@@ -262,6 +262,34 @@ func TestContractMatchesReference(t *testing.T) {
 	}
 }
 
+// TestQuotientLaplacianEqualsContraction is the algebraic identity of
+// Definition 3.1 / Remark 1: with R the 0/1 cluster membership matrix, RᵀAR
+// is the Laplacian of the contracted graph.
+func TestQuotientLaplacianEqualsContraction(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for it := 0; it < 10; it++ {
+		g := randomConnected(rng, 25, 30)
+		n, m := g.N(), 5
+		assign := make([]int, n)
+		for v := range assign {
+			assign[v] = rng.Intn(m)
+		}
+		a := g.LapDense()
+		rtar := make([]float64, m*m)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				rtar[assign[u]*m+assign[v]] += a[u*n+v]
+			}
+		}
+		want := g.Contract(assign, m).LapDense()
+		for i, w := range want {
+			if math.Abs(rtar[i]-w) > 1e-9*math.Max(1, math.Abs(w)) {
+				t.Fatalf("it=%d: quotient (%d,%d): RᵀAR=%v, contraction %v", it, i/m, i%m, rtar[i], w)
+			}
+		}
+	}
+}
+
 // TestNewFromEdgesMatchesSortMerge holds the bucket-fill constructor against
 // the sort-and-merge one it replaced. A pair listed at most twice sums to
 // the same bits in any order; longer runs of duplicates may differ in the

@@ -113,17 +113,13 @@ func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
 //
 // A panic during setup — including worker panics surfaced by internal/par —
 // is recovered and returned as an error. A clustering that produces no
-// vertex reduction on a still-large graph (a degenerate or corrupted build)
-// is rejected with an error rather than handed to the coarse factorization,
+// vertex reduction on a still-large graph with edges (a degenerate or
+// corrupted build) is rejected with an error rather than handed to the coarse
+// factorization,
 // whose fill on an unreduced graph would be a far worse failure than an
 // explicit one; so is a MaxLevels that stops the recursion while the graph is
 // still more than four times DirectLimit.
-func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			h, err = nil, fmt.Errorf("hierarchy: panic during setup: %w", par.AsError(v))
-		}
-	}()
+func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (*Hierarchy, error) {
 	if opt.SizeCap < 2 {
 		return nil, fmt.Errorf("hierarchy: SizeCap %d must be ≥ 2: %w", opt.SizeCap, graph.ErrInvalidInput)
 	}
@@ -136,12 +132,53 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 	if opt.MaxLevels <= 0 {
 		opt.MaxLevels = defaultMaxLevels
 	}
+	return build(ctx, g, nil, opt)
+}
+
+// steinerDirectLimit is the largest quotient NewSteiner factors directly.
+const steinerDirectLimit = 2500
+
+// NewSteiner builds the Section 3 Steiner preconditioner of d,
+// B⁺r = D⁻¹r + R·Q⁺(Rᵀr), as a hierarchy whose level 0 is d's clustering,
+// unsmoothed. A quotient of at most 2 500 vertices is factored directly: the
+// hierarchy has one level and its apply is the two-level identity exactly. A
+// larger quotient is clustered further by NewCtx's own level loop — the pure
+// recursion, with the same direct limit — so the preconditioner stays one
+// fixed SPD operator at any size. A decomposition that does not match its
+// graph (an assignment of the wrong length, a cluster id outside [0, Count), a
+// Count above N) returns an error wrapping graph.ErrInvalidInput; Count = N,
+// every vertex its own cluster, is a valid level 0.
+func NewSteiner(ctx context.Context, d *decomp.Decomposition) (*Hierarchy, error) {
+	if d == nil || d.G == nil {
+		return nil, fmt.Errorf("hierarchy: NewSteiner: no decomposition graph: %w", graph.ErrInvalidInput)
+	}
+	n := d.G.N()
+	if err := checkLevel(0, LevelAssign{Assign: d.Assign, Count: d.Count}, n, n); err != nil {
+		return nil, err
+	}
+	opt := DefaultOptions()
+	opt.DirectLimit, opt.Smooth = steinerDirectLimit, 0
+	return build(ctx, d.G, d, opt)
+}
+
+// build runs the level loop on validated options: level 0 is first's
+// clustering when first is non-nil, whatever g's size; every other level is
+// clustered here while the graph is above the direct limit.
+//
+// A panic during setup — including worker panics surfaced by internal/par —
+// is recovered and returned as an error.
+func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt Options) (h *Hierarchy, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			h, err = nil, fmt.Errorf("hierarchy: panic during setup: %w", par.AsError(v))
+		}
+	}()
 	ctx, hsp := obs.StartSpan(ctx, "hierarchy/build")
 	defer hsp.End()
 	a := newAssembler(ctx, opt.Smooth)
 	cur := g
 	var levelSpans []*obs.Span // traced builds only: visits are known last
-	for level := 0; cur.N() > opt.DirectLimit; level++ {
+	for level := 0; (level == 0 && first != nil) || cur.N() > opt.DirectLimit; level++ {
 		if level == opt.MaxLevels {
 			if cur.N() > 4*opt.DirectLimit {
 				return nil, fmt.Errorf("hierarchy: MaxLevels %d reached at level %d with %d vertices left (direct limit %d): %w",
@@ -158,23 +195,26 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (h *Hierarchy, err
 			lctx, lsp = obs.StartSpan(ctx, fmt.Sprintf("hierarchy/level-%d", level))
 			lsp.Arg("vertices", cur.N())
 		}
-		var d *decomp.Decomposition
+		given := level == 0 && first != nil
+		d := first
 		var err error
-		if opt.Shards > 1 && cur.N() >= shardMinVertices {
+		switch {
+		case given:
+		case opt.Shards > 1 && cur.N() >= shardMinVertices:
 			d, _, err = decomp.FixedDegreeShardedCtx(lctx, cur, opt.SizeCap, opt.Seed+int64(level), opt.Shards)
-		} else {
+		default:
 			d, err = decomp.FixedDegreeCtx(lctx, cur, opt.SizeCap, opt.Seed+int64(level))
 		}
 		lsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("hierarchy: level %d clustering failed: %w", level, err)
 		}
-		if d.Count >= cur.N() {
+		if !given && d.Count >= cur.N() {
 			// No reduction possible (e.g. all isolated vertices). Tolerable
-			// only if the graph is already near the direct-solve size;
-			// otherwise the "coarse" solve would factorize an essentially
-			// unreduced graph.
-			if cur.N() > 4*opt.DirectLimit {
+			// only if the graph is already near the direct-solve size or has
+			// no edges (every vertex pinned, nothing to factor); otherwise the
+			// "coarse" solve would factorize an essentially unreduced graph.
+			if cur.N() > 4*opt.DirectLimit && cur.M() > 0 {
 				return nil, fmt.Errorf("hierarchy: level %d clustering produced no reduction (%d clusters on %d vertices, direct limit %d)",
 					level, d.Count, cur.N(), opt.DirectLimit)
 			}

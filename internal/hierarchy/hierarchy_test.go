@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hcd/internal/decomp"
+	"hcd/internal/dense"
 	"hcd/internal/graph"
 	"hcd/internal/solver"
 	"hcd/internal/workload"
@@ -103,6 +104,66 @@ func TestHierarchyPCGConvergesOCT(t *testing.T) {
 		}
 		t.Logf("smooth=%d: depth=%d iters=%d", smooth, h.Depth(), res.Iterations)
 	}
+}
+
+// TestSteinerLargeQuotient: a Steiner preconditioner whose quotient is above
+// the direct limit recurses on it, and stays a fixed symmetric operator,
+// positive definite on mean-free vectors, under which PCG converges.
+func TestSteinerLargeQuotient(t *testing.T) {
+	g := workload.OCT3D(24, 24, 24, workload.DefaultOCTOptions())
+	d, err := decomp.FixedDegree(g, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewSteiner(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := h.LevelSizes()
+	if d.Count <= steinerDirectLimit || h.Depth() < 2 || sizes[1] != d.Count || h.CoarseSize() > steinerDirectLimit {
+		t.Fatalf("levels %v for a %d-vertex quotient, want level 0 onto it and recursion below %d", sizes, d.Count, steinerDirectLimit)
+	}
+	if s := h.LevelScales(); s[0].Visits != 1 || s[len(s)-1].Visits != 1 {
+		t.Fatalf("pure recursion visits %+v", s)
+	}
+	n := g.N()
+	rng := rand.New(rand.NewSource(4))
+	const probes = 8
+	xs, mxs := make([][]float64, probes), make([][]float64, probes)
+	for i := range xs {
+		xs[i], mxs[i] = meanFree(rng, n), make([]float64, n)
+		h.Apply(mxs[i], xs[i])
+	}
+	gram := dense.NewMatrix(probes, probes)
+	scale := 0.0
+	for i := range xs {
+		for j := range xs {
+			gram.Set(i, j, dot(xs[i], mxs[j]))
+			scale = math.Max(scale, math.Abs(gram.At(i, j)))
+		}
+	}
+	for i := 0; i < probes; i++ {
+		for j := 0; j < i; j++ {
+			if diff := math.Abs(gram.At(i, j) - gram.At(j, i)); diff > 1e-12*scale {
+				t.Fatalf("⟨x%d, M x%d⟩ and its transpose differ by %.3g (scale %.3g)", i, j, diff, scale)
+			}
+			gram.Set(i, j, gram.At(j, i))
+		}
+	}
+	vals, _, err := dense.SymEig(gram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals {
+		if v < 1e-10*scale {
+			t.Fatalf("Gram matrix of %d mean-free probes has eigenvalue %v (scale %.3g): %v", probes, v, scale, vals)
+		}
+	}
+	res := solver.PCG(solver.LapOperator(g), h, meanFree(rng, n), solver.DefaultOptions())
+	if !res.Converged {
+		t.Fatalf("PCG did not converge in %d iterations", res.Iterations)
+	}
+	t.Logf("levels %v, %d iterations to 1e-8", sizes, res.Iterations)
 }
 
 func TestHierarchyIterationsNearlyFlat(t *testing.T) {

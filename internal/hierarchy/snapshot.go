@@ -64,21 +64,31 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, decomp.Cancelled(ctx)
 		}
-		if len(la.Assign) != cur.N() {
-			return nil, fmt.Errorf("hierarchy: level %d assignment covers %d vertices, graph has %d: %w",
-				i, len(la.Assign), cur.N(), graph.ErrInvalidInput)
-		}
-		if la.Count < 1 || la.Count >= cur.N() {
-			return nil, fmt.Errorf("hierarchy: level %d cluster count %d out of range [1,%d): %w",
-				i, la.Count, cur.N(), graph.ErrInvalidInput)
-		}
-		for v, c := range la.Assign {
-			if c < 0 || c >= la.Count {
-				return nil, fmt.Errorf("hierarchy: level %d assigns vertex %d to cluster %d of %d: %w",
-					i, v, c, la.Count, graph.ErrInvalidInput)
-			}
+		if err := checkLevel(i, la, cur.N(), cur.N()-1); err != nil {
+			return nil, err
 		}
 		cur = a.push(cur, la.Assign, la.Count)
 	}
 	return a.finish(cur)
+}
+
+// checkLevel validates level i's assignment against the n-vertex graph it
+// applies to: it covers every vertex, names clusters in [0, Count) only, and
+// Count lies in [min(1, n), maxCount]. Errors wrap graph.ErrInvalidInput.
+func checkLevel(i int, la LevelAssign, n, maxCount int) error {
+	if len(la.Assign) != n {
+		return fmt.Errorf("hierarchy: level %d assignment covers %d vertices, graph has %d: %w",
+			i, len(la.Assign), n, graph.ErrInvalidInput)
+	}
+	if la.Count < min(1, n) || la.Count > maxCount {
+		return fmt.Errorf("hierarchy: level %d cluster count %d out of range [%d,%d]: %w",
+			i, la.Count, min(1, n), maxCount, graph.ErrInvalidInput)
+	}
+	for v, c := range la.Assign {
+		if c < 0 || c >= la.Count {
+			return fmt.Errorf("hierarchy: level %d assigns vertex %d to cluster %d of %d: %w",
+				i, v, c, la.Count, graph.ErrInvalidInput)
+		}
+	}
+	return nil
 }

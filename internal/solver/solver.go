@@ -374,7 +374,9 @@ func finishSolve(res *Result, s *scratch, start, iterStart time.Time, startAlloc
 // preconditioners of Section 3.1.
 //
 // Chebyshev is a thin wrapper over ChebyshevCtx with context.Background();
-// it always runs the full iteration count (no tolerance-based early exit).
+// it always runs the full iteration count (no tolerance-based early exit)
+// unless nothing of b is left to solve — zero, or constant under the mean
+// projection — where x = 0 is returned at once.
 func Chebyshev(a Operator, m Preconditioner, b []float64, lmin, lmax float64, iters int, projectMeanFlag bool) ([]float64, []float64, error) {
 	res, err := ChebyshevCtx(context.Background(), a, m, b, lmin, lmax,
 		Options{MaxIter: iters, ProjectMean: projectMeanFlag})
@@ -440,6 +442,7 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 	zero(x)
 	r := s.vec(&s.r, n)
 	copy(r, b)
+	rawNorm := norm2(r)
 	if opt.ProjectMean {
 		projectMean(r)
 	}
@@ -453,6 +456,14 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 	res.Residuals = append(s.col(&s.resid, 0, 0), norm2(r))
 	normB := res.Residuals[0]
 	res.Outcome = OutcomeMaxIter
+	if normB == 0 || normB <= 1e-13*rawNorm {
+		// Nothing left after the projection — a zero or (to rounding) constant
+		// right-hand side, the Laplacian's null space: x = 0 solves it, as PCG
+		// reports it.
+		res.Outcome = OutcomeConverged
+		finishSolve(&res, s, start, time.Time{}, startAllocs)
+		return res, nil
+	}
 	iterStart := time.Now()
 	for k := 0; k < opt.MaxIter; k++ {
 		if k%opt.CheckEvery == 0 && ctx.Err() != nil {

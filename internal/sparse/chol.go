@@ -1,3 +1,7 @@
+// Package sparse holds LapFactor, the minimum-degree sparse pinned Cholesky
+// behind every exact Laplacian solve of the library: the coarsest level of a
+// hierarchy (a Steiner preconditioner's quotient among them) and the subgraph
+// preconditioner of Figure 6.
 package sparse
 
 import (
@@ -8,9 +12,10 @@ import (
 )
 
 // LapFactor is a sparse direct solver for a (singular) graph Laplacian, sized
-// for the coarsest graph of a hierarchy and for Steiner quotients: a few
-// hundred to a few thousand vertices of a contracted mesh, whose small
-// separators keep the Cholesky factor sparse.
+// for the coarsest graph of a hierarchy, Steiner quotients and subgraph
+// preconditioners: a few hundred to a few thousand vertices of a contracted
+// mesh, or a spanning tree with a few off-tree edges, whose small separators
+// keep the Cholesky factor sparse.
 //
 // The first (lowest-id) vertex of every connected component is pinned to
 // zero; the remaining principal submatrix is SPD and factored as L·Lᵀ after
@@ -277,6 +282,9 @@ func (f *LapFactor) factorize(g *graph.Graph, pos []int32) error {
 	}
 	return nil
 }
+
+// Dim returns the number of vertices of the factored graph.
+func (f *LapFactor) Dim() int { return f.n }
 
 // NNZ returns the number of stored entries of L, diagonal included.
 func (f *LapFactor) NNZ() int { return len(f.val) + len(f.diag) }

@@ -1,6 +1,8 @@
 package steiner
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +10,9 @@ import (
 	"hcd/internal/decomp"
 	"hcd/internal/dense"
 	"hcd/internal/graph"
+	"hcd/internal/hierarchy"
 	"hcd/internal/solver"
+	"hcd/internal/sparse"
 	"hcd/internal/support"
 	"hcd/internal/treealg"
 	"hcd/internal/workload"
@@ -34,6 +38,99 @@ func fixedDecomp(t *testing.T, g *graph.Graph) *decomp.Decomposition {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// steinerReference is the two-level Steiner apply B⁺r = D⁻¹r + R·Q⁺(Rᵀr)
+// written out on its own: each cluster sums its members' residuals in
+// ascending vertex order, the quotient is solved by its direct factor, and
+// every vertex adds its cluster's value to its scaled residual.
+// hierarchy.NewSteiner must reproduce it bit for bit whenever it factors the
+// quotient directly.
+func steinerReference(t *testing.T, d *decomp.Decomposition) func(dst, r []float64) {
+	t.Helper()
+	g := d.G
+	fac, err := sparse.NewLapFactor(g.Contract(d.Assign, d.Count))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([][]int, d.Count)
+	for v, c := range d.Assign {
+		members[c] = append(members[c], v)
+	}
+	rq, yq := make([]float64, d.Count), make([]float64, d.Count)
+	return func(dst, r []float64) {
+		for c, vs := range members {
+			acc := 0.0
+			for _, v := range vs {
+				acc += r[v]
+			}
+			rq[c] = acc
+		}
+		fac.Solve(yq, rq)
+		for v := range dst {
+			dInv := 0.0
+			if vol := g.Vol(v); vol > 0 {
+				dInv = 1 / vol
+			}
+			dst[v] = r[v]*dInv + yq[d.Assign[v]]
+		}
+	}
+}
+
+// TestSteinerMatchesReference: on every decomposition whose quotient is
+// factored directly, the Steiner preconditioner is a one-level hierarchy whose
+// apply is steinerReference, bit for bit.
+func TestSteinerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type named struct {
+		name string
+		d    *decomp.Decomposition
+	}
+	var cases []named
+	for _, side := range []int{8, 12, 20} {
+		g := workload.OCT3D(side, side, side, workload.DefaultOCTOptions())
+		cases = append(cases, named{fmt.Sprintf("oct:%d", side), fixedDecomp(t, g)})
+	}
+	cases = append(cases,
+		named{"grid3d:12", fixedDecomp(t, workload.Grid3D(12, 12, 12, workload.Lognormal(1), 2))},
+		named{"grid2d:40", fixedDecomp(t, workload.Grid2D(40, 40, workload.Lognormal(1), 3))})
+	for it := 0; it < 4; it++ {
+		g := treealg.RandomTree(rng, 30+rng.Intn(200), func() float64 { return 0.2 + rng.Float64()*4 })
+		d, err := decomp.Tree(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, named{fmt.Sprintf("tree#%d", it), d})
+	}
+	singletons := workload.Grid2D(6, 6, nil, 1)
+	identity := make([]int, singletons.N())
+	for v := range identity {
+		identity[v] = v
+	}
+	cases = append(cases, named{"singletons", &decomp.Decomposition{G: singletons, Assign: identity, Count: singletons.N()}})
+
+	for _, tc := range cases {
+		h, err := hierarchy.NewSteiner(context.Background(), tc.d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if h.Depth() != 1 || h.CoarseSize() != tc.d.Count {
+			t.Fatalf("%s: levels %v, want one level onto the %d-vertex quotient", tc.name, h.LevelSizes(), tc.d.Count)
+		}
+		ref := steinerReference(t, tc.d)
+		n := tc.d.G.N()
+		got, want := make([]float64, n), make([]float64, n)
+		for trial := 0; trial < 3; trial++ {
+			r := meanFree(rng, n)
+			h.Apply(got, r)
+			ref(want, r)
+			for v := range got {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("%s trial %d: vertex %d: %v, reference %v", tc.name, trial, v, got[v], want[v])
+				}
+			}
+		}
+	}
 }
 
 func TestSteinerGraphStructure(t *testing.T) {
@@ -67,7 +164,7 @@ func TestApplyMatchesSchurComplement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := New(d, DefaultOptions())
+		p, err := hierarchy.NewSteiner(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +257,7 @@ func TestApplyMatchesFullSteinerSystemSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := New(d, DefaultOptions())
+		p, err := hierarchy.NewSteiner(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +424,7 @@ func TestSteinerPCGConvergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := workload.OCT3D(6, 6, 12, workload.DefaultOCTOptions())
 	d := fixedDecomp(t, g)
-	p, err := New(d, DefaultOptions())
+	p, err := hierarchy.NewSteiner(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,23 +453,6 @@ func TestSteinerPCGConvergence(t *testing.T) {
 	}
 }
 
-func TestInnerIterativeQuotientFallback(t *testing.T) {
-	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 7)
-	d := fixedDecomp(t, g)
-	opt := DefaultOptions()
-	opt.DirectLimit = 1 // force the iterative path
-	p, err := New(d, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	bvec := meanFree(rng, g.N())
-	res := solver.PCG(solver.LapOperator(g), p, bvec, solver.DefaultOptions())
-	if !res.Converged {
-		t.Errorf("PCG with iterative quotient solve did not converge (%d iters)", res.Iterations)
-	}
-}
-
 func TestConditionNumberConstantAcrossSizes(t *testing.T) {
 	// Section 3.1's punchline: the two-level Steiner preconditioner keeps
 	// κ roughly constant as n grows.
@@ -381,7 +461,7 @@ func TestConditionNumberConstantAcrossSizes(t *testing.T) {
 	for _, side := range []int{6, 8, 10, 12} {
 		g := workload.Grid2D(side, side, workload.Lognormal(1), 3)
 		d := fixedDecomp(t, g)
-		p, err := New(d, DefaultOptions())
+		p, err := hierarchy.NewSteiner(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +485,7 @@ func BenchmarkSteinerApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := New(d, DefaultOptions())
+	p, err := hierarchy.NewSteiner(context.Background(), d)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,12 +41,9 @@ func TestApplyIsExactInverse(t *testing.T) {
 			}
 		}
 		b := graph.MustFromEdges(n, es)
-		p, st, err := New(b, n)
+		p, err := New(b)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if st.CoreSize+st.Eliminated != n {
-			t.Fatalf("stats inconsistent: %+v", st)
 		}
 		r := meanFree(rng, n)
 		x := make([]float64, n)
@@ -74,7 +71,7 @@ func TestApplyMatchesDensePseudoInverse(t *testing.T) {
 	g := treealg.RandomTree(rng, 20, func() float64 { return 0.5 + rng.Float64() })
 	es := append(g.Edges(), graph.Edge{U: 0, V: 10, W: 1.3}, graph.Edge{U: 3, V: 17, W: 0.7})
 	b := graph.MustFromEdges(20, es)
-	p, _, err := New(b, 20)
+	p, err := New(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +95,12 @@ func TestApplyMatchesDensePseudoInverse(t *testing.T) {
 func TestPureTreeEliminatesCompletely(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := treealg.RandomTree(rng, 50, func() float64 { return 0.1 + rng.Float64() })
-	p, st, err := New(g, 0) // core limit 0: trees must fully eliminate
+	if core := ProbeCoreSize(g); core != 0 {
+		t.Fatalf("tree left a core of %d", core)
+	}
+	p, err := New(g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.CoreSize != 0 {
-		t.Fatalf("tree left a core of %d", st.CoreSize)
 	}
 	r := meanFree(rng, g.N())
 	x := make([]float64, g.N())
@@ -122,7 +119,7 @@ func TestDisconnectedForest(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2},
 		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1}, {U: 3, V: 5, W: 1},
 	})
-	p, _, err := New(g, 7)
+	p, err := New(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +138,6 @@ func TestDisconnectedForest(t *testing.T) {
 	}
 }
 
-func TestCoreLimitEnforced(t *testing.T) {
-	g := workload.GridDiag2D(10, 10, nil, 1) // plenty of degree-≥3 vertices
-	if _, _, err := New(g, 1); err == nil {
-		t.Error("tiny core limit accepted")
-	}
-}
-
 func TestSubgraphPreconditionedPCG(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 5)
@@ -155,11 +145,11 @@ func TestSubgraphPreconditionedPCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, st, err := New(res.B, g.N())
+	p, err := New(res.B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("core %d of %d", st.CoreSize, g.N())
+	t.Logf("core %d of %d", ProbeCoreSize(res.B), g.N())
 	b := meanFree(rng, g.N())
 	pcg := solver.PCG(solver.LapOperator(g), p, b, solver.DefaultOptions())
 	if !pcg.Converged {
@@ -172,27 +162,73 @@ func TestSubgraphPreconditionedPCG(t *testing.T) {
 	}
 }
 
+// eliminationCore is ProbeCoreSize's oracle: the same degree-1/2 elimination
+// on a dense adjacency matrix, always taking the lowest-numbered eligible
+// vertex next instead of the probe's last-queued one. Series and leaf
+// reductions are confluent, so the two orders leave cores of one size.
+func eliminationCore(b *graph.Graph) int {
+	n := b.N()
+	adj := make([][]bool, n)
+	deg := make([]int, n)
+	for v := range adj {
+		adj[v] = make([]bool, n)
+		nbr, _ := b.Neighbors(v)
+		for _, u := range nbr {
+			adj[v][u] = true
+		}
+		deg[v] = len(nbr)
+	}
+	alive := make([]bool, n)
+	for v := range alive {
+		alive[v] = true
+	}
+	core := n
+	for {
+		v := 0
+		for v < n && !(alive[v] && deg[v] <= 2) {
+			v++
+		}
+		if v == n {
+			return core
+		}
+		alive[v] = false
+		core--
+		var us []int
+		for u := 0; u < n; u++ {
+			if adj[v][u] {
+				us = append(us, u)
+				adj[v][u], adj[u][v] = false, false
+				deg[u]--
+			}
+		}
+		if len(us) == 2 && !adj[us[0]][us[1]] {
+			adj[us[0]][us[1]], adj[us[1]][us[0]] = true, true
+			deg[us[0]]++
+			deg[us[1]]++
+		}
+	}
+}
+
 func TestProbeCoreSizeMatchesElimination(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for it := 0; it < 8; it++ {
+	for it := 0; it < 40; it++ {
 		n := 20 + rng.Intn(60)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.5 + rng.Float64() })
 		es := g.Edges()
-		for i := 0; i < n/4; i++ {
+		for i := rng.Intn(n); i > 0; i-- {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
 				es = append(es, graph.Edge{U: u, V: v, W: 0.5 + rng.Float64()})
 			}
 		}
 		b := graph.MustFromEdges(n, es)
-		probed := ProbeCoreSize(b)
-		_, st, err := New(b, n)
-		if err != nil {
-			t.Fatal(err)
+		if probed, want := ProbeCoreSize(b), eliminationCore(b); probed != want {
+			t.Fatalf("it=%d: probe %d vs elimination %d", it, probed, want)
 		}
-		if probed != st.CoreSize {
-			t.Fatalf("it=%d: probe %d vs elimination %d", it, probed, st.CoreSize)
-		}
+	}
+	grid := workload.GridDiag2D(10, 10, nil, 1) // plenty of degree-≥3 vertices
+	if core, want := ProbeCoreSize(grid), eliminationCore(grid); core == 0 || core != want {
+		t.Errorf("grid with diagonals: probe core %d, elimination %d", core, want)
 	}
 }
 
@@ -202,7 +238,7 @@ func BenchmarkSubgraphApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, _, err := New(res.B, 4000)
+	p, err := New(res.B)
 	if err != nil {
 		b.Fatal(err)
 	}

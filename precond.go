@@ -11,7 +11,6 @@ import (
 	"hcd/internal/resist"
 	"hcd/internal/solver"
 	"hcd/internal/sparsify"
-	"hcd/internal/steiner"
 	"hcd/internal/subgraph"
 	"hcd/internal/support"
 	"hcd/internal/treealg"
@@ -41,10 +40,14 @@ func LaplacianOperator(g *Graph) Operator { return solver.LapOperator(g) }
 func JacobiPreconditioner(g *Graph) Preconditioner { return solver.Jacobi(g) }
 
 // NewSteinerPreconditioner builds the Section 3 Steiner preconditioner for
-// the decomposition's graph, applied through the exact two-level identity
-// B⁺r = D⁻¹r + R·Q⁺(Rᵀr).
-func NewSteinerPreconditioner(d *Decomposition) (Preconditioner, error) {
-	return steiner.New(d, steiner.DefaultOptions())
+// the decomposition's graph, B⁺r = D⁻¹r + R·Q⁺(Rᵀr), as a hierarchy whose
+// level 0 is the decomposition, unsmoothed. A quotient of at most 2 500
+// vertices is factored directly, which makes the apply the two-level identity
+// exactly; a larger one is clustered further by the hierarchy's pure
+// recursion. A decomposition that does not match its graph returns an error
+// wrapping ErrInvalidInput.
+func NewSteinerPreconditioner(d *Decomposition) (*Hierarchy, error) {
+	return hierarchy.NewSteiner(context.Background(), d)
 }
 
 // SubgraphResult bundles a subgraph preconditioner with its structure.
@@ -52,25 +55,32 @@ type SubgraphResult struct {
 	P Preconditioner
 	// B is the underlying subgraph (tree + extra edges).
 	B *Graph
-	// CoreSize is the dense-factored remainder after partial Cholesky.
+	// CoreSize is what remains of B once its degree-1 and degree-2 vertices
+	// are eliminated: n / CoreSize is the reduction factor Figure 6 matches
+	// against the Steiner quotient.
 	CoreSize int
 }
 
 // NewSubgraphPreconditioner builds the classical baseline of Figure 6: a
-// sparsified subgraph applied via partial Cholesky elimination of degree-1/2
-// vertices plus a dense core solve. coreLimit bounds the dense core.
-func NewSubgraphPreconditioner(g *Graph, opt PlanarOptions, coreLimit int) (*SubgraphResult, error) {
+// sparsified subgraph B applied as an exact solve with B, through a sparse
+// Cholesky factor whose minimum-degree ordering eliminates B's degree-1/2
+// chains first.
+func NewSubgraphPreconditioner(g *Graph, opt PlanarOptions) (*SubgraphResult, error) {
 	sres, err := sparsify.Sparsify(g, sparsify.Options{
 		Base: opt.Base, ExtraFraction: opt.ExtraFraction, Seed: opt.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	p, st, err := subgraph.New(sres.B, coreLimit)
+	return newSubgraphResult(sres.B)
+}
+
+func newSubgraphResult(b *Graph) (*SubgraphResult, error) {
+	p, err := subgraph.New(b)
 	if err != nil {
 		return nil, err
 	}
-	return &SubgraphResult{P: p, B: sres.B, CoreSize: st.CoreSize}, nil
+	return &SubgraphResult{P: p, B: b, CoreSize: subgraph.ProbeCoreSize(b)}, nil
 }
 
 // NewTreePreconditioner builds a spanning-tree-only preconditioner (the
@@ -111,16 +121,12 @@ func NewGridSubgraphPreconditioner(g *Graph, nx, ny, nz, blockSize int) (*Subgra
 	if err != nil {
 		return nil, err
 	}
-	p, st, err := subgraph.New(sres.B, g.N())
-	if err != nil {
-		return nil, err
-	}
-	return &SubgraphResult{P: p, B: sres.B, CoreSize: st.CoreSize}, nil
+	return newSubgraphResult(sres.B)
 }
 
 // NewSubgraphPreconditionerMatched builds a subgraph preconditioner whose
-// partial-Cholesky core has about n/targetReduction vertices — the "same
-// reduction factor" protocol of the paper's Figure 6 comparison. It
+// degree-1/2 elimination core has about n/targetReduction vertices — the
+// "same reduction factor" protocol of the paper's Figure 6 comparison. It
 // bisects the off-tree edge budget using a numerics-free elimination probe.
 func NewSubgraphPreconditionerMatched(g *Graph, targetReduction float64, seed int64) (*SubgraphResult, error) {
 	if targetReduction <= 1 {
@@ -145,7 +151,7 @@ func NewSubgraphPreconditionerMatched(g *Graph, targetReduction float64, seed in
 		best = opt
 		best.ExtraFraction = (lo + hi) / 2
 	}
-	return NewSubgraphPreconditioner(g, best, g.N())
+	return NewSubgraphPreconditioner(g, best)
 }
 
 func subgraphOpt(seed int64, fraction float64) PlanarOptions {
