@@ -41,7 +41,8 @@ race-solver:
 	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/...
 
 # determinism runs the bit-identity tests — worker-count invariance of the
-# kernels, the solve and the cycle, the reference oracles, and the golden
+# kernels, the solve and the cycle, the reference oracles (the heaviest-edge
+# scan's among them), the layout view's concurrent first build, and the golden
 # digests of whole solves and whole builds — once with the test process
 # started at one worker and once at two, so a reduction whose rounding
 # depends on the worker count cannot come back unnoticed.

@@ -266,7 +266,8 @@ func printBuildStages(h *hcd.Hierarchy, t *obs.Tracer) {
 // other), what the clustering kept inside clusters (γ), the coarse-correction
 // scale the cycle drew from it and how often each visit of the level applies
 // the one below — the quality figures that explain the iteration count printed
-// above them.
+// above them — and the share of level 0's entries in row groups, in the
+// caller's numbering and in the layout one-column solves run in.
 func printLevelScales(h *hcd.Hierarchy) {
 	if h == nil {
 		return
@@ -274,6 +275,10 @@ func printLevelScales(h *hcd.Hierarchy) {
 	sizes := h.LevelSizes()
 	for level, s := range h.LevelScales() {
 		fmt.Printf("metrics: level %d  vertices=%d  gamma=%.3f  alpha=%.3f  visits=%d\n", level, sizes[level], s.Gamma, s.Alpha, s.Visits)
+	}
+	if h.Depth() > 0 {
+		natural, layout := h.GroupedShares()
+		fmt.Printf("metrics: level 0 grouped natural=%.1f%% layout=%.1f%%\n", 100*natural, 100*layout)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"hcd/internal/faultinject"
 	"hcd/internal/graph"
@@ -76,19 +77,40 @@ func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64
 // heaviestEdge returns the neighbour of v in [lo, hi) reached by v's heaviest
 // perturbed edge, −1 when v has no neighbour there. The tie-break on the
 // neighbour id keeps the perturbed order total even under float ties.
+//
+// It is perturbFactor's formula with the row's constant terms hoisted: the
+// hash key of {u, v} is u·n + v + s below v and v·n + u + s above it, so a
+// lower neighbour costs one multiply and an upper one none. The running best
+// is kept without a branch on the data: perturbed weights are positive, so
+// they order like their bit patterns, and a mask picks the new pair.
 func heaviestEdge(g *graph.Graph, v, lo, hi int, seed int64) int32 {
 	nbr, w := g.Neighbors(v)
-	best, bestW := int32(-1), 0.0
+	n, s := uint64(g.N()), uint64(seed)*0x9e3779b97f4a7c15
+	below, above := uint64(v)+s, uint64(v)*n+s
+	best, bestBits := int32(-1), uint64(0)
 	for i, u := range nbr {
 		if int(u) < lo || int(u) >= hi {
 			continue
 		}
-		pw := w[i] * perturbFactor(v, int(u), g.N(), seed)
-		if best < 0 || pw > bestW || (pw == bestW && u < best) {
-			best, bestW = u, pw
+		key := above + uint64(u)
+		if int(u) < v {
+			key = uint64(u)*n + below
 		}
+		bits := math.Float64bits(w[i] * perturbKey(key))
+		take := -(b2u(bits > bestBits) | b2u(bits == bestBits)&b2u(u < best))
+		bestBits ^= (bestBits ^ bits) & take
+		best ^= (best ^ u) & int32(take)
 	}
 	return best
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits it as a flag set.
+func b2u(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // errPointerCycle reports heaviest-edge pointers that close a cycle, which
@@ -233,7 +255,11 @@ func perturbFactor(u, v, n int, seed int64) float64 {
 	if u > v {
 		u, v = v, u
 	}
-	x := uint64(u)*uint64(n) + uint64(v) + uint64(seed)*0x9e3779b97f4a7c15
+	return perturbKey(uint64(u)*uint64(n) + uint64(v) + uint64(seed)*0x9e3779b97f4a7c15)
+}
+
+// perturbKey is perturbFactor of the edge whose key min·n + max + seed·φ is x.
+func perturbKey(x uint64) float64 {
 	// splitmix64 finalizer.
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -268,6 +269,83 @@ func TestFixedDegreeMatchesForestReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// referenceHeaviestEdge is heaviestEdge as it was before the hash key's row
+// terms were hoisted and the running best went branch-free: perturbFactor per
+// neighbour, the best kept by comparing floats.
+func referenceHeaviestEdge(g *graph.Graph, v, lo, hi int, seed int64) int32 {
+	nbr, w := g.Neighbors(v)
+	best, bestW := int32(-1), 0.0
+	for i, u := range nbr {
+		if int(u) < lo || int(u) >= hi {
+			continue
+		}
+		pw := w[i] * perturbFactor(v, int(u), g.N(), seed)
+		if best < 0 || pw > bestW || (pw == bestW && u < best) {
+			best, bestW = u, pw
+		}
+	}
+	return best
+}
+
+// TestHeaviestEdgeMatchesReference: heaviestEdge picks the reference's
+// neighbour for every vertex of every family, on the whole graph and on a
+// shard's id range, under eight seeds (negative and wide ones included), down
+// three levels of contraction. A tie is built on purpose too: vertex 0 of a
+// path 1 – 0 – 2 whose two weights are each other's perturbation factors has
+// two perturbed weights with one bit pattern, and the lower id, 1, must win.
+func TestHeaviestEdgeMatchesReference(t *testing.T) {
+	seeds := []int64{0, 1, 2, 7, -1, -12345, 1 << 40, math.MaxInt64}
+	for _, seed := range seeds {
+		tied := graph.MustFromEdges(3, []graph.Edge{
+			{U: 0, V: 1, W: perturbFactor(0, 2, 3, seed)},
+			{U: 0, V: 2, W: perturbFactor(0, 1, 3, seed)},
+		})
+		if got, want := heaviestEdge(tied, 0, 0, 3, seed), referenceHeaviestEdge(tied, 0, 0, 3, seed); got != 1 || want != 1 {
+			t.Fatalf("seed %d: tied pair resolved to %d, reference %d, want 1", seed, got, want)
+		}
+	}
+	for name, g0 := range referenceFamilies(t) {
+		for _, seed := range seeds {
+			g := g0
+			for level := 0; level < 3 && g.M() > 0; level++ {
+				n := g.N()
+				for _, r := range [][2]int{{0, n}, {n / 3, 2 * n / 3}} {
+					for v := 0; v < n; v++ {
+						if got, want := heaviestEdge(g, v, r[0], r[1], seed), referenceHeaviestEdge(g, v, r[0], r[1], seed); got != want {
+							t.Fatalf("%s seed %d level %d range %v vertex %d: heaviest edge to %d, reference %d", name, seed, level, r, v, got, want)
+						}
+					}
+				}
+				d, err := FixedDegree(g, 4, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g = g.Contract(d.Assign, d.Count)
+			}
+		}
+	}
+}
+
+// BenchmarkHeaviestEdge times the level-0 scan of FixedDegreeCtx's step [2]
+// on the 64³ lognormal grid of build-grid3d, one worker, through heaviestEdge
+// and through the reference formula.
+func BenchmarkHeaviestEdge(b *testing.B) {
+	g := workload.Grid3D(64, 64, 64, workload.Lognormal(1), 1)
+	bestTo := make([]int32, g.N())
+	for _, form := range []struct {
+		name string
+		scan func(*graph.Graph, int, int, int, int64) int32
+	}{{"hoisted", heaviestEdge}, {"reference", referenceHeaviestEdge}} {
+		b.Run(form.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for v := range bestTo {
+					bestTo[v] = form.scan(g, v, 0, g.N(), 1)
+				}
+			}
+		})
 	}
 }
 

@@ -33,6 +33,18 @@ import (
 // workload has — a path or a star's leaves are one long run.
 const minGroupRows = 32
 
+// GroupedShare returns the share of g's stored entries that lie in grouped
+// rows of its row-group table: the part of a k = 1 matvec the row-group form
+// of kernel.LapRows runs (where the host has it). A graph without entries
+// has share 0.
+func (g *Graph) GroupedShare() float64 {
+	entries := 0
+	for _, s := range g.groups {
+		entries += int(s.Hi-s.Lo) * int(s.Deg)
+	}
+	return float64(entries) / float64(max(len(g.adj), 1))
+}
+
 // rowGroups builds the table from CSR offsets: every maximal run of at least
 // minGroupRows rows of one degree d ≥ 1 gives up its first 4·⌊len/4⌋ rows as a
 // grouped segment, and whatever lies between two grouped segments — run

@@ -15,13 +15,16 @@
 // Levels below the finest are stored in an apply layout (layout.go): once a
 // quotient has been contracted and clustered in its natural numbering, its
 // vertices are renumbered so rows of equal length sit together, and only the
-// renumbered graph is kept.
+// renumbered graph is kept. Level 0 keeps the caller's numbering, and where
+// that numbering leaves its rows ungrouped a layout view of level 0 is built
+// for one-column solves on first use.
 package hierarchy
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hcd/internal/decomp"
 	"hcd/internal/graph"
@@ -62,7 +65,8 @@ func DefaultOptions() Options {
 // Level is one layer of the laminar decomposition, stored for the apply.
 type Level struct {
 	// g is the level's graph: the caller's graph in the caller's numbering
-	// at level 0, the quotient in its apply layout below.
+	// at level 0 (renumbered in a layout view's level 0), the quotient in its
+	// apply layout below.
 	g      *graph.Graph
 	dInv   []float64
 	smooth int
@@ -97,8 +101,13 @@ type Hierarchy struct {
 	// apply state — levels and the coarse factor are read-only — so concurrent
 	// Apply/ApplyBlock calls on one Hierarchy are safe and never wait on each
 	// other: the server's pooled engines solve through a shared Hierarchy from
-	// several goroutines at once.
-	workPool sync.Pool
+	// several goroutines at once. A layout view shares its hierarchy's pool:
+	// its levels have the same sizes.
+	workPool *sync.Pool
+	// view is the level-0 layout view (layout.go), built once by the first
+	// layoutView call and nil after it when level 0 needs none.
+	viewOnce sync.Once
+	view     atomic.Pointer[layoutView]
 }
 
 // New builds the hierarchy for g.
@@ -291,7 +300,9 @@ func (h *Hierarchy) LevelScales() []LevelScale {
 
 // MemoryBytes is the resident size of the hierarchy: every level's graph,
 // inverse diagonal, int32 restriction arrays, kept natural assignment and
-// cycle scales, plus the coarse graph and its factor. Pooled apply workspaces
+// cycle scales, plus the coarse graph and its factor, and once it has been
+// built the layout view's own arrays (level 0 renumbered, its diagonal,
+// assignment, member order and permutation). Pooled apply workspaces
 // are not counted; they belong to whichever solves are in flight. It is the
 // accounting figure behind the serving layer's byte-budgeted handle cache.
 func (h *Hierarchy) MemoryBytes() int64 {
@@ -303,6 +314,10 @@ func (h *Hierarchy) MemoryBytes() int64 {
 	}
 	if h.coarseG != nil {
 		b += h.coarseG.Bytes() + h.coarse.Bytes()
+	}
+	if v := h.view.Load(); v != nil {
+		l := v.h.levels[0]
+		b += l.g.Bytes() + 8*int64(len(l.dInv)) + 4*int64(len(l.assign)+len(l.order)+len(v.perm))
 	}
 	return b
 }

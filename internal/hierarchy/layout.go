@@ -12,12 +12,25 @@ package hierarchy
 // level up). Rows keep their entry order and clusters keep their member
 // order, so every sum the cycle takes adds the same numbers in the same
 // sequence as it would in natural numbering: the layout changes where values
-// live, never what they are. Level 0 stays in the caller's numbering and the
-// factored coarsest graph in its natural one.
+// live, never what they are. The stored level 0 stays in the caller's
+// numbering — block solves, clustering, snapshots and DumpLevels see it — and
+// the factored coarsest graph in its natural one.
+//
+// Level-0 layout view. A one-column solve streams level 0 three times per
+// PCG iteration (the operator, the cycle's residual and its post-smoothing),
+// and on road networks, FE meshes and small grids natural order puts almost
+// none of level 0 in row groups. For those graphs the hierarchy keeps a second
+// level 0, built on first use: the caller's graph renumbered by layoutOrder
+// (by degree alone — nothing is contracted into it), with its diagonal and
+// restriction arrays remapped, sharing every level below, the coarse graph and
+// the factor. The solver runs a whole one-column solve in that numbering
+// (SolveSpace), so the view's apply is the same V-cycle on the same values in
+// the same sequence, only stored elsewhere.
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"hcd/internal/graph"
 	"hcd/internal/obs"
@@ -46,7 +59,7 @@ type assembler struct {
 // newAssembler needs no size check of its own: a graph.Graph cannot hold more
 // than math.MaxInt32 vertices, which is what the int32 arrays here can name.
 func newAssembler(ctx context.Context, smooth int) *assembler {
-	return &assembler{ctx: ctx, h: &Hierarchy{}, smooth: smooth}
+	return &assembler{ctx: ctx, h: &Hierarchy{workPool: new(sync.Pool)}, smooth: smooth}
 }
 
 // push adds cur — natural numbering — with its clustering as the next level,
@@ -153,9 +166,10 @@ func (a *assembler) finish(cur *graph.Graph) (*Hierarchy, error) {
 
 // layoutOrder returns the apply layout of g as the list of natural vertex
 // ids in stored order: within each window of layoutWindow consecutive ids, a
-// stable sort by (degree, members[v]). Two counting-sort passes per window,
-// least significant key first; a window's bucket arrays are bounded by its
-// own degree sum, so the whole pass is O(n + m).
+// stable sort by (degree, members[v]), or by degree alone when members is nil.
+// Two counting-sort passes per window, least significant key first; a
+// window's bucket arrays are bounded by its own degree sum, so the whole pass
+// is O(n + m).
 func layoutOrder(g *graph.Graph, members []int32) []int {
 	n := g.N()
 	order := make([]int, n)
@@ -167,11 +181,106 @@ func layoutOrder(g *graph.Graph, members []int32) []int {
 		for i := range win {
 			win[i] = lo + i
 		}
-		buckets = countingSort(order[lo:hi], win, func(v int) int { return int(members[v]) }, buckets)
-		copy(win, order[lo:hi])
+		if members != nil {
+			buckets = countingSort(order[lo:hi], win, func(v int) int { return int(members[v]) }, buckets)
+			copy(win, order[lo:hi])
+		}
 		buckets = countingSort(order[lo:hi], win, g.Degree, buckets)
 	}
 	return order
+}
+
+// viewMaxGrouped is the share of level 0's stored entries in row groups, in
+// natural order, from which on the hierarchy keeps no layout view: OCT and
+// large grids are above 90 % already, road networks and FE meshes near 0.
+const viewMaxGrouped = 0.5
+
+// layoutView is the level-0 layout view: perm[i] is the level-0 vertex that
+// is vertex i of the view, and h is the hierarchy whose level 0 is renumbered
+// by perm and whose levels below, coarse graph and factor are the natural
+// hierarchy's own.
+type layoutView struct {
+	perm []int32
+	h    *Hierarchy
+}
+
+// layoutView returns h's level-0 layout view, building it on the first call;
+// nil when h has no level 0 or level 0 is grouped enough in natural order.
+// Safe for concurrent use.
+func (h *Hierarchy) layoutView() *layoutView {
+	h.viewOnce.Do(func() {
+		if len(h.levels) > 0 && h.levels[0].g.GroupedShare() < viewMaxGrouped {
+			h.view.Store(newLayoutView(h))
+		}
+	})
+	return h.view.Load()
+}
+
+// newLayoutView renumbers h's level 0 by layoutOrder. The restriction keeps
+// its summation order: order lists each cluster's members in the same
+// sequence, now by their view ids.
+func newLayoutView(h *Hierarchy) *layoutView {
+	nat := h.levels[0]
+	order := layoutOrder(nat.g, nil)
+	g, err := nat.g.Permuted(order)
+	if err != nil {
+		panic(err) // layoutOrder returns a permutation by construction
+	}
+	perm := make([]int32, len(order))
+	inv := make([]int32, len(order))
+	for i, v := range order {
+		perm[i], inv[v] = int32(v), int32(i)
+	}
+	l := *nat
+	l.g = g
+	l.dInv = make([]float64, len(perm))
+	l.assign = make([]int32, len(perm))
+	for i, v := range perm {
+		l.dInv[i], l.assign[i] = nat.dInv[v], nat.assign[v]
+	}
+	l.order = make([]int32, len(nat.order))
+	for i, v := range nat.order {
+		l.order[i] = inv[v]
+	}
+	levels := append([]*Level{&l}, h.levels[1:]...)
+	return &layoutView{perm: perm, h: &Hierarchy{levels: levels, coarseG: h.coarseG, coarse: h.coarse, cycleEntries: h.cycleEntries, workPool: h.workPool}}
+}
+
+// SolveSpace is the numbering a one-column PCG solve of g's Laplacian runs
+// fastest in: when g is h's level 0 and h keeps a layout view, it returns the
+// view's permutation (vertex i of the space is vertex perm[i] of g), g
+// renumbered by it and the view's preconditioner; otherwise a nil perm, and
+// the solve stays in g's numbering. The view is built on the first call. Every
+// row sum, cycle step and restriction of the space adds the same numbers in
+// the same sequence as in g's numbering; only the solver's dot products and
+// mean projection sum in another order.
+func (h *Hierarchy) SolveSpace(g *graph.Graph) (perm []int32, gs *graph.Graph, ms interface {
+	Dim() int
+	Apply(dst, r []float64)
+}) {
+	if len(h.levels) == 0 || h.levels[0].g != g {
+		return nil, nil, nil
+	}
+	v := h.layoutView()
+	if v == nil {
+		return nil, nil, nil
+	}
+	return v.perm, v.h.levels[0].g, v.h
+}
+
+// GroupedShares returns the share of level 0's stored entries in row groups
+// in natural order and in the numbering one-column solves run in — the layout
+// view's, built here if it is due, or natural again. Both are 0 without a
+// level 0.
+func (h *Hierarchy) GroupedShares() (natural, solve float64) {
+	if len(h.levels) == 0 {
+		return 0, 0
+	}
+	natural = h.levels[0].g.GroupedShare()
+	if v := h.layoutView(); v != nil {
+		return natural, v.h.levels[0].g.GroupedShare()
+	}
+	return natural, natural
 }
 
 // countingSort stably sorts src into dst by key (≥ 0) and returns the bucket

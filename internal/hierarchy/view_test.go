@@ -1,0 +1,338 @@
+package hierarchy
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"hcd/internal/faultinject"
+	"hcd/internal/obs"
+	"hcd/internal/solver"
+	"hcd/internal/workload"
+)
+
+// gather returns x renumbered into a layout view: entry i is x[perm[i]].
+func gather(x []float64, perm []int32) []float64 {
+	out := make([]float64, len(perm))
+	for i, v := range perm {
+		out[i] = x[v]
+	}
+	return out
+}
+
+// TestLayoutViewIsPermutedLevel: where level 0's natural order leaves most
+// entries ungrouped the hierarchy keeps a view, and the view's V-cycle and
+// matvec are the natural ones renumbered — bit for bit, since every row sum,
+// smoothing step and restriction adds the same numbers in the same sequence.
+// A grouped level 0 gets no view. SolveSpace answers only for level 0's own
+// graph.
+func TestLayoutViewIsPermutedLevel(t *testing.T) {
+	for _, tc := range cycleTableCorpus(t) {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Depth() == 0 {
+			continue
+		}
+		natural, solve := h.GroupedShares()
+		t.Logf("%-14s level 0 grouped: %5.1f %% natural, %5.1f %% solve space", tc.name, 100*natural, 100*solve)
+		perm, gs, ms := h.SolveSpace(tc.g)
+		if (perm != nil) != (natural < viewMaxGrouped) {
+			t.Errorf("%s: %.0f %% grouped in natural order, view built: %v", tc.name, 100*natural, perm != nil)
+		}
+		if p, _, _ := h.SolveSpace(tc.g.Clone()); p != nil {
+			t.Errorf("%s: SolveSpace answered for another graph", tc.name)
+		}
+		if perm == nil {
+			if solve != natural {
+				t.Errorf("%s: no view, but solve-space share %.3f vs natural %.3f", tc.name, solve, natural)
+			}
+			continue
+		}
+		if solve < natural {
+			t.Errorf("%s: view %.0f %% grouped, natural order %.0f %%", tc.name, 100*solve, 100*natural)
+		}
+		n := tc.g.N()
+		rng := rand.New(rand.NewSource(3))
+		r := meanFree(rng, n)
+		want, got := make([]float64, n), make([]float64, n)
+		h.Apply(want, r)
+		ms.Apply(got, gather(r, perm))
+		for i, v := range perm {
+			if math.Float64bits(got[i]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: view apply at %d = %v, natural apply at %d = %v", tc.name, i, got[i], v, want[v])
+			}
+		}
+		tc.g.LapMul(want, r)
+		gs.LapMul(got, gather(r, perm))
+		for i, v := range perm {
+			if math.Float64bits(got[i]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: view matvec at %d = %v, natural at %d = %v", tc.name, i, got[i], v, want[v])
+			}
+		}
+	}
+}
+
+// attemptSpace runs one traced solve and returns the space its attempt span
+// names.
+func attemptSpace(t *testing.T, eng *solver.Engine, b []float64) (solver.Result, string) {
+	t.Helper()
+	tr := obs.NewTracer()
+	res, err := eng.Solve(obs.WithTracer(context.Background(), tr), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range tr.Spans() {
+		if s.Name == "solve/attempt" {
+			space, _ := spanArgs(s)["space"].(string)
+			return res, space
+		}
+	}
+	t.Fatal("no solve/attempt span")
+	return res, ""
+}
+
+// TestLayoutSolveMatchesNatural: a one-column solve that runs in the layout
+// view takes the iterations the same solve takes in the caller's numbering,
+// and lands within 1e-12 of its iterate. Only the dot products and the mean
+// projection sum in another order. The natural twin runs through an operator
+// the driver cannot renumber; the attempt span says which space each used.
+// A -race build, whose kernels run ten times slower, keeps to the families'
+// test-sized members.
+func TestLayoutSolveMatchesNatural(t *testing.T) {
+	for _, tc := range cycleTableCorpus(t) {
+		if raceBuild && tc.g.N() > 10000 {
+			continue
+		}
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tc.g.N()
+		layout, err := solver.NewLapEngine(tc.g, h, solver.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		natural, err := solver.NewEngine(solver.OpFunc{N: n, F: tc.g.LapMul}, h, solver.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, _, _ := h.SolveSpace(tc.g)
+		wantSpace := "natural"
+		if perm != nil {
+			wantSpace = "layout"
+		}
+		rng := rand.New(rand.NewSource(11))
+		for rhs := 0; rhs < 2; rhs++ {
+			b := meanFree(rng, n)
+			nat, space := attemptSpace(t, natural, b)
+			if space != "natural" {
+				t.Fatalf("%s: opaque operator solved in space %q", tc.name, space)
+			}
+			xNat := append([]float64(nil), nat.X...)
+			got, space := attemptSpace(t, layout, b)
+			if space != wantSpace {
+				t.Errorf("%s: solved in space %q, want %q", tc.name, space, wantSpace)
+			}
+			if got.Iterations != nat.Iterations || got.Outcome != nat.Outcome {
+				t.Errorf("%s rhs %d: %d iterations (%v) in space %s, %d (%v) natural", tc.name, rhs, got.Iterations, got.Outcome, space, nat.Iterations, nat.Outcome)
+			}
+			diff, norm := 0.0, 0.0
+			for v := range xNat {
+				diff += (got.X[v] - xNat[v]) * (got.X[v] - xNat[v])
+				norm += xNat[v] * xNat[v]
+			}
+			if math.Sqrt(diff) > 1e-12*math.Sqrt(norm) {
+				t.Errorf("%s rhs %d: ‖x − x_nat‖ = %.3g, ‖x_nat‖ = %.3g", tc.name, rhs, math.Sqrt(diff), math.Sqrt(norm))
+			}
+		}
+	}
+}
+
+// TestLayoutViewConcurrentFirstSolvesDeterministic: two engines on one fresh
+// hierarchy whose first solves start together both build — one of them — the
+// layout view, and both return the iterate a later solve on a third engine
+// returns, bit for bit. Under -race it holds the view's one-time build and its
+// shared work pool to the hierarchy's concurrency contract.
+func TestLayoutViewConcurrentFirstSolvesDeterministic(t *testing.T) {
+	g, err := workload.FEMesh(32, 32, -1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.view.Load() != nil {
+		t.Fatal("view built before any solve")
+	}
+	b := meanFree(rand.New(rand.NewSource(5)), g.N())
+	xs := make([][]float64, 2)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range xs {
+		eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			res, err := eng.Solve(context.Background(), b)
+			if err != nil || !res.Converged {
+				t.Errorf("engine %d: %v, %v", i, err, res.Outcome)
+				return
+			}
+			xs[i] = append([]float64(nil), res.X...)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	if h.view.Load() == nil {
+		t.Fatal("no view after the first solves")
+	}
+	eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Solve(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		for v := range x {
+			if math.Float64bits(x[v]) != math.Float64bits(want.X[v]) {
+				t.Fatalf("engine %d: x[%d] = %v, a later solve gives %v", i, v, x[v], want.X[v])
+			}
+		}
+	}
+}
+
+// TestLayoutSolveWarmAllocs: a warm engine's one-column solve through the
+// layout view allocates no work buffer (Metrics.ScratchAllocs, the benchmark's
+// solver.allocs_per_solve) — the view is built by the first solve and its
+// applies take their buffers from the hierarchy's pool — and no more heap
+// objects than the same solve in the caller's numbering.
+func TestLayoutSolveWarmAllocs(t *testing.T) {
+	g, err := workload.FEMesh(32, 32, -1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	natural, err := solver.NewEngine(solver.OpFunc{N: g.N(), F: g.LapMul}, h, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := meanFree(rand.New(rand.NewSource(7)), g.N())
+	allocs := make([]float64, 2)
+	for i, eng := range []*solver.Engine{layout, natural} {
+		if _, err := eng.Solve(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(10, func() {
+			res, err := eng.Solve(context.Background(), b)
+			if err != nil || !res.Converged {
+				t.Fatal("warm solve failed")
+			}
+			if res.Metrics.ScratchAllocs != 0 {
+				t.Fatalf("warm solve allocated %d work buffers", res.Metrics.ScratchAllocs)
+			}
+		})
+	}
+	if h.view.Load() == nil {
+		t.Fatal("the FE mesh solved without a layout view")
+	}
+	if allocs[0] > allocs[1] && !raceBuild {
+		t.Errorf("warm layout solve allocates %v objects per run, the natural one %v", allocs[0], allocs[1])
+	}
+}
+
+// TestMemoryBytesCountsLayoutView: once the view exists MemoryBytes grows by
+// exactly its arrays — renumbered graph, diagonal, assignment, member order
+// and permutation — and by nothing while it does not.
+func TestMemoryBytesCountsLayoutView(t *testing.T) {
+	for _, tc := range coarseCorpus(t, false) {
+		h, err := New(tc.g, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := h.MemoryBytes()
+		v := h.layoutView()
+		grown := h.MemoryBytes() - before
+		if v == nil {
+			if grown != 0 {
+				t.Errorf("%s: no view, MemoryBytes grew by %d", tc.name, grown)
+			}
+			continue
+		}
+		l := v.h.levels[0]
+		held := graphCapBytes(l.g) + 8*int64(cap(l.dInv)) + 4*int64(cap(l.assign)+cap(l.order)+cap(v.perm))
+		if table := l.g.Bytes() - graphCapBytes(l.g); table < 0 || table > 12*int64(l.g.N()/16+1) {
+			t.Errorf("%s: view graph accounts %d bytes of row-group table", tc.name, table)
+		} else {
+			held += table
+		}
+		if grown != held {
+			t.Errorf("%s: MemoryBytes grew by %d with the view, its arrays hold %d", tc.name, grown, held)
+		}
+	}
+}
+
+// TestLayoutSolveRestartsInLayout: a one-column solve that breaks down and
+// restarts under Options.Recovery resumes in the layout view — the iterate
+// and b gathered again, r = b − A·x recomputed there — and ends where the same
+// restarted solve ends in the caller's numbering.
+func TestLayoutSolveRestartsInLayout(t *testing.T) {
+	g, err := workload.FEMesh(32, 32, -1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(g, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := solver.DefaultOptions()
+	opt.Recovery = solver.RecoveryPolicy{MaxRestarts: 1}
+	b := meanFree(rand.New(rand.NewSource(9)), g.N())
+	solve := func(a solver.Operator) solver.Result {
+		restore := faultinject.Activate(map[string]faultinject.Spec{
+			faultinject.ForceBreakdown: {OnHit: 6, Count: 1},
+		})
+		defer restore()
+		res, err := solver.PCGCtx(context.Background(), a, h, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Metrics.Restarts != 1 {
+			t.Fatalf("outcome %v (%s), %d restarts; want converged after 1", res.Outcome, res.Reason, res.Metrics.Restarts)
+		}
+		return res
+	}
+	nat := solve(solver.OpFunc{N: g.N(), F: g.LapMul})
+	got := solve(solver.LapOperator(g))
+	if h.view.Load() == nil {
+		t.Fatal("the FE mesh solved without a layout view")
+	}
+	if got.Iterations != nat.Iterations {
+		t.Errorf("%d iterations in the layout, %d natural", got.Iterations, nat.Iterations)
+	}
+	diff, norm := 0.0, 0.0
+	for v := range nat.X {
+		diff += (got.X[v] - nat.X[v]) * (got.X[v] - nat.X[v])
+		norm += nat.X[v] * nat.X[v]
+	}
+	if math.Sqrt(diff) > 1e-12*math.Sqrt(norm) {
+		t.Errorf("‖x − x_nat‖ = %.3g, ‖x_nat‖ = %.3g", math.Sqrt(diff), math.Sqrt(norm))
+	}
+}

@@ -317,6 +317,7 @@ func (s *store) finishHydration(ctx context.Context, h *handle, ch chan struct{}
 	switch {
 	case err == nil:
 		counter(s.reg, metricRestoreOK)
+		hier.SolveSpace(g) // the layout view, counted from the start as after a build
 		s.mu.Lock()
 		h.hydrating = nil
 		h.restored = false

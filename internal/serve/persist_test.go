@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"hcd"
+	"hcd/internal/cli"
 	"hcd/internal/faultinject"
 	"hcd/internal/obs"
 )
@@ -489,5 +491,44 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("draining readyz carries no Retry-After")
+	}
+}
+
+// TestStoreChargesLayoutView: a built handle's bytes already include the
+// hierarchy's level-0 layout view — the store builds it with the hierarchy —
+// so the first one-column solve, which runs in that view, leaves the charged
+// bytes equal to what the graph and hierarchy hold.
+func TestStoreChargesLayoutView(t *testing.T) {
+	g, err := hcd.FEMesh(40, 40, -1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(4, 1<<30, 1, hcd.DefaultHierarchyOptions(), nil, nil)
+	h, err := s.Put(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.readyChan(h)
+	status, g, hier, pool, err := s.solveState(h)
+	if err != nil || status != StatusReady {
+		t.Fatalf("handle %v: %v", status, err)
+	}
+	natural, layout := hier.GroupedShares()
+	if layout <= natural {
+		t.Fatalf("FE mesh level 0 grouped %.2f in natural order, %.2f in its solve space: no view", natural, layout)
+	}
+	e, err := pool.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Solve(context.Background(), cli.MeanFreeRHS(g.N(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	pool.release(e)
+	s.mu.Lock()
+	charged := h.bytes
+	s.mu.Unlock()
+	if held := g.Bytes() + hier.MemoryBytes(); charged != held {
+		t.Errorf("store charged %d bytes, graph and hierarchy hold %d after a solve", charged, held)
 	}
 }

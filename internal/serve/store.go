@@ -236,6 +236,11 @@ func (s *store) build(ctx context.Context, h *handle, opts hcd.HierarchyOptions)
 	if err == nil {
 		hier, err = hcd.NewHierarchyCtx(ctx, h.g, opts)
 	}
+	if err == nil {
+		// One-column solves build the hierarchy's layout view on first use;
+		// build it now, so the byte budget counts it from the start.
+		hier.SolveSpace(h.g)
+	}
 	dur := s.now().Sub(start)
 	sp.End()
 	observe(s.reg, metricBuildTime, dur)

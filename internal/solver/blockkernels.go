@@ -317,18 +317,25 @@ func blockXPBYTail(p, z, beta []float64, k, j0, lo, hi int) {
 	}
 }
 
-// packColumns interleaves k column vectors into the packed row-major block.
-func packColumns(bs [][]float64, dst []float64, n, k int) {
+// packColumns interleaves k column vectors into the packed row-major block,
+// gathering row v from entry perm[v] of each column when perm is not nil.
+func packColumns(bs [][]float64, perm []int32, dst []float64, n, k int) {
 	grain := blockGrain(k)
 	if n <= grain || par.Workers() == 1 {
-		packRange(bs, dst, k, 0, n)
+		packRange(bs, perm, dst, k, 0, n)
 		return
 	}
-	par.For(n, grain, func(lo, hi int) { packRange(bs, dst, k, lo, hi) })
+	par.For(n, grain, func(lo, hi int) { packRange(bs, perm, dst, k, lo, hi) })
 }
 
-func packRange(bs [][]float64, dst []float64, k, lo, hi int) {
+func packRange(bs [][]float64, perm []int32, dst []float64, k, lo, hi int) {
 	for j, b := range bs {
+		if perm != nil {
+			for v, u := range perm[lo:hi] {
+				dst[(lo+v)*k+j] = b[u]
+			}
+			continue
+		}
 		for v := lo; v < hi; v++ {
 			dst[v*k+j] = b[v]
 		}

@@ -48,6 +48,19 @@ type applier interface {
 	Apply(dst, x []float64)
 }
 
+// spaced is the optional interface of a preconditioner that knows a faster
+// numbering for a one-column solve of g's Laplacian — the hierarchy's level-0
+// layout view, whose rows come in the groups the row kernels want. SolveSpace
+// returns the permutation (vertex i of the space is vertex perm[i] of g), g
+// renumbered by it and the preconditioner in that numbering, or a nil perm
+// for none.
+type spaced interface {
+	SolveSpace(g *graph.Graph) (perm []int32, gs *graph.Graph, ms interface {
+		Dim() int
+		Apply(dst, x []float64)
+	})
+}
+
 // scratch owns the work buffers of one solve. A fresh scratch per call gives
 // allocate-per-solve behavior; an Engine keeps one alive so repeated solves
 // reuse every buffer. The packed buffers are sized n·k and never shrink, so a
@@ -77,6 +90,10 @@ type scratch struct {
 	// one is the column list of a single right-hand side, so Engine.Solve
 	// builds none per call.
 	one [1][]float64
+	// perm is the current solve's space (spaced): nil for the caller's
+	// numbering, else the packing copy gathers b through it and the unpacking
+	// copy scatters x through it.
+	perm []int32
 
 	allocs int
 }
@@ -230,6 +247,10 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 		}
 		cols = append(cols, j)
 	}
+	s.perm = nil
+	if len(cols) == 1 {
+		a, m = s.space(a, m)
+	}
 	if len(cols) > 0 {
 		s.attempt(ctx, a, m, bs, cols, opt, results, false)
 		if opt.Recovery.MaxRestarts > 0 {
@@ -237,6 +258,28 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 		}
 	}
 	return results, errors.Join(errs...)
+}
+
+// space moves a one-column solve of a graph Laplacian into its
+// preconditioner's solve space, when it has one: it returns the operator on
+// the renumbered graph and the preconditioner in that numbering, and sets
+// s.perm. Block solves stay in the caller's numbering: the column tiles walk
+// rows one at a time whatever their grouping.
+func (s *scratch) space(a Operator, m Preconditioner) (Operator, Preconditioner) {
+	lap, ok := a.(lapOperator)
+	if !ok {
+		return a, m
+	}
+	sp, ok := m.(spaced)
+	if !ok {
+		return a, m
+	}
+	perm, gs, ms := sp.SolveSpace(lap.g)
+	if perm == nil {
+		return a, m
+	}
+	s.perm = perm
+	return lapOperator{gs}, ms
 }
 
 // recoverableCols filters cols, in place, to the columns a restart can help.
@@ -363,12 +406,16 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	if warm {
 		// r = b − A·x: resume from the accumulated solutions (a column reset
 		// to zero gets r = b).
-		packColumns(src, x, n, k)
+		packColumns(src, s.perm, x, n, k)
 		s.applyBlock(a, ap, x, n, k)
 		for pos, j := range cols {
 			b := bs[j]
 			for v := 0; v < n; v++ {
-				r[v*k+pos] = b[v] - ap[v*k+pos]
+				u := v
+				if s.perm != nil {
+					u = int(s.perm[v])
+				}
+				r[v*k+pos] = b[u] - ap[v*k+pos]
 			}
 		}
 	} else {
@@ -376,7 +423,7 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 		for pos, j := range cols {
 			src[pos] = bs[j]
 		}
-		packColumns(src, r, n, k)
+		packColumns(src, s.perm, r, n, k)
 	}
 	for pos := range src {
 		src[pos] = nil // the scratch outlives the caller's vectors
@@ -613,6 +660,11 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 		sp.Arg("k", k)
 		sp.Arg("iterations", iters)
 		sp.Arg("kernel", kernel.Name())
+		if s.perm != nil {
+			sp.Arg("space", "layout")
+		} else {
+			sp.Arg("space", "natural")
+		}
 	}
 }
 
@@ -625,8 +677,14 @@ func (s *scratch) deflate(results []Result, n, kA int, dead []bool, extras ...[]
 	for pos := 0; pos < kA; pos++ {
 		if dead[pos] {
 			xc := results[s.active[pos]].X
-			for v := 0; v < n; v++ {
-				xc[v] = s.x[v*kA+pos]
+			if s.perm != nil {
+				for v, u := range s.perm {
+					xc[u] = s.x[v*kA+pos]
+				}
+			} else {
+				for v := 0; v < n; v++ {
+					xc[v] = s.x[v*kA+pos]
+				}
 			}
 		} else {
 			keep = append(keep, pos)
