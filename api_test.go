@@ -65,7 +65,7 @@ func TestDecomposeSpectralFacade(t *testing.T) {
 
 func TestBuildLaminarFacade(t *testing.T) {
 	g := hcd.Grid2D(14, 14, hcd.LognormalWeights(1), 3)
-	l, err := hcd.BuildLaminar(g, 4, 6, 1)
+	l, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,35 +82,6 @@ func TestBuildLaminarFacade(t *testing.T) {
 	}
 	if err := hcd.Validate(d); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRandomWalkFacade(t *testing.T) {
-	g := hcd.Grid2D(8, 8, hcd.LognormalWeights(1), 4)
-	w, err := hcd.NewRandomWalk(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Dirac(5)
-	w.Evolve(p, 10)
-	d := fixedDegree(t, g, 4, 1)
-	mass := hcd.ClusterMass(d, p)
-	tot := 0.0
-	for _, m := range mass {
-		tot += m
-	}
-	if math.Abs(tot-1) > 1e-12 {
-		t.Errorf("cluster mass sums to %v", tot)
-	}
-	if psi := hcd.BoundaryRatio(d, 0); psi <= 0 || psi >= 1 {
-		t.Errorf("ψ = %v", psi)
-	}
-	pi, err := w.Stationary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tv := hcd.TotalVariation(p, pi); tv < 0 || tv > 1 {
-		t.Errorf("TV = %v", tv)
 	}
 }
 
@@ -235,7 +206,7 @@ func TestPreconditionerLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions())
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +229,7 @@ func TestPreconditionerLadder(t *testing.T) {
 // the whole graph to the coarse factorization.
 func TestHierarchyOptionsLiteral(t *testing.T) {
 	g := hcd.Grid3D(24, 24, 24, hcd.LognormalWeights(1), 1)
-	h, err := hcd.NewHierarchy(g, hcd.HierarchyOptions{SizeCap: 4, DirectLimit: 600})
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.HierarchyOptions{SizeCap: 4, DirectLimit: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,27 +260,6 @@ func TestGridSubgraphPreconditioner(t *testing.T) {
 	}
 	if _, err := hcd.NewGridSubgraphPreconditioner(g, side+1, side, side, 3); err == nil {
 		t.Error("wrong dims accepted")
-	}
-}
-
-func TestResistanceComputerFacade(t *testing.T) {
-	// Unit square: R across one side = (1·3)/(1+3) = 3/4.
-	g, err := hcd.NewGraph(4, []hcd.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 3, V: 0, W: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := hcd.NewResistanceComputer(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.Between(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r-0.75) > 1e-8 {
-		t.Errorf("R = %v, want 0.75", r)
 	}
 }
 

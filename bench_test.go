@@ -161,7 +161,7 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 	g := hcd.OCT3D(20, 20, 20, hcd.DefaultOCTOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions()); err != nil {
+		if _, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func BenchmarkContract(b *testing.B) {
 
 func BenchmarkHierarchySolveOCT(b *testing.B) {
 	g := hcd.OCT3D(20, 20, 20, hcd.DefaultOCTOptions())
-	h, err := hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions())
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

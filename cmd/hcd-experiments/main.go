@@ -184,8 +184,8 @@ func e2() {
 	tCluster := timeIt("clustering", func() { must(decomposeFixedDegree(g, 4, 1)) })
 	tKruskal := timeIt("kruskal", func() { mst.Kruskal(g, mst.Max) })
 	tPrim := timeIt("prim", func() { mst.Prim(g, mst.Max) })
-	tBoruvka := timeIt("boruvka", func() { mst.Boruvka(g, mst.Max, false) })
-	tBoruvkaP := timeIt("boruvka-par", func() { mst.Boruvka(g, mst.Max, true) })
+	tBoruvka := timeIt("boruvka", func() { mst.BoruvkaCtx(obsCtx, g, mst.Max, false) })
+	tBoruvkaP := timeIt("boruvka-par", func() { mst.BoruvkaCtx(obsCtx, g, mst.Max, true) })
 	t := cli.NewTable("construction", "time", "vs clustering")
 	t.Row("§3.1 clustering (parallel)", tCluster, 1.0)
 	t.Row("Kruskal max-ST", tKruskal, float64(tKruskal)/float64(tCluster))
@@ -308,7 +308,7 @@ func e8() {
 	}
 	for _, side := range sides {
 		g := hcd.OCT3D(side, side, side, hcd.DefaultOCTOptions())
-		h := must(hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions()))
+		h := must(hcd.NewHierarchyCtx(obsCtx, g, hcd.DefaultHierarchyOptions()))
 		res := must(solvePCG(g, cli.MeanFreeRHS(g.N(), 9), h, hcd.DefaultSolveOptions()))
 		var visits []string
 		for _, s := range h.LevelScales() {
@@ -386,7 +386,7 @@ func a5() {
 	sp := must(hcd.NewSteinerPreconditioner(d))
 	sr := must(solvePCG(g, b, sp, hcd.DefaultSolveOptions()))
 	t.Row("steiner (heaviest-edge clusters)", sr.Iterations, sr.Converged)
-	h := must(hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions()))
+	h := must(hcd.NewHierarchyCtx(obsCtx, g, hcd.DefaultHierarchyOptions()))
 	hr := must(solvePCG(g, b, h, hcd.DefaultSolveOptions()))
 	t.Row("steiner hierarchy", hr.Iterations, hr.Converged)
 	fmt.Print(t)

@@ -313,7 +313,7 @@ func probeCycleSPD(rng *rand.Rand, g *hcd.Graph, directLimit int) (*hcd.Hierarch
 	opt.DirectLimit = directLimit
 	opt.Smooth = 1 + rng.Intn(2)
 	opt.Seed = rng.Int63()
-	m, err := hcd.NewHierarchy(g, opt)
+	m, err := hcd.NewHierarchyCtx(context.Background(), g, opt)
 	if err != nil {
 		return nil, err
 	}

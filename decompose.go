@@ -207,11 +207,7 @@ func DecomposeCtx(ctx context.Context, g *Graph, opt DecomposeOptions) (*Decompo
 func buildTreeMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *DecomposeResult) error {
 	return p.Run(decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
-		if opt.Parallel {
-			res.D, err = decomp.TreeParallelCtx(ctx, g)
-		} else {
-			res.D, err = decomp.TreeCtx(ctx, g)
-		}
+		res.D, err = decomp.TreeCtx(ctx, g, opt.Parallel)
 		return stageInfoOf(res.D), err
 	})
 }
@@ -298,7 +294,7 @@ func buildSparseMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *
 	var td *Decomposition
 	if err := p.Run(decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
-		td, err = decomp.TreeCtx(ctx, forest)
+		td, err = decomp.TreeCtx(ctx, forest, false)
 		return stageInfoOf(td), err
 	}); err != nil {
 		return err

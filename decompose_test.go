@@ -31,7 +31,7 @@ func sameAssignment(t *testing.T, label string, want, got *hcd.Decomposition) {
 
 func TestDecomposeCtxMatchesTreeWrappers(t *testing.T) {
 	g := hcd.RandomTree(500, hcd.LognormalWeights(1), 3)
-	want, err := decomp.TreeCtx(context.Background(), g)
+	want, err := decomp.TreeCtx(context.Background(), g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestBuildLaminarCtxAndHierarchyCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := hcd.BuildLaminar(g, 4, 10, 1)
+	plain, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

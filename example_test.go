@@ -58,29 +58,3 @@ func ExampleSolveCtx() {
 	// Output:
 	// converged: true
 }
-
-// ExampleLocalCluster grows one cluster around a seed without touching the
-// whole graph.
-func ExampleLocalCluster() {
-	// Two 8-cliques joined by one light edge.
-	var edges []hcd.Edge
-	for b := 0; b < 2; b++ {
-		for i := 0; i < 8; i++ {
-			for j := i + 1; j < 8; j++ {
-				edges = append(edges, hcd.Edge{U: b*8 + i, V: b*8 + j, W: 1})
-			}
-		}
-	}
-	edges = append(edges, hcd.Edge{U: 0, V: 8, W: 0.01})
-	g, err := hcd.NewGraph(16, edges)
-	if err != nil {
-		panic(err)
-	}
-	res, err := hcd.LocalCluster(g, 3, hcd.DefaultLocalClusterOptions())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("cluster: %v\n", res.Cluster)
-	// Output:
-	// cluster: [0 1 2 3 4 5 6 7]
-}

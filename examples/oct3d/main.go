@@ -64,7 +64,7 @@ func main() {
 		return sub.P, nil
 	})
 	run("steiner hierarchy", func() (hcd.Preconditioner, error) {
-		return hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions())
+		return hcd.NewHierarchyCtx(ctx, g, hcd.DefaultHierarchyOptions())
 	})
 }
 

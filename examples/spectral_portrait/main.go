@@ -52,7 +52,7 @@ func main() {
 
 	// Recover the planted blocks by recursing: compose laminar levels until
 	// the quotient is block-sized, then check cluster purity.
-	lam, err := hcd.BuildLaminar(g, 4, 12, 1)
+	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 12, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

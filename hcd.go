@@ -12,16 +12,14 @@
 //
 //	g, _ := hcd.NewGraph(n, edges)
 //	r, _ := hcd.DecomposeCtx(ctx, g, hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree))
-//	rep := hcd.Evaluate(r.D)                     // measured φ, ρ, γ
+//	rep := r.Report                              // measured φ, ρ, γ
 //	p, _ := hcd.NewSteinerPreconditioner(r.D)    // Section 3 preconditioner
 //	res, _ := hcd.SolvePCGCtx(ctx, g, b, p, hcd.DefaultSolveOptions())
 //
-// Every decomposition method is also reachable through the unified
-// context-aware pipeline, which reports per-stage build metrics and honors
-// cancellation:
-//
-//	r, _ := hcd.DecomposeCtx(ctx, g, hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree))
-//	_, _, _ = r.D, r.Report, r.Metrics
+// Every operation has one entry point, and every entry point that can run
+// long takes a context: DecomposeCtx runs each decomposition method through
+// one pipeline that reports per-stage build metrics (r.Metrics) and honors
+// cancellation, and Do runs every solve.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -113,20 +111,13 @@ const (
 	LowStretchTree = sparsify.LowStretchTree
 )
 
-// PlanarOptions configures the sparse subgraph — a base tree plus extra
-// off-tree edges — of the subgraph preconditioners.
-type PlanarOptions struct {
-	Base BaseTree
-	// ExtraFraction controls the off-tree edges kept in the subgraph B
-	// (fraction of n); the paper's "constant fraction".
-	ExtraFraction float64
-	Seed          int64
-}
+// PlanarOptions configures the sparse subgraph — a base tree plus
+// ExtraFraction·n off-tree edges, the paper's "constant fraction" — of the
+// subgraph preconditioners.
+type PlanarOptions = sparsify.Options
 
 // DefaultPlanarOptions uses a max-weight base tree with n/4 extra edges.
-func DefaultPlanarOptions() PlanarOptions {
-	return PlanarOptions{Base: MaxWeightTree, ExtraFraction: 0.25, Seed: 1}
-}
+func DefaultPlanarOptions() PlanarOptions { return sparsify.DefaultOptions() }
 
 // Evaluate measures a decomposition: minimum closure conductance φ (exact
 // for clusters of up to MaxExactConductance core vertices, however many
@@ -152,14 +143,10 @@ func DefaultSpectralCutOptions() SpectralCutOptions { return spectralcut.Default
 // refinement checks, and per-level quality reports.
 type LaminarTree = laminar.Laminar
 
-// BuildLaminar clusters g recursively (Section 3.1 at every level) until
-// the quotient has at most coarse vertices, returning the full hierarchy.
-func BuildLaminar(g *Graph, sizeCap, coarse int, seed int64) (*LaminarTree, error) {
-	return laminar.Build(g, sizeCap, coarse, seed)
-}
-
-// BuildLaminarCtx is BuildLaminar under a context; a cancelled build returns
-// an error wrapping ErrBuildCancelled and the context's error.
+// BuildLaminarCtx clusters g recursively (Section 3.1 at every level) until
+// the quotient has at most coarse vertices, returning the full hierarchy. A
+// cancelled build returns an error wrapping ErrBuildCancelled and the
+// context's error.
 func BuildLaminarCtx(ctx context.Context, g *Graph, sizeCap, coarse int, seed int64) (*LaminarTree, error) {
 	return laminar.BuildCtx(ctx, g, sizeCap, coarse, seed)
 }

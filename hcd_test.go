@@ -203,7 +203,7 @@ func TestMeasureSupportSteiner(t *testing.T) {
 
 func TestLaminarHierarchyLevels(t *testing.T) {
 	g := hcd.Grid3D(10, 10, 10, hcd.LognormalWeights(1), 12)
-	lam, err := hcd.BuildLaminar(g, 4, 50, 1)
+	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestNewGraphValidation(t *testing.T) {
 
 func TestLaminarValidation(t *testing.T) {
 	g := hcd.Grid2D(4, 4, nil, 1)
-	if _, err := hcd.BuildLaminar(g, 4, 0, 1); err == nil {
+	if _, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 0, 1); err == nil {
 		t.Error("coarse=0 accepted")
 	}
 }

@@ -6,11 +6,12 @@
 //
 // Three constructions are provided:
 //
-//   - Tree (Theorem 2.1): 3-critical-vertex clustering of trees and forests.
-//   - SparseCore (the engine of Theorems 2.2/2.3): strip degree-1/degree-2
+//   - TreeCtx (Theorem 2.1): 3-critical-vertex clustering of trees and
+//     forests.
+//   - SparseCoreCtx (the engine of Theorems 2.2/2.3): strip degree-1/degree-2
 //     vertices of a tree-plus-few-edges subgraph to a core W, cut the
-//     lightest edge of every W–W path, and run Tree on the resulting trees.
-//   - FixedDegree (Section 3.1): the embarrassingly parallel
+//     lightest edge of every W–W path, and run TreeCtx on the resulting trees.
+//   - FixedDegreeCtx (Section 3.1): the embarrassingly parallel
 //     perturb/heaviest-edge/split clustering.
 package decomp
 

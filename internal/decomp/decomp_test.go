@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func TestTreeDecompositionTinyTrees(t *testing.T) {
 		if n == 0 {
 			g = graph.MustFromEdges(0, nil)
 		}
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestTreeDecompositionTinyTrees(t *testing.T) {
 func TestTreeDecompositionPaths(t *testing.T) {
 	for _, n := range []int{4, 5, 7, 10, 23, 50, 101} {
 		g := workload.Caterpillar(n, 0, nil, 1)
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestTreeDecompositionPaths(t *testing.T) {
 
 func TestTreeDecompositionStarsAndCaterpillars(t *testing.T) {
 	star := workload.Caterpillar(1, 50, nil, 1)
-	d, err := Tree(star)
+	d, err := TreeCtx(context.Background(), star, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTreeDecompositionStarsAndCaterpillars(t *testing.T) {
 		t.Errorf("star should be one cluster, got %d", d.Count)
 	}
 	cat := workload.Caterpillar(20, 3, workload.UniformWeight(0.1, 10), 7)
-	d, err = Tree(cat)
+	d, err = TreeCtx(context.Background(), cat, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestTreeDecompositionRandomTreesUnitWeights(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		n := 4 + rng.Intn(150)
 		g := treealg.RandomTree(rng, n, nil)
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestTreeDecompositionRandomWeights(t *testing.T) {
 		g := treealg.RandomTree(rng, n, func() float64 {
 			return math.Exp(rng.NormFloat64() * 2) // heavy-tailed weights
 		})
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestTreeDecompositionForest(t *testing.T) {
 		es = append(es, graph.Edge{U: 10, V: i, W: 2})
 	}
 	g := graph.MustFromEdges(18, es)
-	d, err := Tree(g)
+	d, err := TreeCtx(context.Background(), g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +179,14 @@ func TestTreeDecompositionForest(t *testing.T) {
 
 func TestTreeRejectsCycles(t *testing.T) {
 	cyc := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1}})
-	if _, err := Tree(cyc); err == nil {
+	if _, err := TreeCtx(context.Background(), cyc, false); err == nil {
 		t.Error("cycle accepted")
 	}
 }
 
 func TestFixedDegreeGrid(t *testing.T) {
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 3)
-	d, err := FixedDegree(g, 4, 1)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestFixedDegreeRegular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := FixedDegree(g, 4, 2)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +232,14 @@ func TestFixedDegreeRegular(t *testing.T) {
 
 func TestFixedDegreeDeterministic(t *testing.T) {
 	g := workload.Grid2D(15, 15, workload.Lognormal(1), 4)
-	d1, _ := FixedDegree(g, 4, 7)
-	d2, _ := FixedDegree(g, 4, 7)
+	d1, _ := FixedDegreeCtx(context.Background(), g, 4, 7)
+	d2, _ := FixedDegreeCtx(context.Background(), g, 4, 7)
 	for v := range d1.Assign {
 		if d1.Assign[v] != d2.Assign[v] {
 			t.Fatal("FixedDegree not deterministic under fixed seed")
 		}
 	}
-	d3, _ := FixedDegree(g, 4, 8)
+	d3, _ := FixedDegreeCtx(context.Background(), g, 4, 8)
 	same := true
 	for v := range d1.Assign {
 		if d1.Assign[v] != d3.Assign[v] {
@@ -255,7 +256,7 @@ func TestFixedDegreeUniformTies(t *testing.T) {
 	// Unit weights everywhere: only the perturbation breaks ties. The
 	// forest property must still hold (this is ablation A2's premise).
 	g := workload.Grid2D(20, 20, nil, 1)
-	d, err := FixedDegree(g, 4, 5)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +270,10 @@ func TestFixedDegreeUniformTies(t *testing.T) {
 
 func TestFixedDegreeSizeCapValidation(t *testing.T) {
 	g := workload.Grid2D(4, 4, nil, 1)
-	if _, err := FixedDegree(g, 1, 1); err == nil {
+	if _, err := FixedDegreeCtx(context.Background(), g, 1, 1); err == nil {
 		t.Error("sizeCap 1 accepted")
 	}
-	if _, err := FixedDegree(graph.MustFromEdges(0, nil), 4, 1); err != nil {
+	if _, err := FixedDegreeCtx(context.Background(), graph.MustFromEdges(0, nil), 4, 1); err != nil {
 		t.Error("empty graph should succeed")
 	}
 }
@@ -291,7 +292,7 @@ func TestSparseCoreOnTreePlusEdges(t *testing.T) {
 			}
 		}
 		b := graph.MustFromEdges(n, es)
-		d, stats, err := SparseCore(b)
+		d, stats, err := SparseCoreCtx(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +318,7 @@ func TestSparseCoreCycle(t *testing.T) {
 		es = append(es, graph.Edge{U: i, V: (i + 1) % n, W: 1 + float64(i%5)})
 	}
 	g := graph.MustFromEdges(n, es)
-	d, stats, err := SparseCore(g)
+	d, stats, err := SparseCoreCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestSparseCoreCycle(t *testing.T) {
 func TestSparseCoreFallsBackToTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tree := treealg.RandomTree(rng, 40, nil)
-	d, stats, err := SparseCore(tree)
+	d, stats, err := SparseCoreCtx(context.Background(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestSparseCoreFallsBackToTree(t *testing.T) {
 
 func TestSparseCoreRejectsDisconnected(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
-	if _, _, err := SparseCore(g); err == nil {
+	if _, _, err := SparseCoreCtx(context.Background(), g); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 }
@@ -381,7 +382,7 @@ func TestSparseCoreWithMaxSpanningTreeBase(t *testing.T) {
 		}
 	}
 	b := graph.MustFromEdges(g.N(), bEdges)
-	d, _, err := SparseCore(b)
+	d, _, err := SparseCoreCtx(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +428,7 @@ func TestAtMostOneGammaViolationPerCluster(t *testing.T) {
 		g := treealg.RandomTree(rng, n, func() float64 {
 			return math.Exp(rng.NormFloat64())
 		})
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +517,7 @@ func TestMergeSingletonsImprovesRho(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		n := 50 + rng.Intn(200)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.2 + rng.Float64()*5 })
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +544,7 @@ func TestMergeSingletonsImprovesRho(t *testing.T) {
 
 func TestMergeSingletonsNoOpWhenNoSingletons(t *testing.T) {
 	g := workload.Grid2D(8, 8, workload.Lognormal(1), 1)
-	d, err := FixedDegree(g, 4, 1) // guaranteed singleton-free
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 1) // guaranteed singleton-free
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +556,7 @@ func TestMergeSingletonsNoOpWhenNoSingletons(t *testing.T) {
 
 func TestDetailsConsistentWithEvaluate(t *testing.T) {
 	g := workload.Grid2D(10, 10, workload.Lognormal(1), 8)
-	d, err := FixedDegree(g, 4, 1)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,11 +597,11 @@ func TestTreeParallelMatchesSequential(t *testing.T) {
 	for it := 0; it < 20; it++ {
 		n := 4 + rng.Intn(400)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.2 + rng.Float64()*5 })
-		seq, err := Tree(g)
+		seq, err := TreeCtx(context.Background(), g, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parl, err := TreeParallel(g)
+		parl, err := TreeCtx(context.Background(), g, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,7 +621,7 @@ func BenchmarkTreeDecomposition(b *testing.B) {
 	g := treealg.RandomTree(rng, 100000, func() float64 { return 0.1 + rng.Float64() })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Tree(g); err != nil {
+		if _, err := TreeCtx(context.Background(), g, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -630,7 +631,7 @@ func BenchmarkFixedDegreeGrid32(b *testing.B) {
 	g := workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FixedDegree(g, 4, 1); err != nil {
+		if _, err := FixedDegreeCtx(context.Background(), g, 4, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

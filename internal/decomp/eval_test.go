@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -23,7 +24,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	decomps := []*Decomposition{}
 	for trial := 0; trial < 6; trial++ {
 		tree := treealg.RandomTree(rng, 200+rng.Intn(400), func() float64 { return 0.5 + rng.Float64() })
-		d, err := Tree(tree)
+		d, err := TreeCtx(context.Background(), tree, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,13 +32,13 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), seed)
-		d, err := FixedDegree(g, 4, seed)
+		d, err := FixedDegreeCtx(context.Background(), g, 4, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		decomps = append(decomps, d)
 		g2 := workload.Grid2D(20, 20, workload.Lognormal(0.5), seed)
-		d2, err := FixedDegree(g2, 3+int(seed), seed)
+		d2, err := FixedDegreeCtx(context.Background(), g2, 3+int(seed), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestEvaluateParallelManyClusters(t *testing.T) {
 		defer runtime.GOMAXPROCS(old)
 	}
 	g := workload.Grid3D(12, 12, 12, workload.Lognormal(1), 5)
-	d, err := FixedDegree(g, 2, 5)
+	d, err := FixedDegreeCtx(context.Background(), g, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

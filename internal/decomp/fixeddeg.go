@@ -11,7 +11,7 @@ import (
 	"hcd/internal/par"
 )
 
-// FixedDegree implements the Section 3.1 clustering:
+// FixedDegreeCtx implements the Section 3.1 clustering:
 //
 //	[1] perturb each edge weight by an independent random factor in (1, 2);
 //	[2] every vertex keeps its heaviest perturbed incident edge — the union
@@ -28,14 +28,10 @@ import (
 // sizeCap must be at least 2. Clusters may exceed sizeCap by a small factor
 // at branchy vertices (at most 1 + d·(sizeCap−1) vertices); the cap controls
 // the expected size, which is what the reduction/condition trade-off needs.
-func FixedDegree(g *graph.Graph, sizeCap int, seed int64) (*Decomposition, error) {
-	return FixedDegreeCtx(context.Background(), g, sizeCap, seed)
-}
-
-// FixedDegreeCtx is FixedDegree under a context: the sequential passes poll
-// cancellation at bounded intervals and the parallel scan is bracketed by
-// checks, so a cancelled build returns an error wrapping ErrBuildCancelled
-// promptly.
+//
+// The sequential passes poll ctx at bounded intervals and the parallel scan
+// is bracketed by checks, so a cancelled build returns an error wrapping
+// ErrBuildCancelled promptly.
 func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64) (*Decomposition, error) {
 	if sizeCap < 2 {
 		return nil, fmt.Errorf("decomp: sizeCap must be ≥ 2, got %d: %w", sizeCap, graph.ErrInvalidInput)

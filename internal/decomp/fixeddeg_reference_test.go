@@ -319,7 +319,7 @@ func TestHeaviestEdgeMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				d, err := FixedDegree(g, 4, seed)
+				d, err := FixedDegreeCtx(context.Background(), g, 4, seed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,13 +7,13 @@ import (
 	"hcd/internal/graph"
 )
 
-// SparseStats reports the intermediate structure of the SparseCore pipeline.
+// SparseStats reports the intermediate structure of the SparseCoreCtx pipeline.
 type SparseStats struct {
 	CoreSize int // |W|: vertices kept after degree-1/2 reduction
 	CutEdges int // |C|: one lightest edge cut per core path
 }
 
-// SparseCore runs the decomposition engine of Theorem 2.2 on a graph b that
+// SparseCoreCtx runs the decomposition engine of Theorem 2.2 on a graph b that
 // is a spanning tree plus a (small) set of extra edges:
 //
 //  1. Greedily strip degree-1 vertices; on the remainder, the core W is the
@@ -32,17 +32,12 @@ type SparseStats struct {
 //
 // Steps 1–2 are exposed separately as CoreCutCtx so the pipeline can time
 // the strip/cut phase apart from the tree decomposition.
-func SparseCore(b *graph.Graph) (*Decomposition, SparseStats, error) {
-	return SparseCoreCtx(context.Background(), b)
-}
-
-// SparseCoreCtx is SparseCore under a context.
 func SparseCoreCtx(ctx context.Context, b *graph.Graph) (*Decomposition, SparseStats, error) {
 	forest, stats, err := CoreCutCtx(ctx, b)
 	if err != nil {
 		return nil, SparseStats{}, err
 	}
-	td, err := TreeCtx(ctx, forest)
+	td, err := TreeCtx(ctx, forest, false)
 	if err != nil {
 		return nil, SparseStats{}, err
 	}
@@ -57,7 +52,7 @@ func SparseCoreCtx(ctx context.Context, b *graph.Graph) (*Decomposition, SparseS
 // b itself is returned with zero stats.
 func CoreCutCtx(ctx context.Context, b *graph.Graph) (*graph.Graph, SparseStats, error) {
 	if !b.Connected() {
-		return nil, SparseStats{}, fmt.Errorf("decomp: SparseCore requires a connected graph")
+		return nil, SparseStats{}, fmt.Errorf("decomp: SparseCoreCtx requires a connected graph")
 	}
 	if b.IsForest() {
 		return b, SparseStats{}, nil

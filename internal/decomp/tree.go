@@ -11,7 +11,7 @@ import (
 	"hcd/internal/treealg"
 )
 
-// Tree computes the Theorem 2.1 decomposition of a tree or forest.
+// TreeCtx computes the Theorem 2.1 decomposition of a tree or forest.
 //
 // The construction follows the paper: compute the 3-critical vertices of
 // each (rooted) component; the non-critical vertices then form maximal
@@ -28,33 +28,15 @@ import (
 // worst-case constant certified by the local cut analysis is 1/3, and
 // measured values on non-adversarial weights sit at 1/2 or above — see
 // EXPERIMENTS.md E3).
-func Tree(g *graph.Graph) (*Decomposition, error) {
-	return treeImpl(context.Background(), g, false)
-}
-
-// TreeCtx is Tree under a context: cancellation mid-build returns an error
-// wrapping ErrBuildCancelled (and the context's own error) within one poll
-// interval.
-func TreeCtx(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
-	return treeImpl(ctx, g, false)
-}
-
-// TreeParallel is Tree with the per-bridge case analysis fanned out across
-// cores: 3-critical vertices come from the parallel machinery, the
-// non-critical groups are independent and evaluated concurrently, and only
-// the final cluster-id assignment is sequential — mirroring the "O(1)
-// parallel time after the 3-critical computation" claim of Theorem 2.1.
-// Results are identical to Tree.
-func TreeParallel(g *graph.Graph) (*Decomposition, error) {
-	return treeImpl(context.Background(), g, true)
-}
-
-// TreeParallelCtx is TreeParallel under a context.
-func TreeParallelCtx(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
-	return treeImpl(ctx, g, true)
-}
-
-func treeImpl(ctx context.Context, g *graph.Graph, parallel bool) (*Decomposition, error) {
+//
+// With parallel set, the per-bridge case analysis fans out across cores:
+// 3-critical vertices come from the parallel machinery, the non-critical
+// groups are independent and evaluated concurrently, and only the final
+// cluster-id assignment is sequential — mirroring the "O(1) parallel time
+// after the 3-critical computation" claim of Theorem 2.1. Results are
+// identical either way. Cancellation mid-build returns an error wrapping
+// ErrBuildCancelled (and the context's own error) within one poll interval.
+func TreeCtx(ctx context.Context, g *graph.Graph, parallel bool) (*Decomposition, error) {
 	if !g.IsForest() {
 		return nil, fmt.Errorf("decomp: Tree requires an acyclic graph")
 	}

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,7 +36,7 @@ func TestContractAcrossFamilies(t *testing.T) {
 		n := g.N()
 		assignments := map[string]func() ([]int, int){
 			"fixed-degree": func() ([]int, int) {
-				d, err := decomp.FixedDegree(g, 4, 1)
+				d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +136,7 @@ func TestContractMatchesMarkedReference(t *testing.T) {
 	}
 	cur := workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1)
 	for level := 0; cur.N() > 600; level++ {
-		d, err := decomp.FixedDegree(cur, 4, int64(1+level))
+		d, err := decomp.FixedDegreeCtx(context.Background(), cur, 4, int64(1+level))
 		if err != nil {
 			t.Fatal(err)
 		}

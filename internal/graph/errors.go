@@ -16,7 +16,7 @@ var (
 	ErrBadDimension = errors.New("dimension mismatch")
 
 	// ErrDisconnected marks operations that require a connected graph
-	// (e.g. effective-resistance queries).
+	// (e.g. the normalized-Laplacian eigensolver).
 	ErrDisconnected = errors.New("graph not connected")
 
 	// ErrInvalidInput marks caller-supplied arguments that violate an

@@ -296,7 +296,7 @@ func newCycleBench(t *testing.T, name string, g *graph.Graph, opt Options, rhsSe
 		t.Fatalf("%s: %v", name, err)
 	}
 	buildMS := float64(time.Since(start).Microseconds()) / 1e3
-	eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	eng, err := solver.NewEngine(solver.LapOperator(g), h, solver.DefaultOptions())
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -372,7 +372,7 @@ func TestCycleTable(t *testing.T) {
 			before := newRefCycle(tc.g, cb.h, 0.5, 0, math.Inf(1))
 			old := 0
 			for _, b := range cb.bs {
-				res := solver.PCG(solver.LapOperator(tc.g), solver.OpFunc{N: tc.g.N(), F: before.Apply}, b, solver.DefaultOptions())
+				res, _ := solver.PCGCtx(context.Background(), solver.LapOperator(tc.g), solver.OpFunc{N: tc.g.N(), F: before.Apply}, b, solver.DefaultOptions())
 				if !res.Converged {
 					t.Fatalf("%s: the ω=½ α=1 cycle did not converge", tc.name)
 				}
@@ -808,7 +808,7 @@ func TestDoubledTailWorkVectorsArePooled(t *testing.T) {
 		}
 	}
 
-	eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	eng, err := solver.NewEngine(solver.LapOperator(g), h, solver.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestHierarchyPCGConvergesOCT(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := meanFree(rng, g.N())
-		res := solver.PCG(solver.LapOperator(g), h, b, solver.DefaultOptions())
+		res, _ := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, b, solver.DefaultOptions())
 		if !res.Converged {
 			t.Fatalf("smooth=%d: multilevel PCG did not converge in %d iters", smooth, res.Iterations)
 		}
@@ -111,7 +111,7 @@ func TestHierarchyPCGConvergesOCT(t *testing.T) {
 // positive definite on mean-free vectors, under which PCG converges.
 func TestSteinerLargeQuotient(t *testing.T) {
 	g := workload.OCT3D(24, 24, 24, workload.DefaultOCTOptions())
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSteinerLargeQuotient(t *testing.T) {
 			t.Fatalf("Gram matrix of %d mean-free probes has eigenvalue %v (scale %.3g): %v", probes, v, scale, vals)
 		}
 	}
-	res := solver.PCG(solver.LapOperator(g), h, meanFree(rng, n), solver.DefaultOptions())
+	res, _ := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, meanFree(rng, n), solver.DefaultOptions())
 	if !res.Converged {
 		t.Fatalf("PCG did not converge in %d iterations", res.Iterations)
 	}
@@ -179,7 +179,7 @@ func TestHierarchyIterationsNearlyFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := meanFree(rng, g.N())
-		res := solver.PCG(solver.LapOperator(g), h, b, solver.DefaultOptions())
+		res, _ := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, b, solver.DefaultOptions())
 		if !res.Converged {
 			t.Fatalf("side=%d did not converge", side)
 		}
@@ -244,7 +244,7 @@ func TestHierarchyDisconnectedGraph(t *testing.T) {
 			b[comp*a.N()+v] -= s / float64(a.N())
 		}
 	}
-	res := solver.PCG(solver.LapOperator(g), h, b, solver.DefaultOptions())
+	res, _ := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, b, solver.DefaultOptions())
 	if !res.Converged {
 		t.Fatalf("disconnected solve did not converge (%d iters)", res.Iterations)
 	}
@@ -343,6 +343,6 @@ func BenchmarkHierarchyPCGSolve(b *testing.B) {
 	rhs := meanFree(rng, g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solver.PCG(solver.LapOperator(g), h, rhs, solver.DefaultOptions())
+		solver.PCGCtx(context.Background(), solver.LapOperator(g), h, rhs, solver.DefaultOptions())
 	}
 }

@@ -112,7 +112,7 @@ func TestLayoutSolveMatchesNatural(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := tc.g.N()
-		layout, err := solver.NewLapEngine(tc.g, h, solver.DefaultOptions())
+		layout, err := solver.NewEngine(solver.LapOperator(tc.g), h, solver.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestLayoutViewConcurrentFirstSolvesDeterministic(t *testing.T) {
 	var start, done sync.WaitGroup
 	start.Add(1)
 	for i := range xs {
-		eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+		eng, err := solver.NewEngine(solver.LapOperator(g), h, solver.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestLayoutViewConcurrentFirstSolvesDeterministic(t *testing.T) {
 	if h.view.Load() == nil {
 		t.Fatal("no view after the first solves")
 	}
-	eng, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	eng, err := solver.NewEngine(solver.LapOperator(g), h, solver.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestLayoutSolveWarmAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := solver.NewLapEngine(g, h, solver.DefaultOptions())
+	layout, err := solver.NewEngine(solver.LapOperator(g), h, solver.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,15 +20,10 @@ type Laminar struct {
 	Levels []*decomp.Decomposition
 }
 
-// Build clusters g recursively with the Section 3.1 algorithm until the
-// quotient has at most coarse vertices (or no further reduction happens).
-func Build(g *graph.Graph, sizeCap, coarse int, seed int64) (*Laminar, error) {
-	return BuildCtx(context.Background(), g, sizeCap, coarse, seed)
-}
-
-// BuildCtx is Build under a context, checked once per level on top of the
-// per-level clustering's own polling; cancellation returns an error wrapping
-// decomp.ErrBuildCancelled.
+// BuildCtx clusters g recursively with the Section 3.1 algorithm until the
+// quotient has at most coarse vertices (or no further reduction happens). The
+// context is checked once per level on top of the per-level clustering's own
+// polling; cancellation returns an error wrapping decomp.ErrBuildCancelled.
 func BuildCtx(ctx context.Context, g *graph.Graph, sizeCap, coarse int, seed int64) (*Laminar, error) {
 	if coarse < 1 {
 		return nil, fmt.Errorf("laminar: coarse must be ≥ 1")

@@ -1,6 +1,7 @@
 package lowstretch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,16 @@ import (
 	"hcd/internal/workload"
 )
 
+// akpw runs AKPWCtx without a deadline, failing the test on an error.
+func akpw(t testing.TB, g *graph.Graph, seed int64) []graph.Edge {
+	t.Helper()
+	out, err := AKPWCtx(context.Background(), g, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestAKPWSpanningTreeOnConnected(t *testing.T) {
 	cases := map[string]*graph.Graph{
 		"grid2d":     workload.Grid2D(15, 15, workload.Lognormal(1), 1),
@@ -22,7 +33,7 @@ func TestAKPWSpanningTreeOnConnected(t *testing.T) {
 		"singleEdge": graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 1, W: 3}}),
 	}
 	for name, g := range cases {
-		edges := AKPW(g, 7)
+		edges := akpw(t, g, 7)
 		if len(edges) != g.N()-1 {
 			t.Fatalf("%s: %d tree edges for n=%d", name, len(edges), g.N())
 		}
@@ -35,14 +46,14 @@ func TestAKPWSpanningTreeOnConnected(t *testing.T) {
 
 func TestAKPWDisconnectedAndTrivial(t *testing.T) {
 	g := graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 2}})
-	edges := AKPW(g, 1)
+	edges := akpw(t, g, 1)
 	if len(edges) != 2 {
 		t.Fatalf("forest edges = %d, want 2", len(edges))
 	}
-	if AKPW(graph.MustFromEdges(0, nil), 1) != nil {
+	if akpw(t, graph.MustFromEdges(0, nil), 1) != nil {
 		t.Error("empty graph should yield nil")
 	}
-	if AKPW(graph.MustFromEdges(3, nil), 1) != nil {
+	if akpw(t, graph.MustFromEdges(3, nil), 1) != nil {
 		t.Error("edgeless graph should yield nil")
 	}
 }
@@ -114,7 +125,7 @@ func TestTreeMetricAgainstBruteForce(t *testing.T) {
 
 func TestStretchesTreeEdgesAreOne(t *testing.T) {
 	g := workload.Grid2D(8, 8, workload.Lognormal(1), 9)
-	tree := AKPW(g, 1)
+	tree := akpw(t, g, 1)
 	inTree := make(map[[2]int]bool)
 	for _, e := range tree {
 		u, v := e.U, e.V
@@ -152,7 +163,7 @@ func TestAKPWStretchIsReasonable(t *testing.T) {
 	// Compare against the max-weight spanning tree: AKPW should not be
 	// drastically worse on a noisy grid (usually it is better).
 	g := workload.Grid2D(25, 25, workload.Lognormal(2), 11)
-	_, avgAKPW, err := Stretches(g, AKPW(g, 3))
+	_, avgAKPW, err := Stretches(g, akpw(t, g, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +221,6 @@ func BenchmarkAKPWGrid50(b *testing.B) {
 	g := workload.Grid2D(50, 50, workload.Lognormal(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = AKPW(g, 1)
+		_ = akpw(b, g, 1)
 	}
 }

@@ -186,19 +186,12 @@ func (h *edgeHeap) pop() graph.Edge {
 	return top
 }
 
-// Boruvka returns the edges of a spanning forest optimizing obj. Each round
-// every component selects its best incident edge and components merge; the
-// number of rounds is O(log n). When parallel is true the per-vertex best
-// edge scan and per-component reduction run across cores.
-func Boruvka(g *graph.Graph, obj Objective, parallel bool) []graph.Edge {
-	out, _ := BoruvkaCtx(context.Background(), g, obj, parallel)
-	return out
-}
-
-// BoruvkaCtx is Boruvka under a context, polling cancellation once per
-// merge round (each round is one O(m) scan, so the check interval is
-// bounded by a single pass over the graph). Results are identical to
-// Boruvka.
+// BoruvkaCtx returns the edges of a spanning forest optimizing obj. Each
+// round every component selects its best incident edge and components merge;
+// the number of rounds is O(log n). When parallel is true the per-vertex best
+// edge scan and per-component reduction run across cores. It polls
+// cancellation once per merge round (each round is one O(m) scan, so the
+// check interval is bounded by a single pass over the graph).
 func BoruvkaCtx(ctx context.Context, g *graph.Graph, obj Objective, parallel bool) ([]graph.Edge, error) {
 	n := g.N()
 	uf := newUnionFind(n)

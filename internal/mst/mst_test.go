@@ -1,12 +1,23 @@
 package mst
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"hcd/internal/graph"
 )
+
+// boruvka runs BoruvkaCtx without a deadline, failing the test on an error.
+func boruvka(t testing.TB, g *graph.Graph, obj Objective, parallel bool) []graph.Edge {
+	t.Helper()
+	out, err := BoruvkaCtx(context.Background(), g, obj, parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func randomConnected(rng *rand.Rand, n, extra int) *graph.Graph {
 	var es []graph.Edge
@@ -29,8 +40,8 @@ func TestAllAlgorithmsAgreeOnWeight(t *testing.T) {
 		for _, obj := range []Objective{Min, Max} {
 			wk := TotalWeight(Kruskal(g, obj))
 			wp := TotalWeight(Prim(g, obj))
-			wb := TotalWeight(Boruvka(g, obj, false))
-			wbp := TotalWeight(Boruvka(g, obj, true))
+			wb := TotalWeight(boruvka(t, g, obj, false))
+			wbp := TotalWeight(boruvka(t, g, obj, true))
 			if math.Abs(wk-wp) > 1e-9 || math.Abs(wk-wb) > 1e-9 || math.Abs(wk-wbp) > 1e-9 {
 				t.Fatalf("obj=%d weights differ: kruskal=%v prim=%v boruvka=%v parallel=%v",
 					obj, wk, wp, wb, wbp)
@@ -47,8 +58,8 @@ func TestResultIsSpanningTree(t *testing.T) {
 		for name, edges := range map[string][]graph.Edge{
 			"kruskal":      Kruskal(g, Max),
 			"prim":         Prim(g, Max),
-			"boruvka":      Boruvka(g, Max, false),
-			"boruvka(par)": Boruvka(g, Max, true),
+			"boruvka":      boruvka(t, g, Max, false),
+			"boruvka(par)": boruvka(t, g, Max, true),
 		} {
 			if len(edges) != n-1 {
 				t.Fatalf("%s: %d edges for n=%d", name, len(edges), n)
@@ -69,7 +80,7 @@ func TestSpanningForestOnDisconnected(t *testing.T) {
 	for name, edges := range map[string][]graph.Edge{
 		"kruskal": Kruskal(g, Max),
 		"prim":    Prim(g, Max),
-		"boruvka": Boruvka(g, Max, false),
+		"boruvka": boruvka(t, g, Max, false),
 	} {
 		if len(edges) != 4 {
 			t.Fatalf("%s: %d edges, want 4 (two trees)", name, len(edges))
@@ -134,7 +145,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 	empty := graph.MustFromEdges(0, nil)
 	single := graph.MustFromEdges(1, nil)
 	for _, g := range []*graph.Graph{empty, single} {
-		if len(Kruskal(g, Max)) != 0 || len(Prim(g, Max)) != 0 || len(Boruvka(g, Max, false)) != 0 {
+		if len(Kruskal(g, Max)) != 0 || len(Prim(g, Max)) != 0 || len(boruvka(t, g, Max, false)) != 0 {
 			t.Error("trivial graphs should yield empty forests")
 		}
 	}
@@ -142,9 +153,11 @@ func TestEmptyAndSingleton(t *testing.T) {
 
 func BenchmarkKruskalGrid(b *testing.B) { benchMST(b, func(g *graph.Graph) { Kruskal(g, Max) }) }
 func BenchmarkPrimGrid(b *testing.B)    { benchMST(b, func(g *graph.Graph) { Prim(g, Max) }) }
-func BenchmarkBoruvkaGrid(b *testing.B) { benchMST(b, func(g *graph.Graph) { Boruvka(g, Max, false) }) }
+func BenchmarkBoruvkaGrid(b *testing.B) {
+	benchMST(b, func(g *graph.Graph) { boruvka(b, g, Max, false) })
+}
 func BenchmarkBoruvkaParGrid(b *testing.B) {
-	benchMST(b, func(g *graph.Graph) { Boruvka(g, Max, true) })
+	benchMST(b, func(g *graph.Graph) { boruvka(b, g, Max, true) })
 }
 
 func benchMST(b *testing.B, run func(*graph.Graph)) {

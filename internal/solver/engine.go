@@ -10,8 +10,8 @@ import (
 
 // Engine is a reusable solve session: it owns an operator, a preconditioner,
 // default options, and all iteration work buffers. Repeated solves on one
-// graph — the effective-resistance pattern, batched right-hand sides —
-// allocate nothing after the first solve (Metrics.ScratchAllocs == 0).
+// graph — batched right-hand sides — allocate nothing after the first solve
+// (Metrics.ScratchAllocs == 0).
 //
 // An Engine is NOT safe for concurrent use; the parallelism lives inside the
 // kernels, not across solves. Overlapping calls are detected: the second
@@ -39,11 +39,6 @@ func NewEngine(a Operator, m Preconditioner, opt Options) (*Engine, error) {
 			m.Dim(), a.Dim(), graph.ErrBadDimension)
 	}
 	return &Engine{a: a, m: m, opt: opt}, nil
-}
-
-// NewLapEngine builds a solve session for a graph Laplacian system.
-func NewLapEngine(g *graph.Graph, m Preconditioner, opt Options) (*Engine, error) {
-	return NewEngine(LapOperator(g), m, opt)
 }
 
 // Dim returns the system dimension.

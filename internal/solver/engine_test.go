@@ -111,10 +111,10 @@ func TestPCGParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := workload.Grid2D(40, 40, workload.Lognormal(1), 5)
 	b := meanFreeRHS(rng, g.N())
-	serial := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	serial := pcg(t, LapOperator(g), Jacobi(g), b, DefaultOptions())
 
 	restore := forceParallel(8)
-	par := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	par := pcg(t, LapOperator(g), Jacobi(g), b, DefaultOptions())
 	restore()
 
 	if !serial.Converged || !par.Converged {
@@ -208,7 +208,7 @@ func TestOutcomeMaxIter(t *testing.T) {
 	b := meanFreeRHS(rng, g.N())
 	opt := DefaultOptions()
 	opt.MaxIter = 2
-	res := PCG(LapOperator(g), Jacobi(g), b, opt)
+	res := pcg(t, LapOperator(g), Jacobi(g), b, opt)
 	if res.Outcome != OutcomeMaxIter || res.Converged {
 		t.Errorf("outcome %v converged=%v, want max-iterations", res.Outcome, res.Converged)
 	}
@@ -221,7 +221,7 @@ func TestMetricsPopulated(t *testing.T) {
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 2)
 	rng := rand.New(rand.NewSource(18))
 	b := meanFreeRHS(rng, g.N())
-	res := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	res := pcg(t, LapOperator(g), Jacobi(g), b, DefaultOptions())
 	m := res.Metrics
 	if !res.Converged {
 		t.Fatalf("solve did not converge: %v", res.Outcome)
@@ -267,7 +267,7 @@ func TestProgressCallback(t *testing.T) {
 			t.Errorf("bad residual %v at iter %d", resid, iter)
 		}
 	}
-	res := PCG(LapOperator(g), Jacobi(g), b, opt)
+	res := pcg(t, LapOperator(g), Jacobi(g), b, opt)
 	if len(iters) != res.Iterations {
 		t.Errorf("progress called %d times for %d iterations", len(iters), res.Iterations)
 	}
@@ -284,7 +284,7 @@ func TestEngineRepeatedSolvesZeroAlloc(t *testing.T) {
 	g := workload.Grid2D(16, 16, workload.Lognormal(1), 5)
 	rng := rand.New(rand.NewSource(20))
 	b := meanFreeRHS(rng, g.N())
-	eng, err := NewLapEngine(g, Jacobi(g), DefaultOptions())
+	eng, err := NewEngine(LapOperator(g), Jacobi(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestEngineResultsAliasBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	b1 := meanFreeRHS(rng, g.N())
 	b2 := meanFreeRHS(rng, g.N())
-	eng, err := NewLapEngine(g, Jacobi(g), DefaultOptions())
+	eng, err := NewEngine(LapOperator(g), Jacobi(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestEngineChebyshevAndDimErrors(t *testing.T) {
 	g := workload.Grid2D(12, 12, workload.Lognormal(1), 6)
 	rng := rand.New(rand.NewSource(22))
 	b := meanFreeRHS(rng, g.N())
-	eng, err := NewLapEngine(g, Jacobi(g), DefaultOptions())
+	eng, err := NewEngine(LapOperator(g), Jacobi(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestEngineChebyshevAndDimErrors(t *testing.T) {
 	if _, err := eng.Solve(context.Background(), b[:10]); !errors.Is(err, graph.ErrBadDimension) {
 		t.Errorf("short rhs error %v, want ErrBadDimension", err)
 	}
-	if _, err := NewLapEngine(g, Identity(3), DefaultOptions()); !errors.Is(err, graph.ErrBadDimension) {
+	if _, err := NewEngine(LapOperator(g), Identity(3), DefaultOptions()); !errors.Is(err, graph.ErrBadDimension) {
 		t.Errorf("mismatched preconditioner error %v, want ErrBadDimension", err)
 	}
 }

@@ -96,7 +96,7 @@ func TestPCGFusedMatchesUnfused(t *testing.T) {
 					opt.ProjectMean = project
 					opt.MaxIter = 60
 					a, m := LapOperator(tc.g), Jacobi(tc.g)
-					res := PCG(a, m, b, opt)
+					res := pcg(t, a, m, b, opt)
 					x, resid, alphas, betas := pcgUnfused(a, m, b, opt)
 					same(t, "residuals", res.Residuals, resid)
 					same(t, "alphas", res.Alphas, alphas)

@@ -178,7 +178,7 @@ func TestEngineSolveBlockWarmAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	g := workload.Grid2D(16, 16, workload.Lognormal(1), 2)
 	n := g.N()
-	eng, err := NewLapEngine(g, Jacobi(g), DefaultOptions())
+	eng, err := NewEngine(LapOperator(g), Jacobi(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

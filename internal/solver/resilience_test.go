@@ -266,7 +266,7 @@ func TestBlockRecoveryRestartsStruckColumn(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Recovery = RecoveryPolicy{MaxRestarts: 1}
-	eng, err := NewLapEngine(g, Jacobi(g), opt)
+	eng, err := NewEngine(LapOperator(g), Jacobi(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestEngineBusyDetected(t *testing.T) {
 		}
 		copy(dst, r)
 	}}
-	eng, err := NewLapEngine(g, blocking, DefaultOptions())
+	eng, err := NewEngine(LapOperator(g), blocking, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

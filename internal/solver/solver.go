@@ -290,29 +290,12 @@ type Result struct {
 	Alphas, Betas []float64
 }
 
-// CG solves A·x = b with plain conjugate gradients.
-func CG(a Operator, b []float64, opt Options) Result {
-	return PCG(a, Identity(a.Dim()), b, opt)
-}
-
-// PCG solves A·x = b with preconditioned conjugate gradients. For singular
-// Laplacian operators set opt.ProjectMean so the right-hand side and
-// iterates stay orthogonal to the constant vector.
-//
-// PCG is a thin wrapper over PCGCtx with context.Background() and fresh
-// work buffers; it panics on dimension mismatch (historical behavior).
-func PCG(a Operator, m Preconditioner, b []float64, opt Options) Result {
-	res, err := PCGCtx(context.Background(), a, m, b, opt)
-	if err != nil {
-		panic("solver: " + err.Error())
-	}
-	return res
-}
-
-// PCGCtx is PCG with cancellation: the iteration loop polls ctx every
-// opt.CheckEvery iterations and returns OutcomeCancelled promptly when the
-// context is done. It returns an error (wrapping graph.ErrBadDimension) on
-// size mismatches instead of panicking. It is the one-column case of
+// PCGCtx solves A·x = b with preconditioned conjugate gradients (plain CG
+// for a nil m). For singular Laplacian operators set opt.ProjectMean so the
+// right-hand side and iterates stay orthogonal to the constant vector. The
+// iteration loop polls ctx every opt.CheckEvery iterations and returns
+// OutcomeCancelled promptly when the context is done; size mismatches return
+// an error wrapping graph.ErrBadDimension. It is the one-column case of
 // BlockPCGCtx.
 func PCGCtx(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options) (Result, error) {
 	return single(BlockPCGCtx(ctx, a, m, [][]float64{b}, opt))
@@ -368,25 +351,11 @@ func finishSolve(res *Result, s *scratch, start, iterStart time.Time, startAlloc
 	s.resid[0] = res.Residuals
 }
 
-// Chebyshev runs Chebyshev iteration for A·x = b given bounds
+// ChebyshevCtx runs Chebyshev iteration for A·x = b given bounds
 // [lmin, lmax] on the spectrum of M⁻¹A. It needs no inner products, making
 // it the classical communication-free companion to the parallel
-// preconditioners of Section 3.1.
-//
-// Chebyshev is a thin wrapper over ChebyshevCtx with context.Background();
-// it always runs the full iteration count (no tolerance-based early exit)
-// unless nothing of b is left to solve — zero, or constant under the mean
-// projection — where x = 0 is returned at once.
-func Chebyshev(a Operator, m Preconditioner, b []float64, lmin, lmax float64, iters int, projectMeanFlag bool) ([]float64, []float64, error) {
-	res, err := ChebyshevCtx(context.Background(), a, m, b, lmin, lmax,
-		Options{MaxIter: iters, ProjectMean: projectMeanFlag})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.X, res.Residuals, nil
-}
-
-// ChebyshevCtx runs Chebyshev iteration with cancellation and metrics.
+// preconditioners of Section 3.1. A b with nothing left to solve — zero, or
+// constant under the mean projection — returns x = 0 at once.
 // opt.MaxIter is the iteration count; when opt.Tol > 0 the loop exits early
 // once ‖r‖ ≤ Tol·‖r₀‖ (the per-iteration residual norm is instrumentation —
 // the recurrence itself stays inner-product-free). Outcome is
@@ -559,7 +528,10 @@ func SpectrumEstimate(alphas, betas []float64) (float64, float64, error) {
 // argument supplies the probe vector (it will be mean-projected).
 func ConditionEstimate(a Operator, m Preconditioner, probe []float64, iters int) (float64, error) {
 	opt := Options{Tol: 1e-14, MaxIter: iters, ProjectMean: true}
-	res := PCG(a, m, probe, opt)
+	res, err := PCGCtx(context.Background(), a, m, probe, opt)
+	if err != nil {
+		return 0, err
+	}
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,6 +25,16 @@ func meanFreeRHS(rng *rand.Rand, n int) []float64 {
 	return b
 }
 
+// pcg runs PCGCtx without a deadline, failing the test on an input error.
+func pcg(t testing.TB, a Operator, m Preconditioner, b []float64, opt Options) Result {
+	t.Helper()
+	res, err := PCGCtx(context.Background(), a, m, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func residualNorm(g *graph.Graph, x, b []float64) float64 {
 	ax := make([]float64, len(x))
 	g.LapMul(ax, x)
@@ -39,7 +50,7 @@ func TestCGSolvesLaplacian(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := workload.Grid2D(12, 12, workload.UniformWeight(0.5, 2), 1)
 	b := meanFreeRHS(rng, g.N())
-	res := CG(LapOperator(g), b, DefaultOptions())
+	res := pcg(t, LapOperator(g), Identity(g.N()), b, DefaultOptions())
 	if !res.Converged {
 		t.Fatalf("CG did not converge in %d iterations", res.Iterations)
 	}
@@ -54,13 +65,13 @@ func TestPCGJacobiBeatsCGOnSkewedWeights(t *testing.T) {
 	b := meanFreeRHS(rng, g.N())
 	opt := DefaultOptions()
 	opt.Tol = 1e-8
-	cg := CG(LapOperator(g), b, opt)
-	pcg := PCG(LapOperator(g), Jacobi(g), b, opt)
-	if !pcg.Converged {
+	cg := pcg(t, LapOperator(g), Identity(g.N()), b, opt)
+	pre := pcg(t, LapOperator(g), Jacobi(g), b, opt)
+	if !pre.Converged {
 		t.Fatalf("Jacobi-PCG did not converge")
 	}
-	if cg.Converged && cg.Iterations < pcg.Iterations/2 {
-		t.Errorf("plain CG (%d iters) much faster than Jacobi-PCG (%d)?", cg.Iterations, pcg.Iterations)
+	if cg.Converged && cg.Iterations < pre.Iterations/2 {
+		t.Errorf("plain CG (%d iters) much faster than Jacobi-PCG (%d)?", cg.Iterations, pre.Iterations)
 	}
 }
 
@@ -68,7 +79,7 @@ func TestPCGResidualHistoryMonotoneOverall(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := workload.Grid3D(6, 6, 6, workload.Lognormal(1), 2)
 	b := meanFreeRHS(rng, g.N())
-	res := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	res := pcg(t, LapOperator(g), Jacobi(g), b, DefaultOptions())
 	if len(res.Residuals) != res.Iterations+1 {
 		t.Fatalf("history length %d vs iterations %d", len(res.Residuals), res.Iterations)
 	}
@@ -79,7 +90,7 @@ func TestPCGResidualHistoryMonotoneOverall(t *testing.T) {
 
 func TestPCGZeroRHS(t *testing.T) {
 	g := workload.Grid2D(4, 4, nil, 1)
-	res := PCG(LapOperator(g), Jacobi(g), make([]float64, g.N()), DefaultOptions())
+	res := pcg(t, LapOperator(g), Jacobi(g), make([]float64, g.N()), DefaultOptions())
 	if !res.Converged || res.Iterations != 0 {
 		t.Errorf("zero rhs should converge instantly")
 	}
@@ -98,7 +109,7 @@ func TestPCGConstantRHSProjected(t *testing.T) {
 	for i := range b {
 		b[i] = 3.7
 	}
-	res := PCG(LapOperator(g), Identity(g.N()), b, DefaultOptions())
+	res := pcg(t, LapOperator(g), Identity(g.N()), b, DefaultOptions())
 	if !res.Converged {
 		t.Error("projected constant rhs should converge")
 	}
@@ -122,7 +133,7 @@ func TestSpectrumEstimateOnKnownOperator(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res := PCG(op, Identity(n), b, Options{Tol: 1e-14, MaxIter: n, ProjectMean: false})
+	res := pcg(t, op, Identity(n), b, Options{Tol: 1e-14, MaxIter: n, ProjectMean: false})
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		t.Fatal(err)
@@ -152,15 +163,17 @@ func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 	g := workload.Grid2D(10, 10, nil, 1)
 	b := meanFreeRHS(rng, g.N())
 	// Estimate spectrum of D⁻¹A via PCG first.
-	res := PCG(LapOperator(g), Jacobi(g), b, Options{Tol: 1e-13, MaxIter: 200, ProjectMean: true})
+	res := pcg(t, LapOperator(g), Jacobi(g), b, Options{Tol: 1e-13, MaxIter: 200, ProjectMean: true})
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, hist, err := Chebyshev(LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1, 200, true)
+	cheb, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1,
+		Options{MaxIter: 200, ProjectMean: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	x, hist := cheb.X, cheb.Residuals
 	if hist[len(hist)-1] > hist[0]*1e-4 {
 		t.Errorf("Chebyshev residual %v vs initial %v", hist[len(hist)-1], hist[0])
 	}
@@ -172,10 +185,11 @@ func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 func TestChebyshevRejectsBadBounds(t *testing.T) {
 	g := workload.Grid2D(3, 3, nil, 1)
 	b := make([]float64, g.N())
-	if _, _, err := Chebyshev(LapOperator(g), Jacobi(g), b, 0, 1, 5, true); err == nil {
+	opt := Options{MaxIter: 5, ProjectMean: true}
+	if _, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, 0, 1, opt); err == nil {
 		t.Error("lmin=0 accepted")
 	}
-	if _, _, err := Chebyshev(LapOperator(g), Jacobi(g), b, 2, 1, 5, true); err == nil {
+	if _, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, 2, 1, opt); err == nil {
 		t.Error("lmax < lmin accepted")
 	}
 }
@@ -192,6 +206,6 @@ func BenchmarkPCGJacobiGrid(b *testing.B) {
 	rhs := meanFreeRHS(rng, g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PCG(LapOperator(g), Jacobi(g), rhs, DefaultOptions())
+		pcg(b, LapOperator(g), Jacobi(g), rhs, DefaultOptions())
 	}
 }

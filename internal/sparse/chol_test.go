@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -149,7 +150,7 @@ func meanFreeRHS(rng *rand.Rand, g *graph.Graph) []float64 {
 func coarsen(t testing.TB, g *graph.Graph, limit int) *graph.Graph {
 	t.Helper()
 	for level := int64(0); g.N() > limit; level++ {
-		d, err := decomp.FixedDegree(g, 4, 1+level)
+		d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1+level)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ const (
 	LowStretchTree
 )
 
-// Options configures Sparsify.
+// Options configures SparsifyCtx.
 type Options struct {
 	Base BaseTree
 	// ExtraFraction is the number of off-tree edges to keep, as a fraction
@@ -57,18 +57,13 @@ type Result struct {
 	MaxDroppedStretch float64
 }
 
-// Sparsify returns the subgraph B of the connected graph g consisting of a
-// spanning tree plus the ⌈ExtraFraction·n⌉ off-tree edges of largest
+// SparsifyCtx returns the subgraph B of the connected graph g consisting of
+// a spanning tree plus the ⌈ExtraFraction·n⌉ off-tree edges of largest
 // stretch. Every edge of B is an edge of g with its original weight.
 //
-// Sparsify = BaseTreeCtx + FromTreeCtx with context.Background(); the two
-// halves are exposed separately so the decomposition pipeline can time the
-// base-tree construction apart from the stretch-driven edge selection.
-func Sparsify(g *graph.Graph, opt Options) (*Result, error) {
-	return SparsifyCtx(context.Background(), g, opt)
-}
-
-// SparsifyCtx is Sparsify under a context.
+// SparsifyCtx = BaseTreeCtx + FromTreeCtx; the two halves are exposed
+// separately so the decomposition pipeline can time the base-tree
+// construction apart from the stretch-driven edge selection.
 func SparsifyCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	tree, err := BaseTreeCtx(ctx, g, opt)
 	if err != nil {

@@ -54,7 +54,7 @@ func SqrtVolumes(g *graph.Graph) []float64 {
 func Smallest(g *graph.Graph, k, iters int, seed int64) ([]float64, [][]float64, error) {
 	n := g.N()
 	if !g.Connected() {
-		return nil, nil, fmt.Errorf("spectral: graph must be connected")
+		return nil, nil, fmt.Errorf("spectral: %w", graph.ErrDisconnected)
 	}
 	if k < 1 || k >= n {
 		return nil, nil, fmt.Errorf("spectral: k=%d out of range for n=%d", k, n)

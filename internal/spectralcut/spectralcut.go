@@ -41,19 +41,14 @@ type Stats struct {
 	EigenCalls int // Lanczos solves (the dominant cost)
 }
 
-// Decompose recursively bipartitions g until every cluster certifies
+// DecomposeCtx recursively bipartitions g until every cluster certifies
 // conductance ≥ TargetPhi (via exact enumeration when small, else a
 // spectral sweep-cut upper bound reaching the target is *not* proof, so
 // small clusters are certified exactly and large clusters use the Cheeger
-// lower bound λ₂/2).
-func Decompose(g *graph.Graph, opt Options) (*decomp.Decomposition, Stats, error) {
-	return DecomposeCtx(context.Background(), g, opt)
-}
-
-// DecomposeCtx is Decompose under a context, checked once per work-queue
-// item (each item costs at least one eigensolve or exact enumeration, so the
-// poll interval is bounded by a single split's work). Cancellation returns
-// an error wrapping decomp.ErrBuildCancelled.
+// lower bound λ₂/2). ctx is checked once per work-queue item (each item
+// costs at least one eigensolve or exact enumeration, so the poll interval
+// is bounded by a single split's work); cancellation returns an error
+// wrapping decomp.ErrBuildCancelled.
 func DecomposeCtx(ctx context.Context, g *graph.Graph, opt Options) (*decomp.Decomposition, Stats, error) {
 	if opt.TargetPhi <= 0 {
 		return nil, Stats{}, fmt.Errorf("spectralcut: TargetPhi must be positive")

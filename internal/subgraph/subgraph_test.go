@@ -1,6 +1,7 @@
 package subgraph
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -141,7 +142,7 @@ func TestDisconnectedForest(t *testing.T) {
 func TestSubgraphPreconditionedPCG(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 5)
-	res, err := sparsify.Sparsify(g, sparsify.DefaultOptions())
+	res, err := sparsify.SparsifyCtx(context.Background(), g, sparsify.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +152,14 @@ func TestSubgraphPreconditionedPCG(t *testing.T) {
 	}
 	t.Logf("core %d of %d", ProbeCoreSize(res.B), g.N())
 	b := meanFree(rng, g.N())
-	pcg := solver.PCG(solver.LapOperator(g), p, b, solver.DefaultOptions())
-	if !pcg.Converged {
-		t.Fatalf("subgraph PCG did not converge (%d iters)", pcg.Iterations)
+	pre, _ := solver.PCGCtx(context.Background(), solver.LapOperator(g), p, b, solver.DefaultOptions())
+	if !pre.Converged {
+		t.Fatalf("subgraph PCG did not converge (%d iters)", pre.Iterations)
 	}
-	cg := solver.CG(solver.LapOperator(g), b, solver.DefaultOptions())
-	t.Logf("subgraph PCG iters=%d, plain CG iters=%d", pcg.Iterations, cg.Iterations)
-	if cg.Converged && pcg.Iterations > cg.Iterations {
-		t.Errorf("subgraph preconditioner slower than plain CG: %d vs %d", pcg.Iterations, cg.Iterations)
+	cg, _ := solver.PCGCtx(context.Background(), solver.LapOperator(g), nil, b, solver.DefaultOptions())
+	t.Logf("subgraph PCG iters=%d, plain CG iters=%d", pre.Iterations, cg.Iterations)
+	if cg.Converged && pre.Iterations > cg.Iterations {
+		t.Errorf("subgraph preconditioner slower than plain CG: %d vs %d", pre.Iterations, cg.Iterations)
 	}
 }
 
@@ -234,7 +235,7 @@ func TestProbeCoreSizeMatchesElimination(t *testing.T) {
 
 func BenchmarkSubgraphApply(b *testing.B) {
 	g := workload.Grid3D(20, 20, 20, workload.Lognormal(1), 1)
-	res, err := sparsify.Sparsify(g, sparsify.DefaultOptions())
+	res, err := sparsify.SparsifyCtx(context.Background(), g, sparsify.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"hcd/internal/hierarchy"
 	"hcd/internal/lowstretch"
 	"hcd/internal/mst"
-	"hcd/internal/resist"
 	"hcd/internal/solver"
 	"hcd/internal/sparsify"
 	"hcd/internal/subgraph"
@@ -66,9 +65,7 @@ type SubgraphResult struct {
 // Cholesky factor whose minimum-degree ordering eliminates B's degree-1/2
 // chains first.
 func NewSubgraphPreconditioner(g *Graph, opt PlanarOptions) (*SubgraphResult, error) {
-	sres, err := sparsify.Sparsify(g, sparsify.Options{
-		Base: opt.Base, ExtraFraction: opt.ExtraFraction, Seed: opt.Seed,
-	})
+	sres, err := sparsify.SparsifyCtx(context.Background(), g, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +92,8 @@ func NewTreePreconditioner(g *Graph, base BaseTree, seed int64) (Preconditioner,
 	case MaxWeightTree:
 		edges = mst.Kruskal(g, mst.Max)
 	case LowStretchTree:
-		edges = lowstretch.AKPW(g, seed)
+		// AKPWCtx fails only when its context is cancelled, which this one never is.
+		edges, _ = lowstretch.AKPWCtx(context.Background(), g, seed)
 	default:
 		return nil, fmt.Errorf("hcd: unknown base tree %d: %w", base, ErrInvalidInput)
 	}
@@ -138,7 +136,7 @@ func NewSubgraphPreconditionerMatched(g *Graph, targetReduction float64, seed in
 	for iter := 0; iter < 12; iter++ {
 		mid := (lo + hi) / 2
 		opt := subgraphOpt(seed, mid)
-		sres, err := sparsify.Sparsify(g, sparsify.Options{Base: opt.Base, ExtraFraction: opt.ExtraFraction, Seed: opt.Seed})
+		sres, err := sparsify.SparsifyCtx(context.Background(), g, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -171,14 +169,9 @@ func DefaultHierarchyOptions() HierarchyOptions { return hierarchy.DefaultOption
 // precursor sketched in the paper's Section 1.1 and Remark 3.
 type Hierarchy = hierarchy.Hierarchy
 
-// NewHierarchy builds a multilevel Steiner preconditioner for g.
-func NewHierarchy(g *Graph, opt HierarchyOptions) (*Hierarchy, error) {
-	return hierarchy.New(g, opt)
-}
-
-// NewHierarchyCtx is NewHierarchy under a context: the per-level clusterings
-// poll cancellation, so a cancelled setup returns an error wrapping
-// ErrBuildCancelled promptly.
+// NewHierarchyCtx builds a multilevel Steiner preconditioner for g under a
+// context: the per-level clusterings poll cancellation, so a cancelled setup
+// returns an error wrapping ErrBuildCancelled promptly.
 func NewHierarchyCtx(ctx context.Context, g *Graph, opt HierarchyOptions) (*Hierarchy, error) {
 	return hierarchy.NewCtx(ctx, g, opt)
 }
@@ -197,15 +190,4 @@ func MeasureSupport(g *Graph, bInv Preconditioner, probe []float64, depth int) (
 // the preconditioned operator.
 func EstimateSpectrum(res SolveResult) (float64, float64, error) {
 	return solver.SpectrumEstimate(res.Alphas, res.Betas)
-}
-
-// ResistanceComputer answers effective-resistance queries
-// R_eff(u, v) = (e_u − e_v)ᵀA⁺(e_u − e_v) over one graph, reusing a
-// multilevel Steiner preconditioner across solves. Foster's theorem
-// (Σ_e w(e)·R_eff(e) = n − 1) certifies the whole solver stack end to end.
-type ResistanceComputer = resist.Computer
-
-// NewResistanceComputer prepares resistance queries for a connected graph.
-func NewResistanceComputer(g *Graph) (*ResistanceComputer, error) {
-	return resist.New(g)
 }

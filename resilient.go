@@ -139,23 +139,17 @@ func (r ResilienceReport) String() string {
 // and a single right-hand side.
 func SolveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOptions) (SolveResult, ResilienceReport, error) {
 	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, Method: SolveMethodResilient, Resilience: opt})
-	var res SolveResult
 	var rep ResilienceReport
-	if len(resp.Results) > 0 {
-		res = resp.Results[len(resp.Results)-1]
-	}
 	if len(resp.Resilience) > 0 {
-		rep = resp.Resilience[len(resp.Resilience)-1]
+		rep = resp.Resilience[0]
 	}
+	res, err := single(resp, err)
 	return res, rep, err
 }
 
 // solveResilient is the ladder implementation behind Do's resilient method
 // (and hence SolveResilient), one right-hand side per call.
 func solveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOptions) (SolveResult, ResilienceReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if opt.Solve.Tol <= 0 {
 		opt.Solve = DefaultSolveOptions()
 	}

@@ -22,7 +22,7 @@ import (
 // with errors.Is instead of matching message strings.
 var (
 	// ErrDisconnected: the operation requires a connected graph
-	// (e.g. NewResistanceComputer).
+	// (e.g. SmallestEigenpairs).
 	ErrDisconnected = graph.ErrDisconnected
 	// ErrBadDimension: vertex counts, edge endpoints, or vector lengths
 	// disagree with the graph/operator dimension (NewGraph, SolvePCGCtx,
@@ -70,15 +70,15 @@ type SolveMetrics = solver.Metrics
 
 // Engine is a reusable solve session over one graph: it owns the Laplacian
 // operator, a preconditioner, and pooled work buffers, so repeated solves
-// (batched right-hand sides, resistance queries) allocate nothing after the
-// first. Results alias engine buffers until the next call; an Engine is not
-// safe for concurrent use — run one Engine per goroutine.
+// (batched right-hand sides) allocate nothing after the first. Results alias
+// engine buffers until the next call; an Engine is not safe for concurrent
+// use — run one Engine per goroutine.
 type Engine = solver.Engine
 
 // NewEngine builds a solve session for g with the given preconditioner
 // (nil means unpreconditioned CG) and default options.
 func NewEngine(g *Graph, m Preconditioner, opt SolveOptions) (*Engine, error) {
-	return solver.NewLapEngine(g, m, opt)
+	return solver.NewEngine(solver.LapOperator(g), m, opt)
 }
 
 // NewHierarchyEngine builds the batteries-included session: a multilevel
@@ -89,26 +89,17 @@ func NewHierarchyEngine(g *Graph, hopt HierarchyOptions, opt SolveOptions) (*Eng
 	if err != nil {
 		return nil, err
 	}
-	return solver.NewLapEngine(g, h, opt)
+	return solver.NewEngine(solver.LapOperator(g), h, opt)
 }
 
 // SolvePCGCtx solves the Laplacian system A·x = b with preconditioned
 // conjugate gradients under a context: cancellation or deadline expiry stops
 // the iteration within one check interval (opt.CheckEvery, default 8
 // iterations) with OutcomeCancelled. Dimension mismatches return an error
-// wrapping ErrBadDimension. A nil m runs plain CG. This is a thin wrapper
-// over Do with a single right-hand side.
+// wrapping ErrBadDimension. A nil m runs plain CG (the PrecondNone spec). It
+// is Do with one right-hand side.
 func SolvePCGCtx(ctx context.Context, g *Graph, b []float64, m Preconditioner, opt SolveOptions) (SolveResult, error) {
-	req := SolveRequest{B: [][]float64{b}, Method: SolveMethodPCG, M: m, Options: opt}
-	if m == nil {
-		req.Precond.Kind = PrecondNone
-	}
-	resp, err := Do(ctx, g, req)
-	var res SolveResult
-	if len(resp.Results) > 0 {
-		res = resp.Results[len(resp.Results)-1]
-	}
-	return res, err
+	return single(Do(ctx, g, SolveRequest{B: [][]float64{b}, M: m, Precond: PrecondSpec{Kind: PrecondNone}, Options: opt}))
 }
 
 // SolveCtx is the batteries-included context-aware entry point: it builds a
@@ -117,12 +108,16 @@ func SolvePCGCtx(ctx context.Context, g *Graph, b []float64, m Preconditioner, o
 // a NewHierarchyEngine instead, which amortizes both the preconditioner and
 // the work buffers.
 func SolveCtx(ctx context.Context, g *Graph, b []float64) (SolveResult, error) {
-	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, Options: solver.DefaultOptions()})
-	var res SolveResult
-	if len(resp.Results) > 0 {
-		res = resp.Results[len(resp.Results)-1]
+	return single(Do(ctx, g, SolveRequest{B: [][]float64{b}, Options: solver.DefaultOptions()}))
+}
+
+// single unpacks a one-right-hand-side Do call: its one result (zero when Do
+// failed before attempting the column) and its error.
+func single(resp *SolveResponse, err error) (SolveResult, error) {
+	if len(resp.Results) == 0 {
+		return SolveResult{}, err
 	}
-	return res, err
+	return resp.Results[0], err
 }
 
 // ChebyshevOptions configures SolveChebyshevCtx: the bootstrap PCG probe
@@ -163,25 +158,11 @@ type ChebyshevResult struct {
 // inner-product-free companion of the parallel preconditioners (no
 // reductions across workers per step). It bootstraps eigenvalue bounds for
 // M⁻¹A from a short PCG probe, widens the Ritz bracket per opt, and
-// iterates under ctx. This is a thin wrapper over Do with
-// SolveMethodChebyshev and a single right-hand side.
+// iterates under ctx; a nil m runs unpreconditioned. It is Do with
+// SolveMethodChebyshev and one right-hand side. A cancelled probe returns
+// its partial result with the error, so the caller can inspect it.
 func SolveChebyshevCtx(ctx context.Context, g *Graph, b []float64, m Preconditioner, opt ChebyshevOptions) (ChebyshevResult, error) {
-	req := SolveRequest{B: [][]float64{b}, Method: SolveMethodChebyshev, M: m, Chebyshev: opt}
-	if m == nil {
-		req.Precond.Kind = PrecondNone
-	}
-	resp, err := Do(ctx, g, req)
-	if err != nil {
-		if len(resp.Results) > 0 {
-			// The cancelled-probe case: the probe result travels back so
-			// the caller can inspect the partial solve.
-			return ChebyshevResult{SolveResult: resp.Results[0], ProbeMetrics: resp.ProbeMetrics}, err
-		}
-		return ChebyshevResult{}, err
-	}
-	return ChebyshevResult{
-		SolveResult: resp.Results[0],
-		Lmin:        resp.Lmin, Lmax: resp.Lmax,
-		ProbeMetrics: resp.ProbeMetrics,
-	}, nil
+	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, Method: SolveMethodChebyshev, M: m, Precond: PrecondSpec{Kind: PrecondNone}, Chebyshev: opt})
+	res, err := single(resp, err)
+	return ChebyshevResult{SolveResult: res, Lmin: resp.Lmin, Lmax: resp.Lmax, ProbeMetrics: resp.ProbeMetrics}, err
 }

@@ -20,12 +20,12 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := hcd.NewGraph(-1, nil); !errors.Is(err, hcd.ErrBadDimension) {
 		t.Errorf("negative n: %v, want ErrBadDimension", err)
 	}
-	// NewResistanceComputer requires a connected graph.
+	// The normalized-Laplacian eigensolver requires a connected graph.
 	g, err := hcd.NewGraph(4, []hcd.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hcd.NewResistanceComputer(g); !errors.Is(err, hcd.ErrDisconnected) {
+	if _, _, err := hcd.SmallestEigenpairs(g, 1, 0, 1); !errors.Is(err, hcd.ErrDisconnected) {
 		t.Errorf("disconnected graph: %v, want ErrDisconnected", err)
 	}
 	// Solve paths reject mismatched right-hand sides.
@@ -61,7 +61,7 @@ func TestSentinelErrors(t *testing.T) {
 			return err
 		}},
 		{"hierarchy SizeCap 1", func() error {
-			_, err := hcd.NewHierarchy(conn, hcd.HierarchyOptions{SizeCap: 1})
+			_, err := hcd.NewHierarchyCtx(context.Background(), conn, hcd.HierarchyOptions{SizeCap: 1})
 			return err
 		}},
 		{"fixed-degree SizeCap 1", func() error {
