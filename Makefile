@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism examples selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
 all: build test
 
@@ -19,11 +19,12 @@ vet:
 # check is the pre-merge gate: gofmt, vet, the build without the assembly
 # kernels, the full suite under the race
 # detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), the
-# determinism tests at one and two workers, a short fuzz pass over the input
+# determinism tests at one and two workers, every example program, a short
+# fuzz pass over the input
 # parsers, the fault-recovery chaos battery, the
 # serving-stack smoke battery, the serving crash/recovery battery, the
 # scenario-replay smoke, and the replay-score regression gate.
-check: fmt vet portable race determinism fuzz chaos server-smoke server-chaos replay-smoke bench-gate
+check: fmt vet portable race determinism examples fuzz chaos server-smoke server-chaos replay-smoke bench-gate
 
 # portable cross-compiles for an architecture that has none of the assembly
 # (all of it lives in internal/kernel, *_amd64.s), so the Go-only build cannot
@@ -142,6 +143,10 @@ scale-smoke:
 
 experiments:
 	$(GO) run ./cmd/hcd-experiments
+
+# examples runs every program under examples/ and fails unless each exits 0.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # fig6 regenerates the committed Figure 6 record; CI fails when the file and
 # the program disagree.

@@ -63,25 +63,33 @@ func TestDecomposeSpectralFacade(t *testing.T) {
 	}
 }
 
-func TestBuildLaminarFacade(t *testing.T) {
+// TestHierarchyComposedLevelsValidate: composing a hierarchy's level
+// assignments down to any depth partitions the original graph into connected
+// clusters — the laminar family the examples read a deepest clustering from.
+func TestHierarchyComposedLevelsValidate(t *testing.T) {
 	g := hcd.Grid2D(14, 14, hcd.LognormalWeights(1), 3)
-	l, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 6, 1)
+	hopt := hcd.DefaultHierarchyOptions()
+	hopt.DirectLimit = 6
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Depth() < 2 {
-		t.Fatalf("depth %d", l.Depth())
+	levels, _ := h.DumpLevels()
+	if len(levels) < 2 {
+		t.Fatalf("depth %d", len(levels))
 	}
-	ok, err := l.Refines(0, l.Depth()-1)
-	if err != nil || !ok {
-		t.Errorf("refinement failed: %v %v", ok, err)
+	assign := make([]int, g.N())
+	for v := range assign {
+		assign[v] = v
 	}
-	d, err := l.ComposedAt(l.Depth() - 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hcd.Validate(d); err != nil {
-		t.Fatal(err)
+	for depth, l := range levels {
+		for v := range assign {
+			assign[v] = l.Assign[assign[v]]
+		}
+		d := &hcd.Decomposition{G: g, Assign: append([]int(nil), assign...), Count: l.Count}
+		if err := hcd.Validate(d); err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
 	}
 }
 

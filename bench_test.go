@@ -302,7 +302,7 @@ func BenchmarkEngineWarmSolves(b *testing.B) {
 func BenchmarkBlockSolve(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := hcd.Grid3D(32, 32, 32, hcd.LognormalWeights(1), 1)
-	eng, err := hcd.NewHierarchyEngine(g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
+	eng, err := hcd.NewHierarchyEngine(context.Background(), g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -73,11 +73,15 @@ func sparsePipeline(t *testing.T, g *hcd.Graph, sopt sparsify.Options) (*hcd.Dec
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, stats, err := decomp.SparseCoreCtx(context.Background(), sres.B)
+	forest, stats, err := decomp.CoreCutCtx(context.Background(), sres.B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := decomp.Rebind(db, g)
+	td, err := decomp.TreeCtx(context.Background(), forest, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := decomp.Rebind(&decomp.Decomposition{G: sres.B, Assign: td.Assign, Count: td.Count}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +205,10 @@ func TestDecomposeCtxSkipReport(t *testing.T) {
 	if res.Report != (hcd.Report{}) {
 		t.Errorf("SkipReport left a report: %+v", res.Report)
 	}
-	if _, ok := res.Metrics.Stage("evaluate"); ok {
-		t.Error("SkipReport still ran the evaluate stage")
+	for _, s := range res.Metrics.Stages {
+		if s.Name == "evaluate" {
+			t.Error("SkipReport still ran the evaluate stage")
+		}
 	}
 }
 
@@ -270,29 +276,13 @@ func TestDecomposeMethodString(t *testing.T) {
 	}
 }
 
-func TestBuildLaminarCtxAndHierarchyCtxCancellation(t *testing.T) {
-	g := hcd.Grid2D(20, 20, hcd.LognormalWeights(1), 1)
+func TestNewHierarchyCtxCancellation(t *testing.T) {
 	// Larger than the default hierarchy DirectLimit, so its level loop (and
 	// the cancellation check inside it) actually runs.
 	big := hcd.Grid3D(10, 10, 10, hcd.LognormalWeights(1), 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := hcd.BuildLaminarCtx(ctx, g, 4, 10, 1); !errors.Is(err, hcd.ErrBuildCancelled) {
-		t.Errorf("BuildLaminarCtx error %v does not wrap ErrBuildCancelled", err)
-	}
 	if _, err := hcd.NewHierarchyCtx(ctx, big, hcd.DefaultHierarchyOptions()); !errors.Is(err, hcd.ErrBuildCancelled) {
 		t.Errorf("NewHierarchyCtx error %v does not wrap ErrBuildCancelled", err)
-	}
-	// The live-context forms must agree with their plain counterparts.
-	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lam.Depth() != plain.Depth() {
-		t.Errorf("ctx laminar depth %d != %d", lam.Depth(), plain.Depth())
 	}
 }

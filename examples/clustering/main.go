@@ -49,18 +49,21 @@ func main() {
 	}
 
 	// Recursive clustering: the laminar decomposition. Each level clusters
-	// the previous level's quotient graph.
-	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 10, 1)
+	// the previous level's quotient graph — the level loop of the multilevel
+	// preconditioner, run down to a 10-vertex quotient.
+	hopt := hcd.DefaultHierarchyOptions()
+	hopt.SizeCap, hopt.Seed, hopt.DirectLimit = 4, 1, 10
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hopt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	levels := lam.Levels
+	levels, _ := h.DumpLevels()
 	fmt.Println("laminar hierarchy (recursive §3.1 clustering):")
-	n := g.N()
-	for i, d := range levels {
-		r := hcd.Evaluate(d)
+	cur := g
+	for i, l := range levels {
+		r := hcd.Evaluate(&hcd.Decomposition{G: cur, Assign: l.Assign, Count: l.Count})
 		fmt.Printf("  level %d: %d → %d vertices (ρ=%.2f, φ=%.3f)\n",
-			i, n, d.Count, r.Rho, r.Phi)
-		n = d.Count
+			i, cur.N(), l.Count, r.Rho, r.Phi)
+		cur = cur.Contract(l.Assign, l.Count)
 	}
 }

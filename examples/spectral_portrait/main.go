@@ -50,13 +50,16 @@ func main() {
 	}
 	fmt.Printf("whole-graph conductance bracket (Cheeger + sweep): [%.4f, %.4f]\n", lo, hi)
 
-	// Recover the planted blocks by recursing: compose laminar levels until
-	// the quotient is block-sized, then check cluster purity.
-	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 12, 1)
+	// Recover the planted blocks by recursing: compose the levels of a
+	// hierarchy built down to a block-sized quotient, then check cluster
+	// purity.
+	hopt := hcd.DefaultHierarchyOptions()
+	hopt.SizeCap, hopt.Seed, hopt.DirectLimit = 4, 1, 12
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hopt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	levels := lam.Levels
+	levels, _ := h.DumpLevels()
 	assign := make([]int, g.N())
 	for v := range assign {
 		assign[v] = v

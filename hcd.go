@@ -26,11 +26,8 @@
 package hcd
 
 import (
-	"context"
-
 	"hcd/internal/decomp"
 	"hcd/internal/graph"
-	"hcd/internal/laminar"
 	"hcd/internal/sparsify"
 	"hcd/internal/spectralcut"
 )
@@ -138,15 +135,3 @@ type SpectralCutStats = spectralcut.Stats
 
 // DefaultSpectralCutOptions targets conductance 0.1.
 func DefaultSpectralCutOptions() SpectralCutOptions { return spectralcut.DefaultOptions() }
-
-// LaminarTree is a laminar hierarchy of decompositions with composition,
-// refinement checks, and per-level quality reports.
-type LaminarTree = laminar.Laminar
-
-// BuildLaminarCtx clusters g recursively (Section 3.1 at every level) until
-// the quotient has at most coarse vertices, returning the full hierarchy. A
-// cancelled build returns an error wrapping ErrBuildCancelled and the
-// context's error.
-func BuildLaminarCtx(ctx context.Context, g *Graph, sizeCap, coarse int, seed int64) (*LaminarTree, error) {
-	return laminar.BuildCtx(ctx, g, sizeCap, coarse, seed)
-}

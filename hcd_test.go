@@ -201,29 +201,35 @@ func TestMeasureSupportSteiner(t *testing.T) {
 	t.Logf("κ(A,B)=%.2f σ(A,B)=%.2f σ(B,A)=%.2f bound=%.1f", nums.Kappa, nums.SigmaAB, nums.SigmaBA, bound)
 }
 
+// TestLaminarHierarchyLevels: the hierarchy's level loop is the paper's
+// recursive clustering. Every level's assignment, read back with DumpLevels
+// and applied to the quotient contracted from the level above, is a valid
+// decomposition that reduces its graph at least twofold.
 func TestLaminarHierarchyLevels(t *testing.T) {
 	g := hcd.Grid3D(10, 10, 10, hcd.LognormalWeights(1), 12)
-	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 50, 1)
+	hopt := hcd.DefaultHierarchyOptions()
+	hopt.DirectLimit = 50
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels := lam.Levels
+	levels, _ := h.DumpLevels()
 	if len(levels) < 2 {
 		t.Fatalf("expected multiple levels, got %d", len(levels))
 	}
-	// Each level must reduce by ≥ 2 and partition its own quotient.
-	prev := g.N()
-	for i, d := range levels {
+	cur := g
+	for i, l := range levels {
+		d := &hcd.Decomposition{G: cur, Assign: l.Assign, Count: l.Count}
 		if err := hcd.Validate(d); err != nil {
 			t.Fatalf("level %d invalid: %v", i, err)
 		}
-		if d.G.N() != prev {
-			t.Fatalf("level %d graph has %d vertices, want %d", i, d.G.N(), prev)
+		if float64(l.Count) > float64(cur.N())/2+1 {
+			t.Errorf("level %d reduction below 2: %d -> %d", i, cur.N(), l.Count)
 		}
-		if float64(d.Count) > float64(prev)/2+1 {
-			t.Errorf("level %d reduction below 2: %d -> %d", i, prev, d.Count)
-		}
-		prev = d.Count
+		cur = cur.Contract(l.Assign, l.Count)
+	}
+	if sizes := h.LevelSizes(); sizes[len(sizes)-1] != cur.N() || cur.N() > hopt.DirectLimit {
+		t.Errorf("coarse graph has %d vertices, level sizes %v, direct limit %d", cur.N(), sizes, hopt.DirectLimit)
 	}
 }
 
@@ -261,12 +267,5 @@ func TestNewGraphValidation(t *testing.T) {
 	}
 	if _, err := hcd.NewGraph(2, []hcd.Edge{{U: 0, V: 1, W: -1}}); err == nil {
 		t.Error("negative weight accepted")
-	}
-}
-
-func TestLaminarValidation(t *testing.T) {
-	g := hcd.Grid2D(4, 4, nil, 1)
-	if _, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 0, 1); err == nil {
-		t.Error("coarse=0 accepted")
 	}
 }

@@ -8,9 +8,10 @@
 //
 //   - TreeCtx (Theorem 2.1): 3-critical-vertex clustering of trees and
 //     forests.
-//   - SparseCoreCtx (the engine of Theorems 2.2/2.3): strip degree-1/degree-2
-//     vertices of a tree-plus-few-edges subgraph to a core W, cut the
-//     lightest edge of every W–W path, and run TreeCtx on the resulting trees.
+//   - CoreCutCtx then TreeCtx (the engine of Theorems 2.2/2.3): strip
+//     degree-1/degree-2 vertices of a tree-plus-few-edges subgraph to a core
+//     W, cut the lightest edge of every W–W path, and cluster the resulting
+//     trees.
 //   - FixedDegreeCtx (Section 3.1): the embarrassingly parallel
 //     perturb/heaviest-edge/split clustering.
 package decomp
@@ -72,8 +73,8 @@ func (d *Decomposition) Clusters() [][]int {
 	return cs
 }
 
-// ReductionFactor returns ρ = n / #clusters.
-func (d *Decomposition) ReductionFactor() float64 {
+// reductionFactor returns ρ = n / #clusters.
+func (d *Decomposition) reductionFactor() float64 {
 	if d.Count == 0 {
 		return 0
 	}
@@ -176,7 +177,7 @@ type evalWorker struct {
 // Per-cluster measurements (the dominant cost: one core enumeration or
 // closure build per cluster) fan out across cores; the reductions over
 // clusters happen serially in cluster order, so the result is bit-identical
-// to EvaluateSerial.
+// to evaluate's serial loop (parallel = false), which the tests compare with.
 func Evaluate(d *Decomposition, exactLimit int) Report {
 	r, _ := evaluate(context.Background(), d, exactLimit, true)
 	return r
@@ -191,16 +192,10 @@ func EvaluateCtx(ctx context.Context, d *Decomposition, exactLimit int) (Report,
 	return evaluate(ctx, d, exactLimit, true)
 }
 
-// EvaluateSerial is the sequential reference implementation of Evaluate.
-func EvaluateSerial(d *Decomposition, exactLimit int) Report {
-	r, _ := evaluate(context.Background(), d, exactLimit, false)
-	return r
-}
-
 func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bool) (Report, error) {
 	ctx, sp := obs.StartSpan(ctx, "decomp/evaluate")
 	defer sp.End()
-	r := Report{Phi: math.Inf(1), PhiExact: true, Rho: d.ReductionFactor(), Count: d.Count, GammaMin: math.Inf(1)}
+	r := Report{Phi: math.Inf(1), PhiExact: true, Rho: d.reductionFactor(), Count: d.Count, GammaMin: math.Inf(1)}
 	// γ_avg: fraction of edge weight crossing between clusters. The float
 	// sum stays serial in vertex order regardless of the parallel flag (a
 	// reordered sum would not be bit-identical).
@@ -332,12 +327,12 @@ func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bo
 	return r, nil
 }
 
-// GammaViolations counts, per cluster, the vertices v with
+// gammaViolations counts, per cluster, the vertices v with
 // cap(v, cluster−v) < γ·vol(v) — the vertices that keep a [φ, ρ]
 // decomposition from being a full (φ, γ) decomposition. Section 2 of the
 // paper proves that a cluster whose closure has conductance ≥ φ contains at
 // most one vertex violating γ = φ; MaxGammaViolations verifies exactly that.
-func GammaViolations(d *Decomposition, gamma float64) []int {
+func gammaViolations(d *Decomposition, gamma float64) []int {
 	out := make([]int, d.Count)
 	for v, c := range d.Assign {
 		nbr, w := d.G.Neighbors(v)
@@ -357,7 +352,7 @@ func GammaViolations(d *Decomposition, gamma float64) []int {
 // MaxGammaViolations returns the maximum per-cluster γ-violation count.
 func MaxGammaViolations(d *Decomposition, gamma float64) int {
 	m := 0
-	for _, v := range GammaViolations(d, gamma) {
+	for _, v := range gammaViolations(d, gamma) {
 		if v > m {
 			m = v
 		}

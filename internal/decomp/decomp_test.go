@@ -278,6 +278,21 @@ func TestFixedDegreeSizeCapValidation(t *testing.T) {
 	}
 }
 
+// sparseCore runs the Theorem 2.2 engine as the planar pipeline does:
+// CoreCutCtx, TreeCtx on the forest, and the clustering read on b itself, so
+// closure conductances count the cut edges as boundary stubs.
+func sparseCore(b *graph.Graph) (*Decomposition, SparseStats, error) {
+	forest, stats, err := CoreCutCtx(context.Background(), b)
+	if err != nil {
+		return nil, stats, err
+	}
+	td, err := TreeCtx(context.Background(), forest, false)
+	if err != nil {
+		return nil, stats, err
+	}
+	return &Decomposition{G: b, Assign: td.Assign, Count: td.Count}, stats, nil
+}
+
 func TestSparseCoreOnTreePlusEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for it := 0; it < 20; it++ {
@@ -292,7 +307,7 @@ func TestSparseCoreOnTreePlusEdges(t *testing.T) {
 			}
 		}
 		b := graph.MustFromEdges(n, es)
-		d, stats, err := SparseCoreCtx(context.Background(), b)
+		d, stats, err := sparseCore(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +333,7 @@ func TestSparseCoreCycle(t *testing.T) {
 		es = append(es, graph.Edge{U: i, V: (i + 1) % n, W: 1 + float64(i%5)})
 	}
 	g := graph.MustFromEdges(n, es)
-	d, stats, err := SparseCoreCtx(context.Background(), g)
+	d, stats, err := sparseCore(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +351,7 @@ func TestSparseCoreCycle(t *testing.T) {
 func TestSparseCoreFallsBackToTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tree := treealg.RandomTree(rng, 40, nil)
-	d, stats, err := SparseCoreCtx(context.Background(), tree)
+	d, stats, err := sparseCore(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +365,7 @@ func TestSparseCoreFallsBackToTree(t *testing.T) {
 
 func TestSparseCoreRejectsDisconnected(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
-	if _, _, err := SparseCoreCtx(context.Background(), g); err == nil {
+	if _, _, err := sparseCore(g); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 }
@@ -382,7 +397,7 @@ func TestSparseCoreWithMaxSpanningTreeBase(t *testing.T) {
 		}
 	}
 	b := graph.MustFromEdges(g.N(), bEdges)
-	d, _, err := SparseCoreCtx(context.Background(), b)
+	d, _, err := sparseCore(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +464,7 @@ func TestGammaViolationsCounts(t *testing.T) {
 	// vertex 0 keeps all, singleton keeps none.
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
 	d := &Decomposition{G: g, Assign: []int{0, 0, 1}, Count: 2}
-	viol := GammaViolations(d, 0.75)
+	viol := gammaViolations(d, 0.75)
 	if viol[0] != 1 { // only vertex 1 violates γ=0.75
 		t.Errorf("cluster 0 violations = %d, want 1", viol[0])
 	}

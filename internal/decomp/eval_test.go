@@ -46,7 +46,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 	for i, d := range decomps {
 		for _, limit := range []int{0, graph.MaxExactConductance} {
-			serial := EvaluateSerial(d, limit)
+			serial, _ := evaluate(context.Background(), d, limit, false)
 			parallel := Evaluate(d, limit)
 			if serial != parallel {
 				t.Errorf("instance %d limit %d: parallel %+v != serial %+v", i, limit, parallel, serial)
@@ -115,7 +115,7 @@ func TestEvaluateParallelManyClusters(t *testing.T) {
 	if d.Count <= evalGrain {
 		t.Fatalf("want more than %d clusters to exercise the fan-out, got %d", evalGrain, d.Count)
 	}
-	serial := EvaluateSerial(d, graph.MaxExactConductance)
+	serial, _ := evaluate(context.Background(), d, graph.MaxExactConductance, false)
 	parallel := Evaluate(d, graph.MaxExactConductance)
 	if serial != parallel {
 		t.Fatalf("parallel %+v != serial %+v", parallel, serial)

@@ -101,16 +101,6 @@ type BuildMetrics struct {
 	PeakRSSBytes int64
 }
 
-// Stage returns the metrics of the named stage, if it ran.
-func (m *BuildMetrics) Stage(name string) (StageMetrics, bool) {
-	for _, s := range m.Stages {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return StageMetrics{}, false
-}
-
 // String renders one line per the -metrics CLI convention:
 // "base-tree=1.2ms (v=4096 e=4095 allocs=12) | ... | total=5.4ms".
 func (m BuildMetrics) String() string {
@@ -151,10 +141,6 @@ func NewPipeline(ctx context.Context) *Pipeline {
 	}
 	return &Pipeline{ctx: ctx, start: time.Now()}
 }
-
-// Context returns the pipeline's context, for stages that spawn work outside
-// Run.
-func (p *Pipeline) Context() context.Context { return p.ctx }
 
 // Run executes one named stage. The stage is skipped (with an
 // ErrBuildCancelled error) if the context is already done; a stage error that

@@ -34,11 +34,8 @@ func TestPipelineRecordsStageMetrics(t *testing.T) {
 	if m.TotalTime < m.Stages[0].Duration {
 		t.Errorf("total %v below first stage %v", m.TotalTime, m.Stages[0].Duration)
 	}
-	if s, ok := m.Stage("alpha"); !ok || s.Vertices != 10 || s.Edges != 9 {
-		t.Errorf("Stage(alpha) = %+v, %v", s, ok)
-	}
-	if _, ok := m.Stage("missing"); ok {
-		t.Error("Stage(missing) reported present")
+	if s := m.Stages[0]; s.Vertices != 10 || s.Edges != 9 {
+		t.Errorf("stage alpha = %+v", s)
 	}
 	str := m.String()
 	for _, want := range []string{"alpha=", "beta=", "v=10", "e=9", "total="} {
@@ -126,8 +123,8 @@ func TestPipelineCancellationPromptness(t *testing.T) {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
 	// The aborted stage still reports where the time went.
-	if s, ok := p.Metrics.Stage("slow"); !ok || s.Duration <= 0 {
-		t.Errorf("cancelled stage metrics missing or zero: %+v ok=%v", s, ok)
+	if st := p.Metrics.Stages; len(st) != 1 || st[0].Name != "slow" || st[0].Duration <= 0 {
+		t.Errorf("cancelled stage metrics missing or zero: %+v", st)
 	}
 }
 

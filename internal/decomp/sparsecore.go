@@ -7,14 +7,15 @@ import (
 	"hcd/internal/graph"
 )
 
-// SparseStats reports the intermediate structure of the SparseCoreCtx pipeline.
+// SparseStats reports the intermediate structure of the CoreCutCtx pipeline.
 type SparseStats struct {
 	CoreSize int // |W|: vertices kept after degree-1/2 reduction
 	CutEdges int // |C|: one lightest edge cut per core path
 }
 
-// SparseCoreCtx runs the decomposition engine of Theorem 2.2 on a graph b that
-// is a spanning tree plus a (small) set of extra edges:
+// CoreCutCtx performs steps 1–2 of the decomposition engine of Theorem 2.2
+// on a connected graph b that is a spanning tree plus a (small) set of extra
+// edges:
 //
 //  1. Greedily strip degree-1 vertices; on the remainder, the core W is the
 //     set of vertices of degree ≥ 3 (every other remaining vertex lies on a
@@ -24,35 +25,14 @@ type SparseStats struct {
 //     edges and core-to-itself loops through degree-2 chains), cut an edge
 //     of minimum weight. This disconnects B into trees, each containing
 //     exactly one core vertex.
-//  3. Decompose the resulting forest with the Theorem 2.1 tree algorithm.
 //
-// The returned decomposition is over b itself, so closure conductances are
-// measured with the cut edges contributing boundary stubs — the paper's
-// "boundary cluster" factor-of-2 loss is part of the measurement.
-//
-// Steps 1–2 are exposed separately as CoreCutCtx so the pipeline can time
-// the strip/cut phase apart from the tree decomposition.
-func SparseCoreCtx(ctx context.Context, b *graph.Graph) (*Decomposition, SparseStats, error) {
-	forest, stats, err := CoreCutCtx(ctx, b)
-	if err != nil {
-		return nil, SparseStats{}, err
-	}
-	td, err := TreeCtx(ctx, forest, false)
-	if err != nil {
-		return nil, SparseStats{}, err
-	}
-	d := &Decomposition{G: b, Assign: td.Assign, Count: td.Count}
-	return d, stats, nil
-}
-
-// CoreCutCtx performs steps 1–2 of the Theorem 2.2 engine on a connected
-// graph b: strip degree-1 vertices, identify the core W, and cut the
-// lightest edge of every core path. It returns the resulting forest (over
-// b's vertex set) and the core statistics. A forest input short-circuits:
-// b itself is returned with zero stats.
+// It returns the resulting forest (over b's vertex set) and the core
+// statistics; step 3, the Theorem 2.1 tree clustering of the forest, is
+// TreeCtx. A forest input short-circuits: b itself is returned with zero
+// stats.
 func CoreCutCtx(ctx context.Context, b *graph.Graph) (*graph.Graph, SparseStats, error) {
 	if !b.Connected() {
-		return nil, SparseStats{}, fmt.Errorf("decomp: SparseCoreCtx requires a connected graph")
+		return nil, SparseStats{}, fmt.Errorf("decomp: CoreCutCtx requires a connected graph")
 	}
 	if b.IsForest() {
 		return b, SparseStats{}, nil

@@ -64,39 +64,6 @@ func (m *Matrix) MulVec(dst, x []float64) {
 	}
 }
 
-// Mul returns M·B.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic("dense: Mul shape mismatch")
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, v := range brow {
-				orow[j] += a * v
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns Mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // Cholesky holds the lower-triangular factor L of an SPD matrix A = L·Lᵀ.
 type Cholesky struct {
 	n int

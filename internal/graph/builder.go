@@ -58,12 +58,6 @@ func NewBuilder(n int, policy MergePolicy) (*Builder, error) {
 	return &Builder{n: n, policy: policy}, nil
 }
 
-// N returns the declared vertex count.
-func (b *Builder) N() int { return b.n }
-
-// Count returns the number of edges added so far (before merging).
-func (b *Builder) Count() int64 { return b.count }
-
 // BufferedBytes returns the bytes currently held by the builder: buffered
 // edge chunks plus the degree array. This is the figure the streaming
 // readers report when an input exceeds its entry budget mid-stream.

@@ -47,14 +47,6 @@ type CertStats struct {
 	Bounds  int64 // clusters that exceeded the core limit and fell back to a sweep bound
 }
 
-// Add accumulates other into s.
-func (s *CertStats) Add(other CertStats) {
-	s.Cores += other.Cores
-	s.Stubs += other.Stubs
-	s.Subsets += other.Subsets
-	s.Bounds += other.Bounds
-}
-
 // serialEnumBits is the largest core enumeration (in bits, i.e. k−1) run as
 // a single sequential Gray-code walk. Larger cores are split into
 // prefix-partitioned chunks enumerated via internal/par. The threshold is a

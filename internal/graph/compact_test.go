@@ -120,10 +120,10 @@ func TestRowKernelsMatchWideIndexReference(t *testing.T) {
 				dst := make([]float64, n)
 				g.LapMul(dst, x)
 				equalBits(t, "LapMul", dst, wantMul)
-				g.LapMulResidual(dst, r, x)
-				equalBits(t, "LapMulResidual", dst, wantRes)
-				g.LapJacobiStep(dst, r, x, dInv, omega)
-				equalBits(t, "LapJacobiStep", dst, wantJac)
+				g.LapMulBlockResidual(dst, r, x, 1)
+				equalBits(t, "LapMulBlockResidual", dst, wantRes)
+				g.LapJacobiStepBlock(dst, r, x, dInv, omega, 1)
+				equalBits(t, "LapJacobiStepBlock", dst, wantJac)
 				for k, b := range blocks {
 					dst := make([]float64, n*k)
 					g.LapMulBlock(dst, b.x, k)

@@ -235,14 +235,3 @@ func (g *Graph) Clone() *Graph {
 	c.groups = rowGroups(c.off)
 	return c
 }
-
-// Reweight returns a copy of g whose edge weights are f(u, v, w) for each
-// edge; f must return a strictly positive weight and must be symmetric in
-// (u, v) in the sense that it only depends on the unordered pair.
-func (g *Graph) Reweight(f func(u, v int, w float64) float64) (*Graph, error) {
-	es := g.Edges()
-	for i := range es {
-		es[i].W = f(es[i].U, es[i].V, es[i].W)
-	}
-	return NewFromEdges(g.N(), es)
-}

@@ -187,17 +187,14 @@ func TestCutMetrics(t *testing.T) {
 	if out := g.Out(s); math.Abs(out-0.5) > 1e-12 {
 		t.Errorf("Out = %v, want 0.5", out)
 	}
-	if c := g.Cap(s, []int{3, 4, 5}); math.Abs(c-0.5) > 1e-12 {
-		t.Errorf("Cap = %v, want 0.5", c)
-	}
 	wantVol := 2.0*2*3 + 0.5 // per side: three weight-2 edges fully inside + half... compute directly
 	_ = wantVol
 	if v := g.VolSet(s); math.Abs(v-(4+4+4.5)) > 1e-12 {
 		t.Errorf("VolSet = %v, want 12.5", v)
 	}
-	sp := g.CutSparsity(s)
+	sp := g.Out(s) / g.VolSet(s) // both sides have volume 12.5
 	if math.Abs(sp-0.5/12.5) > 1e-12 {
-		t.Errorf("CutSparsity = %v", sp)
+		t.Errorf("sparsity = %v", sp)
 	}
 	// Exact conductance must find this (or a better) cut.
 	phi := exactPhi(t, g)
@@ -372,7 +369,7 @@ func TestContractMatchesCap(t *testing.T) {
 		q := g.Contract(assign, m)
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
-				want := g.Cap(clusters[i], clusters[j])
+				want := capacity(g, clusters[i], clusters[j])
 				got, ok := q.Weight(i, j)
 				if want == 0 {
 					if ok {
@@ -388,6 +385,36 @@ func TestContractMatchesCap(t *testing.T) {
 	}
 }
 
+// capacity returns cap(U, V): the total weight of edges between the disjoint
+// vertex sets U and V.
+func capacity(g *Graph, us, vs []int) float64 {
+	inV := make([]bool, g.N())
+	for _, v := range vs {
+		inV[v] = true
+	}
+	t := 0.0
+	for _, u := range us {
+		nbr, w := g.Neighbors(u)
+		for i, x := range nbr {
+			if inV[x] {
+				t += w[i]
+			}
+		}
+	}
+	return t
+}
+
+// lapQuad returns the Laplacian quadratic form xᵀAx through LapMul.
+func lapQuad(g *Graph, x []float64) float64 {
+	ax := make([]float64, g.N())
+	g.LapMul(ax, x)
+	q := 0.0
+	for i, v := range ax {
+		q += x[i] * v
+	}
+	return q
+}
+
 func TestLapMulAndQuad(t *testing.T) {
 	g := pathGraph(3)
 	x := []float64{1, 0, -1}
@@ -399,8 +426,8 @@ func TestLapMulAndQuad(t *testing.T) {
 			t.Errorf("LapMul[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
-	if q := g.LapQuad(x); math.Abs(q-2) > 1e-12 {
-		t.Errorf("LapQuad = %v, want 2", q)
+	if q := lapQuad(g, x); math.Abs(q-2) > 1e-12 {
+		t.Errorf("xᵀAx = %v, want 2", q)
 	}
 }
 
@@ -435,7 +462,7 @@ func TestLaplacianPSDProperty(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64() * 10
 		}
-		return g.LapQuad(x) >= -1e-9
+		return lapQuad(g, x) >= -1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -449,7 +476,7 @@ func TestLapQuadZeroOnConstants(t *testing.T) {
 	for i := range x {
 		x[i] = 42.5
 	}
-	if q := g.LapQuad(x); math.Abs(q) > 1e-9 {
+	if q := lapQuad(g, x); math.Abs(q) > 1e-9 {
 		t.Errorf("quad on constants = %v", q)
 	}
 	dst := make([]float64, g.N())
@@ -470,20 +497,6 @@ func TestVolumesIsDiagonal(t *testing.T) {
 		if math.Abs(a[i*g.N()+i]-vols[i]) > 1e-12 {
 			t.Fatalf("diagonal mismatch at %d", i)
 		}
-	}
-}
-
-func TestReweight(t *testing.T) {
-	g := pathGraph(3)
-	h, err := g.Reweight(func(u, v int, w float64) float64 { return w * 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, _ := h.Weight(0, 1); w != 3 {
-		t.Errorf("reweighted = %v", w)
-	}
-	if _, err := g.Reweight(func(u, v int, w float64) float64 { return -1 }); err == nil {
-		t.Error("negative reweight should fail")
 	}
 }
 

@@ -27,24 +27,6 @@ func (g *Graph) LapMulSerial(dst, x []float64) {
 	kernel.LapRows(dst, nil, x, nil, 0, g.adj, g.w, g.off, g.groups, 0, g.N())
 }
 
-// LapMulResidual computes dst = r − A·x in one CSR traversal: each row's
-// matvec value is completed first and then subtracted from r[v], so the
-// result is bit-identical to LapMul followed by an elementwise subtraction.
-// dst may alias r but not x.
-func (g *Graph) LapMulResidual(dst, r, x []float64) {
-	g.checkBlockOperands(dst, r, x, nil, 1)
-	g.lapDispatch(dst, r, x, nil, 0)
-}
-
-// LapJacobiStep computes one damped-Jacobi sweep for A·x = r out of place:
-// dst = x + ω·D⁻¹(r − A·x), with dInv the caller's inverse diagonal. Per row
-// it is bit-identical to LapMul into a temporary followed by
-// x[v] += ω·(r[v] − tmp[v])·dInv[v]. dst must not alias x.
-func (g *Graph) LapJacobiStep(dst, r, x, dInv []float64, omega float64) {
-	g.checkBlockOperands(dst, r, x, dInv, 1)
-	g.lapDispatch(dst, r, x, dInv, omega)
-}
-
 // lapDispatch runs a k = 1 row kernel over all rows of checked operands —
 // mode by nil r / nil dInv, as kernel.LapRows — serially or row-chunked across
 // cores.
@@ -60,22 +42,6 @@ func (g *Graph) lapDispatch(dst, r, x, dInv []float64, omega float64) {
 	par.For(n, rowGrain, func(lo, hi int) {
 		kernel.LapRows(dst, r, x, dInv, omega, g.adj, g.w, g.off, g.groups, lo, hi)
 	})
-}
-
-// LapQuad returns the Laplacian quadratic form xᵀAx = Σ_{(u,v)∈E} w·(x[u]−x[v])².
-func (g *Graph) LapQuad(x []float64) float64 {
-	q := 0.0
-	for u := 0; u < g.N(); u++ {
-		nbr, w := g.Neighbors(u)
-		xu := x[u]
-		for i, v := range nbr {
-			if u < int(v) {
-				d := xu - x[v]
-				q += w[i] * d * d
-			}
-		}
-	}
-	return q
 }
 
 // LapDense returns the Laplacian of g as a dense row-major n×n matrix; for

@@ -46,7 +46,7 @@ func (g *Graph) LapMulBlock(dst, x []float64, k int) {
 // full read+write pass over the block. Per column the matvec value is
 // completed first and then subtracted from r, exactly the two-step operation
 // order, so the result is bit-identical to the unfused sequence. For k = 1
-// it is the scalar LapMulResidual.
+// it runs the scalar row kernel, as LapMul does.
 func (g *Graph) LapMulBlockResidual(dst, r, x []float64, k int) {
 	g.lapMulBlockDispatch(dst, r, x, nil, 0, k)
 }
@@ -55,7 +55,7 @@ func (g *Graph) LapMulBlockResidual(dst, r, x []float64, k int) {
 // place, k packed columns at once: dst = X + ω·D⁻¹(R − A·X), with dInv the
 // caller's inverse diagonal. Per column it is bit-identical to LapMulBlock
 // into a temporary followed by x[v] += (ω·dInv[v])·(r[v] − tmp[v]). dst must
-// not alias x. For k = 1 it is the scalar LapJacobiStep.
+// not alias x. For k = 1 it runs the scalar row kernel, as LapMul does.
 func (g *Graph) LapJacobiStepBlock(dst, r, x, dInv []float64, omega float64, k int) {
 	g.lapMulBlockDispatch(dst, r, x, dInv, omega, k)
 }

@@ -68,7 +68,7 @@ func checkLapMulBlockMatchesColumns(t *testing.T) {
 
 // TestLapMulBlockK1BitIdentical: width-1 blocks take the scalar path exactly
 // — LapMulBlock is LapMul, LapMulBlockResidual is r minus it in one
-// traversal, and LapJacobiStepBlock is LapJacobiStep.
+// traversal, and LapJacobiStepBlock is the damped-Jacobi update of it.
 func TestLapMulBlockK1BitIdentical(t *testing.T) {
 	g := blockTestGraph(t, 500, 3)
 	n := g.N()
@@ -97,16 +97,15 @@ func TestLapMulBlockK1BitIdentical(t *testing.T) {
 		dInv[v] = 1 / g.Vol(v)
 	}
 	g.LapJacobiStepBlock(got, r, x, dInv, 0.8, 1)
-	g.LapJacobiStep(want, r, x, dInv, 0.8)
 	for v := range got {
-		if got[v] != want[v] {
-			t.Fatalf("jacobi row %d: %v != %v", v, got[v], want[v])
+		if jac := x[v] + 0.8*(r[v]-want[v])*dInv[v]; got[v] != jac {
+			t.Fatalf("jacobi row %d: %v != %v", v, got[v], jac)
 		}
 	}
 }
 
-// TestFusedRowKernelsMatchUnfused: LapMulResidual, LapJacobiStep and the
-// block Jacobi step (8-wide tile, 4-wide tile and tail) equal the
+// TestFusedRowKernelsMatchUnfused: the k = 1 residual and Jacobi step and
+// the block Jacobi step (8-wide tile, 4-wide tile and tail) equal the
 // matvec-then-sweep sequences they fuse, bit for bit, at any worker count —
 // on a graph large enough to cross the row grain.
 func TestFusedRowKernelsMatchUnfused(t *testing.T) { checkFusedRowKernelsMatchUnfused(t) }
@@ -126,16 +125,16 @@ func checkFusedRowKernelsMatchUnfused(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		res, jac := make([]float64, n), make([]float64, n)
-		g.LapMulResidual(res, r, x)
-		g.LapJacobiStep(jac, r, x, dInv, omega)
+		g.LapMulBlockResidual(res, r, x, 1)
+		g.LapJacobiStepBlock(jac, r, x, dInv, omega, 1)
 		for v := 0; v < n; v++ {
 			if want := r[v] - ax[v]; res[v] != want {
-				t.Fatalf("procs=%d LapMulResidual row %d: %v != %v", procs, v, res[v], want)
+				t.Fatalf("procs=%d LapMulBlockResidual row %d: %v != %v", procs, v, res[v], want)
 			}
 			want := x[v]
 			want += omega * (r[v] - ax[v]) * dInv[v]
 			if jac[v] != want {
-				t.Fatalf("procs=%d LapJacobiStep row %d: %v != %v", procs, v, jac[v], want)
+				t.Fatalf("procs=%d LapJacobiStepBlock row %d: %v != %v", procs, v, jac[v], want)
 			}
 		}
 		for _, k := range []int{3, 8, 13} {

@@ -240,9 +240,9 @@ func TestRowGroupKernelsMatchReference(t *testing.T) {
 				case mr == nil:
 					g.LapMul(got, x)
 				case md == nil:
-					g.LapMulResidual(got, mr, x)
+					g.LapMulBlockResidual(got, mr, x, 1)
 				default:
-					g.LapJacobiStep(got, mr, x, md, omega)
+					g.LapJacobiStepBlock(got, mr, x, md, omega, 1)
 				}
 				for v := range want {
 					if !kernel.SameWord(got[v], want[v]) {
@@ -264,7 +264,7 @@ func TestRowKernelsWithoutAVX2(t *testing.T) {
 	want, got := make([]float64, n), make([]float64, n)
 	kernel.WithGo(func() {
 		g.RowRange(want, r, x, dInv, 0.5, 0, n)
-		g.LapJacobiStep(got, r, x, dInv, 0.5)
+		g.LapJacobiStepBlock(got, r, x, dInv, 0.5, 1)
 	})
 	for v := range want {
 		if got[v] != want[v] {
@@ -284,8 +284,8 @@ func TestRowOperandLengths(t *testing.T) {
 	for _, delta := range []int{-1, 1} {
 		for _, tc := range []struct{ entry, operand string }{
 			{"LapMul", "dst"}, {"LapMul", "x"}, {"LapMulSerial", "dst"}, {"LapMulSerial", "x"},
-			{"LapMulResidual", "dst"}, {"LapMulResidual", "r"}, {"LapMulResidual", "x"},
-			{"LapJacobiStep", "dst"}, {"LapJacobiStep", "r"}, {"LapJacobiStep", "x"}, {"LapJacobiStep", "dInv"},
+			{"LapMulBlockResidual", "dst"}, {"LapMulBlockResidual", "r"}, {"LapMulBlockResidual", "x"},
+			{"LapJacobiStepBlock", "dst"}, {"LapJacobiStepBlock", "r"}, {"LapJacobiStepBlock", "x"}, {"LapJacobiStepBlock", "dInv"},
 		} {
 			operand := func(name string) []float64 {
 				s := make([]float64, n+1)
@@ -307,10 +307,10 @@ func TestRowOperandLengths(t *testing.T) {
 					g.LapMul(dst, x)
 				case "LapMulSerial":
 					g.LapMulSerial(dst, x)
-				case "LapMulResidual":
-					g.LapMulResidual(dst, r, x)
+				case "LapMulBlockResidual":
+					g.LapMulBlockResidual(dst, r, x, 1)
 				default:
-					g.LapJacobiStep(dst, r, x, dInv, 0.5)
+					g.LapJacobiStepBlock(dst, r, x, dInv, 0.5, 1)
 				}
 			}()
 			err, ok := v.(error)

@@ -185,7 +185,7 @@ func TestDoBlockIdenticalAcrossKernels(t *testing.T) {
 				B[j][i] -= mean / float64(len(B[j]))
 			}
 		}
-		eng, err := hcd.NewHierarchyEngine(tc.g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
+		eng, err := hcd.NewHierarchyEngine(context.Background(), tc.g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,38 +30,6 @@ func (g *Graph) Out(s []int) float64 {
 	return t
 }
 
-// Cap returns cap(U, V): the total weight of edges between the disjoint
-// vertex sets U and V. Overlapping sets yield an unspecified result.
-func (g *Graph) Cap(us, vs []int) float64 {
-	inV := make([]bool, g.N())
-	for _, v := range vs {
-		inV[v] = true
-	}
-	t := 0.0
-	for _, u := range us {
-		nbr, w := g.Neighbors(u)
-		for i, x := range nbr {
-			if inV[x] {
-				t += w[i]
-			}
-		}
-	}
-	return t
-}
-
-// CutSparsity returns the sparsity out(S)/min(vol(S), vol(V−S)) of the cut
-// (S, V−S). It returns +Inf for trivial cuts (S empty or S = V) and for cuts
-// whose smaller side has zero volume.
-func (g *Graph) CutSparsity(s []int) float64 {
-	volS := g.VolSet(s)
-	volRest := g.TotalVol() - volS
-	den := math.Min(volS, volRest)
-	if den <= 0 {
-		return math.Inf(1)
-	}
-	return g.Out(s) / den
-}
-
 // SweepCut orders vertices by score and returns the best prefix cut: the
 // minimum sparsity over cuts {π(0..k)} for k = 0..n−2, together with the
 // achieving prefix. It is an upper bound on the conductance and the standard

@@ -10,23 +10,12 @@ package graph
 // stitched along the boundary afterwards; see internal/decomp's sharded
 // build path.
 
-import "fmt"
-
 // Shard is a zero-copy view of the contiguous vertex range [Lo, Hi) of a
 // host graph. The zero value is an empty view of no graph; construct shards
-// with PartitionShards (or NewShard for tests).
+// with PartitionShards.
 type Shard struct {
 	g      *Graph
 	lo, hi int
-}
-
-// NewShard returns the view of host vertices [lo, hi). It errors on an
-// inverted or out-of-range interval.
-func NewShard(g *Graph, lo, hi int) (Shard, error) {
-	if lo < 0 || hi > g.N() || lo > hi {
-		return Shard{}, fmt.Errorf("graph: shard [%d,%d) outside [0,%d): %w", lo, hi, g.N(), ErrBadDimension)
-	}
-	return Shard{g: g, lo: lo, hi: hi}, nil
 }
 
 // Host returns the graph the shard views.
@@ -54,36 +43,6 @@ func (s Shard) Global(local int) int { return s.lo + local }
 // the host CSR (callers must not modify them). Neighbor ids are host ids;
 // use Contains to classify each as internal or boundary.
 func (s Shard) Neighbors(v int) ([]int32, []float64) { return s.g.Neighbors(v) }
-
-// BoundaryDegree returns the number of edges of host vertex v that leave
-// the shard.
-func (s Shard) BoundaryDegree(v int) int {
-	nbr, _ := s.g.Neighbors(v)
-	b := 0
-	for _, u := range nbr {
-		if !s.Contains(int(u)) {
-			b++
-		}
-	}
-	return b
-}
-
-// InternalEdges counts the edges with both endpoints inside the shard (each
-// counted once) and the boundary half-edges leaving it.
-func (s Shard) InternalEdges() (internal, boundary int) {
-	for v := s.lo; v < s.hi; v++ {
-		nbr, _ := s.g.Neighbors(v)
-		for _, u := range nbr {
-			switch u := int(u); {
-			case !s.Contains(u):
-				boundary++
-			case u > v:
-				internal++
-			}
-		}
-	}
-	return internal, boundary
-}
 
 // PartitionShards splits g into at most k contiguous vertex-range shards of
 // roughly equal adjacency mass (CSR entries, i.e. twice the incident edge

@@ -359,8 +359,8 @@ func BenchmarkLapMulByLevel(b *testing.B) {
 				run  func()
 			}{
 				{"mul", func() { g.LapMul(dst, x) }},
-				{"residual", func() { g.LapMulResidual(dst, r, x) }},
-				{"jacobi", func() { g.LapJacobiStep(dst, r, x, l.dInv, 0.5) }},
+				{"residual", func() { g.LapMulBlockResidual(dst, r, x, 1) }},
+				{"jacobi", func() { g.LapJacobiStepBlock(dst, r, x, l.dInv, 0.5, 1) }},
 			} {
 				for i, body := range bodies {
 					if i > 0 && body.name == "go" {

@@ -177,9 +177,9 @@ func growBalls(n int, active []graph.Edge, cluster []int, beta float64, rng *ran
 	return merges
 }
 
-// TreeMetric answers tree-path resistance queries in O(log n) via binary
+// treeMetric answers tree-path resistance queries in O(log n) via binary
 // lifting, after O(n log n) preprocessing.
-type TreeMetric struct {
+type treeMetric struct {
 	n      int
 	depth  []int
 	up     [][]int   // up[k][v] = 2^k-th ancestor (-1 past the root)
@@ -187,13 +187,13 @@ type TreeMetric struct {
 	comp   []int
 }
 
-// NewTreeMetric indexes a forest given by its edges over n vertices.
-func NewTreeMetric(n int, treeEdges []graph.Edge) (*TreeMetric, error) {
+// newTreeMetric indexes a forest given by its edges over n vertices.
+func newTreeMetric(n int, treeEdges []graph.Edge) (*treeMetric, error) {
 	f := graph.MustFromEdges(n, treeEdges)
 	if !f.IsForest() {
 		return nil, fmt.Errorf("lowstretch: edges contain a cycle")
 	}
-	t := &TreeMetric{n: n, depth: make([]int, n), resist: make([]float64, n)}
+	t := &treeMetric{n: n, depth: make([]int, n), resist: make([]float64, n)}
 	t.comp, _ = f.Components()
 	parent := make([]int, n)
 	for i := range parent {
@@ -240,9 +240,9 @@ func NewTreeMetric(n int, treeEdges []graph.Edge) (*TreeMetric, error) {
 	return t, nil
 }
 
-// Resistance returns the tree-path resistance between u and v, or +Inf if
+// resistance returns the tree-path resistance between u and v, or +Inf if
 // they lie in different components of the forest.
-func (t *TreeMetric) Resistance(u, v int) float64 {
+func (t *treeMetric) resistance(u, v int) float64 {
 	if t.comp[u] != t.comp[v] {
 		return math.Inf(1)
 	}
@@ -250,7 +250,7 @@ func (t *TreeMetric) Resistance(u, v int) float64 {
 	return t.resist[u] + t.resist[v] - 2*t.resist[l]
 }
 
-func (t *TreeMetric) lca(u, v int) int {
+func (t *treeMetric) lca(u, v int) int {
 	if t.depth[u] < t.depth[v] {
 		u, v = v, u
 	}
@@ -276,7 +276,7 @@ func (t *TreeMetric) lca(u, v int) int {
 // (edges of the tree itself have stretch 1). The second return value is the
 // average stretch.
 func Stretches(g *graph.Graph, treeEdges []graph.Edge) ([]float64, float64, error) {
-	tm, err := NewTreeMetric(g.N(), treeEdges)
+	tm, err := newTreeMetric(g.N(), treeEdges)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -284,7 +284,7 @@ func Stretches(g *graph.Graph, treeEdges []graph.Edge) ([]float64, float64, erro
 	out := make([]float64, len(es))
 	total := 0.0
 	for i, e := range es {
-		out[i] = e.W * tm.Resistance(e.U, e.V)
+		out[i] = e.W * tm.resistance(e.U, e.V)
 		total += out[i]
 	}
 	avg := 0.0

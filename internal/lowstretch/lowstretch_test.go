@@ -61,35 +61,35 @@ func TestAKPWDisconnectedAndTrivial(t *testing.T) {
 func TestTreeMetricPathResistance(t *testing.T) {
 	// Path 0-1-2-3 with weights 1, 2, 4: resistance 0→3 = 1 + 1/2 + 1/4.
 	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 4}}
-	tm, err := NewTreeMetric(4, edges)
+	tm, err := newTreeMetric(4, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tm.Resistance(0, 3); math.Abs(r-1.75) > 1e-12 {
+	if r := tm.resistance(0, 3); math.Abs(r-1.75) > 1e-12 {
 		t.Errorf("resistance = %v, want 1.75", r)
 	}
-	if r := tm.Resistance(2, 1); math.Abs(r-0.5) > 1e-12 {
+	if r := tm.resistance(2, 1); math.Abs(r-0.5) > 1e-12 {
 		t.Errorf("resistance = %v, want 0.5", r)
 	}
-	if r := tm.Resistance(1, 1); r != 0 {
+	if r := tm.resistance(1, 1); r != 0 {
 		t.Errorf("self resistance = %v", r)
 	}
 }
 
 func TestTreeMetricCrossComponent(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}}
-	tm, err := NewTreeMetric(4, edges)
+	tm, err := newTreeMetric(4, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(tm.Resistance(0, 3), 1) {
+	if !math.IsInf(tm.resistance(0, 3), 1) {
 		t.Error("cross-component resistance should be +Inf")
 	}
 }
 
 func TestTreeMetricRejectsCycle(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1}}
-	if _, err := NewTreeMetric(3, edges); err == nil {
+	if _, err := newTreeMetric(3, edges); err == nil {
 		t.Error("cycle accepted")
 	}
 }
@@ -102,7 +102,7 @@ func TestTreeMetricAgainstBruteForce(t *testing.T) {
 		for v := 1; v < n; v++ {
 			edges = append(edges, graph.Edge{U: rng.Intn(v), V: v, W: 0.1 + rng.Float64()*5})
 		}
-		tm, err := NewTreeMetric(n, edges)
+		tm, err := newTreeMetric(n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestTreeMetricAgainstBruteForce(t *testing.T) {
 				w, _ := f.Weight(x, parent[x])
 				want += 1 / w
 			}
-			if got := tm.Resistance(u, v); math.Abs(got-want) > 1e-9 {
+			if got := tm.resistance(u, v); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("resistance(%d,%d) = %v, want %v", u, v, got, want)
 			}
 		}

@@ -283,17 +283,3 @@ func BoruvkaCtx(ctx context.Context, g *graph.Graph, obj Objective, parallel boo
 	}
 	return out, nil
 }
-
-// ForestGraph rebuilds a graph from forest edges over n vertices.
-func ForestGraph(n int, edges []graph.Edge) *graph.Graph {
-	return graph.MustFromEdges(n, edges)
-}
-
-// TotalWeight sums the weights of a set of edges.
-func TotalWeight(edges []graph.Edge) float64 {
-	t := 0.0
-	for _, e := range edges {
-		t += e.W
-	}
-	return t
-}

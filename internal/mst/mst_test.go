@@ -38,10 +38,10 @@ func TestAllAlgorithmsAgreeOnWeight(t *testing.T) {
 	for it := 0; it < 25; it++ {
 		g := randomConnected(rng, 3+rng.Intn(60), rng.Intn(120))
 		for _, obj := range []Objective{Min, Max} {
-			wk := TotalWeight(Kruskal(g, obj))
-			wp := TotalWeight(Prim(g, obj))
-			wb := TotalWeight(boruvka(t, g, obj, false))
-			wbp := TotalWeight(boruvka(t, g, obj, true))
+			wk := totalWeight(Kruskal(g, obj))
+			wp := totalWeight(Prim(g, obj))
+			wb := totalWeight(boruvka(t, g, obj, false))
+			wbp := totalWeight(boruvka(t, g, obj, true))
 			if math.Abs(wk-wp) > 1e-9 || math.Abs(wk-wb) > 1e-9 || math.Abs(wk-wbp) > 1e-9 {
 				t.Fatalf("obj=%d weights differ: kruskal=%v prim=%v boruvka=%v parallel=%v",
 					obj, wk, wp, wb, wbp)
@@ -64,7 +64,7 @@ func TestResultIsSpanningTree(t *testing.T) {
 			if len(edges) != n-1 {
 				t.Fatalf("%s: %d edges for n=%d", name, len(edges), n)
 			}
-			f := ForestGraph(n, edges)
+			f := graph.MustFromEdges(n, edges)
 			if !f.IsTree() {
 				t.Fatalf("%s: result is not a spanning tree", name)
 			}
@@ -86,7 +86,7 @@ func TestSpanningForestOnDisconnected(t *testing.T) {
 			t.Fatalf("%s: %d edges, want 4 (two trees)", name, len(edges))
 		}
 		want := 3.0 + 2 + 5 + 6
-		if got := TotalWeight(edges); math.Abs(got-want) > 1e-12 {
+		if got := totalWeight(edges); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("%s: weight %v, want %v", name, got, want)
 		}
 	}
@@ -100,10 +100,10 @@ func TestKnownMST(t *testing.T) {
 	})
 	// Max ST: take 5 (0-2) and 4 (3-0); 3 (2-3) would close the cycle
 	// 0-2-3-0, so the next edge is 2 (1-2): total 11.
-	if w := TotalWeight(Kruskal(g, Max)); math.Abs(w-11) > 1e-12 {
+	if w := totalWeight(Kruskal(g, Max)); math.Abs(w-11) > 1e-12 {
 		t.Errorf("max ST weight = %v, want 11", w)
 	}
-	if w := TotalWeight(Kruskal(g, Min)); math.Abs(w-6) > 1e-12 { // 1+2+3
+	if w := totalWeight(Kruskal(g, Min)); math.Abs(w-6) > 1e-12 { // 1+2+3
 		t.Errorf("min ST weight = %v, want 6", w)
 	}
 }
@@ -114,7 +114,7 @@ func TestMaxSpanningTreeIsOptimal(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		n := 5
 		g := randomConnected(rng, n, 4)
-		best := TotalWeight(Kruskal(g, Max))
+		best := totalWeight(Kruskal(g, Max))
 		es := g.Edges()
 		m := len(es)
 		// Enumerate all edge subsets of size n−1 that form a tree.
@@ -122,9 +122,9 @@ func TestMaxSpanningTreeIsOptimal(t *testing.T) {
 		heaviest := 0.0
 		rec = func(start int, chosen []graph.Edge) {
 			if len(chosen) == n-1 {
-				f := ForestGraph(n, chosen)
+				f := graph.MustFromEdges(n, chosen)
 				if f.IsTree() {
-					if w := TotalWeight(chosen); w > heaviest {
+					if w := totalWeight(chosen); w > heaviest {
 						heaviest = w
 					}
 				}
@@ -180,4 +180,13 @@ func benchMST(b *testing.B, run func(*graph.Graph)) {
 	for i := 0; i < b.N; i++ {
 		run(g)
 	}
+}
+
+// totalWeight sums the weights of a set of edges.
+func totalWeight(edges []graph.Edge) float64 {
+	t := 0.0
+	for _, e := range edges {
+		t += e.W
+	}
+	return t
 }

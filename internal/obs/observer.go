@@ -33,7 +33,7 @@ func StreamResiduals(w io.Writer) IterationObserver {
 }
 
 // HistogramResiduals returns an observer recording every residual norm into
-// the named registry histogram (DefaultResidualBuckets decade buckets). A
+// the named registry histogram (defaultResidualBuckets decade buckets). A
 // nil registry yields a no-op observer.
 func HistogramResiduals(r *Registry, name string) IterationObserver {
 	h := r.Histogram(name, nil)

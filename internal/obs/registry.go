@@ -92,10 +92,10 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-// DefaultResidualBuckets spans the residual-norm range of a Laplacian solve
+// defaultResidualBuckets spans the residual-norm range of a Laplacian solve
 // from convergence (≤1e-14) to divergence-guard territory, one decade per
 // bucket.
-func DefaultResidualBuckets() []float64 {
+func defaultResidualBuckets() []float64 {
 	b := make([]float64, 0, 20)
 	for e := -14; e <= 4; e++ {
 		b = append(b, math.Pow(10, float64(e)))
@@ -222,7 +222,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns (creating on first use) the named histogram. bounds are
 // the bucket upper bounds, strictly increasing; they are fixed by the first
-// call for a name (nil selects DefaultResidualBuckets). Nil registries
+// call for a name (nil selects defaultResidualBuckets). Nil registries
 // return nil handles.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
@@ -233,7 +233,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	h := r.hists[name]
 	if h == nil {
 		if bounds == nil {
-			bounds = DefaultResidualBuckets()
+			bounds = defaultResidualBuckets()
 		}
 		h = &Histogram{bounds: append([]float64(nil), bounds...), buckets: make([]atomic.Int64, len(bounds))}
 		r.hists[name] = h

@@ -68,29 +68,6 @@ func TestForPanicCancelsSiblings(t *testing.T) {
 	}
 }
 
-func TestDoAggregatesPanics(t *testing.T) {
-	forceParallel(t)
-	var ran atomic.Int64
-	err := catchPanic(func() {
-		Do(
-			func() { ran.Add(1) },
-			func() { panic("a") },
-			func() { ran.Add(1) },
-			func() { panic("b") },
-		)
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want *PanicError", err)
-	}
-	if pe.Workers != 2 {
-		t.Fatalf("Workers = %d, want 2", pe.Workers)
-	}
-	if ran.Load() != 2 {
-		t.Fatalf("non-panicking tasks ran %d times, want 2", ran.Load())
-	}
-}
-
 func TestSequentialPanicStillCatchable(t *testing.T) {
 	// The sequential short-circuit (n <= grain) panics on the caller's own
 	// goroutine; AsError must still wrap it.

@@ -1,8 +1,8 @@
 // Package par provides the small set of parallel primitives used by the
 // "linear work, O(log n) parallel time" constructions of the paper: a
-// chunk-stealing parallel for, a parallel reduction, fork-join Do, and
-// prefix sums. Parallelism defaults to runtime.GOMAXPROCS(0) and degrades
-// gracefully to sequential execution for small inputs.
+// chunk-stealing parallel for and a parallel sum. Parallelism defaults to
+// runtime.GOMAXPROCS(0) and degrades gracefully to sequential execution for
+// small inputs.
 //
 // # Panic safety
 //
@@ -167,29 +167,6 @@ func For(n, grain int, fn func(lo, hi int)) {
 	t.rethrow()
 }
 
-// Do runs the given functions concurrently and waits for all of them. A
-// panicking function does not crash the process: every function still runs
-// (they are independent tasks, not chunks of one loop), and the aggregate
-// *PanicError re-raises on the calling goroutine after the join.
-func Do(fns ...func()) {
-	if len(fns) == 1 {
-		fns[0]()
-		return
-	}
-	var t trap
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, f := range fns {
-		go func(f func()) {
-			defer wg.Done()
-			defer t.catch()
-			f()
-		}(f)
-	}
-	wg.Wait()
-	t.rethrow()
-}
-
 // ReduceSum evaluates fn over chunks of [0, n) in parallel and returns the
 // sum of the per-chunk results. fn must return the partial sum for its range.
 func ReduceSum(n, grain int, fn func(lo, hi int) float64) float64 {
@@ -212,40 +189,4 @@ func ReduceSum(n, grain int, fn func(lo, hi int) float64) float64 {
 		total += p
 	}
 	return total
-}
-
-// ReduceMin evaluates fn over chunks in parallel and returns the minimum of
-// the per-chunk results. For n == 0 it returns +Inf semantics via the
-// caller's fn; here we simply require n > 0.
-func ReduceMin(n, grain int, fn func(lo, hi int) float64) float64 {
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if n <= grain || Workers() == 1 {
-		return fn(0, n)
-	}
-	chunks := (n + grain - 1) / grain
-	partial := make([]float64, chunks)
-	For(n, grain, func(lo, hi int) {
-		partial[lo/grain] = fn(lo, hi)
-	})
-	best := partial[0]
-	for _, p := range partial[1:] {
-		if p < best {
-			best = p
-		}
-	}
-	return best
-}
-
-// ExclusivePrefixSum replaces xs with its exclusive prefix sum and returns
-// the total. Sequential: prefix sums of the sizes seen here (≤ number of
-// vertices) are never the bottleneck, and a sequential scan is cache-optimal.
-func ExclusivePrefixSum(xs []int) int {
-	sum := 0
-	for i, x := range xs {
-		xs[i] = sum
-		sum += x
-	}
-	return sum
 }

@@ -47,27 +47,6 @@ func TestReduceSumParallelPath(t *testing.T) {
 	}
 }
 
-func TestReduceMinParallelPath(t *testing.T) {
-	forceParallel(t)
-	n := 50000
-	got := ReduceMin(n, 100, func(lo, hi int) float64 {
-		m := math.Inf(1)
-		for i := lo; i < hi; i++ {
-			v := float64((i*2654435761 + 7) % 1000001)
-			if i == 31337 {
-				v = -42
-			}
-			if v < m {
-				m = v
-			}
-		}
-		return m
-	})
-	if got != -42 {
-		t.Errorf("parallel ReduceMin = %v, want -42", got)
-	}
-}
-
 func TestForCoversRangeOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100, 10000, 100001} {
 		hits := make([]int32, n)
@@ -94,18 +73,6 @@ func TestForDefaultGrain(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b, c atomic.Int32
-	Do(func() { a.Store(1) }, func() { b.Store(2) }, func() { c.Store(3) })
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Error("Do did not run all functions")
-	}
-	Do(func() { a.Store(9) }) // single-function fast path
-	if a.Load() != 9 {
-		t.Error("single Do failed")
-	}
-}
-
 func TestReduceSum(t *testing.T) {
 	n := 12345
 	got := ReduceSum(n, 100, func(lo, hi int) float64 {
@@ -121,43 +88,6 @@ func TestReduceSum(t *testing.T) {
 	}
 	if ReduceSum(0, 10, func(lo, hi int) float64 { return 1 }) != 0 {
 		t.Error("empty ReduceSum should be 0")
-	}
-}
-
-func TestReduceMin(t *testing.T) {
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = float64((i*7919)%5000) + 1
-	}
-	xs[3333] = -5
-	got := ReduceMin(len(xs), 64, func(lo, hi int) float64 {
-		m := math.Inf(1)
-		for i := lo; i < hi; i++ {
-			if xs[i] < m {
-				m = xs[i]
-			}
-		}
-		return m
-	})
-	if got != -5 {
-		t.Errorf("ReduceMin = %v, want -5", got)
-	}
-}
-
-func TestExclusivePrefixSum(t *testing.T) {
-	xs := []int{3, 1, 4, 1, 5}
-	total := ExclusivePrefixSum(xs)
-	if total != 14 {
-		t.Errorf("total = %d", total)
-	}
-	want := []int{0, 3, 4, 8, 9}
-	for i := range want {
-		if xs[i] != want[i] {
-			t.Errorf("prefix[%d] = %d, want %d", i, xs[i], want[i])
-		}
-	}
-	if ExclusivePrefixSum(nil) != 0 {
-		t.Error("empty prefix sum should be 0")
 	}
 }
 

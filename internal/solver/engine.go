@@ -44,9 +44,6 @@ func NewEngine(a Operator, m Preconditioner, opt Options) (*Engine, error) {
 // Dim returns the system dimension.
 func (e *Engine) Dim() int { return e.a.Dim() }
 
-// Options returns the engine's default solve options.
-func (e *Engine) Options() Options { return e.opt }
-
 // acquire claims the engine's buffers for one solve. The CAS turns the
 // documented "not concurrency-safe" contract into a detected error rather
 // than silent buffer corruption.

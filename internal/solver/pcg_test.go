@@ -187,10 +187,10 @@ func TestEngineSolveBlockWarmAllocs(t *testing.T) {
 	for j := range bs {
 		bs[j] = meanFreeRHS(rng, n)
 	}
-	if _, err := eng.SolveBlock(context.Background(), bs, eng.Options()); err != nil {
+	if _, err := eng.SolveBlock(context.Background(), bs, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := eng.SolveBlock(context.Background(), bs, eng.Options())
+	warm, err := eng.SolveBlock(context.Background(), bs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

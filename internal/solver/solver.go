@@ -522,22 +522,3 @@ func SpectrumEstimate(alphas, betas []float64) (float64, float64, error) {
 	}
 	return vals[0], vals[len(vals)-1], nil
 }
-
-// ConditionEstimate runs PCG on a random ±-mean-free right-hand side and
-// returns the estimated condition number κ(M⁻¹A) = λmax/λmin. The rhs
-// argument supplies the probe vector (it will be mean-projected).
-func ConditionEstimate(a Operator, m Preconditioner, probe []float64, iters int) (float64, error) {
-	opt := Options{Tol: 1e-14, MaxIter: iters, ProjectMean: true}
-	res, err := PCGCtx(context.Background(), a, m, probe, opt)
-	if err != nil {
-		return 0, err
-	}
-	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
-	if err != nil {
-		return 0, err
-	}
-	if lmin <= 0 {
-		return math.Inf(1), nil
-	}
-	return lmax / lmin, nil
-}

@@ -143,21 +143,6 @@ func TestSpectrumEstimateOnKnownOperator(t *testing.T) {
 	}
 }
 
-func TestConditionEstimateIdentityPreconditionerOnGrid(t *testing.T) {
-	// κ of the normalized path Laplacian is known to grow like n²; just
-	// check the estimate is sane and ≥ 1.
-	g := workload.Grid2D(20, 1, nil, 1) // a path
-	rng := rand.New(rand.NewSource(5))
-	probe := meanFreeRHS(rng, g.N())
-	kappa, err := ConditionEstimate(LapOperator(g), Identity(g.N()), probe, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kappa < 10 {
-		t.Errorf("path condition estimate %v suspiciously small", kappa)
-	}
-}
-
 func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := workload.Grid2D(10, 10, nil, 1)

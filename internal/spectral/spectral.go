@@ -16,10 +16,10 @@ import (
 	"hcd/internal/graph"
 )
 
-// NormalizedMul computes dst = Â·x = D^{−1/2} A D^{−1/2} x for the graph g,
+// normalizedMul computes dst = Â·x = D^{−1/2} A D^{−1/2} x for the graph g,
 // given precomputed sqrtD (√vol per vertex; zeros for isolated vertices are
 // passed through).
-func NormalizedMul(g *graph.Graph, sqrtD, dst, x, scratch []float64) {
+func normalizedMul(g *graph.Graph, sqrtD, dst, x, scratch []float64) {
 	n := g.N()
 	for v := 0; v < n; v++ {
 		if sqrtD[v] > 0 {
@@ -83,7 +83,7 @@ func Smallest(g *graph.Graph, k, iters int, seed int64) ([]float64, [][]float64,
 	rng := rand.New(rand.NewSource(seed))
 	scratch := make([]float64, n)
 	opMul := func(dst, x []float64) { // 2I − Â
-		NormalizedMul(g, sqrtD, dst, x, scratch)
+		normalizedMul(g, sqrtD, dst, x, scratch)
 		for i := range dst {
 			dst[i] = 2*x[i] - dst[i]
 		}

@@ -56,7 +56,7 @@ func TestSmallestCycleSpectrum(t *testing.T) {
 	scratch := make([]float64, n)
 	ax := make([]float64, n)
 	for i, x := range vecs {
-		NormalizedMul(g, sqrtD, ax, x, scratch)
+		normalizedMul(g, sqrtD, ax, x, scratch)
 		for j := range ax {
 			if math.Abs(ax[j]-vals[i]*x[j]) > 1e-7 {
 				t.Fatalf("eigpair %d residual %v", i, ax[j]-vals[i]*x[j])

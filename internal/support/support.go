@@ -53,7 +53,22 @@ func GeneralizedExtremes(b, a *dense.Matrix, relTol float64) (float64, float64, 
 			w.Set(i, j, vecs.At(i, idx)*s)
 		}
 	}
-	m := w.Transpose().Mul(b.Mul(w))
+	bw := dense.NewMatrix(n, r)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			for j := 0; j < r; j++ {
+				bw.Add(i, j, b.At(i, k)*w.At(k, j))
+			}
+		}
+	}
+	m := dense.NewMatrix(r, r)
+	for i := 0; i < r; i++ {
+		for k := 0; k < n; k++ {
+			for j := 0; j < r; j++ {
+				m.Add(i, j, w.At(k, i)*bw.At(k, j))
+			}
+		}
+	}
 	mv, _, err := dense.SymEig(m)
 	if err != nil {
 		return 0, 0, err

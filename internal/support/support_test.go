@@ -108,9 +108,11 @@ func TestProbeMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomConnected(rng, 40, 60)
 	// B: the same graph with perturbed weights (×[1,3]).
-	h, err := g.Reweight(func(u, v int, w float64) float64 {
-		return w * (1 + 2*perturb01(u, v))
-	})
+	es := g.Edges()
+	for i, e := range es {
+		es[i].W = e.W * (1 + 2*perturb01(e.U, e.V))
+	}
+	h, err := graph.NewFromEdges(g.N(), es)
 	if err != nil {
 		t.Fatal(err)
 	}

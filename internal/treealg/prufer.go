@@ -7,9 +7,9 @@ import (
 	"hcd/internal/graph"
 )
 
-// PruferDecode converts a Prüfer sequence over vertices [0, n) with
+// pruferDecode converts a Prüfer sequence over vertices [0, n) with
 // len(seq) = n−2 into the edge list of the unique labeled tree it encodes.
-func PruferDecode(n int, seq []int) ([]graph.Edge, error) {
+func pruferDecode(n int, seq []int) ([]graph.Edge, error) {
 	if n < 2 {
 		if n >= 0 && len(seq) == 0 {
 			return nil, nil
@@ -54,7 +54,7 @@ func PruferDecode(n int, seq []int) ([]graph.Edge, error) {
 }
 
 // PruferEncode converts a tree into its Prüfer sequence; the inverse of
-// PruferDecode.
+// pruferDecode.
 func PruferEncode(g *graph.Graph) ([]int, error) {
 	n := g.N()
 	if !g.IsTree() {
@@ -103,7 +103,7 @@ func RandomTree(rng *rand.Rand, n int, weightFn func() float64) *graph.Graph {
 	for i := range seq {
 		seq[i] = rng.Intn(n)
 	}
-	edges, err := PruferDecode(n, seq)
+	edges, err := pruferDecode(n, seq)
 	if err != nil {
 		panic(err)
 	}

@@ -138,9 +138,9 @@ func (r *Rooted) ChildLists() (off, list []int) {
 	return off, list
 }
 
-// IsLeaf reports whether v has no children (degree-1 non-root, or an
+// isLeaf reports whether v has no children (degree-1 non-root, or an
 // isolated root).
-func (r *Rooted) IsLeaf(v int) bool {
+func (r *Rooted) isLeaf(v int) bool {
 	d := r.G.Degree(v)
 	if r.Parent[v] >= 0 {
 		return d == 1
@@ -164,7 +164,7 @@ func (r *Rooted) Critical3() []bool {
 	}
 	par.For(n, 4096, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			if !r.IsLeaf(v) && ceilDiv3(r.Desc[v]) > maxChild[v] {
+			if !r.isLeaf(v) && ceilDiv3(r.Desc[v]) > maxChild[v] {
 				crit[v] = true
 			}
 		}
@@ -173,48 +173,3 @@ func (r *Rooted) Critical3() []bool {
 }
 
 func ceilDiv3(x int) int { return (x + 2) / 3 }
-
-// DescParallel recomputes subtree sizes with the Euler-tour +
-// pointer-jumping list-ranking scheme of parallel tree contraction
-// (Reid-Miller, Miller & Modugno), the machinery Theorem 2.1 cites for its
-// O(log n)-time bound. It works on a single rooted tree and must agree with
-// Desc; it exists to demonstrate and test the parallel path.
-func (r *Rooted) DescParallel() []int {
-	n := r.G.N()
-	desc := make([]int, n)
-	if n == 0 {
-		return desc
-	}
-	if len(r.Roots) != 1 {
-		panic("treealg: DescParallel requires a single tree")
-	}
-	root := r.Roots[0]
-	if n == 1 {
-		desc[root] = 1
-		return desc
-	}
-	tour := NewEulerTour(r.G, root)
-	rank := ListRank(tour.Next)
-	// The down arc of v is the unique arc parent(v) → v.
-	downArc := make([]int, n)
-	par.For(tour.ArcCount(), 8192, func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			h := tour.Head[a]
-			if r.Parent[h] == tour.Tail[a] {
-				downArc[h] = a
-			}
-		}
-	})
-	par.For(n, 4096, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v == root {
-				desc[v] = n
-				continue
-			}
-			down := downArc[v]
-			up := tour.Twin[down]
-			desc[v] = (rank[up] - rank[down] + 1) / 2
-		}
-	})
-	return desc
-}

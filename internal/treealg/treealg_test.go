@@ -86,12 +86,12 @@ func TestChildrenAndLeaves(t *testing.T) {
 	if off[4] != 3 {
 		t.Errorf("leaves have children: off = %v", off)
 	}
-	if r.IsLeaf(0) || !r.IsLeaf(1) {
+	if r.isLeaf(0) || !r.isLeaf(1) {
 		t.Error("leaf classification wrong")
 	}
 	// Rooting at a leaf: vertex 0 (center) gets 2 children.
 	r2, _ := RootAt(g, 1)
-	if r2.IsLeaf(1) {
+	if r2.isLeaf(1) {
 		t.Error("root with a child misclassified as leaf")
 	}
 	off, list = r2.ChildLists()
@@ -141,7 +141,7 @@ func TestCritical3CountBound(t *testing.T) {
 		}
 		// Leaves are never critical.
 		for v := 0; v < n; v++ {
-			if r.IsLeaf(v) && crit[v] {
+			if r.isLeaf(v) && crit[v] {
 				t.Errorf("leaf %d marked critical", v)
 			}
 		}
@@ -174,64 +174,6 @@ func TestNonCriticalSubtreesAreSmall(t *testing.T) {
 			if size[v] > 3 {
 				t.Fatalf("n=%d: non-critical subtree at %d has %d vertices", n, v, size[v])
 			}
-		}
-	}
-}
-
-func TestDescParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for it := 0; it < 25; it++ {
-		n := 1 + rng.Intn(400)
-		g := RandomTree(rng, n, nil)
-		root := rng.Intn(n)
-		r, err := RootAt(g, root)
-		if err != nil {
-			if n == 1 {
-				continue
-			}
-			t.Fatal(err)
-		}
-		pd := r.DescParallel()
-		for v := 0; v < n; v++ {
-			if pd[v] != r.Desc[v] {
-				t.Fatalf("n=%d root=%d vertex %d: parallel %d vs %d", n, root, v, pd[v], r.Desc[v])
-			}
-		}
-	}
-}
-
-func TestEulerTourIsSingleChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := RandomTree(rng, 50, nil)
-	tour := NewEulerTour(g, 7)
-	seen := make([]bool, tour.ArcCount())
-	count := 0
-	for a := tour.Start; a != -1; a = tour.Next[a] {
-		if seen[a] {
-			t.Fatal("tour revisits an arc")
-		}
-		seen[a] = true
-		count++
-	}
-	if count != tour.ArcCount() {
-		t.Fatalf("tour visits %d of %d arcs", count, tour.ArcCount())
-	}
-	// Consecutive arcs must be head-to-tail.
-	for a := tour.Start; tour.Next[a] != -1; a = tour.Next[a] {
-		if tour.Head[a] != tour.Tail[tour.Next[a]] {
-			t.Fatal("tour arcs not contiguous")
-		}
-	}
-}
-
-func TestListRank(t *testing.T) {
-	// List 3 → 0 → 2 → 1 (indices), i.e. next[3]=0, next[0]=2, next[2]=1.
-	next := []int{2, -1, 1, 0}
-	pos := ListRank(next)
-	want := []int{1, 3, 2, 0}
-	for i := range want {
-		if pos[i] != want[i] {
-			t.Errorf("pos[%d] = %d, want %d", i, pos[i], want[i])
 		}
 	}
 }
@@ -326,7 +268,7 @@ func TestPruferRoundTrip(t *testing.T) {
 		for i := range seq {
 			seq[i] = r.Intn(n)
 		}
-		edges, err := PruferDecode(n, seq)
+		edges, err := pruferDecode(n, seq)
 		if err != nil {
 			return false
 		}
@@ -354,13 +296,13 @@ func TestPruferRoundTrip(t *testing.T) {
 }
 
 func TestPruferErrors(t *testing.T) {
-	if _, err := PruferDecode(5, []int{0, 1}); err == nil {
+	if _, err := pruferDecode(5, []int{0, 1}); err == nil {
 		t.Error("wrong-length sequence accepted")
 	}
-	if _, err := PruferDecode(4, []int{0, 9}); err == nil {
+	if _, err := pruferDecode(4, []int{0, 9}); err == nil {
 		t.Error("out-of-range entry accepted")
 	}
-	if es, err := PruferDecode(1, nil); err != nil || es != nil {
+	if es, err := pruferDecode(1, nil); err != nil || es != nil {
 		t.Error("n=1 should decode to empty tree")
 	}
 	if _, err := PruferEncode(graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}})); err == nil {
@@ -395,15 +337,5 @@ func BenchmarkTreeSolver100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Solve(x, rhs)
-	}
-}
-
-func BenchmarkDescParallel100k(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	g := RandomTree(rng, 100000, nil)
-	r, _ := RootAt(g, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.DescParallel()
 	}
 }

@@ -83,9 +83,10 @@ func NewEngine(g *Graph, m Preconditioner, opt SolveOptions) (*Engine, error) {
 
 // NewHierarchyEngine builds the batteries-included session: a multilevel
 // Steiner preconditioner (the Remark 3 construction) plus a solve engine.
-// This is the session form of SolveCtx.
-func NewHierarchyEngine(g *Graph, hopt HierarchyOptions, opt SolveOptions) (*Engine, error) {
-	h, err := hierarchy.New(g, hopt)
+// This is the session form of SolveCtx; the hierarchy build polls ctx as
+// NewHierarchyCtx does.
+func NewHierarchyEngine(ctx context.Context, g *Graph, hopt HierarchyOptions, opt SolveOptions) (*Engine, error) {
+	h, err := hierarchy.NewCtx(ctx, g, hopt)
 	if err != nil {
 		return nil, err
 	}

@@ -112,7 +112,7 @@ func TestSolveCtxCancelled(t *testing.T) {
 
 func TestHierarchyEngineBatchedSolves(t *testing.T) {
 	g := hcd.OCT3D(6, 6, 6, hcd.DefaultOCTOptions())
-	eng, err := hcd.NewHierarchyEngine(g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
+	eng, err := hcd.NewHierarchyEngine(context.Background(), g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
