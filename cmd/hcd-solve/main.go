@@ -266,9 +266,10 @@ func printBuildStages(h *hcd.Hierarchy, t *obs.Tracer) {
 // other), what the clustering kept inside clusters (γ), the coarse-correction
 // scale the cycle drew from it and how often each visit of the level applies
 // the one below — the quality figures that explain the iteration count printed
-// above them —, the share of level 0's entries in row groups, in the caller's
-// numbering and in the layout one-column solves run in, and the matrix entries
-// one apply streams, the cost to read next to the iteration count.
+// above them —, the share of level 0's entries in row groups and its runs of
+// equal row length, in the caller's numbering and in the layout solves run in,
+// and the matrix entries one apply streams, the cost to read next to the
+// iteration count.
 func printLevelScales(h *hcd.Hierarchy) {
 	if h == nil {
 		return
@@ -280,6 +281,8 @@ func printLevelScales(h *hcd.Hierarchy) {
 	if h.Depth() > 0 {
 		natural, layout := h.GroupedShares()
 		fmt.Printf("metrics: level 0 grouped natural=%.1f%% layout=%.1f%%\n", 100*natural, 100*layout)
+		runsNatural, runsLayout := h.DegreeRuns()
+		fmt.Printf("metrics: level 0 degree-runs natural=%d layout=%d\n", runsNatural, runsLayout)
 	}
 	fmt.Printf("metrics: cycle entries=%d\n", h.CycleEntries())
 }

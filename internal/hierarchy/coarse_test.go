@@ -137,23 +137,35 @@ func BenchmarkCoarseFactor(b *testing.B) {
 }
 
 // BenchmarkCoarseSolve times the coarse direct solve alone at the widths the
-// V-cycle calls it with.
+// V-cycle calls it with; at k = 4 and 8, whose columns go through the kernel
+// layer's factor tile, in its Go form and in the one this process runs.
 func BenchmarkCoarseSolve(b *testing.B) {
 	for _, tc := range coarseBenchGraphs(b) {
 		h := factorOnly(b, tc.g)
 		n := tc.g.N()
 		for _, k := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(b *testing.B) {
-				r := make([]float64, n*k)
-				for j := 0; j < k; j++ {
-					r[j*k+j], r[(n-1-j)*k+j] = 1, -1
+			for i, body := range bodies {
+				if i > 0 && (body.name == "go" || k == 1) {
+					continue // one form to time: no AVX2, or no tile at k = 1
 				}
-				dst := make([]float64, n*k)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					h.coarse.SolveBlock(dst, r, k)
+				name := fmt.Sprintf("%s/k=%d", tc.name, k)
+				if k > 1 {
+					name += "/" + body.name
 				}
-			})
+				b.Run(name, func(b *testing.B) {
+					r := make([]float64, n*k)
+					for j := 0; j < k; j++ {
+						r[j*k+j], r[(n-1-j)*k+j] = 1, -1
+					}
+					dst := make([]float64, n*k)
+					body.run(func() {
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							h.coarse.SolveBlock(dst, r, k)
+						}
+					})
+				})
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@
 // vertices are renumbered so rows of equal length sit together, and only the
 // renumbered graph is kept. Level 0 keeps the caller's numbering, and where
 // that numbering leaves its rows ungrouped a layout view of level 0 is built
-// for one-column solves on first use.
+// for solves on first use.
 package hierarchy
 
 import (

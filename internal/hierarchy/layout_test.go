@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -394,7 +395,8 @@ func BenchmarkLapMulByLevel(b *testing.B) {
 //	24 B × n·k  three block vectors: x read, dst write-allocated and written
 //
 // — computed bytes, not measured traffic: the gathers of x re-read rows that
-// the count assumes stay cached.
+// the count assumes stay cached. Where level 0 has a layout view, which block
+// solves run in, its "level=0v" row times the view's copy of level 0.
 func BenchmarkLapMulBlockByLevel(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range layoutBenchGraphs(b) {
@@ -402,8 +404,15 @@ func BenchmarkLapMulBlockByLevel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var levels []namedGraph
 		for level, l := range h.levels {
-			g := l.g
+			levels = append(levels, namedGraph{strconv.Itoa(level), l.g})
+		}
+		if v := h.layoutView(); v != nil {
+			levels = append(levels, namedGraph{"0v", v.h.levels[0].g})
+		}
+		for _, lv := range levels {
+			level, g := lv.name, lv.g
 			for _, k := range []int{4, 8} {
 				x, dst := ramp(g.N()*k), make([]float64, g.N()*k)
 				bytes := float64(12*2*g.M() + 8*(g.N()+1) + 24*g.N()*k)
@@ -411,7 +420,7 @@ func BenchmarkLapMulBlockByLevel(b *testing.B) {
 					if i > 0 && body.name == "go" {
 						continue
 					}
-					b.Run(fmt.Sprintf("%s/level=%d/k=%d/%s", tc.name, level, k, body.name), func(b *testing.B) {
+					b.Run(fmt.Sprintf("%s/level=%s/k=%d/%s", tc.name, level, k, body.name), func(b *testing.B) {
 						body.run(func() {
 							b.ResetTimer()
 							for i := 0; i < b.N; i++ {

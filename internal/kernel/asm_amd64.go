@@ -3,7 +3,7 @@
 package kernel
 
 // The assembly forms of the bodies: laptile_amd64.s, laprows_amd64.s,
-// sweeps_amd64.s and cycle_amd64.s. They are left out of -race builds: the
+// sweeps_amd64.s, cycle_amd64.s and chol_amd64.s. They are left out of -race builds: the
 // race detector cannot see assembly stores.
 
 func cpuHasAVX2() bool
@@ -41,3 +41,11 @@ func prolongAdd4AVX2(x, xq *float64, alpha float64, assign *int32, rows, stride,
 func jacobiFromZero8AVX2(x, r, dInv *float64, omega float64, rows, stride int)
 
 func jacobiFromZero4AVX2(x, r, dInv *float64, omega float64, rows, stride int)
+
+func cholForward8AVX2(dst, diag, val *float64, order, colPtr, rowIdx *int32, lo, hi, stride, n, nnz int) (bad int)
+
+func cholForward4AVX2(dst, diag, val *float64, order, colPtr, rowIdx *int32, lo, hi, stride, n, nnz int) (bad int)
+
+func cholBackward8AVX2(dst, diag, val *float64, order, colPtr, rowIdx *int32, lo, hi, stride, n, nnz int) (bad int)
+
+func cholBackward4AVX2(dst, diag, val *float64, order, colPtr, rowIdx *int32, lo, hi, stride, n, nnz int) (bad int)

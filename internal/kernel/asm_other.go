@@ -18,4 +18,6 @@ var (
 	restrict8AVX2, restrict4AVX2             func(r, rq *float64, order, start *int32, lo, hi, stride, n, norder int) int
 	prolongAdd8AVX2, prolongAdd4AVX2         func(x, xq *float64, alpha float64, assign *int32, rows, stride, count int) int
 	jacobiFromZero8AVX2, jacobiFromZero4AVX2 func(x, r, dInv *float64, omega float64, rows, stride int)
+	cholForward8AVX2, cholForward4AVX2       func(dst, diag, val *float64, order, colPtr, rowIdx *int32, lo, hi, stride, n, nnz int) int
+	cholBackward8AVX2, cholBackward4AVX2     func(dst, diag, val *float64, order, colPtr, rowIdx *int32, lo, hi, stride, n, nnz int) int
 )

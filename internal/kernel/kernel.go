@@ -1,7 +1,7 @@
 // Package kernel holds the leaf bodies of the packed-row kernels: the 8- and
-// 4-wide column tiles of the block Laplacian, of the solver's level-1 sweeps
-// and of the cycle's sweeps, and the k = 1 row loops with their four-row
-// groups. Every body has a Go form and, on amd64 hosts with AVX2, an assembly
+// 4-wide column tiles of the block Laplacian, of the solver's level-1 sweeps,
+// of the cycle's sweeps and of the coarse factor's triangular solves, and the
+// k = 1 row loops with their four-row groups. Every body has a Go form and, on amd64 hosts with AVX2, an assembly
 // form that performs the same IEEE operations in the same order per column —
 // no fused multiply-add, ascending rows and entries, accumulators stored once
 // — so the two write the same words (DESIGN §12 "Kernel layer").
@@ -9,7 +9,7 @@
 // The package owns what every body shares: the CPUID probe that picks the
 // form, the check of a call's operands, and the chunking of a call's rows.
 // What decides the arithmetic stays with the callers in internal/graph,
-// internal/solver and internal/hierarchy: the 8 → 4 → tail column loop, the
+// internal/solver, internal/hierarchy and internal/sparse: the 8 → 4 → tail column loop, the
 // any-width tail, and every partition of a reduction. kernel imports nothing
 // of theirs.
 package kernel

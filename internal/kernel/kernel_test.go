@@ -21,6 +21,7 @@ type args struct {
 	off          []int
 	groups       []Group
 	k, j0, width int
+	mode         int
 	omega        float64
 }
 
@@ -249,6 +250,26 @@ var bodies = []body{
 			JacobiFromZero(o.width, o.f["x"], o.f["r"], o.f["dInv"], o.omega, o.k, o.j0, lo, hi)
 		},
 	},
+	{
+		// A factor of n columns over n+3 vertices: any vertex ids, columns of
+		// 0–6 entries, the last column's last entry rowIdx's last. Mode 0 is
+		// the forward scatter, mode 1 the backward gather.
+		name: "cholTile", widths: []int{8, 4}, modes: 2,
+		outs: []string{"dst"}, checked: []string{"order", "colPtr", "diag", "val"},
+		build: func(a arena, rng *rand.Rand, n, k, _ int) *args {
+			nv := n + 3
+			off := csr(arena{}, func(j int) int { return max(rng.Intn(7), 3*(j/(n-1))) }, n)
+			colPtr := make([]int32, n+1)
+			for j, o := range off {
+				colPtr[j] = int32(o)
+			}
+			return &args{k: k, f: map[string][]float64{"dst": floats(a, rng, nv*k), "diag": floats(a, rng, n), "val": floats(a, rng, off[n])},
+				ids: map[string][]int32{"order": ids(a, randomIDs(rng, n, nv)), "colPtr": ids(a, colPtr), "rowIdx": ids(a, randomIDs(rng, off[n], nv))}}
+		},
+		run: func(o *args, lo, hi int) {
+			CholTile(o.width, o.mode == 1, o.f["dst"], o.f["diag"], o.f["val"], o.ids["order"], o.ids["colPtr"], o.ids["rowIdx"], o.k, o.j0, lo, hi)
+		},
+	},
 }
 
 // forms are the two ways to run a body: its Go form, and the form this
@@ -264,7 +285,7 @@ func (b *body) call(a arena, seed int64, n, k, width, j0, mode int) *args {
 		k, j0 = 1, 0
 	}
 	o := b.build(a, rand.New(rand.NewSource(seed)), n, k, mode)
-	o.width, o.j0 = width, j0
+	o.width, o.j0, o.mode = width, j0, mode
 	return o
 }
 
@@ -378,8 +399,8 @@ func mustFail(t *testing.T, what, want string, f func()) {
 // TestBadOperands: under either form, an operand one word short of what the
 // call reaches, a column window past k and offsets beyond the adjacency array
 // panic with an error wrapping ErrInvalidInput that names what failed, before
-// anything is stored. An index that leaves its operand — a neighbor, member or
-// cluster id, or a cluster's end — and a row-group table the offsets disagree
+// anything is stored. An index that leaves its operand — a neighbor, member,
+// cluster, vertex or row id, or a cluster's or a factor column's end — and a row-group table the offsets disagree
 // with are the assembly's to name (the Go form panics on its bounds check, and
 // does not read the table), with the operands ending at a guard page where the
 // build has one.
@@ -441,6 +462,9 @@ func TestBadOperands(t *testing.T) {
 		{6, 4, fmt.Sprintf("cluster %d ", n-1), func(o *args) { o.ids["start"][n]++ }},
 		{7, 8, fmt.Sprintf("vertex %d ", n-1), func(o *args) { o.ids["assign"][n-1] = n/3 + 1 }},
 		{7, 4, fmt.Sprintf("vertex %d ", n-1), func(o *args) { o.ids["assign"][n-1] = -1 }},
+		{9, 8, fmt.Sprintf("column %d ", n-1), func(o *args) { o.ids["rowIdx"][len(o.ids["rowIdx"])-1] = n + 3 }},
+		{9, 4, fmt.Sprintf("column %d ", n-1), func(o *args) { o.ids["order"][n-1] = -1 }},
+		{9, 8, fmt.Sprintf("column %d ", n-1), func(o *args) { o.ids["colPtr"][n]++ }},
 	} {
 		b := &bodies[tc.body]
 		o := b.call(a, 10, n, 12, tc.width, 12-tc.width, b.modes-1)

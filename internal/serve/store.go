@@ -237,7 +237,7 @@ func (s *store) build(ctx context.Context, h *handle, opts hcd.HierarchyOptions)
 		hier, err = hcd.NewHierarchyCtx(ctx, h.g, opts)
 	}
 	if err == nil {
-		// One-column solves build the hierarchy's layout view on first use;
+		// Solves build the hierarchy's layout view on first use;
 		// build it now, so the byte budget counts it from the start.
 		hier.SolveSpace(h.g)
 	}

@@ -49,11 +49,15 @@ type applier interface {
 }
 
 // spaced is the optional interface of a preconditioner that knows a faster
-// numbering for a one-column solve of g's Laplacian — the hierarchy's level-0
-// layout view, whose rows come in the groups the row kernels want. SolveSpace
+// numbering for a solve of g's Laplacian — the hierarchy's level-0 layout
+// view, whose rows come sorted by length: in the groups the k = 1 row kernels
+// want, and in long runs of one loop length for the block tiles. SolveSpace
 // returns the permutation (vertex i of the space is vertex perm[i] of g), g
 // renumbered by it and the preconditioner in that numbering, or a nil perm
-// for none.
+// for none. A wrapper that embeds the hierarchy inherits its SolveSpace, and
+// the solve then runs on the view's preconditioner, around the wrapper's own
+// Apply and ApplyBlock: a wrapper that must see every apply forwards Dim,
+// Apply and ApplyBlock by hand instead of embedding.
 type spaced interface {
 	SolveSpace(g *graph.Graph) (perm []int32, gs *graph.Graph, ms interface {
 		Dim() int
@@ -248,10 +252,8 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 		cols = append(cols, j)
 	}
 	s.perm = nil
-	if len(cols) == 1 {
-		a, m = s.space(a, m)
-	}
 	if len(cols) > 0 {
+		a, m = s.space(a, m)
 		s.attempt(ctx, a, m, bs, cols, opt, results, false)
 		if opt.Recovery.MaxRestarts > 0 {
 			s.restart(ctx, a, m, bs, recoverableCols(cols, results), opt, results)
@@ -260,11 +262,11 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 	return results, errors.Join(errs...)
 }
 
-// space moves a one-column solve of a graph Laplacian into its
+// space moves a solve of a graph Laplacian, of any width, into its
 // preconditioner's solve space, when it has one: it returns the operator on
 // the renumbered graph and the preconditioner in that numbering, and sets
-// s.perm. Block solves stay in the caller's numbering: the column tiles walk
-// rows one at a time whatever their grouping.
+// s.perm. Every attempt of the solve — restarts included — packs, deflates
+// and unpacks through s.perm.
 func (s *scratch) space(a Operator, m Preconditioner) (Operator, Preconditioner) {
 	lap, ok := a.(lapOperator)
 	if !ok {

@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"hcd/internal/graph"
+	"hcd/internal/kernel"
 )
 
 // LapFactor is a sparse direct solver for a (singular) graph Laplacian, sized
@@ -374,12 +375,12 @@ func (f *LapFactor) checkOperands(method string, dst, b []float64, k int) {
 
 // SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
 // (v, j) at b[v*k+j]) with zero mean per component on every column. The
-// factor is streamed once per column tile — 8 wide, then 4, then a 1–3
-// column tail, each keeping its running values in locals — and per column
-// the operation order matches Solve exactly, so the results are
-// bit-identical to k scalar solves. dst and b may alias; they are checked as
-// Solve's are, against n·k: an over-long operand panics like a short one, at
-// k = 1 too.
+// factor is streamed once per column tile — 8 wide, then 4, each through
+// internal/kernel's CholTile (Go or AVX2, as its probe decides), then a 1–3
+// column tail — and per column the operation order matches Solve exactly, so
+// the results are bit-identical to k scalar solves. dst and b may alias; they
+// are checked as Solve's are, against n·k: an over-long operand panics like a
+// short one, at k = 1 too.
 func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
 	f.checkOperands("SolveBlock", dst, b, k)
 	if k == 1 {
@@ -395,10 +396,10 @@ func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
 	}
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		f.solveTile8(dst, k, j)
+		f.solveTile(8, dst, k, j)
 	}
 	if j+4 <= k {
-		f.solveTile4(dst, k, j)
+		f.solveTile(4, dst, k, j)
 		j += 4
 	}
 	if j < k {
@@ -434,93 +435,12 @@ func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
 	}
 }
 
-func (f *LapFactor) solveTile8(dst []float64, k, j0 int) {
-	for j, v := range f.order {
-		b := int(v)*k + j0
-		dv := dst[b : b+8 : b+8]
-		l := f.diag[j]
-		y0, y1, y2, y3 := dv[0]/l, dv[1]/l, dv[2]/l, dv[3]/l
-		y4, y5, y6, y7 := dv[4]/l, dv[5]/l, dv[6]/l, dv[7]/l
-		dv[0], dv[1], dv[2], dv[3] = y0, y1, y2, y3
-		dv[4], dv[5], dv[6], dv[7] = y4, y5, y6, y7
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
-		for q, r := range rows {
-			lq := vals[q]
-			rb := int(r)*k + j0
-			dr := dst[rb : rb+8 : rb+8]
-			dr[0] -= lq * y0
-			dr[1] -= lq * y1
-			dr[2] -= lq * y2
-			dr[3] -= lq * y3
-			dr[4] -= lq * y4
-			dr[5] -= lq * y5
-			dr[6] -= lq * y6
-			dr[7] -= lq * y7
-		}
-	}
-	for j := len(f.order) - 1; j >= 0; j-- {
-		b := int(f.order[j])*k + j0
-		dv := dst[b : b+8 : b+8]
-		s0, s1, s2, s3, s4, s5, s6, s7 := dv[0], dv[1], dv[2], dv[3], dv[4], dv[5], dv[6], dv[7]
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
-		for q, r := range rows {
-			lq := vals[q]
-			rb := int(r)*k + j0
-			dr := dst[rb : rb+8 : rb+8]
-			s0 -= lq * dr[0]
-			s1 -= lq * dr[1]
-			s2 -= lq * dr[2]
-			s3 -= lq * dr[3]
-			s4 -= lq * dr[4]
-			s5 -= lq * dr[5]
-			s6 -= lq * dr[6]
-			s7 -= lq * dr[7]
-		}
-		l := f.diag[j]
-		dv[0], dv[1], dv[2], dv[3] = s0/l, s1/l, s2/l, s3/l
-		dv[4], dv[5], dv[6], dv[7] = s4/l, s5/l, s6/l, s7/l
-	}
-}
-
-func (f *LapFactor) solveTile4(dst []float64, k, j0 int) {
-	for j, v := range f.order {
-		b := int(v)*k + j0
-		dv := dst[b : b+4 : b+4]
-		l := f.diag[j]
-		y0, y1, y2, y3 := dv[0]/l, dv[1]/l, dv[2]/l, dv[3]/l
-		dv[0], dv[1], dv[2], dv[3] = y0, y1, y2, y3
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
-		for q, r := range rows {
-			lq := vals[q]
-			rb := int(r)*k + j0
-			dr := dst[rb : rb+4 : rb+4]
-			dr[0] -= lq * y0
-			dr[1] -= lq * y1
-			dr[2] -= lq * y2
-			dr[3] -= lq * y3
-		}
-	}
-	for j := len(f.order) - 1; j >= 0; j-- {
-		b := int(f.order[j])*k + j0
-		dv := dst[b : b+4 : b+4]
-		s0, s1, s2, s3 := dv[0], dv[1], dv[2], dv[3]
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
-		for q, r := range rows {
-			lq := vals[q]
-			rb := int(r)*k + j0
-			dr := dst[rb : rb+4 : rb+4]
-			s0 -= lq * dr[0]
-			s1 -= lq * dr[1]
-			s2 -= lq * dr[2]
-			s3 -= lq * dr[3]
-		}
-		l := f.diag[j]
-		dv[0], dv[1], dv[2], dv[3] = s0/l, s1/l, s2/l, s3/l
-	}
+// solveTile runs both triangular solves on columns [j0, j0+width), width 8 or
+// 4: the forward scatter over every column of L, then the backward gather.
+func (f *LapFactor) solveTile(width int, dst []float64, k, j0 int) {
+	nf := len(f.order)
+	kernel.CholTile(width, false, dst, f.diag, f.val, f.order, f.colPtr, f.rowIdx, k, j0, 0, nf)
+	kernel.CholTile(width, true, dst, f.diag, f.val, f.order, f.colPtr, f.rowIdx, k, j0, 0, nf)
 }
 
 // solveTail handles the final k−j0 ∈ {1, 2, 3} columns.

@@ -11,6 +11,7 @@ import (
 	"hcd/internal/decomp"
 	"hcd/internal/dense"
 	"hcd/internal/graph"
+	"hcd/internal/kernel"
 	"hcd/internal/workload"
 )
 
@@ -591,15 +592,34 @@ func FuzzLapFactor(f *testing.F) {
 				t.Fatalf("A·(sparse − dense) = %.3g, bound %.3g", r, bound(x)+bound(want))
 			}
 		}
-		const k = 3
-		bb := make([]float64, n*k)
-		for v := 0; v < n; v++ {
-			bb[v*k+1] = b[v]
-		}
-		fac.SolveBlock(bb, bb, k)
-		for v := 0; v < n; v++ {
-			if bb[v*k+1] != x[v] {
-				t.Fatalf("block column differs from the scalar solve at %d: %v vs %v", v, bb[v*k+1], x[v])
+		// Every column-tile shape: the tail alone, 4, 8, and 8 + 4. In each
+		// tile (and in the tail) one column holds b, the others noise, and
+		// that column must be the scalar solve bit for bit in either form of
+		// the kernel tile.
+		for _, k := range []int{3, 4, 8, 12} {
+			var checked []int
+			for j0 := 0; j0 < k; j0 += 8 {
+				checked = append(checked, min(j0+6, k-2))
+			}
+			noise := make([]float64, n*k)
+			for i := range noise {
+				noise[i] = rng.NormFloat64()
+			}
+			for _, v := range checked {
+				for u := 0; u < n; u++ {
+					noise[u*k+v] = b[u]
+				}
+			}
+			for _, form := range []func(func()){kernel.WithGo, func(f func()) { f() }} {
+				bb := append([]float64(nil), noise...)
+				form(func() { fac.SolveBlock(bb, bb, k) })
+				for _, j := range checked {
+					for v := 0; v < n; v++ {
+						if math.Float64bits(bb[v*k+j]) != math.Float64bits(x[v]) {
+							t.Fatalf("k=%d column %d differs from the scalar solve at %d: %v vs %v", k, j, v, bb[v*k+j], x[v])
+						}
+					}
+				}
 			}
 		}
 	})

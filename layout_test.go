@@ -102,7 +102,6 @@ func TestExportsHaveProductionCaller(t *testing.T) {
 		"internal/workload.BinaryTree":                    true, // graph: TestContractAcrossFamilies
 		// Test hooks of internal/kernel, which its callers' tests use to run
 		// the Go form, pin the chunking and name each special operand.
-		"internal/kernel.ChunkRows":     true,
 		"internal/kernel.ObserveChunks": true,
 		"internal/kernel.SameWord":      true,
 		"internal/kernel.WithGo":        true,
