@@ -93,8 +93,10 @@ server-chaos:
 # oracle, over the block row kernels and the k = 1 row kernels with their Go
 # form (internal/kernel's bodies, whose assembly all lives there) as a bitwise
 # oracle, and over the column tiles of the solver's block sweeps and of the
-# cycle's sweeps with their any-width loops as a bitwise oracle (go fuzzing
-# runs one target at a time).
+# cycle's sweeps with their any-width loops as a bitwise oracle, and over the
+# solve route's hand-written request decoder and response encoder with
+# encoding/json as a differential oracle (go fuzzing runs one target at a
+# time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
@@ -108,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLapRowGroups -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzBlockSweeps -fuzztime=10s ./internal/solver
 	$(GO) test -run '^$$' -fuzz FuzzApplySweeps -fuzztime=10s ./internal/hierarchy
+	$(GO) test -run '^$$' -fuzz FuzzSolveWire -fuzztime=10s ./internal/serve
 
 # bench-e2e: the repository's benchmark as BENCHMARK.json declares it — its
 # own unit tests, then the four workloads end to end (bench/README.md).

@@ -240,10 +240,18 @@ func (s *Server) timeoutCode(ctx context.Context, err error) int {
 	return http.StatusRequestTimeout
 }
 
+// writeJSON answers with v encoded as json.Encoder encodes it. It encodes
+// before writing the status, so a value encoding/json refuses (a NaN, an
+// Inf) answers 500 with an apiError rather than its status and no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		buf, _ = json.Marshal(apiError{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(buf, '\n'))
 }
 
 func allConverged(results []hcd.SolveResult) bool {
@@ -360,9 +368,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ten := tenant(r)
 	logFieldsFrom(ctx).setHandle(id)
 
-	var req solveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := readSolveRequest(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad solve request: %v", err)
 		return
 	}
@@ -586,11 +593,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			code = s.timeoutCode(ctx, err)
 		}
-		writeJSON(w, code, struct {
-			solveResponse
-			Error string `json:"error"`
-		}{out, err.Error()})
+		msg := err.Error()
+		writeSolve(w, code, &out, &msg)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeSolve(w, http.StatusOK, &out, nil)
 }

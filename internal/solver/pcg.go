@@ -460,11 +460,20 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 		refNorm[pos] = s.ref0[j]
 		res.Residuals = append(res.Residuals, normB)
 		res.Outcome = OutcomeMaxIter
-		dead[pos] = normB == 0 || normB <= 1e-13*rawNorm[pos] || normB <= opt.Tol*refNorm[pos]
-		if dead[pos] {
+		switch {
+		case math.IsNaN(normB) || math.IsInf(normB, 0):
+			// ‖b‖² overflowed (entries ≳ 1e154): with rawNorm +Inf too,
+			// the null-space test below would read it as solved.
+			res.Outcome = OutcomeBreakdown
+			res.Reason = fmt.Sprintf("non-finite initial residual ‖r₀‖ = %g", normB)
+			dead[pos] = true
+		case normB == 0 || normB <= 1e-13*rawNorm[pos] || normB <= opt.Tol*refNorm[pos]:
 			res.Outcome = OutcomeConverged
-			anyDead = true
+			dead[pos] = true
+		default:
+			dead[pos] = false
 		}
+		anyDead = anyDead || dead[pos]
 	}
 	kA := k
 	if anyDead {

@@ -425,6 +425,14 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 	res.Residuals = append(s.col(&s.resid, 0, 0), norm2(r))
 	normB := res.Residuals[0]
 	res.Outcome = OutcomeMaxIter
+	if math.IsNaN(normB) || math.IsInf(normB, 0) {
+		// ‖b‖² overflowed: with rawNorm +Inf too, the null-space test
+		// below would read it as solved.
+		res.Outcome = OutcomeBreakdown
+		res.Reason = fmt.Sprintf("non-finite initial residual ‖r₀‖ = %g", normB)
+		finishSolve(&res, s, start, time.Time{}, startAllocs)
+		return res, nil
+	}
 	if normB == 0 || normB <= 1e-13*rawNorm {
 		// Nothing left after the projection — a zero or (to rounding) constant
 		// right-hand side, the Laplacian's null space: x = 0 solves it, as PCG

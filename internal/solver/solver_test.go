@@ -2,8 +2,10 @@ package solver
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hcd/internal/graph"
@@ -112,6 +114,50 @@ func TestPCGConstantRHSProjected(t *testing.T) {
 	res := pcg(t, LapOperator(g), Identity(g.N()), b, DefaultOptions())
 	if !res.Converged {
 		t.Error("projected constant rhs should converge")
+	}
+}
+
+// TestOverflowingRHSBreaksDown: entries of 1e154 are finite, but ‖b‖²
+// overflows, so ‖r₀‖ and the raw ‖b‖ are both +Inf — which the null-space
+// test (‖r₀‖ ≤ 1e-13·‖b‖) would read as solved at x = 0. Both drivers must
+// report a breakdown instead, at every block width.
+func TestOverflowingRHSBreaksDown(t *testing.T) {
+	g := workload.Grid2D(16, 16, nil, 1)
+	b := make([]float64, g.N())
+	b[0], b[1] = 1e154, -1e154
+	check := func(name string, res Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Outcome != OutcomeBreakdown || res.Converged || res.Iterations != 0 {
+			t.Errorf("%s: outcome %v converged %v after %d iterations, want a breakdown at 0", name, res.Outcome, res.Converged, res.Iterations)
+		}
+		if !strings.Contains(res.Reason, "non-finite initial residual") {
+			t.Errorf("%s: reason %q", name, res.Reason)
+		}
+	}
+	ctx := context.Background()
+	res, err := PCGCtx(ctx, LapOperator(g), Jacobi(g), b, DefaultOptions())
+	check("pcg", res, err)
+	res, err = ChebyshevCtx(ctx, LapOperator(g), Identity(g.N()), b, 0.01, 8, DefaultOptions())
+	check("chebyshev", res, err)
+
+	// One overflowing column in a block leaves the others to solve.
+	good := meanFreeRHS(rand.New(rand.NewSource(3)), g.N())
+	for _, k := range []int{2, 4, 8} {
+		bs := make([][]float64, k)
+		for j := range bs {
+			bs[j] = good
+		}
+		bs[1] = b
+		results, err := BlockPCGCtx(ctx, LapOperator(g), Jacobi(g), bs, DefaultOptions())
+		check(fmt.Sprintf("block k=%d", k), results[1], err)
+		for j, r := range results {
+			if j != 1 && !r.Converged {
+				t.Errorf("block k=%d: column %d %v", k, j, r.Outcome)
+			}
+		}
 	}
 }
 
