@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver determinism examples selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke cli-methods vet fmt check race race-solver determinism examples selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
 all: build test
 
@@ -23,8 +23,9 @@ vet:
 # fuzz pass over the input
 # parsers, the fault-recovery chaos battery, the
 # serving-stack smoke battery, the serving crash/recovery battery, the
-# scenario-replay smoke, and the replay-score regression gate.
-check: fmt vet portable race determinism examples fuzz chaos server-smoke server-chaos replay-smoke bench-gate
+# scenario-replay smoke, the replay-score regression gate, and the CLI's
+# non-PCG solve methods.
+check: fmt vet portable race determinism examples fuzz chaos server-smoke server-chaos replay-smoke bench-gate cli-methods
 
 # portable cross-compiles for an architecture that has none of the assembly
 # (all of it lives in internal/kernel, *_amd64.s), so the Go-only build cannot
@@ -143,6 +144,12 @@ bench-gate:
 # (59³) built with 4 shards and solved end to end; fails unless it converges.
 scale-smoke:
 	$(GO) run ./cmd/hcd-solve -graph grid3d:59 -shards 4 | grep -q 'outcome: converged'
+
+# cli-methods: the two hcd-solve paths that run something other than plain
+# PCG — Chebyshev iteration and the resilient ladder — each to convergence.
+cli-methods:
+	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -method chebyshev | grep -q 'outcome: converged'
+	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient | grep -q 'outcome: converged'
 
 experiments:
 	$(GO) run ./cmd/hcd-experiments

@@ -19,11 +19,11 @@ func TestSolveChebyshev(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hcd.SolveChebyshevCtx(context.Background(), g, b, p, hcd.DefaultChebyshevOptions(80))
+	resp, err := chebyshev(g, b, p, hcd.SolveOptions{MaxIter: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, hist := res.X, res.Residuals
+	x, hist := resp.Results[0].X, resp.Results[0].Residuals
 	if hist[len(hist)-1] > hist[0]*1e-5 {
 		t.Errorf("Chebyshev residual %v of initial %v", hist[len(hist)-1], hist[0])
 	}
@@ -232,9 +232,10 @@ func TestPreconditionerLadder(t *testing.T) {
 	}
 }
 
-// TestHierarchyOptionsLiteral: a HierarchyOptions literal that leaves
-// MaxLevels unset recurses to DirectLimit like the defaults; it used to hand
-// the whole graph to the coarse factorization.
+// TestHierarchyOptionsLiteral: a HierarchyOptions literal that sets only
+// SizeCap and DirectLimit recurses to DirectLimit like the defaults; the
+// depth cap is the build's own, so no literal can hand the whole graph to
+// the coarse factorization.
 func TestHierarchyOptionsLiteral(t *testing.T) {
 	g := hcd.Grid3D(24, 24, 24, hcd.LognormalWeights(1), 1)
 	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.HierarchyOptions{SizeCap: 4, DirectLimit: 600})

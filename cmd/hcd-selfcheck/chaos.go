@@ -59,7 +59,7 @@ func chaosMatvecNaN() error {
 		faultinject.MatvecNaN: {OnHit: 1, Count: 2},
 	})
 	defer restore()
-	res, rep, err := hcd.SolveResilient(chaosCtx, g, b, hcd.DefaultResilienceOptions())
+	res, rep, err := hcd.SolveResilient(chaosCtx, g, b, hcd.PrecondSpec{})
 	if err != nil {
 		return fmt.Errorf("ladder failed: %w (report: %s)", err, rep)
 	}
@@ -130,9 +130,9 @@ func chaosCorruptBuild() error {
 		faultinject.PerturbCorrupt: {OnHit: 1, Count: 1},
 	})
 	defer restore()
-	opt := hcd.DefaultResilienceOptions()
-	opt.Hierarchy.DirectLimit = 50
-	res, rep, err := hcd.SolveResilient(chaosCtx, g, b, opt)
+	hopt := hcd.DefaultHierarchyOptions()
+	hopt.DirectLimit = 50
+	res, rep, err := hcd.SolveResilient(chaosCtx, g, b, hcd.PrecondSpec{Hierarchy: &hopt})
 	if err != nil {
 		return fmt.Errorf("ladder failed: %w (report: %s)", err, rep)
 	}
@@ -153,7 +153,7 @@ func chaosBreakdownRestart() error {
 	})
 	defer restore()
 	opt := hcd.DefaultSolveOptions()
-	opt.Recovery = hcd.RecoveryPolicy{MaxRestarts: 1}
+	opt.MaxRestarts = 1
 	res, err := hcd.SolvePCGCtx(chaosCtx, g, b, nil, opt)
 	if err != nil {
 		return err

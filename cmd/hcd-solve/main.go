@@ -92,15 +92,14 @@ func run() (err error) {
 		)
 	}
 
+	opt := hcd.DefaultSolveOptions()
+	opt.Tol = *tol
+	opt.Observer = observer
 	if *resilient {
-		ropt := hcd.DefaultResilienceOptions()
-		ropt.Solve.Tol = *tol
-		ropt.Solve.Observer = observer
-		ropt.Hierarchy.SizeCap = *k
-		ropt.Hierarchy.Seed = *seed
 		solveStart := time.Now()
 		resp, rerr := hcd.Do(ctx, g, hcd.SolveRequest{
-			B: [][]float64{b}, Method: hcd.SolveMethodResilient, Resilience: ropt,
+			B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: opt,
+			Precond: hcd.PrecondSpec{SizeCap: *k, Seed: *seed},
 		})
 		solveTime := time.Since(solveStart)
 		fmt.Printf("graph: %s  n=%d m=%d\n", *graphSpec, g.N(), g.M())
@@ -144,9 +143,6 @@ func run() (err error) {
 		fmt.Printf("hierarchy levels: %v\n", h.LevelSizes())
 	}
 
-	opt := hcd.DefaultSolveOptions()
-	opt.Tol = *tol
-	opt.Observer = observer
 	req := hcd.SolveRequest{
 		B: B, M: m, Options: opt,
 		Precond: hcd.PrecondSpec{Kind: hcd.PrecondNone},
@@ -157,10 +153,7 @@ func run() (err error) {
 			req.M = hcd.JacobiPreconditioner(g)
 		}
 		req.Method = hcd.SolveMethodChebyshev
-		copt := hcd.DefaultChebyshevOptions(*chebIters)
-		copt.Tol = *tol
-		copt.Observer = observer
-		req.Chebyshev = copt
+		req.Options.MaxIter = *chebIters
 	case "pcg", "":
 		req.Method = hcd.SolveMethodPCG
 	default:

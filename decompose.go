@@ -74,10 +74,6 @@ var ErrBuildCancelled = decomp.ErrBuildCancelled
 type DecomposeOptions struct {
 	Method DecomposeMethod
 
-	// Parallel fans the Theorem 2.1 per-bridge case analysis across cores
-	// (MethodTree only; results are identical to serial).
-	Parallel bool
-
 	// SizeCap bounds cluster sizes for MethodFixedDegree (must be ≥ 2).
 	SizeCap int
 
@@ -175,7 +171,7 @@ func DecomposeCtx(ctx context.Context, g *Graph, opt DecomposeOptions) (*Decompo
 	var err error
 	switch opt.Method {
 	case MethodTree:
-		err = buildTreeMethod(p, g, opt, res)
+		err = buildTreeMethod(p, g, res)
 	case MethodPlanar, MethodMinorFree:
 		err = buildSparseMethod(p, g, opt, res)
 	case MethodFixedDegree:
@@ -204,10 +200,10 @@ func DecomposeCtx(ctx context.Context, g *Graph, opt DecomposeOptions) (*Decompo
 	return res, nil
 }
 
-func buildTreeMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *DecomposeResult) error {
+func buildTreeMethod(p *decomp.Pipeline, g *Graph, res *DecomposeResult) error {
 	return p.Run(decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
-		res.D, err = decomp.TreeCtx(ctx, g, opt.Parallel)
+		res.D, err = decomp.TreeCtx(ctx, g)
 		return stageInfoOf(res.D), err
 	})
 }
@@ -294,7 +290,7 @@ func buildSparseMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *
 	var td *Decomposition
 	if err := p.Run(decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
-		td, err = decomp.TreeCtx(ctx, forest, false)
+		td, err = decomp.TreeCtx(ctx, forest)
 		return stageInfoOf(td), err
 	}); err != nil {
 		return err

@@ -31,20 +31,17 @@ func sameAssignment(t *testing.T, label string, want, got *hcd.Decomposition) {
 
 func TestDecomposeCtxMatchesTreeWrappers(t *testing.T) {
 	g := hcd.RandomTree(500, hcd.LognormalWeights(1), 3)
-	want, err := decomp.TreeCtx(context.Background(), g, false)
+	want, err := decomp.TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []bool{false, true} {
-		res, err := hcd.DecomposeCtx(context.Background(), g,
-			hcd.DecomposeOptions{Method: hcd.MethodTree, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameAssignment(t, "tree", want, res.D)
-		if res.Report.Count != res.D.Count || res.Report.Phi <= 0 {
-			t.Errorf("report %+v inconsistent with decomposition", res.Report)
-		}
+	res, err := hcd.DecomposeCtx(context.Background(), g, hcd.DecomposeOptions{Method: hcd.MethodTree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAssignment(t, "tree", want, res.D)
+	if res.Report.Count != res.D.Count || res.Report.Phi <= 0 {
+		t.Errorf("report %+v inconsistent with decomposition", res.Report)
 	}
 }
 
@@ -77,7 +74,7 @@ func sparsePipeline(t *testing.T, g *hcd.Graph, sopt sparsify.Options) (*hcd.Dec
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := decomp.TreeCtx(context.Background(), forest, false)
+	td, err := decomp.TreeCtx(context.Background(), forest)
 	if err != nil {
 		t.Fatal(err)
 	}

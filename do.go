@@ -4,10 +4,11 @@ package hcd
 // many right-hand sides, a named iteration method, a preconditioner given as
 // a spec, a prebuilt value, or a warm Engine session — and returns a
 // SolveResponse with one SolveResult per right-hand side. Every other solve
-// entry point in the package (SolvePCGCtx, SolveCtx, SolveChebyshevCtx,
-// SolveResilient) is a thin wrapper over Do, so the CLI tools and the
-// hcd-server handlers share one implementation. A PCG request of any width is
-// one call into the solver's one PCG driver.
+// entry point in the package (SolvePCGCtx, SolveCtx, SolveResilient) is a
+// thin wrapper over Do, so the CLI tools and the hcd-server handlers share one
+// implementation. Every method reads its iteration settings from the
+// request's Options. A PCG request of any width is one call into the solver's
+// one PCG driver.
 
 import (
 	"context"
@@ -26,11 +27,12 @@ type SolveMethod string
 const (
 	// SolveMethodPCG is preconditioned conjugate gradients — the default.
 	SolveMethodPCG SolveMethod = "pcg"
-	// SolveMethodChebyshev bootstraps spectrum bounds from a short PCG
+	// SolveMethodChebyshev bootstraps spectrum bounds from a 40-step PCG
 	// probe on the first right-hand side outside the Laplacian's null space,
-	// then runs inner-product-free Chebyshev iteration on every right-hand
-	// side with the shared bounds. A zero or constant right-hand side is
-	// converged at x = 0.
+	// widens the Ritz bracket to [0.8·λmin, 1.2·λmax], then runs
+	// inner-product-free Chebyshev iteration on every right-hand side with
+	// the shared bounds, for Options.MaxIter iterations (required > 0). A
+	// zero or constant right-hand side is converged at x = 0.
 	SolveMethodChebyshev SolveMethod = "chebyshev"
 	// SolveMethodResilient walks the SolveResilient fallback ladder per
 	// right-hand side, recording a ResilienceReport for each.
@@ -59,12 +61,9 @@ type PrecondSpec struct {
 	// (0 selects the default, 4).
 	SizeCap int
 	// Seed drives the randomized constructions (0 selects the default, 1).
+	// The tree and subgraph kinds use a max-weight spanning tree, the
+	// subgraph kind with n/4 off-tree edges.
 	Seed int64
-	// Base selects the spanning tree for the tree and subgraph kinds.
-	Base BaseTree
-	// ExtraFraction is the subgraph kind's off-tree edge budget as a
-	// fraction of n (0 selects the default, 0.25).
-	ExtraFraction float64
 	// Shards splits the clustering builds of the steiner and hierarchy
 	// kinds into that many concurrent vertex-range shards (see
 	// DecomposeOptions.Shards). 0 or 1 builds single-pass. Ignored when
@@ -101,34 +100,32 @@ func NewPreconditioner(ctx context.Context, g *Graph, spec PrecondSpec) (Precond
 		}
 		return h, nil
 	case PrecondTree:
-		return NewTreePreconditioner(g, spec.Base, specSeed(spec))
+		return NewTreePreconditioner(g, MaxWeightTree, specSeed(spec))
 	case PrecondSubgraph:
-		popt := PlanarOptions{Base: spec.Base, ExtraFraction: spec.ExtraFraction, Seed: specSeed(spec)}
-		if popt.ExtraFraction <= 0 {
-			popt.ExtraFraction = DefaultPlanarOptions().ExtraFraction
-		}
+		popt := DefaultPlanarOptions()
+		popt.Seed = specSeed(spec)
 		res, err := NewSubgraphPreconditioner(g, popt)
 		if err != nil {
 			return nil, err
 		}
 		return res.P, nil
 	case PrecondHierarchy, "":
-		opt := DefaultHierarchyOptions()
-		if spec.Hierarchy != nil {
-			opt = *spec.Hierarchy
-		} else {
-			if spec.SizeCap >= 2 {
-				opt.SizeCap = spec.SizeCap
-			}
-			if spec.Seed != 0 {
-				opt.Seed = spec.Seed
-			}
-			opt.Shards = spec.Shards
-		}
-		return NewHierarchyCtx(ctx, g, opt)
+		return NewHierarchyCtx(ctx, g, specHierarchy(spec))
 	default:
 		return nil, fmt.Errorf("hcd: unknown preconditioner kind %q: %w", spec.Kind, ErrInvalidInput)
 	}
+}
+
+// specHierarchy is the hierarchy build a spec of the hierarchy kind
+// describes: spec.Hierarchy when set, else the defaults with the spec's
+// SizeCap, Seed and Shards.
+func specHierarchy(spec PrecondSpec) HierarchyOptions {
+	if spec.Hierarchy != nil {
+		return *spec.Hierarchy
+	}
+	opt := DefaultHierarchyOptions()
+	opt.SizeCap, opt.Seed, opt.Shards = specSizeCap(spec), specSeed(spec), spec.Shards
+	return opt
 }
 
 func specSizeCap(spec PrecondSpec) int {
@@ -157,23 +154,24 @@ type SolveRequest struct {
 	// Method selects the iteration ("" = PCG).
 	Method SolveMethod
 	// Precond describes the preconditioner to build when neither Engine
-	// nor M is set. The zero value builds the multilevel hierarchy.
+	// nor M is set. The zero value builds the multilevel hierarchy. For
+	// SolveMethodResilient it configures the ladder's first rung and must
+	// be of the hierarchy kind.
 	Precond PrecondSpec
 	// M, when non-nil, is used directly and Precond is ignored.
 	M Preconditioner
 	// Engine, when non-nil, runs the solves on a warm session (the
 	// serving path: per-hierarchy engine pools). Result slices are copied
 	// out of the engine's buffers, so they remain valid after the engine
-	// is reused. Ignored by SolveMethodResilient, whose ladder builds its
-	// own preconditioners.
+	// is reused. SolveMethodResilient ignores M and Engine: its ladder
+	// builds its own preconditioners.
 	Engine *Engine
-	// Options configures the PCG iteration (and the Chebyshev method's
-	// probe inherits its ProjectMean).
+	// Options configures the iteration of every method. PCG reads all of
+	// it. Chebyshev reads Tol (0 runs every iteration), MaxIter (its
+	// iteration count, required > 0) and Observer; its probe and iteration
+	// always project out the mean. The resilient ladder runs every rung
+	// under Options with one in-rung restart.
 	Options SolveOptions
-	// Chebyshev configures SolveMethodChebyshev (Iters is required).
-	Chebyshev ChebyshevOptions
-	// Resilience configures SolveMethodResilient (zero value = defaults).
-	Resilience ResilienceOptions
 }
 
 // SolveResponse reports one Do call: per-right-hand-side results plus the
@@ -237,8 +235,11 @@ func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error)
 	case SolveMethodChebyshev:
 		return doChebyshev(ctx, g, req, resp)
 	case SolveMethodResilient:
+		if k := req.Precond.Kind; k != PrecondHierarchy && k != "" {
+			return resp, fmt.Errorf("hcd: Do: the resilient method builds a hierarchy, not %q: %w", k, ErrInvalidInput)
+		}
 		for _, b := range req.B {
-			res, rep, err := solveResilient(ctx, g, b, req.Resilience)
+			res, rep, err := solveResilient(ctx, g, b, specHierarchy(req.Precond), req.Options)
 			resp.Results = append(resp.Results, res)
 			resp.Resilience = append(resp.Resilience, rep)
 			if err != nil {
@@ -277,19 +278,17 @@ func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse)
 	return resp, err
 }
 
+// The Chebyshev method's bootstrap: the probe's PCG depth and the widening of
+// its Ritz bracket (Ritz values sit strictly inside the true spectrum).
+const (
+	chebyshevProbeIters = 40
+	chebyshevWidenLow   = 0.8
+	chebyshevWidenHigh  = 1.2
+)
+
 func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse) (*SolveResponse, error) {
-	opt := req.Chebyshev
-	if opt.Iters <= 0 {
-		return resp, fmt.Errorf("hcd: ChebyshevOptions.Iters must be positive: %w", ErrInvalidInput)
-	}
-	if opt.ProbeIters <= 0 {
-		opt.ProbeIters = 40
-	}
-	if opt.WidenLow <= 0 {
-		opt.WidenLow = 0.8
-	}
-	if opt.WidenHigh <= 0 {
-		opt.WidenHigh = 1.2
+	if req.Options.MaxIter <= 0 {
+		return resp, fmt.Errorf("hcd: the Chebyshev method needs Options.MaxIter > 0: %w", ErrInvalidInput)
 	}
 	m := req.M
 	if m == nil && req.Engine == nil {
@@ -300,7 +299,7 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 		}
 	}
 	a := solver.LapOperator(g)
-	probeOpt := solver.Options{Tol: 1e-12, MaxIter: opt.ProbeIters, ProjectMean: true}
+	probeOpt := solver.Options{Tol: 1e-12, MaxIter: chebyshevProbeIters, ProjectMean: true}
 	// The bounds come from the first right-hand side whose probe produced PCG
 	// coefficients. A column the probe finds solved before its first step — zero
 	// or constant, the Laplacian's null space — has none: it keeps its probe's
@@ -335,16 +334,17 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 		return resp, err
 	}
 	resp.Lmin, resp.Lmax, resp.ProbeMetrics = lmin, lmax, probe.Metrics
-	iterOpt := solver.Options{MaxIter: opt.Iters, ProjectMean: true, Tol: opt.Tol, Observer: opt.Observer}
+	iterOpt := solver.Options{MaxIter: req.Options.MaxIter, ProjectMean: true, Tol: req.Options.Tol, Observer: req.Options.Observer}
+	lo, hi := lmin*chebyshevWidenLow, lmax*chebyshevWidenHigh
 	var errs []error
 	for i := solved; i < len(req.B); i++ {
 		b := req.B[i]
 		var res SolveResult
 		if req.Engine != nil {
-			res, err = req.Engine.SolveChebyshev(ctx, b, lmin*opt.WidenLow, lmax*opt.WidenHigh, iterOpt)
+			res, err = req.Engine.SolveChebyshev(ctx, b, lo, hi, iterOpt)
 			res = detachResult(res)
 		} else {
-			res, err = solver.ChebyshevCtx(ctx, a, m, b, lmin*opt.WidenLow, lmax*opt.WidenHigh, iterOpt)
+			res, err = solver.ChebyshevCtx(ctx, a, m, b, lo, hi, iterOpt)
 		}
 		resp.Results = append(resp.Results, res)
 		if err != nil {

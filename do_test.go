@@ -3,6 +3,7 @@ package hcd_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -145,8 +146,8 @@ func TestDoChebyshevMultiRHS(t *testing.T) {
 	B := [][]float64{meanFree(rng, g.N()), meanFree(rng, g.N())}
 	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
 		B: B, Method: hcd.SolveMethodChebyshev,
-		M:         hcd.JacobiPreconditioner(g),
-		Chebyshev: hcd.DefaultChebyshevOptions(300),
+		M:       hcd.JacobiPreconditioner(g),
+		Options: hcd.SolveOptions{MaxIter: 300},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +177,9 @@ func TestDoChebyshevNullSpaceColumns(t *testing.T) {
 	}
 	b := meanFree(rand.New(rand.NewSource(9)), n)
 	B := [][]float64{make([]float64, n), b, constant}
-	copt := hcd.DefaultChebyshevOptions(300)
-	copt.Tol = 1e-8
+	copt := hcd.SolveOptions{MaxIter: 300, Tol: 1e-8}
 	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
-		B: B, Method: hcd.SolveMethodChebyshev, M: hcd.JacobiPreconditioner(g), Chebyshev: copt,
+		B: B, Method: hcd.SolveMethodChebyshev, M: hcd.JacobiPreconditioner(g), Options: copt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestDoChebyshevNullSpaceColumns(t *testing.T) {
 	// With nothing but null-space columns there are no bounds to take: every
 	// column is converged at x = 0.
 	resp, err = hcd.Do(context.Background(), g, hcd.SolveRequest{
-		B: [][]float64{make([]float64, n), constant}, Method: hcd.SolveMethodChebyshev, Chebyshev: copt,
+		B: [][]float64{make([]float64, n), constant}, Method: hcd.SolveMethodChebyshev, Options: copt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +216,100 @@ func TestDoChebyshevNullSpaceColumns(t *testing.T) {
 	for i, res := range resp.Results {
 		if !res.Converged {
 			t.Errorf("null-space rhs %d of 2: outcome %v", i, res.Outcome)
+		}
+	}
+}
+
+// TestRHSScaleSignInvariant: solving s·b for a power of two s of either sign
+// takes the path solving b takes — the same outcome and iteration count — and
+// returns exactly s·x, through every method and preconditioner form Do has.
+// Every step of a solve is linear in b or a ratio of two such quantities, and
+// a power of two scales a float exactly while nothing overflows, so a
+// difference is a threshold that is absolute instead of relative to ‖b‖.
+func TestRHSScaleSignInvariant(t *testing.T) {
+	ctx := context.Background()
+	road, err := hcd.RoadNetwork(24, 24, 6, hcd.LognormalWeights(0.5), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fem, err := hcd.FEMesh(20, 20, -1, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *hcd.Graph
+	}{
+		{"grid3d10", hcd.Grid3D(10, 10, 10, hcd.LognormalWeights(1), 3)},
+		{"road24", road},
+		{"femesh20", fem},
+		{"tree3000", hcd.RandomTree(3000, hcd.LognormalWeights(1), 3)},
+	}
+	scales := []float64{-1, math.Ldexp(1, 300), math.Ldexp(1, -300), -math.Ldexp(1, 37)}
+	for _, gr := range graphs {
+		g := gr.g
+		m, err := hcd.NewPreconditioner(ctx, g, hcd.PrecondSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := hcd.NewEngine(g, m, hcd.DefaultSolveOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		B := make([][]float64, 4)
+		for j := range B {
+			B[j] = meanFree(rng, g.N())
+		}
+		opt := hcd.DefaultSolveOptions()
+		cheb := opt
+		cheb.MaxIter = 120
+		methods := []struct {
+			name string
+			req  func(B [][]float64) hcd.SolveRequest
+		}{
+			{"pcg k=1", func(B [][]float64) hcd.SolveRequest { return hcd.SolveRequest{B: B[:1], M: m, Options: opt} }},
+			{"pcg k=4", func(B [][]float64) hcd.SolveRequest { return hcd.SolveRequest{B: B, M: m, Options: opt} }},
+			{"pcg k=4 engine", func(B [][]float64) hcd.SolveRequest { return hcd.SolveRequest{B: B, Engine: eng, Options: opt} }},
+			{"chebyshev", func(B [][]float64) hcd.SolveRequest {
+				return hcd.SolveRequest{B: B[:1], Method: hcd.SolveMethodChebyshev, M: m, Options: cheb}
+			}},
+			{"resilient", func(B [][]float64) hcd.SolveRequest {
+				return hcd.SolveRequest{B: B[:1], Method: hcd.SolveMethodResilient, Options: opt}
+			}},
+		}
+		for _, me := range methods {
+			base, err := hcd.Do(ctx, g, me.req(B))
+			if err != nil {
+				t.Fatalf("%s %s: %v", gr.name, me.name, err)
+			}
+			for _, s := range scales {
+				sB := make([][]float64, len(B))
+				for j, b := range B {
+					sB[j] = make([]float64, len(b))
+					for v := range b {
+						sB[j][v] = s * b[v]
+					}
+				}
+				resp, err := hcd.Do(ctx, g, me.req(sB))
+				if err != nil {
+					t.Fatalf("%s %s s=%g: %v", gr.name, me.name, s, err)
+				}
+				for j, res := range resp.Results {
+					want := base.Results[j]
+					if res.Outcome != want.Outcome || res.Iterations != want.Iterations {
+						t.Errorf("%s %s s=%g rhs %d: %v after %d iterations, b: %v after %d",
+							gr.name, me.name, s, j, res.Outcome, res.Iterations, want.Outcome, want.Iterations)
+						continue
+					}
+					for v, x := range res.X {
+						if x != s*want.X[v] {
+							t.Errorf("%s %s s=%g rhs %d: x[%d] = %v, want %v", gr.name, me.name, s, j, v, x, s*want.X[v])
+							break
+						}
+					}
+				}
+			}
 		}
 	}
 }

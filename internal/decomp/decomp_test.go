@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hcd/internal/graph"
@@ -33,7 +34,7 @@ func TestTreeDecompositionTinyTrees(t *testing.T) {
 		if n == 0 {
 			g = graph.MustFromEdges(0, nil)
 		}
-		d, err := TreeCtx(context.Background(), g, false)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestTreeDecompositionTinyTrees(t *testing.T) {
 func TestTreeDecompositionPaths(t *testing.T) {
 	for _, n := range []int{4, 5, 7, 10, 23, 50, 101} {
 		g := workload.Caterpillar(n, 0, nil, 1)
-		d, err := TreeCtx(context.Background(), g, false)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestTreeDecompositionPaths(t *testing.T) {
 
 func TestTreeDecompositionStarsAndCaterpillars(t *testing.T) {
 	star := workload.Caterpillar(1, 50, nil, 1)
-	d, err := TreeCtx(context.Background(), star, false)
+	d, err := TreeCtx(context.Background(), star)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestTreeDecompositionStarsAndCaterpillars(t *testing.T) {
 		t.Errorf("star should be one cluster, got %d", d.Count)
 	}
 	cat := workload.Caterpillar(20, 3, workload.UniformWeight(0.1, 10), 7)
-	d, err = TreeCtx(context.Background(), cat, false)
+	d, err = TreeCtx(context.Background(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestTreeDecompositionRandomTreesUnitWeights(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		n := 4 + rng.Intn(150)
 		g := treealg.RandomTree(rng, n, nil)
-		d, err := TreeCtx(context.Background(), g, false)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestTreeDecompositionRandomWeights(t *testing.T) {
 		g := treealg.RandomTree(rng, n, func() float64 {
 			return math.Exp(rng.NormFloat64() * 2) // heavy-tailed weights
 		})
-		d, err := TreeCtx(context.Background(), g, false)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestTreeDecompositionForest(t *testing.T) {
 		es = append(es, graph.Edge{U: 10, V: i, W: 2})
 	}
 	g := graph.MustFromEdges(18, es)
-	d, err := TreeCtx(context.Background(), g, false)
+	d, err := TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestTreeDecompositionForest(t *testing.T) {
 
 func TestTreeRejectsCycles(t *testing.T) {
 	cyc := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1}})
-	if _, err := TreeCtx(context.Background(), cyc, false); err == nil {
+	if _, err := TreeCtx(context.Background(), cyc); err == nil {
 		t.Error("cycle accepted")
 	}
 }
@@ -286,7 +287,7 @@ func sparseCore(b *graph.Graph) (*Decomposition, SparseStats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
-	td, err := TreeCtx(context.Background(), forest, false)
+	td, err := TreeCtx(context.Background(), forest)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -443,7 +444,7 @@ func TestAtMostOneGammaViolationPerCluster(t *testing.T) {
 		g := treealg.RandomTree(rng, n, func() float64 {
 			return math.Exp(rng.NormFloat64())
 		})
-		d, err := TreeCtx(context.Background(), g, false)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,7 +533,7 @@ func TestMergeSingletonsImprovesRho(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		n := 50 + rng.Intn(200)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.2 + rng.Float64()*5 })
-		d, err := TreeCtx(context.Background(), g, false)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,24 +608,29 @@ func TestDetailsConsistentWithEvaluate(t *testing.T) {
 	}
 }
 
-func TestTreeParallelMatchesSequential(t *testing.T) {
+// TestTreeWorkerCountInvariant: the per-bridge case analysis fans out over
+// par.For, which runs serially at one worker; the decomposition is the same
+// at one worker and at four.
+func TestTreeWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for it := 0; it < 20; it++ {
 		n := 4 + rng.Intn(400)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.2 + rng.Float64()*5 })
-		seq, err := TreeCtx(context.Background(), g, false)
-		if err != nil {
-			t.Fatal(err)
+		var ds [2]*Decomposition
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			d, err := TreeCtx(context.Background(), g)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds[i] = d
 		}
-		parl, err := TreeCtx(context.Background(), g, true)
-		if err != nil {
-			t.Fatal(err)
+		if ds[0].Count != ds[1].Count {
+			t.Fatalf("n=%d: counts differ %d vs %d", n, ds[0].Count, ds[1].Count)
 		}
-		if seq.Count != parl.Count {
-			t.Fatalf("n=%d: counts differ %d vs %d", n, seq.Count, parl.Count)
-		}
-		for v := range seq.Assign {
-			if seq.Assign[v] != parl.Assign[v] {
+		for v := range ds[0].Assign {
+			if ds[0].Assign[v] != ds[1].Assign[v] {
 				t.Fatalf("n=%d: assignment differs at %d", n, v)
 			}
 		}
@@ -636,7 +642,7 @@ func BenchmarkTreeDecomposition(b *testing.B) {
 	g := treealg.RandomTree(rng, 100000, func() float64 { return 0.1 + rng.Float64() })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TreeCtx(context.Background(), g, false); err != nil {
+		if _, err := TreeCtx(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	decomps := []*Decomposition{}
 	for trial := 0; trial < 6; trial++ {
 		tree := treealg.RandomTree(rng, 200+rng.Intn(400), func() float64 { return 0.5 + rng.Float64() })
-		d, err := TreeCtx(context.Background(), tree, false)
+		d, err := TreeCtx(context.Background(), tree)
 		if err != nil {
 			t.Fatal(err)
 		}

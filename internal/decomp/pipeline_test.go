@@ -133,11 +133,8 @@ func TestBuildersReturnCancelledSentinel(t *testing.T) {
 	cancel()
 	tree := workload.Caterpillar(30, 3, nil, 1)
 	grid := workload.Grid2D(12, 12, nil, 1)
-	if _, err := TreeCtx(ctx, tree, false); !errors.Is(err, ErrBuildCancelled) || !errors.Is(err, context.Canceled) {
+	if _, err := TreeCtx(ctx, tree); !errors.Is(err, ErrBuildCancelled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("TreeCtx error %v does not wrap both sentinels", err)
-	}
-	if _, err := TreeCtx(ctx, tree, true); !errors.Is(err, ErrBuildCancelled) {
-		t.Errorf("TreeParallelCtx error %v does not wrap ErrBuildCancelled", err)
 	}
 	if _, err := FixedDegreeCtx(ctx, grid, 4, 1); !errors.Is(err, ErrBuildCancelled) {
 		t.Errorf("FixedDegreeCtx error %v does not wrap ErrBuildCancelled", err)
@@ -149,11 +146,11 @@ func TestCtxVariantsMatchPlainBuilders(t *testing.T) {
 	tree := workload.Caterpillar(40, 2, workload.Lognormal(1), 7)
 	grid := workload.Grid2D(15, 15, workload.Lognormal(1), 7)
 
-	want, err := TreeCtx(context.Background(), tree, false)
+	want, err := TreeCtx(context.Background(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TreeCtx(ctx, tree, false)
+	got, err := TreeCtx(ctx, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,13 @@ import (
 // measured values on non-adversarial weights sit at 1/2 or above — see
 // EXPERIMENTS.md E3).
 //
-// With parallel set, the per-bridge case analysis fans out across cores:
-// 3-critical vertices come from the parallel machinery, the non-critical
+// The per-bridge case analysis fans out across cores: the non-critical
 // groups are independent and evaluated concurrently, and only the final
 // cluster-id assignment is sequential — mirroring the "O(1) parallel time
-// after the 3-critical computation" claim of Theorem 2.1. Results are
-// identical either way. Cancellation mid-build returns an error wrapping
+// after the 3-critical computation" claim of Theorem 2.1. The result does not
+// depend on the worker count. Cancellation mid-build returns an error wrapping
 // ErrBuildCancelled (and the context's own error) within one poll interval.
-func TreeCtx(ctx context.Context, g *graph.Graph, parallel bool) (*Decomposition, error) {
+func TreeCtx(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
 	if !g.IsForest() {
 		return nil, fmt.Errorf("decomp: Tree requires an acyclic graph")
 	}
@@ -86,7 +85,7 @@ func TreeCtx(ctx context.Context, g *graph.Graph, parallel bool) (*Decomposition
 	b.certs.New = func() any { return graph.NewCertifier(g) }
 	// Collect the maximal non-critical groups, then choose each group's
 	// best local partition (a pure, independent computation) and apply the
-	// choices. The choose phase fans out across cores when requested.
+	// choices. The choose phase fans out across cores.
 	seen := make([]bool, n)
 	var groups [][]int
 	for v := 0; v < n; v++ {
@@ -113,11 +112,7 @@ func TreeCtx(ctx context.Context, g *graph.Graph, parallel bool) (*Decomposition
 			choices[i], errs[i] = b.chooseCandidate(groups[i])
 		}
 	}
-	if parallel {
-		par.For(len(groups), 64, choose)
-	} else {
-		choose(0, len(groups))
-	}
+	par.For(len(groups), 64, choose)
 	if ctx.Err() != nil {
 		return nil, Cancelled(ctx)
 	}

@@ -65,7 +65,7 @@ const (
 )
 
 // maxSnapshotLevels bounds the declared level count of a hierarchy snapshot.
-// Real hierarchies are capped at Options.MaxLevels (~40); 64 leaves headroom
+// Real hierarchies are capped at 40 levels; 64 leaves headroom
 // while keeping a hostile header from driving a long decode loop.
 const maxSnapshotLevels = 64
 

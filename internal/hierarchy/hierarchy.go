@@ -38,7 +38,6 @@ type Options struct {
 	SizeCap     int   // cluster size cap per level (≥ 2)
 	Seed        int64 // perturbation seed for the clusterings
 	DirectLimit int   // largest graph handed to the direct solver
-	MaxLevels   int   // hard cap on depth; ≤ 0 means the default, 40
 	Smooth      int   // damped-Jacobi pre/post smoothing sweeps per level, 0 … 64
 	// Shards splits each level's clustering into that many concurrently
 	// built vertex-range shards while the level graph is large enough
@@ -52,14 +51,14 @@ type Options struct {
 // costs more than the fan-out saves.
 const shardMinVertices = 1 << 15
 
-// defaultMaxLevels is the depth cap of DefaultOptions and of Options that leave
-// MaxLevels unset: far above the ~log₃ n levels a real hierarchy has.
-const defaultMaxLevels = 40
+// maxLevels is the depth cap of every build: far above the ~log₃ n levels a
+// real hierarchy has.
+const maxLevels = 40
 
 // DefaultOptions: clusters of ~4, 600-vertex coarse solves, one smoothing
 // sweep.
 func DefaultOptions() Options {
-	return Options{SizeCap: 4, Seed: 1, DirectLimit: 600, MaxLevels: defaultMaxLevels, Smooth: 1}
+	return Options{SizeCap: 4, Seed: 1, DirectLimit: 600, Smooth: 1}
 }
 
 // Level is one layer of the laminar decomposition, stored for the apply.
@@ -126,8 +125,8 @@ func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
 // corrupted build) is rejected with an error rather than handed to the coarse
 // factorization,
 // whose fill on an unreduced graph would be a far worse failure than an
-// explicit one; so is a MaxLevels that stops the recursion while the graph is
-// still more than four times DirectLimit.
+// explicit one; so is a build that reaches the 40-level depth cap while the
+// graph is still more than four times DirectLimit.
 func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (*Hierarchy, error) {
 	if opt.SizeCap < 2 {
 		return nil, fmt.Errorf("hierarchy: SizeCap %d must be ≥ 2: %w", opt.SizeCap, graph.ErrInvalidInput)
@@ -138,10 +137,7 @@ func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (*Hierarchy, error
 	if opt.DirectLimit < 1 {
 		opt.DirectLimit = 1
 	}
-	if opt.MaxLevels <= 0 {
-		opt.MaxLevels = defaultMaxLevels
-	}
-	return build(ctx, g, nil, opt)
+	return build(ctx, g, nil, opt, maxLevels)
 }
 
 // steinerDirectLimit is the largest quotient NewSteiner factors directly.
@@ -167,16 +163,17 @@ func NewSteiner(ctx context.Context, d *decomp.Decomposition) (*Hierarchy, error
 	}
 	opt := DefaultOptions()
 	opt.DirectLimit, opt.Smooth = steinerDirectLimit, 0
-	return build(ctx, d.G, d, opt)
+	return build(ctx, d.G, d, opt, maxLevels)
 }
 
 // build runs the level loop on validated options: level 0 is first's
 // clustering when first is non-nil, whatever g's size; every other level is
-// clustered here while the graph is above the direct limit.
+// clustered here while the graph is above the direct limit, for at most
+// depthCap levels.
 //
 // A panic during setup — including worker panics surfaced by internal/par —
 // is recovered and returned as an error.
-func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt Options) (h *Hierarchy, err error) {
+func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt Options, depthCap int) (h *Hierarchy, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			h, err = nil, fmt.Errorf("hierarchy: panic during setup: %w", par.AsError(v))
@@ -188,10 +185,10 @@ func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt
 	cur := g
 	var levelSpans []*obs.Span // traced builds only: visits are known last
 	for level := 0; (level == 0 && first != nil) || cur.N() > opt.DirectLimit; level++ {
-		if level == opt.MaxLevels {
+		if level == depthCap {
 			if cur.N() > 4*opt.DirectLimit {
-				return nil, fmt.Errorf("hierarchy: MaxLevels %d reached at level %d with %d vertices left (direct limit %d): %w",
-					opt.MaxLevels, level, cur.N(), opt.DirectLimit, graph.ErrInvalidInput)
+				return nil, fmt.Errorf("hierarchy: depth cap %d reached at level %d with %d vertices left (direct limit %d): %w",
+					depthCap, level, cur.N(), opt.DirectLimit, graph.ErrInvalidInput)
 			}
 			break
 		}

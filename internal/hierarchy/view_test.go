@@ -349,7 +349,7 @@ func TestMemoryBytesCountsLayoutView(t *testing.T) {
 }
 
 // TestLayoutSolveRestartsInLayout: a one-column solve that breaks down and
-// restarts under Options.Recovery resumes in the layout view — the iterate
+// restarts under Options.MaxRestarts resumes in the layout view — the iterate
 // and b gathered again, r = b − A·x recomputed there — and ends where the same
 // restarted solve ends in the caller's numbering.
 func TestLayoutSolveRestartsInLayout(t *testing.T) {
@@ -362,7 +362,7 @@ func TestLayoutSolveRestartsInLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := solver.DefaultOptions()
-	opt.Recovery = solver.RecoveryPolicy{MaxRestarts: 1}
+	opt.MaxRestarts = 1
 	b := meanFree(rand.New(rand.NewSource(9)), g.N())
 	solve := func(a solver.Operator) solver.Result {
 		restore := faultinject.Activate(map[string]faultinject.Spec{

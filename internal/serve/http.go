@@ -294,7 +294,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	var hopt *hcd.HierarchyOptions
 	if q.Has("sizecap") || q.Has("seed") || q.Has("shards") {
-		o := s.cfg.Hierarchy
+		o := hcd.DefaultHierarchyOptions()
 		if v, perr := strconv.Atoi(q.Get("sizecap")); perr == nil && v >= 2 {
 			o.SizeCap = v
 		}
@@ -493,18 +493,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	case req.Method == "chebyshev":
 		doReq.Method = hcd.SolveMethodChebyshev
-		iters := req.ChebyshevIters
-		if iters <= 0 {
-			iters = 120
+		doReq.Options.MaxIter = req.ChebyshevIters
+		if doReq.Options.MaxIter <= 0 {
+			doReq.Options.MaxIter = 120
 		}
-		copt := hcd.DefaultChebyshevOptions(iters)
-		copt.Tol = opt.Tol
-		doReq.Chebyshev = copt
 	case req.Method == "resilient":
 		doReq.Method = hcd.SolveMethodResilient
-		ropt := hcd.DefaultResilienceOptions()
-		ropt.Solve = opt
-		doReq.Resilience = ropt
 		doReq.M = nil // the ladder builds its own rungs
 	default:
 		writeErr(w, http.StatusBadRequest, "unknown method %q", req.Method)

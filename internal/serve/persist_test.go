@@ -503,7 +503,7 @@ func TestStoreChargesLayoutView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newStore(4, 1<<30, 1, hcd.DefaultHierarchyOptions(), nil, nil)
+	s := newStore(4, 1<<30, 1, nil, nil)
 	h, err := s.Put(g, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hcd"
 	"hcd/internal/kernel"
 	"hcd/internal/obs"
 )
@@ -37,9 +36,6 @@ type Config struct {
 	PoolSize int
 	// MaxBodyBytes bounds request bodies (default 256 MiB).
 	MaxBodyBytes int64
-	// Hierarchy is the default build configuration; per-submit query
-	// parameters override it. Zero value = hcd.DefaultHierarchyOptions.
-	Hierarchy hcd.HierarchyOptions
 	// AutoShardVertices turns on sharded hierarchy builds for submissions
 	// of at least this many vertices when the build options do not set a
 	// shard count themselves; the shard count follows the worker count.
@@ -99,9 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 256 << 20
 	}
-	if c.Hierarchy == (hcd.HierarchyOptions{}) {
-		c.Hierarchy = hcd.DefaultHierarchyOptions()
-	}
 	if c.AutoShardVertices == 0 {
 		c.AutoShardVertices = 200_000
 	}
@@ -148,7 +141,7 @@ func New(cfg Config) *Server {
 	}
 	gaugeSet(s.reg, fmt.Sprintf("%s{goarch=%q,kernel=%q}", metricBuildInfo, runtime.GOARCH, kernel.Name()), 1)
 	s.batch = newBatcher(cfg.BatchWindow, cfg.BatchMaxWidth, cfg.Registry)
-	s.store = newStore(cfg.MaxHandles, cfg.MaxBytes, cfg.PoolSize, cfg.Hierarchy, s.reg, s.tr)
+	s.store = newStore(cfg.MaxHandles, cfg.MaxBytes, cfg.PoolSize, s.reg, s.tr)
 	s.store.autoShard = cfg.AutoShardVertices
 	s.store.breaker = cfg.BreakerThreshold
 	if cfg.StateDir != "" {

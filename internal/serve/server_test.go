@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"hcd"
+	"hcd/internal/faultinject"
 	"hcd/internal/kernel"
 	"hcd/internal/obs"
 )
@@ -367,5 +369,83 @@ func TestBuildInfoOnMetrics(t *testing.T) {
 	want := fmt.Sprintf("hcd_build_info{goarch=%q,kernel=%q} 1\n", runtime.GOARCH, kernel.Name())
 	if !strings.Contains(string(body), want) {
 		t.Errorf("/metrics lacks %q", want)
+	}
+}
+
+// TestSolveMethods posts each non-PCG method to the solve route: Chebyshev
+// with and without chebyshev_iters (its default, 120, is the iteration
+// count), the resilient ladder, and a method the route does not know.
+func TestSolveMethods(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	code, body, _ := c.do("POST", "/v1/graphs?spec=grid2d:48&wait=true", "", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	path := "/v1/graphs/" + body["id"].(string) + "/solve"
+	for _, tc := range []struct {
+		name     string
+		req      map[string]any
+		code     int
+		maxIters float64 // a Chebyshev request's iteration count
+	}{
+		{"chebyshev", map[string]any{"method": "chebyshev", "chebyshev_iters": 200}, http.StatusOK, 200},
+		{"chebyshev default count", map[string]any{"method": "chebyshev"}, http.StatusOK, 120},
+		{"resilient", map[string]any{"method": "resilient", "rhs": 2}, http.StatusOK, 0},
+		{"unknown", map[string]any{"method": "gmres"}, http.StatusBadRequest, 0},
+	} {
+		code, body, _ := c.do("POST", path, "", tc.req)
+		if code != tc.code {
+			t.Errorf("%s: code %d, want %d (body %v)", tc.name, code, tc.code, body)
+			continue
+		}
+		if code != http.StatusOK {
+			continue
+		}
+		if tc.maxIters > 0 {
+			lmin, _ := body["lmin"].(float64)
+			lmax, _ := body["lmax"].(float64)
+			if !(lmin > 0 && lmin <= lmax) {
+				t.Errorf("%s: spectrum estimate [%v, %v]", tc.name, body["lmin"], body["lmax"])
+			}
+		}
+		results, _ := body["results"].([]any)
+		if len(results) == 0 {
+			t.Errorf("%s: no results in %v", tc.name, body)
+		}
+		for i, r := range results {
+			r := r.(map[string]any)
+			if r["converged"] != true {
+				t.Errorf("%s: rhs %d did not converge: %v", tc.name, i, r)
+			}
+			if it, _ := r["iterations"].(float64); tc.maxIters > 0 && it > tc.maxIters {
+				t.Errorf("%s: rhs %d ran %v iterations, more than %v", tc.name, i, it, tc.maxIters)
+			}
+			if rung, _ := r["rung"].(string); tc.req["method"] == "resilient" && rung == "" {
+				t.Errorf("%s: rhs %d names no rung: %v", tc.name, i, r)
+			}
+		}
+	}
+}
+
+// TestResilientMethodRestartsInRung: the resilient method restarts a broken-
+// down PCG attempt in place, as SolveResilient does, before it rebuilds the
+// hierarchy under another seed: one forced breakdown is absorbed by rung 1.
+func TestResilientMethodRestartsInRung(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	code, body, _ := c.do("POST", "/v1/graphs?spec=grid2d:48&wait=true", "", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	restore := faultinject.Activate(map[string]faultinject.Spec{
+		faultinject.ForceBreakdown: {OnHit: 4, Count: 1},
+	})
+	code, body, _ = c.do("POST", "/v1/graphs/"+body["id"].(string)+"/solve", "", map[string]any{"method": "resilient"})
+	restore()
+	if code != http.StatusOK {
+		t.Fatalf("solve: code %d body %v", code, body)
+	}
+	r := body["results"].([]any)[0].(map[string]any)
+	if r["converged"] != true || r["rung"] != hcd.RungHierarchyPCG || r["recovered"] == true {
+		t.Errorf("result %v: want converged on rung %s without a recovery", r, hcd.RungHierarchyPCG)
 	}
 }

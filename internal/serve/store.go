@@ -125,7 +125,6 @@ type store struct {
 	maxHandles int
 	maxBytes   int64
 	poolSize   int
-	hopt       hcd.HierarchyOptions
 	autoShard  int // auto-shard threshold in vertices; ≤ 0 disables
 	reg        *obs.Registry
 	tr         *obs.Tracer
@@ -141,12 +140,11 @@ type store struct {
 	nextID int64
 }
 
-func newStore(maxHandles int, maxBytes int64, poolSize int, hopt hcd.HierarchyOptions, reg *obs.Registry, tr *obs.Tracer) *store {
+func newStore(maxHandles int, maxBytes int64, poolSize int, reg *obs.Registry, tr *obs.Tracer) *store {
 	return &store{
 		maxHandles: maxHandles,
 		maxBytes:   maxBytes,
 		poolSize:   poolSize,
-		hopt:       hopt,
 		reg:        reg,
 		tr:         tr,
 		gauges:     &engineGauges{reg: reg},
@@ -157,9 +155,10 @@ func newStore(maxHandles int, maxBytes int64, poolSize int, hopt hcd.HierarchyOp
 }
 
 // Put registers a graph, kicks off its hierarchy build in the background,
-// and returns the new handle. hopt overrides the store default when non-nil.
+// and returns the new handle. hopt overrides hcd.DefaultHierarchyOptions when
+// non-nil.
 func (s *store) Put(g *hcd.Graph, hopt *hcd.HierarchyOptions) (*handle, error) {
-	opts := s.hopt
+	opts := hcd.DefaultHierarchyOptions()
 	if hopt != nil {
 		opts = *hopt
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hcd/internal/graph"
+	"hcd/internal/obs"
 	"hcd/internal/workload"
 )
 
@@ -147,7 +148,6 @@ func TestCancellationReturnsPromptly(t *testing.T) {
 	op := slowOp{op: LapOperator(g), delay: 2 * time.Millisecond}
 	opt := DefaultOptions()
 	opt.Tol = 1e-14 // keep it iterating until cancelled
-	opt.CheckEvery = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -165,7 +165,8 @@ func TestCancellationReturnsPromptly(t *testing.T) {
 	if res.Converged {
 		t.Error("cancelled solve reported Converged")
 	}
-	// CheckEvery=1 → at most one 2ms apply after the cancel lands.
+	// The context is polled every iteration → at most one 2ms apply after
+	// the cancel lands.
 	if elapsed > 500*time.Millisecond {
 		t.Errorf("cancelled solve took %v", elapsed)
 	}
@@ -261,12 +262,12 @@ func TestProgressCallback(t *testing.T) {
 	b := meanFreeRHS(rng, g.N())
 	var iters []int
 	opt := DefaultOptions()
-	opt.Progress = func(iter int, resid float64) {
+	opt.Observer = obs.ObserverFunc(func(iter int, resid float64) {
 		iters = append(iters, iter)
 		if resid < 0 || math.IsNaN(resid) {
 			t.Errorf("bad residual %v at iter %d", resid, iter)
 		}
-	}
+	})
 	res := pcg(t, LapOperator(g), Jacobi(g), b, opt)
 	if len(iters) != res.Iterations {
 		t.Errorf("progress called %d times for %d iterations", len(iters), res.Iterations)

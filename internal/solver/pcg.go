@@ -31,7 +31,7 @@ import (
 // the entry point: a width-1 block is a plain vector, applied through the
 // operator's Apply and swept by the vector kernels (kernels.go).
 //
-// Options.Recovery restarts the columns that ended an attempt with a
+// Options.MaxRestarts restarts the columns that ended an attempt with a
 // recoverable outcome as a narrower block, warm-started from their iterates.
 
 // BlockApplier is the optional fast path an Operator or Preconditioner can
@@ -187,7 +187,7 @@ func single(results []Result, err error) (Result, error) {
 }
 
 // solve is the PCG driver behind every entry point: the columns of the right
-// length form the first attempt's block, and under Options.Recovery the ones
+// length form the first attempt's block, and under Options.MaxRestarts the ones
 // an attempt leaves with a recoverable outcome form the next, narrower one.
 // Result slices alias the scratch buffers (except the stitched residual
 // history of a restarted column, which is freshly allocated). A panic during
@@ -229,15 +229,6 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 10*n + 50
 	}
-	if opt.CheckEvery <= 0 {
-		opt.CheckEvery = 8
-	}
-	if opt.DivergenceTol == 0 {
-		opt.DivergenceTol = 1e8
-	}
-	if opt.StagnationEps <= 0 {
-		opt.StagnationEps = 1e-3
-	}
 
 	results = resize(&s.results, k)
 	resize(&s.ref0, k)
@@ -255,7 +246,7 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 	if len(cols) > 0 {
 		a, m = s.space(a, m)
 		s.attempt(ctx, a, m, bs, cols, opt, results, false)
-		if opt.Recovery.MaxRestarts > 0 {
+		if opt.MaxRestarts > 0 {
 			s.restart(ctx, a, m, bs, recoverableCols(cols, results), opt, results)
 		}
 	}
@@ -295,11 +286,11 @@ func recoverableCols(cols []int, results []Result) []int {
 	return kept
 }
 
-// restart is the Options.Recovery loop: while restarts are left, the columns
-// of cols — those whose last attempt ended recoverable — wait out the backoff
-// and run one more attempt as a block of their own, and each column's residual
-// history and work counts are stitched across its attempts. The rare path, so
-// the stitching may allocate.
+// restart is the Options.MaxRestarts loop: while restarts are left, the
+// columns of cols — those whose last attempt ended recoverable — run one more
+// attempt as a block of their own, and each column's residual history and work
+// counts are stitched across its attempts. The rare path, so the stitching may
+// allocate.
 func (s *scratch) restart(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, cols []int, opt Options, results []Result) {
 	if len(cols) == 0 {
 		return
@@ -310,23 +301,7 @@ func (s *scratch) restart(ctx context.Context, a Operator, m Preconditioner, bs 
 		history[j] = append([]float64(nil), results[j].Residuals...)
 		total[j] = results[j].Metrics
 	}
-	backoff := opt.Recovery.Backoff
-	for restart := 1; restart <= opt.Recovery.MaxRestarts && len(cols) > 0; restart++ {
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				for _, j := range cols {
-					results[j].Outcome = OutcomeCancelled
-					results[j].Converged = false
-					results[j].Reason = "cancelled during restart backoff after: " + results[j].Reason
-				}
-				return
-			case <-t.C:
-			}
-			backoff *= 2
-		}
+	for restart := 1; restart <= opt.MaxRestarts && len(cols) > 0; restart++ {
 		s.attempt(ctx, a, m, bs, cols, opt, results, true)
 		for _, j := range cols {
 			res, t := &results[j], &total[j]
@@ -500,7 +475,7 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 		iterStart = time.Now()
 
 		for iter := 0; iter < opt.MaxIter && kA > 0; iter++ {
-			if iter%opt.CheckEvery == 0 && ctx.Err() != nil {
+			if ctx.Err() != nil {
 				for _, j := range s.active {
 					results[j].Outcome = OutcomeCancelled
 				}
@@ -568,32 +543,20 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 				// NaN compares false against every threshold, so the
 				// convergence and divergence tests would both silently pass
 				// over it.
-				switch v, divTol := rn[pos], opt.DivergenceTol; {
+				switch v := rn[pos]; {
 				case math.IsNaN(v) || math.IsInf(v, 0):
 					res.Outcome = OutcomeBreakdown
 					res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", v, iters)
 				case v <= opt.Tol*refNorm[pos]:
 					res.Outcome = OutcomeConverged
-				case divTol > 0 && v > divTol*refNorm[pos]:
+				case v > divergenceTol*refNorm[pos]:
 					res.Outcome = OutcomeDiverged
 					res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
-						v, divTol, divTol*refNorm[pos], iters)
+						v, divergenceTol, divergenceTol*refNorm[pos], iters)
 				default:
 					dead[pos] = false
-					if w := opt.StagnationWindow; w > 0 && iters >= w {
-						ref := res.Residuals[len(res.Residuals)-1-w]
-						if v >= (1-opt.StagnationEps)*ref {
-							res.Outcome = OutcomeStagnated
-							res.Reason = fmt.Sprintf("residual improved < %g relative over the last %d iterations (‖r‖ %g → %g)",
-								opt.StagnationEps, w, ref, v)
-							dead[pos] = true
-						}
-					}
 				}
 				anyDead = anyDead || dead[pos]
-			}
-			if opt.Progress != nil {
-				opt.Progress(iters, maxRn)
 			}
 			if opt.Observer != nil {
 				opt.Observer.ObserveIteration(iters, maxRn)

@@ -11,14 +11,12 @@
 //
 // # Numerical guardrails
 //
-// Every iteration is watched by three guards: a non-finite guard (a NaN or
+// Every iteration is watched by two guards: a non-finite guard (a NaN or
 // Inf residual terminates with OutcomeBreakdown instead of iterating on
-// garbage), a divergence guard (residual exceeding DivergenceTol·‖b‖
-// terminates with OutcomeDiverged, PETSc's dtol idea), and an optional
-// stagnation guard (no relative progress over a sliding window terminates
-// with OutcomeStagnated). A failed solve carries the tripped guard's
-// explanation in Result.Reason. Options.Recovery adds PETSc-style
-// restart-on-breakdown: after a breakdown/divergence/stagnation the solve
+// garbage) and a divergence guard (a residual exceeding 1e8·‖r₀‖ terminates
+// with OutcomeDiverged, PETSc's dtol idea). A failed solve carries the
+// tripped guard's explanation in Result.Reason. Options.MaxRestarts adds
+// PETSc-style restart-on-breakdown: after a breakdown or divergence the solve
 // restarts from its current iterate (discarding the Krylov space, keeping
 // the solution progress) up to MaxRestarts times.
 //
@@ -139,64 +137,33 @@ func Jacobi(g *graph.Graph) Preconditioner {
 	return jacobi{d: g.Volumes()}
 }
 
-// RecoveryPolicy configures restart-on-breakdown. After a recoverable
-// failure (OutcomeBreakdown, OutcomeDiverged, OutcomeStagnated) the solve
-// restarts from its current iterate: the accumulated solution is kept, the
-// Krylov space is discarded, and the residual is recomputed as b − A·x
-// (a non-finite iterate is reset to zero first). Each restart gets a fresh
-// MaxIter budget, so a fully exhausted solve may run up to
-// (1+MaxRestarts)·MaxIter iterations.
-type RecoveryPolicy struct {
-	// MaxRestarts is the number of restarts attempted after recoverable
-	// failures; 0 (the default) disables recovery entirely.
-	MaxRestarts int
-	// Backoff is the wait before each restart, doubling per restart; the
-	// wait aborts promptly when the context is cancelled. Zero restarts
-	// immediately — the right setting for in-memory operators; nonzero is
-	// for operators backed by flaky external resources.
-	Backoff time.Duration
-}
-
-// Options controls the iteration.
+// Options controls the iteration. The context is polled once per iteration.
 type Options struct {
 	Tol         float64 // relative residual tolerance (default 1e-8)
 	MaxIter     int     // default 10·n
 	ProjectMean bool    // keep iterates ⊥ 1 (for singular Laplacian systems)
-	// CheckEvery is the cancellation-check interval: the iteration loop
-	// polls ctx.Done() every CheckEvery iterations (default 8), so a
-	// cancelled solve returns within one interval.
-	CheckEvery int
-	// Progress, when non-nil, is invoked after every iteration with the
-	// iteration number (1-based) and the current residual norm. It runs on
-	// the solve goroutine; keep it cheap.
-	Progress func(iter int, residual float64)
-	// Observer, when non-nil, receives the same per-iteration stream as
-	// Progress through the obs.IterationObserver interface — the streaming
-	// alternative to the post-hoc Residuals copy. Compose several with
-	// obs.MultiObserver (e.g. a live writer plus a registry histogram plus
-	// a trace counter series). It runs on the solve goroutine; keep it
-	// cheap.
+	// Observer, when non-nil, is invoked after every iteration with the
+	// iteration number (1-based) and the residual norm (the largest over the
+	// active columns of a block solve) — the streaming alternative to the
+	// post-hoc Residuals copy. Compose several with obs.MultiObserver (e.g. a
+	// live writer plus a registry histogram plus a trace counter series). It
+	// runs on the solve goroutine; keep it cheap.
 	Observer obs.IterationObserver
-
-	// DivergenceTol is the divergence guard: the solve stops with
-	// OutcomeDiverged when ‖r‖ exceeds DivergenceTol·‖b‖. Zero selects the
-	// default 1e8; a negative value disables the guard. (The non-finite
-	// guard — NaN/Inf residuals terminate with OutcomeBreakdown — is always
-	// on: no useful iteration survives a non-finite residual.)
-	DivergenceTol float64
-	// StagnationWindow enables the stagnation guard: the solve stops with
-	// OutcomeStagnated when the residual fails to improve by a relative
-	// StagnationEps over the last StagnationWindow iterations. Zero (the
-	// default) disables the guard — plain CG legitimately plateaus before
-	// superlinear convergence kicks in, so stagnation detection is opt-in.
-	StagnationWindow int
-	// StagnationEps is the minimum relative improvement the window must
-	// show; default 1e-3 when StagnationWindow > 0.
-	StagnationEps float64
-	// Recovery is the restart-on-breakdown policy; the zero value disables
-	// restarts (historical behavior).
-	Recovery RecoveryPolicy
+	// MaxRestarts is the number of PCG restarts after a breakdown or
+	// divergence; 0 disables them. A restart resumes from the current
+	// iterate: the accumulated solution is kept, the Krylov space is
+	// discarded, and the residual is recomputed as b − A·x (a non-finite
+	// iterate is reset to zero first). Each restart gets a fresh MaxIter
+	// budget, so a fully exhausted solve may run up to (1+MaxRestarts)·MaxIter
+	// iterations.
+	MaxRestarts int
 }
+
+// divergenceTol is the divergence guard: an iteration stops with
+// OutcomeDiverged once ‖r‖ exceeds divergenceTol·‖r₀‖. (The non-finite
+// guard — NaN/Inf residuals terminate with OutcomeBreakdown — needs no
+// threshold: no useful iteration survives a non-finite residual.)
+const divergenceTol = 1e8
 
 // DefaultOptions returns the standard Laplacian-solve settings.
 func DefaultOptions() Options {
@@ -221,11 +188,8 @@ const (
 	// non-finite residual).
 	OutcomeBreakdown
 	// OutcomeDiverged: the residual grew past the divergence guard
-	// (Options.DivergenceTol).
+	// (1e8·‖r₀‖).
 	OutcomeDiverged
-	// OutcomeStagnated: the residual made no progress over the stagnation
-	// window (Options.StagnationWindow).
-	OutcomeStagnated
 )
 
 // String names the outcome for logs and metrics output.
@@ -241,18 +205,16 @@ func (o Outcome) String() string {
 		return "breakdown"
 	case OutcomeDiverged:
 		return "diverged"
-	case OutcomeStagnated:
-		return "stagnated"
 	default:
 		return "unknown"
 	}
 }
 
 // recoverable reports whether a restart can make progress after this
-// outcome: breakdowns, divergence and stagnation restart from the current
-// iterate; exhausted budgets and cancellations do not.
+// outcome: breakdowns and divergence restart from the current iterate;
+// exhausted budgets and cancellations do not.
 func recoverable(o Outcome) bool {
-	return o == OutcomeBreakdown || o == OutcomeDiverged || o == OutcomeStagnated
+	return o == OutcomeBreakdown || o == OutcomeDiverged
 }
 
 // Metrics instruments one solve: operator/preconditioner work counts, wall
@@ -268,7 +230,7 @@ type Metrics struct {
 	// ScratchAllocs counts work buffers newly allocated for this solve.
 	// It is zero for every solve on a warmed-up Engine.
 	ScratchAllocs int
-	// Restarts counts recovery restarts taken under Options.Recovery.
+	// Restarts counts recovery restarts taken under Options.MaxRestarts.
 	Restarts int
 }
 
@@ -293,8 +255,8 @@ type Result struct {
 // PCGCtx solves A·x = b with preconditioned conjugate gradients (plain CG
 // for a nil m). For singular Laplacian operators set opt.ProjectMean so the
 // right-hand side and iterates stay orthogonal to the constant vector. The
-// iteration loop polls ctx every opt.CheckEvery iterations and returns
-// OutcomeCancelled promptly when the context is done; size mismatches return
+// iteration loop polls ctx every iteration and returns OutcomeCancelled
+// promptly when the context is done; size mismatches return
 // an error wrapping graph.ErrBadDimension. It is the one-column case of
 // BlockPCGCtx.
 func PCGCtx(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options) (Result, error) {
@@ -399,13 +361,6 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.CheckEvery <= 0 {
-		opt.CheckEvery = 8
-	}
-	divTol := opt.DivergenceTol
-	if divTol == 0 {
-		divTol = 1e8
-	}
 	startAllocs := s.allocs
 	x := s.vec(&s.x, n)
 	zero(x)
@@ -443,7 +398,7 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 	}
 	iterStart := time.Now()
 	for k := 0; k < opt.MaxIter; k++ {
-		if k%opt.CheckEvery == 0 && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			res.Outcome = OutcomeCancelled
 			break
 		}
@@ -478,9 +433,6 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 		rn := norm2(r)
 		res.Residuals = append(res.Residuals, rn)
 		res.Iterations = k + 1
-		if opt.Progress != nil {
-			opt.Progress(res.Iterations, rn)
-		}
 		if opt.Observer != nil {
 			opt.Observer.ObserveIteration(res.Iterations, rn)
 		}
@@ -493,10 +445,10 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 			res.Outcome = OutcomeConverged
 			break
 		}
-		if divTol > 0 && rn > divTol*normB {
+		if rn > divergenceTol*normB {
 			res.Outcome = OutcomeDiverged
 			res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
-				rn, divTol, divTol*normB, res.Iterations)
+				rn, divergenceTol, divergenceTol*normB, res.Iterations)
 			break
 		}
 	}

@@ -157,7 +157,7 @@ func TestTheorem41OnTrees(t *testing.T) {
 	for it := 0; it < 8; it++ {
 		n := 12 + rng.Intn(16)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.3 + rng.Float64()*3 })
-		d, err := decomp.TreeCtx(context.Background(), g, false)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestTheorem41OnTrees(t *testing.T) {
 func TestTheorem41PaperConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := treealg.RandomTree(rng, 24, func() float64 { return 0.5 + rng.Float64() })
-	d, err := decomp.TreeCtx(context.Background(), g, false)
+	d, err := decomp.TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestSteinerMatchesReference(t *testing.T) {
 		named{"grid2d:40", fixedDecomp(t, workload.Grid2D(40, 40, workload.Lognormal(1), 3))})
 	for it := 0; it < 4; it++ {
 		g := treealg.RandomTree(rng, 30+rng.Intn(200), func() float64 { return 0.2 + rng.Float64()*4 })
-		d, err := decomp.TreeCtx(context.Background(), g, false)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestApplyMatchesSchurComplement(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for it := 0; it < 8; it++ {
 		g := treealg.RandomTree(rng, 12+rng.Intn(20), func() float64 { return 0.2 + rng.Float64()*4 })
-		d, err := decomp.TreeCtx(context.Background(), g, false)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func demean(x []float64) {
 func TestSchurDenseMatchesBlockElimination(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := treealg.RandomTree(rng, 15, func() float64 { return 0.5 + rng.Float64() })
-	d, err := decomp.TreeCtx(context.Background(), g, false)
+	d, err := decomp.TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestApplyMatchesFullSteinerSystemSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for it := 0; it < 6; it++ {
 		g := treealg.RandomTree(rng, 10+rng.Intn(15), func() float64 { return 0.3 + rng.Float64()*2 })
-		d, err := decomp.TreeCtx(context.Background(), g, false)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestTheorem35BoundOnTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for it := 0; it < 12; it++ {
 		g := treealg.RandomTree(rng, 8+rng.Intn(16), func() float64 { return 0.2 + rng.Float64()*5 })
-		d, err := decomp.TreeCtx(context.Background(), g, false)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestTheorem35BoundOnGrids(t *testing.T) {
 func TestTheorem35RoutingStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := treealg.RandomTree(rng, 18, func() float64 { return 0.3 + rng.Float64()*3 })
-	d, err := decomp.TreeCtx(context.Background(), g, false)
+	d, err := decomp.TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -244,4 +245,77 @@ func exportedDecls(f *ast.File) []exported {
 		}
 	}
 	return out
+}
+
+// TestOptionFieldsHaveProductionSetter: every field of the option structs on
+// the solve path is set — as a composite-literal key or an assignment target —
+// by a non-test file outside the struct's own package: a command, an example,
+// the benchmark, the server or the facade. A field only tests set is a
+// configuration no caller needs; it is replaced by a constant, not kept.
+// Matching is by field name alone, as in TestExportsHaveProductionCaller. The
+// allowlist holds what is kept on purpose, with its reason.
+func TestOptionFieldsHaveProductionSetter(t *testing.T) {
+	structs := map[string]bool{ // dir/Struct, the facade's bare
+		"internal/solver/Options":        true,
+		"SolveRequest":                   true,
+		"PrecondSpec":                    true,
+		"DecomposeOptions":               true,
+		"internal/hierarchy/Options":     true,
+		"internal/serve/Config":          true,
+		"internal/serve/AdmissionConfig": true,
+	}
+	allowed := map[string]bool{
+		"internal/serve/Config.MaxBodyBytes":      true, // a limit on input from outside the program
+		"internal/serve/Config.AutoShardVertices": true, // goes with the sharded build, whose removal waits on a benchmark change
+	}
+	type field struct{ owner, name string }
+	var fields []field
+	set := map[string][]string{} // field name -> dirs of the files setting it
+	walkSources(t, func(file string, f *ast.File) {
+		dir := filepath.Dir(file)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if owner := path.Join(dir, n.Name.Name); ok && structs[owner] {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							fields = append(fields, field{owner, id.Name})
+						}
+					}
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					set[id.Name] = append(set[id.Name], dir)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = append(set[sel.Sel.Name], dir)
+					}
+				}
+			}
+			return true
+		})
+	})
+	declared := map[string]bool{}
+	for _, fl := range fields {
+		declared[fl.owner] = true
+		key, dir := fl.owner+"."+fl.name, path.Dir(fl.owner)
+		setter := false
+		for _, d := range set[fl.name] {
+			setter = setter || d != dir
+		}
+		if !setter && !allowed[key] {
+			t.Errorf("%s is set by no non-test file outside %s: make it a constant, or list it with its reason", key, dir)
+		}
+		if setter && allowed[key] {
+			t.Errorf("%s now has a production setter; drop it from the allowlist", key)
+		}
+	}
+	for owner := range structs {
+		if !declared[owner] {
+			t.Errorf("%s is no longer declared; drop it from the list", owner)
+		}
+	}
 }

@@ -17,7 +17,7 @@ package hcd
 //
 //	tr, reg := hcd.NewTracer(), hcd.NewMetricRegistry()
 //	ctx := hcd.WithMetricRegistry(hcd.WithTracer(context.Background(), tr), reg)
-//	res, report, err := hcd.SolveResilient(ctx, g, b, hcd.DefaultResilienceOptions())
+//	res, report, err := hcd.SolveResilient(ctx, g, b, hcd.PrecondSpec{})
 //	tr.WriteChromeTrace(f)     // chrome://tracing / ui.perfetto.dev
 //	reg.WritePrometheus(os.Stdout)
 

@@ -131,7 +131,7 @@ func TestResilientTraceNesting(t *testing.T) {
 		faultinject.MatvecNaN: {OnHit: 1, Count: 2},
 	})
 	g := hcd.Grid2D(12, 12, nil, 1)
-	res, rep, err := hcd.SolveResilient(ctx, g, meanFreeRHS(g.N()), hcd.DefaultResilienceOptions())
+	res, rep, err := hcd.SolveResilient(ctx, g, meanFreeRHS(g.N()), hcd.PrecondSpec{})
 	restore()
 	if err != nil || !res.Converged {
 		t.Fatalf("ladder failed: %v (report %s)", err, rep)
@@ -254,18 +254,18 @@ func TestObserverMatchesResiduals(t *testing.T) {
 	}
 }
 
-// TestChebyshevObserver pins the ChebyshevOptions.Observer passthrough.
+// TestChebyshevObserver pins the Chebyshev method's Options.Observer
+// passthrough.
 func TestChebyshevObserver(t *testing.T) {
 	g := hcd.Grid2D(12, 12, nil, 1)
 	b := meanFreeRHS(g.N())
 	n := 0
-	copt := hcd.DefaultChebyshevOptions(30)
-	copt.Observer = hcd.ObserverFunc(func(int, float64) { n++ })
-	res, err := hcd.SolveChebyshevCtx(context.Background(), g, b, hcd.JacobiPreconditioner(g), copt)
+	opt := hcd.SolveOptions{MaxIter: 30, Observer: hcd.ObserverFunc(func(int, float64) { n++ })}
+	resp, err := chebyshev(g, b, hcd.JacobiPreconditioner(g), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != res.Iterations {
+	if res := resp.Results[0]; n != res.Iterations {
 		t.Fatalf("observer saw %d iterations, solve ran %d", n, res.Iterations)
 	}
 }

@@ -19,10 +19,11 @@ package hcd
 //	                           conservative spectrum bounds — needs no inner
 //	                           products and no curvature, the last resort
 //
-// Every rung runs under the caller's RecoveryPolicy, so transient breakdowns
-// restart in place before the ladder moves on. Build failures (a hierarchy
-// that cannot be constructed) are recorded as attempts and fall through like
-// solve failures. Context cancellation stops the ladder immediately.
+// Every rung runs under the request's Options with one restart, so a
+// transient breakdown restarts in place before the ladder moves on. Build
+// failures (a hierarchy that cannot be constructed) are recorded as attempts
+// and fall through like solve failures. Context cancellation stops the ladder
+// immediately.
 
 import (
 	"context"
@@ -42,33 +43,11 @@ const (
 	RungChebyshev    = "chebyshev"
 )
 
-// ResilienceOptions configures SolveResilient.
-type ResilienceOptions struct {
-	// Solve is the per-rung iteration configuration (tolerance, budget,
-	// guardrails). Its Recovery policy applies within each rung.
-	Solve SolveOptions
-	// Hierarchy configures the rung-1 preconditioner build; rung 2 rebuilds
-	// with the same options under perturbed seeds.
-	Hierarchy HierarchyOptions
-	// ReseedTries is the number of rung-2 rebuild attempts (default 2,
-	// negative disables the rung).
-	ReseedTries int
-	// ChebyshevIters is the rung-4 iteration budget (default 4·MaxIter of
-	// the PCG rungs — Chebyshev with conservative bounds converges slower).
-	ChebyshevIters int
-}
-
-// DefaultResilienceOptions returns the standard ladder configuration: default
-// solve tolerance and hierarchy, one in-rung restart, two reseed tries.
-func DefaultResilienceOptions() ResilienceOptions {
-	opt := ResilienceOptions{
-		Solve:       DefaultSolveOptions(),
-		Hierarchy:   DefaultHierarchyOptions(),
-		ReseedTries: 2,
-	}
-	opt.Solve.Recovery = RecoveryPolicy{MaxRestarts: 1}
-	return opt
-}
+// The ladder's fixed shape: one in-rung PCG restart, two reseeded rebuilds.
+const (
+	ladderRestarts = 1
+	ladderReseeds  = 2
+)
 
 // SolveAttempt records one rung of a resilient solve.
 type SolveAttempt struct {
@@ -135,10 +114,12 @@ func (r ResilienceReport) String() string {
 // error. When every rung fails it returns the last attempt's result and an
 // error wrapping ErrNotConverged; when the context is cancelled it returns
 // an error wrapping the context's error. The report is meaningful in every
-// case. SolveResilient is a thin wrapper over Do with SolveMethodResilient
-// and a single right-hand side.
-func SolveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOptions) (SolveResult, ResilienceReport, error) {
-	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, Method: SolveMethodResilient, Resilience: opt})
+// case. Rung 1 builds the hierarchy spec describes (its Kind must be the
+// hierarchy's, or empty); every rung iterates under DefaultSolveOptions.
+// SolveResilient is a thin wrapper over Do with SolveMethodResilient and a
+// single right-hand side.
+func SolveResilient(ctx context.Context, g *Graph, b []float64, spec PrecondSpec) (SolveResult, ResilienceReport, error) {
+	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, Method: SolveMethodResilient, Precond: spec, Options: DefaultSolveOptions()})
 	var rep ResilienceReport
 	if len(resp.Resilience) > 0 {
 		rep = resp.Resilience[0]
@@ -148,17 +129,11 @@ func SolveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOp
 }
 
 // solveResilient is the ladder implementation behind Do's resilient method
-// (and hence SolveResilient), one right-hand side per call.
-func solveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOptions) (SolveResult, ResilienceReport, error) {
-	if opt.Solve.Tol <= 0 {
-		opt.Solve = DefaultSolveOptions()
-	}
-	if opt.Hierarchy.SizeCap < 2 {
-		opt.Hierarchy = DefaultHierarchyOptions()
-	}
-	if opt.ReseedTries == 0 {
-		opt.ReseedTries = 2
-	}
+// (and hence SolveResilient), one right-hand side per call: rung 1 builds
+// hopt, rung 2 rebuilds it under perturbed seeds, and every rung iterates
+// under opt with ladderRestarts restarts.
+func solveResilient(ctx context.Context, g *Graph, b []float64, hopt HierarchyOptions, opt SolveOptions) (SolveResult, ResilienceReport, error) {
+	opt.MaxRestarts = ladderRestarts
 	ctx, lsp := obs.StartSpan(ctx, "resilient/solve")
 	var (
 		report ResilienceReport
@@ -210,7 +185,7 @@ func solveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOp
 	}
 	tryPCG := func(sctx context.Context, rung string, m Preconditioner) (bool, error) {
 		start := time.Now()
-		res, err := solver.PCGCtx(sctx, a, m, b, opt.Solve)
+		res, err := solver.PCGCtx(sctx, a, m, b, opt)
 		done := record(rung, res, err, time.Since(start))
 		if done {
 			return true, nil
@@ -224,7 +199,7 @@ func solveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOp
 	// [1] Hierarchy-preconditioned PCG.
 	start := time.Now()
 	rctx, rsp := startRung(RungHierarchyPCG)
-	h, err := hierarchy.NewCtx(rctx, g, opt.Hierarchy)
+	h, err := hierarchy.NewCtx(rctx, g, hopt)
 	if err != nil {
 		rsp.End()
 		record(RungHierarchyPCG, SolveResult{}, fmt.Errorf("hierarchy build: %w", err), time.Since(start))
@@ -241,17 +216,17 @@ func solveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOp
 
 	// [2] Rebuilt hierarchies under fresh randomized seeds: a bad draw of
 	// the perturbed clustering (or a corrupted build) is re-rolled.
-	for try := 0; try < opt.ReseedTries; try++ {
-		hopt := opt.Hierarchy
+	for try := 0; try < ladderReseeds; try++ {
+		reseeded := hopt
 		// A large odd prime offset keeps reseeded streams disjoint from
 		// every level's Seed+level sequence.
-		hopt.Seed = opt.Hierarchy.Seed + int64(try+1)*1000003
+		reseeded.Seed = hopt.Seed + int64(try+1)*1000003
 		start := time.Now()
 		rctx, rsp := startRung(RungReseededPCG)
-		h, err := hierarchy.NewCtx(rctx, g, hopt)
+		h, err := hierarchy.NewCtx(rctx, g, reseeded)
 		if err != nil {
 			rsp.End()
-			record(RungReseededPCG, SolveResult{}, fmt.Errorf("hierarchy rebuild (seed %d): %w", hopt.Seed, err), time.Since(start))
+			record(RungReseededPCG, SolveResult{}, fmt.Errorf("hierarchy rebuild (seed %d): %w", reseeded.Seed, err), time.Since(start))
 			if ctx.Err() != nil {
 				return last, report, fmt.Errorf("hcd: resilient solve cancelled at rung %s: %w", RungReseededPCG, ctx.Err())
 			}
@@ -275,19 +250,17 @@ func solveResilient(ctx context.Context, g *Graph, b []float64, opt ResilienceOp
 	// [4] Jacobi-Chebyshev with conservative bounds. For D⁻¹L the spectrum
 	// lies in (0, 2]; probing λmin via a short PCG probe tightens the lower
 	// bound, and a failed probe falls back to a fixed wide bracket.
-	cheb := opt.Solve
-	cheb.MaxIter = opt.ChebyshevIters
+	// Chebyshev with conservative bounds converges slower than PCG: its
+	// budget is four times the PCG rungs'.
+	cheb := opt
 	if cheb.MaxIter <= 0 {
-		base := opt.Solve.MaxIter
-		if base <= 0 {
-			base = 10*g.N() + 50
-		}
-		cheb.MaxIter = 4 * base
+		cheb.MaxIter = 10*g.N() + 50
 	}
+	cheb.MaxIter *= 4
 	jac := JacobiPreconditioner(g)
 	lmin, lmax := 1e-4, 2.0
 	rctx, rsp = startRung(RungChebyshev)
-	probe, perr := solver.PCGCtx(rctx, a, jac, b, solver.Options{Tol: 1e-12, MaxIter: 40, ProjectMean: opt.Solve.ProjectMean})
+	probe, perr := solver.PCGCtx(rctx, a, jac, b, solver.Options{Tol: 1e-12, MaxIter: 40, ProjectMean: opt.ProjectMean})
 	if perr == nil && len(probe.Alphas) > 0 {
 		if lo, hi, serr := solver.SpectrumEstimate(probe.Alphas, probe.Betas); serr == nil && lo > 0 {
 			lmin, lmax = 0.5*lo, 1.25*hi

@@ -17,7 +17,7 @@ import (
 func TestSolveResilientCleanPath(t *testing.T) {
 	g := hcd.Grid2D(12, 12, nil, 1)
 	b := meanFree(rand.New(rand.NewSource(41)), g.N())
-	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.DefaultResilienceOptions())
+	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{})
 	if err != nil {
 		t.Fatalf("SolveResilient: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestSolveResilientRecoversFromInjectedNaN(t *testing.T) {
 		faultinject.MatvecNaN: {OnHit: 1, Count: 2},
 	})
 	defer restore()
-	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.DefaultResilienceOptions())
+	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{})
 	if err != nil {
 		t.Fatalf("SolveResilient: %v\nreport: %s", err, rep)
 	}
@@ -79,9 +79,9 @@ func TestSolveResilientRecoversFromCorruptedBuild(t *testing.T) {
 		faultinject.PerturbCorrupt: {OnHit: 1, Count: 1},
 	})
 	defer restore()
-	opt := hcd.DefaultResilienceOptions()
-	opt.Hierarchy.DirectLimit = 50 // 1600 vertices >> 4·50 arms the guard
-	res, rep, err := hcd.SolveResilient(context.Background(), g, b, opt)
+	hopt := hcd.DefaultHierarchyOptions()
+	hopt.DirectLimit = 50 // 1600 vertices >> 4·50 arms the guard
+	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{Hierarchy: &hopt})
 	if err != nil {
 		t.Fatalf("SolveResilient: %v\nreport: %s", err, rep)
 	}
@@ -101,7 +101,7 @@ func TestSolveResilientAllRungsFail(t *testing.T) {
 		faultinject.MatvecNaN: {OnHit: 1, Count: 0},
 	})
 	defer restore()
-	_, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.DefaultResilienceOptions())
+	_, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{})
 	if !errors.Is(err, hcd.ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
@@ -124,7 +124,7 @@ func TestSolveResilientHonorsCancellation(t *testing.T) {
 	b := meanFree(rand.New(rand.NewSource(45)), g.N())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, rep, err := hcd.SolveResilient(ctx, g, b, hcd.DefaultResilienceOptions())
+	_, rep, err := hcd.SolveResilient(ctx, g, b, hcd.PrecondSpec{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -48,8 +48,12 @@ func TestSentinelErrors(t *testing.T) {
 			_, err := hcd.DecomposeCtx(ctx, conn, hcd.DecomposeOptions{Method: hcd.DecomposeMethod(42)})
 			return err
 		}},
-		{"ChebyshevOptions.Iters", func() error {
-			_, err := hcd.SolveChebyshevCtx(ctx, conn, make([]float64, conn.N()), nil, hcd.ChebyshevOptions{})
+		{"Chebyshev without MaxIter", func() error {
+			_, err := chebyshev(conn, make([]float64, conn.N()), nil, hcd.SolveOptions{})
+			return err
+		}},
+		{"resilient with a non-hierarchy preconditioner", func() error {
+			_, _, err := hcd.SolveResilient(ctx, conn, make([]float64, conn.N()), hcd.PrecondSpec{Kind: hcd.PrecondJacobi})
 			return err
 		}},
 		{"unknown base tree", func() error {
@@ -141,29 +145,39 @@ func TestSolveChebyshevCtxReportsSpectrum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hcd.SolveChebyshevCtx(context.Background(), g, b, p, hcd.DefaultChebyshevOptions(80))
+	resp, err := chebyshev(g, b, p, hcd.SolveOptions{MaxIter: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(res.Lmin > 0) || !(res.Lmax >= res.Lmin) {
-		t.Errorf("spectrum estimate [%v, %v] not populated", res.Lmin, res.Lmax)
+	res := resp.Results[0]
+	if !(resp.Lmin > 0) || !(resp.Lmax >= resp.Lmin) {
+		t.Errorf("spectrum estimate [%v, %v] not populated", resp.Lmin, resp.Lmax)
 	}
-	if res.Metrics.MatVecs == 0 || res.ProbeMetrics.MatVecs == 0 {
-		t.Errorf("metrics not populated: iter %+v probe %+v", res.Metrics, res.ProbeMetrics)
+	if res.Metrics.MatVecs == 0 || resp.ProbeMetrics.MatVecs == 0 {
+		t.Errorf("metrics not populated: iter %+v probe %+v", res.Metrics, resp.ProbeMetrics)
 	}
 	if res.Residuals[len(res.Residuals)-1] > res.Residuals[0]*1e-5 {
 		t.Errorf("residual %v of initial %v", res.Residuals[len(res.Residuals)-1], res.Residuals[0])
 	}
-	// Custom widening + early exit.
-	opt := hcd.ChebyshevOptions{Iters: 400, ProbeIters: 30, WidenLow: 0.7, WidenHigh: 1.3, Tol: 1e-6}
-	res2, err := hcd.SolveChebyshevCtx(context.Background(), g, b, p, opt)
+	// Early exit at Options.Tol.
+	resp2, err := chebyshev(g, b, p, hcd.SolveOptions{MaxIter: 400, Tol: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res2 := resp2.Results[0]
 	if res2.Outcome != hcd.OutcomeConverged {
 		t.Errorf("early-exit run: %v after %d iterations", res2.Outcome, res2.Iterations)
 	}
 	if res2.Iterations >= 400 {
 		t.Errorf("early exit did not trigger (%d iterations)", res2.Iterations)
 	}
+}
+
+// chebyshev runs Do's Chebyshev method on the one right-hand side b,
+// preconditioned by m (nil: unpreconditioned).
+func chebyshev(g *hcd.Graph, b []float64, m hcd.Preconditioner, opt hcd.SolveOptions) (*hcd.SolveResponse, error) {
+	return hcd.Do(context.Background(), g, hcd.SolveRequest{
+		B: [][]float64{b}, Method: hcd.SolveMethodChebyshev, M: m,
+		Precond: hcd.PrecondSpec{Kind: hcd.PrecondNone}, Options: opt,
+	})
 }
