@@ -86,8 +86,8 @@ server-chaos:
 # certifier with the brute-force cut enumeration as a differential oracle,
 # over the CSR→CSR contraction kernel with the sort-and-merge contraction as
 # a differential oracle and the marker kernel it replaced as a bitwise one,
-# over vertex renumbering (Permuted) with the permuted
-# original as a bitwise oracle, over the binary snapshot decoders with a
+# over the in-place windowed vertex renumbering (RenumberInPlace) with a
+# copying renumbering as a bitwise oracle, over the binary snapshot decoders with a
 # decode/re-encode round-trip oracle, over the sparse Laplacian factor
 # with the dense pinned Cholesky as a differential oracle, over the §3.1
 # pointer-forest split with the forest-graph chain it replaced as an exact
@@ -103,7 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzExactConductance -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzContract -fuzztime=10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz FuzzPermuted -fuzztime=10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzRenumberInPlace -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzLapFactor -fuzztime=10s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzSplitPointers -fuzztime=10s ./internal/decomp

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hcd"
+	"hcd/internal/graph"
 )
 
 // TestDoMultiRHS: one request, several right-hand sides, one preconditioner
@@ -220,14 +222,15 @@ func TestDoChebyshevNullSpaceColumns(t *testing.T) {
 	}
 }
 
-// TestRHSScaleSignInvariant: solving s·b for a power of two s of either sign
-// takes the path solving b takes — the same outcome and iteration count — and
-// returns exactly s·x, through every method and preconditioner form Do has.
-// Every step of a solve is linear in b or a ratio of two such quantities, and
-// a power of two scales a float exactly while nothing overflows, so a
-// difference is a threshold that is absolute instead of relative to ‖b‖.
-func TestRHSScaleSignInvariant(t *testing.T) {
-	ctx := context.Background()
+type namedGraph struct {
+	name string
+	g    *hcd.Graph
+}
+
+// invarianceGraphs are the graphs the metamorphic scaling tests solve on: a
+// lognormal 3-D grid, a road network, an FE mesh and a random tree.
+func invarianceGraphs(t *testing.T) []namedGraph {
+	t.Helper()
 	road, err := hcd.RoadNetwork(24, 24, 6, hcd.LognormalWeights(0.5), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -236,17 +239,24 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := []struct {
-		name string
-		g    *hcd.Graph
-	}{
+	return []namedGraph{
 		{"grid3d10", hcd.Grid3D(10, 10, 10, hcd.LognormalWeights(1), 3)},
 		{"road24", road},
 		{"femesh20", fem},
 		{"tree3000", hcd.RandomTree(3000, hcd.LognormalWeights(1), 3)},
 	}
+}
+
+// TestRHSScaleSignInvariant: solving s·b for a power of two s of either sign
+// takes the path solving b takes — the same outcome and iteration count — and
+// returns exactly s·x, through every method and preconditioner form Do has.
+// Every step of a solve is linear in b or a ratio of two such quantities, and
+// a power of two scales a float exactly while nothing overflows, so a
+// difference is a threshold that is absolute instead of relative to ‖b‖.
+func TestRHSScaleSignInvariant(t *testing.T) {
+	ctx := context.Background()
 	scales := []float64{-1, math.Ldexp(1, 300), math.Ldexp(1, -300), -math.Ldexp(1, 37)}
-	for _, gr := range graphs {
+	for _, gr := range invarianceGraphs(t) {
 		g := gr.g
 		m, err := hcd.NewPreconditioner(ctx, g, hcd.PrecondSpec{})
 		if err != nil {
@@ -305,6 +315,78 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 					for v, x := range res.X {
 						if x != s*want.X[v] {
 							t.Errorf("%s %s s=%g rhs %d: x[%d] = %v, want %v", gr.name, me.name, s, j, v, x, s*want.X[v])
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWeightScaleInvariant: a graph with every weight times 2^e, e even, is
+// solved along the path of the graph itself — the same clustering, the same
+// outcome and iteration count — and returns exactly 2^−e·x, through PCG of
+// either width and Chebyshev. The clustering compares weights and ratios of
+// them, the cycle and the Krylov steps are linear in the weights or ratios
+// of such quantities, and the coarse factor takes one square root per pivot,
+// exact on an even power of two. An odd e keeps every iteration count but
+// moves x by a few ulps: the square root of 2^e is no float.
+func TestWeightScaleInvariant(t *testing.T) {
+	ctx := context.Background()
+	scaled := func(g *hcd.Graph, e int) *hcd.Graph {
+		off, adj, w := g.CompactCSR()
+		sw := make([]float64, len(w))
+		for i, x := range w {
+			sw[i] = math.Ldexp(x, e)
+		}
+		sg, err := graph.NewFromCSR(slices.Clone(off), slices.Clone(adj), sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sg
+	}
+	solve := func(g *hcd.Graph, B [][]float64) map[string]*hcd.SolveResponse {
+		m, err := hcd.NewPreconditioner(ctx, g, hcd.PrecondSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := hcd.DefaultSolveOptions()
+		cheb := opt
+		cheb.MaxIter = 120
+		out := map[string]*hcd.SolveResponse{}
+		for name, req := range map[string]hcd.SolveRequest{
+			"pcg k=1":   {B: B[:1], M: m, Options: opt},
+			"pcg k=4":   {B: B, M: m, Options: opt},
+			"chebyshev": {B: B[:1], Method: hcd.SolveMethodChebyshev, M: m, Options: cheb},
+		} {
+			resp, err := hcd.Do(ctx, g, req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out[name] = resp
+		}
+		return out
+	}
+	for _, gr := range invarianceGraphs(t) {
+		rng := rand.New(rand.NewSource(5))
+		B := make([][]float64, 4)
+		for j := range B {
+			B[j] = meanFree(rng, gr.g.N())
+		}
+		base := solve(scaled(gr.g, 0), B)
+		for _, e := range []int{-600, -2, 2, 38, 600} {
+			for name, resp := range solve(scaled(gr.g, e), B) {
+				for j, res := range resp.Results {
+					want := base[name].Results[j]
+					if res.Outcome != want.Outcome || res.Iterations != want.Iterations {
+						t.Errorf("%s %s e=%d rhs %d: %v after %d iterations, unscaled: %v after %d",
+							gr.name, name, e, j, res.Outcome, res.Iterations, want.Outcome, want.Iterations)
+						continue
+					}
+					for v, x := range res.X {
+						if x != math.Ldexp(want.X[v], -e) {
+							t.Errorf("%s %s e=%d rhs %d: x[%d] = %v, want %v", gr.name, name, e, j, v, x, math.Ldexp(want.X[v], -e))
 							break
 						}
 					}

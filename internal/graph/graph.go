@@ -224,14 +224,19 @@ func (g *Graph) Bytes() int64 {
 	return int64(8*(len(g.off)+len(g.w)+len(g.vol)) + 4*len(g.adj) + 12*len(g.groups))
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g, its arrays allocated at exact length (a
+// hierarchy's layout view is a Clone, and its Bytes are its heap).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		off: append([]int(nil), g.off...),
-		adj: append([]int32(nil), g.adj...),
-		w:   append([]float64(nil), g.w...),
-		vol: append([]float64(nil), g.vol...),
+		off: make([]int, len(g.off)),
+		adj: make([]int32, len(g.adj)),
+		w:   make([]float64, len(g.w)),
+		vol: make([]float64, len(g.vol)),
 	}
+	copy(c.off, g.off)
+	copy(c.adj, g.adj)
+	copy(c.w, g.w)
+	copy(c.vol, g.vol)
 	c.groups = rowGroups(c.off)
 	return c
 }

@@ -286,10 +286,11 @@ func TestBuildAllocationBudget(t *testing.T) {
 
 // TestBuildAllocBudget bounds the bytes a build allocates, the deterministic
 // cost beside the build's wall-clock: at one worker a warm NewCtx on the
-// lognormal 32³ grid allocates at most 1.8× the bytes of the hierarchy it
-// returns, and the level-0 clustering alone at most 60 B per vertex — the
-// heaviest-edge pointers, an int32 forest adjacency and the kept assignment,
-// not a weighted forest graph (2.40× and 138 B with one).
+// lognormal 32³ grid allocates at most 1.55× the bytes of the hierarchy it
+// returns — no level is stored twice: a quotient laid out through a renumbered
+// copy made it 1.60× — and the level-0 clustering alone at most 60 B per
+// vertex — the heaviest-edge pointers, an int32 forest adjacency and the kept
+// assignment, not a weighted forest graph (2.40× and 138 B with one).
 func TestBuildAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g := workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1)
@@ -317,8 +318,8 @@ func TestBuildAllocBudget(t *testing.T) {
 		}
 	}) / float64(g.N())
 	t.Logf("build allocates %.2f× MemoryBytes, level-0 clustering %.1f B/vertex", ratio, perVertex)
-	if ratio > 1.8 {
-		t.Errorf("a 32³ build allocates %.2f× the hierarchy's MemoryBytes, budget 1.8×", ratio)
+	if ratio > 1.55 {
+		t.Errorf("a 32³ build allocates %.2f× the hierarchy's MemoryBytes, budget 1.55×", ratio)
 	}
 	if perVertex > 60 {
 		t.Errorf("the level-0 clustering allocates %.1f B/vertex, budget 60", perVertex)

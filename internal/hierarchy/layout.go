@@ -3,16 +3,16 @@ package hierarchy
 // Apply layout. The V-cycle's time on a quotient level goes to the row loop
 // of its Laplacian, and rows of a quotient are irregular: a loop that runs 3
 // entries, then 17, then 5 ends on a mispredicted branch nearly every row.
-// So once a level has been contracted and clustered in its natural numbering
+// So once a level has been clustered and contracted in its natural numbering
 // — the clustering's hashes and tie-breaks see vertex ids, and DumpLevels
-// must export what was clustered — the level is stored renumbered: inside
-// fixed windows of the natural order (which keep the numbering's locality),
-// vertices are stably sorted by row length, then by the size of the cluster
-// they were contracted from (the trip count of the restriction loop one
-// level up). Rows keep their entry order and clusters keep their member
-// order, so every sum the cycle takes adds the same numbers in the same
-// sequence as it would in natural numbering: the layout changes where values
-// live, never what they are. The stored level 0 stays in the caller's
+// must export what was clustered — the level is renumbered in its own arrays
+// (graph.RenumberInPlace): inside fixed windows of the natural order (which
+// keep the numbering's locality), vertices are stably sorted by row length,
+// then by the size of the cluster they were contracted from (the trip count
+// of the restriction loop one level up). Rows keep their entry order and
+// clusters keep their member order, so every sum the cycle takes adds the
+// same numbers in the same sequence as it would in natural numbering: the
+// layout changes where values live, never what they are. The stored level 0 stays in the caller's
 // numbering — clustering, snapshots and DumpLevels see it — and the factored
 // coarsest graph in its natural one.
 //
@@ -21,13 +21,14 @@ package hierarchy
 // networks, FE meshes and small grids natural order puts almost none of level
 // 0 in row groups, and a row's loop exit in a different place nearly every
 // row. For those graphs the hierarchy keeps a second level 0, built on first
-// use: the caller's graph renumbered by layoutOrder (by degree alone — nothing
-// is contracted into it), with its diagonal and restriction arrays remapped,
-// sharing every level below, the coarse graph and the factor. The solver runs
-// a whole solve in that numbering (SolveSpace) — one column, whose rows the
-// row groups take four at a time, or a block, whose column tiles walk rows of
-// one length in long runs — so the view's apply is the same V-cycle on the
-// same values in the same sequence, only stored elsewhere.
+// use: a clone of the caller's graph renumbered by layoutOrder (by degree
+// alone — nothing is contracted into it), with its diagonal and restriction
+// arrays remapped, sharing every level below, the coarse graph and the
+// factor. The solver runs a whole solve in that numbering (SolveSpace) — one
+// column, whose rows the row groups take four at a time, or a block, whose
+// column tiles walk rows of one length in long runs — so the view's apply is
+// the same V-cycle on the same values in the same sequence, only stored
+// elsewhere.
 
 import (
 	"context"
@@ -69,16 +70,27 @@ func newAssembler(ctx context.Context, smooth int) *assembler {
 // again. assign is kept, not copied. The level's cycle scale comes from the
 // two natural-numbered graphs, so every way of arriving at the same
 // assignments — single-pass or sharded build, Rebuild, a snapshot restore —
-// sums the same volumes in the same order.
+// sums the same volumes in the same order. Below level 0, cur is a quotient
+// an earlier push returned and nothing else holds: once it is contracted, it
+// is laid out in its own arrays, so no level is ever stored twice.
 func (a *assembler) push(cur *graph.Graph, assign []int, count int) *graph.Graph {
-	g := cur
+	level := len(a.h.levels)
+	_, sp := obs.StartSpan(a.ctx, "hierarchy/contract")
+	quotient := cur.Contract(assign, count)
+	if sp != nil {
+		sp.Arg("level", level)
+		sp.Arg("vertices", cur.N())
+		sp.Arg("clusters", count)
+		sp.Arg("quotient_edges", quotient.M())
+	}
+	sp.End()
+	gamma, alpha := cycleScale(coarseBeta, cur.TotalVol(), quotient.TotalVol())
 	var inv []int32
-	if len(a.h.levels) > 0 {
+	if level > 0 {
 		_, sp := obs.StartSpan(a.ctx, "hierarchy/layout")
 		order := layoutOrder(cur, a.members)
-		var err error
-		if g, err = cur.Permuted(order); err != nil {
-			panic(err) // layoutOrder returns a permutation by construction
+		if err := cur.RenumberInPlace(order, layoutWindow); err != nil {
+			panic(err) // layoutOrder returns a windowed permutation by construction
 		}
 		inv = make([]int32, len(order))
 		for i, v := range order {
@@ -86,16 +98,16 @@ func (a *assembler) push(cur *graph.Graph, assign []int, count int) *graph.Graph
 		}
 		a.close(inv)
 		if sp != nil {
-			sp.Arg("level", len(a.h.levels))
-			sp.Arg("vertices", g.N())
-			sp.Arg("max_degree", g.MaxDegree())
-			sp.Arg("degree_runs", degreeRuns(g))
+			sp.Arg("level", level)
+			sp.Arg("vertices", cur.N())
+			sp.Arg("max_degree", cur.MaxDegree())
+			sp.Arg("degree_runs", degreeRuns(cur))
 		}
 		sp.End()
 	}
-	l := &Level{g: g, smooth: a.smooth, dInv: make([]float64, g.N()), natAssign: assign, count: count}
+	l := &Level{g: cur, smooth: a.smooth, dInv: make([]float64, cur.N()), natAssign: assign, count: count, gamma: gamma, alpha: alpha}
 	for v := range l.dInv {
-		if vol := g.Vol(v); vol > 0 {
+		if vol := cur.Vol(v); vol > 0 {
 			l.dInv[v] = 1 / vol
 		}
 	}
@@ -105,16 +117,6 @@ func (a *assembler) push(cur *graph.Graph, assign []int, count int) *graph.Graph
 	for _, c := range assign {
 		a.members[c]++
 	}
-	_, sp := obs.StartSpan(a.ctx, "hierarchy/contract")
-	quotient := cur.Contract(assign, count)
-	if sp != nil {
-		sp.Arg("level", len(a.h.levels)-1)
-		sp.Arg("vertices", cur.N())
-		sp.Arg("clusters", count)
-		sp.Arg("quotient_edges", quotient.M())
-	}
-	sp.End()
-	l.gamma, l.alpha = cycleScale(coarseBeta, cur.TotalVol(), quotient.TotalVol())
 	return quotient
 }
 
@@ -224,9 +226,9 @@ func (h *Hierarchy) layoutView() *layoutView {
 func newLayoutView(h *Hierarchy) *layoutView {
 	nat := h.levels[0]
 	order := layoutOrder(nat.g, nil)
-	g, err := nat.g.Permuted(order)
-	if err != nil {
-		panic(err) // layoutOrder returns a permutation by construction
+	g := nat.g.Clone()
+	if err := g.RenumberInPlace(order, layoutWindow); err != nil {
+		panic(err) // layoutOrder returns a windowed permutation by construction
 	}
 	perm := make([]int32, len(order))
 	inv := make([]int32, len(order))

@@ -33,9 +33,9 @@ func TestMemoryBytesMatchesArrays(t *testing.T) {
 		}
 		held := graphCapBytes(h.coarseG) + h.coarse.Bytes()
 		for level, l := range h.levels {
-			// Quotients come from Contract and Permuted, which allocate
-			// their arrays at exact length: accounted and held agree to
-			// the byte, but for the row-group table the graph also
+			// Quotients come from Contract, which allocates their arrays
+			// at exact length, and are laid out in them: accounted and
+			// held agree to the byte, but for the row-group table the graph also
 			// accounts — 12 bytes a segment, at most two segments per 32
 			// rows and one more.
 			table := l.g.Bytes() - graphCapBytes(l.g)

@@ -74,8 +74,9 @@ func NewLapFactor(g *graph.Graph) (*LapFactor, error) {
 
 // eliminate chooses the elimination order and records the structure of L in
 // one pass: minimum degree on the elimination graph, ties to the smallest
-// vertex id. It fills order, colPtr, rowIdx (each column in discovery order)
-// and nnzA, and returns each vertex's elimination position (−1 if pinned).
+// vertex id, the pivot popped from a pivotHeap. It fills order, colPtr,
+// rowIdx (each column in discovery order) and nnzA, and returns each
+// vertex's elimination position (−1 if pinned).
 //
 // The elimination graph is kept as a quotient graph: a vertex's list holds
 // its uneliminated neighbours (u ≥ 0) and the eliminated pivots it is
@@ -83,16 +84,17 @@ func NewLapFactor(g *graph.Graph) (*LapFactor, error) {
 // structure. Eliminating v absorbs every pivot in v's list into v, so a
 // rewritten list never outgrows the slot it started in and the whole
 // ordering runs in the O(m) arrays allocated up front plus the recorded
-// structure. Degrees are exact, which makes the order a function of the
-// graph alone — the determinism contract (bit-identical rebuilds, snapshot
-// round trips) rests on that, and is why ties break by id rather than by
-// whatever a bucket structure would pop first.
+// structure. Degrees are exact and the heap's key (degree, id) is a total
+// order, so the pivot it pops is the one a scan of all degrees would pick and
+// the order is a function of the graph alone — the determinism contract
+// (bit-identical rebuilds, snapshot round trips) rests on that, and is why
+// ties break by id rather than by whatever a bucket structure would pop
+// first.
 func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
 	n := f.n
 	nf := n - len(f.pins)
 	lptr := make([]int32, n)
 	llen := make([]int32, n)
-	deg := make([]int32, n) // current elimination-graph degree; −1 once pinned or eliminated
 	pos = make([]int32, n)
 	total := 0
 	for v := 0; v < n; v++ {
@@ -102,7 +104,7 @@ func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
 	list := make([]int32, total)
 	f.nnzA = nf
 	for v := 0; v < n; v++ {
-		pos[v], deg[v] = -1, -1
+		pos[v] = -1
 		if f.pin[v] == int32(v) {
 			continue
 		}
@@ -118,7 +120,6 @@ func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
 			}
 		}
 		llen[v] = k - lptr[v]
-		deg[v] = llen[v]
 	}
 
 	f.order = make([]int32, 0, nf)
@@ -130,15 +131,16 @@ func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
 	tag := make([]int32, n)
 	var stamp int32
 	column := func(e int32) []int32 { return f.rowIdx[f.colPtr[pos[e]]:f.colPtr[pos[e]+1]] }
-	for j := 0; j < nf; j++ {
-		// Smallest degree, first such vertex; as uint32 the −1 of a pinned
-		// or eliminated vertex never compares below a live degree.
-		v, best := -1, uint32(math.MaxUint32)
-		for u, d := range deg {
-			if uint32(d) < best {
-				v, best = u, uint32(d)
-			}
+	// The pivot queue starts from every free vertex's degree: its list.
+	q := pivotHeap{keys: make([]uint64, 0, nf), at: make([]int32, n)}
+	for v := 0; v < n; v++ {
+		if f.pin[v] != int32(v) {
+			q.keys = append(q.keys, pivotKey(llen[v], int32(v)))
 		}
+	}
+	q.init()
+	for j := 0; j < nf; j++ {
+		v := int(q.pop())
 		// Column structure of v: its neighbours, directly or through a pivot.
 		stamp++
 		tag[v] = stamp
@@ -159,7 +161,7 @@ func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
 				}
 			}
 		}
-		pos[v], deg[v] = int32(j), -1
+		pos[v] = int32(j)
 		f.order = append(f.order, int32(v))
 		f.colPtr = append(f.colPtr, int32(len(f.rowIdx)))
 		s := f.rowIdx[start:]
@@ -203,11 +205,90 @@ func (f *LapFactor) eliminate(g *graph.Graph) (pos []int32) {
 					}
 				}
 			}
-			deg[u] = d
+			q.fix(u, d)
 		}
 		stamp = counted
 	}
 	return pos
+}
+
+// pivotHeap is an indexed binary min-heap of the vertices not yet eliminated
+// and not pinned, keyed (degree, id) packed into one uint64: popping it is
+// eliminate's pivot choice in O(log n) where a scan of all degrees costs
+// O(n), and a key is compared without looking the degree up.
+type pivotHeap struct {
+	keys []uint64 // pivotKey(degree, v), heap-ordered
+	at   []int32  // at[v]: index of v's key in keys
+}
+
+func pivotKey(deg, v int32) uint64 { return uint64(uint32(deg))<<32 | uint64(uint32(v)) }
+
+// init heap-orders keys and indexes them.
+func (q *pivotHeap) init() {
+	for i, k := range q.keys {
+		q.at[uint32(k)] = int32(i)
+	}
+	for i := len(q.keys)/2 - 1; i >= 0; i-- {
+		q.down(i, q.keys[i])
+	}
+}
+
+// up places key k, whose slot i is free, at i or above it.
+func (q *pivotHeap) up(i int, k uint64) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if q.keys[p] < k {
+			break
+		}
+		q.put(i, q.keys[p])
+		i = p
+	}
+	q.put(i, k)
+}
+
+// down places key k, whose slot i is free, at i or below it.
+func (q *pivotHeap) down(i int, k uint64) {
+	n := len(q.keys)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q.keys[c+1] < q.keys[c] {
+			c++
+		}
+		if k < q.keys[c] {
+			break
+		}
+		q.put(i, q.keys[c])
+		i = c
+	}
+	q.put(i, k)
+}
+
+func (q *pivotHeap) put(i int, k uint64) {
+	q.keys[i] = k
+	q.at[uint32(k)] = int32(i)
+}
+
+// pop removes and returns the vertex of smallest (degree, id).
+func (q *pivotHeap) pop() int32 {
+	top, last := q.keys[0], q.keys[len(q.keys)-1]
+	q.keys = q.keys[:len(q.keys)-1]
+	if len(q.keys) > 0 {
+		q.down(0, last)
+	}
+	return int32(uint32(top))
+}
+
+// fix re-keys v, which is in the heap, to degree d.
+func (q *pivotHeap) fix(v, d int32) {
+	i, k := int(q.at[v]), pivotKey(d, v)
+	if k < q.keys[i] {
+		q.up(i, k)
+	} else {
+		q.down(i, k)
+	}
 }
 
 // factorize sorts every column of the recorded structure by elimination

@@ -521,36 +521,51 @@ func TestLapFactorAccounting(t *testing.T) {
 	}
 }
 
+// lapFactorSeeds is FuzzLapFactor's seed corpus.
+var lapFactorSeeds = [][]byte{
+	{6, 0, 1, 30, 1, 2, 50, 2, 3, 10, 3, 4, 200, 4, 5, 90, 0, 5, 255},
+	{3, 0, 1, 0, 1, 2, 255},
+	{9, 0, 1, 15, 0, 2, 150, 0, 3, 1, 3, 4, 100, 4, 5, 2, 2, 6, 3, 6, 7, 230, 7, 8, 4},
+	{1},
+	{20, 0, 1, 7, 2, 3, 7, 4, 5, 7, 5, 6, 70, 6, 4, 170},
+}
+
+// fuzzFactorGraph decodes FuzzLapFactor's input (at least one byte): byte 0
+// is the vertex count in [1, 40]; triples (u, v, w) follow, the weight byte
+// spread log-uniformly over [1e-6, 1e6].
+func fuzzFactorGraph(t testing.TB, data []byte) *graph.Graph {
+	t.Helper()
+	n := 1 + int(data[0])%40
+	var es []graph.Edge
+	for i := 1; i+2 < len(data); i += 3 {
+		u, v := int(data[i])%n, int(data[i+1])%n
+		if u == v {
+			continue
+		}
+		es = append(es, graph.Edge{U: u, V: v, W: math.Pow(10, -6+12*float64(data[i+2])/255)})
+	}
+	g, err := graph.NewFromEdges(n, es)
+	if err != nil {
+		t.Fatalf("construction from valid edges failed: %v", err)
+	}
+	return g
+}
+
 // FuzzLapFactor: random weighted edge lists — parallel edges merged by the
 // graph constructor, weights over twelve orders of magnitude, any number of
 // components — against the dense pinned Cholesky. Conditioning makes the
 // forward error meaningless here, so both solutions are held to the normwise
 // backward error of a stable solve and compared through A.
 func FuzzLapFactor(f *testing.F) {
-	f.Add([]byte{6, 0, 1, 30, 1, 2, 50, 2, 3, 10, 3, 4, 200, 4, 5, 90, 0, 5, 255})
-	f.Add([]byte{3, 0, 1, 0, 1, 2, 255})
-	f.Add([]byte{9, 0, 1, 15, 0, 2, 150, 0, 3, 1, 3, 4, 100, 4, 5, 2, 2, 6, 3, 6, 7, 230, 7, 8, 4})
-	f.Add([]byte{1})
-	f.Add([]byte{20, 0, 1, 7, 2, 3, 7, 4, 5, 7, 5, 6, 70, 6, 4, 170})
+	for _, data := range lapFactorSeeds {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
 		}
-		// Byte 0: vertex count in [1, 40]; triples (u, v, w) follow, the
-		// weight byte spread log-uniformly over [1e-6, 1e6].
-		n := 1 + int(data[0])%40
-		var es []graph.Edge
-		for i := 1; i+2 < len(data); i += 3 {
-			u, v := int(data[i])%n, int(data[i+1])%n
-			if u == v {
-				continue
-			}
-			es = append(es, graph.Edge{U: u, V: v, W: math.Pow(10, -6+12*float64(data[i+2])/255)})
-		}
-		g, err := graph.NewFromEdges(n, es)
-		if err != nil {
-			t.Fatalf("construction from valid edges failed: %v", err)
-		}
+		g := fuzzFactorGraph(t, data)
+		n := g.N()
 		fac, err := NewLapFactor(g)
 		if err != nil {
 			return // numerically singular is a legitimate answer
