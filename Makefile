@@ -43,13 +43,13 @@ race-solver:
 	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/...
 
 # determinism runs the bit-identity tests — worker-count invariance of the
-# kernels, the solve and the cycle, the reference oracles (the heaviest-edge
-# scan's among them), the layout view's concurrent first build, and the golden
-# digests of whole solves and whole builds — once with the test process
-# started at one worker and once at two, so a reduction whose rounding
+# kernels, the solve, the cycle and a served build, the reference oracles (the
+# heaviest-edge scan's among them), the layout view's concurrent first build,
+# and the golden digests of whole solves and whole builds — once with the test
+# process started at one worker and once at two, so a reduction whose rounding
 # depends on the worker count cannot come back unnoticed.
 determinism:
-	$(GO) test -cpu 1,2 -run 'GOMAXPROCS|Invariant|Reference|Determin|Golden' . ./internal/graph ./internal/solver ./internal/hierarchy ./internal/decomp
+	$(GO) test -cpu 1,2 -run 'GOMAXPROCS|Invariant|Reference|Determin|Golden' . ./internal/graph ./internal/solver ./internal/hierarchy ./internal/decomp ./internal/serve ./internal/par
 
 # fmt fails when any file is not gofmt-clean, naming the files.
 fmt:
@@ -141,9 +141,9 @@ bench-gate:
 	$(GO) run ./cmd/hcd-replay -scenario steady -gate
 
 # scale-smoke: the CI-sized scaling gate — a ≈200k-vertex lognormal 3D grid
-# (59³) built with 4 shards and solved end to end; fails unless it converges.
+# (59³) built and solved end to end; fails unless it converges.
 scale-smoke:
-	$(GO) run ./cmd/hcd-solve -graph grid3d:59 -shards 4 | grep -q 'outcome: converged'
+	$(GO) run ./cmd/hcd-solve -graph grid3d:59 | grep -q 'outcome: converged'
 
 # cli-methods: the two hcd-solve paths that run something other than plain
 # PCG — Chebyshev iteration and the resilient ladder — each to convergence.

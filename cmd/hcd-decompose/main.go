@@ -28,7 +28,6 @@ func run() (err error) {
 	graphSpec := flag.String("graph", "grid3d:16", "workload graph spec (grid2d:S, grid3d:S, mesh:S, oct:S, tree:N, regular:N,D, unit2d:S)")
 	algo := flag.String("algo", "fixed", "decomposition algorithm: tree | fixed | planar | minorfree | spectral")
 	k := flag.Int("k", 4, "cluster size cap for -algo fixed")
-	shards := flag.Int("shards", 1, "shard-parallel fixed-degree build: split the graph into this many shards (1 = single-pass)")
 	seed := flag.Int64("seed", 1, "random seed")
 	hist := flag.Bool("hist", false, "print cluster size histogram")
 	detail := flag.Int("detail", 0, "print the N worst clusters by closure conductance")
@@ -72,7 +71,6 @@ func run() (err error) {
 	opt.Seed = *seed
 	if method == hcd.MethodFixedDegree {
 		opt.SizeCap = *k
-		opt.Shards = *shards
 	}
 	start := time.Now()
 	res, err := hcd.DecomposeCtx(ctx, g, opt)
@@ -84,10 +82,6 @@ func run() (err error) {
 	if res.B != nil {
 		fmt.Printf("pipeline: core |W|=%d, cut |C|=%d, avg stretch %.2f\n",
 			res.CoreSize, res.CutEdges, res.AvgStretch)
-	}
-	if ss := res.ShardStats; ss.Shards > 1 {
-		fmt.Printf("shards: %d  boundary edges: %d  singletons: %d  merged: %d  rejected: %d\n",
-			ss.Shards, ss.BoundaryEdges, ss.BoundarySingletons, ss.Merged, ss.Rejected)
 	}
 	if *merge > 0 {
 		var merges int

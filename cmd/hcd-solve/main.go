@@ -36,7 +36,6 @@ func run() (err error) {
 	chebIters := flag.Int("cheb-iters", 120, "Chebyshev iteration count")
 	tol := flag.Float64("tol", 1e-8, "relative residual tolerance")
 	k := flag.Int("k", 4, "cluster size cap for steiner/hierarchy")
-	shards := flag.Int("shards", 1, "shard-parallel clustering for steiner/hierarchy builds (1 = single-pass)")
 	seed := flag.Int64("seed", 1, "random seed")
 	rhs := flag.Int("rhs", 1, "right-hand sides to solve; >1 routes all columns through one block solve")
 	history := flag.Bool("history", false, "print the full residual history")
@@ -126,7 +125,7 @@ func run() (err error) {
 	// the hierarchy's level profile can be printed. Under -metrics the build
 	// is traced — into the -trace tracer if there is one, else into one kept
 	// in memory for the build alone — so its stages can be summed.
-	spec := hcd.PrecondSpec{Kind: hcd.PrecondKind(*precond), SizeCap: *k, Seed: *seed, Shards: *shards}
+	spec := hcd.PrecondSpec{Kind: hcd.PrecondKind(*precond), SizeCap: *k, Seed: *seed}
 	buildCtx, buildTrace := ctx, o.Tracer
 	if *metrics && buildTrace == nil {
 		buildTrace = obs.NewTracer()

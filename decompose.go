@@ -77,15 +77,6 @@ type DecomposeOptions struct {
 	// SizeCap bounds cluster sizes for MethodFixedDegree (must be ≥ 2).
 	SizeCap int
 
-	// Shards splits the MethodFixedDegree build into that many
-	// contiguous vertex-range shards of balanced adjacency mass, clustered
-	// concurrently and stitched deterministically at the boundary — the
-	// scaling path for ≥10⁶-vertex graphs. 0 or 1 runs the single-pass
-	// build (bit-identical to pre-shard behavior); values larger than the
-	// graph supports are clamped. The result is a deterministic function
-	// of (graph, options), independent of GOMAXPROCS.
-	Shards int
-
 	// Seed drives the edge perturbation (MethodFixedDegree), the AKPW tree
 	// and off-tree selection (MethodPlanar/MethodMinorFree), and the
 	// eigensolves (MethodSpectral).
@@ -144,15 +135,7 @@ type DecomposeResult struct {
 
 	// SpectralStats reports MethodSpectral's work profile.
 	SpectralStats SpectralCutStats
-
-	// ShardStats reports the sharded build's boundary work
-	// (MethodFixedDegree with Shards > 1): boundary edges, stitch
-	// candidates, merges, rejections.
-	ShardStats ShardStats
 }
-
-// ShardStats summarizes the boundary work of a sharded fixed-degree build.
-type ShardStats = decomp.ShardStats
 
 // DecomposeCtx decomposes g with the method opt selects, under a context.
 // Each stage of the build (base tree, sparsify, strip/cut core, tree
@@ -209,31 +192,9 @@ func buildTreeMethod(p *decomp.Pipeline, g *Graph, res *DecomposeResult) error {
 }
 
 func buildFixedDegreeMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *DecomposeResult) error {
-	if opt.Shards <= 1 || g.N() < 2*opt.Shards {
-		// Single-pass build: bit-identical to the pre-shard pipeline.
-		res.ShardStats = decomp.ShardStats{Shards: 1}
-		return p.Run(decomp.StageCluster, func(ctx context.Context) (decomp.StageInfo, error) {
-			var err error
-			res.D, err = decomp.FixedDegreeCtx(ctx, g, opt.SizeCap, opt.Seed)
-			return stageInfoOf(res.D), err
-		})
-	}
-	var shards []graph.Shard
-	if err := p.Run(decomp.StagePartition, func(ctx context.Context) (decomp.StageInfo, error) {
-		shards = graph.PartitionShards(g, opt.Shards)
-		return decomp.StageInfo{Vertices: g.N(), Edges: len(shards)}, nil
-	}); err != nil {
-		return err
-	}
-	if err := p.Run(decomp.StageCluster, func(ctx context.Context) (decomp.StageInfo, error) {
+	return p.Run(decomp.StageCluster, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
-		res.D, res.ShardStats, err = decomp.ClusterShards(ctx, g, shards, opt.SizeCap, opt.Seed)
-		return stageInfoOf(res.D), err
-	}); err != nil {
-		return err
-	}
-	return p.Run(decomp.StageStitch, func(ctx context.Context) (decomp.StageInfo, error) {
-		err := decomp.StitchShards(ctx, res.D, shards, opt.SizeCap, opt.Seed, &res.ShardStats)
+		res.D, err = decomp.FixedDegreeCtx(ctx, g, opt.SizeCap, opt.Seed)
 		return stageInfoOf(res.D), err
 	})
 }

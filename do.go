@@ -64,13 +64,8 @@ type PrecondSpec struct {
 	// The tree and subgraph kinds use a max-weight spanning tree, the
 	// subgraph kind with n/4 off-tree edges.
 	Seed int64
-	// Shards splits the clustering builds of the steiner and hierarchy
-	// kinds into that many concurrent vertex-range shards (see
-	// DecomposeOptions.Shards). 0 or 1 builds single-pass. Ignored when
-	// Hierarchy is set — its own Shards field governs.
-	Shards int
 	// Hierarchy, when non-nil, fully configures the hierarchy kind and
-	// overrides SizeCap/Seed/Shards.
+	// overrides SizeCap/Seed.
 	Hierarchy *HierarchyOptions
 }
 
@@ -89,7 +84,7 @@ func NewPreconditioner(ctx context.Context, g *Graph, spec PrecondSpec) (Precond
 	case PrecondSteiner:
 		res, err := DecomposeCtx(ctx, g, DecomposeOptions{
 			Method: MethodFixedDegree, SizeCap: specSizeCap(spec), Seed: specSeed(spec),
-			Shards: spec.Shards, SkipReport: true,
+			SkipReport: true,
 		})
 		if err != nil {
 			return nil, err
@@ -118,13 +113,13 @@ func NewPreconditioner(ctx context.Context, g *Graph, spec PrecondSpec) (Precond
 
 // specHierarchy is the hierarchy build a spec of the hierarchy kind
 // describes: spec.Hierarchy when set, else the defaults with the spec's
-// SizeCap, Seed and Shards.
+// SizeCap and Seed.
 func specHierarchy(spec PrecondSpec) HierarchyOptions {
 	if spec.Hierarchy != nil {
 		return *spec.Hierarchy
 	}
 	opt := DefaultHierarchyOptions()
-	opt.SizeCap, opt.Seed, opt.Shards = specSizeCap(spec), specSeed(spec), spec.Shards
+	opt.SizeCap, opt.Seed = specSizeCap(spec), specSeed(spec)
 	return opt
 }
 
@@ -301,9 +296,10 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 	a := solver.LapOperator(g)
 	probeOpt := solver.Options{Tol: 1e-12, MaxIter: chebyshevProbeIters, ProjectMean: true}
 	// The bounds come from the first right-hand side whose probe produced PCG
-	// coefficients. A column the probe finds solved before its first step — zero
-	// or constant, the Laplacian's null space — has none: it keeps its probe's
-	// result (converged, x = 0) and the next column is probed.
+	// coefficients. A column the probe stops before its first step has none:
+	// one it finds solved (zero or constant, the Laplacian's null space, x = 0)
+	// or broken down (rᵀz outside the float range) keeps its probe's result,
+	// and the next column is probed.
 	var probe SolveResult
 	var err error
 	solved := 0
@@ -321,7 +317,7 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 			resp.ProbeMetrics = probe.Metrics
 			return resp, fmt.Errorf("hcd: chebyshev probe cancelled: %w", ctx.Err())
 		}
-		if len(probe.Alphas) > 0 || probe.Outcome != OutcomeConverged {
+		if len(probe.Alphas) > 0 {
 			break
 		}
 		resp.Results = append(resp.Results, detachResult(probe))

@@ -324,14 +324,17 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 	}
 }
 
-// TestWeightScaleInvariant: a graph with every weight times 2^e, e even, is
-// solved along the path of the graph itself — the same clustering, the same
-// outcome and iteration count — and returns exactly 2^−e·x, through PCG of
-// either width and Chebyshev. The clustering compares weights and ratios of
-// them, the cycle and the Krylov steps are linear in the weights or ratios
-// of such quantities, and the coarse factor takes one square root per pivot,
-// exact on an even power of two. An odd e keeps every iteration count but
-// moves x by a few ulps: the square root of 2^e is no float.
+// TestWeightScaleInvariant: a graph with every weight times 2^e, e even, and
+// a right-hand side times 2^f are solved along the path of the unscaled
+// system — the same clustering, the same outcome and iteration count — and
+// return exactly 2^(f−e)·x, through PCG of either width and Chebyshev. The
+// clustering compares weights and ratios of them, the cycle and the Krylov
+// steps are linear in the weights, in b or ratios of such quantities, and the
+// coarse factor takes one square root per pivot, exact on an even power of
+// two. An odd e keeps every iteration count but moves x by a few ulps: the
+// square root of 2^e is no float. Where |f − e| reaches 900, rᵀz ≈ 2^(2f−e)
+// leaves the float range, and the solve must say so: a breakdown with a
+// reason, not a wrong x.
 func TestWeightScaleInvariant(t *testing.T) {
 	ctx := context.Background()
 	scaled := func(g *hcd.Graph, e int) *hcd.Graph {
@@ -376,18 +379,36 @@ func TestWeightScaleInvariant(t *testing.T) {
 		}
 		base := solve(scaled(gr.g, 0), B)
 		for _, e := range []int{-600, -2, 2, 38, 600} {
-			for name, resp := range solve(scaled(gr.g, e), B) {
-				for j, res := range resp.Results {
-					want := base[name].Results[j]
-					if res.Outcome != want.Outcome || res.Iterations != want.Iterations {
-						t.Errorf("%s %s e=%d rhs %d: %v after %d iterations, unscaled: %v after %d",
-							gr.name, name, e, j, res.Outcome, res.Iterations, want.Outcome, want.Iterations)
-						continue
+			g := scaled(gr.g, e)
+			for _, f := range []int{-300, 0, 300} {
+				sB := make([][]float64, len(B))
+				for j, b := range B {
+					sB[j] = make([]float64, len(b))
+					for v, x := range b {
+						sB[j][v] = math.Ldexp(x, f)
 					}
-					for v, x := range res.X {
-						if x != math.Ldexp(want.X[v], -e) {
-							t.Errorf("%s %s e=%d rhs %d: x[%d] = %v, want %v", gr.name, name, e, j, v, x, math.Ldexp(want.X[v], -e))
-							break
+				}
+				for name, resp := range solve(g, sB) {
+					for j, res := range resp.Results {
+						want := base[name].Results[j]
+						if f-e <= -900 || f-e >= 900 {
+							if res.Outcome != hcd.OutcomeBreakdown || res.Reason == "" {
+								t.Errorf("%s %s e=%d f=%d rhs %d: %v (%q), want a breakdown with a reason",
+									gr.name, name, e, f, j, res.Outcome, res.Reason)
+							}
+							continue
+						}
+						if res.Outcome != want.Outcome || res.Iterations != want.Iterations {
+							t.Errorf("%s %s e=%d f=%d rhs %d: %v after %d iterations, unscaled: %v after %d",
+								gr.name, name, e, f, j, res.Outcome, res.Iterations, want.Outcome, want.Iterations)
+							continue
+						}
+						for v, x := range res.X {
+							if x != math.Ldexp(want.X[v], f-e) {
+								t.Errorf("%s %s e=%d f=%d rhs %d: x[%d] = %v, want %v",
+									gr.name, name, e, f, j, v, x, math.Ldexp(want.X[v], f-e))
+								break
+							}
 						}
 					}
 				}

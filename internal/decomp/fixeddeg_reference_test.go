@@ -219,7 +219,7 @@ func referenceFamilies(t testing.TB) map[string]*graph.Graph {
 
 // TestFixedDegreeMatchesForestReference: Assign and Count equal the forest
 // chain's on every family, sizeCap and seed, down four levels of contraction,
-// and per shard under ClusterShards. The name puts it under `make
+// and per shard under clusterShards. The name puts it under `make
 // determinism`, so it also runs with the test process at one and two workers.
 func TestFixedDegreeMatchesForestReference(t *testing.T) {
 	ctx := context.Background()
@@ -247,9 +247,9 @@ func TestFixedDegreeMatchesForestReference(t *testing.T) {
 				}
 
 				shards := graph.PartitionShards(g0, 4)
-				got, _, err := ClusterShards(ctx, g0, shards, sizeCap, seed)
+				got, _, err := clusterShards(ctx, g0, shards, sizeCap, seed)
 				if err != nil {
-					t.Fatalf("%s cap %d seed %d: ClusterShards: %v", name, sizeCap, seed, err)
+					t.Fatalf("%s cap %d seed %d: clusterShards: %v", name, sizeCap, seed, err)
 				}
 				want := make([]int, g0.N())
 				offset := 0

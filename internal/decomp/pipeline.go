@@ -56,16 +56,14 @@ func pollNow(ctx context.Context) error {
 
 // Canonical stage names shared by the pipeline builders and their tests.
 const (
-	StageBaseTree  = "base-tree"       // spanning tree underlying the sparse subgraph
-	StageSparsify  = "sparsify"        // stretch-driven off-tree edge selection
-	StageCoreCut   = "strip-cut-core"  // degree-1/2 stripping + per-path lightest cut
-	StageTree      = "tree-decompose"  // Theorem 2.1 forest decomposition
-	StageCluster   = "cluster"         // Section 3.1 fixed-degree clustering
-	StagePartition = "shard-partition" // split the vertex range into balanced shards
-	StageStitch    = "stitch-boundary" // merge boundary singletons across shards
-	StageSpectral  = "spectral-cut"    // recursive sweep-cut baseline
-	StageRebind    = "rebind"          // read the partition over the original graph
-	StageEvaluate  = "evaluate"        // measure φ, ρ, γ of the result
+	StageBaseTree = "base-tree"      // spanning tree underlying the sparse subgraph
+	StageSparsify = "sparsify"       // stretch-driven off-tree edge selection
+	StageCoreCut  = "strip-cut-core" // degree-1/2 stripping + per-path lightest cut
+	StageTree     = "tree-decompose" // Theorem 2.1 forest decomposition
+	StageCluster  = "cluster"        // Section 3.1 fixed-degree clustering
+	StageSpectral = "spectral-cut"   // recursive sweep-cut baseline
+	StageRebind   = "rebind"         // read the partition over the original graph
+	StageEvaluate = "evaluate"       // measure φ, ρ, γ of the result
 )
 
 // StageMetrics instruments one pipeline stage, mirroring solver.Metrics on

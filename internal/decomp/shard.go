@@ -62,23 +62,23 @@ func FixedDegreeShardedCtx(ctx context.Context, g *graph.Graph, sizeCap int, see
 		return d, ShardStats{Shards: 1}, err
 	}
 	sh := graph.PartitionShards(g, shards)
-	d, stats, err := ClusterShards(ctx, g, sh, sizeCap, seed)
+	d, stats, err := clusterShards(ctx, g, sh, sizeCap, seed)
 	if err != nil {
 		return nil, stats, err
 	}
-	if err := StitchShards(ctx, d, sh, sizeCap, seed, &stats); err != nil {
+	if err := stitchShards(ctx, d, sh, sizeCap, seed, &stats); err != nil {
 		return nil, stats, err
 	}
 	return d, stats, nil
 }
 
-// ClusterShards runs the fixed-degree clustering of every shard concurrently
+// clusterShards runs the fixed-degree clustering of every shard concurrently
 // on internal/par workers. Each shard clusters over its intra-shard edges
 // only, using the host-global edge perturbation, and writes shard-local
 // cluster ids into its own disjoint slice of d.Assign; a serial pass then
 // offsets the ids in shard order. Boundary singletons are left for
-// StitchShards. The shards must tile [0, g.N()) — PartitionShards output.
-func ClusterShards(ctx context.Context, g *graph.Graph, shards []graph.Shard, sizeCap int, seed int64) (*Decomposition, ShardStats, error) {
+// stitchShards. The shards must tile [0, g.N()) — PartitionShards output.
+func clusterShards(ctx context.Context, g *graph.Graph, shards []graph.Shard, sizeCap int, seed int64) (*Decomposition, ShardStats, error) {
 	if sizeCap < 2 {
 		return nil, ShardStats{}, fmt.Errorf("decomp: sizeCap must be ≥ 2, got %d: %w", sizeCap, graph.ErrInvalidInput)
 	}
@@ -148,7 +148,7 @@ func clusterShard(ctx context.Context, s graph.Shard, sizeCap int, seed int64, h
 	return splitPointers(ctx, bestTo, sizeCap, hostAssign[s.Lo():s.Hi()])
 }
 
-// StitchShards repairs the boundary damage of a per-shard clustering, in
+// stitchShards repairs the boundary damage of a per-shard clustering, in
 // place. It visits every boundary singleton in ascending vertex id and
 // merges it into the cluster of its heaviest-perturbed cross-shard neighbor
 // when (a) the merged cluster stays within
@@ -157,7 +157,7 @@ func clusterShard(ctx context.Context, s graph.Shard, sizeCap int, seed int64, h
 // stitchPhiKeep of the target cluster's pre-stitch conductance. The pass is
 // serial, so the result is independent of GOMAXPROCS; cluster ids are
 // compacted afterwards.
-func StitchShards(ctx context.Context, d *Decomposition, shards []graph.Shard, sizeCap int, seed int64, stats *ShardStats) error {
+func stitchShards(ctx context.Context, d *Decomposition, shards []graph.Shard, sizeCap int, seed int64, stats *ShardStats) error {
 	g := d.G
 	n := g.N()
 	if n == 0 {

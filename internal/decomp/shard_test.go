@@ -215,10 +215,10 @@ func TestShardedStitchRepairsStar(t *testing.T) {
 func TestClusterShardsRejectsBadTiling(t *testing.T) {
 	g := workload.Grid2D(6, 6, nil, 1)
 	sh := graph.PartitionShards(g, 3)
-	if _, _, err := ClusterShards(context.Background(), g, sh[:2], 4, 1); err == nil {
+	if _, _, err := clusterShards(context.Background(), g, sh[:2], 4, 1); err == nil {
 		t.Error("accepted shards that do not tile the vertex range")
 	}
-	if _, _, err := ClusterShards(context.Background(), g, sh, 1, 1); err == nil {
+	if _, _, err := clusterShards(context.Background(), g, sh, 1, 1); err == nil {
 		t.Error("accepted sizeCap < 2")
 	}
 }

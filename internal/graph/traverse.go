@@ -70,8 +70,12 @@ func (g *Graph) Connected() bool {
 	return k == 1
 }
 
-// IsForest reports whether g contains no cycles.
+// IsForest reports whether g contains no cycles. A graph with at least as
+// many edges as vertices has one, which needs no traversal to tell.
 func (g *Graph) IsForest() bool {
+	if g.N() > 0 && g.M() >= g.N() {
+		return false
+	}
 	_, k := g.Components()
 	return g.M() == g.N()-k
 }

@@ -154,7 +154,7 @@ func TestApplyIsSPD(t *testing.T) {
 			}
 			doubled, want := doubledLevels(h), 1
 			switch {
-			case tc.name == "star" || tc.name == "clique":
+			case tc.g.IsForest() || tc.name == "clique": // a forest has no level
 				want = 0
 			case strings.HasSuffix(tc.name, "-deep"):
 				want = 2

@@ -37,7 +37,7 @@ import (
 type Options struct {
 	SizeCap     int   // cluster size cap per level (≥ 2)
 	Seed        int64 // perturbation seed for the clusterings
-	DirectLimit int   // largest graph handed to the direct solver
+	DirectLimit int   // largest graph handed to the direct solver, unless it is a forest
 	Smooth      int   // damped-Jacobi pre/post smoothing sweeps per level, 0 … 64
 	// Shards splits each level's clustering into that many concurrently
 	// built vertex-range shards while the level graph is large enough
@@ -168,8 +168,9 @@ func NewSteiner(ctx context.Context, d *decomp.Decomposition) (*Hierarchy, error
 
 // build runs the level loop on validated options: level 0 is first's
 // clustering when first is non-nil, whatever g's size; every other level is
-// clustered here while the graph is above the direct limit, for at most
-// depthCap levels.
+// clustered here while the graph is above the direct limit and has a cycle,
+// for at most depthCap levels. A forest is factored whatever its size: its
+// minimum-degree elimination makes no fill.
 //
 // A panic during setup — including worker panics surfaced by internal/par —
 // is recovered and returned as an error.
@@ -184,7 +185,7 @@ func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt
 	a := newAssembler(ctx, opt.Smooth)
 	cur := g
 	var levelSpans []*obs.Span // traced builds only: visits are known last
-	for level := 0; (level == 0 && first != nil) || cur.N() > opt.DirectLimit; level++ {
+	for level := 0; (level == 0 && first != nil) || (cur.N() > opt.DirectLimit && !cur.IsForest()); level++ {
 		if level == depthCap {
 			if cur.N() > 4*opt.DirectLimit {
 				return nil, fmt.Errorf("hierarchy: depth cap %d reached at level %d with %d vertices left (direct limit %d): %w",

@@ -169,6 +169,9 @@ func For(n, grain int, fn func(lo, hi int)) {
 
 // ReduceSum evaluates fn over chunks of [0, n) in parallel and returns the
 // sum of the per-chunk results. fn must return the partial sum for its range.
+// The chunks are the grain-long runs of [0, n) and their sums are added in
+// chunk order at any worker count, so the result is the same bits at any
+// GOMAXPROCS.
 func ReduceSum(n, grain int, fn func(lo, hi int) float64) float64 {
 	if n <= 0 {
 		return 0
@@ -176,8 +179,15 @@ func ReduceSum(n, grain int, fn func(lo, hi int) float64) float64 {
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
-	if n <= grain || Workers() == 1 {
+	if n <= grain {
 		return fn(0, n)
+	}
+	if Workers() == 1 {
+		total := 0.0
+		for lo := 0; lo < n; lo += grain {
+			total += fn(lo, min(lo+grain, n))
+		}
+		return total
 	}
 	chunks := (n + grain - 1) / grain
 	partial := make([]float64, chunks)

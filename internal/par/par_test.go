@@ -108,3 +108,38 @@ func BenchmarkForSum(b *testing.B) {
 		})
 	}
 }
+
+// TestReduceSumGOMAXPROCSInvariant: one worker sums the same grain chunks in
+// the same order as many. The data rounds differently when summed in one
+// chunk: each 1 added to 1e16 alone rounds away, while the chunks of 1s sum
+// exactly first.
+func TestReduceSumGOMAXPROCSInvariant(t *testing.T) {
+	const n, grain = 4096, 64
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	x[0] = 1e16
+	sum := func(lo, hi int) float64 {
+		s := 0.0
+		for _, v := range x[lo:hi] {
+			s += v
+		}
+		return s
+	}
+	want := 0.0
+	for lo := 0; lo < n; lo += grain {
+		want += sum(lo, lo+grain)
+	}
+	if want == sum(0, n) {
+		t.Fatal("test data sums the same in one chunk")
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := ReduceSum(n, grain, sum); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("GOMAXPROCS=%d: ReduceSum = %v, want the chunk-ordered %v", procs, got, want)
+		}
+	}
+}

@@ -135,9 +135,6 @@ func Run(ctx context.Context, tr *Trace, opt Options) (*Report, error) {
 		if g.SizeCap != 0 {
 			path += fmt.Sprintf("&sizecap=%d", g.SizeCap)
 		}
-		if g.Shards != 0 {
-			path += fmt.Sprintf("&shards=%d", g.Shards)
-		}
 		code, body, err := tgt.do(ctx, http.MethodPost, path, "replay", nil)
 		if err != nil {
 			return nil, fmt.Errorf("replay: submit %s: %w", g.Spec, err)

@@ -27,8 +27,6 @@ type GraphSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// SizeCap overrides the hierarchy cluster size cap (0 = server default).
 	SizeCap int `json:"sizecap,omitempty"`
-	// Shards forces the shard count (1 = single-pass; 0 = server default).
-	Shards int `json:"shards,omitempty"`
 }
 
 // MixEntry is one request shape in the solve mix; requests are drawn from

@@ -270,8 +270,7 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // handleSubmit ingests a graph and starts its hierarchy build. The graph
 // arrives either in the request body (?format=edgelist|mm, the gio formats)
 // or generated server-side from a workload spec (?spec=grid3d:12 — the CLI
-// generator grammar). ?sizecap=, ?seed= and ?shards= tune the
-// hierarchy build (shards=1 forces single-pass, disabling auto-sharding);
+// generator grammar). ?sizecap= and ?seed= tune the hierarchy build;
 // ?wait=true blocks until the build finishes.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -293,18 +292,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var hopt *hcd.HierarchyOptions
-	if q.Has("sizecap") || q.Has("seed") || q.Has("shards") {
+	if q.Has("sizecap") || q.Has("seed") {
 		o := hcd.DefaultHierarchyOptions()
 		if v, perr := strconv.Atoi(q.Get("sizecap")); perr == nil && v >= 2 {
 			o.SizeCap = v
 		}
 		if v, perr := strconv.ParseInt(q.Get("seed"), 10, 64); perr == nil && v != 0 {
 			o.Seed = v
-		}
-		// ?shards=1 forces a single-pass build (disabling auto-sharding);
-		// larger values shard explicitly.
-		if v, perr := strconv.Atoi(q.Get("shards")); perr == nil && v >= 1 {
-			o.Shards = v
 		}
 		hopt = &o
 	}

@@ -36,11 +36,6 @@ type Config struct {
 	PoolSize int
 	// MaxBodyBytes bounds request bodies (default 256 MiB).
 	MaxBodyBytes int64
-	// AutoShardVertices turns on sharded hierarchy builds for submissions
-	// of at least this many vertices when the build options do not set a
-	// shard count themselves; the shard count follows the worker count.
-	// Default 200 000; negative disables auto-sharding.
-	AutoShardVertices int
 	// Admission tunes the per-tenant token buckets.
 	Admission AdmissionConfig
 	// StateDir, when non-empty, makes handles durable: built hierarchies
@@ -95,9 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 256 << 20
 	}
-	if c.AutoShardVertices == 0 {
-		c.AutoShardVertices = 200_000
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
 	}
@@ -142,7 +134,6 @@ func New(cfg Config) *Server {
 	gaugeSet(s.reg, fmt.Sprintf("%s{goarch=%q,kernel=%q}", metricBuildInfo, runtime.GOARCH, kernel.Name()), 1)
 	s.batch = newBatcher(cfg.BatchWindow, cfg.BatchMaxWidth, cfg.Registry)
 	s.store = newStore(cfg.MaxHandles, cfg.MaxBytes, cfg.PoolSize, s.reg, s.tr)
-	s.store.autoShard = cfg.AutoShardVertices
 	s.store.breaker = cfg.BreakerThreshold
 	if cfg.StateDir != "" {
 		pst, err := newPersister(cfg.StateDir)

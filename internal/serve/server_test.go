@@ -2,18 +2,25 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"hcd"
+	"hcd/internal/cli"
 	"hcd/internal/faultinject"
+	"hcd/internal/gio"
+	"hcd/internal/graph"
 	"hcd/internal/kernel"
 	"hcd/internal/obs"
 )
@@ -447,5 +454,165 @@ func TestResilientMethodRestartsInRung(t *testing.T) {
 	r := body["results"].([]any)[0].(map[string]any)
 	if r["converged"] != true || r["rung"] != hcd.RungHierarchyPCG || r["recovered"] == true {
 		t.Errorf("result %v: want converged on rung %s without a recovery", r, hcd.RungHierarchyPCG)
+	}
+}
+
+// buildDigest hashes what a hierarchy build decides: the graph and every
+// level's assignment (its snapshot, from which Rebuild reproduces the build),
+// the cycle's level scales and its entries per apply.
+func buildDigest(t *testing.T, g *hcd.Graph, h *hcd.Hierarchy) uint64 {
+	t.Helper()
+	d := fnv.New64a()
+	if err := hcd.WriteHierarchySnapshot(d, g, h); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range h.LevelScales() {
+		fmt.Fprintf(d, "%x %x %d;", math.Float64bits(s.Gamma), math.Float64bits(s.Alpha), s.Visits)
+	}
+	fmt.Fprintf(d, "%d", h.CycleEntries())
+	return d.Sum64()
+}
+
+// TestSubmitBuildGOMAXPROCSInvariant: a submitted graph gets the facade's
+// default single-pass build whatever the worker count. grid3d:59 has 205 379
+// vertices, above the size from which the server once sharded a build by its
+// worker count. Run it under -cpu 1,2.
+func TestSubmitBuildGOMAXPROCSInvariant(t *testing.T) {
+	srv, c := newTestServer(t, Config{})
+	code, body, _ := c.do("POST", "/v1/graphs?spec=grid3d:59&wait=true", "", nil)
+	if code != http.StatusCreated || body["status"] != "ready" {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	h, release, err := srv.store.Get(body["id"].(string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	srv.store.mu.Lock()
+	gotG, got := h.g, h.h
+	srv.store.mu.Unlock()
+
+	g, err := cli.BuildGraph("grid3d:59", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs, ws := got.LevelSizes(), want.LevelSizes(); !slices.Equal(gs, ws) {
+		t.Fatalf("GOMAXPROCS=%d: served level sizes %v, single-pass build %v", runtime.GOMAXPROCS(0), gs, ws)
+	}
+	if gd, wd := buildDigest(t, gotG, got), buildDigest(t, g, want); gd != wd {
+		t.Fatalf("GOMAXPROCS=%d: served build digest %#x, single-pass build %#x", runtime.GOMAXPROCS(0), gd, wd)
+	}
+}
+
+// TestSolveScaleInvariant carries TestWeightScaleInvariant (package hcd)
+// through the submit and solve routes: a graph submitted with every weight
+// times 2^e and right-hand sides sent times 2^f come back in the unscaled
+// solve's outcome and iteration count with x exactly 2^(f−e)·x, or, where
+// |f − e| reaches 900, as a breakdown. Weights, b and x cross the wire as
+// decimal text at magnitudes down to 1e-181 and up to 1e272.
+func TestSolveScaleInvariant(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	g, err := cli.BuildGraph("grid3d:10", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	B := make([][]float64, 4)
+	for j := range B {
+		B[j] = cli.MeanFreeRHS(g.N(), int64(5+j))
+	}
+	type result struct {
+		outcome    string
+		iterations int
+		x          []float64
+	}
+	solves := func(e, f int) map[string][]result {
+		off, adj, w := g.CompactCSR()
+		sw := make([]float64, len(w))
+		for i, x := range w {
+			sw[i] = math.Ldexp(x, e)
+		}
+		sg, err := graph.NewFromCSR(off, adj, sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges bytes.Buffer
+		if err := gio.WriteEdgeList(&edges, sg); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.hc.Post(c.base+"/v1/graphs?format=edgelist&wait=true", "text/plain", &edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sub submitResponse
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated || sub.Status != StatusReady {
+			t.Fatalf("e=%d: submit: code %d %+v %v", e, resp.StatusCode, sub, err)
+		}
+		sB := make([][]float64, len(B))
+		for j, b := range B {
+			sB[j] = make([]float64, len(b))
+			for v, x := range b {
+				sB[j][v] = math.Ldexp(x, f)
+			}
+		}
+		out := map[string][]result{}
+		for name, req := range map[string]map[string]any{
+			"pcg k=1":   {"b": sB[:1], "include_x": true},
+			"pcg k=4":   {"b": sB, "include_x": true},
+			"chebyshev": {"b": sB[:1], "include_x": true, "method": "chebyshev"},
+		} {
+			code, body, _ := c.do("POST", "/v1/graphs/"+sub.ID+"/solve", "", req)
+			if code != http.StatusOK {
+				t.Fatalf("e=%d f=%d %s: code %d body %v", e, f, name, code, body)
+			}
+			for _, r := range body["results"].([]any) {
+				r := r.(map[string]any)
+				res := result{outcome: r["outcome"].(string), iterations: int(r["iterations"].(float64))}
+				xs, _ := r["x"].([]any)
+				for _, x := range xs {
+					res.x = append(res.x, x.(float64))
+				}
+				out[name] = append(out[name], res)
+			}
+		}
+		return out
+	}
+	base := solves(0, 0)
+	for name, results := range base {
+		for j, res := range results {
+			if res.outcome != "converged" || len(res.x) != g.N() {
+				t.Fatalf("%s rhs %d unscaled: %s with %d x", name, j, res.outcome, len(res.x))
+			}
+		}
+	}
+	for _, e := range []int{-600, -2, 2, 38, 600} {
+		for _, f := range []int{-300, 0, 300} {
+			for name, results := range solves(e, f) {
+				for j, res := range results {
+					at, want := fmt.Sprintf("%s e=%d f=%d rhs %d", name, e, f, j), base[name][j]
+					switch {
+					case f-e <= -900 || f-e >= 900:
+						if res.outcome != "breakdown" {
+							t.Errorf("%s: %s, want breakdown", at, res.outcome)
+						}
+					case res.outcome != want.outcome || res.iterations != want.iterations || len(res.x) != len(want.x):
+						t.Errorf("%s: %s after %d iterations (%d x), unscaled: %s after %d (%d x)",
+							at, res.outcome, res.iterations, len(res.x), want.outcome, want.iterations, len(want.x))
+					default:
+						for v, x := range res.x {
+							if x != math.Ldexp(want.x[v], f-e) {
+								t.Errorf("%s: x[%d] = %v, want %v", at, v, x, math.Ldexp(want.x[v], f-e))
+								break
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"hcd"
 	"hcd/internal/faultinject"
 	"hcd/internal/obs"
-	"hcd/internal/par"
 )
 
 // ErrNoCapacity: the submitted graph cannot fit the byte budget even after
@@ -125,7 +124,6 @@ type store struct {
 	maxHandles int
 	maxBytes   int64
 	poolSize   int
-	autoShard  int // auto-shard threshold in vertices; ≤ 0 disables
 	reg        *obs.Registry
 	tr         *obs.Tracer
 	gauges     *engineGauges
@@ -161,12 +159,6 @@ func (s *store) Put(g *hcd.Graph, hopt *hcd.HierarchyOptions) (*handle, error) {
 	opts := hcd.DefaultHierarchyOptions()
 	if hopt != nil {
 		opts = *hopt
-	}
-	// Large submissions shard automatically unless the caller chose a shard
-	// count (including an explicit 1 via ?shards=1 to force single-pass —
-	// that arrives as Shards=1, not 0).
-	if opts.Shards == 0 && s.autoShard > 0 && g.N() >= s.autoShard {
-		opts.Shards = par.Workers()
 	}
 	gb := g.Bytes()
 	s.mu.Lock()

@@ -265,8 +265,7 @@ func TestOptionFieldsHaveProductionSetter(t *testing.T) {
 		"internal/serve/AdmissionConfig": true,
 	}
 	allowed := map[string]bool{
-		"internal/serve/Config.MaxBodyBytes":      true, // a limit on input from outside the program
-		"internal/serve/Config.AutoShardVertices": true, // goes with the sharded build, whose removal waits on a benchmark change
+		"internal/serve/Config.MaxBodyBytes": true, // a limit on input from outside the program
 	}
 	type field struct{ owner, name string }
 	var fields []field

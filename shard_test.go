@@ -9,12 +9,12 @@ import (
 )
 
 // Shard counts must not change solve quality: the hierarchy preconditioner
-// built from a sharded decomposition has to converge in essentially the same
-// number of PCG iterations as the single-pass build. 10% is the contract the
-// scaling docs promise.
+// built with HierarchyOptions.Shards has to converge in essentially the same
+// number of PCG iterations as the single-pass build. The grid is 32³ so that
+// its level 0 reaches the per-level shard gate (2^15 vertices).
 func TestShardedSolveIterationInvariance(t *testing.T) {
 	graphs := map[string]*hcd.Graph{
-		"grid3d": hcd.Grid3D(14, 14, 14, hcd.LognormalWeights(1), 3),
+		"grid3d": hcd.Grid3D(32, 32, 32, hcd.LognormalWeights(1), 3),
 	}
 	if pl, err := hcd.PowerLaw(4000, 3, hcd.UniformWeights(0.5, 5), 11); err == nil {
 		graphs["powerlaw"] = pl
@@ -26,11 +26,11 @@ func TestShardedSolveIterationInvariance(t *testing.T) {
 		b := meanFree(rng, g.N())
 		iters := map[int]int{}
 		for _, shards := range []int{1, 2, 8} {
+			opt := hcd.DefaultHierarchyOptions()
+			opt.Shards = shards
 			resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
-				B: [][]float64{b},
-				Precond: hcd.PrecondSpec{
-					Kind: hcd.PrecondHierarchy, Shards: shards, Seed: 1,
-				},
+				B:       [][]float64{b},
+				Precond: hcd.PrecondSpec{Hierarchy: &opt},
 			})
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, shards, err)
@@ -51,47 +51,6 @@ func TestShardedSolveIterationInvariance(t *testing.T) {
 				t.Errorf("%s: shards=%d takes %d PCG iterations vs %d single-pass (>10%% apart)",
 					name, shards, iters[shards], base)
 			}
-		}
-	}
-}
-
-// DecomposeCtx exposes the shard plumbing end to end: stats populated,
-// Shards=1 identical to the default path.
-func TestDecomposeShardsOption(t *testing.T) {
-	g := hcd.Grid3D(12, 12, 12, hcd.LognormalWeights(1), 5)
-	single, err := hcd.DecomposeCtx(context.Background(), g, hcd.DecomposeOptions{
-		Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.ShardStats.Shards != 1 {
-		t.Errorf("default build reports %d shards, want 1", single.ShardStats.Shards)
-	}
-	sharded, err := hcd.DecomposeCtx(context.Background(), g, hcd.DecomposeOptions{
-		Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 2, Shards: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sharded.ShardStats.Shards != 8 {
-		t.Errorf("sharded build reports %d shards, want 8", sharded.ShardStats.Shards)
-	}
-	if sharded.ShardStats.BoundaryEdges == 0 {
-		t.Error("sharded build counted no boundary edges")
-	}
-	if len(sharded.D.Assign) != g.N() {
-		t.Fatalf("assign length %d, want %d", len(sharded.D.Assign), g.N())
-	}
-	one, err := hcd.DecomposeCtx(context.Background(), g, hcd.DecomposeOptions{
-		Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 2, Shards: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range one.D.Assign {
-		if one.D.Assign[v] != single.D.Assign[v] {
-			t.Fatal("Shards=1 differs from the default single-pass build")
 		}
 	}
 }

@@ -72,10 +72,6 @@ func TestSentinelErrors(t *testing.T) {
 			_, err := hcd.DecomposeCtx(ctx, conn, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 1})
 			return err
 		}},
-		{"sharded fixed-degree SizeCap 1", func() error {
-			_, err := hcd.DecomposeCtx(ctx, conn, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 1, Shards: 2})
-			return err
-		}},
 	} {
 		if err := tc.call(); !errors.Is(err, hcd.ErrInvalidInput) {
 			t.Errorf("%s: %v, want ErrInvalidInput", tc.name, err)
