@@ -146,10 +146,13 @@ scale-smoke:
 	$(GO) run ./cmd/hcd-solve -graph grid3d:59 | grep -q 'outcome: converged'
 
 # cli-methods: the two hcd-solve paths that run something other than plain
-# PCG — Chebyshev iteration and the resilient ladder — each to convergence.
+# PCG — Chebyshev iteration and the resilient ladder — each to convergence,
+# on one right-hand side and on a block of three.
 cli-methods:
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -method chebyshev | grep -q 'outcome: converged'
+	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -method chebyshev -rhs 3 | grep -q 'converged: 3/3'
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient | grep -q 'outcome: converged'
+	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient -rhs 3 | grep -q 'converged: 3/3'
 
 experiments:
 	$(GO) run ./cmd/hcd-experiments

@@ -58,7 +58,6 @@ func run() (err error) {
 	for i := range B {
 		B[i] = cli.MeanFreeRHS(g.N(), *seed+100+int64(i))
 	}
-	b := B[0]
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -97,25 +96,31 @@ func run() (err error) {
 	if *resilient {
 		solveStart := time.Now()
 		resp, rerr := hcd.Do(ctx, g, hcd.SolveRequest{
-			B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: opt,
+			B: B, Method: hcd.SolveMethodResilient, Options: opt,
 			Precond: hcd.PrecondSpec{SizeCap: *k, Seed: *seed},
 		})
 		solveTime := time.Since(solveStart)
 		fmt.Printf("graph: %s  n=%d m=%d\n", *graphSpec, g.N(), g.M())
-		if len(resp.Resilience) == 0 {
-			return rerr
+		converged := 0
+		for i, rep := range resp.Resilience {
+			res, prefix := resp.Results[i], ""
+			if nrhs > 1 {
+				prefix = fmt.Sprintf("rhs %d: ", i)
+			}
+			fmt.Printf("%sladder: %s\n", prefix, rep.String())
+			fmt.Printf("%srung: %s  recovered: %v\n", prefix, rep.Rung, rep.Recovered)
+			fmt.Printf("%soutcome: %s  iterations: %d\n", prefix, res.Outcome, res.Iterations)
+			if *metrics {
+				printMetrics(res.Metrics)
+			}
+			if res.Converged {
+				converged++
+			}
 		}
-		rep := resp.Resilience[len(resp.Resilience)-1]
-		fmt.Printf("ladder: %s\n", rep.String())
 		if rerr != nil {
 			return rerr
 		}
-		res := resp.Results[len(resp.Results)-1]
-		fmt.Printf("rung: %s  recovered: %v\n", rep.Rung, rep.Recovered)
-		fmt.Printf("outcome: %s  iterations: %d  solve: %v\n", res.Outcome, res.Iterations, solveTime)
-		if *metrics {
-			printMetrics(res.Metrics)
-		}
+		fmt.Printf("converged: %d/%d  solve: %v\n", converged, nrhs, solveTime)
 		printRegistry(o, *metrics)
 		return nil
 	}

@@ -7,12 +7,12 @@ package hcd
 // entry point in the package (SolvePCGCtx, SolveCtx, SolveResilient) is a
 // thin wrapper over Do, so the CLI tools and the hcd-server handlers share one
 // implementation. Every method reads its iteration settings from the
-// request's Options. A PCG request of any width is one call into the solver's
-// one PCG driver.
+// request's Options. A PCG or Chebyshev request of any width is one call into
+// the solver's one iteration driver, and each rung of the resilient ladder
+// one more.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"hcd/internal/hierarchy"
@@ -30,12 +30,14 @@ const (
 	// SolveMethodChebyshev bootstraps spectrum bounds from a 40-step PCG
 	// probe on the first right-hand side outside the Laplacian's null space,
 	// widens the Ritz bracket to [0.8·λmin, 1.2·λmax], then runs
-	// inner-product-free Chebyshev iteration on every right-hand side with
-	// the shared bounds, for Options.MaxIter iterations (required > 0). A
-	// zero or constant right-hand side is converged at x = 0.
+	// inner-product-free Chebyshev iteration on every right-hand side as one
+	// block with the shared bounds, for Options.MaxIter iterations (required
+	// > 0). A zero or constant right-hand side is converged at x = 0.
 	SolveMethodChebyshev SolveMethod = "chebyshev"
-	// SolveMethodResilient walks the SolveResilient fallback ladder per
-	// right-hand side, recording a ResilienceReport for each.
+	// SolveMethodResilient walks the SolveResilient fallback ladder with
+	// every right-hand side: each rung builds once and solves the columns no
+	// earlier rung converged as one block, recording a ResilienceReport per
+	// column.
 	SolveMethodResilient SolveMethod = "resilient"
 )
 
@@ -150,16 +152,17 @@ type SolveRequest struct {
 	Method SolveMethod
 	// Precond describes the preconditioner to build when neither Engine
 	// nor M is set. The zero value builds the multilevel hierarchy. For
-	// SolveMethodResilient it configures the ladder's first rung and must
-	// be of the hierarchy kind.
+	// SolveMethodResilient it must be of the hierarchy kind: it is the
+	// hierarchy the ladder's first rung builds when M is nil, and the one its
+	// reseeded rungs rebuild under other seeds.
 	Precond PrecondSpec
-	// M, when non-nil, is used directly and Precond is ignored.
+	// M, when non-nil, is used directly and Precond is not built; under
+	// SolveMethodResilient it preconditions the first rung.
 	M Preconditioner
 	// Engine, when non-nil, runs the solves on a warm session (the
 	// serving path: per-hierarchy engine pools). Result slices are copied
 	// out of the engine's buffers, so they remain valid after the engine
-	// is reused. SolveMethodResilient ignores M and Engine: its ladder
-	// builds its own preconditioners.
+	// is reused. SolveMethodResilient ignores it.
 	Engine *Engine
 	// Options configures the iteration of every method. PCG reads all of
 	// it. Chebyshev reads Tol (0 runs every iteration), MaxIter (its
@@ -233,15 +236,9 @@ func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error)
 		if k := req.Precond.Kind; k != PrecondHierarchy && k != "" {
 			return resp, fmt.Errorf("hcd: Do: the resilient method builds a hierarchy, not %q: %w", k, ErrInvalidInput)
 		}
-		for _, b := range req.B {
-			res, rep, err := solveResilient(ctx, g, b, specHierarchy(req.Precond), req.Options)
-			resp.Results = append(resp.Results, res)
-			resp.Resilience = append(resp.Resilience, rep)
-			if err != nil {
-				return resp, err
-			}
-		}
-		return resp, nil
+		var err error
+		resp.Results, resp.Resilience, err = solveResilient(ctx, g, req.B, req.M, specHierarchy(req.Precond), req.Options)
+		return resp, err
 	default:
 		return resp, fmt.Errorf("hcd: Do: unknown solve method %q: %w", req.Method, ErrInvalidInput)
 	}
@@ -285,69 +282,80 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 	if req.Options.MaxIter <= 0 {
 		return resp, fmt.Errorf("hcd: the Chebyshev method needs Options.MaxIter > 0: %w", ErrInvalidInput)
 	}
-	m := req.M
+	a, m := solver.LapOperator(g), req.M
 	if m == nil && req.Engine == nil {
 		var err error
-		m, err = NewPreconditioner(ctx, g, req.Precond)
-		if err != nil {
+		if m, err = NewPreconditioner(ctx, g, req.Precond); err != nil {
 			return resp, err
 		}
 	}
-	a := solver.LapOperator(g)
-	probeOpt := solver.Options{Tol: 1e-12, MaxIter: chebyshevProbeIters, ProjectMean: true}
-	// The bounds come from the first right-hand side whose probe produced PCG
-	// coefficients. A column the probe stops before its first step has none:
-	// one it finds solved (zero or constant, the Laplacian's null space, x = 0)
-	// or broken down (rᵀz outside the float range) keeps its probe's result,
-	// and the next column is probed.
-	var probe SolveResult
-	var err error
-	solved := 0
-	for ; solved < len(req.B); solved++ {
-		if req.Engine != nil {
-			probe, err = req.Engine.SolveWith(ctx, req.B[solved], probeOpt)
-		} else {
-			probe, err = solver.PCGCtx(ctx, a, m, req.B[solved], probeOpt)
-		}
-		if err != nil {
-			return resp, err
-		}
-		if probe.Outcome == OutcomeCancelled {
-			resp.Results = append(resp.Results, detachResult(probe))
-			resp.ProbeMetrics = probe.Metrics
-			return resp, fmt.Errorf("hcd: chebyshev probe cancelled: %w", ctx.Err())
-		}
-		if len(probe.Alphas) > 0 {
-			break
-		}
-		resp.Results = append(resp.Results, detachResult(probe))
+	probe := func(ctx context.Context, bs [][]float64, opt solver.Options) ([]SolveResult, error) {
+		return solver.BlockPCGCtx(ctx, a, m, bs, opt)
 	}
-	if solved == len(req.B) {
-		return resp, nil
+	if req.Engine != nil {
+		probe = req.Engine.SolveBlock
 	}
-	lmin, lmax, err := solver.SpectrumEstimate(probe.Alphas, probe.Betas)
-	if err != nil {
+	br, err := probeBracket(ctx, probe, req.B)
+	resp.ProbeMetrics = br.metrics
+	if err != nil || !br.ok {
+		resp.Results = br.skipped
 		return resp, err
 	}
-	resp.Lmin, resp.Lmax, resp.ProbeMetrics = lmin, lmax, probe.Metrics
+	resp.Lmin, resp.Lmax = br.lmin, br.lmax
 	iterOpt := solver.Options{MaxIter: req.Options.MaxIter, ProjectMean: true, Tol: req.Options.Tol, Observer: req.Options.Observer}
-	lo, hi := lmin*chebyshevWidenLow, lmax*chebyshevWidenHigh
-	var errs []error
-	for i := solved; i < len(req.B); i++ {
-		b := req.B[i]
-		var res SolveResult
-		if req.Engine != nil {
-			res, err = req.Engine.SolveChebyshev(ctx, b, lo, hi, iterOpt)
-			res = detachResult(res)
-		} else {
-			res, err = solver.ChebyshevCtx(ctx, a, m, b, lo, hi, iterOpt)
-		}
-		resp.Results = append(resp.Results, res)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("rhs %d: %w", i, err))
-		}
+	lo, hi := br.lmin*chebyshevWidenLow, br.lmax*chebyshevWidenHigh
+	if req.Engine == nil {
+		resp.Results, err = solver.ChebyshevCtx(ctx, a, m, req.B, lo, hi, iterOpt)
+		return resp, err
 	}
-	return resp, errors.Join(errs...)
+	results, err := req.Engine.SolveChebyshev(ctx, req.B, lo, hi, iterOpt)
+	for _, res := range results {
+		resp.Results = append(resp.Results, detachResult(res))
+	}
+	return resp, err
+}
+
+// bracket is what a Chebyshev bootstrap probe learned: the Ritz interval
+// [lmin, lmax] of the first column whose probe took a step (ok), that probe's
+// metrics, and the detached probe results of the columns before it — the
+// results Do reports when no column's probe took a step.
+type bracket struct {
+	lmin, lmax float64
+	ok         bool
+	metrics    SolveMetrics
+	skipped    []SolveResult
+}
+
+// probeBracket is the bootstrap Do's Chebyshev method and the resilient
+// ladder's Chebyshev rung share: a chebyshevProbeIters-step PCG probe through
+// pcg — BlockPCGCtx or Engine.SolveBlock — one column of bs at a time, until a
+// probe yields coefficients. A column the probe stops before its first step
+// has none: one it finds solved (zero or constant, the Laplacian's null space,
+// x = 0) or broken down (rᵀz outside the float range) keeps its probe's result
+// in skipped, and the next column is probed. Each caller widens the interval
+// by its own constants.
+func probeBracket(ctx context.Context, pcg func(context.Context, [][]float64, solver.Options) ([]SolveResult, error), bs [][]float64) (bracket, error) {
+	var br bracket
+	opt := solver.Options{Tol: 1e-12, MaxIter: chebyshevProbeIters, ProjectMean: true}
+	for j := range bs {
+		results, err := pcg(ctx, bs[j:j+1], opt)
+		if err != nil {
+			return br, err
+		}
+		probe := results[0]
+		br.metrics = probe.Metrics
+		if probe.Outcome == OutcomeCancelled {
+			br.skipped = append(br.skipped, detachResult(probe))
+			return br, fmt.Errorf("hcd: chebyshev probe cancelled: %w", ctx.Err())
+		}
+		if len(probe.Alphas) > 0 {
+			br.lmin, br.lmax, err = solver.SpectrumEstimate(probe.Alphas, probe.Betas)
+			br.ok = err == nil
+			return br, err
+		}
+		br.skipped = append(br.skipped, detachResult(probe))
+	}
+	return br, nil
 }
 
 // detachResult copies the slices of an engine-produced result out of the

@@ -284,6 +284,9 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 			{"chebyshev", func(B [][]float64) hcd.SolveRequest {
 				return hcd.SolveRequest{B: B[:1], Method: hcd.SolveMethodChebyshev, M: m, Options: cheb}
 			}},
+			{"chebyshev k=4", func(B [][]float64) hcd.SolveRequest {
+				return hcd.SolveRequest{B: B, Method: hcd.SolveMethodChebyshev, M: m, Options: cheb}
+			}},
 			{"resilient", func(B [][]float64) hcd.SolveRequest {
 				return hcd.SolveRequest{B: B[:1], Method: hcd.SolveMethodResilient, Options: opt}
 			}},
@@ -327,7 +330,7 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 // TestWeightScaleInvariant: a graph with every weight times 2^e, e even, and
 // a right-hand side times 2^f are solved along the path of the unscaled
 // system — the same clustering, the same outcome and iteration count — and
-// return exactly 2^(f−e)·x, through PCG of either width and Chebyshev. The
+// return exactly 2^(f−e)·x, through PCG and Chebyshev of either width. The
 // clustering compares weights and ratios of them, the cycle and the Krylov
 // steps are linear in the weights, in b or ratios of such quantities, and the
 // coarse factor takes one square root per pivot, exact on an even power of
@@ -359,9 +362,10 @@ func TestWeightScaleInvariant(t *testing.T) {
 		cheb.MaxIter = 120
 		out := map[string]*hcd.SolveResponse{}
 		for name, req := range map[string]hcd.SolveRequest{
-			"pcg k=1":   {B: B[:1], M: m, Options: opt},
-			"pcg k=4":   {B: B, M: m, Options: opt},
-			"chebyshev": {B: B[:1], Method: hcd.SolveMethodChebyshev, M: m, Options: cheb},
+			"pcg k=1":       {B: B[:1], M: m, Options: opt},
+			"pcg k=4":       {B: B, M: m, Options: opt},
+			"chebyshev":     {B: B[:1], Method: hcd.SolveMethodChebyshev, M: m, Options: cheb},
+			"chebyshev k=4": {B: B, Method: hcd.SolveMethodChebyshev, M: m, Options: cheb},
 		} {
 			resp, err := hcd.Do(ctx, g, req)
 			if err != nil {

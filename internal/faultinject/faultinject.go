@@ -33,10 +33,11 @@ import (
 // Fault point names. Each names one instrumented site; the site documents
 // what a fire does there.
 const (
-	// MatvecNaN overwrites entry 0 of a solver matvec result with NaN
-	// (internal/solver pcgCore and chebyshevCore), modeling a corrupted
-	// operator apply. The solver's NaN guard must classify the solve as
-	// OutcomeBreakdown instead of iterating on garbage.
+	// MatvecNaN overwrites entry 0 of a solver matvec result with NaN — the
+	// A·p of internal/solver's iteration driver, under PCG and Chebyshev
+	// alike, where entry 0 belongs to the first active column — modeling a
+	// corrupted operator apply. The solver's NaN guard must classify the
+	// solve as OutcomeBreakdown instead of iterating on garbage.
 	MatvecNaN = "solver/matvec-nan"
 
 	// ForceBreakdown makes the PCG curvature pᵀAp appear negative for one

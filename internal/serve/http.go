@@ -492,8 +492,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			doReq.Options.MaxIter = 120
 		}
 	case req.Method == "resilient":
+		// Rung 1 solves with the handle's cached hierarchy; the reseeded
+		// rungs rebuild it under the handle's options.
 		doReq.Method = hcd.SolveMethodResilient
-		doReq.M = nil // the ladder builds its own rungs
+		hopt := h.hopt
+		doReq.Precond = hcd.PrecondSpec{Hierarchy: &hopt}
 	default:
 		writeErr(w, http.StatusBadRequest, "unknown method %q", req.Method)
 		return

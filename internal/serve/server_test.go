@@ -457,6 +457,49 @@ func TestResilientMethodRestartsInRung(t *testing.T) {
 	}
 }
 
+// TestResilientMethodUsesCachedHierarchy: the resilient method's first rung
+// solves with the handle's cached hierarchy — built once, at submit, under the
+// handle's ?sizecap= — so a clean two-column request starts no hierarchy
+// build of its own.
+func TestResilientMethodUsesCachedHierarchy(t *testing.T) {
+	tr := obs.NewTracer()
+	_, c := newTestServer(t, Config{Tracer: tr})
+	builds := func() int {
+		n := 0
+		for _, s := range tr.Spans() {
+			if s.Name == "hierarchy/build" {
+				n++
+			}
+		}
+		return n
+	}
+	code, body, _ := c.do("POST", "/v1/graphs?spec=grid2d:48&sizecap=8&wait=true", "", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	before := builds()
+	if before != 1 {
+		t.Fatalf("submit started %d hierarchy builds, want 1", before)
+	}
+	code, body, _ = c.do("POST", "/v1/graphs/"+body["id"].(string)+"/solve", "", map[string]any{"method": "resilient", "rhs": 2})
+	if code != http.StatusOK {
+		t.Fatalf("solve: code %d body %v", code, body)
+	}
+	results, _ := body["results"].([]any)
+	if len(results) != 2 {
+		t.Fatalf("%d results, want 2: %v", len(results), body)
+	}
+	for i, r := range results {
+		r := r.(map[string]any)
+		if r["converged"] != true || r["rung"] != hcd.RungHierarchyPCG {
+			t.Errorf("rhs %d: %v, want converged on rung %s", i, r, hcd.RungHierarchyPCG)
+		}
+	}
+	if n := builds() - before; n != 0 {
+		t.Errorf("the resilient solve started %d hierarchy builds, want 0", n)
+	}
+}
+
 // buildDigest hashes what a hierarchy build decides: the graph and every
 // level's assignment (its snapshot, from which Rebuild reproduces the build),
 // the cycle's level scales and its entries per apply.

@@ -56,21 +56,16 @@ func (e *Engine) acquire() error {
 
 func (e *Engine) release() { e.inUse.Store(false) }
 
-// Solve runs PCG on b with the engine's default options.
+// Solve runs PCG on b with the engine's default options: SolveBlock on the
+// one column b, whose column list lives in the engine so that none is built
+// per call.
 func (e *Engine) Solve(ctx context.Context, b []float64) (Result, error) {
-	return e.SolveWith(ctx, b, e.opt)
-}
-
-// SolveWith runs PCG on b with per-call options (overriding the engine
-// defaults for this solve only). It is SolveBlock on the one column b, whose
-// column list lives in the engine so that none is built per call.
-func (e *Engine) SolveWith(ctx context.Context, b []float64, opt Options) (Result, error) {
 	if err := e.acquire(); err != nil {
 		return Result{}, err
 	}
 	defer e.release()
 	e.s.one[0] = b
-	results, err := e.s.solve(ctx, e.a, e.m, e.s.one[:], opt)
+	results, err := e.s.solve(ctx, e.a, e.m, e.s.one[:], e.opt, rule{})
 	e.s.one[0] = nil
 	return single(results, err)
 }
@@ -88,16 +83,20 @@ func (e *Engine) SolveBlock(ctx context.Context, bs [][]float64, opt Options) ([
 		return nil, err
 	}
 	defer e.release()
-	return e.s.solve(ctx, e.a, e.m, bs, opt)
+	return e.s.solve(ctx, e.a, e.m, bs, opt, rule{})
 }
 
-// SolveChebyshev runs Chebyshev iteration on b given spectrum bounds
-// [lmin, lmax] for M⁻¹A, with the engine's buffers. opt.MaxIter is the
-// iteration count; opt.Tol > 0 enables early exit.
-func (e *Engine) SolveChebyshev(ctx context.Context, b []float64, lmin, lmax float64, opt Options) (Result, error) {
+// SolveChebyshev runs Chebyshev iteration on the columns of bs given spectrum
+// bounds [lmin, lmax] for M⁻¹A, with the engine's buffers: ChebyshevCtx, whose
+// results alias the engine's buffers as SolveBlock's do.
+func (e *Engine) SolveChebyshev(ctx context.Context, bs [][]float64, lmin, lmax float64, opt Options) ([]Result, error) {
+	ru, err := chebyshevRule(lmin, lmax)
+	if err != nil {
+		return nil, err
+	}
 	if err := e.acquire(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	defer e.release()
-	return chebyshevCore(ctx, e.a, e.m, b, lmin, lmax, opt, &e.s)
+	return e.s.solve(ctx, e.a, e.m, bs, opt, ru)
 }

@@ -58,8 +58,9 @@ func TestParallelMatvecBitwiseEqualsSerial(t *testing.T) {
 	}
 }
 
-// Chunked reductions reassociate the summation, so dot/norm/projectMean agree
-// with the serial reference only to rounding.
+// Chunked reductions reassociate the summation, so dot and sum agree with the
+// serial reference only to rounding; the elementwise direction update is
+// exact.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	defer forceParallel(8)()
 	rng := rand.New(rand.NewSource(12))
@@ -77,31 +78,30 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	if d := dot(a, b); math.Abs(d-serialDot) > 1e-9*(1+math.Abs(serialDot)) {
 		t.Errorf("dot: parallel %v vs serial %v", d, serialDot)
 	}
-	serialNorm := 0.0
+	serialSum := 0.0
 	for _, v := range a {
-		serialNorm += v * v
+		serialSum += v
 	}
-	serialNorm = math.Sqrt(serialNorm)
-	if nn := norm2(a); math.Abs(nn-serialNorm) > 1e-9*(1+serialNorm) {
-		t.Errorf("norm2: parallel %v vs serial %v", nn, serialNorm)
+	if s := sum(a); math.Abs(s-serialSum) > 1e-9*(1+math.Abs(serialSum)) {
+		t.Errorf("sum: parallel %v vs serial %v", s, serialSum)
 	}
 
-	y := append([]float64(nil), a...)
-	axpy(y, 0.37, b)
-	for i := range y {
-		if want := a[i] + 0.37*b[i]; y[i] != want {
-			t.Fatalf("axpy row %d: %v vs %v", i, y[i], want)
+	p := append([]float64(nil), a...)
+	xpby(p, b, 0.37)
+	for i := range p {
+		if want := b[i] + 0.37*a[i]; p[i] != want {
+			t.Fatalf("xpby row %d: %v vs %v", i, p[i], want)
 		}
 	}
 
 	pm := append([]float64(nil), a...)
-	projectMean(pm)
+	shiftDot(pm, sum(pm)/float64(n), pm)
 	s := 0.0
 	for _, v := range pm {
 		s += v
 	}
 	if math.Abs(s/float64(n)) > 1e-12 {
-		t.Errorf("projectMean left mean %v", s/float64(n))
+		t.Errorf("shiftDot left mean %v", s/float64(n))
 	}
 }
 
@@ -193,7 +193,7 @@ func TestChebyshevCancellation(t *testing.T) {
 	b := meanFreeRHS(rng, g.N())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ChebyshevCtx(ctx, LapOperator(g), Jacobi(g), b, 0.1, 2.0,
+	res, err := chebyshev(ctx, LapOperator(g), Jacobi(g), b, 0.1, 2.0,
 		Options{MaxIter: 100, ProjectMean: true})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestMetricsPopulated(t *testing.T) {
 		t.Errorf("TotalTime %v < IterTime %v", m.TotalTime, m.IterTime)
 	}
 
-	cres, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, 0.05, 2.5,
+	cres, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 0.05, 2.5,
 		Options{MaxIter: 30, ProjectMean: true})
 	if err != nil {
 		t.Fatal(err)
@@ -347,8 +347,9 @@ func TestEngineChebyshevAndDimErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bootstrap spectrum bounds from a PCG probe, as SolveChebyshev does.
-	probe, err := eng.SolveWith(context.Background(), b, Options{Tol: 1e-12, MaxIter: 40, ProjectMean: true})
+	// Bootstrap spectrum bounds from a PCG probe, as hcd.Do's Chebyshev
+	// method does.
+	probe, err := single(eng.SolveBlock(context.Background(), [][]float64{b}, Options{Tol: 1e-12, MaxIter: 40, ProjectMean: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +357,8 @@ func TestEngineChebyshevAndDimErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.SolveChebyshev(context.Background(), b, lmin*0.8, lmax*1.2,
-		Options{MaxIter: 1000, ProjectMean: true, Tol: 1e-6})
+	res, err := single(eng.SolveChebyshev(context.Background(), [][]float64{b}, lmin*0.8, lmax*1.2,
+		Options{MaxIter: 1000, ProjectMean: true, Tol: 1e-6}))
 	if err != nil {
 		t.Fatal(err)
 	}

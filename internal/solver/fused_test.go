@@ -2,12 +2,35 @@ package solver
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"hcd/internal/graph"
 	"hcd/internal/workload"
 )
+
+// The vector kernels the unfused iteration ran, kept here as its oracle: the
+// fused sweeps replaced them in the solver. The reductions are the solver's
+// own chunked dot and sum, and the elementwise loops round the same under any
+// chunking, so the oracle is bit-identical to the kernels it replaced.
+
+func norm2(x []float64) float64 { return math.Sqrt(dot(x, x)) }
+
+// axpy computes y += a·x.
+func axpy(y []float64, a float64, x []float64) {
+	for i := range y {
+		y[i] += a * x[i]
+	}
+}
+
+// projectMean subtracts the mean of x from every entry.
+func projectMean(x []float64) {
+	mean := sum(x) / float64(len(x))
+	for i := range x {
+		x[i] -= mean
+	}
+}
 
 // pcgUnfused is the PCG iteration as it ran before its sweeps were fused:
 // one kernel per vector operation — two axpys, a projection, a norm, a

@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"math"
-
-	"hcd/internal/par"
-)
+import "hcd/internal/par"
 
 // kernelGrain is the chunk length of the width-1 level-1 kernels below. The
 // elementwise ones run one serial loop at or below it, and on one worker.
@@ -54,23 +50,6 @@ func dotRange(a, b []float64, lo, hi int) float64 {
 	return s
 }
 
-func norm2(x []float64) float64 { return math.Sqrt(dot(x, x)) }
-
-// axpy computes y += a·x.
-func axpy(y []float64, a float64, x []float64) {
-	if len(y) <= kernelGrain || par.Workers() == 1 {
-		for i := range y {
-			y[i] += a * x[i]
-		}
-		return
-	}
-	par.For(len(y), kernelGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += a * x[i]
-		}
-	})
-}
-
 // xpby computes p = z + beta·p (the PCG/Chebyshev direction update).
 func xpby(p []float64, z []float64, beta float64) {
 	if len(p) <= kernelGrain || par.Workers() == 1 {
@@ -82,42 +61,6 @@ func xpby(p []float64, z []float64, beta float64) {
 	par.For(len(p), kernelGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p[i] = z[i] + beta*p[i]
-		}
-	})
-}
-
-// sub computes r = b − ax elementwise.
-func sub(r, b, ax []float64) {
-	if len(r) <= kernelGrain || par.Workers() == 1 {
-		for i := range r {
-			r[i] = b[i] - ax[i]
-		}
-		return
-	}
-	par.For(len(r), kernelGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = b[i] - ax[i]
-		}
-	})
-}
-
-// projectMean subtracts the mean of x from every entry, keeping iterates
-// orthogonal to the constant vector on singular Laplacian systems.
-func projectMean(x []float64) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	mean := sum(x) / float64(n)
-	if n <= kernelGrain || par.Workers() == 1 {
-		for i := range x {
-			x[i] -= mean
-		}
-		return
-	}
-	par.For(n, kernelGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] -= mean
 		}
 	})
 }

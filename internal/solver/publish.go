@@ -3,8 +3,8 @@ package solver
 import "hcd/internal/obs"
 
 // Publish accumulates the solve's work counters into the registry under the
-// hcd_solve_* namespace and updates the last-solve gauges. The solver cores
-// call it automatically when a registry travels in the solve context
+// hcd_solve_* namespace and updates the last-solve gauges. The solver's
+// driver calls it automatically when a registry travels in the solve context
 // (obs.WithRegistry); it is also exported so callers holding a Result can
 // publish into their own registry. Nil registries are no-ops.
 func (m Metrics) Publish(r *obs.Registry) {

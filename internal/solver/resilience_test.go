@@ -126,9 +126,9 @@ func TestChebyshevDivergenceGuard(t *testing.T) {
 	// Grossly wrong (too small) eigenvalue bounds make Chebyshev diverge
 	// geometrically; the guard must stop it instead of iterating to Inf.
 	opt := Options{MaxIter: 50000, ProjectMean: true}
-	res, err := ChebyshevCtx(context.Background(), LapOperator(g), nil, b, 1e-7, 2e-7, opt)
+	res, err := chebyshev(context.Background(), LapOperator(g), nil, b, 1e-7, 2e-7, opt)
 	if err != nil {
-		t.Fatalf("ChebyshevCtx: %v", err)
+		t.Fatalf("chebyshev: %v", err)
 	}
 	if res.Outcome != OutcomeDiverged && res.Outcome != OutcomeBreakdown {
 		t.Fatalf("outcome %v (reason %q), want diverged or breakdown", res.Outcome, res.Reason)
@@ -148,9 +148,9 @@ func TestChebyshevInjectedNaN(t *testing.T) {
 	})
 	defer restore()
 	opt := Options{MaxIter: 200, Tol: 1e-8, ProjectMean: true}
-	res, err := ChebyshevCtx(context.Background(), LapOperator(g), nil, b, 0.05, 8.5, opt)
+	res, err := chebyshev(context.Background(), LapOperator(g), nil, b, 0.05, 8.5, opt)
 	if err != nil {
-		t.Fatalf("ChebyshevCtx: %v", err)
+		t.Fatalf("chebyshev: %v", err)
 	}
 	if res.Outcome != OutcomeBreakdown {
 		t.Fatalf("outcome %v, want breakdown", res.Outcome)

@@ -4,10 +4,12 @@
 // Lanczos connection used to measure condition numbers κ(A, B) throughout
 // the experiments).
 //
-// All iteration loops run on parallel level-1 kernels (see kernels.go) and a
-// parallel Laplacian matvec, thread a context.Context for cancellation, and
-// report per-solve Metrics. The Engine type (engine.go) owns reusable work
-// buffers so repeated solves on one operator allocate nothing.
+// PCG and Chebyshev are one iteration loop (pcg.go) under two coefficient
+// rules, driving k right-hand sides at once on parallel level-1 kernels (see
+// kernels.go, blockkernels.go) and a parallel Laplacian matvec; it threads a
+// context.Context for cancellation and reports per-solve Metrics. The Engine
+// type (engine.go) owns reusable work buffers so repeated solves on one
+// operator allocate nothing.
 //
 // # Numerical guardrails
 //
@@ -33,10 +35,8 @@ import (
 	"time"
 
 	"hcd/internal/dense"
-	"hcd/internal/faultinject"
 	"hcd/internal/graph"
 	"hcd/internal/obs"
-	"hcd/internal/par"
 )
 
 // ErrNotConverged marks solves that exhausted their iteration budget before
@@ -291,169 +291,6 @@ func finite(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// finishSolve stamps the metrics common to every Chebyshev exit path and hands
-// the (possibly grown) history buffer back to the scratch for reuse. A plain
-// function, not a closure: closures capturing the result would heap-allocate
-// and break the Engine's zero-allocation guarantee.
-func finishSolve(res *Result, s *scratch, start, iterStart time.Time, startAllocs int) {
-	now := time.Now()
-	if !iterStart.IsZero() {
-		res.Metrics.IterTime = now.Sub(iterStart)
-	}
-	res.Metrics.TotalTime = now.Sub(start)
-	res.Metrics.SetupTime = res.Metrics.TotalTime - res.Metrics.IterTime
-	res.Metrics.Iterations = res.Iterations
-	if k := len(res.Residuals); k > 0 {
-		res.Metrics.FinalResidual = res.Residuals[k-1]
-	}
-	res.Metrics.ScratchAllocs = s.allocs - startAllocs
-	res.Converged = res.Outcome == OutcomeConverged
-	s.resid[0] = res.Residuals
-}
-
-// ChebyshevCtx runs Chebyshev iteration for A·x = b given bounds
-// [lmin, lmax] on the spectrum of M⁻¹A. It needs no inner products, making
-// it the classical communication-free companion to the parallel
-// preconditioners of Section 3.1. A b with nothing left to solve — zero, or
-// constant under the mean projection — returns x = 0 at once.
-// opt.MaxIter is the iteration count; when opt.Tol > 0 the loop exits early
-// once ‖r‖ ≤ Tol·‖r₀‖ (the per-iteration residual norm is instrumentation —
-// the recurrence itself stays inner-product-free). Outcome is
-// OutcomeConverged when the final residual meets Tol, OutcomeMaxIter when the
-// budget ran out first, OutcomeCancelled on context cancellation,
-// OutcomeBreakdown on a non-finite residual, OutcomeDiverged past the
-// divergence guard (wrong eigenvalue bounds make Chebyshev diverge
-// geometrically, so the guard matters here even more than for PCG).
-func ChebyshevCtx(ctx context.Context, a Operator, m Preconditioner, b []float64, lmin, lmax float64, opt Options) (Result, error) {
-	var s scratch
-	return chebyshevCore(ctx, a, m, b, lmin, lmax, opt, &s)
-}
-
-func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float64, lmin, lmax float64, opt Options, s *scratch) (res Result, err error) {
-	ctx, sp := obs.StartSpan(ctx, "solve/chebyshev")
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("solver: panic during solve: %w", par.AsError(v))
-		}
-		annotateSolveSpan(sp, &res)
-		sp.End()
-		if reg := obs.RegistryFrom(ctx); reg != nil {
-			res.Metrics.Publish(reg)
-			publishOutcome(reg, "chebyshev", res.Outcome)
-		}
-	}()
-	start := time.Now()
-	if !(lmin > 0) || !(lmax >= lmin) {
-		return Result{}, fmt.Errorf("solver: invalid eigenvalue bounds [%v, %v]", lmin, lmax)
-	}
-	n := a.Dim()
-	if len(b) != n {
-		return Result{}, fmt.Errorf("solver: rhs length %d vs operator dimension %d: %w", len(b), n, graph.ErrBadDimension)
-	}
-	if m == nil {
-		m = Identity(n)
-	}
-	if m.Dim() != n {
-		return Result{}, fmt.Errorf("solver: preconditioner dimension %d vs operator dimension %d: %w", m.Dim(), n, graph.ErrBadDimension)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	startAllocs := s.allocs
-	x := s.vec(&s.x, n)
-	zero(x)
-	r := s.vec(&s.r, n)
-	copy(r, b)
-	rawNorm := norm2(r)
-	if opt.ProjectMean {
-		projectMean(r)
-	}
-	z := s.vec(&s.z, n)
-	p := s.vec(&s.p, n)
-	ax := s.vec(&s.ap, n)
-	theta := (lmax + lmin) / 2
-	delta := (lmax - lmin) / 2
-	var alpha, beta float64
-	res = Result{X: x}
-	res.Residuals = append(s.col(&s.resid, 0, 0), norm2(r))
-	normB := res.Residuals[0]
-	res.Outcome = OutcomeMaxIter
-	if math.IsNaN(normB) || math.IsInf(normB, 0) {
-		// ‖b‖² overflowed: with rawNorm +Inf too, the null-space test
-		// below would read it as solved.
-		res.Outcome = OutcomeBreakdown
-		res.Reason = fmt.Sprintf("non-finite initial residual ‖r₀‖ = %g", normB)
-		finishSolve(&res, s, start, time.Time{}, startAllocs)
-		return res, nil
-	}
-	if normB == 0 || normB <= 1e-13*rawNorm {
-		// Nothing left after the projection — a zero or (to rounding) constant
-		// right-hand side, the Laplacian's null space: x = 0 solves it, as PCG
-		// reports it.
-		res.Outcome = OutcomeConverged
-		finishSolve(&res, s, start, time.Time{}, startAllocs)
-		return res, nil
-	}
-	iterStart := time.Now()
-	for k := 0; k < opt.MaxIter; k++ {
-		if ctx.Err() != nil {
-			res.Outcome = OutcomeCancelled
-			break
-		}
-		m.Apply(z, r)
-		res.Metrics.PrecondApplies++
-		if opt.ProjectMean {
-			projectMean(z)
-		}
-		switch k {
-		case 0:
-			copy(p, z)
-			alpha = 1 / theta
-		case 1:
-			beta = 0.5 * (delta * alpha) * (delta * alpha)
-			alpha = 1 / (theta - beta/alpha)
-			xpby(p, z, beta)
-		default:
-			beta = (delta * alpha / 2) * (delta * alpha / 2)
-			alpha = 1 / (theta - beta/alpha)
-			xpby(p, z, beta)
-		}
-		axpy(x, alpha, p)
-		a.Apply(ax, x)
-		res.Metrics.MatVecs++
-		if faultinject.Enabled() && faultinject.Fire(faultinject.MatvecNaN) {
-			ax[0] = math.NaN()
-		}
-		sub(r, b, ax)
-		if opt.ProjectMean {
-			projectMean(r)
-		}
-		rn := norm2(r)
-		res.Residuals = append(res.Residuals, rn)
-		res.Iterations = k + 1
-		if opt.Observer != nil {
-			opt.Observer.ObserveIteration(res.Iterations, rn)
-		}
-		if math.IsNaN(rn) || math.IsInf(rn, 0) {
-			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", rn, res.Iterations)
-			break
-		}
-		if opt.Tol > 0 && rn <= opt.Tol*normB {
-			res.Outcome = OutcomeConverged
-			break
-		}
-		if rn > divergenceTol*normB {
-			res.Outcome = OutcomeDiverged
-			res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
-				rn, divergenceTol, divergenceTol*normB, res.Iterations)
-			break
-		}
-	}
-	finishSolve(&res, s, start, iterStart, startAllocs)
-	return res, nil
 }
 
 // SpectrumEstimate converts PCG coefficients into estimates of the extreme

@@ -37,6 +37,11 @@ func pcg(t testing.TB, a Operator, m Preconditioner, b []float64, opt Options) R
 	return res
 }
 
+// chebyshev runs ChebyshevCtx on the one column b.
+func chebyshev(ctx context.Context, a Operator, m Preconditioner, b []float64, lmin, lmax float64, opt Options) (Result, error) {
+	return single(ChebyshevCtx(ctx, a, m, [][]float64{b}, lmin, lmax, opt))
+}
+
 func residualNorm(g *graph.Graph, x, b []float64) float64 {
 	ax := make([]float64, len(x))
 	g.LapMul(ax, x)
@@ -140,7 +145,7 @@ func TestOverflowingRHSBreaksDown(t *testing.T) {
 	ctx := context.Background()
 	res, err := PCGCtx(ctx, LapOperator(g), Jacobi(g), b, DefaultOptions())
 	check("pcg", res, err)
-	res, err = ChebyshevCtx(ctx, LapOperator(g), Identity(g.N()), b, 0.01, 8, DefaultOptions())
+	res, err = chebyshev(ctx, LapOperator(g), Identity(g.N()), b, 0.01, 8, DefaultOptions())
 	check("chebyshev", res, err)
 
 	// One overflowing column in a block leaves the others to solve.
@@ -199,7 +204,7 @@ func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheb, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1,
+	cheb, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1,
 		Options{MaxIter: 200, ProjectMean: true})
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +222,10 @@ func TestChebyshevRejectsBadBounds(t *testing.T) {
 	g := workload.Grid2D(3, 3, nil, 1)
 	b := make([]float64, g.N())
 	opt := Options{MaxIter: 5, ProjectMean: true}
-	if _, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, 0, 1, opt); err == nil {
+	if _, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 0, 1, opt); err == nil {
 		t.Error("lmin=0 accepted")
 	}
-	if _, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, 2, 1, opt); err == nil {
+	if _, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 2, 1, opt); err == nil {
 		t.Error("lmax < lmin accepted")
 	}
 }

@@ -20,13 +20,16 @@ package hcd
 //	                           products and no curvature, the last resort
 //
 // Every rung runs under the request's Options with one restart, so a
-// transient breakdown restarts in place before the ladder moves on. Build
-// failures (a hierarchy that cannot be constructed) are recorded as attempts
-// and fall through like solve failures. Context cancellation stops the ladder
-// immediately.
+// transient breakdown restarts in place before the ladder moves on. A
+// request's right-hand sides walk the ladder together: each rung builds at
+// most once and solves the columns still failing as one block, and each
+// column keeps its own attempt trail. Build failures (a hierarchy that cannot
+// be constructed) are recorded as attempts and fall through like solve
+// failures. Context cancellation stops the ladder immediately.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -129,25 +132,44 @@ func SolveResilient(ctx context.Context, g *Graph, b []float64, spec PrecondSpec
 }
 
 // solveResilient is the ladder implementation behind Do's resilient method
-// (and hence SolveResilient), one right-hand side per call: rung 1 builds
-// hopt, rung 2 rebuilds it under perturbed seeds, and every rung iterates
-// under opt with ladderRestarts restarts.
-func solveResilient(ctx context.Context, g *Graph, b []float64, hopt HierarchyOptions, opt SolveOptions) (SolveResult, ResilienceReport, error) {
+// (and hence SolveResilient). It walks the columns of bs down the ladder
+// together: each rung builds its preconditioner at most once and solves the
+// columns no earlier rung converged as one block, and every column keeps its
+// own attempt trail. Rung 1 solves with m when it is set, else builds hopt;
+// rung 2 rebuilds hopt under perturbed seeds; every rung iterates under opt
+// with ladderRestarts restarts.
+func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditioner, hopt HierarchyOptions, opt SolveOptions) ([]SolveResult, []ResilienceReport, error) {
 	opt.MaxRestarts = ladderRestarts
 	ctx, lsp := obs.StartSpan(ctx, "resilient/solve")
 	var (
-		report ResilienceReport
-		last   SolveResult
-		a      = solver.LapOperator(g)
+		results = make([]SolveResult, len(bs))
+		reports = make([]ResilienceReport, len(bs))
+		pending []int // the columns no rung has converged, ascending
+		errs    []error
+		a       = solver.LapOperator(g)
 	)
+	// A column of the wrong length fails alone, before any rung: no
+	// preconditioner can make it solvable.
+	for j, b := range bs {
+		if len(b) != g.N() {
+			errs = append(errs, fmt.Errorf("hcd: rhs %d length %d vs graph dimension %d: %w", j, len(b), g.N(), ErrBadDimension))
+			continue
+		}
+		pending = append(pending, j)
+	}
 	defer func() {
+		reg, failed := obs.RegistryFrom(ctx), 0
+		for _, rep := range reports {
+			rep.Publish(reg)
+			if rep.Rung == "" {
+				failed++
+			}
+		}
 		if lsp != nil {
-			lsp.Arg("attempts", len(report.Attempts))
-			lsp.Arg("rung", report.Rung)
-			lsp.Arg("recovered", report.Recovered)
+			lsp.Arg("rhs", len(bs))
+			lsp.Arg("failed", failed)
 		}
 		lsp.End()
-		report.Publish(obs.RegistryFrom(ctx))
 	}()
 	// startRung opens the span of one ladder rung (build plus solve); the
 	// disabled path materializes no name string.
@@ -157,128 +179,144 @@ func solveResilient(ctx context.Context, g *Graph, b []float64, hopt HierarchyOp
 		}
 		return obs.StartSpan(ctx, "resilient/rung/"+rung)
 	}
-	record := func(rung string, res SolveResult, err error, dur time.Duration) bool {
-		at := SolveAttempt{
-			Rung:          rung,
-			Outcome:       res.Outcome,
-			Iterations:    res.Iterations,
-			Restarts:      res.Metrics.Restarts,
-			FinalResidual: res.Metrics.FinalResidual,
-			Duration:      dur,
+	columns := func() [][]float64 {
+		cols := make([][]float64, len(pending))
+		for i, j := range pending {
+			cols[i] = bs[j]
 		}
-		switch {
-		case err != nil:
-			at.Err = err.Error()
-		case res.Reason != "":
-			at.Err = res.Reason
-		case res.Outcome != OutcomeConverged:
-			at.Err = res.Outcome.String()
-		}
-		report.Attempts = append(report.Attempts, at)
-		last = res
-		if err == nil && res.Converged {
-			report.Rung = rung
-			report.Recovered = len(report.Attempts) > 1
-			return true
-		}
-		return false
+		return cols
 	}
-	tryPCG := func(sctx context.Context, rung string, m Preconditioner) (bool, error) {
-		start := time.Now()
-		res, err := solver.PCGCtx(sctx, a, m, b, opt)
-		done := record(rung, res, err, time.Since(start))
-		if done {
-			return true, nil
+	// record files one rung's attempt for every pending column and drops the
+	// columns it converged from pending: res holds their results in pending
+	// order, or is nil when the rung produced none and err says why (a failed
+	// build, a panic).
+	record := func(rung string, res []SolveResult, err error, dur time.Duration) {
+		kept := pending[:0]
+		for i, j := range pending {
+			var r SolveResult
+			cerr := err
+			if res != nil {
+				r, cerr = res[i], nil
+			}
+			at := SolveAttempt{
+				Rung:          rung,
+				Outcome:       r.Outcome,
+				Iterations:    r.Iterations,
+				Restarts:      r.Metrics.Restarts,
+				FinalResidual: r.Metrics.FinalResidual,
+				Duration:      dur,
+			}
+			switch {
+			case cerr != nil:
+				at.Err = cerr.Error()
+			case r.Reason != "":
+				at.Err = r.Reason
+			case r.Outcome != OutcomeConverged:
+				at.Err = r.Outcome.String()
+			}
+			rep := &reports[j]
+			rep.Attempts = append(rep.Attempts, at)
+			results[j] = r
+			if cerr == nil && r.Converged {
+				rep.Rung = rung
+				rep.Recovered = len(rep.Attempts) > 1
+				continue
+			}
+			kept = append(kept, j)
 		}
+		pending = kept
+	}
+	cancelled := func(rung string) error {
 		if ctx.Err() != nil {
-			return false, fmt.Errorf("hcd: resilient solve cancelled at rung %s: %w", rung, ctx.Err())
+			return fmt.Errorf("hcd: resilient solve cancelled at rung %s: %w", rung, ctx.Err())
 		}
-		return false, nil
+		return nil
+	}
+	// pcgRung runs one PCG rung on the pending columns: build (a nil
+	// preconditioner is plain CG), then one block solve.
+	pcgRung := func(rung string, build func(context.Context) (Preconditioner, error)) error {
+		if len(pending) == 0 {
+			return nil
+		}
+		rctx, rsp := startRung(rung)
+		defer rsp.End()
+		start := time.Now()
+		m, err := build(rctx)
+		if err != nil {
+			record(rung, nil, err, time.Since(start))
+			return cancelled(rung)
+		}
+		start = time.Now()
+		res, err := solver.BlockPCGCtx(rctx, a, m, columns(), opt)
+		record(rung, res, err, time.Since(start))
+		return cancelled(rung)
 	}
 
 	// [1] Hierarchy-preconditioned PCG.
-	start := time.Now()
-	rctx, rsp := startRung(RungHierarchyPCG)
-	h, err := hierarchy.NewCtx(rctx, g, hopt)
-	if err != nil {
-		rsp.End()
-		record(RungHierarchyPCG, SolveResult{}, fmt.Errorf("hierarchy build: %w", err), time.Since(start))
-		if ctx.Err() != nil {
-			return last, report, fmt.Errorf("hcd: resilient solve cancelled at rung %s: %w", RungHierarchyPCG, ctx.Err())
+	err := pcgRung(RungHierarchyPCG, func(rctx context.Context) (Preconditioner, error) {
+		if m != nil {
+			return m, nil
 		}
-	} else {
-		done, cerr := tryPCG(rctx, RungHierarchyPCG, h)
-		rsp.End()
-		if done || cerr != nil {
-			return last, report, cerr
+		h, err := hierarchy.NewCtx(rctx, g, hopt)
+		if err != nil {
+			return nil, fmt.Errorf("hierarchy build: %w", err)
 		}
-	}
-
+		return h, nil
+	})
 	// [2] Rebuilt hierarchies under fresh randomized seeds: a bad draw of
 	// the perturbed clustering (or a corrupted build) is re-rolled.
-	for try := 0; try < ladderReseeds; try++ {
+	for try := 0; try < ladderReseeds && err == nil; try++ {
 		reseeded := hopt
 		// A large odd prime offset keeps reseeded streams disjoint from
 		// every level's Seed+level sequence.
 		reseeded.Seed = hopt.Seed + int64(try+1)*1000003
-		start := time.Now()
-		rctx, rsp := startRung(RungReseededPCG)
-		h, err := hierarchy.NewCtx(rctx, g, reseeded)
-		if err != nil {
-			rsp.End()
-			record(RungReseededPCG, SolveResult{}, fmt.Errorf("hierarchy rebuild (seed %d): %w", reseeded.Seed, err), time.Since(start))
-			if ctx.Err() != nil {
-				return last, report, fmt.Errorf("hcd: resilient solve cancelled at rung %s: %w", RungReseededPCG, ctx.Err())
+		err = pcgRung(RungReseededPCG, func(rctx context.Context) (Preconditioner, error) {
+			h, err := hierarchy.NewCtx(rctx, g, reseeded)
+			if err != nil {
+				return nil, fmt.Errorf("hierarchy rebuild (seed %d): %w", reseeded.Seed, err)
 			}
-			continue
-		}
-		done, cerr := tryPCG(rctx, RungReseededPCG, h)
-		rsp.End()
-		if done || cerr != nil {
-			return last, report, cerr
-		}
+			return h, nil
+		})
 	}
-
 	// [3] Unpreconditioned CG.
-	rctx, rsp = startRung(RungCG)
-	done, cerr := tryPCG(rctx, RungCG, nil)
-	rsp.End()
-	if done || cerr != nil {
-		return last, report, cerr
+	if err == nil {
+		err = pcgRung(RungCG, func(context.Context) (Preconditioner, error) { return nil, nil })
 	}
 
 	// [4] Jacobi-Chebyshev with conservative bounds. For D⁻¹L the spectrum
-	// lies in (0, 2]; probing λmin via a short PCG probe tightens the lower
-	// bound, and a failed probe falls back to a fixed wide bracket.
-	// Chebyshev with conservative bounds converges slower than PCG: its
-	// budget is four times the PCG rungs'.
-	cheb := opt
-	if cheb.MaxIter <= 0 {
-		cheb.MaxIter = 10*g.N() + 50
+	// lies in (0, 2]; the PCG probe Do's Chebyshev method runs tightens the
+	// bracket, and a failed probe falls back to a fixed wide one. Chebyshev
+	// with conservative bounds converges slower than PCG: its budget is four
+	// times the PCG rungs'.
+	if err == nil && len(pending) > 0 {
+		cheb := opt
+		if cheb.MaxIter <= 0 {
+			cheb.MaxIter = 10*g.N() + 50
+		}
+		cheb.MaxIter *= 4
+		jac := JacobiPreconditioner(g)
+		rctx, rsp := startRung(RungChebyshev)
+		cols := columns()
+		lmin, lmax := 1e-4, 2.0
+		probe := func(ctx context.Context, bs [][]float64, opt solver.Options) ([]SolveResult, error) {
+			return solver.BlockPCGCtx(ctx, a, jac, bs, opt)
+		}
+		if br, perr := probeBracket(rctx, probe, cols); perr == nil && br.ok && br.lmin > 0 {
+			lmin, lmax = 0.5*br.lmin, 1.25*br.lmax
+		}
+		if err = cancelled(RungChebyshev); err == nil {
+			start := time.Now()
+			res, serr := solver.ChebyshevCtx(rctx, a, jac, cols, lmin, lmax, cheb)
+			record(RungChebyshev, res, serr, time.Since(start))
+			err = cancelled(RungChebyshev)
+		}
+		rsp.End()
 	}
-	cheb.MaxIter *= 4
-	jac := JacobiPreconditioner(g)
-	lmin, lmax := 1e-4, 2.0
-	rctx, rsp = startRung(RungChebyshev)
-	probe, perr := solver.PCGCtx(rctx, a, jac, b, solver.Options{Tol: 1e-12, MaxIter: 40, ProjectMean: opt.ProjectMean})
-	if perr == nil && len(probe.Alphas) > 0 {
-		if lo, hi, serr := solver.SpectrumEstimate(probe.Alphas, probe.Betas); serr == nil && lo > 0 {
-			lmin, lmax = 0.5*lo, 1.25*hi
+	if err == nil {
+		for _, j := range pending {
+			errs = append(errs, fmt.Errorf("hcd: rhs %d: all %d resilient-solve attempts failed (%s): %w",
+				j, len(reports[j].Attempts), reports[j].String(), ErrNotConverged))
 		}
 	}
-	if ctx.Err() != nil {
-		rsp.End()
-		return last, report, fmt.Errorf("hcd: resilient solve cancelled at rung %s: %w", RungChebyshev, ctx.Err())
-	}
-	start = time.Now()
-	res, err := solver.ChebyshevCtx(rctx, a, jac, b, lmin, lmax, cheb)
-	rsp.End()
-	if record(RungChebyshev, res, err, time.Since(start)) {
-		return last, report, nil
-	}
-	if ctx.Err() != nil {
-		return last, report, fmt.Errorf("hcd: resilient solve cancelled at rung %s: %w", RungChebyshev, ctx.Err())
-	}
-	return last, report, fmt.Errorf("hcd: all %d resilient-solve attempts failed (%s): %w",
-		len(report.Attempts), report.String(), ErrNotConverged)
+	return results, reports, errors.Join(append(errs, err)...)
 }

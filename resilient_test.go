@@ -134,6 +134,74 @@ func TestSolveResilientHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestResilientBlockBuildsOnce: the ladder walks a request's columns
+// together. A clean four-column request builds one hierarchy for all of them
+// — none when the request brings its own M — and every column still gets its
+// own report; a column of the wrong length fails alone, before any rung.
+func TestResilientBlockBuildsOnce(t *testing.T) {
+	ctx := context.Background()
+	g := hcd.Grid3D(12, 12, 12, hcd.LognormalWeights(1), 1)
+	rng := rand.New(rand.NewSource(46))
+	B := make([][]float64, 4)
+	for j := range B {
+		B[j] = meanFree(rng, g.N())
+	}
+	h, err := hcd.NewHierarchyCtx(ctx, g, hcd.DefaultHierarchyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		m      hcd.Preconditioner
+		builds int
+	}{
+		{"spec", nil, 1},
+		{"prebuilt M", h, 0},
+	} {
+		tr := hcd.NewTracer()
+		resp, err := hcd.Do(hcd.WithTracer(ctx, tr), g, hcd.SolveRequest{
+			B: B, Method: hcd.SolveMethodResilient, M: tc.m, Options: hcd.DefaultSolveOptions(),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		builds := 0
+		for _, s := range tr.Spans() {
+			if s.Name == "hierarchy/build" {
+				builds++
+			}
+		}
+		if builds != tc.builds {
+			t.Errorf("%s: %d hierarchy builds, want %d", tc.name, builds, tc.builds)
+		}
+		if len(resp.Results) != len(B) || len(resp.Resilience) != len(B) {
+			t.Fatalf("%s: %d results and %d reports for %d columns", tc.name, len(resp.Results), len(resp.Resilience), len(B))
+		}
+		for j, rep := range resp.Resilience {
+			if rep.Rung != hcd.RungHierarchyPCG || len(rep.Attempts) != 1 || rep.Recovered {
+				t.Errorf("%s rhs %d: report %s, rung %q", tc.name, j, rep, rep.Rung)
+			}
+			if r := residual(g, resp.Results[j].X, B[j]); !resp.Results[j].Converged || r > 1e-6 {
+				t.Errorf("%s rhs %d: converged %v, residual %v", tc.name, j, resp.Results[j].Converged, r)
+			}
+		}
+	}
+
+	short := [][]float64{B[0], B[1][:10], B[2]}
+	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: short, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
+	if !errors.Is(err, hcd.ErrBadDimension) || !strings.Contains(err.Error(), "rhs 1 length 10") {
+		t.Fatalf("short column: err %v, want ErrBadDimension naming rhs 1", err)
+	}
+	for _, j := range []int{0, 2} {
+		if rep := resp.Resilience[j]; rep.Rung != hcd.RungHierarchyPCG || !resp.Results[j].Converged {
+			t.Errorf("rhs %d beside a short column: report %s", j, rep)
+		}
+	}
+	if rep := resp.Resilience[1]; rep.Rung != "" || len(rep.Attempts) != 0 || resp.Results[1].Converged {
+		t.Errorf("short column: report %s, want no attempt", rep)
+	}
+}
+
 func TestEngineBusyExported(t *testing.T) {
 	if hcd.ErrEngineBusy == nil || hcd.ErrInvalidInput == nil {
 		t.Fatal("sentinels must be exported")
