@@ -2,6 +2,8 @@
 # external dependencies are fetched.
 
 GO ?= go
+# FUZZTIME is each fuzz target's pass in `make fuzz` (CI runs it at 20s).
+FUZZTIME ?= 10s
 
 .PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke cli-methods vet fmt check race race-solver determinism examples selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
@@ -99,19 +101,19 @@ server-chaos:
 # encoding/json as a differential oracle (go fuzzing runs one target at a
 # time).
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
-	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
-	$(GO) test -run '^$$' -fuzz FuzzExactConductance -fuzztime=10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz FuzzContract -fuzztime=10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz FuzzRenumberInPlace -fuzztime=10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=10s ./internal/gio
-	$(GO) test -run '^$$' -fuzz FuzzLapFactor -fuzztime=10s ./internal/sparse
-	$(GO) test -run '^$$' -fuzz FuzzSplitPointers -fuzztime=10s ./internal/decomp
-	$(GO) test -run '^$$' -fuzz FuzzLapBlockTile -fuzztime=10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz FuzzLapRowGroups -fuzztime=10s ./internal/graph
-	$(GO) test -run '^$$' -fuzz FuzzBlockSweeps -fuzztime=10s ./internal/solver
-	$(GO) test -run '^$$' -fuzz FuzzApplySweeps -fuzztime=10s ./internal/hierarchy
-	$(GO) test -run '^$$' -fuzz FuzzSolveWire -fuzztime=10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/gio
+	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=$(FUZZTIME) ./internal/gio
+	$(GO) test -run '^$$' -fuzz FuzzExactConductance -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzContract -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzRenumberInPlace -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=$(FUZZTIME) ./internal/gio
+	$(GO) test -run '^$$' -fuzz FuzzLapFactor -fuzztime=$(FUZZTIME) ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzSplitPointers -fuzztime=$(FUZZTIME) ./internal/decomp
+	$(GO) test -run '^$$' -fuzz FuzzLapBlockTile -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzLapRowGroups -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzBlockSweeps -fuzztime=$(FUZZTIME) ./internal/solver
+	$(GO) test -run '^$$' -fuzz FuzzApplySweeps -fuzztime=$(FUZZTIME) ./internal/hierarchy
+	$(GO) test -run '^$$' -fuzz FuzzSolveWire -fuzztime=$(FUZZTIME) ./internal/serve
 
 # bench-e2e: the repository's benchmark as BENCHMARK.json declares it — its
 # own unit tests, then the four workloads end to end (bench/README.md).

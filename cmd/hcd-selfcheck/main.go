@@ -261,7 +261,7 @@ func checkSolve(rng *rand.Rand) error {
 // checkCycleSPD: the multilevel V-cycle is a fixed symmetric operator,
 // positive on mean-free vectors — what PCG needs of it — on bipartite grids
 // (λmax(D⁻¹A) = 2, the damped smoother's worst case) and on trees with
-// random chords alike, at either smoothing depth.
+// random chords alike.
 func checkCycleSPD(rng *rand.Rand) error {
 	var g *hcd.Graph
 	if rng.Intn(2) == 0 {
@@ -306,12 +306,11 @@ func checkCycleTailSPD(rng *rand.Rand) error {
 }
 
 // probeCycleSPD builds g's hierarchy down to directLimit vertices at a random
-// smoothing depth and seed and probes the cycle M with two mean-free vectors:
+// seed and probes the cycle M with two mean-free vectors:
 // ⟨Mu,v⟩ = ⟨u,Mv⟩ and ⟨Mu,u⟩, ⟨Mv,v⟩ > 0.
 func probeCycleSPD(rng *rand.Rand, g *hcd.Graph, directLimit int) (*hcd.Hierarchy, error) {
 	opt := hcd.DefaultHierarchyOptions()
 	opt.DirectLimit = directLimit
-	opt.Smooth = 1 + rng.Intn(2)
 	opt.Seed = rng.Int63()
 	m, err := hcd.NewHierarchyCtx(context.Background(), g, opt)
 	if err != nil {
@@ -331,10 +330,10 @@ func probeCycleSPD(rng *rand.Rand, g *hcd.Graph, directLimit int) (*hcd.Hierarch
 	}
 	muv, umv, muu, mvv := dot(mu, v), dot(u, mv), dot(mu, u), dot(mv, v)
 	if math.Abs(muv-umv) > 1e-10*math.Sqrt(muu*mvv) {
-		return nil, fmt.Errorf("⟨Mu,v⟩ = %v, ⟨u,Mv⟩ = %v (n=%d depth=%d smooth=%d)", muv, umv, n, m.Depth(), opt.Smooth)
+		return nil, fmt.Errorf("⟨Mu,v⟩ = %v, ⟨u,Mv⟩ = %v (n=%d depth=%d)", muv, umv, n, m.Depth())
 	}
 	if !(muu > 0 && mvv > 0) {
-		return nil, fmt.Errorf("⟨Mu,u⟩ = %v, ⟨Mv,v⟩ = %v, want both positive (n=%d depth=%d smooth=%d)", muu, mvv, n, m.Depth(), opt.Smooth)
+		return nil, fmt.Errorf("⟨Mu,u⟩ = %v, ⟨Mv,v⟩ = %v, want both positive (n=%d depth=%d)", muu, mvv, n, m.Depth())
 	}
 	return m, nil
 }

@@ -166,8 +166,8 @@ type SolveRequest struct {
 	Engine *Engine
 	// Options configures the iteration of every method. PCG reads all of
 	// it. Chebyshev reads Tol (0 runs every iteration), MaxIter (its
-	// iteration count, required > 0) and Observer; its probe and iteration
-	// always project out the mean. The resilient ladder runs every rung
+	// iteration count, required > 0) and Observer. Every method projects
+	// out the mean, the Laplacian's null space. The resilient ladder runs every rung
 	// under Options with one in-rung restart.
 	Options SolveOptions
 }
@@ -302,13 +302,12 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 		return resp, err
 	}
 	resp.Lmin, resp.Lmax = br.lmin, br.lmax
-	iterOpt := solver.Options{MaxIter: req.Options.MaxIter, ProjectMean: true, Tol: req.Options.Tol, Observer: req.Options.Observer}
 	lo, hi := br.lmin*chebyshevWidenLow, br.lmax*chebyshevWidenHigh
 	if req.Engine == nil {
-		resp.Results, err = solver.ChebyshevCtx(ctx, a, m, req.B, lo, hi, iterOpt)
+		resp.Results, err = solver.ChebyshevCtx(ctx, a, m, req.B, lo, hi, req.Options)
 		return resp, err
 	}
-	results, err := req.Engine.SolveChebyshev(ctx, req.B, lo, hi, iterOpt)
+	results, err := req.Engine.SolveChebyshev(ctx, req.B, lo, hi, req.Options)
 	for _, res := range results {
 		resp.Results = append(resp.Results, detachResult(res))
 	}
@@ -336,7 +335,7 @@ type bracket struct {
 // by its own constants.
 func probeBracket(ctx context.Context, pcg func(context.Context, [][]float64, solver.Options) ([]SolveResult, error), bs [][]float64) (bracket, error) {
 	var br bracket
-	opt := solver.Options{Tol: 1e-12, MaxIter: chebyshevProbeIters, ProjectMean: true}
+	opt := solver.Options{Tol: 1e-12, MaxIter: chebyshevProbeIters}
 	for j := range bs {
 		results, err := pcg(ctx, bs[j:j+1], opt)
 		if err != nil {

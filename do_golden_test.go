@@ -86,41 +86,30 @@ type goldenBlock struct {
 // doBlockGolden was generated at the commit before the level-1 block sweeps
 // were column-tiled (PR 26) and has to survive any change that claims to leave
 // the iterates alone. After a change that is meant to move them, copy the new
-// lines from the failure output. The k = 1 rows were re-pinned once when
+// lines from the failure output. Every solve projects out the mean; the keys
+// keep the "project=true" of the days a solve could opt out of it (its rows
+// went with that option). The k = 1 rows were re-pinned once when
 // one-column solves moved into the hierarchy's level-0 layout view, and the
 // k > 1 rows once when block solves followed them: the same iteration counts,
 // with the dot products and the mean projection summed in layout order.
 var doBlockGolden = map[string]goldenBlock{
-	"femesh32/k01/project=true":  {[]int{15}, 0x21ea0d61550c01a3},
-	"femesh32/k01/project=false": {[]int{15}, 0x679c3671cdc3a954},
-	"femesh32/k03/project=true":  {[]int{16, 15, 14}, 0x6b7965fb4b471c1},
-	"femesh32/k03/project=false": {[]int{16, 15, 14}, 0xb229850555539e51},
-	"femesh32/k04/project=true":  {[]int{15, 15, 14, 13}, 0x2a18c281214f3d67},
-	"femesh32/k04/project=false": {[]int{15, 15, 14, 13}, 0x83e216948ca8ab27},
-	"femesh32/k07/project=true":  {[]int{15, 15, 14, 13, 12, 11, 10}, 0x69840d4e4ffca640},
-	"femesh32/k07/project=false": {[]int{15, 15, 14, 13, 12, 11, 10}, 0x70e71147e170c657},
-	"femesh32/k08/project=true":  {[]int{15, 15, 14, 13, 12, 11, 10, 9}, 0x971162bb3ad5878c},
-	"femesh32/k08/project=false": {[]int{15, 15, 14, 13, 12, 11, 10, 9}, 0x248261f0bc1a1e08},
-	"femesh32/k12/project=true":  {[]int{15, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6}, 0xddb5d69becaa7122},
-	"femesh32/k12/project=false": {[]int{15, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6}, 0x6f9bb2d9a6d5c958},
-	"grid3d12/k01/project=true":  {[]int{14}, 0xdb0489a03faed9d8},
-	"grid3d12/k01/project=false": {[]int{14}, 0x24b8a0342df044fd},
-	"grid3d12/k03/project=true":  {[]int{14, 14, 12}, 0x8a1a6b40af34bcf5},
-	"grid3d12/k03/project=false": {[]int{14, 14, 12}, 0x7f776d05dcd3c429},
-	"grid3d12/k04/project=true":  {[]int{14, 13, 13, 12}, 0xd4e6cf1988ce991d},
-	"grid3d12/k04/project=false": {[]int{14, 13, 13, 12}, 0x24b0195771efae5},
-	"grid3d12/k07/project=true":  {[]int{14, 13, 12, 12, 11, 10, 9}, 0xf6cb34e374527489},
-	"grid3d12/k07/project=false": {[]int{14, 13, 12, 12, 11, 10, 9}, 0x9a5f4eec9c0aaeb8},
-	"grid3d12/k08/project=true":  {[]int{14, 13, 12, 12, 11, 10, 10, 9}, 0x1103125f80d0f0b8},
-	"grid3d12/k08/project=false": {[]int{14, 13, 12, 12, 11, 10, 10, 9}, 0x8edfb3633f395457},
-	"grid3d12/k12/project=true":  {[]int{14, 13, 13, 12, 11, 10, 9, 8, 8, 7, 6, 6}, 0x5ef215d152096ec6},
-	"grid3d12/k12/project=false": {[]int{14, 13, 13, 12, 11, 10, 9, 8, 8, 7, 6, 6}, 0xfba39ac005e4365a},
+	"femesh32/k01/project=true": {[]int{15}, 0x21ea0d61550c01a3},
+	"femesh32/k03/project=true": {[]int{16, 15, 14}, 0x6b7965fb4b471c1},
+	"femesh32/k04/project=true": {[]int{15, 15, 14, 13}, 0x2a18c281214f3d67},
+	"femesh32/k07/project=true": {[]int{15, 15, 14, 13, 12, 11, 10}, 0x69840d4e4ffca640},
+	"femesh32/k08/project=true": {[]int{15, 15, 14, 13, 12, 11, 10, 9}, 0x971162bb3ad5878c},
+	"femesh32/k12/project=true": {[]int{15, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6}, 0xddb5d69becaa7122},
+	"grid3d12/k01/project=true": {[]int{14}, 0xdb0489a03faed9d8},
+	"grid3d12/k03/project=true": {[]int{14, 14, 12}, 0x8a1a6b40af34bcf5},
+	"grid3d12/k04/project=true": {[]int{14, 13, 13, 12}, 0xd4e6cf1988ce991d},
+	"grid3d12/k07/project=true": {[]int{14, 13, 12, 12, 11, 10, 9}, 0xf6cb34e374527489},
+	"grid3d12/k08/project=true": {[]int{14, 13, 12, 12, 11, 10, 10, 9}, 0x1103125f80d0f0b8},
+	"grid3d12/k12/project=true": {[]int{14, 13, 13, 12, 11, 10, 9, 8, 8, 7, 6, 6}, 0x5ef215d152096ec6},
 }
 
 // TestDoBlockGolden is the whole-solve bit-identity check: hcd.Do under the
 // default hierarchy at widths that reach every column-tile shape (tail only,
-// 4, 4 + tail, 8, 8 + 4), with and without the mean projection (the two sets
-// of fused PCG sweeps), compared against constants from an earlier commit. It
+// 4, 4 + tail, 8, 8 + 4), compared against constants from an earlier commit. It
 // runs with the form of the leaf kernels the process has — AVX2, or Go under
 // -race — and, where that is AVX2, once more under kernel.WithGo: both forms
 // must reproduce the same constants.
@@ -160,25 +149,21 @@ func doBlockGoldenForm(t *testing.T) {
 		}
 		for _, k := range []int{1, 3, 4, 7, 8, 12} {
 			B := staggeredRHS(gr.g, m, k, int64(100+k))
-			for _, project := range []bool{true, false} {
-				name := fmt.Sprintf("%s/k%02d/project=%t", gr.name, k, project)
-				opt := hcd.DefaultSolveOptions()
-				opt.ProjectMean = project
-				resp, err := hcd.Do(context.Background(), gr.g, hcd.SolveRequest{B: B, M: m, Options: opt})
-				if err != nil {
-					t.Fatal(err)
+			name := fmt.Sprintf("%s/k%02d/project=true", gr.name, k)
+			resp, err := hcd.Do(context.Background(), gr.g, hcd.SolveRequest{B: B, M: m, Options: hcd.DefaultSolveOptions()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters := make([]int, k)
+			for j, res := range resp.Results {
+				if !res.Converged {
+					t.Errorf("%s kernel: %s column %d: %s", form, name, j, res.Outcome)
 				}
-				iters := make([]int, k)
-				for j, res := range resp.Results {
-					if !res.Converged {
-						t.Errorf("%s kernel: %s column %d: %s", form, name, j, res.Outcome)
-					}
-					iters[j] = res.Iterations
-				}
-				want := doBlockGolden[name]
-				if got := hashBlock(resp.Results); got != want.hash || !reflect.DeepEqual(iters, want.iters) {
-					t.Errorf("%s kernel: iterates moved; got\n\t%q: {%#v, %#x},", form, name, iters, got)
-				}
+				iters[j] = res.Iterations
+			}
+			want := doBlockGolden[name]
+			if got := hashBlock(resp.Results); got != want.hash || !reflect.DeepEqual(iters, want.iters) {
+				t.Errorf("%s kernel: iterates moved; got\n\t%q: {%#v, %#x},", form, name, iters, got)
 			}
 		}
 	}

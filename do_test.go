@@ -327,6 +327,96 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 	}
 }
 
+// TestBlockColumnsInvariant: the columns of a block solve do not leak into
+// one another. Permuting a k = 4 block's columns permutes hcd.Do's results
+// bit for bit, and negating one column or scaling it by 2^±300 leaves every
+// other column's iterate, residual history, coefficients and count
+// bit-identical — through PCG and Chebyshev, each with M and with an Engine.
+// The right-hand sides converge one after another, so deflation compacts the
+// block at different iterations and moves columns between the 4-wide tile and
+// the tail. Chebyshev's interval comes from a probe of the first column, so
+// its permutation keeps column 0 in place.
+func TestBlockColumnsInvariant(t *testing.T) {
+	ctx := context.Background()
+	same := func(a, b hcd.SolveResult) bool {
+		return a.Outcome == b.Outcome && hashBlock([]hcd.SolveResult{a}) == hashBlock([]hcd.SolveResult{b})
+	}
+	for _, gr := range invarianceGraphs(t) {
+		g := gr.g
+		m, err := hcd.NewPreconditioner(ctx, g, hcd.PrecondSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := hcd.NewEngine(g, m, hcd.DefaultSolveOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		B := staggeredRHS(g, m, 4, 17)
+		opt := hcd.DefaultSolveOptions()
+		cheb := opt
+		cheb.MaxIter = 120
+		for _, me := range []struct {
+			name string
+			perm []int
+			req  hcd.SolveRequest
+		}{
+			{"pcg", []int{3, 2, 1, 0}, hcd.SolveRequest{M: m, Options: opt}},
+			{"pcg engine", []int{3, 2, 1, 0}, hcd.SolveRequest{Engine: eng, Options: opt}},
+			{"chebyshev", []int{0, 3, 1, 2}, hcd.SolveRequest{Method: hcd.SolveMethodChebyshev, M: m, Options: cheb}},
+			{"chebyshev engine", []int{0, 3, 1, 2}, hcd.SolveRequest{Method: hcd.SolveMethodChebyshev, Engine: eng, Options: cheb}},
+		} {
+			do := func(B [][]float64) []hcd.SolveResult {
+				req := me.req
+				req.B = B
+				resp, err := hcd.Do(ctx, g, req)
+				if err != nil {
+					t.Fatalf("%s %s: %v", gr.name, me.name, err)
+				}
+				return resp.Results
+			}
+			base := do(B)
+			pB := make([][]float64, len(B))
+			for i, j := range me.perm {
+				pB[i] = B[j]
+			}
+			for i, res := range do(pB) {
+				if !same(res, base[me.perm[i]]) {
+					t.Errorf("%s %s: column %d of the permuted block differs from column %d", gr.name, me.name, i, me.perm[i])
+				}
+			}
+			for _, j := range []int{0, 2} {
+				for _, s := range []float64{-1, math.Ldexp(1, 300), math.Ldexp(1, -300)} {
+					sB := slices.Clone(B)
+					sB[j] = make([]float64, len(B[j]))
+					for v, x := range B[j] {
+						sB[j][v] = s * x
+					}
+					for i, res := range do(sB) {
+						want := base[i]
+						if i != j {
+							if !same(res, want) {
+								t.Errorf("%s %s: scaling column %d by %g moved column %d", gr.name, me.name, j, s, i)
+							}
+							continue
+						}
+						if res.Outcome != want.Outcome || res.Iterations != want.Iterations {
+							t.Errorf("%s %s s=%g column %d: %v after %d iterations, unscaled %v after %d",
+								gr.name, me.name, s, j, res.Outcome, res.Iterations, want.Outcome, want.Iterations)
+							continue
+						}
+						for v, x := range res.X {
+							if x != s*want.X[v] {
+								t.Errorf("%s %s s=%g column %d: x[%d] = %v, want %v", gr.name, me.name, s, j, v, x, s*want.X[v])
+								break
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWeightScaleInvariant: a graph with every weight times 2^e, e even, and
 // a right-hand side times 2^f are solved along the path of the unscaled
 // system — the same clustering, the same outcome and iteration count — and

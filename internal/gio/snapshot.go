@@ -15,8 +15,8 @@ package gio
 // fields and 8-byte section alignment keep the layout mmap-friendly.
 //
 // A graph snapshot (kind 1) holds one graph section. A hierarchy snapshot
-// (kind 2) holds a graph section, a meta section (smoothing sweeps, level
-// count), and one level section per clustering level; the quotient graphs
+// (kind 2) holds a graph section, a meta section (smoothing sweeps — 1 for
+// the smoothed cycle, 0 for the Steiner recursion — and level count), and one level section per clustering level; the quotient graphs
 // and coarse factorization are deterministic functions of these and are
 // recomputed on read (hierarchy.Rebuild), never stored.
 //
@@ -163,7 +163,7 @@ func ReadHierarchySnapshot(ctx context.Context, r io.Reader) (*graph.Graph, *hie
 	}
 	smooth := binary.LittleEndian.Uint64(meta[0:])
 	nlevels := binary.LittleEndian.Uint64(meta[8:])
-	if smooth > 64 || nlevels > maxSnapshotLevels {
+	if smooth > 1 || nlevels > maxSnapshotLevels {
 		return g, nil, fmt.Errorf("%w: implausible meta (smooth %d, levels %d)", ErrCorruptSnapshot, smooth, nlevels)
 	}
 	levels := make([]hierarchy.LevelAssign, 0, nlevels)

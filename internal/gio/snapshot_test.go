@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"hcd/internal/decomp"
 	"hcd/internal/faultinject"
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
@@ -121,6 +122,52 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("k=%d: apply diverges at %d: %v vs %v", k, i, want[i], got[i])
+			}
+		}
+	}
+}
+
+// TestSteinerSnapshotRoundTrip: a Steiner preconditioner restores from its
+// own snapshot as the same operator bit for bit — with a clustered level 0,
+// and with every vertex its own cluster, which NewSteiner accepts as level 0
+// and so the restore must too.
+func TestSteinerSnapshotRoundTrip(t *testing.T) {
+	g := testGraph(t, 36, 5)
+	clustered, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singletons := &decomp.Decomposition{G: g, Assign: make([]int, g.N()), Count: g.N()}
+	for v := range singletons.Assign {
+		singletons.Assign[v] = v
+	}
+	rng := rand.New(rand.NewSource(9))
+	for name, d := range map[string]*decomp.Decomposition{"clustered": clustered, "singletons": singletons} {
+		h, err := hierarchy.NewSteiner(context.Background(), d)
+		if err != nil {
+			t.Fatalf("%s: build: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteHierarchySnapshot(&buf, g, h); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		_, h2, err := ReadHierarchySnapshot(context.Background(), bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: read: %v", name, err)
+		}
+		if _, smooth := h2.DumpLevels(); smooth != 0 || h2.Depth() != h.Depth() {
+			t.Fatalf("%s: restored smooth %d depth %d, want 0 and %d", name, smooth, h2.Depth(), h.Depth())
+		}
+		r := make([]float64, g.N())
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		want, got := make([]float64, len(r)), make([]float64, len(r))
+		h.Apply(want, r)
+		h2.Apply(got, r)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("%s: apply diverges at %d: %v vs %v", name, i, want[i], got[i])
 			}
 		}
 	}

@@ -108,16 +108,16 @@ func (g *Graph) lapMulBlockDispatch(dst, r, x, dInv []float64, omega float64, k 
 // fixed-width column tiles: 8-wide, then 4-wide (kernel.LapTile), then a 1–3
 // column tail. A tile re-reads the row's neighbor indices and weights, but
 // those are L1-resident after the first pass; per column the operation order
-// (ascending neighbors, then wsum·xv − acc, then the optional subtraction
+// (ascending neighbors, then vol·xv − acc, then the optional subtraction
 // from r, then the optional x + (ω·dInv)·residual) is identical across tile
 // widths, so results match the untiled form bit for bit.
 func (g *Graph) lapMulBlockRange(dst, r, x, dInv []float64, omega float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		kernel.LapTile(8, dst, r, x, dInv, omega, g.adj, g.w, g.off, k, j, lo, hi)
+		kernel.LapTile(8, dst, r, x, dInv, g.vol, omega, g.adj, g.w, g.off, k, j, lo, hi)
 	}
 	if j+4 <= k {
-		kernel.LapTile(4, dst, r, x, dInv, omega, g.adj, g.w, g.off, k, j, lo, hi)
+		kernel.LapTile(4, dst, r, x, dInv, g.vol, omega, g.adj, g.w, g.off, k, j, lo, hi)
 		j += 4
 	}
 	if j < k {
@@ -132,18 +132,16 @@ func (g *Graph) lapMulBlockTail(dst, r, x, dInv []float64, omega float64, k, j0,
 	for row, e := range ends {
 		v := lo + row
 		var acc [3]float64
-		wsum := 0.0
 		for end := kernel.RowEnd(e, adj); i < end; i++ {
 			wi := w[i]
-			wsum += wi
 			b := int(uint32(adj[i])) * k
 			for j := 0; j < kk; j++ {
 				acc[j] += wi * x[b+j0+j]
 			}
 		}
-		b := v * k
+		b, vv := v*k, g.vol[v]
 		for j := 0; j < kk; j++ {
-			t := wsum*x[b+j0+j] - acc[j]
+			t := vv*x[b+j0+j] - acc[j]
 			if r != nil {
 				t = r[b+j0+j] - t
 				if dInv != nil {

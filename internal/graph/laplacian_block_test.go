@@ -341,3 +341,79 @@ func TestRowEndBeyondAdjacency(t *testing.T) {
 		}
 	}
 }
+
+// TestVolIsRowOrderSum: Vol(v) is the sum of row v's weights in entry order,
+// bit for bit, on the graph of every constructor, of Contract and of
+// RenumberInPlace — the identity that lets the block tiles read a row's
+// weight sum from vol instead of adding it up again. The weights span twelve
+// decades, so a sum in another order would show.
+func TestVolIsRowOrderSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const n = 300
+	var edges []Edge
+	for i := 0; i < 6*n; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			edges = append(edges, Edge{U: u, V: v, W: math.Pow(10, -6+12*rng.Float64())})
+		}
+	}
+	g, err := NewFromEdges(n, edges) // repeated pairs merged
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*Graph{"NewFromEdges": g, "Clone": g.Clone()}
+	for name, policy := range map[string]MergePolicy{"Builder/sum": MergeSum, "Builder/max": MergeMax} {
+		b, err := NewBuilder(n, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edges {
+			if err := b.Add(e.U, e.V, e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if graphs[name], err = b.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if graphs["NewFromUniqueEdges"], err = NewFromUniqueEdges(n, g.Edges()); err != nil {
+		t.Fatal(err)
+	}
+	off, adj, w := g.CompactCSR()
+	if graphs["NewFromCSR"], err = NewFromCSR(off, adj, w); err != nil {
+		t.Fatal(err)
+	}
+	cluster := rng.Perm(n)[:n/3]
+	cb := NewClosureBuilder(g)
+	for name, build := range map[string]func([]int) (*Graph, []int, error){
+		"Closure": g.Closure, "InducedSubgraph": g.InducedSubgraph,
+		"ClosureBuilder.Closure": cb.Closure, "ClosureBuilder.InducedSubgraph": cb.InducedSubgraph,
+	} {
+		sub, _, err := build(cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[name] = sub.Clone() // a builder's graph lives until its next call
+	}
+	assign := make([]int, n)
+	for v := range assign {
+		assign[v] = rng.Intn(n / 4)
+	}
+	graphs["Contract"] = g.Contract(assign, n/4)
+	renumbered := g.Clone()
+	if err := renumbered.RenumberInPlace(windowedPerm(rng, n, 64), 64); err != nil {
+		t.Fatal(err)
+	}
+	graphs["RenumberInPlace"] = renumbered
+	for name, h := range graphs {
+		for v := 0; v < h.N(); v++ {
+			_, wv := h.Neighbors(v)
+			sum := 0.0
+			for _, x := range wv {
+				sum += x
+			}
+			if math.Float64bits(h.Vol(v)) != math.Float64bits(sum) {
+				t.Fatalf("%s: Vol(%d) = %v, row-order Σw = %v", name, v, h.Vol(v), sum)
+			}
+		}
+	}
+}

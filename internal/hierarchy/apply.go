@@ -24,11 +24,11 @@ import (
 // any worker count.
 
 // applyWork holds one in-flight apply's buffers: per-level packed quotient
-// and smoothing vectors, and on doubled levels the second coarse step's
-// residual and correction.
+// vectors and smoothing iterate, and on doubled levels the second coarse
+// step's residual and correction.
 type applyWork struct {
-	rq, xq, tmp, tmp2 [][]float64 // per level, [Count·k] / [n·k]
-	rq2, xq2          [][]float64 // per level, [Count·k], visits = 2 only
+	rq, xq, tmp [][]float64 // per level, [Count·k] / [n·k]
+	rq2, xq2    [][]float64 // per level, [Count·k], visits = 2 only
 }
 
 // getWork takes a workspace from the apply pool, sized to the hierarchy's
@@ -42,7 +42,6 @@ func (h *Hierarchy) getWork() *applyWork {
 		w.rq = append(w.rq, nil)
 		w.xq = append(w.xq, nil)
 		w.tmp = append(w.tmp, nil)
-		w.tmp2 = append(w.tmp2, nil)
 		w.rq2 = append(w.rq2, nil)
 		w.xq2 = append(w.xq2, nil)
 	}
@@ -95,7 +94,7 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 	n := l.g.N()
 	rq := growBuf(&w.rq[level], l.count*k)
 	xq := growBuf(&w.xq[level], l.count*k)
-	if l.smooth == 0 {
+	if !l.smoothed {
 		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr), the paper's
 		// two-level identity, unscaled.
 		l.restrict(r, rq, k)
@@ -103,24 +102,15 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 		l.steinerSum(dst, r, xq, k)
 		return
 	}
-	// Symmetric cycle (cycle.go): damped-Jacobi pre-smooth from zero, coarse
+	// Symmetric cycle (cycle.go): one damped-Jacobi step from zero, coarse
 	// correction — one apply of the level below, or two steps of the iteration
-	// it preconditions — scaled by the level's alpha, damped-Jacobi
-	// post-smooth. Each smoothing step and the residual are one fused pass
-	// over the level's rows; the iterate ping-pongs between two work vectors
-	// and the last post-smoothing step writes dst, which until then holds the
+	// it preconditions — scaled by the level's alpha, one damped-Jacobi
+	// post-step. The residual and the post-step are each one fused pass over
+	// the level's rows; the post-step writes dst, which until then holds the
 	// residual.
 	const omega = jacobiOmega
 	x := growBuf(&w.tmp[level], n*k)
-	var y []float64 // the second iterate, which only a second smoothing step needs
-	if l.smooth >= 2 {
-		y = growBuf(&w.tmp2[level], n*k)
-	}
 	l.jacobiFromZero(x, r, omega, k)
-	for s := 1; s < l.smooth; s++ {
-		l.g.LapJacobiStepBlock(y, r, x, l.dInv, omega, k)
-		x, y = y, x
-	}
 	l.g.LapMulBlockResidual(dst, r, x, k)
 	l.restrict(dst, rq, k)
 	h.applyLevel(level+1, xq, rq, k, w)
@@ -136,10 +126,6 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 		})
 	}
 	l.prolongAdd(x, xq, k)
-	for s := 1; s < l.smooth; s++ {
-		l.g.LapJacobiStepBlock(y, r, x, l.dInv, omega, k)
-		x, y = y, x
-	}
 	l.g.LapJacobiStepBlock(dst, r, x, l.dInv, omega, k)
 }
 
@@ -249,7 +235,8 @@ func (l *Level) prolongAddTail(x, xq []float64, alpha float64, k, j0, lo, hi int
 }
 
 // steinerSum computes dst = D⁻¹r + R·xq, the unsmoothed two-level identity.
-// Only Smooth: 0 hierarchies run it, so it stays on the any-width loop.
+// Only the Steiner recursion (NewSteiner) runs it, so it stays on the
+// any-width loop.
 func (l *Level) steinerSum(dst, r, xq []float64, k int) {
 	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
 		for v := lo; v < hi; v++ {

@@ -346,11 +346,8 @@ func TestApplyBlockRejectsBadOperands(t *testing.T) {
 	n := g.N()
 	for _, smooth := range []int{0, 1} {
 		opt := DefaultOptions()
-		opt.Smooth, opt.DirectLimit = smooth, 20
-		h, err := New(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opt.DirectLimit = 20
+		h := newSmooth(t, g, opt, smooth)
 		for _, tc := range []struct {
 			name            string
 			dstLen, rLen, k int

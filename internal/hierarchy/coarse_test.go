@@ -173,7 +173,7 @@ func BenchmarkCoarseSolve(b *testing.B) {
 // factorOnly returns the depth-0 hierarchy of g: its coarse factor and
 // nothing else.
 func factorOnly(b *testing.B, g *graph.Graph) *Hierarchy {
-	h, err := newAssembler(context.Background(), 0).finish(g)
+	h, err := newAssembler(context.Background(), false).finish(g)
 	if err != nil {
 		b.Fatal(err)
 	}

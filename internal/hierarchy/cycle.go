@@ -4,7 +4,7 @@ package hierarchy
 // the test oracle share.
 //
 // On a level with Laplacian A, diagonal D, clustering R (the 0/1 membership
-// matrix) and next-level operator C ≈ Q⁺, the smoothed cycle is
+// matrix) and next-level operator C ≈ Q⁺, the smoothed cycle is, with ν = 1,
 //
 //	x ← ν damped-Jacobi steps from zero     (x ← x + ωD⁻¹(r − Ax))
 //	x ← x + α·R·C·Rᵀ(r − Ax)
@@ -47,12 +47,6 @@ package hierarchy
 // definite C, as before. TestApplyIsSPD pins all of this on bipartite and
 // non-bipartite graphs, with and without a doubled tail.
 
-import (
-	"fmt"
-
-	"hcd/internal/graph"
-)
-
 const (
 	// jacobiOmega is ω, the damped-Jacobi weight of the smoothed cycle.
 	jacobiOmega = 0.8
@@ -64,8 +58,6 @@ const (
 	// is already corrected exactly, and a constant α > 1 over-corrects it once
 	// per level (DESIGN §12 "Cycle parameters").
 	coarseBeta = 0.5
-	// maxSmooth bounds Options.Smooth; it is the snapshot codec's bound too.
-	maxSmooth = 64
 	// cycleShare is c in the visit rule: a level is visited twice when that
 	// costs at most entries(0)/c, so the doubled tail adds at most 2/c to the
 	// work of one V-cycle (DESIGN §12 "Cycle shape" has the table c was picked
@@ -86,34 +78,38 @@ func cycleScale(beta, volG, volQ float64) (gamma, alpha float64) {
 	return 1 - cut, 1 + beta*cut
 }
 
-// cycleVisits returns how often one visit of each smoothed level applies the
-// level below it — 1, or 2 for the two-step coarse iteration — and the number
-// of stored matrix entries one whole apply streams. nnz[ℓ] is the stored
-// entry count of level ℓ's graph and factorNNZ that of the coarse factor. A
-// visit of level ℓ passes over its rows 2·smooth times (smooth − 1 Jacobi
-// steps after the diagonal-only first, the residual, smooth post-steps), a
-// coarse solve over the factor twice, and the residual between two visits
-// over the next level's rows once; bottom-up,
+// cycleVisits returns how often one visit of each level applies the level
+// below it — 1, or 2 for the two-step coarse iteration — and the number of
+// stored matrix entries one whole apply streams. nnz[ℓ] is the stored entry
+// count of level ℓ's graph and factorNNZ that of the coarse factor. A visit
+// of a smoothed level ℓ passes over its rows twice (the residual and the
+// post-step; the first step is diagonal-only), a coarse solve over the factor
+// twice, and the residual between two visits over the next level's rows
+// once; bottom-up,
 //
-//	work(ℓ) = 2·smooth·nnz[ℓ] + visits[ℓ]·work(ℓ+1) + (visits[ℓ] − 1)·nnz[ℓ+1]
-//	visits[ℓ] = 2  ⇔  work(ℓ+1) ≤ 2·smooth·nnz[0] / share.
+//	work(ℓ) = 2·nnz[ℓ] + visits[ℓ]·work(ℓ+1) + (visits[ℓ] − 1)·nnz[ℓ+1]
+//	visits[ℓ] = 2  ⇔  work(ℓ+1) ≤ 2·nnz[0] / share.
 //
 // work decreases with depth, so the doubled levels are a tail: everything from
 // the first doubled level down to the last but one. The last level never
 // doubles — its coarse operator is the exact solve, and a second step of an
-// exact solve corrects nothing — and neither does the pure recursion
-// (smooth = 0), which has no residual to iterate on. share = +Inf is the plain
-// V-cycle, share = 0 the W-cycle from the finest level.
-func cycleVisits(share float64, smooth int, nnz []int, factorNNZ int) (visits []int, touched int) {
+// exact solve corrects nothing — and neither does the unsmoothed Steiner
+// recursion, which has no residual to iterate on and passes over no level's
+// rows. share = +Inf is the plain V-cycle, share = 0 the W-cycle from the
+// finest level.
+func cycleVisits(share float64, smoothed bool, nnz []int, factorNNZ int) (visits []int, touched int) {
 	visits = make([]int, len(nnz))
 	work := 2 * factorNNZ
 	for level := len(nnz) - 1; level >= 0; level-- {
 		visits[level] = 1
-		if level+1 < len(nnz) && smooth > 0 && float64(work) <= float64(2*smooth*nnz[0])/share {
+		if !smoothed {
+			continue
+		}
+		if level+1 < len(nnz) && float64(work) <= float64(2*nnz[0])/share {
 			visits[level] = 2
 			work = 2*work + nnz[level+1]
 		}
-		work += 2 * smooth * nnz[level]
+		work += 2 * nnz[level]
 	}
 	return visits, work
 }
@@ -123,23 +119,13 @@ func cycleVisits(share float64, smooth int, nnz []int, factorNNZ int) (visits []
 // sharded one, Rebuild and a snapshot restore of the same levels agree.
 func (h *Hierarchy) planCycle(share float64) {
 	nnz := make([]int, len(h.levels))
-	smooth := 0
+	smoothed := false
 	for i, l := range h.levels {
-		nnz[i], smooth = 2*l.g.M(), l.smooth
+		nnz[i], smoothed = 2*l.g.M(), l.smoothed
 	}
-	visits, touched := cycleVisits(share, smooth, nnz, h.coarse.NNZ())
+	visits, touched := cycleVisits(share, smoothed, nnz, h.coarse.NNZ())
 	for i, l := range h.levels {
 		l.visits = visits[i]
 	}
 	h.cycleEntries = touched
-}
-
-// checkSmooth rejects sweep counts the two cycles would not run alike (a
-// negative count leaves the block cycle without post-smoothing, hence
-// non-symmetric) or the snapshot codec could not carry.
-func checkSmooth(smooth int) error {
-	if smooth < 0 || smooth > maxSmooth {
-		return fmt.Errorf("hierarchy: Smooth %d out of range [0,%d]: %w", smooth, maxSmooth, graph.ErrInvalidInput)
-	}
-	return nil
 }

@@ -20,9 +20,10 @@ import (
 	"hcd/internal/workload"
 )
 
-// TestSmoothOutOfRangeRejected: both ways into a hierarchy refuse a sweep
-// count below zero (the block cycle would run without post-smoothing) or above
-// what the snapshot codec carries, with an error wrapping ErrInvalidInput.
+// TestSmoothOutOfRangeRejected: Rebuild takes the two cycles a constructor
+// builds — smooth 1, New's smoothed cycle, and smooth 0, NewSteiner's
+// recursion — and refuses any other sweep count with an error wrapping
+// ErrInvalidInput.
 func TestSmoothOutOfRangeRejected(t *testing.T) {
 	g := workload.Grid2D(12, 12, workload.Lognormal(1), 1)
 	opt := DefaultOptions()
@@ -35,17 +36,13 @@ func TestSmoothOutOfRangeRejected(t *testing.T) {
 	for _, tc := range []struct {
 		smooth int
 		ok     bool
-	}{{-1, false}, {math.MinInt, false}, {0, true}, {1, true}, {maxSmooth, true}, {maxSmooth + 1, false}} {
-		opt.Smooth = tc.smooth
-		_, nerr := NewCtx(context.Background(), g, opt)
-		_, rerr := Rebuild(context.Background(), g, levels, tc.smooth)
-		for entry, err := range map[string]error{"NewCtx": nerr, "Rebuild": rerr} {
-			switch {
-			case tc.ok && err != nil:
-				t.Errorf("%s Smooth=%d: %v", entry, tc.smooth, err)
-			case !tc.ok && !errors.Is(err, graph.ErrInvalidInput):
-				t.Errorf("%s Smooth=%d: error %v, want one wrapping ErrInvalidInput", entry, tc.smooth, err)
-			}
+	}{{-1, false}, {math.MinInt, false}, {0, true}, {1, true}, {2, false}, {64, false}} {
+		_, err := Rebuild(context.Background(), g, levels, tc.smooth)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("smooth=%d: %v", tc.smooth, err)
+		case !tc.ok && !errors.Is(err, graph.ErrInvalidInput):
+			t.Errorf("smooth=%d: error %v, want one wrapping ErrInvalidInput", tc.smooth, err)
 		}
 	}
 }
@@ -144,61 +141,58 @@ func meanFreeGram(n, k int, apply func(dst, r []float64)) *dense.Matrix {
 // positive definite on the mean-free subspace.
 func TestApplyIsSPD(t *testing.T) {
 	for _, tc := range spdCorpus(t) {
-		for _, smooth := range []int{1, 2} {
-			opt := DefaultOptions()
-			opt.Smooth = smooth
-			opt.DirectLimit = 3
-			h, err := New(tc.g, opt)
+		opt := DefaultOptions()
+		opt.DirectLimit = 3
+		h, err := New(tc.g, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		doubled, want := doubledLevels(h), 1
+		switch {
+		case tc.g.IsForest() || tc.name == "clique": // a forest has no level
+			want = 0
+		case strings.HasSuffix(tc.name, "-deep"):
+			want = 2
+		}
+		if doubled < want {
+			t.Fatalf("%s: %d doubled levels in %+v, want at least %d", tc.name, doubled, h.LevelScales(), want)
+		}
+		n := tc.g.N()
+		for _, k := range []int{1, 3} {
+			name := fmt.Sprintf("%s k=%d depth=%d", tc.name, k, h.Depth())
+			gram := meanFreeGram(n, k, func(dst, r []float64) {
+				if k == 1 {
+					h.Apply(dst, r)
+				} else {
+					h.ApplyBlock(dst, r, k)
+				}
+			})
+			scale := 0.0
+			for _, v := range gram.Data {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < i; j++ {
+					if d := math.Abs(gram.At(i, j) - gram.At(j, i)); d > 1e-12*scale {
+						t.Fatalf("%s: ⟨e%d, M e%d⟩ and its transpose differ by %.3g (scale %.3g)", name, i, j, d, scale)
+					}
+					gram.Set(i, j, gram.At(j, i))
+				}
+			}
+			vals, _, err := dense.SymEig(gram)
 			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			doubled, want := doubledLevels(h), 1
-			switch {
-			case tc.g.IsForest() || tc.name == "clique": // a forest has no level
-				want = 0
-			case strings.HasSuffix(tc.name, "-deep"):
-				want = 2
+			// One eigenvalue belongs to the constant vector P removed;
+			// every other must be positive.
+			nonPositive := 0
+			for _, v := range vals {
+				if v < 1e-10*scale {
+					nonPositive++
+				}
 			}
-			if doubled < want {
-				t.Fatalf("%s: %d doubled levels in %+v, want at least %d", tc.name, doubled, h.LevelScales(), want)
-			}
-			n := tc.g.N()
-			for _, k := range []int{1, 3} {
-				name := fmt.Sprintf("%s smooth=%d k=%d depth=%d", tc.name, smooth, k, h.Depth())
-				gram := meanFreeGram(n, k, func(dst, r []float64) {
-					if k == 1 {
-						h.Apply(dst, r)
-					} else {
-						h.ApplyBlock(dst, r, k)
-					}
-				})
-				scale := 0.0
-				for _, v := range gram.Data {
-					scale = math.Max(scale, math.Abs(v))
-				}
-				for i := 0; i < n; i++ {
-					for j := 0; j < i; j++ {
-						if d := math.Abs(gram.At(i, j) - gram.At(j, i)); d > 1e-12*scale {
-							t.Fatalf("%s: ⟨e%d, M e%d⟩ and its transpose differ by %.3g (scale %.3g)", name, i, j, d, scale)
-						}
-						gram.Set(i, j, gram.At(j, i))
-					}
-				}
-				vals, _, err := dense.SymEig(gram)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				// One eigenvalue belongs to the constant vector P removed;
-				// every other must be positive.
-				nonPositive := 0
-				for _, v := range vals {
-					if v < 1e-10*scale {
-						nonPositive++
-					}
-				}
-				if nonPositive != 1 {
-					t.Errorf("%s: %d eigenvalues of PᵀMP below 1e-10·%.3g, want only the constant's; spectrum %v", name, nonPositive, scale, vals)
-				}
+			if nonPositive != 1 {
+				t.Errorf("%s: %d eigenvalues of PᵀMP below 1e-10·%.3g, want only the constant's; spectrum %v", name, nonPositive, scale, vals)
 			}
 		}
 	}
@@ -408,7 +402,7 @@ func TestCycleTable(t *testing.T) {
 		checkRuleAgainstVCycle(t, name, vcycle, rule)
 	}
 
-	// What else could buy iterations, measured once so the defaults Smooth = 1,
+	// What else could buy iterations, measured once so the defaults
 	// SizeCap = 4 and a tail that starts where it is cheap are on record: work
 	// is iterations × (entries per apply + the PCG matvec's pass over level 0),
 	// the deterministic cost of a solve.
@@ -426,7 +420,6 @@ func TestCycleTable(t *testing.T) {
 			{"V-cycle", math.Inf(1), func(*Options) {}},
 			{"rule", cycleShare, func(*Options) {}},
 			{"W from 0", 0, func(*Options) {}},
-			{"Smooth 2", cycleShare, func(o *Options) { o.Smooth = 2 }},
 			{"SizeCap 2", cycleShare, func(o *Options) { o.SizeCap = 2 }},
 			{"SizeCap 3", cycleShare, func(o *Options) { o.SizeCap = 3 }},
 		} {
@@ -620,23 +613,23 @@ func TestCycleVisits(t *testing.T) {
 	// threshold 2·1000/4 = 500. Bottom-up: coarse 2·20 = 40; level 3 is last:
 	// 40 + 120 = 160; level 2 doubles (160 ≤ 500): 2·160 + 60 + 300 = 680;
 	// level 1 does not (680 > 500): 680 + 800 = 1480; level 0: 1480 + 2000.
-	visits, touched := cycleVisits(4, 1, []int{1000, 400, 150, 60}, 20)
+	visits, touched := cycleVisits(4, true, []int{1000, 400, 150, 60}, 20)
 	if !slices.Equal(visits, []int{1, 1, 2, 1}) || touched != 3480 {
 		t.Errorf("plan %v touching %d, want [1 1 2 1] touching 3480", visits, touched)
 	}
-	if visits, touched := cycleVisits(4, 1, nil, 20); len(visits) != 0 || touched != 40 {
+	if visits, touched := cycleVisits(4, true, nil, 20); len(visits) != 0 || touched != 40 {
 		t.Errorf("depth 0: plan %v touching %d, want none touching 40", visits, touched)
 	}
 
 	// walk counts entries the way the cycle recurses.
-	var walk func(visits, nnz []int, factorNNZ, smooth, level int) int
-	walk = func(visits, nnz []int, factorNNZ, smooth, level int) int {
+	var walk func(visits, nnz []int, factorNNZ, level int) int
+	walk = func(visits, nnz []int, factorNNZ, level int) int {
 		if level == len(nnz) {
 			return 2 * factorNNZ
 		}
-		n := 2*smooth*nnz[level] + walk(visits, nnz, factorNNZ, smooth, level+1)
+		n := 2*nnz[level] + walk(visits, nnz, factorNNZ, level+1)
 		if visits[level] == 2 {
-			n += nnz[level+1] + walk(visits, nnz, factorNNZ, smooth, level+1)
+			n += nnz[level+1] + walk(visits, nnz, factorNNZ, level+1)
 		}
 		return n
 	}
@@ -648,13 +641,13 @@ func TestCycleVisits(t *testing.T) {
 		for i := 1; i < depth; i++ {
 			nnz[i] = 1 + int(float64(nnz[i-1])*(0.1+0.8*rng.Float64()))
 		}
-		factorNNZ, smooth := 1+rng.Intn(2000), 1+rng.Intn(3)
+		factorNNZ := 1 + rng.Intn(2000)
 		share := []float64{2, 3, 4, 8, 16}[rng.Intn(5)]
-		name := fmt.Sprintf("nnz %v factor %d smooth %d share %v", nnz, factorNNZ, smooth, share)
+		name := fmt.Sprintf("nnz %v factor %d share %v", nnz, factorNNZ, share)
 
-		vcycle, vwork := cycleVisits(math.Inf(1), smooth, nnz, factorNNZ)
-		wcycle, _ := cycleVisits(0, smooth, nnz, factorNNZ)
-		pure, pwork := cycleVisits(share, 0, nnz, factorNNZ)
+		vcycle, vwork := cycleVisits(math.Inf(1), true, nnz, factorNNZ)
+		wcycle, _ := cycleVisits(0, true, nnz, factorNNZ)
+		pure, pwork := cycleVisits(share, false, nnz, factorNNZ)
 		for level := range nnz {
 			w := 2
 			if level == depth-1 {
@@ -668,7 +661,7 @@ func TestCycleVisits(t *testing.T) {
 			t.Errorf("%s: the pure recursion touches %d entries, want the factor's %d", name, pwork, 2*factorNNZ)
 		}
 
-		visits, touched := cycleVisits(share, smooth, nnz, factorNNZ)
+		visits, touched := cycleVisits(share, true, nnz, factorNNZ)
 		for level := range visits {
 			if v := visits[level]; v < 1 || v > 2 || (level > 0 && level < depth-1 && v < visits[level-1]) {
 				t.Fatalf("%s: plan %v is not a tail", name, visits)
@@ -677,10 +670,10 @@ func TestCycleVisits(t *testing.T) {
 		if visits[depth-1] != 1 {
 			t.Errorf("%s: plan %v doubles the exact solve", name, visits)
 		}
-		if got := walk(visits, nnz, factorNNZ, smooth, 0); got != touched {
+		if got := walk(visits, nnz, factorNNZ, 0); got != touched {
 			t.Errorf("%s: plan %v reports %d entries, a walk counts %d", name, visits, touched, got)
 		}
-		if bound := float64(vwork) + 2*float64(2*smooth*nnz[0])/share; float64(touched) > bound {
+		if bound := float64(vwork) + 2*float64(2*nnz[0])/share; float64(touched) > bound {
 			t.Errorf("%s: plan %v touches %d entries, above the V-cycle's %d + 2·entries(0)/c = %.0f", name, visits, touched, vwork, bound)
 		}
 	}
@@ -716,51 +709,6 @@ func TestShallowHierarchiesKeepTheVCycle(t *testing.T) {
 			vcycle.apply(0, want, r, k)
 			if i := firstDiff(got, want); i >= 0 {
 				t.Errorf("%s k=%d: ApplyBlock[%d] = %v, V-cycle %v", tc.name, k, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestSecondIterateOnlyWhenSmoothingTwice: the second smoothing iterate of a
-// level exists only for a second smoothing step, so with the default Smooth: 1
-// an apply at any width leaves it unallocated on every level — it used to cost
-// n·k floats per level of every pooled workspace — and with Smooth: 2 it is
-// n·k floats on every level, reused by the next apply.
-func TestSecondIterateOnlyWhenSmoothingTwice(t *testing.T) {
-	g := workload.Grid2D(40, 40, workload.Lognormal(1), 5)
-	b := meanFree(rand.New(rand.NewSource(21)), g.N())
-	for _, smooth := range []int{1, 2} {
-		opt := DefaultOptions()
-		opt.Smooth, opt.DirectLimit = smooth, 16
-		h, err := New(g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 8} {
-			r, dst := make([]float64, g.N()*k), make([]float64, g.N()*k)
-			for v, x := range b {
-				r[v*k] = x
-			}
-			w := h.getWork()
-			h.applyLevel(0, dst, r, k, w)
-			first := map[int]*float64{}
-			for level, l := range h.levels {
-				want := 0
-				if smooth >= 2 {
-					want = l.g.N() * k
-				}
-				if got := len(w.tmp2[level]); got != want || (want == 0 && w.tmp2[level] != nil) {
-					t.Fatalf("Smooth: %d k=%d level %d: second iterate of %d entries (nil: %v), want %d", smooth, k, level, got, w.tmp2[level] == nil, want)
-				}
-				if want > 0 {
-					first[level] = &w.tmp2[level][0]
-				}
-			}
-			h.applyLevel(0, dst, r, k, w)
-			for level, p := range first {
-				if &w.tmp2[level][0] != p {
-					t.Errorf("Smooth: %d k=%d level %d: second iterate reallocated by a warm apply", smooth, k, level)
-				}
 			}
 		}
 	}

@@ -6,11 +6,12 @@
 // Each level stores its graph and the restriction onto the next, coarser
 // one. The apply uses the exact two-level identity B⁺r = D⁻¹r + R·Q⁺(Rᵀr)
 // with the quotient solve replaced by the next level's apply; the coarsest
-// level is solved directly. An optional damped-Jacobi pre/post smoothing pair
-// turns the pure recursion into a symmetric cycle whose coarse correction is
-// scaled, level by level, by how much of the level's weight its clustering
-// cut, and which visits the cheap coarse tail of the hierarchy twice per
-// cycle (cycle.go).
+// level is solved directly. That pure recursion is the Steiner preconditioner
+// (NewSteiner). New adds one damped-Jacobi pre/post smoothing pair per level,
+// which turns it into a symmetric cycle whose coarse correction is scaled,
+// level by level, by how much of the level's weight its clustering cut, and
+// which visits the cheap coarse tail of the hierarchy twice per cycle
+// (cycle.go).
 //
 // Levels below the finest are stored in an apply layout (layout.go): once a
 // quotient has been contracted and clustered in its natural numbering, its
@@ -38,7 +39,6 @@ type Options struct {
 	SizeCap     int   // cluster size cap per level (≥ 2)
 	Seed        int64 // perturbation seed for the clusterings
 	DirectLimit int   // largest graph handed to the direct solver, unless it is a forest
-	Smooth      int   // damped-Jacobi pre/post smoothing sweeps per level, 0 … 64
 	// Shards splits each level's clustering into that many concurrently
 	// built vertex-range shards while the level graph is large enough
 	// (≥ shardMinVertices); smaller levels always build single-pass. 0 or 1
@@ -55,10 +55,9 @@ const shardMinVertices = 1 << 15
 // real hierarchy has.
 const maxLevels = 40
 
-// DefaultOptions: clusters of ~4, 600-vertex coarse solves, one smoothing
-// sweep.
+// DefaultOptions: clusters of ~4, 600-vertex coarse solves.
 func DefaultOptions() Options {
-	return Options{SizeCap: 4, Seed: 1, DirectLimit: 600, Smooth: 1}
+	return Options{SizeCap: 4, Seed: 1, DirectLimit: 600}
 }
 
 // Level is one layer of the laminar decomposition, stored for the apply.
@@ -66,9 +65,12 @@ type Level struct {
 	// g is the level's graph: the caller's graph in the caller's numbering
 	// at level 0 (renumbered in a layout view's level 0), the quotient in its
 	// apply layout below.
-	g      *graph.Graph
-	dInv   []float64
-	smooth int
+	g    *graph.Graph
+	dInv []float64
+	// smoothed selects the cycle: one damped-Jacobi sweep before and after
+	// the coarse correction (New), or the unsmoothed Steiner recursion
+	// (NewSteiner).
+	smoothed bool
 	// gamma is the fraction of the level's weight its clustering kept inside
 	// clusters, alpha the coarse-correction scale the smoothed cycle derives
 	// from it (cycle.go). Both are functions of g and natAssign alone.
@@ -109,7 +111,7 @@ type Hierarchy struct {
 	view     atomic.Pointer[layoutView]
 }
 
-// New builds the hierarchy for g.
+// New builds the smoothed-cycle hierarchy for g.
 func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
 	return NewCtx(context.Background(), g, opt)
 }
@@ -130,9 +132,6 @@ func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
 func NewCtx(ctx context.Context, g *graph.Graph, opt Options) (*Hierarchy, error) {
 	if opt.SizeCap < 2 {
 		return nil, fmt.Errorf("hierarchy: SizeCap %d must be ≥ 2: %w", opt.SizeCap, graph.ErrInvalidInput)
-	}
-	if err := checkSmooth(opt.Smooth); err != nil {
-		return nil, err
 	}
 	if opt.DirectLimit < 1 {
 		opt.DirectLimit = 1
@@ -162,12 +161,14 @@ func NewSteiner(ctx context.Context, d *decomp.Decomposition) (*Hierarchy, error
 		return nil, err
 	}
 	opt := DefaultOptions()
-	opt.DirectLimit, opt.Smooth = steinerDirectLimit, 0
+	opt.DirectLimit = steinerDirectLimit
 	return build(ctx, d.G, d, opt, maxLevels)
 }
 
 // build runs the level loop on validated options: level 0 is first's
-// clustering when first is non-nil, whatever g's size; every other level is
+// clustering when first is non-nil, whatever g's size, and the hierarchy is
+// then the unsmoothed Steiner recursion; without first it is the smoothed
+// cycle. Every other level is
 // clustered here while the graph is above the direct limit and has a cycle,
 // for at most depthCap levels. A forest is factored whatever its size: its
 // minimum-degree elimination makes no fill.
@@ -182,7 +183,7 @@ func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt
 	}()
 	ctx, hsp := obs.StartSpan(ctx, "hierarchy/build")
 	defer hsp.End()
-	a := newAssembler(ctx, opt.Smooth)
+	a := newAssembler(ctx, first == nil)
 	cur := g
 	var levelSpans []*obs.Span // traced builds only: visits are known last
 	for level := 0; (level == 0 && first != nil) || (cur.N() > opt.DirectLimit && !cur.IsForest()); level++ {

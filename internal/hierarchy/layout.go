@@ -50,9 +50,9 @@ const layoutWindow = 4096
 // known once the next level is pushed (or turns out to be the coarsest), so
 // the last pushed level stays open until then.
 type assembler struct {
-	ctx    context.Context
-	h      *Hierarchy
-	smooth int
+	ctx      context.Context
+	h        *Hierarchy
+	smoothed bool
 	// The open level: its natural→layout map (nil: identity) and the member
 	// count of each of its clusters, by natural cluster id.
 	inv     []int32
@@ -61,8 +61,8 @@ type assembler struct {
 
 // newAssembler needs no size check of its own: a graph.Graph cannot hold more
 // than math.MaxInt32 vertices, which is what the int32 arrays here can name.
-func newAssembler(ctx context.Context, smooth int) *assembler {
-	return &assembler{ctx: ctx, h: &Hierarchy{workPool: new(sync.Pool)}, smooth: smooth}
+func newAssembler(ctx context.Context, smoothed bool) *assembler {
+	return &assembler{ctx: ctx, h: &Hierarchy{workPool: new(sync.Pool)}, smoothed: smoothed}
 }
 
 // push adds cur — natural numbering — with its clustering as the next level,
@@ -105,7 +105,7 @@ func (a *assembler) push(cur *graph.Graph, assign []int, count int) *graph.Graph
 		}
 		sp.End()
 	}
-	l := &Level{g: cur, smooth: a.smooth, dInv: make([]float64, cur.N()), natAssign: assign, count: count, gamma: gamma, alpha: alpha}
+	l := &Level{g: cur, smoothed: a.smoothed, dInv: make([]float64, cur.N()), natAssign: assign, count: count, gamma: gamma, alpha: alpha}
 	for v := range l.dInv {
 		if vol := cur.Vol(v); vol > 0 {
 			l.dInv[v] = 1 / vol

@@ -26,7 +26,7 @@ type refLevel struct {
 	assign       []int
 	count        int
 	dInv         []float64
-	smooth       int
+	smoothed     bool
 	alpha        float64
 	visits       int
 	order, start []int
@@ -44,7 +44,7 @@ func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta, share float64) *refC
 	cur := g
 	var nnz []int
 	for _, la := range dumped {
-		l := &refLevel{g: cur, assign: la.Assign, count: la.Count, smooth: smooth, dInv: make([]float64, cur.N())}
+		l := &refLevel{g: cur, assign: la.Assign, count: la.Count, smoothed: smooth == 1, dInv: make([]float64, cur.N())}
 		for v := 0; v < cur.N(); v++ {
 			if vol := cur.Vol(v); vol > 0 {
 				l.dInv[v] = 1 / vol
@@ -69,7 +69,7 @@ func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta, share float64) *refC
 		_, l.alpha = cycleScale(beta, cur.TotalVol(), q.TotalVol())
 		cur = q
 	}
-	visits, _ := cycleVisits(share, smooth, nnz, h.coarse.NNZ())
+	visits, _ := cycleVisits(share, smooth == 1, nnz, h.coarse.NNZ())
 	for i, l := range rc.levels {
 		l.visits = visits[i]
 	}
@@ -146,7 +146,7 @@ func (rc *refCycle) apply(level int, dst, r []float64, k int) {
 	l := rc.levels[level]
 	n := l.g.N()
 	rq, xq := make([]float64, l.count*k), make([]float64, l.count*k)
-	if l.smooth == 0 {
+	if !l.smoothed {
 		l.restrict(rq, r, k)
 		rc.apply(level+1, xq, rq, k)
 		for v := 0; v < n; v++ {
@@ -158,10 +158,6 @@ func (rc *refCycle) apply(level int, dst, r []float64, k int) {
 	}
 	x, tmp := dst, make([]float64, n*k)
 	l.jacobi(x, r, nil, rc.omega, k)
-	for s := 1; s < l.smooth; s++ {
-		refLapMul(l.g, tmp, x, k)
-		l.jacobi(x, r, tmp, rc.omega, k)
-	}
 	refLapMul(l.g, tmp, x, k)
 	for i := range tmp {
 		tmp[i] = r[i] - tmp[i]
@@ -185,10 +181,8 @@ func (rc *refCycle) apply(level int, dst, r []float64, k int) {
 			x[v*k+j] += l.alpha * xq[l.assign[v]*k+j]
 		}
 	}
-	for s := 0; s < l.smooth; s++ {
-		refLapMul(l.g, tmp, x, k)
-		l.jacobi(x, r, tmp, rc.omega, k)
-	}
+	refLapMul(l.g, tmp, x, k)
+	l.jacobi(x, r, tmp, rc.omega, k)
 }
 
 // layoutCorpus is one graph per family the benchmark and the serving mix
@@ -230,7 +224,7 @@ func firstDiff(got, want []float64) int {
 	return -1
 }
 
-// TestApplyMatchesReferenceCycle: on every family, smoothing depth, block
+// TestApplyMatchesReferenceCycle: on every family, cycle shape, block
 // width and worker count, Apply/ApplyBlock on the laid-out hierarchy equal
 // the natural-order reference cycle bit for bit, and so does a hierarchy
 // rebuilt from the dumped assignments — at the default DirectLimit and at 16,
@@ -240,14 +234,10 @@ func TestApplyMatchesReferenceCycle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range layoutCorpus(t) {
 		for _, limit := range []int{DefaultOptions().DirectLimit, 16} {
-			for _, smooth := range []int{0, 1, 2} {
+			for _, smooth := range []int{0, 1} {
 				opt := DefaultOptions()
-				opt.Smooth = smooth
 				opt.DirectLimit = limit
-				h, err := New(tc.g, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
+				h := newSmooth(t, tc.g, opt, smooth)
 				// A forest is factored whole: its cycle is the coarse solve.
 				forest := tc.g.IsForest()
 				if h.Depth() < 2 && !forest {

@@ -26,14 +26,17 @@ type LevelAssign struct {
 }
 
 // DumpLevels exports the hierarchy's structural state: one LevelAssign per
-// clustering level (finest first) and the smoothing sweep count. The Assign
-// slices are backed by the hierarchy's own storage — callers must treat them
-// as read-only.
+// clustering level (finest first) and the smoothing sweep count, 1 for the
+// smoothed cycle (New) and 0 for the Steiner recursion (NewSteiner). The
+// Assign slices are backed by the hierarchy's own storage — callers must
+// treat them as read-only.
 func (h *Hierarchy) DumpLevels() (levels []LevelAssign, smooth int) {
 	levels = make([]LevelAssign, 0, len(h.levels))
 	for _, l := range h.levels {
 		levels = append(levels, LevelAssign{Assign: l.natAssign, Count: l.count})
-		smooth = l.smooth
+		if l.smoothed {
+			smooth = 1
+		}
 	}
 	return levels, smooth
 }
@@ -42,8 +45,10 @@ func (h *Hierarchy) DumpLevels() (levels []LevelAssign, smooth int) {
 // assignments: each level's quotient is recomputed by contraction, laid out
 // for the apply, and the coarse factorization is redone — O(m) per level plus
 // one small sparse factorization, no clustering. Assignments are validated
-// against the level graphs they apply to; a mismatch (truncated or corrupted
-// dump) returns an error wrapping graph.ErrInvalidInput. The context is only
+// against the level graphs they apply to — level 0 of an unsmoothed dump may
+// keep every vertex its own cluster, as NewSteiner's may — and so is smooth,
+// which must be 0 or 1; a mismatch (truncated or corrupted dump) returns an
+// error wrapping graph.ErrInvalidInput. The context is only
 // polled between levels; rebuilds are fast enough that finer cancellation
 // buys nothing.
 func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth int) (h *Hierarchy, err error) {
@@ -55,16 +60,20 @@ func Rebuild(ctx context.Context, g *graph.Graph, levels []LevelAssign, smooth i
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := checkSmooth(smooth); err != nil {
-		return nil, err
+	if smooth != 0 && smooth != 1 {
+		return nil, fmt.Errorf("hierarchy: smoothing sweep count %d, want 0 or 1: %w", smooth, graph.ErrInvalidInput)
 	}
-	a := newAssembler(ctx, smooth)
+	a := newAssembler(ctx, smooth == 1)
 	cur := g
 	for i, la := range levels {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, decomp.Cancelled(ctx)
 		}
-		if err := checkLevel(i, la, cur.N(), cur.N()-1); err != nil {
+		maxCount := cur.N() - 1
+		if i == 0 && smooth == 0 {
+			maxCount = cur.N()
+		}
+		if err := checkLevel(i, la, cur.N(), maxCount); err != nil {
 			return nil, err
 		}
 		cur = a.push(cur, la.Assign, la.Count)

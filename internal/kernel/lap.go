@@ -182,30 +182,31 @@ func badRowGroup(off []int, nadj, lo, hi, d int) {
 
 // LapTile computes columns [j0, j0+width), width 8 or 4, of rows [lo, hi) of a
 // block Laplacian body over the packed row-major width-k blocks dst, r and x:
-// dst[v·k+j] = Σ_u w(v,u)·(x[v·k+j] − x[u·k+j]) in the mul mode. A row's
-// columns live in locals — in the assembly, one or two vector registers — and
-// per column the operation order is ascending entries, then wsum·xv − acc,
-// then the optional subtraction from r, then the optional x + (ω·dInv)·…: the
-// order of the callers' any-width tail. The assembly holds every row end
-// against len(adj) and every gathered id against n; a failure panics, naming
-// the row, with nothing of it stored.
-func LapTile(width int, dst, r, x, dInv []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
+// dst[v·k+j] = vol[v]·x[v·k+j] − Σ_u w(v,u)·x[u·k+j] in the mul mode, where
+// vol[v] is row v's weight sum (the graph's stored volume, summed in entry
+// order). A row's columns live in locals — in the assembly, one or two vector
+// registers — and per column the operation order is ascending entries, then
+// vol·xv − acc, then the optional subtraction from r, then the optional
+// x + (ω·dInv)·…: the order of the callers' any-width tail. The assembly holds
+// every row end against len(adj) and every gathered id against n; a failure
+// panics, naming the row, with nothing of it stored.
+func LapTile(width int, dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
 	n := len(off) - 1
 	check("lapTile", width, k, j0, lo, hi, span{"off", len(off), hi + 1}, span{"w", len(w), len(adj)},
-		span{"dst", len(dst), hi * k}, span{"x", len(x), n * k}, opt("r", r, hi*k), opt("dInv", dInv, hi))
+		span{"dst", len(dst), hi * k}, span{"x", len(x), n * k}, span{"vol", len(vol), hi}, opt("r", r, hi*k), opt("dInv", dInv, hi))
 	for lo < hi {
 		end := next(lo, hi, k)
 		var bad int
 		switch {
 		case avx2 && width == 8:
-			bad = lapTile8AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
+			bad = lapTile8AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), at(vol, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
 		case avx2:
-			bad = lapTile4AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
+			bad = lapTile4AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), at(vol, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
 		case width == 8:
-			lapTile8(dst, r, x, dInv, omega, adj, w, off, k, j0, lo, end)
+			lapTile8(dst, r, x, dInv, vol, omega, adj, w, off, k, j0, lo, end)
 			bad = -1
 		default:
-			lapTile4(dst, r, x, dInv, omega, adj, w, off, k, j0, lo, end)
+			lapTile4(dst, r, x, dInv, vol, omega, adj, w, off, k, j0, lo, end)
 			bad = -1
 		}
 		if bad >= 0 {
@@ -216,14 +217,14 @@ func LapTile(width int, dst, r, x, dInv []float64, omega float64, adj []int32, w
 	}
 }
 
-func lapTile8(dst, r, x, dInv []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
+func lapTile8(dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
 	w, ends, i := rowSpan(w, adj, off, lo, hi)
+	vol = vol[lo:hi][:len(ends)]
 	for row, e := range ends {
 		v := lo + row
-		var a0, a1, a2, a3, a4, a5, a6, a7, wsum float64
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		for end := RowEnd(e, adj); i < end; i++ {
 			wi := w[i]
-			wsum += wi
 			b := int(uint32(adj[i]))*k + j0
 			xu := x[b : b+8 : b+8]
 			a0 += wi * xu[0]
@@ -236,15 +237,15 @@ func lapTile8(dst, r, x, dInv []float64, omega float64, adj []int32, w []float64
 			a7 += wi * xu[7]
 		}
 		b := v*k + j0
-		xv := x[b : b+8 : b+8]
-		a0 = wsum*xv[0] - a0
-		a1 = wsum*xv[1] - a1
-		a2 = wsum*xv[2] - a2
-		a3 = wsum*xv[3] - a3
-		a4 = wsum*xv[4] - a4
-		a5 = wsum*xv[5] - a5
-		a6 = wsum*xv[6] - a6
-		a7 = wsum*xv[7] - a7
+		xv, vv := x[b:b+8:b+8], vol[row]
+		a0 = vv*xv[0] - a0
+		a1 = vv*xv[1] - a1
+		a2 = vv*xv[2] - a2
+		a3 = vv*xv[3] - a3
+		a4 = vv*xv[4] - a4
+		a5 = vv*xv[5] - a5
+		a6 = vv*xv[6] - a6
+		a7 = vv*xv[7] - a7
 		if r != nil {
 			rv := r[b : b+8 : b+8]
 			a0 = rv[0] - a0
@@ -273,14 +274,14 @@ func lapTile8(dst, r, x, dInv []float64, omega float64, adj []int32, w []float64
 	}
 }
 
-func lapTile4(dst, r, x, dInv []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
+func lapTile4(dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
 	w, ends, i := rowSpan(w, adj, off, lo, hi)
+	vol = vol[lo:hi][:len(ends)]
 	for row, e := range ends {
 		v := lo + row
-		var a0, a1, a2, a3, wsum float64
+		var a0, a1, a2, a3 float64
 		for end := RowEnd(e, adj); i < end; i++ {
 			wi := w[i]
-			wsum += wi
 			b := int(uint32(adj[i]))*k + j0
 			xu := x[b : b+4 : b+4]
 			a0 += wi * xu[0]
@@ -289,11 +290,11 @@ func lapTile4(dst, r, x, dInv []float64, omega float64, adj []int32, w []float64
 			a3 += wi * xu[3]
 		}
 		b := v*k + j0
-		xv := x[b : b+4 : b+4]
-		a0 = wsum*xv[0] - a0
-		a1 = wsum*xv[1] - a1
-		a2 = wsum*xv[2] - a2
-		a3 = wsum*xv[3] - a3
+		xv, vv := x[b:b+4:b+4], vol[row]
+		a0 = vv*xv[0] - a0
+		a1 = vv*xv[1] - a1
+		a2 = vv*xv[2] - a2
+		a3 = vv*xv[3] - a3
 		if r != nil {
 			rv := r[b : b+4 : b+4]
 			a0 = rv[0] - a0

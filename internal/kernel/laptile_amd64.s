@@ -6,12 +6,12 @@
 // columns live in YMM accumulators (two for tile 8, one for tile 4) and every
 // column sees the IEEE operations of the Go tile in the Go tile's order:
 // multiply then add — never a fused multiply-add — ascending entries, then
-// wsum·x_v − acc, then the optional r_v −, then the optional x_v + (ω·d⁻¹_v)·.
+// vol_v·x_v − acc, then the optional r_v −, then the optional x_v + (ω·d⁻¹_v)·.
 // Both functions share one signature and one register plan:
 //
 //	SI adj   DI w   R8 x (column j0)   R9 row stride in bytes   R10 n
 //	R12 off  BX row v   R13 hi   R11 v·stride   CX entry cursor   DX row end
-//	Y0, Y1 accumulators   X3 wsum   Y2 broadcast scalar   Y4–Y7 row operands
+//	Y0, Y1 accumulators   Y2 broadcast scalar   Y4–Y7 row operands
 //
 // dst, r and x point at column j0 of row 0; r and dInv may be nil and select
 // the mode as in the Go tiles. Every row end is held against nadj and every
@@ -22,31 +22,30 @@
 // the cursor at the first entry of row lo.
 #define LOAD_PLAN \
 	MOVQ  x+16(FP), R8     \
-	MOVQ  adj+40(FP), SI   \
-	MOVQ  w+48(FP), DI     \
-	MOVQ  off+56(FP), R12  \
-	MOVQ  lo+64(FP), BX    \
-	MOVQ  hi+72(FP), R13   \
-	MOVQ  k+80(FP), R9     \
+	MOVQ  adj+48(FP), SI   \
+	MOVQ  w+56(FP), DI     \
+	MOVQ  off+64(FP), R12  \
+	MOVQ  lo+72(FP), BX    \
+	MOVQ  hi+80(FP), R13   \
+	MOVQ  k+88(FP), R9     \
 	SHLQ  $3, R9           \
-	MOVQ  n+88(FP), R10    \
+	MOVQ  n+96(FP), R10    \
 	MOVQ  R9, R11          \
 	IMULQ BX, R11          \
 	MOVQ  (R12)(BX*8), CX
 
-// func lapTile8AVX2(dst, r, x, dInv *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
-TEXT ·lapTile8AVX2(SB), NOSPLIT, $0-112
+// func lapTile8AVX2(dst, r, x, dInv, vol *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
+TEXT ·lapTile8AVX2(SB), NOSPLIT, $0-120
 	LOAD_PLAN
 
 row8:
 	CMPQ   BX, R13
 	JGE    ok8
 	MOVQ   8(R12)(BX*8), DX
-	CMPQ   DX, nadj+96(FP)
+	CMPQ   DX, nadj+104(FP)
 	JHI    done8
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
-	VXORPD X3, X3, X3
 	CMPQ   CX, DX
 	JAE    fin8
 
@@ -55,7 +54,6 @@ entry8:
 	CMPQ         AX, R10
 	JAE          done8
 	VBROADCASTSD (DI)(CX*8), Y2
-	VADDSD       X2, X3, X3
 	IMULQ        R9, AX
 	VMULPD       (R8)(AX*1), Y2, Y4
 	VMULPD       32(R8)(AX*1), Y2, Y5
@@ -66,7 +64,8 @@ entry8:
 	JB           entry8
 
 fin8:
-	VBROADCASTSD X3, Y2
+	MOVQ         vol+32(FP), AX
+	VBROADCASTSD (AX)(BX*8), Y2
 	VMOVUPD      (R8)(R11*1), Y4
 	VMOVUPD      32(R8)(R11*1), Y5
 	VMULPD       Y4, Y2, Y6
@@ -83,7 +82,7 @@ fin8:
 	MOVQ         dInv+24(FP), AX
 	TESTQ        AX, AX
 	JZ           store8
-	VMOVSD       omega+32(FP), X2
+	VMOVSD       omega+40(FP), X2
 	VMULSD       (AX)(BX*8), X2, X2
 	VBROADCASTSD X2, Y2
 	VMULPD       Y2, Y0, Y0
@@ -104,21 +103,20 @@ ok8:
 
 done8:
 	VZEROUPPER
-	MOVQ BX, bad+104(FP)
+	MOVQ BX, bad+112(FP)
 	RET
 
-// func lapTile4AVX2(dst, r, x, dInv *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
-TEXT ·lapTile4AVX2(SB), NOSPLIT, $0-112
+// func lapTile4AVX2(dst, r, x, dInv, vol *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
+TEXT ·lapTile4AVX2(SB), NOSPLIT, $0-120
 	LOAD_PLAN
 
 row4:
 	CMPQ   BX, R13
 	JGE    ok4
 	MOVQ   8(R12)(BX*8), DX
-	CMPQ   DX, nadj+96(FP)
+	CMPQ   DX, nadj+104(FP)
 	JHI    done4
 	VXORPD X0, X0, X0
-	VXORPD X3, X3, X3
 	CMPQ   CX, DX
 	JAE    fin4
 
@@ -127,7 +125,6 @@ entry4:
 	CMPQ         AX, R10
 	JAE          done4
 	VBROADCASTSD (DI)(CX*8), Y2
-	VADDSD       X2, X3, X3
 	IMULQ        R9, AX
 	VMULPD       (R8)(AX*1), Y2, Y4
 	VADDPD       Y4, Y0, Y0
@@ -136,7 +133,8 @@ entry4:
 	JB           entry4
 
 fin4:
-	VBROADCASTSD X3, Y2
+	MOVQ         vol+32(FP), AX
+	VBROADCASTSD (AX)(BX*8), Y2
 	VMOVUPD      (R8)(R11*1), Y4
 	VMULPD       Y4, Y2, Y6
 	VSUBPD       Y0, Y6, Y0
@@ -148,7 +146,7 @@ fin4:
 	MOVQ         dInv+24(FP), AX
 	TESTQ        AX, AX
 	JZ           store4
-	VMOVSD       omega+32(FP), X2
+	VMOVSD       omega+40(FP), X2
 	VMULSD       (AX)(BX*8), X2, X2
 	VBROADCASTSD X2, Y2
 	VMULPD       Y2, Y0, Y0
@@ -166,7 +164,7 @@ ok4:
 
 done4:
 	VZEROUPPER
-	MOVQ BX, bad+104(FP)
+	MOVQ BX, bad+112(FP)
 	RET
 
 // func cpuHasAVX2() bool

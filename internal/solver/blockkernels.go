@@ -10,7 +10,7 @@ import (
 // block streams each cache line once for all k columns, where the vector
 // kernels would stream the vectors k separate times. The hot kernels are
 // *fused*: the PCG update x += α∘p, r −= α∘ap runs in the same pass that
-// accumulates the column sums (or squared norms) the next step needs,
+// accumulates the column sums the next step's mean projection needs,
 // cutting the per-iteration memory passes roughly in half versus running the
 // unfused kernel sequence per column.
 //
@@ -154,11 +154,15 @@ func (s *scratch) blockColSums(x []float64, n, k int, out []float64) {
 	})
 }
 
-// blockSubMeanNormSq subtracts mean[j] from column j and accumulates the new
-// squared column norms in the same sweep (fused pass 2 of the projection): the
-// shifted block's product with itself, as shiftDot serves both at width 1.
-func (s *scratch) blockSubMeanNormSq(x []float64, n, k int, mean, out []float64) {
-	s.blockSubMeanDot(x, x, n, k, mean, out)
+// blockSubMeans is pass 2 of the mean projection: it turns the column sums
+// in mean into column means, subtracts them from v's columns and accumulates
+// out[j] = (projected v_j)ᵀw_j in the same sweep — with w = v, the squared
+// column norms, as shiftDot serves both at width 1.
+func (s *scratch) blockSubMeans(v, w []float64, n, k int, mean, out []float64) {
+	for j := 0; j < k; j++ {
+		mean[j] /= float64(n)
+	}
+	s.blockSubMeanDot(v, w, n, k, mean, out)
 }
 
 // blockSubMeanDot subtracts mean[j] from z's column j and accumulates the
@@ -203,8 +207,7 @@ func blockSubMeanDotTail(z, r, mean []float64, k, j0, lo, hi int, acc []float64)
 	}
 }
 
-// blockUpdateXRSums is the fused PCG update for projected (singular) systems:
-// x += α∘p, r −= α∘ap, with the new residual's column sums — pass 1 of the
+// blockUpdateXRSums is the fused PCG update: x += α∘p, r −= α∘ap, with the new residual's column sums — pass 1 of the
 // next mean projection — accumulated in the same sweep.
 func (s *scratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int, sums []float64) {
 	if k == 1 {
@@ -246,32 +249,6 @@ func blockUpdateXRSumsTail(x, r, p, ap, alpha []float64, k, j0, lo, hi int, acc 
 			acc[j] += rv[j]
 		}
 	}
-}
-
-// blockUpdateXRNormSq is the fused PCG update for non-projected systems:
-// x += α∘p, r −= α∘ap, accumulating the new squared residual norms directly.
-// It stays on the any-width loop: no measured workload solves k > 1
-// non-projected systems.
-func (s *scratch) blockUpdateXRNormSq(x, r, p, ap, alpha []float64, n, k int, out []float64) {
-	if k == 1 {
-		updateXR(x[:n], r[:n], alpha[0], p[:n], ap[:n])
-		out[0] = dot(r[:n], r[:n])
-		return
-	}
-	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		for v := lo; v < hi; v++ {
-			xv := x[v*k : v*k+k : v*k+k]
-			rv := r[v*k : v*k+k : v*k+k]
-			pv := p[v*k : v*k+k : v*k+k]
-			av := ap[v*k : v*k+k : v*k+k]
-			for j := range xv {
-				a := alpha[j]
-				xv[j] += a * pv[j]
-				rv[j] -= a * av[j]
-				acc[j] += rv[j] * rv[j]
-			}
-		}
-	})
 }
 
 // blockXPBY computes p = z + β∘p per column (the direction update).

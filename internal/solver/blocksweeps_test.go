@@ -28,8 +28,7 @@ func (a *sweepArgs) clone() *sweepArgs {
 	return &c
 }
 
-// blockSweeps lists the tiled k > 1 kernels of blockkernels.go (all but
-// blockUpdateXRNormSq, which has only its any-width loop) three ways: tiled is
+// blockSweeps lists the tiled k > 1 kernels of blockkernels.go three ways: tiled is
 // the row-range body the solver runs (8-wide tile, 4-wide tile, tail); loop is
 // the kernel's any-width loop from column 0 — its tail, and the reference
 // both forms of the tiles are held to; whole is the kernel's entry point over
@@ -59,7 +58,7 @@ var blockSweeps = []struct {
 	{"subMeanNormSq",
 		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.x, a.coef, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.x, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
-		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanNormSq(a.x, n, a.k, a.coef, a.acc) }},
+		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanDot(a.x, a.x, n, a.k, a.coef, a.acc) }},
 	{"updateXRSums",
 		func(a *sweepArgs) { blockUpdateXRSumsRange(a.x, a.r, a.p, a.ap, a.coef, a.k, a.lo, a.hi, a.acc) },
 		func(a *sweepArgs) { blockUpdateXRSumsTail(a.x, a.r, a.p, a.ap, a.coef, a.k, 0, a.lo, a.hi, a.acc) },

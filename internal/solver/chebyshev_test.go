@@ -15,7 +15,7 @@ import (
 // [0.8, 1.2], as hcd.Do's Chebyshev method does.
 func chebyshevBounds(t *testing.T, a Operator, m Preconditioner, b []float64) (float64, float64) {
 	t.Helper()
-	probe := pcg(t, a, m, b, Options{Tol: 1e-12, MaxIter: 40, ProjectMean: true})
+	probe := pcg(t, a, m, b, Options{Tol: 1e-12, MaxIter: 40})
 	lmin, lmax, err := SpectrumEstimate(probe.Alphas, probe.Betas)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestChebyshevBlockMatchesColumns(t *testing.T) {
 		bs[j] = meanFreeRHS(rng, g.N())
 	}
 	lmin, lmax := chebyshevBounds(t, LapOperator(g), h, bs[0])
-	opt := Options{Tol: 1e-8, MaxIter: 400, ProjectMean: true}
+	opt := Options{Tol: 1e-8, MaxIter: 400}
 	block, err := ChebyshevCtx(context.Background(), LapOperator(g), h, bs, lmin, lmax, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +101,9 @@ func TestChebyshevOneTraversalPerIteration(t *testing.T) {
 		k    int
 		opt  Options
 	}{
-		{"budget k=4", 4, Options{MaxIter: 25, ProjectMean: true}},
-		{"budget k=8", 8, Options{MaxIter: 25, ProjectMean: true}},
-		{"converging k=4", 4, Options{MaxIter: 2000, Tol: 1e-6, ProjectMean: true}},
+		{"budget k=4", 4, Options{MaxIter: 25}},
+		{"budget k=8", 8, Options{MaxIter: 25}},
+		{"converging k=4", 4, Options{MaxIter: 2000, Tol: 1e-6}},
 	} {
 		bs := make([][]float64, tc.k)
 		for j := range bs {
@@ -153,7 +153,7 @@ func TestChebyshevGOMAXPROCSInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(1)
 	lmin, lmax := chebyshevBounds(t, LapOperator(g), h, bs[0])
-	opt := Options{Tol: 1e-10, MaxIter: 60, ProjectMean: true}
+	opt := Options{Tol: 1e-10, MaxIter: 60}
 	solve := func(procs, k int) []Result {
 		runtime.GOMAXPROCS(procs)
 		results, err := ChebyshevCtx(context.Background(), LapOperator(g), h, bs[:k], lmin, lmax, opt)

@@ -194,7 +194,7 @@ func TestChebyshevCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := chebyshev(ctx, LapOperator(g), Jacobi(g), b, 0.1, 2.0,
-		Options{MaxIter: 100, ProjectMean: true})
+		Options{MaxIter: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 
 	cres, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 0.05, 2.5,
-		Options{MaxIter: 30, ProjectMean: true})
+		Options{MaxIter: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestEngineChebyshevAndDimErrors(t *testing.T) {
 	}
 	// Bootstrap spectrum bounds from a PCG probe, as hcd.Do's Chebyshev
 	// method does.
-	probe, err := single(eng.SolveBlock(context.Background(), [][]float64{b}, Options{Tol: 1e-12, MaxIter: 40, ProjectMean: true}))
+	probe, err := single(eng.SolveBlock(context.Background(), [][]float64{b}, Options{Tol: 1e-12, MaxIter: 40}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestEngineChebyshevAndDimErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := single(eng.SolveChebyshev(context.Background(), [][]float64{b}, lmin*0.8, lmax*1.2,
-		Options{MaxIter: 1000, ProjectMean: true, Tol: 1e-6}))
+		Options{MaxIter: 1000, Tol: 1e-6}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -463,17 +463,10 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	for pos := range rawNorm {
 		rawNorm[pos] = math.Sqrt(rawNorm[pos])
 	}
-	if opt.ProjectMean {
-		s.blockColSums(r, n, k, mean)
-		for pos := range mean {
-			mean[pos] /= float64(n)
-		}
-		s.blockSubMeanNormSq(r, n, k, mean, rn)
-		for pos := range rn {
-			rn[pos] = math.Sqrt(rn[pos])
-		}
-	} else {
-		copy(rn, rawNorm)
+	s.blockColSums(r, n, k, mean)
+	s.blockSubMeans(r, r, n, k, mean, rn)
+	for pos := range rn {
+		rn[pos] = math.Sqrt(rn[pos])
 	}
 	anyDead := false
 	for pos, j := range cols {
@@ -512,15 +505,8 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 		for _, j := range s.active {
 			results[j].Metrics.PrecondApplies++
 		}
-		if opt.ProjectMean {
-			s.blockColSums(z, n, kA, mean)
-			for pos := 0; pos < kA; pos++ {
-				mean[pos] /= float64(n)
-			}
-			s.blockSubMeanDot(z, r, n, kA, mean, rz)
-		} else if !ru.chebyshev() {
-			s.blockDots(r, z, n, kA, rz)
-		}
+		s.blockColSums(z, n, kA, mean)
+		s.blockSubMeans(z, r, n, kA, mean, rz)
 		copy(p[:n*kA], z[:n*kA])
 		// Chebyshev's α, one for every column (unused under PCG's rule).
 		chebAlpha := 1 / ru.theta
@@ -573,16 +559,9 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 				}
 			}
 			// Fused update: x += α∘p, r −= α∘ap, with the projection sums
-			// (or residual norms) accumulated in the same sweep.
-			if opt.ProjectMean {
-				s.blockUpdateXRSums(x, r, p, ap, alpha, n, kA, mean)
-				for pos := 0; pos < kA; pos++ {
-					mean[pos] /= float64(n)
-				}
-				s.blockSubMeanNormSq(r, n, kA, mean, rn)
-			} else {
-				s.blockUpdateXRNormSq(x, r, p, ap, alpha, n, kA, rn)
-			}
+			// accumulated in the same sweep.
+			s.blockUpdateXRSums(x, r, p, ap, alpha, n, kA, mean)
+			s.blockSubMeans(r, r, n, kA, mean, rn)
 			iters = iter + 1
 			maxRn := 0.0
 			for pos := 0; pos < kA; pos++ {
@@ -625,23 +604,17 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 					break
 				}
 			}
-			if ru.chebyshev() && iters == opt.MaxIter {
-				// The budget is spent: no next direction, so no apply of M.
+			if iters == opt.MaxIter {
+				// The budget is spent: no next direction, so no apply of M
+				// and no β.
 				break
 			}
 			s.applyBlock(m, z, r, n, kA)
 			for _, j := range s.active {
 				results[j].Metrics.PrecondApplies++
 			}
-			if opt.ProjectMean {
-				s.blockColSums(z, n, kA, mean)
-				for pos := 0; pos < kA; pos++ {
-					mean[pos] /= float64(n)
-				}
-				s.blockSubMeanDot(z, r, n, kA, mean, rzNew)
-			} else if !ru.chebyshev() {
-				s.blockDots(r, z, n, kA, rzNew)
-			}
+			s.blockColSums(z, n, kA, mean)
+			s.blockSubMeans(z, r, n, kA, mean, rzNew)
 			if ru.chebyshev() {
 				d := ru.delta * chebAlpha
 				b := (d / 2) * (d / 2)

@@ -253,3 +253,36 @@ func TestBlockPCGDimensionErrors(t *testing.T) {
 		t.Fatal("want error for empty block")
 	}
 }
+
+// TestPCGBudgetStopsBeforeApply: a PCG solve whose budget runs out applies M
+// once per matvec — the apply that opens the solve and one after every
+// iteration but the last — and records one β fewer than α: no direction
+// follows the last iteration, so none is paid for. At k = 4 the block walks
+// M as often as one column does.
+func TestPCGBudgetStopsBeforeApply(t *testing.T) {
+	g := workload.Grid2D(20, 20, nil, 1)
+	rng := rand.New(rand.NewSource(40))
+	const budget = 5
+	for _, k := range []int{1, 4} {
+		bs := make([][]float64, k)
+		for j := range bs {
+			bs[j] = meanFreeRHS(rng, g.N())
+		}
+		m := &traversals{op: Jacobi(g)}
+		results, err := BlockPCGCtx(context.Background(), LapOperator(g), m, bs, Options{MaxIter: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, res := range results {
+			if res.Outcome != OutcomeMaxIter || res.Metrics.MatVecs != budget || res.Metrics.PrecondApplies != budget ||
+				len(res.Alphas) != budget || len(res.Betas) != budget-1 {
+				t.Errorf("k=%d column %d: %v after %d matvecs, %d applies, %d α, %d β; want max-iterations after %d, %d, %d, %d",
+					k, j, res.Outcome, res.Metrics.MatVecs, res.Metrics.PrecondApplies, len(res.Alphas), len(res.Betas),
+					budget, budget, budget, budget-1)
+			}
+		}
+		if m.calls != budget {
+			t.Errorf("k=%d: M walked %d times, want %d", k, m.calls, budget)
+		}
+	}
+}

@@ -125,7 +125,7 @@ func TestChebyshevDivergenceGuard(t *testing.T) {
 	g, b := testSystem(t, 17)
 	// Grossly wrong (too small) eigenvalue bounds make Chebyshev diverge
 	// geometrically; the guard must stop it instead of iterating to Inf.
-	opt := Options{MaxIter: 50000, ProjectMean: true}
+	opt := Options{MaxIter: 50000}
 	res, err := chebyshev(context.Background(), LapOperator(g), nil, b, 1e-7, 2e-7, opt)
 	if err != nil {
 		t.Fatalf("chebyshev: %v", err)
@@ -147,7 +147,7 @@ func TestChebyshevInjectedNaN(t *testing.T) {
 		faultinject.MatvecNaN: {OnHit: 4, Count: 1},
 	})
 	defer restore()
-	opt := Options{MaxIter: 200, Tol: 1e-8, ProjectMean: true}
+	opt := Options{MaxIter: 200, Tol: 1e-8}
 	res, err := chebyshev(context.Background(), LapOperator(g), nil, b, 0.05, 8.5, opt)
 	if err != nil {
 		t.Fatalf("chebyshev: %v", err)

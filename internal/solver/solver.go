@@ -138,10 +138,12 @@ func Jacobi(g *graph.Graph) Preconditioner {
 }
 
 // Options controls the iteration. The context is polled once per iteration.
+// Every operator the library builds is a graph Laplacian, so every solve
+// keeps its residuals and directions ⊥ 1, its null space on a connected
+// graph.
 type Options struct {
-	Tol         float64 // relative residual tolerance (default 1e-8)
-	MaxIter     int     // default 10·n
-	ProjectMean bool    // keep iterates ⊥ 1 (for singular Laplacian systems)
+	Tol     float64 // relative residual tolerance (default 1e-8)
+	MaxIter int     // default 10·n
 	// Observer, when non-nil, is invoked after every iteration with the
 	// iteration number (1-based) and the residual norm (the largest over the
 	// active columns of a block solve) — the streaming alternative to the
@@ -167,7 +169,7 @@ const divergenceTol = 1e8
 
 // DefaultOptions returns the standard Laplacian-solve settings.
 func DefaultOptions() Options {
-	return Options{Tol: 1e-8, MaxIter: 0, ProjectMean: true}
+	return Options{Tol: 1e-8, MaxIter: 0}
 }
 
 // Outcome classifies how a solve terminated.
@@ -253,9 +255,9 @@ type Result struct {
 }
 
 // PCGCtx solves A·x = b with preconditioned conjugate gradients (plain CG
-// for a nil m). For singular Laplacian operators set opt.ProjectMean so the
-// right-hand side and iterates stay orthogonal to the constant vector. The
-// iteration loop polls ctx every iteration and returns OutcomeCancelled
+// for a nil m) on a graph Laplacian: the right-hand side, residuals and
+// preconditioned residuals are projected orthogonal to the constant vector,
+// the Laplacian's null space. The iteration loop polls ctx every iteration and returns OutcomeCancelled
 // promptly when the context is done; size mismatches return
 // an error wrapping graph.ErrBadDimension. It is the one-column case of
 // BlockPCGCtx.

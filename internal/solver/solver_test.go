@@ -109,8 +109,8 @@ func TestPCGZeroRHS(t *testing.T) {
 }
 
 func TestPCGConstantRHSProjected(t *testing.T) {
-	// b = constant vector is entirely in the Laplacian null space; with
-	// ProjectMean the solver must return x = 0 immediately.
+	// b = constant vector is entirely in the Laplacian null space; the
+	// projected solver must return x = 0 immediately.
 	g := workload.Grid2D(5, 5, nil, 1)
 	b := make([]float64, g.N())
 	for i := range b {
@@ -167,30 +167,24 @@ func TestOverflowingRHSBreaksDown(t *testing.T) {
 }
 
 func TestSpectrumEstimateOnKnownOperator(t *testing.T) {
-	// Diagonal operator with known eigenvalues 1..n: CG coefficients must
-	// reproduce the extremes.
+	// The unit-weight path on n vertices has Laplacian eigenvalues
+	// 2 − 2cos(πj/n), j = 0 … n−1, all distinct: CG coefficients on the
+	// mean-free subspace must reproduce the extremes j = 1 and j = n−1.
 	n := 30
-	diag := make([]float64, n)
-	for i := range diag {
-		diag[i] = float64(i + 1)
+	edges := make([]graph.Edge, n-1)
+	for i := range edges {
+		edges[i] = graph.Edge{U: i, V: i + 1, W: 1}
 	}
-	op := OpFunc{N: n, F: func(dst, x []float64) {
-		for i := range dst {
-			dst[i] = diag[i] * x[i]
-		}
-	}}
-	rng := rand.New(rand.NewSource(4))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	res := pcg(t, op, Identity(n), b, Options{Tol: 1e-14, MaxIter: n, ProjectMean: false})
+	g := graph.MustFromEdges(n, edges)
+	b := meanFreeRHS(rand.New(rand.NewSource(4)), n)
+	res := pcg(t, LapOperator(g), Identity(n), b, Options{Tol: 1e-14, MaxIter: n})
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(lmin-1) > 0.05 || math.Abs(lmax-float64(n)) > 0.5 {
-		t.Errorf("spectrum estimate [%v, %v], want [1, %d]", lmin, lmax, n)
+	wantMin, wantMax := 2-2*math.Cos(math.Pi/float64(n)), 2+2*math.Cos(math.Pi/float64(n))
+	if math.Abs(lmin-wantMin) > 1e-3*wantMin || math.Abs(lmax-wantMax) > 1e-3*wantMax {
+		t.Errorf("spectrum estimate [%v, %v] after %d iterations, want [%v, %v]", lmin, lmax, res.Iterations, wantMin, wantMax)
 	}
 }
 
@@ -199,13 +193,13 @@ func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 	g := workload.Grid2D(10, 10, nil, 1)
 	b := meanFreeRHS(rng, g.N())
 	// Estimate spectrum of D⁻¹A via PCG first.
-	res := pcg(t, LapOperator(g), Jacobi(g), b, Options{Tol: 1e-13, MaxIter: 200, ProjectMean: true})
+	res := pcg(t, LapOperator(g), Jacobi(g), b, Options{Tol: 1e-13, MaxIter: 200})
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cheb, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1,
-		Options{MaxIter: 200, ProjectMean: true})
+		Options{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,7 @@ func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 func TestChebyshevRejectsBadBounds(t *testing.T) {
 	g := workload.Grid2D(3, 3, nil, 1)
 	b := make([]float64, g.N())
-	opt := Options{MaxIter: 5, ProjectMean: true}
+	opt := Options{MaxIter: 5}
 	if _, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 0, 1, opt); err == nil {
 		t.Error("lmin=0 accepted")
 	}

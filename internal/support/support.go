@@ -109,7 +109,7 @@ type Numbers struct {
 // iters bounds the Lanczos depth; 50–100 gives 2–3 digits on well-behaved
 // pencils.
 func Probe(a solver.Operator, bInv solver.Preconditioner, probe []float64, iters int) (Numbers, error) {
-	res, err := solver.PCGCtx(context.Background(), a, bInv, probe, solver.Options{Tol: 1e-14, MaxIter: iters, ProjectMean: true})
+	res, err := solver.PCGCtx(context.Background(), a, bInv, probe, solver.Options{Tol: 1e-14, MaxIter: iters})
 	if err != nil {
 		return Numbers{}, err
 	}
