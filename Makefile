@@ -4,6 +4,8 @@
 GO ?= go
 # FUZZTIME is each fuzz target's pass in `make fuzz` (CI runs it at 20s).
 FUZZTIME ?= 10s
+# ROUNDS is the theorem battery's round count in `make selfcheck` (CI runs 5).
+ROUNDS ?= 25
 
 .PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke cli-methods vet fmt check race race-solver determinism examples selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
 
@@ -66,8 +68,10 @@ bench:
 server-smoke:
 	$(GO) run ./cmd/hcd-server -smoke
 
+# selfcheck: the default theorem battery — randomized instances against the
+# paper's bounds and the cycle's symmetry and definiteness.
 selfcheck:
-	$(GO) run ./cmd/hcd-selfcheck -rounds 25
+	$(GO) run ./cmd/hcd-selfcheck -rounds $(ROUNDS)
 
 # chaos: the deterministic fault-recovery battery — injected NaNs, worker
 # panics, corrupted builds, forced breakdowns, malformed input.

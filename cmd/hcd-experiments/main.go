@@ -323,7 +323,7 @@ func e8() {
 
 // e9 runs the minor-free (low-stretch tree) pipeline across sizes.
 func e9() {
-	t := cli.NewTable("side", "n", "φ", "ρ", "avg stretch", "n·φ·ρ / (n/log³n)")
+	t := cli.NewTable("side", "n", "φ", "ρ", "avg stretch", "φ·log³n")
 	for _, side := range []int{20, 40, 60} {
 		g := hcd.Grid2D(side, side, hcd.LognormalWeights(1.5), 11)
 		res := must(decomposeMinorFree(g, 2))

@@ -9,7 +9,7 @@
 //
 //	hcd-server -addr :8080
 //	hcd-server -addr :8080 -max-handles 16 -max-bytes 536870912 -pool 4
-//	hcd-server -addr :8080 -rate 100 -burst 200 -queue 64 -policy sjf
+//	hcd-server -addr :8080 -rate 100 -burst 200 -queue 64
 //	hcd-server -addr :8080 -state-dir /var/lib/hcd   # durable handles
 //	hcd-server -addr :8080 -max-timeout 30s -breaker 3
 //	hcd-server -addr :8080 -log-json -log-level info   # JSON access logs
@@ -54,12 +54,9 @@ func run() (err error) {
 	rate := flag.Float64("rate", 50, "admission tokens per second per tenant (1 token = 1 right-hand side)")
 	burst := flag.Float64("burst", 100, "admission token bucket capacity per tenant")
 	queue := flag.Int("queue", 64, "queued solve requests per tenant before 429")
-	policy := flag.String("policy", "fcfs", "admission queue order: fcfs | sjf")
 	stateDir := flag.String("state-dir", "", "durable handle state directory (empty = memory-only)")
 	breaker := flag.Int("breaker", 3, "consecutive build failures before a handle degrades to the CG fallback (negative disables)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on per-request ?timeout_ms deadline budgets (0 = uncapped)")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batching window: PCG solves against one handle arriving within this window coalesce into one block solve (0 = off)")
-	batchWidth := flag.Int("batch-width", 16, "max right-hand sides coalesced per batch (fires early when full)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGTERM")
 	smoke := flag.Bool("smoke", false, "run the in-process smoke battery and exit")
 	o := cli.ObsFlags()
@@ -88,13 +85,11 @@ func run() (err error) {
 		MaxBytes:   *maxBytes,
 		PoolSize:   *pool,
 		Admission: serve.AdmissionConfig{
-			Rate: *rate, Burst: *burst, MaxQueue: *queue, Policy: serve.QueuePolicy(*policy),
+			Rate: *rate, Burst: *burst, MaxQueue: *queue,
 		},
 		StateDir:         *stateDir,
 		BreakerThreshold: *breaker,
 		MaxTimeout:       *maxTimeout,
-		BatchWindow:      *batchWindow,
-		BatchMaxWidth:    *batchWidth,
 		Registry:         o.Registry,
 		Tracer:           o.Tracer,
 		Logger:           logger,

@@ -93,8 +93,6 @@ type solveWire struct {
 	CacheHit    bool  `json:"cache_hit"`
 	Degraded    bool  `json:"degraded"`
 	QueueWaitMS int64 `json:"queue_wait_ms"`
-	Batched     bool  `json:"batched"`
-	BatchWidth  int   `json:"batch_width"`
 	Results     []struct {
 		Outcome    string `json:"outcome"`
 		Converged  bool   `json:"converged"`
@@ -110,7 +108,6 @@ type sample struct {
 	converged   bool
 	iterations  int
 	degraded    bool
-	batched     bool
 	cacheHit    bool
 	queueWaitMS int64
 	latency     time.Duration
@@ -239,7 +236,6 @@ func issue(ctx context.Context, tgt target, handles []string, rq Request) sample
 		return s
 	}
 	s.degraded = sw.Degraded
-	s.batched = sw.Batched
 	s.cacheHit = sw.CacheHit
 	s.queueWaitMS = sw.QueueWaitMS
 	if len(sw.Results) == 0 {

@@ -18,7 +18,6 @@ type Deterministic struct {
 	Converged       int            `json:"converged"`
 	Errors          int            `json:"errors"`
 	Degraded        int            `json:"degraded"`
-	Batched         int            `json:"batched"`
 	CacheHits       int            `json:"cache_hits"`
 	TotalIterations int64          `json:"total_iterations"`
 	// Iteration-count quantiles over requests, computed exactly from the
@@ -130,9 +129,6 @@ func buildReport(tr *Trace, samples []sample, wall time.Duration) *Report {
 		}
 		if s.degraded {
 			det.Degraded++
-		}
-		if s.batched {
-			det.Batched++
 		}
 		if s.cacheHit {
 			det.CacheHits++

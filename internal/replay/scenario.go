@@ -184,11 +184,11 @@ var builtins = map[string]Scenario{
 			{Spec: "femesh:20"},
 		},
 		// The committed mix stays on the PCG path, the serve stack's default
-		// and micro-batched route. Its iteration counts are bit-identical at
-		// any GOMAXPROCS, which is what lets the score gate with no noise
-		// margin. So are Chebyshev's and its eigenvalue probe's — they run in
-		// the same driver — so adding them would only move the committed
-		// score, not its determinism.
+		// route. Its iteration counts are bit-identical at any GOMAXPROCS,
+		// which is what lets the score gate with no noise margin. So are
+		// Chebyshev's and its eigenvalue probe's — they run in the same
+		// driver — so adding them would only move the committed score, not
+		// its determinism.
 		Mix: []MixEntry{
 			{Graph: 0, Weight: 3, RHS: 1},
 			{Graph: 0, Weight: 1, RHS: 4},

@@ -2,16 +2,15 @@ package serve
 
 // Per-tenant admission control: a token bucket per tenant plus a bounded
 // wait queue. A request that finds tokens available proceeds immediately; one
-// that does not either queues (FCFS or shortest-job-first, by declared cost)
-// or — when the queue is full — is refused with an OverloadError carrying a
-// Retry-After hint. One tenant exhausting its bucket never touches another
-// tenant's: buckets are independent and the dispatcher is per tenant.
+// that does not either queues (granted in arrival order) or — when the queue
+// is full — is refused with an OverloadError carrying a Retry-After hint. One
+// tenant exhausting its bucket never touches another tenant's: buckets are
+// independent and the dispatcher is per tenant.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -34,20 +33,8 @@ func (e *OverloadError) Error() string {
 
 func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
-// QueuePolicy orders a tenant's wait queue.
-type QueuePolicy string
-
-const (
-	// FCFS grants queued requests in arrival order.
-	FCFS QueuePolicy = "fcfs"
-	// SJF grants the cheapest queued request first (ties: arrival order).
-	// Cost is the request's declared token cost — for solves, the number
-	// of right-hand sides.
-	SJF QueuePolicy = "sjf"
-)
-
-// AdmissionConfig tunes the per-tenant token buckets. The zero value takes
-// the defaults noted per field.
+// AdmissionConfig tunes the per-tenant token buckets. A zero Rate or Burst
+// takes its default; a zero MaxQueue means no queue.
 type AdmissionConfig struct {
 	// Rate is the token refill rate per tenant in tokens/second
 	// (default 50). One solve right-hand side costs one token.
@@ -58,8 +45,6 @@ type AdmissionConfig struct {
 	// as "no queue": anything beyond the burst is refused immediately.
 	// (Use a negative value for the default.)
 	MaxQueue int
-	// Policy orders the wait queue (default FCFS).
-	Policy QueuePolicy
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -72,15 +57,11 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.MaxQueue < 0 {
 		c.MaxQueue = 64
 	}
-	if c.Policy == "" {
-		c.Policy = FCFS
-	}
 	return c
 }
 
 type waiter struct {
 	cost    float64
-	seq     uint64 // arrival order, ties in SJF
 	grant   chan struct{}
 	granted bool
 	gone    bool // cancelled; dispatcher discards without spending
@@ -98,12 +79,11 @@ type admission struct {
 	cfg AdmissionConfig
 	now func() time.Time // swapped in tests
 	// onGrant, when non-nil, observes each queued grant in dispatch order
-	// (called under the lock). Tests use it to assert queue policy.
+	// (called under the lock). Tests use it to assert arrival order.
 	onGrant func(cost float64)
 
 	mu      sync.Mutex
 	tenants map[string]*tenantBucket
-	seq     uint64
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
@@ -176,17 +156,8 @@ func (a *admission) Acquire(ctx context.Context, tenant string, cost float64) (w
 		a.mu.Unlock()
 		return 0, &OverloadError{Tenant: tenant, RetryAfter: retry}
 	}
-	a.seq++
-	w := &waiter{cost: cost, seq: a.seq, grant: make(chan struct{})}
+	w := &waiter{cost: cost, grant: make(chan struct{})}
 	tb.queue = append(tb.queue, w)
-	if a.cfg.Policy == SJF {
-		sort.SliceStable(tb.queue, func(i, j int) bool {
-			if tb.queue[i].cost != tb.queue[j].cost {
-				return tb.queue[i].cost < tb.queue[j].cost
-			}
-			return tb.queue[i].seq < tb.queue[j].seq
-		})
-	}
 	if !tb.running {
 		tb.running = true
 		go a.dispatch(tb)

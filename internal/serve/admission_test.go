@@ -59,11 +59,11 @@ func TestOversizeRequestRefused(t *testing.T) {
 
 // grantOrder drains the bucket, queues three waiters with distinct costs in
 // a fixed arrival order, and reports the order they were granted in.
-func grantOrder(t *testing.T, policy QueuePolicy) []float64 {
+func grantOrder(t *testing.T) []float64 {
 	t.Helper()
 	// Rate 50/s: the head grant needs tens of milliseconds, long enough to
 	// enqueue all three waiters first.
-	a := newAdmission(AdmissionConfig{Rate: 50, Burst: 3, MaxQueue: 8, Policy: policy})
+	a := newAdmission(AdmissionConfig{Rate: 50, Burst: 3, MaxQueue: 8})
 	var mu sync.Mutex
 	var order []float64
 	a.onGrant = func(cost float64) {
@@ -100,21 +100,11 @@ func grantOrder(t *testing.T, policy QueuePolicy) []float64 {
 }
 
 func TestFCFSOrder(t *testing.T) {
-	order := grantOrder(t, FCFS)
+	order := grantOrder(t)
 	want := []float64{3, 1, 2}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("FCFS grant order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestSJFOrder(t *testing.T) {
-	order := grantOrder(t, SJF)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("SJF grant order %v, want %v", order, want)
 		}
 	}
 }

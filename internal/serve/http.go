@@ -85,12 +85,6 @@ type solveResponse struct {
 	CacheHit    bool          `json:"cache_hit"`
 	Degraded    bool          `json:"degraded,omitempty"` // served by the CG fallback (breaker open)
 	QueueWaitMS int64         `json:"queue_wait_ms"`
-	// Batched reports that this request's right-hand sides were coalesced
-	// with other requests into one block solve; BatchWidth is the number of
-	// requests in the executed batch (1 when the window closed with this
-	// request alone; omitted when batching is disabled).
-	Batched    bool `json:"batched,omitempty"`
-	BatchWidth int  `json:"batch_width,omitempty"`
 }
 
 func (s *Server) routes() {
@@ -461,9 +455,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if req.MaxIter > 0 {
 		opt.MaxIter = req.MaxIter
 	}
-	// Micro-batching covers the default PCG method on ready handles only:
-	// the degraded rung and the explicit methods keep their dedicated paths.
-	batched := s.batch != nil && !degraded && (req.Method == "" || req.Method == "pcg")
 	doReq := hcd.SolveRequest{B: b, Options: opt, M: hier}
 	switch {
 	case degraded:
@@ -476,15 +467,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		doReq.Precond = hcd.PrecondSpec{Kind: hcd.PrecondNone}
 	case req.Method == "" || req.Method == "pcg":
 		doReq.Method = hcd.SolveMethodPCG
-		if !batched {
-			eng, perr := pool.acquire(ctx)
-			if perr != nil {
-				writeErr(w, s.timeoutCode(ctx, perr), "engine wait cancelled: %v", perr)
-				return
-			}
-			defer pool.release(eng)
-			doReq.Engine = eng
+		eng, perr := pool.acquire(ctx)
+		if perr != nil {
+			writeErr(w, s.timeoutCode(ctx, perr), "engine wait cancelled: %v", perr)
+			return
 		}
+		defer pool.release(eng)
+		doReq.Engine = eng
 	case req.Method == "chebyshev":
 		doReq.Method = hcd.SolveMethodChebyshev
 		doReq.Options.MaxIter = req.ChebyshevIters
@@ -511,13 +500,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	var resp *hcd.SolveResponse
-	var batchWidth int
-	if batched {
-		resp, batchWidth, err = s.batchedSolve(ctx, id, g, hier, pool, b, opt)
-	} else {
-		resp, err = hcd.Do(ctx, g, doReq)
-	}
+	resp, err := hcd.Do(ctx, g, doReq)
 	observe(s.reg, metricSolveTime, time.Since(start))
 	s.store.CountSolve(h)
 	totalIters := 0
@@ -532,7 +515,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if aggOutcome == "" {
 		aggOutcome = "converged"
 	}
-	logFieldsFrom(ctx).setSolve(aggOutcome, len(b), totalIters, degraded, batchWidth, waited.Milliseconds())
+	logFieldsFrom(ctx).setSolve(aggOutcome, len(b), totalIters, degraded, waited.Milliseconds())
 	if err != nil && len(resp.Results) == 0 {
 		code := http.StatusInternalServerError
 		if ctx.Err() != nil {
@@ -556,8 +539,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		QueueWaitMS: waited.Milliseconds(),
 		Lmin:        resp.Lmin,
 		Lmax:        resp.Lmax,
-		Batched:     batchWidth > 1,
-		BatchWidth:  batchWidth,
 	}
 	for i, res := range resp.Results {
 		sr := solveResult{

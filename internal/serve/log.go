@@ -32,7 +32,6 @@ type logFields struct {
 	outcome    string
 	rhs        int
 	iterations int
-	batchWidth int
 	degraded   bool
 	queueMS    int64
 }
@@ -56,9 +55,9 @@ func (lf *logFields) setHandle(id string) {
 }
 
 // setSolve records the solve-shaped annotations in one call: aggregate
-// outcome, right-hand-side count, total iterations, degraded flag, batch
-// width (0 = not batched), and admission queue wait.
-func (lf *logFields) setSolve(outcome string, rhs, iterations int, degraded bool, batchWidth int, queueMS int64) {
+// outcome, right-hand-side count, total iterations, degraded flag, and
+// admission queue wait.
+func (lf *logFields) setSolve(outcome string, rhs, iterations int, degraded bool, queueMS int64) {
 	if lf == nil {
 		return
 	}
@@ -66,7 +65,6 @@ func (lf *logFields) setSolve(outcome string, rhs, iterations int, degraded bool
 	lf.rhs = rhs
 	lf.iterations = iterations
 	lf.degraded = degraded
-	lf.batchWidth = batchWidth
 	lf.queueMS = queueMS
 }
 
@@ -138,9 +136,6 @@ func (s *Server) logRequest(ctx context.Context, route string, r *http.Request, 
 		}
 		if lf.degraded {
 			attrs = append(attrs, slog.Bool("degraded", true))
-		}
-		if lf.batchWidth > 1 {
-			attrs = append(attrs, slog.Int("batch_width", lf.batchWidth))
 		}
 	}
 	s.log.LogAttrs(ctx, level, "request", attrs...)

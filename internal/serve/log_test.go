@@ -177,7 +177,7 @@ func TestDisabledLoggingZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		lf := logFieldsFrom(ctx)
 		lf.setHandle("g-1")
-		lf.setSolve("converged", 1, 12, false, 0, 0)
+		lf.setSolve("converged", 1, 12, false, 0)
 		lf.setOutcome("throttled")
 		srv.logRequest(ctx, "solve", req, http.StatusOK, time.Millisecond, lf)
 	})

@@ -41,10 +41,6 @@ const (
 	metricBreakerOpen      = "serve_breaker_open_total"    // handles tripped into degraded
 	metricDeadlineExceeded = "serve_deadline_exceeded_total"
 
-	// Solve micro-batching (PR 9).
-	metricBatchedSolves = "serve_batched_solves_total" // requests served via a coalesced batch (width ≥ 2)
-	metricBatchWidth    = "serve_batch_width"          // histogram: requests per executed batch
-
 	// What this process runs (PR 25, 28): constant 1, the facts are the labels.
 	metricBuildInfo = "hcd_build_info" // {goarch,kernel}
 )

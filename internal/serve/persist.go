@@ -324,7 +324,7 @@ func (s *store) finishHydration(ctx context.Context, h *handle, ch chan struct{}
 		h.g = g
 		h.h = hier
 		h.pool = newEnginePool(g, hier, s.poolSize, s.gauges)
-		hb := g.Bytes() + hier.MemoryBytes()
+		hb := hier.MemoryBytes() // counts g too: it is the hierarchy's finest graph
 		h.bytes = hb
 		s.bytes += hb
 		// The hydrated bytes may breach the budget; rebalance against idle

@@ -88,6 +88,18 @@ func TestRestoreWithoutRebuild(t *testing.T) {
 	if code != http.StatusOK || body["restored"] == true {
 		t.Fatalf("post-hydration info: code %d body %v", code, body)
 	}
+	h, release, err := srvB.store.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, hier, _, _ := srvB.store.solveState(h)
+	release()
+	srvB.store.mu.Lock()
+	charged := h.bytes
+	srvB.store.mu.Unlock()
+	if held := hier.MemoryBytes(); charged != held {
+		t.Errorf("hydration charged %d bytes, the hierarchy (graph included) holds %d", charged, held)
+	}
 
 	// Delete must remove the durable state too.
 	if code, _, _ = cB.do("DELETE", "/v1/graphs/"+id, "", nil); code != http.StatusNoContent {
@@ -497,7 +509,7 @@ func TestHealthEndpoints(t *testing.T) {
 // TestStoreChargesLayoutView: a built handle's bytes already include the
 // hierarchy's level-0 layout view — the store builds it with the hierarchy —
 // so the first one-column solve, which runs in that view, leaves the charged
-// bytes equal to what the graph and hierarchy hold.
+// bytes equal to what the hierarchy holds, its level-0 graph included.
 func TestStoreChargesLayoutView(t *testing.T) {
 	g, err := hcd.FEMesh(40, 40, -1, nil, 1)
 	if err != nil {
@@ -528,7 +540,53 @@ func TestStoreChargesLayoutView(t *testing.T) {
 	s.mu.Lock()
 	charged := h.bytes
 	s.mu.Unlock()
-	if held := g.Bytes() + hier.MemoryBytes(); charged != held {
-		t.Errorf("store charged %d bytes, graph and hierarchy hold %d after a solve", charged, held)
+	if held := hier.MemoryBytes(); charged != held {
+		t.Errorf("store charged %d bytes, the hierarchy (graph included) holds %d after a solve", charged, held)
+	}
+}
+
+// TestByteBudgetHoldsWhatItCharges: a byte budget of two ready handles'
+// MemoryBytes, plus a little slack, keeps both resident. Charging a graph on
+// top of the hierarchy that already holds it would evict the first.
+func TestByteBudgetHoldsWhatItCharges(t *testing.T) {
+	graphs := make([]*hcd.Graph, 2)
+	for i := range graphs {
+		g, err := hcd.FEMesh(24+8*i, 24, -1, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[i] = g
+	}
+	// What each ready handle holds, measured on an unbounded store.
+	var held int64
+	probe := newStore(4, 1<<40, 1, nil, nil)
+	for _, g := range graphs {
+		h, err := probe.Put(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-probe.readyChan(h)
+		_, _, hier, _, err := probe.solveState(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += hier.MemoryBytes()
+	}
+
+	budget := held + 1024
+	s := newStore(4, budget, 1, nil, nil)
+	var ids []string
+	for _, g := range graphs {
+		h, err := s.Put(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-s.readyChan(h)
+		ids = append(ids, h.id)
+	}
+	for _, id := range ids {
+		if _, err := s.Info(id); err != nil {
+			t.Errorf("handle %s: %v under a budget of %d bytes for %d held", id, err, budget, held)
+		}
 	}
 }

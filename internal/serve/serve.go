@@ -53,17 +53,6 @@ type Config struct {
 	// MaxTimeout). When MaxTimeout is set it also applies to requests that
 	// ask for nothing. Zero = no server-imposed deadline.
 	MaxTimeout time.Duration
-	// BatchWindow enables micro-batched solves: PCG requests against the
-	// same ready handle (and the same tolerance/budget) that arrive within
-	// this window are coalesced into one block solve on one engine. The
-	// first request in a batch waits up to the full window, so keep it small
-	// relative to a solve (hundreds of microseconds to a few milliseconds).
-	// Zero disables batching (the default).
-	BatchWindow time.Duration
-	// BatchMaxWidth caps the columns coalesced into one batch; a full batch
-	// fires without waiting out the window (default 16). Only meaningful
-	// when BatchWindow > 0.
-	BatchMaxWidth int
 	// Registry receives the serve_* metric family (nil = a fresh registry;
 	// it also backs the mounted /metrics endpoints).
 	Registry *obs.Registry
@@ -71,9 +60,8 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Logger, when non-nil, receives one structured access-log record per
 	// request (route, code, tenant, duration, trace/span IDs, handle,
-	// outcome, batch width). Nil disables logging with zero per-request
-	// overhead — the `-log-json` / `-log-level` flags of hcd-server
-	// construct this.
+	// outcome). Nil disables logging with zero per-request overhead — the
+	// `-log-json` / `-log-level` flags of hcd-server construct this.
 	Logger *slog.Logger
 }
 
@@ -96,9 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
-	if c.BatchWindow > 0 && c.BatchMaxWidth <= 0 {
-		c.BatchMaxWidth = 16
-	}
 	return c
 }
 
@@ -112,7 +97,6 @@ type Server struct {
 	store *store
 	adm   *admission
 	mux   *http.ServeMux
-	batch *batcher // nil unless Config.BatchWindow > 0
 
 	draining   atomic.Bool
 	ready      atomic.Bool // restore finished; /readyz gates on it
@@ -132,7 +116,6 @@ func New(cfg Config) *Server {
 		mux: http.NewServeMux(),
 	}
 	gaugeSet(s.reg, fmt.Sprintf("%s{goarch=%q,kernel=%q}", metricBuildInfo, runtime.GOARCH, kernel.Name()), 1)
-	s.batch = newBatcher(cfg.BatchWindow, cfg.BatchMaxWidth, cfg.Registry)
 	s.store = newStore(cfg.MaxHandles, cfg.MaxBytes, cfg.PoolSize, s.reg, s.tr)
 	s.store.breaker = cfg.BreakerThreshold
 	if cfg.StateDir != "" {

@@ -242,14 +242,22 @@ func TestLRUEviction(t *testing.T) {
 
 // TestConcurrentClients hammers one cached handle from many goroutines —
 // engines come from the warm pool, and under -race this doubles as the
-// serving stack's data-race check.
+// serving stack's data-race check. Every response's x must solve that
+// request's own right-hand side: two requests sharing a pooled engine's
+// buffers would hand back a converged solution for another seed.
 func TestConcurrentClients(t *testing.T) {
-	_, c := newTestServer(t, Config{PoolSize: 2})
+	srv, c := newTestServer(t, Config{PoolSize: 2})
 	code, body, _ := c.do("POST", "/v1/graphs?spec=grid3d:6&wait=true", "", nil)
 	if code != http.StatusCreated {
 		t.Fatalf("submit: code %d body %v", code, body)
 	}
 	id := body["id"].(string)
+	h, release, err := srv.store.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g, _, _, _ := srv.store.solveState(h)
+	release()
 
 	const workers, per = 8, 4
 	var wg sync.WaitGroup
@@ -260,14 +268,25 @@ func TestConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			cl := &client{t: t, base: c.base, hc: c.hc}
 			for i := 0; i < per; i++ {
+				seed := w*100 + i + 1
 				code, body, _ := cl.do("POST", "/v1/graphs/"+id+"/solve", fmt.Sprintf("w%d", w),
-					map[string]any{"rhs": 1, "seed": w*100 + i})
+					map[string]any{"rhs": 1, "seed": seed, "include_x": true})
 				if code != http.StatusOK {
 					errs <- fmt.Errorf("worker %d solve %d: code %d body %v", w, i, code, body)
 					return
 				}
-				if body["results"].([]any)[0].(map[string]any)["converged"] != true {
+				res := body["results"].([]any)[0].(map[string]any)
+				if res["converged"] != true {
 					errs <- fmt.Errorf("worker %d solve %d did not converge", w, i)
+					return
+				}
+				xs := res["x"].([]any)
+				x := make([]float64, len(xs))
+				for j, v := range xs {
+					x[j] = v.(float64)
+				}
+				if rel := relResidual(g, x, cli.MeanFreeRHS(g.N(), int64(seed))); rel > 1e-6 {
+					errs <- fmt.Errorf("worker %d solve %d: relative residual %v against its own rhs", w, i, rel)
 					return
 				}
 			}
@@ -278,6 +297,18 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// relResidual is ‖b − Ax‖/‖b‖ for the graph Laplacian A.
+func relResidual(g *hcd.Graph, x, b []float64) float64 {
+	ax := make([]float64, g.N())
+	g.LapMul(ax, x)
+	var rn, bn float64
+	for v := range ax {
+		rn += (ax[v] - b[v]) * (ax[v] - b[v])
+		bn += b[v] * b[v]
+	}
+	return math.Sqrt(rn / bn)
 }
 
 // TestAdmissionOverloadHTTP asserts the 429 contract: a tenant that burns

@@ -4,11 +4,13 @@ package serve
 // cached across requests. A handle is born "building" — the hierarchy
 // construction runs in a background goroutine under a "serve/build" span —
 // and flips to "ready" (or "failed") when it completes. Ready handles carry a
-// warm engine pool. The store holds an LRU list under a byte budget
-// (graph + hierarchy memory, via Graph.Bytes and Hierarchy.MemoryBytes);
-// inserting past either the handle cap or the byte budget evicts the
-// least-recently-used idle handle. Handles with in-flight solves (refs > 0)
-// and handles still building are never evicted.
+// warm engine pool. The store holds an LRU list under a byte budget: a
+// building handle is charged its Graph.Bytes, a ready one its
+// Hierarchy.MemoryBytes, which already counts the graph (level 0, or the
+// coarse graph of a hierarchy with no level). Inserting past either the
+// handle cap or the byte budget evicts the least-recently-used idle handle.
+// Handles with in-flight solves (refs > 0) and handles still building are
+// never evicted.
 
 import (
 	"container/list"
@@ -60,7 +62,7 @@ type handle struct {
 	status   HandleStatus
 	h        *hcd.Hierarchy
 	buildErr error
-	bytes    int64 // graph + hierarchy memory charged to the budget
+	bytes    int64 // memory charged to the budget: the graph's, then the hierarchy's
 	refs     int
 	solves   int64
 	lastUse  time.Time
@@ -259,9 +261,10 @@ func (s *store) build(ctx context.Context, h *handle, opts hcd.HierarchyOptions)
 		h.h = hier
 		h.snapFile = snapFile
 		h.pool = newEnginePool(h.g, hier, s.poolSize, s.gauges)
+		// The hierarchy holds the graph, so its bytes replace the graph's.
 		hb := hier.MemoryBytes()
-		h.bytes += hb
-		s.bytes += hb
+		s.bytes += hb - h.bytes
+		h.bytes = hb
 		counter(s.reg, metricBuilds+`{outcome="ok"}`)
 		// The finished hierarchy may push the store past its byte budget;
 		// rebalance against idle handles. Pin this handle while evicting so

@@ -450,12 +450,6 @@ func appendSolveResponse(dst []byte, out *solveResponse, errMsg *string) []byte 
 		dst = append(dst, `,"degraded":true`...)
 	}
 	dst = strconv.AppendInt(append(dst, `,"queue_wait_ms":`...), out.QueueWaitMS, 10)
-	if out.Batched {
-		dst = append(dst, `,"batched":true`...)
-	}
-	if out.BatchWidth != 0 {
-		dst = strconv.AppendInt(append(dst, `,"batch_width":`...), int64(out.BatchWidth), 10)
-	}
 	if errMsg != nil {
 		dst = appendString(append(dst, `,"error":`...), *errMsg)
 	}

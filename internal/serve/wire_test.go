@@ -156,9 +156,8 @@ func fuzzResponse(data []byte) (solveResponse, *string) {
 	}
 	out.Lmin, out.Lmax = s.float(), s.float()
 	flags := s.byte()
-	out.CacheHit, out.Degraded, out.Batched = flags&1 != 0, flags&2 != 0, flags&4 != 0
+	out.CacheHit, out.Degraded = flags&1 != 0, flags&2 != 0
 	out.QueueWaitMS = int64(s.uint64())
-	out.BatchWidth = int(int16(s.uint64()))
 	if flags&8 != 0 {
 		msg := s.string()
 		return out, &msg
