@@ -4,10 +4,8 @@
 GO ?= go
 # FUZZTIME is each fuzz target's pass in `make fuzz` (CI runs it at 20s).
 FUZZTIME ?= 10s
-# ROUNDS is the theorem battery's round count in `make selfcheck` (CI runs 5).
-ROUNDS ?= 25
 
-.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke cli-methods vet fmt check race race-solver determinism examples selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke cli-methods vet fmt check race race-solver determinism examples fuzz experiments fig6 coverage
 
 all: build test
 
@@ -24,12 +22,11 @@ vet:
 # kernels, the full suite under the race
 # detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), the
 # determinism tests at one and two workers, every example program, a short
-# fuzz pass over the input
-# parsers, the fault-recovery chaos battery, the
-# serving-stack smoke battery, the serving crash/recovery battery, the
-# scenario-replay smoke, the replay-score regression gate, and the CLI's
-# non-PCG solve methods.
-check: fmt vet portable race determinism examples fuzz chaos server-smoke server-chaos replay-smoke bench-gate cli-methods
+# pass of every fuzz target, the scenario-replay smoke, the replay-score
+# regression gate, and the CLI's non-PCG solve methods. The theorem,
+# fault-recovery and serving crash/recovery checks are tests: `go test` runs
+# them (FuzzTheorems' seed corpus among them), under -race too.
+check: fmt vet portable race determinism examples fuzz replay-smoke bench-gate cli-methods
 
 # portable cross-compiles for an architecture that has none of the assembly
 # (all of it lives in internal/kernel, *_amd64.s), so the Go-only build cannot
@@ -62,31 +59,6 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# server-smoke: the in-process serving battery — submit/build/solve round
-# trip, cache-hit and single-build invariants, LRU eviction, and per-tenant
-# 429 + Retry-After overload isolation.
-server-smoke:
-	$(GO) run ./cmd/hcd-server -smoke
-
-# selfcheck: the default theorem battery — randomized instances against the
-# paper's bounds and the cycle's symmetry and definiteness.
-selfcheck:
-	$(GO) run ./cmd/hcd-selfcheck -rounds $(ROUNDS)
-
-# chaos: the deterministic fault-recovery battery — injected NaNs, worker
-# panics, corrupted builds, forced breakdowns, malformed input.
-chaos:
-	$(GO) run ./cmd/hcd-selfcheck -chaos
-
-# server-chaos: the serving-layer durability battery — servers are crashed
-# (in-process and via real SIGKILL) and restarted on the same -state-dir,
-# snapshots are corrupted on disk, and the snapshot-write / snapshot-read /
-# build-fail / solve-delay fault points are injected; asserts
-# restore-without-rebuild, quarantine, breaker degradation to CG, and
-# deadline status mapping.
-server-chaos:
-	$(GO) run ./cmd/hcd-selfcheck -server-chaos
-
 # fuzz: short fuzzing passes over the graph input parsers with a
 # write/reparse round-trip oracle, over the stub-aware exact conductance
 # certifier with the brute-force cut enumeration as a differential oracle,
@@ -102,8 +74,12 @@ server-chaos:
 # oracle, and over the column tiles of the solver's block sweeps and of the
 # cycle's sweeps with their any-width loops as a bitwise oracle, and over the
 # solve route's hand-written request decoder and response encoder with
-# encoding/json as a differential oracle (go fuzzing runs one target at a
-# time).
+# encoding/json as a differential oracle, and over the paper's theorems —
+# FuzzTheorems: randomized instances against the bounds themselves (Theorem
+# 2.1's tree floor, §3.1's fixed-degree floor, Theorem 3.5's σ, Theorem 4.1's
+# eigenvector distance), the cycle's symmetry and definiteness, and exact
+# power-of-two scaling of the solves as a metamorphic oracle (go fuzzing runs
+# one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=$(FUZZTIME) ./internal/gio
@@ -118,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBlockSweeps -fuzztime=$(FUZZTIME) ./internal/solver
 	$(GO) test -run '^$$' -fuzz FuzzApplySweeps -fuzztime=$(FUZZTIME) ./internal/hierarchy
 	$(GO) test -run '^$$' -fuzz FuzzSolveWire -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzTheorems -fuzztime=$(FUZZTIME) .
 
 # bench-e2e: the repository's benchmark as BENCHMARK.json declares it — its
 # own unit tests, then the four workloads end to end (bench/README.md).

@@ -13,7 +13,6 @@
 //	hcd-server -addr :8080 -state-dir /var/lib/hcd   # durable handles
 //	hcd-server -addr :8080 -max-timeout 30s -breaker 3
 //	hcd-server -addr :8080 -log-json -log-level info   # JSON access logs
-//	hcd-server -smoke        # in-process smoke battery, exits 0/1
 //
 // With -state-dir, built hierarchies are snapshotted (checksummed binary
 // format + write-ahead manifest) and restored on restart without rebuilding;
@@ -58,7 +57,6 @@ func run() (err error) {
 	breaker := flag.Int("breaker", 3, "consecutive build failures before a handle degrades to the CG fallback (negative disables)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on per-request ?timeout_ms deadline budgets (0 = uncapped)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGTERM")
-	smoke := flag.Bool("smoke", false, "run the in-process smoke battery and exit")
 	o := cli.ObsFlags()
 	lg := cli.LogFlags()
 	flag.Parse()
@@ -95,10 +93,6 @@ func run() (err error) {
 		Logger:           logger,
 	}
 
-	if *smoke {
-		return runSmoke()
-	}
-
 	srv := serve.New(cfg)
 	hs := &http.Server{Handler: srv.Handler()}
 
@@ -106,7 +100,7 @@ func run() (err error) {
 	defer stop()
 
 	// Listen explicitly so the actual bound address is printable — with
-	// -addr :0 the chaos battery (and scripts) parse the port from this line.
+	// -addr :0 scripts parse the port from this line.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -115,7 +109,7 @@ func run() (err error) {
 	go func() { errc <- hs.Serve(ln) }()
 	if logger != nil {
 		// Keep stdout machine-parseable: one structured record instead of
-		// the plain banner the chaos battery greps for (it runs unlogged).
+		// the plain banner.
 		logger.Info("listening", "addr", ln.Addr().String())
 	} else {
 		fmt.Printf("hcd-server listening on %s\n", ln.Addr())

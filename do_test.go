@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hcd"
-	"hcd/internal/graph"
 )
 
 // TestDoMultiRHS: one request, several right-hand sides, one preconditioner
@@ -430,18 +429,6 @@ func TestBlockColumnsInvariant(t *testing.T) {
 // reason, not a wrong x.
 func TestWeightScaleInvariant(t *testing.T) {
 	ctx := context.Background()
-	scaled := func(g *hcd.Graph, e int) *hcd.Graph {
-		off, adj, w := g.CompactCSR()
-		sw := make([]float64, len(w))
-		for i, x := range w {
-			sw[i] = math.Ldexp(x, e)
-		}
-		sg, err := graph.NewFromCSR(slices.Clone(off), slices.Clone(adj), sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sg
-	}
 	solve := func(g *hcd.Graph, B [][]float64) map[string]*hcd.SolveResponse {
 		m, err := hcd.NewPreconditioner(ctx, g, hcd.PrecondSpec{})
 		if err != nil {
@@ -471,9 +458,9 @@ func TestWeightScaleInvariant(t *testing.T) {
 		for j := range B {
 			B[j] = meanFree(rng, gr.g.N())
 		}
-		base := solve(scaled(gr.g, 0), B)
+		base := solve(scaledWeights(t, gr.g, 0), B)
 		for _, e := range []int{-600, -2, 2, 38, 600} {
-			g := scaled(gr.g, e)
+			g := scaledWeights(t, gr.g, e)
 			for _, f := range []int{-300, 0, 300} {
 				sB := make([][]float64, len(B))
 				for j, b := range B {

@@ -29,6 +29,7 @@ func TestReadEdgeListRejectsMalformed(t *testing.T) {
 		{"huge header", "n 99999999999\n", "line 1"},
 		{"bad vertex", "a b\n", "line 1"},
 		{"late error has late line", "# comment\n0 1 1\n0 2 bogus\n", "line 3"},
+		{"nan weight after a good line", "0 1 1.0\n0 2 NaN\n", "line 2"},
 		{"id outside declared n", "n 2\n0 5\n", ""},
 	}
 	for _, c := range cases {

@@ -98,6 +98,9 @@ func TestInjectedWorkerPanic(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("injected worker panic surfaced as %v, want ErrInjected", err)
 	}
+	if pe := (*PanicError)(nil); !errors.As(err, &pe) || len(pe.Stack) == 0 {
+		t.Fatalf("injected worker panic surfaced as %T without the worker's stack", err)
+	}
 	// With the fault window exhausted the same loop must run clean.
 	if err := catchPanic(func() { For(100000, 1000, func(lo, hi int) {}) }); err != nil {
 		t.Fatalf("loop after fault window: %v", err)

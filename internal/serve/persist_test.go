@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"context"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -169,36 +173,49 @@ func TestCorruptSnapshotDegradesToRebuild(t *testing.T) {
 	}
 }
 
-// TestUnrecoverableSnapshotFailsHandle overwrites a snapshot wholesale:
-// nothing is recoverable, so the handle must turn failed with a diagnosable
-// error — and the server must keep serving everything else.
+// TestUnrecoverableSnapshotFailsHandle makes a snapshot unreadable, by
+// overwriting it wholesale or by failing every hydration read: nothing is
+// recoverable, so the handle must turn failed with a diagnosable error — and
+// the server must keep serving everything else.
 func TestUnrecoverableSnapshotFailsHandle(t *testing.T) {
-	dir := t.TempDir()
+	for _, damage := range []string{"garbage file", "read fault"} {
+		t.Run(damage, func(t *testing.T) {
+			readFault := damage == "read fault"
+			dir := t.TempDir()
 
-	srvA, cA := newTestServer(t, Config{StateDir: dir})
-	_, body, _ := cA.do("POST", "/v1/graphs?spec=grid3d:6&wait=true", "", nil)
-	id := body["id"].(string)
-	srvA.Close()
+			srvA, cA := newTestServer(t, Config{StateDir: dir})
+			_, body, _ := cA.do("POST", "/v1/graphs?spec=grid3d:6&wait=true", "", nil)
+			id := body["id"].(string)
+			srvA.Close()
 
-	snap := filepath.Join(dir, id+".snap")
-	if err := os.WriteFile(snap, []byte("not a snapshot at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			snap := filepath.Join(dir, id+".snap")
+			if readFault {
+				defer faultinject.Activate(map[string]faultinject.Spec{
+					faultinject.SnapshotRead: {}, // every hydration read fails
+				})()
+			} else if err := os.WriteFile(snap, []byte("not a snapshot at all"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	_, cB := newTestServer(t, Config{StateDir: dir})
-	code, body, _ := cB.do("POST", "/v1/graphs/"+id+"/solve", "", map[string]any{"rhs": 1})
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("solve against unrecoverable snapshot: code %d body %v", code, body)
-	}
-	if msg, _ := body["error"].(string); !strings.Contains(msg, "snapshot") {
-		t.Errorf("error %q does not mention the snapshot", msg)
-	}
-	if _, err := os.Stat(snap + ".corrupt"); err != nil {
-		t.Errorf("unrecoverable snapshot not quarantined: %v", err)
-	}
-	// The rest of the server is unaffected.
-	if code, _, _ := cB.do("POST", "/v1/graphs?spec=grid3d:5&wait=true", "", nil); code != http.StatusCreated {
-		t.Fatalf("fresh submit after quarantine: code %d", code)
+			_, cB := newTestServer(t, Config{StateDir: dir})
+			code, body, _ := cB.do("POST", "/v1/graphs/"+id+"/solve", "", map[string]any{"rhs": 1})
+			if code != http.StatusUnprocessableEntity {
+				t.Fatalf("solve against unrecoverable snapshot: code %d body %v", code, body)
+			}
+			if readFault && faultinject.Hits(faultinject.SnapshotRead) == 0 {
+				t.Error("snapshot-read fault point never hit")
+			}
+			if msg, _ := body["error"].(string); !strings.Contains(msg, "snapshot") {
+				t.Errorf("error %q does not mention the snapshot", msg)
+			}
+			if _, err := os.Stat(snap + ".corrupt"); err != nil {
+				t.Errorf("unrecoverable snapshot not quarantined: %v", err)
+			}
+			// The rest of the server is unaffected.
+			if code, _, _ := cB.do("POST", "/v1/graphs?spec=grid3d:5&wait=true", "", nil); code != http.StatusCreated {
+				t.Fatalf("fresh submit after quarantine: code %d", code)
+			}
+		})
 	}
 }
 
@@ -252,6 +269,80 @@ func TestCrashMidBuildLeavesConsistentState(t *testing.T) {
 	// And the server works.
 	if code, _, _ := cB.do("POST", "/v1/graphs?spec=grid3d:5&wait=true", "", nil); code != http.StatusCreated {
 		t.Fatal("submit after crash restore failed")
+	}
+}
+
+// crashServerEnv, when set in the environment, makes the test binary a
+// server instead of a test run: TestMain serves New(Config{StateDir: $value})
+// on a loopback port, as hcd-server does, prints "listening on <addr>" and
+// serves until it is killed. TestKillDashNineRestoresBuiltHandles starts it.
+const crashServerEnv = "HCD_SERVE_TEST_STATE_DIR"
+
+func TestMain(m *testing.M) {
+	if dir := os.Getenv(crashServerEnv); dir != "" {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Printf("listening on %s\n", ln.Addr())
+		fmt.Fprintln(os.Stderr, http.Serve(ln, New(Config{StateDir: dir}).Handler()))
+		os.Exit(2)
+	}
+	os.Exit(m.Run())
+}
+
+// TestKillDashNineRestoresBuiltHandles is the crash test no in-process server
+// can stage: the server is a real process, SIGKILLed while a second build is
+// in flight and restarted on the same state dir. The handle whose ?wait=true
+// submit returned before the kill must restore ready and solve.
+func TestKillDashNineRestoresBuiltHandles(t *testing.T) {
+	dir := t.TempDir()
+	start := func() (*exec.Cmd, *client) {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), crashServerEnv+"="+dir)
+		cmd.Stderr = os.Stderr
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+		})
+		line, err := bufio.NewReader(stdout).ReadString('\n')
+		addr, ok := strings.CutPrefix(strings.TrimSpace(line), "listening on ")
+		if err != nil || !ok {
+			t.Fatalf("server printed %q (%v), want its address", line, err)
+		}
+		return cmd, &client{t: t, base: "http://" + addr, hc: &http.Client{Timeout: time.Minute}}
+	}
+
+	cmd, c := start()
+	code, body, _ := c.do("POST", "/v1/graphs?spec=grid3d:8&wait=true", "", nil)
+	if code != http.StatusCreated || body["status"] != "ready" {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	id := body["id"].(string)
+	if code, body, _ = c.do("POST", "/v1/graphs?spec=grid3d:20", "", nil); code != http.StatusCreated {
+		t.Fatalf("async submit: code %d body %v", code, body)
+	}
+	if err := cmd.Process.Kill(); err != nil { // SIGKILL: no drain, no cleanup
+		t.Fatal(err)
+	}
+	_ = cmd.Wait()
+
+	_, c = start()
+	code, body, _ = c.do("GET", "/v1/graphs/"+id, "", nil)
+	if code != http.StatusOK || body["status"] != "ready" || body["restored"] != true {
+		t.Fatalf("handle after kill -9 restart: code %d body %v, want ready and restored", code, body)
+	}
+	code, body, _ = c.do("POST", "/v1/graphs/"+id+"/solve", "", map[string]any{"rhs": 1})
+	if code != http.StatusOK || body["results"].([]any)[0].(map[string]any)["converged"] != true {
+		t.Fatalf("solve after kill -9 restart: code %d body %v", code, body)
 	}
 }
 
@@ -321,6 +412,9 @@ func TestSnapshotWriteFailureKeepsServing(t *testing.T) {
 	if got := srv.Registry().Counter(metricSnapshotWrites + `{outcome="error"}`).Value(); got != 1 {
 		t.Errorf("snapshot_writes{error} = %v, want 1", got)
 	}
+	if faultinject.Hits(faultinject.SnapshotWrite) == 0 {
+		t.Error("snapshot-write fault point never hit")
+	}
 	if _, err := os.Stat(filepath.Join(dir, id+".snap")); !os.IsNotExist(err) {
 		t.Error("failed snapshot write left a file behind")
 	}
@@ -345,6 +439,9 @@ func TestTimeoutBudget504(t *testing.T) {
 	}
 	if got := srv.Registry().Counter(metricDeadlineExceeded).Value(); got != 1 {
 		t.Errorf("deadline_exceeded = %v, want 1", got)
+	}
+	if faultinject.Hits(faultinject.SolveDelay) == 0 {
+		t.Error("solve-delay fault point never hit")
 	}
 }
 

@@ -138,7 +138,7 @@ func New(cfg Config) *Server {
 // diagnostics mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the metric registry (the -smoke battery and tests read
+// Registry exposes the metric registry (the benchmark and tests read
 // counters directly instead of scraping /metrics).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
@@ -165,8 +165,8 @@ func (s *Server) Drain(ctx context.Context) error {
 // cancelled and engine pools dropped, with no drain and no durable-state
 // cleanup — snapshots and the manifest stay exactly as the last sync left
 // them. It is the in-process analogue of kill -9, used by crash-recovery
-// tests and the chaos battery; production shutdown pairs Drain with
-// http.Server.Shutdown instead.
+// tests (TestKillDashNineRestoresBuiltHandles kills a real process);
+// production shutdown pairs Drain with http.Server.Shutdown instead.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.store.closeAll()

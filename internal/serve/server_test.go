@@ -135,6 +135,9 @@ func TestSubmitPollSolveEvict(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("poll after delete: code %d, want 404", code)
 	}
+	if code, body, _ = c.do("POST", "/v1/graphs/"+id+"/solve", "", solve); code != http.StatusNotFound {
+		t.Fatalf("solve after delete: code %d body %v, want 404", code, body)
+	}
 }
 
 // assertNoBuildUnderSolves walks the span forest: no solve-request span may

@@ -453,7 +453,7 @@ func (s *store) infoLocked(h *handle) HandleInfo {
 
 // closeAll abandons every handle without touching durable state: in-flight
 // builds are cancelled, pools dropped. This is the in-process stand-in for
-// a crash (tests and the chaos battery kill servers mid-build with it);
+// a crash (crash-recovery tests kill servers mid-build with it);
 // snapshots and the manifest stay on disk for the next restore.
 func (s *store) closeAll() {
 	s.mu.Lock()

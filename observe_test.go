@@ -107,9 +107,14 @@ func TestSpanTreeClosedAfterInjectedStageFault(t *testing.T) {
 	})
 	g := hcd.Grid2D(10, 10, nil, 1)
 	_, err := hcd.DecomposeCtx(ctx, g, hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree))
+	// Past the fault window the same build succeeds.
+	_, rerr := hcd.DecomposeCtx(context.Background(), g, hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree))
 	restore()
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want the injected stage fault", err)
+	}
+	if rerr != nil {
+		t.Fatalf("clean rebuild after the fault window: %v", rerr)
 	}
 	if err := tr.Check(); err != nil {
 		t.Fatalf("span tree malformed after stage fault: %v", err)

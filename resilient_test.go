@@ -93,6 +93,27 @@ func TestSolveResilientRecoversFromCorruptedBuild(t *testing.T) {
 	}
 }
 
+// TestSolvePCGRestartsAfterForcedBreakdown: a breakdown forced at the fifth
+// curvature check of a plain CG solve through the facade restarts in place
+// (MaxRestarts 1) and converges.
+func TestSolvePCGRestartsAfterForcedBreakdown(t *testing.T) {
+	g := hcd.Grid2D(12, 12, nil, 1)
+	b := meanFree(rand.New(rand.NewSource(9)), g.N())
+	restore := faultinject.Activate(map[string]faultinject.Spec{
+		faultinject.ForceBreakdown: {OnHit: 5, Count: 1},
+	})
+	defer restore()
+	opt := hcd.DefaultSolveOptions()
+	opt.MaxRestarts = 1
+	res, err := hcd.SolvePCGCtx(context.Background(), g, b, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Metrics.Restarts != 1 {
+		t.Fatalf("outcome %v (%q) after %d restarts, want converged after 1", res.Outcome, res.Reason, res.Metrics.Restarts)
+	}
+}
+
 func TestSolveResilientAllRungsFail(t *testing.T) {
 	g := hcd.Grid2D(10, 10, nil, 1)
 	b := meanFree(rand.New(rand.NewSource(44)), g.N())
