@@ -23,7 +23,7 @@ vet:
 # detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), the
 # determinism tests at one and two workers, every example program, a short
 # pass of every fuzz target, the scenario-replay smoke, the replay-score
-# regression gate, and the CLI's non-PCG solve methods. The theorem,
+# regression gate, and the CLI's resilient solve method. The theorem,
 # fault-recovery and serving crash/recovery checks are tests: `go test` runs
 # them (FuzzTheorems' seed corpus among them), under -race too.
 check: fmt vet portable race determinism examples fuzz replay-smoke bench-gate cli-methods
@@ -128,12 +128,10 @@ bench-gate:
 scale-smoke:
 	$(GO) run ./cmd/hcd-solve -graph grid3d:59 | grep -q 'outcome: converged'
 
-# cli-methods: the two hcd-solve paths that run something other than plain
-# PCG — Chebyshev iteration and the resilient ladder — each to convergence,
-# on one right-hand side and on a block of three.
+# cli-methods: the hcd-solve path that runs something other than plain PCG —
+# the resilient ladder — to convergence, on one right-hand side and on a
+# block of three.
 cli-methods:
-	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -method chebyshev | grep -q 'outcome: converged'
-	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -method chebyshev -rhs 3 | grep -q 'converged: 3/3'
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient | grep -q 'outcome: converged'
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient -rhs 3 | grep -q 'converged: 3/3'
 

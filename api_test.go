@@ -10,28 +10,6 @@ import (
 	"hcd"
 )
 
-func TestSolveChebyshev(t *testing.T) {
-	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 1)
-	rng := rand.New(rand.NewSource(1))
-	b := meanFree(rng, g.N())
-	d := fixedDegree(t, g, 4, 1)
-	p, err := hcd.NewSteinerPreconditioner(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := chebyshev(g, b, p, hcd.SolveOptions{MaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, hist := resp.Results[0].X, resp.Results[0].Residuals
-	if hist[len(hist)-1] > hist[0]*1e-5 {
-		t.Errorf("Chebyshev residual %v of initial %v", hist[len(hist)-1], hist[0])
-	}
-	if r := residual(g, x, b); r > 1e-4 {
-		t.Errorf("residual inf-norm %v", r)
-	}
-}
-
 func TestCutFractionReported(t *testing.T) {
 	g := hcd.Grid2D(10, 10, nil, 1)
 	d := fixedDegree(t, g, 4, 1)

@@ -54,7 +54,7 @@ func run() (err error) {
 	burst := flag.Float64("burst", 100, "admission token bucket capacity per tenant")
 	queue := flag.Int("queue", 64, "queued solve requests per tenant before 429")
 	stateDir := flag.String("state-dir", "", "durable handle state directory (empty = memory-only)")
-	breaker := flag.Int("breaker", 3, "consecutive build failures before a handle degrades to the CG fallback (negative disables)")
+	breaker := flag.Int("breaker", 3, "consecutive build failures before a handle degrades to Jacobi-PCG (negative disables)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on per-request ?timeout_ms deadline budgets (0 = uncapped)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGTERM")
 	o := cli.ObsFlags()

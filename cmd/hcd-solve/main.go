@@ -32,8 +32,6 @@ func main() { cli.Main(run) }
 func run() (err error) {
 	graphSpec := flag.String("graph", "oct:12", "workload graph spec")
 	precond := flag.String("precond", "hierarchy", "preconditioner: none | jacobi | steiner | subgraph | tree | hierarchy")
-	method := flag.String("method", "pcg", "iteration: pcg | chebyshev")
-	chebIters := flag.Int("cheb-iters", 120, "Chebyshev iteration count")
 	tol := flag.Float64("tol", 1e-8, "relative residual tolerance")
 	k := flag.Int("k", 4, "cluster size cap for steiner/hierarchy")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -41,7 +39,7 @@ func run() (err error) {
 	history := flag.Bool("history", false, "print the full residual history")
 	metrics := flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times), a hierarchy build's stage times and which form of the leaf kernels ran: kernel=avx2 or go")
 	stream := flag.Bool("stream", false, "stream residual norms to stderr as the solve iterates")
-	resilient := flag.Bool("resilient", false, "solve through the resilient fallback ladder (ignores -precond/-method)")
+	resilient := flag.Bool("resilient", false, "solve through the resilient fallback ladder (ignores -precond)")
 	timeout := flag.Duration("timeout", 0, "solve deadline (0 = none); an expired deadline cancels the iteration")
 	o := cli.ObsFlags()
 	flag.Parse()
@@ -147,33 +145,16 @@ func run() (err error) {
 		fmt.Printf("hierarchy levels: %v\n", h.LevelSizes())
 	}
 
-	req := hcd.SolveRequest{
+	solveStart := time.Now()
+	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{
 		B: B, M: m, Options: opt,
 		Precond: hcd.PrecondSpec{Kind: hcd.PrecondNone},
-	}
-	switch *method {
-	case "chebyshev":
-		if m == nil {
-			req.M = hcd.JacobiPreconditioner(g)
-		}
-		req.Method = hcd.SolveMethodChebyshev
-		req.Options.MaxIter = *chebIters
-	case "pcg", "":
-		req.Method = hcd.SolveMethodPCG
-	default:
-		return fmt.Errorf("unknown method %q", *method)
-	}
-
-	solveStart := time.Now()
-	resp, err := hcd.Do(ctx, g, req)
+	})
 	if err != nil {
 		return err
 	}
 	solveTime := time.Since(solveStart)
 	res := resp.Results[len(resp.Results)-1]
-	if req.Method == hcd.SolveMethodChebyshev {
-		fmt.Printf("chebyshev spectrum estimate: [%.4g, %.4g]\n", resp.Lmin, resp.Lmax)
-	}
 
 	fmt.Printf("graph: %s  n=%d m=%d\n", *graphSpec, g.N(), g.M())
 	fmt.Printf("preconditioner: %s  build: %v\n", *precond, buildTime)

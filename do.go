@@ -7,9 +7,8 @@ package hcd
 // entry point in the package (SolvePCGCtx, SolveCtx, SolveResilient) is a
 // thin wrapper over Do, so the CLI tools and the hcd-server handlers share one
 // implementation. Every method reads its iteration settings from the
-// request's Options. A PCG or Chebyshev request of any width is one call into
-// the solver's one iteration driver, and each rung of the resilient ladder
-// one more.
+// request's Options. A PCG request of any width is one call into the solver's
+// one iteration driver, and each rung of the resilient ladder one more.
 
 import (
 	"context"
@@ -27,13 +26,6 @@ type SolveMethod string
 const (
 	// SolveMethodPCG is preconditioned conjugate gradients — the default.
 	SolveMethodPCG SolveMethod = "pcg"
-	// SolveMethodChebyshev bootstraps spectrum bounds from a 40-step PCG
-	// probe on the first right-hand side outside the Laplacian's null space,
-	// widens the Ritz bracket to [0.8·λmin, 1.2·λmax], then runs
-	// inner-product-free Chebyshev iteration on every right-hand side as one
-	// block with the shared bounds, for Options.MaxIter iterations (required
-	// > 0). A zero or constant right-hand side is converged at x = 0.
-	SolveMethodChebyshev SolveMethod = "chebyshev"
 	// SolveMethodResilient walks the SolveResilient fallback ladder with
 	// every right-hand side: each rung builds once and solves the columns no
 	// earlier rung converged as one block, recording a ResilienceReport per
@@ -164,27 +156,20 @@ type SolveRequest struct {
 	// out of the engine's buffers, so they remain valid after the engine
 	// is reused. SolveMethodResilient ignores it.
 	Engine *Engine
-	// Options configures the iteration of every method. PCG reads all of
-	// it. Chebyshev reads Tol (0 runs every iteration), MaxIter (its
-	// iteration count, required > 0) and Observer. Every method projects
-	// out the mean, the Laplacian's null space. The resilient ladder runs every rung
-	// under Options with one in-rung restart.
+	// Options configures the iteration of every method. Every method
+	// projects out the mean, the Laplacian's null space. The resilient ladder
+	// runs every rung under Options with one in-rung restart.
 	Options SolveOptions
 }
 
 // SolveResponse reports one Do call: per-right-hand-side results plus the
-// method-specific extras.
+// resilient method's attempt trails.
 type SolveResponse struct {
 	// Results holds one SolveResult per right-hand side, in request order.
 	// On error it still contains one entry per attempted column — completed
 	// columns keep their results, failed columns carry zero-value entries —
 	// so a partially failed batch loses nothing that finished.
 	Results []SolveResult
-	// Lmin, Lmax are the Chebyshev method's Ritz spectrum estimates from
-	// the bootstrap probe, before widening.
-	Lmin, Lmax float64
-	// ProbeMetrics instruments the Chebyshev bootstrap probe.
-	ProbeMetrics SolveMetrics
 	// Resilience holds one attempt-trail report per right-hand side for
 	// the resilient method.
 	Resilience []ResilienceReport
@@ -196,11 +181,11 @@ type SolveResponse struct {
 //
 // Errors follow the wrapped-sentinel convention: dimension mismatches wrap
 // ErrBadDimension, exhausted ladders wrap ErrNotConverged, a cancelled
-// context surfaces via the per-result OutcomeCancelled (PCG/Chebyshev) or a
-// wrapped context error (resilient). A multi-RHS PCG or Chebyshev request
-// attempts every column even when one fails: the response carries a result
-// per attempted column and the error joins the per-column failures
-// (errors.Is still matches the wrapped sentinels through the join).
+// context surfaces via the per-result OutcomeCancelled (PCG) or a wrapped
+// context error (resilient). A multi-RHS PCG request attempts every column
+// even when one fails: the response carries a result per attempted column
+// and the error joins the per-column failures (errors.Is still matches the
+// wrapped sentinels through the join).
 func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error) {
 	resp := &SolveResponse{}
 	if ctx == nil {
@@ -230,8 +215,6 @@ func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error)
 	switch method {
 	case SolveMethodPCG:
 		return doPCG(ctx, g, req, resp)
-	case SolveMethodChebyshev:
-		return doChebyshev(ctx, g, req, resp)
 	case SolveMethodResilient:
 		if k := req.Precond.Kind; k != PrecondHierarchy && k != "" {
 			return resp, fmt.Errorf("hcd: Do: the resilient method builds a hierarchy, not %q: %w", k, ErrInvalidInput)
@@ -268,93 +251,6 @@ func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse)
 		resp.Results[i] = detachResult(res)
 	}
 	return resp, err
-}
-
-// The Chebyshev method's bootstrap: the probe's PCG depth and the widening of
-// its Ritz bracket (Ritz values sit strictly inside the true spectrum).
-const (
-	chebyshevProbeIters = 40
-	chebyshevWidenLow   = 0.8
-	chebyshevWidenHigh  = 1.2
-)
-
-func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse) (*SolveResponse, error) {
-	if req.Options.MaxIter <= 0 {
-		return resp, fmt.Errorf("hcd: the Chebyshev method needs Options.MaxIter > 0: %w", ErrInvalidInput)
-	}
-	a, m := solver.LapOperator(g), req.M
-	if m == nil && req.Engine == nil {
-		var err error
-		if m, err = NewPreconditioner(ctx, g, req.Precond); err != nil {
-			return resp, err
-		}
-	}
-	probe := func(ctx context.Context, bs [][]float64, opt solver.Options) ([]SolveResult, error) {
-		return solver.BlockPCGCtx(ctx, a, m, bs, opt)
-	}
-	if req.Engine != nil {
-		probe = req.Engine.SolveBlock
-	}
-	br, err := probeBracket(ctx, probe, req.B)
-	resp.ProbeMetrics = br.metrics
-	if err != nil || !br.ok {
-		resp.Results = br.skipped
-		return resp, err
-	}
-	resp.Lmin, resp.Lmax = br.lmin, br.lmax
-	lo, hi := br.lmin*chebyshevWidenLow, br.lmax*chebyshevWidenHigh
-	if req.Engine == nil {
-		resp.Results, err = solver.ChebyshevCtx(ctx, a, m, req.B, lo, hi, req.Options)
-		return resp, err
-	}
-	results, err := req.Engine.SolveChebyshev(ctx, req.B, lo, hi, req.Options)
-	for _, res := range results {
-		resp.Results = append(resp.Results, detachResult(res))
-	}
-	return resp, err
-}
-
-// bracket is what a Chebyshev bootstrap probe learned: the Ritz interval
-// [lmin, lmax] of the first column whose probe took a step (ok), that probe's
-// metrics, and the detached probe results of the columns before it — the
-// results Do reports when no column's probe took a step.
-type bracket struct {
-	lmin, lmax float64
-	ok         bool
-	metrics    SolveMetrics
-	skipped    []SolveResult
-}
-
-// probeBracket is the bootstrap Do's Chebyshev method and the resilient
-// ladder's Chebyshev rung share: a chebyshevProbeIters-step PCG probe through
-// pcg — BlockPCGCtx or Engine.SolveBlock — one column of bs at a time, until a
-// probe yields coefficients. A column the probe stops before its first step
-// has none: one it finds solved (zero or constant, the Laplacian's null space,
-// x = 0) or broken down (rᵀz outside the float range) keeps its probe's result
-// in skipped, and the next column is probed. Each caller widens the interval
-// by its own constants.
-func probeBracket(ctx context.Context, pcg func(context.Context, [][]float64, solver.Options) ([]SolveResult, error), bs [][]float64) (bracket, error) {
-	var br bracket
-	opt := solver.Options{Tol: 1e-12, MaxIter: chebyshevProbeIters}
-	for j := range bs {
-		results, err := pcg(ctx, bs[j:j+1], opt)
-		if err != nil {
-			return br, err
-		}
-		probe := results[0]
-		br.metrics = probe.Metrics
-		if probe.Outcome == OutcomeCancelled {
-			br.skipped = append(br.skipped, detachResult(probe))
-			return br, fmt.Errorf("hcd: chebyshev probe cancelled: %w", ctx.Err())
-		}
-		if len(probe.Alphas) > 0 {
-			br.lmin, br.lmax, err = solver.SpectrumEstimate(probe.Alphas, probe.Betas)
-			br.ok = err == nil
-			return br, err
-		}
-		br.skipped = append(br.skipped, detachResult(probe))
-	}
-	return br, nil
 }
 
 // detachResult copies the slices of an engine-produced result out of the

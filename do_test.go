@@ -139,88 +139,6 @@ func TestDoValidation(t *testing.T) {
 	}
 }
 
-// TestDoChebyshevMultiRHS: the Chebyshev method probes once on the first
-// right-hand side and reuses the spectrum bracket for the rest.
-func TestDoChebyshevMultiRHS(t *testing.T) {
-	g := hcd.Grid2D(10, 10, nil, 1)
-	rng := rand.New(rand.NewSource(8))
-	B := [][]float64{meanFree(rng, g.N()), meanFree(rng, g.N())}
-	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
-		B: B, Method: hcd.SolveMethodChebyshev,
-		M:       hcd.JacobiPreconditioner(g),
-		Options: hcd.SolveOptions{MaxIter: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Lmin <= 0 || resp.Lmax <= resp.Lmin {
-		t.Fatalf("bad spectrum estimate [%v, %v]", resp.Lmin, resp.Lmax)
-	}
-	if len(resp.Results) != 2 {
-		t.Fatalf("want 2 results, got %d", len(resp.Results))
-	}
-	for i, res := range resp.Results {
-		if r := residual(g, res.X, B[i]); r > 1e-4 {
-			t.Errorf("rhs %d: residual %v", i, r)
-		}
-	}
-}
-
-// TestDoChebyshevNullSpaceColumns: a zero or constant right-hand side has no
-// PCG coefficients to take bounds from. It is converged at x = 0, as under
-// PCG, and the bounds come from the first column that has some.
-func TestDoChebyshevNullSpaceColumns(t *testing.T) {
-	g := hcd.Grid2D(10, 10, nil, 1)
-	n := g.N()
-	constant := make([]float64, n)
-	for v := range constant {
-		constant[v] = 3
-	}
-	b := meanFree(rand.New(rand.NewSource(9)), n)
-	B := [][]float64{make([]float64, n), b, constant}
-	copt := hcd.SolveOptions{MaxIter: 300, Tol: 1e-8}
-	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
-		B: B, Method: hcd.SolveMethodChebyshev, M: hcd.JacobiPreconditioner(g), Options: copt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != len(B) {
-		t.Fatalf("want %d results, got %d", len(B), len(resp.Results))
-	}
-	if resp.Lmin <= 0 || resp.Lmax <= resp.Lmin {
-		t.Fatalf("bad spectrum estimate [%v, %v]", resp.Lmin, resp.Lmax)
-	}
-	for _, i := range []int{0, 2} {
-		res := resp.Results[i]
-		if !res.Converged || len(res.X) != n {
-			t.Fatalf("null-space rhs %d: converged %v, %d entries", i, res.Converged, len(res.X))
-		}
-		for v, x := range res.X {
-			if x != 0 {
-				t.Fatalf("null-space rhs %d: x[%d] = %v, want 0", i, v, x)
-			}
-		}
-	}
-	if res := resp.Results[1]; !res.Converged || residual(g, res.X, b) > 1e-6 {
-		t.Errorf("rhs 1: converged %v after %d iterations, residual %v", res.Converged, res.Iterations, residual(g, res.X, b))
-	}
-
-	// With nothing but null-space columns there are no bounds to take: every
-	// column is converged at x = 0.
-	resp, err = hcd.Do(context.Background(), g, hcd.SolveRequest{
-		B: [][]float64{make([]float64, n), constant}, Method: hcd.SolveMethodChebyshev, Options: copt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range resp.Results {
-		if !res.Converged {
-			t.Errorf("null-space rhs %d of 2: outcome %v", i, res.Outcome)
-		}
-	}
-}
-
 type namedGraph struct {
 	name string
 	g    *hcd.Graph
@@ -271,8 +189,6 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 			B[j] = meanFree(rng, g.N())
 		}
 		opt := hcd.DefaultSolveOptions()
-		cheb := opt
-		cheb.MaxIter = 120
 		methods := []struct {
 			name string
 			req  func(B [][]float64) hcd.SolveRequest
@@ -280,12 +196,6 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 			{"pcg k=1", func(B [][]float64) hcd.SolveRequest { return hcd.SolveRequest{B: B[:1], M: m, Options: opt} }},
 			{"pcg k=4", func(B [][]float64) hcd.SolveRequest { return hcd.SolveRequest{B: B, M: m, Options: opt} }},
 			{"pcg k=4 engine", func(B [][]float64) hcd.SolveRequest { return hcd.SolveRequest{B: B, Engine: eng, Options: opt} }},
-			{"chebyshev", func(B [][]float64) hcd.SolveRequest {
-				return hcd.SolveRequest{B: B[:1], Method: hcd.SolveMethodChebyshev, M: m, Options: cheb}
-			}},
-			{"chebyshev k=4", func(B [][]float64) hcd.SolveRequest {
-				return hcd.SolveRequest{B: B, Method: hcd.SolveMethodChebyshev, M: m, Options: cheb}
-			}},
 			{"resilient", func(B [][]float64) hcd.SolveRequest {
 				return hcd.SolveRequest{B: B[:1], Method: hcd.SolveMethodResilient, Options: opt}
 			}},
@@ -330,11 +240,10 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 // one another. Permuting a k = 4 block's columns permutes hcd.Do's results
 // bit for bit, and negating one column or scaling it by 2^±300 leaves every
 // other column's iterate, residual history, coefficients and count
-// bit-identical — through PCG and Chebyshev, each with M and with an Engine.
-// The right-hand sides converge one after another, so deflation compacts the
-// block at different iterations and moves columns between the 4-wide tile and
-// the tail. Chebyshev's interval comes from a probe of the first column, so
-// its permutation keeps column 0 in place.
+// bit-identical — through PCG, with M and with an Engine. The right-hand
+// sides converge one after another, so deflation compacts the block at
+// different iterations and moves columns between the 4-wide tile and the
+// tail.
 func TestBlockColumnsInvariant(t *testing.T) {
 	ctx := context.Background()
 	same := func(a, b hcd.SolveResult) bool {
@@ -352,8 +261,6 @@ func TestBlockColumnsInvariant(t *testing.T) {
 		}
 		B := staggeredRHS(g, m, 4, 17)
 		opt := hcd.DefaultSolveOptions()
-		cheb := opt
-		cheb.MaxIter = 120
 		for _, me := range []struct {
 			name string
 			perm []int
@@ -361,8 +268,6 @@ func TestBlockColumnsInvariant(t *testing.T) {
 		}{
 			{"pcg", []int{3, 2, 1, 0}, hcd.SolveRequest{M: m, Options: opt}},
 			{"pcg engine", []int{3, 2, 1, 0}, hcd.SolveRequest{Engine: eng, Options: opt}},
-			{"chebyshev", []int{0, 3, 1, 2}, hcd.SolveRequest{Method: hcd.SolveMethodChebyshev, M: m, Options: cheb}},
-			{"chebyshev engine", []int{0, 3, 1, 2}, hcd.SolveRequest{Method: hcd.SolveMethodChebyshev, Engine: eng, Options: cheb}},
 		} {
 			do := func(B [][]float64) []hcd.SolveResult {
 				req := me.req
@@ -419,7 +324,7 @@ func TestBlockColumnsInvariant(t *testing.T) {
 // TestWeightScaleInvariant: a graph with every weight times 2^e, e even, and
 // a right-hand side times 2^f are solved along the path of the unscaled
 // system — the same clustering, the same outcome and iteration count — and
-// return exactly 2^(f−e)·x, through PCG and Chebyshev of either width. The
+// return exactly 2^(f−e)·x, through PCG of either width. The
 // clustering compares weights and ratios of them, the cycle and the Krylov
 // steps are linear in the weights, in b or ratios of such quantities, and the
 // coarse factor takes one square root per pivot, exact on an even power of
@@ -435,14 +340,10 @@ func TestWeightScaleInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt := hcd.DefaultSolveOptions()
-		cheb := opt
-		cheb.MaxIter = 120
 		out := map[string]*hcd.SolveResponse{}
 		for name, req := range map[string]hcd.SolveRequest{
-			"pcg k=1":       {B: B[:1], M: m, Options: opt},
-			"pcg k=4":       {B: B, M: m, Options: opt},
-			"chebyshev":     {B: B[:1], Method: hcd.SolveMethodChebyshev, M: m, Options: cheb},
-			"chebyshev k=4": {B: B, Method: hcd.SolveMethodChebyshev, M: m, Options: cheb},
+			"pcg k=1": {B: B[:1], M: m, Options: opt},
+			"pcg k=4": {B: B, M: m, Options: opt},
 		} {
 			resp, err := hcd.Do(ctx, g, req)
 			if err != nil {

@@ -34,9 +34,8 @@ import (
 // what a fire does there.
 const (
 	// MatvecNaN overwrites entry 0 of a solver matvec result with NaN — the
-	// A·p of internal/solver's iteration driver, under PCG and Chebyshev
-	// alike, where entry 0 belongs to the first active column — modeling a
-	// corrupted operator apply. The solver's NaN guard must classify the
+	// A·p of internal/solver's PCG driver, where entry 0 belongs to the first
+	// active column — modeling a corrupted operator apply. The solver's NaN guard must classify the
 	// solve as OutcomeBreakdown instead of iterating on garbage.
 	MatvecNaN = "solver/matvec-nan"
 

@@ -6,10 +6,10 @@ import (
 )
 
 // IterationObserver receives the convergence history of an iterative solve
-// as it happens: the solver cores (PCG, Chebyshev) invoke ObserveIteration
-// after every iteration with the 1-based iteration number and the current
-// residual norm. Observers run on the solve goroutine between iterations —
-// keep them cheap, or hand off to a channel/writer with its own buffering.
+// as it happens: the solver's PCG driver invokes ObserveIteration after every
+// iteration with the 1-based iteration number and the current residual norm.
+// Observers run on the solve goroutine between iterations — keep them cheap,
+// or hand off to a channel/writer with its own buffering.
 //
 // This is the streaming alternative to the post-hoc Result.Residuals copy:
 // a long solve can be watched live (and its history histogrammed or traced)

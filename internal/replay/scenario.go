@@ -41,7 +41,7 @@ type MixEntry struct {
 	// Tol and MaxIter override the solver defaults when non-zero.
 	Tol     float64 `json:"tol,omitempty"`
 	MaxIter int     `json:"max_iter,omitempty"`
-	// Method selects the solve path: "" or "pcg", "chebyshev", "resilient".
+	// Method selects the solve path: "" or "pcg", "resilient".
 	Method string `json:"method,omitempty"`
 }
 
@@ -142,7 +142,7 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("replay: scenario %q: mix[%d] has negative weight", sc.Name, i)
 		}
 		switch m.Method {
-		case "", "pcg", "chebyshev", "resilient":
+		case "", "pcg", "resilient":
 		default:
 			return fmt.Errorf("replay: scenario %q: mix[%d] has unknown method %q", sc.Name, i, m.Method)
 		}
@@ -185,10 +185,7 @@ var builtins = map[string]Scenario{
 		},
 		// The committed mix stays on the PCG path, the serve stack's default
 		// route. Its iteration counts are bit-identical at any GOMAXPROCS,
-		// which is what lets the score gate with no noise margin. So are
-		// Chebyshev's and its eigenvalue probe's — they run in the same
-		// driver — so adding them would only move the committed score, not
-		// its determinism.
+		// which is what lets the score gate with no noise margin.
 		Mix: []MixEntry{
 			{Graph: 0, Weight: 3, RHS: 1},
 			{Graph: 0, Weight: 1, RHS: 4},

@@ -52,12 +52,11 @@ type solveRequest struct {
 	B    [][]float64 `json:"b,omitempty"`
 	RHS  int         `json:"rhs,omitempty"`
 	Seed int64       `json:"seed,omitempty"`
-	// Method: "pcg" (default), "chebyshev", or "resilient" (the opt-in
-	// fallback ladder; builds its own preconditioners, skipping the pool).
-	Method         string  `json:"method,omitempty"`
-	Tol            float64 `json:"tol,omitempty"`
-	MaxIter        int     `json:"max_iter,omitempty"`
-	ChebyshevIters int     `json:"chebyshev_iters,omitempty"`
+	// Method: "pcg" (default) or "resilient" (the opt-in fallback ladder;
+	// builds its own preconditioners, skipping the pool).
+	Method  string  `json:"method,omitempty"`
+	Tol     float64 `json:"tol,omitempty"`
+	MaxIter int     `json:"max_iter,omitempty"`
 	// IncludeX returns the solution vectors (large!); default is summary only.
 	IncludeX bool `json:"include_x,omitempty"`
 	// Wait blocks the solve until the hierarchy build finishes instead of
@@ -80,10 +79,8 @@ type solveResult struct {
 type solveResponse struct {
 	GraphID     string        `json:"graph_id"`
 	Results     []solveResult `json:"results"`
-	Lmin        float64       `json:"lmin,omitempty"`
-	Lmax        float64       `json:"lmax,omitempty"`
 	CacheHit    bool          `json:"cache_hit"`
-	Degraded    bool          `json:"degraded,omitempty"` // served by the CG fallback (breaker open)
+	Degraded    bool          `json:"degraded,omitempty"` // served by Jacobi-PCG, the ladder's last rung (breaker open)
 	QueueWaitMS int64         `json:"queue_wait_ms"`
 }
 
@@ -459,12 +456,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case degraded:
 		// Breaker open: there is no hierarchy to precondition with. Serve
-		// the request anyway — unpreconditioned CG on the raw graph, the
-		// resilient ladder's final rung — rather than erroring. Slower,
-		// never wrong: CG without a preconditioner is still exact.
+		// the request anyway — Jacobi-PCG on the raw graph, the resilient
+		// ladder's final rung — rather than erroring. Slower, never wrong.
 		doReq.Method = hcd.SolveMethodPCG
 		doReq.M = nil
-		doReq.Precond = hcd.PrecondSpec{Kind: hcd.PrecondNone}
+		doReq.Precond = hcd.PrecondSpec{Kind: hcd.PrecondJacobi}
 	case req.Method == "" || req.Method == "pcg":
 		doReq.Method = hcd.SolveMethodPCG
 		eng, perr := pool.acquire(ctx)
@@ -474,12 +470,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		defer pool.release(eng)
 		doReq.Engine = eng
-	case req.Method == "chebyshev":
-		doReq.Method = hcd.SolveMethodChebyshev
-		doReq.Options.MaxIter = req.ChebyshevIters
-		if doReq.Options.MaxIter <= 0 {
-			doReq.Options.MaxIter = 120
-		}
 	case req.Method == "resilient":
 		// Rung 1 solves with the handle's cached hierarchy; the reseeded
 		// rungs rebuild it under the handle's options.
@@ -537,8 +527,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		CacheHit:    cacheHit,
 		Degraded:    degraded,
 		QueueWaitMS: waited.Milliseconds(),
-		Lmin:        resp.Lmin,
-		Lmax:        resp.Lmax,
 	}
 	for i, res := range resp.Results {
 		sr := solveResult{
@@ -555,7 +543,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			sr.Recovered = resp.Resilience[i].Recovered
 		}
 		if degraded {
-			sr.Rung = hcd.RungCG
+			sr.Rung = hcd.RungJacobiPCG
 		}
 		out.Results = append(out.Results, sr)
 	}

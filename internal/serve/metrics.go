@@ -37,7 +37,7 @@ const (
 	metricRestoreOK        = "serve_restore_ok_total"      // lazy hydrations that verified clean
 	metricRestoreCorrupt   = "serve_restore_corrupt_total" // quarantined snapshots (partial or total)
 	metricSnapshotWrites   = "serve_snapshot_writes_total" // {outcome}
-	metricDegradedSolves   = "serve_degraded_solves_total" // solves served by the CG fallback rung
+	metricDegradedSolves   = "serve_degraded_solves_total" // solves served by the Jacobi-PCG rung
 	metricBreakerOpen      = "serve_breaker_open_total"    // handles tripped into degraded
 	metricDeadlineExceeded = "serve_deadline_exceeded_total"
 

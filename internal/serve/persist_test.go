@@ -346,9 +346,10 @@ func TestKillDashNineRestoresBuiltHandles(t *testing.T) {
 	}
 }
 
-// TestBreakerDegradedSolve drives a handle's build to fail repeatedly until
-// the circuit breaker opens, then verifies solves fall through to the
-// unpreconditioned-CG rung instead of erroring.
+// TestBreakerDegradedSolve drives each handle's build to fail repeatedly
+// until its circuit breaker opens, then verifies solves fall through to the
+// Jacobi-PCG rung instead of erroring — and converge on a weighted OCT volume,
+// whose weights span six orders of magnitude, as on a grid.
 func TestBreakerDegradedSolve(t *testing.T) {
 	restore := faultinject.Activate(map[string]faultinject.Spec{
 		faultinject.BuildFail: {}, // every build attempt fails
@@ -356,37 +357,39 @@ func TestBreakerDegradedSolve(t *testing.T) {
 	defer restore()
 
 	srv, c := newTestServer(t, Config{BreakerThreshold: 2})
-	code, body, _ := c.do("POST", "/v1/graphs?spec=grid3d:6&wait=true", "", nil)
-	if code != http.StatusCreated || body["status"] != "failed" {
-		t.Fatalf("submit under BuildFail: code %d body %v", code, body)
-	}
-	id := body["id"].(string)
+	for i, spec := range []string{"grid3d:6", "oct:8"} {
+		code, body, _ := c.do("POST", "/v1/graphs?spec="+spec+"&wait=true", "", nil)
+		if code != http.StatusCreated || body["status"] != "failed" {
+			t.Fatalf("%s: submit under BuildFail: code %d body %v", spec, code, body)
+		}
+		id := body["id"].(string)
 
-	// First solve: 422 and a background retry, which fails again and trips
-	// the breaker (threshold 2).
-	code, body, _ = c.do("POST", "/v1/graphs/"+id+"/solve", "", map[string]any{"rhs": 1})
-	if code != http.StatusUnprocessableEntity {
-		t.Fatalf("solve on failed handle: code %d body %v", code, body)
-	}
-	waitStatus(t, c, id, "degraded")
-	if got := srv.Registry().Counter(metricBreakerOpen).Value(); got != 1 {
-		t.Errorf("breaker_open = %v, want 1", got)
-	}
+		// First solve: 422 and a background retry, which fails again and
+		// trips the breaker (threshold 2).
+		code, body, _ = c.do("POST", "/v1/graphs/"+id+"/solve", "", map[string]any{"rhs": 1})
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: solve on failed handle: code %d body %v", spec, code, body)
+		}
+		waitStatus(t, c, id, "degraded")
+		if got := srv.Registry().Counter(metricBreakerOpen).Value(); got != int64(i+1) {
+			t.Errorf("%s: breaker_open = %v, want %d", spec, got, i+1)
+		}
 
-	// Degraded solves succeed on the CG fallback rung.
-	code, body, _ = c.do("POST", "/v1/graphs/"+id+"/solve", "", map[string]any{"rhs": 1})
-	if code != http.StatusOK {
-		t.Fatalf("degraded solve: code %d body %v", code, body)
-	}
-	if body["degraded"] != true {
-		t.Fatalf("degraded solve not flagged: %v", body)
-	}
-	res := body["results"].([]any)[0].(map[string]any)
-	if res["rung"] != "cg" || res["converged"] != true {
-		t.Fatalf("degraded solve result %v, want converged on rung cg", res)
-	}
-	if got := srv.Registry().Counter(metricDegradedSolves).Value(); got < 1 {
-		t.Errorf("degraded_solves = %v, want ≥ 1", got)
+		// Degraded solves succeed on the Jacobi-PCG rung.
+		code, body, _ = c.do("POST", "/v1/graphs/"+id+"/solve", "", map[string]any{"rhs": 1})
+		if code != http.StatusOK {
+			t.Fatalf("%s: degraded solve: code %d body %v", spec, code, body)
+		}
+		if body["degraded"] != true {
+			t.Fatalf("%s: degraded solve not flagged: %v", spec, body)
+		}
+		res := body["results"].([]any)[0].(map[string]any)
+		if res["rung"] != "jacobi-pcg" || res["converged"] != true {
+			t.Fatalf("%s: degraded solve result %v, want converged on rung jacobi-pcg", spec, res)
+		}
+		if got := srv.Registry().Counter(metricDegradedSolves).Value(); got < int64(i+1) {
+			t.Errorf("%s: degraded_solves = %v, want ≥ %d", spec, got, i+1)
+		}
 	}
 }
 

@@ -44,9 +44,9 @@ type Config struct {
 	// lazily on first use. Empty = memory-only.
 	StateDir string
 	// BreakerThreshold is the consecutive-build-failure count at which a
-	// handle's circuit breaker opens and solves degrade to raw CG instead
-	// of erroring (default 3; negative disables the breaker — handles then
-	// stay failed forever).
+	// handle's circuit breaker opens and solves degrade to Jacobi-PCG, the
+	// resilient ladder's last rung, instead of erroring (default 3; negative
+	// disables the breaker — handles then stay failed forever).
 	BreakerThreshold int
 	// MaxTimeout caps the per-request deadline budget. Requests opt into a
 	// deadline with ?timeout_ms=; the effective deadline is min(requested,

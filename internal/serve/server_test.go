@@ -413,9 +413,8 @@ func TestBuildInfoOnMetrics(t *testing.T) {
 	}
 }
 
-// TestSolveMethods posts each non-PCG method to the solve route: Chebyshev
-// with and without chebyshev_iters (its default, 120, is the iteration
-// count), the resilient ladder, and a method the route does not know.
+// TestSolveMethods posts each non-PCG method to the solve route: the
+// resilient ladder, and a method the route does not know.
 func TestSolveMethods(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	code, body, _ := c.do("POST", "/v1/graphs?spec=grid2d:48&wait=true", "", nil)
@@ -424,15 +423,12 @@ func TestSolveMethods(t *testing.T) {
 	}
 	path := "/v1/graphs/" + body["id"].(string) + "/solve"
 	for _, tc := range []struct {
-		name     string
-		req      map[string]any
-		code     int
-		maxIters float64 // a Chebyshev request's iteration count
+		name string
+		req  map[string]any
+		code int
 	}{
-		{"chebyshev", map[string]any{"method": "chebyshev", "chebyshev_iters": 200}, http.StatusOK, 200},
-		{"chebyshev default count", map[string]any{"method": "chebyshev"}, http.StatusOK, 120},
-		{"resilient", map[string]any{"method": "resilient", "rhs": 2}, http.StatusOK, 0},
-		{"unknown", map[string]any{"method": "gmres"}, http.StatusBadRequest, 0},
+		{"resilient", map[string]any{"method": "resilient", "rhs": 2}, http.StatusOK},
+		{"unknown", map[string]any{"method": "gmres"}, http.StatusBadRequest},
 	} {
 		code, body, _ := c.do("POST", path, "", tc.req)
 		if code != tc.code {
@@ -442,13 +438,6 @@ func TestSolveMethods(t *testing.T) {
 		if code != http.StatusOK {
 			continue
 		}
-		if tc.maxIters > 0 {
-			lmin, _ := body["lmin"].(float64)
-			lmax, _ := body["lmax"].(float64)
-			if !(lmin > 0 && lmin <= lmax) {
-				t.Errorf("%s: spectrum estimate [%v, %v]", tc.name, body["lmin"], body["lmax"])
-			}
-		}
 		results, _ := body["results"].([]any)
 		if len(results) == 0 {
 			t.Errorf("%s: no results in %v", tc.name, body)
@@ -457,9 +446,6 @@ func TestSolveMethods(t *testing.T) {
 			r := r.(map[string]any)
 			if r["converged"] != true {
 				t.Errorf("%s: rhs %d did not converge: %v", tc.name, i, r)
-			}
-			if it, _ := r["iterations"].(float64); tc.maxIters > 0 && it > tc.maxIters {
-				t.Errorf("%s: rhs %d ran %v iterations, more than %v", tc.name, i, it, tc.maxIters)
 			}
 			if rung, _ := r["rung"].(string); tc.req["method"] == "resilient" && rung == "" {
 				t.Errorf("%s: rhs %d names no rung: %v", tc.name, i, r)
@@ -639,9 +625,8 @@ func TestSolveScaleInvariant(t *testing.T) {
 		}
 		out := map[string][]result{}
 		for name, req := range map[string]map[string]any{
-			"pcg k=1":   {"b": sB[:1], "include_x": true},
-			"pcg k=4":   {"b": sB, "include_x": true},
-			"chebyshev": {"b": sB[:1], "include_x": true, "method": "chebyshev"},
+			"pcg k=1": {"b": sB[:1], "include_x": true},
+			"pcg k=4": {"b": sB, "include_x": true},
 		} {
 			code, body, _ := c.do("POST", "/v1/graphs/"+sub.ID+"/solve", "", req)
 			if code != http.StatusOK {

@@ -44,8 +44,8 @@ const (
 	StatusFailed   HandleStatus = "failed"
 	// StatusDegraded: the handle's circuit breaker is open — enough
 	// consecutive build failures that the store stops retrying. Solves
-	// against a degraded handle fall through to unpreconditioned CG on the
-	// raw graph instead of failing, trading iterations for availability.
+	// against a degraded handle fall through to Jacobi-PCG on the raw graph
+	// instead of failing, trading iterations for availability.
 	StatusDegraded HandleStatus = "degraded"
 )
 
@@ -214,7 +214,7 @@ func (s *store) buildContext() (context.Context, context.CancelFunc) {
 // persisted (when a state dir is configured) before it flips ready; on
 // failure the consecutive-failure counter feeds the circuit breaker —
 // at the threshold the handle degrades instead of failing, and solves fall
-// through to unpreconditioned CG.
+// through to Jacobi-PCG.
 func (s *store) build(ctx context.Context, h *handle, opts hcd.HierarchyOptions) {
 	ctx, sp := obs.StartSpan(ctx, "serve/build")
 	sp.Arg("graph", h.id)

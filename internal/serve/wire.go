@@ -122,7 +122,6 @@ const (
 	keyMethod
 	keyTol
 	keyMaxIter
-	keyChebyshevIters
 	keyIncludeX
 	keyWait
 )
@@ -141,8 +140,6 @@ func requestKey(k []byte) int {
 		return keyTol
 	case "max_iter":
 		return keyMaxIter
-	case "chebyshev_iters":
-		return keyChebyshevIters
 	case "include_x":
 		return keyIncludeX
 	case "wait":
@@ -213,8 +210,6 @@ func (p *wireParser) request(req *solveRequest) bool {
 			req.Tol, ok = p.float()
 		case keyMaxIter:
 			req.MaxIter, ok = p.int()
-		case keyChebyshevIters:
-			req.ChebyshevIters, ok = p.int()
 		case keyIncludeX:
 			req.IncludeX, ok = p.bool()
 		case keyWait:
@@ -438,12 +433,6 @@ func appendSolveResponse(dst []byte, out *solveResponse, errMsg *string) []byte 
 			dst = appendSolveResult(dst, &out.Results[i])
 		}
 		dst = append(dst, ']')
-	}
-	if out.Lmin != 0 {
-		dst = appendFloat(append(dst, `,"lmin":`...), out.Lmin)
-	}
-	if out.Lmax != 0 {
-		dst = appendFloat(append(dst, `,"lmax":`...), out.Lmax)
 	}
 	dst = strconv.AppendBool(append(dst, `,"cache_hit":`...), out.CacheHit)
 	if out.Degraded {

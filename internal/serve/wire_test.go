@@ -22,7 +22,7 @@ var (
 		`{"rhs":4,"seed":7}`,
 		`{"rhs":1,"seed":-3}`,
 		` { "b" : [ [ 1 , 2 ] , [ ] ] , "wait" : false } `,
-		`{"b":[],"method":"pcg","tol":1e-8,"max_iter":50,"chebyshev_iters":3,"include_x":false,"wait":true,"rhs":0,"seed":0}`,
+		`{"b":[],"method":"pcg","tol":1e-8,"max_iter":50,"include_x":false,"wait":true,"rhs":0,"seed":0}`,
 		`{}`,
 		`{"method":"pcg"}`,
 		`{"b":[[-0]],"tol":-0}`,
@@ -154,7 +154,6 @@ func fuzzResponse(data []byte) (solveResponse, *string) {
 		r.Rung = s.string()
 		r.Recovered = s.byte()&1 == 1
 	}
-	out.Lmin, out.Lmax = s.float(), s.float()
 	flags := s.byte()
 	out.CacheHit, out.Degraded = flags&1 != 0, flags&2 != 0
 	out.QueueWaitMS = int64(s.uint64())
@@ -182,8 +181,6 @@ func stdSolveJSON(out solveResponse, errMsg *string) (int, []byte) {
 
 // floats calls f on every float of out, by address.
 func floats(out *solveResponse, f func(*float64)) {
-	f(&out.Lmin)
-	f(&out.Lmax)
 	for i := range out.Results {
 		f(&out.Results[i].FinalResidual)
 		for j := range out.Results[i].X {

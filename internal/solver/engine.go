@@ -65,7 +65,7 @@ func (e *Engine) Solve(ctx context.Context, b []float64) (Result, error) {
 	}
 	defer e.release()
 	e.s.one[0] = b
-	results, err := e.s.solve(ctx, e.a, e.m, e.s.one[:], e.opt, rule{})
+	results, err := e.s.solve(ctx, e.a, e.m, e.s.one[:], e.opt)
 	e.s.one[0] = nil
 	return single(results, err)
 }
@@ -83,20 +83,5 @@ func (e *Engine) SolveBlock(ctx context.Context, bs [][]float64, opt Options) ([
 		return nil, err
 	}
 	defer e.release()
-	return e.s.solve(ctx, e.a, e.m, bs, opt, rule{})
-}
-
-// SolveChebyshev runs Chebyshev iteration on the columns of bs given spectrum
-// bounds [lmin, lmax] for M⁻¹A, with the engine's buffers: ChebyshevCtx, whose
-// results alias the engine's buffers as SolveBlock's do.
-func (e *Engine) SolveChebyshev(ctx context.Context, bs [][]float64, lmin, lmax float64, opt Options) ([]Result, error) {
-	ru, err := chebyshevRule(lmin, lmax)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.acquire(); err != nil {
-		return nil, err
-	}
-	defer e.release()
-	return e.s.solve(ctx, e.a, e.m, bs, opt, ru)
+	return e.s.solve(ctx, e.a, e.m, bs, opt)
 }

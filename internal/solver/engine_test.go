@@ -187,22 +187,6 @@ func TestCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-func TestChebyshevCancellation(t *testing.T) {
-	g := workload.Grid2D(20, 20, workload.Lognormal(1), 7)
-	rng := rand.New(rand.NewSource(16))
-	b := meanFreeRHS(rng, g.N())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := chebyshev(ctx, LapOperator(g), Jacobi(g), b, 0.1, 2.0,
-		Options{MaxIter: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != OutcomeCancelled || res.Iterations != 0 {
-		t.Errorf("outcome %v after %d iterations, want immediate cancel", res.Outcome, res.Iterations)
-	}
-}
-
 func TestOutcomeMaxIter(t *testing.T) {
 	g := workload.Grid2D(20, 20, workload.Lognormal(1), 3)
 	rng := rand.New(rand.NewSource(17))
@@ -241,18 +225,6 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 	if m.TotalTime < m.IterTime {
 		t.Errorf("TotalTime %v < IterTime %v", m.TotalTime, m.IterTime)
-	}
-
-	cres, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 0.05, 2.5,
-		Options{MaxIter: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cres.Metrics.MatVecs != 30 || cres.Metrics.PrecondApplies != 30 {
-		t.Errorf("chebyshev metrics %+v, want 30 matvecs and applies", cres.Metrics)
-	}
-	if cres.Outcome != OutcomeMaxIter {
-		t.Errorf("chebyshev outcome %v without Tol, want max-iterations", cres.Outcome)
 	}
 }
 
@@ -339,32 +311,13 @@ func TestEngineResultsAliasBuffers(t *testing.T) {
 	}
 }
 
-func TestEngineChebyshevAndDimErrors(t *testing.T) {
+func TestEngineDimErrors(t *testing.T) {
 	g := workload.Grid2D(12, 12, workload.Lognormal(1), 6)
 	rng := rand.New(rand.NewSource(22))
 	b := meanFreeRHS(rng, g.N())
 	eng, err := NewEngine(LapOperator(g), Jacobi(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Bootstrap spectrum bounds from a PCG probe, as hcd.Do's Chebyshev
-	// method does.
-	probe, err := single(eng.SolveBlock(context.Background(), [][]float64{b}, Options{Tol: 1e-12, MaxIter: 40}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lmin, lmax, err := SpectrumEstimate(probe.Alphas, probe.Betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := single(eng.SolveChebyshev(context.Background(), [][]float64{b}, lmin*0.8, lmax*1.2,
-		Options{MaxIter: 1000, Tol: 1e-6}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != OutcomeConverged {
-		t.Errorf("chebyshev with Tol did not converge: %v after %d iters (resid %v)",
-			res.Outcome, res.Iterations, res.Metrics.FinalResidual)
 	}
 	if _, err := eng.Solve(context.Background(), b[:10]); !errors.Is(err, graph.ErrBadDimension) {
 		t.Errorf("short rhs error %v, want ErrBadDimension", err)

@@ -50,7 +50,7 @@ func dotRange(a, b []float64, lo, hi int) float64 {
 	return s
 }
 
-// xpby computes p = z + beta·p (the PCG/Chebyshev direction update).
+// xpby computes p = z + beta·p (the PCG direction update).
 func xpby(p []float64, z []float64, beta float64) {
 	if len(p) <= kernelGrain || par.Workers() == 1 {
 		for i := range p {

@@ -33,11 +33,6 @@ import (
 //
 // Options.MaxRestarts restarts the columns that ended an attempt with a
 // recoverable outcome as a narrower block, warm-started from their iterates.
-//
-// Chebyshev iteration is the same driver under another coefficient rule
-// (rule): α and β come from its recurrence on a spectrum interval instead of
-// rᵀz and pᵀAp, and it takes no restarts. Everything else — packing, the solve
-// space, deflation, the guards, the metrics and the spans — is shared.
 
 // BlockApplier is the optional fast path an Operator or Preconditioner can
 // implement to apply itself to k packed row-major columns in one traversal
@@ -172,46 +167,6 @@ func (s *scratch) applyBlock(op applier, dst, x []float64, n, kA int) {
 	}
 }
 
-// rule is a solve's coefficient rule. The zero value is PCG's: per column,
-// α = rᵀz / pᵀAp and β = r'ᵀz' / rᵀz. A non-zero theta selects Chebyshev's on
-// the spectrum interval [θ − δ, θ + δ] of M⁻¹A: α and β follow its three-term
-// recurrence, the same for every column, and need no inner product.
-type rule struct{ theta, delta float64 }
-
-func (ru rule) chebyshev() bool { return ru.theta != 0 }
-
-// chebyshevRule is the Chebyshev rule for bounds [lmin, lmax] on the spectrum
-// of M⁻¹A.
-func chebyshevRule(lmin, lmax float64) (rule, error) {
-	if !(lmin > 0) || !(lmax >= lmin) {
-		return rule{}, fmt.Errorf("solver: invalid eigenvalue bounds [%v, %v]", lmin, lmax)
-	}
-	return rule{theta: (lmax + lmin) / 2, delta: (lmax - lmin) / 2}, nil
-}
-
-// ChebyshevCtx runs Chebyshev iteration for A·x_j = b_j on every column of bs
-// given bounds [lmin, lmax] on the spectrum of M⁻¹A, returning one Result per
-// column as BlockPCGCtx does. It needs no inner products, making it the
-// classical communication-free companion to the parallel preconditioners of
-// Section 3.1; the residual norms it takes are the guards' and the history's.
-// opt.MaxIter is the iteration count (default 10·n + 50); when opt.Tol > 0 a
-// column stops once ‖r‖ ≤ Tol·‖r₀‖. A column with nothing left to solve —
-// zero, or constant under the mean projection — is converged at x = 0.
-// Outcome is OutcomeConverged when the residual meets Tol, OutcomeMaxIter when
-// the budget ran out first, OutcomeCancelled on context cancellation,
-// OutcomeBreakdown on a non-finite residual, OutcomeDiverged past the
-// divergence guard (wrong eigenvalue bounds make Chebyshev diverge
-// geometrically). Options.MaxRestarts does not apply, and Alphas and Betas
-// stay empty. See Engine.SolveChebyshev for the buffer-reusing form.
-func ChebyshevCtx(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, lmin, lmax float64, opt Options) ([]Result, error) {
-	ru, err := chebyshevRule(lmin, lmax)
-	if err != nil {
-		return nil, err
-	}
-	var s scratch
-	return s.solve(ctx, a, m, bs, opt, ru)
-}
-
 // BlockPCGCtx solves A·x_j = b_j for all columns of bs with fresh work
 // buffers, returning one Result per column (same order). A column whose
 // length is not the operator's dimension is that column's failure: its Result
@@ -220,7 +175,7 @@ func ChebyshevCtx(ctx context.Context, a Operator, m Preconditioner, bs [][]floa
 // Engine.SolveBlock for the buffer-reusing form.
 func BlockPCGCtx(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, opt Options) ([]Result, error) {
 	var s scratch
-	return s.solve(ctx, a, m, bs, opt, rule{})
+	return s.solve(ctx, a, m, bs, opt)
 }
 
 // single unwraps a one-column solve.
@@ -233,18 +188,14 @@ func single(results []Result, err error) (Result, error) {
 
 // solve is the driver behind every entry point: the columns of the right
 // length form the first attempt's block, and under Options.MaxRestarts the
-// ones a PCG attempt leaves with a recoverable outcome form the next,
-// narrower one.
+// ones an attempt leaves with a recoverable outcome form the next, narrower
+// one.
 // Result slices alias the scratch buffers (except the stitched residual
 // history of a restarted column, which is freshly allocated). A panic during
 // the solve — including worker panics surfaced by internal/par — is returned
 // as an error carrying the panicking goroutine's stack.
-func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, opt Options, ru rule) (results []Result, err error) {
-	spanName, method := "solve/pcg", "pcg"
-	if ru.chebyshev() {
-		spanName, method = "solve/chebyshev", "chebyshev"
-	}
-	ctx, sp := obs.StartSpan(ctx, spanName)
+func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, opt Options) (results []Result, err error) {
+	ctx, sp := obs.StartSpan(ctx, "solve/pcg")
 	defer func() {
 		if v := recover(); v != nil {
 			results, err = nil, fmt.Errorf("solver: panic during solve: %w", par.AsError(v))
@@ -255,7 +206,7 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 			for i := range results {
 				if results[i].Outcome != OutcomeUnknown {
 					results[i].Metrics.Publish(reg)
-					publishOutcome(reg, method, results[i].Outcome)
+					publishOutcome(reg, results[i].Outcome)
 				}
 			}
 		}
@@ -273,7 +224,7 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.Tol <= 0 && !ru.chebyshev() {
+	if opt.Tol <= 0 {
 		opt.Tol = 1e-8
 	}
 	if opt.MaxIter <= 0 {
@@ -295,8 +246,8 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 	s.perm = nil
 	if len(cols) > 0 {
 		a, m = s.space(a, m)
-		s.attempt(ctx, a, m, bs, cols, opt, ru, results, false)
-		if opt.MaxRestarts > 0 && !ru.chebyshev() {
+		s.attempt(ctx, a, m, bs, cols, opt, results, false)
+		if opt.MaxRestarts > 0 {
 			s.restart(ctx, a, m, bs, recoverableCols(cols, results), opt, results)
 		}
 	}
@@ -352,7 +303,7 @@ func (s *scratch) restart(ctx context.Context, a Operator, m Preconditioner, bs 
 		total[j] = results[j].Metrics
 	}
 	for restart := 1; restart <= opt.MaxRestarts && len(cols) > 0; restart++ {
-		s.attempt(ctx, a, m, bs, cols, opt, rule{}, results, true)
+		s.attempt(ctx, a, m, bs, cols, opt, results, true)
 		for _, j := range cols {
 			res, t := &results[j], &total[j]
 			// Drop the restart's ‖r₀‖ sample: it re-measures the same iterate
@@ -377,14 +328,14 @@ func (s *scratch) restart(ctx context.Context, a Operator, m Preconditioner, bs 
 	}
 }
 
-// attempt runs one attempt of rule ru on the columns cols of bs — the same
+// attempt runs one PCG attempt on the columns cols of bs — the same
 // guard sequence and breakdown checks for every column, k columns wide,
 // deflating columns as they finish — and fills their results. With resume set — a
 // recovery restart — each column starts from the iterate its last attempt left
 // in its Result (reset to zero if non-finite), its residual is recomputed as b − A·x, and convergence and
 // divergence stay relative to the first attempt's ‖r₀‖, so a restart cannot
 // weaken the termination criteria.
-func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, cols []int, opt Options, ru rule, results []Result, resume bool) {
+func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, cols []int, opt Options, results []Result, resume bool) {
 	start := time.Now()
 	_, sp := obs.StartSpan(ctx, "solve/attempt")
 	defer sp.End()
@@ -508,8 +459,6 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 		s.blockColSums(z, n, kA, mean)
 		s.blockSubMeans(z, r, n, kA, mean, rz)
 		copy(p[:n*kA], z[:n*kA])
-		// Chebyshev's α, one for every column (unused under PCG's rule).
-		chebAlpha := 1 / ru.theta
 		iterStart = time.Now()
 
 		for iter := 0; iter < opt.MaxIter && kA > 0; iter++ {
@@ -526,37 +475,31 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 			if faultinject.Enabled() && faultinject.Fire(faultinject.MatvecNaN) {
 				ap[0] = math.NaN()
 			}
-			if ru.chebyshev() {
-				for pos := 0; pos < kA; pos++ {
-					alpha[pos] = chebAlpha
-				}
-			} else {
-				s.blockDots(p, ap, n, kA, papv)
-				if faultinject.Enabled() && faultinject.Fire(faultinject.ForceBreakdown) {
-					papv[0] = -1
-				}
-				anyDead = false
-				for pos := 0; pos < kA; pos++ {
-					// Numerical breakdown (or exact solution already reached).
-					dead[pos] = papv[pos] <= 0 || math.IsNaN(papv[pos])
-					if dead[pos] {
-						res := &results[s.active[pos]]
-						res.Outcome = OutcomeBreakdown
-						res.Reason = fmt.Sprintf("non-positive curvature pᵀAp = %g at iteration %d", papv[pos], iter+1)
-						anyDead = true
-					}
-				}
-				if anyDead {
-					kA = s.deflate(results, n, kA, dead, papv)
-					if kA == 0 {
-						break
-					}
-				}
-				for pos := 0; pos < kA; pos++ {
-					alpha[pos] = rz[pos] / papv[pos]
+			s.blockDots(p, ap, n, kA, papv)
+			if faultinject.Enabled() && faultinject.Fire(faultinject.ForceBreakdown) {
+				papv[0] = -1
+			}
+			anyDead = false
+			for pos := 0; pos < kA; pos++ {
+				// Numerical breakdown (or exact solution already reached).
+				dead[pos] = papv[pos] <= 0 || math.IsNaN(papv[pos])
+				if dead[pos] {
 					res := &results[s.active[pos]]
-					res.Alphas = append(res.Alphas, alpha[pos])
+					res.Outcome = OutcomeBreakdown
+					res.Reason = fmt.Sprintf("non-positive curvature pᵀAp = %g at iteration %d", papv[pos], iter+1)
+					anyDead = true
 				}
+			}
+			if anyDead {
+				kA = s.deflate(results, n, kA, dead, papv)
+				if kA == 0 {
+					break
+				}
+			}
+			for pos := 0; pos < kA; pos++ {
+				alpha[pos] = rz[pos] / papv[pos]
+				res := &results[s.active[pos]]
+				res.Alphas = append(res.Alphas, alpha[pos])
 			}
 			// Fused update: x += α∘p, r −= α∘ap, with the projection sums
 			// accumulated in the same sweep.
@@ -615,19 +558,6 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 			}
 			s.blockColSums(z, n, kA, mean)
 			s.blockSubMeans(z, r, n, kA, mean, rzNew)
-			if ru.chebyshev() {
-				d := ru.delta * chebAlpha
-				b := (d / 2) * (d / 2)
-				if iters == 1 {
-					b = 0.5 * d * d
-				}
-				chebAlpha = 1 / (ru.theta - b/chebAlpha)
-				for pos := 0; pos < kA; pos++ {
-					beta[pos] = b
-				}
-				blockXPBY(p, z, beta, n, kA)
-				continue
-			}
 			anyDead = false
 			for pos := 0; pos < kA; pos++ {
 				dead[pos] = rzNew[pos] <= 0 || math.IsNaN(rzNew[pos])

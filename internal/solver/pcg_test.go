@@ -254,6 +254,25 @@ func TestBlockPCGDimensionErrors(t *testing.T) {
 	}
 }
 
+// traversals counts the passes a solve makes over an operator: one per Apply
+// or ApplyBlock call, whatever the width.
+type traversals struct {
+	op    Operator
+	calls int
+}
+
+func (c *traversals) Dim() int { return c.op.Dim() }
+
+func (c *traversals) Apply(dst, x []float64) {
+	c.calls++
+	c.op.Apply(dst, x)
+}
+
+func (c *traversals) ApplyBlock(dst, x []float64, k int) {
+	c.calls++
+	c.op.(BlockApplier).ApplyBlock(dst, x, k)
+}
+
 // TestPCGBudgetStopsBeforeApply: a PCG solve whose budget runs out applies M
 // once per matvec — the apply that opens the solve and one after every
 // iteration but the last — and records one β fewer than α: no direction

@@ -24,8 +24,8 @@ func (m Metrics) Publish(r *obs.Registry) {
 	r.Gauge("hcd_solve_last_iterations").Set(float64(m.Iterations))
 }
 
-// publishOutcome counts one solve termination by method and outcome, e.g.
+// publishOutcome counts one solve termination by outcome, e.g.
 // hcd_solve_outcome_total{method="pcg",outcome="converged"}.
-func publishOutcome(r *obs.Registry, method string, o Outcome) {
-	r.Counter(`hcd_solve_outcome_total{method="` + method + `",outcome="` + o.String() + `"}`).Inc()
+func publishOutcome(r *obs.Registry, o Outcome) {
+	r.Counter(`hcd_solve_outcome_total{method="pcg",outcome="` + o.String() + `"}`).Inc()
 }

@@ -1,13 +1,11 @@
 // Package solver provides conjugate gradients, preconditioned conjugate
-// gradients with residual histories (the instrument behind Figure 6),
-// Chebyshev iteration, and spectrum estimation from PCG coefficients (the
-// Lanczos connection used to measure condition numbers κ(A, B) throughout
-// the experiments).
+// gradients with residual histories (the instrument behind Figure 6), and
+// spectrum estimation from PCG coefficients (the Lanczos connection used to
+// measure condition numbers κ(A, B) throughout the experiments).
 //
-// PCG and Chebyshev are one iteration loop (pcg.go) under two coefficient
-// rules, driving k right-hand sides at once on parallel level-1 kernels (see
-// kernels.go, blockkernels.go) and a parallel Laplacian matvec; it threads a
-// context.Context for cancellation and reports per-solve Metrics. The Engine
+// PCG is one iteration loop (pcg.go), driving k right-hand sides at once on
+// parallel level-1 kernels (see kernels.go, blockkernels.go) and a parallel
+// Laplacian matvec; it threads a context.Context for cancellation and reports per-solve Metrics. The Engine
 // type (engine.go) owns reusable work buffers so repeated solves on one
 // operator allocate nothing.
 //

@@ -37,11 +37,6 @@ func pcg(t testing.TB, a Operator, m Preconditioner, b []float64, opt Options) R
 	return res
 }
 
-// chebyshev runs ChebyshevCtx on the one column b.
-func chebyshev(ctx context.Context, a Operator, m Preconditioner, b []float64, lmin, lmax float64, opt Options) (Result, error) {
-	return single(ChebyshevCtx(ctx, a, m, [][]float64{b}, lmin, lmax, opt))
-}
-
 func residualNorm(g *graph.Graph, x, b []float64) float64 {
 	ax := make([]float64, len(x))
 	g.LapMul(ax, x)
@@ -124,7 +119,7 @@ func TestPCGConstantRHSProjected(t *testing.T) {
 
 // TestOverflowingRHSBreaksDown: entries of 1e154 are finite, but ‖b‖²
 // overflows, so ‖r₀‖ and the raw ‖b‖ are both +Inf — which the null-space
-// test (‖r₀‖ ≤ 1e-13·‖b‖) would read as solved at x = 0. Both drivers must
+// test (‖r₀‖ ≤ 1e-13·‖b‖) would read as solved at x = 0. The driver must
 // report a breakdown instead, at every block width.
 func TestOverflowingRHSBreaksDown(t *testing.T) {
 	g := workload.Grid2D(16, 16, nil, 1)
@@ -145,8 +140,6 @@ func TestOverflowingRHSBreaksDown(t *testing.T) {
 	ctx := context.Background()
 	res, err := PCGCtx(ctx, LapOperator(g), Jacobi(g), b, DefaultOptions())
 	check("pcg", res, err)
-	res, err = chebyshev(ctx, LapOperator(g), Identity(g.N()), b, 0.01, 8, DefaultOptions())
-	check("chebyshev", res, err)
 
 	// One overflowing column in a block leaves the others to solve.
 	good := meanFreeRHS(rand.New(rand.NewSource(3)), g.N())
@@ -185,42 +178,6 @@ func TestSpectrumEstimateOnKnownOperator(t *testing.T) {
 	wantMin, wantMax := 2-2*math.Cos(math.Pi/float64(n)), 2+2*math.Cos(math.Pi/float64(n))
 	if math.Abs(lmin-wantMin) > 1e-3*wantMin || math.Abs(lmax-wantMax) > 1e-3*wantMax {
 		t.Errorf("spectrum estimate [%v, %v] after %d iterations, want [%v, %v]", lmin, lmax, res.Iterations, wantMin, wantMax)
-	}
-}
-
-func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := workload.Grid2D(10, 10, nil, 1)
-	b := meanFreeRHS(rng, g.N())
-	// Estimate spectrum of D⁻¹A via PCG first.
-	res := pcg(t, LapOperator(g), Jacobi(g), b, Options{Tol: 1e-13, MaxIter: 200})
-	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cheb, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1,
-		Options{MaxIter: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, hist := cheb.X, cheb.Residuals
-	if hist[len(hist)-1] > hist[0]*1e-4 {
-		t.Errorf("Chebyshev residual %v vs initial %v", hist[len(hist)-1], hist[0])
-	}
-	if rn := residualNorm(g, x, b); rn > 1e-3*hist[0] {
-		t.Errorf("Chebyshev residual mismatch: %v", rn)
-	}
-}
-
-func TestChebyshevRejectsBadBounds(t *testing.T) {
-	g := workload.Grid2D(3, 3, nil, 1)
-	b := make([]float64, g.N())
-	opt := Options{MaxIter: 5}
-	if _, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 0, 1, opt); err == nil {
-		t.Error("lmin=0 accepted")
-	}
-	if _, err := chebyshev(context.Background(), LapOperator(g), Jacobi(g), b, 2, 1, opt); err == nil {
-		t.Error("lmax < lmin accepted")
 	}
 }
 

@@ -184,8 +184,8 @@ func TestResilientTraceNesting(t *testing.T) {
 			}
 		case s.Name == "solve/attempt":
 			attempts++
-			if pn := parentName(s); pn != "solve/pcg" && pn != "solve/chebyshev" {
-				t.Errorf("solve/attempt parented by %q, want a solver core", pn)
+			if pn := parentName(s); pn != "solve/pcg" {
+				t.Errorf("solve/attempt parented by %q, want solve/pcg", pn)
 			}
 		}
 	}
@@ -256,22 +256,6 @@ func TestObserverMatchesResiduals(t *testing.T) {
 		if r != res.Residuals[i+1] {
 			t.Fatalf("residual %d: observed %v, history %v", i+1, r, res.Residuals[i+1])
 		}
-	}
-}
-
-// TestChebyshevObserver pins the Chebyshev method's Options.Observer
-// passthrough.
-func TestChebyshevObserver(t *testing.T) {
-	g := hcd.Grid2D(12, 12, nil, 1)
-	b := meanFreeRHS(g.N())
-	n := 0
-	opt := hcd.SolveOptions{MaxIter: 30, Observer: hcd.ObserverFunc(func(int, float64) { n++ })}
-	resp, err := chebyshev(g, b, hcd.JacobiPreconditioner(g), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := resp.Results[0]; n != res.Iterations {
-		t.Fatalf("observer saw %d iterations, solve ran %d", n, res.Iterations)
 	}
 }
 

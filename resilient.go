@@ -13,11 +13,9 @@ package hcd
 //	[2] reseeded-hierarchy-pcg the same, with the hierarchy rebuilt from
 //	                           re-seeded randomized clusterings — recovers
 //	                           from an unluckily or corruptly built hierarchy
-//	[3] cg                     unpreconditioned conjugate gradients — removes
-//	                           the preconditioner from the fault surface
-//	[4] chebyshev              Jacobi-preconditioned Chebyshev iteration with
-//	                           conservative spectrum bounds — needs no inner
-//	                           products and no curvature, the last resort
+//	[3] jacobi-pcg             PCG with the diagonal (Jacobi) preconditioner —
+//	                           takes the hierarchy off the fault surface and
+//	                           keeps the diagonal scaling weighted graphs need
 //
 // Every rung runs under the request's Options with one restart, so a
 // transient breakdown restarts in place before the ladder moves on. A
@@ -42,8 +40,7 @@ import (
 const (
 	RungHierarchyPCG = "hierarchy-pcg"
 	RungReseededPCG  = "reseeded-hierarchy-pcg"
-	RungCG           = "cg"
-	RungChebyshev    = "chebyshev"
+	RungJacobiPCG    = "jacobi-pcg"
 )
 
 // The ladder's fixed shape: one in-rung PCG restart, two reseeded rebuilds.
@@ -232,8 +229,8 @@ func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditio
 		}
 		return nil
 	}
-	// pcgRung runs one PCG rung on the pending columns: build (a nil
-	// preconditioner is plain CG), then one block solve.
+	// pcgRung runs one PCG rung on the pending columns: build, then one block
+	// solve.
 	pcgRung := func(rung string, build func(context.Context) (Preconditioner, error)) error {
 		if len(pending) == 0 {
 			return nil
@@ -278,39 +275,9 @@ func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditio
 			return h, nil
 		})
 	}
-	// [3] Unpreconditioned CG.
+	// [3] Jacobi-preconditioned PCG.
 	if err == nil {
-		err = pcgRung(RungCG, func(context.Context) (Preconditioner, error) { return nil, nil })
-	}
-
-	// [4] Jacobi-Chebyshev with conservative bounds. For D⁻¹L the spectrum
-	// lies in (0, 2]; the PCG probe Do's Chebyshev method runs tightens the
-	// bracket, and a failed probe falls back to a fixed wide one. Chebyshev
-	// with conservative bounds converges slower than PCG: its budget is four
-	// times the PCG rungs'.
-	if err == nil && len(pending) > 0 {
-		cheb := opt
-		if cheb.MaxIter <= 0 {
-			cheb.MaxIter = 10*g.N() + 50
-		}
-		cheb.MaxIter *= 4
-		jac := JacobiPreconditioner(g)
-		rctx, rsp := startRung(RungChebyshev)
-		cols := columns()
-		lmin, lmax := 1e-4, 2.0
-		probe := func(ctx context.Context, bs [][]float64, opt solver.Options) ([]SolveResult, error) {
-			return solver.BlockPCGCtx(ctx, a, jac, bs, opt)
-		}
-		if br, perr := probeBracket(rctx, probe, cols); perr == nil && br.ok && br.lmin > 0 {
-			lmin, lmax = 0.5*br.lmin, 1.25*br.lmax
-		}
-		if err = cancelled(RungChebyshev); err == nil {
-			start := time.Now()
-			res, serr := solver.ChebyshevCtx(rctx, a, jac, cols, lmin, lmax, cheb)
-			record(RungChebyshev, res, serr, time.Since(start))
-			err = cancelled(RungChebyshev)
-		}
-		rsp.End()
+		err = pcgRung(RungJacobiPCG, func(context.Context) (Preconditioner, error) { return JacobiPreconditioner(g), nil })
 	}
 	if err == nil {
 		for _, j := range pending {

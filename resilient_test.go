@@ -93,6 +93,36 @@ func TestSolveResilientRecoversFromCorruptedBuild(t *testing.T) {
 	}
 }
 
+// TestSolveResilientRecoversOCTOnJacobiPCG: with every hierarchy build
+// corrupted, the ladder's last rung solves a weighted OCT volume on its own,
+// within one sweep's worth of iterations per vertex. Its weights span six
+// orders of magnitude, so the diagonal scaling is what makes it cheap:
+// unpreconditioned CG runs out of its 10·n + 50 budget on the same system.
+func TestSolveResilientRecoversOCTOnJacobiPCG(t *testing.T) {
+	g := hcd.OCT3D(8, 8, 8, hcd.DefaultOCTOptions())
+	b := meanFree(rand.New(rand.NewSource(45)), g.N())
+	restore := faultinject.Activate(map[string]faultinject.Spec{
+		faultinject.PerturbCorrupt: {OnHit: 1, Count: 0},
+	})
+	defer restore()
+	hopt := hcd.DefaultHierarchyOptions()
+	hopt.DirectLimit = 50 // 512 vertices > 4·50 arms the no-reduction guard
+	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{Hierarchy: &hopt})
+	if err != nil {
+		t.Fatalf("SolveResilient: %v\nreport: %s", err, rep)
+	}
+	if !res.Converged || !rep.Recovered || rep.Rung != hcd.RungJacobiPCG {
+		t.Fatalf("converged=%v recovered=%v rung=%q, report: %s", res.Converged, rep.Recovered, rep.Rung, rep)
+	}
+	iterations := 0
+	for _, a := range rep.Attempts {
+		iterations += a.Iterations
+	}
+	if iterations >= g.N() {
+		t.Errorf("%d iterations over %d attempts, want fewer than n = %d: %s", iterations, len(rep.Attempts), g.N(), rep)
+	}
+}
+
 // TestSolvePCGRestartsAfterForcedBreakdown: a breakdown forced at the fifth
 // curvature check of a plain CG solve through the facade restarts in place
 // (MaxRestarts 1) and converges.
@@ -126,9 +156,9 @@ func TestSolveResilientAllRungsFail(t *testing.T) {
 	if !errors.Is(err, hcd.ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
-	// hierarchy-pcg, 2 reseeds, cg, chebyshev.
-	if len(rep.Attempts) != 5 {
-		t.Errorf("%d attempts, want 5: %s", len(rep.Attempts), rep)
+	// hierarchy-pcg, 2 reseeds, jacobi-pcg.
+	if len(rep.Attempts) != 4 {
+		t.Errorf("%d attempts, want 4: %s", len(rep.Attempts), rep)
 	}
 	if rep.Recovered || rep.Rung != "" {
 		t.Errorf("failed ladder must not report recovery: %+v", rep)

@@ -2,9 +2,9 @@ package hcd
 
 // The solve engine: context-aware entry points, reusable solve sessions,
 // termination outcomes, and per-solve metrics. Every solve path (SolveCtx,
-// SolvePCGCtx, Do, Engine.Solve / SolveBlock / SolveChebyshev) is a call into
-// the one iteration driver of internal/solver, which runs PCG or Chebyshev on
-// any number of right-hand sides at once — a single one is the width-1 block.
+// SolvePCGCtx, Do, Engine.Solve / SolveBlock) is a call into the one PCG
+// driver of internal/solver, which runs any number of right-hand sides at
+// once — a single one is the width-1 block.
 // Its level-1 kernels (dots, norms, the fused update and mean-projection
 // sweeps) and the Laplacian matvec run across cores, with reductions summed
 // over a fixed chunk partition so a solve is bit-identical at any worker

@@ -1,7 +1,7 @@
 package hcd_test
 
 // Tests for the solve engine API: context entry points, sentinel errors,
-// engine sessions, Chebyshev options, and per-solve metrics.
+// engine sessions, and per-solve metrics.
 
 import (
 	"context"
@@ -46,10 +46,6 @@ func TestSentinelErrors(t *testing.T) {
 	}{
 		{"unknown decomposition method", func() error {
 			_, err := hcd.DecomposeCtx(ctx, conn, hcd.DecomposeOptions{Method: hcd.DecomposeMethod(42)})
-			return err
-		}},
-		{"Chebyshev without MaxIter", func() error {
-			_, err := chebyshev(conn, make([]float64, conn.N()), nil, hcd.SolveOptions{})
 			return err
 		}},
 		{"resilient with a non-hierarchy preconditioner", func() error {
@@ -130,50 +126,4 @@ func TestHierarchyEngineBatchedSolves(t *testing.T) {
 			t.Errorf("batched solve %d allocated %d buffers", k, res.Metrics.ScratchAllocs)
 		}
 	}
-}
-
-func TestSolveChebyshevCtxReportsSpectrum(t *testing.T) {
-	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 1)
-	rng := rand.New(rand.NewSource(34))
-	b := meanFree(rng, g.N())
-	d := fixedDegree(t, g, 4, 1)
-	p, err := hcd.NewSteinerPreconditioner(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := chebyshev(g, b, p, hcd.SolveOptions{MaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := resp.Results[0]
-	if !(resp.Lmin > 0) || !(resp.Lmax >= resp.Lmin) {
-		t.Errorf("spectrum estimate [%v, %v] not populated", resp.Lmin, resp.Lmax)
-	}
-	if res.Metrics.MatVecs == 0 || resp.ProbeMetrics.MatVecs == 0 {
-		t.Errorf("metrics not populated: iter %+v probe %+v", res.Metrics, resp.ProbeMetrics)
-	}
-	if res.Residuals[len(res.Residuals)-1] > res.Residuals[0]*1e-5 {
-		t.Errorf("residual %v of initial %v", res.Residuals[len(res.Residuals)-1], res.Residuals[0])
-	}
-	// Early exit at Options.Tol.
-	resp2, err := chebyshev(g, b, p, hcd.SolveOptions{MaxIter: 400, Tol: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2 := resp2.Results[0]
-	if res2.Outcome != hcd.OutcomeConverged {
-		t.Errorf("early-exit run: %v after %d iterations", res2.Outcome, res2.Iterations)
-	}
-	if res2.Iterations >= 400 {
-		t.Errorf("early exit did not trigger (%d iterations)", res2.Iterations)
-	}
-}
-
-// chebyshev runs Do's Chebyshev method on the one right-hand side b,
-// preconditioned by m (nil: unpreconditioned).
-func chebyshev(g *hcd.Graph, b []float64, m hcd.Preconditioner, opt hcd.SolveOptions) (*hcd.SolveResponse, error) {
-	return hcd.Do(context.Background(), g, hcd.SolveRequest{
-		B: [][]float64{b}, Method: hcd.SolveMethodChebyshev, M: m,
-		Precond: hcd.PrecondSpec{Kind: hcd.PrecondNone}, Options: opt,
-	})
 }
