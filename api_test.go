@@ -95,6 +95,17 @@ func TestIORoundTripFacade(t *testing.T) {
 	if h.N() != g.N() || h.M() != g.M() {
 		t.Error("MatrixMarket round trip mismatch")
 	}
+	buf.Reset()
+	if err := hcd.WriteGraphSnapshot(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	h, err = hcd.ReadGraphSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.N() != g.N() || h.M() != g.M() {
+		t.Error("snapshot round trip mismatch")
+	}
 }
 
 func TestMatchedReductionSubgraph(t *testing.T) {
@@ -270,10 +281,11 @@ func TestLoadDecomposeSolvePipeline(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolveCtx(context.Background(), g, b)
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Options: hcd.DefaultSolveOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results[0]
 	if !res.Converged {
 		t.Errorf("solve on round-tripped graph did not converge")
 	}

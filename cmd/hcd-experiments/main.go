@@ -533,7 +533,11 @@ func a3() {
 // One-shot helpers over the context-aware entry points: every build and solve
 // routes through obsCtx, so -trace/-listen observe the experiment runs too.
 func solvePCG(g *hcd.Graph, b []float64, m hcd.Preconditioner, opt hcd.SolveOptions) (hcd.SolveResult, error) {
-	return hcd.SolvePCGCtx(obsCtx, g, b, m, opt)
+	resp, err := hcd.Do(obsCtx, g, hcd.SolveRequest{B: [][]float64{b}, M: m, Options: opt})
+	if err != nil {
+		return hcd.SolveResult{}, err
+	}
+	return resp.Results[0], nil
 }
 
 func decomposeTree(g *hcd.Graph) (*hcd.Decomposition, error) {

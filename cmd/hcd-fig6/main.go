@@ -74,16 +74,10 @@ func main() {
 	solve.Tol = 1e-16 // run the full iteration budget, like the figure
 	solve.MaxIter = *iters
 	start = time.Now()
-	sres, err := hcd.SolvePCGCtx(ctx, g, b, sp, solve)
-	if err != nil {
-		log.Fatal(err)
-	}
+	sres := solvePCG(ctx, g, b, sp, solve)
 	steinerSolve := time.Since(start)
 	start = time.Now()
-	gres, err := hcd.SolvePCGCtx(ctx, g, b, sub.P, solve)
-	if err != nil {
-		log.Fatal(err)
-	}
+	gres := solvePCG(ctx, g, b, sub.P, solve)
 	subSolve := time.Since(start)
 	fmt.Fprintf(os.Stderr, "build ms: steiner %d, subgraph %d; solve ms: steiner %d, subgraph %d\n",
 		steinerBuild.Milliseconds(), subBuild.Milliseconds(), steinerSolve.Milliseconds(), subSolve.Milliseconds())
@@ -95,6 +89,16 @@ func main() {
 	for i := 0; i <= *iters; i++ {
 		fmt.Printf("%-6d %-14.6e %-14.6e\n", i, at(sres.Residuals, i), at(gres.Residuals, i))
 	}
+}
+
+// solvePCG runs one right-hand side through Do with the preconditioner m,
+// exiting on error.
+func solvePCG(ctx context.Context, g *hcd.Graph, b []float64, m hcd.Preconditioner, opt hcd.SolveOptions) hcd.SolveResult {
+	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, M: m, Options: opt})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return resp.Results[0]
 }
 
 // at returns the normalized residual at iteration i, holding the last value

@@ -1,14 +1,13 @@
 package hcd
 
-// The canonical solve entry point. Do executes one SolveRequest — one or
-// many right-hand sides, a named iteration method, a preconditioner given as
-// a spec, a prebuilt value, or a warm Engine session — and returns a
-// SolveResponse with one SolveResult per right-hand side. Every other solve
-// entry point in the package (SolvePCGCtx, SolveCtx, SolveResilient) is a
-// thin wrapper over Do, so the CLI tools and the hcd-server handlers share one
-// implementation. Every method reads its iteration settings from the
-// request's Options. A PCG request of any width is one call into the solver's
-// one iteration driver, and each rung of the resilient ladder one more.
+// The one solve call. Do executes one SolveRequest — one or many right-hand
+// sides, a named iteration method, a preconditioner given as a spec, a
+// prebuilt value, or a warm Engine session — and returns a SolveResponse with
+// one SolveResult per right-hand side. The CLI tools, the examples and the
+// hcd-server handlers all solve through it. Every method reads its iteration
+// settings from the request's Options. A PCG request of any width is one call
+// into the solver's one iteration driver, and each rung of the resilient
+// ladder one more.
 
 import (
 	"context"
@@ -26,7 +25,7 @@ type SolveMethod string
 const (
 	// SolveMethodPCG is preconditioned conjugate gradients — the default.
 	SolveMethodPCG SolveMethod = "pcg"
-	// SolveMethodResilient walks the SolveResilient fallback ladder with
+	// SolveMethodResilient walks the fallback ladder of resilient.go with
 	// every right-hand side: each rung builds once and solves the columns no
 	// earlier rung converged as one block, recording a ResilienceReport per
 	// column.
@@ -176,8 +175,8 @@ type SolveResponse struct {
 }
 
 // Do executes a SolveRequest against g's Laplacian and returns one result
-// per right-hand side. It is the single solve implementation behind every
-// wrapper in this package and behind the hcd-server solve handlers.
+// per right-hand side. It is the single solve implementation of this package
+// and of the hcd-server solve handlers.
 //
 // Errors follow the wrapped-sentinel convention: dimension mismatches wrap
 // ErrBadDimension, exhausted ladders wrap ErrNotConverged, a cancelled

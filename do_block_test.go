@@ -55,7 +55,11 @@ func TestDoBlockRoutingMatchesSequential(t *testing.T) {
 func TestDoBlockEngineDetaches(t *testing.T) {
 	g := hcd.Grid2D(14, 14, nil, 1)
 	rng := rand.New(rand.NewSource(32))
-	eng, err := hcd.NewHierarchyEngine(context.Background(), g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := hcd.NewEngine(g, h, hcd.DefaultSolveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

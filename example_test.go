@@ -44,17 +44,17 @@ func ExampleDecomposeCtx_tree() {
 	// phi>=1/3: true, rho>=6/5: true, exact: true
 }
 
-// ExampleSolveCtx solves a Laplacian system with the multilevel Steiner
-// preconditioner in one call.
-func ExampleSolveCtx() {
+// ExampleDo solves a Laplacian system with the multilevel Steiner
+// preconditioner — the zero-value PrecondSpec — in one call.
+func ExampleDo() {
 	g := hcd.Grid3D(6, 6, 6, hcd.LognormalWeights(1), 1)
 	b := make([]float64, g.N())
 	b[0], b[g.N()-1] = 1, -1 // a unit current from corner to corner
-	res, err := hcd.SolveCtx(context.Background(), g, b)
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Options: hcd.DefaultSolveOptions()})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("converged: %v\n", res.Converged)
+	fmt.Printf("converged: %v\n", resp.Results[0].Converged)
 	// Output:
 	// converged: true
 }

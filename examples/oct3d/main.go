@@ -33,10 +33,11 @@ func main() {
 		}
 		buildTime := time.Since(start)
 		start = time.Now()
-		res, err := hcd.SolvePCGCtx(ctx, g, b, p, hcd.DefaultSolveOptions())
+		resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, M: p, Options: hcd.DefaultSolveOptions()})
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := resp.Results[0]
 		fmt.Printf("%-22s build %-12v solve %-12v iters %-5d converged %v\n",
 			name, buildTime.Round(time.Millisecond), time.Since(start).Round(time.Millisecond),
 			res.Iterations, res.Converged)

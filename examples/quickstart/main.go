@@ -37,10 +37,11 @@ func main() {
 		log.Fatal(err)
 	}
 	b := randomRHS(g.N())
-	res, err := hcd.SolvePCGCtx(ctx, g, b, p, hcd.DefaultSolveOptions())
+	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, M: p, Options: hcd.DefaultSolveOptions()})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := resp.Results[0]
 	fmt.Printf("PCG: converged=%v in %d iterations (‖r‖ %.2e → %.2e)\n",
 		res.Converged, res.Iterations,
 		res.Residuals[0], res.Residuals[len(res.Residuals)-1])

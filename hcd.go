@@ -14,12 +14,15 @@
 //	r, _ := hcd.DecomposeCtx(ctx, g, hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree))
 //	rep := r.Report                              // measured φ, ρ, γ
 //	p, _ := hcd.NewSteinerPreconditioner(r.D)    // Section 3 preconditioner
-//	res, _ := hcd.SolvePCGCtx(ctx, g, b, p, hcd.DefaultSolveOptions())
+//	resp, _ := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, M: p})
+//	x := resp.Results[0].X                       // one result per right-hand side
 //
 // Every operation has one entry point, and every entry point that can run
 // long takes a context: DecomposeCtx runs each decomposition method through
 // one pipeline that reports per-stage build metrics (r.Metrics) and honors
-// cancellation, and Do runs every solve.
+// cancellation, and Do runs every solve. An Engine (NewEngine) keeps a
+// preconditioner and its work buffers warm across solves; SolveRequest.Engine
+// runs a Do call on one.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -72,13 +75,6 @@ type ClusterStats = decomp.ClusterStats
 // conductance — the problematic clusters first.
 func Details(d *Decomposition) []ClusterStats {
 	return decomp.Details(d, graph.MaxExactConductance)
-}
-
-// MaxGammaViolations returns the largest per-cluster count of vertices
-// violating cap(v, C−v) ≥ γ·vol(v); Section 2 proves it is at most 1 when γ
-// is the decomposition's closure conductance.
-func MaxGammaViolations(d *Decomposition, gamma float64) int {
-	return decomp.MaxGammaViolations(d, gamma)
 }
 
 // AgreementReport holds the external clustering metrics of one comparison:

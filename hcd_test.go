@@ -83,10 +83,11 @@ func TestSolveDefaultPath(t *testing.T) {
 	g := hcd.OCT3D(8, 8, 16, hcd.DefaultOCTOptions())
 	rng := rand.New(rand.NewSource(3))
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolveCtx(context.Background(), g, b)
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Options: hcd.DefaultSolveOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results[0]
 	if !res.Converged {
 		t.Fatalf("default Solve did not converge (%d iters)", res.Iterations)
 	}

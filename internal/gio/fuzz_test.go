@@ -114,6 +114,11 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("1 1\n")
 	f.Add("0 1 1e308\n0 1 2\n")
 	f.Add("x y z\n")
+	// Out of the arithmetic range: a merged weight of +Inf, an infinite
+	// volume from finite weights, a subnormal weight.
+	f.Add("0 1 1e308\n0 1 1e308\n")
+	f.Add("0 1 1e308\n0 2 1e308\n1 2 1\n")
+	f.Add("0 1 1e-320\n1 2 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		if len(in) > 1<<16 {
 			return // bound fuzz-case cost, not parser capability
@@ -121,6 +126,9 @@ func FuzzReadEdgeList(f *testing.F) {
 		g, err := ReadEdgeList(strings.NewReader(in))
 		if err != nil {
 			return // rejection is fine; panics and hangs are the bug
+		}
+		if vol := g.TotalVol(); math.IsInf(vol, 0) {
+			t.Fatalf("accepted a graph of total volume %v\noriginal input %q", vol, in)
 		}
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {

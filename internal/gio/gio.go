@@ -207,14 +207,23 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	var g *graph.Graph
+	var err error
 	if b != nil {
 		if maxID >= n {
 			return nil, fmt.Errorf("gio: vertex id %d outside declared count %d: %w", maxID, n, graph.ErrInvalidInput)
 		}
-		return b.Finish()
+		g, err = b.Finish()
+	} else {
+		// Headerless input: the count was only known at EOF.
+		g, err = graph.NewFromEdges(maxID+1, pending)
 	}
-	// Headerless input: the count was only known at EOF.
-	return graph.NewFromEdges(maxID+1, pending)
+	if err != nil {
+		// Parallel edges that merge out of range, or a total volume that
+		// overflows: a parse failure found at the input's last line.
+		return nil, fmt.Errorf("gio: line %d: %w", line, err)
+	}
+	return g, nil
 }
 
 // ReadMatrixMarket parses a MatrixMarket coordinate file as a weighted
@@ -346,7 +355,11 @@ func ReadMatrixMarket(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gio: expected %d entries, found %d: %w", nnz, read, graph.ErrInvalidInput)
 	}
 	_ = symmetric // both triangles collapse into the same undirected edge
-	return b.Finish()
+	g, err := b.Finish()
+	if err != nil {
+		return nil, fmt.Errorf("gio: line %d: %w", line, err)
+	}
+	return g, nil
 }
 
 // WriteMatrixMarket writes the Laplacian of g as a symmetric real

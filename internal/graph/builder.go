@@ -101,8 +101,10 @@ func (b *Builder) Add(u, v int, w float64) error {
 	return nil
 }
 
-// Finish merges parallel edges and returns the CSR graph. The builder keeps
-// no reference to the result and must not be reused afterwards.
+// Finish merges parallel edges and returns the CSR graph, or an error
+// wrapping ErrInvalidInput for a graph outside the arithmetic range (see
+// sortMergeRows). The builder keeps no reference to the result and must not
+// be reused afterwards.
 //
 // Parallel edges are merged per adjacency run with a stable sort by neighbor
 // id, so duplicates combine in insertion order — both endpoints of a
@@ -134,7 +136,9 @@ func (b *Builder) Finish() (*Graph, error) {
 		}
 	}
 	b.chunks = nil
-	g.sortMergeRows(b.policy)
+	if err := g.sortMergeRows(b.policy); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -145,9 +149,16 @@ func (b *Builder) Finish() (*Graph, error) {
 // compacted in place, vol is set to each row's sum in row order and the
 // row-group table is derived from the final offsets. Shared by Builder.Finish
 // and NewFromEdges.
-func (g *Graph) sortMergeRows(policy MergePolicy) {
+//
+// It is where a graph's arithmetic range is checked: every merged weight must
+// be finite and normal (≥ 2⁻¹⁰²²) and the total volume Σ vol(v) finite, or it
+// returns an error wrapping ErrInvalidInput. Every vol(v) and every quotient
+// weight and volume of a contraction is a partial sum of that total, so they
+// stay finite on every level without another check.
+func (g *Graph) sortMergeRows(policy MergePolicy) error {
 	n := g.N()
 	out := 0
+	total := 0.0
 	for v := 0; v < n; v++ {
 		lo, hi := g.off[v], g.off[v+1]
 		sortRun(g.adj[lo:hi], g.w[lo:hi])
@@ -167,7 +178,15 @@ func (g *Graph) sortMergeRows(policy MergePolicy) {
 			g.adj[out], g.w[out] = g.adj[i], g.w[i]
 			out++
 		}
+		for i := g.off[v]; i < out; i++ {
+			if w := g.w[i]; math.IsInf(w, 0) || w < 0x1p-1022 {
+				return fmt.Errorf("graph: edge (%d,%d) has merged weight %v outside [2^-1022, MaxFloat64]: %w", v, g.adj[i], w, ErrInvalidInput)
+			}
+		}
 		g.vol[v] = sum(g.w[g.off[v]:out])
+		if total += g.vol[v]; math.IsInf(total, 0) {
+			return fmt.Errorf("graph: total volume overflows at vertex %d: %w", v, ErrInvalidInput)
+		}
 	}
 	g.off[n] = out
 	if out < len(g.adj) {
@@ -175,6 +194,7 @@ func (g *Graph) sortMergeRows(policy MergePolicy) {
 		g.w = g.w[:out:out]
 	}
 	g.groups = rowGroups(g.off)
+	return nil
 }
 
 // sortRunInsertionMax is the longest run sortRun orders by straight

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,6 +136,50 @@ func TestBuilderValidation(t *testing.T) {
 	}
 	if err := b.Add(0, 1, math.NaN()); err == nil {
 		t.Error("NaN weight accepted")
+	}
+}
+
+// TestArithmeticRange: both constructors accept a graph iff every merged
+// weight is finite and normal and the total volume Σ vol(v) is finite, and
+// reject the rest with ErrInvalidInput.
+func TestArithmeticRange(t *testing.T) {
+	const maxW = math.MaxFloat64
+	cases := []struct {
+		name  string
+		edges []Edge
+		ok    bool
+	}{
+		{"parallel edges merge to +Inf", []Edge{{0, 1, 1e308}, {0, 1, 1e308}}, false},
+		{"finite weights, infinite vol(0)", []Edge{{0, 1, 1e308}, {0, 2, 1e308}, {1, 2, 1}}, false},
+		{"subnormal weight", []Edge{{0, 1, 1e-320}, {1, 2, 1}}, false},
+		{"total volume 2w overflows", []Edge{{0, 1, 0.75 * maxW}}, false},
+		{"smallest normal weight", []Edge{{0, 1, 0x1p-1022}, {1, 2, 1}}, true},
+		{"subnormal merged into a normal weight", []Edge{{0, 1, 1e-320}, {0, 1, 1}, {1, 2, 1}}, true},
+		{"total volume exactly MaxFloat64", []Edge{{0, 1, maxW / 2}}, true},
+	}
+	for _, c := range cases {
+		_, err := NewFromEdges(3, c.edges)
+		b, berr := NewBuilder(3, MergeSum)
+		if berr != nil {
+			t.Fatal(berr)
+		}
+		for _, e := range c.edges {
+			if berr := b.Add(e.U, e.V, e.W); berr != nil {
+				t.Fatalf("%s: Add: %v", c.name, berr)
+			}
+		}
+		_, berr = b.Finish()
+		for _, got := range []struct {
+			ctor string
+			err  error
+		}{{"NewFromEdges", err}, {"Builder.Finish", berr}} {
+			if c.ok && got.err != nil {
+				t.Errorf("%s: %s: %v", c.name, got.ctor, got.err)
+			}
+			if !c.ok && !errors.Is(got.err, ErrInvalidInput) {
+				t.Errorf("%s: %s: err %v, want ErrInvalidInput", c.name, got.ctor, got.err)
+			}
+		}
 	}
 }
 

@@ -45,7 +45,9 @@ type Graph struct {
 
 // NewFromEdges builds a graph on n vertices from an edge list. Parallel edges
 // are merged by summing their weights in list order. It returns an error for
-// out-of-range endpoints, self-loops, and non-positive or non-finite weights.
+// out-of-range endpoints, self-loops, and non-positive or non-finite weights,
+// and one wrapping ErrInvalidInput for a graph outside the arithmetic range
+// (see sortMergeRows).
 //
 // Construction is a bucket-by-vertex fill followed by the per-row sort and
 // merge Builder.Finish uses — no global sort — so adjacency comes out
@@ -55,7 +57,9 @@ func NewFromEdges(n int, edges []Edge) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.sortMergeRows(MergeSum)
+	if err := g.sortMergeRows(MergeSum); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 

@@ -185,7 +185,11 @@ func TestDoBlockIdenticalAcrossKernels(t *testing.T) {
 				B[j][i] -= mean / float64(len(B[j]))
 			}
 		}
-		eng, err := hcd.NewHierarchyEngine(context.Background(), tc.g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
+		h, err := hcd.NewHierarchyCtx(context.Background(), tc.g, hcd.DefaultHierarchyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := hcd.NewEngine(tc.g, h, hcd.DefaultSolveOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,18 +6,17 @@ package hcd
 // streaming per-iteration solve observers.
 //
 // Both instruments travel in a context.Context. Install them with
-// WithTracer/WithMetricRegistry and pass the context to any *Ctx entry
-// point (SolveCtx, SolvePCGCtx, DecomposeCtx, SolveResilient,
-// NewHierarchyCtx reached through them, ...): the solver cores, the
-// pipeline stages, the hierarchy builder, the resilient ladder, and the
-// exact certifier all pick them up automatically. With neither installed
-// the entire layer is inert — nil lookups and nil-receiver no-ops, zero
-// allocations (the disabled path is asserted alloc-free by the obs tests,
-// preserving the engine's zero-alloc warm-solve guarantee).
+// WithTracer/WithMetricRegistry and pass the context to Do, DecomposeCtx or
+// NewHierarchyCtx: the solver cores, the pipeline stages, the hierarchy
+// builder, the resilient ladder, and the exact certifier all pick them up
+// automatically. With neither installed the entire layer is inert — nil
+// lookups and nil-receiver no-ops, zero allocations (the disabled path is
+// asserted alloc-free by the obs tests, preserving the engine's zero-alloc
+// warm-solve guarantee).
 //
 //	tr, reg := hcd.NewTracer(), hcd.NewMetricRegistry()
 //	ctx := hcd.WithMetricRegistry(hcd.WithTracer(context.Background(), tr), reg)
-//	res, report, err := hcd.SolveResilient(ctx, g, b, hcd.PrecondSpec{})
+//	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient})
 //	tr.WriteChromeTrace(f)     // chrome://tracing / ui.perfetto.dev
 //	reg.WritePrometheus(os.Stdout)
 

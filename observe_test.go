@@ -136,8 +136,9 @@ func TestResilientTraceNesting(t *testing.T) {
 		faultinject.MatvecNaN: {OnHit: 1, Count: 2},
 	})
 	g := hcd.Grid2D(12, 12, nil, 1)
-	res, rep, err := hcd.SolveResilient(ctx, g, meanFreeRHS(g.N()), hcd.PrecondSpec{})
+	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{meanFreeRHS(g.N())}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
 	restore()
+	res, rep := resp.Results[0], resp.Resilience[0]
 	if err != nil || !res.Converged {
 		t.Fatalf("ladder failed: %v (report %s)", err, rep)
 	}

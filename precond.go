@@ -1,5 +1,9 @@
 package hcd
 
+// The preconditioners a solve can use, and the option types of the solve:
+// each constructor returns a Preconditioner to pass as SolveRequest.M, and
+// NewPreconditioner (do.go) builds the same ones from a PrecondSpec.
+
 import (
 	"context"
 	"fmt"
@@ -15,9 +19,6 @@ import (
 	"hcd/internal/treealg"
 )
 
-// Operator is a symmetric positive semidefinite linear operator.
-type Operator = solver.Operator
-
 // Preconditioner applies an approximate inverse.
 type Preconditioner = solver.Preconditioner
 
@@ -31,9 +32,6 @@ type SolveResult = solver.Result
 // DefaultSolveOptions returns the standard Laplacian-solve settings
 // (relative tolerance 1e-8, mean projection on).
 func DefaultSolveOptions() SolveOptions { return solver.DefaultOptions() }
-
-// LaplacianOperator wraps a graph's Laplacian as an Operator.
-func LaplacianOperator(g *Graph) Operator { return solver.LapOperator(g) }
 
 // JacobiPreconditioner is the diagonal D⁻¹ baseline.
 func JacobiPreconditioner(g *Graph) Preconditioner { return solver.Jacobi(g) }

@@ -1,6 +1,6 @@
 package hcd
 
-// The fault-tolerant solve path: SolveResilient walks a ladder of
+// The fault-tolerant solve path: Do's SolveMethodResilient walks a ladder of
 // solver/preconditioner configurations, from the best-performing to the most
 // robust, until one converges. Each rung's attempt — outcome, iteration
 // count, restarts, why it fell through — is recorded in a ResilienceReport,
@@ -62,7 +62,8 @@ type SolveAttempt struct {
 	Err string
 }
 
-// ResilienceReport is the attempt trail of one SolveResilient call.
+// ResilienceReport is the attempt trail of one right-hand side of a
+// resilient solve.
 type ResilienceReport struct {
 	Attempts []SolveAttempt
 	// Recovered is true when the solve converged on any rung after the
@@ -75,7 +76,7 @@ type ResilienceReport struct {
 
 // Publish counts the ladder's attempts into the registry under the
 // hcd_resilient_* namespace, one labelled series per (rung, outcome) pair.
-// SolveResilient calls it automatically when a registry travels in the
+// The resilient method calls it automatically when a registry travels in the
 // solve context (WithMetricRegistry); nil registries are no-ops.
 func (r ResilienceReport) Publish(reg *MetricRegistry) {
 	if reg == nil {
@@ -108,33 +109,13 @@ func (r ResilienceReport) String() string {
 	return s
 }
 
-// SolveResilient solves the Laplacian system A·x = b with fallback: it walks
-// the rung ladder documented above until a rung converges, recording every
-// attempt. On success it returns the converged result, the report, and a nil
-// error. When every rung fails it returns the last attempt's result and an
-// error wrapping ErrNotConverged; when the context is cancelled it returns
-// an error wrapping the context's error. The report is meaningful in every
-// case. Rung 1 builds the hierarchy spec describes (its Kind must be the
-// hierarchy's, or empty); every rung iterates under DefaultSolveOptions.
-// SolveResilient is a thin wrapper over Do with SolveMethodResilient and a
-// single right-hand side.
-func SolveResilient(ctx context.Context, g *Graph, b []float64, spec PrecondSpec) (SolveResult, ResilienceReport, error) {
-	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, Method: SolveMethodResilient, Precond: spec, Options: DefaultSolveOptions()})
-	var rep ResilienceReport
-	if len(resp.Resilience) > 0 {
-		rep = resp.Resilience[0]
-	}
-	res, err := single(resp, err)
-	return res, rep, err
-}
-
-// solveResilient is the ladder implementation behind Do's resilient method
-// (and hence SolveResilient). It walks the columns of bs down the ladder
-// together: each rung builds its preconditioner at most once and solves the
-// columns no earlier rung converged as one block, and every column keeps its
-// own attempt trail. Rung 1 solves with m when it is set, else builds hopt;
-// rung 2 rebuilds hopt under perturbed seeds; every rung iterates under opt
-// with ladderRestarts restarts.
+// solveResilient is the ladder implementation behind Do's resilient method.
+// It walks the columns of bs down the ladder together: each rung builds its
+// preconditioner at most once and solves the columns no earlier rung
+// converged as one block, and every column keeps its own attempt trail. Rung
+// 1 solves with m when it is set, else builds hopt; rung 2 rebuilds hopt
+// under perturbed seeds; every rung iterates under opt with ladderRestarts
+// restarts.
 func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditioner, hopt HierarchyOptions, opt SolveOptions) ([]SolveResult, []ResilienceReport, error) {
 	opt.MaxRestarts = ladderRestarts
 	ctx, lsp := obs.StartSpan(ctx, "resilient/solve")

@@ -1,6 +1,6 @@
 package hcd_test
 
-// Tests for SolveResilient: the fallback ladder, the attempt trail, and
+// Tests for Do's resilient method: the fallback ladder, the attempt trail, and
 // deterministic fault-injected recovery.
 
 import (
@@ -11,15 +11,17 @@ import (
 	"testing"
 
 	"hcd"
+	"hcd/internal/cli"
 	"hcd/internal/faultinject"
 )
 
 func TestSolveResilientCleanPath(t *testing.T) {
 	g := hcd.Grid2D(12, 12, nil, 1)
 	b := meanFree(rand.New(rand.NewSource(41)), g.N())
-	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{})
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
+	res, rep := resp.Results[0], resp.Resilience[0]
 	if err != nil {
-		t.Fatalf("SolveResilient: %v", err)
+		t.Fatalf("Do: %v", err)
 	}
 	if !res.Converged {
 		t.Fatalf("outcome %v", res.Outcome)
@@ -41,9 +43,10 @@ func TestSolveResilientRecoversFromInjectedNaN(t *testing.T) {
 		faultinject.MatvecNaN: {OnHit: 1, Count: 2},
 	})
 	defer restore()
-	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{})
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
+	res, rep := resp.Results[0], resp.Resilience[0]
 	if err != nil {
-		t.Fatalf("SolveResilient: %v\nreport: %s", err, rep)
+		t.Fatalf("Do: %v\nreport: %s", err, rep)
 	}
 	if !res.Converged {
 		t.Fatalf("outcome %v, report: %s", res.Outcome, rep)
@@ -81,9 +84,10 @@ func TestSolveResilientRecoversFromCorruptedBuild(t *testing.T) {
 	defer restore()
 	hopt := hcd.DefaultHierarchyOptions()
 	hopt.DirectLimit = 50 // 1600 vertices >> 4·50 arms the guard
-	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{Hierarchy: &hopt})
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Precond: hcd.PrecondSpec{Hierarchy: &hopt}, Options: hcd.DefaultSolveOptions()})
+	res, rep := resp.Results[0], resp.Resilience[0]
 	if err != nil {
-		t.Fatalf("SolveResilient: %v\nreport: %s", err, rep)
+		t.Fatalf("Do: %v\nreport: %s", err, rep)
 	}
 	if !res.Converged || !rep.Recovered || rep.Rung != hcd.RungReseededPCG {
 		t.Fatalf("converged=%v recovered=%v rung=%q, report: %s", res.Converged, rep.Recovered, rep.Rung, rep)
@@ -107,9 +111,10 @@ func TestSolveResilientRecoversOCTOnJacobiPCG(t *testing.T) {
 	defer restore()
 	hopt := hcd.DefaultHierarchyOptions()
 	hopt.DirectLimit = 50 // 512 vertices > 4·50 arms the no-reduction guard
-	res, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{Hierarchy: &hopt})
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Precond: hcd.PrecondSpec{Hierarchy: &hopt}, Options: hcd.DefaultSolveOptions()})
+	res, rep := resp.Results[0], resp.Resilience[0]
 	if err != nil {
-		t.Fatalf("SolveResilient: %v\nreport: %s", err, rep)
+		t.Fatalf("Do: %v\nreport: %s", err, rep)
 	}
 	if !res.Converged || !rep.Recovered || rep.Rung != hcd.RungJacobiPCG {
 		t.Fatalf("converged=%v recovered=%v rung=%q, report: %s", res.Converged, rep.Recovered, rep.Rung, rep)
@@ -120,6 +125,39 @@ func TestSolveResilientRecoversOCTOnJacobiPCG(t *testing.T) {
 	}
 	if iterations >= g.N() {
 		t.Errorf("%d iterations over %d attempts, want fewer than n = %d: %s", iterations, len(rep.Attempts), g.N(), rep)
+	}
+}
+
+// TestUnarmedCorpusStaysOnFirstRung: with no fault armed, the ladder
+// converges on its first rung, hierarchy-pcg, in one attempt on a small
+// graph of every family — hcd-solve's graph specs, seed and right-hand side,
+// and a 12³ grid whose z edges weigh 1 000 — so only an armed fault reaches
+// the reseeded rung.
+func TestUnarmedCorpusStaysOnFirstRung(t *testing.T) {
+	const seed = 1
+	type named struct {
+		name string
+		g    *hcd.Graph
+	}
+	graphs := []named{{"aniso:12 (z 1000)", hcd.Grid3DAnisotropic(12, 12, 12, 1, 1, 1000)}}
+	for _, spec := range []string{"grid2d:48", "grid3d:16", "road:48", "femesh:48", "oct:16", "plaw:3000,3", "tree:2000"} {
+		g, err := cli.BuildGraph(spec, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		graphs = append(graphs, named{spec, g})
+	}
+	for _, tc := range graphs {
+		b := cli.MeanFreeRHS(tc.g.N(), seed+100)
+		resp, err := hcd.Do(context.Background(), tc.g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		rep := resp.Resilience[0]
+		if len(rep.Attempts) != 1 || rep.Rung != hcd.RungHierarchyPCG || !resp.Results[0].Converged {
+			t.Errorf("%s: %d attempts, rung %q, converged %v: %s", tc.name, len(rep.Attempts), rep.Rung, resp.Results[0].Converged, rep)
+		}
 	}
 }
 
@@ -152,7 +190,8 @@ func TestSolveResilientAllRungsFail(t *testing.T) {
 		faultinject.MatvecNaN: {OnHit: 1, Count: 0},
 	})
 	defer restore()
-	_, rep, err := hcd.SolveResilient(context.Background(), g, b, hcd.PrecondSpec{})
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
+	rep := resp.Resilience[0]
 	if !errors.Is(err, hcd.ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
@@ -175,7 +214,8 @@ func TestSolveResilientHonorsCancellation(t *testing.T) {
 	b := meanFree(rand.New(rand.NewSource(45)), g.N())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, rep, err := hcd.SolveResilient(ctx, g, b, hcd.PrecondSpec{})
+	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
+	rep := resp.Resilience[0]
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,10 +1,10 @@
 package hcd
 
-// The solve engine: context-aware entry points, reusable solve sessions,
-// termination outcomes, and per-solve metrics. Every solve path (SolveCtx,
-// SolvePCGCtx, Do, Engine.Solve / SolveBlock) is a call into the one PCG
-// driver of internal/solver, which runs any number of right-hand sides at
-// once — a single one is the width-1 block.
+// The solve engine's public types: sentinel errors, termination outcomes,
+// per-solve metrics and the Engine session. Do (do.go) is the one solve call;
+// it and Engine.Solve / SolveBlock run the one PCG driver of internal/solver,
+// which iterates any number of right-hand sides at once — a single one is the
+// width-1 block.
 // Its level-1 kernels (dots, norms, the fused update and mean-projection
 // sweeps) and the Laplacian matvec run across cores, with reductions summed
 // over a fixed chunk partition so a solve is bit-identical at any worker
@@ -14,7 +14,6 @@ import (
 	"context"
 
 	"hcd/internal/graph"
-	"hcd/internal/hierarchy"
 	"hcd/internal/solver"
 )
 
@@ -25,7 +24,7 @@ var (
 	// (e.g. SmallestEigenpairs).
 	ErrDisconnected = graph.ErrDisconnected
 	// ErrBadDimension: vertex counts, edge endpoints, or vector lengths
-	// disagree with the graph/operator dimension (NewGraph, SolvePCGCtx,
+	// disagree with the graph/operator dimension (NewGraph, Do,
 	// engine construction).
 	ErrBadDimension = graph.ErrBadDimension
 	// ErrNotConverged: an iterative solve exhausted its budget before
@@ -74,39 +73,11 @@ func NewEngine(g *Graph, m Preconditioner, opt SolveOptions) (*Engine, error) {
 	return solver.NewEngine(solver.LapOperator(g), m, opt)
 }
 
-// NewHierarchyEngine builds the batteries-included session: a multilevel
-// Steiner preconditioner (the Remark 3 construction) plus a solve engine.
-// This is the session form of SolveCtx; the hierarchy build polls ctx as
-// NewHierarchyCtx does.
-func NewHierarchyEngine(ctx context.Context, g *Graph, hopt HierarchyOptions, opt SolveOptions) (*Engine, error) {
-	h, err := hierarchy.NewCtx(ctx, g, hopt)
-	if err != nil {
-		return nil, err
-	}
-	return solver.NewEngine(solver.LapOperator(g), h, opt)
-}
-
-// SolvePCGCtx solves the Laplacian system A·x = b with preconditioned
-// conjugate gradients under a context: cancellation or deadline expiry stops
-// the iteration within one iteration with OutcomeCancelled. Dimension mismatches return an error
-// wrapping ErrBadDimension. A nil m runs plain CG (the PrecondNone spec). It
-// is Do with one right-hand side.
+// SolvePCGCtx is Do with one right-hand side, the prebuilt preconditioner m
+// (nil runs plain CG) and opt. It is kept only for the benchmark harness,
+// which calls it; every other caller uses Do.
 func SolvePCGCtx(ctx context.Context, g *Graph, b []float64, m Preconditioner, opt SolveOptions) (SolveResult, error) {
-	return single(Do(ctx, g, SolveRequest{B: [][]float64{b}, M: m, Precond: PrecondSpec{Kind: PrecondNone}, Options: opt}))
-}
-
-// SolveCtx is the batteries-included context-aware entry point: it builds a
-// multilevel Steiner preconditioner and runs PCG to the default tolerance —
-// Do with the zero-value PrecondSpec. For repeated solves on one graph build
-// a NewHierarchyEngine instead, which amortizes both the preconditioner and
-// the work buffers.
-func SolveCtx(ctx context.Context, g *Graph, b []float64) (SolveResult, error) {
-	return single(Do(ctx, g, SolveRequest{B: [][]float64{b}, Options: solver.DefaultOptions()}))
-}
-
-// single unpacks a one-right-hand-side Do call: its one result (zero when Do
-// failed before attempting the column) and its error.
-func single(resp *SolveResponse, err error) (SolveResult, error) {
+	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, M: m, Precond: PrecondSpec{Kind: PrecondNone}, Options: opt})
 	if len(resp.Results) == 0 {
 		return SolveResult{}, err
 	}

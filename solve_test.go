@@ -49,7 +49,10 @@ func TestSentinelErrors(t *testing.T) {
 			return err
 		}},
 		{"resilient with a non-hierarchy preconditioner", func() error {
-			_, _, err := hcd.SolveResilient(ctx, conn, make([]float64, conn.N()), hcd.PrecondSpec{Kind: hcd.PrecondJacobi})
+			_, err := hcd.Do(ctx, conn, hcd.SolveRequest{
+				B: [][]float64{make([]float64, conn.N())}, Method: hcd.SolveMethodResilient,
+				Precond: hcd.PrecondSpec{Kind: hcd.PrecondJacobi}, Options: hcd.DefaultSolveOptions(),
+			})
 			return err
 		}},
 		{"unknown base tree", func() error {
@@ -79,10 +82,11 @@ func TestSolveCtxMatchesSolve(t *testing.T) {
 	g := hcd.OCT3D(6, 6, 6, hcd.DefaultOCTOptions())
 	rng := rand.New(rand.NewSource(31))
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolveCtx(context.Background(), g, b)
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Options: hcd.DefaultSolveOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results[0]
 	if res.Outcome != hcd.OutcomeConverged || !res.Converged {
 		t.Fatalf("outcome %v", res.Outcome)
 	}
@@ -108,7 +112,11 @@ func TestSolveCtxCancelled(t *testing.T) {
 
 func TestHierarchyEngineBatchedSolves(t *testing.T) {
 	g := hcd.OCT3D(6, 6, 6, hcd.DefaultOCTOptions())
-	eng, err := hcd.NewHierarchyEngine(context.Background(), g, hcd.DefaultHierarchyOptions(), hcd.DefaultSolveOptions())
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := hcd.NewEngine(g, h, hcd.DefaultSolveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hcd"
+	"hcd/internal/decomp"
 	"hcd/internal/graph"
 )
 
@@ -78,7 +79,7 @@ func checkGammaLemma(t *testing.T, rng *rand.Rand) {
 	g := randomTree(rng, 5, 150)
 	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodTree}).D
 	rep := hcd.Evaluate(d)
-	if mv := hcd.MaxGammaViolations(d, rep.Phi*(1-1e-9)); mv > 1 {
+	if mv := decomp.MaxGammaViolations(d, rep.Phi*(1-1e-9)); mv > 1 {
 		t.Fatalf("%d γ-violations in a cluster", mv)
 	}
 }
@@ -152,10 +153,11 @@ func checkSolve(t *testing.T, rng *rand.Rand) {
 		Layers: 3, Contrast: 50, NoiseSigma: 1, Seed: rng.Int63(),
 	})
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolveCtx(context.Background(), g, b)
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Options: hcd.DefaultSolveOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := resp.Results[0]
 	if !res.Converged {
 		t.Fatalf("not converged in %d iterations", res.Iterations)
 	}
