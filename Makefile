@@ -130,10 +130,13 @@ scale-smoke:
 
 # cli-methods: the hcd-solve path that runs something other than plain PCG —
 # the resilient ladder — to convergence, on one right-hand side and on a
-# block of three.
+# block of three; then plain hierarchy PCG on a triangle whose weights differ
+# by 10¹⁶, read as an edge list from stdin, which builds and converges only
+# because the coarse factor's pivots cannot cancel.
 cli-methods:
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient | grep -q 'outcome: converged'
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient -rhs 3 | grep -q 'converged: 3/3'
+	printf '0 1 1\n0 2 1\n1 2 1e16\n' | $(GO) run ./cmd/hcd-solve -graph file:/dev/stdin | grep -q 'outcome: converged'
 
 experiments:
 	$(GO) run ./cmd/hcd-experiments

@@ -57,9 +57,6 @@ type PrecondSpec struct {
 	// The tree and subgraph kinds use a max-weight spanning tree, the
 	// subgraph kind with n/4 off-tree edges.
 	Seed int64
-	// Hierarchy, when non-nil, fully configures the hierarchy kind and
-	// overrides SizeCap/Seed.
-	Hierarchy *HierarchyOptions
 }
 
 // NewPreconditioner builds the preconditioner a spec describes. PrecondNone
@@ -105,12 +102,8 @@ func NewPreconditioner(ctx context.Context, g *Graph, spec PrecondSpec) (Precond
 }
 
 // specHierarchy is the hierarchy build a spec of the hierarchy kind
-// describes: spec.Hierarchy when set, else the defaults with the spec's
-// SizeCap and Seed.
+// describes: the defaults with the spec's SizeCap and Seed.
 func specHierarchy(spec PrecondSpec) HierarchyOptions {
-	if spec.Hierarchy != nil {
-		return *spec.Hierarchy
-	}
 	opt := DefaultHierarchyOptions()
 	opt.SizeCap, opt.Seed = specSizeCap(spec), specSeed(spec)
 	return opt
@@ -144,8 +137,7 @@ type SolveRequest struct {
 	// Precond describes the preconditioner to build when neither Engine
 	// nor M is set. The zero value builds the multilevel hierarchy. For
 	// SolveMethodResilient it must be of the hierarchy kind: it is the
-	// hierarchy the ladder's first rung builds when M is nil, and the one its
-	// reseeded rungs rebuild under other seeds.
+	// hierarchy the ladder's first rung builds when M is nil.
 	Precond PrecondSpec
 	// M, when non-nil, is used directly and Precond is not built; under
 	// SolveMethodResilient it preconditions the first rung.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hcd"
+	"hcd/internal/workload"
 )
 
 // TestDoMultiRHS: one request, several right-hand sides, one preconditioner
@@ -148,11 +149,11 @@ type namedGraph struct {
 // lognormal 3-D grid, a road network, an FE mesh and a random tree.
 func invarianceGraphs(t *testing.T) []namedGraph {
 	t.Helper()
-	road, err := hcd.RoadNetwork(24, 24, 6, hcd.LognormalWeights(0.5), 3)
+	road, err := workload.RoadNetwork(24, 24, 6, workload.Lognormal(0.5), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fem, err := hcd.FEMesh(20, 20, -1, nil, 3)
+	fem, err := workload.FEMesh(20, 20, -1, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestDoBlockIdenticalAcrossKernels(t *testing.T) {
 	if kernel.Name() != "avx2" {
 		t.Skip("the AVX2 bodies are not in use in this build on this host")
 	}
-	fem, err := hcd.FEMesh(64, 64, -1, nil, 1)
+	fem, err := workload.FEMesh(64, 64, -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

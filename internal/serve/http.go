@@ -471,11 +471,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer pool.release(eng)
 		doReq.Engine = eng
 	case req.Method == "resilient":
-		// Rung 1 solves with the handle's cached hierarchy; the reseeded
-		// rungs rebuild it under the handle's options.
+		// Rung 1 solves with the handle's cached hierarchy, already doReq.M.
 		doReq.Method = hcd.SolveMethodResilient
-		hopt := h.hopt
-		doReq.Precond = hcd.PrecondSpec{Hierarchy: &hopt}
 	default:
 		writeErr(w, http.StatusBadRequest, "unknown method %q", req.Method)
 		return

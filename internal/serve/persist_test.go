@@ -18,6 +18,7 @@ import (
 	"hcd/internal/cli"
 	"hcd/internal/faultinject"
 	"hcd/internal/obs"
+	"hcd/internal/workload"
 )
 
 // waitStatus polls a handle until it reaches want (or any terminal state
@@ -611,7 +612,7 @@ func TestHealthEndpoints(t *testing.T) {
 // so the first one-column solve, which runs in that view, leaves the charged
 // bytes equal to what the hierarchy holds, its level-0 graph included.
 func TestStoreChargesLayoutView(t *testing.T) {
-	g, err := hcd.FEMesh(40, 40, -1, nil, 1)
+	g, err := workload.FEMesh(40, 40, -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +652,7 @@ func TestStoreChargesLayoutView(t *testing.T) {
 func TestByteBudgetHoldsWhatItCharges(t *testing.T) {
 	graphs := make([]*hcd.Graph, 2)
 	for i := range graphs {
-		g, err := hcd.FEMesh(24+8*i, 24, -1, nil, 1)
+		g, err := workload.FEMesh(24+8*i, 24, -1, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -526,7 +526,7 @@ func TestResilientMethodUsesCachedHierarchy(t *testing.T) {
 func buildDigest(t *testing.T, g *hcd.Graph, h *hcd.Hierarchy) uint64 {
 	t.Helper()
 	d := fnv.New64a()
-	if err := hcd.WriteHierarchySnapshot(d, g, h); err != nil {
+	if err := gio.WriteHierarchySnapshot(d, g, h); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range h.LevelScales() {

@@ -44,9 +44,11 @@ type LapFactor struct {
 	nnzA   int       // stored lower-triangle entries of the matrix that was factored
 }
 
-// NewLapFactor orders and factors the Laplacian of g. It returns an error if
-// a pivot is not strictly positive (weights so spread that the pinned
-// Laplacian is not numerically SPD, or non-finite sums).
+// NewLapFactor orders and factors the Laplacian of g. Every pivot is a sum of
+// non-negative terms and lies in (0, vol(v)] in exact arithmetic, so no
+// weight spread cancels one to zero; only an underflow can (a ground weight
+// below 2⁻¹⁰⁷⁴ carried through a heavy column), and that pivot is an error
+// wrapping graph.ErrInvalidInput.
 func NewLapFactor(g *graph.Graph) (*LapFactor, error) {
 	n := g.N()
 	// Components labels components in order of their lowest vertex, so the
@@ -294,7 +296,9 @@ func (q *pivotHeap) fix(v, d int32) {
 // factorize sorts every column of the recorded structure by elimination
 // position and runs the numeric phase: a left-looking column Cholesky that,
 // for column j, applies the columns k < j with L[j][k] ≠ 0 in ascending k —
-// the summation order of the dense row-by-row factorization.
+// the summation order of the dense row-by-row factorization for the entries
+// below the diagonal. The pivot is formed without subtraction instead, as in
+// the Grassmann–Taksar–Heyman elimination of M-matrices.
 func (f *LapFactor) factorize(g *graph.Graph, pos []int32) error {
 	nf, nnz := len(f.order), len(f.rowIdx)
 	// Row structure of L (for each j the columns k with L[j][k] ≠ 0,
@@ -329,13 +333,24 @@ func (f *LapFactor) factorize(g *graph.Graph, pos []int32) error {
 
 	f.val = make([]float64, nnz)
 	f.diag = make([]float64, nf)
-	x := make([]float64, f.n) // column accumulator by vertex id, zero between columns
-	copy(next, f.colPtr)      // next[k]: column k's entry for the row being factored
+	scratch := make([]float64, f.n+nf)
+	x := scratch[:f.n]     // column accumulator by vertex id, zero between columns
+	sigma := scratch[f.n:] // sigma[k]: column k's ground weight ÷ L[k][k]
+	copy(next, f.colPtr)   // next[k]: column k's entry for the row being factored
 	for j, v := range f.order {
+		// The Schur complement of the columns before j is again a Laplacian,
+		// grounded at the pins, so its diagonal entry for v is v's weight to
+		// ground plus its weights to the vertices not yet eliminated. Both
+		// are sums of non-negative terms: ground starts as the weight to the
+		// pin and gains −L[j][k]·sigma[k] from every column k that reaches
+		// v, and the off-diagonals x[r] only decrease.
 		nbr, w := g.Neighbors(int(v))
-		x[v] = g.Vol(int(v))
+		ground := 0.0
 		for i, u := range nbr {
-			if pos[u] > int32(j) {
+			switch p := pos[u]; {
+			case p < 0:
+				ground += w[i]
+			case p > int32(j):
 				x[u] -= w[i]
 			}
 		}
@@ -343,19 +358,23 @@ func (f *LapFactor) factorize(g *graph.Graph, pos []int32) error {
 			p := next[k]
 			next[k] = p + 1
 			ljk := f.val[p]
-			rows := f.rowIdx[p:f.colPtr[k+1]]
-			vals := f.val[p:f.colPtr[k+1]]
+			ground -= ljk * sigma[k]
+			rows := f.rowIdx[p+1 : f.colPtr[k+1]]
+			vals := f.val[p+1 : f.colPtr[k+1]]
 			for q, r := range rows {
 				x[r] -= vals[q] * ljk
 			}
 		}
-		d := x[v]
-		x[v] = 0
+		d := ground
+		for _, r := range f.rowIdx[f.colPtr[j]:f.colPtr[j+1]] {
+			d -= x[r]
+		}
 		if !(d > 0) {
-			return fmt.Errorf("sparse: Laplacian pivot %d (vertex %d) is %v (not SPD on the free vertices)", j, v, d)
+			return fmt.Errorf("sparse: Laplacian pivot %d (vertex %d) is %v (its ground weight underflowed): %w", j, v, d, graph.ErrInvalidInput)
 		}
 		l := math.Sqrt(d)
 		f.diag[j] = l
+		sigma[j] = ground / l
 		for q := f.colPtr[j]; q < f.colPtr[j+1]; q++ {
 			r := f.rowIdx[q]
 			f.val[q] = x[r] / l

@@ -430,13 +430,40 @@ func TestLapFactorIsPseudoInverse(t *testing.T) {
 	}
 }
 
-// TestLapFactorRejectsBadPivot: a weight spread beyond double precision makes
-// the pinned Laplacian numerically singular; that is an error, not a factor
+// TestLapFactorRejectsBadPivot: weight spreads far beyond double precision
+// still factor, each pivot within 4 ulps of the closed-form Schur pivot,
+// because no pivot is formed by a subtraction that can cancel. Only a ground
+// weight that underflows on its way through a heavy column leaves a zero
+// pivot, and that is an error wrapping graph.ErrInvalidInput, not a factor
 // full of Infs.
 func TestLapFactorRejectsBadPivot(t *testing.T) {
-	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1e-30}, {U: 1, V: 2, W: 1}})
-	if _, err := NewLapFactor(g); err == nil {
-		t.Error("expected an error for a numerically singular pinned Laplacian")
+	const eps, h = 1e-30, 1e16
+	for _, tc := range []struct {
+		name   string
+		edges  []graph.Edge
+		pivots []float64 // closed-form Schur pivots in elimination order; nil: an error
+	}{
+		{"path 1e-30, 1", []graph.Edge{{U: 0, V: 1, W: eps}, {U: 1, V: 2, W: 1}}, []float64{1 + eps, eps / (1 + eps)}},
+		{"triangle 1, 1, 1e16", []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}, {U: 1, V: 2, W: h}}, []float64{1 + h, 1 + h/(1+h)}},
+		{"path 1e-300, 1e300", []graph.Edge{{U: 0, V: 1, W: 1e-300}, {U: 1, V: 2, W: 1e300}}, nil},
+	} {
+		f, err := NewLapFactor(graph.MustFromEdges(3, tc.edges))
+		if tc.pivots == nil {
+			if !errors.Is(err, graph.ErrInvalidInput) {
+				t.Errorf("%s: err = %v, want one wrapping graph.ErrInvalidInput", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		for j, want := range tc.pivots {
+			got := f.diag[j] * f.diag[j]
+			if ulps := int64(math.Float64bits(got)) - int64(math.Float64bits(want)); ulps < -4 || ulps > 4 {
+				t.Errorf("%s: pivot %d = %v, want %v (%d ulps)", tc.name, j, got, want, ulps)
+			}
+		}
 	}
 }
 
@@ -555,7 +582,8 @@ func fuzzFactorGraph(t testing.TB, data []byte) *graph.Graph {
 // graph constructor, weights over twelve orders of magnitude, any number of
 // components — against the dense pinned Cholesky. Conditioning makes the
 // forward error meaningless here, so both solutions are held to the normwise
-// backward error of a stable solve and compared through A.
+// backward error of a stable solve and compared through A. No pivot can
+// underflow at these weights, so every input must factor.
 func FuzzLapFactor(f *testing.F) {
 	for _, data := range lapFactorSeeds {
 		f.Add(data)
@@ -568,7 +596,7 @@ func FuzzLapFactor(f *testing.F) {
 		n := g.N()
 		fac, err := NewLapFactor(g)
 		if err != nil {
-			return // numerically singular is a legitimate answer
+			t.Fatalf("weights in [1e-6, 1e6] cannot underflow a pivot: %v", err)
 		}
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		b := meanFreeRHS(rng, g)

@@ -1,7 +1,6 @@
 package hcd
 
 import (
-	"context"
 	"io"
 
 	"hcd/internal/gio"
@@ -37,19 +36,3 @@ func WriteGraphSnapshot(w io.Writer, g *Graph) error { return gio.WriteGraphSnap
 // ReadGraphSnapshot reads a graph snapshot. Corruption comes back wrapping
 // ErrCorruptSnapshot; underlying I/O errors pass through unwrapped.
 func ReadGraphSnapshot(r io.Reader) (*Graph, error) { return gio.ReadGraphSnapshot(r) }
-
-// WriteHierarchySnapshot persists g together with its built hierarchy. Only
-// the fine graph and the per-level cluster assignments are stored; quotient
-// graphs and the coarse factorization are recomputed deterministically on
-// read, so a snapshot is a few times the graph's size, not the hierarchy's.
-func WriteHierarchySnapshot(w io.Writer, g *Graph, h *Hierarchy) error {
-	return gio.WriteHierarchySnapshot(w, g, h)
-}
-
-// ReadHierarchySnapshot restores a graph and its hierarchy from a snapshot
-// without re-running any clustering. If the graph section verifies but the
-// hierarchy portion is corrupt, the graph is returned alongside the error —
-// callers can rebuild the hierarchy instead of losing everything.
-func ReadHierarchySnapshot(ctx context.Context, r io.Reader) (*Graph, *Hierarchy, error) {
-	return gio.ReadHierarchySnapshot(ctx, r)
-}

@@ -32,9 +32,6 @@ import (
 // concurrent use; nil means disabled.
 type Tracer = obs.Tracer
 
-// Span is one interval in a Tracer's tree; all methods are no-ops on nil.
-type Span = obs.Span
-
 // MetricRegistry is a named set of atomic counters, gauges and histograms
 // with JSON and Prometheus text-exposition encoders (WriteJSON,
 // WritePrometheus). Safe for concurrent use; nil means disabled.
@@ -65,12 +62,4 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 // publishes its metrics into r (nil r returns ctx unchanged).
 func WithMetricRegistry(ctx context.Context, r *MetricRegistry) context.Context {
 	return obs.WithRegistry(ctx, r)
-}
-
-// StartSpan opens a span under the context's current span, for callers that
-// want their own application phases in the same trace as the library's
-// spans. Always pair with sp.End(); sp is nil (and End a no-op) when no
-// tracer is installed.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	return obs.StartSpan(ctx, name)
 }

@@ -8,14 +8,15 @@ package hcd
 //
 // The ladder, in order:
 //
-//	[1] hierarchy-pcg          PCG with the multilevel Steiner preconditioner
-//	                           (the paper's construction; fastest when healthy)
-//	[2] reseeded-hierarchy-pcg the same, with the hierarchy rebuilt from
-//	                           re-seeded randomized clusterings — recovers
-//	                           from an unluckily or corruptly built hierarchy
-//	[3] jacobi-pcg             PCG with the diagonal (Jacobi) preconditioner —
-//	                           takes the hierarchy off the fault surface and
-//	                           keeps the diagonal scaling weighted graphs need
+//	[1] hierarchy-pcg  PCG with the multilevel Steiner preconditioner (the
+//	                   paper's construction; fastest when healthy)
+//	[2] jacobi-pcg     PCG with the diagonal (Jacobi) preconditioner —
+//	                   takes the hierarchy off the fault surface and keeps
+//	                   the diagonal scaling weighted graphs need
+//
+// Unarmed, every measured input converges on rung 1, whatever its weight
+// spread: the coarse factor's pivots cannot cancel (DESIGN §5). A corrupted
+// build or solve is left to Jacobi-PCG.
 //
 // Every rung runs under the request's Options with one restart, so a
 // transient breakdown restarts in place before the ladder moves on. A
@@ -39,15 +40,11 @@ import (
 // Ladder rung names, as they appear in SolveAttempt.Rung.
 const (
 	RungHierarchyPCG = "hierarchy-pcg"
-	RungReseededPCG  = "reseeded-hierarchy-pcg"
 	RungJacobiPCG    = "jacobi-pcg"
 )
 
-// The ladder's fixed shape: one in-rung PCG restart, two reseeded rebuilds.
-const (
-	ladderRestarts = 1
-	ladderReseeds  = 2
-)
+// ladderRestarts is every rung's in-rung PCG restart budget.
+const ladderRestarts = 1
 
 // SolveAttempt records one rung of a resilient solve.
 type SolveAttempt struct {
@@ -113,9 +110,8 @@ func (r ResilienceReport) String() string {
 // It walks the columns of bs down the ladder together: each rung builds its
 // preconditioner at most once and solves the columns no earlier rung
 // converged as one block, and every column keeps its own attempt trail. Rung
-// 1 solves with m when it is set, else builds hopt; rung 2 rebuilds hopt
-// under perturbed seeds; every rung iterates under opt with ladderRestarts
-// restarts.
+// 1 solves with m when it is set, else builds hopt; rung 2 is Jacobi-PCG;
+// every rung iterates under opt with ladderRestarts restarts.
 func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditioner, hopt HierarchyOptions, opt SolveOptions) ([]SolveResult, []ResilienceReport, error) {
 	opt.MaxRestarts = ladderRestarts
 	ctx, lsp := obs.StartSpan(ctx, "resilient/solve")
@@ -241,22 +237,7 @@ func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditio
 		}
 		return h, nil
 	})
-	// [2] Rebuilt hierarchies under fresh randomized seeds: a bad draw of
-	// the perturbed clustering (or a corrupted build) is re-rolled.
-	for try := 0; try < ladderReseeds && err == nil; try++ {
-		reseeded := hopt
-		// A large odd prime offset keeps reseeded streams disjoint from
-		// every level's Seed+level sequence.
-		reseeded.Seed = hopt.Seed + int64(try+1)*1000003
-		err = pcgRung(RungReseededPCG, func(rctx context.Context) (Preconditioner, error) {
-			h, err := hierarchy.NewCtx(rctx, g, reseeded)
-			if err != nil {
-				return nil, fmt.Errorf("hierarchy rebuild (seed %d): %w", reseeded.Seed, err)
-			}
-			return h, nil
-		})
-	}
-	// [3] Jacobi-preconditioned PCG.
+	// [2] Jacobi-preconditioned PCG.
 	if err == nil {
 		err = pcgRung(RungJacobiPCG, func(context.Context) (Preconditioner, error) { return JacobiPreconditioner(g), nil })
 	}

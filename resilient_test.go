@@ -38,7 +38,7 @@ func TestSolveResilientRecoversFromInjectedNaN(t *testing.T) {
 	g := hcd.Grid2D(12, 12, nil, 1)
 	b := meanFree(rand.New(rand.NewSource(42)), g.N())
 	// Two NaN strikes: one kills rung 1's first attempt, one its in-rung
-	// restart. The window then closes, so the reseeded rung runs clean.
+	// restart. The window then closes, so the Jacobi-PCG rung runs clean.
 	restore := faultinject.Activate(map[string]faultinject.Spec{
 		faultinject.MatvecNaN: {OnHit: 1, Count: 2},
 	})
@@ -54,11 +54,11 @@ func TestSolveResilientRecoversFromInjectedNaN(t *testing.T) {
 	if !rep.Recovered {
 		t.Error("recovery via a later rung must set Recovered")
 	}
-	if rep.Rung != hcd.RungReseededPCG {
-		t.Errorf("recovered on rung %q, want %q", rep.Rung, hcd.RungReseededPCG)
+	if rep.Rung != hcd.RungJacobiPCG {
+		t.Errorf("recovered on rung %q, want %q", rep.Rung, hcd.RungJacobiPCG)
 	}
 	if len(rep.Attempts) != 2 {
-		t.Fatalf("%d attempts, want 2 (failed hierarchy-pcg, converged reseed): %s", len(rep.Attempts), rep)
+		t.Fatalf("%d attempts, want 2 (failed hierarchy-pcg, converged jacobi-pcg): %s", len(rep.Attempts), rep)
 	}
 	first := rep.Attempts[0]
 	if first.Rung != hcd.RungHierarchyPCG || first.Outcome != hcd.OutcomeBreakdown {
@@ -73,23 +73,23 @@ func TestSolveResilientRecoversFromInjectedNaN(t *testing.T) {
 }
 
 func TestSolveResilientRecoversFromCorruptedBuild(t *testing.T) {
-	g := hcd.Grid2D(40, 40, nil, 1)
+	// 2 500 vertices: above four times the default DirectLimit (600), so
+	// level 0 arms the no-reduction guard.
+	g := hcd.Grid2D(50, 50, nil, 1)
 	b := meanFree(rand.New(rand.NewSource(43)), g.N())
 	// Corrupt the first hierarchy build's clustering scan; the degenerate
-	// all-singleton level trips the no-reduction guard, and the reseeded
-	// rebuild (past the fault window) succeeds.
+	// all-singleton level trips the no-reduction guard, and Jacobi-PCG
+	// solves without a hierarchy.
 	restore := faultinject.Activate(map[string]faultinject.Spec{
 		faultinject.PerturbCorrupt: {OnHit: 1, Count: 1},
 	})
 	defer restore()
-	hopt := hcd.DefaultHierarchyOptions()
-	hopt.DirectLimit = 50 // 1600 vertices >> 4·50 arms the guard
-	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Precond: hcd.PrecondSpec{Hierarchy: &hopt}, Options: hcd.DefaultSolveOptions()})
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
 	res, rep := resp.Results[0], resp.Resilience[0]
 	if err != nil {
 		t.Fatalf("Do: %v\nreport: %s", err, rep)
 	}
-	if !res.Converged || !rep.Recovered || rep.Rung != hcd.RungReseededPCG {
+	if !res.Converged || !rep.Recovered || rep.Rung != hcd.RungJacobiPCG || len(rep.Attempts) != 2 {
 		t.Fatalf("converged=%v recovered=%v rung=%q, report: %s", res.Converged, rep.Recovered, rep.Rung, rep)
 	}
 	if first := rep.Attempts[0]; !strings.Contains(first.Err, "no reduction") {
@@ -103,15 +103,15 @@ func TestSolveResilientRecoversFromCorruptedBuild(t *testing.T) {
 // orders of magnitude, so the diagonal scaling is what makes it cheap:
 // unpreconditioned CG runs out of its 10·n + 50 budget on the same system.
 func TestSolveResilientRecoversOCTOnJacobiPCG(t *testing.T) {
-	g := hcd.OCT3D(8, 8, 8, hcd.DefaultOCTOptions())
+	// 2 744 vertices > 4·600, the default DirectLimit: the no-reduction
+	// guard is armed.
+	g := hcd.OCT3D(14, 14, 14, hcd.DefaultOCTOptions())
 	b := meanFree(rand.New(rand.NewSource(45)), g.N())
 	restore := faultinject.Activate(map[string]faultinject.Spec{
 		faultinject.PerturbCorrupt: {OnHit: 1, Count: 0},
 	})
 	defer restore()
-	hopt := hcd.DefaultHierarchyOptions()
-	hopt.DirectLimit = 50 // 512 vertices > 4·50 arms the no-reduction guard
-	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Precond: hcd.PrecondSpec{Hierarchy: &hopt}, Options: hcd.DefaultSolveOptions()})
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})
 	res, rep := resp.Results[0], resp.Resilience[0]
 	if err != nil {
 		t.Fatalf("Do: %v\nreport: %s", err, rep)
@@ -128,18 +128,53 @@ func TestSolveResilientRecoversOCTOnJacobiPCG(t *testing.T) {
 	}
 }
 
+// heavyEdgeGrid is the s×s unit grid (vertex i·s+j) whose horizontal edge
+// (v, v+1) weighs w whenever v is a multiple of step, and every other edge 1.
+func heavyEdgeGrid(t *testing.T, s, step int, w float64) *hcd.Graph {
+	t.Helper()
+	var es []hcd.Edge
+	for v := 0; v < s*s; v++ {
+		if v%s+1 < s {
+			wv := 1.0
+			if v%step == 0 {
+				wv = w
+			}
+			es = append(es, hcd.Edge{U: v, V: v + 1, W: wv})
+		}
+		if v+s < s*s {
+			es = append(es, hcd.Edge{U: v, V: v + s, W: 1})
+		}
+	}
+	g, err := hcd.NewGraph(s*s, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestUnarmedCorpusStaysOnFirstRung: with no fault armed, the ladder
-// converges on its first rung, hierarchy-pcg, in one attempt on a small
-// graph of every family — hcd-solve's graph specs, seed and right-hand side,
-// and a 12³ grid whose z edges weigh 1 000 — so only an armed fault reaches
-// the reseeded rung.
+// converges on its first rung, hierarchy-pcg, in one attempt and without an
+// in-rung restart, on a small graph of every family — hcd-solve's graph
+// specs, seed and right-hand side, and a 12³ grid whose z edges weigh 1 000
+// — and on weights that differ by 10¹⁶ and more: a triangle and two grids
+// with heavy horizontal edges, whose coarse factors a subtracting pivot
+// cancels to zero. Only an armed fault reaches the Jacobi-PCG rung.
 func TestUnarmedCorpusStaysOnFirstRung(t *testing.T) {
 	const seed = 1
 	type named struct {
 		name string
 		g    *hcd.Graph
 	}
-	graphs := []named{{"aniso:12 (z 1000)", hcd.Grid3DAnisotropic(12, 12, 12, 1, 1, 1000)}}
+	triangle, err := hcd.NewGraph(3, []hcd.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}, {U: 1, V: 2, W: 1e16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []named{
+		{"aniso:12 (z 1000)", hcd.Grid3DAnisotropic(12, 12, 12, 1, 1, 1000)},
+		{"triangle 1, 1, 1e16", triangle},
+		{"grid 40², every 7th edge 1e20", heavyEdgeGrid(t, 40, 7, 1e20)},
+		{"grid 64², every 7th edge 1e20", heavyEdgeGrid(t, 64, 7, 1e20)},
+	}
 	for _, spec := range []string{"grid2d:48", "grid3d:16", "road:48", "femesh:48", "oct:16", "plaw:3000,3", "tree:2000"} {
 		g, err := cli.BuildGraph(spec, seed)
 		if err != nil {
@@ -155,8 +190,8 @@ func TestUnarmedCorpusStaysOnFirstRung(t *testing.T) {
 			continue
 		}
 		rep := resp.Resilience[0]
-		if len(rep.Attempts) != 1 || rep.Rung != hcd.RungHierarchyPCG || !resp.Results[0].Converged {
-			t.Errorf("%s: %d attempts, rung %q, converged %v: %s", tc.name, len(rep.Attempts), rep.Rung, resp.Results[0].Converged, rep)
+		if len(rep.Attempts) != 1 || rep.Rung != hcd.RungHierarchyPCG || !resp.Results[0].Converged || rep.Attempts[0].Restarts != 0 {
+			t.Errorf("%s: %d attempts (%d restarts in the first), rung %q, converged %v: %s", tc.name, len(rep.Attempts), rep.Attempts[0].Restarts, rep.Rung, resp.Results[0].Converged, rep)
 		}
 	}
 }
@@ -195,9 +230,9 @@ func TestSolveResilientAllRungsFail(t *testing.T) {
 	if !errors.Is(err, hcd.ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
-	// hierarchy-pcg, 2 reseeds, jacobi-pcg.
-	if len(rep.Attempts) != 4 {
-		t.Errorf("%d attempts, want 4: %s", len(rep.Attempts), rep)
+	// hierarchy-pcg, jacobi-pcg.
+	if len(rep.Attempts) != 2 {
+		t.Errorf("%d attempts, want 2: %s", len(rep.Attempts), rep)
 	}
 	if rep.Recovered || rep.Rung != "" {
 		t.Errorf("failed ladder must not report recovery: %+v", rep)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hcd"
+	"hcd/internal/workload"
 )
 
 // Shard counts must not change solve quality: the hierarchy preconditioner
@@ -16,7 +17,7 @@ func TestShardedSolveIterationInvariance(t *testing.T) {
 	graphs := map[string]*hcd.Graph{
 		"grid3d": hcd.Grid3D(32, 32, 32, hcd.LognormalWeights(1), 3),
 	}
-	if pl, err := hcd.PowerLaw(4000, 3, hcd.UniformWeights(0.5, 5), 11); err == nil {
+	if pl, err := workload.PowerLaw(4000, 3, workload.UniformWeight(0.5, 5), 11); err == nil {
 		graphs["powerlaw"] = pl
 	} else {
 		t.Fatal(err)
@@ -28,10 +29,11 @@ func TestShardedSolveIterationInvariance(t *testing.T) {
 		for _, shards := range []int{1, 2, 8} {
 			opt := hcd.DefaultHierarchyOptions()
 			opt.Shards = shards
-			resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
-				B:       [][]float64{b},
-				Precond: hcd.PrecondSpec{Hierarchy: &opt},
-			})
+			h, err := hcd.NewHierarchyCtx(context.Background(), g, opt)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", name, shards, err)
+			}
+			resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{B: [][]float64{b}, M: h})
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, shards, err)
 			}

@@ -10,6 +10,7 @@ import (
 	"hcd"
 	"hcd/internal/decomp"
 	"hcd/internal/graph"
+	"hcd/internal/workload"
 )
 
 // theoremChecks are the paper's guarantees, and the cycle's symmetry and
@@ -265,12 +266,12 @@ func checkScaling(t *testing.T, rng *rand.Rand) {
 		g = hcd.Grid3D(s, s, s, hcd.LognormalWeights(1), seed)
 	case 1:
 		s := 12 + rng.Intn(12)
-		g, err = hcd.RoadNetwork(s, s, 6, hcd.LognormalWeights(0.5), seed)
+		g, err = workload.RoadNetwork(s, s, 6, workload.Lognormal(0.5), seed)
 	case 2:
 		s := 10 + rng.Intn(12)
-		g, err = hcd.FEMesh(s, s, -1, hcd.LognormalWeights(1), seed)
+		g, err = workload.FEMesh(s, s, -1, workload.Lognormal(1), seed)
 	case 3:
-		g, err = hcd.PowerLaw(200+rng.Intn(600), 3, hcd.LognormalWeights(1), seed)
+		g, err = workload.PowerLaw(200+rng.Intn(600), 3, workload.Lognormal(1), seed)
 	case 4:
 		s := 5 + rng.Intn(5)
 		g = hcd.OCT3D(s, s, s, hcd.OCTOptions{Layers: 3, Contrast: 50, NoiseSigma: 1, Seed: seed})

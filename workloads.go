@@ -57,34 +57,6 @@ func PlanarMesh(nx, ny int, wf WeightFn, seed int64) *Graph {
 	return workload.GridDiag2D(nx, ny, wf, seed)
 }
 
-// RandomRegular returns a random simple d-regular graph — the fixed-degree
-// class of Section 3.1.
-func RandomRegular(n, d int, wf WeightFn, seed int64) (*Graph, error) {
-	return workload.RandomRegular(n, d, wf, seed)
-}
-
-// PowerLaw returns a preferential-attachment graph on n vertices with m
-// edges per arriving vertex — a heavy-tailed irregular workload (1 ≤ m < n).
-func PowerLaw(n, m int, wf WeightFn, seed int64) (*Graph, error) {
-	return workload.PowerLaw(n, m, wf, seed)
-}
-
-// RoadNetwork returns a planar-with-bottlenecks graph: an nx×ny grid of
-// district×district street blocks whose adjacent districts connect only
-// through one or two heavy "highway" crossings per shared border — the
-// road-network cut structure (district ≥ 2).
-func RoadNetwork(nx, ny, district int, wf WeightFn, seed int64) (*Graph, error) {
-	return workload.RoadNetwork(nx, ny, district, wf, seed)
-}
-
-// FEMesh returns a finite-element-style triangulated mesh: a graded, jittered
-// nx×ny point lattice split along shorter diagonals, with inverse-edge-length
-// (stiffness-like) weights optionally scaled by a wf material coefficient.
-// jitter < 0 selects the default 0.25.
-func FEMesh(nx, ny int, jitter float64, wf WeightFn, seed int64) (*Graph, error) {
-	return workload.FEMesh(nx, ny, jitter, wf, seed)
-}
-
 // RandomTree returns a uniformly random labeled tree (Prüfer sampling).
 func RandomTree(n int, wf WeightFn, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
