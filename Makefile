@@ -5,7 +5,7 @@ GO ?= go
 # FUZZTIME is each fuzz target's pass in `make fuzz` (CI runs it at 20s).
 FUZZTIME ?= 10s
 
-.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke cli-methods vet fmt check race race-solver determinism examples fuzz experiments fig6 coverage
+.PHONY: all build test portable bench bench-e2e bench-replay bench-gate replay-smoke scale-smoke cli-methods fingerprints vet fmt check race race-solver determinism examples fuzz experiments fig6 coverage
 
 all: build test
 
@@ -23,10 +23,11 @@ vet:
 # detector (the parallel solver kernels run with GOMAXPROCS > 1 in tests), the
 # determinism tests at one and two workers, every example program, a short
 # pass of every fuzz target, the scenario-replay smoke, the replay-score
-# regression gate, and the CLI's resilient solve method. The theorem,
+# regression gate, the CLI's resilient solve method, and the benchmark's
+# input fingerprints. The theorem,
 # fault-recovery and serving crash/recovery checks are tests: `go test` runs
 # them (FuzzTheorems' seed corpus among them), under -race too.
-check: fmt vet portable race determinism examples fuzz replay-smoke bench-gate cli-methods
+check: fmt vet portable race determinism examples fuzz replay-smoke bench-gate cli-methods fingerprints
 
 # portable cross-compiles for an architecture that has none of the assembly
 # (all of it lives in internal/kernel, *_amd64.s), so the Go-only build cannot
@@ -77,9 +78,9 @@ bench:
 # encoding/json as a differential oracle, and over the paper's theorems —
 # FuzzTheorems: randomized instances against the bounds themselves (Theorem
 # 2.1's tree floor, §3.1's fixed-degree floor, Theorem 3.5's σ, Theorem 4.1's
-# eigenvector distance), the cycle's symmetry and definiteness, and exact
-# power-of-two scaling of the solves as a metamorphic oracle (go fuzzing runs
-# one target at a time).
+# eigenvector distance), the cycle's symmetry and definiteness, exact
+# power-of-two scaling of the solves as a metamorphic oracle, and weights at
+# the edges of float64's range (go fuzzing runs one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=$(FUZZTIME) ./internal/gio
@@ -137,6 +138,12 @@ cli-methods:
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient | grep -q 'outcome: converged'
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient -rhs 3 | grep -q 'converged: 3/3'
 	printf '0 1 1\n0 2 1\n1 2 1e16\n' | $(GO) run ./cmd/hcd-solve -graph file:/dev/stdin | grep -q 'outcome: converged'
+
+# fingerprints: the benchmark's inputs (graphs, right-hand sides, the
+# request schedule) hash to what bench/fingerprints.json records, so a change
+# to a generator shows here rather than as a benchmark that refuses to run.
+fingerprints:
+	$(GO) run ./bench -fingerprint | diff - bench/fingerprints.json
 
 experiments:
 	$(GO) run ./cmd/hcd-experiments

@@ -149,7 +149,7 @@ type SolveRequest struct {
 	Engine *Engine
 	// Options configures the iteration of every method. Every method
 	// projects out the mean, the Laplacian's null space. The resilient ladder
-	// runs every rung under Options with one in-rung restart.
+	// runs every rung as one attempt under Options.
 	Options SolveOptions
 }
 

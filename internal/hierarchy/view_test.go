@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"hcd/internal/faultinject"
 	"hcd/internal/graph"
 	"hcd/internal/obs"
 	"hcd/internal/solver"
@@ -345,53 +344,5 @@ func TestMemoryBytesCountsLayoutView(t *testing.T) {
 		if grown != held {
 			t.Errorf("%s: MemoryBytes grew by %d with the view, its arrays hold %d", tc.name, grown, held)
 		}
-	}
-}
-
-// TestLayoutSolveRestartsInLayout: a one-column solve that breaks down and
-// restarts under Options.MaxRestarts resumes in the layout view — the iterate
-// and b gathered again, r = b − A·x recomputed there — and ends where the same
-// restarted solve ends in the caller's numbering.
-func TestLayoutSolveRestartsInLayout(t *testing.T) {
-	g, err := workload.FEMesh(32, 32, -1, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := solver.DefaultOptions()
-	opt.MaxRestarts = 1
-	b := meanFree(rand.New(rand.NewSource(9)), g.N())
-	solve := func(a solver.Operator) solver.Result {
-		restore := faultinject.Activate(map[string]faultinject.Spec{
-			faultinject.ForceBreakdown: {OnHit: 6, Count: 1},
-		})
-		defer restore()
-		res, err := solver.PCGCtx(context.Background(), a, h, b, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged || res.Metrics.Restarts != 1 {
-			t.Fatalf("outcome %v (%s), %d restarts; want converged after 1", res.Outcome, res.Reason, res.Metrics.Restarts)
-		}
-		return res
-	}
-	nat := solve(solver.OpFunc{N: g.N(), F: g.LapMul})
-	got := solve(solver.LapOperator(g))
-	if h.view.Load() == nil {
-		t.Fatal("the FE mesh solved without a layout view")
-	}
-	if got.Iterations != nat.Iterations {
-		t.Errorf("%d iterations in the layout, %d natural", got.Iterations, nat.Iterations)
-	}
-	diff, norm := 0.0, 0.0
-	for v := range nat.X {
-		diff += (got.X[v] - nat.X[v]) * (got.X[v] - nat.X[v])
-		norm += nat.X[v] * nat.X[v]
-	}
-	if math.Sqrt(diff) > 1e-12*math.Sqrt(norm) {
-		t.Errorf("‖x − x_nat‖ = %.3g, ‖x_nat‖ = %.3g", math.Sqrt(diff), math.Sqrt(norm))
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -156,8 +157,10 @@ func (s *Server) wrap(route string, fn http.HandlerFunc) http.HandlerFunc {
 		ctx := r.Context()
 		// Deadline budget: ?timeout_ms= opts in, Config.MaxTimeout caps it
 		// (and applies on its own when set). Expiry surfaces as 504 via
-		// timeoutCode; a client disconnect stays 408.
-		if budget := requestBudget(r, s.cfg.MaxTimeout); budget > 0 {
+		// timeoutCode; a client disconnect stays 408. A timeout_ms that is
+		// not an integer answers 400 in place of the handler.
+		budget, badQuery := requestBudget(r, s.cfg.MaxTimeout)
+		if budget > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, budget)
 			defer cancel()
@@ -191,7 +194,11 @@ func (s *Server) wrap(route string, fn http.HandlerFunc) http.HandlerFunc {
 
 		counter(s.reg, metricRequests+`{route="`+route+`"}`)
 		start := time.Now()
-		fn(out, r.WithContext(ctx))
+		if badQuery != nil {
+			writeErr(out, http.StatusBadRequest, "%v", badQuery)
+		} else {
+			fn(out, r.WithContext(ctx))
+		}
 		observe(s.reg, metricRequestTime+`{route="`+route+`"}`, time.Since(start))
 	}
 }
@@ -202,22 +209,35 @@ func tenant(r *http.Request) string {
 
 // requestBudget resolves the effective deadline for one request: the
 // ?timeout_ms= query value clamped to the server cap, the cap alone when the
-// client asks for nothing, zero (no deadline) when neither is set.
-func requestBudget(r *http.Request, cap time.Duration) time.Duration {
-	var want time.Duration
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
-		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			want = time.Duration(ms) * time.Millisecond
-		}
-	}
+// client asks for nothing (no value, or one ≤ 0), zero (no deadline) when
+// neither is set. A timeout_ms that is not an integer is an error.
+func requestBudget(r *http.Request, cap time.Duration) (time.Duration, error) {
+	ms, _, err := queryInt(r.URL.Query(), "timeout_ms", 64)
+	want := time.Duration(ms) * time.Millisecond
 	switch {
+	case err != nil:
+		return 0, err
 	case want <= 0:
-		return cap
+		return cap, nil
 	case cap > 0 && want > cap:
-		return cap
+		return cap, nil
 	default:
-		return want
+		return want, nil
 	}
+}
+
+// queryInt reads the integer query parameter name, of the given bit size:
+// set is false when the request does not carry it, and a value that is there
+// but is not an integer — the empty string included — is an error naming it.
+func queryInt(q url.Values, name string, bits int) (v int64, set bool, err error) {
+	if !q.Has(name) {
+		return 0, false, nil
+	}
+	s := q.Get(name)
+	if v, err = strconv.ParseInt(s, 10, bits); err != nil {
+		return 0, false, fmt.Errorf("query parameter %s=%q is not an integer", name, s)
+	}
+	return v, true, nil
 }
 
 // timeoutCode maps a context-shaped interruption to its HTTP status: the
@@ -261,18 +281,24 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // handleSubmit ingests a graph and starts its hierarchy build. The graph
 // arrives either in the request body (?format=edgelist|mm, the gio formats)
 // or generated server-side from a workload spec (?spec=grid3d:12 — the CLI
-// generator grammar). ?sizecap= and ?seed= tune the hierarchy build;
-// ?wait=true blocks until the build finishes.
+// generator grammar). ?sizecap= and ?seed= tune the hierarchy build (a
+// sizecap below 2 and a seed of 0 keep the defaults) and answer 400 when they
+// are not integers; ?wait=true blocks until the build finishes.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
+	seed, hasSeed, err := queryInt(q, "seed", 64)
+	sizecap, hasCap, cerr := queryInt(q, "sizecap", strconv.IntSize)
+	if err = errors.Join(err, cerr); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	var g *hcd.Graph
-	var err error
 	if spec := q.Get("spec"); spec != "" {
-		seed := int64(1)
-		if v := q.Get("seed"); v != "" {
-			seed, _ = strconv.ParseInt(v, 10, 64)
+		gseed := int64(1)
+		if hasSeed {
+			gseed = seed
 		}
-		g, err = cli.BuildGraph(spec, seed)
+		g, err = cli.BuildGraph(spec, gseed)
 	} else {
 		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		g, err = gio.Read(body, q.Get("format"))
@@ -283,13 +309,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var hopt *hcd.HierarchyOptions
-	if q.Has("sizecap") || q.Has("seed") {
+	if hasCap || hasSeed {
 		o := hcd.DefaultHierarchyOptions()
-		if v, perr := strconv.Atoi(q.Get("sizecap")); perr == nil && v >= 2 {
-			o.SizeCap = v
+		if sizecap >= 2 {
+			o.SizeCap = int(sizecap)
 		}
-		if v, perr := strconv.ParseInt(q.Get("seed"), 10, 64); perr == nil && v != 0 {
-			o.Seed = v
+		if seed != 0 {
+			o.Seed = seed
 		}
 		hopt = &o
 	}

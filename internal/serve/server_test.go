@@ -454,10 +454,52 @@ func TestSolveMethods(t *testing.T) {
 	}
 }
 
-// TestResilientMethodRestartsInRung: the resilient method restarts a broken-
-// down PCG attempt in place, as SolveResilient does, before it rebuilds the
-// hierarchy under another seed: one forced breakdown is absorbed by rung 1.
-func TestResilientMethodRestartsInRung(t *testing.T) {
+// TestQueryIntegersAreChecked: ?seed=, ?sizecap= and ?timeout_ms= that are
+// present but not integers answer 400 naming the parameter, and start no
+// build; values that parse keep their meaning — a sizecap below 2 is the
+// default, a timeout_ms ≤ 0 asks for no deadline.
+func TestQueryIntegersAreChecked(t *testing.T) {
+	srv, c := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		names        string
+	}{
+		{"POST", "/v1/graphs?spec=grid2d:8&seed=abc&wait=true", http.StatusBadRequest, "seed"},
+		{"POST", "/v1/graphs?spec=grid2d:8&sizecap=x&wait=true", http.StatusBadRequest, "sizecap"},
+		{"POST", "/v1/graphs?spec=grid2d:8&seed=&wait=true", http.StatusBadRequest, "seed"},
+		{"POST", "/v1/graphs?spec=grid2d:8&sizecap=4.5&wait=true", http.StatusBadRequest, "sizecap"},
+		{"POST", "/v1/graphs?spec=grid2d:8&timeout_ms=soon&wait=true", http.StatusBadRequest, "timeout_ms"},
+		{"GET", "/v1/graphs?timeout_ms=1.5", http.StatusBadRequest, "timeout_ms"},
+		{"POST", "/v1/graphs?spec=grid2d:8&seed=0&sizecap=1&wait=true", http.StatusCreated, ""},
+		{"POST", "/v1/graphs?spec=grid2d:8&seed=-3&timeout_ms=0&wait=true", http.StatusCreated, ""},
+		{"POST", "/v1/graphs?spec=grid2d:8&timeout_ms=-5&wait=true", http.StatusCreated, ""},
+	} {
+		before := len(srv.store.List())
+		code, body, _ := c.do(tc.method, tc.path, "", nil)
+		if code != tc.code {
+			t.Errorf("%s %s: code %d body %v, want %d", tc.method, tc.path, code, body, tc.code)
+			continue
+		}
+		if tc.code != http.StatusBadRequest {
+			if body["status"] != "ready" {
+				t.Errorf("%s: status %v, want ready", tc.path, body["status"])
+			}
+			continue
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, tc.names+"=") {
+			t.Errorf("%s: error %q does not name %s", tc.path, msg, tc.names)
+		}
+		if after := len(srv.store.List()); after != before {
+			t.Errorf("%s: %d handles after the rejected request, %d before", tc.path, after, before)
+		}
+	}
+}
+
+// TestResilientMethodFallsToJacobiPCG: a PCG attempt that breaks down on the
+// handle's hierarchy falls straight to the ladder's Jacobi-PCG rung, which
+// converges: one forced breakdown costs rung 1 and nothing more.
+func TestResilientMethodFallsToJacobiPCG(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	code, body, _ := c.do("POST", "/v1/graphs?spec=grid2d:48&wait=true", "", nil)
 	if code != http.StatusCreated {
@@ -472,8 +514,8 @@ func TestResilientMethodRestartsInRung(t *testing.T) {
 		t.Fatalf("solve: code %d body %v", code, body)
 	}
 	r := body["results"].([]any)[0].(map[string]any)
-	if r["converged"] != true || r["rung"] != hcd.RungHierarchyPCG || r["recovered"] == true {
-		t.Errorf("result %v: want converged on rung %s without a recovery", r, hcd.RungHierarchyPCG)
+	if r["converged"] != true || r["rung"] != hcd.RungJacobiPCG || r["recovered"] != true {
+		t.Errorf("result %v: want converged on rung %s after a recovery", r, hcd.RungJacobiPCG)
 	}
 }
 

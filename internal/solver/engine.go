@@ -73,8 +73,7 @@ func (e *Engine) Solve(ctx context.Context, b []float64) (Result, error) {
 // SolveBlock runs PCG on the columns of bs with per-call options, returning
 // one Result per column (same order). All columns share every matvec and
 // preconditioner traversal; converged columns deflate out of the active
-// block, and under opt.MaxRestarts the columns that break down restart as a
-// narrower block. A column of the wrong length fails alone, as in
+// block. A column of the wrong length fails alone, as in
 // BlockPCGCtx. Like Solve, what is returned aliases engine buffers — the
 // result list and each column's X, Residuals, Alphas and Betas are only valid
 // until the next call on the same engine.

@@ -31,8 +31,9 @@ import (
 // the entry point: a width-1 block is a plain vector, applied through the
 // operator's Apply and swept by the vector kernels (kernels.go).
 //
-// Options.MaxRestarts restarts the columns that ended an attempt with a
-// recoverable outcome as a narrower block, warm-started from their iterates.
+// Every solve is one attempt from x = 0: a column that breaks down or
+// diverges keeps the iterate it reached and reports why, and a caller that
+// wants another preconditioner (the facade's resilient ladder) solves again.
 
 // BlockApplier is the optional fast path an Operator or Preconditioner can
 // implement to apply itself to k packed row-major columns in one traversal
@@ -84,8 +85,7 @@ type scratch struct {
 
 	// Per original column, reused across solves on one Engine.
 	results []Result
-	ref0    []float64 // the first attempt's ‖r₀‖: what every attempt converges against
-	cols    []int     // the columns of the current attempt
+	cols    []int // the columns of the right length
 	src     [][]float64
 	xcols   [][]float64
 	resid   [][]float64
@@ -187,13 +187,10 @@ func single(results []Result, err error) (Result, error) {
 }
 
 // solve is the driver behind every entry point: the columns of the right
-// length form the first attempt's block, and under Options.MaxRestarts the
-// ones an attempt leaves with a recoverable outcome form the next, narrower
-// one.
-// Result slices alias the scratch buffers (except the stitched residual
-// history of a restarted column, which is freshly allocated). A panic during
-// the solve — including worker panics surfaced by internal/par — is returned
-// as an error carrying the panicking goroutine's stack.
+// length form one block, solved in one attempt. Result slices alias the
+// scratch buffers. A panic during the solve — including worker panics
+// surfaced by internal/par — is returned as an error carrying the panicking
+// goroutine's stack.
 func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, opt Options) (results []Result, err error) {
 	ctx, sp := obs.StartSpan(ctx, "solve/pcg")
 	defer func() {
@@ -232,7 +229,6 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 	}
 
 	results = resize(&s.results, k)
-	resize(&s.ref0, k)
 	cols := resize(&s.cols, k)[:0]
 	var errs []error
 	for j, b := range bs {
@@ -246,10 +242,7 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 	s.perm = nil
 	if len(cols) > 0 {
 		a, m = s.space(a, m)
-		s.attempt(ctx, a, m, bs, cols, opt, results, false)
-		if opt.MaxRestarts > 0 {
-			s.restart(ctx, a, m, bs, recoverableCols(cols, results), opt, results)
-		}
+		s.attempt(ctx, a, m, bs, cols, opt, results)
 	}
 	return results, errors.Join(errs...)
 }
@@ -257,8 +250,7 @@ func (s *scratch) solve(ctx context.Context, a Operator, m Preconditioner, bs []
 // space moves a solve of a graph Laplacian, of any width, into its
 // preconditioner's solve space, when it has one: it returns the operator on
 // the renumbered graph and the preconditioner in that numbering, and sets
-// s.perm. Every attempt of the solve — restarts included — packs, deflates
-// and unpacks through s.perm.
+// s.perm. The attempt packs, deflates and unpacks through s.perm.
 func (s *scratch) space(a Operator, m Preconditioner) (Operator, Preconditioner) {
 	lap, ok := a.(lapOperator)
 	if !ok {
@@ -276,66 +268,10 @@ func (s *scratch) space(a Operator, m Preconditioner) (Operator, Preconditioner)
 	return lapOperator{gs}, ms
 }
 
-// recoverableCols filters cols, in place, to the columns a restart can help.
-func recoverableCols(cols []int, results []Result) []int {
-	kept := cols[:0]
-	for _, j := range cols {
-		if recoverable(results[j].Outcome) {
-			kept = append(kept, j)
-		}
-	}
-	return kept
-}
-
-// restart is the Options.MaxRestarts loop: while restarts are left, the
-// columns of cols — those whose last attempt ended recoverable — run one more
-// attempt as a block of their own, and each column's residual history and work
-// counts are stitched across its attempts. The rare path, so the stitching may
-// allocate.
-func (s *scratch) restart(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, cols []int, opt Options, results []Result) {
-	if len(cols) == 0 {
-		return
-	}
-	history := make([][]float64, len(results))
-	total := make([]Metrics, len(results))
-	for _, j := range cols {
-		history[j] = append([]float64(nil), results[j].Residuals...)
-		total[j] = results[j].Metrics
-	}
-	for restart := 1; restart <= opt.MaxRestarts && len(cols) > 0; restart++ {
-		s.attempt(ctx, a, m, bs, cols, opt, results, true)
-		for _, j := range cols {
-			res, t := &results[j], &total[j]
-			// Drop the restart's ‖r₀‖ sample: it re-measures the same iterate
-			// the previous attempt already recorded.
-			if len(res.Residuals) > 1 {
-				history[j] = append(history[j], res.Residuals[1:]...)
-			}
-			t.MatVecs += res.Metrics.MatVecs
-			t.PrecondApplies += res.Metrics.PrecondApplies
-			t.Iterations += res.Metrics.Iterations
-			t.ScratchAllocs += res.Metrics.ScratchAllocs
-			t.SetupTime += res.Metrics.SetupTime
-			t.IterTime += res.Metrics.IterTime
-			t.TotalTime += res.Metrics.TotalTime
-			t.Restarts = restart
-			t.FinalResidual = res.Metrics.FinalResidual
-			res.Metrics = *t
-			res.Residuals = history[j]
-			res.Iterations = t.Iterations
-		}
-		cols = recoverableCols(cols, results)
-	}
-}
-
-// attempt runs one PCG attempt on the columns cols of bs — the same
-// guard sequence and breakdown checks for every column, k columns wide,
-// deflating columns as they finish — and fills their results. With resume set — a
-// recovery restart — each column starts from the iterate its last attempt left
-// in its Result (reset to zero if non-finite), its residual is recomputed as b − A·x, and convergence and
-// divergence stay relative to the first attempt's ‖r₀‖, so a restart cannot
-// weaken the termination criteria.
-func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, cols []int, opt Options, results []Result, resume bool) {
+// attempt runs one PCG attempt from x = 0 on the columns cols of bs — the
+// same guard sequence and breakdown checks for every column, k columns wide,
+// deflating columns as they finish — and fills their results.
+func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, cols []int, opt Options, results []Result) {
 	start := time.Now()
 	_, sp := obs.StartSpan(ctx, "solve/attempt")
 	defer sp.End()
@@ -361,48 +297,17 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	s.active = append(s.active[:0], cols...)
 
 	src := resize(&s.src, k)
-	warm := false
 	for pos, j := range cols {
-		iterate := s.col(&s.xcols, j, n)
 		results[j] = Result{
-			X:         iterate,
+			X:         s.col(&s.xcols, j, n),
 			Residuals: s.col(&s.resid, j, 0),
 			Alphas:    s.col(&s.alphas, j, 0),
 			Betas:     s.col(&s.betas, j, 0),
 		}
-		if !resume {
-			continue
-		}
-		if s.ref0[j] > 0 && finite(iterate) {
-			warm = true
-			results[j].Metrics.MatVecs++
-		} else {
-			zero(iterate)
-		}
-		src[pos] = iterate
+		src[pos] = bs[j]
 	}
-	if warm {
-		// r = b − A·x: resume from the accumulated solutions (a column reset
-		// to zero gets r = b).
-		packColumns(src, s.perm, x, n, k)
-		s.applyBlock(a, ap, x, n, k)
-		for pos, j := range cols {
-			b := bs[j]
-			for v := 0; v < n; v++ {
-				u := v
-				if s.perm != nil {
-					u = int(s.perm[v])
-				}
-				r[v*k+pos] = b[u] - ap[v*k+pos]
-			}
-		}
-	} else {
-		zero(x)
-		for pos, j := range cols {
-			src[pos] = bs[j]
-		}
-		packColumns(src, s.perm, r, n, k)
-	}
+	zero(x)
+	packColumns(src, s.perm, r, n, k)
 	for pos := range src {
 		src[pos] = nil // the scratch outlives the caller's vectors
 	}
@@ -423,10 +328,7 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	for pos, j := range cols {
 		res := &results[j]
 		normB := rn[pos]
-		if !resume {
-			s.ref0[j] = normB
-		}
-		refNorm[pos] = s.ref0[j]
+		refNorm[pos] = normB
 		res.Residuals = append(res.Residuals, normB)
 		res.Outcome = OutcomeMaxIter
 		switch {

@@ -15,7 +15,6 @@ func (m Metrics) Publish(r *obs.Registry) {
 	r.Counter("hcd_solve_matvecs_total").Add(int64(m.MatVecs))
 	r.Counter("hcd_solve_precond_applies_total").Add(int64(m.PrecondApplies))
 	r.Counter("hcd_solve_iterations_total").Add(int64(m.Iterations))
-	r.Counter("hcd_solve_restarts_total").Add(int64(m.Restarts))
 	r.Counter("hcd_solve_scratch_allocs_total").Add(int64(m.ScratchAllocs))
 	r.Counter("hcd_solve_setup_ns_total").Add(int64(m.SetupTime))
 	r.Counter("hcd_solve_iter_ns_total").Add(int64(m.IterTime))

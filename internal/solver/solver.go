@@ -15,10 +15,9 @@
 // Inf residual terminates with OutcomeBreakdown instead of iterating on
 // garbage) and a divergence guard (a residual exceeding 1e8·‖r₀‖ terminates
 // with OutcomeDiverged, PETSc's dtol idea). A failed solve carries the
-// tripped guard's explanation in Result.Reason. Options.MaxRestarts adds
-// PETSc-style restart-on-breakdown: after a breakdown or divergence the solve
-// restarts from its current iterate (discarding the Krylov space, keeping
-// the solution progress) up to MaxRestarts times.
+// tripped guard's explanation in Result.Reason and keeps the iterate it
+// reached. A solve is one attempt: retrying under another preconditioner is
+// the caller's choice (the facade's resilient ladder).
 //
 // Panics raised inside the iteration — including panics recovered from
 // parallel workers by internal/par — are converted to returned errors, so a
@@ -149,14 +148,6 @@ type Options struct {
 	// live writer plus a registry histogram plus a trace counter series). It
 	// runs on the solve goroutine; keep it cheap.
 	Observer obs.IterationObserver
-	// MaxRestarts is the number of PCG restarts after a breakdown or
-	// divergence; 0 disables them. A restart resumes from the current
-	// iterate: the accumulated solution is kept, the Krylov space is
-	// discarded, and the residual is recomputed as b − A·x (a non-finite
-	// iterate is reset to zero first). Each restart gets a fresh MaxIter
-	// budget, so a fully exhausted solve may run up to (1+MaxRestarts)·MaxIter
-	// iterations.
-	MaxRestarts int
 }
 
 // divergenceTol is the divergence guard: an iteration stops with
@@ -210,13 +201,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// recoverable reports whether a restart can make progress after this
-// outcome: breakdowns and divergence restart from the current iterate;
-// exhausted budgets and cancellations do not.
-func recoverable(o Outcome) bool {
-	return o == OutcomeBreakdown || o == OutcomeDiverged
-}
-
 // Metrics instruments one solve: operator/preconditioner work counts, wall
 // time per phase, and the final residual. Every Result carries one.
 type Metrics struct {
@@ -230,8 +214,6 @@ type Metrics struct {
 	// ScratchAllocs counts work buffers newly allocated for this solve.
 	// It is zero for every solve on a warmed-up Engine.
 	ScratchAllocs int
-	// Restarts counts recovery restarts taken under Options.MaxRestarts.
-	Restarts int
 }
 
 // Result reports a completed solve.
@@ -247,8 +229,7 @@ type Result struct {
 	Metrics Metrics
 	// Alphas and Betas are the PCG coefficients; they define a Lanczos
 	// tridiagonal whose eigenvalues estimate the spectrum of M⁻¹A (see
-	// SpectrumEstimate). After a recovery restart they cover the final
-	// attempt only (a restart discards the Krylov space).
+	// SpectrumEstimate).
 	Alphas, Betas []float64
 }
 
@@ -274,23 +255,9 @@ func annotateSolveSpan(sp *obs.Span, res *Result) {
 	sp.Arg("iterations", res.Iterations)
 	sp.Arg("matvecs", res.Metrics.MatVecs)
 	sp.Arg("final_residual", res.Metrics.FinalResidual)
-	if res.Metrics.Restarts > 0 {
-		sp.Arg("restarts", res.Metrics.Restarts)
-	}
 	if res.Reason != "" {
 		sp.Arg("reason", res.Reason)
 	}
-}
-
-// finite reports whether every entry of x is finite. Only runs on the rare
-// restart path, so a serial scan is fine.
-func finite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // SpectrumEstimate converts PCG coefficients into estimates of the extreme

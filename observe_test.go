@@ -133,7 +133,7 @@ func TestResilientTraceNesting(t *testing.T) {
 	faultinject.SetObserver(func(point string) { tr.Instant("fault/" + point) })
 	defer faultinject.SetObserver(nil)
 	restore := faultinject.Activate(map[string]faultinject.Spec{
-		faultinject.MatvecNaN: {OnHit: 1, Count: 2},
+		faultinject.MatvecNaN: {OnHit: 1, Count: 1},
 	})
 	g := hcd.Grid2D(12, 12, nil, 1)
 	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{meanFreeRHS(g.N())}, Method: hcd.SolveMethodResilient, Options: hcd.DefaultSolveOptions()})

@@ -3,7 +3,7 @@ package hcd
 // The fault-tolerant solve path: Do's SolveMethodResilient walks a ladder of
 // solver/preconditioner configurations, from the best-performing to the most
 // robust, until one converges. Each rung's attempt — outcome, iteration
-// count, restarts, why it fell through — is recorded in a ResilienceReport,
+// count, why it fell through — is recorded in a ResilienceReport,
 // so a recovered solve documents exactly what failed and what saved it.
 //
 // The ladder, in order:
@@ -18,13 +18,13 @@ package hcd
 // spread: the coarse factor's pivots cannot cancel (DESIGN §5). A corrupted
 // build or solve is left to Jacobi-PCG.
 //
-// Every rung runs under the request's Options with one restart, so a
-// transient breakdown restarts in place before the ladder moves on. A
-// request's right-hand sides walk the ladder together: each rung builds at
-// most once and solves the columns still failing as one block, and each
-// column keeps its own attempt trail. Build failures (a hierarchy that cannot
-// be constructed) are recorded as attempts and fall through like solve
-// failures. Context cancellation stops the ladder immediately.
+// Every rung is one PCG attempt under the request's Options, so a breakdown
+// on rung 1 falls straight to rung 2. A request's right-hand sides walk the
+// ladder together: each rung builds at most once and solves the columns
+// still failing as one block, and each column keeps its own attempt trail.
+// Build failures (a hierarchy that cannot be constructed) are recorded as
+// attempts and fall through like solve failures. Context cancellation stops
+// the ladder immediately.
 
 import (
 	"context"
@@ -43,15 +43,11 @@ const (
 	RungJacobiPCG    = "jacobi-pcg"
 )
 
-// ladderRestarts is every rung's in-rung PCG restart budget.
-const ladderRestarts = 1
-
 // SolveAttempt records one rung of a resilient solve.
 type SolveAttempt struct {
 	Rung          string
 	Outcome       SolveOutcome
 	Iterations    int
-	Restarts      int
 	FinalResidual float64
 	Duration      time.Duration
 	// Err holds the failure description: a build or solve error, or the
@@ -111,9 +107,8 @@ func (r ResilienceReport) String() string {
 // preconditioner at most once and solves the columns no earlier rung
 // converged as one block, and every column keeps its own attempt trail. Rung
 // 1 solves with m when it is set, else builds hopt; rung 2 is Jacobi-PCG;
-// every rung iterates under opt with ladderRestarts restarts.
+// every rung is one PCG attempt under opt.
 func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditioner, hopt HierarchyOptions, opt SolveOptions) ([]SolveResult, []ResilienceReport, error) {
-	opt.MaxRestarts = ladderRestarts
 	ctx, lsp := obs.StartSpan(ctx, "resilient/solve")
 	var (
 		results = make([]SolveResult, len(bs))
@@ -176,7 +171,6 @@ func solveResilient(ctx context.Context, g *Graph, bs [][]float64, m Preconditio
 				Rung:          rung,
 				Outcome:       r.Outcome,
 				Iterations:    r.Iterations,
-				Restarts:      r.Metrics.Restarts,
 				FinalResidual: r.Metrics.FinalResidual,
 				Duration:      dur,
 			}

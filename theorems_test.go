@@ -1,10 +1,14 @@
 package hcd_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"hcd"
@@ -30,6 +34,7 @@ var theoremChecks = []struct {
 	{"V-cycle: symmetric, positive on mean-free vectors", checkCycleSPD},
 	{"doubled tail: second coarse visits keep the cycle SPD", checkCycleTailSPD},
 	{"scaling: weights ×2^e, b ×2^f solve to 2^(f−e)·x", checkScaling},
+	{"arithmetic range: weights at the edges of float64", checkArithmeticRange},
 }
 
 // FuzzTheorems runs theorem check (check mod the check count) on the
@@ -257,31 +262,7 @@ func probeCycleSPD(t *testing.T, rng *rand.Rand, g *hcd.Graph, directLimit int) 
 // through the coarse factor's square roots). |2f − e| ≤ 600 keeps rᵀz in
 // range.
 func checkScaling(t *testing.T, rng *rand.Rand) {
-	var g *hcd.Graph
-	var err error
-	seed := rng.Int63()
-	switch family := rng.Intn(6); family {
-	case 0:
-		s := 5 + rng.Intn(5)
-		g = hcd.Grid3D(s, s, s, hcd.LognormalWeights(1), seed)
-	case 1:
-		s := 12 + rng.Intn(12)
-		g, err = workload.RoadNetwork(s, s, 6, workload.Lognormal(0.5), seed)
-	case 2:
-		s := 10 + rng.Intn(12)
-		g, err = workload.FEMesh(s, s, -1, workload.Lognormal(1), seed)
-	case 3:
-		g, err = workload.PowerLaw(200+rng.Intn(600), 3, workload.Lognormal(1), seed)
-	case 4:
-		s := 5 + rng.Intn(5)
-		g = hcd.OCT3D(s, s, s, hcd.OCTOptions{Layers: 3, Contrast: 50, NoiseSigma: 1, Seed: seed})
-	case 5:
-		s := 5 + rng.Intn(5)
-		g = hcd.Grid3DAnisotropic(s, s, s, 1, 1, math.Exp(5*rng.Float64()))
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := drawFamily(t, rng, 6)
 	e, f, k := 2*(rng.Intn(201)-100), rng.Intn(401)-200, 1+2*rng.Intn(2)
 	B, sB := make([][]float64, k), make([][]float64, k)
 	for j := range B {
@@ -345,4 +326,151 @@ func scaledWeights(t *testing.T, g *hcd.Graph, e int) *hcd.Graph {
 		t.Fatal(err)
 	}
 	return sg
+}
+
+// drawFamily draws one small weighted graph: grid3d, road, FE mesh,
+// power-law, OCT and (with families = 6) an anisotropic grid.
+func drawFamily(t *testing.T, rng *rand.Rand, families int) *hcd.Graph {
+	var g *hcd.Graph
+	var err error
+	seed := rng.Int63()
+	switch rng.Intn(families) {
+	case 0:
+		s := 5 + rng.Intn(5)
+		g = hcd.Grid3D(s, s, s, hcd.LognormalWeights(1), seed)
+	case 1:
+		s := 12 + rng.Intn(12)
+		g, err = workload.RoadNetwork(s, s, 6, workload.Lognormal(0.5), seed)
+	case 2:
+		s := 10 + rng.Intn(12)
+		g, err = workload.FEMesh(s, s, -1, workload.Lognormal(1), seed)
+	case 3:
+		g, err = workload.PowerLaw(200+rng.Intn(600), 3, workload.Lognormal(1), seed)
+	case 4:
+		s := 5 + rng.Intn(5)
+		g = hcd.OCT3D(s, s, s, hcd.OCTOptions{Layers: 3, Contrast: 50, NoiseSigma: 1, Seed: seed})
+	case 5:
+		s := 5 + rng.Intn(5)
+		g = hcd.Grid3DAnisotropic(s, s, s, 1, 1, math.Exp(5*rng.Float64()))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkArithmeticRange pushes a drawn graph's weights to the edges of the
+// range a graph may hold — every merged weight finite and ≥ 2^−1022, Σ vol(v)
+// finite — by ×2^e with e near +1 000 or −1 000, the top edge also as every
+// edge split into two parallel halves merged by ReadEdgeList. One draw in
+// four steps past the edge — the parallel draw by one more pair of parallel
+// edges near MaxFloat64 — and must be rejected; the rest must be accepted.
+// Every solve,
+// under every preconditioner kind, ends in one of three ways: ErrInvalidInput
+// at construction; a converged, finite x whose residual, with the weights
+// scaled back by 2^−e, is small; or a typed non-convergence with a finite x.
+// A graph that constructs reads back from WriteEdgeList bit for bit. The
+// right-hand side is scaled by 2^f, f ≈ e/2, so that rᵀz stays in range.
+func checkArithmeticRange(t *testing.T, rng *rand.Rand) {
+	g0 := drawFamily(t, rng, 5)
+	edges := g0.Edges()
+	lo, total := math.MaxInt, 0.0
+	for _, e := range edges {
+		_, exp := math.Frexp(e.W)
+		lo = min(lo, exp)
+		total += 2 * e.W
+	}
+	_, hi := math.Frexp(total) // Σ vol(v) < 2^hi
+	mode, over := rng.Intn(3), rng.Intn(4) == 0
+	var e int
+	switch {
+	case mode == 1 && over: // the lightest weight below 2^−1022
+		e = -1022 - lo - rng.Intn(3)
+	case mode == 1: // every weight ≥ 2^(lo−1+e) ≥ 2^−1022
+		e = -1021 - lo + rng.Intn(3)
+	case over && mode == 0: // Σ vol(v) ≥ 2^1025
+		e = 1026 - hi + rng.Intn(3)
+	default: // Σ vol(v) < 2^1023
+		e = 1023 - hi - rng.Intn(3)
+	}
+	var text strings.Builder
+	fmt.Fprintf(&text, "n %d\n", g0.N())
+	scaled := make([]hcd.Edge, len(edges))
+	for i, ed := range edges {
+		ed.W = math.Ldexp(ed.W, e)
+		scaled[i] = ed
+		fmt.Fprintf(&text, "%d %d %.17g\n%d %d %.17g\n", ed.U, ed.V, ed.W/2, ed.U, ed.V, ed.W/2)
+	}
+	var g *hcd.Graph
+	var err error
+	if mode == 2 {
+		if over {
+			ed := edges[rng.Intn(len(edges))]
+			for range 2 {
+				fmt.Fprintf(&text, "%d %d %.17g\n", ed.U, ed.V, math.MaxFloat64*(0.5+rng.Float64()/2))
+			}
+		}
+		g, err = hcd.ReadEdgeList(strings.NewReader(text.String()))
+	} else {
+		g, err = hcd.NewGraph(g0.N(), scaled)
+	}
+	switch {
+	case over && !errors.Is(err, hcd.ErrInvalidInput):
+		t.Fatalf("mode %d, e = %d: past the range's edge: %v, want ErrInvalidInput", mode, e, err)
+	case over:
+		return
+	case err != nil:
+		t.Fatalf("mode %d, e = %d: in range: %v", mode, e, err)
+	}
+
+	var buf bytes.Buffer
+	if err := hcd.WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := hcd.ReadEdgeList(&buf)
+	if err != nil {
+		t.Fatalf("mode %d, e = %d: ReadEdgeList rejects what WriteEdgeList wrote: %v", mode, e, err)
+	}
+	if !slices.Equal(back.Edges(), g.Edges()) {
+		t.Fatalf("mode %d, e = %d: the edge list does not read back bit for bit", mode, e)
+	}
+
+	f := e/2 - 8
+	if e < 0 {
+		f = e/2 + 8
+	}
+	b0 := meanFree(rng, g.N())
+	b := make([]float64, len(b0))
+	for v, x := range b0 {
+		b[v] = math.Ldexp(x, f)
+	}
+	unscaled := scaledWeights(t, g, -e)
+	for _, kind := range []hcd.PrecondKind{hcd.PrecondHierarchy, hcd.PrecondJacobi, hcd.PrecondSteiner, hcd.PrecondTree, hcd.PrecondSubgraph} {
+		resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
+			B: [][]float64{b}, Precond: hcd.PrecondSpec{Kind: kind}, Options: hcd.DefaultSolveOptions(),
+		})
+		if err != nil {
+			if !errors.Is(err, hcd.ErrInvalidInput) {
+				t.Fatalf("%s, mode %d, e = %d: %v, want ErrInvalidInput or a result", kind, mode, e, err)
+			}
+			continue
+		}
+		res := resp.Results[0]
+		x0 := make([]float64, len(res.X))
+		for v, x := range res.X {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s, mode %d, e = %d: x[%d] = %v beside a nil error (%v: %s)", kind, mode, e, v, x, res.Outcome, res.Reason)
+			}
+			x0[v] = math.Ldexp(x, e-f)
+		}
+		switch res.Outcome {
+		case hcd.OutcomeConverged:
+			if r := residual(unscaled, x0, b0); r > 1e-5 {
+				t.Fatalf("%s, mode %d, e = %d: converged, rescaled residual %v", kind, mode, e, r)
+			}
+		case hcd.OutcomeMaxIter, hcd.OutcomeBreakdown, hcd.OutcomeDiverged:
+		default:
+			t.Fatalf("%s, mode %d, e = %d: outcome %v", kind, mode, e, res.Outcome)
+		}
+	}
 }
