@@ -133,11 +133,18 @@ scale-smoke:
 # the resilient ladder — to convergence, on one right-hand side and on a
 # block of three; then plain hierarchy PCG on a triangle whose weights differ
 # by 10¹⁶, read as an edge list from stdin, which builds and converges only
-# because the coarse factor's pivots cannot cancel.
+# because the coarse factor's pivots cannot cancel. Then hcd-decompose, whose
+# stage table is read back from the build's spans: every -algo prints its
+# evaluate row (tree on a tree, the rest on grid2d:32), the sparse pipelines
+# their rebind row too, and -detail 3 prints three cluster lines.
 cli-methods:
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient | grep -q 'outcome: converged'
 	$(GO) run ./cmd/hcd-solve -graph grid2d:48 -resilient -rhs 3 | grep -q 'converged: 3/3'
 	printf '0 1 1\n0 2 1\n1 2 1e16\n' | $(GO) run ./cmd/hcd-solve -graph file:/dev/stdin | grep -q 'outcome: converged'
+	$(GO) run ./cmd/hcd-decompose -graph tree:1024 -algo tree | grep '^evaluate ' > /dev/null
+	for a in fixed spectral; do $(GO) run ./cmd/hcd-decompose -graph grid2d:32 -algo $$a | grep '^evaluate ' > /dev/null || exit 1; done
+	for a in planar minorfree; do $(GO) run ./cmd/hcd-decompose -graph grid2d:32 -algo $$a | grep -A1 '^rebind ' | grep '^evaluate ' > /dev/null || exit 1; done
+	test "$$($(GO) run ./cmd/hcd-decompose -graph grid2d:32 -detail 3 | grep -c '^cluster [0-9]*:')" = 3
 
 # fingerprints: the benchmark's inputs (graphs, right-hand sides, the
 # request schedule) hash to what bench/fingerprints.json records, so a change

@@ -66,6 +66,8 @@ func run() (err error) {
 		reg = hcd.NewMetricRegistry()
 		ctx = hcd.WithMetricRegistry(ctx, reg)
 	}
+	// The stage table is read back from the build's spans.
+	ctx = o.EnsureTracer(ctx)
 
 	opt := hcd.DefaultDecomposeOptions(method)
 	opt.Seed = *seed
@@ -103,13 +105,11 @@ func run() (err error) {
 	t.Row("max cluster size", rep.MaxClusterSize)
 	t.Row("singleton clusters", rep.Singletons)
 	fmt.Print(t)
-	if len(res.Metrics.Stages) > 0 {
-		st := cli.NewTable("stage", "time", "vertices", "edges")
-		for _, s := range res.Metrics.Stages {
-			st.Row(s.Name, s.Duration, s.Vertices, s.Edges)
-		}
-		fmt.Print(st)
+	st := cli.NewTable("stage", "time", "vertices", "edges")
+	for _, s := range cli.Stages(o.Tracer.Spans(), "build/") {
+		st.Row(s.Name, s.Duration, s.Vertices, s.Edges)
 	}
+	fmt.Print(st)
 	if *hist {
 		printHistogram(d)
 	}

@@ -25,6 +25,7 @@ import (
 	"hcd"
 	"hcd/internal/cli"
 	"hcd/internal/mst"
+	"hcd/internal/obs"
 )
 
 var (
@@ -32,9 +33,9 @@ var (
 	metrics = flag.Bool("metrics", false, "print per-solve metrics (matvecs, applies, phase times) after each PCG table")
 
 	// obsCtx is the root context of every experiment; main swaps in the
-	// instrumented context when -trace/-listen are set, so the context-aware
-	// paths (DecomposeCtx and everything under it) record spans and publish
-	// registry metrics.
+	// instrumented context when -trace, -listen or -metrics is set, so the
+	// context-aware paths (DecomposeCtx and everything under it) record
+	// spans and publish registry metrics.
 	obsCtx = context.Background()
 )
 
@@ -49,14 +50,25 @@ func report(label string, m hcd.SolveMetrics) {
 		m.TotalTime.Round(time.Microsecond), m.FinalResidual)
 }
 
-// reportBuild prints one labelled build-metrics line (per-stage wall time,
-// sizes, scratch allocations) when -metrics is set — the construction-side
-// counterpart of report, so build and solve costs read side by side.
-func reportBuild(label string, m hcd.BuildMetrics) {
+// reportBuild prints one labelled line of the decomposition build just run
+// (per-stage wall time and output size, read back from the trace's last
+// decompose/<method> span and the spans after it) when -metrics is set — the
+// construction-side counterpart of report, so build and solve costs read
+// side by side.
+func reportBuild(label string) {
 	if !*metrics {
 		return
 	}
-	fmt.Printf("build[%s]: %s\n", label, m)
+	spans := obs.TracerFrom(obsCtx).Spans()
+	i := len(spans) - 1
+	for i > 0 && !strings.HasPrefix(spans[i].Name, "decompose/") {
+		i--
+	}
+	fmt.Printf("build[%s]:", label)
+	for _, s := range cli.Stages(spans[i:], "build/") {
+		fmt.Printf(" %s=%v (v=%d e=%d) |", s.Name, s.Duration.Round(time.Microsecond), s.Vertices, s.Edges)
+	}
+	fmt.Printf(" total=%v\n", spans[i].Duration.Round(time.Microsecond))
 }
 
 func main() {
@@ -69,7 +81,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *metrics {
-		obsCtx = o.EnsureRegistry(obsCtx)
+		obsCtx = o.EnsureTracer(o.EnsureRegistry(obsCtx))
 	}
 	defer func() {
 		if *metrics && o.Registry != nil {
@@ -138,7 +150,7 @@ func e1() {
 	dopt.SkipReport = true
 	dres := must(hcd.DecomposeCtx(obsCtx, g, dopt))
 	d := dres.D
-	reportBuild("steiner clustering", dres.Metrics)
+	reportBuild("steiner clustering")
 	sp := must(hcd.NewSteinerPreconditioner(d))
 	subOpt := hcd.DefaultPlanarOptions()
 	subOpt.ExtraFraction = 0.12
@@ -235,7 +247,7 @@ func e4() {
 		res := must(hcd.DecomposeCtx(obsCtx, g, opt))
 		rep := res.Report
 		t.Row(side, g.N(), rep.Phi, rep.Rho, rep.Phi*rep.Rho, res.CoreSize, res.CutEdges)
-		reportBuild(fmt.Sprintf("planar %d", side), res.Metrics)
+		reportBuild(fmt.Sprintf("planar %d", side))
 	}
 	fmt.Print(t)
 	fmt.Println("paper shape: φ·ρ bounded below by a constant as n grows.")

@@ -129,10 +129,9 @@ func run() (err error) {
 	// is traced — into the -trace tracer if there is one, else into one kept
 	// in memory for the build alone — so its stages can be summed.
 	spec := hcd.PrecondSpec{Kind: hcd.PrecondKind(*precond), SizeCap: *k, Seed: *seed}
-	buildCtx, buildTrace := ctx, o.Tracer
-	if *metrics && buildTrace == nil {
-		buildTrace = obs.NewTracer()
-		buildCtx = obs.WithTracer(ctx, buildTrace)
+	buildCtx := ctx
+	if *metrics {
+		buildCtx = o.EnsureTracer(ctx)
 	}
 	buildStart := time.Now()
 	m, err := hcd.NewPreconditioner(buildCtx, g, spec)
@@ -176,7 +175,7 @@ func run() (err error) {
 			converged, nrhs, solveTime, float64(nrhs)/solveTime.Seconds())
 		if *metrics {
 			fmt.Printf("metrics: kernel=%s\n", kernel.Name())
-			printBuildStages(h, buildTrace)
+			printBuildStages(h, o.Tracer)
 			printLevelScales(h)
 		}
 		printRegistry(o, *metrics)
@@ -189,7 +188,7 @@ func run() (err error) {
 	if *metrics {
 		printMetrics(res.Metrics)
 		fmt.Printf("metrics: kernel=%s\n", kernel.Name())
-		printBuildStages(h, buildTrace)
+		printBuildStages(h, o.Tracer)
 		printLevelScales(h)
 	}
 	if lmin, lmax, eerr := hcd.EstimateSpectrum(res); eerr == nil && lmin > 0 {
@@ -222,22 +221,16 @@ func printBuildStages(h *hcd.Hierarchy, t *obs.Tracer) {
 	if h == nil {
 		return
 	}
-	var cluster, contract, layout, coarse time.Duration
-	for _, s := range t.Spans() {
-		switch {
-		case strings.HasPrefix(s.Name, "hierarchy/level-"):
-			cluster += s.Duration
-		case s.Name == "hierarchy/contract":
-			contract += s.Duration
-		case s.Name == "hierarchy/layout":
-			layout += s.Duration
-		case s.Name == "hierarchy/coarse-factor":
-			coarse += s.Duration
+	ms := map[string]float64{}
+	for _, s := range cli.Stages(t.Spans(), "hierarchy/") {
+		name := s.Name
+		if strings.HasPrefix(name, "level-") {
+			name = "cluster"
 		}
+		ms[name] += float64(s.Duration) / float64(time.Millisecond)
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	fmt.Printf("metrics: build cluster=%.2fms contract=%.2fms layout=%.2fms coarse-factor=%.2fms\n",
-		ms(cluster), ms(contract), ms(layout), ms(coarse))
+		ms["cluster"], ms["contract"], ms["layout"], ms["coarse-factor"])
 }
 
 // printLevelScales prints, per level of a hierarchy preconditioner (nil: any

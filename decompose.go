@@ -4,12 +4,12 @@ package hcd
 // trees, the Theorem 2.2/2.3 sparse-core pipelines, the Section 3.1
 // fixed-degree clustering, and the top-down spectral baseline — is reachable
 // through one context-aware entry point, DecomposeCtx, which runs the
-// method's stages under a decomp.Pipeline and reports per-stage build
-// metrics.
+// method's stages through decomp.RunStage, one build/<stage> span each.
 
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"hcd/internal/decomp"
 	"hcd/internal/graph"
@@ -54,14 +54,6 @@ func (m DecomposeMethod) String() string {
 	}
 	return fmt.Sprintf("method(%d)", int(m))
 }
-
-// BuildMetrics reports the per-stage costs of one decomposition build — the
-// construction-side mirror of SolveMetrics.
-type BuildMetrics = decomp.BuildMetrics
-
-// StageMetrics is one named stage's wall time, output size, and scratch
-// allocation count inside a BuildMetrics.
-type StageMetrics = decomp.StageMetrics
 
 // ErrBuildCancelled: a decomposition build was stopped by its context.
 // Errors carrying it also wrap the context's own error (context.Canceled or
@@ -119,14 +111,13 @@ func DefaultDecomposeOptions(m DecomposeMethod) DecomposeOptions {
 	return opt
 }
 
-// DecomposeResult is the uniform output of DecomposeCtx: the decomposition,
-// its quality report (unless SkipReport), and the per-stage build metrics.
-// The trailing fields carry method-specific extras and are zero for methods
-// that do not produce them.
+// DecomposeResult is the uniform output of DecomposeCtx: the decomposition
+// and its quality report (unless SkipReport). The trailing fields carry
+// method-specific extras and are zero for methods that do not produce them.
+// Where the build's time went is in its trace, not here.
 type DecomposeResult struct {
-	D       *Decomposition
-	Report  Report       // zero if DecomposeOptions.SkipReport
-	Metrics BuildMetrics // per-stage wall time, sizes, scratch allocations
+	D      *Decomposition
+	Report Report // zero if DecomposeOptions.SkipReport
 
 	// Sparse-pipeline extras (MethodPlanar/MethodMinorFree).
 	B                  *Graph // the subgraph the decomposition was computed on
@@ -140,82 +131,70 @@ type DecomposeResult struct {
 // DecomposeCtx decomposes g with the method opt selects, under a context.
 // Each stage of the build (base tree, sparsify, strip/cut core, tree
 // decomposition, rebind, evaluate — whichever the method uses) polls
-// cancellation at bounded intervals and records its wall time, output size,
-// and scratch allocations into the returned BuildMetrics. A cancelled build
+// cancellation at bounded intervals. With a tracer in ctx every stage is a
+// build/<stage> span, carrying its output's vertices and edges, under one
+// decompose/<method> span; with a registry in ctx the build publishes the
+// hcd_build_stage_* series per stage and hcd_build_total. A cancelled build
 // returns an error wrapping both ErrBuildCancelled and the context's error.
 func DecomposeCtx(ctx context.Context, g *Graph, opt DecomposeOptions) (*DecomposeResult, error) {
+	start := time.Now()
 	if obs.TracerFrom(ctx) != nil {
 		var sp *obs.Span
 		ctx, sp = obs.StartSpan(ctx, "decompose/"+opt.Method.String())
 		defer sp.End()
 	}
-	p := decomp.NewPipeline(ctx)
 	res := &DecomposeResult{}
 	var err error
 	switch opt.Method {
 	case MethodTree:
-		err = buildTreeMethod(p, g, res)
+		err = decomp.RunStage(ctx, decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
+			var err error
+			res.D, err = decomp.TreeCtx(ctx, g)
+			return stageInfoOf(res.D), err
+		})
 	case MethodPlanar, MethodMinorFree:
-		err = buildSparseMethod(p, g, opt, res)
+		err = buildSparseMethod(ctx, g, opt, res)
 	case MethodFixedDegree:
-		err = buildFixedDegreeMethod(p, g, opt, res)
+		err = decomp.RunStage(ctx, decomp.StageCluster, func(ctx context.Context) (decomp.StageInfo, error) {
+			var err error
+			res.D, err = decomp.FixedDegreeCtx(ctx, g, opt.SizeCap, opt.Seed)
+			return stageInfoOf(res.D), err
+		})
 	case MethodSpectral:
-		err = buildSpectralMethod(p, g, opt, res)
+		err = decomp.RunStage(ctx, decomp.StageSpectral, func(ctx context.Context) (decomp.StageInfo, error) {
+			var err error
+			res.D, res.SpectralStats, err = spectralcut.DecomposeCtx(ctx, g, opt.Spectral)
+			return stageInfoOf(res.D), err
+		})
 	default:
 		return nil, fmt.Errorf("hcd: unknown decomposition method %d: %w", int(opt.Method), ErrInvalidInput)
 	}
 	if err == nil && !opt.SkipReport {
-		err = p.Run(decomp.StageEvaluate, func(ctx context.Context) (decomp.StageInfo, error) {
-			rep, rerr := decomp.EvaluateCtx(ctx, res.D, graph.MaxExactConductance)
-			if rerr != nil {
-				return decomp.StageInfo{Vertices: g.N(), Edges: g.M()}, rerr
-			}
-			res.Report = rep
-			p.Metrics.Cert = rep.Cert
-			return decomp.StageInfo{Vertices: g.N(), Edges: g.M()}, nil
+		err = decomp.RunStage(ctx, decomp.StageEvaluate, func(ctx context.Context) (decomp.StageInfo, error) {
+			var rerr error
+			res.Report, rerr = decomp.EvaluateCtx(ctx, res.D, graph.MaxExactConductance)
+			return decomp.StageInfo{Vertices: g.N(), Edges: g.M()}, rerr
 		})
 	}
-	res.Metrics = p.Metrics
-	res.Metrics.Publish(obs.RegistryFrom(ctx))
+	if reg := obs.RegistryFrom(ctx); reg != nil {
+		reg.Counter("hcd_build_total").Inc()
+		reg.Counter("hcd_build_ns_total").Add(int64(time.Since(start)))
+	}
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-func buildTreeMethod(p *decomp.Pipeline, g *Graph, res *DecomposeResult) error {
-	return p.Run(decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
-		var err error
-		res.D, err = decomp.TreeCtx(ctx, g)
-		return stageInfoOf(res.D), err
-	})
-}
-
-func buildFixedDegreeMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *DecomposeResult) error {
-	return p.Run(decomp.StageCluster, func(ctx context.Context) (decomp.StageInfo, error) {
-		var err error
-		res.D, err = decomp.FixedDegreeCtx(ctx, g, opt.SizeCap, opt.Seed)
-		return stageInfoOf(res.D), err
-	})
-}
-
-func buildSpectralMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *DecomposeResult) error {
-	return p.Run(decomp.StageSpectral, func(ctx context.Context) (decomp.StageInfo, error) {
-		var err error
-		res.D, res.SpectralStats, err = spectralcut.DecomposeCtx(ctx, g, opt.Spectral)
-		return stageInfoOf(res.D), err
-	})
-}
-
 // buildSparseMethod runs the Theorem 2.2/2.3 pipeline stage by stage:
 // base-tree → sparsify → strip-cut-core → tree-decompose → rebind.
-func buildSparseMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *DecomposeResult) error {
+func buildSparseMethod(ctx context.Context, g *Graph, opt DecomposeOptions, res *DecomposeResult) error {
 	sopt := sparsify.Options{Base: opt.Base, ExtraFraction: opt.ExtraFraction, Seed: opt.Seed}
 	if opt.Method == MethodMinorFree {
 		sopt.Base = sparsify.LowStretchTree
 	}
 	var tree []Edge
-	if err := p.Run(decomp.StageBaseTree, func(ctx context.Context) (decomp.StageInfo, error) {
+	if err := decomp.RunStage(ctx, decomp.StageBaseTree, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
 		tree, err = sparsify.BaseTreeCtx(ctx, g, sopt)
 		return decomp.StageInfo{Vertices: g.N(), Edges: len(tree)}, err
@@ -223,7 +202,7 @@ func buildSparseMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *
 		return err
 	}
 	var sres *sparsify.Result
-	if err := p.Run(decomp.StageSparsify, func(ctx context.Context) (decomp.StageInfo, error) {
+	if err := decomp.RunStage(ctx, decomp.StageSparsify, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
 		sres, err = sparsify.FromTreeCtx(ctx, g, tree, sopt)
 		if err != nil {
@@ -236,7 +215,7 @@ func buildSparseMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *
 	res.B = sres.B
 	res.AvgStretch = sres.AvgStretch
 	var forest *Graph
-	if err := p.Run(decomp.StageCoreCut, func(ctx context.Context) (decomp.StageInfo, error) {
+	if err := decomp.RunStage(ctx, decomp.StageCoreCut, func(ctx context.Context) (decomp.StageInfo, error) {
 		var stats decomp.SparseStats
 		var err error
 		forest, stats, err = decomp.CoreCutCtx(ctx, sres.B)
@@ -249,14 +228,14 @@ func buildSparseMethod(p *decomp.Pipeline, g *Graph, opt DecomposeOptions, res *
 		return err
 	}
 	var td *Decomposition
-	if err := p.Run(decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
+	if err := decomp.RunStage(ctx, decomp.StageTree, func(ctx context.Context) (decomp.StageInfo, error) {
 		var err error
 		td, err = decomp.TreeCtx(ctx, forest)
 		return stageInfoOf(td), err
 	}); err != nil {
 		return err
 	}
-	return p.Run(decomp.StageRebind, func(context.Context) (decomp.StageInfo, error) {
+	return decomp.RunStage(ctx, decomp.StageRebind, func(context.Context) (decomp.StageInfo, error) {
 		db := &decomp.Decomposition{G: sres.B, Assign: td.Assign, Count: td.Count}
 		var err error
 		res.D, err = decomp.Rebind(db, g)

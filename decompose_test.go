@@ -3,11 +3,13 @@ package hcd_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"hcd"
 	"hcd/internal/decomp"
+	"hcd/internal/obs"
 	"hcd/internal/sparsify"
 	"hcd/internal/spectralcut"
 )
@@ -141,8 +143,11 @@ func TestDecomposeCtxMatchesSpectralWrapper(t *testing.T) {
 	}
 }
 
-// TestDecomposeCtxBuildMetrics checks every method reports non-empty metrics
-// with positive per-stage timings and the stage set its pipeline defines.
+// TestDecomposeCtxBuildMetrics checks every method records its build as the
+// stage set its pipeline defines: one build/<stage> span per stage, in order,
+// with a positive duration and the stage output's vertices and edges, and,
+// with a registry in the context, one hcd_build_stage_runs_total sample per
+// stage plus one hcd_build_total.
 func TestDecomposeCtxBuildMetrics(t *testing.T) {
 	tree := hcd.RandomTree(400, hcd.LognormalWeights(1), 1)
 	grid := hcd.Grid2D(16, 16, hcd.LognormalWeights(1), 1)
@@ -158,32 +163,49 @@ func TestDecomposeCtxBuildMetrics(t *testing.T) {
 		{hcd.MethodSpectral, grid, []string{"spectral-cut", "evaluate"}},
 	}
 	for _, tc := range cases {
-		opt := hcd.DefaultDecomposeOptions(tc.method)
-		res, err := hcd.DecomposeCtx(context.Background(), tc.g, opt)
+		tr, reg := hcd.NewTracer(), hcd.NewMetricRegistry()
+		ctx := hcd.WithMetricRegistry(hcd.WithTracer(context.Background(), tr), reg)
+		res, err := hcd.DecomposeCtx(ctx, tc.g, hcd.DefaultDecomposeOptions(tc.method))
 		if err != nil {
 			t.Fatalf("%v: %v", tc.method, err)
 		}
-		m := res.Metrics
-		if len(m.Stages) != len(tc.stages) {
-			t.Fatalf("%v: stages %+v, want %v", tc.method, m.Stages, tc.stages)
+		var stages []obs.SpanInfo
+		for _, sp := range tr.Spans() {
+			if strings.HasPrefix(sp.Name, "build/") {
+				stages = append(stages, sp)
+			}
 		}
+		if len(stages) != len(tc.stages) {
+			t.Fatalf("%v: stage spans %+v, want %v", tc.method, stages, tc.stages)
+		}
+		snap := reg.Snapshot()
 		for i, name := range tc.stages {
-			s := m.Stages[i]
-			if s.Name != name {
-				t.Errorf("%v: stage %d is %q, want %q", tc.method, i, s.Name, name)
+			s := stages[i]
+			if s.Name != "build/"+name {
+				t.Errorf("%v: stage %d is %q, want build/%s", tc.method, i, s.Name, name)
 			}
 			if s.Duration <= 0 {
 				t.Errorf("%v: stage %q has non-positive duration %v", tc.method, s.Name, s.Duration)
 			}
+			args := map[string]any{}
+			for _, a := range s.Args {
+				args[a.Key] = a.Value
+			}
+			if args["vertices"] != tc.g.N() {
+				t.Errorf("%v: stage %q vertices arg %v, want %d", tc.method, s.Name, args["vertices"], tc.g.N())
+			}
+			if e, ok := args["edges"].(int); !ok || e <= 0 {
+				t.Errorf("%v: stage %q edges arg %v", tc.method, s.Name, args["edges"])
+			}
+			if runs := snap[`hcd_build_stage_runs_total{stage="`+name+`"}`]; runs != 1 {
+				t.Errorf("%v: stage %q published %v runs, want 1", tc.method, name, runs)
+			}
 		}
-		if m.TotalTime <= 0 {
-			t.Errorf("%v: non-positive total time %v", tc.method, m.TotalTime)
+		if snap["hcd_build_total"] != 1 || snap["hcd_build_ns_total"] <= 0 {
+			t.Errorf("%v: hcd_build_total %v, hcd_build_ns_total %v", tc.method, snap["hcd_build_total"], snap["hcd_build_ns_total"])
 		}
-		if m.Cert != res.Report.Cert {
-			t.Errorf("%v: metrics cert %+v != report cert %+v", tc.method, m.Cert, res.Report.Cert)
-		}
-		if m.Cert.Cores == 0 && m.Cert.Bounds == 0 {
-			t.Errorf("%v: evaluate stage certified nothing: %+v", tc.method, m.Cert)
+		if c := res.Report.Cert; c.Cores == 0 && c.Bounds == 0 {
+			t.Errorf("%v: evaluate stage certified nothing: %+v", tc.method, c)
 		}
 		if res.D == nil || res.D.Count == 0 {
 			t.Errorf("%v: empty decomposition", tc.method)
@@ -195,15 +217,16 @@ func TestDecomposeCtxSkipReport(t *testing.T) {
 	g := hcd.Grid2D(10, 10, hcd.LognormalWeights(1), 1)
 	opt := hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree)
 	opt.SkipReport = true
-	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	tr := hcd.NewTracer()
+	res, err := hcd.DecomposeCtx(hcd.WithTracer(context.Background(), tr), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Report != (hcd.Report{}) {
 		t.Errorf("SkipReport left a report: %+v", res.Report)
 	}
-	for _, s := range res.Metrics.Stages {
-		if s.Name == "evaluate" {
+	for _, s := range tr.Spans() {
+		if s.Name == "build/evaluate" {
 			t.Error("SkipReport still ran the evaluate stage")
 		}
 	}

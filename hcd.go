@@ -18,11 +18,11 @@
 //	x := resp.Results[0].X                       // one result per right-hand side
 //
 // Every operation has one entry point, and every entry point that can run
-// long takes a context: DecomposeCtx runs each decomposition method through
-// one pipeline that reports per-stage build metrics (r.Metrics) and honors
-// cancellation, and Do runs every solve. An Engine (NewEngine) keeps a
-// preconditioner and its work buffers warm across solves; SolveRequest.Engine
-// runs a Do call on one.
+// long takes a context: DecomposeCtx runs each decomposition method as named
+// stages that honor cancellation and record themselves as build/<stage>
+// spans of the context's tracer, and Do runs every solve. An Engine
+// (NewEngine) keeps a preconditioner and its work buffers warm across solves;
+// SolveRequest.Engine runs a Do call on one.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -65,14 +65,15 @@ const MaxExactConductance = graph.MaxExactConductance
 
 // CertStats counts exact-certification work (cores enumerated, stubs
 // collapsed, core side-assignments visited, sweep-bound fallbacks); it is
-// reported in Report.Cert and BuildMetrics.Cert.
+// reported in Report.Cert.
 type CertStats = graph.CertStats
 
 // ClusterStats describes one cluster (size, volume, boundary, conductance).
 type ClusterStats = decomp.ClusterStats
 
 // Details returns per-cluster statistics sorted by ascending closure
-// conductance — the problematic clusters first.
+// conductance — the problematic clusters first. Its φ and γ are Evaluate's
+// own measurements: their minima are Report.Phi and Report.GammaMin.
 func Details(d *Decomposition) []ClusterStats {
 	return decomp.Details(d, graph.MaxExactConductance)
 }

@@ -1,10 +1,14 @@
 package cli
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"hcd/internal/obs"
 )
 
 func TestBuildGraphSpecs(t *testing.T) {
@@ -105,5 +109,34 @@ func TestTableRendering(t *testing.T) {
 	// Columns aligned: header and separator equal width.
 	if len(lines[0]) != len(lines[1]) {
 		t.Errorf("separator misaligned:\n%s", out)
+	}
+}
+
+// TestStagesSumPerStage: Stages keeps the spans under its prefix, sums each
+// stage's durations in order of its first span and keeps the vertices and
+// edges args of its last.
+func TestStagesSumPerStage(t *testing.T) {
+	args := func(v, e int) []obs.Arg { return []obs.Arg{{Key: "vertices", Value: v}, {Key: "edges", Value: e}} }
+	spans := []obs.SpanInfo{
+		{Name: "decompose/fixed-degree", Duration: 9},
+		{Name: "build/cluster", Duration: 1, Args: args(1, 2)},
+		{Name: "decomp/evaluate", Duration: 5},
+		{Name: "build/evaluate", Duration: 3},
+		{Name: "build/cluster", Duration: 2, Args: args(3, 4)},
+	}
+	want := []Stage{{Name: "cluster", Duration: 3, Vertices: 3, Edges: 4}, {Name: "evaluate", Duration: 3}}
+	if got := Stages(spans, "build/"); !slices.Equal(got, want) {
+		t.Errorf("Stages = %+v, want %+v", got, want)
+	}
+	// A tracer EnsureTracer installs records what runs under the context.
+	var o Obs
+	ctx := o.EnsureTracer(context.Background())
+	if o.EnsureTracer(ctx) != ctx {
+		t.Error("EnsureTracer replaced an installed tracer")
+	}
+	_, sp := obs.StartSpan(ctx, "build/x")
+	sp.End()
+	if got := Stages(o.Tracer.Spans(), "build/"); len(got) != 1 || got[0].Name != "x" {
+		t.Errorf("stages of the ensured tracer = %+v", got)
 	}
 }

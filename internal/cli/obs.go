@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"hcd/internal/faultinject"
@@ -80,6 +82,53 @@ func (o *Obs) EnsureRegistry(ctx context.Context) context.Context {
 	}
 	o.Registry = obs.NewRegistry()
 	return obs.WithRegistry(ctx, o.Registry)
+}
+
+// EnsureTracer installs a tracer into ctx even when no -trace flag asked for
+// one, for commands that print stage times from its spans (Stages); without
+// -trace Close writes no file. Idempotent: an existing tracer is kept.
+func (o *Obs) EnsureTracer(ctx context.Context) context.Context {
+	if o.Tracer != nil {
+		return ctx
+	}
+	o.Tracer = obs.NewTracer()
+	return obs.WithTracer(ctx, o.Tracer)
+}
+
+// Stage is the wall time a traced run spent in one named stage.
+type Stage struct {
+	Name            string
+	Duration        time.Duration
+	Vertices, Edges int // args of the stage's last span, if it has them
+}
+
+// Stages reads a run's stage table back from its spans: the spans named
+// prefix+<stage>, their durations summed per stage, in order of each stage's
+// first span. A decomposition build's stages are its "build/" spans, a
+// hierarchy build's its "hierarchy/" spans.
+func Stages(spans []obs.SpanInfo, prefix string) []Stage {
+	var out []Stage
+	for _, sp := range spans {
+		name, ok := strings.CutPrefix(sp.Name, prefix)
+		if !ok {
+			continue
+		}
+		i := slices.IndexFunc(out, func(s Stage) bool { return s.Name == name })
+		if i < 0 {
+			i = len(out)
+			out = append(out, Stage{Name: name})
+		}
+		out[i].Duration += sp.Duration
+		for _, a := range sp.Args {
+			switch a.Key {
+			case "vertices":
+				out[i].Vertices, _ = a.Value.(int)
+			case "edges":
+				out[i].Edges, _ = a.Value.(int)
+			}
+		}
+	}
+	return out
 }
 
 // Close flushes the trace file, verifies the span tree closed cleanly

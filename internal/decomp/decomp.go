@@ -214,10 +214,60 @@ func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bo
 	if total > 0 {
 		r.CutFraction = cut / total
 	}
+	t, err := measureClusters(ctx, d, exactLimit, parallel)
+	if err != nil {
+		return Report{}, err
+	}
+	r.Cert = t.cert
+	for c := 0; c < d.Count; c++ {
+		size := t.start[c+1] - t.start[c]
+		if size > r.MaxClusterSize {
+			r.MaxClusterSize = size
+		}
+		if size == 1 {
+			r.Singletons++
+		}
+		if t.phi[c] < r.Phi {
+			r.Phi = t.phi[c]
+		}
+		if !t.exact[c] {
+			r.PhiExact = false
+		}
+		if t.gamma[c] < r.GammaMin {
+			r.GammaMin = t.gamma[c]
+		}
+	}
+	if sp != nil {
+		sp.Arg("clusters", r.Count)
+		sp.Arg("phi", r.Phi)
+		sp.Arg("subsets", r.Cert.Subsets)
+	}
+	publishReport(obs.RegistryFrom(ctx), &r)
+	return r, nil
+}
+
+// clusterTable is the one per-cluster measurement, which Evaluate reduces to
+// a Report and Details lists: cluster c owns order[start[c]:start[c+1]], has
+// closure conductance phi[c] (exact when exact[c], else a sweep-cut upper
+// bound) and retention gamma[c]; cert counts the certification work.
+type clusterTable struct {
+	order, start []int
+	phi, gamma   []float64
+	exact        []bool
+	cert         CertStats
+}
+
+// measureClusters fills the cluster table, fanning the clusters out across
+// cores when parallel is set. Every entry depends on its cluster alone, so
+// the table is the same at any worker count.
+func measureClusters(ctx context.Context, d *Decomposition, exactLimit int, parallel bool) (clusterTable, error) {
 	order, start := d.clusterSpans()
-	phi := make([]float64, d.Count)
-	exact := make([]bool, d.Count)
-	gamma := make([]float64, d.Count)
+	t := clusterTable{
+		order: order, start: start,
+		phi:   make([]float64, d.Count),
+		gamma: make([]float64, d.Count),
+		exact: make([]bool, d.Count),
+	}
 	// Each chunk of the fan-out borrows a worker holding a reusable
 	// certifier (the common, core ≤ limit case — no closure materialized)
 	// and a lazily created closure builder (the sweep-bound fallback).
@@ -229,7 +279,7 @@ func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bo
 	var cCores, cStubs, cSubsets, cBounds atomic.Int64
 	// stopped lets every chunk of the fan-out abandon its remaining
 	// clusters as soon as one of them observes cancellation; the incomplete
-	// arrays are discarded, so the early exit cannot skew a returned report.
+	// table is discarded, so the early exit cannot skew a returned report.
 	var stopped atomic.Bool
 	measure := func(lo, hi int) {
 		w := pool.Get().(*evalWorker)
@@ -253,13 +303,13 @@ func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bo
 			}
 			vs := order[start[c]:start[c+1]]
 			if len(vs) <= exactLimit && len(vs) <= graph.MaxExactConductance {
-				phi[c] = mustClusterPhi(w.cert, vs)
-				exact[c] = true
+				t.phi[c] = mustClusterPhi(w.cert, vs)
+				t.exact[c] = true
 			} else {
 				if w.cb == nil {
 					w.cb = graph.NewClosureBuilder(d.G)
 				}
-				phi[c] = mustBuilderClosure(w.cb, vs).ConductanceUpperBound()
+				t.phi[c] = mustBuilderClosure(w.cb, vs).ConductanceUpperBound()
 				bounds++
 			}
 			// γ per vertex: fraction of v's volume staying inside the
@@ -283,7 +333,7 @@ func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bo
 					gm = g
 				}
 			}
-			gamma[c] = gm
+			t.gamma[c] = gm
 		}
 	}
 	if parallel {
@@ -292,39 +342,15 @@ func evaluate(ctx context.Context, d *Decomposition, exactLimit int, parallel bo
 		measure(0, d.Count)
 	}
 	if stopped.Load() || ctx.Err() != nil {
-		return Report{}, Cancelled(ctx)
+		return clusterTable{}, Cancelled(ctx)
 	}
-	r.Cert = CertStats{
+	t.cert = CertStats{
 		Cores:   cCores.Load(),
 		Stubs:   cStubs.Load(),
 		Subsets: cSubsets.Load(),
 		Bounds:  cBounds.Load(),
 	}
-	for c := 0; c < d.Count; c++ {
-		size := start[c+1] - start[c]
-		if size > r.MaxClusterSize {
-			r.MaxClusterSize = size
-		}
-		if size == 1 {
-			r.Singletons++
-		}
-		if phi[c] < r.Phi {
-			r.Phi = phi[c]
-		}
-		if !exact[c] {
-			r.PhiExact = false
-		}
-		if gamma[c] < r.GammaMin {
-			r.GammaMin = gamma[c]
-		}
-	}
-	if sp != nil {
-		sp.Arg("clusters", r.Count)
-		sp.Arg("phi", r.Phi)
-		sp.Arg("subsets", r.Cert.Subsets)
-	}
-	publishReport(obs.RegistryFrom(ctx), &r)
-	return r, nil
+	return t, nil
 }
 
 // gammaViolations counts, per cluster, the vertices v with

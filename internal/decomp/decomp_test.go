@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hcd/internal/graph"
@@ -577,18 +578,33 @@ func TestDetailsConsistentWithEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := Evaluate(d, graph.MaxExactConductance)
-	det := Details(d, graph.MaxExactConductance)
+	var runs [2][]ClusterStats
+	for i, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		runs[i] = Details(d, graph.MaxExactConductance)
+		runtime.GOMAXPROCS(prev)
+	}
+	if !slices.Equal(runs[0], runs[1]) {
+		t.Fatal("details differ between one worker and four")
+	}
+	det := runs[0]
 	if len(det) != d.Count {
 		t.Fatalf("details for %d clusters, want %d", len(det), d.Count)
 	}
-	// Sorted ascending by φ; the first entry must match the report's Phi.
-	if math.Abs(det[0].Phi-rep.Phi) > 1e-12 {
+	// Sorted ascending by φ; the first entry is the report's Phi, and the
+	// least γ the report's GammaMin, bit for bit: both read one measurement.
+	if det[0].Phi != rep.Phi {
 		t.Errorf("min φ mismatch: details %v vs report %v", det[0].Phi, rep.Phi)
 	}
-	for i := 1; i < len(det); i++ {
-		if det[i].Phi < det[i-1].Phi {
+	gm := math.Inf(1)
+	for i, s := range det {
+		if i > 0 && s.Phi < det[i-1].Phi {
 			t.Fatal("details not sorted by φ")
 		}
+		gm = min(gm, s.GammaMin)
+	}
+	if gm != rep.GammaMin {
+		t.Errorf("min γ mismatch: details %v vs report %v", gm, rep.GammaMin)
 	}
 	totalVol := 0.0
 	for _, s := range det {

@@ -1,11 +1,9 @@
 package decomp
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"sort"
-
-	"hcd/internal/graph"
 )
 
 // ClusterStats describes one cluster of a decomposition in the terms the
@@ -21,49 +19,22 @@ type ClusterStats struct {
 	GammaMin      float64 // min over v of cap(v, C−v)/vol(v); 0 for singletons
 }
 
-// Details computes per-cluster statistics, sorted by ascending closure
-// conductance (the problematic clusters first). Clusters of at most
-// exactLimit core vertices are measured exactly by the stub-aware certifier.
+// Details lists every cluster's statistics, sorted by ascending closure
+// conductance (the problematic clusters first): φ, PhiExact and γ from the
+// same per-cluster measurement Evaluate reduces, plus the cluster's volume
+// and boundary. Clusters of at most exactLimit core vertices are measured
+// exactly by the stub-aware certifier.
 func Details(d *Decomposition, exactLimit int) []ClusterStats {
-	clusters := d.Clusters()
-	out := make([]ClusterStats, len(clusters))
-	cert := graph.NewCertifier(d.G)
-	var cb *graph.ClosureBuilder
-	for c, vs := range clusters {
-		st := ClusterStats{ID: c, Size: len(vs), GammaMin: math.Inf(1)}
-		st.Vol = d.G.VolSet(vs)
-		st.Out = d.G.Out(vs)
+	t, _ := measureClusters(context.Background(), d, exactLimit, true) // fails only on cancellation
+	out := make([]ClusterStats, d.Count)
+	for c := range out {
+		vs := t.order[t.start[c]:t.start[c+1]]
+		st := ClusterStats{
+			ID: c, Size: len(vs), Vol: d.G.VolSet(vs), Out: d.G.Out(vs),
+			Phi: t.phi[c], PhiExact: t.exact[c], GammaMin: t.gamma[c],
+		}
 		if st.Vol > 0 {
 			st.BoundaryRatio = st.Out / st.Vol
-		}
-		if len(vs) <= exactLimit && len(vs) <= graph.MaxExactConductance {
-			st.Phi = mustClusterPhi(cert, vs)
-			st.PhiExact = true
-		} else {
-			if cb == nil {
-				cb = graph.NewClosureBuilder(d.G)
-			}
-			st.Phi = mustBuilderClosure(cb, vs).ConductanceUpperBound()
-		}
-		in := make(map[int]bool, len(vs))
-		for _, v := range vs {
-			in[v] = true
-		}
-		if len(vs) == 1 {
-			st.GammaMin = 0
-		} else {
-			for _, v := range vs {
-				nbr, w := d.G.Neighbors(v)
-				inside := 0.0
-				for i, u := range nbr {
-					if in[int(u)] {
-						inside += w[i]
-					}
-				}
-				if g := inside / d.G.Vol(v); g < st.GammaMin {
-					st.GammaMin = g
-				}
-			}
 		}
 		out[c] = st
 	}

@@ -86,20 +86,6 @@ func TestEvaluateCertStats(t *testing.T) {
 	}
 }
 
-// TestBuildMetricsCertString checks the metrics line renders the cert
-// counters exactly when they are nonzero.
-func TestBuildMetricsCertString(t *testing.T) {
-	var m BuildMetrics
-	if s := m.String(); s != "total=0s" {
-		t.Errorf("zero metrics string = %q", s)
-	}
-	m.Cert = CertStats{Cores: 3, Stubs: 7, Subsets: 21, Bounds: 1}
-	want := "cert(cores=3 stubs=7 subsets=21 bounds=1) | total=0s"
-	if s := m.String(); s != want {
-		t.Errorf("metrics string = %q, want %q", s, want)
-	}
-}
-
 // TestEvaluateParallelManyClusters forces the cluster count well past the
 // parallel grain so the fan-out genuinely splits, and checks equality again.
 func TestEvaluateParallelManyClusters(t *testing.T) {

@@ -1,17 +1,16 @@
 package decomp
 
-// The build-path counterpart of internal/solver's outcome/metrics machinery:
-// a Pipeline runs the named stages of a decomposition construction under a
-// context, records per-stage wall time, problem sizes and scratch
-// allocations into BuildMetrics, and converts context cancellation into the
-// ErrBuildCancelled sentinel so callers can test either errors.Is target.
+// The build path's stage runner: RunStage runs one named stage of a
+// decomposition construction under a context, records it as a span (and as
+// registry series when a registry travels in the context), and converts
+// context cancellation into the ErrBuildCancelled sentinel so callers can
+// test either errors.Is target.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"hcd/internal/faultinject"
@@ -66,136 +65,54 @@ const (
 	StageEvaluate = "evaluate"       // measure φ, ρ, γ of the result
 )
 
-// StageMetrics instruments one pipeline stage, mirroring solver.Metrics on
-// the build side.
-type StageMetrics struct {
-	Name     string
-	Duration time.Duration
-	// Vertices and Edges describe the stage's output size (what the next
-	// stage consumes).
-	Vertices, Edges int
-	// ScratchAllocs counts heap allocations performed while the stage ran
-	// (a mallocs delta, so it includes allocations by concurrent goroutines;
-	// on the single-threaded build path it is the stage's own scratch).
-	ScratchAllocs int
-}
-
-// BuildMetrics aggregates the per-stage costs of one decomposition build.
-type BuildMetrics struct {
-	Stages    []StageMetrics
-	TotalTime time.Duration
-	// Cert counts the exact-certification work of the evaluate stage: cores
-	// enumerated, boundary stubs collapsed into anchor volumes, core
-	// side-assignments visited, and sweep-bound fallbacks.
-	Cert CertStats
-	// PeakHeapBytes is the largest Go heap (HeapAlloc) observed at a stage
-	// boundary during the build — an in-process view of the build's memory
-	// high-water mark.
-	PeakHeapBytes uint64
-	// PeakRSSBytes is the process's resident-set high-water mark (VmHWM) as
-	// of the end of the build, or 0 where the platform does not expose it.
-	// Unlike PeakHeapBytes it covers the whole process lifetime, not just
-	// this build.
-	PeakRSSBytes int64
-}
-
-// String renders one line per the -metrics CLI convention:
-// "base-tree=1.2ms (v=4096 e=4095 allocs=12) | ... | total=5.4ms".
-func (m BuildMetrics) String() string {
-	var b strings.Builder
-	for _, s := range m.Stages {
-		fmt.Fprintf(&b, "%s=%v (v=%d e=%d allocs=%d) | ",
-			s.Name, s.Duration.Round(time.Microsecond), s.Vertices, s.Edges, s.ScratchAllocs)
-	}
-	if m.Cert != (CertStats{}) {
-		fmt.Fprintf(&b, "cert(cores=%d stubs=%d subsets=%d bounds=%d) | ",
-			m.Cert.Cores, m.Cert.Stubs, m.Cert.Subsets, m.Cert.Bounds)
-	}
-	if m.PeakHeapBytes > 0 {
-		fmt.Fprintf(&b, "peak(heap=%dB rss=%dB) | ", m.PeakHeapBytes, m.PeakRSSBytes)
-	}
-	fmt.Fprintf(&b, "total=%v", m.TotalTime.Round(time.Microsecond))
-	return b.String()
-}
-
 // StageInfo is what a stage function reports back about its output.
 type StageInfo struct {
 	Vertices, Edges int
 }
 
-// Pipeline runs the named stages of a decomposition build under one context,
-// accumulating BuildMetrics. Zero value is not usable; construct with
-// NewPipeline.
-type Pipeline struct {
-	ctx     context.Context
-	start   time.Time
-	Metrics BuildMetrics
-}
-
-// NewPipeline starts a build under ctx (nil means context.Background()).
-func NewPipeline(ctx context.Context) *Pipeline {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Pipeline{ctx: ctx, start: time.Now()}
-}
-
-// Run executes one named stage. The stage is skipped (with an
-// ErrBuildCancelled error) if the context is already done; a stage error that
-// stems from cancellation is promoted to carry ErrBuildCancelled so every
-// cancelled build surfaces the same sentinel regardless of which internal
-// package noticed the context first. Metrics are recorded even for failed
-// stages, so a cancelled build still reports where the time went.
+// RunStage executes one named stage of a decomposition build under ctx. The
+// stage is skipped (with an ErrBuildCancelled error) if the context is
+// already done; a stage error that stems from cancellation is promoted to
+// carry ErrBuildCancelled so every cancelled build surfaces the same sentinel
+// regardless of which internal package noticed the context first.
+//
+// The stage's record is its build/<name> span, with the output's vertices
+// and edges (and the error, if any) as args, and, when a registry travels in
+// ctx, the hcd_build_stage_{runs,ns,allocs}_total{stage="<name>"} series. Both
+// are written for failed stages too, so an aborted build still shows where
+// the time went. The allocation count is a mallocs delta, so it includes
+// allocations by concurrent goroutines.
 //
 // A panic inside the stage — including worker panics surfaced by
 // internal/par — is recovered and returned as an error carrying the
 // panicking goroutine's stack, so a build can fail but never crash the
 // caller.
-func (p *Pipeline) Run(name string, fn func(ctx context.Context) (StageInfo, error)) error {
-	if p.ctx.Err() != nil {
-		return fmt.Errorf("decomp: stage %s skipped: %w", name, Cancelled(p.ctx))
+func RunStage(ctx context.Context, name string, fn func(ctx context.Context) (StageInfo, error)) error {
+	if ctx.Err() != nil {
+		return fmt.Errorf("decomp: stage %s skipped: %w", name, Cancelled(ctx))
 	}
 	if faultinject.Enabled() {
 		if err := faultinject.Err(faultinject.StageFail); err != nil {
 			return fmt.Errorf("decomp: stage %s: %w", name, err)
 		}
 	}
-	// The span name is only materialized when a tracer is installed, so the
-	// disabled path performs no concatenation and no allocation.
-	sctx := p.ctx
-	var sp *obs.Span
-	if obs.TracerFrom(p.ctx) != nil {
-		sctx, sp = obs.StartSpan(p.ctx, "build/"+name)
+	// The registry's reads of the allocation count stay outside the span,
+	// so a span times its stage alone. Certification counters are not
+	// published here: they flow into the registry at their source, the
+	// evaluate measurement loop.
+	reg := obs.RegistryFrom(ctx)
+	var mem [2]runtime.MemStats
+	if reg != nil {
+		runtime.ReadMemStats(&mem[0])
 	}
-	defer sp.End()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := time.Now()
-	info, err := runStage(sctx, fn)
-	dur := time.Since(start)
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	p.Metrics.Stages = append(p.Metrics.Stages, StageMetrics{
-		Name:          name,
-		Duration:      dur,
-		Vertices:      info.Vertices,
-		Edges:         info.Edges,
-		ScratchAllocs: int(after.Mallocs - before.Mallocs),
-	})
-	if after.HeapAlloc > p.Metrics.PeakHeapBytes {
-		p.Metrics.PeakHeapBytes = after.HeapAlloc
-	}
-	if before.HeapAlloc > p.Metrics.PeakHeapBytes {
-		p.Metrics.PeakHeapBytes = before.HeapAlloc
-	}
-	p.Metrics.PeakRSSBytes = obs.PeakRSS()
-	p.Metrics.TotalTime = time.Since(p.start)
-	if sp != nil {
-		sp.Arg("vertices", info.Vertices)
-		sp.Arg("edges", info.Edges)
-		if err != nil {
-			sp.Arg("error", err.Error())
-		}
+	err := runStage(ctx, name, fn)
+	if reg != nil {
+		dur := time.Since(start)
+		runtime.ReadMemStats(&mem[1])
+		reg.Counter(`hcd_build_stage_runs_total{stage="` + name + `"}`).Inc()
+		reg.Counter(`hcd_build_stage_ns_total{stage="` + name + `"}`).Add(int64(dur))
+		reg.Counter(`hcd_build_stage_allocs_total{stage="` + name + `"}`).Add(int64(mem[1].Mallocs - mem[0].Mallocs))
 	}
 	if err != nil {
 		if cancellation(err) && !errors.Is(err, ErrBuildCancelled) {
@@ -206,14 +123,31 @@ func (p *Pipeline) Run(name string, fn func(ctx context.Context) (StageInfo, err
 	return nil
 }
 
-// runStage invokes one stage function with panic containment.
-func runStage(ctx context.Context, fn func(ctx context.Context) (StageInfo, error)) (info StageInfo, err error) {
+// runStage invokes one stage function under its build/<name> span, with
+// panic containment. The span name is only materialized when a tracer is
+// installed, so the disabled path performs no concatenation and no
+// allocation.
+func runStage(ctx context.Context, name string, fn func(ctx context.Context) (StageInfo, error)) (err error) {
+	var info StageInfo
+	var sp *obs.Span
+	if obs.TracerFrom(ctx) != nil {
+		ctx, sp = obs.StartSpan(ctx, "build/"+name)
+	}
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("panic during stage: %w", par.AsError(v))
 		}
+		if sp != nil {
+			sp.Arg("vertices", info.Vertices)
+			sp.Arg("edges", info.Edges)
+			if err != nil {
+				sp.Arg("error", err.Error())
+			}
+			sp.End()
+		}
 	}()
-	return fn(ctx)
+	info, err = fn(ctx)
+	return err
 }
 
 func cancellation(err error) bool {

@@ -8,49 +8,74 @@ import (
 	"testing"
 	"time"
 
+	"hcd/internal/obs"
 	"hcd/internal/workload"
 )
 
+// traced returns ctx recording spans into a fresh tracer.
+func traced(ctx context.Context) (context.Context, *obs.Tracer) {
+	tr := obs.NewTracer()
+	return obs.WithTracer(ctx, tr), tr
+}
+
+// stageSpans returns the build/<stage> spans tr recorded, in start order.
+func stageSpans(tr *obs.Tracer) []obs.SpanInfo {
+	var out []obs.SpanInfo
+	for _, sp := range tr.Spans() {
+		if strings.HasPrefix(sp.Name, "build/") {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// spanArg returns the value of a span's key arg, nil if absent.
+func spanArg(sp obs.SpanInfo, key string) any {
+	for _, a := range sp.Args {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
+}
+
 func TestPipelineRecordsStageMetrics(t *testing.T) {
-	p := NewPipeline(context.Background())
-	if err := p.Run("alpha", func(context.Context) (StageInfo, error) {
+	ctx, tr := traced(context.Background())
+	reg := obs.NewRegistry()
+	ctx = obs.WithRegistry(ctx, reg)
+	if err := RunStage(ctx, "alpha", func(context.Context) (StageInfo, error) {
 		time.Sleep(time.Millisecond)
 		return StageInfo{Vertices: 10, Edges: 9}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run("beta", func(context.Context) (StageInfo, error) {
+	if err := RunStage(ctx, "beta", func(context.Context) (StageInfo, error) {
 		return StageInfo{Vertices: 5, Edges: 4}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Metrics
-	if len(m.Stages) != 2 || m.Stages[0].Name != "alpha" || m.Stages[1].Name != "beta" {
-		t.Fatalf("stages = %+v", m.Stages)
+	st := stageSpans(tr)
+	if len(st) != 2 || st[0].Name != "build/alpha" || st[1].Name != "build/beta" {
+		t.Fatalf("stage spans = %+v", st)
 	}
-	if m.Stages[0].Duration <= 0 || m.Stages[1].Duration <= 0 {
-		t.Errorf("non-positive stage durations: %v, %v", m.Stages[0].Duration, m.Stages[1].Duration)
+	if st[0].Duration <= 0 || st[1].Duration <= 0 {
+		t.Errorf("non-positive stage durations: %v, %v", st[0].Duration, st[1].Duration)
 	}
-	if m.TotalTime < m.Stages[0].Duration {
-		t.Errorf("total %v below first stage %v", m.TotalTime, m.Stages[0].Duration)
+	if v, e := spanArg(st[0], "vertices"), spanArg(st[0], "edges"); v != 10 || e != 9 {
+		t.Errorf("stage alpha args vertices=%v edges=%v", v, e)
 	}
-	if s := m.Stages[0]; s.Vertices != 10 || s.Edges != 9 {
-		t.Errorf("stage alpha = %+v", s)
-	}
-	str := m.String()
-	for _, want := range []string{"alpha=", "beta=", "v=10", "e=9", "total="} {
-		if !strings.Contains(str, want) {
-			t.Errorf("String() = %q missing %q", str, want)
-		}
+	snap := reg.Snapshot()
+	if runs, ns := snap[`hcd_build_stage_runs_total{stage="alpha"}`], snap[`hcd_build_stage_ns_total{stage="alpha"}`]; runs != 1 || ns < float64(time.Millisecond) {
+		t.Errorf("alpha published %v runs over %v ns", runs, ns)
 	}
 }
 
 func TestPipelineSkipsStageWhenAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := NewPipeline(ctx)
+	ctx, tr := traced(ctx)
 	ran := false
-	err := p.Run("never", func(context.Context) (StageInfo, error) {
+	err := RunStage(ctx, "never", func(context.Context) (StageInfo, error) {
 		ran = true
 		return StageInfo{}, nil
 	})
@@ -60,31 +85,30 @@ func TestPipelineSkipsStageWhenAlreadyCancelled(t *testing.T) {
 	if !errors.Is(err, ErrBuildCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap both sentinels", err)
 	}
-	if len(p.Metrics.Stages) != 0 {
-		t.Errorf("skipped stage recorded metrics: %+v", p.Metrics.Stages)
+	if st := stageSpans(tr); len(st) != 0 {
+		t.Errorf("skipped stage recorded spans: %+v", st)
 	}
 }
 
 func TestPipelinePromotesCancellationErrors(t *testing.T) {
-	// Leaf packages (mst, lowstretch, sparsify) wrap only ctx.Err(); Run must
-	// promote such errors to carry ErrBuildCancelled.
-	p := NewPipeline(context.Background())
+	// Leaf packages (mst, lowstretch, sparsify) wrap only ctx.Err(); RunStage
+	// must promote such errors to carry ErrBuildCancelled.
+	ctx, tr := traced(context.Background())
 	leaf := fmt.Errorf("mst: cancelled: %w", context.Canceled)
-	err := p.Run("leafy", func(context.Context) (StageInfo, error) {
+	err := RunStage(ctx, "leafy", func(context.Context) (StageInfo, error) {
 		return StageInfo{}, leaf
 	})
 	if !errors.Is(err, ErrBuildCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap both sentinels", err)
 	}
-	if len(p.Metrics.Stages) != 1 {
-		t.Fatalf("failed stage not recorded: %+v", p.Metrics.Stages)
+	if st := stageSpans(tr); len(st) != 1 || spanArg(st[0], "error") == nil {
+		t.Fatalf("failed stage not recorded with its error: %+v", st)
 	}
 }
 
 func TestPipelineKeepsPlainErrorsUnpromoted(t *testing.T) {
-	p := NewPipeline(context.Background())
 	boom := errors.New("boom")
-	err := p.Run("failing", func(context.Context) (StageInfo, error) {
+	err := RunStage(context.Background(), "failing", func(context.Context) (StageInfo, error) {
 		return StageInfo{}, boom
 	})
 	if !errors.Is(err, boom) {
@@ -102,13 +126,13 @@ func TestPipelineCancellationPromptness(t *testing.T) {
 	// A synthetic slow stage that would spin ~forever, polling at the bounded
 	// interval; a mid-build cancel must stop it promptly.
 	ctx, cancel := context.WithCancel(context.Background())
-	p := NewPipeline(ctx)
+	ctx, tr := traced(ctx)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	err := p.Run("slow", func(ctx context.Context) (StageInfo, error) {
+	err := RunStage(ctx, "slow", func(ctx context.Context) (StageInfo, error) {
 		for i := 0; ; i++ {
 			if err := poll(ctx, i); err != nil {
 				return StageInfo{}, err
@@ -123,8 +147,8 @@ func TestPipelineCancellationPromptness(t *testing.T) {
 		t.Fatalf("cancellation took %v, want prompt return", elapsed)
 	}
 	// The aborted stage still reports where the time went.
-	if st := p.Metrics.Stages; len(st) != 1 || st[0].Name != "slow" || st[0].Duration <= 0 {
-		t.Errorf("cancelled stage metrics missing or zero: %+v", st)
+	if st := stageSpans(tr); len(st) != 1 || st[0].Name != "build/slow" || st[0].Duration <= 0 {
+		t.Errorf("cancelled stage span missing or zero: %+v", st)
 	}
 }
 

@@ -2,26 +2,6 @@ package decomp
 
 import "hcd/internal/obs"
 
-// Publish accumulates the build's per-stage costs into the registry under
-// the hcd_build_* namespace, one labelled series per stage name.
-// Certification counters (BuildMetrics.Cert) are NOT re-published here —
-// they flow into the registry at their source, the evaluate measurement
-// loop — so a build that already ran with a registry in its context never
-// double-counts. DecomposeCtx calls Publish automatically when a registry
-// travels in the build context. Nil registries are no-ops.
-func (m BuildMetrics) Publish(r *obs.Registry) {
-	if r == nil {
-		return
-	}
-	for _, s := range m.Stages {
-		r.Counter(`hcd_build_stage_runs_total{stage="` + s.Name + `"}`).Inc()
-		r.Counter(`hcd_build_stage_ns_total{stage="` + s.Name + `"}`).Add(int64(s.Duration))
-		r.Counter(`hcd_build_stage_allocs_total{stage="` + s.Name + `"}`).Add(int64(s.ScratchAllocs))
-	}
-	r.Counter("hcd_build_total").Inc()
-	r.Counter("hcd_build_ns_total").Add(int64(m.TotalTime))
-}
-
 // publishReport records the quality measurements of one evaluation: the
 // exact certification work counters plus last-evaluation gauges of the
 // headline [φ, ρ] figures. Called from the evaluate loop when a registry

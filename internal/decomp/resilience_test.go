@@ -11,8 +11,8 @@ import (
 )
 
 func TestPipelineStagePanicBecomesError(t *testing.T) {
-	p := NewPipeline(context.Background())
-	err := p.Run("exploding", func(ctx context.Context) (StageInfo, error) {
+	ctx, tr := traced(context.Background())
+	err := RunStage(ctx, "exploding", func(ctx context.Context) (StageInfo, error) {
 		panic("stage blew up")
 	})
 	if err == nil {
@@ -21,14 +21,14 @@ func TestPipelineStagePanicBecomesError(t *testing.T) {
 	if !strings.Contains(err.Error(), "panic during stage") || !strings.Contains(err.Error(), "stage blew up") {
 		t.Errorf("error %q does not describe the panic", err)
 	}
-	// The pipeline itself survives: a later stage still runs.
-	if err := p.Run("ok", func(ctx context.Context) (StageInfo, error) {
+	// The build itself survives: a later stage still runs.
+	if err := RunStage(ctx, "ok", func(ctx context.Context) (StageInfo, error) {
 		return StageInfo{Vertices: 1}, nil
 	}); err != nil {
 		t.Fatalf("stage after a panic: %v", err)
 	}
-	if len(p.Metrics.Stages) != 2 {
-		t.Errorf("metrics recorded %d stages, want 2", len(p.Metrics.Stages))
+	if st := stageSpans(tr); len(st) != 2 {
+		t.Errorf("trace recorded %d stages, want 2", len(st))
 	}
 }
 
@@ -37,19 +37,19 @@ func TestPipelineStageFailInjection(t *testing.T) {
 		faultinject.StageFail: {OnHit: 2, Count: 1},
 	})
 	defer restore()
-	p := NewPipeline(context.Background())
+	ctx := context.Background()
 	ok := func(ctx context.Context) (StageInfo, error) { return StageInfo{}, nil }
-	if err := p.Run("first", ok); err != nil {
+	if err := RunStage(ctx, "first", ok); err != nil {
 		t.Fatalf("first stage: %v", err)
 	}
-	err := p.Run("second", ok)
+	err := RunStage(ctx, "second", ok)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("second stage: err = %v, want ErrInjected", err)
 	}
 	if !strings.Contains(err.Error(), "stage second") {
 		t.Errorf("error %q does not name the failed stage", err)
 	}
-	if err := p.Run("third", ok); err != nil {
+	if err := RunStage(ctx, "third", ok); err != nil {
 		t.Fatalf("third stage (past the fault window): %v", err)
 	}
 }

@@ -49,9 +49,9 @@ const (
 	// process.
 	WorkerPanic = "par/worker-panic"
 
-	// StageFail fails a decomposition pipeline stage (internal/decomp
-	// Pipeline.Run) with an ErrInjected-wrapped error. Hit j = the j-th
-	// stage executed since activation.
+	// StageFail fails a decomposition build stage (internal/decomp
+	// RunStage) with an ErrInjected-wrapped error. Hit j = the j-th stage
+	// executed since activation.
 	StageFail = "decomp/stage-fail"
 
 	// PerturbCorrupt degenerates the Section 3.1 fixed-degree clustering:

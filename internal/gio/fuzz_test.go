@@ -3,7 +3,10 @@ package gio
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,6 +80,58 @@ func TestReadMatrixMarketRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestParsersRejectOverLimitSizes: a vertex id, an "n" header or a
+// MatrixMarket size line one past MaxVertices or MaxEntries is rejected with
+// ErrInvalidInput before anything proportional to it is allocated. The fuzz
+// targets skip such inputs (see namesLargeInt), so this table is what holds
+// the parsers to the limits.
+func TestParsersRejectOverLimitSizes(t *testing.T) {
+	const hdr = "%%MatrixMarket matrix coordinate real symmetric\n"
+	cases := []struct {
+		name, in string
+		read     func(io.Reader) (*graph.Graph, error)
+	}{
+		{"edge list vertex id", fmt.Sprintf("0 %d\n", MaxVertices+1), ReadEdgeList},
+		{"edge list n header", fmt.Sprintf("n %d\n0 1\n", MaxVertices+1), ReadEdgeList},
+		{"edge list id after header", fmt.Sprintf("n 4\n%d 1\n", MaxVertices+1), ReadEdgeList},
+		{"MatrixMarket dimension", hdr + fmt.Sprintf("%d %d 1\n1 2 1\n", MaxVertices+1, MaxVertices+1), ReadMatrixMarket},
+		{"MatrixMarket entry count", hdr + fmt.Sprintf("2 2 %d\n2 1 1\n", MaxEntries+1), ReadMatrixMarket},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := c.read(strings.NewReader(c.in))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, graph.ErrInvalidInput) {
+				t.Fatalf("err = %v, want ErrInvalidInput", err)
+			}
+			// The scanner's 1 MiB line buffer is the one fixed cost.
+			if b := after.TotalAlloc - before.TotalAlloc; b > 4<<20 {
+				t.Errorf("rejecting it allocated %d bytes", b)
+			}
+		})
+	}
+}
+
+// namesLargeInt reports whether in holds a run of digits worth more than
+// 1<<20. The fuzz targets skip such inputs: a parser accepts ids and sizes
+// up to MaxVertices, and a 10-byte "50000000 0" builds a 50M-vertex graph
+// whose round trip takes gigabytes.
+func namesLargeInt(in string) bool {
+	v := 0
+	for i := 0; i < len(in); i++ {
+		if c := in[i]; c >= '0' && c <= '9' {
+			if v = 10*v + int(c-'0'); v > 1<<20 {
+				return true
+			}
+		} else {
+			v = 0
+		}
+	}
+	return false
+}
+
 // sameGraph compares two graphs edge-by-edge with a tolerance for the
 // text-format round trip.
 func sameGraph(a, b *graph.Graph) bool {
@@ -120,7 +175,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1 1e308\n0 2 1e308\n1 2 1\n")
 	f.Add("0 1 1e-320\n1 2 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		if len(in) > 1<<16 {
+		if len(in) > 1<<16 || namesLargeInt(in) {
 			return // bound fuzz-case cost, not parser capability
 		}
 		g, err := ReadEdgeList(strings.NewReader(in))
@@ -157,8 +212,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 4.0\n")
 	f.Add("garbage\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		if len(in) > 1<<16 {
-			return
+		if len(in) > 1<<16 || namesLargeInt(in) {
+			return // bound fuzz-case cost, not parser capability
 		}
 		g, err := ReadMatrixMarket(strings.NewReader(in))
 		if err != nil {

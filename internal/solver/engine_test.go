@@ -283,6 +283,19 @@ func TestEngineRepeatedSolvesZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warm engine solve allocates %v times per run, want 0", allocs)
 	}
+	// A right-hand side whose ‖b‖² underflows is rescaled in place.
+	tiny := make([]float64, len(b))
+	for v, x := range b {
+		tiny[v] = math.Ldexp(x, -560)
+	}
+	allocs = testing.AllocsPerRun(10, func() {
+		if res, err := eng.Solve(context.Background(), tiny); err != nil || !res.Converged || res.Iterations == 0 {
+			t.Fatal("warm solve of a tiny b failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm engine solve of a tiny b allocates %v times per run, want 0", allocs)
+	}
 }
 
 func TestEngineResultsAliasBuffers(t *testing.T) {

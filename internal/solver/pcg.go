@@ -80,6 +80,7 @@ type scratch struct {
 	pap, alpha, beta, mean, rn []float64
 	rawNorm                    []float64
 	active                     []int // active position -> original column
+	shift                      []int // original column -> rescaleTiny's exponent
 	dead                       []bool
 	keep                       []int
 
@@ -316,6 +317,10 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	// side that is (numerically) all null-space component has nothing left to
 	// solve after projection.
 	s.blockNormSq(r, n, k, rawNorm)
+	shift := resize(&s.shift, len(results))
+	if rescaleTiny(r, n, cols, rawNorm, shift) {
+		s.blockNormSq(r, n, k, rawNorm)
+	}
 	for pos := range rawNorm {
 		rawNorm[pos] = math.Sqrt(rawNorm[pos])
 	}
@@ -411,8 +416,12 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 			maxRn := 0.0
 			for pos := 0; pos < kA; pos++ {
 				rn[pos] = math.Sqrt(rn[pos])
-				if rn[pos] > maxRn || math.IsNaN(rn[pos]) {
-					maxRn = rn[pos]
+				v := rn[pos]
+				if sh := shift[s.active[pos]]; sh != 0 {
+					v = math.Ldexp(v, -sh) // the observer sees b's own scale
+				}
+				if v > maxRn || math.IsNaN(v) {
+					maxRn = v
 				}
 			}
 			anyDead = false
@@ -496,6 +505,14 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 	now := time.Now()
 	for _, j := range cols {
 		res := &results[j]
+		if sh := shift[j]; sh != 0 {
+			for v, x := range res.X {
+				res.X[v] = math.Ldexp(x, -sh)
+			}
+			for i, rr := range res.Residuals {
+				res.Residuals[i] = math.Ldexp(rr, -sh)
+			}
+		}
 		res.Converged = res.Outcome == OutcomeConverged
 		res.Metrics.Iterations = res.Iterations
 		res.Metrics.FinalResidual = res.Residuals[len(res.Residuals)-1]
@@ -520,6 +537,37 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 			sp.Arg("space", "natural")
 		}
 	}
+}
+
+// rescaleTiny multiplies each column pos of the packed block r (right-hand
+// side cols[pos]) whose ‖b‖², sq[pos], is below the smallest normal float64
+// while some entry is non-zero by the exact power of two 2^shift[cols[pos]]
+// that puts its largest entry in [2^−451, 2^−450): ‖b‖² ≥ 2^−902 leaves the
+// squared residual 2^−120 to fall, and rᵀz grows the least. α and β are those
+// of the unscaled system; the attempt scales x and the residuals back. Other
+// columns get shift 0 and keep their bits. Reports whether any was scaled.
+func rescaleTiny(r []float64, n int, cols []int, sq []float64, shift []int) bool {
+	k, scaled := len(cols), false
+	for pos, j := range cols {
+		shift[j] = 0
+		if !(sq[pos] < 0x1p-1022) {
+			continue
+		}
+		maxAbs := 0.0
+		for v := 0; v < n; v++ {
+			maxAbs = max(maxAbs, math.Abs(r[v*k+pos]))
+		}
+		if maxAbs == 0 {
+			continue
+		}
+		_, e := math.Frexp(maxAbs)
+		shift[j] = -450 - e
+		for v := 0; v < n; v++ {
+			r[v*k+pos] = math.Ldexp(r[v*k+pos], shift[j])
+		}
+		scaled = true
+	}
+	return scaled
 }
 
 // deflate copies every dead column's iterate into its per-column solution

@@ -370,7 +370,9 @@ func drawFamily(t *testing.T, rng *rand.Rand, families int) *hcd.Graph {
 // at construction; a converged, finite x whose residual, with the weights
 // scaled back by 2^−e, is small; or a typed non-convergence with a finite x.
 // A graph that constructs reads back from WriteEdgeList bit for bit. The
-// right-hand side is scaled by 2^f, f ≈ e/2, so that rᵀz stays in range.
+// right-hand side is scaled by 2^f, f ≈ e/2, so that rᵀz stays in range; for
+// e < 0, one draw in two takes f from [−620, −540] instead, where ‖b‖²
+// underflows and the solver must rescale b to solve it.
 func checkArithmeticRange(t *testing.T, rng *rand.Rand) {
 	g0 := drawFamily(t, rng, 5)
 	edges := g0.Edges()
@@ -438,6 +440,9 @@ func checkArithmeticRange(t *testing.T, rng *rand.Rand) {
 	f := e/2 - 8
 	if e < 0 {
 		f = e/2 + 8
+		if rng.Intn(2) == 0 { // ‖b‖² underflows; x = 2^(f−e)·x₀ stays in range
+			f = -620 + rng.Intn(81)
+		}
 	}
 	b0 := meanFree(rng, g.N())
 	b := make([]float64, len(b0))
