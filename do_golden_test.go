@@ -89,34 +89,24 @@ type goldenBlock struct {
 // the iterates alone. After a change that is meant to move them, copy the new
 // lines from the failure output. Every solve projects out the mean; the keys
 // keep the "project=true" of the days a solve could opt out of it (its rows
-// went with that option). The k = 1 rows were re-pinned once when
-// one-column solves moved into the hierarchy's level-0 layout view, and the
-// k > 1 rows once when block solves followed them: the same iteration counts,
-// with the dot products and the mean projection summed in layout order. All
-// rows were re-pinned once more when the coarse factor began forming its
-// pivots without subtraction: the same iteration counts, with the coarse
-// solve's rounding moved.
+// went with that option). The rows were re-pinned once when one-column solves
+// moved into the hierarchy's level-0 layout view, and once more when the
+// coarse factor began forming its pivots without subtraction: the same
+// iteration counts, with the coarse solve's rounding moved. Only one-column
+// solves are pinned: a wider block is held to its columns' solo solves.
 var doBlockGolden = map[string]goldenBlock{
 	"femesh32/k01/project=true": {[]int{15}, 0x907554e7eb58602},
-	"femesh32/k03/project=true": {[]int{16, 15, 14}, 0x18bfb9af32b332d2},
-	"femesh32/k04/project=true": {[]int{15, 15, 14, 13}, 0x1e516f0907ea0019},
-	"femesh32/k07/project=true": {[]int{15, 15, 14, 13, 12, 11, 10}, 0x68f90d3b74310681},
-	"femesh32/k08/project=true": {[]int{15, 15, 14, 13, 12, 11, 10, 9}, 0xd6d38a5877b1d34d},
-	"femesh32/k12/project=true": {[]int{15, 15, 14, 13, 12, 11, 10, 9, 9, 8, 7, 6}, 0x9c994d1a2814985a},
 	"grid3d12/k01/project=true": {[]int{14}, 0xa63c3d3f022b5287},
-	"grid3d12/k03/project=true": {[]int{14, 14, 12}, 0xc76e9dc2bd72e28f},
-	"grid3d12/k04/project=true": {[]int{14, 13, 13, 12}, 0xdd3feaa64907b438},
-	"grid3d12/k07/project=true": {[]int{14, 13, 12, 12, 11, 10, 9}, 0xd627f826e932570a},
-	"grid3d12/k08/project=true": {[]int{14, 13, 12, 12, 11, 10, 10, 9}, 0xc1577197bb4fc458},
-	"grid3d12/k12/project=true": {[]int{14, 13, 13, 12, 11, 10, 9, 8, 8, 7, 6, 6}, 0xd7abb0f81f7177ff},
 }
 
 // TestDoBlockGolden is the whole-solve bit-identity check: hcd.Do under the
 // default hierarchy at widths that reach every column-tile shape (tail only,
-// 4, 4 + tail, 8, 8 + 4), compared against constants from an earlier commit. It
-// runs with the form of the leaf kernels the process has — AVX2, or Go under
-// -race — and, where that is AVX2, once more under kernel.WithGo: both forms
-// must reproduce the same constants.
+// 4, 4 + tail, 8, 8 + 4). A one-column solve is compared against constants
+// from an earlier commit; a block must hash as its columns' solo solves hash,
+// since each column of a block is its solo solve, bit for bit. It runs with
+// the form of the leaf kernels the process has — AVX2, or Go under -race —
+// and, where that is AVX2, once more under kernel.WithGo: both forms must
+// reproduce the same constants.
 func TestDoBlockGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits are amd64's: other ports may fuse a + b·c")
@@ -165,9 +155,23 @@ func doBlockGoldenForm(t *testing.T) {
 				}
 				iters[j] = res.Iterations
 			}
-			want := doBlockGolden[name]
-			if got := hashBlock(resp.Results); got != want.hash || !reflect.DeepEqual(iters, want.iters) {
-				t.Errorf("%s kernel: iterates moved; got\n\t%q: {%#v, %#x},", form, name, iters, got)
+			got := hashBlock(resp.Results)
+			if k == 1 {
+				if want := doBlockGolden[name]; got != want.hash || !reflect.DeepEqual(iters, want.iters) {
+					t.Errorf("%s kernel: iterates moved; got\n\t%q: {%#v, %#x},", form, name, iters, got)
+				}
+				continue
+			}
+			solo := make([]hcd.SolveResult, k)
+			for j, b := range B {
+				one, err := hcd.Do(context.Background(), gr.g, hcd.SolveRequest{B: [][]float64{b}, M: m, Options: hcd.DefaultSolveOptions()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo[j] = one.Results[0]
+			}
+			if want := hashBlock(solo); got != want {
+				t.Errorf("%s kernel: %s hashes %#x, its columns' solo solves %#x", form, name, got, want)
 			}
 		}
 	}

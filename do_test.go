@@ -237,62 +237,62 @@ func TestRHSScaleSignInvariant(t *testing.T) {
 	}
 }
 
-// TestUnderflowingRHSConverges: a right-hand side whose ‖b‖² underflows —
-// entries near 2^−560 — is solved, not reported converged at x = 0. The solve
-// runs on b rescaled by a power of two, so its x and residual history are
-// exactly 2^−560 times those of the unscaled solve, and its x, read back at
-// that scale, leaves a small residual. In a block of three the same holds
-// for that column, and the other two are bit-identical to the block's solve
-// with the unscaled column in its place (a one-column solve of the same b
-// rounds differently from a block column: its dots sum in another order).
+// TestUnderflowingRHSConverges: a right-hand side whose ‖b‖² underflows, or
+// lies so close to the bottom of the range that rᵀz and ‖r‖² would go
+// subnormal during the solve — entries near 2^f, f from −480 down to −560 —
+// is solved, not reported converged at x = 0. The solve runs on b rescaled by
+// a power of two, so its x and residual history are exactly 2^f times those
+// of the unscaled solve, and its x, read back at that scale, leaves a small
+// residual. In a block of three the same holds for that column, and the other
+// two are bit-identical to the block's solve with the unscaled column in its
+// place.
 func TestUnderflowingRHSConverges(t *testing.T) {
 	ctx := context.Background()
 	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 1)
 	rng := rand.New(rand.NewSource(3))
 	b0 := meanFree(rng, g.N())
-	tiny := make([]float64, len(b0))
-	for v, x := range b0 {
-		tiny[v] = math.Ldexp(x, -560)
-	}
 	b1, b2 := meanFree(rng, g.N()), meanFree(rng, g.N())
-	for _, kind := range []hcd.PrecondKind{hcd.PrecondHierarchy, hcd.PrecondJacobi} {
-		solve := func(B ...[]float64) []hcd.SolveResult {
-			resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: B, Options: hcd.DefaultSolveOptions(), Precond: hcd.PrecondSpec{Kind: kind}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp.Results
+	for _, f := range []int{-480, -500, -505, -510, -515, -560} {
+		tiny := make([]float64, len(b0))
+		for v, x := range b0 {
+			tiny[v] = math.Ldexp(x, f)
 		}
-		scaled := func(label string, res, base hcd.SolveResult) {
-			if res.Outcome != hcd.OutcomeConverged || res.Iterations == 0 || res.Iterations != base.Iterations {
-				t.Fatalf("%s %s: %v after %d iterations, unscaled b: %v after %d",
-					kind, label, res.Outcome, res.Iterations, base.Outcome, base.Iterations)
-			}
-			x0 := make([]float64, len(res.X))
-			for v, x := range res.X {
-				if x != math.Ldexp(base.X[v], -560) {
-					t.Fatalf("%s %s: x[%d] = %v, want 2^-560·%v", kind, label, v, x, base.X[v])
+		for _, kind := range []hcd.PrecondKind{hcd.PrecondHierarchy, hcd.PrecondJacobi} {
+			solve := func(B ...[]float64) []hcd.SolveResult {
+				resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: B, Options: hcd.DefaultSolveOptions(), Precond: hcd.PrecondSpec{Kind: kind}})
+				if err != nil {
+					t.Fatal(err)
 				}
-				x0[v] = math.Ldexp(x, 560)
+				return resp.Results
 			}
-			if r := residual(g, x0, b0); r > 1e-6 {
-				t.Errorf("%s %s: rescaled residual %v", kind, label, r)
-			}
-			for i, r := range res.Residuals {
-				if r != math.Ldexp(base.Residuals[i], -560) {
-					t.Fatalf("%s %s: residual %d = %v, want 2^-560·%v", kind, label, i, r, base.Residuals[i])
+			scaled := func(label string, res, base hcd.SolveResult) {
+				if res.Outcome != hcd.OutcomeConverged || res.Iterations == 0 || res.Iterations != base.Iterations {
+					t.Fatalf("%s f=%d %s: %v after %d iterations, unscaled b: %v after %d",
+						kind, f, label, res.Outcome, res.Iterations, base.Outcome, base.Iterations)
+				}
+				x0 := make([]float64, len(res.X))
+				for v, x := range res.X {
+					if x != math.Ldexp(base.X[v], f) {
+						t.Fatalf("%s f=%d %s: x[%d] = %v, want 2^f·%v", kind, f, label, v, x, base.X[v])
+					}
+					x0[v] = math.Ldexp(x, -f)
+				}
+				if r := residual(g, x0, b0); r > 1e-6 {
+					t.Errorf("%s f=%d %s: rescaled residual %v", kind, f, label, r)
+				}
+				for i, r := range res.Residuals {
+					if r != math.Ldexp(base.Residuals[i], f) {
+						t.Fatalf("%s f=%d %s: residual %d = %v, want 2^f·%v", kind, f, label, i, r, base.Residuals[i])
+					}
 				}
 			}
-		}
-		scaled("k=1", solve(tiny)[0], solve(b0)[0])
-		block, want := solve(b1, tiny, b2), solve(b1, b0, b2)
-		scaled("k=3", block[1], want[1])
-		for _, j := range []int{0, 2} {
-			got, want := block[j], want[j]
-			if got.Outcome != want.Outcome || got.Iterations != want.Iterations ||
-				!slices.Equal(got.X, want.X) || !slices.Equal(got.Residuals, want.Residuals) {
-				t.Errorf("%s k=3 column %d: %v after %d iterations beside the tiny column, %v after %d beside b, or x or residuals differ",
-					kind, j, got.Outcome, got.Iterations, want.Outcome, want.Iterations)
+			scaled("k=1", solve(tiny)[0], solve(b0)[0])
+			block, want := solve(b1, tiny, b2), solve(b1, b0, b2)
+			scaled("k=3", block[1], want[1])
+			for _, j := range []int{0, 2} {
+				if d := sameSolve(block[j], want[j]); d != "" {
+					t.Errorf("%s f=%d k=3 column %d beside the tiny column: %s", kind, f, j, d)
+				}
 			}
 		}
 	}

@@ -46,29 +46,19 @@ func wideRow(adj []int, w, x []float64, xv float64, i, end int) float64 {
 }
 
 // wideBlock is the block matvec (r nil) or fused block residual against
-// []int ids, one column at a time in the kernels' documented order: ascending
-// entries, then wsum·xv − acc, then the subtraction from r. Width 1 is the
-// scalar kernel, as it is in the package.
+// []int ids, one column at a time in the kernels' documented order: the
+// scalar row loop, then the subtraction from r.
 func wideBlock(dst, r, x []float64, k int, off, adj []int, w []float64) {
 	for v := 0; v+1 < len(off); v++ {
-		if k == 1 {
-			dst[v] = wideRow(adj, w, x, x[v], off[v], off[v+1])
-			if r != nil {
-				dst[v] = r[v] - dst[v]
-			}
-			continue
-		}
 		for j := 0; j < k; j++ {
-			acc, wsum := 0.0, 0.0
+			acc := 0.0
 			for i := off[v]; i < off[v+1]; i++ {
-				wsum += w[i]
-				acc += w[i] * x[adj[i]*k+j]
+				acc += w[i] * (x[v*k+j] - x[adj[i]*k+j])
 			}
-			t := wsum*x[v*k+j] - acc
 			if r != nil {
-				t = r[v*k+j] - t
+				acc = r[v*k+j] - acc
 			}
-			dst[v*k+j] = t
+			dst[v*k+j] = acc
 		}
 	}
 }

@@ -81,19 +81,18 @@ func FuzzExactConductance(f *testing.F) {
 }
 
 // FuzzLapBlockTile differentially fuzzes the AVX2 column tiles against the Go
-// tiles: the input bytes decode into a small graph, a block width, a mode, a
-// row range and the operands, and both bodies must write the same words —
-// the same bits, or NaN on both sides — to every entry of dst, in the range
-// and outside it.
+// tiles (where this build runs them), and both against the width-1 row loop:
+// the input bytes decode into a small graph, a block width, a mode, a row
+// range and the operands, and both bodies must write the same words — the
+// same bits, or NaN on both sides — to every entry of dst, in the range and
+// outside it, and in the range column j must hold what the Go row loop writes
+// for column j alone.
 func FuzzLapBlockTile(f *testing.F) {
 	f.Add([]byte{6, 8, 0, 0, 6, 0, 1, 3, 1, 2, 5, 2, 3, 1, 3, 4, 2, 4, 5, 9})
 	f.Add([]byte{40, 13, 2, 3, 30, 0, 1, 200, 1, 2, 100, 7, 9, 50, 9, 30, 255, 30, 31, 0})
 	f.Add([]byte{2, 4, 1, 0, 2, 0, 1, 7})
 	f.Add([]byte{17, 20, 2, 16, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if kernel.Name() != "avx2" {
-			t.Skip("the AVX2 tiles are not in use in this build on this host")
-		}
 		if len(data) < 5 {
 			return
 		}
@@ -144,12 +143,33 @@ func FuzzLapBlockTile(f *testing.F) {
 		for i := range want {
 			want[i], got[i] = sentinel, sentinel
 		}
-		kernel.WithGo(func() { g.lapMulBlockRange(want, r, x, dInv, 0.5, k, lo, hi) })
-		g.lapMulBlockRange(got, r, x, dInv, 0.5, k, lo, hi)
+		const omega = 0.8
+		kernel.WithGo(func() { g.lapMulBlockRange(want, r, x, dInv, omega, k, lo, hi) })
+		g.lapMulBlockRange(got, r, x, dInv, omega, k, lo, hi)
 		for i := range want {
 			if !kernel.SameWord(got[i], want[i]) {
 				t.Fatalf("n=%d k=%d mode %d rows [%d,%d): row %d column %d: AVX2 tile %v (%#x), Go tile %v (%#x)",
 					n, k, mode, lo, hi, i/k, i%k, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+		col := func(b []float64, j int) []float64 {
+			if b == nil {
+				return nil
+			}
+			c := make([]float64, n)
+			for v := range c {
+				c[v] = b[v*k+j]
+			}
+			return c
+		}
+		solo := make([]float64, n)
+		for j := 0; j < k; j++ {
+			kernel.WithGo(func() { g.RowRange(solo, col(r, j), col(x, j), dInv, omega, lo, hi) })
+			for v := lo; v < hi; v++ {
+				if !kernel.SameWord(want[v*k+j], solo[v]) {
+					t.Fatalf("n=%d k=%d mode %d rows [%d,%d): row %d column %d: Go tile %v (%#x), row loop on the column alone %v (%#x)",
+						n, k, mode, lo, hi, v, j, want[v*k+j], math.Float64bits(want[v*k+j]), solo[v], math.Float64bits(solo[v]))
+				}
 			}
 		}
 	})

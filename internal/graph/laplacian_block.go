@@ -54,7 +54,7 @@ func (g *Graph) LapMulBlockResidual(dst, r, x []float64, k int) {
 // LapJacobiStepBlock computes one damped-Jacobi sweep for A·X = R out of
 // place, k packed columns at once: dst = X + ω·D⁻¹(R − A·X), with dInv the
 // caller's inverse diagonal. Per column it is bit-identical to LapMulBlock
-// into a temporary followed by x[v] += (ω·dInv[v])·(r[v] − tmp[v]). dst must
+// into a temporary followed by x[v] + ω·(r[v] − tmp[v])·dInv[v]. dst must
 // not alias x. For k = 1 it runs the scalar row kernel, as LapMul does.
 func (g *Graph) LapJacobiStepBlock(dst, r, x, dInv []float64, omega float64, k int) {
 	g.lapMulBlockDispatch(dst, r, x, dInv, omega, k)
@@ -107,17 +107,18 @@ func (g *Graph) lapMulBlockDispatch(dst, r, x, dInv []float64, omega float64, k 
 // when r is non-nil, or dst = X + ω·D⁻¹(R − A·X) when dInv is too — in
 // fixed-width column tiles: 8-wide, then 4-wide (kernel.LapTile), then a 1–3
 // column tail. A tile re-reads the row's neighbor indices and weights, but
-// those are L1-resident after the first pass; per column the operation order
-// (ascending neighbors, then vol·xv − acc, then the optional subtraction
-// from r, then the optional x + (ω·dInv)·residual) is identical across tile
-// widths, so results match the untiled form bit for bit.
+// those are L1-resident after the first pass. Per column every tile and the
+// tail do what the k = 1 row loop does, in its order — Σ w·(x_v − x_u) over
+// ascending neighbors, then the optional subtraction from r, then the
+// optional x + (ω·residual)·dInv — so a column of the block is bit for bit
+// the k = 1 kernel run on that column alone.
 func (g *Graph) lapMulBlockRange(dst, r, x, dInv []float64, omega float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
-		kernel.LapTile(8, dst, r, x, dInv, g.vol, omega, g.adj, g.w, g.off, k, j, lo, hi)
+		kernel.LapTile(8, dst, r, x, dInv, omega, g.adj, g.w, g.off, k, j, lo, hi)
 	}
 	if j+4 <= k {
-		kernel.LapTile(4, dst, r, x, dInv, g.vol, omega, g.adj, g.w, g.off, k, j, lo, hi)
+		kernel.LapTile(4, dst, r, x, dInv, omega, g.adj, g.w, g.off, k, j, lo, hi)
 		j += 4
 	}
 	if j < k {
@@ -130,25 +131,24 @@ func (g *Graph) lapMulBlockTail(dst, r, x, dInv []float64, omega float64, k, j0,
 	kk := k - j0
 	adj, w, ends, i := g.adj, g.w[:len(g.adj)], g.off[lo+1:hi+1], uint(g.off[lo])
 	for row, e := range ends {
-		v := lo + row
+		b := (lo+row)*k + j0
+		xv := x[b : b+kk : b+kk]
 		var acc [3]float64
 		for end := kernel.RowEnd(e, adj); i < end; i++ {
 			wi := w[i]
-			b := int(uint32(adj[i])) * k
-			for j := 0; j < kk; j++ {
-				acc[j] += wi * x[b+j0+j]
+			xu := x[int(uint32(adj[i]))*k+j0:]
+			for j, xvj := range xv {
+				acc[j] += wi * (xvj - xu[j])
 			}
 		}
-		b, vv := v*k, g.vol[v]
-		for j := 0; j < kk; j++ {
-			t := vv*x[b+j0+j] - acc[j]
+		for j, t := range acc[:kk] {
 			if r != nil {
-				t = r[b+j0+j] - t
+				t = r[b+j] - t
 				if dInv != nil {
-					t = x[b+j0+j] + omega*dInv[v]*t
+					t = xv[j] + omega*t*dInv[lo+row]
 				}
 			}
-			dst[b+j0+j] = t
+			dst[b+j] = t
 		}
 	}
 }

@@ -34,32 +34,49 @@ func blockTestGraph(t *testing.T, n int, seed int64) *Graph {
 	return g
 }
 
-// TestLapMulBlockMatchesColumns: the blocked matvec agrees with k independent
-// scalar matvecs column by column (to rounding — the block path accumulates
-// the neighbor sum and diagonal term separately).
+// TestLapMulBlockMatchesColumns: every column of the block matvec, of the
+// fused residual and of the fused Jacobi step is, bit for bit, the width-1
+// kernel run on that column alone — at widths that combine the 8- and 4-wide
+// tiles and the tail every way.
 func TestLapMulBlockMatchesColumns(t *testing.T) { checkLapMulBlockMatchesColumns(t) }
 
 func checkLapMulBlockMatchesColumns(t *testing.T) {
 	g := blockTestGraph(t, 300, 1)
 	n := g.N()
 	rng := rand.New(rand.NewSource(2))
-	for _, k := range []int{1, 2, 3, 7, 16} {
-		x := make([]float64, n*k)
+	dInv := make([]float64, n)
+	for v := range dInv {
+		dInv[v] = 1 / g.Vol(v)
+	}
+	const omega = 0.8
+	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16} {
+		x, r := make([]float64, n*k), make([]float64, n*k)
 		for i := range x {
-			x[i] = rng.NormFloat64()
+			x[i], r[i] = rng.NormFloat64(), rng.NormFloat64()
 		}
-		dst := make([]float64, n*k)
-		g.LapMulBlock(dst, x, k)
-		col := make([]float64, n)
-		ref := make([]float64, n)
+		mul, res, jac := make([]float64, n*k), make([]float64, n*k), make([]float64, n*k)
+		g.LapMulBlock(mul, x, k)
+		g.LapMulBlockResidual(res, r, x, k)
+		g.LapJacobiStepBlock(jac, r, x, dInv, omega, k)
+		xc, rc, ref := make([]float64, n), make([]float64, n), make([]float64, n)
 		for j := 0; j < k; j++ {
 			for v := 0; v < n; v++ {
-				col[v] = x[v*k+j]
+				xc[v], rc[v] = x[v*k+j], r[v*k+j]
 			}
-			g.LapMulSerial(ref, col)
-			for v := 0; v < n; v++ {
-				if d := math.Abs(dst[v*k+j] - ref[v]); d > 1e-10*(1+math.Abs(ref[v])) {
-					t.Fatalf("k=%d col %d row %d: block %v vs scalar %v", k, j, v, dst[v*k+j], ref[v])
+			for _, c := range []struct {
+				name  string
+				block []float64
+				solo  func()
+			}{
+				{"LapMulBlock", mul, func() { g.LapMulSerial(ref, xc) }},
+				{"LapMulBlockResidual", res, func() { g.LapMulBlockResidual(ref, rc, xc, 1) }},
+				{"LapJacobiStepBlock", jac, func() { g.LapJacobiStepBlock(ref, rc, xc, dInv, omega, 1) }},
+			} {
+				c.solo()
+				for v := 0; v < n; v++ {
+					if c.block[v*k+j] != ref[v] {
+						t.Fatalf("%s k=%d col %d row %d: block %v, its column alone %v", c.name, k, j, v, c.block[v*k+j], ref[v])
+					}
 				}
 			}
 		}
@@ -118,7 +135,7 @@ func checkFusedRowKernelsMatchUnfused(t *testing.T) {
 	for i := range x {
 		x[i], r[i], dInv[i] = rng.NormFloat64(), rng.NormFloat64(), 1/g.Vol(i)
 	}
-	const omega = 0.5
+	const omega = 0.8
 	ax := make([]float64, n)
 	g.LapMulSerial(ax, x)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -146,8 +163,7 @@ func checkFusedRowKernelsMatchUnfused(t *testing.T) {
 			g.LapMulBlock(axb, xb, k)
 			g.LapJacobiStepBlock(jacb, rb, xb, dInv, omega, k)
 			for i := range jacb {
-				od := omega * dInv[i/k]
-				if want := xb[i] + od*(rb[i]-axb[i]); jacb[i] != want {
+				if want := xb[i] + omega*(rb[i]-axb[i])*dInv[i/k]; jacb[i] != want {
 					t.Fatalf("procs=%d k=%d LapJacobiStepBlock entry %d: %v != %v", procs, k, i, jacb[i], want)
 				}
 			}
@@ -344,9 +360,9 @@ func TestRowEndBeyondAdjacency(t *testing.T) {
 
 // TestVolIsRowOrderSum: Vol(v) is the sum of row v's weights in entry order,
 // bit for bit, on the graph of every constructor, of Contract and of
-// RenumberInPlace — the identity that lets the block tiles read a row's
-// weight sum from vol instead of adding it up again. The weights span twelve
-// decades, so a sum in another order would show.
+// RenumberInPlace, so the inverse diagonal 1/Vol(v) does not depend on how a
+// graph was built. The weights span twelve decades, so a sum in another order
+// would show.
 func TestVolIsRowOrderSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const n = 300

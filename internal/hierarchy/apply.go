@@ -136,9 +136,9 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 // its probe decides), which hold a row's (or a cluster's) values and its
 // coefficient in registers and store them once. Per column every tile does
 // what its tail, the any-width loop over the column window [j0, k), does in
-// the same order, so the width of a tile never shows in a result. The two
-// loops of jacobiFromZero round differently (ω·r·d⁻¹ against (ω·d⁻¹)·r), so
-// each width keeps its own (DESIGN §12 "Kernel layer").
+// the same order, and that is what the width-1 loop does, so neither the width
+// of a tile nor that of the block shows in a result (DESIGN §12 "Kernel
+// layer").
 
 // elemGrain is the minimum number of floats per chunk of the elementwise
 // sweeps; below it par.For degrades to one sequential call.
@@ -154,8 +154,8 @@ func rowGrain(k int) int {
 	return g
 }
 
-// jacobiFromZero computes x = ω·D⁻¹r: the first damped-Jacobi step, from a
-// zero iterate.
+// jacobiFromZero computes x = (ω·r)·D⁻¹: the first damped-Jacobi step, from
+// a zero iterate.
 func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
 	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
 		if k == 1 {
@@ -185,11 +185,11 @@ func (l *Level) jacobiFromZeroRange(x, r []float64, omega float64, k, lo, hi int
 
 func (l *Level) jacobiFromZeroTail(x, r []float64, omega float64, k, j0, lo, hi int) {
 	for v := lo; v < hi; v++ {
-		od := omega * l.dInv[v]
+		d := l.dInv[v]
 		rv := r[v*k+j0 : v*k+k : v*k+k]
 		xv := x[v*k+j0 : v*k+k : v*k+k]
 		for j := range xv {
-			xv[j] = od * rv[j]
+			xv[j] = omega * rv[j] * d
 		}
 	}
 }

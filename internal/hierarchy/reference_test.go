@@ -80,28 +80,23 @@ func newRefCycle(g *graph.Graph, h *Hierarchy, omega, beta, share float64) *refC
 // parameter pair.
 func (rc *refCycle) Apply(dst, r []float64) { rc.apply(0, dst, r, 1) }
 
-// refLapMul is dst = A·x for k packed columns. One column takes the textbook
-// row loop, written out so the oracle does not lean on the kernels under
-// test; wider blocks take the block matvec, whose rounding (wsum·x_v − Σw·x_u)
-// is the one thing about it the oracle cannot restate.
+// refLapMul is dst = A·x for k packed columns, the textbook row loop per
+// column, written out so the oracle does not lean on the kernels under test.
 func refLapMul(g *graph.Graph, dst, x []float64, k int) {
-	if k > 1 {
-		g.LapMulBlock(dst, x, k)
-		return
-	}
 	for v := 0; v < g.N(); v++ {
 		nbr, w := g.Neighbors(v)
-		acc := 0.0
-		for i, u := range nbr {
-			acc += w[i] * (x[v] - x[u])
+		for j := 0; j < k; j++ {
+			acc := 0.0
+			for i, u := range nbr {
+				acc += w[i] * (x[v*k+j] - x[int(u)*k+j])
+			}
+			dst[v*k+j] = acc
 		}
-		dst[v] = acc
 	}
 }
 
-// jacobi is one damped-Jacobi step x += ω·D⁻¹(r − t), t = A·x, in place; from
-// a zero iterate (t nil) it is x = ω·D⁻¹r. Each width keeps the rounding its
-// production sweep has: ω·(r − t)·d⁻¹ for one column, (ω·d⁻¹)·(r − t) packed.
+// jacobi is one damped-Jacobi step x += ω·(r − t)·d⁻¹, t = A·x, in place;
+// from a zero iterate (t nil) it is x = ω·r·d⁻¹.
 func (l *refLevel) jacobi(x, r, t []float64, omega float64, k int) {
 	for v := 0; v < l.g.N(); v++ {
 		for j := v * k; j < v*k+k; j++ {
@@ -110,9 +105,6 @@ func (l *refLevel) jacobi(x, r, t []float64, omega float64, k int) {
 				res -= t[j]
 			}
 			step := omega * res * l.dInv[v]
-			if k > 1 {
-				step = omega * l.dInv[v] * res
-			}
 			if t == nil {
 				x[j] = step
 			} else {

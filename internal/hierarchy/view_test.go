@@ -115,17 +115,13 @@ func (o opaqueLap) ApplyBlock(dst, x []float64, k int) { o.g.LapMulBlock(dst, x,
 
 // TestLayoutSolveMatchesNatural: a solve of 1, 4 or 8 columns that runs in the
 // layout view takes, column by column, the iterations the same block solve
-// takes in the caller's numbering, and lands near its iterate: within 1e-12 at
-// k = 1, within 1e-10 — the bound a block column is held to against its solo
-// solve — above. Only the dot products and the mean projection sum in another
-// order, but the column tiles round each row as wsum·x_v − Σw·x_u, against
-// Σw·(x_v − x_u) at k = 1, and carry a rounding difference much further: one
-// ulp of b moves an OCT 24³ iterate 1e-16 at k = 1 and 1e-14 at k = 4. OCT and
-// random trees land 1e-12 to 2e-11 apart, FE meshes, roads and grids below
-// 3e-14. The natural twin runs
-// through an operator the driver cannot renumber; the attempt span says which
-// space each used. A -race build, whose kernels run ten times
-// slower, keeps to the families' test-sized members.
+// takes in the caller's numbering, and lands within 1e-12 of its iterate at
+// every width. Only the dot products and the mean projection sum in another
+// order; every kernel rounds a block column as it rounds a lone column, so
+// the width adds nothing to the difference. The natural twin runs through an
+// operator the driver cannot renumber; the attempt span says which space each
+// used. A -race build, whose kernels run ten times slower, keeps to the
+// families' test-sized members.
 func TestLayoutSolveMatchesNatural(t *testing.T) {
 	for _, tc := range cycleTableCorpus(t) {
 		if raceBuild && tc.g.N() > 10000 {
@@ -151,10 +147,7 @@ func TestLayoutSolveMatchesNatural(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(11))
 		for _, k := range []int{1, 4, 8} {
-			tol := 1e-12
-			if k > 1 {
-				tol = 1e-10
-			}
+			const tol = 1e-12
 			bs := make([][]float64, k)
 			for j := range bs {
 				bs[j] = meanFree(rng, n)

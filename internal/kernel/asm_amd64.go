@@ -8,9 +8,9 @@ package kernel
 
 func cpuHasAVX2() bool
 
-func lapTile8AVX2(dst, r, x, dInv, vol *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
+func lapTile8AVX2(dst, r, x, dInv *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
 
-func lapTile4AVX2(dst, r, x, dInv, vol *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
+func lapTile4AVX2(dst, r, x, dInv *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) (bad int)
 
 func lapRows4AVX2(dst, r, x, dInv *float64, omega float64, adj *int32, w *float64, lo, hi, d, n int) (bad int)
 

@@ -9,7 +9,7 @@ package kernel
 func cpuHasAVX2() bool { return false }
 
 var (
-	lapTile8AVX2, lapTile4AVX2               func(dst, r, x, dInv, vol *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) int
+	lapTile8AVX2, lapTile4AVX2               func(dst, r, x, dInv *float64, omega float64, adj *int32, w *float64, off *int, lo, hi, k, n, nadj int) int
 	lapRows4AVX2                             func(dst, r, x, dInv *float64, omega float64, adj *int32, w *float64, lo, hi, d, n int) int
 	dots8AVX2, dots4AVX2                     func(a, b, acc *float64, rows, stride int)
 	subMeanDot8AVX2, subMeanDot4AVX2         func(z, r, mean, acc *float64, rows, stride int)

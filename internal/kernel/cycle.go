@@ -69,8 +69,8 @@ func ProlongAdd(width int, x, xq []float64, alpha float64, assign []int32, k, j0
 	}
 }
 
-// JacobiFromZero computes x = (ω·dInv[v])·r on vertices [lo, hi): the first
-// damped-Jacobi step, from a zero iterate.
+// JacobiFromZero computes x = (ω·r)·dInv[v] on vertices [lo, hi): the first
+// damped-Jacobi step, from a zero iterate, rounded as the k = 1 loop rounds it.
 func JacobiFromZero(width int, x, r, dInv []float64, omega float64, k, j0, lo, hi int) {
 	check("jacobiFromZero", width, k, j0, lo, hi, span{"x", len(x), hi * k}, span{"r", len(r), hi * k}, span{"dInv", len(dInv), hi})
 	for lo < hi {
@@ -161,30 +161,28 @@ func prolongAddTile4(x, xq []float64, alpha float64, assign []int32, k, j0, lo, 
 
 func jacobiFromZeroTile8(x, r, dInv []float64, omega float64, k, j0, lo, hi int) {
 	for v, d := range dInv[lo:hi] {
-		od := omega * d
 		o := (lo+v)*k + j0
 		rv := r[o : o+8 : o+8]
 		xv := x[o : o+8 : o+8]
-		xv[0] = od * rv[0]
-		xv[1] = od * rv[1]
-		xv[2] = od * rv[2]
-		xv[3] = od * rv[3]
-		xv[4] = od * rv[4]
-		xv[5] = od * rv[5]
-		xv[6] = od * rv[6]
-		xv[7] = od * rv[7]
+		xv[0] = omega * rv[0] * d
+		xv[1] = omega * rv[1] * d
+		xv[2] = omega * rv[2] * d
+		xv[3] = omega * rv[3] * d
+		xv[4] = omega * rv[4] * d
+		xv[5] = omega * rv[5] * d
+		xv[6] = omega * rv[6] * d
+		xv[7] = omega * rv[7] * d
 	}
 }
 
 func jacobiFromZeroTile4(x, r, dInv []float64, omega float64, k, j0, lo, hi int) {
 	for v, d := range dInv[lo:hi] {
-		od := omega * d
 		o := (lo+v)*k + j0
 		rv := r[o : o+4 : o+4]
 		xv := x[o : o+4 : o+4]
-		xv[0] = od * rv[0]
-		xv[1] = od * rv[1]
-		xv[2] = od * rv[2]
-		xv[3] = od * rv[3]
+		xv[0] = omega * rv[0] * d
+		xv[1] = omega * rv[1] * d
+		xv[2] = omega * rv[2] * d
+		xv[3] = omega * rv[3] * d
 	}
 }

@@ -15,7 +15,7 @@
 //
 //	SI the vertex block   DI the cluster block   R8 ids (order or assign)
 //	R9 row stride in bytes   R10 bound on a gathered id   BX row or cluster
-//	Y0, Y1 a row's values   Y8 broadcast scalar
+//	Y0, Y1 a row's values   Y8 broadcast scalar   Y9 ω (jacobiFromZero)
 //
 // Each kernel is one macro over EACH8 or EACH4, which apply a per-register
 // step — (byte offset in the row, register) — to the registers of one row.
@@ -86,19 +86,19 @@ row:                      \
 ok:                       \
 	MOVQ  $-1, BX
 
-// x = (ω·d⁻¹)·r, the product ω·d⁻¹ in Y8
+// x = (ω·r)·d⁻¹, ω in Y9 and d⁻¹ in Y8
 #define JACOBI_ROW(off, v) \
-	VMULPD  off(DI), Y8, v \
+	VMULPD  off(DI), Y9, v \
+	VMULPD  Y8, v, v       \
 	VMOVUPD v, off(SI)
 
 // JACOBI is jacobiFromZeroTile8/4: rows [0, CX) of x from SI and r from DI,
-// d⁻¹ from R8, ω in X9.
+// d⁻¹ from R8, ω in Y9.
 #define JACOBI(EACH, row, done) \
 	TESTQ        CX, CX       \
 	JLE          done         \
 row:                          \
-	VMULSD       (R8), X9, X8 \
-	VBROADCASTSD X8, Y8       \
+	VBROADCASTSD (R8), Y8     \
 	EACH(JACOBI_ROW)          \
 	ADDQ         $8, R8       \
 	ADDQ         R9, SI       \
@@ -193,7 +193,7 @@ TEXT ·jacobiFromZero8AVX2(SB), NOSPLIT, $0-48
 	MOVQ   x+0(FP), SI
 	MOVQ   r+8(FP), DI
 	MOVQ   dInv+16(FP), R8
-	VMOVSD omega+24(FP), X9
+	VBROADCASTSD omega+24(FP), Y9
 	MOVQ   rows+32(FP), CX
 	MOVQ   stride+40(FP), R9
 	SHLQ   $3, R9
@@ -205,7 +205,7 @@ TEXT ·jacobiFromZero4AVX2(SB), NOSPLIT, $0-48
 	MOVQ   x+0(FP), SI
 	MOVQ   r+8(FP), DI
 	MOVQ   dInv+16(FP), R8
-	VMOVSD omega+24(FP), X9
+	VBROADCASTSD omega+24(FP), Y9
 	MOVQ   rows+32(FP), CX
 	MOVQ   stride+40(FP), R9
 	SHLQ   $3, R9

@@ -107,16 +107,14 @@ func lapOperands(a arena, rng *rand.Rand, off []int, n, k, mode int) *args {
 var bodies = []body{
 	{
 		name: "lapTile", widths: []int{8, 4}, modes: 3,
-		outs: []string{"dst"}, checked: []string{"off", "w", "dst", "x", "vol", "r", "dInv"},
+		outs: []string{"dst"}, checked: []string{"off", "w", "dst", "x", "r", "dInv"},
 		build: func(a arena, rng *rand.Rand, n, k, mode int) *args {
 			// Rows of 0–6 entries; the last row's last entry is adj's last.
 			deg := func(v int) int { return max(rng.Intn(7), 3*(v/(n-1))) }
-			o := lapOperands(a, rng, csr(a, deg, n), n, k, mode)
-			o.f["vol"] = floats(a, rng, n)
-			return o
+			return lapOperands(a, rng, csr(a, deg, n), n, k, mode)
 		},
 		run: func(o *args, lo, hi int) {
-			LapTile(o.width, o.f["dst"], o.f["r"], o.f["x"], o.f["dInv"], o.f["vol"], o.omega, o.ids["adj"], o.f["w"], o.off, o.k, o.j0, lo, hi)
+			LapTile(o.width, o.f["dst"], o.f["r"], o.f["x"], o.f["dInv"], o.omega, o.ids["adj"], o.f["w"], o.off, o.k, o.j0, lo, hi)
 		},
 	},
 	{

@@ -182,31 +182,31 @@ func badRowGroup(off []int, nadj, lo, hi, d int) {
 
 // LapTile computes columns [j0, j0+width), width 8 or 4, of rows [lo, hi) of a
 // block Laplacian body over the packed row-major width-k blocks dst, r and x:
-// dst[v·k+j] = vol[v]·x[v·k+j] − Σ_u w(v,u)·x[u·k+j] in the mul mode, where
-// vol[v] is row v's weight sum (the graph's stored volume, summed in entry
-// order). A row's columns live in locals — in the assembly, one or two vector
-// registers — and per column the operation order is ascending entries, then
-// vol·xv − acc, then the optional subtraction from r, then the optional
-// x + (ω·dInv)·…: the order of the callers' any-width tail. The assembly holds
-// every row end against len(adj) and every gathered id against n; a failure
-// panics, naming the row, with nothing of it stored.
-func LapTile(width int, dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
+// dst[v·k+j] = Σ_u w(v,u)·(x[v·k+j] − x[u·k+j]) in the mul mode. A row's
+// columns and its x_v live in locals — in the assembly, one or two vector
+// registers each — and every column sees lapRow's operations in lapRow's
+// order: ascending entries, then the optional subtraction from r, then the
+// optional x_v + (ω·…)·dInv_v, as the k = 1 row loops finish. So column j of
+// a tile is bit for bit the k = 1 body run on column j alone. The assembly
+// holds every row end against len(adj) and every gathered id against n; a
+// failure panics, naming the row, with nothing of it stored.
+func LapTile(width int, dst, r, x, dInv []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
 	n := len(off) - 1
 	check("lapTile", width, k, j0, lo, hi, span{"off", len(off), hi + 1}, span{"w", len(w), len(adj)},
-		span{"dst", len(dst), hi * k}, span{"x", len(x), n * k}, span{"vol", len(vol), hi}, opt("r", r, hi*k), opt("dInv", dInv, hi))
+		span{"dst", len(dst), hi * k}, span{"x", len(x), n * k}, opt("r", r, hi*k), opt("dInv", dInv, hi))
 	for lo < hi {
 		end := next(lo, hi, k)
 		var bad int
 		switch {
 		case avx2 && width == 8:
-			bad = lapTile8AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), at(vol, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
+			bad = lapTile8AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
 		case avx2:
-			bad = lapTile4AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), at(vol, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
+			bad = lapTile4AVX2(&dst[j0], at(r, j0), &x[j0], at(dInv, 0), omega, unsafe.SliceData(adj), unsafe.SliceData(w), &off[0], lo, end, k, n, len(adj))
 		case width == 8:
-			lapTile8(dst, r, x, dInv, vol, omega, adj, w, off, k, j0, lo, end)
+			lapTile8(dst, r, x, dInv, omega, adj, w, off, k, j0, lo, end)
 			bad = -1
 		default:
-			lapTile4(dst, r, x, dInv, vol, omega, adj, w, off, k, j0, lo, end)
+			lapTile4(dst, r, x, dInv, omega, adj, w, off, k, j0, lo, end)
 			bad = -1
 		}
 		if bad >= 0 {
@@ -217,35 +217,27 @@ func LapTile(width int, dst, r, x, dInv, vol []float64, omega float64, adj []int
 	}
 }
 
-func lapTile8(dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
+func lapTile8(dst, r, x, dInv []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
 	w, ends, i := rowSpan(w, adj, off, lo, hi)
-	vol = vol[lo:hi][:len(ends)]
 	for row, e := range ends {
 		v := lo + row
+		b := v*k + j0
+		xv := x[b : b+8 : b+8]
+		x0, x1, x2, x3, x4, x5, x6, x7 := xv[0], xv[1], xv[2], xv[3], xv[4], xv[5], xv[6], xv[7]
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		for end := RowEnd(e, adj); i < end; i++ {
 			wi := w[i]
-			b := int(uint32(adj[i]))*k + j0
-			xu := x[b : b+8 : b+8]
-			a0 += wi * xu[0]
-			a1 += wi * xu[1]
-			a2 += wi * xu[2]
-			a3 += wi * xu[3]
-			a4 += wi * xu[4]
-			a5 += wi * xu[5]
-			a6 += wi * xu[6]
-			a7 += wi * xu[7]
+			u := int(uint32(adj[i]))*k + j0
+			xu := x[u : u+8 : u+8]
+			a0 += wi * (x0 - xu[0])
+			a1 += wi * (x1 - xu[1])
+			a2 += wi * (x2 - xu[2])
+			a3 += wi * (x3 - xu[3])
+			a4 += wi * (x4 - xu[4])
+			a5 += wi * (x5 - xu[5])
+			a6 += wi * (x6 - xu[6])
+			a7 += wi * (x7 - xu[7])
 		}
-		b := v*k + j0
-		xv, vv := x[b:b+8:b+8], vol[row]
-		a0 = vv*xv[0] - a0
-		a1 = vv*xv[1] - a1
-		a2 = vv*xv[2] - a2
-		a3 = vv*xv[3] - a3
-		a4 = vv*xv[4] - a4
-		a5 = vv*xv[5] - a5
-		a6 = vv*xv[6] - a6
-		a7 = vv*xv[7] - a7
 		if r != nil {
 			rv := r[b : b+8 : b+8]
 			a0 = rv[0] - a0
@@ -257,15 +249,15 @@ func lapTile8(dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []fl
 			a6 = rv[6] - a6
 			a7 = rv[7] - a7
 			if dInv != nil {
-				od := omega * dInv[v]
-				a0 = xv[0] + od*a0
-				a1 = xv[1] + od*a1
-				a2 = xv[2] + od*a2
-				a3 = xv[3] + od*a3
-				a4 = xv[4] + od*a4
-				a5 = xv[5] + od*a5
-				a6 = xv[6] + od*a6
-				a7 = xv[7] + od*a7
+				d := dInv[v]
+				a0 = x0 + omega*a0*d
+				a1 = x1 + omega*a1*d
+				a2 = x2 + omega*a2*d
+				a3 = x3 + omega*a3*d
+				a4 = x4 + omega*a4*d
+				a5 = x5 + omega*a5*d
+				a6 = x6 + omega*a6*d
+				a7 = x7 + omega*a7*d
 			}
 		}
 		row := dst[b : b+8 : b+8]
@@ -274,27 +266,23 @@ func lapTile8(dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []fl
 	}
 }
 
-func lapTile4(dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
+func lapTile4(dst, r, x, dInv []float64, omega float64, adj []int32, w []float64, off []int, k, j0, lo, hi int) {
 	w, ends, i := rowSpan(w, adj, off, lo, hi)
-	vol = vol[lo:hi][:len(ends)]
 	for row, e := range ends {
 		v := lo + row
+		b := v*k + j0
+		xv := x[b : b+4 : b+4]
+		x0, x1, x2, x3 := xv[0], xv[1], xv[2], xv[3]
 		var a0, a1, a2, a3 float64
 		for end := RowEnd(e, adj); i < end; i++ {
 			wi := w[i]
-			b := int(uint32(adj[i]))*k + j0
-			xu := x[b : b+4 : b+4]
-			a0 += wi * xu[0]
-			a1 += wi * xu[1]
-			a2 += wi * xu[2]
-			a3 += wi * xu[3]
+			u := int(uint32(adj[i]))*k + j0
+			xu := x[u : u+4 : u+4]
+			a0 += wi * (x0 - xu[0])
+			a1 += wi * (x1 - xu[1])
+			a2 += wi * (x2 - xu[2])
+			a3 += wi * (x3 - xu[3])
 		}
-		b := v*k + j0
-		xv, vv := x[b:b+4:b+4], vol[row]
-		a0 = vv*xv[0] - a0
-		a1 = vv*xv[1] - a1
-		a2 = vv*xv[2] - a2
-		a3 = vv*xv[3] - a3
 		if r != nil {
 			rv := r[b : b+4 : b+4]
 			a0 = rv[0] - a0
@@ -302,11 +290,11 @@ func lapTile4(dst, r, x, dInv, vol []float64, omega float64, adj []int32, w []fl
 			a2 = rv[2] - a2
 			a3 = rv[3] - a3
 			if dInv != nil {
-				od := omega * dInv[v]
-				a0 = xv[0] + od*a0
-				a1 = xv[1] + od*a1
-				a2 = xv[2] + od*a2
-				a3 = xv[3] + od*a3
+				d := dInv[v]
+				a0 = x0 + omega*a0*d
+				a1 = x1 + omega*a1*d
+				a2 = x2 + omega*a2*d
+				a3 = x3 + omega*a3*d
 			}
 		}
 		row := dst[b : b+4 : b+4]

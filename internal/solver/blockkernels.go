@@ -14,19 +14,20 @@ import (
 // cutting the per-iteration memory passes roughly in half versus running the
 // unfused kernel sequence per column.
 //
-// Reductions use a fixed chunk partition that depends only on (n, k), never
-// on the worker count: per-chunk partials are written into a scratch table
-// and combined in chunk order, so every reduction — and therefore the whole
-// solve — is bit-identical at any GOMAXPROCS.
+// Reductions use a fixed chunk partition that depends only on n, never on
+// the worker count or the width: per-chunk partials are written into a
+// scratch table and combined in chunk order, so every reduction — and
+// therefore the whole solve — is bit-identical at any GOMAXPROCS, and each
+// column sums exactly as the vector kernels sum it alone.
 //
 // A width-1 block is a plain vector: each kernel hands it to the vector
 // kernel of kernels.go that does the same arithmetic over the same partition
-// (blockGrain(1) = kernelGrain) without the per-row slicing.
+// without the per-row slicing.
 
-// blockGrain returns the per-chunk row count for width-k block kernels: the
-// scalar kernel grain scaled down by the block width so a chunk touches
-// roughly the same number of floats, floored to bound scheduling overhead.
-// It must depend only on k — the reduction chunk layout derives from it.
+// blockGrain returns the per-chunk row count for width-k elementwise block
+// sweeps: the scalar kernel grain scaled down by the block width so a chunk
+// touches roughly the same number of floats, floored to bound scheduling
+// overhead. An elementwise sweep rounds the same under any chunking.
 func blockGrain(k int) int {
 	g := kernelGrain / k
 	if g < 512 {
@@ -35,18 +36,19 @@ func blockGrain(k int) int {
 	return g
 }
 
-// reduceRows runs fn over a fixed partition of [0, n) into blockGrain(k)-row
-// chunks, each accumulating per-column partials into its own k-wide slot of
-// the scratch partial table, then combines the partials in chunk order. The
-// partition and combination order are functions of (n, k) alone, so the
-// result is bit-identical at any GOMAXPROCS. fn may also mutate the block
-// elementwise (the fused kernels do); chunks cover disjoint row ranges, so
-// such writes never race.
+// reduceRows runs fn over the fixed partition of [0, n) into kernelGrain-row
+// chunks — the partition of the width-1 reductions — each accumulating
+// per-column partials into its own k-wide slot of the scratch partial table,
+// then combines the partials in chunk order. The partition and combination
+// order are functions of n alone, so column j of the result is bit for bit
+// the width-1 reduction of column j, at any GOMAXPROCS. fn may also mutate the
+// block elementwise (the fused kernels do); chunks cover disjoint row ranges,
+// so such writes never race.
 func (s *scratch) reduceRows(n, k int, out []float64, fn func(lo, hi int, acc []float64)) {
 	for j := 0; j < k; j++ {
 		out[j] = 0
 	}
-	grain := blockGrain(k)
+	const grain = kernelGrain
 	chunks := (n + grain - 1) / grain
 	if chunks <= 1 {
 		fn(0, n, out)

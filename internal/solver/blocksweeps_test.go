@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -124,7 +125,8 @@ var sweepWidths = []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17}
 // TestBlockSweepTilesMatchReference: every tiled sweep leaves the words its
 // any-width loop leaves — reductions and the blocks it updates in place —
 // with either form of its tiles, at widths that combine the tiles every way,
-// on row counts below, at and above one reduction chunk, through the kernel's
+// on row counts below, at and above one elementwise chunk (at k = 2 the
+// longest spans two reduction chunks), through the kernel's
 // entry point and through either body under the same chunking (combined in
 // chunk order), and on row ranges that start and end mid-block, where every
 // row outside the range keeps its sentinel; ordinary and special values.
@@ -195,6 +197,87 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// column returns column j of the packed width-k block b as a vector.
+func column(b []float64, k, j int) []float64 {
+	c := make([]float64, len(b)/k)
+	for v := range c {
+		c[v] = b[v*k+j]
+	}
+	return c
+}
+
+// TestBlockReductionWidthInvariant: every reduction of a width-k block sums
+// column j as the width-1 vector kernel sums that column alone — over the
+// same kernelGrain partition, combined in the same order — and every sweep
+// leaves column j as the vector kernel leaves it, bit for bit: on row counts
+// that span two and three chunks, at widths that take every tile shape, at
+// one worker and at two, with either form of the tiles.
+func TestBlockReductionWidthInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{kernelGrain + 1, 2*kernelGrain + 37} {
+		for _, k := range []int{3, 5, 8, 12} {
+			base := randomSweepArgs(rng, n, k, false)
+			// What each vector kernel returns and leaves for column j alone.
+			type solo struct {
+				dot, sum, shiftDot, updateXR float64
+				z, x, r, p                   []float64
+			}
+			want := make([]solo, k)
+			for j := range want {
+				w, x, r, c := &want[j], column(base.x, k, j), column(base.r, k, j), base.coef[j]
+				w.dot, w.sum = dot(x, r), sum(x)
+				w.z = append([]float64(nil), x...)
+				w.shiftDot = shiftDot(w.z, c, r)
+				w.x, w.r = append([]float64(nil), x...), append([]float64(nil), r...)
+				w.updateXR = updateXR(w.x, w.r, c, column(base.p, k, j), column(base.ap, k, j))
+				w.p = column(base.p, k, j)
+				xpby(w.p, r, c)
+			}
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				for _, body := range bodies {
+					what := fmt.Sprintf("%s n=%d k=%d procs=%d", body.name, n, k, procs)
+					sums := func(name string, out []float64, pick func(*solo) float64) {
+						t.Helper()
+						for j := range want {
+							if w := pick(&want[j]); out[j] != w {
+								t.Fatalf("%s %s column %d: block %v, the column alone %v", what, name, j, out[j], w)
+							}
+						}
+					}
+					block := func(name string, b []float64, pick func(*solo) []float64) {
+						t.Helper()
+						for j := range want {
+							for v, w := range pick(&want[j]) {
+								if b[v*k+j] != w {
+									t.Fatalf("%s %s column %d row %d: block %v, the column alone %v", what, name, j, v, b[v*k+j], w)
+								}
+							}
+						}
+					}
+					var s scratch
+					a, out := base.clone(), make([]float64, k)
+					body.run(func() { s.blockDots(a.x, a.r, n, k, out) })
+					sums("dots", out, func(w *solo) float64 { return w.dot })
+					body.run(func() { s.blockColSums(a.x, n, k, out) })
+					sums("colSums", out, func(w *solo) float64 { return w.sum })
+					body.run(func() { s.blockSubMeanDot(a.x, a.r, n, k, a.coef, out) })
+					sums("subMeanDot", out, func(w *solo) float64 { return w.shiftDot })
+					block("subMeanDot z", a.x, func(w *solo) []float64 { return w.z })
+					a = base.clone()
+					body.run(func() { s.blockUpdateXRSums(a.x, a.r, a.p, a.ap, a.coef, n, k, out) })
+					sums("updateXRSums", out, func(w *solo) float64 { return w.updateXR })
+					block("updateXRSums x", a.x, func(w *solo) []float64 { return w.x })
+					block("updateXRSums r", a.r, func(w *solo) []float64 { return w.r })
+					body.run(func() { blockXPBY(a.p, base.r, a.coef, n, k) })
+					block("xpby p", a.p, func(w *solo) []float64 { return w.p })
 				}
 			}
 		}

@@ -540,17 +540,19 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 }
 
 // rescaleTiny multiplies each column pos of the packed block r (right-hand
-// side cols[pos]) whose ‖b‖², sq[pos], is below the smallest normal float64
-// while some entry is non-zero by the exact power of two 2^shift[cols[pos]]
-// that puts its largest entry in [2^−451, 2^−450): ‖b‖² ≥ 2^−902 leaves the
-// squared residual 2^−120 to fall, and rᵀz grows the least. α and β are those
-// of the unscaled system; the attempt scales x and the residuals back. Other
-// columns get shift 0 and keep their bits. Reports whether any was scaled.
+// side cols[pos]) whose ‖b‖², sq[pos], is below 2^−900 while some entry is
+// non-zero by the exact power of two 2^shift[cols[pos]] that puts its largest
+// entry in [2^−451, 2^−450): ‖b‖² ≥ 2^−902 leaves the squared residual 2^−120
+// to fall before rᵀz or ‖r‖² goes subnormal, and rᵀz grows the least. Below
+// 2^−900 a solve at b's own scale would reach the subnormals, and round there
+// as no solve at another scale does. α and β are those of the unscaled
+// system; the attempt scales x and the residuals back. Other columns get
+// shift 0 and keep their bits. Reports whether any was scaled.
 func rescaleTiny(r []float64, n int, cols []int, sq []float64, shift []int) bool {
 	k, scaled := len(cols), false
 	for pos, j := range cols {
 		shift[j] = 0
-		if !(sq[pos] < 0x1p-1022) {
+		if !(sq[pos] < 0x1p-900) {
 			continue
 		}
 		maxAbs := 0.0

@@ -35,6 +35,7 @@ var theoremChecks = []struct {
 	{"doubled tail: second coarse visits keep the cycle SPD", checkCycleTailSPD},
 	{"scaling: weights ×2^e, b ×2^f solve to 2^(f−e)·x", checkScaling},
 	{"arithmetic range: weights at the edges of float64", checkArithmeticRange},
+	{"block columns are solo solves", checkBlockColumns},
 }
 
 // FuzzTheorems runs theorem check (check mod the check count) on the
@@ -476,6 +477,53 @@ func checkArithmeticRange(t *testing.T, rng *rand.Rand) {
 		case hcd.OutcomeMaxIter, hcd.OutcomeBreakdown, hcd.OutcomeDiverged:
 		default:
 			t.Fatalf("%s, mode %d, e = %d: outcome %v", kind, mode, e, res.Outcome)
+		}
+	}
+}
+
+// checkBlockColumns draws a graph family, a width k ∈ [2, 12] and a
+// preconditioner kind — the hierarchy, the Steiner hierarchy or Jacobi — and
+// holds every column of one hcd.Do call, and of one call on a warm Engine, to
+// that column's solo hcd.Do, bit for bit: X, residual history, α, β,
+// iteration count and outcome. A block solve is k solo solves done together.
+func checkBlockColumns(t *testing.T, rng *rand.Rand) {
+	g := drawFamily(t, rng, 6)
+	k := 2 + rng.Intn(11)
+	kind := []hcd.PrecondKind{hcd.PrecondHierarchy, hcd.PrecondSteiner, hcd.PrecondJacobi}[rng.Intn(3)]
+	B := make([][]float64, k)
+	for j := range B {
+		B[j] = meanFree(rng, g.N())
+	}
+	ctx := context.Background()
+	opt := hcd.DefaultSolveOptions()
+	m, err := hcd.NewPreconditioner(ctx, g, hcd.PrecondSpec{Kind: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := hcd.NewEngine(g, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hcd.Do(ctx, g, hcd.SolveRequest{B: B[:1], Engine: eng, Options: opt}); err != nil {
+		t.Fatal(err) // the engine's first solve: the block below runs warm
+	}
+	block, err := hcd.Do(ctx, g, hcd.SolveRequest{B: B, M: m, Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := hcd.Do(ctx, g, hcd.SolveRequest{B: B, Engine: eng, Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, b := range B {
+		solo, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, M: m, Options: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, res := range map[string]hcd.SolveResult{"Do": block.Results[j], "Engine": warm.Results[j]} {
+			if d := sameSolve(res, solo.Results[0]); d != "" {
+				t.Fatalf("%s, n=%d, k=%d, %s column %d: %s", kind, g.N(), k, path, j, d)
+			}
 		}
 	}
 }
