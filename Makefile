@@ -47,7 +47,8 @@ race-solver:
 # determinism runs the bit-identity tests — worker-count invariance of the
 # kernels, the solve, the cycle and a served build, width invariance (every
 # column of a block solve is its solo solve, TestBlockWidthInvariant, and every
-# block reduction its column's, TestBlockReductionWidthInvariant), the
+# block reduction, at k = 1 too, its column's plain-loop sum over the same
+# chunks, TestBlockReductionWidthInvariant), the
 # reference oracles (the heaviest-edge scan's among them), the layout view's
 # concurrent first build, and the golden digests of whole solves and whole
 # builds — once with the test process started at one worker and once at two,
@@ -55,7 +56,7 @@ race-solver:
 # width cannot come back unnoticed. `make race` runs the width-invariance
 # tests too, on the Go form of every kernel.
 determinism:
-	$(GO) test -cpu 1,2 -run 'GOMAXPROCS|Invariant|Reference|Determin|Golden' . ./internal/graph ./internal/solver ./internal/hierarchy ./internal/decomp ./internal/serve ./internal/par
+	$(GO) test -cpu 1,2 -run 'GOMAXPROCS|Invariant|Reference|Determin|Golden' . ./internal/graph ./internal/solver ./internal/hierarchy ./internal/decomp ./internal/serve
 
 # fmt fails when any file is not gofmt-clean, naming the files.
 fmt:
@@ -77,16 +78,18 @@ bench:
 # oracle, over the block row kernels and the k = 1 row kernels with their Go
 # form (internal/kernel's bodies, whose assembly all lives there) as a bitwise
 # oracle — the block tiles also with the k = 1 row loop on each column — and
-# over the column tiles of the solver's block sweeps and of the
-# cycle's sweeps with their any-width loops as a bitwise oracle, and over the
+# over the column tiles of the solver's block sweeps and of the cycle's
+# sweeps with their strided width-1 loops (at k = 1 the whole sweep) as a
+# bitwise oracle, and over the
 # solve route's hand-written request decoder and response encoder with
 # encoding/json as a differential oracle, and over the paper's theorems —
 # FuzzTheorems: randomized instances against the bounds themselves (Theorem
 # 2.1's tree floor, §3.1's fixed-degree floor, Theorem 3.5's σ, Theorem 4.1's
 # eigenvector distance), the cycle's symmetry and definiteness, exact
 # power-of-two scaling of the solves as a metamorphic oracle, weights at
-# the edges of float64's range, and every column of a block solve equal to its
-# solo solve (go fuzzing runs one target at a time).
+# the edges of float64's range, every column of a block solve equal to its
+# solo solve, and every clustered level at least halving with edgeless
+# vertices and disjoint pairs appended (go fuzzing runs one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=$(FUZZTIME) ./internal/gio

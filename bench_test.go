@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hcd"
+	"hcd/internal/cli"
 )
 
 func benchRHS(n int, seed int64) []float64 {
@@ -357,6 +358,53 @@ func BenchmarkBlockSolve(b *testing.B) {
 		}
 		b.ReportMetric(float64(16*b.N)/b.Elapsed().Seconds(), "rhs/sec")
 	})
+}
+
+// BenchmarkSolveWidths: warm Engine solves under the default hierarchy, one
+// worker, at the widths the column tiles split differently — 1, 2 and 3 run
+// only the width-1 loops, 4 and 8 only tiles — on femesh:64 and grid3d:16,
+// and at k ∈ {1, 3} on oct:32; allocs/op must read 0. To compare two commits,
+// run it in each checkout in turn, five pairs or more, with
+// `go test -run '^$' -bench SolveWidths -benchmem .`.
+func BenchmarkSolveWidths(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		spec string
+		ks   []int
+	}{{"femesh:64", []int{1, 2, 3, 4, 8}}, {"grid3d:16", []int{1, 2, 3, 4, 8}}, {"oct:32", []int{1, 3}}} {
+		g, err := cli.BuildGraph(c.spec, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := hcd.NewHierarchyCtx(ctx, g, hcd.DefaultHierarchyOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := hcd.NewEngine(g, h, hcd.DefaultSolveOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range c.ks {
+			bs := make([][]float64, k)
+			for j := range bs {
+				bs[j] = benchRHS(g.N(), int64(j+1))
+			}
+			b.Run(fmt.Sprintf("%s/k=%d", c.spec, k), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the framework sets -cpu's count per run
+				if _, err := eng.SolveBlock(ctx, bs, hcd.DefaultSolveOptions()); err != nil {
+					b.Fatal(err) // the first solve at this width sizes the buffers
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := eng.SolveBlock(ctx, bs, hcd.DefaultSolveOptions())
+					if err != nil || !res[0].Converged {
+						b.Fatal("warm solve failed")
+					}
+				}
+			})
+		}
+	}
 }
 
 // P4: decomposition quality measurement — the parallel per-cluster fan-out

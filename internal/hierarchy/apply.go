@@ -119,29 +119,29 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 		xq2 := growBuf(&w.xq2[level], l.count*k)
 		h.levels[level+1].g.LapMulBlockResidual(rq2, rq, xq, k)
 		h.applyLevel(level+1, xq2, rq2, k, w)
-		par.For(len(xq), elemGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				xq[i] += xq2[i]
-			}
-		})
+		addInto(xq, xq2)
 	}
 	l.prolongAdd(x, xq, k)
 	l.g.LapJacobiStepBlock(dst, r, x, l.dInv, omega, k)
 }
 
-// The sweeps between the row kernels. A width-1 block is a plain vector and
-// gets the plain loop; wider blocks walk packed rows in column tiles — 8 wide,
-// then 4, then a 1–3 column tail, like the row kernels of internal/graph. The
-// 8- and 4-wide tiles are bodies of internal/kernel (Go or AVX2 assembly, as
-// its probe decides), which hold a row's (or a cluster's) values and its
-// coefficient in registers and store them once. Per column every tile does
-// what its tail, the any-width loop over the column window [j0, k), does in
-// the same order, and that is what the width-1 loop does, so neither the width
-// of a tile nor that of the block shows in a result (DESIGN §12 "Kernel
-// layer").
+// The sweeps between the row kernels. They walk packed rows in column tiles
+// — 8 wide, then 4, like the row kernels of internal/graph — and each column
+// no tile takes with its width-1 loop, which walks one column of the block at
+// stride k over the row blocks (clusters, for restrict) of kernel.Columns; at
+// k = 1 that loop is the whole sweep. The tiles are bodies of internal/kernel
+// (Go or AVX2 assembly, as its probe decides), which hold a row's (or a
+// cluster's) values and its coefficient in registers and store them once. Per
+// column every tile does what the width-1 loop does, in the same order, so
+// neither the width of a tile nor that of the block shows in a result (DESIGN
+// §12 "Kernel layer"). The width-1 loops are kept out of line, as the
+// solver's are: inlined beside the tiles they reload their operands from the
+// stack on every row. On one worker, and below a sweep's grain, a sweep runs
+// on the calling goroutine and builds no closure, so a warm apply allocates
+// nothing.
 
 // elemGrain is the minimum number of floats per chunk of the elementwise
-// sweeps; below it par.For degrades to one sequential call.
+// sweeps; below it a sweep runs as one sequential call.
 const elemGrain = 8192
 
 // rowGrain is elemGrain in rows of a width-k block, so a chunk touches
@@ -154,21 +154,37 @@ func rowGrain(k int) int {
 	return g
 }
 
+// serial reports whether a sweep over n rows in grain-row chunks runs on the
+// calling goroutine, as par.For would run it.
+func serial(n, grain int) bool { return n <= grain || par.Workers() == 1 }
+
+// addInto computes xq += xq2, the doubled coarse step's second correction.
+func addInto(xq, xq2 []float64) {
+	if serial(len(xq), elemGrain) {
+		addRange(xq, xq2, 0, len(xq))
+		return
+	}
+	par.For(len(xq), elemGrain, func(lo, hi int) { addRange(xq, xq2, lo, hi) })
+}
+
+func addRange(xq, xq2 []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		xq[i] += xq2[i]
+	}
+}
+
 // jacobiFromZero computes x = (ω·r)·D⁻¹: the first damped-Jacobi step, from
 // a zero iterate.
 func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
-	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
-		if k == 1 {
-			for v := lo; v < hi; v++ {
-				x[v] = omega * r[v] * l.dInv[v]
-			}
-			return
-		}
-		l.jacobiFromZeroRange(x, r, omega, k, lo, hi)
-	})
+	n, grain := l.g.N(), rowGrain(k)
+	if serial(n, grain) {
+		l.jacobiFromZeroRange(x, r, omega, k, 0, n)
+		return
+	}
+	par.For(n, grain, func(lo, hi int) { l.jacobiFromZeroRange(x, r, omega, k, lo, hi) })
 }
 
-// jacobiFromZeroRange is jacobiFromZero on rows [lo, hi) of a k > 1 block.
+// jacobiFromZeroRange is jacobiFromZero on rows [lo, hi).
 func (l *Level) jacobiFromZeroRange(x, r []float64, omega float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
@@ -178,38 +194,31 @@ func (l *Level) jacobiFromZeroRange(x, r []float64, omega float64, k, lo, hi int
 		kernel.JacobiFromZero(4, x, r, l.dInv, omega, k, j, lo, hi)
 		j += 4
 	}
-	if j < k {
-		l.jacobiFromZeroTail(x, r, omega, k, j, lo, hi)
-	}
+	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { l.jacobiFromZeroCol(x, r, omega, k, j, lo, hi) })
 }
 
-func (l *Level) jacobiFromZeroTail(x, r []float64, omega float64, k, j0, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		d := l.dInv[v]
-		rv := r[v*k+j0 : v*k+k : v*k+k]
-		xv := x[v*k+j0 : v*k+k : v*k+k]
-		for j := range xv {
-			xv[j] = omega * rv[j] * d
-		}
+// jacobiFromZeroCol is jacobiFromZero on column j of rows [lo, hi).
+//
+//go:noinline
+func (l *Level) jacobiFromZeroCol(x, r []float64, omega float64, k, j, lo, hi int) {
+	dInv := l.dInv[lo:hi]
+	for v, o := 0, lo*k+j; v < len(dInv); v, o = v+1, o+k {
+		x[o] = omega * r[o] * dInv[v]
 	}
 }
 
 // prolongAdd computes x += α·R·xq: every vertex takes its cluster's
 // correction, scaled by the level's alpha.
 func (l *Level) prolongAdd(x, xq []float64, k int) {
-	alpha := l.alpha
-	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
-		if k == 1 {
-			for v := lo; v < hi; v++ {
-				x[v] += alpha * xq[l.assign[v]]
-			}
-			return
-		}
-		l.prolongAddRange(x, xq, alpha, k, lo, hi)
-	})
+	n, grain := l.g.N(), rowGrain(k)
+	if serial(n, grain) {
+		l.prolongAddRange(x, xq, l.alpha, k, 0, n)
+		return
+	}
+	par.For(n, grain, func(lo, hi int) { l.prolongAddRange(x, xq, l.alpha, k, lo, hi) })
 }
 
-// prolongAddRange is prolongAdd on rows [lo, hi) of a k > 1 block.
+// prolongAddRange is prolongAdd on rows [lo, hi).
 func (l *Level) prolongAddRange(x, xq []float64, alpha float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
@@ -219,36 +228,42 @@ func (l *Level) prolongAddRange(x, xq []float64, alpha float64, k, lo, hi int) {
 		kernel.ProlongAdd(4, x, xq, alpha, l.assign, k, j, lo, hi)
 		j += 4
 	}
-	if j < k {
-		l.prolongAddTail(x, xq, alpha, k, j, lo, hi)
-	}
+	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { l.prolongAddCol(x, xq, alpha, k, j, lo, hi) })
 }
 
-func (l *Level) prolongAddTail(x, xq []float64, alpha float64, k, j0, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		q := xq[int(l.assign[v])*k+j0:]
-		xv := x[v*k+j0 : v*k+k : v*k+k]
-		for j := range xv {
-			xv[j] += alpha * q[j]
-		}
+// prolongAddCol is prolongAdd on column j of rows [lo, hi).
+//
+//go:noinline
+func (l *Level) prolongAddCol(x, xq []float64, alpha float64, k, j, lo, hi int) {
+	xq, o := xq[j:], lo*k+j
+	for _, c := range l.assign[lo:hi] {
+		x[o] += alpha * xq[int(c)*k]
+		o += k
 	}
 }
 
 // steinerSum computes dst = D⁻¹r + R·xq, the unsmoothed two-level identity.
-// Only the Steiner recursion (NewSteiner) runs it, so it stays on the
-// any-width loop.
+// Only the Steiner recursion (NewSteiner) runs it, so it stays one loop over
+// whole rows.
 func (l *Level) steinerSum(dst, r, xq []float64, k int) {
-	par.For(l.g.N(), rowGrain(k), func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			dv := l.dInv[v]
-			q := xq[int(l.assign[v])*k:]
-			rv := r[v*k : v*k+k : v*k+k]
-			dstv := dst[v*k : v*k+k : v*k+k]
-			for j := range dstv {
-				dstv[j] = rv[j]*dv + q[j]
-			}
+	n, grain := l.g.N(), rowGrain(k)
+	if serial(n, grain) {
+		l.steinerSumRange(dst, r, xq, k, 0, n)
+		return
+	}
+	par.For(n, grain, func(lo, hi int) { l.steinerSumRange(dst, r, xq, k, lo, hi) })
+}
+
+func (l *Level) steinerSumRange(dst, r, xq []float64, k, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		dv := l.dInv[v]
+		q := xq[int(l.assign[v])*k:]
+		rv := r[v*k : v*k+k : v*k+k]
+		dstv := dst[v*k : v*k+k : v*k+k]
+		for j := range dstv {
+			dstv[j] = rv[j]*dv + q[j]
 		}
-	})
+	}
 }
 
 // restrict computes rq = Rᵀr per column: each cluster sums its members'
@@ -259,25 +274,14 @@ func (l *Level) restrict(r, rq []float64, k int) {
 	if grain < 8 {
 		grain = 8
 	}
-	par.For(l.count, grain, func(lo, hi int) {
-		if k == 1 {
-			order := l.order
-			i := l.start[lo]
-			for c := lo; c < hi; c++ {
-				end := l.start[c+1]
-				acc := 0.0
-				for ; i < end; i++ {
-					acc += r[order[i]]
-				}
-				rq[c] = acc
-			}
-			return
-		}
-		l.restrictRange(r, rq, k, lo, hi)
-	})
+	if serial(l.count, grain) {
+		l.restrictRange(r, rq, k, 0, l.count)
+		return
+	}
+	par.For(l.count, grain, func(lo, hi int) { l.restrictRange(r, rq, k, lo, hi) })
 }
 
-// restrictRange is restrict on clusters [lo, hi) of a k > 1 block.
+// restrictRange is restrict on clusters [lo, hi).
 func (l *Level) restrictRange(r, rq []float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
@@ -287,22 +291,22 @@ func (l *Level) restrictRange(r, rq []float64, k, lo, hi int) {
 		kernel.Restrict(4, r, rq, l.order, l.start, k, j, lo, hi)
 		j += 4
 	}
-	if j < k {
-		l.restrictTail(r, rq, k, j, lo, hi)
-	}
+	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { restrictCol(r, rq, l.order, l.start, k, j, lo, hi) })
 }
 
-func (l *Level) restrictTail(r, rq []float64, k, j0, lo, hi int) {
-	for c := lo; c < hi; c++ {
-		acc := rq[c*k+j0 : c*k+k : c*k+k]
-		for j := range acc {
-			acc[j] = 0
+// restrictCol is restrict on column j of clusters [lo, hi). It takes the
+// level's tables as operands: reading them through l, the loop reloads l
+// from the stack on every member.
+//
+//go:noinline
+func restrictCol(r, rq []float64, order, start []int32, k, j, lo, hi int) {
+	r, i, o := r[j:], start[lo], lo*k+j
+	for _, end := range start[lo+1 : hi+1] {
+		acc := 0.0
+		for ; i < end; i++ {
+			acc += r[int(order[i])*k]
 		}
-		for i := l.start[c]; i < l.start[c+1]; i++ {
-			rv := r[int(l.order[i])*k+j0:]
-			for j := range acc {
-				acc[j] += rv[j]
-			}
-		}
+		rq[o] = acc
+		o += k
 	}
 }

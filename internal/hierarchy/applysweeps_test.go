@@ -83,12 +83,12 @@ func randomApplyArgs(l *Level, k int, draw func() float64) *applyArgs {
 	return a
 }
 
-// applySweeps lists the tiled k > 1 sweeps of apply.go (all but steinerSum,
-// which has only its any-width loop) three ways, like the solver's
-// blockSweeps: tiled is the range body the cycle runs; loop its any-width loop
-// from column 0 (the tail, and the reference both forms of the tiles are held
-// to); whole the sweep's entry point. restrict ranges over clusters and writes
-// rq; the others range over vertices and write x.
+// applySweeps lists the sweeps of apply.go (all but steinerSum, which has
+// only its whole-row loop) three ways, like the solver's blockSweeps: tiled is
+// the range body the cycle runs; loop its width-1 loop on every column (the
+// whole sweep at k = 1, and the reference both forms of the tiles are held
+// to); whole the sweep's entry point. restrict ranges over clusters and
+// writes rq; the others range over vertices and write x.
 var applySweeps = []struct {
 	name     string
 	clusters bool
@@ -98,15 +98,27 @@ var applySweeps = []struct {
 }{
 	{"jacobiFromZero", false,
 		func(l *Level, a *applyArgs, lo, hi int) { l.jacobiFromZeroRange(a.x, a.r, jacobiOmega, a.k, lo, hi) },
-		func(l *Level, a *applyArgs, lo, hi int) { l.jacobiFromZeroTail(a.x, a.r, jacobiOmega, a.k, 0, lo, hi) },
+		func(l *Level, a *applyArgs, lo, hi int) {
+			for j := 0; j < a.k; j++ {
+				l.jacobiFromZeroCol(a.x, a.r, jacobiOmega, a.k, j, lo, hi)
+			}
+		},
 		func(l *Level, a *applyArgs) { l.jacobiFromZero(a.x, a.r, jacobiOmega, a.k) }},
 	{"prolongAdd", false,
 		func(l *Level, a *applyArgs, lo, hi int) { l.prolongAddRange(a.x, a.xq, l.alpha, a.k, lo, hi) },
-		func(l *Level, a *applyArgs, lo, hi int) { l.prolongAddTail(a.x, a.xq, l.alpha, a.k, 0, lo, hi) },
+		func(l *Level, a *applyArgs, lo, hi int) {
+			for j := 0; j < a.k; j++ {
+				l.prolongAddCol(a.x, a.xq, l.alpha, a.k, j, lo, hi)
+			}
+		},
 		func(l *Level, a *applyArgs) { l.prolongAdd(a.x, a.xq, a.k) }},
 	{"restrict", true,
 		func(l *Level, a *applyArgs, lo, hi int) { l.restrictRange(a.r, a.rq, a.k, lo, hi) },
-		func(l *Level, a *applyArgs, lo, hi int) { l.restrictTail(a.r, a.rq, a.k, 0, lo, hi) },
+		func(l *Level, a *applyArgs, lo, hi int) {
+			for j := 0; j < a.k; j++ {
+				restrictCol(a.r, a.rq, l.order, l.start, a.k, j, lo, hi)
+			}
+		},
 		func(l *Level, a *applyArgs) { l.restrict(a.r, a.rq, a.k) }},
 }
 
@@ -131,7 +143,7 @@ func diffApply(got, want *applyArgs) string {
 	for f, pair := range [][2][]float64{{got.x, want.x}, {got.r, want.r}, {got.xq, want.xq}, {got.rq, want.rq}} {
 		for i := range pair[1] {
 			if !kernel.SameWord(pair[0][i], pair[1][i]) {
-				return fmt.Sprintf("%s[%d] (row %d, column %d): tiled %v (%#x), any-width loop %v (%#x)", names[f], i, i/want.k, i%want.k,
+				return fmt.Sprintf("%s[%d] (row %d, column %d): tiled %v (%#x), width-1 loop %v (%#x)", names[f], i, i/want.k, i%want.k,
 					pair[0][i], math.Float64bits(pair[0][i]), pair[1][i], math.Float64bits(pair[1][i]))
 			}
 		}
@@ -140,7 +152,7 @@ func diffApply(got, want *applyArgs) string {
 }
 
 // TestApplySweepTilesMatchReference: every tiled sweep of the cycle leaves the
-// words its any-width loop leaves, with either form of its tiles, at widths
+// words its width-1 loop leaves on every column, with either form of its tiles, at widths
 // that combine the tiles every way, on levels below, at and above one parallel
 // chunk whose clusters run from single vertices to many times SizeCap, through
 // the sweep's entry point, through either form over the whole level and on
@@ -151,7 +163,7 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 	const sentinel = 12345.678
 	sizes := []int{1, 1, 3, 40, 2, 1, 300, 4}
 	rng := rand.New(rand.NewSource(26))
-	for _, k := range []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17} {
+	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17} {
 		grain := rowGrain(k)
 		for _, special := range []bool{false, true} {
 			draw := func() float64 {
@@ -225,7 +237,7 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 }
 
 // FuzzApplySweeps holds restrict, prolongAdd and jacobiFromZero, with either
-// form of their tiles, to their any-width loops on a level, width, range and
+// form of their tiles, to their width-1 loops on a level, width, range and
 // operands decoded from the fuzzer's bytes: vertex count, cluster sizes,
 // whether clusters are scattered, and the values of the blocks and of the
 // inverse diagonal, specials included.

@@ -228,7 +228,11 @@ func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt
 			}
 			break
 		}
-		cur = a.push(cur, d.Assign, d.Count)
+		count := d.Count
+		if !given && cur.M() > 0 {
+			count = poolEdgeless(cur, d.Assign, count)
+		}
+		cur = a.push(cur, d.Assign, count)
 		if lsp != nil {
 			// The span timed the clustering; what the clustering cut is known
 			// once the quotient exists.
@@ -253,6 +257,50 @@ func build(ctx context.Context, g *graph.Graph, first *decomp.Decomposition, opt
 		hsp.Arg("cycle_entries", h.cycleEntries)
 	}
 	return h, nil
+}
+
+// poolEdgeless gives every edgeless vertex of g one shared cluster,
+// renumbering the other clusters of assign densely in their order (the shared
+// cluster takes the place of the first edgeless one), and returns the new
+// count. The clustering leaves each edgeless vertex a singleton; kept apart,
+// each would be carried down as a quotient vertex of its own, level after
+// level, and the depth and the level sizes would follow their number — an
+// edge list with unused vertex ids is such a graph. Their Laplacian rows are
+// zero, so one cluster loses nothing a cluster apiece would keep. A graph
+// with fewer than two edgeless vertices is left as it is.
+func poolEdgeless(g *graph.Graph, assign []int, count int) int {
+	edgeless := 0
+	for v := 0; v < g.N() && edgeless < 2; v++ {
+		if g.Degree(v) == 0 {
+			edgeless++
+		}
+	}
+	if edgeless < 2 {
+		return count
+	}
+	hasEdge := make([]bool, count)
+	for v, c := range assign {
+		if g.Degree(v) > 0 {
+			hasEdge[c] = true
+		}
+	}
+	id, shared, next := make([]int, count), -1, 0
+	for c, has := range hasEdge {
+		switch {
+		case has:
+			id[c] = next
+			next++
+		case shared < 0:
+			shared, id[c] = next, next
+			next++
+		default:
+			id[c] = shared
+		}
+	}
+	for v, c := range assign {
+		assign[v] = id[c]
+	}
+	return next
 }
 
 // Depth returns the number of clustering levels (excluding the direct

@@ -7,11 +7,12 @@
 // — so the two write the same words (DESIGN §12 "Kernel layer").
 //
 // The package owns what every body shares: the CPUID probe that picks the
-// form, the check of a call's operands, and the chunking of a call's rows.
-// What decides the arithmetic stays with the callers in internal/graph,
-// internal/solver, internal/hierarchy and internal/sparse: the 8 → 4 → tail column loop, the
-// any-width tail, and every partition of a reduction. kernel imports nothing
-// of theirs.
+// form, the check of a call's operands, the chunking of a call's rows, and
+// the row blocks the callers' width-1 loops take turns over (Columns). What
+// decides the arithmetic stays with the callers in internal/graph,
+// internal/solver, internal/hierarchy and internal/sparse: the 8 → 4 column
+// tiles, the width-1 loop that takes each column they leave, and every
+// partition of a reduction. kernel imports nothing of theirs.
 package kernel
 
 import (
@@ -103,6 +104,30 @@ func check(body string, width, k, j0, lo, hi int, ops ...span) {
 // microseconds. Every body stores its accumulators and reloads them exactly,
 // so a chunk boundary never moves a bit.
 func ChunkRows(k int) int { return max(8192/k, 256) &^ 3 }
+
+// colRows is the row block of Columns: at the widths that leave columns to
+// the width-1 loops, a few tens of kilobytes of each operand, which stay in
+// cache while the columns take turns over them.
+const colRows = 512
+
+// Columns calls col(j, blo, bhi) for every column j in [j0, k) — the columns
+// no tile took, each left to the caller's width-1 loop — over rows [lo, hi):
+// in blocks of colRows rows, the columns taking turns over each block while
+// it is in cache, or in one pass when one column is left, which a block would
+// only interrupt. Each column still sees its rows in ascending order, so the
+// blocks never move a bit.
+func Columns(j0, k, lo, hi int, col func(j, blo, bhi int)) {
+	step := colRows
+	if k-j0 == 1 {
+		step = hi - lo
+	}
+	for blo := lo; j0 < k && blo < hi; blo += step {
+		bhi := min(blo+step, hi)
+		for j := j0; j < k; j++ {
+			col(j, blo, bhi)
+		}
+	}
+}
 
 // onChunk, when set, sees the rows of every chunk a body is handed.
 var onChunk func(rows int)

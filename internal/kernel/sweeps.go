@@ -5,8 +5,8 @@ package kernel
 // row's columns, its coefficients (α, β, the means) and the reduction's
 // accumulators in locals — in the assembly, one vector register per four
 // columns — and stores the accumulators into acc[j0:j0+width] once, on top of
-// what it found there. Per column the operations are the callers' any-width
-// tail's, in its order: rows ascending, products and sums as written.
+// what it found there. Per column the operations are the callers' width-1
+// loop's, in its order: rows ascending, products and sums as written.
 
 // Dots adds Σ_v a[v·k+j]·b[v·k+j] to acc[j] — or, with b nil, Σ_v a[v·k+j].
 func Dots(width int, a, b []float64, k, j0, lo, hi int, acc []float64) {

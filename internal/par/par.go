@@ -1,8 +1,7 @@
-// Package par provides the small set of parallel primitives used by the
-// "linear work, O(log n) parallel time" constructions of the paper: a
-// chunk-stealing parallel for and a parallel sum. Parallelism defaults to
-// runtime.GOMAXPROCS(0) and degrades gracefully to sequential execution for
-// small inputs.
+// Package par provides the parallel primitive used by the "linear work,
+// O(log n) parallel time" constructions of the paper: a chunk-stealing
+// parallel for. Parallelism defaults to runtime.GOMAXPROCS(0) and degrades
+// gracefully to sequential execution for small inputs.
 //
 // # Panic safety
 //
@@ -134,6 +133,14 @@ func For(n, grain int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
+	forWorkers(n, grain, workers, fn)
+}
+
+// forWorkers is For's parallel path. It is a function of its own so that the
+// variables its goroutines share are allocated only when it runs: one the
+// workers captured in For itself would be allocated on every call, the
+// sequential ones included.
+func forWorkers(n, grain, workers int, fn func(lo, hi int)) {
 	chunks := (n + grain - 1) / grain
 	if workers > chunks {
 		workers = chunks
@@ -165,38 +172,4 @@ func For(n, grain int, fn func(lo, hi int)) {
 	}
 	wg.Wait()
 	t.rethrow()
-}
-
-// ReduceSum evaluates fn over chunks of [0, n) in parallel and returns the
-// sum of the per-chunk results. fn must return the partial sum for its range.
-// The chunks are the grain-long runs of [0, n) and their sums are added in
-// chunk order at any worker count, so the result is the same bits at any
-// GOMAXPROCS.
-func ReduceSum(n, grain int, fn func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if n <= grain {
-		return fn(0, n)
-	}
-	if Workers() == 1 {
-		total := 0.0
-		for lo := 0; lo < n; lo += grain {
-			total += fn(lo, min(lo+grain, n))
-		}
-		return total
-	}
-	chunks := (n + grain - 1) / grain
-	partial := make([]float64, chunks)
-	For(n, grain, func(lo, hi int) {
-		partial[lo/grain] = fn(lo, hi)
-	})
-	total := 0.0
-	for _, p := range partial {
-		total += p
-	}
-	return total
 }

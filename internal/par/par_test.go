@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -31,22 +30,6 @@ func TestForParallelPath(t *testing.T) {
 	}
 }
 
-func TestReduceSumParallelPath(t *testing.T) {
-	forceParallel(t)
-	n := 50000
-	got := ReduceSum(n, 100, func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += float64(i)
-		}
-		return s
-	})
-	want := float64(n*(n-1)) / 2
-	if math.Abs(got-want) > 1e-6 {
-		t.Errorf("parallel ReduceSum = %v, want %v", got, want)
-	}
-}
-
 func TestForCoversRangeOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100, 10000, 100001} {
 		hits := make([]int32, n)
@@ -73,73 +56,20 @@ func TestForDefaultGrain(t *testing.T) {
 	}
 }
 
-func TestReduceSum(t *testing.T) {
-	n := 12345
-	got := ReduceSum(n, 100, func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += float64(i)
+// TestForSequentialPathAllocatesNothing: on one worker, and at or below the
+// grain, For runs fn on the calling goroutine and allocates nothing — the
+// zero-allocation warm solves rest on it.
+func TestForSequentialPathAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var count int
+	fn := func(lo, hi int) { count += hi - lo }
+	for _, c := range []struct{ procs, n, grain int }{{1, 100000, 10}, {4, 100, 100}, {4, 100, 0}} {
+		runtime.GOMAXPROCS(c.procs)
+		if allocs := testing.AllocsPerRun(10, func() { For(c.n, c.grain, fn) }); allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d n=%d grain=%d: For allocates %v times per call", c.procs, c.n, c.grain, allocs)
 		}
-		return s
-	})
-	want := float64(n*(n-1)) / 2
-	if math.Abs(got-want) > 1e-6 {
-		t.Errorf("ReduceSum = %v, want %v", got, want)
 	}
-	if ReduceSum(0, 10, func(lo, hi int) float64 { return 1 }) != 0 {
-		t.Error("empty ReduceSum should be 0")
-	}
-}
-
-func BenchmarkForSum(b *testing.B) {
-	n := 1 << 20
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	b.ResetTimer()
-	for it := 0; it < b.N; it++ {
-		_ = ReduceSum(n, 0, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			return s
-		})
-	}
-}
-
-// TestReduceSumGOMAXPROCSInvariant: one worker sums the same grain chunks in
-// the same order as many. The data rounds differently when summed in one
-// chunk: each 1 added to 1e16 alone rounds away, while the chunks of 1s sum
-// exactly first.
-func TestReduceSumGOMAXPROCSInvariant(t *testing.T) {
-	const n, grain = 4096, 64
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	x[0] = 1e16
-	sum := func(lo, hi int) float64 {
-		s := 0.0
-		for _, v := range x[lo:hi] {
-			s += v
-		}
-		return s
-	}
-	want := 0.0
-	for lo := 0; lo < n; lo += grain {
-		want += sum(lo, lo+grain)
-	}
-	if want == sum(0, n) {
-		t.Fatal("test data sums the same in one chunk")
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		if got := ReduceSum(n, grain, sum); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("GOMAXPROCS=%d: ReduceSum = %v, want the chunk-ordered %v", procs, got, want)
-		}
+	if count == 0 {
+		t.Error("fn never ran")
 	}
 }

@@ -5,27 +5,28 @@ import (
 	"hcd/internal/par"
 )
 
-// Block (multi-RHS) level-1 kernels. All of them operate on packed row-major
-// [n][k] blocks — entry (v, j) lives at x[v*k+j] — so one sweep over the
-// block streams each cache line once for all k columns, where the vector
-// kernels would stream the vectors k separate times. The hot kernels are
-// *fused*: the PCG update x += α∘p, r −= α∘ap runs in the same pass that
-// accumulates the column sums the next step's mean projection needs,
-// cutting the per-iteration memory passes roughly in half versus running the
-// unfused kernel sequence per column.
+// The level-1 kernels of PCG, over packed row-major [n][k] blocks — entry
+// (v, j) lives at x[v*k+j] — so one sweep over the block streams each cache
+// line once for all k columns; a single right-hand side is the k = 1 block.
+// The hot kernels are *fused*: the update x += α∘p, r −= α∘ap runs in the
+// same pass that accumulates the column sums the next step's mean projection
+// needs, and the mean shift in the pass that accumulates rᵀz, so one
+// iteration reads its vectors six times instead of ten. Every accumulation
+// runs in the order of the unfused kernel sequence, so the results are bit
+// for bit that sequence's.
 //
 // Reductions use a fixed chunk partition that depends only on n, never on
 // the worker count or the width: per-chunk partials are written into a
 // scratch table and combined in chunk order, so every reduction — and
 // therefore the whole solve — is bit-identical at any GOMAXPROCS, and each
-// column sums exactly as the vector kernels sum it alone.
-//
-// A width-1 block is a plain vector: each kernel hands it to the vector
-// kernel of kernels.go that does the same arithmetic over the same partition
-// without the per-row slicing.
+// column of a block sums exactly as it sums alone.
+
+// kernelGrain is the row count of the reductions' chunks, and of the
+// elementwise sweeps' at width 1.
+const kernelGrain = 16384
 
 // blockGrain returns the per-chunk row count for width-k elementwise block
-// sweeps: the scalar kernel grain scaled down by the block width so a chunk
+// sweeps: the reduction grain scaled down by the block width so a chunk
 // touches roughly the same number of floats, floored to bound scheduling
 // overhead. An elementwise sweep rounds the same under any chunking.
 func blockGrain(k int) int {
@@ -36,73 +37,101 @@ func blockGrain(k int) int {
 	return g
 }
 
-// reduceRows runs fn over the fixed partition of [0, n) into kernelGrain-row
-// chunks — the partition of the width-1 reductions — each accumulating
-// per-column partials into its own k-wide slot of the scratch partial table,
-// then combines the partials in chunk order. The partition and combination
-// order are functions of n alone, so column j of the result is bit for bit
-// the width-1 reduction of column j, at any GOMAXPROCS. fn may also mutate the
-// block elementwise (the fused kernels do); chunks cover disjoint row ranges,
-// so such writes never race.
-func (s *scratch) reduceRows(n, k int, out []float64, fn func(lo, hi int, acc []float64)) {
-	for j := 0; j < k; j++ {
-		out[j] = 0
+// sweepOp names a reduction sweep of rowSweep.
+type sweepOp uint8
+
+const (
+	opDots         sweepOp = iota // Σ x·r per column, or Σ x with r nil
+	opSubMeanDot                  // x −= coef, then Σ r·x per column
+	opUpdateXRSums                // x += coef∘p, r −= coef∘ap, then Σ r per column
+)
+
+// rowSweep is one reduction sweep and its operands, passed by value so that
+// a serial reduction builds no closure (one that reaches a worker goroutine
+// escapes, and would allocate on every call).
+type rowSweep struct {
+	op          sweepOp
+	x, r, p, ap []float64
+	coef        []float64
+}
+
+// rows adds rows [lo, hi) of the sweep's column reductions to acc.
+func (w *rowSweep) rows(k, lo, hi int, acc []float64) {
+	switch w.op {
+	case opDots:
+		blockDotsRange(w.x, w.r, k, lo, hi, acc)
+	case opSubMeanDot:
+		blockSubMeanDotRange(w.x, w.r, w.coef, k, lo, hi, acc)
+	case opUpdateXRSums:
+		blockUpdateXRSumsRange(w.x, w.r, w.p, w.ap, w.coef, k, lo, hi, acc)
 	}
-	const grain = kernelGrain
-	chunks := (n + grain - 1) / grain
+}
+
+// chunks runs the sweep over chunks [clo, chi) of the kernelGrain partition
+// of [0, n), each into its own k-wide slot of partial.
+func (w *rowSweep) chunks(n, k int, partial []float64, clo, chi int) {
+	for c := clo; c < chi; c++ {
+		lo := c * kernelGrain
+		w.rows(k, lo, min(lo+kernelGrain, n), partial[c*k:c*k+k])
+	}
+}
+
+// chunksParallel runs w's chunks on the workers. It takes w by value: the
+// closure the workers share then holds a copy made here, where reduceRows'
+// serial path never comes.
+func chunksParallel(w rowSweep, n, k int, partial []float64) {
+	par.For(len(partial)/k, 1, func(clo, chi int) { w.chunks(n, k, partial, clo, chi) })
+}
+
+// reduceRows runs w over the fixed partition of [0, n) into kernelGrain-row
+// chunks, each accumulating per-column partials into its own k-wide slot of
+// the scratch partial table, then combines the partials in chunk order into
+// out. The partition and combination order are functions of n alone, so
+// column j of the result is bit for bit the width-1 reduction of column j, at
+// any GOMAXPROCS. w may also mutate the block elementwise (the fused sweeps
+// do); chunks cover disjoint row ranges, so such writes never race. On one
+// worker, and in one chunk, nothing allocates.
+func (s *scratch) reduceRows(n, k int, out []float64, w rowSweep) {
+	zero(out[:k])
+	chunks := (n + kernelGrain - 1) / kernelGrain
 	if chunks <= 1 {
-		fn(0, n, out)
+		w.rows(k, 0, n, out)
 		return
 	}
 	partial := s.vec(&s.partial, chunks*k)
 	zero(partial)
-	run := func(clo, chi int) {
-		for c := clo; c < chi; c++ {
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi, partial[c*k:c*k+k])
-		}
-	}
 	if par.Workers() == 1 {
-		// Same chunk partition as the parallel path: still one fn call per
-		// chunk, so the partial sums round identically.
-		run(0, chunks)
+		w.chunks(n, k, partial, 0, chunks)
 	} else {
-		par.For(chunks, 1, run)
+		chunksParallel(w, n, k, partial)
 	}
 	for c := 0; c < chunks; c++ {
 		p := partial[c*k : c*k+k]
-		for j := 0; j < k; j++ {
+		for j := range p {
 			out[j] += p[j]
 		}
 	}
 }
 
-// Column tiles. Every k > 1 sweep below covers its rows in fixed-width column
-// tiles — 8 wide, then 4, then a 1–3 column tail — the shape of
-// graph.lapMulBlockRange and sparse.LapFactor.SolveBlock. The 8- and 4-wide
-// tiles are bodies of internal/kernel, which hold a row's columns and the
-// coefficients (α, β, the means) in registers and store a chunk's partial
-// once, and run in Go or AVX2 assembly as that package's probe decides. Per
-// column a tile performs the IEEE operations of the any-width loop in the same
-// order (ascending rows within the chunk, products and sums as written, no
-// fused multiply-add), so the width of a tile never shows in a result. The
-// any-width loop over the column window [j0, k) is each sweep's tail; from
-// j0 = 0 it is the whole sweep, which is what the tests compare the tiles to
-// (DESIGN §12 "Kernel layer").
+// Column tiles. Every sweep below covers its rows in fixed-width column
+// tiles — 8 wide, then 4 — the shape of graph.lapMulBlockRange and
+// sparse.LapFactor.SolveBlock, and each column no tile takes with its width-1
+// loop, which walks one column of the block at stride k, over the row blocks
+// of kernel.Columns. The width-1 loops are kept out of line (go:noinline):
+// inlined beside the tiles they share the registers with the tiles' state and
+// reload their operands from the stack on every row. The tiles are bodies
+// of internal/kernel, which hold a row's columns and the coefficients (α, β,
+// the means) in registers and store a chunk's partial once, and run in Go or
+// AVX2 assembly as that package's probe decides. Per column a tile performs
+// the IEEE operations of the width-1 loop in the same order (ascending rows,
+// products and sums as written, no fused multiply-add), so the width of a
+// tile never shows in a result. At k = 1 the width-1 loop is the whole sweep;
+// run on every column it is what the tests compare the tiles to (DESIGN §12
+// "Kernel layer").
 
 // blockDots computes out[j] = Σ_v a[v·k+j]·b[v·k+j] for each column j.
 func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
-	if k == 1 {
-		out[0] = dot(a[:n], b[:n])
-		return
-	}
-	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockDotsRange(a, b, k, lo, hi, acc)
-	})
+	s.reduceRows(n, k, out, rowSweep{op: opDots, x: a, r: b})
 }
 
 // blockDotsRange adds rows [lo, hi) of the column dot products to acc — or,
@@ -116,26 +145,25 @@ func blockDotsRange(a, b []float64, k, lo, hi int, acc []float64) {
 		kernel.Dots(4, a, b, k, j, lo, hi, acc)
 		j += 4
 	}
-	if j < k {
-		blockDotsTail(a, b, k, j, lo, hi, acc)
-	}
+	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { acc[j] = dotsCol(a, b, k, j, lo, hi, acc[j]) })
 }
 
-func blockDotsTail(a, b []float64, k, j0, lo, hi int, acc []float64) {
-	acc = acc[j0:k]
-	for v := lo; v < hi; v++ {
-		av := a[v*k+j0 : v*k+k : v*k+k]
-		if b == nil {
-			for j := range av {
-				acc[j] += av[j]
-			}
-			continue
+// dotsCol returns s + Σ a[v·k+j]·b[v·k+j] over rows [lo, hi) — or, with b
+// nil, s + Σ a[v·k+j].
+//
+//go:noinline
+func dotsCol(a, b []float64, k, j, lo, hi int, s float64) float64 {
+	end := hi * k
+	if b == nil {
+		for o := lo*k + j; o < end; o += k {
+			s += a[o]
 		}
-		bv := b[v*k+j0 : v*k+k : v*k+k]
-		for j := range av {
-			acc[j] += av[j] * bv[j]
-		}
+		return s
 	}
+	for o := lo*k + j; o < end; o += k {
+		s += a[o] * b[o]
+	}
+	return s
 }
 
 // blockNormSq computes out[j] = Σ_v x[v·k+j]² (squared column norms): the dot
@@ -147,19 +175,13 @@ func (s *scratch) blockNormSq(x []float64, n, k int, out []float64) {
 // blockColSums computes out[j] = Σ_v x[v·k+j] (pass 1 of the block mean
 // projection): the dot products with no second operand.
 func (s *scratch) blockColSums(x []float64, n, k int, out []float64) {
-	if k == 1 {
-		out[0] = sum(x[:n])
-		return
-	}
-	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockDotsRange(x, nil, k, lo, hi, acc)
-	})
+	s.blockDots(x, nil, n, k, out)
 }
 
 // blockSubMeans is pass 2 of the mean projection: it turns the column sums
 // in mean into column means, subtracts them from v's columns and accumulates
 // out[j] = (projected v_j)ᵀw_j in the same sweep — with w = v, the squared
-// column norms, as shiftDot serves both at width 1.
+// column norms.
 func (s *scratch) blockSubMeans(v, w []float64, n, k int, mean, out []float64) {
 	for j := 0; j < k; j++ {
 		mean[j] /= float64(n)
@@ -172,13 +194,7 @@ func (s *scratch) blockSubMeans(v, w []float64, n, k int, mean, out []float64) {
 // z-projection + rᵀz step). r may be z itself: every body stores the shifted
 // entry before it loads r's, so the product then is the shifted entry's square.
 func (s *scratch) blockSubMeanDot(z, r []float64, n, k int, mean, out []float64) {
-	if k == 1 {
-		out[0] = shiftDot(z[:n], mean[0], r[:n])
-		return
-	}
-	s.reduceRows(n, k, out, func(lo, hi int, acc []float64) {
-		blockSubMeanDotRange(z, r, mean, k, lo, hi, acc)
-	})
+	s.reduceRows(n, k, out, rowSweep{op: opSubMeanDot, x: z, r: r, coef: mean})
 }
 
 // blockSubMeanDotRange shifts rows [lo, hi) of z and adds their products with
@@ -192,33 +208,27 @@ func blockSubMeanDotRange(z, r, mean []float64, k, lo, hi int, acc []float64) {
 		kernel.SubMeanDot(4, z, r, mean, k, j, lo, hi, acc)
 		j += 4
 	}
-	if j < k {
-		blockSubMeanDotTail(z, r, mean, k, j, lo, hi, acc)
-	}
+	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { acc[j] = subMeanDotCol(z, r, mean[j], k, j, lo, hi, acc[j]) })
 }
 
-func blockSubMeanDotTail(z, r, mean []float64, k, j0, lo, hi int, acc []float64) {
-	acc, mean = acc[j0:k], mean[j0:k]
-	for v := lo; v < hi; v++ {
-		zv := z[v*k+j0 : v*k+k : v*k+k]
-		rv := r[v*k+j0 : v*k+k : v*k+k]
-		for j := range zv {
-			zv[j] -= mean[j]
-			acc[j] += rv[j] * zv[j]
-		}
+// subMeanDotCol subtracts m from z's column j over rows [lo, hi) and returns
+// s plus the shifted entries' products with r's.
+//
+//go:noinline
+func subMeanDotCol(z, r []float64, m float64, k, j, lo, hi int, s float64) float64 {
+	end := hi * k
+	for o := lo*k + j; o < end; o += k {
+		z[o] -= m
+		s += r[o] * z[o]
 	}
+	return s
 }
 
-// blockUpdateXRSums is the fused PCG update: x += α∘p, r −= α∘ap, with the new residual's column sums — pass 1 of the
-// next mean projection — accumulated in the same sweep.
+// blockUpdateXRSums is the fused PCG update: x += α∘p, r −= α∘ap, with the
+// new residual's column sums — pass 1 of the next mean projection —
+// accumulated in the same sweep.
 func (s *scratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int, sums []float64) {
-	if k == 1 {
-		sums[0] = updateXR(x[:n], r[:n], alpha[0], p[:n], ap[:n])
-		return
-	}
-	s.reduceRows(n, k, sums, func(lo, hi int, acc []float64) {
-		blockUpdateXRSumsRange(x, r, p, ap, alpha, k, lo, hi, acc)
-	})
+	s.reduceRows(n, k, sums, rowSweep{op: opUpdateXRSums, x: x, r: r, p: p, ap: ap, coef: alpha})
 }
 
 // blockUpdateXRSumsRange updates rows [lo, hi) and adds the new residual rows
@@ -232,34 +242,28 @@ func blockUpdateXRSumsRange(x, r, p, ap, alpha []float64, k, lo, hi int, acc []f
 		kernel.UpdateXRSums(4, x, r, p, ap, alpha, k, j, lo, hi, acc)
 		j += 4
 	}
-	if j < k {
-		blockUpdateXRSumsTail(x, r, p, ap, alpha, k, j, lo, hi, acc)
-	}
+	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) {
+		acc[j] = updateXRSumsCol(x, r, p, ap, alpha[j], k, j, lo, hi, acc[j])
+	})
 }
 
-func blockUpdateXRSumsTail(x, r, p, ap, alpha []float64, k, j0, lo, hi int, acc []float64) {
-	acc, alpha = acc[j0:k], alpha[j0:k]
-	for v := lo; v < hi; v++ {
-		xv := x[v*k+j0 : v*k+k : v*k+k]
-		rv := r[v*k+j0 : v*k+k : v*k+k]
-		pv := p[v*k+j0 : v*k+k : v*k+k]
-		av := ap[v*k+j0 : v*k+k : v*k+k]
-		for j := range xv {
-			a := alpha[j]
-			xv[j] += a * pv[j]
-			rv[j] -= a * av[j]
-			acc[j] += rv[j]
-		}
+// updateXRSumsCol is the update on column j over rows [lo, hi); it returns s
+// plus the new residual entries.
+//
+//go:noinline
+func updateXRSumsCol(x, r, p, ap []float64, a float64, k, j, lo, hi int, s float64) float64 {
+	end := hi * k
+	for o := lo*k + j; o < end; o += k {
+		x[o] += a * p[o]
+		r[o] -= a * ap[o]
+		s += r[o]
 	}
+	return s
 }
 
 // blockXPBY computes p = z + β∘p per column (the direction update).
-// Elementwise, so any chunking is bit-identical; uses par.For directly.
+// Elementwise, so any chunking is bit-identical.
 func blockXPBY(p, z, beta []float64, n, k int) {
-	if k == 1 {
-		xpby(p[:n], z[:n], beta[0])
-		return
-	}
 	grain := blockGrain(k)
 	if n <= grain || par.Workers() == 1 {
 		blockXPBYRange(p, z, beta, k, 0, n)
@@ -270,7 +274,7 @@ func blockXPBY(p, z, beta []float64, n, k int) {
 	})
 }
 
-// blockXPBYRange is blockXPBY on rows [lo, hi) of a k > 1 block.
+// blockXPBYRange is blockXPBY on rows [lo, hi).
 func blockXPBYRange(p, z, beta []float64, k, lo, hi int) {
 	j := 0
 	for ; j+8 <= k; j += 8 {
@@ -280,19 +284,16 @@ func blockXPBYRange(p, z, beta []float64, k, lo, hi int) {
 		kernel.XPBY(4, p, z, beta, k, j, lo, hi)
 		j += 4
 	}
-	if j < k {
-		blockXPBYTail(p, z, beta, k, j, lo, hi)
-	}
+	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { xpbyCol(p, z, beta[j], k, j, lo, hi) })
 }
 
-func blockXPBYTail(p, z, beta []float64, k, j0, lo, hi int) {
-	beta = beta[j0:k]
-	for v := lo; v < hi; v++ {
-		pv := p[v*k+j0 : v*k+k : v*k+k]
-		zv := z[v*k+j0 : v*k+k : v*k+k]
-		for j := range pv {
-			pv[j] = zv[j] + beta[j]*pv[j]
-		}
+// xpbyCol is the direction update on column j over rows [lo, hi).
+//
+//go:noinline
+func xpbyCol(p, z []float64, b float64, k, j, lo, hi int) {
+	end := hi * k
+	for o := lo*k + j; o < end; o += k {
+		p[o] = z[o] + b*p[o]
 	}
 }
 

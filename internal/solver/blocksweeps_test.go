@@ -29,11 +29,11 @@ func (a *sweepArgs) clone() *sweepArgs {
 	return &c
 }
 
-// blockSweeps lists the tiled k > 1 kernels of blockkernels.go three ways: tiled is
-// the row-range body the solver runs (8-wide tile, 4-wide tile, tail); loop is
-// the kernel's any-width loop from column 0 — its tail, and the reference
-// both forms of the tiles are held to; whole is the kernel's entry point over
-// rows [0, n).
+// blockSweeps lists the kernels of blockkernels.go three ways: tiled is the
+// row-range body the solver runs (8-wide tiles, 4-wide tile, the width-1 loop
+// on each column left); loop is the width-1 loop on every column — the whole
+// sweep at k = 1, and the reference both forms of the tiles are held to;
+// whole is the kernel's entry point over rows [0, n).
 var blockSweeps = []struct {
 	name  string
 	tiled func(a *sweepArgs)
@@ -42,32 +42,53 @@ var blockSweeps = []struct {
 }{
 	{"dots",
 		func(a *sweepArgs) { blockDotsRange(a.x, a.r, a.k, a.lo, a.hi, a.acc) },
-		func(a *sweepArgs) { blockDotsTail(a.x, a.r, a.k, 0, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) {
+			eachColumn(a, func(j int) { a.acc[j] = dotsCol(a.x, a.r, a.k, j, a.lo, a.hi, a.acc[j]) })
+		},
 		func(s *scratch, a *sweepArgs, n int) { s.blockDots(a.x, a.r, n, a.k, a.acc) }},
 	{"normSq",
 		func(a *sweepArgs) { blockDotsRange(a.x, a.x, a.k, a.lo, a.hi, a.acc) },
-		func(a *sweepArgs) { blockDotsTail(a.x, a.x, a.k, 0, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) {
+			eachColumn(a, func(j int) { a.acc[j] = dotsCol(a.x, a.x, a.k, j, a.lo, a.hi, a.acc[j]) })
+		},
 		func(s *scratch, a *sweepArgs, n int) { s.blockNormSq(a.x, n, a.k, a.acc) }},
 	{"colSums",
 		func(a *sweepArgs) { blockDotsRange(a.x, nil, a.k, a.lo, a.hi, a.acc) },
-		func(a *sweepArgs) { blockDotsTail(a.x, nil, a.k, 0, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) {
+			eachColumn(a, func(j int) { a.acc[j] = dotsCol(a.x, nil, a.k, j, a.lo, a.hi, a.acc[j]) })
+		},
 		func(s *scratch, a *sweepArgs, n int) { s.blockColSums(a.x, n, a.k, a.acc) }},
 	{"subMeanDot",
 		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.r, a.coef, a.k, a.lo, a.hi, a.acc) },
-		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) {
+			eachColumn(a, func(j int) { a.acc[j] = subMeanDotCol(a.x, a.r, a.coef[j], a.k, j, a.lo, a.hi, a.acc[j]) })
+		},
 		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanDot(a.x, a.r, n, a.k, a.coef, a.acc) }},
 	{"subMeanNormSq",
 		func(a *sweepArgs) { blockSubMeanDotRange(a.x, a.x, a.coef, a.k, a.lo, a.hi, a.acc) },
-		func(a *sweepArgs) { blockSubMeanDotTail(a.x, a.x, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) {
+			eachColumn(a, func(j int) { a.acc[j] = subMeanDotCol(a.x, a.x, a.coef[j], a.k, j, a.lo, a.hi, a.acc[j]) })
+		},
 		func(s *scratch, a *sweepArgs, n int) { s.blockSubMeanDot(a.x, a.x, n, a.k, a.coef, a.acc) }},
 	{"updateXRSums",
 		func(a *sweepArgs) { blockUpdateXRSumsRange(a.x, a.r, a.p, a.ap, a.coef, a.k, a.lo, a.hi, a.acc) },
-		func(a *sweepArgs) { blockUpdateXRSumsTail(a.x, a.r, a.p, a.ap, a.coef, a.k, 0, a.lo, a.hi, a.acc) },
+		func(a *sweepArgs) {
+			eachColumn(a, func(j int) {
+				a.acc[j] = updateXRSumsCol(a.x, a.r, a.p, a.ap, a.coef[j], a.k, j, a.lo, a.hi, a.acc[j])
+			})
+		},
 		func(s *scratch, a *sweepArgs, n int) { s.blockUpdateXRSums(a.x, a.r, a.p, a.ap, a.coef, n, a.k, a.acc) }},
 	{"xpby",
 		func(a *sweepArgs) { blockXPBYRange(a.x, a.r, a.coef, a.k, a.lo, a.hi) },
-		func(a *sweepArgs) { blockXPBYTail(a.x, a.r, a.coef, a.k, 0, a.lo, a.hi) },
+		func(a *sweepArgs) { eachColumn(a, func(j int) { xpbyCol(a.x, a.r, a.coef[j], a.k, j, a.lo, a.hi) }) },
 		func(_ *scratch, a *sweepArgs, n int) { blockXPBY(a.x, a.r, a.coef, n, a.k) }},
+}
+
+// eachColumn runs col on every column of a's blocks in turn.
+func eachColumn(a *sweepArgs, col func(j int)) {
+	for j := 0; j < a.k; j++ {
+		col(j)
+	}
 }
 
 // bodies are the two forms of the kernel bodies: Go, and whichever this
@@ -112,7 +133,7 @@ func diffSweep(got, want *sweepArgs) string {
 	for f, pair := range [][2][]float64{{got.x, want.x}, {got.r, want.r}, {got.p, want.p}, {got.ap, want.ap}, {got.coef, want.coef}, {got.acc, want.acc}} {
 		for i := range pair[1] {
 			if !kernel.SameWord(pair[0][i], pair[1][i]) {
-				return fmt.Sprintf("%s[%d] (row %d, column %d): tiled %v (%#x), any-width loop %v (%#x)", names[f], i, i/want.k, i%want.k,
+				return fmt.Sprintf("%s[%d] (row %d, column %d): tiled %v (%#x), width-1 loop %v (%#x)", names[f], i, i/want.k, i%want.k,
 					pair[0][i], math.Float64bits(pair[0][i]), pair[1][i], math.Float64bits(pair[1][i]))
 			}
 		}
@@ -120,10 +141,10 @@ func diffSweep(got, want *sweepArgs) string {
 	return ""
 }
 
-var sweepWidths = []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17}
+var sweepWidths = []int{1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17}
 
 // TestBlockSweepTilesMatchReference: every tiled sweep leaves the words its
-// any-width loop leaves — reductions and the blocks it updates in place —
+// width-1 loop leaves on every column — reductions and the blocks it updates in place —
 // with either form of its tiles, at widths that combine the tiles every way,
 // on row counts below, at and above one elementwise chunk (at k = 2 the
 // longest spans two reduction chunks), through the kernel's
@@ -133,13 +154,16 @@ var sweepWidths = []int{2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17}
 func TestBlockSweepTilesMatchReference(t *testing.T) {
 	const sentinel = 12345.678
 	rng := rand.New(rand.NewSource(26))
-	chunked := func(n int, a *sweepArgs, body func(a *sweepArgs)) {
-		var s scratch
-		s.reduceRows(n, a.k, a.acc, func(lo, hi int, acc []float64) {
+	byChunk := func(n int, a *sweepArgs, body func(a *sweepArgs)) {
+		zero(a.acc)
+		for lo := 0; lo < n; lo += kernelGrain {
 			chunk := *a
-			chunk.lo, chunk.hi, chunk.acc = lo, hi, acc
+			chunk.lo, chunk.hi, chunk.acc = lo, min(lo+kernelGrain, n), make([]float64, a.k)
 			body(&chunk)
-		})
+			for j, p := range chunk.acc {
+				a.acc[j] += p
+			}
+		}
 	}
 	for _, k := range sweepWidths {
 		for _, special := range []bool{false, true} {
@@ -150,7 +174,7 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 				base := randomSweepArgs(rng, n, k, special)
 				for _, sw := range blockSweeps {
 					want := base.clone()
-					chunked(n, want, sw.loop)
+					byChunk(n, want, sw.loop)
 					got := base.clone()
 					zero(got.acc) // reduceRows zeroes want's; xpby has none to zero
 					var s scratch
@@ -160,7 +184,7 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 					}
 					for _, body := range bodies {
 						got := base.clone()
-						body.run(func() { chunked(n, got, sw.tiled) })
+						body.run(func() { byChunk(n, got, sw.tiled) })
 						if d := diffSweep(got, want); d != "" {
 							t.Fatalf("%s %s tiles k=%d n=%d special=%v: %s", sw.name, body.name, k, n, special, d)
 						}
@@ -213,18 +237,18 @@ func column(b []float64, k, j int) []float64 {
 }
 
 // TestBlockReductionWidthInvariant: every reduction of a width-k block sums
-// column j as the width-1 vector kernel sums that column alone — over the
-// same kernelGrain partition, combined in the same order — and every sweep
-// leaves column j as the vector kernel leaves it, bit for bit: on row counts
+// column j as the plain loop over that column alone sums it over the
+// kernelGrain partition, combined in chunk order (chunked) — and every sweep
+// leaves column j as the plain loop leaves it, bit for bit: on row counts
 // that span two and three chunks, at widths that take every tile shape, at
 // one worker and at two, with either form of the tiles.
 func TestBlockReductionWidthInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(27))
 	for _, n := range []int{kernelGrain + 1, 2*kernelGrain + 37} {
-		for _, k := range []int{3, 5, 8, 12} {
+		for _, k := range []int{1, 3, 5, 8, 12} {
 			base := randomSweepArgs(rng, n, k, false)
-			// What each vector kernel returns and leaves for column j alone.
+			// What each plain loop returns and leaves for column j alone.
 			type solo struct {
 				dot, sum, shiftDot, updateXR float64
 				z, x, r, p                   []float64
@@ -234,10 +258,18 @@ func TestBlockReductionWidthInvariant(t *testing.T) {
 				w, x, r, c := &want[j], column(base.x, k, j), column(base.r, k, j), base.coef[j]
 				w.dot, w.sum = dot(x, r), sum(x)
 				w.z = append([]float64(nil), x...)
-				w.shiftDot = shiftDot(w.z, c, r)
+				w.shiftDot = chunked(n, func(i int) float64 {
+					w.z[i] -= c
+					return r[i] * w.z[i]
+				})
 				w.x, w.r = append([]float64(nil), x...), append([]float64(nil), r...)
-				w.updateXR = updateXR(w.x, w.r, c, column(base.p, k, j), column(base.ap, k, j))
-				w.p = column(base.p, k, j)
+				p, ap := column(base.p, k, j), column(base.ap, k, j)
+				w.updateXR = chunked(n, func(i int) float64 {
+					w.x[i] += c * p[i]
+					w.r[i] -= c * ap[i]
+					return w.r[i]
+				})
+				w.p = p
 				xpby(w.p, r, c)
 			}
 			for _, procs := range []int{1, 2} {
@@ -285,7 +317,7 @@ func TestBlockReductionWidthInvariant(t *testing.T) {
 }
 
 // FuzzBlockSweeps holds every tiled sweep, with either form of its tiles, to
-// its any-width loop on operands, width, row count and row range decoded from
+// its width-1 loop on every column, on operands, width, row count and row range decoded from
 // the fuzzer's bytes.
 func FuzzBlockSweeps(f *testing.F) {
 	f.Add([]byte{6, 20, 0, 20, 1, 2, 250, 3, 130, 7})

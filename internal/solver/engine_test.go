@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hcd/internal/graph"
+	"hcd/internal/hierarchy"
 	"hcd/internal/obs"
 	"hcd/internal/workload"
 )
@@ -58,9 +59,8 @@ func TestParallelMatvecBitwiseEqualsSerial(t *testing.T) {
 	}
 }
 
-// Chunked reductions reassociate the summation, so dot and sum agree with the
-// serial reference only to rounding; the elementwise direction update is
-// exact.
+// At width 1 the chunked reductions agree with one serial sum to rounding,
+// and the elementwise direction update and mean shift are exact.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	defer forceParallel(8)()
 	rng := rand.New(rand.NewSource(12))
@@ -71,23 +71,25 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
+	var s scratch
+	out := make([]float64, 1)
 	serialDot := 0.0
 	for i := range a {
 		serialDot += a[i] * b[i]
 	}
-	if d := dot(a, b); math.Abs(d-serialDot) > 1e-9*(1+math.Abs(serialDot)) {
-		t.Errorf("dot: parallel %v vs serial %v", d, serialDot)
+	if s.blockDots(a, b, n, 1, out); math.Abs(out[0]-serialDot) > 1e-9*(1+math.Abs(serialDot)) {
+		t.Errorf("dot: parallel %v vs serial %v", out[0], serialDot)
 	}
 	serialSum := 0.0
 	for _, v := range a {
 		serialSum += v
 	}
-	if s := sum(a); math.Abs(s-serialSum) > 1e-9*(1+math.Abs(serialSum)) {
-		t.Errorf("sum: parallel %v vs serial %v", s, serialSum)
+	if s.blockColSums(a, n, 1, out); math.Abs(out[0]-serialSum) > 1e-9*(1+math.Abs(serialSum)) {
+		t.Errorf("sum: parallel %v vs serial %v", out[0], serialSum)
 	}
 
 	p := append([]float64(nil), a...)
-	xpby(p, b, 0.37)
+	blockXPBY(p, b, []float64{0.37}, n, 1)
 	for i := range p {
 		if want := b[i] + 0.37*a[i]; p[i] != want {
 			t.Fatalf("xpby row %d: %v vs %v", i, p[i], want)
@@ -95,13 +97,12 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	}
 
 	pm := append([]float64(nil), a...)
-	shiftDot(pm, sum(pm)/float64(n), pm)
-	s := 0.0
-	for _, v := range pm {
-		s += v
-	}
-	if math.Abs(s/float64(n)) > 1e-12 {
-		t.Errorf("shiftDot left mean %v", s/float64(n))
+	mean := []float64{serialSum / float64(n)}
+	s.blockSubMeanDot(pm, pm, n, 1, mean, out)
+	for i := range pm {
+		if want := a[i] - mean[0]; pm[i] != want {
+			t.Fatalf("mean shift row %d: %v vs %v", i, pm[i], want)
+		}
 	}
 }
 
@@ -251,11 +252,59 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
+// TestEngineRepeatedSolvesZeroAlloc holds the Engine to its contract: at one
+// worker, warm solves allocate nothing — SolveBlock at k ∈ {1, 4, 8} under
+// the default hierarchy and under Jacobi on grid2d:64, Solve on a small grid,
+// and Solve of a right-hand side whose ‖b‖² underflows, which is rescaled in
+// place.
 func TestEngineRepeatedSolvesZeroAlloc(t *testing.T) {
-	// Small graph: every kernel is below the parallel grain, so the solve is
-	// pure arithmetic on engine-owned buffers.
-	g := workload.Grid2D(16, 16, workload.Lognormal(1), 5)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(20))
+	grid := workload.Grid2D(64, 64, workload.Lognormal(1), 1)
+	if raceBuild {
+		// The race detector slows the solves many times over, and its
+		// sync.Pool drops a share of the hierarchy's work buffers, which are
+		// then allocated again: a small grid, and Jacobi's count only.
+		grid = workload.Grid2D(8, 8, workload.Lognormal(1), 1)
+	}
+	h, err := hierarchy.New(grid, hierarchy.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range []struct {
+		name string
+		m    Preconditioner
+	}{{"hierarchy", h}, {"jacobi", Jacobi(grid)}} {
+		eng, err := NewEngine(LapOperator(grid), pc.m, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 4, 8} {
+			bs := make([][]float64, k)
+			for j := range bs {
+				bs[j] = meanFreeRHS(rng, grid.N())
+			}
+			solve := func() {
+				res, err := eng.SolveBlock(context.Background(), bs, DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, r := range res {
+					if !r.Converged || r.Metrics.ScratchAllocs != 0 {
+						t.Fatalf("%s k=%d column %d: converged %v, %d scratch buffers allocated", pc.name, k, j, r.Converged, r.Metrics.ScratchAllocs)
+					}
+				}
+			}
+			if _, err := eng.SolveBlock(context.Background(), bs, DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(5, solve); allocs != 0 && !(raceBuild && pc.name == "hierarchy") {
+				t.Errorf("%s k=%d: a warm SolveBlock allocates %v times, want 0", pc.name, k, allocs)
+			}
+		}
+	}
+
+	g := workload.Grid2D(16, 16, workload.Lognormal(1), 5)
 	b := meanFreeRHS(rng, g.N())
 	eng, err := NewEngine(LapOperator(g), Jacobi(g), DefaultOptions())
 	if err != nil {

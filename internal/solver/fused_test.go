@@ -10,12 +10,38 @@ import (
 	"hcd/internal/workload"
 )
 
-// The vector kernels the unfused iteration ran, kept here as its oracle: the
-// fused sweeps replaced them in the solver. The reductions are the solver's
-// own chunked dot and sum, and the elementwise loops round the same under any
-// chunking, so the oracle is bit-identical to the kernels it replaced.
+// The vector kernels the unfused iteration ran, kept here as its oracle —
+// and TestBlockReductionWidthInvariant's: plain loops, whose reductions sum
+// the solver's kernelGrain partition and add the chunk sums in chunk order,
+// as the solver's sweeps sum every column of every width. The elementwise
+// loops round the same under any chunking.
+
+// chunked returns Σ term(i) over [0, n): the sum of each kernelGrain chunk,
+// the chunk sums added in chunk order.
+func chunked(n int, term func(i int) float64) float64 {
+	total := 0.0
+	for lo := 0; lo < n; lo += kernelGrain {
+		s := 0.0
+		for i := lo; i < min(lo+kernelGrain, n); i++ {
+			s += term(i)
+		}
+		total += s
+	}
+	return total
+}
+
+func dot(a, b []float64) float64 { return chunked(len(a), func(i int) float64 { return a[i] * b[i] }) }
+
+func sum(x []float64) float64 { return chunked(len(x), func(i int) float64 { return x[i] }) }
 
 func norm2(x []float64) float64 { return math.Sqrt(dot(x, x)) }
+
+// xpby computes p = z + beta·p.
+func xpby(p, z []float64, beta float64) {
+	for i := range p {
+		p[i] = z[i] + beta*p[i]
+	}
+}
 
 // axpy computes y += a·x.
 func axpy(y []float64, a float64, x []float64) {

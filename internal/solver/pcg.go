@@ -29,7 +29,8 @@ import (
 // shrinks and later iterations do proportionally less work (deflation). What
 // depends on the width is chosen by the width observed at each call, never by
 // the entry point: a width-1 block is a plain vector, applied through the
-// operator's Apply and swept by the vector kernels (kernels.go).
+// operator's Apply and swept by each block sweep's width-1 loop
+// (blockkernels.go).
 //
 // Every solve is one attempt from x = 0: a column that breaks down or
 // diverges keeps the iterate it reached and reports why, and a caller that
@@ -69,7 +70,8 @@ type spaced interface {
 // scratch owns the work buffers of one solve. A fresh scratch per call gives
 // allocate-per-solve behavior; an Engine keeps one alive so repeated solves
 // reuse every buffer. The packed buffers are sized n·k and never shrink, so a
-// warmed scratch allocates nothing for any solve with the same or smaller n·k.
+// warmed scratch allocates no buffer for any solve with the same or smaller
+// n·k.
 type scratch struct {
 	x, r, z, p, ap []float64 // packed row-major [n][kActive]
 	colIn, colOut  []float64 // column staging for non-block Apply fallback

@@ -4,10 +4,10 @@
 // measure condition numbers κ(A, B) throughout the experiments).
 //
 // PCG is one iteration loop (pcg.go), driving k right-hand sides at once on
-// parallel level-1 kernels (see kernels.go, blockkernels.go) and a parallel
-// Laplacian matvec; it threads a context.Context for cancellation and reports per-solve Metrics. The Engine
-// type (engine.go) owns reusable work buffers so repeated solves on one
-// operator allocate nothing.
+// parallel level-1 kernels (blockkernels.go) and a parallel Laplacian matvec;
+// it threads a context.Context for cancellation and reports per-solve
+// Metrics. The Engine type (engine.go) owns reusable work buffers so repeated
+// solves on one operator allocate no work buffer, and on one worker nothing.
 //
 // # Numerical guardrails
 //

@@ -410,52 +410,10 @@ func (f *LapFactor) Bytes() int64 {
 // component. b must be orthogonal to the constant vector on each component
 // (up to roundoff); this is not checked. dst and b may alias. Operands of any
 // other length than the factor's dimension panic, before anything is written,
-// with an error wrapping graph.ErrInvalidInput.
+// with an error wrapping graph.ErrInvalidInput. It is SolveBlock at width 1.
 func (f *LapFactor) Solve(dst, b []float64) {
 	f.checkOperands("Solve", dst, b, 1)
-	copy(dst, b)
-	for _, p := range f.pins {
-		dst[p] = 0
-	}
-	// Forward: L·y = b, scattering each finished y down its column.
-	for j, v := range f.order {
-		y := dst[v] / f.diag[j]
-		dst[v] = y
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
-		for q, r := range rows {
-			dst[r] -= vals[q] * y
-		}
-	}
-	// Backward: Lᵀ·x = y, gathering each column against the finished x.
-	for j := len(f.order) - 1; j >= 0; j-- {
-		v := f.order[j]
-		s := dst[v]
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
-		for q, r := range rows {
-			s -= vals[q] * dst[r]
-		}
-		dst[v] = s / f.diag[j]
-	}
-	// De-mean per component so the answer matches the pseudo-inverse; the
-	// pinned entries (zero so far) accumulate their component's sum.
-	for v, p := range f.pin {
-		if int(p) != v {
-			dst[p] += dst[v]
-		}
-	}
-	for c, p := range f.pins {
-		dst[p] /= f.csize[c]
-	}
-	for v, p := range f.pin {
-		if int(p) != v {
-			dst[v] -= dst[p]
-		}
-	}
-	for _, p := range f.pins {
-		dst[p] = 0 - dst[p]
-	}
+	f.SolveBlock(dst, b, 1)
 }
 
 // checkOperands panics unless k ≥ 1 and dst and b each hold exactly n·k
@@ -476,17 +434,13 @@ func (f *LapFactor) checkOperands(method string, dst, b []float64, k int) {
 // SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
 // (v, j) at b[v*k+j]) with zero mean per component on every column. The
 // factor is streamed once per column tile — 8 wide, then 4, each through
-// internal/kernel's CholTile (Go or AVX2, as its probe decides), then a 1–3
-// column tail — and per column the operation order matches Solve exactly, so
-// the results are bit-identical to k scalar solves. dst and b may alias; they
-// are checked as Solve's are, against n·k: an over-long operand panics like a
-// short one, at k = 1 too.
+// internal/kernel's CholTile (Go or AVX2, as its probe decides) — and once
+// for each column no tile takes, by solveCol; per column a tile's operation
+// order is solveCol's, so the results are bit-identical to k solves of one
+// column. dst and b may alias; they are checked as Solve's are, against n·k:
+// an over-long operand panics like a short one.
 func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
 	f.checkOperands("SolveBlock", dst, b, k)
-	if k == 1 {
-		f.Solve(dst, b)
-		return
-	}
 	copy(dst, b)
 	for _, p := range f.pins {
 		row := dst[int(p)*k : int(p)*k+k]
@@ -502,37 +456,10 @@ func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
 		f.solveTile(4, dst, k, j)
 		j += 4
 	}
-	if j < k {
-		f.solveTail(dst, k, j)
+	for ; j < k; j++ {
+		f.solveCol(dst, k, j)
 	}
-	for v, p := range f.pin {
-		if int(p) != v {
-			dp, dv := dst[int(p)*k:int(p)*k+k], dst[v*k:v*k+k]
-			for j := range dp {
-				dp[j] += dv[j]
-			}
-		}
-	}
-	for c, p := range f.pins {
-		dp := dst[int(p)*k : int(p)*k+k]
-		for j := range dp {
-			dp[j] /= f.csize[c]
-		}
-	}
-	for v, p := range f.pin {
-		if int(p) != v {
-			dp, dv := dst[int(p)*k:int(p)*k+k], dst[v*k:v*k+k]
-			for j := range dv {
-				dv[j] -= dp[j]
-			}
-		}
-	}
-	for _, p := range f.pins {
-		dp := dst[int(p)*k : int(p)*k+k]
-		for j := range dp {
-			dp[j] = 0 - dp[j]
-		}
-	}
+	f.demean(dst, k)
 }
 
 // solveTile runs both triangular solves on columns [j0, j0+width), width 8 or
@@ -543,45 +470,63 @@ func (f *LapFactor) solveTile(width int, dst []float64, k, j0 int) {
 	kernel.CholTile(width, true, dst, f.diag, f.val, f.order, f.colPtr, f.rowIdx, k, j0, 0, nf)
 }
 
-// solveTail handles the final k−j0 ∈ {1, 2, 3} columns.
-func (f *LapFactor) solveTail(dst []float64, k, j0 int) {
-	kk := k - j0
-	for j, v := range f.order {
-		b := int(v)*k + j0
-		l := f.diag[j]
-		var y [3]float64
-		for t := 0; t < kk; t++ {
-			y[t] = dst[b+t] / l
-			dst[b+t] = y[t]
-		}
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
+// solveCol runs both triangular solves on column j of the packed width-k
+// block — at k = 1, the whole solve.
+func (f *LapFactor) solveCol(dst []float64, k, j int) {
+	// Forward: L·y = b, scattering each finished y down its column.
+	for c, v := range f.order {
+		o := int(v)*k + j
+		y := dst[o] / f.diag[c]
+		dst[o] = y
+		rows := f.rowIdx[f.colPtr[c]:f.colPtr[c+1]]
+		vals := f.val[f.colPtr[c]:f.colPtr[c+1]]
 		for q, r := range rows {
-			lq := vals[q]
-			rb := int(r)*k + j0
-			for t := 0; t < kk; t++ {
-				dst[rb+t] -= lq * y[t]
+			dst[int(r)*k+j] -= vals[q] * y
+		}
+	}
+	// Backward: Lᵀ·x = y, gathering each column against the finished x.
+	for c := len(f.order) - 1; c >= 0; c-- {
+		o := int(f.order[c])*k + j
+		s := dst[o]
+		rows := f.rowIdx[f.colPtr[c]:f.colPtr[c+1]]
+		vals := f.val[f.colPtr[c]:f.colPtr[c+1]]
+		for q, r := range rows {
+			s -= vals[q] * dst[int(r)*k+j]
+		}
+		dst[o] = s / f.diag[c]
+	}
+}
+
+// demean shifts every column of the pinned solution to zero mean per
+// component, so the answer matches the pseudo-inverse: the pinned entries
+// (zero so far) accumulate their component's sum, which every member then
+// subtracts. It walks whole rows, so the columns' sums into a pinned entry
+// are independent chains in flight together.
+func (f *LapFactor) demean(dst []float64, k int) {
+	for v, p := range f.pin {
+		if po, vo := int(p)*k, v*k; int(p) != v {
+			for j := 0; j < k; j++ {
+				dst[po+j] += dst[vo+j]
 			}
 		}
 	}
-	for j := len(f.order) - 1; j >= 0; j-- {
-		b := int(f.order[j])*k + j0
-		var s [3]float64
-		for t := 0; t < kk; t++ {
-			s[t] = dst[b+t]
+	for c, p := range f.pins {
+		po := int(p) * k
+		for j := 0; j < k; j++ {
+			dst[po+j] /= f.csize[c]
 		}
-		rows := f.rowIdx[f.colPtr[j]:f.colPtr[j+1]]
-		vals := f.val[f.colPtr[j]:f.colPtr[j+1]]
-		for q, r := range rows {
-			lq := vals[q]
-			rb := int(r)*k + j0
-			for t := 0; t < kk; t++ {
-				s[t] -= lq * dst[rb+t]
+	}
+	for v, p := range f.pin {
+		if po, vo := int(p)*k, v*k; int(p) != v {
+			for j := 0; j < k; j++ {
+				dst[vo+j] -= dst[po+j]
 			}
 		}
-		l := f.diag[j]
-		for t := 0; t < kk; t++ {
-			dst[b+t] = s[t] / l
+	}
+	for _, p := range f.pins {
+		po := int(p) * k
+		for j := 0; j < k; j++ {
+			dst[po+j] = 0 - dst[po+j]
 		}
 	}
 }

@@ -62,7 +62,8 @@ type SolveMetrics = solver.Metrics
 
 // Engine is a reusable solve session over one graph: it owns the Laplacian
 // operator, a preconditioner, and pooled work buffers, so repeated solves
-// (batched right-hand sides) allocate nothing after the first. Results alias
+// (batched right-hand sides) allocate no work buffer after the first, and
+// nothing at all on one worker. Results alias
 // engine buffers until the next call; an Engine is not safe for concurrent
 // use — run one Engine per goroutine.
 type Engine = solver.Engine

@@ -36,6 +36,7 @@ var theoremChecks = []struct {
 	{"scaling: weights ×2^e, b ×2^f solve to 2^(f−e)·x", checkScaling},
 	{"arithmetic range: weights at the edges of float64", checkArithmeticRange},
 	{"block columns are solo solves", checkBlockColumns},
+	{"every clustered level at least halves", checkLevelsHalve},
 }
 
 // FuzzTheorems runs theorem check (check mod the check count) on the
@@ -525,5 +526,46 @@ func checkBlockColumns(t *testing.T, rng *rand.Rand) {
 				t.Fatalf("%s, n=%d, k=%d, %s column %d: %s", kind, g.N(), k, path, j, d)
 			}
 		}
+	}
+}
+
+// checkLevelsHalve draws a graph family and appends e ∈ [0, n] edgeless
+// vertices and p ∈ [0, n/4] disjoint pairs: every level the build clusters
+// has at most ⌊n_ℓ/2⌋ + 1 clusters — §3.1's ρ ≥ 2 on the vertices with an
+// edge, plus the one cluster the edgeless vertices share — and the default
+// solve of a right-hand side that sums to zero on every component converges.
+func checkLevelsHalve(t *testing.T, rng *rand.Rand) {
+	fam := drawFamily(t, rng, 6)
+	n0 := fam.N()
+	e, p := rng.Intn(n0+1), rng.Intn(n0/4+1)
+	n := n0 + e + 2*p
+	es := fam.Edges()
+	b := append(meanFree(rng, n0), make([]float64, e+2*p)...)
+	for u := n0 + e; u < n; u += 2 {
+		es = append(es, hcd.Edge{U: u, V: u + 1, W: math.Exp(rng.NormFloat64())})
+		b[u] = rng.NormFloat64()
+		b[u+1] = -b[u]
+	}
+	g, err := hcd.NewGraph(n, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	h, err := hcd.NewHierarchyCtx(ctx, g, hcd.DefaultHierarchyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := h.LevelSizes()
+	for l := 0; l < h.Depth(); l++ {
+		if sizes[l+1] > sizes[l]/2+1 {
+			t.Fatalf("n=%d (%d edgeless, %d pairs): level %d of %v has %d clusters on %d vertices", n0, e, p, l, sizes, sizes[l+1], sizes[l])
+		}
+	}
+	resp, err := hcd.Do(ctx, g, hcd.SolveRequest{B: [][]float64{b}, Options: hcd.DefaultSolveOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := resp.Results[0]; !res.Converged {
+		t.Fatalf("n=%d (%d edgeless, %d pairs): %v after %d iterations", n0, e, p, res.Outcome, res.Iterations)
 	}
 }
