@@ -40,9 +40,10 @@ portable:
 race:
 	$(GO) test -race ./...
 
-# race-solver races just the parallel kernels and primitives (fast).
+# race-solver races just the parallel kernels and primitives (fast): every
+# package whose sweep values par.For hands to worker goroutines.
 race-solver:
-	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/...
+	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/... ./internal/hierarchy/... ./internal/kernel/...
 
 # determinism runs the bit-identity tests — worker-count invariance of the
 # kernels, the solve, the cycle and a served build, width invariance (every

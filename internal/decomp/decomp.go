@@ -337,7 +337,7 @@ func measureClusters(ctx context.Context, d *Decomposition, exactLimit int, para
 		}
 	}
 	if parallel {
-		par.For(d.Count, evalGrain, measure)
+		par.For(d.Count, evalGrain, par.Func(measure))
 	} else {
 		measure(0, d.Count)
 	}

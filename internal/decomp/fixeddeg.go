@@ -45,11 +45,11 @@ func FixedDegreeCtx(ctx context.Context, g *graph.Graph, sizeCap int, seed int64
 	// edge keeps −1: it cannot be clustered with anyone and becomes a
 	// singleton (no edges, hence no conductance constraint).
 	bestTo := make([]int32, n)
-	par.For(n, 2048, func(lo, hi int) {
+	par.For(n, 2048, par.Func(func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			bestTo[v] = heaviestEdge(g, v, 0, n, seed)
 		}
-	})
+	}))
 	if err := pollNow(ctx); err != nil {
 		return nil, err
 	}

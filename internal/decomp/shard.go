@@ -100,11 +100,11 @@ func clusterShards(ctx context.Context, g *graph.Graph, shards []graph.Shard, si
 	}
 	counts := make([]int, len(shards))
 	errs := make([]error, len(shards))
-	par.For(len(shards), 1, func(lo, hi int) {
+	par.For(len(shards), 1, par.Func(func(lo, hi int) {
 		for si := lo; si < hi; si++ {
 			counts[si], errs[si] = clusterShard(ctx, shards[si], sizeCap, seed, d.Assign)
 		}
-	})
+	}))
 	for _, err := range errs {
 		if err != nil {
 			return nil, stats, err

@@ -112,7 +112,7 @@ func TreeCtx(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
 			choices[i], errs[i] = b.chooseCandidate(groups[i])
 		}
 	}
-	par.For(len(groups), 64, choose)
+	par.For(len(groups), 64, par.Func(choose))
 	if ctx.Err() != nil {
 		return nil, Cancelled(ctx)
 	}

@@ -101,12 +101,12 @@ func enumerateCoreCuts(c *coreCSR, total float64, hasStub bool) float64 {
 	chunks := 1 << uint(p)
 	size := uint64(1) << uint(nbits-p)
 	partial := make([]float64, chunks)
-	par.For(chunks, 1, func(lo, hi int) {
+	par.For(chunks, 1, par.Func(func(lo, hi int) {
 		in := make([]bool, k)
 		for i := lo; i < hi; i++ {
 			partial[i] = enumCoreRange(c, total, in, uint64(i)*size, uint64(i+1)*size)
 		}
-	})
+	}))
 	for _, v := range partial {
 		if v < best {
 			best = v

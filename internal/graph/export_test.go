@@ -12,15 +12,12 @@ var (
 
 // The block-tile tests in package graph_test build their graphs from the
 // workload generators and the hierarchy; these are their way in.
-var (
-	BlockRowGrain  = blockRowGrain
-	BlockTestGraph = blockTestGraph
-)
+var BlockTestGraph = blockTestGraph
 
-// BlockRange is lapMulBlockRange: rows [lo, hi) of a block kernel, mode by
-// nil r / nil dInv.
+// BlockRange is lapSweep.Range: rows [lo, hi) of a block kernel, mode by nil
+// r / nil dInv.
 func (g *Graph) BlockRange(dst, r, x, dInv []float64, omega float64, k, lo, hi int) {
-	g.lapMulBlockRange(dst, r, x, dInv, omega, k, lo, hi)
+	lapSweep{g, dst, r, x, dInv, omega, k}.Range(lo, hi)
 }
 
 // MinGroupRows is the shortest run of equal-degree rows the table groups.

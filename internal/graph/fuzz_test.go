@@ -144,8 +144,8 @@ func FuzzLapBlockTile(f *testing.F) {
 			want[i], got[i] = sentinel, sentinel
 		}
 		const omega = 0.8
-		kernel.WithGo(func() { g.lapMulBlockRange(want, r, x, dInv, omega, k, lo, hi) })
-		g.lapMulBlockRange(got, r, x, dInv, omega, k, lo, hi)
+		kernel.WithGo(func() { g.BlockRange(want, r, x, dInv, omega, k, lo, hi) })
+		g.BlockRange(got, r, x, dInv, omega, k, lo, hi)
 		for i := range want {
 			if !kernel.SameWord(got[i], want[i]) {
 				t.Fatalf("n=%d k=%d mode %d rows [%d,%d): row %d column %d: AVX2 tile %v (%#x), Go tile %v (%#x)",

@@ -75,7 +75,7 @@ func sameWords(got, want []float64) int {
 
 // TestBlockTileCallsAreChunked: the runtime cannot preempt a goroutine inside
 // assembly, so no call into a tile body is handed more than
-// kernel.ChunkRows(k) rows — even when lapMulBlockRange gets the whole graph
+// kernel.ChunkRows(k) rows — even when lapSweep.Range gets the whole graph
 // at once, as it does on the serial path — and the calls cover every row of
 // every tile exactly once, in either form, with the same result.
 func TestBlockTileCallsAreChunked(t *testing.T) {
@@ -91,7 +91,7 @@ func TestBlockTileCallsAreChunked(t *testing.T) {
 		withBodies(func() {
 			rows, most, dst := 0, 0, make([]float64, n*k)
 			see := func(r int) { rows, most = rows+r, max(most, r) }
-			kernel.ObserveChunks(see, func() { g.lapMulBlockRange(dst, nil, x, nil, 0, k, 0, n) })
+			kernel.ObserveChunks(see, func() { g.BlockRange(dst, nil, x, nil, 0, k, 0, n) })
 			if tiles := k/8 + k%8/4; most > kernel.ChunkRows(k) || rows != tiles*n {
 				t.Errorf("k=%d %s: the largest call got %d rows (at most %d), all calls %d rows, want %d tiles × %d", k, kernel.Name(), most, kernel.ChunkRows(k), rows, tiles, n)
 			}
@@ -175,8 +175,8 @@ func TestBlockTilesStayInsideOperands(t *testing.T) {
 		}
 		want := make([]float64, n*k)
 		for mode, ops := range [][2][]float64{{nil, nil}, {r, nil}, {r, dInv}} {
-			g.lapMulBlockRange(dst, ops[0], x, ops[1], 0.5, k, 0, n)
-			kernel.WithGo(func() { g.lapMulBlockRange(want, ops[0], x, ops[1], 0.5, k, 0, n) })
+			g.BlockRange(dst, ops[0], x, ops[1], 0.5, k, 0, n)
+			kernel.WithGo(func() { g.BlockRange(want, ops[0], x, ops[1], 0.5, k, 0, n) })
 			if i := sameWords(dst, want); i >= 0 {
 				t.Fatalf("k=%d mode %d: entry %d: %s form %v, go form %v", k, mode, i, kernel.Name(), dst[i], want[i])
 			}
@@ -189,7 +189,7 @@ func TestBlockTilesStayInsideOperands(t *testing.T) {
 		bad, _ := fencedGraph(g)
 		bad.adj[len(bad.adj)-1] = int32(n)
 		mustFailNaming(t, fmt.Sprintf("k=%d, corrupt adjacency", k), fmt.Sprintf("row %d ", n-1), func() {
-			bad.lapMulBlockRange(dst, nil, x, nil, 0, k, 0, n)
+			bad.BlockRange(dst, nil, x, nil, 0, k, 0, n)
 		})
 	}
 }

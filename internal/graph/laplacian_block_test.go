@@ -128,7 +128,7 @@ func TestLapMulBlockK1BitIdentical(t *testing.T) {
 func TestFusedRowKernelsMatchUnfused(t *testing.T) { checkFusedRowKernelsMatchUnfused(t) }
 
 func checkFusedRowKernelsMatchUnfused(t *testing.T) {
-	g := blockTestGraph(t, 3*rowGrain, 7)
+	g := blockTestGraph(t, 3*kernel.ChunkRows(1), 7)
 	n := g.N()
 	rng := rand.New(rand.NewSource(8))
 	x, r, dInv := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -348,7 +348,7 @@ func TestRowEndBeyondAdjacency(t *testing.T) {
 				if k == 1 {
 					bad.RowRange(dst, nil, x, nil, 0, 0, n)
 				} else {
-					bad.lapMulBlockRange(dst, nil, x, nil, 0, k, 0, n)
+					bad.BlockRange(dst, nil, x, nil, 0, k, 0, n)
 				}
 			})
 		})

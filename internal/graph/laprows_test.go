@@ -85,7 +85,7 @@ func rowCorpus(t *testing.T) map[string]*graph.Graph {
 		"femesh:64": fem,
 		"road:48":   must(workload.RoadNetwork(48, 48, 12, workload.Lognormal(0.5), 1)),
 		"powerlaw":  must(workload.PowerLaw(3000, 3, nil, 1)),
-		"regular":   must(workload.RandomRegular(rowGrainPlus, 5, nil, 1)),
+		"regular":   must(workload.RandomRegular(chunkPlus, 5, nil, 1)),
 	}
 	corpus["femesh:64/level=1 by degree"] = byDegree(t, hierarchyLevels(t, fem)[1])
 	var star, path []graph.Edge
@@ -107,10 +107,10 @@ func rowCorpus(t *testing.T) map[string]*graph.Graph {
 	return corpus
 }
 
-// rowGrainPlus is a vertex count above the row kernels' 8192-row grain, so a
-// regular graph of that size is one group the wrapper must hand over in
-// several calls and par.For in several chunks.
-const rowGrainPlus = 8192 + 8192/2 + 6
+// chunkPlus is a vertex count above the row kernels' 8192-row chunk
+// (kernel.ChunkRows(1)), so a regular graph of that size is one group the
+// wrapper must hand over in several calls and par.For in several chunks.
+const chunkPlus = 8192 + 8192/2 + 6
 
 // TestRowGroupTable: every graph's row-group table partitions [0, n) in
 // order; a grouped segment is a multiple of four rows of exactly its degree,

@@ -114,7 +114,7 @@ func TestBlockTilesMatchGoReference(t *testing.T) {
 	for name, g := range tileCorpus(t) {
 		n := g.N()
 		for _, k := range []int{4, 5, 8, 11, 12, 13, 16} {
-			grain := graph.BlockRowGrain(k)
+			grain := kernel.ChunkRows(k)
 			ranges := [][2]int{{0, n}, {n / 3, n/3 + 1}, {n / 2, n / 2}}
 			if n > 12 {
 				ranges = append(ranges, [2]int{7, n - 5})

@@ -97,9 +97,9 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 	if !l.smoothed {
 		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr), the paper's
 		// two-level identity, unscaled.
-		l.restrict(r, rq, k)
+		par.For(l.count, kernel.ChunkRows(k), restrictSweep{r, rq, l.order, l.start, k})
 		h.applyLevel(level+1, xq, rq, k, w)
-		l.steinerSum(dst, r, xq, k)
+		par.For(n, kernel.ChunkRows(k), steinerSweep{dst, r, xq, l.dInv, l.assign, k})
 		return
 	}
 	// Symmetric cycle (cycle.go): one damped-Jacobi step from zero, coarse
@@ -110,193 +110,135 @@ func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork)
 	// residual.
 	const omega = jacobiOmega
 	x := growBuf(&w.tmp[level], n*k)
-	l.jacobiFromZero(x, r, omega, k)
+	par.For(n, kernel.ChunkRows(k), jacobiSweep{x, r, l.dInv, omega, k})
 	l.g.LapMulBlockResidual(dst, r, x, k)
-	l.restrict(dst, rq, k)
+	par.For(l.count, kernel.ChunkRows(k), restrictSweep{dst, rq, l.order, l.start, k})
 	h.applyLevel(level+1, xq, rq, k, w)
 	if l.visits == 2 {
 		rq2 := growBuf(&w.rq2[level], l.count*k)
 		xq2 := growBuf(&w.xq2[level], l.count*k)
 		h.levels[level+1].g.LapMulBlockResidual(rq2, rq, xq, k)
 		h.applyLevel(level+1, xq2, rq2, k, w)
-		addInto(xq, xq2)
+		par.For(len(xq), kernel.ChunkRows(1), addSweep{xq, xq2})
 	}
-	l.prolongAdd(x, xq, k)
+	par.For(n, kernel.ChunkRows(k), prolongSweep{x, xq, l.assign, l.alpha, k})
 	l.g.LapJacobiStepBlock(dst, r, x, l.dInv, omega, k)
 }
 
-// The sweeps between the row kernels. They walk packed rows in column tiles
-// — 8 wide, then 4, like the row kernels of internal/graph — and each column
-// no tile takes with its width-1 loop, which walks one column of the block at
-// stride k over the row blocks (clusters, for restrict) of kernel.Columns; at
-// k = 1 that loop is the whole sweep. The tiles are bodies of internal/kernel
-// (Go or AVX2 assembly, as its probe decides), which hold a row's (or a
-// cluster's) values and its coefficient in registers and store them once. Per
-// column every tile does what the width-1 loop does, in the same order, so
-// neither the width of a tile nor that of the block shows in a result (DESIGN
-// §12 "Kernel layer"). The width-1 loops are kept out of line, as the
-// solver's are: inlined beside the tiles they reload their operands from the
-// stack on every row. On one worker, and below a sweep's grain, a sweep runs
-// on the calling goroutine and builds no closure, so a warm apply allocates
-// nothing.
+// The sweeps between the row kernels. Each is a value holding its operands,
+// which par.For runs over the level's rows (clusters, for restrict) in chunks
+// of kernel.ChunkRows(k): on one worker, and below one chunk, on the calling
+// goroutine, with nothing allocated, so a warm apply allocates nothing. Their
+// Range walks packed rows in the column tiles of kernel.Tiles — 8 wide, then
+// 4, like the row kernels of internal/graph — and each column no tile takes
+// with its width-1 loop, which walks one column of the block at stride k over
+// the row blocks (clusters, for restrict) of kernel.Columns; at k = 1 that
+// loop is the whole sweep. The tiles are bodies of internal/kernel (Go or AVX2
+// assembly, as its probe decides), which hold a row's (or a cluster's) values
+// and its coefficient in registers and store them once. Per column every tile
+// does what the width-1 loop does, in the same order, so neither the width of
+// a tile nor that of the block shows in a result (DESIGN §12 "Kernel layer").
+// The width-1 loops are kept out of line, as the solver's are: inlined beside
+// the tiles they reload their operands from the stack on every row.
 
-// elemGrain is the minimum number of floats per chunk of the elementwise
-// sweeps; below it a sweep runs as one sequential call.
-const elemGrain = 8192
+// addSweep computes xq += xq2, the doubled coarse step's second correction,
+// over entries of the flat block (a width-1 block of Count·k rows).
+type addSweep struct{ xq, xq2 []float64 }
 
-// rowGrain is elemGrain in rows of a width-k block, so a chunk touches
-// roughly the same number of floats at every width.
-func rowGrain(k int) int {
-	g := elemGrain / k
-	if g < 512 {
-		g = 512
-	}
-	return g
-}
-
-// serial reports whether a sweep over n rows in grain-row chunks runs on the
-// calling goroutine, as par.For would run it.
-func serial(n, grain int) bool { return n <= grain || par.Workers() == 1 }
-
-// addInto computes xq += xq2, the doubled coarse step's second correction.
-func addInto(xq, xq2 []float64) {
-	if serial(len(xq), elemGrain) {
-		addRange(xq, xq2, 0, len(xq))
-		return
-	}
-	par.For(len(xq), elemGrain, func(lo, hi int) { addRange(xq, xq2, lo, hi) })
-}
-
-func addRange(xq, xq2 []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+func (s addSweep) Range(lo, hi int) {
+	xq, xq2 := s.xq[lo:hi], s.xq2[lo:hi]
+	for i := range xq {
 		xq[i] += xq2[i]
 	}
 }
 
-// jacobiFromZero computes x = (ω·r)·D⁻¹: the first damped-Jacobi step, from
-// a zero iterate.
-func (l *Level) jacobiFromZero(x, r []float64, omega float64, k int) {
-	n, grain := l.g.N(), rowGrain(k)
-	if serial(n, grain) {
-		l.jacobiFromZeroRange(x, r, omega, k, 0, n)
-		return
-	}
-	par.For(n, grain, func(lo, hi int) { l.jacobiFromZeroRange(x, r, omega, k, lo, hi) })
+// jacobiSweep computes x = (ω·r)·D⁻¹: the first damped-Jacobi step, from a
+// zero iterate.
+type jacobiSweep struct {
+	x, r, dInv []float64
+	omega      float64
+	k          int
 }
 
-// jacobiFromZeroRange is jacobiFromZero on rows [lo, hi).
-func (l *Level) jacobiFromZeroRange(x, r []float64, omega float64, k, lo, hi int) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		kernel.JacobiFromZero(8, x, r, l.dInv, omega, k, j, lo, hi)
-	}
-	if j+4 <= k {
-		kernel.JacobiFromZero(4, x, r, l.dInv, omega, k, j, lo, hi)
-		j += 4
-	}
-	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { l.jacobiFromZeroCol(x, r, omega, k, j, lo, hi) })
+func (s jacobiSweep) Range(lo, hi int) {
+	j := kernel.Tiles(s.k, func(width, j int) { kernel.JacobiFromZero(width, s.x, s.r, s.dInv, s.omega, s.k, j, lo, hi) })
+	kernel.Columns(j, s.k, lo, hi, func(j, lo, hi int) { jacobiFromZeroCol(s.x, s.r, s.dInv, s.omega, s.k, j, lo, hi) })
 }
 
-// jacobiFromZeroCol is jacobiFromZero on column j of rows [lo, hi).
+// jacobiFromZeroCol is jacobiSweep on column j of rows [lo, hi).
 //
 //go:noinline
-func (l *Level) jacobiFromZeroCol(x, r []float64, omega float64, k, j, lo, hi int) {
-	dInv := l.dInv[lo:hi]
+func jacobiFromZeroCol(x, r, dInv []float64, omega float64, k, j, lo, hi int) {
+	dInv = dInv[lo:hi]
 	for v, o := 0, lo*k+j; v < len(dInv); v, o = v+1, o+k {
 		x[o] = omega * r[o] * dInv[v]
 	}
 }
 
-// prolongAdd computes x += α·R·xq: every vertex takes its cluster's
+// prolongSweep computes x += α·R·xq: every vertex takes its cluster's
 // correction, scaled by the level's alpha.
-func (l *Level) prolongAdd(x, xq []float64, k int) {
-	n, grain := l.g.N(), rowGrain(k)
-	if serial(n, grain) {
-		l.prolongAddRange(x, xq, l.alpha, k, 0, n)
-		return
-	}
-	par.For(n, grain, func(lo, hi int) { l.prolongAddRange(x, xq, l.alpha, k, lo, hi) })
+type prolongSweep struct {
+	x, xq  []float64
+	assign []int32
+	alpha  float64
+	k      int
 }
 
-// prolongAddRange is prolongAdd on rows [lo, hi).
-func (l *Level) prolongAddRange(x, xq []float64, alpha float64, k, lo, hi int) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		kernel.ProlongAdd(8, x, xq, alpha, l.assign, k, j, lo, hi)
-	}
-	if j+4 <= k {
-		kernel.ProlongAdd(4, x, xq, alpha, l.assign, k, j, lo, hi)
-		j += 4
-	}
-	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { l.prolongAddCol(x, xq, alpha, k, j, lo, hi) })
+func (s prolongSweep) Range(lo, hi int) {
+	j := kernel.Tiles(s.k, func(width, j int) { kernel.ProlongAdd(width, s.x, s.xq, s.alpha, s.assign, s.k, j, lo, hi) })
+	kernel.Columns(j, s.k, lo, hi, func(j, lo, hi int) { prolongAddCol(s.x, s.xq, s.assign, s.alpha, s.k, j, lo, hi) })
 }
 
-// prolongAddCol is prolongAdd on column j of rows [lo, hi).
+// prolongAddCol is prolongSweep on column j of rows [lo, hi).
 //
 //go:noinline
-func (l *Level) prolongAddCol(x, xq []float64, alpha float64, k, j, lo, hi int) {
+func prolongAddCol(x, xq []float64, assign []int32, alpha float64, k, j, lo, hi int) {
 	xq, o := xq[j:], lo*k+j
-	for _, c := range l.assign[lo:hi] {
+	for _, c := range assign[lo:hi] {
 		x[o] += alpha * xq[int(c)*k]
 		o += k
 	}
 }
 
-// steinerSum computes dst = D⁻¹r + R·xq, the unsmoothed two-level identity.
+// steinerSweep computes dst = D⁻¹r + R·xq, the unsmoothed two-level identity.
 // Only the Steiner recursion (NewSteiner) runs it, so it stays one loop over
 // whole rows.
-func (l *Level) steinerSum(dst, r, xq []float64, k int) {
-	n, grain := l.g.N(), rowGrain(k)
-	if serial(n, grain) {
-		l.steinerSumRange(dst, r, xq, k, 0, n)
-		return
-	}
-	par.For(n, grain, func(lo, hi int) { l.steinerSumRange(dst, r, xq, k, lo, hi) })
+type steinerSweep struct {
+	dst, r, xq, dInv []float64
+	assign           []int32
+	k                int
 }
 
-func (l *Level) steinerSumRange(dst, r, xq []float64, k, lo, hi int) {
+func (s steinerSweep) Range(lo, hi int) {
+	k := s.k
 	for v := lo; v < hi; v++ {
-		dv := l.dInv[v]
-		q := xq[int(l.assign[v])*k:]
-		rv := r[v*k : v*k+k : v*k+k]
-		dstv := dst[v*k : v*k+k : v*k+k]
+		dv := s.dInv[v]
+		q := s.xq[int(s.assign[v])*k:]
+		rv := s.r[v*k : v*k+k : v*k+k]
+		dstv := s.dst[v*k : v*k+k : v*k+k]
 		for j := range dstv {
 			dstv[j] = rv[j]*dv + q[j]
 		}
 	}
 }
 
-// restrict computes rq = Rᵀr per column: each cluster sums its members'
+// restrictSweep computes rq = Rᵀr per column: each cluster sums its members'
 // rows in the fixed cluster-sorted order, so the result does not depend on
 // how clusters are chunked across workers.
-func (l *Level) restrict(r, rq []float64, k int) {
-	grain := 512 / k
-	if grain < 8 {
-		grain = 8
-	}
-	if serial(l.count, grain) {
-		l.restrictRange(r, rq, k, 0, l.count)
-		return
-	}
-	par.For(l.count, grain, func(lo, hi int) { l.restrictRange(r, rq, k, lo, hi) })
+type restrictSweep struct {
+	r, rq        []float64
+	order, start []int32
+	k            int
 }
 
-// restrictRange is restrict on clusters [lo, hi).
-func (l *Level) restrictRange(r, rq []float64, k, lo, hi int) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		kernel.Restrict(8, r, rq, l.order, l.start, k, j, lo, hi)
-	}
-	if j+4 <= k {
-		kernel.Restrict(4, r, rq, l.order, l.start, k, j, lo, hi)
-		j += 4
-	}
-	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { restrictCol(r, rq, l.order, l.start, k, j, lo, hi) })
+func (s restrictSweep) Range(lo, hi int) {
+	j := kernel.Tiles(s.k, func(width, j int) { kernel.Restrict(width, s.r, s.rq, s.order, s.start, s.k, j, lo, hi) })
+	kernel.Columns(j, s.k, lo, hi, func(j, lo, hi int) { restrictCol(s.r, s.rq, s.order, s.start, s.k, j, lo, hi) })
 }
 
-// restrictCol is restrict on column j of clusters [lo, hi). It takes the
-// level's tables as operands: reading them through l, the loop reloads l
-// from the stack on every member.
+// restrictCol is restrictSweep on column j of clusters [lo, hi). Like the
+// other width-1 loops it takes the level's tables as operands: reading them
+// through the *Level, the loop reloaded it from the stack on every member.
 //
 //go:noinline
 func restrictCol(r, rq []float64, order, start []int32, k, j, lo, hi int) {

@@ -10,6 +10,7 @@ import (
 
 	"hcd/internal/graph"
 	"hcd/internal/kernel"
+	"hcd/internal/par"
 	"hcd/internal/workload"
 )
 
@@ -83,12 +84,13 @@ func randomApplyArgs(l *Level, k int, draw func() float64) *applyArgs {
 	return a
 }
 
-// applySweeps lists the sweeps of apply.go (all but steinerSum, which has
-// only its whole-row loop) three ways, like the solver's blockSweeps: tiled is
-// the range body the cycle runs; loop its width-1 loop on every column (the
-// whole sweep at k = 1, and the reference both forms of the tiles are held
-// to); whole the sweep's entry point. restrict ranges over clusters and
-// writes rq; the others range over vertices and write x.
+// applySweeps lists the sweeps of apply.go (all but steinerSweep, which has
+// only its whole-row loop, and addSweep) three ways, like the solver's
+// blockSweeps: tiled is the sweep's Range; loop its width-1 loop on every
+// column (the whole sweep at k = 1, and the reference both forms of the tiles
+// are held to); whole the sweep as the cycle runs it, through par.For.
+// restrict ranges over clusters and writes rq; the others range over vertices
+// and write x.
 var applySweeps = []struct {
 	name     string
 	clusters bool
@@ -97,29 +99,41 @@ var applySweeps = []struct {
 	whole    func(l *Level, a *applyArgs)
 }{
 	{"jacobiFromZero", false,
-		func(l *Level, a *applyArgs, lo, hi int) { l.jacobiFromZeroRange(a.x, a.r, jacobiOmega, a.k, lo, hi) },
+		func(l *Level, a *applyArgs, lo, hi int) {
+			jacobiSweep{a.x, a.r, l.dInv, jacobiOmega, a.k}.Range(lo, hi)
+		},
 		func(l *Level, a *applyArgs, lo, hi int) {
 			for j := 0; j < a.k; j++ {
-				l.jacobiFromZeroCol(a.x, a.r, jacobiOmega, a.k, j, lo, hi)
+				jacobiFromZeroCol(a.x, a.r, l.dInv, jacobiOmega, a.k, j, lo, hi)
 			}
 		},
-		func(l *Level, a *applyArgs) { l.jacobiFromZero(a.x, a.r, jacobiOmega, a.k) }},
+		func(l *Level, a *applyArgs) {
+			par.For(l.g.N(), kernel.ChunkRows(a.k), jacobiSweep{a.x, a.r, l.dInv, jacobiOmega, a.k})
+		}},
 	{"prolongAdd", false,
-		func(l *Level, a *applyArgs, lo, hi int) { l.prolongAddRange(a.x, a.xq, l.alpha, a.k, lo, hi) },
+		func(l *Level, a *applyArgs, lo, hi int) {
+			prolongSweep{a.x, a.xq, l.assign, l.alpha, a.k}.Range(lo, hi)
+		},
 		func(l *Level, a *applyArgs, lo, hi int) {
 			for j := 0; j < a.k; j++ {
-				l.prolongAddCol(a.x, a.xq, l.alpha, a.k, j, lo, hi)
+				prolongAddCol(a.x, a.xq, l.assign, l.alpha, a.k, j, lo, hi)
 			}
 		},
-		func(l *Level, a *applyArgs) { l.prolongAdd(a.x, a.xq, a.k) }},
+		func(l *Level, a *applyArgs) {
+			par.For(l.g.N(), kernel.ChunkRows(a.k), prolongSweep{a.x, a.xq, l.assign, l.alpha, a.k})
+		}},
 	{"restrict", true,
-		func(l *Level, a *applyArgs, lo, hi int) { l.restrictRange(a.r, a.rq, a.k, lo, hi) },
+		func(l *Level, a *applyArgs, lo, hi int) {
+			restrictSweep{a.r, a.rq, l.order, l.start, a.k}.Range(lo, hi)
+		},
 		func(l *Level, a *applyArgs, lo, hi int) {
 			for j := 0; j < a.k; j++ {
 				restrictCol(a.r, a.rq, l.order, l.start, a.k, j, lo, hi)
 			}
 		},
-		func(l *Level, a *applyArgs) { l.restrict(a.r, a.rq, a.k) }},
+		func(l *Level, a *applyArgs) {
+			par.For(l.count, kernel.ChunkRows(a.k), restrictSweep{a.r, a.rq, l.order, l.start, a.k})
+		}},
 }
 
 // bodies are the two forms of the kernel bodies: Go, and whichever this
@@ -164,7 +178,7 @@ func TestApplySweepTilesMatchReference(t *testing.T) {
 	sizes := []int{1, 1, 3, 40, 2, 1, 300, 4}
 	rng := rand.New(rand.NewSource(26))
 	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17} {
-		grain := rowGrain(k)
+		grain := kernel.ChunkRows(k)
 		for _, special := range []bool{false, true} {
 			draw := func() float64 {
 				if special && rng.Intn(5) == 0 {

@@ -7,12 +7,13 @@
 // — so the two write the same words (DESIGN §12 "Kernel layer").
 //
 // The package owns what every body shares: the CPUID probe that picks the
-// form, the check of a call's operands, the chunking of a call's rows, and
-// the row blocks the callers' width-1 loops take turns over (Columns). What
-// decides the arithmetic stays with the callers in internal/graph,
-// internal/solver, internal/hierarchy and internal/sparse: the 8 → 4 column
-// tiles, the width-1 loop that takes each column they leave, and every
-// partition of a reduction. kernel imports nothing of theirs.
+// form, the check of a call's operands, the chunking of a call's rows — also
+// the grain of the callers' parallel sweeps (ChunkRows) — the 8 → 4 column
+// tile schedule (Tiles), and the row blocks the callers' width-1 loops take
+// turns over (Columns). What decides the arithmetic stays with the callers in
+// internal/graph, internal/solver, internal/hierarchy and internal/sparse:
+// the width-1 loop that takes each column no tile takes, and every partition
+// of a reduction. kernel imports nothing of theirs.
 package kernel
 
 import (
@@ -102,8 +103,27 @@ func check(body string, width, k, j0, lo, hi int, ops ...span) {
 // chunk of four-row groups is whole groups. The runtime cannot preempt a
 // goroutine inside assembly; a chunk keeps that stretch in the tens of
 // microseconds. Every body stores its accumulators and reloads them exactly,
-// so a chunk boundary never moves a bit.
+// so a chunk boundary never moves a bit. It is also the one grain of the
+// callers' elementwise sweeps, whose par.For hands a worker ChunkRows(k) rows
+// (clusters, for restrict) at a time: a sweep shorter than one chunk runs on
+// the calling goroutine.
 func ChunkRows(k int) int { return max(8192/k, 256) &^ 3 }
+
+// Tiles calls tile(width, j) for the column tiles of a width-k block — 8 wide
+// while eight columns are left, then one 4 wide if four are — and returns the
+// first column no tile took, from which Columns hands the rest to the
+// caller's width-1 loop. It is the one tile schedule of every sweep.
+func Tiles(k int, tile func(width, j int)) int {
+	j := 0
+	for ; j+8 <= k; j += 8 {
+		tile(8, j)
+	}
+	if j+4 <= k {
+		tile(4, j)
+		j += 4
+	}
+	return j
+}
 
 // colRows is the row block of Columns: at the widths that leave columns to
 // the width-1 loops, a few tens of kilobytes of each operand, which stay in

@@ -252,7 +252,7 @@ func BoruvkaCtx(ctx context.Context, g *graph.Graph, obj Objective, parallel boo
 			}
 		}
 		if parallel {
-			par.For(n, 2048, scan)
+			par.For(n, 2048, par.Func(scan))
 		} else {
 			scan(0, n)
 		}

@@ -21,11 +21,11 @@ func TestForWorkerPanicSurfacesOnCaller(t *testing.T) {
 	forceParallel(t)
 	sentinel := errors.New("boom")
 	err := catchPanic(func() {
-		For(100000, 1000, func(lo, hi int) {
+		For(100000, 1000, Func(func(lo, hi int) {
 			if lo == 5000 {
 				panic(sentinel)
 			}
-		})
+		}))
 	})
 	if err == nil {
 		t.Fatal("worker panic did not propagate to the caller")
@@ -50,12 +50,12 @@ func TestForPanicCancelsSiblings(t *testing.T) {
 	var done atomic.Int64
 	const chunks = 1000
 	err := catchPanic(func() {
-		For(chunks, 1, func(lo, hi int) {
+		For(chunks, 1, Func(func(lo, hi int) {
 			if lo == 0 {
 				panic("first chunk dies")
 			}
 			done.Add(1)
-		})
+		}))
 	})
 	if err == nil {
 		t.Fatal("panic did not propagate")
@@ -72,7 +72,7 @@ func TestSequentialPanicStillCatchable(t *testing.T) {
 	// The sequential short-circuit (n <= grain) panics on the caller's own
 	// goroutine; AsError must still wrap it.
 	err := catchPanic(func() {
-		For(10, 100, func(lo, hi int) { panic("serial") })
+		For(10, 100, Func(func(lo, hi int) { panic("serial") }))
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -93,7 +93,7 @@ func TestInjectedWorkerPanic(t *testing.T) {
 	})
 	defer restore()
 	err := catchPanic(func() {
-		For(100000, 1000, func(lo, hi int) {})
+		For(100000, 1000, Func(func(lo, hi int) {}))
 	})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("injected worker panic surfaced as %v, want ErrInjected", err)
@@ -102,7 +102,7 @@ func TestInjectedWorkerPanic(t *testing.T) {
 		t.Fatalf("injected worker panic surfaced as %T without the worker's stack", err)
 	}
 	// With the fault window exhausted the same loop must run clean.
-	if err := catchPanic(func() { For(100000, 1000, func(lo, hi int) {}) }); err != nil {
+	if err := catchPanic(func() { For(100000, 1000, Func(func(lo, hi int) {})) }); err != nil {
 		t.Fatalf("loop after fault window: %v", err)
 	}
 }

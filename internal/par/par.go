@@ -26,14 +26,6 @@ import (
 	"hcd/internal/faultinject"
 )
 
-// DefaultGrain is the minimum chunk size handed to a worker when the caller
-// does not specify one; it keeps scheduling overhead negligible relative to
-// per-element work.
-const DefaultGrain = 4096
-
-// Workers returns the degree of parallelism used by this package.
-func Workers() int { return runtime.GOMAXPROCS(0) }
-
 // PanicError is a panic recovered from a parallel worker, re-raised (or
 // returned, via AsError) on the caller's goroutine. Value and Stack come
 // from the first worker that panicked; Workers counts how many panicked
@@ -63,7 +55,7 @@ func (e *PanicError) Unwrap() error {
 
 // AsError converts a recovered panic value into an error: a *PanicError
 // passes through, anything else (a panic raised on the caller's own
-// goroutine, e.g. by the sequential short-circuit paths) is wrapped with
+// goroutine, e.g. on For's sequential path) is wrapped with
 // the current stack. Returns nil for nil. The idiom for a panic-safe entry
 // point is:
 //
@@ -114,33 +106,44 @@ func (t *trap) rethrow() {
 	}
 }
 
-// For runs fn over the chunked range [0, n) in parallel. Chunks have size
-// grain (DefaultGrain if grain <= 0) and are claimed with an atomic counter,
-// so uneven chunks balance automatically. fn must be safe to call
-// concurrently on disjoint ranges. For n <= grain the call is sequential.
+// A Ranger is the body of a parallel loop: Range(lo, hi) does the work of
+// indices [lo, hi). A sweep is a value holding its operands, so For can run
+// it on the calling goroutine without building a closure.
+type Ranger interface{ Range(lo, hi int) }
+
+// Func adapts a closure to a Ranger, for loops that run once per build, where
+// the closure's allocation does not matter.
+type Func func(lo, hi int)
+
+// Range calls f(lo, hi).
+func (f Func) Range(lo, hi int) { f(lo, hi) }
+
+// For runs body over the chunked range [0, n) in parallel. Chunks have size
+// grain (≥ 1) and are claimed with an atomic counter, so uneven chunks
+// balance automatically. body must be safe to run concurrently on disjoint
+// ranges. For n <= grain, and on one worker, the call is body.Range(0, n) on
+// the calling goroutine, and allocates nothing: body is copied to the heap
+// only on the parallel path.
 //
-// A panic inside fn cancels the remaining chunks and re-raises as a single
+// A panic inside body cancels the remaining chunks and re-raises as a single
 // *PanicError on the calling goroutine (see the package comment).
-func For(n, grain int, fn func(lo, hi int)) {
+func For[R Ranger](n, grain int, body R) {
 	if n <= 0 {
 		return
 	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	workers := Workers()
+	workers := runtime.GOMAXPROCS(0)
 	if n <= grain || workers == 1 {
-		fn(0, n)
+		body.Range(0, n)
 		return
 	}
-	forWorkers(n, grain, workers, fn)
+	forWorkers(n, grain, workers, body)
 }
 
-// forWorkers is For's parallel path. It is a function of its own so that the
-// variables its goroutines share are allocated only when it runs: one the
-// workers captured in For itself would be allocated on every call, the
+// forWorkers is For's parallel path. It is a function of its own so that body
+// and the variables its goroutines share are allocated only when it runs: one
+// the workers captured in For itself would be allocated on every call, the
 // sequential ones included.
-func forWorkers(n, grain, workers int, fn func(lo, hi int)) {
+func forWorkers(n, grain, workers int, body Ranger) {
 	chunks := (n + grain - 1) / grain
 	if workers > chunks {
 		workers = chunks
@@ -162,11 +165,7 @@ func forWorkers(n, grain, workers int, fn func(lo, hi int)) {
 					panic(fmt.Errorf("%w: %s", faultinject.ErrInjected, faultinject.WorkerPanic))
 				}
 				lo := c * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
+				body.Range(lo, min(lo+grain, n))
 			}
 		}()
 	}

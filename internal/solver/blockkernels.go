@@ -20,22 +20,17 @@ import (
 // scratch table and combined in chunk order, so every reduction — and
 // therefore the whole solve — is bit-identical at any GOMAXPROCS, and each
 // column of a block sums exactly as it sums alone.
+//
+// Every sweep is a value holding its operands, with a Range method that
+// par.For runs: the elementwise ones (xpbySweep, packSweep) over rows in
+// chunks of kernel.ChunkRows(k), the reductions (rowSweep) over the chunks of
+// their partition. On one worker, and below one chunk, par.For runs the value
+// on the calling goroutine, so a warm solve allocates nothing.
 
-// kernelGrain is the row count of the reductions' chunks, and of the
-// elementwise sweeps' at width 1.
+// kernelGrain is the row count of the reductions' chunks. It is arithmetic,
+// not scheduling: a reduction sums its chunks' partials in chunk order, so the
+// partition is part of every sum's rounding.
 const kernelGrain = 16384
-
-// blockGrain returns the per-chunk row count for width-k elementwise block
-// sweeps: the reduction grain scaled down by the block width so a chunk
-// touches roughly the same number of floats, floored to bound scheduling
-// overhead. An elementwise sweep rounds the same under any chunking.
-func blockGrain(k int) int {
-	g := kernelGrain / k
-	if g < 512 {
-		g = 512
-	}
-	return g
-}
 
 // sweepOp names a reduction sweep of rowSweep.
 type sweepOp uint8
@@ -46,41 +41,36 @@ const (
 	opUpdateXRSums                // x += coef∘p, r −= coef∘ap, then Σ r per column
 )
 
-// rowSweep is one reduction sweep and its operands, passed by value so that
-// a serial reduction builds no closure (one that reaches a worker goroutine
-// escapes, and would allocate on every call).
+// rowSweep is one reduction sweep over rows [0, n) of width-k blocks and its
+// operands. reduceRows runs it over the chunks of the kernelGrain partition,
+// each into its own k-wide slot of partial.
 type rowSweep struct {
 	op          sweepOp
 	x, r, p, ap []float64
 	coef        []float64
+	n, k        int
+	partial     []float64
 }
 
 // rows adds rows [lo, hi) of the sweep's column reductions to acc.
-func (w *rowSweep) rows(k, lo, hi int, acc []float64) {
+func (w rowSweep) rows(lo, hi int, acc []float64) {
 	switch w.op {
 	case opDots:
-		blockDotsRange(w.x, w.r, k, lo, hi, acc)
+		blockDotsRange(w.x, w.r, w.k, lo, hi, acc)
 	case opSubMeanDot:
-		blockSubMeanDotRange(w.x, w.r, w.coef, k, lo, hi, acc)
+		blockSubMeanDotRange(w.x, w.r, w.coef, w.k, lo, hi, acc)
 	case opUpdateXRSums:
-		blockUpdateXRSumsRange(w.x, w.r, w.p, w.ap, w.coef, k, lo, hi, acc)
+		blockUpdateXRSumsRange(w.x, w.r, w.p, w.ap, w.coef, w.k, lo, hi, acc)
 	}
 }
 
-// chunks runs the sweep over chunks [clo, chi) of the kernelGrain partition
-// of [0, n), each into its own k-wide slot of partial.
-func (w *rowSweep) chunks(n, k int, partial []float64, clo, chi int) {
+// Range runs the sweep over chunks [clo, chi) of the kernelGrain partition of
+// [0, n), each into its own k-wide slot of partial.
+func (w rowSweep) Range(clo, chi int) {
 	for c := clo; c < chi; c++ {
 		lo := c * kernelGrain
-		w.rows(k, lo, min(lo+kernelGrain, n), partial[c*k:c*k+k])
+		w.rows(lo, min(lo+kernelGrain, w.n), w.partial[c*w.k:c*w.k+w.k])
 	}
-}
-
-// chunksParallel runs w's chunks on the workers. It takes w by value: the
-// closure the workers share then holds a copy made here, where reduceRows'
-// serial path never comes.
-func chunksParallel(w rowSweep, n, k int, partial []float64) {
-	par.For(len(partial)/k, 1, func(clo, chi int) { w.chunks(n, k, partial, clo, chi) })
 }
 
 // reduceRows runs w over the fixed partition of [0, n) into kernelGrain-row
@@ -93,41 +83,37 @@ func chunksParallel(w rowSweep, n, k int, partial []float64) {
 // worker, and in one chunk, nothing allocates.
 func (s *scratch) reduceRows(n, k int, out []float64, w rowSweep) {
 	zero(out[:k])
+	w.n, w.k = n, k
 	chunks := (n + kernelGrain - 1) / kernelGrain
 	if chunks <= 1 {
-		w.rows(k, 0, n, out)
+		w.rows(0, n, out)
 		return
 	}
-	partial := s.vec(&s.partial, chunks*k)
-	zero(partial)
-	if par.Workers() == 1 {
-		w.chunks(n, k, partial, 0, chunks)
-	} else {
-		chunksParallel(w, n, k, partial)
-	}
+	w.partial = s.vec(&s.partial, chunks*k)
+	zero(w.partial)
+	par.For(chunks, 1, w)
 	for c := 0; c < chunks; c++ {
-		p := partial[c*k : c*k+k]
+		p := w.partial[c*k : c*k+k]
 		for j := range p {
 			out[j] += p[j]
 		}
 	}
 }
 
-// Column tiles. Every sweep below covers its rows in fixed-width column
-// tiles — 8 wide, then 4 — the shape of graph.lapMulBlockRange and
-// sparse.LapFactor.SolveBlock, and each column no tile takes with its width-1
-// loop, which walks one column of the block at stride k, over the row blocks
-// of kernel.Columns. The width-1 loops are kept out of line (go:noinline):
-// inlined beside the tiles they share the registers with the tiles' state and
-// reload their operands from the stack on every row. The tiles are bodies
-// of internal/kernel, which hold a row's columns and the coefficients (α, β,
-// the means) in registers and store a chunk's partial once, and run in Go or
-// AVX2 assembly as that package's probe decides. Per column a tile performs
-// the IEEE operations of the width-1 loop in the same order (ascending rows,
-// products and sums as written, no fused multiply-add), so the width of a
-// tile never shows in a result. At k = 1 the width-1 loop is the whole sweep;
-// run on every column it is what the tests compare the tiles to (DESIGN §12
-// "Kernel layer").
+// Column tiles. Every sweep below covers its rows in the column tiles of
+// kernel.Tiles — 8 wide, then 4, the schedule of every packed-row sweep — and
+// each column no tile takes with its width-1 loop, which walks one column of
+// the block at stride k, over the row blocks of kernel.Columns. The width-1
+// loops are kept out of line (go:noinline): inlined beside the tiles they
+// share the registers with the tiles' state and reload their operands from
+// the stack on every row. The tiles are bodies of internal/kernel, which hold
+// a row's columns and the coefficients (α, β, the means) in registers and
+// store a chunk's partial once, and run in Go or AVX2 assembly as that
+// package's probe decides. Per column a tile performs the IEEE operations of
+// the width-1 loop in the same order (ascending rows, products and sums as
+// written, no fused multiply-add), so the width of a tile never shows in a
+// result. At k = 1 the width-1 loop is the whole sweep; run on every column
+// it is what the tests compare the tiles to (DESIGN §12 "Kernel layer").
 
 // blockDots computes out[j] = Σ_v a[v·k+j]·b[v·k+j] for each column j.
 func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
@@ -137,14 +123,7 @@ func (s *scratch) blockDots(a, b []float64, n, k int, out []float64) {
 // blockDotsRange adds rows [lo, hi) of the column dot products to acc — or,
 // with b nil, the column sums.
 func blockDotsRange(a, b []float64, k, lo, hi int, acc []float64) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		kernel.Dots(8, a, b, k, j, lo, hi, acc)
-	}
-	if j+4 <= k {
-		kernel.Dots(4, a, b, k, j, lo, hi, acc)
-		j += 4
-	}
+	j := kernel.Tiles(k, func(width, j int) { kernel.Dots(width, a, b, k, j, lo, hi, acc) })
 	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { acc[j] = dotsCol(a, b, k, j, lo, hi, acc[j]) })
 }
 
@@ -200,14 +179,7 @@ func (s *scratch) blockSubMeanDot(z, r []float64, n, k int, mean, out []float64)
 // blockSubMeanDotRange shifts rows [lo, hi) of z and adds their products with
 // r to acc.
 func blockSubMeanDotRange(z, r, mean []float64, k, lo, hi int, acc []float64) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		kernel.SubMeanDot(8, z, r, mean, k, j, lo, hi, acc)
-	}
-	if j+4 <= k {
-		kernel.SubMeanDot(4, z, r, mean, k, j, lo, hi, acc)
-		j += 4
-	}
+	j := kernel.Tiles(k, func(width, j int) { kernel.SubMeanDot(width, z, r, mean, k, j, lo, hi, acc) })
 	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { acc[j] = subMeanDotCol(z, r, mean[j], k, j, lo, hi, acc[j]) })
 }
 
@@ -234,14 +206,7 @@ func (s *scratch) blockUpdateXRSums(x, r, p, ap, alpha []float64, n, k int, sums
 // blockUpdateXRSumsRange updates rows [lo, hi) and adds the new residual rows
 // to acc.
 func blockUpdateXRSumsRange(x, r, p, ap, alpha []float64, k, lo, hi int, acc []float64) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		kernel.UpdateXRSums(8, x, r, p, ap, alpha, k, j, lo, hi, acc)
-	}
-	if j+4 <= k {
-		kernel.UpdateXRSums(4, x, r, p, ap, alpha, k, j, lo, hi, acc)
-		j += 4
-	}
+	j := kernel.Tiles(k, func(width, j int) { kernel.UpdateXRSums(width, x, r, p, ap, alpha, k, j, lo, hi, acc) })
 	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) {
 		acc[j] = updateXRSumsCol(x, r, p, ap, alpha[j], k, j, lo, hi, acc[j])
 	})
@@ -261,30 +226,16 @@ func updateXRSumsCol(x, r, p, ap []float64, a float64, k, j, lo, hi int, s float
 	return s
 }
 
-// blockXPBY computes p = z + β∘p per column (the direction update).
+// xpbySweep computes p = z + β∘p per column (the direction update).
 // Elementwise, so any chunking is bit-identical.
-func blockXPBY(p, z, beta []float64, n, k int) {
-	grain := blockGrain(k)
-	if n <= grain || par.Workers() == 1 {
-		blockXPBYRange(p, z, beta, k, 0, n)
-		return
-	}
-	par.For(n, grain, func(lo, hi int) {
-		blockXPBYRange(p, z, beta, k, lo, hi)
-	})
+type xpbySweep struct {
+	p, z, beta []float64
+	k          int
 }
 
-// blockXPBYRange is blockXPBY on rows [lo, hi).
-func blockXPBYRange(p, z, beta []float64, k, lo, hi int) {
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		kernel.XPBY(8, p, z, beta, k, j, lo, hi)
-	}
-	if j+4 <= k {
-		kernel.XPBY(4, p, z, beta, k, j, lo, hi)
-		j += 4
-	}
-	kernel.Columns(j, k, lo, hi, func(j, lo, hi int) { xpbyCol(p, z, beta[j], k, j, lo, hi) })
+func (s xpbySweep) Range(lo, hi int) {
+	j := kernel.Tiles(s.k, func(width, j int) { kernel.XPBY(width, s.p, s.z, s.beta, s.k, j, lo, hi) })
+	kernel.Columns(j, s.k, lo, hi, func(j, lo, hi int) { xpbyCol(s.p, s.z, s.beta[j], s.k, j, lo, hi) })
 }
 
 // xpbyCol is the direction update on column j over rows [lo, hi).
@@ -297,27 +248,25 @@ func xpbyCol(p, z []float64, b float64, k, j, lo, hi int) {
 	}
 }
 
-// packColumns interleaves k column vectors into the packed row-major block,
+// packSweep interleaves k column vectors into the packed row-major block,
 // gathering row v from entry perm[v] of each column when perm is not nil.
-func packColumns(bs [][]float64, perm []int32, dst []float64, n, k int) {
-	grain := blockGrain(k)
-	if n <= grain || par.Workers() == 1 {
-		packRange(bs, perm, dst, k, 0, n)
-		return
-	}
-	par.For(n, grain, func(lo, hi int) { packRange(bs, perm, dst, k, lo, hi) })
+type packSweep struct {
+	bs   [][]float64
+	perm []int32
+	dst  []float64
+	k    int
 }
 
-func packRange(bs [][]float64, perm []int32, dst []float64, k, lo, hi int) {
-	for j, b := range bs {
-		if perm != nil {
-			for v, u := range perm[lo:hi] {
-				dst[(lo+v)*k+j] = b[u]
+func (s packSweep) Range(lo, hi int) {
+	for j, b := range s.bs {
+		if s.perm != nil {
+			for v, u := range s.perm[lo:hi] {
+				s.dst[(lo+v)*s.k+j] = b[u]
 			}
 			continue
 		}
 		for v := lo; v < hi; v++ {
-			dst[v*k+j] = b[v]
+			s.dst[v*s.k+j] = b[v]
 		}
 	}
 }

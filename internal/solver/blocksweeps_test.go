@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hcd/internal/kernel"
+	"hcd/internal/par"
 )
 
 // sweepArgs are the operands of one level-1 block sweep over rows [lo, hi) of
@@ -79,9 +80,11 @@ var blockSweeps = []struct {
 		},
 		func(s *scratch, a *sweepArgs, n int) { s.blockUpdateXRSums(a.x, a.r, a.p, a.ap, a.coef, n, a.k, a.acc) }},
 	{"xpby",
-		func(a *sweepArgs) { blockXPBYRange(a.x, a.r, a.coef, a.k, a.lo, a.hi) },
+		func(a *sweepArgs) { xpbySweep{a.x, a.r, a.coef, a.k}.Range(a.lo, a.hi) },
 		func(a *sweepArgs) { eachColumn(a, func(j int) { xpbyCol(a.x, a.r, a.coef[j], a.k, j, a.lo, a.hi) }) },
-		func(_ *scratch, a *sweepArgs, n int) { blockXPBY(a.x, a.r, a.coef, n, a.k) }},
+		func(_ *scratch, a *sweepArgs, n int) {
+			par.For(n, kernel.ChunkRows(a.k), xpbySweep{a.x, a.r, a.coef, a.k})
+		}},
 }
 
 // eachColumn runs col on every column of a's blocks in turn.
@@ -169,7 +172,7 @@ func TestBlockSweepTilesMatchReference(t *testing.T) {
 		for _, special := range []bool{false, true} {
 			// The entry point and both bodies against the loop under the
 			// same chunking.
-			grain := blockGrain(k)
+			grain := kernel.ChunkRows(k)
 			for _, n := range []int{1, 37, grain - 1, grain, grain + 1, 2*grain + 37} {
 				base := randomSweepArgs(rng, n, k, special)
 				for _, sw := range blockSweeps {
@@ -308,7 +311,7 @@ func TestBlockReductionWidthInvariant(t *testing.T) {
 					sums("updateXRSums", out, func(w *solo) float64 { return w.updateXR })
 					block("updateXRSums x", a.x, func(w *solo) []float64 { return w.x })
 					block("updateXRSums r", a.r, func(w *solo) []float64 { return w.r })
-					body.run(func() { blockXPBY(a.p, base.r, a.coef, n, k) })
+					body.run(func() { par.For(n, kernel.ChunkRows(k), xpbySweep{a.p, base.r, a.coef, k}) })
 					block("xpby p", a.p, func(w *solo) []float64 { return w.p })
 				}
 			}

@@ -12,9 +12,10 @@ import (
 // default options, and all iteration work buffers. Repeated solves on one
 // graph — batched right-hand sides, of any width — reuse every work buffer
 // after the first solve (Metrics.ScratchAllocs == 0), and allocate nothing at
-// all on one worker, or while every sweep stays below its kernel's parallel
-// grain: the kernels then run on the calling goroutine. Above the grains on
-// several workers, the goroutines the kernels fan out to allocate.
+// all on one worker, or while every sweep is shorter than one chunk
+// (kernel.ChunkRows): par.For then runs the sweeps on the calling goroutine.
+// On several workers, a sweep longer than one chunk fans out to goroutines,
+// which allocate.
 //
 // An Engine is NOT safe for concurrent use; the parallelism lives inside the
 // kernels, not across solves. Overlapping calls are detected: the second

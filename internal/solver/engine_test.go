@@ -6,12 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"hcd/internal/graph"
 	"hcd/internal/hierarchy"
+	"hcd/internal/kernel"
 	"hcd/internal/obs"
+	"hcd/internal/par"
 	"hcd/internal/workload"
 )
 
@@ -89,7 +92,7 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 	}
 
 	p := append([]float64(nil), a...)
-	blockXPBY(p, b, []float64{0.37}, n, 1)
+	par.For(n, kernel.ChunkRows(1), xpbySweep{p, b, []float64{0.37}, 1})
 	for i := range p {
 		if want := b[i] + 0.37*a[i]; p[i] != want {
 			t.Fatalf("xpby row %d: %v vs %v", i, p[i], want)
@@ -344,6 +347,75 @@ func TestEngineRepeatedSolvesZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm engine solve of a tiny b allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestEngineWarmSolvesAllocateNothingOnTwoWorkers: at two workers a warm
+// SolveBlock on a 4 096-vertex graph, whose every sweep is shorter than one
+// chunk, runs each of them on the calling goroutine and allocates nothing —
+// restrict too, on the small levels where a sweep of its own grain fanned out
+// and allocated its closure on every call. It counts with runtime.MemStats:
+// testing.AllocsPerRun pins GOMAXPROCS to 1.
+func TestEngineWarmSolvesAllocateNothingOnTwoWorkers(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops work buffers, which are then allocated again")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// No collection while counting: one would empty the hierarchy's pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fem, err := workload.FEMesh(64, 64, -1, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"femesh:64", fem}, {"grid3d:16", workload.Grid3D(16, 16, 16, workload.Lognormal(1), 1)}} {
+		h, err := hierarchy.New(tc.g, hierarchy.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(LapOperator(tc.g), h, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2} {
+			bs := make([][]float64, k)
+			for j := range bs {
+				bs[j] = meanFreeRHS(rng, tc.g.N())
+			}
+			solve := func() {
+				res, err := eng.SolveBlock(context.Background(), bs, DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, r := range res {
+					if !r.Converged {
+						t.Fatalf("%s k=%d column %d did not converge: %v", tc.name, k, j, r.Outcome)
+					}
+				}
+			}
+			// The counter is the process's: a sync.Pool miss when the test
+			// goroutine moves to the other P (the hierarchy's work buffers
+			// sit in the P that put them), or the runtime starting a thread,
+			// adds a few allocations to a round that are not the solve's.
+			// What the solve allocates it allocates in every round, so the
+			// least round is the solve's count.
+			solve()
+			least := uint64(math.MaxUint64)
+			for round := 0; round < 8; round++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				solve()
+				solve()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.Mallocs-before.Mallocs)
+			}
+			if least != 0 {
+				t.Errorf("%s k=%d: two warm SolveBlock calls at two workers allocate at least %d times, want 0", tc.name, k, least)
+			}
+		}
 	}
 }
 

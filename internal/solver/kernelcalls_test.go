@@ -15,7 +15,7 @@ import (
 // TestSweepTileCallsAreChunked: the runtime cannot preempt a goroutine inside
 // assembly, so no call into a sweep tile is handed more than
 // kernel.ChunkRows(k) rows — even when a range function gets the whole block
-// at once, as blockXPBY's serial path hands it — and the calls cover every row
+// at once, as par.For's serial path hands it — and the calls cover every row
 // of every tile exactly once, in either form, with the same result.
 func TestSweepTileCallsAreChunked(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

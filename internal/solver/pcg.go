@@ -310,7 +310,7 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 		src[pos] = bs[j]
 	}
 	zero(x)
-	packColumns(src, s.perm, r, n, k)
+	par.For(n, kernel.ChunkRows(k), packSweep{src, s.perm, r, k})
 	for pos := range src {
 		src[pos] = nil // the scratch outlives the caller's vectors
 	}
@@ -492,7 +492,7 @@ func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs 
 				res := &results[s.active[pos]]
 				res.Betas = append(res.Betas, beta[pos])
 			}
-			blockXPBY(p, z, beta, n, kA)
+			par.For(n, kernel.ChunkRows(kA), xpbySweep{p, z, beta, kA})
 			copy(rz[:kA], rzNew[:kA])
 		}
 	}

@@ -433,12 +433,12 @@ func (f *LapFactor) checkOperands(method string, dst, b []float64, k int) {
 
 // SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
 // (v, j) at b[v*k+j]) with zero mean per component on every column. The
-// factor is streamed once per column tile — 8 wide, then 4, each through
-// internal/kernel's CholTile (Go or AVX2, as its probe decides) — and once
-// for each column no tile takes, by solveCol; per column a tile's operation
-// order is solveCol's, so the results are bit-identical to k solves of one
-// column. dst and b may alias; they are checked as Solve's are, against n·k:
-// an over-long operand panics like a short one.
+// factor is streamed once per column tile of kernel.Tiles — 8 wide, then 4,
+// each through internal/kernel's CholTile (Go or AVX2, as its probe decides)
+// — and once for each column no tile takes, by solveCol; per column a tile's
+// operation order is solveCol's, so the results are bit-identical to k solves
+// of one column. dst and b may alias; they are checked as Solve's are,
+// against n·k: an over-long operand panics like a short one.
 func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
 	f.checkOperands("SolveBlock", dst, b, k)
 	copy(dst, b)
@@ -448,15 +448,7 @@ func (f *LapFactor) SolveBlock(dst, b []float64, k int) {
 			row[j] = 0
 		}
 	}
-	j := 0
-	for ; j+8 <= k; j += 8 {
-		f.solveTile(8, dst, k, j)
-	}
-	if j+4 <= k {
-		f.solveTile(4, dst, k, j)
-		j += 4
-	}
-	for ; j < k; j++ {
+	for j := kernel.Tiles(k, func(width, j int) { f.solveTile(width, dst, k, j) }); j < k; j++ {
 		f.solveCol(dst, k, j)
 	}
 	f.demean(dst, k)

@@ -162,13 +162,13 @@ func (r *Rooted) Critical3() []bool {
 			}
 		}
 	}
-	par.For(n, 4096, func(lo, hi int) {
+	par.For(n, 4096, par.Func(func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			if !r.isLeaf(v) && ceilDiv3(r.Desc[v]) > maxChild[v] {
 				crit[v] = true
 			}
 		}
-	})
+	}))
 	return crit
 }
 
